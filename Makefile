@@ -64,11 +64,14 @@ race-deadlock:
 race-adaptive:
 	$(GO) test -race -run 'TestE20AdaptiveReplanStorm' -count=3 ./internal/core
 
-# E17 allocation fence: the warm plan-cache-hit path must stay inside its
-# allocs/op and bytes/op budget (see alloc_guard_test.go). -count=1 defeats
-# the test cache so the guard actually measures on every check.
+# Allocation fences (see alloc_guard_test.go): the warm plan-cache-hit
+# path must stay inside its E17 allocs/op and bytes/op budget, and under
+# the default {Parallel, Adaptive} configuration an IN-list-tier semi-join
+# and the E14 report join must stay inside theirs — no allocation per join
+# key or shipped key. -count=1 defeats the test cache so the guards
+# actually measure on every check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard' -count=1 .
+	$(GO) test -run 'TestE17AllocGuard|TestKeyedLookupAllocGuard' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem .

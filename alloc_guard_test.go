@@ -3,7 +3,7 @@
 // behind the arena-backed front end — a change that quietly reintroduces
 // per-query heap work (an AST node off the slab path, a closure in the
 // fetch loop, a lost scratch buffer) trips it long before a profile would.
-// `make alloc-guard` runs exactly this test; `make check` includes it.
+// `make alloc-guard` runs the guards in this file; `make check` includes it.
 //
 // Excluded under the race detector: its instrumentation allocates on its
 // own behalf, so allocs/op there measures the detector, not the engine.
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -68,4 +69,75 @@ func TestE17AllocGuard(t *testing.T) {
 	}
 	t.Logf("warm cached-hit: %d allocs/op, %d bytes/op (budget %d / %d)",
 		res.AllocsPerOp(), res.AllocedBytesPerOp(), e17MaxAllocsPerOp, e17MaxBytesPerOp)
+}
+
+// Budgets for the keyed-lookup fence, per query under the default
+// configuration, ~25% above the values measured when exec's hash join,
+// semi-join key set and constant IN-lists moved onto one flat index
+// (IN-list-tier join: 210 allocs; E14 report join: 386).
+// A per-key allocation — a map bucket per join key, a literal or a closure
+// per shipped key — costs hundreds to thousands on either query, far past
+// the headroom.
+const (
+	keyedSemiJoinMaxAllocsPerOp = 265
+	keyedJoinMaxAllocsPerOp     = 485
+)
+
+// TestKeyedLookupAllocGuard fences the two queries whose allocations used
+// to scale with their key counts, under the configuration Query and
+// Prepare default to: an E18-shape join whose ~250 probe keys ship as an
+// IN-list, and the E14 report join that builds a 16 000-row hash table.
+func TestKeyedLookupAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard runs a benchmark loop; skipped in -short")
+	}
+	qo := core.QueryOptions{Parallel: true, Adaptive: true}
+	measure := func(engine *core.Engine, sql string) int64 {
+		for i := 0; i < 8; i++ { // plan cache, feedback store, scratch pool
+			if _, err := engine.QueryOpts(sql, qo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.QueryOpts(sql, qo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}).AllocsPerOp()
+	}
+
+	const semiJoinSQL = `SELECT c.name, i.amount FROM crm.customers c
+		JOIN billing.invoices i ON c.id = i.cust_id
+		WHERE c.region = 'west' AND c.segment = 'smb' AND i.status = 'overdue'`
+	small := mustCRM(t, 3000).Engine
+	res, err := small.QueryOpts(semiJoinSQL, qo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := small.QueryOpts(`SELECT COUNT(*) FROM crm.customers WHERE region = 'west' AND segment = 'smb'`, qo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduced := false
+	plan.Walk(res.Plan, func(n plan.Node) {
+		if j, ok := n.(*plan.Join); ok && j.SemiJoin != plan.SemiJoinNone {
+			reduced = true
+		}
+	})
+	if n := keys.Rows[0][0].Int(); !reduced || n == 0 || n > plan.DefaultSemiJoinKeyCap {
+		t.Fatalf("guard query is not an IN-list-tier semi-join: reduced=%v with %d probe keys", reduced, n)
+	}
+	if a := measure(small, semiJoinSQL); a > keyedSemiJoinMaxAllocsPerOp {
+		t.Errorf("IN-list-tier semi-join allocates %d objects/op, budget is %d", a, keyedSemiJoinMaxAllocsPerOp)
+	} else {
+		t.Logf("IN-list-tier semi-join: %d allocs/op (budget %d)", a, keyedSemiJoinMaxAllocsPerOp)
+	}
+
+	if a := measure(mustCRM(t, 4000).Engine, e14JoinQuery); a > keyedJoinMaxAllocsPerOp {
+		t.Errorf("E14 report join allocates %d objects/op, budget is %d", a, keyedJoinMaxAllocsPerOp)
+	} else {
+		t.Logf("E14 report join: %d allocs/op (budget %d)", a, keyedJoinMaxAllocsPerOp)
+	}
 }

@@ -39,7 +39,7 @@ var naiveOpts = core.QueryOptions{Optimizer: opt.Options{
 	NoFilterPushdown: true, NoProjectionPrune: true, NoJoinReorder: true, NoRemotePushdown: true,
 }}
 
-func mustCRM(b *testing.B, customers int) *workload.CRMFederation {
+func mustCRM(b testing.TB, customers int) *workload.CRMFederation {
 	b.Helper()
 	cfg := workload.DefaultCRM()
 	cfg.Customers = customers

@@ -11,7 +11,6 @@ package datum
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -329,57 +328,59 @@ func Equal(a, b Datum) bool {
 	return Compare(a, b) == 0
 }
 
+// FNV-1a 64-bit parameters. Hash inlines the algorithm instead of going
+// through hash/fnv: no hash.Hash64 interface calls, no []byte(string)
+// copy, no staging buffer.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Hash returns a 64-bit hash consistent with Compare equality: datums that
-// compare equal (including cross INT/FLOAT) hash identically.
+// compare equal (including cross INT/FLOAT) hash identically. It is FNV-1a
+// over a kind tag followed by the payload bytes (integers little-endian).
+// The values are part of the wire contract — bloom filter contents and
+// exchange shard assignment are derived from them — so they must not
+// change; TestHashGolden pins them.
 func (d Datum) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
 	switch d.kind {
-	case KindNull:
-		buf[0] = 0
-		h.Write(buf[:1])
 	case KindBool:
-		buf[0] = 1
+		var b byte
 		if d.b {
-			buf[1] = 1
+			b = 1
 		}
-		h.Write(buf[:2])
+		return fnvByte(fnvByte(fnvOffset64, 1), b)
 	case KindInt, KindFloat:
 		// Hash all numerics through their float64 image so 1 and 1.0
 		// land in the same hash bucket, matching Compare.
 		f, _ := d.AsFloat()
 		if f == math.Trunc(f) && !math.IsInf(f, 0) {
-			// Integral value: hash the integer image to keep exact
-			// int64 values (beyond float precision) distinct.
-			buf[0] = 2
-			putUint64(buf[1:], uint64(int64(f)))
-		} else {
-			buf[0] = 3
-			putUint64(buf[1:], math.Float64bits(f))
+			// Integral value: hash the integer image.
+			return fnvUint64(fnvByte(fnvOffset64, 2), uint64(int64(f)))
 		}
-		h.Write(buf[:9])
+		return fnvUint64(fnvByte(fnvOffset64, 3), math.Float64bits(f))
 	case KindString:
-		buf[0] = 4
-		h.Write(buf[:1])
-		h.Write([]byte(d.s))
+		h := fnvByte(fnvOffset64, 4)
+		for i := 0; i < len(d.s); i++ {
+			h = fnvByte(h, d.s[i])
+		}
+		return h
 	case KindTime:
-		buf[0] = 5
-		putUint64(buf[1:], uint64(d.t.UnixNano()))
-		h.Write(buf[:9])
+		return fnvUint64(fnvByte(fnvOffset64, 5), uint64(d.t.UnixNano()))
+	default: // KindNull
+		return fnvByte(fnvOffset64, 0)
 	}
-	return h.Sum64()
 }
 
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvUint64 folds v's eight bytes into h, least significant first.
+func fnvUint64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(v))
+		v >>= 8
+	}
+	return h
 }
 
 // WireSize estimates the serialized size of the datum in bytes. The network

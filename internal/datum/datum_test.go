@@ -1,7 +1,9 @@
 package datum
 
 import (
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -116,6 +118,75 @@ func TestHashConsistentWithCompare(t *testing.T) {
 	// Distinct strings should not trivially collide.
 	if NewString("abc").Hash() == NewString("abd").Hash() {
 		t.Error("distinct strings collide")
+	}
+}
+
+// TestHashGolden pins Hash to the values the hash/fnv-based implementation
+// produced. Bloom filter contents, exchange shard assignment and therefore
+// shipped bytes all derive from these bits, so a faster Hash must return
+// exactly the same ones.
+func TestHashGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		d    Datum
+		want uint64
+	}{
+		{"NULL", Null, 0xaf63bd4c8601b7df},
+		{"false", NewBool(false), 0x82f2207b4e88cc4},
+		{"true", NewBool(true), 0x82f2307b4e88e77},
+		{"0", NewInt(0), 0xcd92cf54dc615e5},
+		{"1", NewInt(1), 0xedde65ec42d6cbc4},
+		{"-7", NewInt(-7), 0x46d68c00a4e46c1b},
+		{"2^60", NewInt(1 << 60), 0xcd93cf54dc63115},
+		{"1.5", NewFloat(1.5), 0x7953ca97b9144203},
+		{"-0.25", NewFloat(-0.25), 0x78cc4a97b8a181eb},
+		{"3.0", NewFloat(3.0), 0x2bd3f3fe58b56006},
+		{"3", NewInt(3), 0x2bd3f3fe58b56006},
+		{"+Inf", NewFloat(math.Inf(1)), 0x79388a97b8fd0d8b},
+		{"-Inf", NewFloat(math.Inf(-1)), 0x79380a97b8fc340b},
+		{"NaN", NewFloat(math.NaN()), 0x96d19ba0c2bf9812},
+		{"''", NewString(""), 0xaf63b94c8601b113},
+		{"'a'", NewString("a"), 0x8254f07b4e084b6},
+		{"'west'", NewString("west"), 0xf68642d09100e9d4},
+		{"45-byte string", NewString(strings.Repeat("goei-", 9)), 0x6225f3bddc7de3a6},
+		{"time", NewTime(time.Date(2005, 6, 14, 9, 30, 0, 123456000, time.UTC)), 0xf1e17817a5e5b408},
+	}
+	for _, c := range cases {
+		if got := c.d.Hash(); got != c.want {
+			t.Errorf("Hash(%s) = %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestHashMatchesFNV checks the inlined FNV-1a against hash/fnv over the
+// documented byte layout (kind tag, then payload) for arbitrary values.
+func TestHashMatchesFNV(t *testing.T) {
+	ref := func(tag byte, payload []byte) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte{tag})
+		h.Write(payload)
+		return h.Sum64()
+	}
+	le := func(v uint64) []byte {
+		b := make([]byte, 8)
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		return b
+	}
+	if err := quick.Check(func(i int64, f float64, s string) bool {
+		fi := float64(i)
+		wantInt := ref(2, le(uint64(int64(fi))))
+		wantFloat := ref(3, le(math.Float64bits(f)))
+		if f == math.Trunc(f) && !math.IsInf(f, 0) {
+			wantFloat = ref(2, le(uint64(int64(f))))
+		}
+		return NewInt(i).Hash() == wantInt &&
+			NewFloat(f).Hash() == wantFloat &&
+			NewString(s).Hash() == ref(4, []byte(s)) &&
+			NewTime(time.Unix(0, i)).Hash() == ref(5, le(uint64(NewTime(time.Unix(0, i)).Time().UnixNano())))
+	}, nil); err != nil {
+		t.Error(err)
 	}
 }
 

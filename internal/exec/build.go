@@ -60,7 +60,9 @@ type Options struct {
 	// the assembly site". Past MaxSemiJoinKeys distinct keys the shipped
 	// list becomes a bloom filter of the keys (constant bits/key, no
 	// false negatives); past plan.DefaultBloomKeyCap it falls back to a
-	// full fetch.
+	// full fetch. The source evaluates either tier with one hash per row
+	// — the IN-list compiles to a hashed set (inSet), the bloom filter
+	// probes its bits — so both cost O(rows) there, whatever the key count.
 	SemiJoin bool
 	// MaxSemiJoinKeys caps the exact shipped key list; 0 means 512.
 	MaxSemiJoinKeys int
@@ -625,63 +627,37 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 	if err != nil {
 		return nil, false, err
 	}
-	seen := make(map[uint64][]datum.Datum)
-	maxKeys := opts.maxKeys()
-	var keys []sqlparse.Expr // exact IN-list, kept while it fits maxKeys
-	var hashes []uint64      // every distinct key's hash, for bloom mode
-	for _, r := range probeRows {
-		v, err := keyFn(r)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		h := v.Hash()
-		dup := false
-		for _, prev := range seen[h] {
-			if datum.Compare(prev, v) == 0 {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], v)
-		hashes = append(hashes, h)
-		if len(keys) <= maxKeys {
-			keys = append(keys, &sqlparse.Literal{Value: v})
-		}
-		if len(hashes) > plan.DefaultBloomKeyCap {
-			// Too many distinct keys even for a bloom filter; run the
-			// regular join over the already-materialized probe side.
-			full, err := BuildBatch(ctx, reduceNode, rt, opts)
-			if err != nil {
-				return nil, false, err
-			}
-			it, err := assemble(probeRows, full)
-			return it, err == nil, err
-		}
+	keys, fits, err := distinctKeys(opts.Scratch, probeRows, keyFn)
+	if err != nil {
+		return nil, false, err
 	}
 	var reduced plan.Node
 	switch {
-	case len(hashes) == 0:
+	case !fits:
+		// Too many distinct keys even for a bloom filter; run the regular
+		// join over the already-materialized probe side.
+		full, err := BuildBatch(ctx, reduceNode, rt, opts)
+		if err != nil {
+			return nil, false, err
+		}
+		it, err := assemble(probeRows, full)
+		return it, err == nil, err
+	case len(keys.vals) == 0:
 		// No joinable keys on the probe side: nothing can match, so
 		// fetch nothing. (SQL IN () is invalid; use a FALSE filter.)
 		reduced = &plan.Filter{Input: remote.Child,
 			Cond: &sqlparse.Literal{Value: datum.NewBool(false)}}
-	case len(hashes) <= maxKeys:
+	case len(keys.vals) <= opts.maxKeys():
 		reduced = &plan.Filter{Input: remote.Child,
-			Cond: &sqlparse.InExpr{Child: reduceRef, List: keys}}
+			Cond: &sqlparse.InExpr{Child: reduceRef, List: literalList(keys.vals)}}
 	default:
 		// Past the exact-list cap, summarize the keys into a bloom
 		// filter instead of abandoning reduction: ~10 bits/key on the
 		// wire, no false negatives, and the handful of false-positive
 		// rows that come back are dropped by the join's own key
 		// equality check in assembleJoinKeys.
-		f := bloom.New(len(hashes), bloom.DefaultFPRate, bloom.DefaultSeed)
-		for _, h := range hashes {
+		f := bloom.New(len(keys.vals), bloom.DefaultFPRate, bloom.DefaultSeed)
+		for _, h := range keys.hashes() {
 			f.Add(h)
 		}
 		reduced = &plan.Filter{Input: remote.Child,
@@ -693,4 +669,45 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 	}
 	it, err := assemble(probeRows, asBatchIterator(reducedIt, opts.batchSize()))
 	return it, err == nil, err
+}
+
+// distinctKeys evaluates keyFn over rows and collects the distinct non-NULL
+// values in first-seen order. It stops with fits=false as soon as their
+// count passes plan.DefaultBloomKeyCap: no shipped tier carries that many.
+func distinctKeys(s *Scratch, rows []datum.Row, keyFn EvalFunc) (keys datumSet, fits bool, err error) {
+	capacity := len(rows)
+	if capacity > plan.DefaultBloomKeyCap {
+		capacity = plan.DefaultBloomKeyCap
+	}
+	keys = newDatumSet(s, capacity)
+	for _, r := range rows {
+		v, err := keyFn(r)
+		if err != nil {
+			return datumSet{}, false, err
+		}
+		if v.IsNull() {
+			continue
+		}
+		h := v.Hash()
+		if keys.contains(v, h) {
+			continue
+		}
+		if len(keys.vals) == capacity {
+			return datumSet{}, false, nil
+		}
+		keys.add(v, h)
+	}
+	return keys, true, nil
+}
+
+// literalList renders vals as the item list of an IN expression: one
+// backing array of literals, not one allocation per key.
+func literalList(vals []datum.Datum) []sqlparse.Expr {
+	lits := make([]sqlparse.Literal, len(vals))
+	list := make([]sqlparse.Expr, len(vals))
+	for i, v := range vals {
+		lits[i].Value = v
+		list[i] = &lits[i]
+	}
+	return list
 }

@@ -100,13 +100,17 @@ func Compile(e sqlparse.Expr, cols []plan.ColMeta) (EvalFunc, error) {
 		if err != nil {
 			return nil, err
 		}
+		not := x.Not
+		if set, ok := newInSet(x.List); ok {
+			return set.eval(child, not), nil
+		}
+		// Some item needs per-row evaluation: test the items in order.
 		list := make([]EvalFunc, len(x.List))
 		for i, a := range x.List {
 			if list[i], err = Compile(a, cols); err != nil {
 				return nil, err
 			}
 		}
-		not := x.Not
 		return func(r datum.Row) (datum.Datum, error) {
 			v, err := child(r)
 			if err != nil {
@@ -256,6 +260,81 @@ func Compile(e sqlparse.Expr, cols []plan.ColMeta) (EvalFunc, error) {
 
 	default:
 		return nil, fmt.Errorf("exec: unsupported expression %T", e)
+	}
+}
+
+// inSet is a constant IN-list compiled to a hashed set: the non-NULL
+// literal values indexed by hash, so a membership test costs one hash of
+// the probed value however long the list is (up to inSetScanMax literals
+// need no index and get none). A semi-join's shipped key list is
+// evaluated this way at the source.
+type inSet struct {
+	datumSet
+	hasNull bool // the list holds a NULL literal: a miss is NULL, not FALSE
+}
+
+// inSetScanMax is the longest list whose literals are compared one by one
+// instead of through the index: one or two datum.Equal calls cost less
+// than hashing the probed value. BenchmarkInList over 12 000 rows: 0.75 ms
+// scanned against 0.97 ms hashed at one key, 0.85 against 0.97 at two,
+// 1.1 against 1.0 at four — and the point lookups that ship a one-key
+// list are the engine's most frequent semi-joins.
+const inSetScanMax = 2
+
+// newInSet builds the set when every item of list is a literal (ok=false
+// otherwise).
+func newInSet(list []sqlparse.Expr) (*inSet, bool) {
+	set := &inSet{}
+	set.vals = make([]datum.Datum, 0, len(list))
+	for _, item := range list {
+		lit, isLit := item.(*sqlparse.Literal)
+		switch {
+		case !isLit:
+			return nil, false
+		case lit.Value.IsNull():
+			set.hasNull = true
+		default:
+			set.vals = append(set.vals, lit.Value)
+		}
+	}
+	if len(set.vals) > inSetScanMax {
+		set.ix = newKeyIndex(nil, len(set.vals))
+		for _, v := range set.vals {
+			set.ix.add(v.Hash())
+		}
+	}
+	return set, true
+}
+
+// eval compiles `child [NOT] IN (set)` with SQL's three-valued result: a
+// NULL child is NULL, a hit is TRUE, and a miss is NULL when the list holds
+// a NULL (it might have been the match) and FALSE otherwise.
+func (s *inSet) eval(child EvalFunc, not bool) EvalFunc {
+	vals, hashed := s.vals, len(s.vals) > inSetScanMax
+	return func(r datum.Row) (datum.Datum, error) {
+		v, err := child(r)
+		if err != nil || v.IsNull() {
+			return datum.Null, err
+		}
+		hit := false
+		if hashed {
+			hit = s.contains(v, v.Hash())
+		} else {
+			for i := range vals {
+				if datum.Equal(v, vals[i]) {
+					hit = true
+					break
+				}
+			}
+		}
+		switch {
+		case hit:
+			return datum.NewBool(!not), nil
+		case s.hasNull:
+			return datum.Null, nil
+		default:
+			return datum.NewBool(not), nil
+		}
 	}
 }
 

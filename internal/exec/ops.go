@@ -142,31 +142,24 @@ func (p *projectBatchIter) Close() { p.in.Close() }
 // --- Joins ---
 
 // joinTable is the build side of an equi-join: materialized rows, their
-// precomputed key values (one flat arena, nkeys per row), and hash buckets
-// holding row indexes. Buckets are sharded by hash so a parallel build can
-// fill them without locking; a sequential build uses one shard. Probing
-// walks buckets by index — no per-probe copying (rows with NULL keys are
-// never inserted).
+// precomputed key values (one flat arena, nkeys per row), and a keyIndex
+// from key hash to row position. Chains list positions in ascending order
+// whether the index was linked sequentially or by parallel workers, so a
+// probe emits matches in build order either way (rows with NULL keys are
+// never linked).
 type joinTable struct {
-	nkeys  int
-	rows   []datum.Row
-	keys   []datum.Datum
-	shards []map[uint64][]int32
-	// shard1 backs shards for the sequential single-shard build, sparing
-	// the one-element slice allocation on the warm path.
-	shard1 [1]map[uint64][]int32
+	nkeys int
+	rows  []datum.Row
+	keys  []datum.Datum
+	ix    keyIndex
 }
 
 func (t *joinTable) keyOf(i int32) datum.Row {
 	return datum.Row(t.keys[int(i)*t.nkeys : (int(i)+1)*t.nkeys])
 }
 
-func (t *joinTable) lookup(h uint64) []int32 {
-	return t.shards[h%uint64(len(t.shards))][h]
-}
-
-// insertRange evaluates keys and hashes for rows[lo:hi) into the arenas.
-func (t *joinTable) evalRange(keyFns []EvalFunc, hashes []uint64, null []bool, lo, hi int) error {
+// evalRange evaluates keys and hashes for rows[lo:hi) into the arenas.
+func (t *joinTable) evalRange(keyFns []EvalFunc, null []bool, lo, hi int) error {
 	for i := lo; i < hi; i++ {
 		key := t.keys[i*t.nkeys : (i+1)*t.nkeys]
 		isNull := false
@@ -183,7 +176,7 @@ func (t *joinTable) evalRange(keyFns []EvalFunc, hashes []uint64, null []bool, l
 		}
 		null[i] = isNull
 		if !isNull {
-			hashes[i] = hashKey(datum.Row(key))
+			t.ix.hashes[i] = hashKey(datum.Row(key))
 		}
 	}
 	return nil
@@ -208,7 +201,8 @@ func (t *joinTable) probeBatch(s *Scratch, b Batch, leftKeys []EvalFunc, residua
 			keyScratch[i] = v
 		}
 		if !null {
-			for _, idx := range t.lookup(hashKey(keyScratch)) {
+			h := hashKey(keyScratch)
+			for idx := t.ix.first(h); idx >= 0; idx = t.ix.after(idx, h) {
 				if !datum.RowsEqual(keyScratch, t.keyOf(idx)) {
 					continue // hash collision
 				}

@@ -226,30 +226,24 @@ func (e *exchangeIter) Close() {
 
 // buildJoinTable materializes the right-side rows into a joinTable. With
 // workers > 1 and enough rows, key evaluation runs over morsels in
-// parallel and each worker then owns one hash shard, inserting row indexes
-// in ascending order — bucket order, and therefore probe output order,
-// matches the sequential build exactly.
+// parallel and each worker then links one contiguous range of the index's
+// slots: a row hashes to exactly one slot, so workers write disjoint
+// elements, and every chain comes out in ascending row order exactly as
+// the sequential build leaves it.
 func buildJoinTable(t *joinTable, s *Scratch, rows []datum.Row, keyFns []EvalFunc, workers int) error {
 	t.rows = rows
 	t.nkeys = len(keyFns)
 	n := len(rows)
 	//lint:ignore arenaescape joinTable is per-query operator state torn down before the scratch recycles
-	t.keys = s.MakeDatums(n * t.nkeys)
-	hashes := s.MakeUint64s(n)
+	t.keys, t.ix = s.MakeDatums(n*t.nkeys), newKeyIndex(s, n)
 	null := s.MakeBools(n)
+	slots := len(t.ix.head)
 
 	if workers <= 1 || n < parallelMinRows {
-		if err := t.evalRange(keyFns, hashes, null, 0, n); err != nil {
+		if err := t.evalRange(keyFns, null, 0, n); err != nil {
 			return err
 		}
-		m := make(map[uint64][]int32, n)
-		for i := 0; i < n; i++ {
-			if !null[i] {
-				m[hashes[i]] = append(m[hashes[i]], int32(i))
-			}
-		}
-		t.shard1[0] = m
-		t.shards = t.shard1[:]
+		t.ix.link(null, 0, slots)
 		return nil
 	}
 
@@ -271,7 +265,7 @@ func buildJoinTable(t *joinTable, s *Scratch, rows []datum.Row, keyFns []EvalFun
 				if hi > n {
 					hi = n
 				}
-				if err := t.evalRange(keyFns, hashes, null, lo, hi); err != nil {
+				if err := t.evalRange(keyFns, null, lo, hi); err != nil {
 					errs[w] = err
 					return
 				}
@@ -285,24 +279,13 @@ func buildJoinTable(t *joinTable, s *Scratch, rows []datum.Row, keyFns []EvalFun
 		}
 	}
 
-	// Phase 2: each worker scans the hash array and fills its own shard.
-	t.shards = make([]map[uint64][]int32, workers)
-	for s := 0; s < workers; s++ {
-		s := s
+	// Phase 2: each worker scans the hash array and links its slot range.
+	for w := 0; w < workers; w++ {
+		lo, hi := w*slots/workers, (w+1)*slots/workers
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := make(map[uint64][]int32, n/workers+1)
-			for i := 0; i < n; i++ {
-				if null[i] {
-					continue
-				}
-				h := hashes[i]
-				if h%uint64(workers) == uint64(s) {
-					m[h] = append(m[h], int32(i))
-				}
-			}
-			t.shards[s] = m
+			t.ix.link(null, lo, hi)
 		}()
 	}
 	wg.Wait()

@@ -31,6 +31,7 @@ type Scratch struct {
 	datums arena.Slab[datum.Datum]
 	rows   arena.Slab[datum.Row]
 	u64s   arena.Slab[uint64]
+	i32s   arena.Slab[int32]
 	bools  arena.Slab[bool]
 
 	// borrowers counts goroutines that may still allocate from or read
@@ -105,6 +106,18 @@ func (s *Scratch) MakeUint64s(n int) []uint64 {
 	return out
 }
 
+// MakeInt32s returns a zeroed int32 slice of length and capacity n from the
+// scratch (plain heap when s is nil) — keyIndex chains.
+func (s *Scratch) MakeInt32s(n int) []int32 {
+	if s == nil {
+		return make([]int32, n)
+	}
+	s.mu.Lock()
+	out := s.i32s.Make(n)
+	s.mu.Unlock()
+	return out
+}
+
 // MakeBools returns a zeroed bool slice of length and capacity n from the
 // scratch (plain heap when s is nil).
 func (s *Scratch) MakeBools(n int) []bool {
@@ -124,7 +137,7 @@ func (s *Scratch) Bytes() int64 {
 		return 0
 	}
 	s.mu.Lock()
-	b := s.datums.Bytes() + s.rows.Bytes() + s.u64s.Bytes() + s.bools.Bytes()
+	b := s.datums.Bytes() + s.rows.Bytes() + s.u64s.Bytes() + s.i32s.Bytes() + s.bools.Bytes()
 	s.mu.Unlock()
 	return b
 }
@@ -136,6 +149,7 @@ func (s *Scratch) Reset() {
 	s.datums.Reset()
 	s.rows.Reset()
 	s.u64s.Reset()
+	s.i32s.Reset()
 	s.bools.Reset()
 	s.mu.Unlock()
 }

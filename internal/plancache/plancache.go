@@ -130,8 +130,10 @@ func (c *Cache) Get(k Key) (any, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	el, ok := s.items[k]
+	var v any
 	if ok {
 		s.order.MoveToFront(el)
+		v = el.Value.(*entry).value // under the lock: Put may replace it
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -139,7 +141,7 @@ func (c *Cache) Get(k Key) (any, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*entry).value, true
+	return v, true
 }
 
 // Put stores a plan under the key, evicting the least recently used entry
