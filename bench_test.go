@@ -533,8 +533,7 @@ const e17PreparedSQL = "SELECT name, amount, status FROM customer360 WHERE id = 
 // runs lex, parse, bind, optimize), a warm cached hit (the steady-state
 // path the E17 allocation budget governs; see TestE17AllocGuard), and
 // prepared-statement execution (parse amortized away entirely, only
-// bind + execute per op). allocs/op on all three lands in BENCH_E17.json
-// via `make bench-smoke`.
+// bind + execute per op).
 func BenchmarkE17FrontEnd(b *testing.B) {
 	fed := mustCRM(b, 120)
 	engine := fed.Engine

@@ -162,15 +162,12 @@ func (e *Engine) absorbLedger(led *exec.CardLedger, estimate func(plan.Node) int
 }
 
 // renderExplain formats the executed plan with estimated-vs-observed rows
-// per operator — the `--explain` / `?explain=1` surface: estimate error
-// inspectable without full tracing.
+// per operator, read from the final attempt's ledger — the `--explain` /
+// `?explain=1` / EXPLAIN ANALYZE surface: estimate error inspectable
+// without full tracing. Falls under the ledger's read contract: call it
+// only after the attempt's goroutines have joined.
 func renderExplain(p plan.Node, led *exec.CardLedger, replans int) string {
-	cards := make(map[plan.Node]*exec.OpCard)
-	if led != nil {
-		for _, c := range led.Ops() {
-			cards[c.Node] = c
-		}
-	}
+	cards := led.ByNode()
 	var b strings.Builder
 	if replans > 0 {
 		fmt.Fprintf(&b, "-- re-planned %dx mid-query (cardinality tripwire)\n", replans)

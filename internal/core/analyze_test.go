@@ -12,9 +12,9 @@ func TestExplainAnalyzeShowsActualRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two east customers exist; the top operator must report rows=2.
+	// Two east customers exist; the top operator must report actual=2.
 	lines := strings.Split(out, "\n")
-	if !strings.Contains(lines[0], "(rows=2)") {
+	if !strings.Contains(lines[0], "actual=2)") {
 		t.Errorf("top operator line = %q", lines[0])
 	}
 	if !strings.Contains(out, "-- actual:") || !strings.Contains(out, "-- estimated:") {
@@ -35,7 +35,7 @@ func TestExplainAnalyzeJoinOperatorRows(t *testing.T) {
 	// 4 invoices join 4 customers by cust_id: the join emits 4 rows.
 	found := false
 	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "JOIN") && strings.Contains(line, "(rows=4)") {
+		if strings.Contains(line, "JOIN") && strings.Contains(line, "actual=4)") {
 			found = true
 		}
 	}

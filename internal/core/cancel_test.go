@@ -335,3 +335,28 @@ func TestTraceRecordsRetriedAttempts(t *testing.T) {
 		t.Errorf("Retries = %v, want s0:1", res.Retries)
 	}
 }
+
+// TestTraceNumbersAttemptsPerSubtree is the other half of the attempt
+// contract: a plan that visits one source twice (here a self-join the CSV
+// wrapper cannot execute itself, so each side is its own Remote) sends two
+// different subtrees, and neither fetch is a retry of the other.
+func TestTraceNumbersAttemptsPerSubtree(t *testing.T) {
+	e := newFederation(t)
+	res, err := e.QueryOpts(`SELECT a.severity, b.severity FROM files.tickets a
+		JOIN files.tickets b ON a.cust_id = b.cust_id`, QueryOptions{Trace: true, NoSemiJoin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetches := res.Trace.Fetches()
+	if len(fetches) != 2 {
+		t.Fatalf("fetch spans = %d, want one per join side:\n%s", len(fetches), res.Trace.Render())
+	}
+	for _, f := range fetches {
+		if f.Source != "files" || f.Attempt != 1 || f.Error != "" {
+			t.Errorf("fetch %s: attempt = %d error = %q, want a first attempt at files", f.Source, f.Attempt, f.Error)
+		}
+	}
+	if len(res.Retries) != 0 {
+		t.Errorf("Retries = %v, want none", res.Retries)
+	}
+}

@@ -565,16 +565,21 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 		rt.tracer = exec.NewQueryTracer(clock)
 		rt.opts.Tracer = rt.tracer
 	}
-	// Cardinality ledger: always on for adaptive and explain queries —
-	// per-operator and per-fetch row counts, far lighter than tracing. The
-	// same ledger instance is Reset between re-plan attempts so the final
-	// attempt's counts stand alone.
+	// The per-operator ledger is the one record explain output, the
+	// trace's operator spans and adaptive feedback all read: on whenever
+	// any of them is asked for, far lighter than the span tree it feeds.
+	// Estimates and per-fetch feedback records ride along for adaptive
+	// and explain queries only. The same ledger instance is Reset between
+	// re-plan attempts so the final attempt's counts stand alone.
 	var led *exec.CardLedger
 	var se *swapEstimator
-	if qo.Adaptive || qo.Explain {
+	if qo.Adaptive || qo.Explain || qo.Trace {
 		led = exec.GetCardLedger()
 		defer exec.PutCardLedger(led)
 		rt.opts.Cards = led
+	}
+	if qo.Adaptive || qo.Explain {
+		rt.fetchCards = led
 		se = newSwapEstimator(e.planEnv(qo))
 		rt.opts.Estimate = se.rows
 	}
@@ -584,7 +589,7 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 
 	var rows []datum.Row
 	var err error
-	replans, estErrors := 0, 0
+	replans := 0
 	for {
 		var it exec.BatchIterator
 		it, err = exec.BuildBatch(ctx, p, rt, rt.opts)
@@ -596,10 +601,6 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 			// the executor header-only views); block-copy so callers own —
 			// and may freely mutate — everything reachable from Result.Rows.
 			rows = datum.CloneRowsBlock(rows)
-			if led != nil {
-				scratch.WaitBorrowers()
-				estErrors = e.absorbLedger(led, se.rows)
-			}
 			break
 		}
 		var re *exec.ReplanError
@@ -630,6 +631,18 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 		env := e.planEnv(qo)
 		p = opt.Reoptimize(p, env, optimizerOptions(qo))
 		se.swap(env)
+	}
+	// The ledger's records are written lock-free by whichever goroutine
+	// pulls each operator, so nothing below may read it — to absorb, to
+	// explain, to build the trace — until the final attempt's stragglers
+	// have joined. That holds on the error and cancel paths too: a failed
+	// query still returns its trace.
+	estErrors := 0
+	if led != nil {
+		scratch.WaitBorrowers()
+		if err == nil && se != nil {
+			estErrors = e.absorbLedger(led, se.rows)
+		}
 	}
 	after := e.linkTotals()
 	after.Sub(before)
@@ -662,7 +675,7 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 	}
 	rt.faults.fill(res)
 	if rt.tracer != nil {
-		res.Trace = rt.tracer.Finish(p, planTime)
+		res.Trace = rt.tracer.Finish(p, led, planTime)
 	}
 	if err != nil {
 		res.Rows = nil
@@ -696,43 +709,31 @@ func (e *Engine) Explain(sql string, qo QueryOptions) (string, error) {
 }
 
 // ExplainAnalyze plans AND executes the statement, returning the plan
-// annotated with the observed per-operator row counts plus the network
-// accounting — the tool §8 asks for when it calls for "query
-// execution-time prediction" work: predicted vs actual, side by side.
+// annotated with the optimizer's estimate and the observed row count of
+// every operator plus the network accounting — the tool §8 asks for when
+// it calls for "query execution-time prediction" work: predicted vs
+// actual, side by side. It is Plan + the single execution path with the
+// per-operator ledger on + a rendering of that ledger, so it runs under
+// the same admission, breakers, retries and options as any other query.
+// The operators' guards write the ledger while executeCtx drains the plan;
+// executeCtx renders it into Result.ExplainOutput itself, after the final
+// attempt's goroutines have joined and before the ledger is recycled.
 func (e *Engine) ExplainAnalyze(sql string, qo QueryOptions) (string, error) {
 	p, err := e.Plan(sql, qo)
 	if err != nil {
 		return "", err
 	}
-	trace := exec.NewTrace()
-	before := e.linkTotals()
-	execOpts := exec.Options{
-		Parallel:    qo.Parallel || qo.Parallelism > 1,
-		Parallelism: qo.Parallelism,
-		BatchSize:   qo.BatchSize,
-		SemiJoin:    !qo.NoSemiJoin && !qo.Optimizer.NoRemotePushdown,
-		Trace:       trace,
-	}
-	//lint:ignore ctxpropagate engine entry point: context-free diagnostics API
-	it, err := exec.Build(context.Background(), p, e.runtime(), execOpts)
+	qo.Explain = true
+	res, err := e.Execute(p, qo)
 	if err != nil {
 		return "", err
 	}
-	rows, err := exec.Drain(it)
-	if err != nil {
-		return "", err
-	}
-	after := e.linkTotals()
 	var b strings.Builder
-	b.WriteString(trace.Render(p))
-	est := opt.Cost(p, e.env())
+	b.WriteString(res.ExplainOutput)
 	fmt.Fprintf(&b, "-- actual: rows=%d shipped=%dB trips=%d simTime=%s\n",
-		len(rows),
-		after.BytesShipped-before.BytesShipped,
-		after.RoundTrips-before.RoundTrips,
-		after.SimTime-before.SimTime)
+		len(res.Rows), res.Network.BytesShipped, res.Network.RoundTrips, res.Network.SimTime)
 	fmt.Fprintf(&b, "-- estimated: rows=%d shipped=%dB network=%s\n",
-		est.Rows, est.Shipped, est.Network)
+		res.Estimate.Rows, res.Estimate.Shipped, res.Estimate.Network)
 	return b.String(), nil
 }
 
@@ -809,28 +810,7 @@ func (e *Engine) rewriteExists(ctx context.Context, sel *sqlparse.Select, qo Que
 	return nil
 }
 
-// --- exec.Runtime and opt.Env plumbing ---
-
-type engineRuntime struct{ e *Engine }
-
-func (rt engineRuntime) ScanTable(ctx context.Context, source, table string) (exec.Iterator, error) {
-	// A bare scan outside a Remote ships the whole table.
-	return rt.RunRemote(ctx, source, &plan.Scan{Source: source, Table: table})
-}
-
-func (rt engineRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) (exec.Iterator, error) {
-	src, ok := rt.e.Source(source)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", source)
-	}
-	rows, err := federation.ExecuteWithContext(ctx, src, subtree)
-	if err != nil {
-		return nil, err
-	}
-	return exec.NewSliceIterator(rows), nil
-}
-
-func (e *Engine) runtime() exec.Runtime { return engineRuntime{e} }
+// --- opt.Env plumbing ---
 
 type engineEnv struct{ e *Engine }
 

@@ -23,8 +23,8 @@ import (
 )
 
 // queryFaults is one query's fault ledger. Remote fetches may run
-// concurrently (Prefetch), so it locks. The maps initialize lazily: the
-// overwhelmingly common fault-free query never allocates them.
+// concurrently (prefetch goroutines), so it locks. The maps initialize
+// lazily: the overwhelmingly common fault-free query never allocates them.
 type queryFaults struct {
 	mu       sync.Mutex
 	errors   map[string]int
@@ -106,6 +106,10 @@ type queryRuntime struct {
 	opts   exec.Options // set after construction; used by ScanTable
 	// tracer, when non-nil, records one fetch span per remote attempt.
 	tracer *exec.QueryTracer
+	// fetchCards, when non-nil, receives every successful fetch's rows and
+	// bytes for the feedback store; set for adaptive and explain queries
+	// only, so a query that is merely traced teaches the store nothing.
+	fetchCards *exec.CardLedger
 	// sources is the immutable source map captured when the execution
 	// started; all remote fetches of this query resolve against it.
 	sources map[string]federation.Source
@@ -147,13 +151,13 @@ func (rt *queryRuntime) OnSourceError(source string, attempt int, err error) {
 	}
 }
 
-func (rt *queryRuntime) ScanTable(ctx context.Context, source, table string) (exec.Iterator, error) {
+func (rt *queryRuntime) ScanTable(ctx context.Context, source, table string) ([]datum.Row, error) {
 	// A bare scan outside a Remote ships the whole table; route it
 	// through the same retry/degradation pipeline as placed Remotes.
 	return exec.FetchRemote(ctx, rt, rt.opts, source, &plan.Scan{Source: source, Table: table})
 }
 
-func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) (exec.Iterator, error) {
+func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) ([]datum.Row, error) {
 	if rt.router != nil {
 		rows, handled, err := rt.router.RouteRemote(ctx, source, subtree)
 		if handled {
@@ -170,12 +174,12 @@ func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree pl
 					return nil, qerr
 				}
 			}
-			if cards := rt.opts.Cards; cards != nil {
+			if cards := rt.fetchCards; cards != nil {
 				// Peer-answered fetches still feed cardinality rows; the
 				// wire accounting happened at the owner, so bytes stay 0.
 				cards.RecordFetch(source, subtree, int64(len(rows)), 0)
 			}
-			return exec.NewSliceIterator(rows), nil
+			return rows, nil
 		}
 	}
 	src, ok := rt.sources[strings.ToLower(source)]
@@ -188,7 +192,7 @@ func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree pl
 	}
 	var fetchStart time.Time
 	var linkBefore netsim.Metrics
-	cards := rt.opts.Cards
+	cards := rt.fetchCards
 	measured := rt.tracer != nil || cards != nil
 	if measured {
 		if rt.tracer != nil {
@@ -201,7 +205,7 @@ func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree pl
 		delta := src.Link().Metrics()
 		delta.Sub(linkBefore)
 		if rt.tracer != nil {
-			rt.tracer.RecordFetch(source, fetchStart, rt.tracer.Clock().Since(fetchStart),
+			rt.tracer.RecordFetch(source, subtree, fetchStart, rt.tracer.Clock().Since(fetchStart),
 				delta.SimTime, int64(len(rows)), delta.WireBytes, err)
 		}
 		if cards != nil && err == nil {
@@ -229,7 +233,7 @@ func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree pl
 			return nil, qerr
 		}
 	}
-	return exec.NewSliceIterator(rows), nil
+	return rows, nil
 }
 
 func isContextErr(err error) bool {
@@ -255,7 +259,7 @@ func (e *Engine) execOptions(qo QueryOptions, rt *queryRuntime) exec.Options {
 		opts.Memory = rt.slot
 	}
 	if qo.AllowPartial {
-		opts.OnRemoteFail = func(source string, subtree plan.Node, err error) (exec.Iterator, bool) {
+		opts.OnRemoteFail = func(source string, subtree plan.Node, err error) ([]datum.Row, bool) {
 			if IsOverload(err) {
 				// A quota rejection must fail the query, not silently
 				// degrade it to a partial answer.
@@ -268,10 +272,10 @@ func (e *Engine) execOptions(qo QueryOptions, rt *queryRuntime) exec.Options {
 			}
 			if rows, ok := e.replicaRows(rt.ctx, source, subtree, qo.ReplicaMaxAge); ok {
 				faults.recordReplica(source)
-				return exec.NewSliceIterator(rows), true
+				return rows, true
 			}
 			faults.recordSkip(source)
-			return exec.NewSliceIterator(nil), true
+			return nil, true
 		}
 	}
 	return opts
@@ -285,7 +289,7 @@ type replicaRuntime struct {
 	maxAge time.Duration
 }
 
-func (rt *replicaRuntime) ScanTable(_ context.Context, source, table string) (exec.Iterator, error) {
+func (rt *replicaRuntime) ScanTable(_ context.Context, source, table string) ([]datum.Row, error) {
 	if source != rt.source {
 		return nil, fmt.Errorf("core: replica fallback for %s scans foreign table %s.%s", rt.source, source, table)
 	}
@@ -296,10 +300,10 @@ func (rt *replicaRuntime) ScanTable(_ context.Context, source, table string) (ex
 	if rt.maxAge > 0 && age > rt.maxAge {
 		return nil, fmt.Errorf("core: replica of %s.%s is %s old (cap %s)", source, table, age, rt.maxAge)
 	}
-	return exec.NewSliceIterator(rows), nil
+	return rows, nil
 }
 
-func (rt *replicaRuntime) RunRemote(context.Context, string, plan.Node) (exec.Iterator, error) {
+func (rt *replicaRuntime) RunRemote(context.Context, string, plan.Node) ([]datum.Row, error) {
 	return nil, fmt.Errorf("core: nested Remote in replica fallback")
 }
 
@@ -313,11 +317,11 @@ func (e *Engine) replicaRows(ctx context.Context, source string, subtree plan.No
 		return nil, false
 	}
 	rt := &replicaRuntime{rp: rp, source: source, maxAge: maxAge}
-	it, err := exec.Build(ctx, subtree, rt, exec.Options{})
+	it, err := exec.BuildBatch(ctx, subtree, rt, exec.Options{})
 	if err != nil {
 		return nil, false
 	}
-	rows, err := exec.Drain(it)
+	rows, err := exec.DrainBatches(it)
 	if err != nil {
 		return nil, false
 	}

@@ -55,89 +55,6 @@ func (s *sliceBatchIter) NextBatch() (Batch, error) {
 
 func (s *sliceBatchIter) Close() {}
 
-// rowIterAdapter presents a batch tree as a row iterator — the engine
-// boundary: core.Engine and the source wrappers still consume rows.
-type rowIterAdapter struct {
-	in  BatchIterator
-	cur Batch
-	pos int
-}
-
-func (a *rowIterAdapter) Next() (datum.Row, error) {
-	for a.pos >= len(a.cur) {
-		b, err := a.in.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		//lint:ignore batchretain cur is fully consumed before the next NextBatch call refills it
-		a.cur, a.pos = b, 0
-	}
-	r := a.cur[a.pos]
-	a.pos++
-	return r, nil
-}
-
-func (a *rowIterAdapter) Close() { a.in.Close() }
-
-// batchIterAdapter pulls rows from a row iterator into a reused buffer —
-// used where the Runtime hands back a row cursor (table snapshots, remote
-// fetches).
-type batchIterAdapter struct {
-	in   Iterator
-	size int
-	buf  Batch
-}
-
-func (a *batchIterAdapter) NextBatch() (Batch, error) {
-	if cap(a.buf) == 0 {
-		a.buf = make(Batch, 0, a.size)
-	}
-	buf := a.buf[:0]
-	for len(buf) < a.size {
-		r, err := a.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			break
-		}
-		buf = append(buf, r)
-	}
-	//lint:ignore batchretain buf is this adapter's own reused container, not a producer's
-	a.buf = buf
-	if len(buf) == 0 {
-		return nil, nil
-	}
-	return buf, nil
-}
-
-func (a *batchIterAdapter) Close() { a.in.Close() }
-
-// asBatchIterator adapts a row iterator to batches. Fresh slice iterators
-// (the common Runtime return) are served zero-copy; a rowIterAdapter is
-// unwrapped so remote subtrees built through Build don't pay double
-// adaptation.
-func asBatchIterator(it Iterator, size int) BatchIterator {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	switch x := it.(type) {
-	case *sliceIter:
-		if x.pos == 0 {
-			x.size = size
-			return x
-		}
-	case *rowIterAdapter:
-		if x.cur == nil && x.pos == 0 {
-			return x.in
-		}
-	}
-	return &batchIterAdapter{in: it, size: size}
-}
-
 // DrainBatches materializes the remaining rows of a batch iterator and
 // closes it.
 func DrainBatches(it BatchIterator) ([]datum.Row, error) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/bloom"
 	"repro/internal/datum"
@@ -17,13 +16,16 @@ import (
 // Remote subtrees to source wrappers over simulated links; a wrapper's own
 // runtime binds Scans to its local tables and never sees Remote nodes.
 // Both calls receive the query's context so scans and remote dispatches
-// observe cancellation and deadlines.
+// observe cancellation and deadlines, and both hand back materialized
+// rows — every source answers with a slice, so the executor windows it
+// into batches itself (sliceBatchIter) with no cursor in between. The
+// returned rows are never mutated and may alias shared storage.
 type Runtime interface {
-	// ScanTable opens a cursor over a base table.
-	ScanTable(ctx context.Context, source, table string) (Iterator, error)
+	// ScanTable returns the rows of a base table.
+	ScanTable(ctx context.Context, source, table string) ([]datum.Row, error)
 	// RunRemote executes a pushed-down subtree at the named source and
 	// returns its result rows.
-	RunRemote(ctx context.Context, source string, subtree plan.Node) (Iterator, error)
+	RunRemote(ctx context.Context, source string, subtree plan.Node) ([]datum.Row, error)
 }
 
 // Options tunes plan execution.
@@ -45,12 +47,10 @@ type Options struct {
 	// Stats, when non-nil, accumulates batch and parallelism counters
 	// across all operators of the query.
 	Stats *ExecStats
-	// Trace, when non-nil, instruments every operator with row counters
-	// (EXPLAIN ANALYZE).
-	Trace *Trace
-	// Tracer, when non-nil, records the query-scoped span tree — one span
-	// per operator plus one per source-fetch attempt — that the engine
-	// surfaces as Result.Trace.
+	// Tracer, when non-nil, records one span per source-fetch attempt and
+	// lends its clock to the operator boundary: with Cards also set, every
+	// OpCard carries first/last pull stamps, which Tracer.Finish renders
+	// as the per-operator spans of Result.Trace.
 	Tracer *QueryTracer
 	// SemiJoin enables semi-join reduction: for an equi-join whose
 	// build side is a Remote subtree at a filter-capable source, the
@@ -69,24 +69,16 @@ type Options struct {
 	// Retry controls re-fetching of Remote subtrees after transient
 	// failures (see FetchRemote). Zero value: single attempt.
 	Retry RetryPolicy
-	// Hooks, when non-nil, receives the retry/fault callbacks as one
-	// interface value. The per-field closures below take precedence when
-	// set; engines that implement FetchHooks on an existing per-query
-	// object avoid allocating three closures per query.
+	// Hooks, when non-nil, receives the retry/fault callbacks (backoff
+	// charge, retry, failed attempt) as one interface value, so an engine
+	// that implements FetchHooks on its per-query runtime allocates no
+	// closure per query.
 	Hooks FetchHooks
-	// ChargeBackoff, when non-nil, is called with each retry's backoff
-	// wait so the engine can charge it to the source's virtual clock.
-	ChargeBackoff func(source string, d time.Duration)
-	// OnRetry, when non-nil, observes each retry attempt per source.
-	OnRetry func(source string)
-	// OnSourceError, when non-nil, observes every failed fetch attempt
-	// (including ones that will be retried).
-	OnSourceError func(source string, attempt int, err error)
 	// OnRemoteFail, when non-nil, is consulted after retries are
-	// exhausted; returning ok=true substitutes the iterator (replica
-	// fallback or an empty result for partial-tolerant queries) instead
-	// of failing the query.
-	OnRemoteFail func(source string, subtree plan.Node, err error) (Iterator, bool)
+	// exhausted; returning ok=true substitutes the rows (replica fallback
+	// or an empty result for partial-tolerant queries) instead of failing
+	// the query.
+	OnRemoteFail func(source string, subtree plan.Node, err error) ([]datum.Row, bool)
 	// Governor, when non-nil, is the query's claim on the shared morsel
 	// worker pool: each operator's exchange degree is additionally capped
 	// by the ticket's current share, so concurrent queries split workers
@@ -102,10 +94,11 @@ type Options struct {
 	// backs is recycled when the query finishes. Nil allocates from the
 	// heap.
 	Scratch *Scratch
-	// Cards, when non-nil, is the always-on cardinality ledger: every
-	// operator boundary counts its output rows into it and every
-	// successful fetch is recorded by the engine's runtime. Unlike Tracer
-	// it costs two ints per operator, so it can run on every query.
+	// Cards, when non-nil, is the per-operator record: every operator
+	// boundary registers its OpCard there and counts its output rows and
+	// batches into it; explain, analyze, trace and feedback all render
+	// from it. It costs a few ints per operator and no allocation of its
+	// own, so it can run on every query.
 	Cards *CardLedger
 	// Estimate, when non-nil alongside Cards, supplies the optimizer's
 	// row estimate per plan node so ledger records carry
@@ -153,55 +146,40 @@ func (o Options) workers(hint int) int {
 	return max
 }
 
-// Build compiles a logical plan into an executable row iterator — the
-// engine-boundary entry point. Internally the plan runs vectorized; the
-// returned iterator adapts batches back to rows. The context threads into
-// every scan, remote dispatch and parallel operator; a cancellable context
-// additionally instruments each operator boundary with a per-batch
-// cancellation check.
-func Build(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Iterator, error) {
-	it, err := BuildBatch(ctx, n, rt, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &rowIterAdapter{in: it}, nil
-}
-
 // BuildBatch compiles a logical plan into an executable batch iterator.
+// The context threads into every scan, remote dispatch and parallel
+// operator; a cancellable context additionally gives each operator
+// boundary a per-batch cancellation check.
 func BuildBatch(ctx context.Context, n plan.Node, rt Runtime, opts Options) (BatchIterator, error) {
 	it, err := buildNode(ctx, n, rt, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Memory charging, cancellation checks and batch counting share one
-	// fused wrapper: every operator boundary pays for it, so three
-	// separate decorator allocations per operator would show up directly
-	// in the per-query allocation budget.
+	// Memory charging, cancellation checks, batch counting and the
+	// per-operator record share one fused wrapper — the only decorator an
+	// operator boundary ever gets: every boundary pays for it, so separate
+	// decorator allocations per operator would show up directly in the
+	// per-query allocation budget.
 	cancellable := ctx.Done() != nil // context-free leaves skip the per-batch check
-	if opts.Memory != nil || cancellable || opts.Stats != nil || opts.Cards != nil {
-		g := &guardBatchIter{in: it, mem: opts.Memory, stats: opts.Stats}
-		if cancellable {
-			g.ctx = ctx
+	if opts.Memory == nil && !cancellable && opts.Stats == nil && opts.Cards == nil {
+		return it, nil
+	}
+	g := &guardBatchIter{in: it, mem: opts.Memory, stats: opts.Stats}
+	if cancellable {
+		g.ctx = ctx
+	}
+	if opts.Cards != nil {
+		g.card = OpCard{Node: n, Est: -1}
+		if opts.Estimate != nil {
+			g.card.Est = opts.Estimate(n)
 		}
-		if opts.Cards != nil {
-			est := int64(-1)
-			if opts.Estimate != nil {
-				est = opts.Estimate(n)
-			}
-			g.card = opts.Cards.addOp(n, est)
-			if opts.Replan.enabled() && est >= 0 && replanNode(n) {
-				g.replan = opts.Replan
-			}
+		opts.Cards.addOp(&g.card)
+		if opts.Replan.enabled() && g.card.Est >= 0 && replanNode(n) {
+			g.replan = opts.Replan
 		}
-		it = g
+		g.tracer = opts.Tracer
 	}
-	if opts.Trace != nil {
-		it = opts.Trace.wrap(n, it)
-	}
-	if opts.Tracer != nil {
-		it = opts.Tracer.wrapOp(n, it)
-	}
-	return it, nil
+	return g, nil
 }
 
 // replanNode reports whether the re-plan tripwire may arm on n: fetch
@@ -217,18 +195,22 @@ func replanNode(n plan.Node) bool {
 	return false
 }
 
-// guardBatchIter is the fused per-operator boundary wrapper: an optional
-// cancellation check (every NextBatch pull observes ctx.Done() before
-// asking the input for more work, so a cancelled query stops within one
-// batch at every level of the operator tree), optional in-flight memory
-// accounting (each pull releases the previous batch's charge and charges
-// the new one; Close releases the residual), and optional batch counting.
+// guardBatchIter is the fused per-operator boundary wrapper, and the only
+// one: an optional cancellation check (every NextBatch pull observes
+// ctx.Done() before asking the input for more work, so a cancelled query
+// stops within one batch at every level of the operator tree), optional
+// in-flight memory accounting (each pull releases the previous batch's
+// charge and charges the new one; Close releases the residual), optional
+// batch counting, and the operator's OpCard — owned here by value, listed
+// in the ledger by pointer, written only by the goroutine pulling this
+// operator.
 type guardBatchIter struct {
 	in      BatchIterator
 	ctx     context.Context   // nil: no cancellation check
 	mem     MemoryReservation // nil: no memory accounting
 	stats   *ExecStats        // nil: no batch counting
-	card    *OpCard           // nil: no cardinality ledger
+	tracer  *QueryTracer      // nil: no pull stamps on the record
+	card    OpCard            // Node nil: no cardinality ledger
 	replan  ReplanPolicy      // zero: tripwire disarmed
 	charged int64
 }
@@ -243,7 +225,13 @@ func (g *guardBatchIter) NextBatch() (Batch, error) {
 		g.mem.Shrink(g.charged)
 		g.charged = 0
 	}
+	if g.tracer != nil && g.card.First.IsZero() {
+		g.card.First = g.tracer.clock.Now()
+	}
 	b, err := g.in.NextBatch()
+	if g.tracer != nil {
+		g.card.Last = g.tracer.clock.Now()
+	}
 	if err != nil {
 		return b, err
 	}
@@ -259,7 +247,7 @@ func (g *guardBatchIter) NextBatch() (Batch, error) {
 		if g.stats != nil {
 			g.stats.addBatch()
 		}
-		if g.card != nil {
+		if g.card.Node != nil {
 			g.card.Rows += int64(len(b))
 			g.card.Batches++
 			// Mid-query re-plan tripwire: an operator that has already
@@ -293,27 +281,25 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 			// FROM-less select: one empty row.
 			return newSliceBatchIter([]datum.Row{{}}, opts.batchSize()), nil
 		}
-		it, err := rt.ScanTable(ctx, x.Source, x.Table)
+		rows, err := rt.ScanTable(ctx, x.Source, x.Table)
 		if err != nil {
 			return nil, err
 		}
-		return asBatchIterator(it, opts.batchSize()), nil
+		return newSliceBatchIter(rows, opts.batchSize()), nil
 
 	case *plan.Remote:
 		if opts.Parallel {
-			return prefetchBatches(ctx, opts.batchSize(), func() (BatchIterator, error) {
-				it, err := FetchRemote(ctx, rt, opts, x.Source, x.Child)
-				if err != nil {
-					return nil, err
-				}
-				return asBatchIterator(it, opts.batchSize()), nil
+			// The fetch starts now and overlaps whatever the consumer
+			// builds or pulls next; the fetched slice is parked as is.
+			return prefetchBatches(ctx, opts.batchSize(), func() ([]datum.Row, error) {
+				return FetchRemote(ctx, rt, opts, x.Source, x.Child)
 			}), nil
 		}
-		it, err := FetchRemote(ctx, rt, opts, x.Source, x.Child)
+		rows, err := FetchRemote(ctx, rt, opts, x.Source, x.Child)
 		if err != nil {
 			return nil, err
 		}
-		return asBatchIterator(it, opts.batchSize()), nil
+		return newSliceBatchIter(rows, opts.batchSize()), nil
 
 	case *plan.Filter:
 		in, err := BuildBatch(ctx, x.Input, rt, opts)
@@ -434,8 +420,12 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 		for i, child := range x.Inputs {
 			child := child
 			if opts.Parallel {
-				inputs[i] = prefetchBatches(ctx, opts.batchSize(), func() (BatchIterator, error) {
-					return BuildBatch(ctx, child, rt, opts)
+				inputs[i] = prefetchBatches(ctx, opts.batchSize(), func() ([]datum.Row, error) {
+					it, err := BuildBatch(ctx, child, rt, opts)
+					if err != nil {
+						return nil, err
+					}
+					return DrainBatches(it)
 				})
 				continue
 			}
@@ -466,21 +456,14 @@ func buildJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (Bat
 		}
 	}
 
-	buildSide := func(n plan.Node) (BatchIterator, error) {
-		if opts.Parallel {
-			if _, isRemote := n.(*plan.Remote); isRemote {
-				return prefetchBatches(ctx, opts.batchSize(), func() (BatchIterator, error) {
-					return BuildBatch(ctx, n, rt, opts)
-				}), nil
-			}
-		}
-		return BuildBatch(ctx, n, rt, opts)
-	}
-	left, err := buildSide(x.Left)
+	// Under Parallel a Remote side starts fetching the moment it is built
+	// (buildNode prefetches it), so building both sides before pulling
+	// either is all the overlap a join needs.
+	left, err := BuildBatch(ctx, x.Left, rt, opts)
 	if err != nil {
 		return nil, err
 	}
-	right, err := buildSide(x.Right)
+	right, err := BuildBatch(ctx, x.Right, rt, opts)
 	if err != nil {
 		left.Close()
 		return nil, err
@@ -663,11 +646,11 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 		reduced = &plan.Filter{Input: remote.Child,
 			Cond: &sqlparse.KeyFilterExpr{Child: reduceRef, Set: f}}
 	}
-	reducedIt, err := FetchRemote(ctx, rt, opts, remote.Source, reduced)
+	reducedRows, err := FetchRemote(ctx, rt, opts, remote.Source, reduced)
 	if err != nil {
 		return nil, false, err
 	}
-	it, err := assemble(probeRows, asBatchIterator(reducedIt, opts.batchSize()))
+	it, err := assemble(probeRows, newSliceBatchIter(reducedRows, opts.batchSize()))
 	return it, err == nil, err
 }
 

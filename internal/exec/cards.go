@@ -1,21 +1,28 @@
 package exec
 
-// The cardinality ledger is the always-on half of query tracing: per
-// operator and per successful fetch, how many rows actually flowed,
+// The cardinality ledger is the one per-operator record of an execution:
+// per operator and per successful fetch, how many rows actually flowed,
 // against what the optimizer predicted. It exists so the engine can feed
 // runtime cardinalities back into the feedback store (and decide to
-// re-plan mid-query) without requiring ?trace=1 — it is deliberately much
-// lighter than the span tracer: no timestamps, no tree, a couple of ints
-// per operator.
+// re-plan mid-query) without requiring ?trace=1, so it stays light — a few
+// ints per operator, no allocation, no lock on the pull path — and every
+// surface that reports per-operator numbers (explain, analyze, the trace's
+// operator spans, estimate-error counts) renders from it.
 
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/plan"
 )
 
-// OpCard is one operator's cardinality record.
+// OpCard is one operator's record. The operator's boundary guard
+// (guardBatchIter) owns it and is its only writer: Node and Est are set at
+// build time, everything else by the single goroutine pulling the
+// operator, lock-free. It may therefore only be read once the attempt's
+// goroutines have joined — after the drain returned and
+// Scratch.WaitBorrowers waited out abandoned prefetches.
 type OpCard struct {
 	// Node is the plan node this boundary wrapped.
 	Node plan.Node
@@ -23,10 +30,12 @@ type OpCard struct {
 	// caller provided no estimator.
 	Est int64
 	// Rows and Batches count what actually flowed through the boundary.
-	// They are written by the single goroutine pulling this operator and
-	// must only be read after the query's goroutines have joined.
 	Rows    int64
 	Batches int64
+	// First and Last stamp the start of the first pull and the return of
+	// the latest one on the QueryTracer's clock; zero when the query runs
+	// without a tracer or the operator was never pulled.
+	First, Last time.Time
 }
 
 // FetchCard is one successful remote fetch's cardinality record. Failed
@@ -76,12 +85,11 @@ func (l *CardLedger) Reset() {
 	l.mu.Unlock()
 }
 
-func (l *CardLedger) addOp(n plan.Node, est int64) *OpCard {
-	c := &OpCard{Node: n, Est: est}
+// addOp lists a guard's record; the guard keeps ownership.
+func (l *CardLedger) addOp(c *OpCard) {
 	l.mu.Lock()
 	l.ops = append(l.ops, c)
 	l.mu.Unlock()
-	return c
 }
 
 // RecordFetch appends one successful fetch's row/byte counts.
@@ -98,6 +106,18 @@ func (l *CardLedger) Ops() []*OpCard {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.ops
+}
+
+// ByNode indexes the operator records by plan node, under the same
+// contract as Ops. It is what the renderers walk a plan tree against: a
+// node missing from the map never executed in this attempt.
+func (l *CardLedger) ByNode() map[plan.Node]*OpCard {
+	ops := l.Ops()
+	m := make(map[plan.Node]*OpCard, len(ops))
+	for _, c := range ops {
+		m[c.Node] = c
+	}
+	return m
 }
 
 // Fetches returns the successful-fetch records under the same contract as

@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datum"
+	"repro/internal/netsim"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 )
@@ -131,20 +134,20 @@ func TestRuntimeTypeErrors(t *testing.T) {
 }
 
 func TestPrefetchPropagatesErrors(t *testing.T) {
-	it := Prefetch(func() (Iterator, error) {
+	it := prefetchBatches(context.Background(), 64, func() ([]datum.Row, error) {
 		return nil, errors.New("remote down")
 	})
-	if _, err := it.Next(); err == nil || !strings.Contains(err.Error(), "remote down") {
+	if _, err := it.NextBatch(); err == nil || !strings.Contains(err.Error(), "remote down") {
 		t.Errorf("prefetch error = %v", err)
 	}
 	it.Close()
 }
 
 func TestPrefetchDeliversRows(t *testing.T) {
-	it := Prefetch(func() (Iterator, error) {
-		return NewSliceIterator([]datum.Row{{datum.NewInt(1)}, {datum.NewInt(2)}}), nil
+	it := prefetchBatches(context.Background(), 1, func() ([]datum.Row, error) {
+		return []datum.Row{{datum.NewInt(1)}, {datum.NewInt(2)}}, nil
 	})
-	rows, err := Drain(it)
+	rows, err := DrainBatches(it)
 	if err != nil || len(rows) != 2 {
 		t.Errorf("prefetch rows = %d err = %v", len(rows), err)
 	}
@@ -159,22 +162,51 @@ func TestLimitOffsetOnly(t *testing.T) {
 	}
 }
 
-func TestTraceCountsRows(t *testing.T) {
-	tr := NewTrace()
-	node := &plan.Scan{Source: "", Table: "", Alias: "$dual"}
-	it := tr.wrap(node, newSliceBatchIter([]datum.Row{{}, {}, {}}, 2))
-	if _, err := DrainBatches(it); err != nil {
-		t.Fatal(err)
+// TestGuardWritesTheOperatorRecord pins the single per-operator record:
+// BuildBatch adds exactly one wrapper, that wrapper owns the OpCard the
+// ledger lists, rows and batches are counted there, and pull stamps appear
+// only when a tracer lends its clock.
+func TestGuardWritesTheOperatorRecord(t *testing.T) {
+	node := &plan.Scan{Source: "s", Table: "t"}
+	rt := &flakyRuntime{}
+	rt.rows = []datum.Row{{}, {}, {}}
+	scan := func(opts Options) *OpCard {
+		t.Helper()
+		led := &CardLedger{}
+		opts.Cards = led
+		opts.BatchSize = 2
+		it, err := BuildBatch(context.Background(), &plan.Remote{Source: "s", Child: node}, rt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, ok := it.(*guardBatchIter)
+		if !ok {
+			t.Fatalf("BuildBatch returned %T, want the guard", it)
+		}
+		if _, ok := g.in.(*sliceBatchIter); !ok {
+			t.Fatalf("guard wraps %T: more than one wrapper on the operator", g.in)
+		}
+		if _, err := DrainBatches(it); err != nil {
+			t.Fatal(err)
+		}
+		ops := led.Ops()
+		if len(ops) != 1 || ops[0] != &g.card || led.ByNode()[ops[0].Node] != ops[0] {
+			t.Fatalf("ledger ops = %v, want the guard's own record", ops)
+		}
+		return ops[0]
 	}
-	if tr.Rows(node) != 3 {
-		t.Errorf("trace rows = %d", tr.Rows(node))
+
+	c := scan(Options{})
+	if c.Rows != 3 || c.Batches != 2 || c.Est != -1 || !c.First.IsZero() || !c.Last.IsZero() {
+		t.Errorf("untraced record = %+v", *c)
 	}
-	if !strings.Contains(tr.Render(node), "(rows=3)") {
-		t.Errorf("render = %q", tr.Render(node))
-	}
-	other := &plan.Scan{Source: "x", Table: "y", Alias: "z"}
-	if tr.Rows(other) != 0 {
-		t.Error("unexecuted node must report 0")
+	clock := netsim.NewVirtualClock(time.Unix(100, 0))
+	c = scan(Options{
+		Tracer:   NewQueryTracer(clock),
+		Estimate: func(plan.Node) int64 { return 7 },
+	})
+	if c.Rows != 3 || c.Batches != 2 || c.Est != 7 || c.First.IsZero() || c.Last.Before(c.First) {
+		t.Errorf("traced record = %+v", *c)
 	}
 }
 

@@ -98,6 +98,7 @@ func (ix *keyIndex) match(link int32, h uint64) int32 {
 
 // datumSet is a set of non-NULL datums in insertion order: a keyIndex over
 // vals. Callers pass each value's hash so they can keep it for other uses.
+// The zero value is an empty set that grows on the heap.
 type datumSet struct {
 	ix   keyIndex
 	vals []datum.Datum // position → value; len(vals) == ix.n
@@ -111,6 +112,9 @@ func newDatumSet(s *Scratch, capacity int) datumSet {
 // datums hash alike across INT and FLOAT, so 1 finds 1.0; a value of some
 // other kind lands on no equal candidate and simply does not match.
 func (s *datumSet) contains(v datum.Datum, h uint64) bool {
+	if len(s.vals) == 0 {
+		return false
+	}
 	for p := s.ix.first(h); p >= 0; p = s.ix.after(p, h) {
 		if datum.Equal(v, s.vals[p]) {
 			return true
@@ -119,8 +123,18 @@ func (s *datumSet) contains(v datum.Datum, h uint64) bool {
 	return false
 }
 
-// add appends v, whose hash is h, without checking for a duplicate.
+// add appends v, whose hash is h, without checking for a duplicate. A full
+// index is rebuilt at twice the size on the heap first, so a set sized
+// exactly (semi-join keys, IN-lists) never reallocates and one of unknown
+// size (DISTINCT aggregates) grows amortized.
 func (s *datumSet) add(v datum.Datum, h uint64) {
+	if len(s.vals) == len(s.ix.hashes) {
+		grown := newKeyIndex(nil, 2*len(s.vals)+8)
+		for _, old := range s.hashes() {
+			grown.add(old)
+		}
+		s.ix = grown
+	}
 	s.ix.add(h)
 	s.vals = append(s.vals, v)
 }

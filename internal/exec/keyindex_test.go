@@ -520,7 +520,7 @@ type shippedRuntime struct {
 	shipped []plan.Node
 }
 
-func (rt *shippedRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) (Iterator, error) {
+func (rt *shippedRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) ([]datum.Row, error) {
 	rt.shipped = append(rt.shipped, subtree)
 	return rt.localRuntime.RunRemote(ctx, source, subtree)
 }
@@ -626,6 +626,55 @@ func BenchmarkJoinBuild(b *testing.B) {
 					scratch.Reset()
 				}
 			})
+		}
+	}
+}
+
+// --- (d) DISTINCT aggregates ---
+
+// TestDistinctAggregateSurvivesHashCollision is the regression test for
+// COUNT/SUM/AVG(DISTINCT x) de-duplicating by hash alone: 2^53 and 2^53+1
+// are different INTs with one hash, and both must count. The third value,
+// 0, is there because the colliding pair also shares its float64 image, so
+// AVG over the pair alone reads 2^53 whether or not one of them is dropped.
+func TestDistinctAggregateSurvivesHashCollision(t *testing.T) {
+	cols := []plan.ColMeta{{Name: "g", Kind: datum.KindInt}, {Name: "x", Kind: datum.KindInt}}
+	vals := []int64{twoTo53, twoTo53 + 1, 0}
+	rt := &flakyRuntime{}
+	for i := 0; i < 2*parallelMinRows; i++ { // enough rows for the partitioned path
+		rt.rows = append(rt.rows, datum.Row{datum.NewInt(int64(i % 2)), datum.NewInt(vals[i%len(vals)])})
+	}
+	x := &sqlparse.ColumnRef{Column: "x"}
+	aggs := []plan.AggSpec{
+		{Func: "COUNT", Arg: x, Distinct: true},
+		{Func: "SUM", Arg: x, Distinct: true},
+		{Func: "AVG", Arg: x, Distinct: true},
+	}
+	// COUNT 3, SUM 2^54+1 exactly (the INT image), AVG from the float image.
+	want := fmt.Sprintf("3,%d,%s", 2*twoTo53+1, datum.NewFloat(float64(2*twoTo53)/3).Display())
+
+	for _, grouped := range []bool{false, true} {
+		for _, degree := range []int{1, 2} {
+			var groupBy []sqlparse.Expr
+			wantRows := want
+			if grouped {
+				groupBy = []sqlparse.Expr{&sqlparse.ColumnRef{Column: "g"}}
+				wantRows = "0," + want + "|1," + want
+			}
+			scan := &plan.Remote{Source: "s", Child: &plan.Scan{Source: "s", Table: "t", Cols: cols}}
+			agg := plan.NewAggregate(scan, groupBy, aggs)
+			agg.Parallel = degree
+			it, err := BuildBatch(context.Background(), agg, rt, Options{Parallelism: degree})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := DrainBatches(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rowsToString(rows); got != wantRows {
+				t.Errorf("grouped=%v parallelism=%d: got %s, want %s", grouped, degree, got, wantRows)
+			}
 		}
 	}
 }

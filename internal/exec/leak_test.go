@@ -99,12 +99,12 @@ func TestExchangeDrainedNoLeak(t *testing.T) {
 }
 
 // TestPrefetchAbandonedNoLeak abandons a prefetching batch reader after
-// one batch; the background fetch drains fully on its own and must not
+// one batch; the background fetch completes on its own and must not
 // outlive the test.
 func TestPrefetchAbandonedNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	it := prefetchBatches(context.Background(), 64, func() (BatchIterator, error) {
-		return newSliceBatchIter(leakRows(10000), 64), nil
+	it := prefetchBatches(context.Background(), 64, func() ([]datum.Row, error) {
+		return leakRows(10000), nil
 	})
 	if _, err := it.NextBatch(); err != nil {
 		t.Fatal(err)

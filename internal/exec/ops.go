@@ -10,75 +10,6 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// Iterator is the Volcano-style row cursor kept at the engine boundary and
-// the Runtime interface (table snapshots, remote fetches). Inside the
-// executor everything flows as batches (see BatchIterator).
-// Next returns (nil, nil) when the stream is exhausted.
-type Iterator interface {
-	Next() (datum.Row, error)
-	Close()
-}
-
-// sliceIter iterates a materialized row slice. It doubles as a
-// BatchIterator (asBatchIterator sets the window size and returns it
-// as-is) so the ubiquitous materialized-rows case — every remote fetch —
-// costs one allocation, not an iterator plus an adapter.
-type sliceIter struct {
-	rows []datum.Row
-	pos  int
-	size int
-}
-
-// NewSliceIterator wraps materialized rows in an Iterator.
-func NewSliceIterator(rows []datum.Row) Iterator { return &sliceIter{rows: rows} }
-
-func (s *sliceIter) Next() (datum.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
-func (s *sliceIter) NextBatch() (Batch, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	size := s.size
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	end := s.pos + size
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	b := Batch(s.rows[s.pos:end])
-	s.pos = end
-	return b, nil
-}
-
-func (s *sliceIter) Close() {}
-
-// Drain materializes the remaining rows of an iterator and closes it.
-func Drain(it Iterator) ([]datum.Row, error) {
-	defer it.Close()
-	if a, ok := it.(*rowIterAdapter); ok && a.cur == nil && a.pos == 0 {
-		return drainBatches(a.in)
-	}
-	var out []datum.Row
-	for {
-		r, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			return out, nil
-		}
-		out = append(out, r)
-	}
-}
-
 // --- Filter ---
 
 type filterBatchIter struct {
@@ -439,7 +370,7 @@ type aggState struct {
 	sumIsInt  []bool        // SUM stays INT while all inputs are INT
 	sumI      []int64       // integer sum image
 	minmax    []datum.Datum // per agg
-	distinct  []map[uint64]struct{}
+	distinct  []datumSet    // per DISTINCT agg: the argument values seen
 }
 
 func newAggState(key datum.Row, specs []plan.AggSpec, firstSeen int) *aggState {
@@ -451,13 +382,12 @@ func newAggState(key datum.Row, specs []plan.AggSpec, firstSeen int) *aggState {
 		sumI:      make([]int64, len(specs)),
 		sumIsInt:  make([]bool, len(specs)),
 		minmax:    make([]datum.Datum, len(specs)),
-		distinct:  make([]map[uint64]struct{}, len(specs)),
 	}
 	for i, sp := range specs {
 		st.minmax[i] = datum.Null
 		st.sumIsInt[i] = true
-		if sp.Distinct {
-			st.distinct[i] = make(map[uint64]struct{})
+		if sp.Distinct && st.distinct == nil {
+			st.distinct = make([]datumSet, len(specs))
 		}
 	}
 	return st
@@ -474,11 +404,13 @@ func (st *aggState) add(i int, sp plan.AggSpec, v datum.Datum) error {
 		return nil
 	}
 	if sp.Distinct {
-		hh := v.Hash()
-		if _, dup := st.distinct[i][hh]; dup {
+		// Equal hashes only nominate a candidate; datum.Equal decides, so
+		// two distinct values that collide in 64 bits both count.
+		h := v.Hash()
+		if st.distinct[i].contains(v, h) {
 			return nil
 		}
-		st.distinct[i][hh] = struct{}{}
+		st.distinct[i].add(v, h)
 	}
 	st.count[i]++
 	switch sp.Func {
@@ -826,74 +758,23 @@ func (u *unionBatchIter) Close() {
 
 // --- Async prefetch (inter-source parallelism) ---
 
-// prefetchIter runs fetch in a goroutine and buffers the resulting rows,
-// giving inter-source parallelism for federated fan-out queries.
-type prefetchIter struct {
-	ch   chan prefetchResult
-	rows []datum.Row
-	pos  int
-	err  error
-	done bool
-}
-
-type prefetchResult struct {
-	rows []datum.Row
-	err  error
-}
-
-// Prefetch starts draining the iterator returned by fetch in a background
-// goroutine immediately and returns an iterator over the result. The
-// goroutine always runs to completion and parks its result in a buffered
-// channel, so an abandoned prefetch never leaks.
-func Prefetch(fetch func() (Iterator, error)) Iterator {
-	p := &prefetchIter{ch: make(chan prefetchResult, 1)}
-	go func() {
-		it, err := fetch()
-		if err != nil {
-			p.ch <- prefetchResult{err: err}
-			return
-		}
-		rows, err := Drain(it)
-		p.ch <- prefetchResult{rows: rows, err: err}
-	}()
-	return p
-}
-
-func (p *prefetchIter) Next() (datum.Row, error) {
-	if !p.done {
-		b := <-p.ch
-		p.rows, p.err = b.rows, b.err
-		p.done = true
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	if p.pos >= len(p.rows) {
-		return nil, nil
-	}
-	r := p.rows[p.pos]
-	p.pos++
-	return r, nil
-}
-
-func (p *prefetchIter) Close() {}
-
-// prefetchBatchIter is the batch form of Prefetch: the fetch is kicked off
-// immediately, the rows are served batch-windowed once ready. A cancelled
-// query context unblocks the consumer immediately; the background fetch
-// observes the same context through FetchRemote/BuildBatch, finishes
-// early, and parks its result in the buffered channel — never a leak.
+// prefetchBatchIter overlaps a fetch with the rest of the plan: fetch is
+// kicked off immediately in a goroutine and the rows it returns are parked
+// as they are — no re-drain copy — then served batch-windowed once ready.
+// A cancelled query context unblocks the consumer immediately; the
+// background fetch observes the same context through FetchRemote/
+// BuildBatch, finishes early, parks its result and closes done whether or
+// not anyone is still listening, so an abandoned prefetch never leaks.
 type prefetchBatchIter struct {
 	ctx   context.Context
-	ch    chan prefetchResult
-	size  int
-	inner *sliceBatchIter
+	done  chan struct{} // closed once rows and err are parked
+	ready bool          // the consumer has seen done
 	err   error
-	got   bool
+	sliceBatchIter
 }
 
-func prefetchBatches(ctx context.Context, size int, fetch func() (BatchIterator, error)) BatchIterator {
-	p := &prefetchBatchIter{ctx: ctx, ch: make(chan prefetchResult, 1), size: size}
+func prefetchBatches(ctx context.Context, size int, fetch func() ([]datum.Row, error)) BatchIterator {
+	p := &prefetchBatchIter{ctx: ctx, done: make(chan struct{}), sliceBatchIter: *newSliceBatchIter(nil, size)}
 	// The fetch may allocate from the query's scratch (remote subtrees
 	// executed inside wrappers draw on it via the context). A consumer
 	// that abandons this prefetch lets the goroutine outlive the query's
@@ -904,23 +785,17 @@ func prefetchBatches(ctx context.Context, size int, fetch func() (BatchIterator,
 	scratch.Hold()
 	go func() {
 		defer scratch.Release()
-		it, err := fetch()
-		if err != nil {
-			p.ch <- prefetchResult{err: err}
-			return
-		}
-		rows, err := DrainBatches(it)
-		p.ch <- prefetchResult{rows: rows, err: err}
+		defer close(p.done)
+		p.rows, p.err = fetch()
 	}()
 	return p
 }
 
 func (p *prefetchBatchIter) NextBatch() (Batch, error) {
-	if !p.got {
+	if !p.ready {
 		select {
-		case r := <-p.ch:
-			p.inner, p.err = newSliceBatchIter(r.rows, p.size), r.err
-			p.got = true
+		case <-p.done:
+			p.ready = true
 		case <-p.ctx.Done():
 			return nil, p.ctx.Err()
 		}
@@ -928,10 +803,8 @@ func (p *prefetchBatchIter) NextBatch() (Batch, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	return p.inner.NextBatch()
+	return p.sliceBatchIter.NextBatch()
 }
-
-func (p *prefetchBatchIter) Close() {}
 
 // extractEquiKeys splits a join condition into equi-key pairs (left expr,
 // right expr) and a residual predicate. leftCols/rightCols are the child

@@ -5,12 +5,13 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/datum"
 	"repro/internal/plan"
 )
 
 // RetryPolicy controls how remote fetches are retried. The zero value
 // performs a single attempt. Backoff is charged in *virtual* time (via
-// Options.ChargeBackoff), so retried benchmarks stay fast while the
+// FetchHooks.ChargeBackoff), so retried benchmarks stay fast while the
 // latency cost still shows up in the query's network accounting.
 type RetryPolicy struct {
 	// Attempts is the total number of tries per fetch; values <= 1 mean
@@ -59,10 +60,10 @@ func (p RetryPolicy) Backoff(retry int) time.Duration {
 	return d
 }
 
-// FetchHooks bundles the retry/fault observation callbacks of one query.
-// Implementing it on an already-allocated per-query runtime lets an engine
-// hand exec all three hooks as a single interface value (see
-// Options.Hooks) instead of three captured closures.
+// FetchHooks bundles the retry/fault observation callbacks of one query
+// (Options.Hooks). Implementing it on an already-allocated per-query
+// runtime hands exec all three hooks as a single interface value instead
+// of three captured closures.
 type FetchHooks interface {
 	// ChargeBackoff charges one retry's backoff to the source's clock.
 	ChargeBackoff(source string, d time.Duration)
@@ -92,9 +93,8 @@ func Retryable(err error) bool {
 // FetchRemote runs a pushed-down subtree at a source through the retry
 // and degradation pipeline: retry transient failures per opts.Retry with
 // capped exponential backoff, then — if the fetch still fails — offer the
-// failure to opts.OnRemoteFail, which may substitute an alternative
-// iterator (a replica read, or an empty result for partial-tolerant
-// queries). All Remote dispatches funnel through here so every fetch in a
+// failure to opts.OnRemoteFail, which may substitute alternative rows (a
+// replica read, or an empty result for partial-tolerant queries). All Remote dispatches funnel through here so every fetch in a
 // plan gets the same fault handling.
 //
 // Cancellation dominates retries: a done context aborts the loop before
@@ -102,20 +102,14 @@ func Retryable(err error) bool {
 // time), returning ctx.Err() unwrapped — context.Canceled and
 // context.DeadlineExceeded are the caller's signals, never a source
 // failure, so degradation (OnRemoteFail) is not consulted for them.
-func FetchRemote(ctx context.Context, rt Runtime, opts Options, source string, subtree plan.Node) (Iterator, error) {
+func FetchRemote(ctx context.Context, rt Runtime, opts Options, source string, subtree plan.Node) ([]datum.Row, error) {
 	attempts := opts.Retry.attempts()
 	var err error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			backoff := opts.Retry.Backoff(attempt - 1)
-			if opts.ChargeBackoff != nil {
-				opts.ChargeBackoff(source, backoff)
-			} else if opts.Hooks != nil {
+			if opts.Hooks != nil {
 				opts.Hooks.ChargeBackoff(source, backoff)
-			}
-			if opts.OnRetry != nil {
-				opts.OnRetry(source)
-			} else if opts.Hooks != nil {
 				opts.Hooks.OnRetry(source)
 			}
 			if opts.Retry.SleepBackoff {
@@ -127,19 +121,17 @@ func FetchRemote(ctx context.Context, rt Runtime, opts Options, source string, s
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
-		var it Iterator
-		it, err = rt.RunRemote(ctx, source, subtree)
+		var rows []datum.Row
+		rows, err = rt.RunRemote(ctx, source, subtree)
 		if err == nil {
-			return it, nil
+			return rows, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			// The attempt failed because (or while) the query was
 			// cancelled; propagate the context error unwrapped.
 			return nil, cerr
 		}
-		if opts.OnSourceError != nil {
-			opts.OnSourceError(source, attempt, err)
-		} else if opts.Hooks != nil {
+		if opts.Hooks != nil {
 			opts.Hooks.OnSourceError(source, attempt, err)
 		}
 		if !Retryable(err) {

@@ -21,11 +21,11 @@ type flakyRuntime struct {
 	err   error
 }
 
-func (rt *flakyRuntime) ScanTable(_ context.Context, source, table string) (Iterator, error) {
+func (rt *flakyRuntime) ScanTable(_ context.Context, source, table string) ([]datum.Row, error) {
 	return nil, fmt.Errorf("no tables")
 }
 
-func (rt *flakyRuntime) RunRemote(_ context.Context, source string, subtree plan.Node) (Iterator, error) {
+func (rt *flakyRuntime) RunRemote(_ context.Context, source string, subtree plan.Node) ([]datum.Row, error) {
 	rt.calls++
 	if rt.calls <= rt.failN {
 		if rt.err != nil {
@@ -33,8 +33,19 @@ func (rt *flakyRuntime) RunRemote(_ context.Context, source string, subtree plan
 		}
 		return nil, &netsim.FaultError{Kind: netsim.FaultFlaky, Detail: "injected"}
 	}
-	return NewSliceIterator(rt.rows), nil
+	return rt.rows, nil
 }
+
+// hookLog implements FetchHooks, tallying what FetchRemote reported.
+type hookLog struct {
+	charged time.Duration
+	retries int
+	errors  int
+}
+
+func (h *hookLog) ChargeBackoff(_ string, d time.Duration) { h.charged += d }
+func (h *hookLog) OnRetry(string)                          { h.retries++ }
+func (h *hookLog) OnSourceError(string, int, error)        { h.errors++ }
 
 func remoteScan() plan.Node {
 	return &plan.Remote{Source: "s", Child: &plan.Scan{
@@ -68,33 +79,31 @@ func TestBackoffCappedExponential(t *testing.T) {
 
 func TestFetchRemoteRetriesTransientFailures(t *testing.T) {
 	rt := &flakyRuntime{failN: 2, rows: []datum.Row{{datum.NewInt(1)}}}
-	var charged time.Duration
-	var retries int
+	hooks := &hookLog{}
 	opts := Options{
-		Retry:         RetryPolicy{Attempts: 4, BaseBackoff: 5 * time.Millisecond},
-		ChargeBackoff: func(source string, d time.Duration) { charged += d },
-		OnRetry:       func(source string) { retries++ },
+		Retry: RetryPolicy{Attempts: 4, BaseBackoff: 5 * time.Millisecond},
+		Hooks: hooks,
 	}
-	it, err := Build(context.Background(), remoteScan(), rt, opts)
+	it, err := BuildBatch(context.Background(), remoteScan(), rt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Drain(it)
+	rows, err := DrainBatches(it)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("rows=%v err=%v", rows, err)
 	}
-	if rt.calls != 3 || retries != 2 {
-		t.Errorf("calls=%d retries=%d, want 3 and 2", rt.calls, retries)
+	if rt.calls != 3 || hooks.retries != 2 || hooks.errors != 2 {
+		t.Errorf("calls=%d retries=%d errors=%d, want 3, 2 and 2", rt.calls, hooks.retries, hooks.errors)
 	}
-	if charged != 5*time.Millisecond+10*time.Millisecond {
-		t.Errorf("backoff charged = %v", charged)
+	if hooks.charged != 5*time.Millisecond+10*time.Millisecond {
+		t.Errorf("backoff charged = %v", hooks.charged)
 	}
 }
 
 func TestFetchRemoteDoesNotRetryPermanentErrors(t *testing.T) {
 	rt := &flakyRuntime{failN: 10, err: errors.New("capability violation")}
 	opts := Options{Retry: RetryPolicy{Attempts: 5}}
-	if _, err := Build(context.Background(), remoteScan(), rt, opts); err == nil {
+	if _, err := BuildBatch(context.Background(), remoteScan(), rt, opts); err == nil {
 		t.Fatal("want error")
 	}
 	if rt.calls != 1 {
@@ -107,16 +116,16 @@ func TestFetchRemoteFallbackAfterExhaustion(t *testing.T) {
 	var failedSource string
 	opts := Options{
 		Retry: RetryPolicy{Attempts: 2},
-		OnRemoteFail: func(source string, subtree plan.Node, err error) (Iterator, bool) {
+		OnRemoteFail: func(source string, subtree plan.Node, err error) ([]datum.Row, bool) {
 			failedSource = source
-			return NewSliceIterator(nil), true
+			return nil, true
 		},
 	}
-	it, err := Build(context.Background(), remoteScan(), rt, opts)
+	it, err := BuildBatch(context.Background(), remoteScan(), rt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Drain(it)
+	rows, err := DrainBatches(it)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("rows=%v err=%v", rows, err)
 	}
@@ -197,9 +206,9 @@ func TestFetchRemoteCancelSkipsDegradation(t *testing.T) {
 	degraded := false
 	opts := Options{
 		Retry: RetryPolicy{Attempts: 3},
-		OnRemoteFail: func(source string, subtree plan.Node, err error) (Iterator, bool) {
+		OnRemoteFail: func(source string, subtree plan.Node, err error) ([]datum.Row, bool) {
 			degraded = true
-			return NewSliceIterator(nil), true
+			return nil, true
 		},
 	}
 	if _, err := FetchRemote(ctx, rt, opts, "s", remoteScan()); err != context.Canceled {

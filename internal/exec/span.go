@@ -98,25 +98,19 @@ func (s *Span) Fetches() []*Span {
 	return out
 }
 
-// QueryTracer collects the spans of one query while it executes and
-// materializes them into a Span tree at Finish. It is safe for concurrent
-// use: exchange workers and prefetch goroutines record through the same
-// tracer.
+// QueryTracer collects the fetch spans of one query while it executes and
+// lends its clock to the operator boundaries, whose guards stamp each
+// OpCard's first and last pull on it. Finish materializes both into a Span
+// tree. RecordFetch is safe for concurrent use — prefetch goroutines
+// record through the same tracer; the operator half has no state here at
+// all: it lives in the CardLedger and is read only at Finish.
 type QueryTracer struct {
 	clock netsim.Clock
 	start time.Time
 
-	mu      sync.Mutex
-	ops     map[plan.Node]*opSpan
-	fetches []*Span
-}
-
-type opSpan struct {
-	started bool
-	start   time.Time
-	last    time.Time
-	rows    int64
-	batches int64
+	mu       sync.Mutex
+	fetches  []*Span
+	subtrees []plan.Node // subtrees[i] is what fetches[i] asked its source for
 }
 
 // NewQueryTracer starts a tracer on the given clock; nil means wall time.
@@ -124,7 +118,7 @@ func NewQueryTracer(clock netsim.Clock) *QueryTracer {
 	if clock == nil {
 		clock = netsim.Wall
 	}
-	return &QueryTracer{clock: clock, start: clock.Now(), ops: make(map[plan.Node]*opSpan)}
+	return &QueryTracer{clock: clock, start: clock.Now()}
 }
 
 // Clock returns the clock spans are measured on.
@@ -135,14 +129,15 @@ func (t *QueryTracer) Start() time.Time { return t.start }
 
 // RecordFetch appends one source-fetch attempt: wall extent on the engine
 // clock plus the virtual link time, wire bytes and rows the attempt
-// accounted for. Failed attempts record the error; the attempt number is
-// derived from the spans already recorded for the source.
-func (t *QueryTracer) RecordFetch(source string, start time.Time, d, simTime time.Duration, rows, bytes int64, err error) {
+// accounted for. Failed attempts record the error. Attempts number per
+// (source, subtree): a retry re-sends the same subtree, whereas a plan
+// that visits one source twice sends two, each starting at attempt 1.
+func (t *QueryTracer) RecordFetch(source string, subtree plan.Node, start time.Time, d, simTime time.Duration, rows, bytes int64, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	attempt := 1
-	for _, f := range t.fetches {
-		if f.Source == source {
+	for i, f := range t.fetches {
+		if f.Source == source && t.subtrees[i] == subtree {
 			attempt++
 		}
 	}
@@ -155,66 +150,34 @@ func (t *QueryTracer) RecordFetch(source string, start time.Time, d, simTime tim
 		sp.Error = err.Error()
 	}
 	t.fetches = append(t.fetches, sp)
-}
-
-// wrapOp instruments one operator boundary: the span opens on the first
-// NextBatch pull and extends through the last.
-func (t *QueryTracer) wrapOp(n plan.Node, it BatchIterator) BatchIterator {
-	return &spanBatchIter{t: t, n: n, in: it}
-}
-
-type spanBatchIter struct {
-	t  *QueryTracer
-	n  plan.Node
-	in BatchIterator
-}
-
-func (s *spanBatchIter) NextBatch() (Batch, error) {
-	b, err := s.in.NextBatch()
-	s.t.noteOp(s.n, int64(len(b)), b != nil && err == nil)
-	return b, err
-}
-
-func (s *spanBatchIter) Close() { s.in.Close() }
-
-func (t *QueryTracer) noteOp(n plan.Node, rows int64, isBatch bool) {
-	now := t.clock.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.ops[n]
-	if st == nil {
-		st = &opSpan{}
-		t.ops[n] = st
-	}
-	if !st.started {
-		st.started = true
-		st.start = now
-	}
-	st.last = now
-	if isBatch {
-		st.rows += rows
-		st.batches++
-	}
+	t.subtrees = append(t.subtrees, subtree)
 }
 
 // Finish materializes the span tree for the executed plan: a root "query"
 // span covering planning plus execution, a "plan" child, an "exec" child
-// holding the operator tree (shaped like the plan, labeled by Describe),
-// and one fetch child per source-fetch attempt. planTime shifts execution
-// spans right so offsets are relative to query start.
-func (t *QueryTracer) Finish(root plan.Node, planTime time.Duration) *Span {
+// holding the operator tree (shaped like the plan, labeled by Describe,
+// rendered from the final attempt's ledger — the same records explain
+// output reads, so the two cannot disagree), and one fetch child per
+// source-fetch attempt. planTime shifts execution spans right so offsets
+// are relative to query start. cards falls under the OpCard contract:
+// call Finish only after the attempt's goroutines have joined.
+func (t *QueryTracer) Finish(root plan.Node, cards *CardLedger, planTime time.Duration) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	execDur := t.clock.Since(t.start)
 
+	var ops map[plan.Node]*OpCard
+	if cards != nil {
+		ops = cards.ByNode()
+	}
 	var opTree func(plan.Node) *Span
 	opTree = func(n plan.Node) *Span {
 		sp := &Span{Name: n.Describe(), Start: planTime}
-		if st, ok := t.ops[n]; ok && st.started {
-			sp.Start = planTime + st.start.Sub(t.start)
-			sp.Duration = st.last.Sub(st.start)
-			sp.Rows = st.rows
-			sp.Batches = st.batches
+		if c, ok := ops[n]; ok && !c.First.IsZero() {
+			sp.Start = planTime + c.First.Sub(t.start)
+			sp.Duration = c.Last.Sub(c.First)
+			sp.Rows = c.Rows
+			sp.Batches = c.Batches
 		}
 		for _, k := range n.Children() {
 			sp.Children = append(sp.Children, opTree(k))

@@ -127,11 +127,11 @@ func TestE14ParallelMatchesSequential(t *testing.T) {
 	g, rt := bigFixture(t, 12000)
 	for _, sql := range e14Queries {
 		base := buildPlan(t, g, sql)
-		it, err := Build(context.Background(), base, rt, Options{Parallelism: 1, BatchSize: 1})
+		it, err := BuildBatch(context.Background(), base, rt, Options{Parallelism: 1, BatchSize: 1})
 		if err != nil {
 			t.Fatalf("build baseline %q: %v", sql, err)
 		}
-		rows, err := Drain(it)
+		rows, err := DrainBatches(it)
 		if err != nil {
 			t.Fatalf("run baseline %q: %v", sql, err)
 		}

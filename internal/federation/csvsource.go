@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
-	"repro/internal/exec"
 	"repro/internal/netsim"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -170,13 +169,13 @@ func (s *CSVSource) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.
 	if err := validateSubtree(s.name, s.Capabilities(), subtree); err != nil {
 		return nil, err
 	}
-	rows, err := execLocal(ctx, s.name, subtree, func(table string) (exec.Iterator, error) {
+	rows, err := execLocal(ctx, s.name, subtree, func(table string) ([]datum.Row, error) {
 		t, ok := s.tables[strings.ToLower(table)]
 		if !ok {
 			return nil, fmt.Errorf("federation: source %s has no table %s", s.name, table)
 		}
 		// Header-only snapshot; see RelationalSource.ExecuteCtx.
-		return exec.NewSliceIterator(t.SnapshotShared()), nil
+		return t.SnapshotShared(), nil
 	})
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
-	"repro/internal/exec"
 	"repro/internal/netsim"
 	"repro/internal/schema"
 	"repro/internal/storage"
@@ -125,7 +124,7 @@ func (s *RelationalSource) ExecuteCtx(ctx context.Context, subtree plan.Node) ([
 	if err := validateSubtree(s.name, s.caps, subtree); err != nil {
 		return nil, err
 	}
-	rows, err := execLocal(ctx, s.name, subtree, func(table string) (exec.Iterator, error) {
+	rows, err := execLocal(ctx, s.name, subtree, func(table string) ([]datum.Row, error) {
 		t, ok := s.Table(table)
 		if !ok {
 			return nil, fmt.Errorf("federation: source %s has no table %s", s.name, table)
@@ -133,7 +132,7 @@ func (s *RelationalSource) ExecuteCtx(ctx context.Context, subtree plan.Node) ([
 		// Header-only snapshot: stored rows are immutable and the exec
 		// layer never mutates batch rows, so sharing avoids cloning the
 		// whole table per scan. The engine copies rows that reach callers.
-		return exec.NewSliceIterator(t.SnapshotShared()), nil
+		return t.SnapshotShared(), nil
 	})
 	if err != nil {
 		return nil, err
