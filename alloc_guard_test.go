@@ -31,8 +31,8 @@ const (
 	e17MaxBytesPerOp  = 64 << 10
 )
 
-// The same point lookup as a prepared statement under the configuration
-// Query and Prepare default to, {Parallel, Adaptive}: prefetched fetches,
+// The same point lookup as a prepared statement under
+// core.DefaultQueryOptions, {Parallel, Adaptive}: prefetched fetches,
 // the per-operator ledger, feedback absorption. Measured 155 allocs/op
 // when the row-iterator boundary and the stacked operator decorators were
 // removed (164 before); the budget is that value plus 5, so the work of
@@ -55,14 +55,14 @@ func TestE17AllocGuard(t *testing.T) {
 	// Warm the plan cache across every constant rotation so the measured
 	// loop is pure cache hits.
 	for i := 0; i < 128; i++ {
-		if _, err := engine.QueryOpts(e13BenchSQL(i), qo); err != nil {
+		if _, err := engine.QueryOptsCtx(context.Background(), e13BenchSQL(i), qo); err != nil {
 			t.Fatal(err)
 		}
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.QueryOpts(e13BenchSQL(i), qo); err != nil {
+			if _, err := engine.QueryOptsCtx(context.Background(), e13BenchSQL(i), qo); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -81,7 +81,7 @@ func TestE17AllocGuard(t *testing.T) {
 	t.Logf("warm cached-hit: %d allocs/op, %d bytes/op (budget %d / %d)",
 		res.AllocsPerOp(), res.AllocedBytesPerOp(), e17MaxAllocsPerOp, e17MaxBytesPerOp)
 
-	ps, err := engine.Prepare(e17PreparedSQL)
+	ps, err := engine.PrepareOpts(context.Background(), e17PreparedSQL, core.DefaultQueryOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,24 +123,24 @@ const (
 )
 
 // TestKeyedLookupAllocGuard fences the two queries whose allocations used
-// to scale with their key counts, under the configuration Query and
-// Prepare default to: an E18-shape join whose ~250 probe keys ship as an
-// IN-list, and the E14 report join that builds a 16 000-row hash table.
+// to scale with their key counts, under core.DefaultQueryOptions: an
+// E18-shape join whose ~250 probe keys ship as an IN-list, and the E14
+// report join that builds a 16 000-row hash table.
 func TestKeyedLookupAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard runs a benchmark loop; skipped in -short")
 	}
-	qo := core.QueryOptions{Parallel: true, Adaptive: true}
+	qo := core.DefaultQueryOptions()
 	measure := func(engine *core.Engine, sql string) int64 {
 		for i := 0; i < 8; i++ { // plan cache, feedback store, scratch pool
-			if _, err := engine.QueryOpts(sql, qo); err != nil {
+			if _, err := engine.QueryOptsCtx(context.Background(), sql, qo); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.QueryOpts(sql, qo); err != nil {
+				if _, err := engine.QueryOptsCtx(context.Background(), sql, qo); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,11 +151,11 @@ func TestKeyedLookupAllocGuard(t *testing.T) {
 		JOIN billing.invoices i ON c.id = i.cust_id
 		WHERE c.region = 'west' AND c.segment = 'smb' AND i.status = 'overdue'`
 	small := mustCRM(t, 3000).Engine
-	res, err := small.QueryOpts(semiJoinSQL, qo)
+	res, err := small.QueryOptsCtx(context.Background(), semiJoinSQL, qo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := small.QueryOpts(`SELECT COUNT(*) FROM crm.customers WHERE region = 'west' AND segment = 'smb'`, qo)
+	keys, err := small.QueryOptsCtx(context.Background(), `SELECT COUNT(*) FROM crm.customers WHERE region = 'west' AND segment = 'smb'`, qo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func BenchmarkE1PushdownOptimized(b *testing.B) {
 	fed := mustCRM(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.Query(e1Query); err != nil {
+		if _, err := fed.Engine.QueryCtx(context.Background(), e1Query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func BenchmarkE1PushdownNaive(b *testing.B) {
 	fed := mustCRM(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.QueryOpts(e1Query, naiveOpts); err != nil {
+		if _, err := fed.Engine.QueryOptsCtx(context.Background(), e1Query, naiveOpts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func BenchmarkE2EIILiveQuery(b *testing.B) {
 	fed := mustCRM(b, 300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.Query(e2Query); err != nil {
+		if _, err := fed.Engine.QueryCtx(context.Background(), e2Query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func BenchmarkE2WarehouseRefresh(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Refresh(); err != nil {
+		if _, err := w.Refresh(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,13 +131,13 @@ func BenchmarkE2WarehouseLocalQuery(b *testing.B) {
 	}
 	_ = w.AddFeed(fed.CRM, "customers")
 	_ = w.AddFeed(fed.Billing, "invoices")
-	if _, err := w.Refresh(); err != nil {
+	if _, err := w.Refresh(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	q := "SELECT region, COUNT(*) AS n, SUM(amount) AS total FROM customers c JOIN invoices i ON c.id = i.cust_id GROUP BY region"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Query(q); err != nil {
+		if _, err := w.Query(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,12 +161,12 @@ func BenchmarkE3SchemaCostSweep(b *testing.B) {
 func BenchmarkE4MatViewLiveRead(b *testing.B) {
 	fed := mustCRM(b, 200)
 	mgr := matview.NewManager(fed.Engine)
-	if _, err := mgr.Materialize("dash", e2Query); err != nil {
+	if _, err := mgr.Materialize(context.Background(), "dash", e2Query); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mgr.Read("dash", matview.Live); err != nil {
+		if _, err := mgr.Read(context.Background(), "dash", matview.Live); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,12 +175,12 @@ func BenchmarkE4MatViewLiveRead(b *testing.B) {
 func BenchmarkE4MatViewCachedRead(b *testing.B) {
 	fed := mustCRM(b, 200)
 	mgr := matview.NewManager(fed.Engine)
-	if _, err := mgr.Materialize("dash", e2Query); err != nil {
+	if _, err := mgr.Materialize(context.Background(), "dash", e2Query); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mgr.Read("dash", matview.Cached); err != nil {
+		if _, err := mgr.Read(context.Background(), "dash", matview.Cached); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,12 +189,12 @@ func BenchmarkE4MatViewCachedRead(b *testing.B) {
 func BenchmarkE4MatViewRefresh(b *testing.B) {
 	fed := mustCRM(b, 200)
 	mgr := matview.NewManager(fed.Engine)
-	if _, err := mgr.Materialize("dash", e2Query); err != nil {
+	if _, err := mgr.Materialize(context.Background(), "dash", e2Query); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := mgr.Refresh("dash"); err != nil {
+		if err := mgr.Refresh(context.Background(), "dash"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,7 +240,7 @@ func BenchmarkE6OptimizedAccessPath(b *testing.B) {
 	fed := mustEmployees(b, 300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.Query(e6Query); err != nil {
+		if _, err := fed.Engine.QueryCtx(context.Background(), e6Query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func BenchmarkE6FixedHandPlan(b *testing.B) {
 	fed := mustEmployees(b, 300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.QueryOpts(e6Query, naiveOpts); err != nil {
+		if _, err := fed.Engine.QueryOptsCtx(context.Background(), e6Query, naiveOpts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func benchE7(b *testing.B, parallel bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.QueryOpts(e7Query, core.QueryOptions{Parallel: parallel, NoSemiJoin: true}); err != nil {
+		if _, err := fed.Engine.QueryOptsCtx(context.Background(), e7Query, core.QueryOptions{Parallel: parallel, NoSemiJoin: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -386,7 +386,7 @@ func benchE12(b *testing.B, qo core.QueryOptions, breaker core.BreakerConfig) {
 	failed := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.QueryOpts(e12Query, qo); err != nil {
+		if _, err := fed.Engine.QueryOptsCtx(context.Background(), e12Query, qo); err != nil {
 			failed++
 		}
 	}
@@ -433,7 +433,7 @@ func benchE13(b *testing.B, clients int, noCache bool) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := atomic.AddInt64(&idx, 1)
-			if _, err := engine.QueryOpts(e13BenchSQL(int(i)), qo); err != nil {
+			if _, err := engine.QueryOptsCtx(context.Background(), e13BenchSQL(int(i)), qo); err != nil {
 				b.Error(err)
 				return
 			}
@@ -485,7 +485,7 @@ func benchE14Batch(b *testing.B, sql string) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.QueryOpts(sql, qo); err != nil {
+				if _, err := engine.QueryOptsCtx(context.Background(), sql, qo); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -514,7 +514,7 @@ func BenchmarkE14VectorizedParallelFanOut(b *testing.B) {
 			qo := core.QueryOptions{Parallel: par > 1, Parallelism: par, NoSemiJoin: true}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.QueryOpts(e14FanOutQuery, qo); err != nil {
+				if _, err := engine.QueryOptsCtx(context.Background(), e14FanOutQuery, qo); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -543,7 +543,7 @@ func BenchmarkE17FrontEnd(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.QueryOpts(e13BenchSQL(i), qo); err != nil {
+			if _, err := engine.QueryOptsCtx(context.Background(), e13BenchSQL(i), qo); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -552,14 +552,14 @@ func BenchmarkE17FrontEnd(b *testing.B) {
 	b.Run("cached-hit", func(b *testing.B) {
 		qo := core.QueryOptions{}
 		for i := 0; i < 64; i++ { // warm the template
-			if _, err := engine.QueryOpts(e13BenchSQL(i), qo); err != nil {
+			if _, err := engine.QueryOptsCtx(context.Background(), e13BenchSQL(i), qo); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.QueryOpts(e13BenchSQL(i), qo); err != nil {
+			if _, err := engine.QueryOptsCtx(context.Background(), e13BenchSQL(i), qo); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -567,7 +567,7 @@ func BenchmarkE17FrontEnd(b *testing.B) {
 	})
 
 	b.Run("prepared-exec", func(b *testing.B) {
-		ps, err := engine.Prepare(e17PreparedSQL)
+		ps, err := engine.PrepareOpts(context.Background(), e17PreparedSQL, core.DefaultQueryOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -605,7 +605,7 @@ func BenchmarkMicroPlanAndOptimize(b *testing.B) {
 		WHERE c.region = 'west' GROUP BY c.name ORDER BY total DESC LIMIT 10`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.Plan(q, core.QueryOptions{}); err != nil {
+		if _, err := fed.Engine.Plan(context.Background(), q, core.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -616,7 +616,7 @@ func BenchmarkMicroHashJoinExec(b *testing.B) {
 	const q = `SELECT COUNT(*) FROM crm.customers c JOIN billing.invoices i ON c.id = i.cust_id`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.Query(q); err != nil {
+		if _, err := fed.Engine.QueryCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -627,7 +627,7 @@ func BenchmarkMicroAggregate(b *testing.B) {
 	const q = `SELECT region, segment, COUNT(*), SUM(id) FROM crm.customers GROUP BY region, segment`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.Query(q); err != nil {
+		if _, err := fed.Engine.QueryCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -639,7 +639,7 @@ func benchAblation(b *testing.B, o opt.Options) {
 	fed := mustCRM(b, 400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Engine.QueryOpts(e1Query, core.QueryOptions{Optimizer: o}); err != nil {
+		if _, err := fed.Engine.QueryOptsCtx(context.Background(), e1Query, core.QueryOptions{Optimizer: o}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -662,7 +662,7 @@ func BenchmarkAblationNoSemiJoin(b *testing.B) { benchAblation(b, opt.Options{No
 // TestExperimentTablesQuick keeps the root harness wired to the same
 // experiment runner cmd/eiibench uses.
 func TestExperimentTablesQuick(t *testing.T) {
-	tables, err := experiments.All(experiments.Quick)
+	tables, err := experiments.All(context.Background(), experiments.Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,7 +749,7 @@ func BenchmarkE15TraceOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fed.Engine.QueryOpts(e14AggQuery, qo); err != nil {
+				if _, err := fed.Engine.QueryOptsCtx(context.Background(), e14AggQuery, qo); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -803,7 +803,7 @@ func BenchmarkE16OpenLoop(b *testing.B) {
 	warm := 8
 	start := time.Now()
 	for i := 0; i < warm; i++ {
-		if _, err := engine.QueryOpts(sql, qo); err != nil {
+		if _, err := engine.QueryOptsCtx(context.Background(), sql, qo); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -881,7 +881,7 @@ func BenchmarkE18ClusterScatterGather(b *testing.B) {
 	c, coord := e18Cluster(b, 800)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coord.QueryOpts(e18Query, core.QueryOptions{}); err != nil {
+		if _, err := coord.QueryOptsCtx(context.Background(), e18Query, core.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -895,7 +895,7 @@ func benchE18Ship(b *testing.B, qo core.QueryOptions) {
 	c, coord := e18Cluster(b, 4000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coord.QueryOpts(e18Query, qo); err != nil {
+		if _, err := coord.QueryOptsCtx(context.Background(), e18Query, qo); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1003,13 +1003,13 @@ const e20BenchQuery = `SELECT u.name, e.action FROM crm.users u
 // untimed warm-up query (which, under Adaptive, trips the mid-query
 // replan and seeds the feedback store), and reports shipped bytes/op.
 func benchE20(b *testing.B, e *core.Engine, qo core.QueryOptions) {
-	if _, err := e.QueryOpts(e20BenchQuery, qo); err != nil {
+	if _, err := e.QueryOptsCtx(context.Background(), e20BenchQuery, qo); err != nil {
 		b.Fatal(err)
 	}
 	e.ResetMetrics()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.QueryOpts(e20BenchQuery, qo); err != nil {
+		if _, err := e.QueryOptsCtx(context.Background(), e20BenchQuery, qo); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +38,7 @@ func main() {
 		}
 	}
 
-	tables, err := experiments.All(scale)
+	tables, err := experiments.All(context.Background(), scale)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eiibench: %v\n", err)
 		os.Exit(1)

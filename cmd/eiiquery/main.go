@@ -34,6 +34,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -75,6 +76,7 @@ func main() {
 		os.Exit(1)
 	}
 	engine := fed.Engine
+	ctx := context.Background()
 
 	if *failRate > 0 {
 		for i, name := range engine.Sources() {
@@ -98,7 +100,7 @@ func main() {
 
 	if flag.NArg() > 0 {
 		for _, sql := range flag.Args() {
-			if err := runOne(engine, sql, qo, params); err != nil {
+			if err := runOne(ctx, engine, sql, qo, params); err != nil {
 				fmt.Fprintf(os.Stderr, "eiiquery: %v\n", err)
 				os.Exit(1)
 			}
@@ -125,7 +127,7 @@ func main() {
 			break
 		}
 		if rest, ok := cutPrefixFold(line, `\prepare `); ok {
-			ps, err := engine.PrepareOpts(rest, qo)
+			ps, err := engine.PrepareOpts(ctx, rest, qo)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "error: %v\n", err)
 				continue
@@ -144,7 +146,7 @@ func main() {
 				vals = append(vals, parseParam(f))
 			}
 			engine.ResetMetrics()
-			res, err := prepared.Execute(vals...)
+			res, err := prepared.ExecuteCtx(ctx, vals...)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "error: %v\n", err)
 				continue
@@ -152,7 +154,7 @@ func main() {
 			printResult(res)
 			continue
 		}
-		if err := runOne(engine, line, qo, nil); err != nil {
+		if err := runOne(ctx, engine, line, qo, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		}
 	}
@@ -170,9 +172,9 @@ func parseParam(s string) datum.Datum {
 	return datum.NewString(strings.Trim(s, `'"`))
 }
 
-func runOne(engine *core.Engine, sql string, qo core.QueryOptions, params []datum.Datum) error {
+func runOne(ctx context.Context, engine *core.Engine, sql string, qo core.QueryOptions, params []datum.Datum) error {
 	if rest, ok := cutPrefixFold(sql, "analyze "); ok {
-		out, err := engine.ExplainAnalyze(rest, core.QueryOptions{})
+		out, err := engine.ExplainAnalyze(ctx, rest, core.QueryOptions{})
 		if err != nil {
 			return err
 		}
@@ -180,7 +182,7 @@ func runOne(engine *core.Engine, sql string, qo core.QueryOptions, params []datu
 		return nil
 	}
 	if rest, ok := cutPrefixFold(sql, "explain "); ok {
-		out, err := engine.Explain(rest, core.QueryOptions{})
+		out, err := engine.Explain(ctx, rest, core.QueryOptions{})
 		if err != nil {
 			return err
 		}
@@ -190,17 +192,17 @@ func runOne(engine *core.Engine, sql string, qo core.QueryOptions, params []datu
 	engine.ResetMetrics()
 	var res *core.Result
 	if len(params) > 0 {
-		ps, err := engine.PrepareOpts(sql, qo)
+		ps, err := engine.PrepareOpts(ctx, sql, qo)
 		if err != nil {
 			return err
 		}
-		res, err = ps.Execute(params...)
+		res, err = ps.ExecuteCtx(ctx, params...)
 		if err != nil {
 			return err
 		}
 	} else {
 		var err error
-		res, err = engine.QueryOpts(sql, qo)
+		res, err = engine.QueryOptsCtx(ctx, sql, qo)
 		if err != nil {
 			return err
 		}

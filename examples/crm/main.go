@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fed, err := workload.BuildCRM(workload.DefaultCRM())
 	if err != nil {
 		log.Fatal(err)
@@ -25,7 +27,7 @@ func main() {
 
 	// The customer-facing worker's screen: everything about one customer.
 	fmt.Printf("--- global view of %q ---\n", target)
-	res, err := engine.Query(fmt.Sprintf(`
+	res, err := engine.QueryCtx(ctx, fmt.Sprintf(`
 		SELECT id, region, segment, inv_id, amount, status
 		FROM customer360 WHERE name = '%s' ORDER BY inv_id`, target))
 	if err != nil {
@@ -40,7 +42,7 @@ func main() {
 	// Support tickets live in a filter-only delimited-file source: the
 	// mediator pushes the predicate there but joins centrally.
 	fmt.Println("\n--- open tickets joined across capability boundaries ---")
-	out, err := engine.Explain(`
+	out, err := engine.Explain(ctx, `
 		SELECT c.name, tk.severity FROM crm.customers c
 		JOIN support.tickets tk ON tk.cust_id = c.id
 		WHERE tk.severity >= 3 AND c.segment = 'enterprise'`, core.QueryOptions{})
@@ -54,14 +56,14 @@ func main() {
 		JOIN billing.invoices i ON c.id = i.cust_id
 		WHERE c.region = 'west' AND i.status = 'overdue'`
 	engine.ResetMetrics()
-	if _, err := engine.Query(query); err != nil {
+	if _, err := engine.QueryCtx(ctx, query); err != nil {
 		log.Fatal(err)
 	}
 	optBytes := engine.NetworkTotals().BytesShipped
 	engine.ResetMetrics()
 	naive := core.QueryOptions{Optimizer: opt.Options{
 		NoFilterPushdown: true, NoProjectionPrune: true, NoJoinReorder: true, NoRemotePushdown: true}}
-	if _, err := engine.QueryOpts(query, naive); err != nil {
+	if _, err := engine.QueryOptsCtx(ctx, query, naive); err != nil {
 		log.Fatal(err)
 	}
 	naiveBytes := engine.NetworkTotals().BytesShipped

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fed, err := workload.BuildCRM(workload.DefaultCRM())
 	if err != nil {
 		log.Fatal(err)
@@ -24,13 +26,13 @@ func main() {
 	mgr := matview.NewManager(engine)
 
 	const dashSQL = "SELECT region, COUNT(*) AS invoices, SUM(amount) AS revenue FROM customer360 GROUP BY region ORDER BY region"
-	if _, err := mgr.Materialize("revenue_dash", dashSQL); err != nil {
+	if _, err := mgr.Materialize(ctx, "revenue_dash", dashSQL); err != nil {
 		log.Fatal(err)
 	}
 
 	render := func(label string, mode matview.Mode) {
 		engine.ResetMetrics()
-		res, err := mgr.Read("revenue_dash", mode)
+		res, err := mgr.Read(ctx, "revenue_dash", mode)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fed, err := workload.BuildEmployees(workload.DefaultEmployees())
 	if err != nil {
 		log.Fatal(err)
@@ -30,7 +32,7 @@ func main() {
 		"SELECT COUNT(*) FROM employee360 WHERE dept = 'engineering'",
 		"SELECT name FROM employee360 WHERE model = 'X1' AND location = 'SEA' ORDER BY name LIMIT 5",
 	} {
-		res, err := engine.Query(q)
+		res, err := engine.QueryCtx(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func main() {
 	fmt.Printf("compensated (reverse order): %v\n", out.Compensated)
 
 	// The mediated view shows the saga left no partial employee behind.
-	res, err := engine.Query("SELECT COUNT(*) FROM hr.employees WHERE emp_id = 100002")
+	res, err := engine.QueryCtx(ctx, "SELECT COUNT(*) FROM hr.employees WHERE emp_id = 100002")
 	if err != nil {
 		log.Fatal(err)
 	}

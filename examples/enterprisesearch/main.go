@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fed, err := workload.BuildCRM(workload.DefaultCRM())
 	if err != nil {
 		log.Fatal(err)
@@ -23,14 +25,14 @@ func main() {
 	ix := search.NewIndex()
 
 	// Index structured data from the SQL sources.
-	res, err := engine.Query("SELECT id, name, region, segment FROM crm.customers")
+	res, err := engine.QueryCtx(ctx, "SELECT id, name, region, segment FROM crm.customers")
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, row := range res.Rows {
 		ix.IndexRow("crm", "customers", row[0].Display(), row, res.Columns)
 	}
-	res, err = engine.Query("SELECT inv_id, cust_id, amount, status FROM billing.invoices")
+	res, err = engine.QueryCtx(ctx, "SELECT inv_id, cust_id, amount, status FROM billing.invoices")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 	// Drill-down: a structured hit identifies its row; follow it back
 	// into the federation with SQL.
 	fmt.Printf("\ndrill-down into invoices for %q:\n", target)
-	res, err = engine.Query(fmt.Sprintf(`
+	res, err = engine.QueryCtx(ctx, fmt.Sprintf(`
 		SELECT inv_id, amount, status FROM customer360 WHERE name = '%s' ORDER BY inv_id`, target))
 	if err != nil {
 		log.Fatal(err)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	fed, err := workload.BuildEmployees(workload.DefaultEmployees())
 	if err != nil {
 		log.Fatal(err)
@@ -43,7 +45,7 @@ func main() {
 		},
 	}
 	monitor := dsa.NewMonitor(fed.HR, fed.Facilities, fed.IT)
-	if v := monitor.Check(agreement); len(v) == 0 {
+	if v := monitor.Check(ctx, agreement); len(v) == 0 {
 		fmt.Println("all obligations satisfied")
 	} else {
 		for _, violation := range v {
@@ -54,7 +56,7 @@ func main() {
 	// --- 2. A change feed generated from the view definition.
 	fmt.Println("\n--- generated notify: employee360 change feed ---")
 	changes := 0
-	cancel, err := engine.DependencySubscribe("SELECT * FROM employee360",
+	cancel, err := engine.DependencySubscribe(ctx, "SELECT * FROM employee360",
 		func(c storage.Change) {
 			changes++
 			fmt.Printf("change #%d: %s %s (%d rows)\n", changes, c.Table, c.Kind, c.Rows)
@@ -82,7 +84,7 @@ func main() {
 	out := eai.NewEngine().Run(proc, nil)
 	fmt.Printf("saga completed=%v steps=%d (the change feed above fired per write)\n",
 		out.Completed, out.StepsRun)
-	res, err := engine.Query("SELECT name, dept, model FROM employee360 WHERE emp_id = 9001")
+	res, err := engine.QueryCtx(ctx, "SELECT name, dept, model FROM employee360 WHERE emp_id = 9001")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func main() {
 	// --- 4. Correlating a partner system with no shared key.
 	fmt.Println("\n--- record correlation: badge system with dirty names ---")
 	var left, right []linkage.Record
-	res, err = engine.Query("SELECT emp_id, name FROM hr.employees LIMIT 10")
+	res, err = engine.QueryCtx(ctx, "SELECT emp_id, name FROM hr.employees LIMIT 10")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func main() {
 	if err := engine.DefineCorrelation("hr2badges", ix); err != nil {
 		log.Fatal(err)
 	}
-	res, err = engine.Query(`SELECT COUNT(*) FROM hr.employees e
+	res, err = engine.QueryCtx(ctx, `SELECT COUNT(*) FROM hr.employees e
 		JOIN correlations.hr2badges m ON e.emp_id = m.left_key`)
 	if err != nil {
 		log.Fatal(err)

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. Two data sources, each behind a simulated network link.
 	crm := federation.NewRelationalSource("crm", federation.FullSQL(),
 		netsim.NewLink(2*time.Millisecond, 10e6, 1))
@@ -67,7 +69,7 @@ func main() {
 
 	// 4. Query the mediated schema: the engine reformulates over the
 	// sources, pushes work down, and assembles the answer.
-	res, err := engine.Query("SELECT name, total FROM customer_totals WHERE total > 50 ORDER BY total DESC")
+	res, err := engine.QueryCtx(ctx, "SELECT name, total FROM customer_totals WHERE total > 50 ORDER BY total DESC")
 	if err != nil {
 		log.Fatal(err)
 	}

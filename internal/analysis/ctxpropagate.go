@@ -23,9 +23,10 @@ var ctxNeedScope = []string{
 //
 //  1. context.Background() / context.TODO() may appear only in approved
 //     roots (cmd/ and examples/ binaries, test files). Everywhere else a
-//     fresh root context detaches work from the query that requested it;
-//     deliberate detachments (compatibility wrappers, engine entry
-//     points) must say so with a //lint:ignore directive.
+//     fresh root context detaches work from the query that requested it.
+//     Every read-path operation takes its caller's context; the one
+//     waived detachment left in internal/ is netsim.Link.Transfer, which
+//     serves the write path (Updatable has no context).
 //  2. In the executor/federation/netsim fetch path, an exported function
 //     with no context.Context parameter must not call one that has it:
 //     the wrapper severs cancellation for every caller above it.

@@ -21,7 +21,8 @@ var errDropScope = []string{
 }
 
 // errDropFuncs are the calls whose errors must never be discarded. Since
-// E12, Transfer fails under fault injection; swallowing that error turns
+// E12, Transfer (and TransferCtx, the only name the query path calls)
+// fails under fault injection; swallowing that error turns
 // an injected outage into silently-missing rows, which is exactly the
 // failure mode partial-result accounting exists to surface. The E18
 // inter-node calls (SendFragment, GatherRows, RunFragment) are watched
@@ -29,6 +30,7 @@ var errDropScope = []string{
 // scatter-gather result.
 var errDropFuncs = map[string]bool{
 	"Transfer":     true,
+	"TransferCtx":  true,
 	"FetchRemote":  true,
 	"Close":        true,
 	"SendFragment": true,
@@ -36,14 +38,14 @@ var errDropFuncs = map[string]bool{
 	"RunFragment":  true,
 }
 
-// ErrDrop flags discarded errors from Transfer, FetchRemote,
+// ErrDrop flags discarded errors from Transfer/TransferCtx, FetchRemote,
 // error-returning Close calls, and the cluster inter-node transfer API
 // (SendFragment/GatherRows/RunFragment) in the federation fetch path:
 // either a bare call statement or an assignment that blanks every error
 // result.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc:  "no discarded errors from Transfer/FetchRemote/Close and the cluster inter-node API in the fetch path",
+	Doc:  "no discarded errors from Transfer/TransferCtx/FetchRemote/Close and the cluster inter-node API in the fetch path",
 	Run:  runErrDrop,
 }
 

@@ -94,7 +94,7 @@ type FuncFacts struct {
 	ID   FuncID
 	Pkg  *Package
 	Pos  token.Pos
-	Name string // display name ("(*Warehouse).RefreshCtx")
+	Name string // display name ("(*Warehouse).Refresh")
 
 	Acquires []LockUse
 	Edges    []LockEdge

@@ -1,7 +1,11 @@
 // Fixture for the errdrop analyzer: hit, miss, and ignore cases.
 package fixture
 
-import "repro/internal/netsim"
+import (
+	"context"
+
+	"repro/internal/netsim"
+)
 
 type errCloser struct{}
 
@@ -17,6 +21,14 @@ func hitBareCall(l *netsim.Link) {
 
 func hitBlankedError(l *netsim.Link) {
 	_, _ = l.Transfer(64) // want "error from Transfer assigned to _"
+}
+
+func hitBareCtxCall(ctx context.Context, l *netsim.Link) {
+	l.TransferCtx(ctx, 64) // want "result of TransferCtx discarded"
+}
+
+func hitBlankedCtxError(ctx context.Context, l *netsim.Link) {
+	_, _ = l.TransferCtx(ctx, 64) // want "error from TransferCtx assigned to _"
 }
 
 func hitBareClose(c errCloser) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestByteIdenticalResultsAcrossNodeCounts(t *testing.T) {
 		}
 		c, _ := buildCRMCluster(t, 400, nodes, seed)
 		for qi, q := range queries {
-			res, err := c.Node(0).Engine().QueryOpts(q, core.QueryOptions{})
+			res, err := c.Node(0).Engine().QueryOptsCtx(context.Background(), q, core.QueryOptions{})
 			if err != nil {
 				t.Fatalf("nodes=%d query %d: %v", nodes, qi, err)
 			}
@@ -164,14 +165,14 @@ func TestBloomShippingMovesFewerInterNodeBytes(t *testing.T) {
 	        WHERE region = 'west' ORDER BY id, inv_id`
 
 	c.ResetInterNode()
-	full, err := coord.QueryOpts(q, core.QueryOptions{NoSemiJoin: true})
+	full, err := coord.QueryOptsCtx(context.Background(), q, core.QueryOptions{NoSemiJoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullWire := c.InterNodeTotals().WireBytes
 
 	c.ResetInterNode()
-	bloomed, err := coord.QueryOpts(q, core.QueryOptions{})
+	bloomed, err := coord.QueryOptsCtx(context.Background(), q, core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestBloomShippingMovesFewerInterNodeBytes(t *testing.T) {
 func TestSingleNodeClusterRoutesNothing(t *testing.T) {
 	c, _ := buildCRMCluster(t, 200, 1, 0)
 	c.ResetInterNode()
-	if _, err := c.Node(0).Engine().QueryOpts(
+	if _, err := c.Node(0).Engine().QueryOptsCtx(context.Background(),
 		`SELECT COUNT(*) AS n FROM customer360`, core.QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}

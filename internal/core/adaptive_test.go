@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -91,7 +92,7 @@ func TestAdaptiveReplanFiresAndMatchesStatic(t *testing.T) {
 		e.ResetMetrics()
 		qo := QueryOptions{Parallel: true, Adaptive: adaptive}
 		for i := 0; i < queries; i++ {
-			res, err := e.QueryOpts(staleStatsQuery, qo)
+			res, err := e.QueryOptsCtx(context.Background(), staleStatsQuery, qo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +140,7 @@ func TestAdaptiveReplanFiresAndMatchesStatic(t *testing.T) {
 func TestAdaptiveOffReproducesStaticPlans(t *testing.T) {
 	warmed := staleStatsFixture(t, 4000)
 	for i := 0; i < 2; i++ {
-		if _, err := warmed.QueryOpts(staleStatsQuery, QueryOptions{Parallel: true, Adaptive: true}); err != nil {
+		if _, err := warmed.QueryOptsCtx(context.Background(), staleStatsQuery, QueryOptions{Parallel: true, Adaptive: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,11 +149,11 @@ func TestAdaptiveOffReproducesStaticPlans(t *testing.T) {
 	}
 
 	fresh := staleStatsFixture(t, 4000)
-	pWarm, err := warmed.Plan(staleStatsQuery, QueryOptions{})
+	pWarm, err := warmed.Plan(context.Background(), staleStatsQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pFresh, err := fresh.Plan(staleStatsQuery, QueryOptions{})
+	pFresh, err := fresh.Plan(context.Background(), staleStatsQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestAdaptiveOffReproducesStaticPlans(t *testing.T) {
 
 	// Sanity: the adaptive plan on the warmed engine DOES differ — the
 	// static-identity check above would be vacuous otherwise.
-	pAdaptive, err := warmed.Plan(staleStatsQuery, QueryOptions{Adaptive: true})
+	pAdaptive, err := warmed.Plan(context.Background(), staleStatsQuery, QueryOptions{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestAdaptiveFeedbackIgnoresFailedAttempts(t *testing.T) {
 	}
 	src.Link().SetFaultProfile(&netsim.FaultProfile{FailFirst: 2})
 
-	res, err := e.QueryOpts("SELECT id FROM s.t", QueryOptions{
+	res, err := e.QueryOptsCtx(context.Background(), "SELECT id FROM s.t", QueryOptions{
 		Parallel: true, Adaptive: true, Trace: true,
 		Retry: exec.RetryPolicy{Attempts: 3},
 	})
@@ -228,7 +229,7 @@ func TestAdaptiveFeedbackIgnoresFailedAttempts(t *testing.T) {
 // surface: per-operator estimated and actual row counts.
 func TestExplainReportsEstimatedVsObserved(t *testing.T) {
 	e := staleStatsFixture(t, 4000)
-	res, err := e.QueryOpts(staleStatsQuery, QueryOptions{Parallel: true, Adaptive: true, Explain: true})
+	res, err := e.QueryOptsCtx(context.Background(), staleStatsQuery, QueryOptions{Parallel: true, Adaptive: true, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestExplainReportsEstimatedVsObserved(t *testing.T) {
 	}
 
 	// Explain works without Adaptive too (ledger only, no replanning).
-	res2, err := e.QueryOpts("SELECT COUNT(*) FROM crm.users", QueryOptions{Explain: true})
+	res2, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM crm.users", QueryOptions{Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +268,10 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 	qo := QueryOptions{Parallel: true, Adaptive: true}
 	const q = "SELECT name FROM crm.users WHERE tier = 't3' ORDER BY name"
 
-	if _, err := e.QueryOpts(q, qo); err != nil {
+	if _, err := e.QueryOptsCtx(context.Background(), q, qo); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.QueryOpts(q, qo)
+	res, err := e.QueryOptsCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 	// the generation or evict the plan.
 	k := feedback.Key{Source: "x", Table: "y"}
 	e.Feedback().Observe(k, 100, 98)
-	res, err = e.QueryOpts(q, qo)
+	res, err = e.QueryOptsCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 	// Large drift: a wildly mispredicted observation bumps the generation;
 	// the next adaptive lookup must recompile.
 	e.Feedback().Observe(feedback.Key{Source: "x", Table: "z"}, 100000, 10)
-	res, err = e.QueryOpts(q, qo)
+	res, err = e.QueryOptsCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +310,11 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 
 	// Static plans are immune: prime one, bump again, still a hit.
 	static := QueryOptions{Parallel: true}
-	if _, err := e.QueryOpts(q, static); err != nil {
+	if _, err := e.QueryOptsCtx(context.Background(), q, static); err != nil {
 		t.Fatal(err)
 	}
 	e.Feedback().Observe(feedback.Key{Source: "x", Table: "w"}, 100000, 10)
-	res, err = e.QueryOpts(q, static)
+	res, err = e.QueryOptsCtx(context.Background(), q, static)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestE20AdaptiveReplanStorm(t *testing.T) {
 			defer wg.Done()
 			qo := QueryOptions{Parallel: true, Adaptive: true, Explain: w%2 == 0}
 			for i := 0; i < 6; i++ {
-				if _, err := e.QueryOpts(queries[(w+i)%len(queries)], qo); err != nil {
+				if _, err := e.QueryOptsCtx(context.Background(), queries[(w+i)%len(queries)], qo); err != nil {
 					errs <- fmt.Errorf("worker %d query %d: %w", w, i, err)
 					return
 				}

@@ -89,7 +89,7 @@ func TestAdmissionQuotaEnforcement(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := e.QueryOpts("SELECT COUNT(*) FROM wide",
+			res, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide",
 				QueryOptions{Tenant: "capped", Parallel: true, Parallelism: 2})
 			if err != nil {
 				errCh <- err
@@ -136,7 +136,7 @@ func TestCancelWhileQueuedNoQuotaLeak(t *testing.T) {
 	// Occupy the single slot with a genuinely slow query.
 	holderDone := make(chan error, 1)
 	go func() {
-		_, err := e.QueryOpts("SELECT COUNT(*) FROM wide", qo)
+		_, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide", qo)
 		holderDone <- err
 	}()
 	waitTenant(t, e, "solo", "active=1", func(s TenantAdmissionStats) bool { return s.Active == 1 })
@@ -147,7 +147,7 @@ func TestCancelWhileQueuedNoQuotaLeak(t *testing.T) {
 	// waiter that has not yet been granted a slot.
 	queuedDone := make(chan error, 1)
 	go func() {
-		_, err := e.QueryOpts("SELECT COUNT(*) FROM wide", qo)
+		_, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide", qo)
 		queuedDone <- err
 	}()
 	waitTenant(t, e, "solo", "queued=1", func(s TenantAdmissionStats) bool { return s.Queued == 1 })
@@ -178,7 +178,7 @@ func TestCancelWhileQueuedNoQuotaLeak(t *testing.T) {
 
 	// The regression's point: the slot the cancelled waiter would have
 	// taken is not lost — a fresh query admits instantly.
-	res, err := e.QueryOpts("SELECT COUNT(*) FROM wide", qo)
+	res, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide", qo)
 	if err != nil {
 		t.Fatalf("post-cancel query: %v", err)
 	}
@@ -201,13 +201,13 @@ func TestShedFastNeverHangs(t *testing.T) {
 
 	holderDone := make(chan error, 1)
 	go func() {
-		_, err := e.QueryOpts("SELECT COUNT(*) FROM wide", qo)
+		_, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide", qo)
 		holderDone <- err
 	}()
 	waitTenant(t, e, "noqueue", "active=1", func(s TenantAdmissionStats) bool { return s.Active == 1 })
 
 	start := time.Now()
-	_, err := e.QueryOpts("SELECT COUNT(*) FROM wide", qo)
+	_, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide", qo)
 	elapsed := time.Since(start)
 	o, ok := AsOverload(err)
 	if !ok {
@@ -242,7 +242,7 @@ func TestOverloadStaysOutOfFaultMachinery(t *testing.T) {
 	}
 
 	var sourceErrs atomic.Int32
-	_, err := e.QueryOpts("SELECT COUNT(*) FROM wide", QueryOptions{
+	_, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide", QueryOptions{
 		Tenant:       "tiny",
 		AllowPartial: true,
 		OnSourceError: func(string, int, error) {
@@ -267,7 +267,7 @@ func TestOverloadStaysOutOfFaultMachinery(t *testing.T) {
 
 	// The same federation still answers in full for an unlimited tenant:
 	// the overload left no residue in breakers or source health.
-	res, err := e.QueryOpts("SELECT COUNT(*) FROM wide", QueryOptions{})
+	res, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide", QueryOptions{})
 	if err != nil {
 		t.Fatalf("follow-up query: %v", err)
 	}
@@ -307,7 +307,7 @@ func TestShedUnderFaultsAndSaturation(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for q := 0; q < 2; q++ {
-				_, err := e.QueryOpts("SELECT COUNT(*) FROM wide", qo)
+				_, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide", qo)
 				switch {
 				case err == nil:
 					completed.Add(1)

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestExplainAnalyzeShowsActualRows(t *testing.T) {
 	e := newFederation(t)
-	out, err := e.ExplainAnalyze(
+	out, err := e.ExplainAnalyze(context.Background(),
 		"SELECT name FROM crm.customers WHERE region = 'east'", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +28,7 @@ func TestExplainAnalyzeShowsActualRows(t *testing.T) {
 
 func TestExplainAnalyzeJoinOperatorRows(t *testing.T) {
 	e := newFederation(t)
-	out, err := e.ExplainAnalyze(`SELECT c.name, i.amount FROM crm.customers c
+	out, err := e.ExplainAnalyze(context.Background(), `SELECT c.name, i.amount FROM crm.customers c
 		JOIN billing.invoices i ON c.id = i.cust_id`, QueryOptions{NoSemiJoin: true})
 	if err != nil {
 		t.Fatal(err)
@@ -46,10 +47,10 @@ func TestExplainAnalyzeJoinOperatorRows(t *testing.T) {
 
 func TestExplainAnalyzeErrors(t *testing.T) {
 	e := newFederation(t)
-	if _, err := e.ExplainAnalyze("SELEKT", QueryOptions{}); err == nil {
+	if _, err := e.ExplainAnalyze(context.Background(), "SELEKT", QueryOptions{}); err == nil {
 		t.Error("parse error must surface")
 	}
-	if _, err := e.ExplainAnalyze("SELECT 1/0", QueryOptions{}); err == nil {
+	if _, err := e.ExplainAnalyze(context.Background(), "SELECT 1/0", QueryOptions{}); err == nil {
 		t.Error("runtime error must surface")
 	}
 }

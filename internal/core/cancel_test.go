@@ -123,7 +123,7 @@ func TestCancelMidRemoteFetchNoGoroutineLeak(t *testing.T) {
 func TestDeadlineQuiescesGoroutines(t *testing.T) {
 	e := slowFanOutFederation(t, 12, 64, 20*time.Millisecond)
 	base := runtime.NumGoroutine()
-	res, err := e.QueryOpts("SELECT COUNT(*) FROM wide",
+	res, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide",
 		QueryOptions{Parallel: true, Parallelism: 8, Deadline: 3 * time.Millisecond})
 	if err == nil {
 		t.Fatal("query must miss a 3ms deadline against 20ms blocking links")
@@ -151,7 +151,7 @@ func TestCancelQueryHandle(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := e.QueryOpts("SELECT SUM(v) FROM wide", QueryOptions{Parallel: true})
+		res, err := e.QueryOptsCtx(context.Background(), "SELECT SUM(v) FROM wide", QueryOptions{Parallel: true})
 		done <- outcome{res, err}
 	}()
 
@@ -244,7 +244,7 @@ func TestE15CancelStorm(t *testing.T) {
 // engine never slept (virtual time).
 func TestQueryTraceAccountsFetches(t *testing.T) {
 	e := fanOutFederation(t, 6)
-	res, err := e.QueryOpts("SELECT COUNT(*), SUM(v) FROM wide",
+	res, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*), SUM(v) FROM wide",
 		QueryOptions{Parallel: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestQueryTraceAccountsFetches(t *testing.T) {
 	}
 
 	// Tracing off: no tree is built, no cost paid.
-	res2, err := e.QueryOpts("SELECT COUNT(*) FROM wide", QueryOptions{Parallel: true})
+	res2, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM wide", QueryOptions{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestTraceRecordsRetriedAttempts(t *testing.T) {
 	src, _ := e.Source("s0")
 	// Fail the first transfer deterministically, then recover.
 	src.Link().SetFaultProfile(&netsim.FaultProfile{Seed: 3, FailFirst: 1})
-	res, err := e.QueryOpts("SELECT v FROM wide", QueryOptions{
+	res, err := e.QueryOptsCtx(context.Background(), "SELECT v FROM wide", QueryOptions{
 		Trace: true,
 		Retry: exec.RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond},
 	})
@@ -342,7 +342,7 @@ func TestTraceRecordsRetriedAttempts(t *testing.T) {
 // different subtrees, and neither fetch is a retry of the other.
 func TestTraceNumbersAttemptsPerSubtree(t *testing.T) {
 	e := newFederation(t)
-	res, err := e.QueryOpts(`SELECT a.severity, b.severity FROM files.tickets a
+	res, err := e.QueryOptsCtx(context.Background(), `SELECT a.severity, b.severity FROM files.tickets a
 		JOIN files.tickets b ON a.cust_id = b.cust_id`, QueryOptions{Trace: true, NoSemiJoin: true})
 	if err != nil {
 		t.Fatal(err)
@@ -358,5 +358,85 @@ func TestTraceNumbersAttemptsPerSubtree(t *testing.T) {
 	}
 	if len(res.Retries) != 0 {
 		t.Errorf("Retries = %v, want none", res.Retries)
+	}
+}
+
+// TestCancelledContextAtEveryEntryPoint hands an already-cancelled context
+// to every way of running a statement. Each must surface the context
+// error and leave nothing behind: no in-flight registration, no admission
+// slot, no tenant memory charge.
+func TestCancelledContextAtEveryEntryPoint(t *testing.T) {
+	e := newFederation(t)
+	e.EnableAdmission(AdmissionConfig{})
+	const sql = "SELECT name FROM customer360 WHERE amount > 60 ORDER BY name"
+	live := context.Background()
+	p, err := e.Plan(live, sql, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := e.PrepareOpts(live, "SELECT name FROM customer360 WHERE amount > $1 ORDER BY name", DefaultQueryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(live)
+	cancel()
+
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"QueryCtx", func() error { _, err := e.QueryCtx(ctx, sql); return err }},
+		{"QueryOptsCtx", func() error { _, err := e.QueryOptsCtx(ctx, sql, QueryOptions{}); return err }},
+		{"ExecuteCtx", func() error { _, err := e.ExecuteCtx(ctx, p, QueryOptions{}); return err }},
+		{"PreparedStatement.ExecuteCtx", func() error { _, err := ps.ExecuteCtx(ctx, datum.NewInt(60)); return err }},
+		{"ExplainAnalyze", func() error { _, err := e.ExplainAnalyze(ctx, sql, QueryOptions{}); return err }},
+	} {
+		if err := tc.run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+		if n := len(e.InflightQueries()); n != 0 {
+			t.Errorf("%s: %d queries still registered in flight", tc.name, n)
+		}
+		for _, s := range e.AdmissionStats() {
+			if s.Active != 0 || s.Queued != 0 || s.MemoryInUse != 0 {
+				t.Errorf("%s: tenant %s holds quota after cancellation: %+v", tc.name, s.Tenant, s)
+			}
+		}
+	}
+}
+
+// TestCancelledContextStopsSubqueryPreEvaluation: planning a statement
+// with IN (SELECT ...) runs the subquery against live sources, so the
+// planning-only entry points must honor the caller's context too — a
+// cancelled one means no source is contacted at all.
+func TestCancelledContextStopsSubqueryPreEvaluation(t *testing.T) {
+	e := newFederation(t)
+	const sql = `SELECT name FROM crm.customers
+		WHERE id IN (SELECT cust_id FROM billing.invoices WHERE amount > 60)`
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Plan", func() error { _, err := e.Plan(ctx, sql, QueryOptions{}); return err }},
+		{"Explain", func() error { _, err := e.Explain(ctx, sql, QueryOptions{}); return err }},
+		{"PrepareOpts+ExecuteCtx", func() error {
+			ps, err := e.PrepareOpts(ctx, sql, DefaultQueryOptions())
+			if err != nil {
+				return err
+			}
+			_, err = ps.ExecuteCtx(ctx)
+			return err
+		}},
+	} {
+		before := e.linkTotals().RoundTrips
+		if err := tc.run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+		if after := e.linkTotals().RoundTrips; after != before {
+			t.Errorf("%s: %d source round trips under a cancelled context", tc.name, after-before)
+		}
 	}
 }

@@ -167,33 +167,28 @@ func (e *Engine) invalidateStalePlans() {
 }
 
 // PreparedStatement is a statement compiled ahead of execution. Its plan
-// is cached in the engine's plan cache; Execute binds parameter values
+// is cached in the engine's plan cache; ExecuteCtx binds parameter values
 // into the cached template and runs it. When the catalog version or source
-// availability changes between executions, the next Execute transparently
-// recompiles (a cache miss under the new key) — a prepared statement never
-// runs against a stale schema.
+// availability changes between executions, the next ExecuteCtx
+// transparently recompiles (a cache miss under the new key) — a prepared
+// statement never runs against a stale schema.
 type PreparedStatement struct {
 	e  *Engine
 	qo QueryOptions
 	// text is the normalized statement text (the cache key's SQL).
 	text string
-	// nParams is how many parameter values Execute requires.
+	// nParams is how many parameter values ExecuteCtx requires.
 	nParams int
 	// cacheable is false when the statement contains EXISTS / IN
 	// (SELECT ...) subqueries, which are pre-evaluated against live data
-	// at compile time; such statements recompile on every Execute.
+	// at compile time; such statements recompile on every ExecuteCtx.
 	cacheable bool
 }
 
-// Prepare compiles a statement with default options (parallel fetch, all
-// optimizations). The statement may contain `?` or `$n` placeholders.
-func (e *Engine) Prepare(sql string) (*PreparedStatement, error) {
-	return e.PrepareOpts(sql, QueryOptions{Parallel: true, Adaptive: true})
-}
-
-// PrepareOpts compiles a statement for repeated execution. Compilation
-// errors (syntax, unknown tables or columns) surface here, not at Execute.
-func (e *Engine) PrepareOpts(sql string, qo QueryOptions) (*PreparedStatement, error) {
+// PrepareOpts compiles a statement for repeated execution; it may contain
+// `?` or `$n` placeholders. Compilation errors (syntax, unknown tables or
+// columns) surface here, not at ExecuteCtx.
+func (e *Engine) PrepareOpts(ctx context.Context, sql string, qo QueryOptions) (*PreparedStatement, error) {
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -214,19 +209,17 @@ func (e *Engine) PrepareOpts(sql string, qo QueryOptions) (*PreparedStatement, e
 		cacheable: cacheable,
 	}
 	if cacheable {
-		// Compile eagerly so Prepare validates the statement; the plan
-		// lands in the cache for the first Execute. EXISTS statements
+		// Compile eagerly so PrepareOpts validates the statement; the plan
+		// lands in the cache for the first ExecuteCtx. EXISTS statements
 		// skip this: compiling them runs subqueries.
-		snap := e.catalog.Snapshot()
-		//lint:ignore ctxpropagate engine entry point: prepare-time compilation is context-free
-		if _, _, err := e.cachedTemplate(context.Background(), ps.text, qo, snap); err != nil {
+		if _, _, err := e.cachedTemplate(ctx, ps.text, qo, e.catalog.Snapshot()); err != nil {
 			return nil, err
 		}
 	}
 	return ps, nil
 }
 
-// NumParams returns how many parameter values Execute requires.
+// NumParams returns how many parameter values ExecuteCtx requires.
 func (ps *PreparedStatement) NumParams() int { return ps.nParams }
 
 // SQL returns the normalized statement text.
@@ -270,68 +263,19 @@ func (e *Engine) cachedTemplate(ctx context.Context, normSQL string, qo QueryOpt
 	return cp, false, nil
 }
 
-// Execute binds parameter values ($1 = params[0], ...) and runs the
+// ExecuteCtx binds parameter values ($1 = params[0], ...) and runs the
 // statement, recompiling first if the catalog changed since the plan was
-// cached.
-func (ps *PreparedStatement) Execute(params ...datum.Datum) (*Result, error) {
-	//lint:ignore ctxpropagate engine entry point: context-free compatibility API
-	return ps.ExecuteCtx(context.Background(), params...)
-}
-
-// ExecuteCtx is Execute under a caller context: cancellation and deadline
-// propagate into recompilation (EXISTS subqueries) and execution. As with
-// QueryOptsCtx, a non-nil *Result may accompany an execution error.
+// cached. Cancellation and deadline propagate into recompilation (EXISTS
+// subqueries) and execution. As with QueryOptsCtx, a non-nil *Result may
+// accompany an execution error.
 func (ps *PreparedStatement) ExecuteCtx(ctx context.Context, params ...datum.Datum) (*Result, error) {
 	if len(params) < ps.nParams {
 		return nil, fmt.Errorf("core: statement requires %d parameters, got %d", ps.nParams, len(params))
 	}
-	e := ps.e
-	clock := e.Clock()
-	planStart := clock.Now()
-	snap := e.catalog.Snapshot()
-
+	planStart := ps.e.Clock().Now()
 	// Bound parameter subtrees live in the query's arena (see QueryOptsCtx
 	// for the lifecycle argument); the template itself stays on the heap.
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
-
-	var tmpl plan.Node
-	var est opt.PlanCost
-	var hit bool
-	var err error
-	if ps.cacheable && !ps.qo.NoPlanCache {
-		var cp *compiledPlan
-		cp, hit, err = e.cachedTemplate(ctx, ps.text, ps.qo, snap)
-		if err == nil {
-			tmpl, est = cp.tmpl, cp.cost
-		}
-	} else {
-		var sel *sqlparse.Select
-		sel, err = sqlparse.Parse(ps.text)
-		if err == nil {
-			tmpl, err = e.compile(ctx, sel, ps.qo, snap)
-		}
-		if err == nil {
-			est = opt.Cost(tmpl, e.planEnv(ps.qo))
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	bound, err := plan.BindParamsIn(ar, tmpl, params)
-	if err != nil {
-		return nil, err
-	}
-	planTime := clock.Since(planStart)
-
-	res, err := e.executeCtx(ctx, bound, ps.qo, ps.text, planTime, est)
-	if res != nil {
-		res.PlanTime = planTime
-		res.CacheHit = hit
-		res.CatalogVersion = snap.Version()
-		// Report the retained template, not the arena-backed bound plan.
-		res.Plan = tmpl
-		res.ArenaBytes += ar.Bytes()
-	}
-	return res, err
+	return ps.e.runStatement(ctx, ar, planStart, ps.text, ps.text, params, ps.cacheable && !ps.qo.NoPlanCache, ps.qo)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestConcurrentQueriesAndWrites(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				res, err := e.Query(queries[(g+i)%len(queries)])
+				res, err := e.QueryCtx(context.Background(), queries[(g+i)%len(queries)])
 				if err != nil {
 					errs <- err
 					return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestCorrelationTableJoinsInSQL(t *testing.T) {
 	}
 	// The query §5's customers needed: join two systems through the
 	// stored correlation.
-	res, err := e.Query(`
+	res, err := e.QueryCtx(context.Background(), `
 		SELECT a.company, f.credit
 		FROM crm.accounts a
 		JOIN correlations.crm2legacy m ON a.id = m.left_key
@@ -91,7 +92,7 @@ func TestCorrelationTableJoinsInSQL(t *testing.T) {
 		t.Errorf("row 0 = %v", res.Rows[0])
 	}
 	// A direct name equi-join finds nothing — the keys are dirty.
-	res, err = e.Query(`SELECT COUNT(*) FROM crm.accounts a JOIN legacy.firms f ON a.company = f.firm_name`)
+	res, err = e.QueryCtx(context.Background(), `SELECT COUNT(*) FROM crm.accounts a JOIN legacy.firms f ON a.company = f.firm_name`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestCorrelationScoreFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Scores are queryable: keep only high-confidence pairs.
-	res, err := e.Query("SELECT COUNT(*) FROM correlations.m WHERE score >= 0.99")
+	res, err := e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM correlations.m WHERE score >= 0.99")
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := e.Query("SELECT COUNT(*) FROM correlations.m")
+	all, err := e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM correlations.m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestCorrelationLifecycleErrors(t *testing.T) {
 	if err := e.DropCorrelation("m"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Query("SELECT COUNT(*) FROM correlations.m")
+	res, err := e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM correlations.m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +149,8 @@ func TestCorrelationLifecycleErrors(t *testing.T) {
 
 func TestCorrelationSourceNameReserved(t *testing.T) {
 	e := New()
-	kv := federation.NewKVSource(CorrelationSourceName, nil)
-	if err := e.Register(kv); err != nil {
+	squatter := federation.NewCSVSource(CorrelationSourceName, nil)
+	if err := e.Register(squatter); err != nil {
 		t.Fatal(err)
 	}
 	ix := linkage.Build(

@@ -1,6 +1,6 @@
 // Package core implements the EII mediator — the public API of the
 // library. An Engine holds the registered sources and the mediated schema
-// (virtual views); Query plans a SQL statement over the mediated schema,
+// (virtual views); QueryCtx plans a SQL statement over the mediated schema,
 // reformulates it into source queries (view unfolding), optimizes it with
 // capability-aware pushdown, and executes it federated, returning rows plus
 // the network accounting that the paper's performance arguments turn on.
@@ -277,10 +277,9 @@ type QueryOptions struct {
 	// Adaptive enables adaptive query processing: planning blends the
 	// feedback store's observed cardinalities into its estimates, executed
 	// fetches feed the store back, and a mid-query cardinality tripwire may
-	// re-optimize the plan at a batch boundary (Result.ReplanCount). The
-	// engine entry points (Query, QueryCtx, Prepare) set it; a zero-value
-	// QueryOptions leaves it off, which reproduces fully static planning
-	// and execution bit for bit.
+	// re-optimize the plan at a batch boundary (Result.ReplanCount).
+	// DefaultQueryOptions sets it; a zero-value QueryOptions leaves it off,
+	// which reproduces fully static planning and execution bit for bit.
 	Adaptive bool
 	// Explain records estimated-vs-observed rows per operator during
 	// execution and renders them into Result.ExplainOutput afterwards —
@@ -367,24 +366,20 @@ type Result struct {
 	ExplainOutput string
 }
 
-// Query plans and executes a SQL statement with default options: parallel
-// remote fetch and semi-join reduction enabled.
-func (e *Engine) Query(sql string) (*Result, error) {
-	//lint:ignore ctxpropagate engine entry point: context-free compatibility API
-	return e.QueryCtx(context.Background(), sql)
+// DefaultQueryOptions is the serving configuration — what QueryCtx runs
+// under and what callers of QueryOptsCtx and PrepareOpts start from:
+// parallel remote fetch and adaptive query processing on, every
+// optimization enabled.
+func DefaultQueryOptions() QueryOptions {
+	return QueryOptions{Parallel: true, Adaptive: true}
 }
 
-// QueryCtx is Query with a caller-supplied context: cancellation and the
-// context's deadline propagate to every batch pull, exchange worker,
-// remote fetch, retry backoff and simulated transfer of the query.
+// QueryCtx plans and executes a SQL statement under DefaultQueryOptions:
+// cancellation and the context's deadline propagate to every batch pull,
+// exchange worker, remote fetch, retry backoff and simulated transfer of
+// the query.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
-	return e.QueryOptsCtx(ctx, sql, QueryOptions{Parallel: true, Adaptive: true})
-}
-
-// QueryOpts plans and executes a SQL statement (see QueryOptsCtx).
-func (e *Engine) QueryOpts(sql string, qo QueryOptions) (*Result, error) {
-	//lint:ignore ctxpropagate engine entry point: context-free compatibility API
-	return e.QueryOptsCtx(context.Background(), sql, qo)
+	return e.QueryOptsCtx(ctx, sql, DefaultQueryOptions())
 }
 
 // QueryOptsCtx plans and executes a SQL statement under a caller context.
@@ -402,8 +397,7 @@ func (e *Engine) QueryOpts(sql string, qo QueryOptions) (*Result, error) {
 // Partial, SkippedSources) and the trace, so callers can report what the
 // query had done when it failed or was cancelled.
 func (e *Engine) QueryOptsCtx(ctx context.Context, sql string, qo QueryOptions) (*Result, error) {
-	clock := e.Clock()
-	planStart := clock.Now()
+	planStart := e.Clock().Now()
 
 	// Per-query arena: tokens, AST nodes, normalized parameter subtrees and
 	// bound predicates all come from it, so a warm cached-hit execution is
@@ -418,56 +412,65 @@ func (e *Engine) QueryOptsCtx(ctx context.Context, sql string, qo QueryOptions) 
 	if err != nil {
 		return nil, err
 	}
-	snap := e.catalog.Snapshot()
-
-	var p plan.Node
-	var tmpl plan.Node
-	var est opt.PlanCost
-	var hit bool
-	cached := false
 	if !qo.NoPlanCache {
 		// Normalization mutates the statement (literals become $n), so
 		// it only runs when the cache path will bind them back.
 		if params, cacheable := sqlparse.ExtractParamsIn(ar, sel); cacheable {
-			cp, h, err := e.cachedTemplate(ctx, ar.RenderSQL(sel), qo, snap)
-			if err != nil {
-				return nil, err
-			}
-			hit = h
-			tmpl = cp.tmpl
-			est = cp.cost
-			p, err = plan.BindParamsIn(ar, cp.tmpl, params)
-			if err != nil {
-				return nil, err
-			}
-			cached = true
+			return e.runStatement(ctx, ar, planStart, sql, ar.RenderSQL(sel), params, true, qo)
 		}
 	}
-	if !cached {
-		// Fresh compiles retain the AST beyond this query — the optimized
-		// plan escapes into Result.Plan and the plan cache — so re-parse
-		// onto the heap instead of handing compile arena-backed nodes.
-		heapSel, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		p, err = e.compile(ctx, heapSel, qo, snap)
-		if err != nil {
-			return nil, err
-		}
-		tmpl = p
-		est = opt.Cost(p, e.planEnv(qo))
-	}
-	planTime := clock.Since(planStart)
+	return e.runStatement(ctx, ar, planStart, sql, sql, nil, false, qo)
+}
 
-	res, err := e.executeCtx(ctx, p, qo, sql, planTime, est)
+// runStatement is the front half every statement — literal or prepared —
+// goes through on its way to executeCtx: obtain the plan template (from
+// the plan cache under the current catalog snapshot when cached is set,
+// else by a fresh compile that is not stored), bind params into it, run
+// it, and stamp the planning facts on the Result. text is the statement
+// to plan — normalized when cached — and label is what the in-flight
+// registry shows for the query. planStart is when the caller began its
+// own share of planning (parsing, normalizing); ar is the caller's
+// per-query arena, which bound predicates are allocated from and which
+// the caller releases after this returns.
+func (e *Engine) runStatement(ctx context.Context, ar *sqlparse.Arena, planStart time.Time, label, text string, params []datum.Datum, cached bool, qo QueryOptions) (*Result, error) {
+	snap := e.catalog.Snapshot()
+	var tmpl plan.Node
+	var est opt.PlanCost
+	hit := false
+	if cached {
+		cp, h, err := e.cachedTemplate(ctx, text, qo, snap)
+		if err != nil {
+			return nil, err
+		}
+		tmpl, est, hit = cp.tmpl, cp.cost, h
+	} else {
+		// Fresh compiles retain the AST beyond this query — the optimized
+		// plan escapes into Result.Plan — so parse onto the heap instead of
+		// handing compile arena-backed nodes.
+		sel, err := sqlparse.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		tmpl, err = e.compile(ctx, sel, qo, snap)
+		if err != nil {
+			return nil, err
+		}
+		est = opt.Cost(tmpl, e.planEnv(qo))
+	}
+	bound, err := plan.BindParamsIn(ar, tmpl, params)
+	if err != nil {
+		return nil, err
+	}
+	planTime := e.Clock().Since(planStart)
+
+	res, err := e.executeCtx(ctx, bound, qo, label, planTime, est)
 	if res != nil {
 		res.PlanTime = planTime
 		res.CacheHit = hit
 		res.CatalogVersion = snap.Version()
-		// On the cached path the bound plan references arena memory about
-		// to be recycled; report the retained heap template instead so
-		// Result.Plan stays valid for the caller.
+		// The bound plan references arena memory about to be recycled;
+		// report the retained heap template instead so Result.Plan stays
+		// valid for the caller.
 		res.Plan = tmpl
 		res.ArenaBytes += ar.Bytes()
 	}
@@ -475,20 +478,15 @@ func (e *Engine) QueryOptsCtx(ctx context.Context, sql string, qo QueryOptions) 
 }
 
 // Plan parses, reformulates and optimizes a statement without running it.
-// It always compiles fresh (no cache) against one catalog snapshot.
-func (e *Engine) Plan(sql string, qo QueryOptions) (plan.Node, error) {
+// It always compiles fresh (no cache) against one catalog snapshot. The
+// context bounds the pre-evaluation of EXISTS / IN (SELECT ...)
+// subqueries, which run against live sources.
+func (e *Engine) Plan(ctx context.Context, sql string, qo QueryOptions) (plan.Node, error) {
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore ctxpropagate engine entry point: planning-only API (EXISTS pre-evaluation may run subqueries)
-	return e.compile(context.Background(), sel, qo, e.catalog.Snapshot())
-}
-
-// Execute runs an optimized plan.
-func (e *Engine) Execute(p plan.Node, qo QueryOptions) (*Result, error) {
-	//lint:ignore ctxpropagate engine entry point: context-free compatibility API
-	return e.ExecuteCtx(context.Background(), p, qo)
+	return e.compile(ctx, sel, qo, e.catalog.Snapshot())
 }
 
 // ExecuteCtx runs an optimized plan under a caller context. Like
@@ -686,8 +684,8 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 
 // Explain returns the optimized plan rendering plus, for every Remote
 // subtree, the SQL the wrapper would receive.
-func (e *Engine) Explain(sql string, qo QueryOptions) (string, error) {
-	p, err := e.Plan(sql, qo)
+func (e *Engine) Explain(ctx context.Context, sql string, qo QueryOptions) (string, error) {
+	p, err := e.Plan(ctx, sql, qo)
 	if err != nil {
 		return "", err
 	}
@@ -718,13 +716,13 @@ func (e *Engine) Explain(sql string, qo QueryOptions) (string, error) {
 // The operators' guards write the ledger while executeCtx drains the plan;
 // executeCtx renders it into Result.ExplainOutput itself, after the final
 // attempt's goroutines have joined and before the ledger is recycled.
-func (e *Engine) ExplainAnalyze(sql string, qo QueryOptions) (string, error) {
-	p, err := e.Plan(sql, qo)
+func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, qo QueryOptions) (string, error) {
+	p, err := e.Plan(ctx, sql, qo)
 	if err != nil {
 		return "", err
 	}
 	qo.Explain = true
-	res, err := e.Execute(p, qo)
+	res, err := e.ExecuteCtx(ctx, p, qo)
 	if err != nil {
 		return "", err
 	}
@@ -875,9 +873,9 @@ func (e *Engine) Subscribe(source, table string, fn func(storage.Change)) (cance
 // table the plan reads; fn fires whenever any of them changes. The returned
 // cancel detaches all subscriptions. This turns a view definition into its
 // own change feed — §7: "It should be possible to generate Notify methods
-// automatically."
-func (e *Engine) DependencySubscribe(sql string, fn func(storage.Change)) (cancel func(), err error) {
-	p, err := e.Plan(sql, QueryOptions{})
+// automatically." The context bounds the planning step.
+func (e *Engine) DependencySubscribe(ctx context.Context, sql string, fn func(storage.Change)) (cancel func(), err error) {
+	p, err := e.Plan(ctx, sql, QueryOptions{})
 	if err != nil {
 		return nil, err
 	}

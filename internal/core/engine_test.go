@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -99,7 +100,7 @@ func results(t *testing.T, r *Result) string {
 
 func TestQueryOverMediatedView(t *testing.T) {
 	e := newFederation(t)
-	r, err := e.Query("SELECT name, SUM(amount) AS total FROM customer360 GROUP BY name ORDER BY total DESC")
+	r, err := e.QueryCtx(context.Background(), "SELECT name, SUM(amount) AS total FROM customer360 GROUP BY name ORDER BY total DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestQueryOverMediatedView(t *testing.T) {
 
 func TestCrossSourceJoinThreeWays(t *testing.T) {
 	e := newFederation(t)
-	r, err := e.Query(`SELECT c.name, i.amount, tk.severity
+	r, err := e.QueryCtx(context.Background(), `SELECT c.name, i.amount, tk.severity
 		FROM crm.customers c
 		JOIN billing.invoices i ON c.id = i.cust_id
 		JOIN files.tickets tk ON tk.cust_id = c.id
@@ -131,12 +132,12 @@ func TestPushdownReducesShipping(t *testing.T) {
 	sql := "SELECT name FROM crm.customers WHERE region = 'east'"
 
 	e.ResetMetrics()
-	optimized, err := e.QueryOpts(sql, QueryOptions{})
+	optimized, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.ResetMetrics()
-	naive, err := e.QueryOpts(sql, QueryOptions{Optimizer: opt.Options{
+	naive, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{Optimizer: opt.Options{
 		NoFilterPushdown: true, NoProjectionPrune: true, NoRemotePushdown: true, NoJoinReorder: true,
 	}})
 	if err != nil {
@@ -166,7 +167,7 @@ func TestSameSourceJoinIsPushedDown(t *testing.T) {
 	_ = addr.Insert(datum.Row{datum.NewInt(1), datum.NewString("Seattle")})
 	crm.RefreshStats()
 
-	p, err := e.Plan(`SELECT c.name, a.city FROM crm.customers c
+	p, err := e.Plan(context.Background(), `SELECT c.name, a.city FROM crm.customers c
 		JOIN crm.addresses a ON c.id = a.cust_id`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func TestSameSourceJoinIsPushedDown(t *testing.T) {
 		t.Errorf("same-source join not pushed: remotes=%d joinInside=%v\n%s",
 			remotes, joinInsideRemote, plan.Explain(p))
 	}
-	r, err := e.Execute(p, QueryOptions{})
+	r, err := e.ExecuteCtx(context.Background(), p, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestSameSourceJoinIsPushedDown(t *testing.T) {
 func TestCapabilityClampOnCSVSource(t *testing.T) {
 	e := newFederation(t)
 	// files is filter-only: an aggregate over it must NOT be pushed down.
-	p, err := e.Plan("SELECT cust_id, COUNT(*) FROM files.tickets GROUP BY cust_id", QueryOptions{})
+	p, err := e.Plan(context.Background(), "SELECT cust_id, COUNT(*) FROM files.tickets GROUP BY cust_id", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestCapabilityClampOnCSVSource(t *testing.T) {
 	if aggInsideRemote {
 		t.Errorf("aggregate pushed into filter-only source:\n%s", plan.Explain(p))
 	}
-	r, err := e.Execute(p, QueryOptions{})
+	r, err := e.ExecuteCtx(context.Background(), p, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestCapabilityClampOnCSVSource(t *testing.T) {
 
 func TestAggregatePushedIntoSQLSource(t *testing.T) {
 	e := newFederation(t)
-	p, err := e.Plan("SELECT status, COUNT(*) FROM billing.invoices GROUP BY status", QueryOptions{})
+	p, err := e.Plan(context.Background(), "SELECT status, COUNT(*) FROM billing.invoices GROUP BY status", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestAggregatePushedIntoSQLSource(t *testing.T) {
 
 func TestExplainShowsPushdownSQL(t *testing.T) {
 	e := newFederation(t)
-	out, err := e.Explain("SELECT name FROM crm.customers WHERE region = 'east'", QueryOptions{})
+	out, err := e.Explain(context.Background(), "SELECT name FROM crm.customers WHERE region = 'east'", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestExplainShowsPushdownSQL(t *testing.T) {
 
 func TestExistsPreEvaluation(t *testing.T) {
 	e := newFederation(t)
-	r, err := e.Query(`SELECT name FROM crm.customers
+	r, err := e.QueryCtx(context.Background(), `SELECT name FROM crm.customers
 		WHERE EXISTS (SELECT 1 FROM billing.invoices WHERE amount > 90) AND region = 'west'
 		ORDER BY name`)
 	if err != nil {
@@ -272,7 +273,7 @@ func TestExistsPreEvaluation(t *testing.T) {
 	if got := results(t, r); got != "Ann|Dee" {
 		t.Errorf("got %q", got)
 	}
-	r, err = e.Query(`SELECT name FROM crm.customers
+	r, err = e.QueryCtx(context.Background(), `SELECT name FROM crm.customers
 		WHERE EXISTS (SELECT 1 FROM billing.invoices WHERE amount > 9000)`)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +290,7 @@ func TestRegisterErrorsAndDeregister(t *testing.T) {
 		t.Error("duplicate registration must fail")
 	}
 	e.Deregister("files")
-	if _, err := e.Query("SELECT * FROM files.tickets"); err == nil {
+	if _, err := e.QueryCtx(context.Background(), "SELECT * FROM files.tickets"); err == nil {
 		t.Error("query against deregistered source must fail")
 	}
 	if len(e.Sources()) != 2 {
@@ -299,13 +300,13 @@ func TestRegisterErrorsAndDeregister(t *testing.T) {
 
 func TestQuerySyntaxAndPlanErrors(t *testing.T) {
 	e := newFederation(t)
-	if _, err := e.Query("SELEKT"); err == nil {
+	if _, err := e.QueryCtx(context.Background(), "SELEKT"); err == nil {
 		t.Error("syntax error must surface")
 	}
-	if _, err := e.Query("SELECT nope FROM crm.customers"); err == nil {
+	if _, err := e.QueryCtx(context.Background(), "SELECT nope FROM crm.customers"); err == nil {
 		t.Error("unknown column must surface")
 	}
-	if _, err := e.Explain("SELEKT", QueryOptions{}); err == nil {
+	if _, err := e.Explain(context.Background(), "SELEKT", QueryOptions{}); err == nil {
 		t.Error("explain must surface parse errors")
 	}
 }
@@ -313,7 +314,7 @@ func TestQuerySyntaxAndPlanErrors(t *testing.T) {
 func TestNetworkMetricsAccumulate(t *testing.T) {
 	e := newFederation(t)
 	e.ResetMetrics()
-	r, err := e.Query("SELECT * FROM customer360")
+	r, err := e.QueryCtx(context.Background(), "SELECT * FROM customer360")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +333,11 @@ func TestParallelMatchesSequentialFederated(t *testing.T) {
 	e := newFederation(t)
 	sql := `SELECT c.region, COUNT(*) AS n FROM crm.customers c
 		JOIN billing.invoices i ON c.id = i.cust_id GROUP BY c.region ORDER BY c.region`
-	seq, err := e.QueryOpts(sql, QueryOptions{Parallel: false})
+	seq, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{Parallel: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := e.QueryOpts(sql, QueryOptions{Parallel: true})
+	par, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +350,11 @@ func TestJoinReorderPutsSelectiveSideFirst(t *testing.T) {
 	e := newFederation(t)
 	// Regardless of written order, results must match and the plan must
 	// still be a valid join.
-	a, err := e.Query(`SELECT c.name FROM billing.invoices i JOIN crm.customers c ON c.id = i.cust_id WHERE i.amount > 60 ORDER BY c.name`)
+	a, err := e.QueryCtx(context.Background(), `SELECT c.name FROM billing.invoices i JOIN crm.customers c ON c.id = i.cust_id WHERE i.amount > 60 ORDER BY c.name`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Query(`SELECT c.name FROM crm.customers c JOIN billing.invoices i ON c.id = i.cust_id WHERE i.amount > 60 ORDER BY c.name`)
+	b, err := e.QueryCtx(context.Background(), `SELECT c.name FROM crm.customers c JOIN billing.invoices i ON c.id = i.cust_id WHERE i.amount > 60 ORDER BY c.name`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestOptimizerAblationsAllAgree(t *testing.T) {
 	}
 	var want string
 	for i, v := range variants {
-		r, err := e.QueryOpts(sql, QueryOptions{Optimizer: v})
+		r, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{Optimizer: v})
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -39,7 +40,7 @@ func TestOptimizerEquivalenceRandomQueries(t *testing.T) {
 		var want string
 		var wantErr bool
 		for ci, qo := range configs {
-			res, err := e.QueryOpts(sql, qo)
+			res, err := e.QueryOptsCtx(context.Background(), sql, qo)
 			if ci == 0 {
 				wantErr = err != nil
 				if err == nil {

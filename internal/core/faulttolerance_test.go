@@ -54,13 +54,13 @@ func TestFanOutOutagePartialResult(t *testing.T) {
 	down.Link().SetDown(true)
 
 	// Naive execution: the outage fails the whole query.
-	if _, err := e.QueryOpts("SELECT v FROM wide", QueryOptions{Parallel: true}); err == nil {
+	if _, err := e.QueryOptsCtx(context.Background(), "SELECT v FROM wide", QueryOptions{Parallel: true}); err == nil {
 		t.Fatal("query over downed source must error without AllowPartial")
 	}
 
 	// AllowPartial: the 63 surviving sources answer; the failed source is
 	// named and the result marked partial.
-	res, err := e.QueryOpts("SELECT v FROM wide", QueryOptions{Parallel: true, AllowPartial: true})
+	res, err := e.QueryOptsCtx(context.Background(), "SELECT v FROM wide", QueryOptions{Parallel: true, AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +90,13 @@ func TestRetryRecoversFlakySource(t *testing.T) {
 
 	// Flaky-then-recover: the first two transfers fail.
 	crm.Link().SetFaultProfile(&netsim.FaultProfile{FailFirst: 2})
-	if _, err := e.QueryOpts(sql, QueryOptions{}); err == nil {
+	if _, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{}); err == nil {
 		t.Fatal("no-retry query must fail on first flaky transfer")
 	}
 
 	crm.Link().SetFaultProfile(&netsim.FaultProfile{FailFirst: 2})
 	before := crm.Link().Metrics().SimTime
-	res, err := e.QueryOpts(sql, QueryOptions{
+	res, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{
 		Retry: exec.RetryPolicy{Attempts: 4, BaseBackoff: 3 * time.Millisecond},
 	})
 	if err != nil {
@@ -129,7 +129,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		if states := e.BreakerStates(); states["crm"] != BreakerClosed {
 			t.Fatalf("breaker %s before threshold (failure %d)", states["crm"], i)
 		}
-		if _, err := e.QueryOpts(sql, QueryOptions{}); err == nil {
+		if _, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{}); err == nil {
 			t.Fatal("query over downed source must fail")
 		}
 	}
@@ -139,7 +139,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	// Open breaker fails fast: no round trip reaches the link.
 	trips := crm.Link().Metrics().RoundTrips
-	_, err := e.QueryOpts(sql, QueryOptions{})
+	_, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{})
 	var boe *BreakerOpenError
 	if !errors.As(err, &boe) || boe.Source != "crm" {
 		t.Fatalf("want BreakerOpenError for crm, got %v", err)
@@ -158,7 +158,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if states := e.BreakerStates(); states["crm"] != BreakerHalfOpen {
 		t.Errorf("breaker = %s after open timeout", states["crm"])
 	}
-	res, err := e.QueryOpts(sql, QueryOptions{})
+	res, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{})
 	if err != nil {
 		t.Fatalf("half-open probe: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestReplicaFallbackServesDownedSource(t *testing.T) {
 	})
 
 	crm.Link().SetDown(true)
-	res, err := e.QueryOpts("SELECT name FROM crm.customers WHERE region = 'east'",
+	res, err := e.QueryOptsCtx(context.Background(), "SELECT name FROM crm.customers WHERE region = 'east'",
 		QueryOptions{AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestReplicaFallbackServesDownedSource(t *testing.T) {
 	}
 
 	// A staleness cap tighter than the replica's age forces the skip path.
-	res, err = e.QueryOpts("SELECT name FROM crm.customers",
+	res, err = e.QueryOptsCtx(context.Background(), "SELECT name FROM crm.customers",
 		QueryOptions{AllowPartial: true, ReplicaMaxAge: time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -228,12 +228,12 @@ func TestReplicaFallbackServesDownedSource(t *testing.T) {
 
 func TestDeadlineAbortsQuery(t *testing.T) {
 	e := newFederation(t)
-	_, err := e.QueryOpts("SELECT name FROM crm.customers", QueryOptions{Deadline: time.Nanosecond})
+	_, err := e.QueryOptsCtx(context.Background(), "SELECT name FROM crm.customers", QueryOptions{Deadline: time.Nanosecond})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
 	// AllowPartial does not rescue a query whose own deadline passed.
-	_, err = e.QueryOpts("SELECT name FROM crm.customers",
+	_, err = e.QueryOptsCtx(context.Background(), "SELECT name FROM crm.customers",
 		QueryOptions{Deadline: time.Nanosecond, AllowPartial: true})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded with AllowPartial, got %v", err)
@@ -304,7 +304,7 @@ func TestFaultStress(t *testing.T) {
 		go func(g int) {
 			defer workers.Done()
 			for i := 0; i < 30; i++ {
-				res, err := e.QueryOpts(queries[(g+i)%len(queries)], QueryOptions{
+				res, err := e.QueryOptsCtx(context.Background(), queries[(g+i)%len(queries)], QueryOptions{
 					Parallel:     true,
 					AllowPartial: true,
 					Retry:        exec.RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond},

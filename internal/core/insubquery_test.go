@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestInSubqueryBasic(t *testing.T) {
 	e := newFederation(t)
-	r, err := e.Query(`SELECT name FROM crm.customers
+	r, err := e.QueryCtx(context.Background(), `SELECT name FROM crm.customers
 		WHERE id IN (SELECT cust_id FROM billing.invoices WHERE amount > 60)
 		ORDER BY name`)
 	if err != nil {
@@ -21,7 +22,7 @@ func TestInSubqueryBasic(t *testing.T) {
 
 func TestNotInSubquery(t *testing.T) {
 	e := newFederation(t)
-	r, err := e.Query(`SELECT name FROM crm.customers
+	r, err := e.QueryCtx(context.Background(), `SELECT name FROM crm.customers
 		WHERE id NOT IN (SELECT cust_id FROM billing.invoices)
 		ORDER BY name`)
 	if err != nil {
@@ -35,7 +36,7 @@ func TestNotInSubquery(t *testing.T) {
 
 func TestInSubqueryEmptyResult(t *testing.T) {
 	e := newFederation(t)
-	r, err := e.Query(`SELECT COUNT(*) FROM crm.customers
+	r, err := e.QueryCtx(context.Background(), `SELECT COUNT(*) FROM crm.customers
 		WHERE id IN (SELECT cust_id FROM billing.invoices WHERE amount > 1e9)`)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +44,7 @@ func TestInSubqueryEmptyResult(t *testing.T) {
 	if r.Rows[0][0].Int() != 0 {
 		t.Errorf("empty IN must match nothing, got %v", r.Rows[0][0])
 	}
-	r, err = e.Query(`SELECT COUNT(*) FROM crm.customers
+	r, err = e.QueryCtx(context.Background(), `SELECT COUNT(*) FROM crm.customers
 		WHERE id NOT IN (SELECT cust_id FROM billing.invoices WHERE amount > 1e9)`)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestInSubqueryEmptyResult(t *testing.T) {
 
 func TestInSubqueryOverMediatedView(t *testing.T) {
 	e := newFederation(t)
-	r, err := e.Query(`SELECT COUNT(*) FROM crm.customers
+	r, err := e.QueryCtx(context.Background(), `SELECT COUNT(*) FROM crm.customers
 		WHERE id IN (SELECT id FROM customer360 WHERE amount >= 75)`)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +68,7 @@ func TestInSubqueryOverMediatedView(t *testing.T) {
 
 func TestInSubqueryColumnArityError(t *testing.T) {
 	e := newFederation(t)
-	_, err := e.Query(`SELECT name FROM crm.customers
+	_, err := e.QueryCtx(context.Background(), `SELECT name FROM crm.customers
 		WHERE id IN (SELECT cust_id, amount FROM billing.invoices)`)
 	if err == nil || !strings.Contains(err.Error(), "one column") {
 		t.Fatalf("multi-column IN subquery must error, got %v", err)
@@ -78,7 +79,7 @@ func TestInSubqueryRoundTripSQL(t *testing.T) {
 	// The AST rendering of IN-subqueries must re-parse.
 	e := newFederation(t)
 	q := "SELECT name FROM crm.customers WHERE (id IN (SELECT cust_id FROM billing.invoices))"
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.QueryCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 }

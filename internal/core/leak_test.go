@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func TestE14FailingQueryNoGoroutineLeak(t *testing.T) {
 		{Parallel: true, Parallelism: 8, BatchSize: 16},
 	} {
 		for i := 0; i < 5; i++ {
-			if _, err := e.QueryOpts("SELECT COUNT(*), SUM(v) FROM wide WHERE v >= 0", qo); err == nil {
+			if _, err := e.QueryOptsCtx(context.Background(), "SELECT COUNT(*), SUM(v) FROM wide WHERE v >= 0", qo); err == nil {
 				t.Fatal("query over downed source must error")
 			}
 		}
@@ -58,7 +59,7 @@ func TestE14PartialQueryNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	for i := 0; i < 5; i++ {
-		res, err := e.QueryOpts("SELECT v FROM wide",
+		res, err := e.QueryOptsCtx(context.Background(), "SELECT v FROM wide",
 			QueryOptions{Parallel: true, Parallelism: 8, AllowPartial: true})
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ package core
 // path that changes planning inputs.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,14 +19,14 @@ import (
 
 func TestPreparedStatementBindsParams(t *testing.T) {
 	e := newFederation(t)
-	ps, err := e.Prepare(`SELECT name FROM customer360 WHERE region = $1 AND amount > $2 ORDER BY name`)
+	ps, err := e.PrepareOpts(context.Background(), `SELECT name FROM customer360 WHERE region = $1 AND amount > $2 ORDER BY name`, DefaultQueryOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ps.NumParams() != 2 {
 		t.Fatalf("NumParams = %d, want 2", ps.NumParams())
 	}
-	res, err := ps.Execute(datum.NewString("west"), datum.NewFloat(60))
+	res, err := ps.ExecuteCtx(context.Background(), datum.NewString("west"), datum.NewFloat(60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestPreparedStatementBindsParams(t *testing.T) {
 	}
 	// Same statement, different constants — the plan is reused, only the
 	// bound values change.
-	res2, err := ps.Execute(datum.NewString("east"), datum.NewFloat(10))
+	res2, err := ps.ExecuteCtx(context.Background(), datum.NewString("east"), datum.NewFloat(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestPreparedStatementBindsParams(t *testing.T) {
 
 func TestPreparedStatementQuestionMarks(t *testing.T) {
 	e := newFederation(t)
-	ps, err := e.Prepare(`SELECT name FROM crm.customers WHERE region = ? AND id < ?`)
+	ps, err := e.PrepareOpts(context.Background(), `SELECT name FROM crm.customers WHERE region = ? AND id < ?`, DefaultQueryOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ps.Execute(datum.NewString("east"), datum.NewInt(3))
+	res, err := ps.ExecuteCtx(context.Background(), datum.NewString("east"), datum.NewInt(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +64,14 @@ func TestPreparedStatementQuestionMarks(t *testing.T) {
 
 func TestPreparedStatementArityAndErrors(t *testing.T) {
 	e := newFederation(t)
-	if _, err := e.Prepare("SELECT nope FROM nowhere"); err == nil {
+	if _, err := e.PrepareOpts(context.Background(), "SELECT nope FROM nowhere", DefaultQueryOptions()); err == nil {
 		t.Fatal("Prepare should surface planning errors")
 	}
-	ps, err := e.Prepare("SELECT name FROM crm.customers WHERE id = $1")
+	ps, err := e.PrepareOpts(context.Background(), "SELECT name FROM crm.customers WHERE id = $1", DefaultQueryOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps.Execute(); err == nil {
+	if _, err := ps.ExecuteCtx(context.Background()); err == nil {
 		t.Fatal("Execute with missing params should error")
 	}
 }
@@ -84,11 +85,11 @@ func TestPreparedStatementReplansOnViewChange(t *testing.T) {
 	if err := e.DefineView("hot", "SELECT name FROM crm.customers WHERE region = 'west'"); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := e.Prepare("SELECT name FROM hot ORDER BY name")
+	ps, err := e.PrepareOpts(context.Background(), "SELECT name FROM hot ORDER BY name", DefaultQueryOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ps.Execute()
+	res, err := ps.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestPreparedStatementReplansOnViewChange(t *testing.T) {
 	if err := e.DefineView("hot", "SELECT name FROM crm.customers WHERE region = 'east'"); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := ps.Execute()
+	res2, err := ps.ExecuteCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestQueryTransparentPlanCache(t *testing.T) {
 	q := func(region string, amount float64) string {
 		return fmt.Sprintf("SELECT name FROM customer360 WHERE region = '%s' AND amount > %g ORDER BY name", region, amount)
 	}
-	r1, err := e.Query(q("west", 60))
+	r1, err := e.QueryCtx(context.Background(), q("west", 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestQueryTransparentPlanCache(t *testing.T) {
 		t.Fatal("first execution cannot be a cache hit")
 	}
 	// Different constants, same shape: must hit.
-	r2, err := e.Query(q("east", 10))
+	r2, err := e.QueryCtx(context.Background(), q("east", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestQueryTransparentPlanCache(t *testing.T) {
 		t.Fatalf("cached-plan rows = %q, want Bob|Cal", got)
 	}
 	// The cached plan must produce exactly what a fresh compile does.
-	r3, err := e.QueryOpts(q("east", 10), QueryOptions{Parallel: true, NoPlanCache: true})
+	r3, err := e.QueryOptsCtx(context.Background(), q("east", 10), QueryOptions{Parallel: true, NoPlanCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +161,11 @@ func TestQueryTransparentPlanCache(t *testing.T) {
 func TestQueryCacheDistinguishesOptimizerOptions(t *testing.T) {
 	e := newFederation(t)
 	const sql = "SELECT name FROM crm.customers WHERE region = 'west' ORDER BY name"
-	if _, err := e.Query(sql); err != nil {
+	if _, err := e.QueryCtx(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
 	// A different optimizer configuration must not reuse the plan.
-	r, err := e.QueryOpts(sql, QueryOptions{Optimizer: opt.Options{NoJoinReorder: true, NoFilterPushdown: true}, Parallel: true})
+	r, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{Optimizer: opt.Options{NoJoinReorder: true, NoFilterPushdown: true}, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +178,10 @@ func TestUncacheableStatementsBypassCache(t *testing.T) {
 	e := newFederation(t)
 	// EXISTS pre-evaluates a subquery against live data; the outer plan
 	// must never be cached (the pre-evaluated answer is baked into it).
-	// The inner subquery runs through QueryOpts and MAY cache — that one
+	// The inner subquery runs through QueryOptsCtx and MAY cache — that one
 	// is recompiled-from-live-data each time, so it is safe.
 	const sql = "SELECT name FROM crm.customers WHERE EXISTS (SELECT cust_id FROM billing.invoices WHERE status = 'open')"
-	r, err := e.Query(sql)
+	r, err := e.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestUncacheableStatementsBypassCache(t *testing.T) {
 		t.Fatal("EXISTS statement reported a cache hit")
 	}
 	entriesAfterFirst := e.PlanCacheStats().Entries
-	r, err = e.Query(sql)
+	r, err = e.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestUncacheableStatementsBypassCache(t *testing.T) {
 
 func TestCorrelationAndBreakerConfigInvalidatePlans(t *testing.T) {
 	e := newFederation(t)
-	if _, err := e.Query("SELECT name FROM crm.customers WHERE id = 1"); err != nil {
+	if _, err := e.QueryCtx(context.Background(), "SELECT name FROM crm.customers WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	v := e.Catalog().Version()
@@ -210,7 +211,7 @@ func TestCorrelationAndBreakerConfigInvalidatePlans(t *testing.T) {
 	if e.Catalog().Version() <= v {
 		t.Fatal("SetBreakerConfig did not bump the catalog version")
 	}
-	r, err := e.Query("SELECT name FROM crm.customers WHERE id = 1")
+	r, err := e.QueryCtx(context.Background(), "SELECT name FROM crm.customers WHERE id = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestConcurrentQueriesVsCatalogChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 120; i++ {
 				sql := fmt.Sprintf("SELECT name FROM customer360 WHERE amount > %d", i%7*10)
-				if _, err := e.QueryOpts(sql, QueryOptions{Parallel: w%2 == 0}); err != nil {
+				if _, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{Parallel: w%2 == 0}); err != nil {
 					// Planning errors are legal while the catalog churns
 					// (a view may be mid-redefinition); crashes are not.
 					continue
@@ -287,7 +288,7 @@ func TestQueryCacheNormalizesWhitespaceAndCase(t *testing.T) {
 		"SELECT   name\n\tFROM customer360\n\tWHERE region = 'west' AND amount > 60\n\tORDER BY name",
 		"Select name From customer360 Where region = 'east' AND amount > 10 Order By name",
 	}
-	r0, err := e.Query(variants[0])
+	r0, err := e.QueryCtx(context.Background(), variants[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestQueryCacheNormalizesWhitespaceAndCase(t *testing.T) {
 		t.Fatal("first execution cannot be a cache hit")
 	}
 	for _, sql := range variants[1:] {
-		r, err := e.Query(sql)
+		r, err := e.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("Query(%q): %v", sql, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datum"
@@ -55,7 +56,7 @@ func TestSubscribeErrors(t *testing.T) {
 func TestDependencySubscribeCoversViewBaseTables(t *testing.T) {
 	e := newFederation(t)
 	fired := 0
-	cancel, err := e.DependencySubscribe(
+	cancel, err := e.DependencySubscribe(context.Background(),
 		"SELECT name, amount FROM customer360", func(storage.Change) { fired++ })
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestDependencySubscribeSkipsNonNotifyingSources(t *testing.T) {
 	e := newFederation(t)
 	// files is a CSVSource with no notification support; subscribing to a
 	// query over it must succeed (with no feed from that source).
-	cancel, err := e.DependencySubscribe("SELECT cust_id FROM files.tickets", func(storage.Change) {})
+	cancel, err := e.DependencySubscribe(context.Background(), "SELECT cust_id FROM files.tickets", func(storage.Change) {})
 	if err != nil {
 		t.Fatalf("csv source should be skipped, got %v", err)
 	}

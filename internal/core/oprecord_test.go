@@ -47,7 +47,7 @@ func opSpans(t *testing.T, trace *exec.Span) []*exec.Span {
 // final attempt alone, and the same numbers on every surface.
 func TestTraceAndExplainAgreeAfterReplan(t *testing.T) {
 	e := staleStatsFixture(t, 4000)
-	res, err := e.QueryOpts(staleStatsQuery,
+	res, err := e.QueryOptsCtx(context.Background(), staleStatsQuery,
 		QueryOptions{Parallel: true, Adaptive: true, Explain: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)

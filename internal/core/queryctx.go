@@ -1,8 +1,8 @@
 package core
 
 // This file holds the per-query context registry. Every execution —
-// Query, QueryOpts, Execute, PreparedStatement.Execute and their ...Ctx
-// variants — registers a QueryCtx for its lifetime, giving the engine a
+// QueryCtx, QueryOptsCtx, ExecuteCtx, PreparedStatement.ExecuteCtx —
+// registers a QueryCtx for its lifetime, giving the engine a
 // live view of what is running (httpapi's /queries endpoint) and a cancel
 // handle that aborts the query's whole context tree: batch pulls,
 // exchange workers, remote fetches, retry backoffs and netsim transfers

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datum"
@@ -60,14 +61,14 @@ const semiQuery = `SELECT p.id, ev.payload FROM dim.picks p
 func TestSemiJoinShipsOnlyMatchingRows(t *testing.T) {
 	e := semiFixture(t, 2000, federation.FullSQL())
 	e.ResetMetrics()
-	with, err := e.QueryOpts(semiQuery, QueryOptions{})
+	with, err := e.QueryOptsCtx(context.Background(), semiQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	withBytes := with.Network.BytesShipped
 
 	e.ResetMetrics()
-	without, err := e.QueryOpts(semiQuery, QueryOptions{NoSemiJoin: true})
+	without, err := e.QueryOptsCtx(context.Background(), semiQuery, QueryOptions{NoSemiJoin: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestSemiJoinShipsOnlyMatchingRows(t *testing.T) {
 
 func TestSemiJoinCorrectResultContent(t *testing.T) {
 	e := semiFixture(t, 500, federation.FullSQL())
-	res, err := e.Query(semiQuery)
+	res, err := e.QueryCtx(context.Background(), semiQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestSemiJoinCorrectResultContent(t *testing.T) {
 
 func TestSemiJoinSkipsScanOnlySources(t *testing.T) {
 	e := semiFixture(t, 300, federation.ScanOnly())
-	res, err := e.Query(semiQuery)
+	res, err := e.QueryCtx(context.Background(), semiQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestSemiJoinKeyOverflowFallsBack(t *testing.T) {
 	right.RefreshStats()
 	_ = e.Register(left)
 	_ = e.Register(right)
-	res, err := e.Query("SELECT COUNT(*) FROM dim.picks p JOIN fact.events ev ON p.id = ev.pick_id")
+	res, err := e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM dim.picks p JOIN fact.events ev ON p.id = ev.pick_id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestSemiJoinKeyOverflowFallsBack(t *testing.T) {
 
 func TestSemiJoinEmptyProbeSide(t *testing.T) {
 	e := semiFixture(t, 100, federation.FullSQL())
-	res, err := e.Query(`SELECT COUNT(*) FROM dim.picks p
+	res, err := e.QueryCtx(context.Background(), `SELECT COUNT(*) FROM dim.picks p
 		JOIN fact.events ev ON p.id = ev.pick_id WHERE p.label = 'nothing-matches'`)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestSemiJoinEmptyProbeSide(t *testing.T) {
 
 func TestSemiJoinWithLeftOuterJoin(t *testing.T) {
 	e := semiFixture(t, 100, federation.FullSQL())
-	res, err := e.Query(`SELECT p.id, ev.payload FROM dim.picks p
+	res, err := e.QueryCtx(context.Background(), `SELECT p.id, ev.payload FROM dim.picks p
 		LEFT JOIN fact.events ev ON p.id = ev.pick_id ORDER BY p.id`)
 	if err != nil {
 		t.Fatal(err)

@@ -243,15 +243,10 @@ func (s *Store) Search(keywords ...string) ([]string, error) {
 // client-side, on-demand schema imposition of §2. mapping binds column
 // names to document field keys (identity when absent). Documents missing a
 // field yield NULL; fields whose value cannot coerce to the column type
-// count as conversion errors but do not abort the read.
-func (s *Store) Impose(sch *schema.Table, mapping map[string]string) ([]datum.Row, int, error) {
-	//lint:ignore ctxpropagate compatibility wrapper for context-free callers; the query path uses ImposeCtx
-	return s.ImposeCtx(context.Background(), sch, mapping)
-}
-
-// ImposeCtx is Impose under a caller context: the result transfer aborts
-// on cancellation instead of charging (or sleeping out) the link.
-func (s *Store) ImposeCtx(ctx context.Context, sch *schema.Table, mapping map[string]string) ([]datum.Row, int, error) {
+// count as conversion errors but do not abort the read. The result
+// transfer aborts on cancellation instead of charging (or sleeping out)
+// the link.
+func (s *Store) Impose(ctx context.Context, sch *schema.Table, mapping map[string]string) ([]datum.Row, int, error) {
 	s.mu.RLock()
 	ids := make([]string, 0, len(s.docs))
 	for id := range s.docs {
@@ -316,12 +311,7 @@ func (d *docSource) Catalog() *catalog.SourceCatalog { return d.cat }
 func (d *docSource) Capabilities() federation.Caps   { return federation.ScanOnly() }
 func (d *docSource) Link() *netsim.Link              { return d.store.link }
 
-func (d *docSource) Execute(subtree plan.Node) ([]datum.Row, error) {
-	//lint:ignore ctxpropagate Source interface compatibility shim; the query path uses ExecuteCtx
-	return d.ExecuteCtx(context.Background(), subtree)
-}
-
-// ExecuteCtx implements federation.ContextSource.
+// ExecuteCtx implements federation.Source.
 func (d *docSource) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.Row, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -333,11 +323,9 @@ func (d *docSource) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.
 	if !strings.EqualFold(scan.Table, d.table.Name) {
 		return nil, fmt.Errorf("docstore: source %s has no table %s", d.store.name, scan.Table)
 	}
-	rows, _, err := d.store.ImposeCtx(ctx, d.table, d.mapping)
+	rows, _, err := d.store.Impose(ctx, d.table, d.mapping)
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
 }
-
-var _ federation.ContextSource = (*docSource)(nil)

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestImposeSchemaOnRead(t *testing.T) {
 		{Name: "sensor", Kind: datum.KindString, Nullable: true},
 		{Name: "value", Kind: datum.KindInt, Nullable: true},
 	})
-	rows, errs, err := s.Impose(sch, map[string]string{"value": "reading"})
+	rows, errs, err := s.Impose(context.Background(), sch, map[string]string{"value": "reading"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestImposeCoercionErrors(t *testing.T) {
 	s := New("docs", nil)
 	_ = s.Put(doc("x", map[string]datum.Datum{"v": datum.NewString("not-a-number")}, ""))
 	sch := schema.MustTable("t", []schema.Column{{Name: "v", Kind: datum.KindInt, Nullable: true}})
-	rows, errs, err := s.Impose(sch, nil)
+	rows, errs, err := s.Impose(context.Background(), sch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestAsSourceInMediator(t *testing.T) {
 	if err := e.Register(src); err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.Query("SELECT sensor FROM docs.readings WHERE value > 20")
+	r, err := e.QueryCtx(context.Background(), "SELECT sensor FROM docs.readings WHERE value > 20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestAsSourceInMediator(t *testing.T) {
 		t.Errorf("rows = %v", r.Rows)
 	}
 	// Aggregates run at the mediator but still work.
-	r, err = e.Query("SELECT COUNT(*) FROM docs.readings")
+	r, err = e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM docs.readings")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datum"
@@ -88,7 +89,7 @@ func TestJSONThenImposeSchema(t *testing.T) {
 		{Name: "customer", Kind: datum.KindString, Nullable: true},
 		{Name: "total", Kind: datum.KindFloat, Nullable: true},
 	})
-	rows, errs, err := s.Impose(sch, map[string]string{
+	rows, errs, err := s.Impose(context.Background(), sch, map[string]string{
 		"customer": "customer.name",
 		"total":    "total",
 	})

@@ -15,6 +15,7 @@
 package dsa
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -44,7 +45,7 @@ type Obligation interface {
 	Describe() string
 	// Check evaluates the obligation against the provider; nil means
 	// satisfied.
-	Check(provider federation.Source) *failure
+	Check(ctx context.Context, provider federation.Source) *failure
 }
 
 type failure struct{ detail string }
@@ -64,7 +65,7 @@ func (o MaxNullFraction) Describe() string {
 }
 
 // Check implements Obligation.
-func (o MaxNullFraction) Check(provider federation.Source) *failure {
+func (o MaxNullFraction) Check(_ context.Context, provider federation.Source) *failure {
 	cat := provider.Catalog()
 	tab, ok := cat.Table(o.Table)
 	if !ok {
@@ -96,7 +97,7 @@ func (o MinRows) Describe() string {
 }
 
 // Check implements Obligation.
-func (o MinRows) Check(provider federation.Source) *failure {
+func (o MinRows) Check(_ context.Context, provider federation.Source) *failure {
 	st, ok := provider.Catalog().Stats(o.Table)
 	if !ok {
 		return &failure{fmt.Sprintf("no statistics published for %s", o.Table)}
@@ -120,7 +121,7 @@ func (o SchemaStable) Describe() string {
 }
 
 // Check implements Obligation.
-func (o SchemaStable) Check(provider federation.Source) *failure {
+func (o SchemaStable) Check(_ context.Context, provider federation.Source) *failure {
 	tab, ok := provider.Catalog().Table(o.Table)
 	if !ok {
 		return &failure{fmt.Sprintf("table %s missing", o.Table)}
@@ -149,7 +150,7 @@ func (o MustNotify) Describe() string {
 }
 
 // Check implements Obligation.
-func (o MustNotify) Check(provider federation.Source) *failure {
+func (o MustNotify) Check(_ context.Context, provider federation.Source) *failure {
 	n, ok := provider.(federation.Notifying)
 	if !ok {
 		return &failure{"source does not support change notification"}
@@ -175,7 +176,7 @@ func (o Available) Describe() string {
 }
 
 // Check implements Obligation.
-func (o Available) Check(provider federation.Source) *failure {
+func (o Available) Check(ctx context.Context, provider federation.Source) *failure {
 	tab, ok := provider.Catalog().Table(o.Table)
 	if !ok {
 		return &failure{fmt.Sprintf("table %s missing", o.Table)}
@@ -185,7 +186,7 @@ func (o Available) Check(provider federation.Source) *failure {
 		cols[i] = plan.ColMeta{Table: o.Table, Name: c.Name, Kind: c.Kind}
 	}
 	before := provider.Link().Metrics().SimTime
-	_, err := provider.Execute(&plan.Scan{
+	_, err := provider.ExecuteCtx(ctx, &plan.Scan{
 		Source: provider.Name(), Table: tab.Name, Alias: tab.Name, Cols: cols,
 	})
 	if err != nil {
@@ -241,7 +242,7 @@ func NewMonitor(sources ...federation.Source) *Monitor {
 
 // Check evaluates every obligation of the agreement and returns the
 // detected violations (empty means fully satisfied).
-func (m *Monitor) Check(a *Agreement) []Violation {
+func (m *Monitor) Check(ctx context.Context, a *Agreement) []Violation {
 	provider, ok := m.sources[strings.ToLower(a.Provider)]
 	if !ok {
 		return []Violation{{
@@ -252,7 +253,7 @@ func (m *Monitor) Check(a *Agreement) []Violation {
 	}
 	var out []Violation
 	for _, o := range a.Obligations {
-		if f := o.Check(provider); f != nil {
+		if f := o.Check(ctx, provider); f != nil {
 			out = append(out, Violation{Agreement: a.Name, Obligation: o.Describe(), Detail: f.detail})
 		}
 	}
@@ -260,10 +261,10 @@ func (m *Monitor) Check(a *Agreement) []Violation {
 }
 
 // CheckAll evaluates several agreements.
-func (m *Monitor) CheckAll(agreements []*Agreement) []Violation {
+func (m *Monitor) CheckAll(ctx context.Context, agreements []*Agreement) []Violation {
 	var out []Violation
 	for _, a := range agreements {
-		out = append(out, m.Check(a)...)
+		out = append(out, m.Check(ctx, a)...)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -60,7 +61,7 @@ func TestSatisfiedAgreement(t *testing.T) {
 		MustNotify{Table: "customers"},
 		Available{Table: "customers", MaxLatency: time.Second},
 	)
-	if v := m.Check(a); len(v) != 0 {
+	if v := m.Check(context.Background(), a); len(v) != 0 {
 		t.Fatalf("violations = %v", v)
 	}
 }
@@ -70,7 +71,7 @@ func TestQualityViolationDetected(t *testing.T) {
 	m := NewMonitor(src)
 	// 1 of 4 emails NULL → 0.25 > 0.1.
 	a := agreement(MaxNullFraction{Table: "customers", Column: "email", Max: 0.1})
-	v := m.Check(a)
+	v := m.Check(context.Background(), a)
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "null fraction") {
 		t.Fatalf("violations = %v", v)
 	}
@@ -82,7 +83,7 @@ func TestQualityViolationDetected(t *testing.T) {
 func TestPopulationAndSchemaViolations(t *testing.T) {
 	src := providerFixture(t)
 	m := NewMonitor(src)
-	v := m.Check(agreement(
+	v := m.Check(context.Background(), agreement(
 		MinRows{Table: "customers", Min: 100},
 		SchemaStable{Table: "customers", Columns: []string{"id", "phone"}},
 		MaxNullFraction{Table: "ghost", Column: "x", Max: 1},
@@ -103,7 +104,7 @@ func TestNotifyObligationAgainstCSVSource(t *testing.T) {
 	m := NewMonitor(csv)
 	a := &Agreement{Name: "x", Provider: "files",
 		Obligations: []Obligation{MustNotify{Table: "t"}}}
-	v := m.Check(a)
+	v := m.Check(context.Background(), a)
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "notification") {
 		t.Fatalf("violations = %v", v)
 	}
@@ -117,7 +118,7 @@ func TestAvailabilityBound(t *testing.T) {
 	_ = tab.Insert(datum.Row{datum.NewInt(1)})
 	src.RefreshStats()
 	m := NewMonitor(src)
-	v := m.Check(&Agreement{Name: "x", Provider: "slow",
+	v := m.Check(context.Background(), &Agreement{Name: "x", Provider: "slow",
 		Obligations: []Obligation{Available{Table: "t", MaxLatency: time.Millisecond}}})
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "probe took") {
 		t.Fatalf("violations = %v", v)
@@ -132,23 +133,23 @@ func TestAvailabilityViolationOnInjectedOutage(t *testing.T) {
 	a := &Agreement{Name: "x", Provider: "crm",
 		Obligations: []Obligation{Available{Table: "customers", MaxLatency: time.Second}}}
 	m := NewMonitor(src)
-	if v := m.Check(a); len(v) != 0 {
+	if v := m.Check(context.Background(), a); len(v) != 0 {
 		t.Fatalf("healthy provider violated: %v", v)
 	}
 	src.Link().SetDown(true)
-	v := m.Check(a)
+	v := m.Check(context.Background(), a)
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "source unavailable (outage)") {
 		t.Fatalf("violations = %v", v)
 	}
 	src.Link().SetDown(false)
-	if v := m.Check(a); len(v) != 0 {
+	if v := m.Check(context.Background(), a); len(v) != 0 {
 		t.Fatalf("recovered provider still violated: %v", v)
 	}
 }
 
 func TestUnreachableProvider(t *testing.T) {
 	m := NewMonitor()
-	v := m.Check(agreement(MinRows{Table: "customers", Min: 1}))
+	v := m.Check(context.Background(), agreement(MinRows{Table: "customers", Min: 1}))
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "not reachable") {
 		t.Fatalf("violations = %v", v)
 	}
@@ -159,7 +160,7 @@ func TestCheckAllAggregates(t *testing.T) {
 	m := NewMonitor(src)
 	good := agreement(MinRows{Table: "customers", Min: 1})
 	bad := agreement(MinRows{Table: "customers", Min: 1000})
-	v := m.CheckAll([]*Agreement{good, bad})
+	v := m.CheckAll(context.Background(), []*Agreement{good, bad})
 	if len(v) != 1 {
 		t.Fatalf("violations = %v", v)
 	}
@@ -171,7 +172,7 @@ func TestViolationAppearsAfterDataDecay(t *testing.T) {
 	src := providerFixture(t)
 	m := NewMonitor(src)
 	a := agreement(MaxNullFraction{Table: "customers", Column: "email", Max: 0.3})
-	if v := m.Check(a); len(v) != 0 {
+	if v := m.Check(context.Background(), a); len(v) != 0 {
 		t.Fatalf("initial violations = %v", v)
 	}
 	// Provider data decays: emails get wiped.
@@ -181,7 +182,7 @@ func TestViolationAppearsAfterDataDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.RefreshStats()
-	if v := m.Check(a); len(v) != 1 {
+	if v := m.Check(context.Background(), a); len(v) != 1 {
 		t.Fatalf("post-decay violations = %v", v)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -17,7 +18,7 @@ import (
 // with a failure injected at each step, under the saga engine and under the
 // naive multi-write a virtual-database update amounts to; the table reports
 // how many backend systems are left inconsistent.
-func RunE10(scale Scale) (Table, error) {
+func RunE10(_ context.Context, scale Scale) (Table, error) {
 	t := Table{
 		ID:            "E10",
 		Title:         "Employee onboarding with injected failures: saga vs naive multi-write",

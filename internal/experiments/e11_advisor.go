@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/matview"
 )
 
@@ -8,7 +9,7 @@ import (
 // guideline scenarios, including the precedence rule ("these virtualization
 // guidelines should only be invoked after none of the persistence
 // guidelines apply").
-func RunE11(Scale) (Table, error) {
+func RunE11(context.Context, Scale) (Table, error) {
 	t := Table{
 		ID:            "E11",
 		Title:         "Persist-vs-virtualize advisor vs the paper's guidelines",

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -19,7 +20,7 @@ import (
 // sweeps a per-transfer failure rate over a three-source fan-out and
 // compares naive execution (any failure kills the query), capped-backoff
 // retry, and retry plus circuit breakers plus partial results.
-func RunE12(scale Scale) (Table, error) {
+func RunE12(ctx context.Context, scale Scale) (Table, error) {
 	rates := []float64{0, 0.10, 0.30}
 	trials := 25
 	if scale == Full {
@@ -87,7 +88,7 @@ func RunE12(scale Scale) (Table, error) {
 			sims := make([]time.Duration, 0, trials)
 			for trial := 0; trial < trials; trial++ {
 				before := fed.Engine.NetworkTotals()
-				res, err := fed.Engine.QueryOpts("SELECT k FROM directory", qo)
+				res, err := fed.Engine.QueryOptsCtx(ctx, "SELECT k FROM directory", qo)
 				after := fed.Engine.NetworkTotals()
 				after.Sub(before)
 				sims = append(sims, after.SimTime)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,7 @@ func e13SQL(i int) string {
 // client concurrency grows. The EII products the paper describes sat under
 // portals that issue the same handful of query shapes with different
 // constants — exactly the workload a plan cache serves.
-func RunE13(scale Scale) (Table, error) {
+func RunE13(ctx context.Context, scale Scale) (Table, error) {
 	clients := []int{1, 8}
 	perClient := 40
 	if scale == Full {
@@ -71,7 +72,7 @@ func RunE13(scale Scale) (Table, error) {
 				go func(c int) {
 					defer wg.Done()
 					for i := 0; i < perClient; i++ {
-						res, err := engine.QueryOpts(e13SQL(c*perClient+i), qo)
+						res, err := engine.QueryOptsCtx(ctx, e13SQL(c*perClient+i), qo)
 						if err != nil {
 							continue
 						}

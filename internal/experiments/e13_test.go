@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,7 +13,7 @@ import (
 )
 
 func TestE13CachedPullsAheadUnderConcurrency(t *testing.T) {
-	tab, err := RunE13(Quick)
+	tab, err := RunE13(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,18 +107,18 @@ func TestE13CachedMatchesUncachedOnWorkloads(t *testing.T) {
 	}
 	for _, tc := range cases {
 		// Twice through the cache (miss then hit), once uncached.
-		first, err := tc.engine.QueryOpts(tc.sql, core.QueryOptions{})
+		first, err := tc.engine.QueryOptsCtx(context.Background(), tc.sql, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		second, err := tc.engine.QueryOpts(tc.sql, core.QueryOptions{})
+		second, err := tc.engine.QueryOptsCtx(context.Background(), tc.sql, core.QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
 		if !second.CacheHit {
 			t.Errorf("%s: second run missed the cache", tc.sql)
 		}
-		fresh, err := tc.engine.QueryOpts(tc.sql, core.QueryOptions{NoPlanCache: true})
+		fresh, err := tc.engine.QueryOptsCtx(context.Background(), tc.sql, core.QueryOptions{NoPlanCache: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
@@ -160,18 +161,18 @@ func TestE13PlaceholderArities(t *testing.T) {
 			}
 		}
 		base := "SELECT c.name, i.amount FROM crm.customers c JOIN billing.invoices i ON c.id = i.cust_id WHERE "
-		ps, err := e.Prepare(base + strings.Join(holes, " AND "))
+		ps, err := e.PrepareOpts(context.Background(), base+strings.Join(holes, " AND "), core.DefaultQueryOptions())
 		if err != nil {
 			t.Fatalf("arity %d: %v", n, err)
 		}
 		if ps.NumParams() != n {
 			t.Fatalf("arity %d: NumParams = %d", n, ps.NumParams())
 		}
-		got, err := ps.Execute(vals...)
+		got, err := ps.ExecuteCtx(context.Background(), vals...)
 		if err != nil {
 			t.Fatalf("arity %d: %v", n, err)
 		}
-		want, err := e.QueryOpts(base+strings.Join(lits, " AND "), core.QueryOptions{NoPlanCache: true})
+		want, err := e.QueryOptsCtx(context.Background(), base+strings.Join(lits, " AND "), core.QueryOptions{NoPlanCache: true})
 		if err != nil {
 			t.Fatalf("arity %d inline: %v", n, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 // non-baseline configuration is at least as fast as row-at-a-time
 // sequential execution.
 func TestE14VectorizedShape(t *testing.T) {
-	tab, err := RunE14(Quick)
+	tab, err := RunE14(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

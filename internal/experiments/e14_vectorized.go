@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -57,7 +58,7 @@ func e14Fingerprint(rows []datum.Row) string {
 // parallel operators. Every configuration's result is checked row-for-row
 // identical to the sequential row-at-a-time baseline before its time is
 // reported.
-func RunE14(scale Scale) (Table, error) {
+func RunE14(ctx context.Context, scale Scale) (Table, error) {
 	customers := 2000
 	batches := []int{1, 1024}
 	degrees := []int{1, 8}
@@ -106,7 +107,7 @@ func RunE14(scale Scale) (Table, error) {
 			var res *core.Result
 			best := time.Duration(0)
 			for i := 0; i < iters; i++ {
-				r, err := engine.QueryOpts(w.sql, qo)
+				r, err := engine.QueryOptsCtx(ctx, w.sql, qo)
 				if err != nil {
 					return nil, 0, err
 				}

@@ -18,7 +18,7 @@ import (
 // tail latency unbounded) and on (per-tenant concurrency quotas, bounded
 // FIFO queues, load shedding): bounded queues keep the tail bounded by
 // converting excess load into fast structured rejections.
-func RunE16(scale Scale) (Table, error) {
+func RunE16(ctx context.Context, scale Scale) (Table, error) {
 	cellDuration := 250 * time.Millisecond
 	if scale == Full {
 		cellDuration = 1500 * time.Millisecond
@@ -42,7 +42,7 @@ func RunE16(scale Scale) (Table, error) {
 	warm := 12
 	start := eng.Clock().Now()
 	for i := 0; i < warm; i++ {
-		if _, err := eng.Query(sql); err != nil {
+		if _, err := eng.QueryCtx(ctx, sql); err != nil {
 			return t, err
 		}
 	}
@@ -68,8 +68,7 @@ func RunE16(scale Scale) (Table, error) {
 				return t, err
 			}
 			rate := satRate * load.factor
-			//lint:ignore ctxpropagate experiment root: each E16 cell owns its open-loop run end to end
-			rep := workload.RunOpenLoop(context.Background(), eng, workload.OpenLoopConfig{
+			rep := workload.RunOpenLoop(ctx, eng, workload.OpenLoopConfig{
 				Duration:       cellDuration,
 				Seed:           416,
 				MaxOutstanding: 512,

@@ -22,7 +22,7 @@ import (
 // is small, blooms win past the IN-list cap. "scale" drives 1/2/4(/8)
 // node clusters with the same open-loop multi-tenant mix over blocking
 // links and reports completed-query throughput.
-func RunE18(scale Scale) (Table, error) {
+func RunE18(ctx context.Context, scale Scale) (Table, error) {
 	t := Table{
 		ID:            "E18",
 		Title:         "Sharded mediator cluster: scatter-gather scaling and bloom/semi-join fragment shipping",
@@ -31,10 +31,10 @@ func RunE18(scale Scale) (Table, error) {
 		Columns:       []string{"phase", "size/nodes", "mode", "rows/done", "p99", "interWire", "vs-base"},
 	}
 
-	if err := runE18Ship(scale, &t); err != nil {
+	if err := runE18Ship(ctx, scale, &t); err != nil {
 		return t, err
 	}
-	if err := runE18Scale(scale, &t); err != nil {
+	if err := runE18Scale(ctx, scale, &t); err != nil {
 		return t, err
 	}
 	t.Notes = "ship: 2-node cluster, crm and billing on different shards, coordinator at the crm owner; interWire counts only inter-node links (source links are charged identically in every mode); scale: open-loop Poisson mix (gold 60% / bronze 40%) against round-robin coordinators, per-node admission quotas, blocking links — past 4 nodes the fixed-bandwidth source links saturate, so adding mediators stops helping (the paper's sources-are-the-bottleneck regime)"
@@ -53,7 +53,7 @@ func e18SplitSeed(nodes int) (uint64, error) {
 	return 0, fmt.Errorf("e18: no seed splits crm/billing across %d nodes", nodes)
 }
 
-func runE18Ship(scale Scale, t *Table) error {
+func runE18Ship(ctx context.Context, scale Scale, t *Table) error {
 	sizes := []int{800, 4000}
 	if scale == Full {
 		sizes = []int{800, 2000, 8000}
@@ -92,7 +92,7 @@ func runE18Ship(scale Scale, t *Table) error {
 		var base int64
 		for _, m := range modes {
 			c.ResetInterNode()
-			res, err := coord.QueryOpts(query, m.qo)
+			res, err := coord.QueryOptsCtx(ctx, query, m.qo)
 			if err != nil {
 				return err
 			}
@@ -111,7 +111,7 @@ func runE18Ship(scale Scale, t *Table) error {
 	return nil
 }
 
-func runE18Scale(scale Scale, t *Table) error {
+func runE18Scale(ctx context.Context, scale Scale, t *Table) error {
 	nodeCounts := []int{1, 2, 4}
 	cellDuration := 250 * time.Millisecond
 	if scale == Full {
@@ -132,7 +132,7 @@ func runE18Scale(scale Scale, t *Table) error {
 	const warm = 12
 	start := eng.Clock().Now()
 	for i := 0; i < warm; i++ {
-		if _, err := eng.Query(sql); err != nil {
+		if _, err := eng.QueryCtx(ctx, sql); err != nil {
 			return err
 		}
 	}
@@ -159,8 +159,7 @@ func runE18Scale(scale Scale, t *Table) error {
 		if err != nil {
 			return err
 		}
-		//lint:ignore ctxpropagate experiment root: each E18 cell owns its open-loop run end to end
-		rep := workload.RunOpenLoop(context.Background(), c, workload.OpenLoopConfig{
+		rep := workload.RunOpenLoop(ctx, c, workload.OpenLoopConfig{
 			Duration:       cellDuration,
 			Seed:           418,
 			MaxOutstanding: 1024,

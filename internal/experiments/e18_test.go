@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestE18BloomWireReductionAndScaling(t *testing.T) {
-	tab, err := RunE18(Quick)
+	tab, err := RunE18(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +92,12 @@ func TestE1SemiJoinWireNeverWorse(t *testing.T) {
 			t.Fatal(err)
 		}
 		fed.Engine.ResetMetrics()
-		push, err := fed.Engine.QueryOpts(query, core.QueryOptions{NoSemiJoin: true})
+		push, err := fed.Engine.QueryOptsCtx(context.Background(), query, core.QueryOptions{NoSemiJoin: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fed.Engine.ResetMetrics()
-		semi, err := fed.Engine.QueryOpts(query, core.QueryOptions{})
+		semi, err := fed.Engine.QueryOptsCtx(context.Background(), query, core.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

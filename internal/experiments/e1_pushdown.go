@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // processor and process it entirely there") ships whole tables; pushdown
 // with local reduction ships only what the query needs; converting rows to
 // XML "increas[es the] size about 3 times" on top.
-func RunE1(scale Scale) (Table, error) {
+func RunE1(ctx context.Context, scale Scale) (Table, error) {
 	sizes := []int{100, 400}
 	if scale == Full {
 		sizes = []int{100, 500, 2000, 8000}
@@ -56,7 +57,7 @@ func RunE1(scale Scale) (Table, error) {
 				return t, err
 			}
 			fed.Engine.ResetMetrics()
-			res, err := fed.Engine.QueryOpts(query, v.qo)
+			res, err := fed.Engine.QueryOptsCtx(ctx, query, v.qo)
 			if err != nil {
 				return t, err
 			}

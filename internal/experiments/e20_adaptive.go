@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -86,7 +87,7 @@ const e20Query = `SELECT u.name, e.action FROM crm.users u
 // tripwire on the first query, re-plans the remainder into a semi-join
 // reduction, and every later query plans from the corrected (feedback-
 // blended) estimates — while returning byte-identical answers.
-func RunE20(scale Scale) (Table, error) {
+func RunE20(ctx context.Context, scale Scale) (Table, error) {
 	eventRows, queries := 4000, 8
 	if scale == Full {
 		eventRows, queries = 40000, 8
@@ -115,7 +116,7 @@ func RunE20(scale Scale) (Table, error) {
 		e.ResetMetrics()
 		qo := core.QueryOptions{Parallel: true, Adaptive: adaptive}
 		for i := 0; i < queries; i++ {
-			res, err := e.QueryOpts(e20Query, qo)
+			res, err := e.QueryOptsCtx(ctx, e20Query, qo)
 			if err != nil {
 				return o, fmt.Errorf("E20 (adaptive=%v) query %d: %w", adaptive, i, err)
 			}

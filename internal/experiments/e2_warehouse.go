@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // and updates runs against (a) the EII mediator (live, pays network per
 // query, staleness zero) and (b) a warehouse refreshed once per period
 // (bulk cost, queries free, staleness grows with the update rate).
-func RunE2(scale Scale) (Table, error) {
+func RunE2(ctx context.Context, scale Scale) (Table, error) {
 	mixes := []struct{ queries, updates int }{
 		{50, 5}, {20, 20}, {5, 50},
 	}
@@ -49,7 +50,7 @@ func RunE2(scale Scale) (Table, error) {
 		}
 		staleEII := 0
 		for q := 0; q < mix.queries; q++ {
-			if _, err := fed.Engine.Query(query); err != nil {
+			if _, err := fed.Engine.QueryCtx(ctx, query); err != nil {
 				return t, err
 			}
 			// Live queries always see current data.
@@ -85,7 +86,7 @@ func RunE2(scale Scale) (Table, error) {
 			return t, err
 		}
 		fed2.Engine.ResetMetrics()
-		if _, err := w.Refresh(); err != nil {
+		if _, err := w.Refresh(ctx); err != nil {
 			return t, err
 		}
 		// Interleave: updates spread evenly through the query stream.
@@ -98,7 +99,7 @@ func RunE2(scale Scale) (Table, error) {
 				}
 				applied++
 			}
-			if _, err := w.Query(query); err != nil {
+			if _, err := w.Query(ctx, query); err != nil {
 				return t, err
 			}
 			if w.TotalStaleness() > 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/semantics"
@@ -10,7 +11,7 @@ import (
 // costs grow (at best) linearly per source, while the schema-less approach
 // shows economies of scale — the marginal cost of the next source falls as
 // the federation grows.
-func RunE3(scale Scale) (Table, error) {
+func RunE3(_ context.Context, scale Scale) (Table, error) {
 	ns := []int{1, 2, 4, 8, 16}
 	if scale == Full {
 		ns = []int{1, 2, 4, 8, 16, 32, 64}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/matview"
@@ -13,7 +14,7 @@ import (
 // essentially choices in an optimization problem". A read/write mix runs
 // against the same view served live and served cached-with-refresh; the
 // crossover in total network cost is where the optimizer should flip.
-func RunE4(scale Scale) (Table, error) {
+func RunE4(ctx context.Context, scale Scale) (Table, error) {
 	mixes := []struct{ reads, writes int }{
 		{40, 2}, {20, 10}, {4, 40},
 	}
@@ -40,7 +41,7 @@ func RunE4(scale Scale) (Table, error) {
 			return t, err
 		}
 		mgrLive := matview.NewManager(fedLive.Engine)
-		if _, err := mgrLive.Materialize("dash", viewSQL); err != nil {
+		if _, err := mgrLive.Materialize(ctx, "dash", viewSQL); err != nil {
 			return t, err
 		}
 		fedLive.Engine.ResetMetrics()
@@ -50,7 +51,7 @@ func RunE4(scale Scale) (Table, error) {
 			}
 		}
 		for i := 0; i < mix.reads; i++ {
-			if _, err := mgrLive.Read("dash", matview.Live); err != nil {
+			if _, err := mgrLive.Read(ctx, "dash", matview.Live); err != nil {
 				return t, err
 			}
 		}
@@ -63,7 +64,7 @@ func RunE4(scale Scale) (Table, error) {
 			return t, err
 		}
 		mgrMat := matview.NewManager(fedMat.Engine)
-		if _, err := mgrMat.Materialize("dash", viewSQL); err != nil {
+		if _, err := mgrMat.Materialize(ctx, "dash", viewSQL); err != nil {
 			return t, err
 		}
 		fedMat.Engine.ResetMetrics()
@@ -72,12 +73,12 @@ func RunE4(scale Scale) (Table, error) {
 				return t, err
 			}
 			mgrMat.Invalidate("dash")
-			if err := mgrMat.Refresh("dash"); err != nil {
+			if err := mgrMat.Refresh(ctx, "dash"); err != nil {
 				return t, err
 			}
 		}
 		for i := 0; i < mix.reads; i++ {
-			if _, err := mgrMat.Read("dash", matview.Cached); err != nil {
+			if _, err := mgrMat.Read(ctx, "dash", matview.Cached); err != nil {
 				return t, err
 			}
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -13,7 +14,7 @@ import (
 // sources rarely share a reliable join key, so a plain equi-join on the
 // textual key collapses as corruption grows, while the stored join index
 // built from similarity matching keeps recall high.
-func RunE5(scale Scale) (Table, error) {
+func RunE5(_ context.Context, scale Scale) (Table, error) {
 	severities := []float64{0.0, 0.4, 0.8}
 	n := 120
 	if scale == Full {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -22,7 +23,7 @@ import (
 // (fixed: fetch everything from every backend, assemble centrally — what a
 // business process coded for the by-id path degenerates to on other paths)
 // pays full freight every time.
-func RunE6(scale Scale) (Table, error) {
+func RunE6(ctx context.Context, scale Scale) (Table, error) {
 	n := 200
 	if scale == Full {
 		n = 1000
@@ -49,7 +50,7 @@ func RunE6(scale Scale) (Table, error) {
 			return t, err
 		}
 		fed.Engine.ResetMetrics()
-		optRes, err := fed.Engine.QueryOpts(q.sql, core.QueryOptions{})
+		optRes, err := fed.Engine.QueryOptsCtx(ctx, q.sql, core.QueryOptions{})
 		if err != nil {
 			return t, err
 		}
@@ -60,7 +61,7 @@ func RunE6(scale Scale) (Table, error) {
 			return t, err
 		}
 		fed2.Engine.ResetMetrics()
-		fixRes, err := fed2.Engine.QueryOpts(q.sql, core.QueryOptions{Optimizer: naive})
+		fixRes, err := fed2.Engine.QueryOptsCtx(ctx, q.sql, core.QueryOptions{Optimizer: naive})
 		if err != nil {
 			return t, err
 		}

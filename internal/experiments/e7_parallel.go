@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/core"
@@ -13,7 +14,7 @@ import (
 // query processing". The same three-source fan-out query runs with remote
 // fetches serialized and overlapped; links really block (RealSleep), so
 // wall-clock time shows the overlap.
-func RunE7(scale Scale) (Table, error) {
+func RunE7(ctx context.Context, scale Scale) (Table, error) {
 	latencies := []time.Duration{5 * time.Millisecond, 20 * time.Millisecond}
 	if scale == Full {
 		latencies = []time.Duration{5 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond}
@@ -51,7 +52,7 @@ func RunE7(scale Scale) (Table, error) {
 			// exchange operator's overlap.
 			//lint:ignore determinism deliberate wall-clock measurement: E7 times real overlapped fetches (RealSleep links)
 			start := time.Now()
-			_, err := fed.Engine.QueryOpts(query, core.QueryOptions{Parallel: parallel, NoSemiJoin: true})
+			_, err := fed.Engine.QueryOptsCtx(ctx, query, core.QueryOptions{Parallel: parallel, NoSemiJoin: true})
 			//lint:ignore determinism deliberate wall-clock measurement: E7 times real overlapped fetches (RealSleep links)
 			return time.Since(start), err
 		}

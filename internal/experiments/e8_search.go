@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // support requests ... and other public information" — one keyword query
 // must surface structured rows and unstructured documents from every
 // source, and stay fast as the corpus grows.
-func RunE8(scale Scale) (Table, error) {
+func RunE8(ctx context.Context, scale Scale) (Table, error) {
 	corpusSizes := []int{500, 2000}
 	if scale == Full {
 		corpusSizes = []int{1000, 5000, 20000}
@@ -35,14 +36,14 @@ func RunE8(scale Scale) (Table, error) {
 		}
 		ix := search.NewIndex()
 		// Index structured rows from two sources.
-		res, err := fed.Engine.Query("SELECT id, name, region, segment FROM crm.customers")
+		res, err := fed.Engine.QueryCtx(ctx, "SELECT id, name, region, segment FROM crm.customers")
 		if err != nil {
 			return t, err
 		}
 		for _, r := range res.Rows {
 			ix.IndexRow("crm", "customers", r[0].Display(), r, res.Columns)
 		}
-		res, err = fed.Engine.Query("SELECT inv_id, cust_id, amount, status FROM billing.invoices")
+		res, err = fed.Engine.QueryCtx(ctx, "SELECT inv_id, cust_id, amount, status FROM billing.invoices")
 		if err != nil {
 			return t, err
 		}

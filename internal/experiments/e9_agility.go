@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/semantics"
@@ -11,7 +12,7 @@ import (
 // changes such as adding attributes or tables, and changing attribute
 // representations." The measure here is mapping-touch counts and the
 // derived agility score, compared across integration topologies.
-func RunE9(scale Scale) (Table, error) {
+func RunE9(_ context.Context, scale Scale) (Table, error) {
 	ns := []int{4, 16}
 	if scale == Full {
 		ns = []int{4, 16, 64, 256}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -82,13 +83,13 @@ const (
 )
 
 // All runs every experiment at the given scale, in ID order.
-func All(scale Scale) ([]Table, error) {
-	runs := []func(Scale) (Table, error){
+func All(ctx context.Context, scale Scale) ([]Table, error) {
+	runs := []func(context.Context, Scale) (Table, error){
 		RunE1, RunE2, RunE3, RunE4, RunE5, RunE6, RunE7, RunE8, RunE9, RunE10, RunE11, RunE12, RunE13, RunE14, RunE16, RunE18, RunE20,
 	}
 	out := make([]Table, 0, len(runs))
 	for _, run := range runs {
-		t, err := run(scale)
+		t, err := run(ctx, scale)
 		if err != nil {
 			return out, fmt.Errorf("experiment %d: %w", len(out)+1, err)
 		}

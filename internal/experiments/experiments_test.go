@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func cell(t *testing.T, s string) float64 {
 }
 
 func TestE1PushdownWinsAndXMLTriples(t *testing.T) {
-	tab, err := RunE1(Quick)
+	tab, err := RunE1(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestE1PushdownWinsAndXMLTriples(t *testing.T) {
 }
 
 func TestE2WarehouseVsEIIShape(t *testing.T) {
-	tab, err := RunE2(Quick)
+	tab, err := RunE2(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestE2WarehouseVsEIIShape(t *testing.T) {
 }
 
 func TestE3EconomiesOfScale(t *testing.T) {
-	tab, err := RunE3(Quick)
+	tab, err := RunE3(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestE3EconomiesOfScale(t *testing.T) {
 }
 
 func TestE4CrossoverAndAdvisorAgree(t *testing.T) {
-	tab, err := RunE4(Quick)
+	tab, err := RunE4(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestE4CrossoverAndAdvisorAgree(t *testing.T) {
 }
 
 func TestE5JoinIndexBeatsEquiJoinOnDirtyKeys(t *testing.T) {
-	tab, err := RunE5(Quick)
+	tab, err := RunE5(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestE5JoinIndexBeatsEquiJoinOnDirtyKeys(t *testing.T) {
 }
 
 func TestE6OptimizerAdaptsToAccessPath(t *testing.T) {
-	tab, err := RunE6(Quick)
+	tab, err := RunE6(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestE6OptimizerAdaptsToAccessPath(t *testing.T) {
 }
 
 func TestE7ParallelSpeedup(t *testing.T) {
-	tab, err := RunE7(Quick)
+	tab, err := RunE7(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestE7ParallelSpeedup(t *testing.T) {
 }
 
 func TestE8SearchCoverage(t *testing.T) {
-	tab, err := RunE8(Quick)
+	tab, err := RunE8(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestE8SearchCoverage(t *testing.T) {
 }
 
 func TestE9MediatedStaysAgile(t *testing.T) {
-	tab, err := RunE9(Quick)
+	tab, err := RunE9(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestE9MediatedStaysAgile(t *testing.T) {
 }
 
 func TestE10SagaLeavesNoResidue(t *testing.T) {
-	tab, err := RunE10(Quick)
+	tab, err := RunE10(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestE10SagaLeavesNoResidue(t *testing.T) {
 }
 
 func TestE11AllGuidelinesMatch(t *testing.T) {
-	tab, err := RunE11(Quick)
+	tab, err := RunE11(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestE11AllGuidelinesMatch(t *testing.T) {
 }
 
 func TestE12FaultToleranceShape(t *testing.T) {
-	tab, err := RunE12(Quick)
+	tab, err := RunE12(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestE12FaultToleranceShape(t *testing.T) {
 }
 
 func TestE20AdaptiveBeatsStaleStats(t *testing.T) {
-	tab, err := RunE20(Quick)
+	tab, err := RunE20(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestE20AdaptiveBeatsStaleStats(t *testing.T) {
 }
 
 func TestAllRunsAndRenders(t *testing.T) {
-	tabs, err := All(Quick)
+	tabs, err := All(context.Background(), Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,16 @@
 package federation
 
 import (
+	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/datum"
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/sqlparse"
-	"repro/internal/storage"
 )
 
 func TestCSVSourceMalformedInput(t *testing.T) {
@@ -39,10 +41,10 @@ func TestCSVExecuteRejectsUnknownTableAndForeignScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := []plan.ColMeta{{Table: "t", Name: "a", Kind: datum.KindInt}}
-	if _, err := src.Execute(&plan.Scan{Source: "files", Table: "missing", Alias: "m", Cols: cols}); err == nil {
+	if _, err := src.ExecuteCtx(context.Background(), &plan.Scan{Source: "files", Table: "missing", Alias: "m", Cols: cols}); err == nil {
 		t.Error("missing table must error")
 	}
-	if _, err := src.Execute(&plan.Scan{Source: "other", Table: "t", Alias: "t", Cols: cols}); err == nil {
+	if _, err := src.ExecuteCtx(context.Background(), &plan.Scan{Source: "other", Table: "t", Alias: "t", Cols: cols}); err == nil {
 		t.Error("foreign scan must error")
 	}
 }
@@ -61,30 +63,8 @@ func TestRelationalCreateTableDuplicate(t *testing.T) {
 func TestRelationalExecuteUnknownTable(t *testing.T) {
 	src := NewRelationalSource("s", FullSQL(), nil)
 	cols := []plan.ColMeta{{Table: "ghost", Name: "a", Kind: datum.KindInt}}
-	if _, err := src.Execute(&plan.Scan{Source: "s", Table: "ghost", Alias: "ghost", Cols: cols}); err == nil {
+	if _, err := src.ExecuteCtx(context.Background(), &plan.Scan{Source: "s", Table: "ghost", Alias: "ghost", Cols: cols}); err == nil {
 		t.Error("unknown table must error")
-	}
-}
-
-func TestKVSourceErrorPaths(t *testing.T) {
-	src := NewKVSource("kv", nil)
-	if _, err := src.Lookup("ghost", datum.Row{datum.NewInt(1)}); err == nil {
-		t.Error("lookup on missing table must error")
-	}
-	if err := src.Insert("ghost", datum.Row{}); err == nil {
-		t.Error("insert into missing table must error")
-	}
-	if _, err := src.Update("ghost", nil, nil); err == nil {
-		t.Error("update on missing table must error")
-	}
-	if _, err := src.Delete("ghost", nil); err == nil {
-		t.Error("delete on missing table must error")
-	}
-	if _, err := src.SubscribeTable("ghost", func(storage.Change) {}); err == nil {
-		t.Error("subscribe on missing table must error")
-	}
-	if _, ok := src.TableVersion("ghost"); ok {
-		t.Error("version of missing table must be not-ok")
 	}
 }
 
@@ -122,4 +102,35 @@ func TestValidateSubtreeNestedRemote(t *testing.T) {
 	if err := validateSubtree("s", FullSQL(), nested); err == nil {
 		t.Error("nested Remote must be rejected")
 	}
+}
+
+// TestCSVLoadWhileScanning loads further tables into a CSV source while
+// queries scan the first one. The table registry is shared between loads
+// and fetches, so it must be locked; run under -race this fails on an
+// unsynchronized map.
+func TestCSVLoadWhileScanning(t *testing.T) {
+	src := NewCSVSource("files", nil)
+	if _, err := src.LoadCSV("t", "a\n1\n2"); err != nil {
+		t.Fatal(err)
+	}
+	scan := &plan.Scan{Source: "files", Table: "t", Alias: "t",
+		Cols: []plan.ColMeta{{Table: "t", Name: "a", Kind: datum.KindInt}}}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if rows, err := src.ExecuteCtx(context.Background(), scan); err != nil || len(rows) != 2 {
+				t.Errorf("scan %d: rows=%d err=%v", i, len(rows), err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if _, err := src.LoadCSV(fmt.Sprintf("u%d", i), "a\n1"); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
 }

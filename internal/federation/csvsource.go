@@ -1,16 +1,13 @@
 package federation
 
 import (
-	"context"
 	"encoding/csv"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"repro/internal/catalog"
 	"repro/internal/datum"
 	"repro/internal/netsim"
-	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/storage"
 )
@@ -19,36 +16,13 @@ import (
 // Liquid Data's sources). It can apply filters and projections while
 // scanning but cannot join, aggregate or sort — those run at the mediator.
 type CSVSource struct {
-	name   string
-	link   *netsim.Link
-	cat    *catalog.SourceCatalog
-	tables map[string]*storage.Table
+	tableBacked
 }
 
 // NewCSVSource creates an empty delimited-file source.
 func NewCSVSource(name string, link *netsim.Link) *CSVSource {
-	if link == nil {
-		link = netsim.LocalLink()
-	}
-	return &CSVSource{
-		name:   name,
-		link:   link,
-		cat:    catalog.NewSourceCatalog(name),
-		tables: make(map[string]*storage.Table),
-	}
+	return &CSVSource{newTableBacked(name, FilterOnly(), link)}
 }
-
-// Name implements Source.
-func (s *CSVSource) Name() string { return s.name }
-
-// Catalog implements Source.
-func (s *CSVSource) Catalog() *catalog.SourceCatalog { return s.cat }
-
-// Capabilities implements Source.
-func (s *CSVSource) Capabilities() Caps { return FilterOnly() }
-
-// Link implements Source.
-func (s *CSVSource) Link() *netsim.Link { return s.link }
 
 // LoadCSV parses delimited text into a new table. The first record is the
 // header; column kinds are inferred per column from the data (INT, then
@@ -91,12 +65,9 @@ func (s *CSVSource) LoadCSV(table, text string) (*storage.Table, error) {
 			return nil, err
 		}
 	}
-	key := strings.ToLower(table)
-	if _, dup := s.tables[key]; dup {
-		return nil, fmt.Errorf("federation: source %s already has table %s", s.name, table)
+	if err := s.addTable(sch, t); err != nil {
+		return nil, err
 	}
-	s.tables[key] = t
-	s.cat.AddTable(sch, t.Stats())
 	return t, nil
 }
 
@@ -155,38 +126,4 @@ func parseCSVField(rec []string, col int, kind datum.Kind) (datum.Datum, error) 
 	}
 }
 
-// Execute implements Source: the context-free compatibility path.
-func (s *CSVSource) Execute(subtree plan.Node) ([]datum.Row, error) {
-	//lint:ignore ctxpropagate Source interface compatibility shim; the query path uses ExecuteCtx
-	return s.ExecuteCtx(context.Background(), subtree)
-}
-
-// ExecuteCtx implements ContextSource.
-func (s *CSVSource) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := validateSubtree(s.name, s.Capabilities(), subtree); err != nil {
-		return nil, err
-	}
-	rows, err := execLocal(ctx, s.name, subtree, func(table string) ([]datum.Row, error) {
-		t, ok := s.tables[strings.ToLower(table)]
-		if !ok {
-			return nil, fmt.Errorf("federation: source %s has no table %s", s.name, table)
-		}
-		// Header-only snapshot; see RelationalSource.ExecuteCtx.
-		return t.SnapshotShared(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return shipResult(ctx, s.link, RequestSize(subtree), rows)
-}
-
-var (
-	_ Source        = (*CSVSource)(nil)
-	_ ContextSource = (*CSVSource)(nil)
-)
+var _ Source = (*CSVSource)(nil)

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
 )
 
 func relFixture(t *testing.T) *RelationalSource {
@@ -48,7 +50,7 @@ func custCols() []plan.ColMeta {
 
 func TestRelationalExecuteScan(t *testing.T) {
 	src := relFixture(t)
-	rows, err := src.Execute(scanNode("crm", "customers", "customers", custCols()))
+	rows, err := src.ExecuteCtx(context.Background(), scanNode("crm", "customers", "customers", custCols()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestRelationalExecuteFilterPushdown(t *testing.T) {
 	src := relFixture(t)
 	cond, _ := sqlparse.ParseExpr("region = 'east'")
 	subtree := &plan.Filter{Input: scanNode("crm", "customers", "customers", custCols()), Cond: cond}
-	rows, err := src.Execute(subtree)
+	rows, err := src.ExecuteCtx(context.Background(), subtree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestRelationalExecuteFilterPushdown(t *testing.T) {
 	// Pushing the filter must ship less than a full scan.
 	filtered := src.Link().Metrics().BytesShipped
 	src.Link().Reset()
-	if _, err := src.Execute(scanNode("crm", "customers", "customers", custCols())); err != nil {
+	if _, err := src.ExecuteCtx(context.Background(), scanNode("crm", "customers", "customers", custCols())); err != nil {
 		t.Fatal(err)
 	}
 	full := src.Link().Metrics().BytesShipped
@@ -86,22 +88,43 @@ func TestRelationalExecuteFilterPushdown(t *testing.T) {
 
 func TestRelationalRejectsForeignScan(t *testing.T) {
 	src := relFixture(t)
-	if _, err := src.Execute(scanNode("other", "customers", "c", custCols())); err == nil {
+	if _, err := src.ExecuteCtx(context.Background(), scanNode("other", "customers", "c", custCols())); err == nil {
 		t.Error("foreign scan must be rejected")
 	}
 }
 
 func TestCapsClampExecution(t *testing.T) {
-	// A filter-only source must reject an aggregate subtree.
-	src := NewRelationalSource("files", FilterOnly(), nil)
-	if _, err := src.CreateTable(schema.MustTable("t", []schema.Column{{Name: "a", Kind: datum.KindInt}})); err != nil {
-		t.Fatal(err)
-	}
-	agg := plan.NewAggregate(
-		scanNode("files", "t", "t", []plan.ColMeta{{Table: "t", Name: "a", Kind: datum.KindInt}}),
-		nil, []plan.AggSpec{{Func: "COUNT", Star: true}})
-	if _, err := src.Execute(agg); err == nil || !strings.Contains(err.Error(), "cannot execute") {
-		t.Errorf("capability violation must error, got %v", err)
+	ctx := context.Background()
+	cols := []plan.ColMeta{{Table: "t", Name: "a", Kind: datum.KindInt}}
+	cond, _ := sqlparse.ParseExpr("a = 1")
+	for _, tc := range []struct {
+		name     string
+		caps     Caps
+		rejected plan.Node
+	}{
+		// A filter-only source must reject an aggregate subtree.
+		{"filter-only", FilterOnly(), plan.NewAggregate(scanNode("src", "t", "t", cols),
+			nil, []plan.AggSpec{{Func: "COUNT", Star: true}})},
+		// A scan-only source (the key-value tier) ships whole tables and
+		// rejects even a filter.
+		{"scan-only", ScanOnly(), &plan.Filter{Input: scanNode("src", "t", "t", cols), Cond: cond}},
+	} {
+		src := NewRelationalSource("src", tc.caps, nil)
+		tab, err := src.CreateTable(schema.MustTable("t", []schema.Column{{Name: "a", Kind: datum.KindInt}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []int64{1, 2} {
+			if err := tab.Insert(datum.Row{datum.NewInt(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rows, err := src.ExecuteCtx(ctx, scanNode("src", "t", "t", cols)); err != nil || len(rows) != 2 {
+			t.Errorf("%s: bare scan: rows=%d err=%v", tc.name, len(rows), err)
+		}
+		if _, err := src.ExecuteCtx(ctx, tc.rejected); err == nil || !strings.Contains(err.Error(), "cannot execute") {
+			t.Errorf("%s: capability violation must error, got %v", tc.name, err)
+		}
 	}
 }
 
@@ -156,6 +179,18 @@ func TestRelationalUpdatable(t *testing.T) {
 	if err := src.Insert("nope", datum.Row{}); err == nil {
 		t.Error("insert into missing table must error")
 	}
+	if _, err := src.Update("nope", nil, nil); err == nil {
+		t.Error("update on missing table must error")
+	}
+	if _, err := src.Delete("nope", nil); err == nil {
+		t.Error("delete on missing table must error")
+	}
+	if _, err := src.SubscribeTable("nope", func(storage.Change) {}); err == nil {
+		t.Error("subscribe on missing table must error")
+	}
+	if _, ok := src.TableVersion("nope"); ok {
+		t.Error("version of missing table must be not-ok")
+	}
 }
 
 func TestCSVSourceLoadAndTyping(t *testing.T) {
@@ -190,47 +225,12 @@ func TestCSVSourceExecuteFilter(t *testing.T) {
 	}
 	cols := []plan.ColMeta{{Table: "t", Name: "a", Kind: datum.KindInt}, {Table: "t", Name: "b", Kind: datum.KindString}}
 	cond, _ := sqlparse.ParseExpr("b = 'x'")
-	rows, err := src.Execute(&plan.Filter{Input: scanNode("files", "t", "t", cols), Cond: cond})
+	rows, err := src.ExecuteCtx(context.Background(), &plan.Filter{Input: scanNode("files", "t", "t", cols), Cond: cond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Errorf("rows = %d", len(rows))
-	}
-}
-
-func TestKVSource(t *testing.T) {
-	src := NewKVSource("kv", nil)
-	if _, err := src.CreateTable(schema.MustTable("prefs", []schema.Column{
-		{Name: "user_id", Kind: datum.KindInt},
-		{Name: "theme", Kind: datum.KindString},
-	})); err == nil {
-		t.Error("kv table without key must be rejected")
-	}
-	tab, err := src.CreateTable(schema.MustTable("prefs", []schema.Column{
-		{Name: "user_id", Kind: datum.KindInt},
-		{Name: "theme", Kind: datum.KindString},
-	}, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tab.Insert(datum.Row{datum.NewInt(1), datum.NewString("dark")})
-	_ = tab.Insert(datum.Row{datum.NewInt(2), datum.NewString("light")})
-
-	cols := []plan.ColMeta{{Table: "prefs", Name: "user_id"}, {Table: "prefs", Name: "theme"}}
-	rows, err := src.Execute(scanNode("kv", "prefs", "prefs", cols))
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("scan: %v rows=%d", err, len(rows))
-	}
-	// Filters must be rejected — ScanOnly.
-	cond, _ := sqlparse.ParseExpr("user_id = 1")
-	if _, err := src.Execute(&plan.Filter{Input: scanNode("kv", "prefs", "prefs", cols), Cond: cond}); err == nil {
-		t.Error("kv source must reject filter pushdown")
-	}
-	// Point lookup works through the dedicated API.
-	got, err := src.Lookup("prefs", datum.Row{datum.NewInt(2)})
-	if err != nil || len(got) != 1 || got[0][1].Str() != "light" {
-		t.Errorf("lookup: %v %v", got, err)
 	}
 }
 

@@ -1,18 +1,10 @@
 package federation
 
 import (
-	"context"
-	"fmt"
-	"strings"
-	"sync"
-
-	"repro/internal/catalog"
 	"repro/internal/datum"
 	"repro/internal/netsim"
 	"repro/internal/schema"
 	"repro/internal/storage"
-
-	"repro/internal/plan"
 )
 
 // RelationalSource wraps a full relational backend: it accepts any
@@ -22,70 +14,37 @@ import (
 // ("component queries ... push down RDBMS-specific SQL queries to the
 // sources", §3).
 type RelationalSource struct {
-	name string
-	caps Caps
-	link *netsim.Link
-	cat  *catalog.SourceCatalog
-
-	mu     sync.RWMutex
-	tables map[string]*storage.Table
+	tableBacked
 }
 
 // NewRelationalSource creates an empty relational source with the given
-// capability set (use FullSQL() for a mature backend).
+// capability set: FullSQL() for a mature backend, ScanOnly() for a store
+// that can only ship whole tables (a key-value backend).
 func NewRelationalSource(name string, caps Caps, link *netsim.Link) *RelationalSource {
-	if link == nil {
-		link = netsim.LocalLink()
-	}
-	return &RelationalSource{
-		name:   name,
-		caps:   caps,
-		link:   link,
-		cat:    catalog.NewSourceCatalog(name),
-		tables: make(map[string]*storage.Table),
-	}
+	return &RelationalSource{newTableBacked(name, caps, link)}
 }
-
-// Name implements Source.
-func (s *RelationalSource) Name() string { return s.name }
-
-// Catalog implements Source.
-func (s *RelationalSource) Catalog() *catalog.SourceCatalog { return s.cat }
-
-// Capabilities implements Source.
-func (s *RelationalSource) Capabilities() Caps { return s.caps }
-
-// Link implements Source.
-func (s *RelationalSource) Link() *netsim.Link { return s.link }
 
 // CreateTable adds a table to the source.
 func (s *RelationalSource) CreateTable(sch *schema.Table) (*storage.Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := strings.ToLower(sch.Name)
-	if _, dup := s.tables[key]; dup {
-		return nil, fmt.Errorf("federation: source %s already has table %s", s.name, sch.Name)
-	}
 	t := storage.NewTable(sch)
-	s.tables[key] = t
-	s.cat.AddTable(sch, t.Stats())
+	if err := s.addTable(sch, t); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
 // Table returns a storage table by name.
 func (s *RelationalSource) Table(name string) (*storage.Table, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[strings.ToLower(name)]
-	return t, ok
+	t, err := s.table(name)
+	return t, err == nil
 }
 
 // SubscribeTable implements Notifying: fn fires after each mutation of the
 // named table.
 func (s *RelationalSource) SubscribeTable(table string, fn func(storage.Change)) (func(), error) {
-	t, ok := s.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("federation: source %s has no table %s", s.name, table)
+	t, err := s.table(table)
+	if err != nil {
+		return nil, err
 	}
 	return t.Subscribe(fn), nil
 }
@@ -109,45 +68,11 @@ func (s *RelationalSource) RefreshStats() {
 	}
 }
 
-// Execute implements Source: the context-free compatibility path.
-func (s *RelationalSource) Execute(subtree plan.Node) ([]datum.Row, error) {
-	//lint:ignore ctxpropagate Source interface compatibility shim; the query path uses ExecuteCtx
-	return s.ExecuteCtx(context.Background(), subtree)
-}
-
-// ExecuteCtx implements ContextSource: the fetch is abandoned (before
-// shipping) once the context's deadline passes or it is cancelled.
-func (s *RelationalSource) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := validateSubtree(s.name, s.caps, subtree); err != nil {
-		return nil, err
-	}
-	rows, err := execLocal(ctx, s.name, subtree, func(table string) ([]datum.Row, error) {
-		t, ok := s.Table(table)
-		if !ok {
-			return nil, fmt.Errorf("federation: source %s has no table %s", s.name, table)
-		}
-		// Header-only snapshot: stored rows are immutable and the exec
-		// layer never mutates batch rows, so sharing avoids cloning the
-		// whole table per scan. The engine copies rows that reach callers.
-		return t.SnapshotShared(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return shipResult(ctx, s.link, RequestSize(subtree), rows)
-}
-
 // Insert implements Updatable.
 func (s *RelationalSource) Insert(table string, row datum.Row) error {
-	t, ok := s.Table(table)
-	if !ok {
-		return fmt.Errorf("federation: source %s has no table %s", s.name, table)
+	t, err := s.table(table)
+	if err != nil {
+		return err
 	}
 	// Writes cross the same link as reads.
 	if _, err := s.link.Transfer(requestOverheadBytes + datum.RowWireSize(row)); err != nil {
@@ -158,9 +83,9 @@ func (s *RelationalSource) Insert(table string, row datum.Row) error {
 
 // Update implements Updatable.
 func (s *RelationalSource) Update(table string, pred func(datum.Row) bool, fn func(datum.Row) datum.Row) (int, error) {
-	t, ok := s.Table(table)
-	if !ok {
-		return 0, fmt.Errorf("federation: source %s has no table %s", s.name, table)
+	t, err := s.table(table)
+	if err != nil {
+		return 0, err
 	}
 	if _, err := s.link.Transfer(requestOverheadBytes); err != nil {
 		return 0, err
@@ -170,9 +95,9 @@ func (s *RelationalSource) Update(table string, pred func(datum.Row) bool, fn fu
 
 // Delete implements Updatable.
 func (s *RelationalSource) Delete(table string, pred func(datum.Row) bool) (int, error) {
-	t, ok := s.Table(table)
-	if !ok {
-		return 0, fmt.Errorf("federation: source %s has no table %s", s.name, table)
+	t, err := s.table(table)
+	if err != nil {
+		return 0, err
 	}
 	if _, err := s.link.Transfer(requestOverheadBytes); err != nil {
 		return 0, err
@@ -181,8 +106,7 @@ func (s *RelationalSource) Delete(table string, pred func(datum.Row) bool) (int,
 }
 
 var (
-	_ Source        = (*RelationalSource)(nil)
-	_ ContextSource = (*RelationalSource)(nil)
-	_ Updatable     = (*RelationalSource)(nil)
-	_ Notifying     = (*RelationalSource)(nil)
+	_ Source    = (*RelationalSource)(nil)
+	_ Updatable = (*RelationalSource)(nil)
+	_ Notifying = (*RelationalSource)(nil)
 )

@@ -2,7 +2,7 @@
 // integrates over: the Source interface, the capability model that tells
 // the optimizer how much work each source can absorb (§1: "dealt with the
 // limitations and capabilities of each source"), and wrapper
-// implementations for relational, delimited-file and key-value sources.
+// implementations for relational and delimited-file sources.
 package federation
 
 import (
@@ -79,32 +79,27 @@ type Source interface {
 	Capabilities() Caps
 	// Link is the simulated network path to the source.
 	Link() *netsim.Link
-	// Execute runs a pushed-down plan subtree (all of whose scans
-	// reference this source) and returns the result rows. The
-	// implementation charges the link for shipping the result back.
-	Execute(subtree plan.Node) ([]datum.Row, error)
+	// ContextSource is how the source runs work: ExecuteCtx.
+	ContextSource
 }
 
-// ContextSource is implemented by sources whose Execute honors a
-// context: a query deadline or cancellation aborts the remote fetch
-// before (or instead of) charging the link. ExecuteWithContext falls back
-// to plain Execute for sources that do not implement it.
+// ContextSource is the execution half of Source.
 type ContextSource interface {
+	// ExecuteCtx runs a pushed-down plan subtree (all of whose scans
+	// reference this source) and returns the result rows. The
+	// implementation charges the link for shipping the result back; a
+	// query deadline or cancellation aborts the fetch before (or instead
+	// of) charging it.
 	ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.Row, error)
 }
 
-// ExecuteWithContext runs a pushed-down subtree through the source's
-// context-aware path when available.
+// ExecuteWithContext runs a pushed-down subtree at the source unless the
+// context is already done.
 func ExecuteWithContext(ctx context.Context, src Source, subtree plan.Node) ([]datum.Row, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if cs, ok := src.(ContextSource); ok {
-			return cs.ExecuteCtx(ctx, subtree)
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return src.Execute(subtree)
+	return src.ExecuteCtx(ctx, subtree)
 }
 
 // Updatable is implemented by sources that accept writes (used by the EAI

@@ -1,0 +1,108 @@
+package federation
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"sync"
+
+	"repro/internal/catalog"
+	"repro/internal/datum"
+	"repro/internal/netsim"
+	"repro/internal/plan"
+	"repro/internal/schema"
+	"repro/internal/storage"
+)
+
+// tableBacked is the Source half shared by the wrappers that hold their
+// data in storage tables: one locked table registry and one ExecuteCtx.
+// The wrappers differ only in the capability set they advertise and in
+// how tables get in (CreateTable, LoadCSV).
+type tableBacked struct {
+	name string
+	caps Caps
+	link *netsim.Link
+	cat  *catalog.SourceCatalog
+
+	mu     sync.RWMutex
+	tables map[string]*storage.Table
+}
+
+func newTableBacked(name string, caps Caps, link *netsim.Link) tableBacked {
+	if link == nil {
+		link = netsim.LocalLink()
+	}
+	return tableBacked{
+		name:   name,
+		caps:   caps,
+		link:   link,
+		cat:    catalog.NewSourceCatalog(name),
+		tables: make(map[string]*storage.Table),
+	}
+}
+
+// Name implements Source.
+func (s *tableBacked) Name() string { return s.name }
+
+// Catalog implements Source.
+func (s *tableBacked) Catalog() *catalog.SourceCatalog { return s.cat }
+
+// Capabilities implements Source.
+func (s *tableBacked) Capabilities() Caps { return s.caps }
+
+// Link implements Source.
+func (s *tableBacked) Link() *netsim.Link { return s.link }
+
+// addTable registers t under its schema's name and publishes it in the
+// source catalog.
+func (s *tableBacked) addTable(sch *schema.Table, t *storage.Table) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key := strings.ToLower(sch.Name)
+	if _, dup := s.tables[key]; dup {
+		return fmt.Errorf("federation: source %s already has table %s", s.name, sch.Name)
+	}
+	s.tables[key] = t
+	s.cat.AddTable(sch, t.Stats())
+	return nil
+}
+
+func (s *tableBacked) table(name string) (*storage.Table, error) {
+	s.mu.RLock()
+	t, ok := s.tables[strings.ToLower(name)]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("federation: source %s has no table %s", s.name, name)
+	}
+	return t, nil
+}
+
+// ExecuteCtx implements Source: the subtree is validated against the
+// capability set, executed over the local tables, and the result shipped
+// across the link. The fetch is abandoned (before shipping) once the
+// context's deadline passes or it is cancelled.
+func (s *tableBacked) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.Row, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := validateSubtree(s.name, s.caps, subtree); err != nil {
+		return nil, err
+	}
+	rows, err := execLocal(ctx, s.name, subtree, func(table string) ([]datum.Row, error) {
+		t, err := s.table(table)
+		if err != nil {
+			return nil, err
+		}
+		// Header-only snapshot: stored rows are immutable and the exec
+		// layer never mutates batch rows, so sharing avoids cloning the
+		// whole table per scan. The engine copies rows that reach callers.
+		return t.SnapshotShared(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return shipResult(ctx, s.link, RequestSize(subtree), rows)
+}

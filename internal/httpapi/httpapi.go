@@ -12,11 +12,12 @@
 //	GET  /queries                                   -> in-flight queries (id, sql, elapsed)
 //	POST /queries/cancel?id=N                       -> cancel an in-flight query
 //
-// Every query runs under the request's context: a client disconnect
-// cancels the whole query tree (exchange workers, remote fetches, retry
-// backoffs), and a cancelled or deadline-exceeded query answers with
-// status 499 (client closed request) carrying whatever partial-result
-// accounting the engine collected. `POST /query?trace=1` (or
+// Every query — and every prepare and explain, which may pre-evaluate
+// subqueries against live sources — runs under the request's context: a
+// client disconnect cancels the whole query tree (exchange workers,
+// remote fetches, retry backoffs), and a cancelled or deadline-exceeded
+// request answers with status 499 (client closed request) carrying
+// whatever partial-result accounting the engine collected. `POST /query?trace=1` (or
 // {"trace": true}) attaches the query's span tree to the response.
 package httpapi
 
@@ -277,9 +278,9 @@ func NewHandlerLogged(engine *core.Engine, logFn func(RequestLogEntry)) http.Han
 		if !ok {
 			return
 		}
-		ps, err := engine.PrepareOpts(req.SQL, queryOptions(req))
+		ps, err := engine.PrepareOpts(r.Context(), req.SQL, queryOptions(req))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeQueryError(w, nil, err)
 			return
 		}
 		id := h.register(ps)
@@ -348,9 +349,11 @@ func NewHandlerLogged(engine *core.Engine, logFn func(RequestLogEntry)) http.Han
 		if !ok {
 			return
 		}
-		out, err := engine.Explain(req.SQL, core.QueryOptions{})
+		// Explaining a statement with EXISTS / IN (SELECT ...) runs those
+		// subqueries against live sources, so it is cancellable like a query.
+		out, err := engine.Explain(r.Context(), req.SQL, core.QueryOptions{})
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeQueryError(w, nil, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, ExplainResponse{Plan: out})
@@ -412,7 +415,7 @@ func (h *handler) runQuery(ctx context.Context, req QueryRequest) (*core.Result,
 	}
 	qo := queryOptions(req)
 	if len(params) > 0 {
-		ps, err := h.engine.PrepareOpts(req.SQL, qo)
+		ps, err := h.engine.PrepareOpts(ctx, req.SQL, qo)
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +426,8 @@ func (h *handler) runQuery(ctx context.Context, req QueryRequest) (*core.Result,
 
 // queryOptions maps request knobs to engine options.
 func queryOptions(req QueryRequest) core.QueryOptions {
-	qo := core.QueryOptions{Parallel: true, Adaptive: !req.NoAdaptive}
+	qo := core.DefaultQueryOptions()
+	qo.Adaptive = !req.NoAdaptive
 	if req.Naive {
 		qo = naiveOptions()
 	}

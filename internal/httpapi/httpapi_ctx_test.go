@@ -5,6 +5,7 @@ package httpapi
 // queries killed by disconnect, cancel handle, or deadline.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/netsim"
 	"repro/internal/schema"
+	"repro/internal/workload"
 )
 
 // slowServer serves a fan-out federation over links that block in
@@ -320,4 +322,50 @@ func TestCancelPreservesFaultLedger(t *testing.T) {
 	// before the cancel, but the race makes it advisory, not asserted.
 	t.Logf("ledger at cancel: sourceErrors=%v retries=%v partial=%v",
 		eb.SourceErrors, eb.Retries, eb.Partial)
+}
+
+// TestExplainHonorsRequestContext: explaining a statement with an
+// IN (SELECT ...) pre-evaluates the subquery against live sources, so a
+// request whose context is already cancelled must answer 499 without
+// contacting any source.
+func TestExplainHonorsRequestContext(t *testing.T) {
+	cfg := workload.DefaultCRM()
+	cfg.Customers = 60
+	fed, err := workload.BuildCRM(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := fed.Engine
+	trips := func() int64 {
+		var n int64
+		for _, name := range e.Sources() {
+			src, _ := e.Source(name)
+			n += src.Link().Metrics().RoundTrips
+		}
+		return n
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	body, _ := json.Marshal(QueryRequest{
+		SQL: "SELECT name FROM crm.customers WHERE id IN (SELECT cust_id FROM billing.invoices WHERE amount > 500)",
+	})
+	req := httptest.NewRequest(http.MethodPost, "/explain", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	before := trips()
+	NewHandler(e).ServeHTTP(rec, req)
+
+	if rec.Code != StatusClientClosedRequest {
+		t.Fatalf("status = %d, want %d: %s", rec.Code, StatusClientClosedRequest, rec.Body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+		t.Fatal(err)
+	}
+	if !eb.Canceled || !strings.Contains(eb.Error, context.Canceled.Error()) {
+		t.Errorf("error body = %+v, want a cancellation", eb)
+	}
+	if after := trips(); after != before {
+		t.Errorf("%d source round trips under a cancelled request context", after-before)
+	}
 }

@@ -1,6 +1,7 @@
 package matview
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datum"
@@ -9,10 +10,10 @@ import (
 func TestAutoInvalidateMarksStaleOnSourceWrite(t *testing.T) {
 	e, src := engineFixture(t)
 	m := NewManager(e)
-	if _, err := m.Materialize("v", "SELECT id FROM crm.customers WHERE region = 'east'"); err != nil {
+	if _, err := m.Materialize(context.Background(), "v", "SELECT id FROM crm.customers WHERE region = 'east'"); err != nil {
 		t.Fatal(err)
 	}
-	cancel, err := m.AutoInvalidate("v")
+	cancel, err := m.AutoInvalidate(context.Background(), "v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +28,13 @@ func TestAutoInvalidateMarksStaleOnSourceWrite(t *testing.T) {
 	if v.Fresh() {
 		t.Error("auto-invalidation did not fire")
 	}
-	if err := m.Refresh("v"); err != nil {
+	if err := m.Refresh(context.Background(), "v"); err != nil {
 		t.Fatal(err)
 	}
 	if !v.Fresh() {
 		t.Error("refresh must restore freshness")
 	}
-	r, _ := m.Read("v", Cached)
+	r, _ := m.Read(context.Background(), "v", Cached)
 	if len(r.Rows) != 3 {
 		t.Errorf("refreshed cache rows = %d", len(r.Rows))
 	}
@@ -50,7 +51,7 @@ func TestAutoInvalidateMarksStaleOnSourceWrite(t *testing.T) {
 func TestAutoInvalidateUnknownView(t *testing.T) {
 	e, _ := engineFixture(t)
 	m := NewManager(e)
-	if _, err := m.AutoInvalidate("ghost"); err == nil {
+	if _, err := m.AutoInvalidate(context.Background(), "ghost"); err == nil {
 		t.Error("unknown view must error")
 	}
 }

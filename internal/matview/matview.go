@@ -7,6 +7,7 @@
 package matview
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -57,7 +58,7 @@ func NewManager(engine *core.Engine) *Manager {
 
 // Materialize registers a view definition and computes its first
 // materialization.
-func (m *Manager) Materialize(name, sql string) (*MatView, error) {
+func (m *Manager) Materialize(ctx context.Context, name, sql string) (*MatView, error) {
 	m.mu.Lock()
 	key := strings.ToLower(name)
 	if _, dup := m.views[key]; dup {
@@ -67,7 +68,7 @@ func (m *Manager) Materialize(name, sql string) (*MatView, error) {
 	v := &MatView{Name: name, SQL: sql}
 	m.views[key] = v
 	m.mu.Unlock()
-	if err := m.Refresh(name); err != nil {
+	if err := m.Refresh(ctx, name); err != nil {
 		m.mu.Lock()
 		delete(m.views, key)
 		m.mu.Unlock()
@@ -97,12 +98,12 @@ func (m *Manager) View(name string) (*MatView, bool) {
 
 // Refresh recomputes the view through the federated engine, paying the
 // network cost of the underlying query.
-func (m *Manager) Refresh(name string) error {
+func (m *Manager) Refresh(ctx context.Context, name string) error {
 	v, ok := m.View(name)
 	if !ok {
 		return fmt.Errorf("matview: unknown view %s", name)
 	}
-	res, err := m.engine.Query(v.SQL)
+	res, err := m.engine.QueryCtx(ctx, v.SQL)
 	if err != nil {
 		return fmt.Errorf("matview: refreshing %s: %w", name, err)
 	}
@@ -131,25 +132,25 @@ func (m *Manager) Invalidate(name string) {
 // table its definition reads, so the cache marks itself stale the moment
 // underlying data moves — no manual Invalidate calls. It returns a cancel
 // function detaching the subscriptions.
-func (m *Manager) AutoInvalidate(name string) (cancel func(), err error) {
+func (m *Manager) AutoInvalidate(ctx context.Context, name string) (cancel func(), err error) {
 	v, ok := m.View(name)
 	if !ok {
 		return nil, fmt.Errorf("matview: unknown view %s", name)
 	}
-	return m.engine.DependencySubscribe(v.SQL, func(storage.Change) {
+	return m.engine.DependencySubscribe(ctx, v.SQL, func(storage.Change) {
 		m.Invalidate(name)
 	})
 }
 
 // Read serves the view in the requested mode. Cached reads return the
 // materialized rows without touching any source; Live reads re-execute.
-func (m *Manager) Read(name string, mode Mode) (*core.Result, error) {
+func (m *Manager) Read(ctx context.Context, name string, mode Mode) (*core.Result, error) {
 	v, ok := m.View(name)
 	if !ok {
 		return nil, fmt.Errorf("matview: unknown view %s", name)
 	}
 	if mode == Live {
-		return m.engine.Query(v.SQL)
+		return m.engine.QueryCtx(ctx, v.SQL)
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()

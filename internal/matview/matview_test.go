@@ -1,6 +1,7 @@
 package matview
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func engineFixture(t *testing.T) (*core.Engine, *federation.RelationalSource) {
 func TestMaterializeAndCachedRead(t *testing.T) {
 	e, src := engineFixture(t)
 	m := NewManager(e)
-	v, err := m.Materialize("east_customers", "SELECT id FROM crm.customers WHERE region = 'east'")
+	v, err := m.Materialize(context.Background(), "east_customers", "SELECT id FROM crm.customers WHERE region = 'east'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestMaterializeAndCachedRead(t *testing.T) {
 	}
 	// Cached reads are free on the network.
 	src.Link().Reset()
-	r, err := m.Read("east_customers", Cached)
+	r, err := m.Read(context.Background(), "east_customers", Cached)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestMaterializeAndCachedRead(t *testing.T) {
 		t.Error("cached read must not touch the source link")
 	}
 	// Live reads pay the link.
-	r, err = m.Read("east_customers", Live)
+	r, err = m.Read(context.Background(), "east_customers", Live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestMaterializeAndCachedRead(t *testing.T) {
 func TestStalenessAndRefresh(t *testing.T) {
 	e, src := engineFixture(t)
 	m := NewManager(e)
-	if _, err := m.Materialize("v", "SELECT id FROM crm.customers WHERE region = 'east'"); err != nil {
+	if _, err := m.Materialize(context.Background(), "v", "SELECT id FROM crm.customers WHERE region = 'east'"); err != nil {
 		t.Fatal(err)
 	}
 	// A new east customer arrives; cached view is stale until refresh.
@@ -82,18 +83,18 @@ func TestStalenessAndRefresh(t *testing.T) {
 	if v.Fresh() {
 		t.Error("invalidate must mark stale")
 	}
-	r, _ := m.Read("v", Cached)
+	r, _ := m.Read(context.Background(), "v", Cached)
 	if len(r.Rows) != 2 {
 		t.Errorf("stale cache must serve old rows, got %d", len(r.Rows))
 	}
-	r, _ = m.Read("v", Live)
+	r, _ = m.Read(context.Background(), "v", Live)
 	if len(r.Rows) != 3 {
 		t.Errorf("live read must see new row, got %d", len(r.Rows))
 	}
-	if err := m.Refresh("v"); err != nil {
+	if err := m.Refresh(context.Background(), "v"); err != nil {
 		t.Fatal(err)
 	}
-	r, _ = m.Read("v", Cached)
+	r, _ = m.Read(context.Background(), "v", Cached)
 	if len(r.Rows) != 3 || !v.Fresh() {
 		t.Errorf("post-refresh cache rows = %d fresh=%v", len(r.Rows), v.Fresh())
 	}
@@ -102,13 +103,13 @@ func TestStalenessAndRefresh(t *testing.T) {
 func TestManagerLifecycleErrors(t *testing.T) {
 	e, _ := engineFixture(t)
 	m := NewManager(e)
-	if _, err := m.Materialize("v", "SELECT id FROM crm.customers"); err != nil {
+	if _, err := m.Materialize(context.Background(), "v", "SELECT id FROM crm.customers"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Materialize("V", "SELECT id FROM crm.customers"); err == nil {
+	if _, err := m.Materialize(context.Background(), "V", "SELECT id FROM crm.customers"); err == nil {
 		t.Error("duplicate (case-insensitive) must error")
 	}
-	if _, err := m.Materialize("bad", "SELECT nope FROM crm.customers"); err != nil {
+	if _, err := m.Materialize(context.Background(), "bad", "SELECT nope FROM crm.customers"); err != nil {
 		// Failed materialization must not leave a registered view.
 		if _, ok := m.View("bad"); ok {
 			t.Error("failed materialization left residue")
@@ -116,10 +117,10 @@ func TestManagerLifecycleErrors(t *testing.T) {
 	} else {
 		t.Error("bad SQL must fail")
 	}
-	if err := m.Refresh("ghost"); err == nil {
+	if err := m.Refresh(context.Background(), "ghost"); err == nil {
 		t.Error("refresh of unknown view must error")
 	}
-	if _, err := m.Read("ghost", Cached); err == nil {
+	if _, err := m.Read(context.Background(), "ghost", Cached); err == nil {
 		t.Error("read of unknown view must error")
 	}
 	m.Drop("v")

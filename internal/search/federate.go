@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -14,7 +15,7 @@ import (
 //
 // Sources whose tables cannot be scanned (capability or availability
 // errors) are skipped and reported in the error slice; indexing continues.
-func IndexFederation(ix *Index, engine *core.Engine) (int, []error) {
+func IndexFederation(ctx context.Context, ix *Index, engine *core.Engine) (int, []error) {
 	added := 0
 	var errs []error
 	for _, sourceName := range engine.Sources() {
@@ -24,7 +25,7 @@ func IndexFederation(ix *Index, engine *core.Engine) (int, []error) {
 		}
 		cat := src.Catalog()
 		for _, tableName := range cat.TableNames() {
-			res, err := engine.Query(fmt.Sprintf("SELECT * FROM %s.%s", sourceName, tableName))
+			res, err := engine.QueryCtx(ctx, fmt.Sprintf("SELECT * FROM %s.%s", sourceName, tableName))
 			if err != nil {
 				errs = append(errs, fmt.Errorf("search: indexing %s.%s: %w", sourceName, tableName, err))
 				continue

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/workload"
@@ -16,7 +17,7 @@ func TestIndexFederationCrawlsEverySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := NewIndex()
-	added, errs := IndexFederation(ix, fed.Engine)
+	added, errs := IndexFederation(context.Background(), ix, fed.Engine)
 	if len(errs) != 0 {
 		t.Fatalf("errors = %v", errs)
 	}

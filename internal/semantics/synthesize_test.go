@@ -1,6 +1,7 @@
 package semantics
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestSynthesizedUnionViewExecutes(t *testing.T) {
 	if err := e.DefineView("all_customers", sql); err != nil {
 		t.Fatalf("generated view does not plan: %v\n%s", err, sql)
 	}
-	res, err := e.Query("SELECT COUNT(*) FROM all_customers")
+	res, err := e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM all_customers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestSynthesizedUnionViewExecutes(t *testing.T) {
 		t.Errorf("union count = %v", res.Rows[0][0])
 	}
 	// The CAST made the string key numeric: id 7 is queryable as INT.
-	res, err = e.Query("SELECT full_name FROM all_customers WHERE id = 7")
+	res, err = e.QueryCtx(context.Background(), "SELECT full_name FROM all_customers WHERE id = 7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestSynthesizedJoinViewExecutes(t *testing.T) {
 	if err := e.DefineView("employee_badges", sql); err != nil {
 		t.Fatalf("generated view does not plan: %v\n%s", err, sql)
 	}
-	res, err := e.Query("SELECT emp_no, name, b_name FROM employee_badges")
+	res, err := e.QueryCtx(context.Background(), "SELECT emp_no, name, b_name FROM employee_badges")
 	if err != nil {
 		t.Fatal(err)
 	}

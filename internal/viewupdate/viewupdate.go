@@ -13,6 +13,7 @@
 package viewupdate
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -295,8 +296,10 @@ func GenerateInsert(e *core.Engine, viewName string, values map[string]datum.Dat
 
 // GenerateDelete builds the saga that removes a logical view row: each base
 // table deletes the rows matching the view's key column values, capturing
-// the removed rows so compensation can restore them.
-func GenerateDelete(e *core.Engine, viewName string, keyValues map[string]datum.Datum) (*eai.Process, error) {
+// the removed rows so compensation can restore them. ctx bounds that
+// capture — the saga's one read through the sources' query path — when the
+// process runs.
+func GenerateDelete(ctx context.Context, e *core.Engine, viewName string, keyValues map[string]datum.Datum) (*eai.Process, error) {
 	tables, err := analyze(e, viewName)
 	if err != nil {
 		return nil, err
@@ -343,19 +346,19 @@ func GenerateDelete(e *core.Engine, viewName string, keyValues map[string]datum.
 		ctxKey := fmt.Sprintf("removed:%s.%s", bt.source, bt.table)
 		proc.Steps = append(proc.Steps, eai.Step{
 			Name: fmt.Sprintf("delete %s.%s", bt.source, bt.table),
-			Do: func(ctx *eai.Context) error {
+			Do: func(pc *eai.Context) error {
 				// Capture the rows first so compensation can
 				// restore them.
-				removed, err := capturedRows(src, tableName, pred)
+				removed, err := capturedRows(ctx, src, tableName, pred)
 				if err != nil {
 					return err
 				}
-				ctx.Set(ctxKey, removed)
+				pc.Set(ctxKey, removed)
 				_, err = upd.Delete(tableName, pred)
 				return err
 			},
-			Compensate: func(ctx *eai.Context) error {
-				v, ok := ctx.Get(ctxKey)
+			Compensate: func(pc *eai.Context) error {
+				v, ok := pc.Get(ctxKey)
 				if !ok {
 					return nil
 				}
@@ -385,7 +388,7 @@ func updatableSource(e *core.Engine, name string) (federation.Source, federation
 
 // capturedRows fetches the rows a delete will remove, via the source's
 // query path so the link accounting stays honest.
-func capturedRows(src federation.Source, table string, pred func(datum.Row) bool) ([]datum.Row, error) {
+func capturedRows(ctx context.Context, src federation.Source, table string, pred func(datum.Row) bool) ([]datum.Row, error) {
 	sch, ok := src.Catalog().Table(table)
 	if !ok {
 		return nil, fmt.Errorf("viewupdate: source %s lost table %s", src.Name(), table)
@@ -394,7 +397,7 @@ func capturedRows(src federation.Source, table string, pred func(datum.Row) bool
 	for i, c := range sch.Columns {
 		cols[i] = plan.ColMeta{Table: table, Name: c.Name, Kind: c.Kind}
 	}
-	rows, err := src.Execute(&plan.Scan{Source: src.Name(), Table: sch.Name, Alias: sch.Name, Cols: cols})
+	rows, err := src.ExecuteCtx(ctx, &plan.Scan{Source: src.Name(), Table: sch.Name, Alias: sch.Name, Cols: cols})
 	if err != nil {
 		return nil, err
 	}

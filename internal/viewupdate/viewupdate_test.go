@@ -1,6 +1,7 @@
 package viewupdate
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -45,7 +46,7 @@ func TestGeneratedInsertWritesAllBaseTables(t *testing.T) {
 	}
 	// The read view now shows the inserted logical row — §7's contract:
 	// "change the database so the Read view is suitably updated."
-	res, err := e.Query("SELECT name, building, model FROM employee360 WHERE emp_id = 500")
+	res, err := e.QueryCtx(context.Background(), "SELECT name, building, model FROM employee360 WHERE emp_id = 500")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestGeneratedInsertCompensatesOnFailure(t *testing.T) {
 	if out.Completed {
 		t.Fatal("run must fail")
 	}
-	res, err := e.Query("SELECT COUNT(*) FROM hr.employees WHERE emp_id = 501")
+	res, err := e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM hr.employees WHERE emp_id = 501")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestGeneratedInsertValidatesNotNull(t *testing.T) {
 func TestGeneratedDeleteRemovesAndCompensationRestores(t *testing.T) {
 	e, fed := employeeEngine(t)
 	// Delete employee 7 across all systems.
-	proc, err := GenerateDelete(e, "employee360", map[string]datum.Datum{
+	proc, err := GenerateDelete(context.Background(), e, "employee360", map[string]datum.Datum{
 		"emp_id": datum.NewInt(7),
 	})
 	if err != nil {
@@ -110,7 +111,7 @@ func TestGeneratedDeleteRemovesAndCompensationRestores(t *testing.T) {
 	if !out.Completed {
 		t.Fatalf("outcome = %+v", out)
 	}
-	res, _ := e.Query("SELECT COUNT(*) FROM employee360 WHERE emp_id = 7")
+	res, _ := e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM employee360 WHERE emp_id = 7")
 	if res.Rows[0][0].Int() != 0 {
 		t.Error("employee must be gone from the view")
 	}
@@ -118,7 +119,7 @@ func TestGeneratedDeleteRemovesAndCompensationRestores(t *testing.T) {
 
 	// Now a delete whose final step fails: compensation must restore the
 	// already-deleted rows.
-	proc2, err := GenerateDelete(e, "employee360", map[string]datum.Datum{
+	proc2, err := GenerateDelete(context.Background(), e, "employee360", map[string]datum.Datum{
 		"emp_id": datum.NewInt(8),
 	})
 	if err != nil {
@@ -131,7 +132,7 @@ func TestGeneratedDeleteRemovesAndCompensationRestores(t *testing.T) {
 	if out.Completed {
 		t.Fatal("sabotaged delete must fail")
 	}
-	res, _ = e.Query("SELECT COUNT(*) FROM employee360 WHERE emp_id = 8")
+	res, _ = e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM employee360 WHERE emp_id = 8")
 	if res.Rows[0][0].Int() != 1 {
 		t.Errorf("compensation must restore employee 8, view rows = %v", res.Rows[0][0])
 	}
@@ -139,7 +140,7 @@ func TestGeneratedDeleteRemovesAndCompensationRestores(t *testing.T) {
 
 func TestGenerateDeleteRefusesUnconstrainedTable(t *testing.T) {
 	e, _ := employeeEngine(t)
-	_, err := GenerateDelete(e, "employee360", map[string]datum.Datum{
+	_, err := GenerateDelete(context.Background(), e, "employee360", map[string]datum.Datum{
 		"building": datum.NewString("B1"), // constrains facilities only
 	})
 	if err == nil || !strings.Contains(err.Error(), "refusing") {

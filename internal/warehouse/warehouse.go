@@ -102,21 +102,15 @@ func (w *Warehouse) AddFeed(src federation.Source, table string) error {
 
 // Refresh re-extracts every feed (classic full-reload ETL batch). The
 // network cost lands on each source's link, exactly like an EII scan of
-// the whole table would. It returns the number of rows loaded.
-func (w *Warehouse) Refresh() (int, error) {
-	//lint:ignore ctxpropagate compatibility wrapper for context-free ETL batch jobs; RefreshCtx is the bounded path
-	return w.RefreshCtx(context.Background())
-}
-
-// RefreshCtx is Refresh under a caller context: an ETL window deadline or
-// shutdown cancels the remaining extractions mid-batch (already-loaded
-// feeds keep their new rows). The feed list is snapshotted and each
-// extraction runs without w.mu held — the network fetch is the slow part
-// of an ETL batch, and holding the lock across it would starve
-// ReplicaTable (the E12 replica-fallback query path) for the whole
-// batch. Only the local apply of fetched rows takes the lock, so replica
-// reads never observe a half-loaded table.
-func (w *Warehouse) RefreshCtx(ctx context.Context) (int, error) {
+// the whole table would. It returns the number of rows loaded. An ETL
+// window deadline or shutdown cancels the remaining extractions mid-batch
+// (already-loaded feeds keep their new rows). The feed list is
+// snapshotted and each extraction runs without w.mu held — the network
+// fetch is the slow part of an ETL batch, and holding the lock across it
+// would starve ReplicaTable (the E12 replica-fallback query path) for the
+// whole batch. Only the local apply of fetched rows takes the lock, so
+// replica reads never observe a half-loaded table.
+func (w *Warehouse) Refresh(ctx context.Context) (int, error) {
 	w.mu.Lock()
 	feeds := append([]*Feed(nil), w.feeds...)
 	w.mu.Unlock()
@@ -131,15 +125,9 @@ func (w *Warehouse) RefreshCtx(ctx context.Context) (int, error) {
 	return total, nil
 }
 
-// RefreshTable re-extracts a single feed.
-func (w *Warehouse) RefreshTable(table string) (int, error) {
-	//lint:ignore ctxpropagate compatibility wrapper for context-free ETL batch jobs; RefreshTableCtx is the bounded path
-	return w.RefreshTableCtx(context.Background(), table)
-}
-
-// RefreshTableCtx is RefreshTable under a caller context. Like
-// RefreshCtx, the extraction itself runs without w.mu held.
-func (w *Warehouse) RefreshTableCtx(ctx context.Context, table string) (int, error) {
+// RefreshTable re-extracts a single feed. Like Refresh, the extraction
+// itself runs without w.mu held.
+func (w *Warehouse) RefreshTable(ctx context.Context, table string) (int, error) {
 	w.mu.Lock()
 	var feed *Feed
 	for _, f := range w.feeds {
@@ -260,8 +248,8 @@ func (w *Warehouse) TotalStaleness() int64 {
 }
 
 // Query runs SQL against the warehouse's local store.
-func (w *Warehouse) Query(sql string) (*core.Result, error) {
-	return w.engine.Query(sql)
+func (w *Warehouse) Query(ctx context.Context, sql string) (*core.Result, error) {
+	return w.engine.QueryCtx(ctx, sql)
 }
 
 // Feeds returns the mirrored table names, in registration order.

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -44,11 +45,11 @@ func TestRefreshAndQuery(t *testing.T) {
 	if s := w.Staleness()["customers"]; s != -1 {
 		t.Errorf("pre-refresh staleness = %d", s)
 	}
-	n, err := w.Refresh()
+	n, err := w.Refresh(context.Background())
 	if err != nil || n != 3 {
 		t.Fatalf("refresh: n=%d err=%v", n, err)
 	}
-	r, err := w.Query("SELECT COUNT(*) FROM customers")
+	r, err := w.Query(context.Background(), "SELECT COUNT(*) FROM customers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRefreshAndQuery(t *testing.T) {
 		t.Error("ETL must ship bytes over the source link")
 	}
 	src.Link().Reset()
-	if _, err := w.Query("SELECT * FROM customers"); err != nil {
+	if _, err := w.Query(context.Background(), "SELECT * FROM customers"); err != nil {
 		t.Fatal(err)
 	}
 	if src.Link().Metrics().BytesShipped != 0 {
@@ -73,7 +74,7 @@ func TestStalenessTracking(t *testing.T) {
 	src := crmSource(t)
 	w, _ := New("dw")
 	_ = w.AddFeed(src, "customers")
-	if _, err := w.Refresh(); err != nil {
+	if _, err := w.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s := w.Staleness()["customers"]; s != 0 {
@@ -91,18 +92,18 @@ func TestStalenessTracking(t *testing.T) {
 		t.Errorf("total staleness = %d", w.TotalStaleness())
 	}
 	// The warehouse still serves the stale row — that is the point.
-	r, _ := w.Query("SELECT name FROM customers WHERE id = 1")
+	r, _ := w.Query(context.Background(), "SELECT name FROM customers WHERE id = 1")
 	if r.Rows[0][0].Str() != "Ann" {
 		t.Errorf("warehouse must serve stale data, got %v", r.Rows[0][0])
 	}
 	// After refresh: staleness back to 0 and data current.
-	if _, err := w.RefreshTable("customers"); err != nil {
+	if _, err := w.RefreshTable(context.Background(), "customers"); err != nil {
 		t.Fatal(err)
 	}
 	if s := w.Staleness()["customers"]; s != 0 {
 		t.Errorf("post-refresh staleness = %d", s)
 	}
-	r, _ = w.Query("SELECT name FROM customers WHERE id = 1")
+	r, _ = w.Query(context.Background(), "SELECT name FROM customers WHERE id = 1")
 	if r.Rows[0][0].Str() != "Anna" {
 		t.Errorf("refresh must pick up updates, got %v", r.Rows[0][0])
 	}
@@ -120,7 +121,7 @@ func TestFeedValidation(t *testing.T) {
 	if err := w.AddFeed(src, "customers"); err == nil {
 		t.Error("duplicate feed must error")
 	}
-	if _, err := w.RefreshTable("ghost"); err == nil {
+	if _, err := w.RefreshTable(context.Background(), "ghost"); err == nil {
 		t.Error("refreshing unknown feed must error")
 	}
 	if feeds := w.Feeds(); len(feeds) != 1 || feeds[0] != "customers" {
@@ -132,13 +133,13 @@ func TestWarehouseViewsMirrorMediatedSchema(t *testing.T) {
 	src := crmSource(t)
 	w, _ := New("dw")
 	_ = w.AddFeed(src, "customers")
-	if _, err := w.Refresh(); err != nil {
+	if _, err := w.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Engine().DefineView("vips", "SELECT id, name FROM customers WHERE id <= 2"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := w.Query("SELECT COUNT(*) FROM vips")
+	r, err := w.Query(context.Background(), "SELECT COUNT(*) FROM vips")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestWarehouseAsReplicaProviderForEngine(t *testing.T) {
 	if _, _, ok := w.ReplicaTable("crm", "customers"); ok {
 		t.Fatal("unrefreshed feed served as replica")
 	}
-	if _, err := w.Refresh(); err != nil {
+	if _, err := w.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rows, age, ok := w.ReplicaTable("CRM", "customers")
@@ -183,7 +184,7 @@ func TestWarehouseAsReplicaProviderForEngine(t *testing.T) {
 	// The engine degrades onto the warehouse copy when the source is down.
 	e.SetReplicaProvider(w)
 	src.Link().SetDown(true)
-	res, err := e.QueryOpts("SELECT name FROM crm.customers WHERE id >= 2",
+	res, err := e.QueryOptsCtx(context.Background(), "SELECT name FROM crm.customers WHERE id >= 2",
 		core.QueryOptions{AllowPartial: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,11 +20,11 @@ func TestBuildCRMDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "SELECT region, COUNT(*) AS n FROM crm.customers GROUP BY region ORDER BY region"
-	ra, err := a.Engine.Query(q)
+	ra, err := a.Engine.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Engine.Query(q)
+	rb, err := b.Engine.QueryCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +47,14 @@ func TestCRMShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := f.Engine.Query("SELECT COUNT(*) FROM billing.invoices")
+	r, err := f.Engine.QueryCtx(context.Background(), "SELECT COUNT(*) FROM billing.invoices")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Rows[0][0].Int() != 120 {
 		t.Errorf("invoices = %v", r.Rows[0][0])
 	}
-	r, err = f.Engine.Query("SELECT COUNT(*) FROM support.tickets")
+	r, err = f.Engine.QueryCtx(context.Background(), "SELECT COUNT(*) FROM support.tickets")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestCRMShape(t *testing.T) {
 		t.Errorf("tickets = %v", r.Rows[0][0])
 	}
 	// The mediated view joins across sources.
-	r, err = f.Engine.Query("SELECT COUNT(*) FROM customer360")
+	r, err = f.Engine.QueryCtx(context.Background(), "SELECT COUNT(*) FROM customer360")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestBuildEmployees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := f.Engine.Query("SELECT COUNT(*) FROM employee360")
+	r, err := f.Engine.QueryCtx(context.Background(), "SELECT COUNT(*) FROM employee360")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestBuildEmployees(t *testing.T) {
 		t.Errorf("employee360 rows = %v", r.Rows[0][0])
 	}
 	// Query by different access paths — §4's point about views adapting.
-	r, err = f.Engine.Query("SELECT COUNT(*) FROM employee360 WHERE dept = 'sales'")
+	r, err = f.Engine.QueryCtx(context.Background(), "SELECT COUNT(*) FROM employee360 WHERE dept = 'sales'")
 	if err != nil {
 		t.Fatal(err)
 	}
