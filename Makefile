@@ -68,10 +68,12 @@ race-adaptive:
 # path must stay inside its E17 allocs/op and bytes/op budget, and under
 # the default {Parallel, Adaptive} configuration the prepared point query,
 # an IN-list-tier semi-join and the E14 report join must stay inside theirs
-# — no allocation per join key or shipped key. -count=1 defeats the test
-# cache so the guards actually measure on every check.
+# — no allocation per join key or shipped key — and one indexed point fetch
+# at a source inside its own, none of it spent choosing the access path.
+# -count=1 defeats the test cache so the guards actually measure on every
+# check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard|TestKeyedLookupAllocGuard' -count=1 .
+	$(GO) test -run 'TestE17AllocGuard|TestKeyedLookupAllocGuard|TestPointFetchAllocGuard' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -82,7 +84,7 @@ bench:
 # full suite). It measures nothing and leaves nothing behind — numbers
 # worth keeping come from the repo benchmark (bench/, BENCHMARK.json).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkE13PlanCache|BenchmarkE14Vectorized|BenchmarkE15Cancel|BenchmarkE16OpenLoop|BenchmarkE17FrontEnd|BenchmarkE18Cluster|BenchmarkE19Lint|BenchmarkE20Adaptive' \
+	$(GO) test -run '^$$' -bench 'BenchmarkE13PlanCache|BenchmarkE14Vectorized|BenchmarkE15Cancel|BenchmarkE16OpenLoop|BenchmarkE17FrontEnd|BenchmarkE18Cluster|BenchmarkE19Lint|BenchmarkE20Adaptive|BenchmarkPointFetch' \
 		-benchtime 1x -benchmem .
 
 # ROADMAP aim 2's tracked numbers: non-test lines in the executor and the

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datum"
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
@@ -179,4 +180,43 @@ func TestKeyedLookupAllocGuard(t *testing.T) {
 	} else {
 		t.Logf("E14 report join: %d allocs/op (budget %d)", a, keyedJoinMaxAllocsPerOp)
 	}
+}
+
+// One warm point fetch at an indexed table-backed source, measured when the
+// access-path step went in: 8 allocations — the fragment's runtime, the
+// compiled filter and the batch pipeline — against 9 for the same fetch by
+// full scan, whose ninth is the heap snapshot. Choosing and running the
+// probe must add none: positions, keys and row headers come from the
+// query's scratch.
+const pointFetchMaxAllocsPerOp = 8
+
+func TestPointFetchAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard runs a benchmark loop; skipped in -short")
+	}
+	src := fetchSource(t, 3000, true)
+	frags := make([]plan.Node, 64)
+	for i := range frags {
+		frags[i] = fetchFragment("id", int64(i*41))
+	}
+	scratch := exec.GetScratch()
+	defer exec.PutScratch(scratch)
+	ctx := exec.WithScratch(context.Background(), scratch)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if rows, err := src.ExecuteCtx(ctx, frags[i%len(frags)]); err != nil || len(rows) != 1 {
+				b.Fatalf("fetch returned %d rows, err %v", len(rows), err)
+			}
+			scratch.Reset()
+		}
+	})
+	if a := res.AllocsPerOp(); a > pointFetchMaxAllocsPerOp {
+		t.Errorf("warm point fetch allocates %d objects/op, budget is %d", a, pointFetchMaxAllocsPerOp)
+	}
+	// A probe reads its matches; a scan would copy 3000 row headers (72 KB).
+	if n := res.AllocedBytesPerOp(); n > 4<<10 {
+		t.Errorf("warm point fetch allocates %d bytes/op: the scan is no longer fed from the index", n)
+	}
+	t.Logf("warm point fetch: %d allocs/op, %d bytes/op (budget %d)", res.AllocsPerOp(), res.AllocedBytesPerOp(), pointFetchMaxAllocsPerOp)
 }

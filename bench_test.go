@@ -27,6 +27,7 @@ import (
 	"repro/internal/matview"
 	"repro/internal/netsim"
 	"repro/internal/opt"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/semantics"
@@ -582,6 +583,103 @@ func BenchmarkE17FrontEnd(b *testing.B) {
 			}
 		}
 	})
+}
+
+// --- Source access paths: one fetch at a table-backed source ---
+
+// fetchSource builds a relational source holding t(id, grp, payload) with
+// n rows, with the primary key and an index on grp declared or with
+// neither. Each grp value owns four rows.
+func fetchSource(tb testing.TB, n int, indexed bool) *federation.RelationalSource {
+	tb.Helper()
+	cols := []schema.Column{
+		{Name: "id", Kind: datum.KindInt},
+		{Name: "grp", Kind: datum.KindInt},
+		{Name: "payload", Kind: datum.KindString},
+	}
+	sch := schema.MustTable("t", cols)
+	if indexed {
+		sch = schema.MustTable("t", cols, 0)
+	}
+	src := federation.NewRelationalSource("src", federation.FullSQL(), nil)
+	tab, err := src.CreateTable(sch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if indexed {
+		if err := tab.CreateIndex("t_grp", []string{"grp"}, false); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		err := tab.Insert(datum.Row{datum.NewInt(int64(i)), datum.NewInt(int64(i / 4)), datum.NewString("row")})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return src
+}
+
+// fetchFragment is `SELECT * FROM src.t WHERE col IN (keys…)` as the plan
+// fragment a mediator would push down; one key renders as `col = key`.
+func fetchFragment(col string, keys ...int64) plan.Node {
+	scan := &plan.Scan{Source: "src", Table: "t", Alias: "t", Cols: []plan.ColMeta{
+		{Table: "t", Name: "id", Kind: datum.KindInt},
+		{Table: "t", Name: "grp", Kind: datum.KindInt},
+		{Table: "t", Name: "payload", Kind: datum.KindString},
+	}}
+	ref := &sqlparse.ColumnRef{Table: "t", Column: col}
+	if len(keys) == 1 {
+		return &plan.Filter{Input: scan, Cond: &sqlparse.BinaryExpr{Op: sqlparse.OpEq,
+			Left: ref, Right: &sqlparse.Literal{Value: datum.NewInt(keys[0])}}}
+	}
+	in := &sqlparse.InExpr{Child: ref}
+	for _, k := range keys {
+		in.List = append(in.List, &sqlparse.Literal{Value: datum.NewInt(k)})
+	}
+	return &plan.Filter{Input: scan, Cond: in}
+}
+
+// BenchmarkPointFetch runs one selective fetch against a 100 000-row table,
+// far past the benchmark fixtures' 120 to 12 000 rows, with and without the
+// index its predicate names: `scan` costs the table, `probe` the matches.
+func BenchmarkPointFetch(b *testing.B) {
+	const rows = 100_000
+	inKeys := make([]int64, 250)
+	for i := range inKeys {
+		inKeys[i] = int64(i * 97 % (rows / 4))
+	}
+	shapes := []struct {
+		name string
+		frag func(i int) plan.Node
+		want int
+	}{
+		{"pk", func(i int) plan.Node { return fetchFragment("id", int64(i*7919%rows)) }, 1},
+		{"in250", func(int) plan.Node { return fetchFragment("grp", inKeys...) }, 1000},
+	}
+	for _, path := range []string{"scan", "probe"} {
+		src := fetchSource(b, rows, path == "probe")
+		for _, shape := range shapes {
+			frags := make([]plan.Node, 64)
+			for i := range frags {
+				frags[i] = shape.frag(i)
+			}
+			b.Run(shape.name+"/"+path, func(b *testing.B) {
+				scratch := exec.GetScratch()
+				defer exec.PutScratch(scratch)
+				ctx := exec.WithScratch(context.Background(), scratch)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					got, err := src.ExecuteCtx(ctx, frags[i%len(frags)])
+					if err != nil || len(got) != shape.want {
+						b.Fatalf("fetch returned %d rows, err %v; want %d", len(got), err, shape.want)
+					}
+					scratch.Reset()
+				}
+			})
+		}
+	}
 }
 
 // --- Engine micro-benchmarks ---

@@ -634,13 +634,14 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 	// pulls each operator, so nothing below may read it — to absorb, to
 	// explain, to build the trace — until the final attempt's stragglers
 	// have joined. That holds on the error and cancel paths too: a failed
-	// query still returns its trace.
+	// query still returns its trace. The join is also what lets the
+	// deferred slot.Release settle the tenant's memory: a straggler still
+	// holds its operators' batch charges and shrinks them when it closes,
+	// which must not happen after Release has written the residual off.
+	scratch.WaitBorrowers()
 	estErrors := 0
-	if led != nil {
-		scratch.WaitBorrowers()
-		if err == nil && se != nil {
-			estErrors = e.absorbLedger(led, se.rows)
-		}
+	if led != nil && err == nil && se != nil {
+		estErrors = e.absorbLedger(led, se.rows)
 	}
 	after := e.linkTotals()
 	after.Sub(before)

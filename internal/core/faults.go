@@ -151,10 +151,10 @@ func (rt *queryRuntime) OnSourceError(source string, attempt int, err error) {
 	}
 }
 
-func (rt *queryRuntime) ScanTable(ctx context.Context, source, table string) ([]datum.Row, error) {
+func (rt *queryRuntime) ScanTable(ctx context.Context, scan *plan.Scan) ([]datum.Row, error) {
 	// A bare scan outside a Remote ships the whole table; route it
 	// through the same retry/degradation pipeline as placed Remotes.
-	return exec.FetchRemote(ctx, rt, rt.opts, source, &plan.Scan{Source: source, Table: table})
+	return exec.FetchRemote(ctx, rt, rt.opts, scan.Source, &plan.Scan{Source: scan.Source, Table: scan.Table})
 }
 
 func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) ([]datum.Row, error) {
@@ -289,7 +289,8 @@ type replicaRuntime struct {
 	maxAge time.Duration
 }
 
-func (rt *replicaRuntime) ScanTable(_ context.Context, source, table string) ([]datum.Row, error) {
+func (rt *replicaRuntime) ScanTable(_ context.Context, scan *plan.Scan) ([]datum.Row, error) {
+	source, table := scan.Source, scan.Table
 	if source != rt.source {
 		return nil, fmt.Errorf("core: replica fallback for %s scans foreign table %s.%s", rt.source, source, table)
 	}

@@ -21,8 +21,10 @@ import (
 // into batches itself (sliceBatchIter) with no cursor in between. The
 // returned rows are never mutated and may alias shared storage.
 type Runtime interface {
-	// ScanTable returns the rows of a base table.
-	ScanTable(ctx context.Context, source, table string) ([]datum.Row, error)
+	// ScanTable returns rows of scan's base table: all of them, or — the
+	// scan node identifies its place in the plan — any subset that holds
+	// every row the operators above the scan would let through.
+	ScanTable(ctx context.Context, scan *plan.Scan) ([]datum.Row, error)
 	// RunRemote executes a pushed-down subtree at the named source and
 	// returns its result rows.
 	RunRemote(ctx context.Context, source string, subtree plan.Node) ([]datum.Row, error)
@@ -281,7 +283,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 			// FROM-less select: one empty row.
 			return newSliceBatchIter([]datum.Row{{}}, opts.batchSize()), nil
 		}
-		rows, err := rt.ScanTable(ctx, x.Source, x.Table)
+		rows, err := rt.ScanTable(ctx, x)
 		if err != nil {
 			return nil, err
 		}

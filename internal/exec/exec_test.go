@@ -19,10 +19,10 @@ type localRuntime struct {
 	tables map[string]*storage.Table
 }
 
-func (rt *localRuntime) ScanTable(_ context.Context, source, table string) ([]datum.Row, error) {
-	t, ok := rt.tables[source+"."+table]
+func (rt *localRuntime) ScanTable(_ context.Context, scan *plan.Scan) ([]datum.Row, error) {
+	t, ok := rt.tables[scan.Source+"."+scan.Table]
 	if !ok {
-		return nil, fmt.Errorf("no table %s.%s", source, table)
+		return nil, fmt.Errorf("no table %s.%s", scan.Source, scan.Table)
 	}
 	return t.Snapshot(), nil
 }

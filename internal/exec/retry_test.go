@@ -21,7 +21,7 @@ type flakyRuntime struct {
 	err   error
 }
 
-func (rt *flakyRuntime) ScanTable(_ context.Context, source, table string) ([]datum.Row, error) {
+func (rt *flakyRuntime) ScanTable(context.Context, *plan.Scan) ([]datum.Row, error) {
 	return nil, fmt.Errorf("no tables")
 }
 

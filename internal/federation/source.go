@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
-	"repro/internal/exec"
 	"repro/internal/netsim"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
@@ -381,40 +380,6 @@ func mergeWhere(a, b sqlparse.Expr) sqlparse.Expr {
 	default:
 		return &sqlparse.BinaryExpr{Op: sqlparse.OpAnd, Left: a, Right: b}
 	}
-}
-
-// tableRuntime executes plan subtrees against a map of local tables; it is
-// the exec.Runtime every wrapper uses internally.
-type tableRuntime struct {
-	source string
-	tables func(name string) ([]datum.Row, error)
-}
-
-func (rt *tableRuntime) ScanTable(_ context.Context, source, table string) ([]datum.Row, error) {
-	if source != rt.source {
-		return nil, fmt.Errorf("federation: source %s asked to scan foreign table %s.%s", rt.source, source, table)
-	}
-	return rt.tables(table)
-}
-
-func (rt *tableRuntime) RunRemote(context.Context, string, plan.Node) ([]datum.Row, error) {
-	return nil, fmt.Errorf("federation: nested Remote inside a pushed-down subtree")
-}
-
-// execLocal runs a subtree against the given table provider under the
-// query's context: long local evaluations at the source abort when the
-// mediator's query is cancelled.
-func execLocal(ctx context.Context, source string, subtree plan.Node, tables func(string) ([]datum.Row, error)) ([]datum.Row, error) {
-	rt := &tableRuntime{source: source, tables: tables}
-	// Local execution inside a wrapper allocates from the calling query's
-	// scratch when one rides the context: the shipped result dies with
-	// that query.
-	scratch := exec.ScratchFrom(ctx)
-	it, err := exec.BuildBatch(ctx, subtree, rt, exec.Options{Scratch: scratch})
-	if err != nil {
-		return nil, err
-	}
-	return exec.DrainBatchesScratch(it, scratch)
 }
 
 // validateSubtree checks that every scan in the subtree references the

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
+	"repro/internal/exec"
 	"repro/internal/netsim"
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -78,9 +79,10 @@ func (s *tableBacked) table(name string) (*storage.Table, error) {
 }
 
 // ExecuteCtx implements Source: the subtree is validated against the
-// capability set, executed over the local tables, and the result shipped
-// across the link. The fetch is abandoned (before shipping) once the
-// context's deadline passes or it is cancelled.
+// capability set, executed over the local tables — each scan fed through
+// its access path (access.go) — and the result shipped across the link.
+// The fetch is abandoned (before shipping) once the context's deadline
+// passes or it is cancelled.
 func (s *tableBacked) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.Row, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -88,16 +90,15 @@ func (s *tableBacked) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datu
 	if err := validateSubtree(s.name, s.caps, subtree); err != nil {
 		return nil, err
 	}
-	rows, err := execLocal(ctx, s.name, subtree, func(table string) ([]datum.Row, error) {
-		t, err := s.table(table)
-		if err != nil {
-			return nil, err
-		}
-		// Header-only snapshot: stored rows are immutable and the exec
-		// layer never mutates batch rows, so sharing avoids cloning the
-		// whole table per scan. The engine copies rows that reach callers.
-		return t.SnapshotShared(), nil
-	})
+	// Local execution allocates from the calling query's scratch when one
+	// rides the context: the shipped result dies with that query.
+	scratch := exec.ScratchFrom(ctx)
+	rt := &fragmentRuntime{src: s, root: subtree, scratch: scratch}
+	it, err := exec.BuildBatch(ctx, subtree, rt, exec.Options{Scratch: scratch})
+	if err != nil {
+		return nil, err
+	}
+	rows, err := exec.DrainBatchesScratch(it, scratch)
 	if err != nil {
 		return nil, err
 	}

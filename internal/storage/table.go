@@ -1,11 +1,13 @@
 // Package storage implements the in-memory storage engine that backs every
 // simulated data source and the central warehouse: heap tables with
-// schema-checked inserts, hash and ordered secondary indexes, and statistics
-// collection for the optimizer.
+// schema-checked inserts, flat hash indexes probed by the wrappers' access
+// paths, and statistics collection for the optimizer.
 package storage
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,13 +16,14 @@ import (
 )
 
 // Table is a heap table with optional secondary indexes. All methods are
-// safe for concurrent use.
+// safe for concurrent use. Index chains hold int32 row positions, so a
+// table is limited to 2^31-1 rows.
 type Table struct {
 	mu      sync.RWMutex
 	schema  *schema.Table
 	rows    []datum.Row
-	indexes map[string]*Index
-	version int64 // bumped on every mutation; used for staleness tracking
+	indexes []*Index // in creation order
+	version int64    // bumped on every mutation; used for staleness tracking
 	notify  notifier
 }
 
@@ -28,9 +31,9 @@ type Table struct {
 // declares a primary key a unique hash index named "primary" is created
 // automatically.
 func NewTable(sch *schema.Table) *Table {
-	t := &Table{schema: sch, indexes: make(map[string]*Index)}
+	t := &Table{schema: sch}
 	if len(sch.Key) > 0 {
-		t.indexes["primary"] = newIndex("primary", sch.Key, true)
+		t.indexes = append(t.indexes, newIndex("primary", sch.Key, true, 0))
 	}
 	return t
 }
@@ -60,17 +63,16 @@ func (t *Table) Insert(r datum.Row) error {
 	}
 	t.mu.Lock()
 	row := datum.CloneRow(r)
-	pos := len(t.rows)
 	for _, idx := range t.indexes {
 		if err := idx.check(row, t.rows); err != nil {
 			t.mu.Unlock()
 			return err
 		}
 	}
-	t.rows = append(t.rows, row)
 	for _, idx := range t.indexes {
-		idx.add(row, pos)
+		idx.add(row, t.rows)
 	}
+	t.rows = append(t.rows, row)
 	t.version++
 	ver := t.version
 	t.mu.Unlock()
@@ -157,12 +159,12 @@ func (t *Table) Truncate() {
 }
 
 func (t *Table) rebuildIndexesLocked() {
-	for name, idx := range t.indexes {
-		ni := newIndex(name, idx.cols, idx.unique)
+	for i, idx := range t.indexes {
+		ni := newIndex(idx.name, idx.cols, idx.unique, len(t.rows))
 		for pos, r := range t.rows {
-			ni.add(r, pos)
+			ni.add(r, t.rows[:pos])
 		}
-		t.indexes[name] = ni
+		t.indexes[i] = ni
 	}
 }
 
@@ -219,77 +221,66 @@ func (t *Table) CreateIndex(name string, cols []string, unique bool) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, dup := t.indexes[name]; dup {
-		return fmt.Errorf("storage: index %s already exists on %s", name, t.schema.Name)
+	for _, idx := range t.indexes {
+		if idx.name == name {
+			return fmt.Errorf("storage: index %s already exists on %s", name, t.schema.Name)
+		}
 	}
-	idx := newIndex(name, offs, unique)
+	idx := newIndex(name, offs, unique, len(t.rows))
 	for pos, r := range t.rows {
 		if err := idx.check(r, t.rows[:pos]); err != nil {
 			return err
 		}
-		idx.add(r, pos)
+		idx.add(r, t.rows[:pos])
 	}
-	t.indexes[name] = idx
+	t.indexes = append(t.indexes, idx)
 	return nil
 }
 
-// Lookup returns all rows whose indexed columns equal key, using the first
-// index covering exactly those columns; ok is false if no such index exists.
-func (t *Table) Lookup(cols []string, key datum.Row) (rows []datum.Row, ok bool) {
-	offs := make([]int, len(cols))
-	for i, c := range cols {
-		o := t.schema.ColumnIndex(c)
-		if o < 0 {
-			return nil, false
-		}
-		offs[i] = o
-	}
+// probeMaxKeyShare bounds the keys one Probe accepts to this share of the
+// table's rows: past it the chain walks and the position sort stop paying
+// for themselves against one pass over the heap.
+const probeMaxKeyShare = 4
+
+// Probe is the indexed read: it finds the rows whose column col (a schema
+// offset) equals any of keys under datum.Equal — SQL `=`, so INT and FLOAT
+// meet by value and a NULL on either side matches nothing — and appends
+// their headers to rows[:0] in heap order, each row once however many keys
+// it matches. The headers share their datum arrays with the heap under
+// SnapshotShared's contract. ok is false, and nothing is read, when no
+// single-column index covers col or when keys number more than one per
+// probeMaxKeyShare rows; the caller then scans.
+//
+// pos is working space for row positions. Both buffers are the caller's:
+// with capacity for every match the probe allocates nothing, short of it
+// they grow as append does.
+func (t *Table) Probe(col int, keys []datum.Datum, pos []int32, rows []datum.Row) ([]datum.Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, idx := range t.indexes {
-		if !sameCols(idx.cols, offs) {
-			continue
-		}
-		for _, pos := range idx.find(key) {
-			if datum.RowsEqual(idx.keyOf(t.rows[pos]), key) {
-				rows = append(rows, datum.CloneRow(t.rows[pos]))
-			}
-		}
-		return rows, true
-	}
-	return nil, false
-}
-
-// HasIndexOn reports whether an index exists over exactly the named columns.
-func (t *Table) HasIndexOn(cols []string) bool {
-	offs := make([]int, len(cols))
-	for i, c := range cols {
-		o := t.schema.ColumnIndex(c)
-		if o < 0 {
-			return false
-		}
-		offs[i] = o
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, idx := range t.indexes {
-		if sameCols(idx.cols, offs) {
-			return true
+	var idx *Index
+	for _, cand := range t.indexes {
+		if len(cand.cols) == 1 && cand.cols[0] == col {
+			idx = cand
+			break
 		}
 	}
-	return false
-}
-
-func sameCols(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+	if idx == nil || len(keys) > len(t.rows)/probeMaxKeyShare {
+		return nil, false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	pos = pos[:0]
+	for i := range keys {
+		pos = idx.appendEqual(pos, keys[i:i+1], t.rows)
 	}
-	return true
+	// Chains run newest first and keys arrive in any order, repeated or
+	// equal across kinds (5 and 5.0): sorting restores heap order, and a
+	// row found twice then sits next to itself.
+	slices.Sort(pos)
+	pos = slices.Compact(pos)
+	rows = rows[:0]
+	for _, p := range pos {
+		rows = append(rows, t.rows[p])
+	}
+	return rows, true
 }
 
 // Stats computes fresh statistics by scanning the table.
@@ -344,17 +335,65 @@ func (t *Table) Stats() *schema.TableStats {
 	return st
 }
 
-// Index is a hash index (point lookups) with an optional sorted key list
-// for ordered access. Keys are row projections over the index columns.
+// Index is a chained hash index over row positions, laid out as two flat
+// int32 arrays in the manner of exec's key index: head maps a Fibonacci
+// slot of the key hash to the newest row in the slot's chain, next maps
+// each row position to the next older one. Links are stored as position+1
+// so zero ends a chain. No hash and no key is stored — a walk settles
+// equality against the heap row itself — so a row costs its next link and
+// its share of head (load factor between one half and one): 8 to 12 bytes.
 type Index struct {
-	name    string
-	cols    []int
-	unique  bool
-	buckets map[uint64][]int // hash -> row positions
+	name   string
+	cols   []int
+	unique bool
+	head   []int32
+	next   []int32 // len(next) rows are indexed
+	shift  uint    // 64 - log2(len(head))
 }
 
-func newIndex(name string, cols []int, unique bool) *Index {
-	return &Index{name: name, cols: cols, unique: unique, buckets: make(map[uint64][]int)}
+// minIndexSlots keeps an empty index probeable without a length check.
+const minIndexSlots = 8
+
+// newIndex sizes the index for capacity rows so building over an existing
+// heap never regrows.
+func newIndex(name string, cols []int, unique bool, capacity int) *Index {
+	idx := &Index{name: name, cols: cols, unique: unique, next: make([]int32, 0, capacity)}
+	idx.resize(max(capacity, minIndexSlots))
+	return idx
+}
+
+// resize replaces head with an empty array of at least n slots (a power of
+// two); the caller relinks.
+func (idx *Index) resize(n int) {
+	log := uint(bits.Len(uint(n - 1)))
+	idx.head = make([]int32, 1<<log)
+	idx.shift = 64 - log
+}
+
+// slot picks the chain for a key hash; see exec's keyIndex.slot for why
+// the multiplication.
+func (idx *Index) slot(h uint64) int {
+	return int((h * 0x9E3779B97F4A7C15) >> idx.shift)
+}
+
+func (idx *Index) link(pos int, r datum.Row) {
+	s := idx.slot(datum.HashRow(r, idx.cols))
+	idx.next[pos] = idx.head[s]
+	idx.head[s] = int32(pos) + 1
+}
+
+// add indexes r as the row at position len(heap), the rows indexed so far.
+// A full head doubles and every chain is relinked from the heap.
+func (idx *Index) add(r datum.Row, heap []datum.Row) {
+	pos := len(idx.next)
+	idx.next = append(idx.next, 0)
+	if pos >= len(idx.head) {
+		idx.resize(2 * len(idx.head))
+		for p, old := range heap {
+			idx.link(p, old)
+		}
+	}
+	idx.link(pos, r)
 }
 
 func (idx *Index) keyOf(r datum.Row) datum.Row {
@@ -365,35 +404,44 @@ func (idx *Index) keyOf(r datum.Row) datum.Row {
 	return k
 }
 
-// check enforces uniqueness against the existing heap.
+// check enforces uniqueness against the existing heap. Keys are compared
+// in place with grouping equality (NULL equals NULL), as RowsEqual does.
 func (idx *Index) check(r datum.Row, heap []datum.Row) error {
 	if !idx.unique {
 		return nil
 	}
-	key := idx.keyOf(r)
-	h := datum.HashRow(r, idx.cols)
-	for _, pos := range idx.buckets[h] {
-		if pos < len(heap) && datum.RowsEqual(idx.keyOf(heap[pos]), key) {
-			return fmt.Errorf("storage: unique index %s: duplicate key %v", idx.name, key)
+	for l := idx.head[idx.slot(datum.HashRow(r, idx.cols))]; l != 0; l = idx.next[l-1] {
+		if idx.sameKey(heap[l-1], r) {
+			return fmt.Errorf("storage: unique index %s: duplicate key %v", idx.name, idx.keyOf(r))
 		}
 	}
 	return nil
 }
 
-func (idx *Index) add(r datum.Row, pos int) {
-	h := datum.HashRow(r, idx.cols)
-	idx.buckets[h] = append(idx.buckets[h], pos)
+func (idx *Index) sameKey(a, b datum.Row) bool {
+	for _, c := range idx.cols {
+		if datum.Compare(a[c], b[c]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
-// find returns candidate row positions whose key hashes match; callers must
-// verify true key equality against the heap (hash collisions are possible).
-func (idx *Index) find(key datum.Row) []int {
-	h := uint64(1469598103934665603)
-	for _, d := range key {
-		h ^= d.Hash()
-		h *= 1099511628211
+// firstCol addresses a one-datum key as a row for datum.HashRow, so a
+// probe key hashes exactly as the indexed column did.
+var firstCol = []int{0}
+
+// appendEqual appends the positions of the rows whose indexed column —
+// the index must be single-column — is datum.Equal to key[0], newest
+// first.
+func (idx *Index) appendEqual(pos []int32, key datum.Row, heap []datum.Row) []int32 {
+	c := idx.cols[0]
+	for l := idx.head[idx.slot(datum.HashRow(key, firstCol))]; l != 0; l = idx.next[l-1] {
+		if datum.Equal(heap[l-1][c], key[0]) {
+			pos = append(pos, l-1)
+		}
 	}
-	return idx.buckets[h]
+	return pos
 }
 
 // SortRows sorts rows by the given column offsets ascending (helper used by

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,12 @@ func custSchema() *schema.Table {
 
 func row(id int64, name, region string) datum.Row {
 	return datum.Row{datum.NewInt(id), datum.NewString(name), datum.NewString(region)}
+}
+
+// probe runs Probe with empty buffers, so every call also exercises their
+// growth.
+func probe(tab *Table, col int, keys ...datum.Datum) ([]datum.Row, bool) {
+	return tab.Probe(col, keys, nil, nil)
 }
 
 func TestInsertAndScan(t *testing.T) {
@@ -97,9 +104,13 @@ func TestUpdateAndDelete(t *testing.T) {
 		t.Errorf("len after delete = %d", tab.Len())
 	}
 	// Primary index must still work after rebuild.
-	rows, ok := tab.Lookup([]string{"id"}, datum.Row{datum.NewInt(2)})
+	_ = tab.InsertBatch([]datum.Row{row(4, "Dee", "north"), row(5, "Eli", "north")})
+	rows, ok := probe(tab, 0, datum.NewInt(2))
 	if !ok || len(rows) != 1 || rows[0][2].Str() != "south" {
-		t.Errorf("lookup after rebuild: ok=%v rows=%v", ok, rows)
+		t.Errorf("probe after rebuild: ok=%v rows=%v", ok, rows)
+	}
+	if rows, _ := probe(tab, 0, datum.NewInt(1)); len(rows) != 0 {
+		t.Errorf("probe finds deleted row: %v", rows)
 	}
 }
 
@@ -117,19 +128,47 @@ func TestUpdateRejectsBadRow(t *testing.T) {
 
 func TestSecondaryIndexAndLookup(t *testing.T) {
 	tab := NewTable(custSchema())
-	_ = tab.InsertBatch([]datum.Row{row(1, "Ann", "west"), row(2, "Bob", "east"), row(3, "Cal", "east")})
+	_ = tab.InsertBatch([]datum.Row{
+		row(1, "Ann", "west"), row(2, "Bob", "east"), row(3, "Cal", "east"), row(4, "Dee", "north"),
+		row(5, "Eli", "south"), row(6, "Fay", "south"), row(7, "Gus", "west"), row(8, "Hal", "east"),
+	})
+	for id := int64(9); id <= 16; id++ {
+		_ = tab.Insert(row(id, "Zed", "far"))
+	}
+	if _, ok := probe(tab, 2, datum.NewString("east")); ok {
+		t.Error("probe without index must report ok=false")
+	}
 	if err := tab.CreateIndex("by_region", []string{"region"}, false); err != nil {
 		t.Fatal(err)
 	}
-	if !tab.HasIndexOn([]string{"region"}) {
-		t.Error("HasIndexOn must see the new index")
+	rows, ok := probe(tab, 2, datum.NewString("east"))
+	if !ok || len(rows) != 3 || rows[0][0].Int() != 2 || rows[1][0].Int() != 3 || rows[2][0].Int() != 8 {
+		t.Errorf("probe east: ok=%v rows=%v, want ids 2,3,8", ok, rows)
 	}
-	rows, ok := tab.Lookup([]string{"region"}, datum.Row{datum.NewString("east")})
-	if !ok || len(rows) != 2 {
-		t.Errorf("lookup east: ok=%v n=%d", ok, len(rows))
+	// Two keys, one repeated and one absent: heap order across keys, each
+	// row once.
+	rows, _ = probe(tab, 2, datum.NewString("west"), datum.NewString("east"), datum.NewString("west"), datum.NewString("mars"))
+	var ids []int64
+	for _, r := range rows {
+		ids = append(ids, r[0].Int())
 	}
-	if _, ok := tab.Lookup([]string{"name"}, datum.Row{datum.NewString("Ann")}); ok {
-		t.Error("lookup without index must report ok=false")
+	if !slices.Equal(ids, []int64{1, 2, 3, 7, 8}) {
+		t.Errorf("probe west,east ids = %v", ids)
+	}
+	if rows, ok := probe(tab, 2, datum.Null); !ok || len(rows) != 0 {
+		t.Errorf("NULL key: ok=%v rows=%v, want indexed and empty", ok, rows)
+	}
+	if _, ok := probe(tab, 0, datum.NewInt(1), datum.NewInt(2), datum.NewInt(3), datum.NewInt(4), datum.NewInt(5)); ok {
+		t.Error("five keys over sixteen rows is past the key share: the caller must scan")
+	}
+	if _, ok := probe(tab, 1, datum.NewString("Ann")); ok {
+		t.Error("probe on an unindexed column must report ok=false")
+	}
+	if err := tab.CreateIndex("id_region", []string{"id", "name"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := probe(tab, 1, datum.NewString("Ann")); ok {
+		t.Error("a two-column index must not serve a one-column probe")
 	}
 	if err := tab.CreateIndex("by_region", []string{"region"}, false); err == nil {
 		t.Error("duplicate index name must error")
@@ -239,7 +278,13 @@ func TestLookupProperty(t *testing.T) {
 			}
 		}
 		for k := range seen {
-			rows, ok := tab.Lookup([]string{"id"}, datum.Row{datum.NewInt(k)})
+			rows, ok := probe(tab, 0, datum.NewInt(k))
+			if len(seen) < probeMaxKeyShare {
+				if ok {
+					return false
+				}
+				continue
+			}
 			if !ok || len(rows) != 1 || rows[0][0].Int() != k {
 				return false
 			}
@@ -248,6 +293,54 @@ func TestLookupProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The index keeps no hashes and no keys: INT keys that share a float image
+// collide in full, a FLOAT key meets INT rows by value, and a probe across
+// several head doublings still lists every duplicate in heap order.
+func TestProbeEqualitySemantics(t *testing.T) {
+	sch := schema.MustTable("t", []schema.Column{
+		{Name: "k", Kind: datum.KindInt, Nullable: true},
+		{Name: "n", Kind: datum.KindInt},
+	})
+	tab := NewTable(sch)
+	if err := tab.CreateIndex("k", []string{"k"}, false); err != nil {
+		t.Fatal(err)
+	}
+	const big = int64(1) << 53
+	keys := []datum.Datum{datum.NewInt(big), datum.NewInt(big + 1), datum.Null, datum.NewInt(17)}
+	for i := 0; i < 400; i++ {
+		if err := tab.Insert(datum.Row{keys[i%len(keys)], datum.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(name string, rows []datum.Row, rem ...int) {
+		t.Helper()
+		var exp []int64
+		for i := 0; i < 400; i++ {
+			if slices.Contains(rem, i%len(keys)) {
+				exp = append(exp, int64(i))
+			}
+		}
+		var got []int64
+		for _, r := range rows {
+			got = append(got, r[1].Int())
+		}
+		if !slices.Equal(got, exp) {
+			t.Errorf("%s: got %d rows %v..., want %d", name, len(got), got[:min(len(got), 8)], len(exp))
+		}
+	}
+	rows, _ := probe(tab, 0, datum.NewInt(big))
+	want("2^53", rows, 0)
+	rows, _ = probe(tab, 0, datum.NewInt(big+1))
+	want("2^53+1", rows, 1)
+	rows, _ = probe(tab, 0, datum.NewFloat(float64(big)))
+	want("2^53 as FLOAT equals both", rows, 0, 1)
+	rows, _ = probe(tab, 0, datum.NewFloat(17), datum.NewInt(17), datum.Null)
+	want("17.0, 17, NULL", rows, 3)
+	if rows, _ = probe(tab, 0, datum.NewString("17")); len(rows) != 0 {
+		t.Errorf("STRING key over INT column matched %d rows", len(rows))
 	}
 }
 
