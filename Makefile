@@ -68,8 +68,10 @@ race-adaptive:
 # path must stay inside its E17 allocs/op and bytes/op budget, and under
 # the default {Parallel, Adaptive} configuration the prepared point query,
 # an IN-list-tier semi-join and the E14 report join must stay inside theirs
-# — no allocation per join key or shipped key — and one indexed point fetch
-# at a source inside its own, none of it spent choosing the access path.
+# — no allocation per join key or shipped key — the sequential E14 report
+# aggregate inside its own — none per input row or group — and one indexed
+# point fetch at a source inside its own, none of it spent choosing the
+# access path.
 # -count=1 defeats the test cache so the guards actually measure on every
 # check.
 alloc-guard:
@@ -78,14 +80,16 @@ alloc-guard:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# One iteration of every `go test -bench` group: cheap enough for every
-# `make check`, it keeps the microbenchmark code itself compiling and
-# running (a broken bench otherwise goes unnoticed until someone runs the
-# full suite). It measures nothing and leaves nothing behind — numbers
+# One iteration of every `go test -bench` group, and of exec's mechanism
+# microbenchmarks (IN-list, join build and probe, group table): cheap enough
+# for every `make check`, it keeps the microbenchmark code itself compiling
+# and running (a broken bench otherwise goes unnoticed until someone runs
+# the full suite). It measures nothing and leaves nothing behind — numbers
 # worth keeping come from the repo benchmark (bench/, BENCHMARK.json).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkE13PlanCache|BenchmarkE14Vectorized|BenchmarkE15Cancel|BenchmarkE16OpenLoop|BenchmarkE17FrontEnd|BenchmarkE18Cluster|BenchmarkE19Lint|BenchmarkE20Adaptive|BenchmarkPointFetch' \
 		-benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/exec
 
 # ROADMAP aim 2's tracked numbers: non-test lines in the executor and the
 # engine, non-test lines in the whole module, and `//lint:ignore` waivers

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datum"
 	"repro/internal/exec"
+	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
@@ -118,30 +119,37 @@ func TestE17AllocGuard(t *testing.T) {
 // A per-key allocation — a map bucket per join key, a literal or a closure
 // per shipped key — costs hundreds to thousands on either query, far past
 // the headroom.
+//
+// The sequential E14 report aggregate measured 115 allocs when grouping
+// moved onto the same index (budget ~25% above), against 16 200 with a key
+// row per input row and a state object per group.
 const (
 	keyedSemiJoinMaxAllocsPerOp = 265
 	keyedJoinMaxAllocsPerOp     = 485
+	keyedAggMaxAllocsPerOp      = 145
 )
 
-// TestKeyedLookupAllocGuard fences the two queries whose allocations used
-// to scale with their key counts, under core.DefaultQueryOptions: an
+// TestKeyedLookupAllocGuard fences the queries whose allocations used to
+// scale with their key or row counts. Under core.DefaultQueryOptions: an
 // E18-shape join whose ~250 probe keys ship as an IN-list, and the E14
-// report join that builds a 16 000-row hash table.
+// report join that builds a 16 000-row hash table. With one worker and
+// every operator at the mediator: the E14 report aggregate over 16 000
+// input rows.
 func TestKeyedLookupAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard runs a benchmark loop; skipped in -short")
 	}
 	qo := core.DefaultQueryOptions()
-	measure := func(engine *core.Engine, sql string) int64 {
+	measure := func(engine *core.Engine, sql string, opts core.QueryOptions) int64 {
 		for i := 0; i < 8; i++ { // plan cache, feedback store, scratch pool
-			if _, err := engine.QueryOptsCtx(context.Background(), sql, qo); err != nil {
+			if _, err := engine.QueryOptsCtx(context.Background(), sql, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.QueryOptsCtx(context.Background(), sql, qo); err != nil {
+				if _, err := engine.QueryOptsCtx(context.Background(), sql, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -169,16 +177,24 @@ func TestKeyedLookupAllocGuard(t *testing.T) {
 	if n := keys.Rows[0][0].Int(); !reduced || n == 0 || n > plan.DefaultSemiJoinKeyCap {
 		t.Fatalf("guard query is not an IN-list-tier semi-join: reduced=%v with %d probe keys", reduced, n)
 	}
-	if a := measure(small, semiJoinSQL); a > keyedSemiJoinMaxAllocsPerOp {
+	if a := measure(small, semiJoinSQL, qo); a > keyedSemiJoinMaxAllocsPerOp {
 		t.Errorf("IN-list-tier semi-join allocates %d objects/op, budget is %d", a, keyedSemiJoinMaxAllocsPerOp)
 	} else {
 		t.Logf("IN-list-tier semi-join: %d allocs/op (budget %d)", a, keyedSemiJoinMaxAllocsPerOp)
 	}
 
-	if a := measure(mustCRM(t, 4000).Engine, e14JoinQuery); a > keyedJoinMaxAllocsPerOp {
+	report := mustCRM(t, 4000).Engine
+	if a := measure(report, e14JoinQuery, qo); a > keyedJoinMaxAllocsPerOp {
 		t.Errorf("E14 report join allocates %d objects/op, budget is %d", a, keyedJoinMaxAllocsPerOp)
 	} else {
 		t.Logf("E14 report join: %d allocs/op (budget %d)", a, keyedJoinMaxAllocsPerOp)
+	}
+
+	sequential := core.QueryOptions{Parallelism: 1, Optimizer: opt.Options{NoRemotePushdown: true}}
+	if a := measure(report, e14AggQuery, sequential); a > keyedAggMaxAllocsPerOp {
+		t.Errorf("sequential E14 report aggregate allocates %d objects/op, budget is %d", a, keyedAggMaxAllocsPerOp)
+	} else {
+		t.Logf("sequential E14 report aggregate: %d allocs/op (budget %d)", a, keyedAggMaxAllocsPerOp)
 	}
 }
 

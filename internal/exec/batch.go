@@ -140,8 +140,9 @@ func (s *ExecStats) MaxParallelism() int {
 
 func (s *ExecStats) addBatch() { s.batches.Add(1) }
 
+// noteParallelism raises the watermark to d (nil-safe: stats are optional).
 func (s *ExecStats) noteParallelism(d int) {
-	for {
+	for s != nil {
 		cur := s.parallelism.Load()
 		if int64(d) <= cur || s.parallelism.CompareAndSwap(cur, int64(d)) {
 			return

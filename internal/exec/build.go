@@ -314,9 +314,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 			return nil, err
 		}
 		if deg := opts.workers(x.Parallel); deg > 1 {
-			if opts.Stats != nil {
-				opts.Stats.noteParallelism(deg)
-			}
+			opts.Stats.noteParallelism(deg)
 			return newExchange(ctx, in, deg, func(_ int, b Batch) (Batch, error) {
 				var dst Batch
 				if s := opts.Scratch; s != nil {
@@ -340,9 +338,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 			}
 		}
 		if deg := opts.workers(x.Parallel); deg > 1 {
-			if opts.Stats != nil {
-				opts.Stats.noteParallelism(deg)
-			}
+			opts.Stats.noteParallelism(deg)
 			return newExchange(ctx, in, deg, func(_ int, b Batch) (Batch, error) {
 				var dst Batch
 				if s := opts.Scratch; s != nil {
@@ -381,10 +377,9 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 		}
 		return &aggregateBatchIter{
 			in: in, groupFns: groupFns, specs: x.Aggs, argFns: argFns,
-			partitionBy: x.PartitionBy,
-			degree:      opts.workers(x.Parallel),
-			size:        opts.batchSize(),
-			stats:       opts.Stats,
+			degree: opts.workers(x.Parallel),
+			size:   opts.batchSize(),
+			stats:  opts.Stats,
 		}, nil
 
 	case *plan.Sort:

@@ -1,21 +1,23 @@
 package exec
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/datum"
+	"repro/internal/plan"
 )
 
 // keyIndex is the one keyed lookup structure in exec: a chained hash index
 // from a 64-bit key hash to int32 positions in an array the caller owns
-// (join build rows, distinct semi-join keys, IN-list literals). It is three
-// flat arrays — no per-key allocation — and knows nothing about the keys
-// themselves: first/after walk the positions whose stored hash equals the
-// probe's, and the caller settles real equality (datum.Equal, RowsEqual)
-// on those candidates only.
+// (join build rows, distinct semi-join keys, IN-list literals, groups). It
+// is three flat arrays — no per-key allocation — and knows nothing about
+// the keys themselves: first/after walk the positions whose stored hash
+// equals the probe's, and the caller settles real equality (datum.Equal,
+// RowsEqual) on those candidates only.
 //
-// Links are stored as position+1 so the zeroed arrays a Scratch hands out
-// are already an empty index.
+// Links are stored as position+1 so the zeroed arrays a Scratch hands out,
+// and the zero value itself, are already an empty index.
 type keyIndex struct {
 	head   []int32  // slot → link to the first position in the slot's chain
 	next   []int32  // position → link to the next position in the same chain
@@ -47,8 +49,18 @@ func (ix *keyIndex) slot(h uint64) int {
 }
 
 // add appends the next position, ix.n, with hash h. Positions added this
-// way chain newest-first; callers that add never depend on chain order.
+// way chain newest-first; callers that add never depend on chain order. A
+// full index is rebuilt at twice the size on the heap first, so one sized
+// exactly (semi-join keys, IN-lists) never reallocates and one of unknown
+// size (groups, DISTINCT aggregates) grows amortized.
 func (ix *keyIndex) add(h uint64) {
+	if ix.n == len(ix.hashes) {
+		grown := newKeyIndex(nil, 2*ix.n+8)
+		for _, old := range ix.hashes {
+			grown.add(old)
+		}
+		*ix = grown
+	}
 	p := ix.n
 	ix.n++
 	ix.hashes[p] = h
@@ -79,6 +91,9 @@ func (ix *keyIndex) link(skip []bool, lo, hi int) {
 
 // first returns the first position whose hash is h, or -1.
 func (ix *keyIndex) first(h uint64) int32 {
+	if len(ix.head) == 0 {
+		return -1
+	}
 	return ix.match(ix.head[ix.slot(h)], h)
 }
 
@@ -112,9 +127,6 @@ func newDatumSet(s *Scratch, capacity int) datumSet {
 // datums hash alike across INT and FLOAT, so 1 finds 1.0; a value of some
 // other kind lands on no equal candidate and simply does not match.
 func (s *datumSet) contains(v datum.Datum, h uint64) bool {
-	if len(s.vals) == 0 {
-		return false
-	}
 	for p := s.ix.first(h); p >= 0; p = s.ix.after(p, h) {
 		if datum.Equal(v, s.vals[p]) {
 			return true
@@ -123,21 +135,178 @@ func (s *datumSet) contains(v datum.Datum, h uint64) bool {
 	return false
 }
 
-// add appends v, whose hash is h, without checking for a duplicate. A full
-// index is rebuilt at twice the size on the heap first, so a set sized
-// exactly (semi-join keys, IN-lists) never reallocates and one of unknown
-// size (DISTINCT aggregates) grows amortized.
+// add appends v, whose hash is h, without checking for a duplicate.
 func (s *datumSet) add(v datum.Datum, h uint64) {
-	if len(s.vals) == len(s.ix.hashes) {
-		grown := newKeyIndex(nil, 2*len(s.vals)+8)
-		for _, old := range s.hashes() {
-			grown.add(old)
-		}
-		s.ix = grown
-	}
 	s.ix.add(h)
 	s.vals = append(s.vals, v)
 }
 
 // hashes lists the members' hashes in insertion order.
 func (s *datumSet) hashes() []uint64 { return s.ix.hashes[:s.ix.n] }
+
+// aggCell is the running state of one aggregate in one group.
+type aggCell struct {
+	count    int64
+	sumF     float64
+	sumI     int64 // integer image of the sum, exact while sumIsInt
+	sumIsInt bool  // SUM stays INT while every input is INT and sumI has not overflowed
+	minmax   datum.Datum
+}
+
+// groupTable is the one grouping structure in exec, behind GROUP BY (one
+// table, or one per partition worker) and SELECT DISTINCT (no aggregates):
+// a keyIndex over groups in first-seen order, with their keys and their
+// aggregate cells in two flat arenas. The hash nominates candidates and
+// datum.RowsEqual decides, so NULL groups with NULL, 1 with 1.0, and
+// unequal keys that collide in 64 bits stay apart. It lives on the heap: a
+// pooled Scratch would hold every table's high-water mark between queries.
+type groupTable struct {
+	ix        keyIndex
+	nkeys     int
+	specs     []plan.AggSpec
+	keys      []datum.Datum // group → its nkeys key values
+	firstSeen []int         // group → input row index that created it
+	cells     []aggCell     // group → its len(specs) aggregate states
+	distinct  []datumSet    // cell → values seen, grown by the DISTINCT aggregates only
+}
+
+func (t *groupTable) len() int { return t.ix.n }
+
+// group finds the group whose key equals key (hash h), or appends it as
+// first seen at input row rowIdx. key is copied, so callers may reuse it.
+func (t *groupTable) group(key datum.Row, h uint64, rowIdx int) (g int32, isNew bool) {
+	for c := t.ix.first(h); c >= 0; c = t.ix.after(c, h) {
+		if datum.RowsEqual(key, t.keys[int(c)*t.nkeys:(int(c)+1)*t.nkeys]) {
+			return c, false
+		}
+	}
+	g = int32(t.ix.n)
+	t.ix.add(h)
+	t.keys = append(t.keys, key...)
+	t.firstSeen = append(t.firstSeen, rowIdx)
+	for range t.specs {
+		t.cells = append(t.cells, aggCell{sumIsInt: true})
+	}
+	return g, true
+}
+
+// fold adds input row rowIdx, its key and arguments evaluated, to its group.
+func (t *groupTable) fold(key datum.Row, h uint64, rowIdx int, args []datum.Datum) error {
+	g, _ := t.group(key, h, rowIdx)
+	for j := range t.specs {
+		if err := t.add(g, j, args[j]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// add folds one evaluated argument into aggregate j of group g; COUNT(*)
+// ignores it.
+func (t *groupTable) add(g int32, j int, v datum.Datum) error {
+	sp := &t.specs[j]
+	cell := int(g)*len(t.specs) + j
+	c := &t.cells[cell]
+	if sp.Star {
+		c.count++
+		return nil
+	}
+	if v.IsNull() {
+		return nil
+	}
+	if sp.Distinct {
+		for len(t.distinct) <= cell {
+			t.distinct = append(t.distinct, datumSet{})
+		}
+		// Equal hashes only nominate a candidate; datum.Equal decides, so
+		// two distinct values that collide in 64 bits both count.
+		h := v.Hash()
+		if t.distinct[cell].contains(v, h) {
+			return nil
+		}
+		t.distinct[cell].add(v, h)
+	}
+	c.count++
+	switch sp.Func {
+	case "SUM", "AVG":
+		f, ok := v.AsFloat()
+		if !ok {
+			return fmt.Errorf("exec: %s requires numeric input, got %s", sp.Func, v.Kind())
+		}
+		c.sumF += f
+		if v.Kind() != datum.KindInt {
+			c.sumIsInt = false
+		} else if c.sumIsInt {
+			// A sum whose sign differs from both addends' wrapped around
+			// int64: from there on the float image answers.
+			sum := c.sumI + v.Int()
+			c.sumIsInt = (c.sumI^sum)&(v.Int()^sum) >= 0
+			c.sumI = sum
+		}
+	case "MIN":
+		if c.minmax.IsNull() || datum.Compare(v, c.minmax) < 0 {
+			c.minmax = v
+		}
+	case "MAX":
+		if c.minmax.IsNull() || datum.Compare(v, c.minmax) > 0 {
+			c.minmax = v
+		}
+	}
+	return nil
+}
+
+// finalize appends group g's output row to dst: its key columns, then one
+// value per aggregate.
+func (t *groupTable) finalize(g int32, dst []datum.Datum) ([]datum.Datum, error) {
+	dst = append(dst, t.keys[int(g)*t.nkeys:(int(g)+1)*t.nkeys]...)
+	for j, sp := range t.specs {
+		c := &t.cells[int(g)*len(t.specs)+j]
+		v := datum.Null
+		switch {
+		case sp.Func == "COUNT":
+			v = datum.NewInt(c.count)
+		case sp.Func == "MIN" || sp.Func == "MAX":
+			v = c.minmax
+		case sp.Func != "SUM" && sp.Func != "AVG":
+			return nil, fmt.Errorf("exec: unknown aggregate %s", sp.Func)
+		case c.count == 0: // SUM and AVG of no values are NULL
+		case sp.Func == "AVG":
+			v = datum.NewFloat(c.sumF / float64(c.count))
+		case c.sumIsInt:
+			v = datum.NewInt(c.sumI)
+		default:
+			v = datum.NewFloat(c.sumF)
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
+
+// finalizeGroups renders every group of tables as an output row in one
+// first-seen order: a merge, since each table lists its own groups in that
+// order already. The rows share one arena.
+func finalizeGroups(tables ...*groupTable) ([]datum.Row, error) {
+	total := 0
+	for _, t := range tables {
+		total += t.len()
+	}
+	width := tables[0].nkeys + len(tables[0].specs)
+	out := make([]datum.Row, 0, total)
+	arena := make([]datum.Datum, 0, total*width)
+	pos := make([]int, len(tables))
+	for len(out) < total {
+		best := -1
+		for p, t := range tables {
+			if pos[p] < t.len() && (best < 0 || t.firstSeen[pos[p]] < tables[best].firstSeen[pos[best]]) {
+				best = p
+			}
+		}
+		var err error
+		if arena, err = tables[best].finalize(int32(pos[best]), arena); err != nil {
+			return nil, err
+		}
+		pos[best]++
+		out = append(out, arena[len(arena)-width:len(arena):len(arena)])
+	}
+	return out, nil
+}

@@ -18,10 +18,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Differential tests for keyIndex's three users. Each compares the indexed
+// Differential tests for keyIndex's users. Each compares the indexed
 // implementation with the naive structure it replaced — a linear scan for
-// IN, one map bucket per hash for the join build and the semi-join key set
-// — and asserts not just the same answers but the same order.
+// IN, one map bucket per hash for the join build, the semi-join key set and
+// the group table — and asserts not just the same answers but the same
+// order.
 
 // twoTo53 and twoTo53+1 are distinct INTs that hash alike (numerics hash
 // through their float64 image): a full-hash collision between unequal keys.
@@ -630,7 +631,303 @@ func BenchmarkJoinBuild(b *testing.B) {
 	}
 }
 
-// --- (d) DISTINCT aggregates ---
+// BenchmarkGroupTable groups 16 000 rows by one INT key and folds COUNT(*)
+// and SUM per row — one op is one aggregation's worth of table work, at
+// the report queries' handful of groups and at one group per four rows
+// (where the index and the arenas grow ten times over).
+func BenchmarkGroupTable(b *testing.B) {
+	const n = 16000
+	specs := []plan.AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: &sqlparse.ColumnRef{Column: "x"}}}
+	for _, groups := range []int{12, n / 4} {
+		keys, args := make(datum.Row, n), make(datum.Row, n+1)
+		hashes := make([]uint64, n)
+		for i := range keys {
+			keys[i], args[i] = datum.NewInt(int64(i%groups)), datum.NewInt(int64(i))
+			hashes[i] = hashKey(keys[i : i+1])
+		}
+		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t := &groupTable{nkeys: 1, specs: specs}
+				for r := 0; r < n; r++ {
+					if err := t.fold(keys[r:r+1], hashes[r], r, args[r:r+2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if t.len() != groups {
+					b.Fatalf("%d groups, want %d", t.len(), groups)
+				}
+			}
+		})
+	}
+}
+
+// --- (d) grouping: GROUP BY and SELECT DISTINCT ---
+
+// groupRows makes n rows (k1, k2, x, y): NULL-heavy keys that also repeat,
+// cross INT/FLOAT (1 groups with 1.0) and collide on the full hash (2^53
+// and 2^53+1 are two groups), over enough distinct values that the table
+// outgrows its index many times; x is an INT that is sometimes
+// NULL, sometimes a FLOAT and sometimes one of the colliding pair, y a
+// FLOAT whose sum depends on the order it is folded in. No key is FLOAT
+// 2^53: it equals both INTs of the pair, so which group it joins is a
+// matter of candidate order, not of grouping.
+func groupRows(rng *rand.Rand, n int) []datum.Row {
+	distinct := n / 6
+	rows := make([]datum.Row, n)
+	for i := range rows {
+		var k1 datum.Datum
+		switch r := rng.Intn(20); {
+		case r < 5:
+			k1 = datum.Null
+		case r < 7:
+			k1 = datum.NewInt(twoTo53 + int64(rng.Intn(2)))
+		case r < 10:
+			k1 = datum.NewFloat(float64(rng.Intn(distinct)))
+		case r < 12:
+			k1 = datum.NewString(fmt.Sprint(rng.Intn(distinct)))
+		default:
+			k1 = datum.NewInt(int64(rng.Intn(distinct)))
+		}
+		k2 := datum.NewInt(int64(rng.Intn(3)))
+		if rng.Intn(4) == 0 {
+			k2 = datum.Null
+		}
+		var x datum.Datum
+		switch r := rng.Intn(20); {
+		case r < 2:
+			x = datum.Null
+		case r < 4:
+			x = datum.NewInt(twoTo53 + int64(rng.Intn(2)))
+		case r == 4:
+			x = datum.NewFloat(float64(rng.Intn(50)) / 4)
+		default:
+			x = datum.NewInt(int64(rng.Intn(50)))
+		}
+		rows[i] = datum.Row{k1, k2, x, datum.NewFloat(rng.Float64() * 1e6 / 3)}
+	}
+	return rows
+}
+
+// refGroupBy is the grouping the table replaced — a map from key hash to
+// the groups holding it, in first-seen order — with every aggregate
+// computed by the book from the group's argument values in arrival order.
+// The first nkeys columns are the key; argCol[j] is spec j's argument.
+func refGroupBy(rows []datum.Row, nkeys int, specs []plan.AggSpec, argCol []int) []datum.Row {
+	type group struct {
+		key  datum.Row
+		rows []datum.Row
+	}
+	buckets := make(map[uint64][]*group)
+	var order []*group
+	for _, r := range rows {
+		key := r[:nkeys]
+		var grp *group
+		for _, cand := range buckets[hashKey(key)] {
+			if datum.RowsEqual(cand.key, key) {
+				grp = cand
+				break
+			}
+		}
+		if grp == nil {
+			grp = &group{key: key}
+			buckets[hashKey(key)] = append(buckets[hashKey(key)], grp)
+			order = append(order, grp)
+		}
+		grp.rows = append(grp.rows, r)
+	}
+	out := make([]datum.Row, len(order))
+	for i, grp := range order {
+		out[i] = append(datum.Row{}, grp.key...)
+		for j, sp := range specs {
+			if sp.Star {
+				out[i] = append(out[i], datum.NewInt(int64(len(grp.rows))))
+				continue
+			}
+			var vals []datum.Datum
+		next:
+			for _, r := range grp.rows {
+				v := r[argCol[j]]
+				if v.IsNull() {
+					continue
+				}
+				if sp.Distinct {
+					for _, prev := range vals {
+						if datum.Equal(prev, v) {
+							continue next
+						}
+					}
+				}
+				vals = append(vals, v)
+			}
+			res := datum.Null
+			allInt, sumI, sumF := true, int64(0), 0.0
+			for _, v := range vals {
+				f, _ := v.AsFloat()
+				sumF += f
+				if v.Kind() == datum.KindInt {
+					sumI += v.Int()
+				} else {
+					allInt = false
+				}
+				switch {
+				case sp.Func == "MIN" && (res.IsNull() || datum.Compare(v, res) < 0),
+					sp.Func == "MAX" && (res.IsNull() || datum.Compare(v, res) > 0):
+					res = v
+				}
+			}
+			switch {
+			case sp.Func == "COUNT":
+				res = datum.NewInt(int64(len(vals)))
+			case len(vals) == 0:
+			case sp.Func == "SUM" && allInt:
+				res = datum.NewInt(sumI)
+			case sp.Func == "SUM":
+				res = datum.NewFloat(sumF)
+			case sp.Func == "AVG":
+				res = datum.NewFloat(sumF / float64(len(vals)))
+			}
+			out[i] = append(out[i], res)
+		}
+	}
+	return out
+}
+
+// sameRows reports whether a and b hold the same values of the same kinds
+// in the same order; FLOATs must agree to the bit.
+func sameRows(a, b []datum.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j, d := range a[i] {
+			o := b[i][j]
+			if d.Kind() != o.Kind() || datum.Compare(d, o) != 0 ||
+				(d.Kind() == datum.KindFloat && math.Float64bits(d.Float()) != math.Float64bits(o.Float())) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// groupCols is the schema of groupRows; its first width columns are what a
+// flakyRuntime holding rows cut to that width serves.
+var groupCols = []plan.ColMeta{{Name: "k1"}, {Name: "k2"}, {Name: "x"}, {Name: "y", Kind: datum.KindFloat}}
+
+func groupScan(width int) plan.Node {
+	return &plan.Remote{Source: "s", Child: &plan.Scan{Source: "s", Table: "t", Cols: groupCols[:width]}}
+}
+
+// runGrouping drains node at the given worker count and batch size.
+func runGrouping(t *testing.T, node plan.Node, rt Runtime, degree, batch int) []datum.Row {
+	t.Helper()
+	it, err := BuildBatch(context.Background(), node, rt, Options{Parallelism: degree, BatchSize: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := DrainBatches(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func TestGroupTableMatchesMapGrouping(t *testing.T) {
+	col := func(i int) sqlparse.Expr { return &sqlparse.ColumnRef{Column: groupCols[i].Name} }
+	specs := []plan.AggSpec{
+		{Func: "COUNT", Star: true},
+		{Func: "COUNT", Arg: col(2)},
+		{Func: "SUM", Arg: col(2)},
+		{Func: "SUM", Arg: col(3)},
+		{Func: "AVG", Arg: col(3)},
+		{Func: "MIN", Arg: col(2)},
+		{Func: "MAX", Arg: col(3)},
+		{Func: "COUNT", Arg: col(2), Distinct: true},
+		{Func: "SUM", Arg: col(2), Distinct: true},
+	}
+	argCol := []int{0, 2, 2, 3, 3, 2, 3, 2, 2}
+	rng := rand.New(rand.NewSource(19))
+	// Sizes on both sides of parallelMinRows: below it every degree takes
+	// the sequential path.
+	for _, n := range []int{0, 40, 3 * parallelMinRows} {
+		rows := groupRows(rng, n)
+		for nkeys := 0; nkeys <= 2; nkeys++ {
+			var groupBy []sqlparse.Expr
+			for k := 0; k < nkeys; k++ {
+				groupBy = append(groupBy, col(k))
+			}
+			want := refGroupBy(rows, nkeys, specs, argCol)
+			if nkeys == 0 && n == 0 {
+				want = refGroupBy([]datum.Row{nullRow(4)}, 0, specs, argCol)
+				want[0][0] = datum.NewInt(0) // COUNT(*) of no rows
+			}
+			if nkeys == 2 && n > parallelMinRows && len(want) < 1000 {
+				t.Fatalf("%d rows make %d groups: the table never grows", n, len(want))
+			}
+			cut := make([]datum.Row, n)
+			for i, r := range rows {
+				cut[i] = r[:nkeys]
+			}
+			wantDistinct := refGroupBy(cut, nkeys, nil, nil)
+			for _, degree := range []int{1, 2, 8} {
+				for _, batch := range []int{1, 64, 1024} {
+					agg := plan.NewAggregate(groupScan(4), groupBy, specs)
+					agg.Parallel = degree
+					if got := runGrouping(t, agg, &flakyRuntime{rows: rows}, degree, batch); !sameRows(got, want) {
+						t.Errorf("GROUP BY: rows=%d keys=%d degree=%d batch=%d: the %d groups, their order or their aggregates differ from the map grouping's %d",
+							n, nkeys, degree, batch, len(got), len(want))
+					}
+					if nkeys == 0 {
+						continue // no SELECT DISTINCT of no columns
+					}
+					dist := &plan.Distinct{Input: groupScan(nkeys)}
+					if got := runGrouping(t, dist, &flakyRuntime{rows: cut}, degree, batch); !sameRows(got, wantDistinct) {
+						t.Errorf("DISTINCT: rows=%d keys=%d degree=%d batch=%d: the %d rows or their order differ from the map's %d",
+							n, nkeys, degree, batch, len(got), len(wantDistinct))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSumOverflowFallsBackToFloat: an INT sum that leaves int64 answers
+// from the float image instead of wrapping around to a negative INT.
+func TestSumOverflowFallsBackToFloat(t *testing.T) {
+	cols := []plan.ColMeta{{Name: "g", Kind: datum.KindInt}, {Name: "x", Kind: datum.KindInt}}
+	rt := &flakyRuntime{}
+	for i := 0; i < 2*parallelMinRows; i++ { // enough rows for the partitioned path
+		x := int64(0)
+		if i < 4 {
+			x = math.MaxInt64 // two rows per group when grouped, four when not
+		}
+		rt.rows = append(rt.rows, datum.Row{datum.NewInt(int64(i % 2)), datum.NewInt(x)})
+	}
+	aggs := []plan.AggSpec{{Func: "SUM", Arg: &sqlparse.ColumnRef{Column: "x"}}}
+	for _, grouped := range []bool{false, true} {
+		for _, degree := range []int{1, 2} {
+			var groupBy []sqlparse.Expr
+			want := []datum.Row{{datum.NewFloat(4 * float64(math.MaxInt64))}}
+			if grouped {
+				groupBy = []sqlparse.Expr{&sqlparse.ColumnRef{Column: "g"}}
+				sum := datum.NewFloat(2 * float64(math.MaxInt64))
+				want = []datum.Row{{datum.NewInt(0), sum}, {datum.NewInt(1), sum}}
+			}
+			scan := &plan.Remote{Source: "s", Child: &plan.Scan{Source: "s", Table: "t", Cols: cols}}
+			agg := plan.NewAggregate(scan, groupBy, aggs)
+			agg.Parallel = degree
+			if got := runGrouping(t, agg, rt, degree, 0); !sameRows(got, want) {
+				t.Errorf("grouped=%v parallelism=%d: got %s, want %s", grouped, degree, rowsToString(got), rowsToString(want))
+			}
+		}
+	}
+}
+
+// --- (e) DISTINCT aggregates ---
 
 // TestDistinctAggregateSurvivesHashCollision is the regression test for
 // COUNT/SUM/AVG(DISTINCT x) de-duplicating by hash alone: 2^53 and 2^53+1

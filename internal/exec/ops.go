@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/datum"
@@ -198,9 +197,7 @@ func (h *hashJoinBatchIter) build() error {
 	}
 	h.keyBuf = make(datum.Row, len(h.leftKeys))
 	if h.degree > 1 {
-		if h.stats != nil {
-			h.stats.noteParallelism(h.degree)
-		}
+		h.stats.noteParallelism(h.degree)
 		scratches := make([]datum.Row, h.degree)
 		for i := range scratches {
 			scratches[i] = make(datum.Row, len(h.leftKeys))
@@ -245,21 +242,6 @@ func (h *hashJoinBatchIter) Close() {
 		h.left.Close()
 	}
 	h.right.Close()
-}
-
-func evalKey(fns []EvalFunc, r datum.Row) (datum.Row, bool, error) {
-	key := make(datum.Row, len(fns))
-	for i, f := range fns {
-		v, err := f(r)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.IsNull() {
-			return nil, true, nil
-		}
-		key[i] = v
-	}
-	return key, false, nil
 }
 
 func hashKey(key datum.Row) uint64 {
@@ -362,223 +344,75 @@ func (n *nestedLoopBatchIter) Close() {
 
 // --- Aggregate ---
 
-type aggState struct {
-	groupKey  datum.Row
-	firstSeen int           // global input row index of the group's first row
-	count     []int64       // per agg
-	sumF      []float64     // per agg
-	sumIsInt  []bool        // SUM stays INT while all inputs are INT
-	sumI      []int64       // integer sum image
-	minmax    []datum.Datum // per agg
-	distinct  []datumSet    // per DISTINCT agg: the argument values seen
-}
-
-func newAggState(key datum.Row, specs []plan.AggSpec, firstSeen int) *aggState {
-	st := &aggState{
-		groupKey:  key,
-		firstSeen: firstSeen,
-		count:     make([]int64, len(specs)),
-		sumF:      make([]float64, len(specs)),
-		sumI:      make([]int64, len(specs)),
-		sumIsInt:  make([]bool, len(specs)),
-		minmax:    make([]datum.Datum, len(specs)),
-	}
-	for i, sp := range specs {
-		st.minmax[i] = datum.Null
-		st.sumIsInt[i] = true
-		if sp.Distinct && st.distinct == nil {
-			st.distinct = make([]datumSet, len(specs))
-		}
-	}
-	return st
-}
-
-// add folds one evaluated argument into aggregate i. COUNT(*) passes an
-// ignored value with sp.Star set.
-func (st *aggState) add(i int, sp plan.AggSpec, v datum.Datum) error {
-	if sp.Star {
-		st.count[i]++
-		return nil
-	}
-	if v.IsNull() {
-		return nil
-	}
-	if sp.Distinct {
-		// Equal hashes only nominate a candidate; datum.Equal decides, so
-		// two distinct values that collide in 64 bits both count.
-		h := v.Hash()
-		if st.distinct[i].contains(v, h) {
-			return nil
-		}
-		st.distinct[i].add(v, h)
-	}
-	st.count[i]++
-	switch sp.Func {
-	case "SUM", "AVG":
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("exec: %s requires numeric input, got %s", sp.Func, v.Kind())
-		}
-		st.sumF[i] += f
-		if v.Kind() == datum.KindInt {
-			st.sumI[i] += v.Int()
-		} else {
-			st.sumIsInt[i] = false
-		}
-	case "MIN":
-		if st.minmax[i].IsNull() || datum.Compare(v, st.minmax[i]) < 0 {
-			st.minmax[i] = v
-		}
-	case "MAX":
-		if st.minmax[i].IsNull() || datum.Compare(v, st.minmax[i]) > 0 {
-			st.minmax[i] = v
-		}
-	}
-	return nil
-}
-
-// finalize renders the output row: group key columns then one per agg.
-func (st *aggState) finalize(specs []plan.AggSpec) (datum.Row, error) {
-	row := make(datum.Row, 0, len(st.groupKey)+len(specs))
-	row = append(row, st.groupKey...)
-	for i, sp := range specs {
-		switch sp.Func {
-		case "COUNT":
-			row = append(row, datum.NewInt(st.count[i]))
-		case "SUM":
-			if st.count[i] == 0 {
-				row = append(row, datum.Null)
-			} else if st.sumIsInt[i] {
-				row = append(row, datum.NewInt(st.sumI[i]))
-			} else {
-				row = append(row, datum.NewFloat(st.sumF[i]))
-			}
-		case "AVG":
-			if st.count[i] == 0 {
-				row = append(row, datum.Null)
-			} else {
-				row = append(row, datum.NewFloat(st.sumF[i]/float64(st.count[i])))
-			}
-		case "MIN", "MAX":
-			row = append(row, st.minmax[i])
-		default:
-			return nil, fmt.Errorf("exec: unknown aggregate %s", sp.Func)
-		}
-	}
-	return row, nil
-}
-
 type aggregateBatchIter struct {
-	in          BatchIterator
-	groupFns    []EvalFunc
-	specs       []plan.AggSpec
-	argFns      []EvalFunc // nil entries for COUNT(*)
-	partitionBy []int      // group-key positions to partition on; nil = all
-	degree      int
-	size        int
-	stats       *ExecStats
+	in       BatchIterator
+	groupFns []EvalFunc
+	specs    []plan.AggSpec
+	argFns   []EvalFunc // nil entries for COUNT(*)
+	degree   int
+	size     int
+	stats    *ExecStats
 
-	done bool
-	out  *sliceBatchIter
+	out *sliceBatchIter // the grouped rows; nil until the input is consumed
 }
 
-func (a *aggregateBatchIter) run() error {
-	var rows []datum.Row
-	var err error
-	if a.degree > 1 {
-		rows, err = a.runParallel()
-	} else {
-		rows, err = a.runSequential()
+// eval evaluates r's group key into key and its aggregate arguments into
+// args; a COUNT(*) has none and its slot is left alone.
+func (a *aggregateBatchIter) eval(r datum.Row, key, args []datum.Datum) (err error) {
+	for k, f := range a.groupFns {
+		if key[k], err = f(r); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return err
+	for j, f := range a.argFns {
+		if f == nil {
+			continue
+		}
+		if args[j], err = f(r); err != nil {
+			return err
+		}
 	}
-	a.out = newSliceBatchIter(rows, a.size)
 	return nil
 }
 
-func (a *aggregateBatchIter) runSequential() ([]datum.Row, error) {
-	groups := make(map[uint64][]*aggState)
-	var order []*aggState
-	idx := 0
-	for {
-		b, err := a.in.NextBatch()
+// runSequential groups in one pass over in, in batch order.
+func (a *aggregateBatchIter) runSequential(in BatchIterator) ([]datum.Row, error) {
+	t := &groupTable{nkeys: len(a.groupFns), specs: a.specs}
+	key, args := make(datum.Row, len(a.groupFns)), make(datum.Row, len(a.specs))
+	if len(key) == 0 {
+		t.group(key, hashKey(key), 0) // a grand aggregate has its one group even over no input
+	}
+	for idx := 0; ; {
+		b, err := in.NextBatch()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			break
+			return finalizeGroups(t)
 		}
 		for _, r := range b {
-			key, err := evalKeyAllowNull(a.groupFns, r)
-			if err != nil {
+			if err := a.eval(r, key, args); err != nil {
 				return nil, err
 			}
-			h := hashKey(key)
-			var st *aggState
-			for _, cand := range groups[h] {
-				if datum.RowsEqual(cand.groupKey, key) {
-					st = cand
-					break
-				}
-			}
-			if st == nil {
-				st = newAggState(key, a.specs, idx)
-				groups[h] = append(groups[h], st)
-				order = append(order, st)
-			}
-			for i, sp := range a.specs {
-				var v datum.Datum
-				if !sp.Star {
-					if v, err = a.argFns[i](r); err != nil {
-						return nil, err
-					}
-				}
-				if err := st.add(i, sp, v); err != nil {
-					return nil, err
-				}
+			if err := t.fold(key, hashKey(key), idx, args); err != nil {
+				return nil, err
 			}
 			idx++
 		}
 	}
-	// No groups and no input: one row of default aggregate values.
-	if len(order) == 0 && len(a.groupFns) == 0 {
-		order = append(order, newAggState(datum.Row{}, a.specs, 0))
-	}
-	return finalizeAggStates(order, a.specs)
-}
-
-func finalizeAggStates(order []*aggState, specs []plan.AggSpec) ([]datum.Row, error) {
-	out := make([]datum.Row, 0, len(order))
-	for _, st := range order {
-		row, err := st.finalize(specs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// evalKeyAllowNull evaluates grouping keys; NULLs are legal group values.
-func evalKeyAllowNull(fns []EvalFunc, r datum.Row) (datum.Row, error) {
-	key := make(datum.Row, len(fns))
-	for i, f := range fns {
-		v, err := f(r)
-		if err != nil {
-			return nil, err
-		}
-		key[i] = v
-	}
-	return key, nil
 }
 
 func (a *aggregateBatchIter) NextBatch() (Batch, error) {
-	if !a.done {
-		if err := a.run(); err != nil {
+	if a.out == nil {
+		run := a.runParallel
+		if a.degree <= 1 {
+			run = func() ([]datum.Row, error) { return a.runSequential(a.in) }
+		}
+		rows, err := run()
+		if err != nil {
 			return nil, err
 		}
-		a.done = true
+		a.out = newSliceBatchIter(rows, a.size)
 	}
 	return a.out.NextBatch()
 }
@@ -688,16 +522,15 @@ func (l *limitBatchIter) Close() { l.in.Close() }
 
 // --- Distinct ---
 
+// distinctBatchIter passes each row the first time it is seen: the whole
+// row is the key of a group table with no aggregates.
 type distinctBatchIter struct {
 	in   BatchIterator
-	seen map[uint64][]datum.Row
+	seen *groupTable
 	out  Batch
 }
 
 func (d *distinctBatchIter) NextBatch() (Batch, error) {
-	if d.seen == nil {
-		d.seen = make(map[uint64][]datum.Row)
-	}
 	for {
 		b, err := d.in.NextBatch()
 		if err != nil || b == nil {
@@ -705,19 +538,12 @@ func (d *distinctBatchIter) NextBatch() (Batch, error) {
 		}
 		out := d.out[:0]
 		for _, r := range b {
-			h := hashKey(r)
-			dup := false
-			for _, prev := range d.seen[h] {
-				if datum.RowsEqual(prev, r) {
-					dup = true
-					break
-				}
+			if d.seen == nil {
+				d.seen = &groupTable{nkeys: len(r)}
 			}
-			if dup {
-				continue
+			if _, isNew := d.seen.group(r, hashKey(r), d.seen.len()); isNew {
+				out = append(out, r)
 			}
-			d.seen[h] = append(d.seen[h], r)
-			out = append(out, r)
 		}
 		//lint:ignore batchretain out is this operator's own scratch container (built in d.out[:0])
 		d.out = out

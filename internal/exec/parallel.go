@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -224,6 +223,46 @@ func (e *exchangeIter) Close() {
 	})
 }
 
+// fanOut runs fn(w) for every w in [0, workers), each on its own goroutine,
+// and waits for all of them: the one place a materialized phase (join
+// build, partitioned aggregation) spawns goroutines. It returns the
+// lowest-numbered worker's error.
+func fanOut(workers int, fn func(w int) error) error {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = fn(w)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// morsels covers [0, n) with fn(lo, hi) over ranges of morselRows rows that
+// workers claim one at a time; a worker stops at its first error.
+func morsels(n, workers int, fn func(lo, hi int) error) error {
+	var next atomic.Int64
+	return fanOut(workers, func(int) error {
+		for {
+			lo := int(next.Add(morselRows)) - morselRows
+			if lo >= n {
+				return nil
+			}
+			if err := fn(lo, min(lo+morselRows, n)); err != nil {
+				return err
+			}
+		}
+	})
+}
+
 // buildJoinTable materializes the right-side rows into a joinTable. With
 // workers > 1 and enough rows, key evaluation runs over morsels in
 // parallel and each worker then links one contiguous range of the index's
@@ -248,59 +287,27 @@ func buildJoinTable(t *joinTable, s *Scratch, rows []datum.Row, keyFns []EvalFun
 	}
 
 	// Phase 1: evaluate keys and hashes morsel by morsel.
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(morselRows)) - morselRows
-				if lo >= n {
-					return
-				}
-				hi := lo + morselRows
-				if hi > n {
-					hi = n
-				}
-				if err := t.evalRange(keyFns, null, lo, hi); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}()
+	if err := morsels(n, workers, func(lo, hi int) error {
+		return t.evalRange(keyFns, null, lo, hi)
+	}); err != nil {
+		return err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
 	// Phase 2: each worker scans the hash array and links its slot range.
-	for w := 0; w < workers; w++ {
-		lo, hi := w*slots/workers, (w+1)*slots/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t.ix.link(null, lo, hi)
-		}()
-	}
-	wg.Wait()
-	return nil
+	return fanOut(workers, func(w int) error {
+		t.ix.link(null, w*slots/workers, (w+1)*slots/workers)
+		return nil
+	})
 }
 
 // runParallel is the partitioned grouping path: materialize the input,
-// evaluate group keys and aggregate arguments over morsels in parallel,
-// then give each worker the partition of groups whose key hashes to it.
-// A group lives entirely in one partition and its rows are folded in
-// ascending global row order, so per-group accumulation (including float
-// summation order) and the first-seen group order of the output are
-// byte-identical to the sequential path. A grand aggregation (no GROUP BY)
-// degenerates to a single partition: argument evaluation still
-// parallelizes, accumulation stays sequential.
+// evaluate group keys, their hashes and aggregate arguments over morsels in
+// parallel, then give each worker its own group table and the groups whose
+// key hash falls to it. A group lives in one partition and its rows are
+// folded in ascending global row order, so per-group accumulation (float
+// summation order included) is byte-identical to the sequential path, and
+// merging the partitions by first-seen row restores its output order. A
+// grand aggregation is one group, hence one busy partition: only argument
+// evaluation parallelizes. An input under parallelMinRows runs sequentially.
 func (a *aggregateBatchIter) runParallel() ([]datum.Row, error) {
 	rows, err := drainBatches(a.in)
 	if err != nil {
@@ -308,148 +315,50 @@ func (a *aggregateBatchIter) runParallel() ([]datum.Row, error) {
 	}
 	n := len(rows)
 	if n < parallelMinRows {
-		return a.aggregateRows(rows)
+		return a.runSequential(newSliceBatchIter(rows, a.size))
 	}
-	if a.stats != nil {
-		a.stats.noteParallelism(a.degree)
-	}
+	a.stats.noteParallelism(a.degree)
 
 	nk := len(a.groupFns)
 	ns := len(a.specs)
 	keys := make([]datum.Datum, n*nk)
 	args := make([]datum.Datum, n*ns)
-	ghash := make([]uint64, n) // full group-key hash (group identity)
-	phash := make([]uint64, n) // partition hash (PartitionBy subset)
-	partAll := len(a.partitionBy) == 0 || len(a.partitionBy) == nk
+	hashes := make([]uint64, n)
 
 	// Phase 1: evaluate group keys and aggregate arguments per morsel.
-	var next atomic.Int64
-	errs := make([]error, a.degree)
-	var wg sync.WaitGroup
-	for w := 0; w < a.degree; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(morselRows)) - morselRows
-				if lo >= n {
-					return
-				}
-				hi := lo + morselRows
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					r := rows[i]
-					key := keys[i*nk : (i+1)*nk]
-					for k, f := range a.groupFns {
-						v, err := f(r)
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						key[k] = v
-					}
-					ghash[i] = hashKey(datum.Row(key))
-					if partAll {
-						phash[i] = ghash[i]
-					} else {
-						h := uint64(1469598103934665603)
-						for _, k := range a.partitionBy {
-							h ^= key[k].Hash()
-							h *= 1099511628211
-						}
-						phash[i] = h
-					}
-					for j, sp := range a.specs {
-						if sp.Star {
-							continue
-						}
-						v, err := a.argFns[j](r)
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						args[i*ns+j] = v
-					}
-				}
+	if err := morsels(n, a.degree, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			key := keys[i*nk : (i+1)*nk]
+			if err := a.eval(rows[i], key, args[i*ns:(i+1)*ns]); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			hashes[i] = hashKey(key)
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Phase 2: each worker accumulates the partition of groups hashing to
 	// it, scanning rows in global order.
-	K := a.degree
-	states := make([][]*aggState, K)
-	for p := 0; p < K; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			groups := make(map[uint64][]*aggState)
-			var order []*aggState
-			for i := 0; i < n; i++ {
-				if phash[i]%uint64(K) != uint64(p) {
-					continue
-				}
-				key := datum.Row(keys[i*nk : (i+1)*nk])
-				h := ghash[i]
-				var st *aggState
-				for _, cand := range groups[h] {
-					if datum.RowsEqual(cand.groupKey, key) {
-						st = cand
-						break
-					}
-				}
-				if st == nil {
-					st = newAggState(key, a.specs, i)
-					groups[h] = append(groups[h], st)
-					order = append(order, st)
-				}
-				for j, sp := range a.specs {
-					var v datum.Datum
-					if !sp.Star {
-						v = args[i*ns+j]
-					}
-					if err := st.add(j, sp, v); err != nil {
-						errs[p] = err
-						return
-					}
-				}
+	parts := uint64(a.degree)
+	tables := make([]*groupTable, parts)
+	if err := fanOut(a.degree, func(p int) error {
+		t := &groupTable{nkeys: nk, specs: a.specs}
+		tables[p] = t
+		for i := 0; i < n; i++ {
+			if hashes[i]%parts != uint64(p) {
+				continue
 			}
-			states[p] = order
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			if err := t.fold(keys[i*nk:(i+1)*nk], hashes[i], i, args[i*ns:(i+1)*ns]); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Phase 3: merge partitions back into first-seen order.
-	var order []*aggState
-	for _, part := range states {
-		order = append(order, part...)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].firstSeen < order[j].firstSeen })
-	if len(order) == 0 && nk == 0 {
-		order = append(order, newAggState(datum.Row{}, a.specs, 0))
-	}
-	return finalizeAggStates(order, a.specs)
-}
-
-// aggregateRows is the sequential fallback over already-materialized rows.
-func (a *aggregateBatchIter) aggregateRows(rows []datum.Row) ([]datum.Row, error) {
-	saved := a.in
-	a.in = newSliceBatchIter(rows, a.size)
-	defer func() { a.in = saved }()
-	return a.runSequential()
+	return finalizeGroups(tables...)
 }

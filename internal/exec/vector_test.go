@@ -79,11 +79,6 @@ func forceParallel(n plan.Node, deg int) {
 			v.Parallel = deg
 		case *plan.Aggregate:
 			v.Parallel = deg
-			if len(v.PartitionBy) == 0 {
-				for i := range v.GroupBy {
-					v.PartitionBy = append(v.PartitionBy, i)
-				}
-			}
 		}
 	})
 }
@@ -102,7 +97,8 @@ func buildPlan(t testing.TB, g *catalog.Global, sql string) plan.Node {
 
 // e14Queries covers every batched operator: filter, project, hash join
 // (inner and left, with parallel build when the right side is big),
-// nested-loop join, grouped and grand aggregation, sort, limit, distinct,
+// nested-loop join, grouped and grand aggregation (one key and two, one of
+// them NULL for unmatched rows), sort, limit, distinct (one column and two),
 // and a dynamic LIKE (the sync.Map regex cache) under a parallel filter.
 var e14Queries = []string{
 	"SELECT id, cust, amount FROM s.orders WHERE amount > 100 AND region = 'west'",
@@ -117,6 +113,8 @@ var e14Queries = []string{
 	"SELECT region, COUNT(DISTINCT cust) FROM s.orders GROUP BY region",
 	"SELECT id, amount FROM s.orders WHERE amount > 150 ORDER BY amount DESC, id LIMIT 500",
 	"SELECT DISTINCT region FROM s.orders",
+	"SELECT DISTINCT region, cust FROM s.orders",
+	"SELECT o.region, c.name, COUNT(*), SUM(o.amount) FROM s.orders o LEFT JOIN s.custs c ON o.cust = c.id GROUP BY o.region, c.name",
 }
 
 // TestE14ParallelMatchesSequential is the core E14 correctness claim:

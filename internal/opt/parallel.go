@@ -43,16 +43,6 @@ func annotateParallelism(n plan.Node, env Env) plan.Node {
 			x.Parallel = degreeFor(est.Rows(x.Left)+est.Rows(x.Right), maxDeg)
 		case *plan.Aggregate:
 			x.Parallel = degreeFor(est.Rows(x.Input), maxDeg)
-			if len(x.GroupBy) > 0 {
-				// Partition parallel aggregation on the full group key;
-				// recorded explicitly so the executor does not have to
-				// re-derive the partitioning scheme from the plan shape.
-				idx := make([]int, len(x.GroupBy))
-				for i := range idx {
-					idx[i] = i
-				}
-				x.PartitionBy = idx
-			}
 		case *plan.Scan, *plan.Sort, *plan.Limit, *plan.Distinct, *plan.Union:
 			// Not worth parallelizing (Scan is wrapper-bound; Sort,
 			// Limit, Distinct and Union are order-sensitive assembly

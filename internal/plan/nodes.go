@@ -225,10 +225,7 @@ type Aggregate struct {
 	Aggs    []AggSpec
 	// Parallel is the optimizer's worker-count hint (see Filter.Parallel).
 	Parallel int
-	// PartitionBy lists the GroupBy positions the executor partitions
-	// groups on for parallel aggregation; empty means the full group key.
-	PartitionBy []int
-	cols        []ColMeta
+	cols     []ColMeta
 }
 
 // NewAggregate builds an aggregate node. Output columns are named by the
@@ -265,7 +262,6 @@ func (a *Aggregate) Children() []Node { return []Node{a.Input} }
 func (a *Aggregate) WithChildren(kids []Node) Node {
 	na := NewAggregate(kids[0], a.GroupBy, a.Aggs)
 	na.Parallel = a.Parallel
-	na.PartitionBy = a.PartitionBy
 	return na
 }
 

@@ -293,7 +293,7 @@ func (b *binder) node(n Node) (Node, error) {
 		// Keep the original output column names: downstream column
 		// references were resolved against the unbound rendering.
 		return b.newAggregate(Aggregate{Input: in, GroupBy: groupBy, Aggs: aggs,
-			Parallel: x.Parallel, PartitionBy: x.PartitionBy, cols: x.cols}), nil
+			Parallel: x.Parallel, cols: x.cols}), nil
 
 	case *Sort:
 		in, err := b.node(x.Input)
