@@ -14,8 +14,8 @@ const execPkgPath = "repro/internal/exec"
 // contract says a batch returned by NextBatch is only valid until the
 // next NextBatch/Close on the same iterator — operators reuse the
 // container. Retaining one beyond that window reads whatever the producer
-// wrote next. Copy the rows (append(exec.Batch(nil), b...)) or annotate
-// an owned scratch buffer with //lint:ignore batchretain <why>.
+// wrote next. Copy the rows (append(exec.Batch(nil), b...)). An operator
+// refilling its own buffer is not a retention (see ownContainer).
 var BatchRetain = &Analyzer{
 	Name: "batchretain",
 	Doc:  "no exec.Batch stored into fields or globals without a deep copy",
@@ -31,7 +31,7 @@ func runBatchRetain(p *Pass) {
 			}
 			if len(as.Lhs) == len(as.Rhs) {
 				for i, rhs := range as.Rhs {
-					p.checkBatchStore(as, as.Lhs[i], rhs)
+					p.checkBatchStore(f, as, as.Lhs[i], rhs)
 				}
 			} else if len(as.Rhs) == 1 {
 				// Tuple assignment from one call: s.cur, err = it.NextBatch()
@@ -56,11 +56,11 @@ func runBatchRetain(p *Pass) {
 
 // checkBatchStore flags lhs = rhs when rhs aliases a Batch container and
 // lhs outlives the batch's validity window.
-func (p *Pass) checkBatchStore(as *ast.AssignStmt, lhs, rhs ast.Expr) {
+func (p *Pass) checkBatchStore(file *ast.File, as *ast.AssignStmt, lhs, rhs ast.Expr) {
 	if !isBatchType(p.TypeOf(rhs)) {
 		return
 	}
-	if freshBatchExpr(p, rhs) {
+	if freshBatchExpr(p, rhs) || p.ownContainer(file, lhs, rhs) {
 		return
 	}
 	if kind, name := p.retentionTarget(lhs); kind != "" {
@@ -98,6 +98,74 @@ func freshBatchExpr(p *Pass, e ast.Expr) bool {
 		return true
 	case *ast.Ident:
 		return x.Name == "nil"
+	}
+	return false
+}
+
+// ownContainer reports whether storing rhs into lhs is an operator putting
+// its own refilled buffer back: rhs is a local that is only ever assigned
+// lhs[:0], a call that received lhs[:0] as an argument, or an append to the
+// local itself. The container then came out of lhs, not from a producer.
+func (p *Pass) ownContainer(file *ast.File, lhs, rhs ast.Expr) bool {
+	id, ok := rhs.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	local, ok := p.objectOf(id).(*types.Var)
+	if !ok || isPackageLevel(local) {
+		return false
+	}
+	field := types.ExprString(lhs)
+	assigned, own := false, true
+	ast.Inspect(file, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for i, l := range as.Lhs {
+			if lid, ok := l.(*ast.Ident); !ok || p.objectOf(lid) != local {
+				continue
+			}
+			src := as.Rhs[0] // one call filling a tuple, unless paired below
+			if len(as.Lhs) == len(as.Rhs) {
+				src = as.Rhs[i]
+			}
+			assigned = true
+			own = own && p.refills(src, field, local)
+		}
+		return true
+	})
+	return assigned && own
+}
+
+// refills reports whether src yields the buffer of field: field[:0], a call
+// handed field[:0], or append(local, ...).
+func (p *Pass) refills(src ast.Expr, field string, local *types.Var) bool {
+	emptyReslice := func(e ast.Expr) bool {
+		s, ok := e.(*ast.SliceExpr)
+		if !ok || s.Low != nil || s.Slice3 {
+			return false
+		}
+		hi, ok := s.High.(*ast.BasicLit)
+		return ok && hi.Value == "0" && types.ExprString(s.X) == field
+	}
+	if emptyReslice(src) {
+		return true
+	}
+	call, ok := src.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	if fn, ok := call.Fun.(*ast.Ident); ok && len(call.Args) > 0 {
+		if _, builtin := p.objectOf(fn).(*types.Builtin); builtin && fn.Name == "append" {
+			first, ok := call.Args[0].(*ast.Ident)
+			return ok && p.objectOf(first) == local
+		}
+	}
+	for _, a := range call.Args {
+		if emptyReslice(a) {
+			return true
+		}
 	}
 	return false
 }

@@ -43,6 +43,37 @@ func (r *retainer) missClear() {
 	r.cur = nil
 }
 
+func (r *retainer) missOwnBufferReslice(it exec.BatchIterator) error {
+	b, err := it.NextBatch()
+	out := r.cur[:0]
+	for _, row := range b {
+		out = append(out, row)
+	}
+	r.cur = out // the operator's own container, refilled
+	return err
+}
+
+func (r *retainer) missOwnBufferThroughCall(it exec.BatchIterator) error {
+	b, err := it.NextBatch()
+	if err != nil {
+		return err
+	}
+	out, err := exec.FilterBatch(nil, b, r.cur[:0])
+	r.cur = out // the callee filled the buffer it was handed
+	return err
+}
+
+func (r *retainer) hitProducerBatchViaLocal(it exec.BatchIterator) {
+	b, _ := it.NextBatch()
+	r.cur = b // want "storing a Batch into struct field \"cur\""
+}
+
+func (r *retainer) hitOwnBufferOverwritten(it exec.BatchIterator) {
+	out := r.cur[:0]
+	out, _ = it.NextBatch()
+	r.cur = out // want "storing a Batch into struct field \"cur\""
+}
+
 func missLocal(b exec.Batch) exec.Batch {
 	var local exec.Batch
 	local = b // locals die with the frame; not a retention target

@@ -42,23 +42,20 @@ const (
 // (opt.FeedbackEnv) and observed per-source latency plus breaker
 // half-open state bias transfer costs (opt.LatencyEnv). The catalog
 // snapshot stays untouched — feedback lives beside it, read-only.
-type adaptiveEnv struct {
-	engineEnv
-	fb *feedback.Store
-}
+type adaptiveEnv struct{ engineEnv }
 
 func (env adaptiveEnv) Observed(k feedback.Key) (feedback.Estimate, bool) {
-	return env.fb.Lookup(k)
+	return env.st.feedback.Lookup(k)
 }
 
 func (env adaptiveEnv) NetworkFactor(source string) float64 {
-	f := env.fb.NetworkFactor(source)
+	f := env.st.feedback.NetworkFactor(source)
 	// A half-open breaker means the source just spent an open-timeout
 	// failing: it is reachable again but unproven. Double its modelled
 	// transfer cost so the optimizer prefers alternatives without
 	// refusing the source outright (E12's mask stays binary; this is the
 	// graded middle).
-	if br := env.e.breakerFor(source); br != nil && br.State() == BreakerHalfOpen {
+	if br := env.st.breakers[strings.ToLower(source)]; br != nil && br.State() == BreakerHalfOpen {
 		f *= 2
 		if f > 4 {
 			f = 4
@@ -70,22 +67,15 @@ func (env adaptiveEnv) NetworkFactor(source string) float64 {
 // planEnv returns the optimizer environment for a query: feedback-blended
 // when the query runs adaptive, the untouched static env otherwise —
 // Adaptive=false must reproduce today's plans exactly.
-func (e *Engine) planEnv(qo QueryOptions) opt.Env {
+func (s *engineState) planEnv(qo QueryOptions) opt.Env {
 	if !qo.Adaptive {
-		return engineEnv{e}
+		return engineEnv{s}
 	}
-	return adaptiveEnv{engineEnv{e}, e.feedbackStore()}
-}
-
-// feedbackStore returns the engine's feedback store.
-func (e *Engine) feedbackStore() *feedback.Store {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.feedback
+	return adaptiveEnv{engineEnv{s}}
 }
 
 // Feedback exposes the feedback store (experiments and tests inspect it).
-func (e *Engine) Feedback() *feedback.Store { return e.feedbackStore() }
+func (e *Engine) Feedback() *feedback.Store { return e.state.Load().feedback }
 
 // optimizerOptions derives the opt.Options a query plans under (compile
 // and Reoptimize must agree).
@@ -133,11 +123,11 @@ func (s *swapEstimator) swap(env opt.Env) {
 // recorded at fetch time. It returns how many operators misestimated by
 // estimateErrorFactor or more. Must only be called after the attempt's
 // goroutines have joined (the ledger contract).
-func (e *Engine) absorbLedger(led *exec.CardLedger, estimate func(plan.Node) int64) (estErrors int) {
+func (s *engineState) absorbLedger(led *exec.CardLedger, estimate func(plan.Node) int64) (estErrors int) {
 	if led == nil {
 		return 0
 	}
-	fb := e.feedbackStore()
+	fb := s.feedback
 	for _, f := range led.Fetches() {
 		key, ok := feedback.Signature(f.Subtree)
 		if !ok {

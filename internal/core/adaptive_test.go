@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/datum"
 	"repro/internal/exec"
@@ -358,4 +359,46 @@ func TestE20AdaptiveReplanStorm(t *testing.T) {
 		t.Error(err)
 	}
 	waitGoroutineBaseline(t, base)
+}
+
+// TestExplainCostsUnderThePlanningEnvironment: Explain's estimate line
+// describes the plan it prints — costed under the same environment the
+// plan was built in and ExecuteCtx reports — not the static one.
+func TestExplainCostsUnderThePlanningEnvironment(t *testing.T) {
+	ctx := context.Background()
+	e := staleStatsFixture(t, 4000)
+	e.SetClock(netsim.NewVirtualClock(time.Unix(0, 0))) // feedback confidence decays in clock time
+	if _, err := e.QueryOptsCtx(ctx, staleStatsQuery, DefaultQueryOptions()); err != nil {
+		t.Fatal(err)
+	}
+	estimateLine := func(e *Engine, qo QueryOptions) string {
+		t.Helper()
+		out, err := e.Explain(ctx, staleStatsQuery, qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := strings.Index(out, "-- estimate:")
+		if i < 0 {
+			t.Fatalf("no estimate line in:\n%s", out)
+		}
+		return out[i:]
+	}
+
+	line := estimateLine(e, DefaultQueryOptions())
+	p, err := e.Plan(ctx, staleStatsQuery, DefaultQueryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.ExecuteCtx(ctx, p, DefaultQueryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("-- estimate: rows=%d ", res.Estimate.Rows); !strings.HasPrefix(line, want) {
+		t.Errorf("adaptive Explain printed %q, ExecuteCtx estimated %q", line, want)
+	}
+
+	// Zero-value options still print the static estimate, feedback or not.
+	if taught, fresh := estimateLine(e, QueryOptions{}), estimateLine(staleStatsFixture(t, 4000), QueryOptions{}); taught != fresh {
+		t.Errorf("static Explain moved with feedback:\n taught %s\n fresh  %s", taught, fresh)
+	}
 }

@@ -457,47 +457,36 @@ func (c *admissionController) stats() []TenantAdmissionStats {
 // EnableAdmission turns on admission control with the given global
 // configuration. Tenants are declared with DefineTenant; queries that name
 // no tenant (or an unknown one) run under the "default" bucket. Calling it
-// again replaces the configuration and resets all admission state, so it
-// must not race in-flight queries.
+// again replaces the configuration and resets all admission state:
+// in-flight queries finish against the controller that admitted them, and
+// only queries that start afterwards are counted by the new one.
 func (e *Engine) EnableAdmission(cfg AdmissionConfig) {
 	capacity := cfg.WorkerCapacity
 	if capacity <= 0 {
 		capacity = runtime.GOMAXPROCS(0)
 	}
-	e.mu.Lock()
-	e.admission = newAdmissionController(cfg)
-	e.governor = exec.NewGovernor(capacity)
-	e.mu.Unlock()
+	e.update(func(s *engineState) {
+		s.admission = newAdmissionController(cfg)
+		s.governor = exec.NewGovernor(capacity)
+	})
 }
 
 // AdmissionEnabled reports whether the engine arbitrates admission.
-func (e *Engine) AdmissionEnabled() bool { return e.admissionController() != nil }
+func (e *Engine) AdmissionEnabled() bool { return e.state.Load().admission != nil }
 
 // DefineTenant declares (or redefines) a tenant's admission limits,
 // enabling admission control with default global configuration when it is
 // not on yet.
 func (e *Engine) DefineTenant(tc TenantConfig) error {
-	if e.admissionController() == nil {
+	if !e.AdmissionEnabled() {
 		e.EnableAdmission(AdmissionConfig{})
 	}
-	return e.admissionController().defineTenant(tc)
+	return e.state.Load().admission.defineTenant(tc)
 }
 
 // AdmissionStats reports per-tenant admission accounting (admitted,
 // queued, shed, memory in use), sorted by tenant name. Nil when admission
 // is disabled.
 func (e *Engine) AdmissionStats() []TenantAdmissionStats {
-	return e.admissionController().stats()
-}
-
-func (e *Engine) admissionController() *admissionController {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.admission
-}
-
-func (e *Engine) workerGovernor() *exec.Governor {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.governor
+	return e.state.Load().admission.stats()
 }

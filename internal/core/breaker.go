@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -131,67 +132,56 @@ func (b *breaker) State() BreakerState {
 // SetBreakerConfig replaces the breaker configuration and resets all
 // breaker state. A negative FailureThreshold disables breakers entirely.
 func (e *Engine) SetBreakerConfig(cfg BreakerConfig) {
-	e.mu.Lock()
-	e.breakerCfg = cfg
-	e.breakers = make(map[string]*breaker)
-	e.invalidateTopo()
-	e.mu.Unlock()
+	e.update(func(s *engineState) {
+		s.breakerCfg = cfg
+		s.resetBreakers()
+	})
 	// Resetting breakers changes source availability, which changes how
 	// plans place remote work; retire plans compiled under the old state.
 	e.BumpCatalog()
 }
 
-// breakerFor returns (creating if needed) the breaker of a source, or nil
-// when breakers are disabled.
-func (e *Engine) breakerFor(source string) *breaker {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.breakerCfg.FailureThreshold < 0 {
-		return nil
+// addBreaker gives the source registered under key a fresh closed breaker
+// on the state's clock, unless breakers are disabled.
+func (s *engineState) addBreaker(key string) {
+	if s.breakerCfg.FailureThreshold >= 0 {
+		s.breakers[key] = newBreaker(s.breakerCfg, s.clock)
 	}
-	key := normalizeName(source)
-	b, ok := e.breakers[key]
-	if !ok {
-		b = newBreaker(e.breakerCfg, e.clock)
-		e.breakers[key] = b
-		// The cached availability topology holds breaker pointers; a
-		// newly materialized breaker must appear in it.
-		e.invalidateTopo()
+}
+
+// resetBreakers replaces every source's breaker with a fresh one.
+func (s *engineState) resetBreakers() {
+	s.breakers = make(map[string]*breaker, len(s.sources))
+	for key := range s.sources {
+		s.addBreaker(key)
 	}
-	return b
 }
 
 // BreakerStates reports every registered source's breaker state (closed
-// for sources that have never failed).
+// while breakers are disabled).
 func (e *Engine) BreakerStates() map[string]BreakerState {
-	e.mu.RLock()
-	names := make([]string, 0, len(e.sources))
-	for _, s := range e.sources {
-		names = append(names, s.Name())
-	}
-	e.mu.RUnlock()
-	out := make(map[string]BreakerState, len(names))
-	for _, name := range names {
-		out[name] = BreakerClosed
-		e.mu.RLock()
-		b := e.breakers[normalizeName(name)]
-		e.mu.RUnlock()
-		if b != nil {
-			out[name] = b.State()
+	st := e.state.Load()
+	out := make(map[string]BreakerState, len(st.sources))
+	for key, src := range st.sources {
+		state := BreakerClosed
+		if b := st.breakers[key]; b != nil {
+			state = b.State()
 		}
+		out[src.Name()] = state
 	}
 	return out
+}
+
+// sourceAvailable reports whether the source's breaker currently admits
+// requests (always, for a source that has none).
+func (s *engineState) sourceAvailable(source string) bool {
+	b := s.breakers[strings.ToLower(source)]
+	return b == nil || b.State() != BreakerOpen
 }
 
 // SourceAvailable reports whether the source's breaker currently admits
 // requests; the optimizer consults this before planning cooperative
 // fetches against the source.
 func (e *Engine) SourceAvailable(source string) bool {
-	e.mu.RLock()
-	b := e.breakers[normalizeName(source)]
-	e.mu.RUnlock()
-	if b == nil {
-		return true
-	}
-	return b.State() != BreakerOpen
+	return e.state.Load().sourceAvailable(source)
 }

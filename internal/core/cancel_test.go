@@ -431,11 +431,11 @@ func TestCancelledContextStopsSubqueryPreEvaluation(t *testing.T) {
 			return err
 		}},
 	} {
-		before := e.linkTotals().RoundTrips
+		before := e.NetworkTotals().RoundTrips
 		if err := tc.run(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
 		}
-		if after := e.linkTotals().RoundTrips; after != before {
+		if after := e.NetworkTotals().RoundTrips; after != before {
 			t.Errorf("%s: %d source round trips under a cancelled context", tc.name, after-before)
 		}
 	}

@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/catalog"
@@ -47,15 +46,15 @@ type compiledPlan struct {
 // cost-based optimization. The select statement may be mutated by the
 // rewrite phase; callers hand over ownership. The context bounds the
 // EXISTS pre-evaluation, which runs real subqueries.
-func (e *Engine) compile(ctx context.Context, sel *sqlparse.Select, qo QueryOptions, snap *catalog.Snapshot) (plan.Node, error) {
-	if err := e.rewriteExists(ctx, sel, qo, 0); err != nil {
+func (e *Engine) compile(ctx context.Context, st *engineState, sel *sqlparse.Select, qo QueryOptions, snap *catalog.Snapshot) (plan.Node, error) {
+	if err := e.rewriteExists(ctx, st, sel, qo, 0); err != nil {
 		return nil, err
 	}
 	logical, err := plan.Build(snap, sel)
 	if err != nil {
 		return nil, err
 	}
-	return opt.Optimize(logical, e.planEnv(qo), optimizerOptions(qo)), nil
+	return opt.Optimize(logical, st.planEnv(qo), optimizerOptions(qo)), nil
 }
 
 // optionsFingerprint encodes the plan-shaping options into a cache-key
@@ -88,32 +87,10 @@ func optionsFingerprint(qo QueryOptions) string {
 // plans compiled under different masks are not interchangeable; keying on
 // the mask also lets a breaker's timed open→half-open transition surface
 // as a cache miss rather than a stale plan.
-func (e *Engine) availabilityMask() string {
-	// The name-sorted breaker list is topology, not state: it changes
-	// only when sources register/deregister or breakers reset, so it is
-	// cached on the engine and rebuilt lazily after invalidation. Only
-	// the per-breaker State() reads happen per query.
-	e.mu.RLock()
-	breakers := e.maskBreakers
-	e.mu.RUnlock()
-	if breakers == nil {
-		e.mu.Lock()
-		if e.maskBreakers == nil {
-			names := make([]string, 0, len(e.sources))
-			for k := range e.sources {
-				names = append(names, k)
-			}
-			sort.Strings(names)
-			bs := make([]*breaker, len(names))
-			for i, n := range names {
-				bs[i] = e.breakers[n]
-			}
-			e.maskBreakers = bs
-		}
-		breakers = e.maskBreakers
-		e.mu.Unlock()
-	}
-
+func (s *engineState) availabilityMask() string {
+	// The name-sorted breaker list is topology, built when the state was
+	// published; only the per-breaker State() reads happen per query.
+	breakers := s.maskBreakers
 	var stack [64]byte
 	buf := stack[:0]
 	if len(breakers) > len(stack) {
@@ -130,13 +107,13 @@ func (e *Engine) availabilityMask() string {
 }
 
 // planKey builds the cache key for a normalized statement under the
-// current options and environment.
-func (e *Engine) planKey(normSQL string, version uint64, qo QueryOptions) plancache.Key {
+// query's options and engine state.
+func (s *engineState) planKey(normSQL string, version uint64, qo QueryOptions) plancache.Key {
 	return plancache.Key{
 		SQL:            normSQL,
 		CatalogVersion: version,
 		Options:        optionsFingerprint(qo),
-		Availability:   e.availabilityMask(),
+		Availability:   s.availabilityMask(),
 	}
 }
 
@@ -212,7 +189,7 @@ func (e *Engine) PrepareOpts(ctx context.Context, sql string, qo QueryOptions) (
 		// Compile eagerly so PrepareOpts validates the statement; the plan
 		// lands in the cache for the first ExecuteCtx. EXISTS statements
 		// skip this: compiling them runs subqueries.
-		if _, _, err := e.cachedTemplate(ctx, ps.text, qo, e.catalog.Snapshot()); err != nil {
+		if _, _, err := e.cachedTemplate(ctx, e.state.Load(), ps.text, qo, e.catalog.Snapshot()); err != nil {
 			return nil, err
 		}
 	}
@@ -228,11 +205,11 @@ func (ps *PreparedStatement) SQL() string { return ps.text }
 // cachedTemplate returns the compiled plan-cache entry for a normalized
 // statement, consulting the plan cache first. The bool reports whether it
 // was a cache hit.
-func (e *Engine) cachedTemplate(ctx context.Context, normSQL string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
-	key := e.planKey(normSQL, snap.Version(), qo)
+func (e *Engine) cachedTemplate(ctx context.Context, st *engineState, normSQL string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
+	key := st.planKey(normSQL, snap.Version(), qo)
 	if v, ok := e.plans.Get(key); ok {
 		cp := v.(*compiledPlan)
-		if !qo.Adaptive || cp.fbGen == e.feedbackStore().Generation() {
+		if !qo.Adaptive || cp.fbGen == st.feedback.Generation() {
 			return cp, true, nil
 		}
 		// The feedback store drifted past its bump threshold since this
@@ -248,15 +225,15 @@ func (e *Engine) cachedTemplate(ctx context.Context, normSQL string, qo QueryOpt
 	// Capture the generation before compiling: a concurrent drift during
 	// compilation then invalidates this entry on its next adaptive lookup
 	// instead of being missed.
-	fbGen := e.feedbackStore().Generation()
-	tmpl, err := e.compile(ctx, sel, qo, snap)
+	fbGen := st.feedback.Generation()
+	tmpl, err := e.compile(ctx, st, sel, qo, snap)
 	if err != nil {
 		return nil, false, err
 	}
 	cp := &compiledPlan{
 		tmpl:    tmpl,
 		nParams: sqlparse.MaxParamIndex(sel),
-		cost:    opt.Cost(tmpl, e.planEnv(qo)),
+		cost:    opt.Cost(tmpl, st.planEnv(qo)),
 		fbGen:   fbGen,
 	}
 	e.plans.Put(key, cp)
@@ -272,10 +249,11 @@ func (ps *PreparedStatement) ExecuteCtx(ctx context.Context, params ...datum.Dat
 	if len(params) < ps.nParams {
 		return nil, fmt.Errorf("core: statement requires %d parameters, got %d", ps.nParams, len(params))
 	}
-	planStart := ps.e.Clock().Now()
+	st := ps.e.state.Load()
+	planStart := st.clock.Now()
 	// Bound parameter subtrees live in the query's arena (see QueryOptsCtx
 	// for the lifecycle argument); the template itself stays on the heap.
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
-	return ps.e.runStatement(ctx, ar, planStart, ps.text, ps.text, params, ps.cacheable && !ps.qo.NoPlanCache, ps.qo)
+	return ps.e.runStatement(ctx, st, ar, planStart, ps.text, ps.text, params, ps.cacheable && !ps.qo.NoPlanCache, ps.qo)
 }

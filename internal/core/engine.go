@@ -9,9 +9,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"errors"
@@ -30,36 +32,66 @@ import (
 	"repro/internal/storage"
 )
 
-// Engine is the mediator. It is safe for concurrent use.
+// Engine is the mediator. It is safe for concurrent use. What it knows
+// about its federation lives in one immutable engineState published through
+// an atomic pointer — the same pattern as the catalog's snapshots — so
+// queries never take a lock to learn it; mu only serialises the mutators.
 type Engine struct {
-	mu         sync.RWMutex
-	catalog    *catalog.Global
-	sources    map[string]federation.Source
-	breakers   map[string]*breaker
-	breakerCfg BreakerConfig
-	replica    ReplicaProvider
-	router     FetchRouter
-	plans      *plancache.Cache
-	feedback   *feedback.Store
-	clock      netsim.Clock
-	inflight   inflightRegistry
-	admission  *admissionController
-	governor   *exec.Governor
+	catalog  *catalog.Global
+	plans    *plancache.Cache
+	inflight inflightRegistry
 
-	// Topology caches, rebuilt lazily and dropped (set nil) on any
-	// source or breaker mutation; guarded by mu. srcSnap is the
-	// immutable source map handed to query executions; maskBreakers is
-	// the name-sorted breaker list the availability mask reads. Both are
-	// consulted on every query, so they must not be rebuilt per query.
-	srcSnap      map[string]federation.Source
-	maskBreakers []*breaker
+	mu    sync.Mutex // held by update, and by nothing else
+	state atomic.Pointer[engineState]
 }
 
-// invalidateTopo drops the cached topology snapshots. Callers must hold
-// e.mu for writing.
-func (e *Engine) invalidateTopo() {
-	e.srcSnap = nil
-	e.maskBreakers = nil
+// engineState is the engine's knowledge of its federation at one instant:
+// which sources exist, whether each is reachable, and what the engine runs
+// them with. A published state is never written again. Every read-path
+// entry point loads it once and threads that one pointer through planning
+// and execution, so a query sees a single configuration however the engine
+// is reconfigured meanwhile.
+type engineState struct {
+	sources map[string]federation.Source // by lower-cased name
+	// breakers holds one breaker per source from the moment it registers
+	// (none while breakers are disabled); maskBreakers is the same set in
+	// source-name order, nil where a source has none — what the
+	// availability mask reads on every query.
+	breakers     map[string]*breaker
+	maskBreakers []*breaker
+	breakerCfg   BreakerConfig
+	clock        netsim.Clock
+	replica      ReplicaProvider
+	router       FetchRouter
+	feedback     *feedback.Store
+	admission    *admissionController
+	governor     *exec.Governor
+}
+
+// update is the one way engine state changes: under mu, clone the current
+// state, let edit change the clone, and publish it. The clone owns its maps
+// but shares every object edit does not replace — breakers, the feedback
+// store, the admission controller — so an unrelated mutation never resets
+// a tripped breaker or learned estimates. An edit that backs out (a
+// duplicate Register) publishes a state equal to the current one, which no
+// reader can tell from it.
+func (e *Engine) update(edit func(next *engineState)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	next := *e.state.Load()
+	next.sources = maps.Clone(next.sources)
+	next.breakers = maps.Clone(next.breakers)
+	edit(&next)
+	names := make([]string, 0, len(next.sources))
+	for k := range next.sources {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	next.maskBreakers = make([]*breaker, len(names))
+	for i, n := range names {
+		next.maskBreakers[i] = next.breakers[n]
+	}
+	e.state.Store(&next)
 }
 
 // DefaultPlanCacheSize is the number of compiled plans the engine retains.
@@ -67,14 +99,17 @@ const DefaultPlanCacheSize = 1024
 
 // New creates an empty mediator.
 func New() *Engine {
-	return &Engine{
-		catalog:  catalog.NewGlobal(),
-		sources:  make(map[string]federation.Source),
-		breakers: make(map[string]*breaker),
-		plans:    plancache.New(DefaultPlanCacheSize),
+	e := &Engine{
+		catalog: catalog.NewGlobal(),
+		plans:   plancache.New(DefaultPlanCacheSize),
+	}
+	e.state.Store(&engineState{
+		sources:  map[string]federation.Source{},
+		breakers: map[string]*breaker{},
 		feedback: feedback.NewStore(netsim.Wall),
 		clock:    netsim.Wall,
-	}
+	})
+	return e
 }
 
 // SetClock replaces the clock the engine's timers and circuit breakers
@@ -86,25 +121,18 @@ func (e *Engine) SetClock(c netsim.Clock) {
 	if c == nil {
 		c = netsim.Wall
 	}
-	e.mu.Lock()
-	e.clock = c
-	e.breakers = make(map[string]*breaker)
-	// Feedback confidence decays in this clock's time, so estimates
-	// recorded against the old clock would age nonsensically: start fresh,
-	// mirroring the breaker reset above.
-	e.feedback = feedback.NewStore(c)
-	e.invalidateTopo()
-	e.mu.Unlock()
+	e.update(func(s *engineState) {
+		s.clock = c
+		s.resetBreakers()
+		// Feedback confidence decays in this clock's time, so estimates
+		// recorded against the old clock would age nonsensically: start fresh,
+		// mirroring the breaker reset above.
+		s.feedback = feedback.NewStore(c)
+	})
 }
 
 // Clock returns the clock the engine currently runs on.
-func (e *Engine) Clock() netsim.Clock {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.clock
-}
-
-func normalizeName(s string) string { return strings.ToLower(s) }
+func (e *Engine) Clock() netsim.Clock { return e.state.Load().clock }
 
 // ReplicaProvider serves locally-replicated copies of source tables (the
 // warehouse implements this). During degraded execution the engine
@@ -120,84 +148,54 @@ type ReplicaProvider interface {
 // SetReplicaProvider installs (or, with nil, removes) the replica used
 // for degraded reads.
 func (e *Engine) SetReplicaProvider(rp ReplicaProvider) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.replica = rp
-}
-
-func (e *Engine) replicaProvider() ReplicaProvider {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.replica
+	e.update(func(s *engineState) { s.replica = rp })
 }
 
 // Register adds a data source to the federation.
 func (e *Engine) Register(src federation.Source) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := strings.ToLower(src.Name())
-	if _, dup := e.sources[key]; dup {
-		return fmt.Errorf("core: source %s already registered", src.Name())
-	}
-	if err := e.catalog.AddSource(src.Catalog()); err != nil {
-		return err
-	}
-	e.sources[key] = src
-	e.invalidateTopo()
-	e.invalidateStalePlans()
-	return nil
+	var err error
+	e.update(func(s *engineState) {
+		key := strings.ToLower(src.Name())
+		if _, dup := s.sources[key]; dup {
+			err = fmt.Errorf("core: source %s already registered", src.Name())
+			return
+		}
+		if err = e.catalog.AddSource(src.Catalog()); err != nil {
+			return
+		}
+		s.sources[key] = src
+		s.addBreaker(key)
+		e.invalidateStalePlans()
+	})
+	return err
 }
 
 // Deregister removes a source; existing views referencing it will fail to
 // plan until re-pointed.
 func (e *Engine) Deregister(name string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.sources, strings.ToLower(name))
-	delete(e.breakers, strings.ToLower(name))
-	e.invalidateTopo()
-	e.catalog.RemoveSource(name)
-	e.invalidateStalePlans()
+	e.update(func(s *engineState) {
+		delete(s.sources, strings.ToLower(name))
+		delete(s.breakers, strings.ToLower(name))
+		e.catalog.RemoveSource(name)
+		e.invalidateStalePlans()
+	})
+}
+
+func (s *engineState) source(name string) (federation.Source, bool) {
+	src, ok := s.sources[strings.ToLower(name)]
+	return src, ok
 }
 
 // Source returns a registered source.
 func (e *Engine) Source(name string) (federation.Source, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	s, ok := e.sources[strings.ToLower(name)]
-	return s, ok
-}
-
-// sourcesSnapshot returns an immutable copy of the source map so an
-// execution resolves sources without further locking and without seeing
-// mid-query registration churn. The copy is cached across queries —
-// registration is rare, queries are not — and rebuilt only after a
-// source mutation invalidates it. Callers must never mutate the result.
-func (e *Engine) sourcesSnapshot() map[string]federation.Source {
-	e.mu.RLock()
-	snap := e.srcSnap
-	e.mu.RUnlock()
-	if snap != nil {
-		return snap
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.srcSnap == nil {
-		m := make(map[string]federation.Source, len(e.sources))
-		for k, v := range e.sources {
-			m[k] = v
-		}
-		e.srcSnap = m
-	}
-	return e.srcSnap
+	return e.state.Load().source(name)
 }
 
 // Sources lists registered source names, sorted.
 func (e *Engine) Sources() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.sources))
-	for _, s := range e.sources {
+	st := e.state.Load()
+	names := make([]string, 0, len(st.sources))
+	for _, s := range st.sources {
 		names = append(names, s.Name())
 	}
 	sort.Strings(names)
@@ -397,7 +395,13 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 // Partial, SkippedSources) and the trace, so callers can report what the
 // query had done when it failed or was cancelled.
 func (e *Engine) QueryOptsCtx(ctx context.Context, sql string, qo QueryOptions) (*Result, error) {
-	planStart := e.Clock().Now()
+	return e.query(ctx, e.state.Load(), sql, qo)
+}
+
+// query is QueryOptsCtx under an already-loaded engine state (EXISTS / IN
+// subqueries run under their outer query's).
+func (e *Engine) query(ctx context.Context, st *engineState, sql string, qo QueryOptions) (*Result, error) {
+	planStart := st.clock.Now()
 
 	// Per-query arena: tokens, AST nodes, normalized parameter subtrees and
 	// bound predicates all come from it, so a warm cached-hit execution is
@@ -416,29 +420,30 @@ func (e *Engine) QueryOptsCtx(ctx context.Context, sql string, qo QueryOptions) 
 		// Normalization mutates the statement (literals become $n), so
 		// it only runs when the cache path will bind them back.
 		if params, cacheable := sqlparse.ExtractParamsIn(ar, sel); cacheable {
-			return e.runStatement(ctx, ar, planStart, sql, ar.RenderSQL(sel), params, true, qo)
+			return e.runStatement(ctx, st, ar, planStart, sql, ar.RenderSQL(sel), params, true, qo)
 		}
 	}
-	return e.runStatement(ctx, ar, planStart, sql, sql, nil, false, qo)
+	return e.runStatement(ctx, st, ar, planStart, sql, sql, nil, false, qo)
 }
 
 // runStatement is the front half every statement — literal or prepared —
 // goes through on its way to executeCtx: obtain the plan template (from
 // the plan cache under the current catalog snapshot when cached is set,
 // else by a fresh compile that is not stored), bind params into it, run
-// it, and stamp the planning facts on the Result. text is the statement
+// it, and stamp the planning facts on the Result. st is the engine state
+// the caller loaded for this query. text is the statement
 // to plan — normalized when cached — and label is what the in-flight
 // registry shows for the query. planStart is when the caller began its
 // own share of planning (parsing, normalizing); ar is the caller's
 // per-query arena, which bound predicates are allocated from and which
 // the caller releases after this returns.
-func (e *Engine) runStatement(ctx context.Context, ar *sqlparse.Arena, planStart time.Time, label, text string, params []datum.Datum, cached bool, qo QueryOptions) (*Result, error) {
+func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse.Arena, planStart time.Time, label, text string, params []datum.Datum, cached bool, qo QueryOptions) (*Result, error) {
 	snap := e.catalog.Snapshot()
 	var tmpl plan.Node
 	var est opt.PlanCost
 	hit := false
 	if cached {
-		cp, h, err := e.cachedTemplate(ctx, text, qo, snap)
+		cp, h, err := e.cachedTemplate(ctx, st, text, qo, snap)
 		if err != nil {
 			return nil, err
 		}
@@ -451,19 +456,19 @@ func (e *Engine) runStatement(ctx context.Context, ar *sqlparse.Arena, planStart
 		if err != nil {
 			return nil, err
 		}
-		tmpl, err = e.compile(ctx, sel, qo, snap)
+		tmpl, err = e.compile(ctx, st, sel, qo, snap)
 		if err != nil {
 			return nil, err
 		}
-		est = opt.Cost(tmpl, e.planEnv(qo))
+		est = opt.Cost(tmpl, st.planEnv(qo))
 	}
 	bound, err := plan.BindParamsIn(ar, tmpl, params)
 	if err != nil {
 		return nil, err
 	}
-	planTime := e.Clock().Since(planStart)
+	planTime := st.clock.Since(planStart)
 
-	res, err := e.executeCtx(ctx, bound, qo, label, planTime, est)
+	res, err := e.executeCtx(ctx, st, bound, qo, label, planTime, est)
 	if res != nil {
 		res.PlanTime = planTime
 		res.CacheHit = hit
@@ -482,17 +487,28 @@ func (e *Engine) runStatement(ctx context.Context, ar *sqlparse.Arena, planStart
 // context bounds the pre-evaluation of EXISTS / IN (SELECT ...)
 // subqueries, which run against live sources.
 func (e *Engine) Plan(ctx context.Context, sql string, qo QueryOptions) (plan.Node, error) {
+	return e.plan(ctx, e.state.Load(), sql, qo)
+}
+
+// plan is Plan under an already-loaded engine state.
+func (e *Engine) plan(ctx context.Context, st *engineState, sql string, qo QueryOptions) (plan.Node, error) {
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return e.compile(ctx, sel, qo, e.catalog.Snapshot())
+	return e.compile(ctx, st, sel, qo, e.catalog.Snapshot())
 }
 
 // ExecuteCtx runs an optimized plan under a caller context. Like
 // QueryOptsCtx, a non-nil *Result may accompany an execution error.
 func (e *Engine) ExecuteCtx(ctx context.Context, p plan.Node, qo QueryOptions) (*Result, error) {
-	return e.executeCtx(ctx, p, qo, "", 0, opt.Cost(p, e.planEnv(qo)))
+	return e.executePlan(ctx, e.state.Load(), p, qo)
+}
+
+// executePlan runs a plan that arrived without a statement: costed under
+// the environment it executes in, no label, no planning time.
+func (e *Engine) executePlan(ctx context.Context, st *engineState, p plan.Node, qo QueryOptions) (*Result, error) {
+	return e.executeCtx(ctx, st, p, qo, "", 0, opt.Cost(p, st.planEnv(qo)))
 }
 
 // executeCtx is the single execution path: it derives the query's context
@@ -502,9 +518,9 @@ func (e *Engine) ExecuteCtx(ctx context.Context, p plan.Node, qo QueryOptions) (
 // happened immediately before this call). est is the optimizer's cost
 // prediction, computed by the caller (once per cached template, not per
 // execution).
-func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, sql string, planTime time.Duration, est opt.PlanCost) (*Result, error) {
-	before := e.linkTotals()
-	clock := e.Clock()
+func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, qo QueryOptions, sql string, planTime time.Duration, est opt.PlanCost) (*Result, error) {
+	before := st.linkTotals()
+	clock := st.clock
 	start := clock.Now()
 	if qo.Deadline > 0 {
 		var cancel context.CancelFunc
@@ -522,7 +538,7 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 	defer exec.PutScratch(scratch)
 	ctx = exec.WithScratch(ctx, scratch)
 
-	ctx, q := e.beginQuery(ctx, sql)
+	ctx, q := e.beginQuery(ctx, clock, sql)
 	defer e.endQuery(q)
 
 	// Admission: acquire the tenant's slot (possibly waiting in its FIFO
@@ -535,7 +551,7 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 	var slot *AdmissionSlot
 	if !qo.fragment {
 		var admitErr error
-		slot, admitErr = e.admissionController().Acquire(ctx, qo.Tenant, clock)
+		slot, admitErr = st.admission.Acquire(ctx, qo.Tenant, clock)
 		if admitErr != nil {
 			slot.Release()
 			return nil, admitErr
@@ -546,10 +562,10 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 	// One immutable view of the federation for the whole execution: a
 	// source registered or dropped mid-query cannot change which sources
 	// this query talks to.
-	rt := &queryRuntime{e: e, ctx: ctx, sources: e.sourcesSnapshot(), router: e.fetchRouter(), slot: slot}
-	rt.opts = e.execOptions(qo, rt)
+	rt := &queryRuntime{st: st, ctx: ctx, slot: slot}
+	rt.opts = rt.execOptions(qo)
 	rt.opts.Scratch = scratch
-	if gov := e.workerGovernor(); gov != nil && slot != nil {
+	if gov := st.governor; gov != nil && slot != nil {
 		// Under contention every running query's exchange worker share
 		// shrinks in proportion to its tenant's priority weight —
 		// backpressure degrades parallelism before it degrades admission.
@@ -578,7 +594,7 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 	}
 	if qo.Adaptive || qo.Explain {
 		rt.fetchCards = led
-		se = newSwapEstimator(e.planEnv(qo))
+		se = newSwapEstimator(st.planEnv(qo))
 		rt.opts.Estimate = se.rows
 	}
 	if qo.Adaptive {
@@ -615,7 +631,7 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 		// and start over. The extra network spend stays visible: link
 		// accounting spans all attempts.
 		scratch.WaitBorrowers()
-		e.absorbLedger(led, se.rows)
+		st.absorbLedger(led, se.rows)
 		led.Reset()
 		if replans >= MaxReplans {
 			// Budget exhausted: a workload the estimator cannot model even
@@ -626,7 +642,7 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 			continue
 		}
 		replans++
-		env := e.planEnv(qo)
+		env := st.planEnv(qo)
 		p = opt.Reoptimize(p, env, optimizerOptions(qo))
 		se.swap(env)
 	}
@@ -641,9 +657,9 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 	scratch.WaitBorrowers()
 	estErrors := 0
 	if led != nil && err == nil && se != nil {
-		estErrors = e.absorbLedger(led, se.rows)
+		estErrors = st.absorbLedger(led, se.rows)
 	}
-	after := e.linkTotals()
+	after := st.linkTotals()
 	after.Sub(before)
 
 	cols := p.Columns()
@@ -686,7 +702,8 @@ func (e *Engine) executeCtx(ctx context.Context, p plan.Node, qo QueryOptions, s
 // Explain returns the optimized plan rendering plus, for every Remote
 // subtree, the SQL the wrapper would receive.
 func (e *Engine) Explain(ctx context.Context, sql string, qo QueryOptions) (string, error) {
-	p, err := e.Plan(ctx, sql, qo)
+	st := e.state.Load()
+	p, err := e.plan(ctx, st, sql, qo)
 	if err != nil {
 		return "", err
 	}
@@ -701,7 +718,7 @@ func (e *Engine) Explain(ctx context.Context, sql string, qo QueryOptions) (stri
 			fmt.Fprintf(&b, "-- pushdown @%s: %s\n", r.Source, pushSQL)
 		}
 	})
-	cost := opt.Cost(p, e.env())
+	cost := opt.Cost(p, st.planEnv(qo))
 	fmt.Fprintf(&b, "-- estimate: rows=%d shipped=%dB network=%s cpuRows=%d\n",
 		cost.Rows, cost.Shipped, cost.Network, cost.CPURows)
 	return b.String(), nil
@@ -718,12 +735,13 @@ func (e *Engine) Explain(ctx context.Context, sql string, qo QueryOptions) (stri
 // executeCtx renders it into Result.ExplainOutput itself, after the final
 // attempt's goroutines have joined and before the ledger is recycled.
 func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, qo QueryOptions) (string, error) {
-	p, err := e.Plan(ctx, sql, qo)
+	st := e.state.Load()
+	p, err := e.plan(ctx, st, sql, qo)
 	if err != nil {
 		return "", err
 	}
 	qo.Explain = true
-	res, err := e.ExecuteCtx(ctx, p, qo)
+	res, err := e.executePlan(ctx, st, p, qo)
 	if err != nil {
 		return "", err
 	}
@@ -740,7 +758,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, qo QueryOptions
 // literals; the planner proper does not support subquery expressions. The
 // subqueries run under the outer query's context, so cancelling the outer
 // query aborts its subquery evaluation too.
-func (e *Engine) rewriteExists(ctx context.Context, sel *sqlparse.Select, qo QueryOptions, depth int) error {
+func (e *Engine) rewriteExists(ctx context.Context, st *engineState, sel *sqlparse.Select, qo QueryOptions, depth int) error {
 	if depth > 8 {
 		return fmt.Errorf("core: EXISTS nesting too deep")
 	}
@@ -754,7 +772,7 @@ func (e *Engine) rewriteExists(ctx context.Context, sel *sqlparse.Select, qo Que
 		case *sqlparse.ExistsExpr:
 			probe := *ex.Query
 			probe.Limit = &sqlparse.Literal{Value: datum.NewInt(1)}
-			sub, err := e.QueryOptsCtx(ctx, probe.SQL(), qo)
+			sub, err := e.query(ctx, st, probe.SQL(), qo)
 			if err != nil {
 				return nil, fmt.Errorf("core: evaluating EXISTS subquery: %w", err)
 			}
@@ -764,7 +782,7 @@ func (e *Engine) rewriteExists(ctx context.Context, sel *sqlparse.Select, qo Que
 			}
 			return &sqlparse.Literal{Value: datum.NewBool(val)}, nil
 		case *sqlparse.InSubquery:
-			sub, err := e.QueryOptsCtx(ctx, ex.Query.SQL(), qo)
+			sub, err := e.query(ctx, st, ex.Query.SQL(), qo)
 			if err != nil {
 				return nil, fmt.Errorf("core: evaluating IN subquery: %w", err)
 			}
@@ -798,30 +816,32 @@ func (e *Engine) rewriteExists(ctx context.Context, sel *sqlparse.Select, qo Que
 	}
 	for _, tr := range sel.From {
 		if sq, ok := tr.(*sqlparse.SubqueryTable); ok {
-			if err := e.rewriteExists(ctx, sq.Query, qo, depth+1); err != nil {
+			if err := e.rewriteExists(ctx, st, sq.Query, qo, depth+1); err != nil {
 				return err
 			}
 		}
 	}
 	if sel.UnionAll != nil {
-		return e.rewriteExists(ctx, sel.UnionAll, qo, depth+1)
+		return e.rewriteExists(ctx, st, sel.UnionAll, qo, depth+1)
 	}
 	return nil
 }
 
 // --- opt.Env plumbing ---
 
-type engineEnv struct{ e *Engine }
+// engineEnv is the static planning environment: one engine state, so a
+// whole optimization pass costs against one set of sources and breakers.
+type engineEnv struct{ st *engineState }
 
 func (env engineEnv) Caps(source string) federation.Caps {
-	if src, ok := env.e.Source(source); ok {
+	if src, ok := env.st.source(source); ok {
 		return src.Capabilities()
 	}
 	return federation.ScanOnly()
 }
 
 func (env engineEnv) Link(source string) *netsim.Link {
-	if src, ok := env.e.Source(source); ok {
+	if src, ok := env.st.source(source); ok {
 		return src.Link()
 	}
 	return nil
@@ -830,11 +850,11 @@ func (env engineEnv) Link(source string) *netsim.Link {
 // Available implements opt.AvailabilityEnv: a source whose circuit
 // breaker is open is treated as unavailable by the optimizer.
 func (env engineEnv) Available(source string) bool {
-	return env.e.SourceAvailable(source)
+	return env.st.sourceAvailable(source)
 }
 
 func (env engineEnv) Stats(source, table string) *schema.TableStats {
-	if src, ok := env.e.Source(source); ok {
+	if src, ok := env.st.source(source); ok {
 		if st, ok := src.Catalog().Stats(table); ok {
 			return st
 		}
@@ -842,22 +862,22 @@ func (env engineEnv) Stats(source, table string) *schema.TableStats {
 	return nil
 }
 
-func (e *Engine) env() opt.Env { return engineEnv{e} }
-
 // linkTotals sums metrics across all source links.
-func (e *Engine) linkTotals() netsim.Metrics {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+func (s *engineState) linkTotals() netsim.Metrics {
 	var total netsim.Metrics
-	for _, s := range e.sources {
-		total.Add(s.Link().Metrics())
+	for _, src := range s.sources {
+		total.Add(src.Link().Metrics())
 	}
 	return total
 }
 
+// ErrNotifyUnsupported is what Subscribe's error wraps when the source has
+// no change notifications at all (as opposed to a subscription that failed).
+var ErrNotifyUnsupported = errors.New("change notification not supported")
+
 // Subscribe registers a change callback on a source table — the mediator
-// face of §7's generated Notify methods. It errors when the source does not
-// support notifications.
+// face of §7's generated Notify methods. It errors, wrapping
+// ErrNotifyUnsupported, when the source does not support notifications.
 func (e *Engine) Subscribe(source, table string, fn func(storage.Change)) (cancel func(), err error) {
 	src, ok := e.Source(source)
 	if !ok {
@@ -865,7 +885,7 @@ func (e *Engine) Subscribe(source, table string, fn func(storage.Change)) (cance
 	}
 	n, ok := src.(federation.Notifying)
 	if !ok {
-		return nil, fmt.Errorf("core: source %s does not support change notification", source)
+		return nil, fmt.Errorf("core: source %s: %w", source, ErrNotifyUnsupported)
 	}
 	return n.SubscribeTable(table, fn)
 }
@@ -902,7 +922,7 @@ func (e *Engine) DependencySubscribe(ctx context.Context, sql string, fn func(st
 			// Sources without notification support are skipped;
 			// the caller still gets feeds from the ones that have
 			// it.
-			if strings.Contains(err.Error(), "does not support") {
+			if errors.Is(err, ErrNotifyUnsupported) {
 				return
 			}
 			subErr = err
@@ -925,12 +945,10 @@ func (e *Engine) DependencySubscribe(ctx context.Context, sql string, fn func(st
 
 // ResetMetrics zeroes the accounting on every source link.
 func (e *Engine) ResetMetrics() {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, s := range e.sources {
+	for _, s := range e.state.Load().sources {
 		s.Link().Reset()
 	}
 }
 
 // NetworkTotals returns the summed link metrics.
-func (e *Engine) NetworkTotals() netsim.Metrics { return e.linkTotals() }
+func (e *Engine) NetworkTotals() netsim.Metrics { return e.state.Load().linkTotals() }

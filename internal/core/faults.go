@@ -100,7 +100,10 @@ func (f *queryFaults) fill(res *Result) {
 // the single-attempt primitive; retries, backoff and degradation wrap it
 // via exec.FetchRemote (see execOptions).
 type queryRuntime struct {
-	e      *Engine
+	// st is the engine state the query loaded at its entry point: every
+	// fetch resolves its source, breaker and router against it, whatever
+	// is registered or reconfigured while the query runs.
+	st     *engineState
 	ctx    context.Context // the query's derived context (deadline + cancel)
 	faults queryFaults
 	opts   exec.Options // set after construction; used by ScanTable
@@ -110,12 +113,6 @@ type queryRuntime struct {
 	// bytes for the feedback store; set for adaptive and explain queries
 	// only, so a query that is merely traced teaches the store nothing.
 	fetchCards *exec.CardLedger
-	// sources is the immutable source map captured when the execution
-	// started; all remote fetches of this query resolve against it.
-	sources map[string]federation.Source
-	// router, when non-nil, is the cluster fetch router captured at the
-	// same time: fetches against peer-owned shards execute at the owner.
-	router FetchRouter
 	// slot is the query's admission hold (nil when admission control is
 	// disabled); remote fetches charge scanned bytes against it.
 	slot *AdmissionSlot
@@ -132,7 +129,7 @@ type queryRuntime struct {
 // per-query closures.
 
 func (rt *queryRuntime) ChargeBackoff(source string, d time.Duration) {
-	if src, ok := rt.sources[source]; ok {
+	if src, ok := rt.st.sources[source]; ok {
 		src.Link().ChargeDelay(d)
 	}
 }
@@ -158,71 +155,30 @@ func (rt *queryRuntime) ScanTable(ctx context.Context, scan *plan.Scan) ([]datum
 }
 
 func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) ([]datum.Row, error) {
-	if rt.router != nil {
-		rows, handled, err := rt.router.RouteRemote(ctx, source, subtree)
-		if handled {
-			// A peer mediator owned and answered (or failed) the fetch.
-			// Its own breakers and retries already ran at the owner; the
-			// coordinator only charges the scan budget and surfaces errors
-			// into the normal retry/degradation pipeline.
-			if err != nil {
-				return nil, fmt.Errorf("core: source %s (via peer): %w", source, err)
-			}
-			if len(rows) > 0 {
-				bytes := int64(datum.RowWireSize(rows[0])) * int64(len(rows))
-				if qerr := rt.slot.ChargeScan(bytes); qerr != nil {
-					return nil, qerr
-				}
-			}
-			if cards := rt.fetchCards; cards != nil {
-				// Peer-answered fetches still feed cardinality rows; the
-				// wire accounting happened at the owner, so bytes stay 0.
-				cards.RecordFetch(source, subtree, int64(len(rows)), 0)
-			}
-			return rows, nil
+	// The rows come from the peer mediator that owns the shard, when a
+	// router says so, else from the local source wrapper. A peer ran its
+	// own breakers and retries and accounted its own wire bytes (wire stays
+	// 0 here); everything after the fetch is the same for both.
+	var rows []datum.Row
+	var wire int64
+	var handled bool
+	var err error
+	if rt.st.router != nil {
+		if rows, handled, err = rt.st.router.RouteRemote(ctx, source, subtree); handled && err != nil {
+			err = fmt.Errorf("core: source %s (via peer): %w", source, err)
 		}
 	}
-	src, ok := rt.sources[strings.ToLower(source)]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %q", source)
-	}
-	br := rt.e.breakerFor(source)
-	if br != nil && !br.Allow() {
-		return nil, &BreakerOpenError{Source: source}
-	}
-	var fetchStart time.Time
-	var linkBefore netsim.Metrics
-	cards := rt.fetchCards
-	measured := rt.tracer != nil || cards != nil
-	if measured {
-		if rt.tracer != nil {
-			fetchStart = rt.tracer.Clock().Now()
-		}
-		linkBefore = src.Link().Metrics()
-	}
-	rows, err := federation.ExecuteWithContext(ctx, src, subtree)
-	if measured {
-		delta := src.Link().Metrics()
-		delta.Sub(linkBefore)
-		if rt.tracer != nil {
-			rt.tracer.RecordFetch(source, subtree, fetchStart, rt.tracer.Clock().Since(fetchStart),
-				delta.SimTime, int64(len(rows)), delta.WireBytes, err)
-		}
-		if cards != nil && err == nil {
-			// Only the successful attempt of a retried fetch lands in the
-			// ledger — failed attempts stay visible as numbered trace spans
-			// but must not pollute cardinality feedback. Latency calibrates
-			// against what the link model would have predicted for the same
-			// bytes.
-			cards.RecordFetch(source, subtree, int64(len(rows)), delta.WireBytes)
-			rt.e.feedbackStore().ObserveLatency(source, src.Link().TransferCost(delta.WireBytes), delta.SimTime)
-		}
-	}
-	if br != nil && !isContextErr(err) {
-		br.Record(err == nil)
+	if !handled {
+		rows, wire, err = rt.fetchLocal(ctx, source, subtree)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: source %s: %w", source, err)
+		return nil, err
+	}
+	if rt.fetchCards != nil {
+		// Only the successful attempt of a retried fetch lands in the
+		// ledger — failed attempts stay visible as numbered trace spans
+		// but must not pollute cardinality feedback.
+		rt.fetchCards.RecordFetch(source, subtree, int64(len(rows)), wire)
 	}
 	// Scan-byte accounting happens after the breaker has been fed: the
 	// fetch itself succeeded, so a tripped scan budget is a tenant quota
@@ -236,6 +192,53 @@ func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree pl
 	return rows, nil
 }
 
+// fetchLocal is one attempt against a source this engine owns: gated by
+// the source's breaker and feeding it, recorded as a trace span, and
+// calibrating the latency model. wire is the attempt's bytes on the link
+// (measured only for traced, adaptive and explain queries).
+func (rt *queryRuntime) fetchLocal(ctx context.Context, source string, subtree plan.Node) (rows []datum.Row, wire int64, err error) {
+	key := strings.ToLower(source)
+	src, ok := rt.st.sources[key]
+	if !ok {
+		return nil, 0, fmt.Errorf("core: unknown source %q", source)
+	}
+	br := rt.st.breakers[key]
+	if br != nil && !br.Allow() {
+		return nil, 0, &BreakerOpenError{Source: source}
+	}
+	var fetchStart time.Time
+	var linkBefore netsim.Metrics
+	measured := rt.tracer != nil || rt.fetchCards != nil
+	if measured {
+		if rt.tracer != nil {
+			fetchStart = rt.tracer.Clock().Now()
+		}
+		linkBefore = src.Link().Metrics()
+	}
+	rows, err = federation.ExecuteWithContext(ctx, src, subtree)
+	if measured {
+		delta := src.Link().Metrics()
+		delta.Sub(linkBefore)
+		wire = delta.WireBytes
+		if rt.tracer != nil {
+			rt.tracer.RecordFetch(source, subtree, fetchStart, rt.tracer.Clock().Since(fetchStart),
+				delta.SimTime, int64(len(rows)), wire, err)
+		}
+		if rt.fetchCards != nil && err == nil {
+			// Latency calibrates against what the link model would have
+			// predicted for the same bytes.
+			rt.st.feedback.ObserveLatency(source, src.Link().TransferCost(wire), delta.SimTime)
+		}
+	}
+	if br != nil && !isContextErr(err) {
+		br.Record(err == nil)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: source %s: %w", source, err)
+	}
+	return rows, wire, nil
+}
+
 func isContextErr(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
@@ -243,7 +246,7 @@ func isContextErr(err error) bool {
 // execOptions assembles the exec.Options of one query: retry policy with
 // backoff charged to the failing source's virtual clock, fault ledger
 // hooks, and — when the query tolerates it — the degradation callback.
-func (e *Engine) execOptions(qo QueryOptions, rt *queryRuntime) exec.Options {
+func (rt *queryRuntime) execOptions(qo QueryOptions) exec.Options {
 	faults := &rt.faults
 	rt.userOnSourceError = qo.OnSourceError
 	opts := exec.Options{
@@ -270,7 +273,7 @@ func (e *Engine) execOptions(qo QueryOptions, rt *queryRuntime) exec.Options {
 				// fetch will not save it.
 				return nil, false
 			}
-			if rows, ok := e.replicaRows(rt.ctx, source, subtree, qo.ReplicaMaxAge); ok {
+			if rows, ok := rt.st.replicaRows(rt.ctx, source, subtree, qo.ReplicaMaxAge); ok {
 				faults.recordReplica(source)
 				return rows, true
 			}
@@ -312,12 +315,11 @@ func (rt *replicaRuntime) RunRemote(context.Context, string, plan.Node) ([]datum
 // the replica provider's table copies, when all of them are present and
 // fresh enough. It runs under the query's context: a cancelled query
 // does not fall back to replicas.
-func (e *Engine) replicaRows(ctx context.Context, source string, subtree plan.Node, maxAge time.Duration) ([]datum.Row, bool) {
-	rp := e.replicaProvider()
-	if rp == nil {
+func (s *engineState) replicaRows(ctx context.Context, source string, subtree plan.Node, maxAge time.Duration) ([]datum.Row, bool) {
+	if s.replica == nil {
 		return nil, false
 	}
-	rt := &replicaRuntime{rp: rp, source: source, maxAge: maxAge}
+	rt := &replicaRuntime{rp: s.replica, source: source, maxAge: maxAge}
 	it, err := exec.BuildBatch(ctx, subtree, rt, exec.Options{})
 	if err != nil {
 		return nil, false

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/datum"
 	"repro/internal/federation"
+	"repro/internal/netsim"
 	"repro/internal/schema"
 	"repro/internal/storage"
 )
@@ -114,5 +116,55 @@ func TestNotificationDrivesWarehouseStyleRefreshDecision(t *testing.T) {
 	tab.Truncate()
 	if changes != 6 {
 		t.Errorf("changes = %d, want 6 (5 inserts + truncate)", changes)
+	}
+}
+
+// notifySpy is a Notifying source whose subscriptions either fail with a
+// given error or are counted, so a test can see what was cancelled.
+type notifySpy struct {
+	*federation.RelationalSource
+	fail          error
+	subs, cancels int
+}
+
+func (s *notifySpy) SubscribeTable(table string, fn func(storage.Change)) (func(), error) {
+	if s.fail != nil {
+		return nil, s.fail
+	}
+	cancel, err := s.RelationalSource.SubscribeTable(table, fn)
+	if err != nil {
+		return nil, err
+	}
+	s.subs++
+	return func() { s.cancels++; cancel() }, nil
+}
+
+// A failing subscription is an error even when its text happens to read
+// like "this source has no notifications": only ErrNotifyUnsupported is
+// skipped, and the subscriptions already taken are released.
+func TestDependencySubscribeSurfacesSubscriptionFailure(t *testing.T) {
+	e := New()
+	table := func(name string) *federation.RelationalSource {
+		src := federation.NewRelationalSource(name, federation.FullSQL(), netsim.LocalLink())
+		if _, err := src.CreateTable(schema.MustTable("t", []schema.Column{{Name: "id", Kind: datum.KindInt}})); err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	good := &notifySpy{RelationalSource: table("good")}
+	bad := &notifySpy{RelationalSource: table("bad"), fail: errors.New("table does not support triggers")}
+	for _, s := range []federation.Source{good, bad} {
+		if err := e.Register(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// UNION ALL keeps the branch order, so good.t subscribes before bad.t.
+	_, err := e.DependencySubscribe(context.Background(),
+		"SELECT id FROM good.t UNION ALL SELECT id FROM bad.t", func(storage.Change) {})
+	if !errors.Is(err, bad.fail) {
+		t.Fatalf("err = %v, want the SubscribeTable failure", err)
+	}
+	if good.subs != 1 || good.cancels != 1 {
+		t.Errorf("good.t: %d subscriptions, %d cancelled; want 1 taken and released", good.subs, good.cancels)
 	}
 }

@@ -59,9 +59,8 @@ type inflightRegistry struct {
 // beginQuery derives the query's cancellable context, registers it, and
 // returns the derived context plus its registry entry. The caller must
 // endQuery the entry when execution finishes.
-func (e *Engine) beginQuery(ctx context.Context, sql string) (context.Context, *QueryCtx) {
+func (e *Engine) beginQuery(ctx context.Context, clock netsim.Clock, sql string) (context.Context, *QueryCtx) {
 	ctx, cancel := context.WithCancel(ctx)
-	clock := e.Clock()
 	q := &QueryCtx{
 		id:     e.inflight.nextID.Add(1),
 		sql:    sql,

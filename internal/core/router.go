@@ -38,17 +38,8 @@ type FetchRouter interface {
 // plans place remote work, so cached plans compiled under the previous
 // routing are retired.
 func (e *Engine) SetFetchRouter(r FetchRouter) {
-	e.mu.Lock()
-	e.router = r
-	e.invalidateTopo()
-	e.mu.Unlock()
+	e.update(func(s *engineState) { s.router = r })
 	e.BumpCatalog()
-}
-
-func (e *Engine) fetchRouter() FetchRouter {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.router
 }
 
 // RunFragment executes a plan fragment shipped from a peer coordinator.
@@ -59,8 +50,9 @@ func (e *Engine) fetchRouter() FetchRouter {
 // was already admitted (and is charged) at its coordinating node.
 func (e *Engine) RunFragment(ctx context.Context, subtree plan.Node, qo QueryOptions) ([]datum.Row, error) {
 	qo.fragment = true
-	p := opt.Optimize(subtree, e.env(), qo.Optimizer)
-	res, err := e.ExecuteCtx(ctx, p, qo)
+	st := e.state.Load()
+	p := opt.Optimize(subtree, st.planEnv(qo), qo.Optimizer)
+	res, err := e.executePlan(ctx, st, p, qo)
 	if err != nil {
 		return nil, fmt.Errorf("core: fragment execution: %w", err)
 	}
@@ -71,7 +63,7 @@ func (e *Engine) RunFragment(ctx context.Context, subtree plan.Node, qo QueryOpt
 // fetch router (false when no router is installed): shard-aware placement
 // treats peer-owned sources as filter-capable remotes.
 func (env engineEnv) PeerFilterCapable(source string) bool {
-	if r := env.e.fetchRouter(); r != nil {
+	if r := env.st.router; r != nil {
 		return r.FilterCapable(source)
 	}
 	return false

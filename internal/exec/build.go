@@ -473,7 +473,7 @@ func assembleJoin(ctx context.Context, x *plan.Join, left, right BatchIterator, 
 	var lk, rk []sqlparse.Expr
 	var residual sqlparse.Expr
 	if x.Cond != nil {
-		lk, rk, residual = extractEquiKeys(x.Cond, x.Left.Columns(), x.Right.Columns())
+		lk, rk, residual = plan.EquiKeys(x.Cond, x.Left.Columns(), x.Right.Columns())
 	}
 	return assembleJoinKeys(ctx, x, left, right, opts, lk, rk, residual)
 }
@@ -557,7 +557,7 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 	if !isRemote || !remote.AllowKeyFilter {
 		return nil, false, nil
 	}
-	lk, rk, residual := extractEquiKeys(x.Cond, x.Left.Columns(), x.Right.Columns())
+	lk, rk, residual := plan.EquiKeys(x.Cond, x.Left.Columns(), x.Right.Columns())
 	if len(lk) == 0 {
 		return nil, false, nil
 	}

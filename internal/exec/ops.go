@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/plan"
-	"repro/internal/sqlparse"
 )
 
 // --- Filter ---
@@ -31,7 +30,6 @@ func (f *filterBatchIter) NextBatch() (Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		//lint:ignore batchretain out is this operator's own scratch container (built in f.out[:0])
 		f.out = out
 		if len(out) > 0 {
 			return out, nil
@@ -62,7 +60,6 @@ func (p *projectBatchIter) NextBatch() (Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore batchretain out is this operator's own scratch container (built in p.out[:0])
 	p.out = out
 	return out, nil
 }
@@ -227,7 +224,6 @@ func (h *hashJoinBatchIter) NextBatch() (Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		//lint:ignore batchretain out is this operator's own scratch container (built in h.out[:0])
 		h.out = out
 		if len(out) > 0 {
 			return out, nil
@@ -332,7 +328,6 @@ func (n *nestedLoopBatchIter) NextBatch() (Batch, error) {
 		n.curPos++
 		n.rightPos, n.matched = 0, false
 	}
-	//lint:ignore batchretain out is this operator's own scratch container (built in n.out[:0])
 	n.out = out
 	return out, nil
 }
@@ -545,7 +540,6 @@ func (d *distinctBatchIter) NextBatch() (Batch, error) {
 				out = append(out, r)
 			}
 		}
-		//lint:ignore batchretain out is this operator's own scratch container (built in d.out[:0])
 		d.out = out
 		if len(out) > 0 {
 			return out, nil
@@ -630,75 +624,4 @@ func (p *prefetchBatchIter) NextBatch() (Batch, error) {
 		return nil, p.err
 	}
 	return p.sliceBatchIter.NextBatch()
-}
-
-// extractEquiKeys splits a join condition into equi-key pairs (left expr,
-// right expr) and a residual predicate. leftCols/rightCols are the child
-// output schemas; an equality qualifies when one side resolves entirely
-// against the left child and the other against the right child.
-func extractEquiKeys(cond sqlparse.Expr, leftCols, rightCols []plan.ColMeta) (leftKeys, rightKeys []sqlparse.Expr, residual sqlparse.Expr) {
-	conjuncts := SplitConjuncts(cond)
-	var rest []sqlparse.Expr
-	for _, c := range conjuncts {
-		b, ok := c.(*sqlparse.BinaryExpr)
-		if !ok || b.Op != sqlparse.OpEq {
-			rest = append(rest, c)
-			continue
-		}
-		switch {
-		case resolvesAgainst(b.Left, leftCols) && resolvesAgainst(b.Right, rightCols):
-			leftKeys = append(leftKeys, b.Left)
-			rightKeys = append(rightKeys, b.Right)
-		case resolvesAgainst(b.Left, rightCols) && resolvesAgainst(b.Right, leftCols):
-			leftKeys = append(leftKeys, b.Right)
-			rightKeys = append(rightKeys, b.Left)
-		default:
-			rest = append(rest, c)
-		}
-	}
-	return leftKeys, rightKeys, CombineConjuncts(rest)
-}
-
-// SplitConjuncts flattens a conjunction into its AND-ed terms.
-func SplitConjuncts(e sqlparse.Expr) []sqlparse.Expr {
-	if e == nil {
-		return nil
-	}
-	return appendConjuncts(nil, e)
-}
-
-// appendConjuncts accumulates AND-ed terms into dst, avoiding the
-// per-level slice concatenation a naive recursive split would pay.
-func appendConjuncts(dst []sqlparse.Expr, e sqlparse.Expr) []sqlparse.Expr {
-	if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
-		return appendConjuncts(appendConjuncts(dst, b.Left), b.Right)
-	}
-	return append(dst, e)
-}
-
-// CombineConjuncts rebuilds an AND tree; nil for an empty list.
-func CombineConjuncts(es []sqlparse.Expr) sqlparse.Expr {
-	var out sqlparse.Expr
-	for _, e := range es {
-		if out == nil {
-			out = e
-		} else {
-			out = &sqlparse.BinaryExpr{Op: sqlparse.OpAnd, Left: out, Right: e}
-		}
-	}
-	return out
-}
-
-// resolvesAgainst reports whether every column reference in e resolves
-// against cols (and e contains at least one reference or is a literal).
-func resolvesAgainst(e sqlparse.Expr, cols []plan.ColMeta) bool {
-	ok := true
-	sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
-		if ref, is := x.(*sqlparse.ColumnRef); is {
-			if _, found := plan.FindColumn(cols, ref); !found {
-				ok = false
-			}
-		}
-	})
-	return ok
 }

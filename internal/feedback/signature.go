@@ -33,7 +33,7 @@ func Signature(n plan.Node) (Key, bool) {
 			continue
 		}
 		if f, isFilter := n.(*plan.Filter); isFilter {
-			for _, c := range splitAnd(f.Cond) {
+			for _, c := range sqlparse.SplitConjuncts(f.Cond) {
 				conjuncts = append(conjuncts, maskExpr(c))
 			}
 			n = f.Input
@@ -51,17 +51,6 @@ func Signature(n plan.Node) (Key, bool) {
 		Table:  strings.ToLower(s.Table),
 		Sig:    strings.Join(conjuncts, "|"),
 	}, true
-}
-
-// splitAnd flattens a conjunction into its conjuncts.
-func splitAnd(e sqlparse.Expr) []sqlparse.Expr {
-	if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
-		return append(splitAnd(b.Left), splitAnd(b.Right)...)
-	}
-	if e == nil {
-		return nil
-	}
-	return []sqlparse.Expr{e}
 }
 
 // maskExpr renders an expression with every constant (literal or bound

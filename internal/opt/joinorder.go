@@ -48,7 +48,7 @@ func flattenJoins(n plan.Node) ([]plan.Node, []sqlparse.Expr) {
 	rRels, rConj := flattenJoins(j.Right)
 	rels := append(lRels, rRels...)
 	conj := append(lConj, rConj...)
-	conj = append(conj, splitConjuncts(j.Cond)...)
+	conj = append(conj, sqlparse.SplitConjuncts(j.Cond)...)
 	return rels, conj
 }
 
@@ -56,7 +56,7 @@ func flattenJoins(n plan.Node) ([]plan.Node, []sqlparse.Expr) {
 // from the rest.
 func applicable(conjuncts []sqlparse.Expr, cols []plan.ColMeta) (now, later []sqlparse.Expr) {
 	for _, c := range conjuncts {
-		if refsResolveAgainst(c, cols) {
+		if plan.RefsResolve(c, cols) {
 			now = append(now, c)
 		} else {
 			later = append(later, c)
@@ -69,7 +69,7 @@ func applicable(conjuncts []sqlparse.Expr, cols []plan.ColMeta) (now, later []sq
 func connects(conjuncts []sqlparse.Expr, a, b []plan.ColMeta) bool {
 	joined := append(append([]plan.ColMeta{}, a...), b...)
 	for _, c := range conjuncts {
-		if refsResolveAgainst(c, joined) && !refsResolveAgainst(c, a) && !refsResolveAgainst(c, b) {
+		if plan.RefsResolve(c, joined) && !plan.RefsResolve(c, a) && !plan.RefsResolve(c, b) {
 			return true
 		}
 	}
@@ -86,13 +86,13 @@ func joinPair(left, right plan.Node, pool []sqlparse.Expr) (plan.Node, []sqlpars
 		// Only attach conjuncts that need both sides; single-side
 		// conjuncts were already pushed down by pushFilters, but a
 		// straggler is still legal as part of the join condition.
-		if refsResolveAgainst(c, joined) {
+		if plan.RefsResolve(c, joined) {
 			now = append(now, c)
 		} else {
 			later = append(later, c)
 		}
 	}
-	return plan.NewJoin(sqlparse.JoinInner, left, right, combineConjuncts(now)), later
+	return plan.NewJoin(sqlparse.JoinInner, left, right, sqlparse.CombineConjuncts(now)), later
 }
 
 // dpOrder runs left-deep dynamic programming over relation subsets,
@@ -110,7 +110,7 @@ func dpOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.N
 		now, later := applicable(conjuncts, r.Columns())
 		node := r
 		if len(now) > 0 {
-			node = &plan.Filter{Input: r, Cond: combineConjuncts(now)}
+			node = &plan.Filter{Input: r, Cond: sqlparse.CombineConjuncts(now)}
 		}
 		dp[1<<i] = &entry{node: node, pool: later, cost: est.Rows(node)}
 	}
@@ -149,7 +149,7 @@ func dpOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.N
 		return fallbackOrder(rels, conjuncts)
 	}
 	if len(best.pool) > 0 {
-		return &plan.Filter{Input: best.node, Cond: combineConjuncts(best.pool)}
+		return &plan.Filter{Input: best.node, Cond: sqlparse.CombineConjuncts(best.pool)}
 	}
 	return best.node
 }
@@ -170,7 +170,7 @@ func greedyOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) pl
 	cur := remaining[bestIdx]
 	remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	if now, later := applicable(pool, cur.Columns()); len(now) > 0 {
-		cur = &plan.Filter{Input: cur, Cond: combineConjuncts(now)}
+		cur = &plan.Filter{Input: cur, Cond: sqlparse.CombineConjuncts(now)}
 		pool = later
 	}
 	for len(remaining) > 0 {
@@ -195,7 +195,7 @@ func greedyOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) pl
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	if len(pool) > 0 {
-		cur = &plan.Filter{Input: cur, Cond: combineConjuncts(pool)}
+		cur = &plan.Filter{Input: cur, Cond: sqlparse.CombineConjuncts(pool)}
 	}
 	return cur
 }
@@ -208,7 +208,7 @@ func fallbackOrder(rels []plan.Node, conjuncts []sqlparse.Expr) plan.Node {
 		cur, pool = joinPair(cur, r, pool)
 	}
 	if len(pool) > 0 {
-		cur = &plan.Filter{Input: cur, Cond: combineConjuncts(pool)}
+		cur = &plan.Filter{Input: cur, Cond: sqlparse.CombineConjuncts(pool)}
 	}
 	return cur
 }

@@ -161,7 +161,7 @@ func annotateSemiJoins(n plan.Node, env Env) plan.Node {
 		if !ok || j.Cond == nil {
 			return x
 		}
-		leftKeys, rightKeys := equiKeyPairs(j)
+		leftKeys, rightKeys, _ := plan.EquiKeys(j.Cond, j.Left.Columns(), j.Right.Columns())
 		if len(leftKeys) == 0 {
 			return x
 		}
@@ -238,26 +238,4 @@ func annotateSemiJoins(n plan.Node, env Env) plan.Node {
 		nj.Parallel = j.Parallel
 		return nj
 	})
-}
-
-// equiKeyPairs extracts the equi-join key expressions of a join, aligned
-// (leftKeys[i] = rightKeys[i]).
-func equiKeyPairs(j *plan.Join) (leftKeys, rightKeys []sqlparse.Expr) {
-	leftCols := j.Left.Columns()
-	rightCols := j.Right.Columns()
-	for _, c := range splitConjuncts(j.Cond) {
-		b, ok := c.(*sqlparse.BinaryExpr)
-		if !ok || b.Op != sqlparse.OpEq {
-			continue
-		}
-		switch {
-		case refsResolveAgainst(b.Left, leftCols) && refsResolveAgainst(b.Right, rightCols):
-			leftKeys = append(leftKeys, b.Left)
-			rightKeys = append(rightKeys, b.Right)
-		case refsResolveAgainst(b.Left, rightCols) && refsResolveAgainst(b.Right, leftCols):
-			leftKeys = append(leftKeys, b.Right)
-			rightKeys = append(rightKeys, b.Left)
-		}
-	}
-	return leftKeys, rightKeys
 }

@@ -73,20 +73,6 @@ func substitute(e sqlparse.Expr, cols []plan.ColMeta, exprs []sqlparse.Expr) sql
 	}
 }
 
-// refsResolveAgainst reports whether every column reference in e resolves
-// against cols.
-func refsResolveAgainst(e sqlparse.Expr, cols []plan.ColMeta) bool {
-	ok := true
-	sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
-		if r, is := x.(*sqlparse.ColumnRef); is {
-			if _, err := plan.ResolveColumn(cols, r); err != nil {
-				ok = false
-			}
-		}
-	})
-	return ok
-}
-
 // mergeProjects collapses Project-over-Project chains by substituting the
 // inner expressions into the outer ones. The builder's view unfolding and
 // subquery handling produce long rename chains; merging them is what makes
@@ -136,15 +122,15 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 		return pushFilterInto(merged, x.Input)
 
 	case *plan.Join:
-		conjuncts := splitConjuncts(cond)
+		conjuncts := sqlparse.SplitConjuncts(cond)
 		leftCols := x.Left.Columns()
 		rightCols := x.Right.Columns()
 		var toLeft, toRight, here []sqlparse.Expr
 		for _, c := range conjuncts {
 			switch {
-			case refsResolveAgainst(c, leftCols):
+			case plan.RefsResolve(c, leftCols):
 				toLeft = append(toLeft, c)
-			case refsResolveAgainst(c, rightCols) && x.Type == sqlparse.JoinInner:
+			case plan.RefsResolve(c, rightCols) && x.Type == sqlparse.JoinInner:
 				// Pushing a right-side predicate through a LEFT
 				// join would drop null-padded rows, so only
 				// inner joins descend on the right.
@@ -159,11 +145,11 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 		}
 		left := x.Left
 		if len(toLeft) > 0 {
-			left = pushFilterInto(combineConjuncts(toLeft), left)
+			left = pushFilterInto(sqlparse.CombineConjuncts(toLeft), left)
 		}
 		right := x.Right
 		if len(toRight) > 0 {
-			right = pushFilterInto(combineConjuncts(toRight), right)
+			right = pushFilterInto(sqlparse.CombineConjuncts(toRight), right)
 		}
 		joinCond := x.Cond
 		if len(here) > 0 {
@@ -171,7 +157,7 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 			if joinCond != nil {
 				all = append(all, joinCond)
 			}
-			joinCond = combineConjuncts(all)
+			joinCond = sqlparse.CombineConjuncts(all)
 		}
 		return plan.NewJoin(x.Type, left, right, joinCond)
 
@@ -180,8 +166,8 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 		// substituting the grouping expressions.
 		groupCols := x.Columns()[:len(x.GroupBy)]
 		var below, above []sqlparse.Expr
-		for _, c := range splitConjuncts(cond) {
-			if refsResolveAgainst(c, groupCols) {
+		for _, c := range sqlparse.SplitConjuncts(cond) {
+			if plan.RefsResolve(c, groupCols) {
 				below = append(below, substitute(c, groupCols, x.GroupBy))
 			} else {
 				above = append(above, c)
@@ -189,10 +175,10 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 		}
 		out := plan.Node(x)
 		if len(below) > 0 {
-			out = plan.NewAggregate(pushFilterInto(combineConjuncts(below), x.Input), x.GroupBy, x.Aggs)
+			out = plan.NewAggregate(pushFilterInto(sqlparse.CombineConjuncts(below), x.Input), x.GroupBy, x.Aggs)
 		}
 		if len(above) > 0 {
-			out = &plan.Filter{Input: out, Cond: combineConjuncts(above)}
+			out = &plan.Filter{Input: out, Cond: sqlparse.CombineConjuncts(above)}
 		}
 		return out
 
@@ -211,28 +197,6 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 	default:
 		panic(fmt.Sprintf("opt: pushFilterInto missing case for %T", node))
 	}
-}
-
-func splitConjuncts(e sqlparse.Expr) []sqlparse.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
-		return append(splitConjuncts(b.Left), splitConjuncts(b.Right)...)
-	}
-	return []sqlparse.Expr{e}
-}
-
-func combineConjuncts(es []sqlparse.Expr) sqlparse.Expr {
-	var out sqlparse.Expr
-	for _, e := range es {
-		if out == nil {
-			out = e
-		} else {
-			out = &sqlparse.BinaryExpr{Op: sqlparse.OpAnd, Left: out, Right: e}
-		}
-	}
-	return out
 }
 
 // exprRefs returns the positions (within cols) of every column reference in

@@ -187,7 +187,7 @@ func (e *estimator) joinRows(j *plan.Join) float64 {
 	}
 	sel := 1.0
 	gotEqui := false
-	for _, c := range splitConjuncts(j.Cond) {
+	for _, c := range sqlparse.SplitConjuncts(j.Cond) {
 		b, ok := c.(*sqlparse.BinaryExpr)
 		if !ok || b.Op != sqlparse.OpEq {
 			continue
@@ -298,7 +298,7 @@ func (e *estimator) selectivity(cond sqlparse.Expr, input plan.Node) float64 {
 		return 1
 	}
 	sel := 1.0
-	for _, c := range splitConjuncts(cond) {
+	for _, c := range sqlparse.SplitConjuncts(cond) {
 		sel *= e.conjunctSelectivity(c, input)
 	}
 	if sel < 1e-9 {

@@ -434,6 +434,47 @@ func FindColumn(cols []ColMeta, ref *sqlparse.ColumnRef) (idx int, ok bool) {
 	return found, true
 }
 
+// RefsResolve reports whether every column reference in e resolves
+// against cols (an expression without references trivially does).
+func RefsResolve(e sqlparse.Expr, cols []ColMeta) bool {
+	ok := true
+	sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
+		if ref, is := x.(*sqlparse.ColumnRef); is {
+			if _, found := FindColumn(cols, ref); !found {
+				ok = false
+			}
+		}
+	})
+	return ok
+}
+
+// EquiKeys splits a join condition into aligned equi-key pairs
+// (leftKeys[i] = rightKeys[i]) and a residual predicate. leftCols and
+// rightCols are the child output schemas; an equality qualifies when one
+// side resolves entirely against the left child and the other against the
+// right child.
+func EquiKeys(cond sqlparse.Expr, leftCols, rightCols []ColMeta) (leftKeys, rightKeys []sqlparse.Expr, residual sqlparse.Expr) {
+	var rest []sqlparse.Expr
+	for _, c := range sqlparse.SplitConjuncts(cond) {
+		b, ok := c.(*sqlparse.BinaryExpr)
+		if !ok || b.Op != sqlparse.OpEq {
+			rest = append(rest, c)
+			continue
+		}
+		switch {
+		case RefsResolve(b.Left, leftCols) && RefsResolve(b.Right, rightCols):
+			leftKeys = append(leftKeys, b.Left)
+			rightKeys = append(rightKeys, b.Right)
+		case RefsResolve(b.Left, rightCols) && RefsResolve(b.Right, leftCols):
+			leftKeys = append(leftKeys, b.Right)
+			rightKeys = append(rightKeys, b.Left)
+		default:
+			rest = append(rest, c)
+		}
+	}
+	return leftKeys, rightKeys, sqlparse.CombineConjuncts(rest)
+}
+
 // ResolveColumn returns the offset of the column referenced by ref within
 // cols. Ambiguous or missing references return an error.
 func ResolveColumn(cols []ColMeta, ref *sqlparse.ColumnRef) (int, error) {

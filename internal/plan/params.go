@@ -87,10 +87,10 @@ func BindParams(n Node, params []datum.Datum) (Node, error) {
 	return BindParamsIn(nil, n, params)
 }
 
-// BindParamsIn is BindParams with the rewritten expression subtrees
-// allocated from a (heap when a is nil). The handful of rebuilt plan nodes
-// stay on the heap, but bound predicates — the bulk of the per-execution
-// garbage — die with the query's arena. The returned plan must therefore
+// BindParamsIn is BindParams with everything it rebuilds allocated from a
+// (heap when a is nil): the rewritten expression subtrees from the arena
+// itself, the handful of cloned plan nodes from the bindArena slabs
+// attached to it. Both die with the query's arena; the returned plan must
 // not outlive the arena; the engine reports the retained template, never
 // the bound instance, in Result.Plan.
 func BindParamsIn(a *sqlparse.Arena, n Node, params []datum.Datum) (Node, error) {

@@ -632,6 +632,37 @@ func (e *ExistsExpr) appendSQL(b []byte) []byte {
 	return append(b, "))"...)
 }
 
+// SplitConjuncts flattens a conjunction into its AND-ed terms; nil for a
+// nil expression.
+func SplitConjuncts(e Expr) []Expr {
+	if e == nil {
+		return nil
+	}
+	return appendConjuncts(nil, e)
+}
+
+// appendConjuncts accumulates AND-ed terms into dst, avoiding the
+// per-level slice concatenation a naive recursive split would pay.
+func appendConjuncts(dst []Expr, e Expr) []Expr {
+	if b, ok := e.(*BinaryExpr); ok && b.Op == OpAnd {
+		return appendConjuncts(appendConjuncts(dst, b.Left), b.Right)
+	}
+	return append(dst, e)
+}
+
+// CombineConjuncts rebuilds an AND tree; nil for an empty list.
+func CombineConjuncts(es []Expr) Expr {
+	var out Expr
+	for _, e := range es {
+		if out == nil {
+			out = e
+		} else {
+			out = &BinaryExpr{Op: OpAnd, Left: out, Right: e}
+		}
+	}
+	return out
+}
+
 // WalkExprs calls fn for e and every expression beneath it, pre-order.
 func WalkExprs(e Expr, fn func(Expr)) {
 	if e == nil {

@@ -349,3 +349,21 @@ func TestContainsAggregate(t *testing.T) {
 		t.Error("scalar func is not an aggregate")
 	}
 }
+
+func TestSplitCombineConjuncts(t *testing.T) {
+	e, _ := ParseExpr("a = 1 AND b = 2 AND c = 3")
+	parts := SplitConjuncts(e)
+	if len(parts) != 3 {
+		t.Fatalf("split = %d parts", len(parts))
+	}
+	back := CombineConjuncts(parts)
+	if back.SQL() != e.SQL() {
+		t.Errorf("recombined = %s", back.SQL())
+	}
+	if CombineConjuncts(nil) != nil {
+		t.Error("empty combine must be nil")
+	}
+	if got := SplitConjuncts(nil); got != nil {
+		t.Error("nil split must be nil")
+	}
+}

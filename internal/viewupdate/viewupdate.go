@@ -149,7 +149,7 @@ func (e *equivalences) classOf(c baseCol) []baseCol {
 func collectEquivalences(root plan.Node) *equivalences {
 	eq := &equivalences{}
 	record := func(scope plan.Node, cond sqlparse.Expr) {
-		for _, c := range splitAnd(cond) {
+		for _, c := range sqlparse.SplitConjuncts(cond) {
 			b, ok := c.(*sqlparse.BinaryExpr)
 			if !ok || b.Op != sqlparse.OpEq {
 				continue
@@ -182,16 +182,6 @@ func collectEquivalences(root plan.Node) *equivalences {
 		}
 	})
 	return eq
-}
-
-func splitAnd(e sqlparse.Expr) []sqlparse.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
-		return append(splitAnd(b.Left), splitAnd(b.Right)...)
-	}
-	return []sqlparse.Expr{e}
 }
 
 // trace follows a column reference down the plan to the scan that produces
