@@ -4,9 +4,9 @@
 GO ?= go
 RACE_PKGS := ./...
 
-.PHONY: check fmt vet lint build test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench bench-smoke tracked waivers
+.PHONY: check fmt vet lint build test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench bench-smoke doc-names tracked waivers
 
-check: fmt vet lint waivers build test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench-smoke
+check: fmt vet lint waivers doc-names build test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench-smoke
 
 fmt:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
@@ -19,11 +19,10 @@ vet:
 # engine — package facts, call graph, and all eleven checks (determinism,
 # map order, batch retention, snapshot immutability, dropped transfer
 # errors, context propagation, arena escape, acquire/release, lock order,
-# goroutine leaks, switch exhaustiveness) — run across a worker pool;
-# -stats prints the load/analyze wall-time split and packages/sec.
+# goroutine leaks, switch exhaustiveness).
 # `go run` keeps it toolchain-only — no installed binary.
 lint:
-	$(GO) run ./cmd/eiilint -stats ./...
+	$(GO) run ./cmd/eiilint ./...
 
 build:
 	$(GO) build ./...
@@ -80,23 +79,29 @@ alloc-guard:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# One iteration of every `go test -bench` group, and of exec's mechanism
+# One iteration of every root microbenchmark, and of exec's mechanism
 # microbenchmarks (IN-list, join build and probe, group table): cheap enough
 # for every `make check`, it keeps the microbenchmark code itself compiling
 # and running (a broken bench otherwise goes unnoticed until someone runs
 # the full suite). It measures nothing and leaves nothing behind — numbers
 # worth keeping come from the repo benchmark (bench/, BENCHMARK.json).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkE13PlanCache|BenchmarkE14Vectorized|BenchmarkE15Cancel|BenchmarkE16OpenLoop|BenchmarkE17FrontEnd|BenchmarkE18Cluster|BenchmarkE19Lint|BenchmarkE20Adaptive|BenchmarkPointFetch' \
-		-benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/exec
+
+# Every Benchmark* name the docs cite must be (a prefix of) a benchmark
+# that exists, so a deleted or renamed one cannot live on in prose.
+doc-names:
+	@for b in $$(grep -oh 'Benchmark[A-Z][A-Za-z0-9]*' README.md DESIGN.md EXPERIMENTS.md | sort -u); do \
+		grep -rqs --include='*_test.go' --exclude-dir=.bench_build "^func $$b" . || { echo "docs cite $$b: no such benchmark"; bad=1; }; \
+	done; [ -z "$$bad" ]
 
 # ROADMAP aim 2's tracked numbers: non-test lines in the executor and the
 # engine, non-test lines in the whole module, and `//lint:ignore` waivers
 # in production code. All three should only go down.
 NONTEST_GO = grep -v -e _test.go -e /testdata/ -e '^./.bench_build/'
 WAIVERS = grep -rn '^\s*//lint:ignore' --include=*.go . | grep -v -e _test.go -e testdata -e .bench_build | wc -l
-MAX_WAIVERS := 14
+MAX_WAIVERS := 5
 
 tracked:
 	@echo "exec+core non-test lines: $$(ls internal/exec/*.go internal/core/*.go | $(NONTEST_GO) | xargs cat | wc -l)"

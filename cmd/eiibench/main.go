@@ -1,15 +1,21 @@
-// Command eiibench runs the paper-reproduction experiments (E1..E11 in
-// DESIGN.md) and prints one table per claim.
+// Command eiibench runs the paper-reproduction experiments (the E<n>
+// tables of DESIGN.md §4, listed by experiments.IDs) and prints one table
+// per claim.
 //
 // Usage:
 //
 //	eiibench [-scale quick|full] [-only E1,E5,...]
+//
+// -only selects experiments before anything runs; an unknown ID is a usage
+// error that lists the valid ones.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -17,9 +23,20 @@ import (
 )
 
 func main() {
-	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
-	onlyFlag := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, runs the selected
+// experiments and returns the exit status (1 when an experiment fails, 2 on
+// a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("eiibench", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	scaleFlag := flags.String("scale", "quick", "experiment scale: quick or full")
+	onlyFlag := flags.String("only", "", "comma-separated experiment IDs to run (default: all)")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
 
 	scale := experiments.Quick
 	switch strings.ToLower(*scaleFlag) {
@@ -27,32 +44,27 @@ func main() {
 	case "full":
 		scale = experiments.Full
 	default:
-		fmt.Fprintf(os.Stderr, "eiibench: unknown scale %q (want quick or full)\n", *scaleFlag)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "eiibench: unknown scale %q (want quick or full)\n", *scaleFlag)
+		return 2
 	}
 
-	only := map[string]bool{}
+	var only []string
 	if *onlyFlag != "" {
 		for _, id := range strings.Split(*onlyFlag, ",") {
-			only[strings.ToUpper(strings.TrimSpace(id))] = true
+			only = append(only, strings.ToUpper(strings.TrimSpace(id)))
 		}
 	}
 
-	tables, err := experiments.All(context.Background(), scale)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "eiibench: %v\n", err)
-		os.Exit(1)
-	}
-	printed := 0
+	tables, err := experiments.Run(context.Background(), scale, only...)
 	for _, t := range tables {
-		if len(only) > 0 && !only[t.ID] {
-			continue
+		fmt.Fprintln(stdout, t.Render())
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "eiibench: %v\n", err)
+		if errors.Is(err, experiments.ErrUnknown) {
+			return 2
 		}
-		fmt.Println(t.Render())
-		printed++
+		return 1
 	}
-	if printed == 0 {
-		fmt.Fprintf(os.Stderr, "eiibench: no experiments matched %q\n", *onlyFlag)
-		os.Exit(2)
-	}
+	return 0
 }

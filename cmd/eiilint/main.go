@@ -8,11 +8,10 @@
 //
 // Usage:
 //
-//	eiilint [-json] [-stats] [-workers N] [-checks lockorder,...] [packages]
+//	eiilint [-json] [-checks lockorder,...] [packages]
 //
-// Packages default to ./.... Loading, fact computation, and per-package
-// analysis all run across a worker pool (default: GOMAXPROCS). Exit
-// status is 1 when findings exist, 2 on load or usage errors. Findings
+// Packages default to ./.... Exit status is 1 when findings exist, 2 on
+// load or usage errors. Findings
 // can be waived inline with "//lint:ignore <check> <reason>" on or
 // directly above the flagged line; waivers that no longer suppress
 // anything are themselves reported as stale.
@@ -23,8 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/analysis"
 )
@@ -33,10 +30,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON diagnostics")
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list available checks and exit")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel load/analysis workers")
-	stats := flag.Bool("stats", false, "print wall-time and packages/sec to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: eiilint [-json] [-stats] [-workers N] [-checks c1,c2] [packages]\n\nchecks:\n")
+		fmt.Fprintf(os.Stderr, "usage: eiilint [-json] [-checks c1,c2] [packages]\n\nchecks:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -62,26 +57,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "eiilint:", err)
 		os.Exit(2)
 	}
-	//lint:ignore determinism lint wall-time measurement is tooling, not engine state
-	start := time.Now()
-	pkgs, err := analysis.LoadParallel(cwd, *workers, flag.Args()...)
+	pkgs, err := analysis.Load(cwd, flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eiilint:", err)
 		os.Exit(2)
 	}
-	//lint:ignore determinism lint wall-time measurement is tooling, not engine state
-	loaded := time.Now()
 
-	diags := analysis.RunParallel(pkgs, analyzers, *workers)
-	if *stats {
-		//lint:ignore determinism lint wall-time measurement is tooling, not engine state
-		total := time.Since(start)
-		analyze := total - loaded.Sub(start)
-		rate := float64(len(pkgs)) / total.Seconds()
-		fmt.Fprintf(os.Stderr, "eiilint: %d packages, %d workers: load %v + analyze %v = %v (%.1f pkgs/sec)\n",
-			len(pkgs), *workers, loaded.Sub(start).Round(time.Millisecond),
-			analyze.Round(time.Millisecond), total.Round(time.Millisecond), rate)
-	}
+	diags := analysis.Run(pkgs, analyzers)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

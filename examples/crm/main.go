@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/opt"
 	"repro/internal/workload"
 )
 
@@ -61,8 +60,7 @@ func main() {
 	}
 	optBytes := engine.NetworkTotals().BytesShipped
 	engine.ResetMetrics()
-	naive := core.QueryOptions{Optimizer: opt.Options{
-		NoFilterPushdown: true, NoProjectionPrune: true, NoJoinReorder: true, NoRemotePushdown: true}}
+	naive := core.QueryOptions{Optimizer: workload.NaiveOptimizer()}
 	if _, err := engine.QueryOptsCtx(ctx, query, naive); err != nil {
 		log.Fatal(err)
 	}

@@ -31,7 +31,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Analyzer is one named invariant check.
@@ -162,53 +161,29 @@ func ByName(names string) ([]*Analyzer, error) {
 // check name or reason) are reported under the "directive" pseudo-check,
 // and well-formed directives that waived nothing — while every check
 // they name was running — under "staleignore".
+//
+// Facts are computed over all packages first, then each package's
+// per-package passes run in package order, and finally any global passes
+// run once over the linked facts.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunParallel(pkgs, analyzers, 1)
-}
-
-// RunParallel is Run across a worker pool: facts are computed per
-// package in parallel, then each package's per-package passes run on
-// their own worker (each package owns its FileSet, syntax, and type
-// universe, so packages are fully independent), and finally any global
-// passes run once over the linked facts.
-func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) []Diagnostic {
-	if workers <= 0 {
-		workers = 1
-	}
-	facts := ComputeFacts(pkgs, workers)
-
-	perPkg := make([][]Diagnostic, len(pkgs))
-	ignores := make([]*ignoreIndex, len(pkgs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, pkg := range pkgs {
-		i, pkg := i, pkg
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			idx, bad := collectIgnores(pkg.Fset, pkg.Files)
-			ignores[i] = idx
-			var raw []Diagnostic
-			for _, a := range analyzers {
-				if a.Run == nil {
-					continue
-				}
-				a.Run(&Pass{
-					Path: pkg.Path, Fset: pkg.Fset, Files: pkg.Files,
-					Pkg: pkg.Types, Info: pkg.Info, Facts: facts,
-					analyzer: a, diags: &raw,
-				})
-			}
-			perPkg[i] = append(bad, raw...)
-		}()
-	}
-	wg.Wait()
+	facts := ComputeFacts(pkgs)
 
 	var raw []Diagnostic
-	for _, ds := range perPkg {
-		raw = append(raw, ds...)
+	ignores := make([]*ignoreIndex, len(pkgs))
+	for i, pkg := range pkgs {
+		idx, bad := collectIgnores(pkg.Fset, pkg.Files)
+		ignores[i] = idx
+		raw = append(raw, bad...)
+		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
+			a.Run(&Pass{
+				Path: pkg.Path, Fset: pkg.Fset, Files: pkg.Files,
+				Pkg: pkg.Types, Info: pkg.Info, Facts: facts,
+				analyzer: a, diags: &raw,
+			})
+		}
 	}
 	for _, a := range analyzers {
 		if a.RunGlobal != nil {

@@ -9,12 +9,11 @@ package analysis
 // declares: which mutex classes it acquires, which potentially-blocking
 // operations it performs, which functions it calls (and which locks are
 // held at each call site), whether it contains a goroutine exit signal,
-// and which `go` statements it launches. Summaries are computed per
-// package in parallel — they depend only on that package's syntax plus
-// the export data `go list -export -deps` already produced — and then
-// linked into a static call graph: direct calls resolve by object,
-// interface method calls resolve by method-set matching against every
-// analyzed type. Transitive properties (blocks, acquires, may hang, has
+// and which `go` statements it launches. A package's summaries depend only
+// on that package's syntax plus the export data `go list -export -deps`
+// already produced; they are then linked into a static call graph: direct
+// calls resolve by object, interface method calls by method-set matching
+// against every analyzed type. Transitive properties (blocks, acquires, may hang, has
 // exit signal) are propagated over the graph to a fixpoint, which is what
 // the lockorder, goroleak and exhaustive analyzers consume.
 
@@ -25,7 +24,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // FuncID names one function, method, or function literal across the whole
@@ -187,31 +185,9 @@ var blockingCalls = map[string]bool{
 	"GatherRows":   true,
 }
 
-// ComputeFacts summarizes every package (in parallel across workers),
-// links the call graph, and propagates transitive properties.
-func ComputeFacts(pkgs []*Package, workers int) *Facts {
-	if workers <= 0 {
-		workers = 1
-	}
-	built := make([][]*FuncFacts, len(pkgs))
-	impls := make([]map[string][]string, len(pkgs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, pkg := range pkgs {
-		i, pkg := i, pkg
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b := &factBuilder{pkg: pkg}
-			b.build()
-			built[i] = b.out
-			impls[i] = b.implementers
-		}()
-	}
-	wg.Wait()
-
+// ComputeFacts summarizes every package, links the call graph, and
+// propagates transitive properties.
+func ComputeFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		Funcs:         make(map[FuncID]*FuncFacts),
 		PkgFuncs:      make(map[string][]*FuncFacts),
@@ -219,13 +195,15 @@ func ComputeFacts(pkgs []*Package, workers int) *Facts {
 		implementers:  make(map[string][]string),
 		resolvedCalls: make(map[*CallSite][]FuncID),
 	}
-	for i, pkg := range pkgs {
-		f.PkgFuncs[pkg.Path] = append(f.PkgFuncs[pkg.Path], built[i]...)
-		for _, ff := range built[i] {
+	for _, pkg := range pkgs {
+		b := &factBuilder{pkg: pkg}
+		b.build()
+		f.PkgFuncs[pkg.Path] = append(f.PkgFuncs[pkg.Path], b.out...)
+		for _, ff := range b.out {
 			f.Funcs[ff.ID] = ff
 			registerMethod(f.typeMethods, ff)
 		}
-		for key, ts := range impls[i] {
+		for key, ts := range b.implementers {
 			f.implementers[key] = append(f.implementers[key], ts...)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -130,20 +129,13 @@ func (l *ExportLookup) CheckFiles(claimedPath string, filenames []string) (*Pack
 // matched package parsed and type-checked. Test files are excluded: the
 // invariants the analyzers guard are engine properties, and tests
 // routinely (and legitimately) use wall clocks and discard errors.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadParallel(dir, 1, patterns...)
-}
-
-// LoadParallel is Load with parse+type-check fanned out across workers.
+//
 // Every package reads dependency types from the shared export data, so
-// checks are independent: each gets its own FileSet and type universe,
-// and output order matches `go list` order regardless of worker count.
-func LoadParallel(dir string, workers int, patterns ...string) ([]*Package, error) {
+// each gets its own FileSet and type universe; output order is `go list`
+// order.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if workers <= 0 {
-		workers = 1
 	}
 	lookup, err := NewExportLookup(dir, patterns...)
 	if err != nil {
@@ -154,44 +146,21 @@ func LoadParallel(dir string, workers int, patterns ...string) ([]*Package, erro
 	if err != nil {
 		return nil, err
 	}
-	pkgs := make([]*Package, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, t := range targets {
+	var pkgs []*Package
+	for _, t := range targets {
 		if len(t.GoFiles) == 0 {
 			continue
 		}
-		i, t := i, t
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			names := make([]string, len(t.GoFiles))
-			for j, f := range t.GoFiles {
-				names[j] = filepath.Join(t.Dir, f)
-			}
-			pkg, err := lookup.CheckFiles(t.ImportPath, names)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			pkg.Dir = t.Dir
-			pkgs[i] = pkg
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+		names := make([]string, len(t.GoFiles))
+		for j, f := range t.GoFiles {
+			names[j] = filepath.Join(t.Dir, f)
+		}
+		pkg, err := lookup.CheckFiles(t.ImportPath, names)
 		if err != nil {
 			return nil, err
 		}
+		pkg.Dir = t.Dir
+		pkgs = append(pkgs, pkg)
 	}
-	out := pkgs[:0]
-	for _, p := range pkgs {
-		if p != nil {
-			out = append(out, p)
-		}
-	}
-	return out, nil
+	return pkgs, nil
 }

@@ -98,13 +98,14 @@ func RunE12(ctx context.Context, scale Scale) (Table, error) {
 				succeeded++
 				completeness += float64(len(res.Rows)) / expected
 			}
+			sort.Slice(sims, func(i, j int) bool { return sims[i] < sims[j] })
 
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%.0f%%", rate*100),
 				m.name,
 				fmt.Sprintf("%.1f%%", 100*float64(succeeded)/float64(trials)),
-				percentile(sims, 0.50).Round(100 * time.Microsecond).String(),
-				percentile(sims, 0.99).Round(100 * time.Microsecond).String(),
+				workload.Percentile(sims, 0.50).Round(100 * time.Microsecond).String(),
+				workload.Percentile(sims, 0.99).Round(100 * time.Microsecond).String(),
 				fmt.Sprintf("%.1f%%", 100*completeness/float64(trials)),
 				fmt.Sprintf("%d", fetchErrs.Load()),
 			})
@@ -112,15 +113,4 @@ func RunE12(ctx context.Context, scale Scale) (Table, error) {
 	}
 	t.Notes = "latency is virtual network time per query (includes charged backoff); completeness averages rows returned over rows expected, counting failed queries as 0%"
 	return t, nil
-}
-
-// percentile returns the p-th percentile (0..1) of the samples.
-func percentile(samples []time.Duration, p float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(p*float64(len(s)-1) + 0.5)
-	return s[idx]
 }

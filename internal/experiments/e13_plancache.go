@@ -11,20 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// e13SQL renders the i-th query of a templated workload: the same
-// statement shape with rotating constants, the access pattern of a portal
-// re-issuing its canned "customer 360" lookup for whichever customer the
-// agent pulled up. Point lookups through a mediated view are exactly where
-// compilation (view unfolding + optimization) is a large share of the
-// request, so they are where plan reuse pays.
-func e13SQL(i int) string {
-	id := 1 + i%97
-	amount := 100 + 50*(i%9)
-	return fmt.Sprintf(
-		"SELECT name, amount, status FROM customer360 WHERE id = %d AND amount > %d",
-		id, amount)
-}
-
 // RunE13 measures the query-lifecycle split under a templated concurrent
 // workload: how much of each request is planning (parse, unfold views,
 // optimize) versus execution, and what a version-keyed plan cache buys as
@@ -54,9 +40,7 @@ func RunE13(ctx context.Context, scale Scale) (Table, error) {
 			{"compile-every-time", true},
 			{"cached", false},
 		} {
-			cfg := workload.DefaultCRM()
-			cfg.Customers = 120
-			fed, err := workload.BuildCRM(cfg)
+			fed, err := workload.CRMOf(120)
 			if err != nil {
 				return t, err
 			}
@@ -65,14 +49,13 @@ func RunE13(ctx context.Context, scale Scale) (Table, error) {
 
 			var planNS, execNS, queries, hits int64
 			var wg sync.WaitGroup
-			//lint:ignore determinism deliberate wall-clock measurement: E13 reports real concurrent throughput
-			start := time.Now()
+			elapsed := stopwatch(engine.Clock())
 			for c := 0; c < nc; c++ {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
 					for i := 0; i < perClient; i++ {
-						res, err := engine.QueryOptsCtx(ctx, e13SQL(c*perClient+i), qo)
+						res, err := engine.QueryOptsCtx(ctx, workload.PortalSQL(c*perClient+i), qo)
 						if err != nil {
 							continue
 						}
@@ -86,8 +69,7 @@ func RunE13(ctx context.Context, scale Scale) (Table, error) {
 				}(c)
 			}
 			wg.Wait()
-			//lint:ignore determinism deliberate wall-clock measurement: E13 reports real concurrent throughput
-			wall := time.Since(start)
+			wall := elapsed()
 			if queries == 0 {
 				return t, fmt.Errorf("E13: no queries succeeded")
 			}

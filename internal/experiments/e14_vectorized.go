@@ -18,24 +18,9 @@ var e14Workloads = []struct {
 	name, sql string
 	fanOut    bool // wants RealSleep links and no semi-join serialization
 }{
-	{
-		name: "E1-filter-join",
-		sql: `SELECT c.region, c.name, i.amount FROM crm.customers c
-			JOIN billing.invoices i ON c.id = i.cust_id WHERE i.amount > 120`,
-	},
-	{
-		name: "E6-view-agg",
-		sql:  `SELECT region, status, COUNT(*) AS n, SUM(amount) AS total FROM customer360 GROUP BY region, status`,
-	},
-	{
-		name: "E7-fan-out",
-		sql: `SELECT c.region, COUNT(*) AS n, SUM(i.amount) AS total
-			FROM crm.customers c
-			JOIN billing.invoices i ON c.id = i.cust_id
-			JOIN support.tickets tk ON tk.cust_id = c.id
-			GROUP BY c.region`,
-		fanOut: true,
-	},
+	{name: "E1-filter-join", sql: workload.ReportJoinSQL},
+	{name: "E6-view-agg", sql: workload.ReportAggSQL},
+	{name: "E7-fan-out", sql: workload.FanOutSQL, fanOut: true},
 }
 
 func e14Fingerprint(rows []datum.Row) string {
@@ -78,19 +63,13 @@ func RunE14(ctx context.Context, scale Scale) (Table, error) {
 	}
 
 	for _, w := range e14Workloads {
-		cfg := workload.DefaultCRM()
-		cfg.Customers = customers
-		fed, err := workload.BuildCRM(cfg)
+		fed, err := workload.CRMOf(customers)
 		if err != nil {
 			return t, err
 		}
 		engine := fed.Engine
 		if w.fanOut {
-			for _, name := range engine.Sources() {
-				src, _ := engine.Source(name)
-				src.Link().RealSleep = true
-				src.Link().MaxSleep = 100 * time.Millisecond
-			}
+			fed.BlockLinks(100 * time.Millisecond)
 		}
 
 		run := func(batch, degree int) (*core.Result, time.Duration, error) {

@@ -39,16 +39,9 @@ func RunE16(ctx context.Context, scale Scale) (Table, error) {
 	}
 	const sql = "SELECT id, name, amount FROM customer360 WHERE id < 40"
 	qo := core.QueryOptions{Parallel: true}
-	warm := 12
-	start := eng.Clock().Now()
-	for i := 0; i < warm; i++ {
-		if _, err := eng.QueryCtx(ctx, sql); err != nil {
-			return t, err
-		}
-	}
-	service := eng.Clock().Since(start) / time.Duration(warm)
-	if service <= 0 {
-		service = time.Millisecond
+	service, err := serviceTime(ctx, eng, sql)
+	if err != nil {
+		return t, err
 	}
 	// Total concurrency under admission is 6 (gold 4 + bronze 2); the
 	// aggregate saturation rate is capacity / service time.
@@ -95,9 +88,26 @@ func RunE16(ctx context.Context, scale Scale) (Table, error) {
 	return t, nil
 }
 
-// buildE16Engine assembles a small CRM federation whose links really
-// block (RealSleep), optionally with the gold/bronze tenant quotas.
-func buildE16Engine(admission bool) (*core.Engine, error) {
+// serviceTime measures the mean latency of one warm sequential query on
+// the engine's clock: what the saturation rate is placed from.
+func serviceTime(ctx context.Context, eng *core.Engine, sql string) (time.Duration, error) {
+	const warm = 12
+	elapsed := stopwatch(eng.Clock())
+	for i := 0; i < warm; i++ {
+		if _, err := eng.QueryCtx(ctx, sql); err != nil {
+			return 0, err
+		}
+	}
+	if service := elapsed() / warm; service > 0 {
+		return service, nil
+	}
+	return time.Millisecond, nil
+}
+
+// blockingCRM builds the small CRM fleet the overload experiments (E16,
+// and E18's scaling phase) drive: links a millisecond away that really
+// block, so queued and in-flight work costs wall time.
+func blockingCRM() (*workload.CRMFederation, error) {
 	cfg := workload.DefaultCRM()
 	cfg.Customers = 60
 	cfg.InvoicesPerCustomer = 2
@@ -107,21 +117,34 @@ func buildE16Engine(admission bool) (*core.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range fed.Engine.Sources() {
-		src, _ := fed.Engine.Source(name)
-		src.Link().RealSleep = true
-		src.Link().MaxSleep = 10 * time.Millisecond
+	fed.BlockLinks(10 * time.Millisecond)
+	return fed, nil
+}
+
+// admitGoldBronze turns on admission control with the two-tenant quota the
+// overload experiments share: six slots in all, gold 4 + bronze 2.
+func admitGoldBronze(engine *core.Engine) error {
+	engine.EnableAdmission(core.AdmissionConfig{RetryAfter: 20 * time.Millisecond})
+	for _, tc := range []core.TenantConfig{
+		{Name: "gold", Priority: 3, MaxConcurrent: 4, MaxQueueDepth: 8},
+		{Name: "bronze", Priority: 1, MaxConcurrent: 2, MaxQueueDepth: 4},
+	} {
+		if err := engine.DefineTenant(tc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// buildE16Engine assembles the blocking CRM federation, optionally with
+// the gold/bronze tenant quotas.
+func buildE16Engine(admission bool) (*core.Engine, error) {
+	fed, err := blockingCRM()
+	if err != nil {
+		return nil, err
 	}
 	if admission {
-		fed.Engine.EnableAdmission(core.AdmissionConfig{RetryAfter: 20 * time.Millisecond})
-		if err := fed.Engine.DefineTenant(core.TenantConfig{
-			Name: "gold", Priority: 3, MaxConcurrent: 4, MaxQueueDepth: 8,
-		}); err != nil {
-			return nil, err
-		}
-		if err := fed.Engine.DefineTenant(core.TenantConfig{
-			Name: "bronze", Priority: 1, MaxConcurrent: 2, MaxQueueDepth: 4,
-		}); err != nil {
+		if err := admitGoldBronze(fed.Engine); err != nil {
 			return nil, err
 		}
 	}

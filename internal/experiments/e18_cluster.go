@@ -67,9 +67,7 @@ func runE18Ship(ctx context.Context, scale Scale, t *Table) error {
 		return err
 	}
 	for _, n := range sizes {
-		cfg := workload.DefaultCRM()
-		cfg.Customers = n
-		fed, err := workload.BuildCRM(cfg)
+		fed, err := workload.CRMOf(n)
 		if err != nil {
 			return err
 		}
@@ -128,17 +126,9 @@ func runE18Scale(ctx context.Context, scale Scale, t *Table) error {
 	if err != nil {
 		return err
 	}
-	eng := single.Node(0).Engine()
-	const warm = 12
-	start := eng.Clock().Now()
-	for i := 0; i < warm; i++ {
-		if _, err := eng.QueryCtx(ctx, sql); err != nil {
-			return err
-		}
-	}
-	service := eng.Clock().Since(start) / warm
-	if service <= 0 {
-		service = time.Millisecond
+	service, err := serviceTime(ctx, single.Node(0).Engine(), sql)
+	if err != nil {
+		return err
 	}
 	// Per-node admission capacity is 6 (gold 4 + bronze 2).
 	perNodeRate := 6 * float64(time.Second) / float64(service)
@@ -185,18 +175,9 @@ func runE18Scale(ctx context.Context, scale Scale, t *Table) error {
 // buildE18Cluster assembles an n-node cluster over one blocking-link CRM
 // fleet, with per-node gold/bronze admission quotas — E16's setup, sharded.
 func buildE18Cluster(nodes int, seed uint64) (*cluster.Cluster, error) {
-	cfg := workload.DefaultCRM()
-	cfg.Customers = 60
-	cfg.InvoicesPerCustomer = 2
-	cfg.TicketsPerCustomer = 1
-	cfg.LinkLatency = time.Millisecond
-	fed, err := workload.BuildCRM(cfg)
+	fed, err := blockingCRM()
 	if err != nil {
 		return nil, err
-	}
-	for _, s := range fed.Sources() {
-		s.Link().RealSleep = true
-		s.Link().MaxSleep = 10 * time.Millisecond
 	}
 	return cluster.New(cluster.Config{
 		Nodes: nodes,
@@ -213,17 +194,6 @@ func buildE18Cluster(nodes int, seed uint64) (*cluster.Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		engine.EnableAdmission(core.AdmissionConfig{RetryAfter: 20 * time.Millisecond})
-		if err := engine.DefineTenant(core.TenantConfig{
-			Name: "gold", Priority: 3, MaxConcurrent: 4, MaxQueueDepth: 8,
-		}); err != nil {
-			return nil, err
-		}
-		if err := engine.DefineTenant(core.TenantConfig{
-			Name: "bronze", Priority: 1, MaxConcurrent: 2, MaxQueueDepth: 4,
-		}); err != nil {
-			return nil, err
-		}
-		return engine, nil
+		return engine, admitGoldBronze(engine)
 	})
 }

@@ -14,7 +14,10 @@ import (
 // ("pull out the relevant data from all the data sources into an Xquery
 // processor and process it entirely there") ships whole tables; pushdown
 // with local reduction ships only what the query needs; converting rows to
-// XML "increas[es the] size about 3 times" on top.
+// XML "increas[es the] size about 3 times" on top. At the second size of
+// the sweep the table also ablates the optimizer one rule at a time, so
+// each rule's share of the saving is a row: the no-* strategies are
+// push+semijoin minus that one rule.
 func RunE1(ctx context.Context, scale Scale) (Table, error) {
 	sizes := []int{100, 400}
 	if scale == Full {
@@ -37,12 +40,26 @@ func RunE1(ctx context.Context, scale Scale) (Table, error) {
 			xml  bool
 			qo   core.QueryOptions
 		}
-		naive := opt.Options{NoFilterPushdown: true, NoProjectionPrune: true, NoJoinReorder: true, NoRemotePushdown: true}
+		naive := core.QueryOptions{Optimizer: workload.NaiveOptimizer()}
 		variants := []variant{
 			{"pushdown", false, core.QueryOptions{NoSemiJoin: true}},
 			{"push+semijoin", false, core.QueryOptions{}},
-			{"naive", false, core.QueryOptions{Optimizer: naive}},
-			{"naive+xml", true, core.QueryOptions{Optimizer: naive}},
+			{"naive", false, naive},
+			{"naive+xml", true, naive},
+		}
+		if n == sizes[1] {
+			for _, a := range []struct {
+				name string
+				off  opt.Options
+			}{
+				{"no-filterpush", opt.Options{NoFilterPushdown: true}},
+				{"no-projprune", opt.Options{NoProjectionPrune: true}},
+				{"no-reorder", opt.Options{NoJoinReorder: true}},
+				{"no-remotepush", opt.Options{NoRemotePushdown: true}},
+				{"no-semijoin", opt.Options{NoSemiJoin: true}},
+			} {
+				variants = append(variants, variant{a.name, false, core.QueryOptions{Optimizer: a.off}})
+			}
 		}
 		var base int64
 		for _, v := range variants {

@@ -7,79 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datum"
-	"repro/internal/federation"
-	"repro/internal/netsim"
-	"repro/internal/schema"
+	"repro/internal/workload"
 )
-
-// e20Federation builds the adversarial stale-statistics federation: users
-// carries accurate statistics, while events published its statistics when
-// it held only 50 rows and has since grown eventRows/50-fold without a
-// refresh. The static optimizer trusts the catalog — the "table" looks
-// smaller than the probe's key set, so semi-join reduction never pays on
-// paper — and ships the whole relation on every query.
-func e20Federation(eventRows int) (*core.Engine, error) {
-	e := core.New()
-
-	crm := federation.NewRelationalSource("crm", federation.FullSQL(),
-		netsim.NewLink(2*time.Millisecond, 1e6, 1))
-	users, err := crm.CreateTable(schema.MustTable("users", []schema.Column{
-		{Name: "id", Kind: datum.KindInt},
-		{Name: "name", Kind: datum.KindString},
-		{Name: "tier", Kind: datum.KindString},
-	}, 0))
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i <= 5000; i++ {
-		if err := users.Insert(datum.Row{
-			datum.NewInt(int64(i)),
-			datum.NewString(fmt.Sprintf("user-%04d", i)),
-			datum.NewString(fmt.Sprintf("t%d", i%50)),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	crm.RefreshStats()
-
-	logs := federation.NewRelationalSource("logs", federation.FullSQL(),
-		netsim.NewLink(2*time.Millisecond, 1e6, 1))
-	events, err := logs.CreateTable(schema.MustTable("events", []schema.Column{
-		{Name: "user_id", Kind: datum.KindInt},
-		{Name: "action", Kind: datum.KindString},
-	}))
-	if err != nil {
-		return nil, err
-	}
-	insert := func(i int, userID int64) error {
-		return events.Insert(datum.Row{
-			datum.NewInt(userID),
-			datum.NewString(fmt.Sprintf("action-%05d-payload-payload-payload", i)),
-		})
-	}
-	for i := 0; i < 50; i++ {
-		if err := insert(i, int64(i+1)); err != nil {
-			return nil, err
-		}
-	}
-	logs.RefreshStats() // stats freeze here: 50 rows, 50 distinct user_ids
-	for i := 50; i < eventRows; i++ {
-		if err := insert(i, int64(i%5000)+1); err != nil {
-			return nil, err
-		}
-	}
-
-	for _, s := range []federation.Source{crm, logs} {
-		if err := e.Register(s); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
-}
-
-const e20Query = `SELECT u.name, e.action FROM crm.users u
-	JOIN logs.events e ON u.id = e.user_id
-	WHERE u.tier = 't7' ORDER BY u.name, e.action`
 
 // RunE20 measures adaptive query processing on the stale-statistics
 // workload: the static optimizer keeps full-relation shipping because the
@@ -109,14 +38,14 @@ func RunE20(ctx context.Context, scale Scale) (Table, error) {
 	}
 	run := func(adaptive bool) (outcome, error) {
 		var o outcome
-		e, err := e20Federation(eventRows)
+		e, err := workload.BuildStaleStats(eventRows, false)
 		if err != nil {
 			return o, err
 		}
 		e.ResetMetrics()
 		qo := core.QueryOptions{Parallel: true, Adaptive: adaptive}
 		for i := 0; i < queries; i++ {
-			res, err := e.QueryOptsCtx(ctx, e20Query, qo)
+			res, err := e.QueryOptsCtx(ctx, workload.StaleStatsSQL, qo)
 			if err != nil {
 				return o, fmt.Errorf("E20 (adaptive=%v) query %d: %w", adaptive, i, err)
 			}

@@ -36,9 +36,7 @@ func RunE2(ctx context.Context, scale Scale) (Table, error) {
 
 	for _, mix := range mixes {
 		// --- EII: every query live, updates land directly on sources.
-		cfg := workload.DefaultCRM()
-		cfg.Customers = 300
-		fed, err := workload.BuildCRM(cfg)
+		fed, err := workload.CRMOf(300)
 		if err != nil {
 			return t, err
 		}
@@ -65,7 +63,7 @@ func RunE2(ctx context.Context, scale Scale) (Table, error) {
 		// --- Warehouse: one refresh up front, then local queries; the
 		// updates stream in during the period, so every query after the
 		// first update reads stale data.
-		fed2, err := workload.BuildCRM(cfg)
+		fed2, err := workload.CRMOf(300)
 		if err != nil {
 			return t, err
 		}

@@ -31,20 +31,25 @@ func RunE4(ctx context.Context, scale Scale) (Table, error) {
 		Columns:       []string{"reads", "writes", "liveBytes", "matBytes", "winner", "recommended"},
 	}
 	viewSQL := "SELECT region, COUNT(*) AS n, SUM(amount) AS total FROM customer360 GROUP BY region"
+	// Each strategy gets its own federation with the view defined and the
+	// meters zeroed.
+	setup := func() (*workload.CRMFederation, *matview.Manager, error) {
+		fed, err := workload.CRMOf(200)
+		if err != nil {
+			return nil, nil, err
+		}
+		mgr := matview.NewManager(fed.Engine)
+		_, err = mgr.Materialize(ctx, "dash", viewSQL)
+		fed.Engine.ResetMetrics()
+		return fed, mgr, err
+	}
 
 	for _, mix := range mixes {
-		cfg := workload.DefaultCRM()
-		cfg.Customers = 200
 		// --- Live strategy.
-		fedLive, err := workload.BuildCRM(cfg)
+		fedLive, mgrLive, err := setup()
 		if err != nil {
 			return t, err
 		}
-		mgrLive := matview.NewManager(fedLive.Engine)
-		if _, err := mgrLive.Materialize(ctx, "dash", viewSQL); err != nil {
-			return t, err
-		}
-		fedLive.Engine.ResetMetrics()
 		for i := 0; i < mix.writes; i++ {
 			if err := applyUpdate(fedLive, i); err != nil {
 				return t, err
@@ -59,15 +64,10 @@ func RunE4(ctx context.Context, scale Scale) (Table, error) {
 
 		// --- Materialized strategy: refresh after each write, reads
 		// from cache.
-		fedMat, err := workload.BuildCRM(cfg)
+		fedMat, mgrMat, err := setup()
 		if err != nil {
 			return t, err
 		}
-		mgrMat := matview.NewManager(fedMat.Engine)
-		if _, err := mgrMat.Materialize(ctx, "dash", viewSQL); err != nil {
-			return t, err
-		}
-		fedMat.Engine.ResetMetrics()
 		for i := 0; i < mix.writes; i++ {
 			if err := applyUpdate(fedMat, i); err != nil {
 				return t, err
@@ -104,11 +104,4 @@ func RunE4(ctx context.Context, scale Scale) (Table, error) {
 	}
 	t.Notes = "both strategies return identical rows; refresh-per-write is the freshest (most expensive) materialization policy"
 	return t, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -43,29 +43,25 @@ func RunE6(ctx context.Context, scale Scale) (Table, error) {
 		{"by-location", "SELECT name, building, model FROM employee360 WHERE location = 'SEA'"},
 		{"by-model", "SELECT name, building, model FROM employee360 WHERE model = 'X1'"},
 	}
-	naive := opt.Options{NoFilterPushdown: true, NoProjectionPrune: true, NoJoinReorder: true, NoRemotePushdown: true}
 	for _, q := range queries {
-		fed, err := workload.BuildEmployees(cfg)
+		// Each plan runs on its own freshly built federation.
+		run := func(o opt.Options) (*core.Result, error) {
+			fed, err := workload.BuildEmployees(cfg)
+			if err != nil {
+				return nil, err
+			}
+			fed.Engine.ResetMetrics()
+			return fed.Engine.QueryOptsCtx(ctx, q.sql, core.QueryOptions{Optimizer: o})
+		}
+		optRes, err := run(opt.Options{})
 		if err != nil {
 			return t, err
 		}
-		fed.Engine.ResetMetrics()
-		optRes, err := fed.Engine.QueryOptsCtx(ctx, q.sql, core.QueryOptions{})
+		fixRes, err := run(workload.NaiveOptimizer())
 		if err != nil {
 			return t, err
 		}
-		optBytes := optRes.Network.BytesShipped
-
-		fed2, err := workload.BuildEmployees(cfg)
-		if err != nil {
-			return t, err
-		}
-		fed2.Engine.ResetMetrics()
-		fixRes, err := fed2.Engine.QueryOptsCtx(ctx, q.sql, core.QueryOptions{Optimizer: naive})
-		if err != nil {
-			return t, err
-		}
-		fixBytes := fixRes.Network.BytesShipped
+		optBytes, fixBytes := optRes.Network.BytesShipped, fixRes.Network.BytesShipped
 		if len(optRes.Rows) != len(fixRes.Rows) {
 			return t, fmt.Errorf("E6 %s: plans disagree (%d vs %d rows)", q.name, len(optRes.Rows), len(fixRes.Rows))
 		}

@@ -26,12 +26,6 @@ func RunE7(ctx context.Context, scale Scale) (Table, error) {
 		ExpectedShape: "parallel wall time approaches the slowest single link; sequential wall time approaches the sum of links; speedup grows with latency",
 		Columns:       []string{"linkLatency", "sequential", "parallel", "speedup"},
 	}
-	query := `SELECT c.region, COUNT(*) AS n, SUM(i.amount) AS total
-		FROM crm.customers c
-		JOIN billing.invoices i ON c.id = i.cust_id
-		JOIN support.tickets tk ON tk.cust_id = c.id
-		GROUP BY c.region`
-
 	for _, lat := range latencies {
 		cfg := workload.DefaultCRM()
 		cfg.Customers = 150
@@ -40,21 +34,15 @@ func RunE7(ctx context.Context, scale Scale) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		for _, name := range fed.Engine.Sources() {
-			src, _ := fed.Engine.Source(name)
-			src.Link().RealSleep = true
-			src.Link().MaxSleep = 200 * time.Millisecond
-		}
+		fed.BlockLinks(200 * time.Millisecond)
 		timeRun := func(parallel bool) (time.Duration, error) {
 			// Semi-join reduction deliberately serializes join inputs
 			// (probe keys must arrive before the build side is
 			// fetched), so it is disabled here to isolate the
 			// exchange operator's overlap.
-			//lint:ignore determinism deliberate wall-clock measurement: E7 times real overlapped fetches (RealSleep links)
-			start := time.Now()
-			_, err := fed.Engine.QueryOptsCtx(ctx, query, core.QueryOptions{Parallel: parallel, NoSemiJoin: true})
-			//lint:ignore determinism deliberate wall-clock measurement: E7 times real overlapped fetches (RealSleep links)
-			return time.Since(start), err
+			elapsed := stopwatch(fed.Engine.Clock())
+			_, err := fed.Engine.QueryOptsCtx(ctx, workload.FanOutSQL, core.QueryOptions{Parallel: parallel, NoSemiJoin: true})
+			return elapsed(), err
 		}
 		seq, err := timeRun(false)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/docstore"
+	"repro/internal/netsim"
 	"repro/internal/search"
 	"repro/internal/workload"
 )
@@ -28,9 +29,7 @@ func RunE8(ctx context.Context, scale Scale) (Table, error) {
 		Columns:       []string{"corpus", "indexed", "hits", "sourceTypes", "latency"},
 	}
 	for _, docs := range corpusSizes {
-		cfg := workload.DefaultCRM()
-		cfg.Customers = 100
-		fed, err := workload.BuildCRM(cfg)
+		fed, err := workload.CRMOf(100)
 		if err != nil {
 			return t, err
 		}
@@ -60,11 +59,9 @@ func RunE8(ctx context.Context, scale Scale) (Table, error) {
 		// Jamie's query: a customer name. Coverage is judged over the
 		// full hit set; a UI would page it per source.
 		target := workload.CustomerName(7)
-		//lint:ignore determinism deliberate wall-clock measurement: E8 times real index lookups
-		start := time.Now()
+		latency := stopwatch(netsim.Wall)
 		hits := ix.Query(target, 0)
-		//lint:ignore determinism deliberate wall-clock measurement: E8 times real index lookups
-		elapsed := time.Since(start)
+		elapsed := latency()
 
 		kinds := map[search.Kind]bool{}
 		sources := map[string]bool{}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,23 +33,36 @@ func TestE1PushdownWinsAndXMLTriples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rows come in quads per size: pushdown, push+semijoin, naive,
-	// naive+xml.
-	for i := 0; i+3 < len(tab.Rows); i += 4 {
+	// Each size opens with a quad — pushdown, push+semijoin, naive,
+	// naive+xml — and one size carries the five no-<rule> ablation rows.
+	ablations := 0
+	for i := 0; i < len(tab.Rows); {
+		size := tab.Rows[i][0]
 		push := cell(t, tab.Rows[i][2])
 		semi := cell(t, tab.Rows[i+1][2])
 		naive := cell(t, tab.Rows[i+2][2])
 		if push >= naive {
-			t.Errorf("size %s: pushdown %v >= naive %v", tab.Rows[i][0], push, naive)
+			t.Errorf("size %s: pushdown %v >= naive %v", size, push, naive)
 		}
 		if semi > push {
-			t.Errorf("size %s: semi-join %v must not ship more than plain pushdown %v", tab.Rows[i][0], semi, push)
+			t.Errorf("size %s: semi-join %v must not ship more than plain pushdown %v", size, semi, push)
 		}
 		wireNaive := cell(t, tab.Rows[i+2][3])
 		wireXML := cell(t, tab.Rows[i+3][3])
 		if r := wireXML / wireNaive; r < 2.5 || r > 3.5 {
 			t.Errorf("XML wire inflation = %.2f, want ~3", r)
 		}
+		// Turning one rule off can only cost bytes, and never more than
+		// turning all of them off.
+		for i += 4; i < len(tab.Rows) && strings.HasPrefix(tab.Rows[i][1], "no-"); i++ {
+			ablations++
+			if got := cell(t, tab.Rows[i][2]); got < semi || got > naive {
+				t.Errorf("size %s: %s ships %v, outside [full optimizer %v, naive %v]", size, tab.Rows[i][1], got, semi, naive)
+			}
+		}
+	}
+	if ablations != 5 {
+		t.Errorf("ablation rows = %d, want one per optimizer rule (5)", ablations)
 	}
 }
 
@@ -296,10 +310,13 @@ func TestAllRunsAndRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tabs) != 17 {
-		t.Fatalf("experiments = %d", len(tabs))
+	if len(tabs) != len(registry) {
+		t.Fatalf("experiments = %d, registry has %d", len(tabs), len(registry))
 	}
-	for _, tab := range tabs {
+	for i, tab := range tabs {
+		if tab.ID != registry[i].ID {
+			t.Errorf("table %d has ID %s, registered as %s", i, tab.ID, registry[i].ID)
+		}
 		out := tab.Render()
 		if !strings.Contains(out, tab.ID) || !strings.Contains(out, "claim:") {
 			t.Errorf("render of %s missing header", tab.ID)
@@ -307,5 +324,60 @@ func TestAllRunsAndRenders(t *testing.T) {
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s has no rows", tab.ID)
 		}
+	}
+}
+
+func TestRunSelectsByID(t *testing.T) {
+	tabs, err := Run(context.Background(), Quick, "E6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tabs) != 1 || tabs[0].ID != "E6" {
+		t.Fatalf("Run(E6) returned %d tables, first %+v", len(tabs), tabs)
+	}
+
+	_, err = Run(context.Background(), Quick, "E3", "E99")
+	if !errors.Is(err, ErrUnknown) || !strings.Contains(err.Error(), `"E99"`) ||
+		!strings.Contains(err.Error(), strings.Join(IDs(), ", ")) {
+		t.Errorf("Run(E99) error = %v, want ErrUnknown naming E99 and the valid IDs", err)
+	}
+}
+
+// A failing experiment is reported under its table ID, not its position in
+// the list (E16 is the fifteenth entry).
+func TestRunNamesTheFailingExperiment(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range []string{"E6", "E16"} {
+		_, err := Run(ctx, Quick, id)
+		if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), id+": ") {
+			t.Errorf("Run(%s) under a cancelled context: %v, want context.Canceled prefixed %q", id, err, id+": ")
+		}
+	}
+}
+
+// Selection happens before anything runs: only the named experiments'
+// functions are called, in registry order, and an unknown ID calls none.
+func TestRunCallsOnlySelected(t *testing.T) {
+	saved := registry
+	defer func() { registry = saved }()
+	var calls []string
+	registry = nil
+	for _, id := range saved {
+		id := id.ID
+		registry = append(registry, experiment{id, func(context.Context, Scale) (Table, error) {
+			calls = append(calls, id)
+			return Table{ID: id}, nil
+		}})
+	}
+	if _, err := Run(context.Background(), Quick, "E5", "E3"); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(calls, ","); got != "E3,E5" {
+		t.Errorf("Run(E5, E3) called %q, want E3,E5", got)
+	}
+	calls = nil
+	if _, err := Run(context.Background(), Quick, "E3", "E99"); err == nil || len(calls) != 0 {
+		t.Errorf("Run with an unknown ID: err %v, called %v; want an error and no calls", err, calls)
 	}
 }

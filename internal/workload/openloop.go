@@ -255,17 +255,17 @@ func RunOpenLoop(ctx context.Context, engine Target, cfg OpenLoopConfig) *OpenLo
 		rep.Dropped += o.Dropped
 	}
 	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
-	rep.P50 = latencyPercentile(latencies, 0.50)
-	rep.P99 = latencyPercentile(latencies, 0.99)
-	rep.P999 = latencyPercentile(latencies, 0.999)
+	rep.P50 = Percentile(latencies, 0.50)
+	rep.P99 = Percentile(latencies, 0.99)
+	rep.P999 = Percentile(latencies, 0.999)
 	if n := len(latencies); n > 0 {
 		rep.Max = latencies[n-1]
 	}
 	return rep
 }
 
-// latencyPercentile returns the p-th percentile of sorted samples.
-func latencyPercentile(sorted []time.Duration, p float64) time.Duration {
+// Percentile returns the p-th percentile (0..1) of sorted samples.
+func Percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}

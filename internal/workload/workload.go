@@ -62,6 +62,13 @@ func DefaultCRM() CRMConfig {
 	}
 }
 
+// CRMOf builds the default federation sized to the given customer count.
+func CRMOf(customers int) (*CRMFederation, error) {
+	cfg := DefaultCRM()
+	cfg.Customers = customers
+	return BuildCRM(cfg)
+}
+
 // CRMFederation is the assembled CRM universe.
 type CRMFederation struct {
 	Engine  *core.Engine
