@@ -3,7 +3,8 @@
 // behind the arena-backed front end — a change that quietly reintroduces
 // per-query heap work (an AST node off the slab path, a closure in the
 // fetch loop, a lost scratch buffer) trips it long before a profile would.
-// `make alloc-guard` runs the guards in this file; `make check` includes it.
+// `make alloc-guard` runs the guards in this file and prefetch_test.go's
+// goroutine count; `make check` includes it.
 //
 // Excluded under the race detector: its instrumentation allocates on its
 // own behalf, so allocs/op there measures the detector, not the engine.
@@ -34,13 +35,21 @@ const (
 )
 
 // The same point lookup as a prepared statement under
-// core.DefaultQueryOptions, {Parallel, Adaptive}: prefetched fetches,
-// the per-operator ledger, feedback absorption. Measured 155 allocs/op
-// when the row-iterator boundary and the stacked operator decorators were
-// removed (164 before); the budget is that value plus 5, so the work of
+// core.DefaultQueryOptions, {Parallel, Adaptive}: inter-source overlap,
+// the per-operator ledger, feedback absorption. Measured 115 allocs/op and
+// 8.2 KB/op once prefetch goroutines were kept to fetches a sibling can
+// overlap (none here: the probe fetch and the reduced fetch both run
+// inline) and the per-execution estimator memoized every node in pooled
+// storage — 150 allocs/op and 9.1 KB/op before. The allocation budget is
+// that value plus 5 and the byte budget ~10% above it, so the work of
 // bringing the default configuration down to the zero-options budget
-// above ratchets a fenced number.
-const e17DefaultMaxAllocsPerOp = 160
+// above ratchets fenced numbers: a fresh memo map per query trips both.
+// (A goroutine per fetch costs only ~3 allocs; TestPrefetchCounts fences
+// that.)
+const (
+	e17DefaultMaxAllocsPerOp = 120
+	e17DefaultMaxBytesPerOp  = 9 << 10
+)
 
 func TestE17AllocGuard(t *testing.T) {
 	if testing.Short() {
@@ -109,7 +118,12 @@ func TestE17AllocGuard(t *testing.T) {
 		t.Errorf("prepared point query under default options allocates %d objects/op, budget is %d",
 			a, e17DefaultMaxAllocsPerOp)
 	}
-	t.Logf("prepared, default options: %d allocs/op (budget %d)", res.AllocsPerOp(), e17DefaultMaxAllocsPerOp)
+	if n := res.AllocedBytesPerOp(); n > e17DefaultMaxBytesPerOp {
+		t.Errorf("prepared point query under default options allocates %d bytes/op, budget is %d",
+			n, e17DefaultMaxBytesPerOp)
+	}
+	t.Logf("prepared, default options: %d allocs/op, %d bytes/op (budget %d / %d)",
+		res.AllocsPerOp(), res.AllocedBytesPerOp(), e17DefaultMaxAllocsPerOp, e17DefaultMaxBytesPerOp)
 }
 
 // Budgets for the keyed-lookup fence, per query under the default

@@ -87,19 +87,16 @@ func optimizerOptions(qo QueryOptions) opt.Options {
 	return optOpts
 }
 
-// swapEstimator is the per-node row estimator handed to the executor's
-// cardinality ledger, with two jobs the mutex covers at once: the
-// underlying estimator memoizes per node and is not goroutine-safe while
-// BuildBatch runs inside prefetch goroutines, and the replan loop swaps
-// in a fresh estimator (over updated feedback) between attempts without
-// ever rewriting the exec.Options the attempts share.
+// swapEstimator is one execution's memoizing estimator: the executor's
+// operator boundaries and then absorbLedger all draw on it, so an attempt
+// estimates each node and renders each feedback signature once. The
+// replan loop swaps in a fresh one (over updated feedback, with an empty
+// memo) between attempts without ever rewriting the exec.Options the
+// attempts share. The mutex is there for union inputs, the one place
+// BuildBatch runs inside prefetch goroutines.
 type swapEstimator struct {
 	mu  sync.Mutex
 	est *opt.Estimator
-}
-
-func newSwapEstimator(env opt.Env) *swapEstimator {
-	return &swapEstimator{est: opt.NewEstimator(env)}
 }
 
 func (s *swapEstimator) rows(n plan.Node) int64 {
@@ -108,36 +105,43 @@ func (s *swapEstimator) rows(n plan.Node) int64 {
 	return s.est.Rows(n)
 }
 
+func (s *swapEstimator) signature(n plan.Node) (feedback.Key, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.est.Signature(n)
+}
+
 // swap replaces the estimator after the feedback store absorbed an
 // aborted attempt, so the next attempt's ledger records post-feedback
 // estimates (the ones the re-optimized plan was actually built from).
+// With env nil it only releases the current one.
 func (s *swapEstimator) swap(env opt.Env) {
 	s.mu.Lock()
-	s.est = opt.NewEstimator(env)
+	if s.est != nil {
+		s.est.Release()
+		s.est = nil
+	}
+	if env != nil {
+		s.est = opt.NewEstimator(env)
+	}
 	s.mu.Unlock()
 }
 
 // absorbLedger feeds one execution attempt's cardinality ledger into the
 // feedback store: per-fetch observed rows keyed by (source, table,
 // predicate signature), and per-source latency calibration was already
-// recorded at fetch time. It returns how many operators misestimated by
+// recorded at fetch time. Signatures and planned rows come from the
+// attempt's own estimator. It returns how many operators misestimated by
 // estimateErrorFactor or more. Must only be called after the attempt's
 // goroutines have joined (the ledger contract).
-func (s *engineState) absorbLedger(led *exec.CardLedger, estimate func(plan.Node) int64) (estErrors int) {
-	if led == nil {
-		return 0
-	}
+func (s *engineState) absorbLedger(led *exec.CardLedger, se *swapEstimator) (estErrors int) {
 	fb := s.feedback
 	for _, f := range led.Fetches() {
-		key, ok := feedback.Signature(f.Subtree)
+		key, ok := se.signature(f.Subtree)
 		if !ok {
 			continue
 		}
-		planned := float64(0)
-		if estimate != nil {
-			planned = float64(estimate(f.Subtree))
-		}
-		fb.Observe(key, f.Rows, planned)
+		fb.Observe(key, f.Rows, float64(se.rows(f.Subtree)))
 	}
 	for _, op := range led.Ops() {
 		if op.Est < 0 {

@@ -333,6 +333,9 @@ type Result struct {
 	ExecParallelism int
 	// BatchesProcessed counts the batches produced across all operators.
 	BatchesProcessed int64
+	// Prefetches counts the remote fetches and union inputs that ran on a
+	// goroutine of their own to overlap a sibling (0 without Parallel).
+	Prefetches int64
 	// QueryID is the engine-unique ID the execution registered under (the
 	// /queries endpoint lists running queries by this ID).
 	QueryID uint64
@@ -594,7 +597,9 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 	}
 	if qo.Adaptive || qo.Explain {
 		rt.fetchCards = led
-		se = newSwapEstimator(st.planEnv(qo))
+		se = &rt.est
+		se.swap(st.planEnv(qo))
+		defer se.swap(nil)
 		rt.opts.Estimate = se.rows
 	}
 	if qo.Adaptive {
@@ -631,7 +636,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 		// and start over. The extra network spend stays visible: link
 		// accounting spans all attempts.
 		scratch.WaitBorrowers()
-		st.absorbLedger(led, se.rows)
+		st.absorbLedger(led, se)
 		led.Reset()
 		if replans >= MaxReplans {
 			// Budget exhausted: a workload the estimator cannot model even
@@ -657,7 +662,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 	scratch.WaitBorrowers()
 	estErrors := 0
 	if led != nil && err == nil && se != nil {
-		estErrors = st.absorbLedger(led, se.rows)
+		estErrors = st.absorbLedger(led, se)
 	}
 	after := st.linkTotals()
 	after.Sub(before)
@@ -674,6 +679,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 
 		ExecParallelism:  stats.MaxParallelism(),
 		BatchesProcessed: stats.Batches(),
+		Prefetches:       stats.Prefetches(),
 		QueryID:          q.ID(),
 		Tenant:           slot.Tenant(),
 		QueueTime:        slot.QueueTime(),

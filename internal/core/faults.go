@@ -119,6 +119,9 @@ type queryRuntime struct {
 	// stats is the query's execution counters, embedded here so the
 	// per-query allocation is shared with the runtime's.
 	stats exec.ExecStats
+	// est is the query's estimator for adaptive and explain queries,
+	// riding the same allocation.
+	est swapEstimator
 	// userOnSourceError is the caller's QueryOptions.OnSourceError hook,
 	// invoked from this runtime's own OnSourceError (see exec.FetchHooks).
 	userOnSourceError func(source string, attempt int, err error)

@@ -124,10 +124,15 @@ func drainBatches(it BatchIterator) ([]datum.Row, error) {
 type ExecStats struct {
 	batches     atomic.Int64
 	parallelism atomic.Int64
+	prefetches  atomic.Int64
 }
 
 // Batches returns the total number of batches produced by all operators.
 func (s *ExecStats) Batches() int64 { return s.batches.Load() }
+
+// Prefetches returns how many fetches ran on a goroutine of their own
+// (see Options.Parallel), re-plan attempts included.
+func (s *ExecStats) Prefetches() int64 { return s.prefetches.Load() }
 
 // MaxParallelism returns the widest worker pool any operator ran with
 // (1 when everything executed sequentially).
@@ -139,6 +144,13 @@ func (s *ExecStats) MaxParallelism() int {
 }
 
 func (s *ExecStats) addBatch() { s.batches.Add(1) }
+
+// notePrefetch counts one prefetch goroutine (nil-safe).
+func (s *ExecStats) notePrefetch() {
+	if s != nil {
+		s.prefetches.Add(1)
+	}
+}
 
 // noteParallelism raises the watermark to d (nil-safe: stats are optional).
 func (s *ExecStats) noteParallelism(d int) {

@@ -32,9 +32,13 @@ type Runtime interface {
 
 // Options tunes plan execution.
 type Options struct {
-	// Parallel fetches Remote inputs of joins and unions concurrently
-	// (inter-source prefetch). Zero/false executes them lazily in
-	// sequence.
+	// Parallel overlaps the Remote inputs of joins and unions
+	// (inter-source prefetch). A fetch gets its own goroutine only where
+	// the builder goes on to build a sibling that runs while it is in
+	// flight: a join's left input and every union input but the last.
+	// Every other fetch — the root, the last-built input, the semi-join
+	// probe and its full-fetch fallback, and all of them when Parallel is
+	// false — runs on the building goroutine, eagerly, at build time.
 	Parallel bool
 	// Parallelism caps the intra-query worker pool of each parallel
 	// operator (morsel-driven parallelism): 0 means GOMAXPROCS, 1 forces
@@ -66,7 +70,8 @@ type Options struct {
 	// — the IN-list compiles to a hashed set (inSet), the bloom filter
 	// probes its bits — so both cost O(rows) there, whatever the key count.
 	SemiJoin bool
-	// MaxSemiJoinKeys caps the exact shipped key list; 0 means 512.
+	// MaxSemiJoinKeys caps the exact shipped key list; 0 means
+	// plan.DefaultSemiJoinKeyCap.
 	MaxSemiJoinKeys int
 	// Retry controls re-fetching of Remote subtrees after transient
 	// failures (see FetchRemote). Zero value: single attempt.
@@ -113,7 +118,7 @@ type Options struct {
 
 func (o Options) maxKeys() int {
 	if o.MaxSemiJoinKeys <= 0 {
-		return 512
+		return plan.DefaultSemiJoinKeyCap
 	}
 	return o.MaxSemiJoinKeys
 }
@@ -153,7 +158,15 @@ func (o Options) workers(hint int) int {
 // operator; a cancellable context additionally gives each operator
 // boundary a per-batch cancellation check.
 func BuildBatch(ctx context.Context, n plan.Node, rt Runtime, opts Options) (BatchIterator, error) {
-	it, err := buildNode(ctx, n, rt, opts)
+	return buildBatch(ctx, n, rt, opts, false)
+}
+
+// buildBatch is BuildBatch for a subtree. overlap reports whether the
+// builder goes on to build a sibling of n before anything pulls n — only
+// then can a Remote inside n fetch on its own goroutine while that sibling
+// builds or fetches (see Options.Parallel).
+func buildBatch(ctx context.Context, n plan.Node, rt Runtime, opts Options, overlap bool) (BatchIterator, error) {
+	it, err := buildNode(ctx, n, rt, opts, overlap)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +289,10 @@ func (g *guardBatchIter) Close() {
 	g.in.Close()
 }
 
-func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (BatchIterator, error) {
+// buildNode compiles one plan node over its built inputs. Building is
+// lazy except for fetches, which happen here; a unary operator pulls
+// nothing until it is pulled, so it hands overlap down to its input.
+func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overlap bool) (BatchIterator, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
 		if x.Source == "" && x.Table == "" {
@@ -290,10 +306,10 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 		return newSliceBatchIter(rows, opts.batchSize()), nil
 
 	case *plan.Remote:
-		if opts.Parallel {
-			// The fetch starts now and overlaps whatever the consumer
-			// builds or pulls next; the fetched slice is parked as is.
-			return prefetchBatches(ctx, opts.batchSize(), func() ([]datum.Row, error) {
+		if opts.Parallel && overlap {
+			// The fetch starts now and overlaps the sibling built next;
+			// the fetched slice is parked as is.
+			return prefetchBatches(ctx, opts.Stats, opts.batchSize(), func() ([]datum.Row, error) {
 				return FetchRemote(ctx, rt, opts, x.Source, x.Child)
 			}), nil
 		}
@@ -304,7 +320,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 		return newSliceBatchIter(rows, opts.batchSize()), nil
 
 	case *plan.Filter:
-		in, err := BuildBatch(ctx, x.Input, rt, opts)
+		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +342,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 		return &filterBatchIter{in: in, pred: pred, scratch: opts.Scratch}, nil
 
 	case *plan.Project:
-		in, err := BuildBatch(ctx, x.Input, rt, opts)
+		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
@@ -350,10 +366,10 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 		return &projectBatchIter{in: in, exprs: fns, scratch: opts.Scratch}, nil
 
 	case *plan.Join:
-		return buildJoin(ctx, x, rt, opts)
+		return buildJoin(ctx, x, rt, opts, overlap)
 
 	case *plan.Aggregate:
-		in, err := BuildBatch(ctx, x.Input, rt, opts)
+		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +399,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 		}, nil
 
 	case *plan.Sort:
-		in, err := BuildBatch(ctx, x.Input, rt, opts)
+		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
@@ -399,25 +415,27 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 		return &sortBatchIter{in: in, keys: keys, desc: desc, size: opts.batchSize()}, nil
 
 	case *plan.Limit:
-		in, err := BuildBatch(ctx, x.Input, rt, opts)
+		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
 		return &limitBatchIter{in: in, count: x.Count, offset: x.Offset}, nil
 
 	case *plan.Distinct:
-		in, err := BuildBatch(ctx, x.Input, rt, opts)
+		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
 		return &distinctBatchIter{in: in}, nil
 
 	case *plan.Union:
+		last := len(x.Inputs) - 1
 		inputs := make([]BatchIterator, len(x.Inputs))
 		for i, child := range x.Inputs {
-			child := child
-			if opts.Parallel {
-				inputs[i] = prefetchBatches(ctx, opts.batchSize(), func() ([]datum.Row, error) {
+			if opts.Parallel && i < last {
+				// A later input is built next, so this one builds and
+				// drains its whole subtree on its own goroutine meanwhile.
+				inputs[i] = prefetchBatches(ctx, opts.Stats, opts.batchSize(), func() ([]datum.Row, error) {
 					it, err := BuildBatch(ctx, child, rt, opts)
 					if err != nil {
 						return nil, err
@@ -426,7 +444,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 				})
 				continue
 			}
-			in, err := BuildBatch(ctx, child, rt, opts)
+			in, err := buildBatch(ctx, child, rt, opts, i < last || overlap)
 			if err != nil {
 				for _, prev := range inputs[:i] {
 					prev.Close()
@@ -442,9 +460,10 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options) (Batc
 	}
 }
 
-func buildJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (BatchIterator, error) {
-	// Semi-join reduction: materialize the left side, ship its distinct
-	// join keys into the right Remote as an IN-list filter.
+// buildJoin builds a join; overlap is the join's own (see buildBatch).
+func buildJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, overlap bool) (BatchIterator, error) {
+	// Semi-join reduction: materialize the probe side, ship its distinct
+	// join keys into the reducible Remote as an IN-list filter.
 	if opts.SemiJoin && x.Cond != nil {
 		if it, ok, err := trySemiJoin(ctx, x, rt, opts); err != nil {
 			return nil, err
@@ -453,14 +472,16 @@ func buildJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (Bat
 		}
 	}
 
-	// Under Parallel a Remote side starts fetching the moment it is built
-	// (buildNode prefetches it), so building both sides before pulling
-	// either is all the overlap a join needs.
-	left, err := BuildBatch(ctx, x.Left, rt, opts)
+	// Both sides are built before either is pulled. The left side is
+	// built first with the right still to come, so under Parallel a Remote
+	// in it fetches on its own goroutine while the right side builds —
+	// and fetches, on this goroutine, unless the join's own sibling is
+	// still to come too. That is all the overlap a join needs.
+	left, err := buildBatch(ctx, x.Left, rt, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	right, err := BuildBatch(ctx, x.Right, rt, opts)
+	right, err := buildBatch(ctx, x.Right, rt, opts, overlap)
 	if err != nil {
 		left.Close()
 		return nil, err
@@ -594,7 +615,9 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 		return assembleJoinKeys(ctx, x, reducedIt, probe, opts, lk, rk, residual)
 	}
 
-	// Materialize the probe side and collect its distinct key values.
+	// Materialize the probe side and collect its distinct key values. It is
+	// drained at once, so its fetches run on this goroutine: nothing is
+	// built meanwhile that they could overlap.
 	probeIt, err := BuildBatch(ctx, probeNode, rt, opts)
 	if err != nil {
 		return nil, false, err
@@ -615,7 +638,8 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 	switch {
 	case !fits:
 		// Too many distinct keys even for a bloom filter; run the regular
-		// join over the already-materialized probe side.
+		// join over the already-materialized probe side, the one input
+		// left to fetch.
 		full, err := BuildBatch(ctx, reduceNode, rt, opts)
 		if err != nil {
 			return nil, false, err

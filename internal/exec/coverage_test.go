@@ -134,7 +134,7 @@ func TestRuntimeTypeErrors(t *testing.T) {
 }
 
 func TestPrefetchPropagatesErrors(t *testing.T) {
-	it := prefetchBatches(context.Background(), 64, func() ([]datum.Row, error) {
+	it := prefetchBatches(context.Background(), nil, 64, func() ([]datum.Row, error) {
 		return nil, errors.New("remote down")
 	})
 	if _, err := it.NextBatch(); err == nil || !strings.Contains(err.Error(), "remote down") {
@@ -144,7 +144,7 @@ func TestPrefetchPropagatesErrors(t *testing.T) {
 }
 
 func TestPrefetchDeliversRows(t *testing.T) {
-	it := prefetchBatches(context.Background(), 1, func() ([]datum.Row, error) {
+	it := prefetchBatches(context.Background(), nil, 1, func() ([]datum.Row, error) {
 		return []datum.Row{{datum.NewInt(1)}, {datum.NewInt(2)}}, nil
 	})
 	rows, err := DrainBatches(it)

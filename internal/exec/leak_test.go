@@ -103,7 +103,7 @@ func TestExchangeDrainedNoLeak(t *testing.T) {
 // outlive the test.
 func TestPrefetchAbandonedNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	it := prefetchBatches(context.Background(), 64, func() ([]datum.Row, error) {
+	it := prefetchBatches(context.Background(), nil, 64, func() ([]datum.Row, error) {
 		return leakRows(10000), nil
 	})
 	if _, err := it.NextBatch(); err != nil {

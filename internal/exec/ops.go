@@ -593,7 +593,8 @@ type prefetchBatchIter struct {
 	sliceBatchIter
 }
 
-func prefetchBatches(ctx context.Context, size int, fetch func() ([]datum.Row, error)) BatchIterator {
+func prefetchBatches(ctx context.Context, stats *ExecStats, size int, fetch func() ([]datum.Row, error)) BatchIterator {
+	stats.notePrefetch()
 	p := &prefetchBatchIter{ctx: ctx, done: make(chan struct{}), sliceBatchIter: *newSliceBatchIter(nil, size)}
 	// The fetch may allocate from the query's scratch (remote subtrees
 	// executed inside wrappers draw on it via the context). A consumer

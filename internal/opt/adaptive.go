@@ -7,6 +7,8 @@ package opt
 // already-placed plan against updated estimates.
 
 import (
+	"sync"
+
 	"repro/internal/feedback"
 	"repro/internal/plan"
 )
@@ -69,11 +71,30 @@ func Reoptimize(root plan.Node, env Env, opts Options) plan.Node {
 // Estimator exposes the optimizer's row estimation — including feedback
 // blending when the env supports it — to other layers (the engine hands
 // one to the executor so the cardinality ledger records
-// estimated-vs-actual pairs per operator).
-type Estimator struct{ est *estimator }
+// estimated-vs-actual pairs per operator). It memoizes every node's
+// estimate and feedback signature, so one execution attempt derives each
+// once, however many operator boundaries and fetch records ask. It is not
+// safe for concurrent use.
+type Estimator struct{ est estimator }
 
-// NewEstimator builds an estimator over the environment.
-func NewEstimator(env Env) *Estimator { return &Estimator{est: newEstimator(env)} }
+var estimatorPool = sync.Pool{New: func() any { return &Estimator{est: estimator{all: true}} }}
+
+// NewEstimator returns a pooled estimator over the environment, with an
+// empty memo; Release returns it.
+func NewEstimator(env Env) *Estimator {
+	e := estimatorPool.Get().(*Estimator)
+	e.est.reset(env)
+	return e
+}
+
+// Release clears the memos, keeping their storage, and recycles the
+// estimator. The caller must not use it afterwards.
+func (e *Estimator) Release() {
+	clear(e.est.rowsMemo)
+	clear(e.est.sigMemo)
+	e.est.reset(nil)
+	estimatorPool.Put(e)
+}
 
 // Rows returns the estimated output cardinality of a plan node, rounded.
 func (e *Estimator) Rows(n plan.Node) int64 {
@@ -82,4 +103,10 @@ func (e *Estimator) Rows(n plan.Node) int64 {
 		return 0
 	}
 	return int64(r)
+}
+
+// Signature returns the node's feedback key, as feedback.Signature does,
+// from the same memo the estimates draw on.
+func (e *Estimator) Signature(n plan.Node) (feedback.Key, bool) {
+	return e.est.signature(n)
 }

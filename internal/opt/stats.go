@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/datum"
@@ -31,18 +32,36 @@ type estimator struct {
 	// for purely static planning. When set, Scan and Filter estimates are
 	// confidence-blended with observed cardinalities (see blend).
 	fb FeedbackEnv
-	// fbMemo caches blend results per node: planning (join-order DP in
-	// particular) calls Rows on the same nodes many times, and signature
-	// derivation is string work worth paying once.
-	fbMemo map[plan.Node]float64
+	// rowsMemo caches Rows per node. Planning memoizes only the
+	// feedback-blended Scans and Filters — join-order DP calls Rows on the
+	// same nodes many times, and signature derivation is string work worth
+	// paying once. With all set (an Estimator), every node is memoized,
+	// and so is every feedback signature, in sigMemo.
+	rowsMemo map[plan.Node]float64
+	sigMemo  map[plan.Node]sigMemo
+	all      bool
 }
 
+// sigMemo is feedback.Signature's result for one node.
+type sigMemo struct {
+	key feedback.Key
+	ok  bool
+}
+
+// Memo misses, process-wide: how many memoized Rows evaluations and how
+// many signature renderings estimators actually performed (tests read
+// them through export_test.go).
+var rowsEvaluated, signaturesRendered atomic.Int64
+
 func newEstimator(env Env) *estimator {
-	e := &estimator{env: env}
-	if fb, ok := env.(FeedbackEnv); ok {
-		e.fb = fb
-	}
+	e := &estimator{}
+	e.reset(env)
 	return e
+}
+
+func (e *estimator) reset(env Env) {
+	e.env = env
+	e.fb, _ = env.(FeedbackEnv)
 }
 
 // blend reconciles a node's static estimate with the feedback store's
@@ -55,11 +74,8 @@ func (e *estimator) blend(n plan.Node, static float64) float64 {
 	if e.fb == nil {
 		return static
 	}
-	if v, ok := e.fbMemo[n]; ok {
-		return v
-	}
 	out := static
-	if key, ok := feedback.Signature(n); ok {
+	if key, ok := e.signature(n); ok {
 		if obs, ok := e.fb.Observed(key); ok {
 			ratio := (obs.Rows + 1) / (static + 1)
 			if ratio >= 2 || ratio <= 0.5 {
@@ -71,11 +87,24 @@ func (e *estimator) blend(n plan.Node, static float64) float64 {
 			}
 		}
 	}
-	if e.fbMemo == nil {
-		e.fbMemo = make(map[plan.Node]float64)
-	}
-	e.fbMemo[n] = out
 	return out
+}
+
+// signature is feedback.Signature(n), rendered once per node by an
+// Estimator.
+func (e *estimator) signature(n plan.Node) (feedback.Key, bool) {
+	if s, hit := e.sigMemo[n]; hit {
+		return s.key, s.ok
+	}
+	signaturesRendered.Add(1)
+	key, ok := feedback.Signature(n)
+	if e.all {
+		if e.sigMemo == nil {
+			e.sigMemo = make(map[plan.Node]sigMemo)
+		}
+		e.sigMemo[n] = sigMemo{key, ok}
+	}
+	return key, ok
 }
 
 // tableStats fetches stats, fabricating defaults when the source offers
@@ -94,8 +123,34 @@ func (e *estimator) tableStats(source, table string, arity int) *schema.TableSta
 	return st
 }
 
-// Rows estimates the output cardinality of a node.
+// Rows estimates the output cardinality of a node, memoized where the
+// estimator memoizes it (see estimator.rowsMemo).
 func (e *estimator) Rows(n plan.Node) float64 {
+	if !e.memoized(n) {
+		return e.rows(n)
+	}
+	if r, hit := e.rowsMemo[n]; hit {
+		return r
+	}
+	rowsEvaluated.Add(1)
+	r := e.rows(n)
+	if e.rowsMemo == nil {
+		e.rowsMemo = make(map[plan.Node]float64)
+	}
+	e.rowsMemo[n] = r
+	return r
+}
+
+func (e *estimator) memoized(n plan.Node) bool {
+	switch n.(type) {
+	case *plan.Scan, *plan.Filter:
+		return e.all || e.fb != nil
+	}
+	return e.all
+}
+
+// rows is Rows without the memo.
+func (e *estimator) rows(n plan.Node) float64 {
 	switch x := n.(type) {
 	case *plan.Scan:
 		if x.Source == "" && x.Table == "" {
@@ -259,7 +314,7 @@ func (e *estimator) distinctOf(expr sqlparse.Expr, n plan.Node) float64 {
 		// nothing about the value domain) and cap at the row count.
 		if e.fb != nil && st.Rows > 0 {
 			staticRows := float64(st.Rows)
-			if blended := e.blend(x, staticRows); blended > staticRows {
+			if blended := e.Rows(x); blended > staticRows {
 				d *= blended / staticRows
 				if d > blended {
 					d = blended
