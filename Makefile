@@ -70,14 +70,17 @@ race-adaptive:
 # — no allocation per join key or shipped key — the sequential E14 report
 # aggregate inside its own — none per input row or group — and one indexed
 # point fetch at a source inside its own, none of it spent choosing the
-# access path. Beside them, the goroutine fence (prefetch_test.go): a fetch
+# access path. At Parallelism 2 the E14 fan-out and report aggregate must
+# allocate at most 1.5× the bytes of Parallelism 1: parallel operators hold
+# a window of their input, not a copy of it. Beside them, the goroutine
+# fence (prefetch_test.go): a fetch
 # gets a prefetch goroutine only where a sibling can overlap it — none for
 # the portal point query, one for a two-remote join, two for the
 # three-source fan-out and for a three-input union.
 # -count=1 defeats the test cache so the guards actually measure on every
 # check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard|TestKeyedLookupAllocGuard|TestPointFetchAllocGuard|TestPrefetchCounts' -count=1 .
+	$(GO) test -run 'TestE17AllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestPrefetchCounts' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -58,8 +58,7 @@ func (s *sliceBatchIter) Close() {}
 // DrainBatches materializes the remaining rows of a batch iterator and
 // closes it.
 func DrainBatches(it BatchIterator) ([]datum.Row, error) {
-	defer it.Close()
-	return drainBatches(it)
+	return DrainBatchesScratch(it, nil)
 }
 
 // DrainBatchesScratch is DrainBatches with the accumulation buffer grown
@@ -72,12 +71,10 @@ func DrainBatchesScratch(it BatchIterator, s *Scratch) ([]datum.Row, error) {
 	return drainBatchesScratch(it, s)
 }
 
-// drainBatchesScratch materializes without closing, growing the
-// accumulation buffer from s (heap when s is nil).
+// drainBatchesScratch materializes without closing (for operators that
+// close their inputs themselves), growing the accumulation buffer from s
+// (heap when s is nil). The buffer is the caller's to reorder.
 func drainBatchesScratch(it BatchIterator, s *Scratch) ([]datum.Row, error) {
-	if s == nil {
-		return drainBatches(it)
-	}
 	var out []datum.Row
 	for {
 		b, err := it.NextBatch()
@@ -87,36 +84,21 @@ func drainBatchesScratch(it BatchIterator, s *Scratch) ([]datum.Row, error) {
 		if b == nil {
 			return out, nil
 		}
-		if need := len(out) + len(b); need > cap(out) {
-			newCap := 2 * cap(out)
-			if newCap < need {
-				newCap = need
-			}
-			if newCap < 64 {
-				newCap = 64
-			}
-			grown := s.MakeRows(newCap)[:len(out)]
-			copy(grown, out)
-			out = grown
-		}
-		out = append(out, b...)
+		out = append(growRows(s, out, len(b)), b...)
 	}
 }
 
-// drainBatches materializes without closing (for operators that close
-// their inputs themselves).
-func drainBatches(it BatchIterator) ([]datum.Row, error) {
-	var out []datum.Row
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		out = append(out, b...)
+// growRows returns rows with room for extra more, regrown from s to twice
+// its capacity (at least 64 rows) when full. With a nil s it returns rows
+// as is and leaves the growth to append, on the heap.
+func growRows(s *Scratch, rows []datum.Row, extra int) []datum.Row {
+	need := len(rows) + extra
+	if s == nil || need <= cap(rows) {
+		return rows
 	}
+	grown := s.MakeRows(max(2*cap(rows), need, 64))[:len(rows)]
+	copy(grown, rows)
+	return grown
 }
 
 // ExecStats accumulates execution-wide counters across all operators of

@@ -331,12 +331,8 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		}
 		if deg := opts.workers(x.Parallel); deg > 1 {
 			opts.Stats.noteParallelism(deg)
-			return newExchange(ctx, in, deg, func(_ int, b Batch) (Batch, error) {
-				var dst Batch
-				if s := opts.Scratch; s != nil {
-					dst = Batch(s.MakeRows(len(b)))[:0]
-				}
-				return FilterBatch(pred, b, dst)
+			return newExchange(ctx, opts.Scratch, in, deg, func(_ int, b Batch) (Batch, error) {
+				return FilterBatch(pred, b, Batch(opts.Scratch.MakeRows(len(b)))[:0])
 			}), nil
 		}
 		return &filterBatchIter{in: in, pred: pred, scratch: opts.Scratch}, nil
@@ -355,12 +351,8 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		}
 		if deg := opts.workers(x.Parallel); deg > 1 {
 			opts.Stats.noteParallelism(deg)
-			return newExchange(ctx, in, deg, func(_ int, b Batch) (Batch, error) {
-				var dst Batch
-				if s := opts.Scratch; s != nil {
-					dst = Batch(s.MakeRows(len(b)))[:0]
-				}
-				return projectBatch(opts.Scratch, fns, b, dst)
+			return newExchange(ctx, opts.Scratch, in, deg, func(_ int, b Batch) (Batch, error) {
+				return projectBatch(opts.Scratch, fns, b, Batch(opts.Scratch.MakeRows(len(b)))[:0])
 			}), nil
 		}
 		return &projectBatchIter{in: in, exprs: fns, scratch: opts.Scratch}, nil
@@ -393,9 +385,10 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		}
 		return &aggregateBatchIter{
 			in: in, groupFns: groupFns, specs: x.Aggs, argFns: argFns,
-			degree: opts.workers(x.Parallel),
-			size:   opts.batchSize(),
-			stats:  opts.Stats,
+			degree:  opts.workers(x.Parallel),
+			size:    opts.batchSize(),
+			stats:   opts.Stats,
+			scratch: opts.Scratch,
 		}, nil
 
 	case *plan.Sort:
@@ -412,7 +405,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 			}
 			desc[i] = k.Desc
 		}
-		return &sortBatchIter{in: in, keys: keys, desc: desc, size: opts.batchSize()}, nil
+		return &sortBatchIter{in: in, keys: keys, desc: desc, size: opts.batchSize(), scratch: opts.Scratch}, nil
 
 	case *plan.Limit:
 		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
@@ -434,13 +427,14 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		for i, child := range x.Inputs {
 			if opts.Parallel && i < last {
 				// A later input is built next, so this one builds and
-				// drains its whole subtree on its own goroutine meanwhile.
+				// drains its whole subtree on its own goroutine meanwhile,
+				// into the query scratch the prefetch holds.
 				inputs[i] = prefetchBatches(ctx, opts.Stats, opts.batchSize(), func() ([]datum.Row, error) {
 					it, err := BuildBatch(ctx, child, rt, opts)
 					if err != nil {
 						return nil, err
 					}
-					return DrainBatches(it)
+					return DrainBatchesScratch(it, opts.Scratch)
 				})
 				continue
 			}
@@ -548,7 +542,7 @@ func assembleJoinKeys(ctx context.Context, x *plan.Join, left, right BatchIterat
 	nl := &nestedLoopBatchIter{
 		left: left, right: right,
 		leftJoin: leftJoin, rightArity: len(rightCols),
-		size: opts.batchSize(),
+		size: opts.batchSize(), scratch: opts.Scratch,
 	}
 	if x.Cond != nil {
 		var err error

@@ -3,15 +3,19 @@ package exec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bloom"
 	"repro/internal/catalog"
 	"repro/internal/datum"
+	"repro/internal/netsim"
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/sqlparse"
@@ -281,7 +285,7 @@ func refJoin(build []datum.Row, probe Batch, nkeys int, leftJoin bool) Batch {
 			}
 		}
 		if leftJoin && !matched {
-			out = append(out, append(append(datum.Row{}, l...), nullRow(3)...))
+			out = append(out, appendNulls(append(datum.Row{}, l...), 3))
 		}
 	}
 	return out
@@ -312,7 +316,8 @@ func TestJoinBuildMatchesMapBuild(t *testing.T) {
 					if err := buildJoinTable(&tbl, scratch, build, keyFns[:nkeys], workers); err != nil {
 						t.Fatal(err)
 					}
-					got, err := tbl.probeBatch(scratch, probe, keyFns[:nkeys], nil, leftJoin, 3, make(datum.Row, nkeys), nil)
+					var block []datum.Datum
+					got, err := tbl.probeBatch(scratch, probe, keyFns[:nkeys], nil, leftJoin, 3, make(datum.Row, nkeys), &block, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -822,10 +827,14 @@ func groupScan(width int) plan.Node {
 	return &plan.Remote{Source: "s", Child: &plan.Scan{Source: "s", Table: "t", Cols: groupCols[:width]}}
 }
 
-// runGrouping drains node at the given worker count and batch size.
+// runGrouping drains node at the given worker count and batch size, with
+// a query scratch as the engine runs it. Grouped rows, and the input rows
+// DISTINCT passes, are heap-backed, so they outlive the scratch.
 func runGrouping(t *testing.T, node plan.Node, rt Runtime, degree, batch int) []datum.Row {
 	t.Helper()
-	it, err := BuildBatch(context.Background(), node, rt, Options{Parallelism: degree, BatchSize: batch})
+	scratch := GetScratch()
+	defer PutScratch(scratch)
+	it, err := BuildBatch(context.Background(), node, rt, Options{Parallelism: degree, BatchSize: batch, Scratch: scratch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -851,9 +860,10 @@ func TestGroupTableMatchesMapGrouping(t *testing.T) {
 	}
 	argCol := []int{0, 2, 2, 3, 3, 2, 3, 2, 2}
 	rng := rand.New(rand.NewSource(19))
-	// Sizes on both sides of parallelMinRows: below it every degree takes
-	// the sequential path.
-	for _, n := range []int{0, 40, 3 * parallelMinRows} {
+	// Sizes on both sides of parallelMinRows, below which every degree
+	// takes the sequential path, and around the partitioned path's window:
+	// one short of it, exactly it, one past it and two windows and a bit.
+	for _, n := range []int{0, 40, 3 * parallelMinRows, aggWindow - 1, aggWindow, aggWindow + 1, 2*aggWindow + 17} {
 		rows := groupRows(rng, n)
 		for nkeys := 0; nkeys <= 2; nkeys++ {
 			var groupBy []sqlparse.Expr
@@ -862,11 +872,16 @@ func TestGroupTableMatchesMapGrouping(t *testing.T) {
 			}
 			want := refGroupBy(rows, nkeys, specs, argCol)
 			if nkeys == 0 && n == 0 {
-				want = refGroupBy([]datum.Row{nullRow(4)}, 0, specs, argCol)
+				want = refGroupBy([]datum.Row{appendNulls(nil, 4)}, 0, specs, argCol)
 				want[0][0] = datum.NewInt(0) // COUNT(*) of no rows
 			}
 			if nkeys == 2 && n > parallelMinRows && len(want) < 1000 {
 				t.Fatalf("%d rows make %d groups: the table never grows", n, len(want))
+			}
+			// Over two windows, groups must also be first seen in a later
+			// window, where a partition table already holds others.
+			if nkeys > 0 && n > 2*aggWindow && len(refGroupBy(rows[:aggWindow], nkeys, nil, nil)) == len(want) {
+				t.Fatalf("%d rows: every group of %d keys is first seen in the first window", n, nkeys)
 			}
 			cut := make([]datum.Row, n)
 			for i, r := range rows {
@@ -896,33 +911,125 @@ func TestGroupTableMatchesMapGrouping(t *testing.T) {
 }
 
 // TestSumOverflowFallsBackToFloat: an INT sum that leaves int64 answers
-// from the float image instead of wrapping around to a negative INT.
+// from the float image instead of wrapping around to a negative INT — also
+// when the overflowing addends fall in different windows of the
+// partitioned path.
 func TestSumOverflowFallsBackToFloat(t *testing.T) {
 	cols := []plan.ColMeta{{Name: "g", Kind: datum.KindInt}, {Name: "x", Kind: datum.KindInt}}
-	rt := &flakyRuntime{}
-	for i := 0; i < 2*parallelMinRows; i++ { // enough rows for the partitioned path
-		x := int64(0)
-		if i < 4 {
-			x = math.MaxInt64 // two rows per group when grouped, four when not
-		}
-		rt.rows = append(rt.rows, datum.Row{datum.NewInt(int64(i % 2)), datum.NewInt(x)})
-	}
 	aggs := []plan.AggSpec{{Func: "SUM", Arg: &sqlparse.ColumnRef{Column: "x"}}}
-	for _, grouped := range []bool{false, true} {
-		for _, degree := range []int{1, 2} {
-			var groupBy []sqlparse.Expr
-			want := []datum.Row{{datum.NewFloat(4 * float64(math.MaxInt64))}}
-			if grouped {
-				groupBy = []sqlparse.Expr{&sqlparse.ColumnRef{Column: "g"}}
-				sum := datum.NewFloat(2 * float64(math.MaxInt64))
-				want = []datum.Row{{datum.NewInt(0), sum}, {datum.NewInt(1), sum}}
+	// Every size is enough rows for the partitioned path.
+	for _, n := range []int{2 * parallelMinRows, aggWindow - 1, aggWindow, aggWindow + 1, 2*aggWindow + 17} {
+		rt := &flakyRuntime{}
+		for i := 0; i < n; i++ {
+			x := int64(0)
+			if i < 2 || i >= n-2 {
+				x = math.MaxInt64 // two rows per group when grouped, four when not
 			}
-			scan := &plan.Remote{Source: "s", Child: &plan.Scan{Source: "s", Table: "t", Cols: cols}}
-			agg := plan.NewAggregate(scan, groupBy, aggs)
-			agg.Parallel = degree
-			if got := runGrouping(t, agg, rt, degree, 0); !sameRows(got, want) {
-				t.Errorf("grouped=%v parallelism=%d: got %s, want %s", grouped, degree, rowsToString(got), rowsToString(want))
+			rt.rows = append(rt.rows, datum.Row{datum.NewInt(int64(i % 2)), datum.NewInt(x)})
+		}
+		for _, grouped := range []bool{false, true} {
+			for _, degree := range []int{1, 2} {
+				var groupBy []sqlparse.Expr
+				want := []datum.Row{{datum.NewFloat(4 * float64(math.MaxInt64))}}
+				if grouped {
+					groupBy = []sqlparse.Expr{&sqlparse.ColumnRef{Column: "g"}}
+					sum := datum.NewFloat(2 * float64(math.MaxInt64))
+					want = []datum.Row{{datum.NewInt(0), sum}, {datum.NewInt(1), sum}}
+				}
+				scan := &plan.Remote{Source: "s", Child: &plan.Scan{Source: "s", Table: "t", Cols: cols}}
+				agg := plan.NewAggregate(scan, groupBy, aggs)
+				agg.Parallel = degree
+				if got := runGrouping(t, agg, rt, degree, 0); !sameRows(got, want) {
+					t.Errorf("rows=%d grouped=%v parallelism=%d: got %s, want %s", n, grouped, degree, rowsToString(got), rowsToString(want))
+				}
 			}
+		}
+	}
+}
+
+// midWindowIter serves rows in batches of 64 and calls hit once the row at
+// index at has been served: hit's error, if any, is the pull's error.
+type midWindowIter struct {
+	sliceBatchIter
+	at  int
+	hit func() error
+}
+
+func (m *midWindowIter) NextBatch() (Batch, error) {
+	if m.pos > m.at && m.hit != nil {
+		hit := m.hit
+		m.hit = nil
+		if err := hit(); err != nil {
+			return nil, err
+		}
+	}
+	return m.sliceBatchIter.NextBatch()
+}
+
+// TestWindowedAggregationStopsMidWindow stops the partitioned path in the
+// middle of its second window three ways — the input fails with the fault
+// flakyRuntime injects, the query is cancelled, a row cannot be folded —
+// and checks each returns its error and leaves no goroutine behind.
+func TestWindowedAggregationStopsMidWindow(t *testing.T) {
+	const at = aggWindow + aggWindow/2
+	cols := []plan.ColMeta{{Name: "g", Kind: datum.KindInt}, {Name: "x"}}
+	rows := make([]datum.Row, 2*aggWindow)
+	for i := range rows {
+		x := datum.NewInt(int64(i))
+		if i == at {
+			x = datum.NewString("not a number")
+		}
+		rows[i] = datum.Row{datum.NewInt(int64(i % 50)), x}
+	}
+	g, err := Compile(&sqlparse.ColumnRef{Column: "g"}, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Compile(&sqlparse.ColumnRef{Column: "x"}, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := &netsim.FaultError{Kind: netsim.FaultFlaky, Detail: "injected"}
+	countStar, sumX := plan.AggSpec{Func: "COUNT", Star: true}, plan.AggSpec{Func: "SUM", Arg: &sqlparse.ColumnRef{Column: "x"}}
+	for _, degree := range []int{2, 8} {
+		for _, tc := range []struct {
+			name string
+			spec plan.AggSpec
+			arg  EvalFunc
+			hit  func(cancel context.CancelFunc) error
+			want error // nil: SUM's type error on the string at row at
+		}{
+			{"input fault", countStar, nil, func(context.CancelFunc) error { return fault }, fault},
+			{"cancel", countStar, nil, func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled},
+			{"fold error", sumX, x, nil, nil},
+		} {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			src := &midWindowIter{sliceBatchIter: *newSliceBatchIter(rows, 64), at: at}
+			if tc.hit != nil {
+				src.hit = func() error { return tc.hit(cancel) }
+			}
+			scratch := GetScratch()
+			a := &aggregateBatchIter{
+				in:       &guardBatchIter{in: src, ctx: ctx},
+				groupFns: []EvalFunc{g},
+				specs:    []plan.AggSpec{tc.spec},
+				argFns:   []EvalFunc{tc.arg},
+				degree:   degree, size: 64, scratch: scratch,
+			}
+			_, err := a.NextBatch()
+			a.Close()
+			PutScratch(scratch)
+			cancel()
+			switch {
+			case err == nil:
+				t.Errorf("degree=%d %s: the aggregation finished", degree, tc.name)
+			case tc.want != nil && !errors.Is(err, tc.want):
+				t.Errorf("degree=%d %s: got %v, want %v", degree, tc.name, err, tc.want)
+			case tc.want == nil && !strings.Contains(err.Error(), "requires numeric input"):
+				t.Errorf("degree=%d %s: got %v, want the SUM type error", degree, tc.name, err)
+			}
+			waitGoroutines(t, base)
 		}
 	}
 }

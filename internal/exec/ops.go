@@ -110,9 +110,12 @@ func (t *joinTable) evalRange(keyFns []EvalFunc, null []bool, lo, hi int) error 
 }
 
 // probeBatch probes every row of b against the table, appending joined
-// rows to dst. keyScratch must have len == nkeys and is reused across
-// rows; each caller (exchange worker) owns its own scratch.
-func (t *joinTable) probeBatch(s *Scratch, b Batch, leftKeys []EvalFunc, residual EvalFunc, leftJoin bool, rightArity int, keyScratch datum.Row, dst Batch) (Batch, error) {
+// rows to dst, which it regrows from s. keyScratch must have len == nkeys
+// and is reused across rows; joined and NULL-padded rows are carved from
+// *block, refilled from s a block of rows at a time. Each caller (the
+// sequential iterator, one exchange worker) owns its own keyScratch and
+// block, which outlive the batch.
+func (t *joinTable) probeBatch(s *Scratch, b Batch, leftKeys []EvalFunc, residual EvalFunc, leftJoin bool, rightArity int, keyScratch datum.Row, block *[]datum.Datum, dst Batch) (Batch, error) {
 	for _, l := range b {
 		matched := false
 		null := false
@@ -134,27 +137,45 @@ func (t *joinTable) probeBatch(s *Scratch, b Batch, leftKeys []EvalFunc, residua
 					continue // hash collision
 				}
 				right := t.rows[idx]
-				joined := datum.Row(s.MakeDatums(len(l) + len(right)))[:0]
-				joined = append(append(joined, l...), right...)
+				joined := append(append(carveRow(s, block, len(l)+len(right)), l...), right...)
 				if residual != nil {
 					ok, err := EvalPredicate(residual, joined)
 					if err != nil {
 						return nil, err
 					}
 					if !ok {
+						*block = (*block)[:len(*block)-len(joined)] // hand the row back
 						continue
 					}
 				}
 				matched = true
-				dst = append(dst, joined)
+				dst = append(growRows(s, dst, 1), joined)
 			}
 		}
 		if leftJoin && !matched {
-			padded := datum.Row(s.MakeDatums(len(l) + rightArity))[:0]
-			dst = append(dst, append(append(padded, l...), nullRow(rightArity)...))
+			dst = append(growRows(s, dst, 1), appendNulls(append(carveRow(s, block, len(l)+rightArity), l...), rightArity))
 		}
 	}
 	return dst, nil
+}
+
+// carveBlockDatums caps a carved block at the size of the scratch slabs'
+// own regular blocks, so a released block serves any later request of the
+// scratch and the parallel probes' blocks never force a larger one.
+const carveBlockDatums = 1024
+
+// carveRow returns an empty row with capacity n carved from *block, whose
+// length counts the datums handed out and whose capacity is its size. A
+// full block is replaced by a fresh one from s twice its size, from 16 rows
+// up to carveBlockDatums (or one row, if wider): one scratch call per
+// block, not one per row.
+func carveRow(s *Scratch, block *[]datum.Datum, n int) datum.Row {
+	b := *block
+	if cap(b)-len(b) < n {
+		b = s.MakeDatums(min(max(2*cap(b), 16*n), max(carveBlockDatums/n, 1)*n))[:0]
+	}
+	*block = b[:len(b)+n]
+	return datum.Row(b[len(b) : len(b) : len(b)+n])
 }
 
 // hashJoinBatchIter implements equi-joins: it builds a hash table over the
@@ -176,11 +197,11 @@ type hashJoinBatchIter struct {
 	stats      *ExecStats
 	scratch    *Scratch
 
-	built  bool
-	table  joinTable
-	keyBuf datum.Row
-	out    Batch
-	ex     BatchIterator // parallel probe; nil when sequential
+	built bool
+	table joinTable
+	probe func(w int, b, dst Batch) (Batch, error) // w: the sequential iterator's 0, or an exchange worker
+	out   Batch
+	ex    BatchIterator // parallel probe; nil when sequential
 }
 
 func (h *hashJoinBatchIter) build() error {
@@ -192,15 +213,17 @@ func (h *hashJoinBatchIter) build() error {
 	if err := buildJoinTable(&h.table, h.scratch, rows, h.rightKeys, h.degree); err != nil {
 		return err
 	}
-	h.keyBuf = make(datum.Row, len(h.leftKeys))
+	// Per-prober state lives in these locals, which the probe closure
+	// captures: a key buffer and a block pool each, kept across batches.
+	nk := len(h.leftKeys)
+	keys, blocks := make(datum.Row, h.degree*nk), make([][]datum.Datum, h.degree)
+	h.probe = func(w int, b, dst Batch) (Batch, error) {
+		return h.table.probeBatch(h.scratch, b, h.leftKeys, h.residual, h.leftJoin, h.rightArity, keys[w*nk:(w+1)*nk], &blocks[w], dst)
+	}
 	if h.degree > 1 {
 		h.stats.noteParallelism(h.degree)
-		scratches := make([]datum.Row, h.degree)
-		for i := range scratches {
-			scratches[i] = make(datum.Row, len(h.leftKeys))
-		}
-		h.ex = newExchange(h.ctx, h.left, h.degree, func(w int, b Batch) (Batch, error) {
-			return h.table.probeBatch(h.scratch, b, h.leftKeys, h.residual, h.leftJoin, h.rightArity, scratches[w], nil)
+		h.ex = newExchange(h.ctx, h.scratch, h.left, h.degree, func(w int, b Batch) (Batch, error) {
+			return h.probe(w, b, Batch(h.scratch.MakeRows(len(b)))[:0])
 		})
 	}
 	return nil
@@ -220,7 +243,7 @@ func (h *hashJoinBatchIter) NextBatch() (Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		out, err := h.table.probeBatch(h.scratch, b, h.leftKeys, h.residual, h.leftJoin, h.rightArity, h.keyBuf, h.out[:0])
+		out, err := h.probe(0, b, h.out[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -249,10 +272,11 @@ func hashKey(key datum.Row) uint64 {
 	return h
 }
 
-func nullRow(n int) datum.Row {
-	r := make(datum.Row, n)
-	for i := range r {
-		r[i] = datum.Null
+// appendNulls appends n NULLs to r: the right half of a LEFT JOIN's padded
+// row.
+func appendNulls(r datum.Row, n int) datum.Row {
+	for range n {
+		r = append(r, datum.Null)
 	}
 	return r
 }
@@ -267,6 +291,7 @@ type nestedLoopBatchIter struct {
 	leftJoin   bool
 	rightArity int
 	size       int
+	scratch    *Scratch
 
 	rightRows []datum.Row
 	built     bool
@@ -279,7 +304,7 @@ type nestedLoopBatchIter struct {
 
 func (n *nestedLoopBatchIter) NextBatch() (Batch, error) {
 	if !n.built {
-		rows, err := drainBatches(n.right)
+		rows, err := drainBatchesScratch(n.right, n.scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +348,7 @@ func (n *nestedLoopBatchIter) NextBatch() (Batch, error) {
 			out = append(out, joined)
 		}
 		if n.leftJoin && !n.matched {
-			out = append(out, append(append(make(datum.Row, 0, len(l)+n.rightArity), l...), nullRow(n.rightArity)...))
+			out = append(out, appendNulls(append(make(datum.Row, 0, len(l)+n.rightArity), l...), n.rightArity))
 		}
 		n.curPos++
 		n.rightPos, n.matched = 0, false
@@ -347,6 +372,7 @@ type aggregateBatchIter struct {
 	degree   int
 	size     int
 	stats    *ExecStats
+	scratch  *Scratch
 
 	out *sliceBatchIter // the grouped rows; nil until the input is consumed
 }
@@ -417,10 +443,11 @@ func (a *aggregateBatchIter) Close() { a.in.Close() }
 // --- Sort ---
 
 type sortBatchIter struct {
-	in   BatchIterator
-	keys []EvalFunc
-	desc []bool
-	size int
+	in      BatchIterator
+	keys    []EvalFunc
+	desc    []bool
+	size    int
+	scratch *Scratch
 
 	done bool
 	out  *sliceBatchIter
@@ -428,7 +455,7 @@ type sortBatchIter struct {
 
 func (s *sortBatchIter) NextBatch() (Batch, error) {
 	if !s.done {
-		rows, err := drainBatches(s.in)
+		rows, err := drainBatchesScratch(s.in, s.scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -437,7 +464,7 @@ func (s *sortBatchIter) NextBatch() (Batch, error) {
 			key datum.Row
 		}
 		ks := make([]keyed, len(rows))
-		keyArena := make(datum.Row, len(s.keys)*len(rows))
+		keyArena := datum.Row(s.scratch.MakeDatums(len(s.keys) * len(rows)))
 		for i, r := range rows {
 			key := keyArena[:len(s.keys):len(s.keys)]
 			keyArena = keyArena[len(s.keys):]
@@ -461,11 +488,10 @@ func (s *sortBatchIter) NextBatch() (Batch, error) {
 			}
 			return false
 		})
-		sorted := make([]datum.Row, len(ks))
 		for i, k := range ks {
-			sorted[i] = k.row
+			rows[i] = k.row // the drained buffer is ours: sort it in place
 		}
-		s.out = newSliceBatchIter(sorted, s.size)
+		s.out = newSliceBatchIter(rows, s.size)
 		s.done = true
 	}
 	return s.out.NextBatch()

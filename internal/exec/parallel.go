@@ -18,6 +18,9 @@ const parallelMinRows = 2048
 // argument evaluation).
 const morselRows = 1024
 
+// aggWindow is the most input rows partitioned aggregation holds at once.
+const aggWindow = 8 * morselRows
+
 // exchangeIter is the ordered exchange operator behind morsel-driven
 // parallelism: a feeder goroutine hands input batches (tagged with a
 // sequence number) to a bounded worker pool, each worker applies fn, and
@@ -34,6 +37,7 @@ const morselRows = 1024
 // caller must still Close to join the goroutines and release the input.
 type exchangeIter struct {
 	ctx     context.Context
+	scratch *Scratch
 	in      BatchIterator
 	fn      func(worker int, b Batch) (Batch, error)
 	workers int
@@ -66,12 +70,13 @@ type exchangeResult struct {
 	err error
 }
 
-// newExchange wraps in with a worker pool of the given degree. fn must be
+// newExchange wraps in with a worker pool of the given degree, copying
+// input batches into containers from s (heap when s is nil). fn must be
 // safe for concurrent invocation with distinct worker ids and must return
 // batches it does not reuse (the merger buffers out-of-order results); an
 // empty result batch is fine and is skipped on merge.
-func newExchange(ctx context.Context, in BatchIterator, degree int, fn func(worker int, b Batch) (Batch, error)) *exchangeIter {
-	return &exchangeIter{ctx: ctx, in: in, fn: fn, workers: degree}
+func newExchange(ctx context.Context, s *Scratch, in BatchIterator, degree int, fn func(worker int, b Batch) (Batch, error)) *exchangeIter {
+	return &exchangeIter{ctx: ctx, scratch: s, in: in, fn: fn, workers: degree}
 }
 
 func (e *exchangeIter) start() {
@@ -83,8 +88,8 @@ func (e *exchangeIter) start() {
 	e.pending = make(map[int64]exchangeResult)
 
 	// Feeder: the single reader of the input. Input batches are reused by
-	// the producer, so each one is copied (container only) before it
-	// crosses into the pool.
+	// the producer, so each one is copied (container only, into the query
+	// scratch) before it crosses into the pool.
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
@@ -99,7 +104,8 @@ func (e *exchangeIter) start() {
 			if b == nil {
 				break
 			}
-			cp := append(Batch(nil), b...)
+			cp := Batch(e.scratch.MakeRows(len(b)))
+			copy(cp, b)
 			select {
 			case e.tasks <- exchangeTask{seq: seq, b: cp}:
 				seq++
@@ -299,64 +305,90 @@ func buildJoinTable(t *joinTable, s *Scratch, rows []datum.Row, keyFns []EvalFun
 	})
 }
 
-// runParallel is the partitioned grouping path: materialize the input,
-// evaluate group keys, their hashes and aggregate arguments over morsels in
-// parallel, then give each worker its own group table and the groups whose
-// key hash falls to it. A group lives in one partition and its rows are
-// folded in ascending global row order, so per-group accumulation (float
-// summation order included) is byte-identical to the sequential path, and
-// merging the partitions by first-seen row restores its output order. A
-// grand aggregation is one group, hence one busy partition: only argument
-// evaluation parallelizes. An input under parallelMinRows runs sequentially.
+// runParallel is the partitioned grouping path. It pulls its input a
+// window of at most aggWindow rows at a time, evaluates the window's group
+// keys, their hashes and aggregate arguments over morsels in parallel, then
+// has each worker fold the window's rows whose key hash falls to it into
+// its own group table, which persists across windows. A group lives in one
+// partition and its rows are folded in ascending global row order, so
+// per-group accumulation (float summation order included) is byte-identical
+// to the sequential path, and merging the partitions by first-seen row
+// restores its output order. A grand aggregation is one group, hence one
+// busy partition: only argument evaluation parallelizes. An input under
+// parallelMinRows, which the first window holds whole, runs sequentially.
+//
+// The window's buffers come from the query scratch once, sized by the first
+// window, so memory is bounded by the window, not by the input.
 func (a *aggregateBatchIter) runParallel() ([]datum.Row, error) {
-	rows, err := drainBatches(a.in)
+	s := a.scratch
+	var rows []datum.Row
+	var b Batch // the input batch being consumed: valid until the next pull
+	eof := false
+	fill := func() (int, error) {
+		rows = rows[:0]
+		for len(rows) < aggWindow && !eof {
+			if len(b) == 0 {
+				next, err := a.in.NextBatch()
+				if err != nil {
+					return 0, err
+				}
+				b, eof = next, next == nil
+			}
+			c := min(len(b), aggWindow-len(rows))
+			rows = append(growRows(s, rows, c), b[:c]...)
+			b = b[c:]
+		}
+		return len(rows), nil
+	}
+	n, err := fill()
 	if err != nil {
 		return nil, err
 	}
-	n := len(rows)
 	if n < parallelMinRows {
 		return a.runSequential(newSliceBatchIter(rows, a.size))
 	}
 	a.stats.noteParallelism(a.degree)
 
-	nk := len(a.groupFns)
-	ns := len(a.specs)
-	keys := make([]datum.Datum, n*nk)
-	args := make([]datum.Datum, n*ns)
-	hashes := make([]uint64, n)
-
-	// Phase 1: evaluate group keys and aggregate arguments per morsel.
-	if err := morsels(n, a.degree, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			key := keys[i*nk : (i+1)*nk]
-			if err := a.eval(rows[i], key, args[i*ns:(i+1)*ns]); err != nil {
-				return err
-			}
-			hashes[i] = hashKey(key)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: each worker accumulates the partition of groups hashing to
-	// it, scanning rows in global order.
+	nk, ns := len(a.groupFns), len(a.specs)
+	keys, args, hashes := s.MakeDatums(n*nk), s.MakeDatums(n*ns), s.MakeUint64s(n)
 	parts := uint64(a.degree)
 	tables := make([]*groupTable, parts)
-	if err := fanOut(a.degree, func(p int) error {
-		t := &groupTable{nkeys: nk, specs: a.specs}
-		tables[p] = t
-		for i := 0; i < n; i++ {
-			if hashes[i]%parts != uint64(p) {
-				continue
+	for p := range tables {
+		tables[p] = &groupTable{nkeys: nk, specs: a.specs}
+	}
+	for base := 0; n > 0; {
+		// Phase 1: evaluate group keys and aggregate arguments per morsel.
+		if err := morsels(n, a.degree, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				key := keys[i*nk : (i+1)*nk]
+				if err := a.eval(rows[i], key, args[i*ns:(i+1)*ns]); err != nil {
+					return err
+				}
+				hashes[i] = hashKey(key)
 			}
-			if err := t.fold(keys[i*nk:(i+1)*nk], hashes[i], i, args[i*ns:(i+1)*ns]); err != nil {
-				return err
-			}
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+
+		// Phase 2: each worker folds the rows of its partition, in order.
+		if err := fanOut(a.degree, func(p int) error {
+			for i := 0; i < n; i++ {
+				if hashes[i]%parts != uint64(p) {
+					continue
+				}
+				if err := tables[p].fold(keys[i*nk:(i+1)*nk], hashes[i], base+i, args[i*ns:(i+1)*ns]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		base += n
+		if n, err = fill(); err != nil {
+			return nil, err
+		}
 	}
 
 	// Phase 3: merge partitions back into first-seen order.

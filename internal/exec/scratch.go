@@ -17,10 +17,13 @@ import (
 // path. A warm query then runs its batch pipeline with almost no heap
 // allocation.
 //
-// Unlike the parser's arena, a Scratch is safe for concurrent use:
-// exchange workers and prefetch goroutines allocate per batch, so one
-// mutex around the slabs costs a single uncontended lock per batch. The
-// nil Scratch falls back to plain heap allocation.
+// Unlike the parser's arena, a Scratch is safe for concurrent use: one
+// mutex guards the slabs, and exchange workers, their feeder and prefetch
+// goroutines all take it, so it can be contended. Every Make call takes the
+// lock once, so callers draw memory a batch or a block of rows at a time,
+// never a row at a time: the join probe carves its rows from blocks of up
+// to 1024 datums, and partitioned aggregation draws its window buffers
+// once. The nil Scratch falls back to plain heap allocation.
 //
 // Rows backed by a Scratch must not escape the query. The engine enforces
 // this at its boundary by block-copying Result.Rows; the arenaescape

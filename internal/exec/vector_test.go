@@ -195,6 +195,46 @@ func TestE14ParallelDegreeReported(t *testing.T) {
 	}
 }
 
+// TestE14ParallelScratchMatchesSequential runs the E14 queries the way the
+// engine does, with one query scratch shared by every operator, exchange
+// feeder and worker: batch copies, probe output containers, carved joined
+// rows and aggregation windows all come from it concurrently, and the
+// result must still equal the sequential heap-backed run's.
+func TestE14ParallelScratchMatchesSequential(t *testing.T) {
+	g, rt := bigFixture(t, 12000)
+	for _, sql := range e14Queries {
+		it, err := BuildBatch(context.Background(), buildPlan(t, g, sql), rt, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := DrainBatches(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rowsToString(rows)
+		for _, batch := range []int{64, 1024} {
+			for _, par := range []int{2, 8} {
+				p := buildPlan(t, g, sql)
+				forceParallel(p, par)
+				scratch := GetScratch()
+				it, err := BuildBatch(context.Background(), p, rt, Options{Parallelism: par, BatchSize: batch, Scratch: scratch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := DrainBatches(it)
+				if err != nil {
+					t.Fatalf("%q batch=%d par=%d: %v", sql, batch, par, err)
+				}
+				if g := rowsToString(got); g != want {
+					t.Errorf("%q batch=%d par=%d: results over the query scratch diverge from sequential\n got %.200s\nwant %.200s",
+						sql, batch, par, g, want)
+				}
+				PutScratch(scratch)
+			}
+		}
+	}
+}
+
 // TestExchangePreservesOrder drives the exchange with many small batches
 // and an identity transform; the merged output must be the input order,
 // for any worker count.
@@ -204,7 +244,7 @@ func TestExchangePreservesOrder(t *testing.T) {
 		rows[i] = datum.Row{datum.NewInt(int64(i))}
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		ex := newExchange(context.Background(), newSliceBatchIter(rows, 16), workers, func(w int, b Batch) (Batch, error) {
+		ex := newExchange(context.Background(), nil, newSliceBatchIter(rows, 16), workers, func(w int, b Batch) (Batch, error) {
 			out := make(Batch, 0, len(b))
 			return append(out, b...), nil
 		})
@@ -230,7 +270,7 @@ func TestExchangeWorkerError(t *testing.T) {
 	for i := range rows {
 		rows[i] = datum.Row{datum.NewInt(int64(i))}
 	}
-	ex := newExchange(context.Background(), newSliceBatchIter(rows, 32), 4, func(w int, b Batch) (Batch, error) {
+	ex := newExchange(context.Background(), nil, newSliceBatchIter(rows, 32), 4, func(w int, b Batch) (Batch, error) {
 		if v, _ := b[0][0].AsInt(); v >= 2048 {
 			return nil, fmt.Errorf("injected failure at %d", v)
 		}
@@ -243,14 +283,21 @@ func TestExchangeWorkerError(t *testing.T) {
 	ex.Close() // double Close must be safe
 }
 
-// TestE14HashJoinProbeAllocations guards the satellite fix: probing must
-// not copy hash buckets. Budget: one allocation per emitted joined row
-// plus slack for dst growth; the old bucket-copying probe blows well past
-// it.
-func TestE14HashJoinProbeAllocations(t *testing.T) {
-	const nBuild, nProbe = 4096, 512
-	cols := []plan.ColMeta{{Table: "t", Name: "k", Kind: datum.KindInt}}
-	keyFn, err := Compile(&sqlparse.ColumnRef{Column: "k"}, cols)
+// probeBatchMaxAllocs is the heap budget of probing one batch against a
+// built join table with a warm query scratch: joined rows are carved from
+// scratch blocks and the output container grows in the scratch, so nothing
+// is allocated per probed, joined or NULL-padded row — or, once the scratch
+// is warm, per batch.
+const probeBatchMaxAllocs = 1
+
+// probeAllocs probes batches of nProbe rows with keys 0, 1, 2, … (only
+// keys below nBuild match) against a table over keys 0..nBuild-1, as one
+// probe goroutine does across a query: key buffer, block pool and output
+// container outlive the batch, and the scratch is reset between queries.
+// It returns the heap allocations per batch.
+func probeAllocs(t *testing.T, nBuild, nProbe int, leftJoin bool) float64 {
+	t.Helper()
+	keyFn, err := Compile(&sqlparse.ColumnRef{Column: "k"}, []plan.ColMeta{{Table: "t", Name: "k", Kind: datum.KindInt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,22 +311,50 @@ func TestE14HashJoinProbeAllocations(t *testing.T) {
 	}
 	probe := make(Batch, nProbe)
 	for i := range probe {
-		probe[i] = datum.Row{datum.NewInt(int64(i * 7 % nBuild))}
+		probe[i] = datum.Row{datum.NewInt(int64(i))}
 	}
-	scratch := make(datum.Row, 1)
-	dst := make(Batch, 0, nProbe)
-	allocs := testing.AllocsPerRun(20, func() {
-		var err error
-		dst, err = tbl.probeBatch(nil, probe, []EvalFunc{keyFn}, nil, false, 1, scratch, dst[:0])
-		if err != nil {
-			t.Fatal(err)
+	want := min(nBuild, nProbe)
+	if leftJoin {
+		want = nProbe
+	}
+	scratch, key := new(Scratch), make(datum.Row, 1)
+	var block []datum.Datum
+	var dst Batch
+	return testing.AllocsPerRun(20, func() {
+		scratch.Reset()
+		block, dst = nil, nil
+		for range 4 {
+			var err error
+			if dst, err = tbl.probeBatch(scratch, probe, []EvalFunc{keyFn}, nil, leftJoin, 1, key, &block, dst[:0]); err != nil {
+				t.Fatal(err)
+			}
+			if len(dst) != want {
+				t.Fatalf("probe emitted %d rows, want %d", len(dst), want)
+			}
 		}
-		if len(dst) != nProbe {
-			t.Fatalf("probe matched %d rows, want %d", len(dst), nProbe)
+	}) / 4
+}
+
+// TestE14HashJoinProbeAllocations guards the probe's allocation budget per
+// batch: probing must neither copy hash buckets nor allocate a row per
+// joined row.
+func TestE14HashJoinProbeAllocations(t *testing.T) {
+	for _, nProbe := range []int{512, 4096} {
+		if perBatch := probeAllocs(t, 4096, nProbe, false); perBatch > probeBatchMaxAllocs {
+			t.Errorf("probing a %d-row batch allocates %.2f objects, budget %d per batch", nProbe, perBatch, probeBatchMaxAllocs)
 		}
-	})
-	if perRow := allocs / nProbe; perRow > 2 {
-		t.Errorf("hash-join probe allocates %.2f objects per probed row (want <= 2): bucket copying reintroduced?", perRow)
+	}
+}
+
+// TestLeftJoinPaddingAllocations: a LEFT JOIN probe NULL-pads its
+// unmatched rows inside carved rows, so the heap cost per batch does not
+// grow with them — a NULL row per unmatched row would cost thousands here.
+func TestLeftJoinPaddingAllocations(t *testing.T) {
+	for _, nProbe := range []int{512, 4096} {
+		if perBatch := probeAllocs(t, 256, nProbe, true); perBatch > probeBatchMaxAllocs {
+			t.Errorf("LEFT JOIN probe of %d rows, %d unmatched, allocates %.2f objects per batch, budget %d",
+				nProbe, nProbe-256, perBatch, probeBatchMaxAllocs)
+		}
 	}
 }
 
@@ -302,12 +377,17 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 	for i := range probe {
 		probe[i] = datum.Row{datum.NewInt(int64(i * 31 % nBuild))}
 	}
-	scratch := make(datum.Row, 1)
+	scratch, key := new(Scratch), make(datum.Row, 1)
+	var block []datum.Datum
 	dst := make(Batch, 0, nProbe)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, err = tbl.probeBatch(nil, probe, []EvalFunc{keyFn}, nil, false, 1, scratch, dst[:0])
+		if i%64 == 0 { // a query's worth of batches
+			scratch.Reset()
+			block = nil
+		}
+		dst, err = tbl.probeBatch(scratch, probe, []EvalFunc{keyFn}, nil, false, 1, key, &block, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
