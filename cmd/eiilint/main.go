@@ -1,20 +1,20 @@
 // Command eiilint runs the project-invariant static analyzer suite over
 // this repository: the invariants the engine's experiments depend on —
 // deterministic virtual time (E12), byte-identical parallel output (E14),
-// the batch validity contract, catalog-snapshot immutability (E13), no
-// silently dropped transfer errors, and the interprocedural concurrency
-// contracts (lock ordering, goroutine exits, type-switch exhaustiveness)
-// — checked on every build.
+// the batch validity contract and query-lifetime arena memory (E17),
+// catalog-snapshot immutability (E13), no silently dropped transfer
+// errors, and the interprocedural concurrency contracts (lock ordering,
+// goroutine exits, type-switch exhaustiveness) — checked on every build.
 //
 // Usage:
 //
 //	eiilint [-json] [-checks lockorder,...] [packages]
 //
 // Packages default to ./.... Exit status is 1 when findings exist, 2 on
-// load or usage errors. Findings
-// can be waived inline with "//lint:ignore <check> <reason>" on or
-// directly above the flagged line; waivers that no longer suppress
-// anything are themselves reported as stale.
+// load or usage errors. Findings can be waived inline with
+// "//lint:ignore <check> <reason>" on or directly above the flagged line;
+// waivers that no longer suppress anything are themselves reported as
+// stale, and waivers naming a check absent from -list as malformed.
 package main
 
 import (

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // admissionPkg declares the admission slot type acquirerelease tracks.
@@ -27,9 +26,6 @@ var AcquireRelease = &Analyzer{
 
 func runAcquireRelease(p *Pass) {
 	for _, f := range p.Files {
-		if strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {

@@ -7,12 +7,13 @@
 // reproducible if no hot path reads the real clock), byte-identical
 // parallel output from the E14 morsel exchange (no map-iteration order may
 // leak into results), the batch validity contract ("containers reused,
-// rows immutable"), COW catalog-snapshot immutability (E13), no
-// silently dropped transfer errors, and end-to-end context propagation
-// (E15 cancellation only works if no layer quietly reroots its work onto
-// context.Background). Each analyzer in this package turns
-// one of those invariants into a per-file, position-accurate diagnostic so
-// `make lint` enforces them on every build.
+// rows immutable") and query-lifetime arena memory (E17), COW
+// catalog-snapshot immutability (E13), no silently dropped transfer
+// errors, and end-to-end context propagation (E15 cancellation only works
+// if no layer quietly reroots its work onto context.Background). Each
+// analyzer in this package turns one of those invariants into a per-file,
+// position-accurate diagnostic so `make lint` enforces them on every
+// build.
 //
 // Findings can be waived inline with
 //
@@ -117,12 +118,11 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		MapOrder,
-		BatchRetain,
+		Retain,
 		SnapshotMut,
 		ErrDrop,
 		CtxPropagate,
 		AcquireRelease,
-		ArenaEscape,
 		LockOrder,
 		GoroLeak,
 		Exhaustive,
@@ -136,31 +136,44 @@ func ByName(names string) ([]*Analyzer, error) {
 	if strings.TrimSpace(names) == "" {
 		return All(), nil
 	}
-	byName := make(map[string]*Analyzer)
-	var valid []string
-	for _, a := range All() {
-		byName[a.Name] = a
-		valid = append(valid, a.Name)
-	}
 	var out []*Analyzer
 	for _, n := range strings.Split(names, ",") {
 		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown check %q: valid checks are %s",
-				n, strings.Join(valid, ", "))
+		a := lookupCheck(n)
+		if a == nil {
+			return nil, unknownCheck(n)
 		}
 		out = append(out, a)
 	}
 	return out, nil
 }
 
+// lookupCheck returns the analyzer named name in All(), or nil.
+func lookupCheck(name string) *Analyzer {
+	for _, a := range All() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// unknownCheck is the error for a check name absent from All().
+func unknownCheck(name string) error {
+	var valid []string
+	for _, a := range All() {
+		valid = append(valid, a.Name)
+	}
+	return fmt.Errorf("unknown check %q: valid checks are %s", name, strings.Join(valid, ", "))
+}
+
 // Run applies the analyzers to every package and returns the surviving
 // diagnostics sorted by position. Findings waived by a well-formed
 // //lint:ignore directive are dropped; malformed directives (missing
-// check name or reason) are reported under the "directive" pseudo-check,
-// and well-formed directives that waived nothing — while every check
-// they name was running — under "staleignore".
+// check name or reason, or naming a check absent from All()) are reported
+// under the "directive" pseudo-check, and well-formed directives that
+// waived nothing — while every check they name was running — under
+// "staleignore".
 //
 // Facts are computed over all packages first, then each package's
 // per-package passes run in package order, and finally any global passes
@@ -323,7 +336,9 @@ const ignorePrefix = "//lint:ignore"
 
 // collectIgnores parses every //lint:ignore directive in the package.
 // Directives must name a check (or "*") and give a non-empty reason;
-// anything else is reported as a malformed directive.
+// anything else is reported as a malformed directive. A name absent from
+// All() is reported too: such a directive can never waive anything, and
+// because its check never runs it would never be judged stale either.
 func collectIgnores(fset *token.FileSet, files []*ast.File) (*ignoreIndex, []Diagnostic) {
 	idx := &ignoreIndex{byLine: make(map[string]map[int]*ignoreDirective)}
 	var bad []Diagnostic
@@ -346,6 +361,12 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) (*ignoreIndex, []Dia
 				checks := make(map[string]bool)
 				for _, n := range strings.Split(fields[0], ",") {
 					checks[n] = true
+					if n != "*" && lookupCheck(n) == nil {
+						bad = append(bad, Diagnostic{
+							Check: "directive", Pos: pos,
+							Message: "//lint:ignore names an " + unknownCheck(n).Error(),
+						})
+					}
 				}
 				dir := &ignoreDirective{checks: checks, names: fields[0], pos: pos}
 				if idx.byLine[pos.Filename] == nil {

@@ -169,8 +169,28 @@ func TestMapOrderOutOfScope(t *testing.T) {
 	expectClean(t, MapOrder, "maporder", "repro/internal/core")
 }
 
+// The retain check has two rules; each keeps its own fixture, and the
+// retain fixture holds the production shapes that need both in one
+// operator.
+
+func TestArenaEscapeFixture(t *testing.T) {
+	runFixture(t, Retain, "arenaescape", "repro/internal/analysis/fixture")
+}
+
 func TestBatchRetainFixture(t *testing.T) {
-	runFixture(t, BatchRetain, "batchretain", "repro/internal/analysis/fixture")
+	runFixture(t, Retain, "batchretain", "repro/internal/analysis/fixture")
+}
+
+func TestRetainFixture(t *testing.T) {
+	runFixture(t, Retain, "retain", "repro/internal/analysis/fixture")
+}
+
+func TestRetainInsideAllocatorPackages(t *testing.T) {
+	// The allocator packages build arena-backed structures by design; the
+	// check must not fire inside them.
+	for _, fixture := range []string{"arenaescape", "batchretain", "retain"} {
+		expectClean(t, Retain, fixture, "repro/internal/sqlparse")
+	}
 }
 
 func TestSnapshotMutFixture(t *testing.T) {
@@ -234,19 +254,24 @@ func TestCtxPropagateRule2OutOfScope(t *testing.T) {
 	}
 }
 
-// TestIgnoreDirectives pins down directive handling: malformed and
-// reasonless directives are reported and waive nothing; a well-formed
-// directive for a different check leaves the finding standing.
+// TestIgnoreDirectives pins down directive handling: malformed,
+// reasonless and unknown-check directives are reported and waive nothing;
+// a well-formed directive for a different check leaves the finding
+// standing.
 func TestIgnoreDirectives(t *testing.T) {
 	pkg := loadFixture(t, "directive", "repro/internal/analysis/fixture")
 	diags := Run([]*Package{pkg}, []*Analyzer{Determinism})
 
-	var malformed, findings, stale int
+	var malformed, unknown, findings, stale int
 	for _, d := range diags {
 		switch d.Check {
 		case "directive":
-			malformed++
-			if !strings.Contains(d.Message, "malformed //lint:ignore") {
+			switch {
+			case strings.Contains(d.Message, "malformed //lint:ignore"):
+				malformed++
+			case strings.Contains(d.Message, `unknown check "determinsm": valid checks are determinism, maporder,`):
+				unknown++
+			default:
 				t.Errorf("directive diagnostic message = %q", d.Message)
 			}
 		case "determinism":
@@ -263,8 +288,11 @@ func TestIgnoreDirectives(t *testing.T) {
 	if malformed != 2 {
 		t.Errorf("malformed directives reported = %d, want 2 (bare and reasonless)", malformed)
 	}
-	if findings != 3 {
-		t.Errorf("determinism findings = %d, want 3 (none waived)", findings)
+	if unknown != 1 {
+		t.Errorf("unknown-check directives reported = %d, want 1", unknown)
+	}
+	if findings != 4 {
+		t.Errorf("determinism findings = %d, want 4 (none waived)", findings)
 	}
 	if stale != 1 {
 		t.Errorf("stale directives reported = %d, want 1", stale)
@@ -325,14 +353,4 @@ func TestGoroLeakFixture(t *testing.T) {
 
 func TestExhaustiveFixture(t *testing.T) {
 	runFixture(t, Exhaustive, "exhaustive", "repro/internal/analysis/fixture")
-}
-
-func TestArenaEscapeFixture(t *testing.T) {
-	runFixture(t, ArenaEscape, "arenaescape", "repro/internal/analysis/fixture")
-}
-
-func TestArenaEscapeInsideAllocatorPackages(t *testing.T) {
-	// The allocator packages build arena-backed structures by design; the
-	// check must not fire inside them.
-	expectClean(t, ArenaEscape, "arenaescape", "repro/internal/sqlparse")
 }

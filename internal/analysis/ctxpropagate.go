@@ -24,9 +24,11 @@ var ctxNeedScope = []string{
 //  1. context.Background() / context.TODO() may appear only in approved
 //     roots (cmd/ and examples/ binaries, test files). Everywhere else a
 //     fresh root context detaches work from the query that requested it.
-//     Every read-path operation takes its caller's context; the one
-//     waived detachment left in internal/ is netsim.Link.Transfer, which
-//     serves the write path (Updatable has no context).
+//     Every query-path fetch takes its caller's context; the one waived
+//     detachment left in internal/ is netsim.Link.Transfer, which serves
+//     the callers that have no context to pass: the Updatable write path
+//     (RelationalSource Insert/Update/Delete) and the document store's
+//     direct-access reads (docstore.Store.Get and Search).
 //  2. In the executor/federation/netsim fetch path, an exported function
 //     with no context.Context parameter must not call one that has it:
 //     the wrapper severs cancellation for every caller above it.
@@ -42,9 +44,6 @@ func runCtxPropagate(p *Pass) {
 	}
 	needCtx := pkgIs(p.Path, ctxNeedScope...)
 	for _, f := range p.Files {
-		if strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CallExpr:
@@ -156,14 +155,8 @@ func signatureTakesCtx(sig *types.Signature) bool {
 
 // isCtxType reports whether t is context.Context.
 func isCtxType(t types.Type) bool {
-	name, ok := namedFromPkg(t, "context")
+	name, ok := namedFrom(t, "context")
 	return ok && name == "Context"
-}
-
-// namedFromPkg is namedFrom for stdlib packages (namedFrom matches repro
-// paths; the logic is identical).
-func namedFromPkg(t types.Type, pkgPath string) (string, bool) {
-	return namedFrom(t, pkgPath)
 }
 
 // calleeName renders the called expression for the diagnostic.

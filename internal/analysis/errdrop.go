@@ -20,32 +20,17 @@ var errDropScope = []string{
 	"repro/internal/cluster",
 }
 
-// errDropFuncs are the calls whose errors must never be discarded. Since
-// E12, Transfer (and TransferCtx, the only name the query path calls)
-// fails under fault injection; swallowing that error turns
-// an injected outage into silently-missing rows, which is exactly the
-// failure mode partial-result accounting exists to surface. The E18
-// inter-node calls (SendFragment, GatherRows, RunFragment) are watched
-// for the same reason: a dropped peer error silently truncates a
-// scatter-gather result.
-var errDropFuncs = map[string]bool{
-	"Transfer":     true,
-	"TransferCtx":  true,
-	"FetchRemote":  true,
-	"Close":        true,
-	"SendFragment": true,
-	"GatherRows":   true,
-	"RunFragment":  true,
-}
-
-// ErrDrop flags discarded errors from Transfer/TransferCtx, FetchRemote,
-// error-returning Close calls, and the cluster inter-node transfer API
-// (SendFragment/GatherRows/RunFragment) in the federation fetch path:
-// either a bare call statement or an assignment that blanks every error
-// result.
+// ErrDrop flags discarded errors from the round-trip calls (roundTripCalls:
+// Transfer/TransferCtx, ExecuteCtx, FetchRemote, and the cluster
+// inter-node API SendFragment/GatherRows/RunFragment) and from
+// error-returning Close calls in the federation fetch path: either a bare
+// call statement or an assignment that blanks every error result.
+// Swallowing such an error turns an injected outage into silently-missing
+// rows, which is exactly the failure mode partial-result accounting exists
+// to surface.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc:  "no discarded errors from Transfer/TransferCtx/FetchRemote/Close and the cluster inter-node API in the fetch path",
+	Doc:  "no discarded errors from round trips (Transfer, ExecuteCtx, FetchRemote, the cluster inter-node API) or Close in the fetch path",
 	Run:  runErrDrop,
 }
 
@@ -96,7 +81,7 @@ func (p *Pass) watchedErrCall(call *ast.CallExpr) string {
 	default:
 		return ""
 	}
-	if !errDropFuncs[name] {
+	if !roundTripCalls[name] && name != "Close" {
 		return ""
 	}
 	if len(errResultIndexes(p.TypeOf(call))) == 0 {

@@ -20,11 +20,10 @@ package analysis
 // on variant structure, so a new variant falling to their implicit
 // "no" is the intended semantics.
 //
-// Implementers are enumerated from three sources: the interface's
-// defining package as seen through this package's export data, the
-// package under analysis itself, and the facts registry of every other
-// analyzed package (so a new node type declared anywhere in the
-// repository counts immediately).
+// Both sums are sealed by an unexported marker method (plan.Node's
+// node(), sqlparse.Expr's expr()), so every implementer is declared in the
+// interface's defining package: its scope, read through this package's
+// export data, is the complete list.
 
 import (
 	"go/ast"
@@ -41,18 +40,35 @@ var Exhaustive = &Analyzer{
 
 func runExhaustive(p *Pass) {
 	for _, file := range p.Files {
-		if strings.HasSuffix(p.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			sw, ok := n.(*ast.TypeSwitchStmt)
-			if !ok {
-				return true
+			if sw, ok := n.(*ast.TypeSwitchStmt); ok {
+				p.checkSwitch(sw)
 			}
-			p.checkSwitch(sw)
 			return true
 		})
 	}
+}
+
+// watchedIfaces are the closed sums the exhaustive analyzer enforces:
+// every type switch over one of these must cover all concrete
+// implementers or carry a guarding default.
+var watchedIfaces = []struct{ Pkg, Name string }{
+	{"repro/internal/plan", "Node"},
+	{"repro/internal/sqlparse", "Expr"},
+}
+
+// watchedIfaceKey returns "pkg/path.Name" when the named type is on the
+// watchlist.
+func watchedIfaceKey(obj *types.TypeName) (string, bool) {
+	if obj == nil || obj.Pkg() == nil {
+		return "", false
+	}
+	for _, w := range watchedIfaces {
+		if obj.Pkg().Path() == w.Pkg && obj.Name() == w.Name {
+			return w.Pkg + "." + w.Name, true
+		}
+	}
+	return "", false
 }
 
 // switchSubject extracts the expression a type switch dispatches on.
@@ -70,14 +86,6 @@ func switchSubject(sw *ast.TypeSwitchStmt) ast.Expr {
 		return ta.X
 	}
 	return nil
-}
-
-// implEntry is one known implementer: same-universe entries carry the
-// types.Type for assignability checks; registry-only entries from other
-// packages' universes match by rendered name.
-type implEntry struct {
-	str string
-	typ types.Type
 }
 
 func (p *Pass) checkSwitch(sw *ast.TypeSwitchStmt) {
@@ -98,46 +106,27 @@ func (p *Pass) checkSwitch(sw *ast.TypeSwitchStmt) {
 		return
 	}
 
-	// Enumerate implementers. Same-universe: the defining package's
-	// scope (via export data) plus this package's own scope. Registry:
-	// rendered names from every analyzed package.
-	impls := make(map[string]implEntry)
-	addScope := func(scope *types.Scope, iface *types.Interface) {
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			nt, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(nt) {
-				continue
-			}
-			if types.Implements(nt, iface) {
-				impls[typeFullName(nt)] = implEntry{str: typeFullName(nt), typ: nt}
-			} else if pt := types.NewPointer(nt); types.Implements(pt, iface) {
-				impls[typeFullName(pt)] = implEntry{str: typeFullName(pt), typ: pt}
-			}
-		}
-	}
 	iface, _ := named.Underlying().(*types.Interface)
 	if iface == nil {
 		return
 	}
-	if defPkg := named.Obj().Pkg(); defPkg != nil {
-		addScope(defPkg.Scope(), iface)
-	}
-	if p.Pkg != nil && p.Pkg != named.Obj().Pkg() {
-		addScope(p.Pkg.Scope(), iface)
-	}
-	if p.Facts != nil {
-		for _, s := range p.Facts.Implementers(key) {
-			if _, have := impls[s]; !have {
-				impls[s] = implEntry{str: s}
-			}
+	// Enumerate implementers from the defining package's scope.
+	var impls []types.Type
+	scope := named.Obj().Pkg().Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
 		}
-	}
-	if len(impls) == 0 {
-		return
+		nt, ok := tn.Type().(*types.Named)
+		if !ok || types.IsInterface(nt) {
+			continue
+		}
+		if types.Implements(nt, iface) {
+			impls = append(impls, nt)
+		} else if pt := types.NewPointer(nt); types.Implements(pt, iface) {
+			impls = append(impls, pt)
+		}
 	}
 
 	// Walk the clauses: collect case types, find a guarding default.
@@ -178,18 +167,13 @@ func (p *Pass) checkSwitch(sw *ast.TypeSwitchStmt) {
 	for _, impl := range impls {
 		covered := false
 		for _, ct := range caseTypes {
-			if impl.typ != nil {
-				if types.AssignableTo(impl.typ, ct) {
-					covered = true
-					break
-				}
-			} else if sameTypeString(ct, impl.str) {
+			if types.AssignableTo(impl, ct) {
 				covered = true
 				break
 			}
 		}
 		if !covered {
-			missing = append(missing, shortClass(impl.str))
+			missing = append(missing, shortClass(typeFullName(impl)))
 		}
 	}
 	if len(missing) == 0 {
@@ -202,10 +186,4 @@ func (p *Pass) checkSwitch(sw *ast.TypeSwitchStmt) {
 	}
 	p.Reportf(sw.Switch, "type switch on %s is missing cases for %s: %s — add the cases or a default that panics/errors",
 		shortClass(key), strings.Join(missing, ", "), what)
-}
-
-// sameTypeString reports whether a same-universe case type renders to
-// the registry string.
-func sameTypeString(t types.Type, s string) bool {
-	return typeFullName(t) == s
 }

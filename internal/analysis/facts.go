@@ -3,8 +3,7 @@ package analysis
 // The facts layer is eiilint's interprocedural backbone. Per-file pattern
 // matching cannot see the failure modes that cross function boundaries —
 // a mutex held here while a function called there blocks on a channel, a
-// goroutine whose exit condition lives two calls away, a type switch that
-// silently misses a node type declared in another package. So every
+// goroutine whose exit condition lives two calls away. So every
 // package gets a bottom-up summary ("facts") of each function it
 // declares: which mutex classes it acquires, which potentially-blocking
 // operations it performs, which functions it calls (and which locks are
@@ -13,9 +12,9 @@ package analysis
 // on that package's syntax plus the export data `go list -export -deps`
 // already produced; they are then linked into a static call graph: direct
 // calls resolve by object, interface method calls by method-set matching
-// against every analyzed type. Transitive properties (blocks, acquires, may hang, has
-// exit signal) are propagated over the graph to a fixpoint, which is what
-// the lockorder, goroleak and exhaustive analyzers consume.
+// against every analyzed type. Transitive properties (blocks, acquires,
+// may hang, has exit signal) are propagated over the graph to a fixpoint,
+// which is what the lockorder and goroleak analyzers consume.
 
 import (
 	"fmt"
@@ -115,11 +114,6 @@ type FuncFacts struct {
 	HazardPos token.Pos
 }
 
-// transInfo carries a propagated property's human-readable origin chain.
-type transInfo struct {
-	What string
-}
-
 // Facts is the linked, propagated summary of every analyzed package.
 type Facts struct {
 	Funcs    map[FuncID]*FuncFacts
@@ -129,28 +123,24 @@ type Facts struct {
 	// interface method-set resolution matches against.
 	typeMethods map[string]map[string]FuncID
 
-	// implementers: watched-interface key ("repro/internal/plan.Node") →
-	// sorted type strings ("*repro/internal/plan.Scan") collected from
-	// every analyzed package. The exhaustive analyzer unions this with
-	// the defining package's export-data scope.
-	implementers map[string][]string
-
 	// resolvedCalls caches each call site's effective callee list.
 	resolvedCalls map[*CallSite][]FuncID
 
-	blocking map[FuncID]*transInfo
-	hazard   map[FuncID]*transInfo
+	// blocking and hazard map a function to the human-readable origin
+	// chain of the propagated property.
+	blocking map[FuncID]string
+	hazard   map[FuncID]string
 	exits    map[FuncID]bool
 	acquires map[FuncID]map[string]bool
 }
 
 // TransBlocking reports why id (or anything it transitively calls) can
-// block, or nil when it provably performs no watched blocking operation.
-func (f *Facts) TransBlocking(id FuncID) *transInfo { return f.blocking[id] }
+// block, or "" when it provably performs no watched blocking operation.
+func (f *Facts) TransBlocking(id FuncID) string { return f.blocking[id] }
 
 // TransHazard reports why id can hang forever (goroleak's hazard:
-// unguarded channel send or infinite loop), or nil.
-func (f *Facts) TransHazard(id FuncID) *transInfo { return f.hazard[id] }
+// unguarded channel send or infinite loop), or "".
+func (f *Facts) TransHazard(id FuncID) string { return f.hazard[id] }
 
 // TransExit reports whether id (or a function it calls) contains a
 // channel-tied exit signal.
@@ -165,19 +155,17 @@ func (f *Facts) TransAcquires(id FuncID) map[string]bool { return f.acquires[id]
 // interface signature.
 func (f *Facts) Callees(cs *CallSite) []FuncID { return f.resolvedCalls[cs] }
 
-// Implementers returns the cross-package implementer strings recorded for
-// a watched interface key.
-func (f *Facts) Implementers(ifaceKey string) []string { return f.implementers[ifaceKey] }
-
-// blockingCalls are the named operations that block on I/O or virtual
-// time in this codebase: link transfers, source executions, remote
-// fetches, and the E18 inter-node shipping API. Matching is by selector
-// name — the same over-approximation errdrop uses — because the calls
+// roundTripCalls are the named operations that cross a link in this
+// codebase: link transfers, source executions, remote fetches, and the E18
+// inter-node shipping API. Each blocks on I/O or virtual time, so the
+// facts layer records it as a blocking operation (lockorder's input); and
+// since E12 each can fail under fault injection, so errdrop forbids
+// discarding its error. Matching is by selector name because the calls
 // dispatch through interfaces (Source, FetchRouter) a purely direct call
 // graph cannot pierce.
-var blockingCalls = map[string]bool{
-	"TransferCtx":  true,
+var roundTripCalls = map[string]bool{
 	"Transfer":     true,
+	"TransferCtx":  true,
 	"ExecuteCtx":   true,
 	"FetchRemote":  true,
 	"RunFragment":  true,
@@ -192,7 +180,6 @@ func ComputeFacts(pkgs []*Package) *Facts {
 		Funcs:         make(map[FuncID]*FuncFacts),
 		PkgFuncs:      make(map[string][]*FuncFacts),
 		typeMethods:   make(map[string]map[string]FuncID),
-		implementers:  make(map[string][]string),
 		resolvedCalls: make(map[*CallSite][]FuncID),
 	}
 	for _, pkg := range pkgs {
@@ -203,12 +190,6 @@ func ComputeFacts(pkgs []*Package) *Facts {
 			f.Funcs[ff.ID] = ff
 			registerMethod(f.typeMethods, ff)
 		}
-		for key, ts := range b.implementers {
-			f.implementers[key] = append(f.implementers[key], ts...)
-		}
-	}
-	for key := range f.implementers {
-		sort.Strings(f.implementers[key])
 	}
 	f.link()
 	f.propagate()
@@ -305,12 +286,12 @@ func (f *Facts) propagate() {
 		}
 	}
 
-	seedInfo := func(seed func(*FuncFacts) string) map[FuncID]*transInfo {
-		out := make(map[FuncID]*transInfo)
+	seedInfo := func(seed func(*FuncFacts) string) map[FuncID]string {
+		out := make(map[FuncID]string)
 		var work []FuncID
 		for id, ff := range f.Funcs {
 			if what := seed(ff); what != "" {
-				out[id] = &transInfo{What: what}
+				out[id] = what
 				work = append(work, id)
 			}
 		}
@@ -322,13 +303,13 @@ func (f *Facts) propagate() {
 				if _, done := out[caller]; done {
 					continue
 				}
-				what := out[id].What
+				what := out[id]
 				if !strings.HasPrefix(what, "calls ") {
 					what = fmt.Sprintf("calls %s, which performs a %s", id.short(), what)
 				} else {
 					what = fmt.Sprintf("calls %s, which transitively blocks", id.short())
 				}
-				out[caller] = &transInfo{What: what}
+				out[caller] = what
 				work = append(work, caller)
 			}
 		}
@@ -404,17 +385,12 @@ func (f *Facts) propagate() {
 
 // factBuilder walks one package's syntax and produces its FuncFacts.
 type factBuilder struct {
-	pkg          *Package
-	out          []*FuncFacts
-	implementers map[string][]string
+	pkg *Package
+	out []*FuncFacts
 }
 
 func (b *factBuilder) build() {
-	b.implementers = collectImplementers(b.pkg)
 	for _, file := range b.pkg.Files {
-		if strings.HasSuffix(b.pkg.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -724,7 +700,7 @@ func (w *lockWalker) recordCall(call *ast.CallExpr) {
 		return
 	}
 	id, ifaceSig, method := w.resolveCallee(call)
-	if method != "" && blockingCalls[method] {
+	if roundTripCalls[method] {
 		w.block("call to "+method, call.Pos())
 	}
 	if id == "" && ifaceSig == "" {
@@ -871,18 +847,7 @@ func mutexMethod(info *types.Info, call *ast.CallExpr) (ast.Expr, string, bool) 
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return nil, "", false
 	}
-	if isSyncMutex(info.TypeOf(sel.X)) {
-		return sel.X, sel.Sel.Name, true
-	}
-	// Embedded mutex: x.Lock() where x's named type embeds sync.Mutex.
 	return sel.X, sel.Sel.Name, true
-}
-
-// isSyncMutex reports whether t (after stripping a pointer) is
-// sync.Mutex or sync.RWMutex.
-func isSyncMutex(t types.Type) bool {
-	name, ok := namedFrom(t, "sync")
-	return ok && (name == "Mutex" || name == "RWMutex")
 }
 
 // isWaitGroupDone matches wg.Done() / wg.Add on a sync.WaitGroup... only
@@ -954,101 +919,4 @@ func loopCanExit(body *ast.BlockStmt) bool {
 		return !can
 	})
 	return can
-}
-
-// --- Watched-interface implementer registry (exhaustive analyzer) ---
-
-// watchedIfaces are the closed sums the exhaustive analyzer enforces:
-// every type switch over one of these must cover all concrete
-// implementers or carry a guarding default.
-var watchedIfaces = []struct{ Pkg, Name string }{
-	{"repro/internal/plan", "Node"},
-	{"repro/internal/sqlparse", "Expr"},
-}
-
-// watchedIfaceKey returns the registry key when the named type is on the
-// watchlist.
-func watchedIfaceKey(obj *types.TypeName) (string, bool) {
-	if obj == nil || obj.Pkg() == nil {
-		return "", false
-	}
-	for _, w := range watchedIfaces {
-		if obj.Pkg().Path() == w.Pkg && obj.Name() == w.Name {
-			return w.Pkg + "." + w.Name, true
-		}
-	}
-	return "", false
-}
-
-// collectImplementers records which named types declared in pkg implement
-// a watched interface. The interface type is resolved through the
-// package's own type universe (its scope or its imports), so the check
-// uses go/types.Implements, not name matching.
-func collectImplementers(pkg *Package) map[string][]string {
-	out := make(map[string][]string)
-	for _, w := range watchedIfaces {
-		iface := resolveIface(pkg, w.Pkg, w.Name)
-		if iface == nil {
-			continue
-		}
-		key := w.Pkg + "." + w.Name
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			if types.IsInterface(named) {
-				continue
-			}
-			if types.Implements(named, iface) {
-				out[key] = append(out[key], typeFullName(named))
-			} else if types.Implements(types.NewPointer(named), iface) {
-				out[key] = append(out[key], typeFullName(types.NewPointer(named)))
-			}
-		}
-	}
-	return out
-}
-
-// resolveIface finds the watched interface's *types.Interface inside this
-// package's universe: the package itself, or any import (direct or
-// transitive through export data).
-func resolveIface(pkg *Package, path, name string) *types.Interface {
-	var target *types.Package
-	if pkg.Types.Path() == path {
-		target = pkg.Types
-	} else {
-		target = findImport(pkg.Types, path, map[*types.Package]bool{})
-	}
-	if target == nil {
-		return nil
-	}
-	tn, ok := target.Scope().Lookup(name).(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	iface, _ := tn.Type().Underlying().(*types.Interface)
-	return iface
-}
-
-// findImport searches the import graph for a package by path.
-func findImport(from *types.Package, path string, seen map[*types.Package]bool) *types.Package {
-	for _, imp := range from.Imports() {
-		if seen[imp] {
-			continue
-		}
-		seen[imp] = true
-		if imp.Path() == path {
-			return imp
-		}
-		if found := findImport(imp, path, seen); found != nil {
-			return found
-		}
-	}
-	return nil
 }

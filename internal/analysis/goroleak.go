@@ -38,8 +38,8 @@ func runGoroLeak(p *Pass) {
 			if tf.WGDone || p.Facts.TransExit(sp.Target) {
 				continue
 			}
-			if hz := p.Facts.TransHazard(sp.Target); hz != nil {
-				p.Reportf(sp.Pos, "goroutine can leak: %s, with no ctx/channel exit signal and no WaitGroup discipline", hz.What)
+			if hz := p.Facts.TransHazard(sp.Target); hz != "" {
+				p.Reportf(sp.Pos, "goroutine can leak: %s, with no ctx/channel exit signal and no WaitGroup discipline", hz)
 			}
 			// No hazard and no signal: the body provably runs to
 			// completion, which is exit enough.

@@ -74,9 +74,9 @@ func runLockOrder(p *Pass) {
 			}
 			for _, target := range p.Facts.Callees(cs) {
 				tf := p.Facts.Funcs[target]
-				if info := p.Facts.TransBlocking(target); info != nil {
+				if why := p.Facts.TransBlocking(target); why != "" {
 					p.Reportf(cs.Pos, "call to %s while holding %s blocks: %s",
-						tf.Name, heldNames(cs.Held), info.What)
+						tf.Name, heldNames(cs.Held), why)
 					break
 				}
 			}

@@ -1,4 +1,5 @@
-// Fixture for the arenaescape analyzer: hit, miss, and ignore cases.
+// Fixture for the retain analyzer's arena/scratch provenance rule: hit,
+// miss, and ignore cases.
 package fixture
 
 import (
@@ -51,7 +52,7 @@ func hitChannelSend(it exec.BatchIterator, s *exec.Scratch) error {
 	if err != nil {
 		return err
 	}
-	rowCh <- rows // want "sending an arena-backed value on a channel"
+	rowCh <- rows // want "storing an arena-backed value into a channel"
 	return nil
 }
 
@@ -100,6 +101,6 @@ func missHeapCopy(it exec.BatchIterator, s *exec.Scratch, h *holder) error {
 }
 
 func (h *holder) ignoreOwnedContainer(s *exec.Scratch) {
-	//lint:ignore arenaescape holder is itself per-query state released before PutArena
+	//lint:ignore retain holder is itself per-query state released before PutArena
 	h.cells = s.MakeDatums(8)
 }

@@ -1,4 +1,5 @@
-// Fixture for the batchretain analyzer: hit, miss, and ignore cases.
+// Fixture for the retain analyzer's Batch aliasing rule: hit, miss, and
+// ignore cases.
 package fixture
 
 import (
@@ -14,25 +15,25 @@ type retainer struct {
 var global exec.Batch
 
 func (r *retainer) hitFieldStore(b exec.Batch) {
-	r.cur = b // want "storing a Batch into struct field \"cur\""
+	r.cur = b // want "storing a borrowed Batch into struct field \"cur\""
 }
 
 func (r *retainer) hitTupleStore(it exec.BatchIterator) error {
 	var err error
-	r.cur, err = it.NextBatch() // want "storing a Batch into struct field \"cur\""
+	r.cur, err = it.NextBatch() // want "storing a borrowed Batch into struct field \"cur\""
 	return err
 }
 
 func (r *retainer) hitIndexedFieldStore(b exec.Batch) {
-	r.all[0] = b // want "storing a Batch into struct field \"all\""
+	r.all[0] = b // want "storing a borrowed Batch into struct field \"all\""
 }
 
 func (r *retainer) hitConversionStore(rows []datum.Row) {
-	r.cur = exec.Batch(rows) // want "storing a Batch into struct field \"cur\""
+	r.cur = exec.Batch(rows) // want "storing a borrowed Batch into struct field \"cur\""
 }
 
-func hitGlobalStore(b exec.Batch) {
-	global = b // want "storing a Batch into package variable \"global\""
+func hitGlobalBatchStore(b exec.Batch) {
+	global = b // want "storing a borrowed Batch into package variable \"global\""
 }
 
 func (r *retainer) missDeepCopy(b exec.Batch) {
@@ -65,13 +66,13 @@ func (r *retainer) missOwnBufferThroughCall(it exec.BatchIterator) error {
 
 func (r *retainer) hitProducerBatchViaLocal(it exec.BatchIterator) {
 	b, _ := it.NextBatch()
-	r.cur = b // want "storing a Batch into struct field \"cur\""
+	r.cur = b // want "storing a borrowed Batch into struct field \"cur\""
 }
 
 func (r *retainer) hitOwnBufferOverwritten(it exec.BatchIterator) {
 	out := r.cur[:0]
 	out, _ = it.NextBatch()
-	r.cur = out // want "storing a Batch into struct field \"cur\""
+	r.cur = out // want "storing a borrowed Batch into struct field \"cur\""
 }
 
 func missLocal(b exec.Batch) exec.Batch {
@@ -81,6 +82,6 @@ func missLocal(b exec.Batch) exec.Batch {
 }
 
 func (r *retainer) ignored(b exec.Batch) {
-	//lint:ignore batchretain fixture: consumed before the next NextBatch call
+	//lint:ignore retain fixture: consumed before the next NextBatch call
 	r.cur = b
 }

@@ -1,5 +1,6 @@
-// Fixture for ignore-directive handling: a directive with no check name
-// and no reason is malformed — it is reported itself and waives nothing.
+// Fixture for ignore-directive handling: a directive with no check name,
+// no reason, or a check name absent from the suite is malformed — it is
+// reported itself and waives nothing.
 package fixture
 
 import "time"
@@ -22,4 +23,9 @@ func wrongCheckDirective() {
 func staleDirective() int {
 	//lint:ignore determinism reason for a finding that no longer exists
 	return 1
+}
+
+func unknownCheckDirective() {
+	//lint:ignore determinsm a misspelt check name waives nothing and is reported
+	_ = time.Now()
 }

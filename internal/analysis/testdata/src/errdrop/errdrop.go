@@ -31,6 +31,14 @@ func hitBlankedCtxError(ctx context.Context, l *netsim.Link) {
 	_, _ = l.TransferCtx(ctx, 64) // want "error from TransferCtx assigned to _"
 }
 
+type fragmentSource struct{}
+
+func (fragmentSource) ExecuteCtx(context.Context) ([]int, error) { return nil, nil }
+
+func hitBlankedExecuteError(ctx context.Context, s fragmentSource) {
+	_, _ = s.ExecuteCtx(ctx) // want "error from ExecuteCtx assigned to _"
+}
+
 func hitBareClose(c errCloser) {
 	c.Close() // want "result of Close discarded"
 }

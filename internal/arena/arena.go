@@ -14,7 +14,7 @@
 // (one query), not long-lived accumulations.
 //
 // A Slab is NOT safe for concurrent use. The intended discipline —
-// enforced by the `arenaescape` eiilint analyzer for the query path — is
+// enforced by the `retain` eiilint analyzer for the query path — is
 // that a slab lives in one goroutine's locals, is passed down the call
 // stack, and every value obtained from it dies before Reset is called.
 package arena

@@ -327,7 +327,7 @@ func (n *nestedLoopBatchIter) NextBatch() (Batch, error) {
 				}
 				break
 			}
-			//lint:ignore batchretain cur is fully consumed before the next NextBatch call refills it
+			//lint:ignore retain cur is fully consumed before the next NextBatch call refills it
 			n.cur, n.curPos, n.rightPos, n.matched = b, 0, 0, false
 		}
 		l := n.cur[n.curPos]

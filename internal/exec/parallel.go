@@ -279,7 +279,7 @@ func buildJoinTable(t *joinTable, s *Scratch, rows []datum.Row, keyFns []EvalFun
 	t.rows = rows
 	t.nkeys = len(keyFns)
 	n := len(rows)
-	//lint:ignore arenaescape joinTable is per-query operator state torn down before the scratch recycles
+	//lint:ignore retain joinTable is per-query operator state torn down before the scratch recycles
 	t.keys, t.ix = s.MakeDatums(n*t.nkeys), newKeyIndex(s, n)
 	null := s.MakeBools(n)
 	slots := len(t.ix.head)

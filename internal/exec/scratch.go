@@ -26,7 +26,7 @@ import (
 // once. The nil Scratch falls back to plain heap allocation.
 //
 // Rows backed by a Scratch must not escape the query. The engine enforces
-// this at its boundary by block-copying Result.Rows; the arenaescape
+// this at its boundary by block-copying Result.Rows; the retain
 // analyzer checks that exec code does not store scratch-backed slices into
 // longer-lived structures.
 type Scratch struct {

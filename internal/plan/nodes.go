@@ -42,7 +42,20 @@ type Node interface {
 	WithChildren(kids []Node) Node
 	// Describe renders a one-line summary for EXPLAIN output.
 	Describe() string
+	// node seals the interface: every operator is declared in this package.
+	node()
 }
+
+func (*Scan) node()      {}
+func (*Filter) node()    {}
+func (*Project) node()   {}
+func (*Join) node()      {}
+func (*Aggregate) node() {}
+func (*Sort) node()      {}
+func (*Limit) node()     {}
+func (*Distinct) node()  {}
+func (*Union) node()     {}
+func (*Remote) node()    {}
 
 // Scan reads one table of one source.
 type Scan struct {

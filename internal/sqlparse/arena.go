@@ -14,7 +14,7 @@ import (
 // no heap allocation.
 //
 // An Arena is not safe for concurrent use and everything allocated from
-// it dies at Reset; the arenaescape analyzer enforces that arena-backed
+// it dies at Reset; the retain analyzer enforces that arena-backed
 // values are never stored past the query (see DESIGN.md §10). Code that
 // must retain an AST — view definitions, cached plan templates — uses
 // the plain heap-allocating Parse instead.
@@ -183,7 +183,7 @@ func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 // PutArena resets a and returns it to the pool. The caller must ensure
 // nothing allocated from a (AST nodes, bound plans, lists) is still
 // reachable; PutArena on every query exit path is the discipline the
-// engine follows and the arenaescape analyzer checks.
+// engine follows and the retain analyzer checks.
 func PutArena(a *Arena) {
 	a.Reset()
 	arenaPool.Put(a)
