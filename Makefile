@@ -70,9 +70,10 @@ race-adaptive:
 # — no allocation per join key or shipped key — the sequential E14 report
 # aggregate inside its own — none per input row or group — and one indexed
 # point fetch at a source inside its own, none of it spent choosing the
-# access path. At Parallelism 2 the E14 fan-out and report aggregate must
-# allocate at most 1.5× the bytes of Parallelism 1: parallel operators hold
-# a window of their input, not a copy of it. Beside them, the goroutine
+# access path. At Parallelism 1 and 2 the E14 fan-out and report aggregate
+# must each allocate at most 64 KB a query: sources hand over zero-copy
+# heap snapshots and parallel operators hold a window of their input, so
+# nothing scales with the input. Beside them, the goroutine
 # fence (prefetch_test.go): a fetch
 # gets a prefetch goroutine only where a sibling can overlap it — none for
 # the portal point query, one for a two-remote join, two for the

@@ -616,8 +616,8 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 			rows, err = exec.DrainBatchesScratch(it, scratch)
 		}
 		if err == nil {
-			// Result rows may alias shared storage snapshots (sources hand
-			// the executor header-only views); block-copy so callers own —
+			// Result rows may alias storage heaps (sources hand the
+			// executor zero-copy snapshots); block-copy so callers own —
 			// and may freely mutate — everything reachable from Result.Rows.
 			rows = datum.CloneRowsBlock(rows)
 			break

@@ -51,26 +51,37 @@ func (k Kind) String() string {
 }
 
 // Datum is a single SQL value. The zero value is NULL.
+//
+// A Datum is 32 bytes: a kind tag, one payload word and a string header.
+// The word i carries every payload but STRING's — the integer itself, a
+// float's IEEE bits, 0 or 1 for BOOL, Unix microseconds for TIME — so a
+// row is half the width a field per kind would make it. Datum is not
+// comparable with ==, which on the payload word would order floats by
+// their bits (-0 != +0, NaN == NaN); Compare and Equal are the equalities.
 type Datum struct {
+	_    [0]func()
 	kind Kind
-	b    bool
 	i    int64
-	f    float64
 	s    string
-	t    time.Time
 }
 
 // Null is the NULL value.
 var Null = Datum{kind: KindNull}
 
 // NewBool returns a BOOL datum.
-func NewBool(v bool) Datum { return Datum{kind: KindBool, b: v} }
+func NewBool(v bool) Datum {
+	d := Datum{kind: KindBool}
+	if v {
+		d.i = 1
+	}
+	return d
+}
 
 // NewInt returns an INT datum.
 func NewInt(v int64) Datum { return Datum{kind: KindInt, i: v} }
 
 // NewFloat returns a FLOAT datum.
-func NewFloat(v float64) Datum { return Datum{kind: KindFloat, f: v} }
+func NewFloat(v float64) Datum { return Datum{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a STRING datum.
 func NewString(v string) Datum { return Datum{kind: KindString, s: v} }
@@ -78,8 +89,13 @@ func NewString(v string) Datum { return Datum{kind: KindString, s: v} }
 // NewTime returns a TIME datum with microsecond truncation so round-trips
 // through the wire format are exact.
 func NewTime(v time.Time) Datum {
-	return Datum{kind: KindTime, t: v.UTC().Truncate(time.Microsecond)}
+	return Datum{kind: KindTime, i: v.UTC().Truncate(time.Microsecond).UnixMicro()}
 }
+
+// b, f and t decode the payload word; the caller has checked the kind.
+func (d Datum) b() bool      { return d.i != 0 }
+func (d Datum) f() float64   { return math.Float64frombits(uint64(d.i)) }
+func (d Datum) t() time.Time { return time.UnixMicro(d.i).UTC() }
 
 // Kind reports the datum's runtime type.
 func (d Datum) Kind() Kind { return d.kind }
@@ -90,7 +106,7 @@ func (d Datum) IsNull() bool { return d.kind == KindNull }
 // Bool returns the boolean payload; it panics if the kind is not BOOL.
 func (d Datum) Bool() bool {
 	d.mustBe(KindBool)
-	return d.b
+	return d.b()
 }
 
 // Int returns the integer payload; it panics if the kind is not INT.
@@ -102,7 +118,7 @@ func (d Datum) Int() int64 {
 // Float returns the float payload; it panics if the kind is not FLOAT.
 func (d Datum) Float() float64 {
 	d.mustBe(KindFloat)
-	return d.f
+	return d.f()
 }
 
 // Str returns the string payload; it panics if the kind is not STRING.
@@ -114,7 +130,7 @@ func (d Datum) Str() string {
 // Time returns the time payload; it panics if the kind is not TIME.
 func (d Datum) Time() time.Time {
 	d.mustBe(KindTime)
-	return d.t
+	return d.t()
 }
 
 func (d Datum) mustBe(k Kind) {
@@ -130,7 +146,7 @@ func (d Datum) AsFloat() (v float64, ok bool) {
 	case KindInt:
 		return float64(d.i), true
 	case KindFloat:
-		return d.f, true
+		return d.f(), true
 	default:
 		return 0, false
 	}
@@ -142,7 +158,7 @@ func (d Datum) AsInt() (v int64, ok bool) {
 	case KindInt:
 		return d.i, true
 	case KindFloat:
-		return int64(d.f), true
+		return int64(d.f()), true
 	default:
 		return 0, false
 	}
@@ -155,18 +171,18 @@ func (d Datum) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if d.b {
+		if d.b() {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindInt:
 		return strconv.FormatInt(d.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
+		return strconv.FormatFloat(d.f(), 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(d.s, "'", "''") + "'"
 	case KindTime:
-		return "'" + d.t.Format(time.RFC3339Nano) + "'"
+		return "'" + d.t().Format(time.RFC3339Nano) + "'"
 	default:
 		return fmt.Sprintf("Datum(%d)", uint8(d.kind))
 	}
@@ -181,14 +197,14 @@ func (d Datum) AppendSQL(b []byte) []byte {
 	case KindNull:
 		return append(b, "NULL"...)
 	case KindBool:
-		if d.b {
+		if d.b() {
 			return append(b, "TRUE"...)
 		}
 		return append(b, "FALSE"...)
 	case KindInt:
 		return strconv.AppendInt(b, d.i, 10)
 	case KindFloat:
-		return appendFloatSQL(b, d.f)
+		return appendFloatSQL(b, d.f())
 	case KindString:
 		b = append(b, '\'')
 		for i := 0; i < len(d.s); i++ {
@@ -200,7 +216,7 @@ func (d Datum) AppendSQL(b []byte) []byte {
 		return append(b, '\'')
 	case KindTime:
 		b = append(b, '\'')
-		b = d.t.AppendFormat(b, time.RFC3339Nano)
+		b = d.t().AppendFormat(b, time.RFC3339Nano)
 		return append(b, '\'')
 	default:
 		return fmt.Appendf(b, "Datum(%d)", uint8(d.kind))
@@ -268,23 +284,13 @@ func Compare(a, b Datum) int {
 		return cmpInt(int64(a.kind), int64(b.kind))
 	}
 	switch a.kind {
-	case KindBool:
-		switch {
-		case a.b == b.b:
-			return 0
-		case !a.b:
-			return -1
-		default:
-			return 1
-		}
-	case KindInt:
+	case KindBool, KindInt, KindTime:
+		// BOOL's 0/1 orders false first; TIME's microseconds are exact.
 		return cmpInt(a.i, b.i)
 	case KindFloat:
-		return cmpFloat(a.f, b.f)
+		return cmpFloat(a.f(), b.f())
 	case KindString:
 		return strings.Compare(a.s, b.s)
-	case KindTime:
-		return a.t.Compare(b.t)
 	default:
 		return 0
 	}
@@ -345,11 +351,7 @@ const (
 func (d Datum) Hash() uint64 {
 	switch d.kind {
 	case KindBool:
-		var b byte
-		if d.b {
-			b = 1
-		}
-		return fnvByte(fnvByte(fnvOffset64, 1), b)
+		return fnvByte(fnvByte(fnvOffset64, 1), byte(d.i))
 	case KindInt, KindFloat:
 		// Hash all numerics through their float64 image so 1 and 1.0
 		// land in the same hash bucket, matching Compare.
@@ -366,7 +368,8 @@ func (d Datum) Hash() uint64 {
 		}
 		return h
 	case KindTime:
-		return fnvUint64(fnvByte(fnvOffset64, 5), uint64(d.t.UnixNano()))
+		// Unix nanoseconds, as time.Time.UnixNano computes them.
+		return fnvUint64(fnvByte(fnvOffset64, 5), uint64(d.i*1000))
 	default: // KindNull
 		return fnvByte(fnvOffset64, 0)
 	}
@@ -414,8 +417,8 @@ func Coerce(d Datum, target Kind) (Datum, error) {
 			return NewFloat(float64(d.i)), nil
 		}
 	case KindInt:
-		if d.kind == KindFloat && d.f == math.Trunc(d.f) {
-			return NewInt(int64(d.f)), nil
+		if f := d.f(); d.kind == KindFloat && f == math.Trunc(f) {
+			return NewInt(int64(f)), nil
 		}
 	case KindString:
 		return NewString(d.Display()), nil

@@ -3,10 +3,13 @@ package datum
 import (
 	"hash/fnv"
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -158,22 +161,27 @@ func TestHashGolden(t *testing.T) {
 	}
 }
 
+// ref is FNV-1a from hash/fnv over Hash's documented byte layout: the kind
+// tag, then the payload.
+func ref(tag byte, payload []byte) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte{tag})
+	h.Write(payload)
+	return h.Sum64()
+}
+
+// le is v's little-endian bytes.
+func le(v uint64) []byte {
+	b := make([]byte, 8)
+	for i := range b {
+		b[i] = byte(v >> (8 * i))
+	}
+	return b
+}
+
 // TestHashMatchesFNV checks the inlined FNV-1a against hash/fnv over the
 // documented byte layout (kind tag, then payload) for arbitrary values.
 func TestHashMatchesFNV(t *testing.T) {
-	ref := func(tag byte, payload []byte) uint64 {
-		h := fnv.New64a()
-		h.Write([]byte{tag})
-		h.Write(payload)
-		return h.Sum64()
-	}
-	le := func(v uint64) []byte {
-		b := make([]byte, 8)
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		return b
-	}
 	if err := quick.Check(func(i int64, f float64, s string) bool {
 		fi := float64(i)
 		wantInt := ref(2, le(uint64(int64(fi))))
@@ -187,6 +195,118 @@ func TestHashMatchesFNV(t *testing.T) {
 			NewTime(time.Unix(0, i)).Hash() == ref(5, le(uint64(NewTime(time.Unix(0, i)).Time().UnixNano())))
 	}, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDatumLayout pins the 32-byte layout and checks that every payload the
+// one word carries comes back out of it bit for bit — through the accessor,
+// String, AppendSQL, Compare and Hash (against hash/fnv) — at the edges of
+// each encoding: signed zeros, NaN, infinities, the smallest subnormal, the
+// int64 extremes, times before 1970 and below a microsecond, both BOOLs.
+func TestDatumLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Datum{}); n != 32 {
+		t.Errorf("Datum is %d bytes, want 32", n)
+	}
+	if reflect.TypeOf(Datum{}).Comparable() {
+		t.Error("Datum must not be comparable with ==: it would compare floats by their bits")
+	}
+	render := func(d Datum) (string, string) { return d.String(), string(d.AppendSQL(nil)) }
+
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		v        float64
+		str, sql string
+	}{
+		{0, "0", "0.0"},
+		{negZero, "-0", "-0.0"},
+		{math.NaN(), "NaN", "NaN"},
+		{math.Inf(1), "+Inf", "+Inf"},
+		{math.Inf(-1), "-Inf", "-Inf"},
+		{math.SmallestNonzeroFloat64, "5e-324", "5e-324"},
+		{-2.5, "-2.5", "-2.5"},
+	} {
+		d := NewFloat(c.v)
+		if got := d.Float(); math.Float64bits(got) != math.Float64bits(c.v) {
+			t.Errorf("Float %s: bits %#x, want %#x", c.str, math.Float64bits(got), math.Float64bits(c.v))
+		}
+		if str, sql := render(d); str != c.str || sql != c.sql {
+			t.Errorf("Float %s renders %q and %q, want %q and %q", c.str, str, sql, c.str, c.sql)
+		}
+		if Compare(d, NewFloat(c.v)) != 0 {
+			t.Errorf("Float %s does not compare equal to itself", c.str)
+		}
+		want := ref(3, le(math.Float64bits(c.v)))
+		if c.v == math.Trunc(c.v) && !math.IsInf(c.v, 0) {
+			want = ref(2, le(uint64(int64(c.v))))
+		}
+		if got := d.Hash(); got != want {
+			t.Errorf("Hash(Float %s) = %#x, want %#x", c.str, got, want)
+		}
+	}
+	zero, tiny := NewFloat(0), NewFloat(math.SmallestNonzeroFloat64)
+	if Compare(NewFloat(negZero), zero) != 0 || NewFloat(negZero).Hash() != zero.Hash() {
+		t.Error("-0 and +0 must compare and hash as one value")
+	}
+	if Compare(tiny, zero) != 1 || Compare(NewFloat(-math.SmallestNonzeroFloat64), NewFloat(negZero)) != -1 {
+		t.Error("the smallest subnormals must order around zero")
+	}
+	if Compare(NewFloat(math.NaN()), NewFloat(math.Inf(1))) != 1 || Compare(NewFloat(math.Inf(-1)), NewInt(math.MinInt64)) != -1 {
+		t.Error("NaN must sort above +Inf and -Inf below every INT")
+	}
+
+	for _, v := range []int64{math.MinInt64, -1, 0, math.MaxInt64} {
+		d, want := NewInt(v), strconv.FormatInt(v, 10)
+		if str, sql := render(d); d.Int() != v || str != want || sql != want {
+			t.Errorf("Int %d: got %d, %q, %q", v, d.Int(), str, sql)
+		}
+		if got := d.Hash(); got != ref(2, le(uint64(int64(float64(v))))) {
+			t.Errorf("Hash(Int %d) = %#x", v, got)
+		}
+	}
+	if Compare(NewInt(math.MinInt64), NewInt(math.MaxInt64)) != -1 {
+		t.Error("MinInt64 must order below MaxInt64")
+	}
+
+	cest := time.FixedZone("CEST", 2*3600)
+	times := []struct {
+		in, want time.Time
+		sql      string
+	}{
+		{time.Date(1900, 1, 1, 0, 0, 0, 1, time.UTC), time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC), "'1900-01-01T00:00:00Z'"},
+		{time.Date(1969, 12, 31, 23, 59, 59, 999_999_999, time.UTC), time.Date(1969, 12, 31, 23, 59, 59, 999_999_000, time.UTC), "'1969-12-31T23:59:59.999999Z'"},
+		{time.Unix(0, 0), time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC), "'1970-01-01T00:00:00Z'"},
+		{time.Date(2005, 6, 14, 11, 30, 0, 123_456_789, cest), time.Date(2005, 6, 14, 9, 30, 0, 123_456_000, time.UTC), "'2005-06-14T09:30:00.123456Z'"},
+	}
+	for i, c := range times {
+		d := NewTime(c.in)
+		if got := d.Time(); !got.Equal(c.want) || got.Location() != time.UTC {
+			t.Errorf("Time %s comes back as %s", c.in, got)
+		}
+		if str, sql := render(d); str != c.sql || sql != c.sql {
+			t.Errorf("Time %s renders %q and %q, want %q", c.in, str, sql, c.sql)
+		}
+		if got := d.Hash(); got != ref(5, le(uint64(c.want.UnixNano()))) {
+			t.Errorf("Hash(Time %s) = %#x", c.in, got)
+		}
+		if i > 0 && Compare(NewTime(times[i-1].in), d) != -1 {
+			t.Errorf("Time %s must order after %s", c.in, times[i-1].in)
+		}
+	}
+
+	for _, v := range []bool{false, true} {
+		d, want, tag := NewBool(v), "FALSE", byte(0)
+		if v {
+			want, tag = "TRUE", 1
+		}
+		if str, sql := render(d); d.Bool() != v || str != want || sql != want {
+			t.Errorf("Bool %v: got %v, %q, %q", v, d.Bool(), str, sql)
+		}
+		if got := d.Hash(); got != ref(1, []byte{tag}) {
+			t.Errorf("Hash(Bool %v) = %#x", v, got)
+		}
+	}
+	if Compare(NewBool(false), NewBool(true)) != -1 || Compare(NewBool(true), NewBool(true)) != 0 {
+		t.Error("FALSE must order below TRUE")
 	}
 }
 

@@ -49,10 +49,10 @@ func (rt *fragmentRuntime) ScanTable(_ context.Context, scan *plan.Scan) ([]datu
 			return rows, nil
 		}
 	}
-	// Header-only snapshot: stored rows are immutable and the exec layer
-	// never mutates batch rows, so sharing avoids cloning the whole table
-	// per scan. The engine copies rows that reach callers.
-	return t.SnapshotShared(), nil
+	// The heap's own header slice: storage never writes a published one
+	// and the exec layer never mutates batch rows, so a scan copies
+	// nothing. The engine copies rows that reach callers.
+	return t.Snapshot(), nil
 }
 
 // RunRemote implements exec.Runtime.

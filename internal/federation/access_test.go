@@ -443,16 +443,23 @@ func TestAccessPathsRandomFragments(t *testing.T) {
 	}
 }
 
-// A writer inserts and deletes rows above id 1000 while fetches probe: the
-// rows at or below it never change, so every fetch restricted to them must
-// see exactly what it saw before the writer started. Run under -race this
-// covers the index arrays being grown and rebuilt beside their readers.
+// A writer inserts, updates and deletes rows above id 1000 while fetches
+// probe and scan: the rows at or below it never change, so every fetch
+// restricted to them must see exactly what it saw before the writer
+// started. Run under -race this covers the index arrays being grown and
+// rebuilt beside their readers, and full scans reading the heap's shared
+// header slice while Insert appends past it and Update and Delete replace
+// it.
 func TestAccessPathsUnderConcurrentWrites(t *testing.T) {
 	p := newDiffPair(t, 3, 600)
 	frags := []plan.Node{
 		filter(t, scanT("t"), "id = 17"),
 		filter(t, scanT("t"), "k IN (3, 4, 5) AND id <= 1000"),
 		filter(t, filter(t, scanT("t"), "id <= 1000"), "s = 'tag2'"),
+		filter(t, scanT("t"), "f > 20 AND id <= 1000"),
+	}
+	if n := p.fed(t, frags[3], frags[3].(*plan.Filter).Input.(*plan.Scan)); n != p.it.Len() {
+		t.Fatalf("the full-scan fragment is fed %d of %d rows: it must not probe", n, p.it.Len())
 	}
 	var want []string
 	for _, f := range frags {
@@ -477,6 +484,15 @@ func TestAccessPathsUnderConcurrentWrites(t *testing.T) {
 			}
 			if id%16 == 0 {
 				p.it.Delete(func(r datum.Row) bool { return r[0].Int() > 1000 && r[0].Int()%2 == 0 })
+			}
+			if id%16 == 8 {
+				if _, err := p.it.Update(func(r datum.Row) bool { return r[0].Int() > 1000 }, func(r datum.Row) datum.Row {
+					r[2] = datum.NewFloat(float64(rng.Intn(200)) / 2)
+					return r
+				}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()

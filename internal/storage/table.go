@@ -18,6 +18,12 @@ import (
 // Table is a heap table with optional secondary indexes. All methods are
 // safe for concurrent use. Index chains hold int32 row positions, so a
 // table is limited to 2^31-1 rows.
+//
+// The heap is copy-on-write. A stored row is never modified, and the slice
+// of row headers is never written below its length once published: Insert
+// appends past it, and Update, Delete and Truncate install a fresh slice.
+// So a Snapshot is the slice itself, capped at its length, and costs
+// nothing.
 type Table struct {
 	mu      sync.RWMutex
 	schema  *schema.Table
@@ -90,10 +96,14 @@ func (t *Table) InsertBatch(rows []datum.Row) error {
 	return nil
 }
 
-// Update applies fn to every row matching pred, in place. It returns the
-// number of rows updated. Indexes are rebuilt if any row changed.
+// Update replaces every row matching pred with fn applied to a copy of it
+// and returns the number of rows updated. It is all or nothing: the new
+// heap and its rebuilt indexes are installed only when every new row
+// passes the schema check and every unique index; otherwise the table is
+// left as it was and the error returned.
 func (t *Table) Update(pred func(datum.Row) bool, fn func(datum.Row) datum.Row) (int, error) {
 	t.mu.Lock()
+	var rows []datum.Row // the new heap, copied from t.rows at the first match
 	n := 0
 	for i, r := range t.rows {
 		if !pred(r) {
@@ -102,40 +112,47 @@ func (t *Table) Update(pred func(datum.Row) bool, fn func(datum.Row) datum.Row) 
 		nr := fn(datum.CloneRow(r))
 		if err := t.schema.CheckRow(nr); err != nil {
 			t.mu.Unlock()
-			return n, err
+			return 0, err
 		}
-		t.rows[i] = nr
+		if rows == nil {
+			rows = slices.Clone(t.rows)
+		}
+		rows[i] = nr
 		n++
 	}
-	var ver int64
-	if n > 0 {
-		t.rebuildIndexesLocked()
-		t.version++
-		ver = t.version
+	if n == 0 {
+		t.mu.Unlock()
+		return 0, nil
 	}
+	indexes, err := t.reindex(rows)
+	if err != nil {
+		t.mu.Unlock()
+		return 0, err
+	}
+	t.rows, t.indexes = rows, indexes
+	t.version++
+	ver := t.version
 	t.mu.Unlock()
-	if n > 0 {
-		t.notify.publish(Change{Table: t.schema.Name, Kind: ChangeUpdate, Rows: n, Version: ver})
-	}
+	t.notify.publish(Change{Table: t.schema.Name, Kind: ChangeUpdate, Rows: n, Version: ver})
 	return n, nil
 }
 
 // Delete removes every row matching pred and returns the count removed.
 func (t *Table) Delete(pred func(datum.Row) bool) int {
 	t.mu.Lock()
-	kept := t.rows[:0]
-	n := 0
+	kept := make([]datum.Row, 0, len(t.rows))
 	for _, r := range t.rows {
-		if pred(r) {
-			n++
-			continue
+		if !pred(r) {
+			kept = append(kept, r)
 		}
-		kept = append(kept, r)
 	}
-	t.rows = kept
+	n := len(t.rows) - len(kept)
 	var ver int64
 	if n > 0 {
-		t.rebuildIndexesLocked()
+		t.rows = kept
+		// Rows that satisfied every unique index still do without some of
+		// their neighbours, so reindexing them cannot fail.
+		t.indexes, _ = t.reindex(kept)
 		t.version++
 		ver = t.version
 	}
@@ -151,21 +168,24 @@ func (t *Table) Truncate() {
 	t.mu.Lock()
 	n := len(t.rows)
 	t.rows = nil
-	t.rebuildIndexesLocked()
+	t.indexes, _ = t.reindex(nil) // nothing to index, nothing to fail
 	t.version++
 	ver := t.version
 	t.mu.Unlock()
 	t.notify.publish(Change{Table: t.schema.Name, Kind: ChangeTruncate, Rows: n, Version: ver})
 }
 
-func (t *Table) rebuildIndexesLocked() {
+// reindex builds t's indexes afresh over rows, enforcing every unique one;
+// the caller installs the result together with rows.
+func (t *Table) reindex(rows []datum.Row) ([]*Index, error) {
+	out := make([]*Index, len(t.indexes))
 	for i, idx := range t.indexes {
-		ni := newIndex(idx.name, idx.cols, idx.unique, len(t.rows))
-		for pos, r := range t.rows {
-			ni.add(r, t.rows[:pos])
+		out[i] = newIndex(idx.name, idx.cols, idx.unique, len(rows))
+		if err := out[i].build(rows); err != nil {
+			return nil, err
 		}
-		t.indexes[i] = ni
 	}
+	return out, nil
 }
 
 // Scan calls fn for every row until fn returns false. The row passed to fn
@@ -180,31 +200,16 @@ func (t *Table) Scan(fn func(datum.Row) bool) {
 	}
 }
 
-// Snapshot returns a copy of all rows; each row is cloned, so the caller
-// may mutate the result freely.
+// Snapshot returns a point-in-time view of all rows without copying
+// anything: the header slice and the datum arrays are the heap's own,
+// which no later write touches (see Table). Its capacity is its length,
+// so appending to it reallocates rather than reach the table. Callers must
+// not mutate the returned headers or rows; the engine block-copies rows
+// that cross its public boundary.
 func (t *Table) Snapshot() []datum.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]datum.Row, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = datum.CloneRow(r)
-	}
-	return out
-}
-
-// SnapshotShared returns a point-in-time view of all rows copying only the
-// row headers: the datum arrays are shared with the heap. This is safe for
-// read-only consumers because stored rows are immutable — Insert clones its
-// argument, Update replaces the slot with a freshly built row, and Delete
-// compacts the header slice — so a shared row's contents never change after
-// the snapshot is taken. Callers must not mutate the returned rows; the
-// engine block-copies rows that cross its public boundary.
-func (t *Table) SnapshotShared() []datum.Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]datum.Row, len(t.rows))
-	copy(out, t.rows)
-	return out
+	return t.rows[:len(t.rows):len(t.rows)]
 }
 
 // CreateIndex builds a secondary index over the named columns. unique
@@ -227,11 +232,8 @@ func (t *Table) CreateIndex(name string, cols []string, unique bool) error {
 		}
 	}
 	idx := newIndex(name, offs, unique, len(t.rows))
-	for pos, r := range t.rows {
-		if err := idx.check(r, t.rows[:pos]); err != nil {
-			return err
-		}
-		idx.add(r, t.rows[:pos])
+	if err := idx.build(t.rows); err != nil {
+		return err
 	}
 	t.indexes = append(t.indexes, idx)
 	return nil
@@ -247,7 +249,7 @@ const probeMaxKeyShare = 4
 // meet by value and a NULL on either side matches nothing — and appends
 // their headers to rows[:0] in heap order, each row once however many keys
 // it matches. The headers share their datum arrays with the heap under
-// SnapshotShared's contract. ok is false, and nothing is read, when no
+// Snapshot's contract. ok is false, and nothing is read, when no
 // single-column index covers col or when keys number more than one per
 // probeMaxKeyShare rows; the caller then scans.
 //
@@ -394,6 +396,17 @@ func (idx *Index) add(r datum.Row, heap []datum.Row) {
 		}
 	}
 	idx.link(pos, r)
+}
+
+// build indexes heap into the empty idx, checking uniqueness row by row.
+func (idx *Index) build(heap []datum.Row) error {
+	for pos, r := range heap {
+		if err := idx.check(r, heap[:pos]); err != nil {
+			return err
+		}
+		idx.add(r, heap[:pos])
+	}
+	return nil
 }
 
 func (idx *Index) keyOf(r datum.Row) datum.Row {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -123,6 +124,118 @@ func TestUpdateRejectsBadRow(t *testing.T) {
 	)
 	if err == nil {
 		t.Error("update producing NULL key must fail schema check")
+	}
+}
+
+// An Update is all or nothing. One whose fn breaks the schema on a later
+// row, or a unique index on any, leaves every row, index and the version
+// as they were, so no change notice fires for a write that did not happen.
+func TestUpdateAllOrNothing(t *testing.T) {
+	tab := NewTable(custSchema())
+	for id := int64(1); id <= 20; id++ {
+		if err := tab.Insert(row(id, "n", "west")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.CreateIndex("by_region", []string{"region"}, false); err != nil {
+		t.Fatal(err)
+	}
+	v0 := tab.Version()
+	unchanged := func(step string) {
+		t.Helper()
+		north := 0
+		tab.Scan(func(r datum.Row) bool {
+			if r[2].Str() == "north" {
+				north++
+			}
+			return true
+		})
+		if rows, _ := probe(tab, 2, datum.NewString("north")); north != 0 || len(rows) != 0 {
+			t.Errorf("%s: scan finds %d north rows, probe %d; want 0 and 0", step, north, len(rows))
+		}
+		for id := int64(1); id <= 20; id++ {
+			if rows, _ := probe(tab, 0, datum.NewInt(id)); len(rows) != 1 {
+				t.Errorf("%s: primary key %d finds %d rows", step, id, len(rows))
+			}
+		}
+		if v := tab.Version(); v != v0 {
+			t.Errorf("%s: version %d, want %d", step, v, v0)
+		}
+	}
+
+	n, err := tab.Update(func(datum.Row) bool { return true }, func(r datum.Row) datum.Row {
+		r[2] = datum.NewString("north")
+		if r[0].Int() == 2 {
+			r[0] = datum.Null
+		}
+		return r
+	})
+	if err == nil || n != 0 {
+		t.Errorf("NULL key on row 2: n=%d err=%v, want 0 and an error", n, err)
+	}
+	unchanged("NULL key")
+
+	n, err = tab.Update(func(r datum.Row) bool { return r[0].Int() == 2 }, func(r datum.Row) datum.Row {
+		r[0], r[2] = datum.NewInt(1), datum.NewString("north")
+		return r
+	})
+	if err == nil || n != 0 {
+		t.Errorf("id 2 to id 1: n=%d err=%v, want 0 and a duplicate-key error", n, err)
+	}
+	unchanged("duplicate primary key")
+}
+
+// A snapshot is the heap's own header slice, so no write may reach it: not
+// an Insert into the slice's spare capacity, not an Update, Delete or
+// Truncate. Appending to a snapshot must not reach the table either.
+func TestSnapshotUnchangedByWrites(t *testing.T) {
+	tab := NewTable(custSchema())
+	for id := int64(1); id <= 7; id++ { // seven headers in room for eight
+		if err := tab.Insert(row(id, "n", "west")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes := []struct {
+		name  string
+		write func()
+	}{
+		{"Insert", func() { _ = tab.Insert(row(8, "n", "west")) }},
+		{"Update", func() {
+			if _, err := tab.Update(func(r datum.Row) bool { return r[0].Int()%2 == 0 }, func(r datum.Row) datum.Row {
+				r[2] = datum.NewString("east")
+				return r
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Delete", func() { tab.Delete(func(r datum.Row) bool { return r[0].Int() <= 3 }) }},
+		{"Truncate", tab.Truncate},
+	}
+	for _, w := range writes {
+		snap := tab.Snapshot()
+		want, headers := fmt.Sprint(snap), slices.Clone(snap)
+		w.write()
+		if got := fmt.Sprint(snap); got != want {
+			t.Errorf("after %s the snapshot reads %s, want %s", w.name, got, want)
+		}
+		for i := range snap {
+			if &snap[i][0] != &headers[i][0] {
+				t.Errorf("after %s snapshot row %d is another row", w.name, i)
+			}
+		}
+		if w.name != "Delete" {
+			continue
+		}
+		// The compacted heap has room to spare: an append to its snapshot
+		// must take its own, and the next Insert must not overwrite it.
+		grown := append(tab.Snapshot(), row(99, "mine", "x"))
+		_ = tab.Insert(row(9, "n", "west"))
+		if got := grown[len(grown)-1][0].Int(); got != 99 {
+			t.Errorf("a row appended to a snapshot became id %d after an Insert", got)
+		}
+		if rows, _ := probe(tab, 0, datum.NewInt(99)); tab.Len() != 6 || len(rows) != 0 {
+			t.Errorf("appending to a snapshot reached the table: %d rows", tab.Len())
+		}
 	}
 }
 

@@ -192,6 +192,8 @@ func (w *Warehouse) refreshFeed(ctx context.Context, f *Feed) (int, error) {
 // source, a warehouse mirroring that source's tables can answer in its
 // stead with bounded staleness. It returns the replicated rows, the age
 // of the replica, and whether a refreshed feed for source.table exists.
+// The rows are a zero-copy storage snapshot, read only by the replica
+// scan they feed.
 func (w *Warehouse) ReplicaTable(source, table string) ([]datum.Row, time.Duration, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
