@@ -64,7 +64,8 @@ race-adaptive:
 	$(GO) test -race -run 'TestE20AdaptiveReplanStorm' -count=3 ./internal/core
 
 # Allocation fences (see alloc_guard_test.go): the warm plan-cache-hit
-# path must stay inside its E17 allocs/op and bytes/op budget, and under
+# path must stay inside its E17 allocs/op and bytes/op budget, a query
+# compiled from scratch (cache bypassed) inside its own, and under
 # the default {Parallel, Adaptive} configuration the prepared point query,
 # an IN-list-tier semi-join and the E14 report join must stay inside theirs
 # — no allocation per join key or shipped key — the sequential E14 report
@@ -81,7 +82,7 @@ race-adaptive:
 # -count=1 defeats the test cache so the guards actually measure on every
 # check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestPrefetchCounts' -count=1 .
+	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestPrefetchCounts' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem .

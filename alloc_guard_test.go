@@ -38,18 +38,19 @@ const (
 
 // The same point lookup as a prepared statement under
 // core.DefaultQueryOptions, {Parallel, Adaptive}: inter-source overlap,
-// the per-operator ledger, feedback absorption. Measured 115 allocs/op and
-// 8.2 KB/op once prefetch goroutines were kept to fetches a sibling can
-// overlap (none here: the probe fetch and the reduced fetch both run
-// inline) and the per-execution estimator memoized every node in pooled
-// storage — 150 allocs/op and 9.1 KB/op before. The allocation budget is
-// that value plus 5 and the byte budget ~10% above it, so the work of
-// bringing the default configuration down to the zero-options budget
-// above ratchets fenced numbers: a fresh memo map per query trips both.
+// the per-operator ledger, feedback absorption. Measured 105 allocs/op and
+// 7.7 KB/op once the plan tree's one traversal protocol stopped
+// allocating input slices and column probes stopped building discarded
+// errors (114 before; 150 before prefetch goroutines were kept to fetches
+// a sibling can overlap and the per-execution estimator memoized every
+// node in pooled storage). The allocation budget is that value plus 5 and
+// the byte budget ~20% above it, so the work of bringing the default
+// configuration down to the zero-options budget above ratchets fenced
+// numbers: a fresh memo map per query trips both.
 // (A goroutine per fetch costs only ~3 allocs; TestPrefetchCounts fences
 // that.)
 const (
-	e17DefaultMaxAllocsPerOp = 120
+	e17DefaultMaxAllocsPerOp = 110
 	e17DefaultMaxBytesPerOp  = 9 << 10
 )
 
@@ -126,6 +127,50 @@ func TestE17AllocGuard(t *testing.T) {
 	}
 	t.Logf("prepared, default options: %d allocs/op, %d bytes/op (budget %d / %d)",
 		res.AllocsPerOp(), res.AllocedBytesPerOp(), e17DefaultMaxAllocsPerOp, e17DefaultMaxBytesPerOp)
+}
+
+// The E17 cold-compile budget: the same point lookup with the plan cache
+// bypassed, so every query parses, builds (unfolding the customer360
+// view), optimizes and executes. Measured 283 allocs/op and 23 KB/op once
+// the plan tree's passes copied only the nodes they change and views
+// unfolded from the catalog's stored AST instead of a re-parse (447 and
+// 27.5 KB before). A pass that copies the whole tree again, or a view
+// re-parse per use, costs far more than the headroom.
+const e17ColdMaxAllocsPerOp = 300
+
+// TestColdCompileAllocGuard fences the plan-cache-miss path: parse,
+// plan.Build, opt.Optimize and execution of one query, every time.
+func TestColdCompileAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard runs a benchmark loop; skipped in -short")
+	}
+	cfg := workload.DefaultCRM()
+	cfg.Customers = 120
+	fed, err := workload.BuildCRM(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := fed.Engine
+	qo := core.QueryOptions{NoPlanCache: true}
+	for i := 0; i < 16; i++ {
+		if _, err := engine.QueryOptsCtx(context.Background(), e13BenchSQL(i), qo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.QueryOptsCtx(context.Background(), e13BenchSQL(i), qo); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if a := res.AllocsPerOp(); a > e17ColdMaxAllocsPerOp {
+		t.Errorf("cold-compiled query allocates %d objects/op, budget is %d (E17 cold-parse)",
+			a, e17ColdMaxAllocsPerOp)
+	}
+	t.Logf("cold compile: %d allocs/op, %d bytes/op (budget %d)",
+		res.AllocsPerOp(), res.AllocedBytesPerOp(), e17ColdMaxAllocsPerOp)
 }
 
 // Budgets for the keyed-lookup fence, per query under the default

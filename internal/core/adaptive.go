@@ -178,9 +178,10 @@ func renderExplain(p plan.Node, led *exec.CardLedger, replans int) string {
 			}
 		}
 		b.WriteByte('\n')
-		for _, k := range n.Children() {
-			walk(k, depth+1)
-		}
+		plan.MapInputs(n, func(in plan.Node) plan.Node {
+			walk(in, depth+1)
+			return in
+		})
 	}
 	walk(p, 0)
 	return b.String()

@@ -236,8 +236,10 @@ type QueryOptions struct {
 	// 1024; 1 degenerates to row-at-a-time execution). Mainly for the
 	// vectorization experiments.
 	BatchSize int
-	// NoSemiJoin disables the executor's semi-join reduction (shipping
-	// probe-side join keys into filter-capable sources).
+	// NoSemiJoin disables semi-join reduction (shipping probe-side join
+	// keys into filter-capable sources). It is a planning option: the
+	// optimizer then hints no reduction, and the executor reduces exactly
+	// the joins whose plan carries a hint.
 	NoSemiJoin bool
 	// MaxSemiJoinKeys caps how many distinct probe keys ship as an exact
 	// IN-list before the executor switches to a bloom filter (0 = the

@@ -256,7 +256,6 @@ func (rt *queryRuntime) execOptions(qo QueryOptions) exec.Options {
 		Parallel:        qo.Parallel || qo.Parallelism > 1,
 		Parallelism:     qo.Parallelism,
 		BatchSize:       qo.BatchSize,
-		SemiJoin:        !qo.NoSemiJoin && !qo.Optimizer.NoRemotePushdown,
 		MaxSemiJoinKeys: qo.MaxSemiJoinKeys,
 		Retry:           qo.Retry,
 		Hooks:           rt,

@@ -51,7 +51,7 @@ func (e *Engine) SetFetchRouter(r FetchRouter) {
 func (e *Engine) RunFragment(ctx context.Context, subtree plan.Node, qo QueryOptions) ([]datum.Row, error) {
 	qo.fragment = true
 	st := e.state.Load()
-	p := opt.Optimize(subtree, st.planEnv(qo), qo.Optimizer)
+	p := opt.Optimize(subtree, st.planEnv(qo), optimizerOptions(qo))
 	res, err := e.executePlan(ctx, st, p, qo)
 	if err != nil {
 		return nil, fmt.Errorf("core: fragment execution: %w", err)

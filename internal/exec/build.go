@@ -58,20 +58,15 @@ type Options struct {
 	// OpCard carries first/last pull stamps, which Tracer.Finish renders
 	// as the per-operator spans of Result.Trace.
 	Tracer *QueryTracer
-	// SemiJoin enables semi-join reduction: for an equi-join whose
-	// build side is a Remote subtree at a filter-capable source, the
-	// probe side's distinct join keys are shipped to the source as an
-	// IN-list so only matching rows come back — §3's "the more work the
-	// component queries can do, the less work will remain to be done at
-	// the assembly site". Past MaxSemiJoinKeys distinct keys the shipped
-	// list becomes a bloom filter of the keys (constant bits/key, no
-	// false negatives); past plan.DefaultBloomKeyCap it falls back to a
-	// full fetch. The source evaluates either tier with one hash per row
-	// — the IN-list compiles to a hashed set (inSet), the bloom filter
-	// probes its bits — so both cost O(rows) there, whatever the key count.
-	SemiJoin bool
-	// MaxSemiJoinKeys caps the exact shipped key list; 0 means
-	// plan.DefaultSemiJoinKeyCap.
+	// MaxSemiJoinKeys caps the exact key list a semi-join reduction
+	// (a join the optimizer hinted, see plan.Join.SemiJoin) ships to the
+	// source as an IN-list; 0 means plan.DefaultSemiJoinKeyCap. Past it
+	// the shipped list becomes a bloom filter of the keys (constant
+	// bits/key, no false negatives); past plan.DefaultBloomKeyCap the
+	// join falls back to a full fetch. The source evaluates either tier
+	// with one hash per row — the IN-list compiles to a hashed set
+	// (inSet), the bloom filter probes its bits — so both cost O(rows)
+	// there, whatever the key count.
 	MaxSemiJoinKeys int
 	// Retry controls re-fetching of Remote subtrees after transient
 	// failures (see FetchRemote). Zero value: single attempt.
@@ -456,9 +451,9 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 
 // buildJoin builds a join; overlap is the join's own (see buildBatch).
 func buildJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, overlap bool) (BatchIterator, error) {
-	// Semi-join reduction: materialize the probe side, ship its distinct
-	// join keys into the reducible Remote as an IN-list filter.
-	if opts.SemiJoin && x.Cond != nil {
+	// Semi-join reduction, where the optimizer hinted it: materialize the
+	// probe side, ship its distinct join keys into the reducible Remote.
+	if x.Cond != nil {
 		if it, ok, err := trySemiJoin(ctx, x, rt, opts); err != nil {
 			return nil, err
 		} else if ok {

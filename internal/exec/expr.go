@@ -811,19 +811,6 @@ func EvalPredicate(f EvalFunc, r datum.Row) (bool, error) {
 // These amortize call dispatch over whole batches and let callers reuse
 // scratch storage across batches instead of allocating per row.
 
-// EvalBatch evaluates f over every row of in, appending the results to
-// dst (pass dst[:0] to reuse its storage) and returning it.
-func EvalBatch(f EvalFunc, in Batch, dst []datum.Datum) ([]datum.Datum, error) {
-	for _, r := range in {
-		v, err := f(r)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
 // FilterBatch appends the rows of in satisfying pred to dst (pass dst[:0]
 // to reuse its storage) and returns it. NULL and FALSE both reject.
 func FilterBatch(pred EvalFunc, in Batch, dst Batch) (Batch, error) {
@@ -839,17 +826,11 @@ func FilterBatch(pred EvalFunc, in Batch, dst Batch) (Batch, error) {
 	return dst, nil
 }
 
-// ProjectBatch evaluates exprs over every row of in, appending the output
-// rows to dst. Output row storage comes from one arena allocation per
-// batch instead of one per row; the rows themselves are fresh and may be
-// retained by downstream operators.
-func ProjectBatch(exprs []EvalFunc, in Batch, dst Batch) (Batch, error) {
-	return projectBatch(nil, exprs, in, dst)
-}
-
-// projectBatch is ProjectBatch drawing the per-batch datum arena from the
-// query scratch (heap when s is nil). Output rows then live exactly as
-// long as the query, which is all downstream retention ever needs.
+// projectBatch evaluates exprs over every row of in, appending the output
+// rows to dst. Output row storage comes from one allocation per batch,
+// drawn from the query scratch (heap when s is nil), instead of one per
+// row: the rows live exactly as long as the query, which is all
+// downstream retention ever needs.
 func projectBatch(s *Scratch, exprs []EvalFunc, in Batch, dst Batch) (Batch, error) {
 	arena := s.MakeDatums(len(exprs) * len(in))
 	for _, r := range in {

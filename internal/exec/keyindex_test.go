@@ -543,7 +543,7 @@ func TestSemiJoinTierShipsOnlyItsOwnPayload(t *testing.T) {
 	}{{maxKeys, false}, {maxKeys + 1, true}} {
 		rt := &shippedRuntime{localRuntime: local}
 		j := e18Join(t, g, fmt.Sprintf("c.id <= %d", tc.keys))
-		it, err := BuildBatch(context.Background(), j, rt, Options{SemiJoin: true, MaxSemiJoinKeys: maxKeys})
+		it, err := BuildBatch(context.Background(), j, rt, Options{MaxSemiJoinKeys: maxKeys})
 		if err != nil {
 			t.Fatal(err)
 		}

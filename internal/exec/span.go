@@ -179,9 +179,10 @@ func (t *QueryTracer) Finish(root plan.Node, cards *CardLedger, planTime time.Du
 			sp.Rows = c.Rows
 			sp.Batches = c.Batches
 		}
-		for _, k := range n.Children() {
-			sp.Children = append(sp.Children, opTree(k))
-		}
+		plan.MapInputs(n, func(in plan.Node) plan.Node {
+			sp.Children = append(sp.Children, opTree(in))
+			return in
+		})
 		return sp
 	}
 

@@ -70,50 +70,31 @@ type scanChain struct {
 }
 
 // find walks n's subtree; top is the head of the Filter/Project run n
-// continues, nil when n's parent is any other operator. The recursion is
-// over concrete node fields, as payloadBytes: it runs once per scan on the
-// warm path and must not allocate.
+// continues, nil when n's parent is any other operator. It runs once per
+// scan on the warm path and allocates nothing.
 func (c *scanChain) find(n, top plan.Node) {
-	switch x := n.(type) {
-	case *plan.Scan:
-		if x != c.scan {
-			return
+	if s, ok := n.(*plan.Scan); ok {
+		if s == c.scan {
+			c.hits++
+			c.top = top
+			if top == nil {
+				c.top = s
+			}
 		}
-		c.hits++
-		c.top = top
-		if top == nil {
-			c.top = x
-		}
-	case *plan.Filter:
-		if top == nil {
-			top = x
-		}
-		c.find(x.Input, top)
-	case *plan.Project:
-		if top == nil {
-			top = x
-		}
-		c.find(x.Input, top)
-	case *plan.Join:
-		c.find(x.Left, nil)
-		c.find(x.Right, nil)
-	case *plan.Aggregate:
-		c.find(x.Input, nil)
-	case *plan.Sort:
-		c.find(x.Input, nil)
-	case *plan.Limit:
-		c.find(x.Input, nil)
-	case *plan.Distinct:
-		c.find(x.Input, nil)
-	case *plan.Union:
-		for _, in := range x.Inputs {
-			c.find(in, nil)
-		}
-	case *plan.Remote:
-		c.find(x.Child, nil)
-	default:
-		panic(fmt.Sprintf("federation: scanChain.find missing case for %T", n))
+		return
 	}
+	switch n.(type) {
+	case *plan.Filter, *plan.Project:
+		if top == nil {
+			top = n
+		}
+	default:
+		top = nil // any other operator ends the run
+	}
+	plan.MapInputs(n, func(in plan.Node) plan.Node {
+		c.find(in, top)
+		return in
+	})
 }
 
 // probeChain tries the conjuncts of each Filter from the head of the run

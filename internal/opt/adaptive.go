@@ -53,9 +53,8 @@ func networkFactor(env Env, source string) float64 {
 // cardinality tripwire fires mid-query, with an env whose feedback store
 // has absorbed the aborted attempt's observations.
 //
-// Rebuilt joins run without intra-operator parallelism hints: the
-// annotation pass mutates nodes in place, which is unsafe on a bound plan
-// sharing structure with a cached template. A re-planned query keeps
+// Rebuilt joins run without intra-operator parallelism hints:
+// annotateParallelism does not run here. A re-planned query keeps
 // inter-source prefetch, which is what matters at the mediator's scale.
 func Reoptimize(root plan.Node, env Env, opts Options) plan.Node {
 	n := root

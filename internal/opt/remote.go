@@ -91,50 +91,43 @@ func place(n plan.Node, env Env, opts Options) (plan.Node, string) {
 		panic(fmt.Sprintf("opt: place missing case for %T", n))
 	}
 
-	kids := n.Children()
-	newKids := make([]plan.Node, len(kids))
-	srcs := make([]string, len(kids))
-	for i, k := range kids {
-		newKids[i], srcs[i] = place(k, env, opts)
-	}
-
-	// Determine whether this node can join its children at one source.
-	owner := ""
-	uniform := true
-	for _, s := range srcs {
-		if s == "" {
+	// Place every input, noting which ones are still executable at a
+	// single source (src != "") and whether they all share one.
+	var srcBuf [2]string
+	srcs := srcBuf[:0]
+	owner, uniform := "", true
+	placed := plan.MapInputs(n, func(in plan.Node) plan.Node {
+		out, src := place(in, env, opts)
+		srcs = append(srcs, src)
+		switch {
+		case src == "" || (owner != "" && owner != src):
 			uniform = false
-			break
+		case owner == "":
+			owner = src
 		}
-		if owner == "" {
-			owner = s
-		} else if owner != s {
-			uniform = false
-			break
-		}
-	}
-	if len(kids) == 0 {
-		uniform = false
-	}
+		return out
+	})
 
 	if uniform && !opts.NoRemotePushdown && env != nil && env.Caps(owner).Allows(n) {
 		// The whole node stays pushable.
-		return n.WithChildren(newKids), owner
+		return placed, owner
 	}
 
-	// Close off pushable children with Remote boundaries.
-	for i, s := range srcs {
-		if s == "" {
-			continue
-		}
-		if opts.NoRemotePushdown {
+	// Close off pushable inputs with Remote boundaries.
+	i := 0
+	return plan.MapInputs(placed, func(in plan.Node) plan.Node {
+		src := srcs[i]
+		i++
+		switch {
+		case src == "":
+			return in
+		case opts.NoRemotePushdown:
 			// Naive mode: only bare scans cross the link.
-			newKids[i] = demoteToScanShipping(newKids[i], s)
-			continue
+			return demoteToScanShipping(in, src)
+		default:
+			return &plan.Remote{Source: src, Child: in, AllowKeyFilter: allowKeyFilter(env, src)}
 		}
-		newKids[i] = &plan.Remote{Source: s, Child: newKids[i], AllowKeyFilter: allowKeyFilter(env, s)}
-	}
-	return n.WithChildren(newKids), ""
+	}), ""
 }
 
 // demoteToScanShipping rewrites a pushable subtree so each scan ships

@@ -16,7 +16,7 @@ func substitute(e sqlparse.Expr, cols []plan.ColMeta, exprs []sqlparse.Expr) sql
 	}
 	switch x := e.(type) {
 	case *sqlparse.ColumnRef:
-		if i, err := plan.ResolveColumn(cols, x); err == nil {
+		if i, ok := plan.FindColumn(cols, x); ok {
 			return exprs[i]
 		}
 		return x
@@ -209,7 +209,7 @@ func exprRefs(cols []plan.ColMeta, exprs ...sqlparse.Expr) map[int]bool {
 		}
 		sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
 			if r, ok := x.(*sqlparse.ColumnRef); ok {
-				if i, err := plan.ResolveColumn(cols, r); err == nil {
+				if i, ok := plan.FindColumn(cols, r); ok {
 					out[i] = true
 				}
 			}

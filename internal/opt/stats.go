@@ -217,18 +217,18 @@ func (e *estimator) RowWidth(n plan.Node) float64 {
 	case *plan.Remote:
 		return e.RowWidth(x.Child)
 	default:
-		kids := n.Children()
-		if len(kids) == 0 {
-			return 32
-		}
-		childWidth := e.RowWidth(kids[0])
-		childCols := len(kids[0].Columns())
-		cols := len(n.Columns())
-		if childCols == 0 || cols >= childCols {
-			return childWidth
-		}
-		// Projections narrow the row proportionally.
-		return childWidth * float64(cols) / float64(childCols)
+		// One input: its width, narrowed proportionally when the node
+		// projects columns away.
+		width := 32.0
+		plan.MapInputs(n, func(in plan.Node) plan.Node {
+			width = e.RowWidth(in)
+			inCols, cols := len(in.Columns()), len(n.Columns())
+			if inCols > 0 && cols < inCols {
+				width *= float64(cols) / float64(inCols)
+			}
+			return in
+		})
+		return width
 	}
 }
 
@@ -281,7 +281,7 @@ func (e *estimator) joinRows(j *plan.Join) float64 {
 // join input.
 func (e *estimator) refDistinct(ref *sqlparse.ColumnRef, sides ...plan.Node) float64 {
 	for _, side := range sides {
-		if _, err := plan.ResolveColumn(side.Columns(), ref); err == nil {
+		if _, ok := plan.FindColumn(side.Columns(), ref); ok {
 			return e.distinctOf(ref, side)
 		}
 	}
@@ -299,8 +299,8 @@ func (e *estimator) distinctOf(expr sqlparse.Expr, n plan.Node) float64 {
 	// column.
 	switch x := n.(type) {
 	case *plan.Scan:
-		idx, err := plan.ResolveColumn(x.Cols, ref)
-		if err != nil {
+		idx, ok := plan.FindColumn(x.Cols, ref)
+		if !ok {
 			return 10
 		}
 		st := e.tableStats(x.Source, x.Table, len(x.Cols))
@@ -323,21 +323,21 @@ func (e *estimator) distinctOf(expr sqlparse.Expr, n plan.Node) float64 {
 		}
 		return d
 	case *plan.Filter, *plan.Sort, *plan.Limit, *plan.Distinct, *plan.Remote:
-		return e.distinctOf(expr, n.Children()[0])
+		// The column passes through from the one input unchanged.
+		d := 10.0
+		plan.MapInputs(n, func(in plan.Node) plan.Node {
+			d = e.distinctOf(expr, in)
+			return in
+		})
+		return d
 	case *plan.Project:
 		// Trace the output column back to its source expression.
-		if idx, err := plan.ResolveColumn(x.Cols, ref); err == nil {
+		if idx, ok := plan.FindColumn(x.Cols, ref); ok {
 			return e.distinctOf(x.Exprs[idx], x.Input)
 		}
 		return 10
 	case *plan.Join:
-		if _, err := plan.ResolveColumn(x.Left.Columns(), ref); err == nil {
-			return e.distinctOf(expr, x.Left)
-		}
-		if _, err := plan.ResolveColumn(x.Right.Columns(), ref); err == nil {
-			return e.distinctOf(expr, x.Right)
-		}
-		return 10
+		return e.refDistinct(ref, x.Left, x.Right)
 	case *plan.Aggregate, *plan.Union:
 		// Column provenance doesn't survive grouping or positional
 		// union; fall back to the small-domain guess.
@@ -466,9 +466,10 @@ func (e *estimator) cost(n plan.Node) PlanCost {
 			// Mediator processes this node's output rows.
 			c.CPURows += int64(e.Rows(x))
 		}
-		for _, k := range x.Children() {
-			walk(k, remote)
-		}
+		plan.MapInputs(x, func(in plan.Node) plan.Node {
+			walk(in, remote)
+			return in
+		})
 		// Bare scans outside a Remote still pull the whole table over
 		// the link.
 		if s, ok := x.(*plan.Scan); ok && !remote && s.Source != "" {

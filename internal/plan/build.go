@@ -17,7 +17,9 @@ const maxViewDepth = 32
 // every name against a single consistent schema version. View references
 // are unfolded in place — this is the query reformulation step the paper
 // describes: a query over the mediated schema becomes a query over source
-// tables.
+// tables. Build never writes into sel or into a stored view's AST, so
+// views unfold straight from the catalog and any number of planners may
+// read one concurrently.
 func Build(cat catalog.Reader, sel *sqlparse.Select) (Node, error) {
 	b := &builder{catalog: cat}
 	return b.buildSelect(sel, 0)
@@ -76,8 +78,9 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 		}
 	}
 	var having sqlparse.Expr
+	orderBy := sel.OrderBy
 	if hasAgg {
-		root, items, having, err = b.buildAggregate(root, sel, items)
+		root, items, having, orderBy, err = b.buildAggregate(root, sel, items)
 		if err != nil {
 			return nil, err
 		}
@@ -113,8 +116,8 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 	// ORDER BY: keys resolve against the projection output (aliases)
 	// first; if a key needs input columns not in the output, widen the
 	// projection, sort, then narrow again.
-	if len(sel.OrderBy) > 0 {
-		out, err = b.buildOrderBy(out, proj, sel, root)
+	if len(orderBy) > 0 {
+		out, err = b.buildOrderBy(out, proj, orderBy, sel.Distinct, root)
 		if err != nil {
 			return nil, err
 		}
@@ -167,30 +170,30 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 	return out, nil
 }
 
-func (b *builder) buildOrderBy(out Node, proj *Project, sel *sqlparse.Select, preProj Node) (Node, error) {
+func (b *builder) buildOrderBy(out Node, proj *Project, orderBy []sqlparse.OrderItem, distinct bool, preProj Node) (Node, error) {
 	// Try resolving all keys against the visible output.
 	allVisible := true
-	for _, o := range sel.OrderBy {
+	for _, o := range orderBy {
 		if err := b.checkRefs(o.Expr, out.Columns()); err != nil {
 			allVisible = false
 			break
 		}
 	}
-	keys := make([]SortKey, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
+	keys := make([]SortKey, len(orderBy))
+	for i, o := range orderBy {
 		keys[i] = SortKey{Expr: o.Expr, Desc: o.Desc}
 	}
 	if allVisible {
 		return &Sort{Input: out, Keys: keys}, nil
 	}
-	if sel.Distinct {
+	if distinct {
 		return nil, fmt.Errorf("plan: with DISTINCT, ORDER BY must reference select-list columns")
 	}
 	// Widen: project visible exprs + sort exprs, sort, then narrow.
 	wide := &Project{Input: preProj}
 	wide.Exprs = append(wide.Exprs, proj.Exprs...)
 	wide.Cols = append(wide.Cols, proj.Cols...)
-	for i, o := range sel.OrderBy {
+	for i, o := range orderBy {
 		if err := b.checkRefs(o.Expr, preProj.Columns()); err != nil {
 			return nil, fmt.Errorf("plan: ORDER BY key %d: %w", i+1, err)
 		}
@@ -209,16 +212,17 @@ func (b *builder) buildOrderBy(out Node, proj *Project, sel *sqlparse.Select, pr
 }
 
 // buildAggregate normalizes a grouped select: it collects aggregate calls
-// from the select list and HAVING, builds the Aggregate node, and rewrites
-// post-aggregation expressions to reference the aggregate's output columns.
-func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlparse.SelectItem) (Node, []sqlparse.SelectItem, sqlparse.Expr, error) {
+// from the select list, HAVING and ORDER BY, builds the Aggregate node, and
+// returns the post-aggregation select items, HAVING and ORDER BY keys
+// rewritten to reference the aggregate's output columns.
+func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlparse.SelectItem) (Node, []sqlparse.SelectItem, sqlparse.Expr, []sqlparse.OrderItem, error) {
 	inCols := input.Columns()
 	for _, g := range sel.GroupBy {
 		if sqlparse.ContainsAggregate(g) {
-			return nil, nil, nil, fmt.Errorf("plan: aggregate functions are not allowed in GROUP BY")
+			return nil, nil, nil, nil, fmt.Errorf("plan: aggregate functions are not allowed in GROUP BY")
 		}
 		if err := b.checkRefs(g, inCols); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
 
@@ -258,19 +262,19 @@ func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlpa
 	}
 	for _, it := range items {
 		if err := collect(it.Expr); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
 	if sel.Having != nil {
 		if err := collect(sel.Having); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
 	// ORDER BY may also contain aggregates (e.g. ORDER BY COUNT(*)).
 	for _, o := range sel.OrderBy {
 		if sqlparse.ContainsAggregate(o.Expr) {
 			if err := collect(o.Expr); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, nil, nil, err
 			}
 		}
 	}
@@ -291,7 +295,7 @@ func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlpa
 	for i, it := range items {
 		ne, err := rewrite(it.Expr)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		newItems[i] = sqlparse.SelectItem{Expr: ne, Alias: it.Alias}
 	}
@@ -299,16 +303,20 @@ func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlpa
 	if sel.Having != nil {
 		ne, err := rewrite(sel.Having)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 		having = ne
 	}
-	// Rewrite ORDER BY expressions in place (they are resolved later
-	// against the projection or the aggregate output).
-	for i, o := range sel.OrderBy {
-		sel.OrderBy[i].Expr = rewriteAgg(o.Expr, sel.GroupBy)
+	// ORDER BY keys are resolved later, against the projection or the
+	// aggregate output.
+	var orderBy []sqlparse.OrderItem
+	if len(sel.OrderBy) > 0 {
+		orderBy = make([]sqlparse.OrderItem, len(sel.OrderBy))
+		for i, o := range sel.OrderBy {
+			orderBy[i] = sqlparse.OrderItem{Expr: rewriteAgg(o.Expr, sel.GroupBy), Desc: o.Desc}
+		}
 	}
-	return agg, newItems, having, nil
+	return agg, newItems, having, orderBy, nil
 }
 
 // rewriteAgg replaces aggregate calls and group-by-equal subexpressions
@@ -385,7 +393,7 @@ func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {
 		if res.View != nil {
 			// View unfolding: build the view body, then rename its
 			// outputs under the view's binding name.
-			sub, err := b.buildSelect(cloneSelect(res.View.Query), depth+1)
+			sub, err := b.buildSelect(res.View.Query, depth+1)
 			if err != nil {
 				return nil, fmt.Errorf("plan: unfolding view %s: %w", res.View.Name, err)
 			}
@@ -518,17 +526,6 @@ func constInt(e sqlparse.Expr) (int64, error) {
 		return 0, fmt.Errorf("expected integer literal, got %s", e.SQL())
 	}
 	return v, nil
-}
-
-// cloneSelect re-parses the view body so unfolding cannot mutate the shared
-// catalog copy (the builder rewrites ORDER BY expressions in place).
-func cloneSelect(s *sqlparse.Select) *sqlparse.Select {
-	c, err := sqlparse.Parse(s.SQL())
-	if err != nil {
-		// The stored view parsed before; its rendering must re-parse.
-		panic(fmt.Sprintf("plan: view rendering does not re-parse: %v", err))
-	}
-	return c
 }
 
 // inferKind computes a best-effort output kind for an expression.

@@ -277,6 +277,52 @@ func TestExplainAndTransform(t *testing.T) {
 	}
 }
 
+// TestBuildDoesNotWriteIntoItsInput: Build reads the statement it is given
+// and every stored view it unfolds, and writes into neither. A view's AST
+// lives in a published catalog snapshot that every planner shares.
+func TestBuildDoesNotWriteIntoItsInput(t *testing.T) {
+	g := testCatalog(t)
+	const def = "SELECT region, COUNT(*) AS n FROM crm.customers GROUP BY region ORDER BY COUNT(*) DESC"
+	if err := g.DefineView("regions", def); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := g.View("regions")
+	if !ok {
+		t.Fatal("view not registered")
+	}
+	want := v.Query.SQL()
+
+	// The stored view itself, as view-update analysis plans it.
+	if _, err := Build(g.Snapshot(), v.Query); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.Query.SQL(); got != want {
+		t.Fatalf("Build rewrote the stored view:\n got %s\nwant %s", got, want)
+	}
+	// Unfolded under a query, twice: each use reads the same stored AST.
+	for i := 0; i < 2; i++ {
+		ex := Explain(build(t, g, "SELECT region, n FROM regions WHERE n > 1"))
+		if !strings.Contains(ex, "Sort") || !strings.Contains(ex, "Aggregate BY region: COUNT(*)") {
+			t.Fatalf("unfolded view plan:\n%s", ex)
+		}
+	}
+	if got := v.Query.SQL(); got != want {
+		t.Fatalf("unfolding rewrote the stored view:\n got %s\nwant %s", got, want)
+	}
+	// A top-level statement is read-only too.
+	sel, err := sqlparse.Parse("SELECT name, SUM(amount) FROM customer360 GROUP BY name ORDER BY SUM(amount)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sel.SQL()
+	if _, err := Build(g, sel); err != nil {
+		t.Fatal(err)
+	}
+	if got := sel.SQL(); got != before {
+		t.Fatalf("Build rewrote its statement:\n got %s\nwant %s", got, before)
+	}
+}
+
 func TestResolveColumnRules(t *testing.T) {
 	cols := []ColMeta{
 		{Table: "a", Name: "id"},

@@ -43,37 +43,92 @@ func TestNodeDescribeStrings(t *testing.T) {
 	}
 }
 
-func TestWithChildrenPreservesFields(t *testing.T) {
-	s1 := &Scan{Source: "src", Table: "t", Alias: "a"}
-	s2 := &Scan{Source: "src", Table: "u", Alias: "b"}
+func TestMapInputsPreservesFields(t *testing.T) {
+	s1 := &Scan{Source: "src", Table: "t", Alias: "a", Cols: []ColMeta{{Table: "a", Name: "x"}}}
+	s2 := &Scan{Source: "src", Table: "u", Alias: "b", Cols: []ColMeta{{Table: "b", Name: "y"}}}
 	cond, _ := sqlparse.ParseExpr("1 = 1")
+	swap := func(n Node) Node {
+		if n == s1 {
+			return s2
+		}
+		return n
+	}
 
-	j := NewJoin(sqlparse.JoinLeft, s1, s2, cond)
+	j := NewJoin(sqlparse.JoinLeft, s1, s1, cond)
 	j.SemiJoin = SemiJoinReduceRight
-	j2 := j.WithChildren([]Node{s2, s1}).(*Join)
-	if j2.Type != sqlparse.JoinLeft || j2.SemiJoin != SemiJoinReduceRight {
-		t.Error("join WithChildren dropped fields")
+	j.Parallel = 3
+	j2 := MapInputs(j, swap).(*Join)
+	if j2 == j || j2.Type != sqlparse.JoinLeft || j2.SemiJoin != SemiJoinReduceRight || j2.Parallel != 3 || j2.Cond != cond {
+		t.Error("join MapInputs dropped fields")
+	}
+	if j2.Left != s2 || j2.Right != s2 || len(j2.Columns()) != 2 || j2.Columns()[0].Name != "y" {
+		t.Errorf("join MapInputs did not recompute columns: %+v", j2.Columns())
+	}
+	if j.Left != s1 || j.Columns()[0].Name != "x" {
+		t.Error("join MapInputs wrote into its input node")
+	}
+	agg := NewAggregate(s1, nil, []AggSpec{{Func: "COUNT", Star: true}})
+	agg.Parallel = 2
+	if a2 := MapInputs(agg, swap).(*Aggregate); a2.Input != s2 || a2.Parallel != 2 || len(a2.Columns()) != 1 {
+		t.Error("aggregate MapInputs dropped fields")
 	}
 	r := &Remote{Source: "src", Child: s1, AllowKeyFilter: true}
-	r2 := r.WithChildren([]Node{s2}).(*Remote)
-	if !r2.AllowKeyFilter || r2.Source != "src" {
-		t.Error("remote WithChildren dropped fields")
+	if r2 := MapInputs(r, swap).(*Remote); !r2.AllowKeyFilter || r2.Source != "src" || r2.Child != s2 {
+		t.Error("remote MapInputs dropped fields")
 	}
 	lim := &Limit{Input: s1, Count: 3, Offset: 1}
-	lim2 := lim.WithChildren([]Node{s2}).(*Limit)
-	if lim2.Count != 3 || lim2.Offset != 1 {
-		t.Error("limit WithChildren dropped fields")
+	if lim2 := MapInputs(lim, swap).(*Limit); lim2.Count != 3 || lim2.Offset != 1 || lim2.Input != s2 {
+		t.Error("limit MapInputs dropped fields")
+	}
+	f := &Filter{Input: s1, Cond: cond, Parallel: 4}
+	if f2 := MapInputs(f, swap).(*Filter); f2.Cond != cond || f2.Parallel != 4 || f2.Input != s2 {
+		t.Error("filter MapInputs dropped fields")
+	}
+	u := &Union{Inputs: []Node{s2, s1, s2}}
+	u2 := MapInputs(u, swap).(*Union)
+	if len(u2.Inputs) != 3 || u2.Inputs[0] != s2 || u2.Inputs[1] != s2 || u2.Inputs[2] != s2 || u.Inputs[1] != s1 {
+		t.Errorf("union MapInputs = %v (input %v)", u2.Inputs, u.Inputs)
+	}
+
+	// An unchanged node comes back as itself, and a leaf has no inputs.
+	for _, n := range []Node{j, agg, r, lim, f, &Union{Inputs: []Node{s2, s2}}, s1} {
+		if MapInputs(n, func(in Node) Node { return in }) != n {
+			t.Errorf("%T: identity MapInputs copied the node", n)
+		}
+	}
+	calls := 0
+	MapInputs(s1, func(in Node) Node { calls++; return in })
+	if calls != 0 {
+		t.Errorf("Scan has %d inputs, want 0", calls)
 	}
 }
 
-func TestScanWithChildrenPanicsOnKids(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s := &Scan{}
-	s.WithChildren([]Node{s})
+// TestIdentityTraversalsAllocateNothing pins the copy-on-change protocol:
+// a Walk, and a Transform that changes nothing, allocate nothing and
+// hand back the tree they were given.
+func TestIdentityTraversalsAllocateNothing(t *testing.T) {
+	g := testCatalog(t)
+	root := build(t, g, `SELECT name, SUM(amount) AS total FROM customer360
+		WHERE id > 3 GROUP BY name ORDER BY total DESC LIMIT 5`)
+	nodes := 0
+	walk := func() {
+		nodes = 0
+		Walk(root, func(Node) { nodes++ })
+	}
+	if a := testing.AllocsPerRun(100, walk); a != 0 {
+		t.Errorf("Walk allocates %.1f per run, want 0", a)
+	}
+	if nodes < 8 {
+		t.Fatalf("walk visited %d nodes; the plan is smaller than the test assumes", nodes)
+	}
+	var out Node
+	identity := func() { out = Transform(root, func(n Node) Node { return n }) }
+	if a := testing.AllocsPerRun(100, identity); a != 0 {
+		t.Errorf("identity Transform allocates %.1f per run, want 0", a)
+	}
+	if out != root {
+		t.Error("identity Transform did not return the root it was given")
+	}
 }
 
 func TestColMetaQualifiedName(t *testing.T) {

@@ -31,15 +31,11 @@ func (c ColMeta) QualifiedName() string {
 	return c.Table + "." + c.Name
 }
 
-// Node is a logical plan operator.
+// Node is a logical plan operator. Its inputs are reached through
+// MapInputs, the one function that knows every operator's input fields.
 type Node interface {
 	// Columns returns the output schema of the node.
 	Columns() []ColMeta
-	// Children returns the input nodes.
-	Children() []Node
-	// WithChildren returns a copy of the node with the inputs replaced;
-	// len(kids) must equal len(Children()).
-	WithChildren(kids []Node) Node
 	// Describe renders a one-line summary for EXPLAIN output.
 	Describe() string
 	// node seals the interface: every operator is declared in this package.
@@ -68,18 +64,6 @@ type Scan struct {
 // Columns implements Node.
 func (s *Scan) Columns() []ColMeta { return s.Cols }
 
-// Children implements Node.
-func (s *Scan) Children() []Node { return nil }
-
-// WithChildren implements Node.
-func (s *Scan) WithChildren(kids []Node) Node {
-	if len(kids) != 0 {
-		panic("plan: Scan takes no children")
-	}
-	c := *s
-	return &c
-}
-
 // Describe implements Node.
 func (s *Scan) Describe() string {
 	return fmt.Sprintf("Scan %s.%s AS %s", s.Source, s.Table, s.Alias)
@@ -98,14 +82,6 @@ type Filter struct {
 // Columns implements Node.
 func (f *Filter) Columns() []ColMeta { return f.Input.Columns() }
 
-// Children implements Node.
-func (f *Filter) Children() []Node { return []Node{f.Input} }
-
-// WithChildren implements Node.
-func (f *Filter) WithChildren(kids []Node) Node {
-	return &Filter{Input: kids[0], Cond: f.Cond, Parallel: f.Parallel}
-}
-
 // Describe implements Node.
 func (f *Filter) Describe() string { return "Filter " + f.Cond.SQL() }
 
@@ -120,14 +96,6 @@ type Project struct {
 
 // Columns implements Node.
 func (p *Project) Columns() []ColMeta { return p.Cols }
-
-// Children implements Node.
-func (p *Project) Children() []Node { return []Node{p.Input} }
-
-// WithChildren implements Node.
-func (p *Project) WithChildren(kids []Node) Node {
-	return &Project{Input: kids[0], Exprs: p.Exprs, Cols: p.Cols, Parallel: p.Parallel}
-}
 
 // Describe implements Node.
 func (p *Project) Describe() string {
@@ -190,17 +158,6 @@ func NewJoin(t sqlparse.JoinType, left, right Node, cond sqlparse.Expr) *Join {
 
 // Columns implements Node.
 func (j *Join) Columns() []ColMeta { return j.cols }
-
-// Children implements Node.
-func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
-
-// WithChildren implements Node.
-func (j *Join) WithChildren(kids []Node) Node {
-	nj := NewJoin(j.Type, kids[0], kids[1], j.Cond)
-	nj.SemiJoin = j.SemiJoin
-	nj.Parallel = j.Parallel
-	return nj
-}
 
 // Describe implements Node.
 func (j *Join) Describe() string {
@@ -268,16 +225,6 @@ func NewAggregate(input Node, groupBy []sqlparse.Expr, aggs []AggSpec) *Aggregat
 // Columns implements Node.
 func (a *Aggregate) Columns() []ColMeta { return a.cols }
 
-// Children implements Node.
-func (a *Aggregate) Children() []Node { return []Node{a.Input} }
-
-// WithChildren implements Node.
-func (a *Aggregate) WithChildren(kids []Node) Node {
-	na := NewAggregate(kids[0], a.GroupBy, a.Aggs)
-	na.Parallel = a.Parallel
-	return na
-}
-
 // Describe implements Node.
 func (a *Aggregate) Describe() string {
 	var parts []string
@@ -309,14 +256,6 @@ type Sort struct {
 // Columns implements Node.
 func (s *Sort) Columns() []ColMeta { return s.Input.Columns() }
 
-// Children implements Node.
-func (s *Sort) Children() []Node { return []Node{s.Input} }
-
-// WithChildren implements Node.
-func (s *Sort) WithChildren(kids []Node) Node {
-	return &Sort{Input: kids[0], Keys: s.Keys}
-}
-
 // Describe implements Node.
 func (s *Sort) Describe() string {
 	parts := make([]string, len(s.Keys))
@@ -340,14 +279,6 @@ type Limit struct {
 // Columns implements Node.
 func (l *Limit) Columns() []ColMeta { return l.Input.Columns() }
 
-// Children implements Node.
-func (l *Limit) Children() []Node { return []Node{l.Input} }
-
-// WithChildren implements Node.
-func (l *Limit) WithChildren(kids []Node) Node {
-	return &Limit{Input: kids[0], Count: l.Count, Offset: l.Offset}
-}
-
 // Describe implements Node.
 func (l *Limit) Describe() string {
 	return fmt.Sprintf("Limit %d OFFSET %d", l.Count, l.Offset)
@@ -361,12 +292,6 @@ type Distinct struct {
 // Columns implements Node.
 func (d *Distinct) Columns() []ColMeta { return d.Input.Columns() }
 
-// Children implements Node.
-func (d *Distinct) Children() []Node { return []Node{d.Input} }
-
-// WithChildren implements Node.
-func (d *Distinct) WithChildren(kids []Node) Node { return &Distinct{Input: kids[0]} }
-
 // Describe implements Node.
 func (d *Distinct) Describe() string { return "Distinct" }
 
@@ -377,12 +302,6 @@ type Union struct {
 
 // Columns implements Node.
 func (u *Union) Columns() []ColMeta { return u.Inputs[0].Columns() }
-
-// Children implements Node.
-func (u *Union) Children() []Node { return u.Inputs }
-
-// WithChildren implements Node.
-func (u *Union) WithChildren(kids []Node) Node { return &Union{Inputs: kids} }
 
 // Describe implements Node.
 func (u *Union) Describe() string { return fmt.Sprintf("UnionAll (%d inputs)", len(u.Inputs)) }
@@ -401,32 +320,27 @@ type Remote struct {
 // Columns implements Node.
 func (r *Remote) Columns() []ColMeta { return r.Child.Columns() }
 
-// Children implements Node.
-func (r *Remote) Children() []Node { return []Node{r.Child} }
-
-// WithChildren implements Node.
-func (r *Remote) WithChildren(kids []Node) Node {
-	return &Remote{Source: r.Source, Child: kids[0], AllowKeyFilter: r.AllowKeyFilter}
-}
-
 // Describe implements Node.
 func (r *Remote) Describe() string { return "Remote @" + r.Source }
 
-// findCol resolves a column reference against a column list: a qualified
-// reference must match both qualifier and name; an unqualified reference
-// must match a unique name.
+// findCol resolves a column reference against a column list (see
+// FindColumn).
 func findCol(cols []ColMeta, ref *sqlparse.ColumnRef) (ColMeta, bool) {
-	idx, err := ResolveColumn(cols, ref)
-	if err != nil {
+	idx, ok := FindColumn(cols, ref)
+	if !ok {
 		return ColMeta{}, false
 	}
 	return cols[idx], true
 }
 
 // FindColumn returns the offset of the column referenced by ref within
-// cols, or ok=false when the reference is missing or ambiguous. It is the
-// allocation-free probe for callers that test resolvability (semi-join key
-// extraction, pushdown eligibility) rather than report errors.
+// cols, or ok=false when the reference is missing or ambiguous: a qualified
+// reference must match both qualifier and name, an unqualified one a
+// unique name. When ok is false, idx is -1 for a missing reference and
+// non-negative for an ambiguous one. It is the one resolution rule, and
+// allocation-free, so callers that only test resolvability (estimation,
+// pushdown eligibility, semi-join key extraction) call it directly;
+// ResolveColumn adds the error.
 func FindColumn(cols []ColMeta, ref *sqlparse.ColumnRef) (idx int, ok bool) {
 	found := -1
 	for i, c := range cols {
@@ -437,14 +351,11 @@ func FindColumn(cols []ColMeta, ref *sqlparse.ColumnRef) (idx int, ok bool) {
 			continue
 		}
 		if found >= 0 {
-			return 0, false
+			return i, false
 		}
 		found = i
 	}
-	if found < 0 {
-		return 0, false
-	}
-	return found, true
+	return found, found >= 0
 }
 
 // RefsResolve reports whether every column reference in e resolves
@@ -491,95 +402,132 @@ func EquiKeys(cond sqlparse.Expr, leftCols, rightCols []ColMeta) (leftKeys, righ
 // ResolveColumn returns the offset of the column referenced by ref within
 // cols. Ambiguous or missing references return an error.
 func ResolveColumn(cols []ColMeta, ref *sqlparse.ColumnRef) (int, error) {
-	found := -1
-	for i, c := range cols {
-		if !strings.EqualFold(c.Name, ref.Column) {
-			continue
-		}
-		if ref.Table != "" && !strings.EqualFold(c.Table, ref.Table) {
-			continue
-		}
-		if found >= 0 {
-			return 0, fmt.Errorf("plan: ambiguous column reference %q", ref.SQL())
-		}
-		found = i
-	}
-	if found < 0 {
+	idx, ok := FindColumn(cols, ref)
+	switch {
+	case ok:
+		return idx, nil
+	case idx >= 0:
+		return 0, fmt.Errorf("plan: ambiguous column reference %q", ref.SQL())
+	default:
 		return 0, fmt.Errorf("plan: unknown column %q", ref.SQL())
 	}
-	return found, nil
+}
+
+// MapInputs returns n with every input replaced by fn(input), in order
+// (Join: left, then right). It is the plan tree's one traversal protocol:
+// every pass that descends into a node's inputs goes through it, and it is
+// the one place that knows which fields hold them. When fn returns every
+// input unchanged, MapInputs returns n itself and allocates nothing;
+// otherwise it returns a shallow copy with the new inputs. Join and
+// Aggregate copies recompute their output columns and keep their hints.
+// MapInputs never writes into n.
+func MapInputs(n Node, fn func(Node) Node) Node {
+	switch x := n.(type) {
+	case *Scan:
+		// A leaf.
+	case *Filter:
+		if in := fn(x.Input); in != x.Input {
+			c := *x
+			c.Input = in
+			return &c
+		}
+	case *Project:
+		if in := fn(x.Input); in != x.Input {
+			c := *x
+			c.Input = in
+			return &c
+		}
+	case *Join:
+		left, right := fn(x.Left), fn(x.Right)
+		if left != x.Left || right != x.Right {
+			c := NewJoin(x.Type, left, right, x.Cond)
+			c.SemiJoin = x.SemiJoin
+			c.Parallel = x.Parallel
+			return c
+		}
+	case *Aggregate:
+		if in := fn(x.Input); in != x.Input {
+			c := NewAggregate(in, x.GroupBy, x.Aggs)
+			c.Parallel = x.Parallel
+			return c
+		}
+	case *Sort:
+		if in := fn(x.Input); in != x.Input {
+			c := *x
+			c.Input = in
+			return &c
+		}
+	case *Limit:
+		if in := fn(x.Input); in != x.Input {
+			c := *x
+			c.Input = in
+			return &c
+		}
+	case *Distinct:
+		if in := fn(x.Input); in != x.Input {
+			return &Distinct{Input: in}
+		}
+	case *Union:
+		var inputs []Node // allocated at the first changed input
+		for i, in := range x.Inputs {
+			out := fn(in)
+			if out != in && inputs == nil {
+				inputs = append(make([]Node, 0, len(x.Inputs)), x.Inputs[:i]...)
+			}
+			if inputs != nil {
+				inputs = append(inputs, out)
+			}
+		}
+		if inputs != nil {
+			return &Union{Inputs: inputs}
+		}
+	case *Remote:
+		if in := fn(x.Child); in != x.Child {
+			c := *x
+			c.Child = in
+			return &c
+		}
+	default:
+		panic(fmt.Sprintf("plan: MapInputs missing case for %T", n))
+	}
+	return n
 }
 
 // Explain renders the plan tree indented, one node per line.
 func Explain(n Node) string {
 	var b strings.Builder
-	var walk func(Node, int)
-	walk = func(n Node, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(n.Describe())
-		b.WriteByte('\n')
-		for _, k := range n.Children() {
-			walk(k, depth+1)
-		}
-	}
-	walk(n, 0)
+	explain(&b, n, 0)
 	return b.String()
 }
 
-// Walk visits every node in the tree pre-order. The recursion dispatches
-// on concrete node types rather than materializing Children() slices, so a
-// walk allocates nothing — it runs on every cached-plan execution
-// (pushdown validation, tracing) where per-node slices would dominate the
-// profile.
+func explain(b *strings.Builder, n Node, depth int) {
+	for i := 0; i < depth; i++ {
+		b.WriteString("  ")
+	}
+	b.WriteString(n.Describe())
+	b.WriteByte('\n')
+	MapInputs(n, func(in Node) Node {
+		explain(b, in, depth+1)
+		return in
+	})
+}
+
+// Walk visits every node in the tree pre-order. It allocates nothing: it
+// runs on every cached-plan execution (pushdown validation, tracing).
 func Walk(n Node, fn func(Node)) {
 	fn(n)
-	switch x := n.(type) {
-	case *Filter:
-		Walk(x.Input, fn)
-	case *Project:
-		Walk(x.Input, fn)
-	case *Join:
-		Walk(x.Left, fn)
-		Walk(x.Right, fn)
-	case *Aggregate:
-		Walk(x.Input, fn)
-	case *Sort:
-		Walk(x.Input, fn)
-	case *Limit:
-		Walk(x.Input, fn)
-	case *Distinct:
-		Walk(x.Input, fn)
-	case *Union:
-		for _, k := range x.Inputs {
-			Walk(k, fn)
-		}
-	case *Remote:
-		Walk(x.Child, fn)
-	default:
-		for _, k := range n.Children() {
-			Walk(k, fn)
-		}
-	}
+	MapInputs(n, func(in Node) Node {
+		Walk(in, fn)
+		return in
+	})
 }
 
 // Transform rebuilds the tree bottom-up, applying fn to every node after
-// its children have been transformed.
+// its inputs have been transformed. A node is copied only when one of its
+// inputs changed, so a pass that changes nothing allocates nothing and
+// returns the root it was given.
 func Transform(n Node, fn func(Node) Node) Node {
-	kids := n.Children()
-	if len(kids) > 0 {
-		newKids := make([]Node, len(kids))
-		changed := false
-		for i, k := range kids {
-			newKids[i] = Transform(k, fn)
-			if newKids[i] != k {
-				changed = true
-			}
-		}
-		if changed {
-			n = n.WithChildren(newKids)
-		}
-	}
-	return fn(n)
+	return fn(MapInputs(n, func(in Node) Node { return Transform(in, fn) }))
 }
 
 // SourcesOf returns the distinct source names under the node, sorted.

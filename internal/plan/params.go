@@ -16,57 +16,6 @@ import (
 // never mutated, so a cached plan can be bound concurrently by any number
 // of executions.
 
-// walkNodeExprs calls fn for every expression tree held by the node
-// itself (not its children).
-func walkNodeExprs(n Node, fn func(sqlparse.Expr)) {
-	switch x := n.(type) {
-	case *Filter:
-		fn(x.Cond)
-	case *Project:
-		for _, e := range x.Exprs {
-			fn(e)
-		}
-	case *Join:
-		if x.Cond != nil {
-			fn(x.Cond)
-		}
-	case *Aggregate:
-		for _, g := range x.GroupBy {
-			fn(g)
-		}
-		for _, sp := range x.Aggs {
-			if sp.Arg != nil {
-				fn(sp.Arg)
-			}
-		}
-	case *Sort:
-		for _, k := range x.Keys {
-			fn(k.Expr)
-		}
-	case *Scan, *Limit, *Distinct, *Union, *Remote:
-		// No expression trees of their own.
-	default:
-		panic(fmt.Sprintf("plan: walkNodeExprs missing case for %T", n))
-	}
-}
-
-// MaxParam returns the highest placeholder index appearing in the plan (0
-// when the plan is fully constant). Executing the plan requires exactly
-// that many bound values.
-func MaxParam(n Node) int {
-	max := 0
-	Walk(n, func(x Node) {
-		walkNodeExprs(x, func(e sqlparse.Expr) {
-			sqlparse.WalkExprs(e, func(sub sqlparse.Expr) {
-				if p, ok := sub.(*sqlparse.Param); ok && p.Index > max {
-					max = p.Index
-				}
-			})
-		})
-	})
-	return max
-}
-
 // exprHasParam reports whether the expression contains a placeholder.
 func exprHasParam(e sqlparse.Expr) bool {
 	found := false
@@ -179,9 +128,10 @@ func (b *binder) expr(e sqlparse.Expr) (sqlparse.Expr, error) {
 	})
 }
 
-// node recurses over the plan by direct field access rather than the
-// generic Children()/WithChildren protocol: the generic path allocates two
-// slices per node, which dominates binding cost on the cached-hit path.
+// node recurses over the plan by direct field access rather than through
+// MapInputs: a bound clone rewrites the node's own expressions along with
+// its inputs, keeps derived columns verbatim (MapInputs recomputes Join
+// and Aggregate columns), and comes from the query arena.
 func (b *binder) node(n Node) (Node, error) {
 	switch x := n.(type) {
 	case *Filter:

@@ -189,13 +189,13 @@ func collectEquivalences(root plan.Node) *equivalences {
 func trace(n plan.Node, ref *sqlparse.ColumnRef) (source, table, column string, ok bool) {
 	switch x := n.(type) {
 	case *plan.Scan:
-		if _, err := plan.ResolveColumn(x.Cols, ref); err != nil {
+		if _, found := plan.FindColumn(x.Cols, ref); !found {
 			return "", "", "", false
 		}
 		return x.Source, x.Table, ref.Column, true
 	case *plan.Project:
-		idx, err := plan.ResolveColumn(x.Cols, ref)
-		if err != nil {
+		idx, found := plan.FindColumn(x.Cols, ref)
+		if !found {
 			return "", "", "", false
 		}
 		inner, isRef := x.Exprs[idx].(*sqlparse.ColumnRef)
@@ -204,10 +204,10 @@ func trace(n plan.Node, ref *sqlparse.ColumnRef) (source, table, column string, 
 		}
 		return trace(x.Input, inner)
 	case *plan.Join:
-		if _, err := plan.ResolveColumn(x.Left.Columns(), ref); err == nil {
+		if _, found := plan.FindColumn(x.Left.Columns(), ref); found {
 			return trace(x.Left, ref)
 		}
-		if _, err := plan.ResolveColumn(x.Right.Columns(), ref); err == nil {
+		if _, found := plan.FindColumn(x.Right.Columns(), ref); found {
 			return trace(x.Right, ref)
 		}
 		return "", "", "", false

@@ -3,7 +3,9 @@ package viewupdate
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -180,5 +182,64 @@ func TestUnknownViewAndReadOnlySource(t *testing.T) {
 	_, err := GenerateInsert(e, "filev", map[string]datum.Datum{"a": datum.NewInt(2)})
 	if err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("read-only source must be rejected, got %v", err)
+	}
+}
+
+// TestAnalyzeSharesViewsWithPlanners: view-update analysis plans the stored
+// view itself, from the catalog snapshot every query planner unfolds it
+// from. Planning must only read it, so analysis racing live queries over
+// the same view (run this under -race) neither trips the detector nor
+// changes what the view says.
+func TestAnalyzeSharesViewsWithPlanners(t *testing.T) {
+	e, _ := employeeEngine(t)
+	const def = "SELECT dept, COUNT(*) AS n FROM hr.employees GROUP BY dept ORDER BY COUNT(*) DESC"
+	if err := e.DefineView("dept_sizes", def); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := e.Catalog().View("dept_sizes")
+	want := v.Query.SQL()
+	qo := core.QueryOptions{NoPlanCache: true} // every query unfolds the view afresh
+	ref, err := e.QueryOptsCtx(context.Background(), "SELECT dept, n FROM dept_sizes", qo)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers, rounds = 4, 25
+	errs := make(chan error, 2*workers*rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				res, err := e.QueryOptsCtx(context.Background(), "SELECT dept, n FROM dept_sizes", qo)
+				if err != nil {
+					errs <- err
+					continue
+				}
+				if fmt.Sprint(res.Rows) != fmt.Sprint(ref.Rows) {
+					errs <- fmt.Errorf("query over the view returned %v, want %v", res.Rows, ref.Rows)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// The view's COUNT(*) column is computed: analysis plans
+				// the view, then refuses it.
+				_, err := GenerateDelete(context.Background(), e, "dept_sizes", map[string]datum.Datum{"dept": datum.NewString("legal")})
+				if err == nil || !strings.Contains(err.Error(), "computed") {
+					errs <- fmt.Errorf("delete through an aggregate view: got %v, want a computed-column refusal", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := v.Query.SQL(); got != want {
+		t.Errorf("planning rewrote the stored view:\n got %s\nwant %s", got, want)
 	}
 }
