@@ -38,19 +38,22 @@ const (
 
 // The same point lookup as a prepared statement under
 // core.DefaultQueryOptions, {Parallel, Adaptive}: inter-source overlap,
-// the per-operator ledger, feedback absorption. Measured 105 allocs/op and
-// 7.7 KB/op once the plan tree's one traversal protocol stopped
-// allocating input slices and column probes stopped building discarded
-// errors (114 before; 150 before prefetch goroutines were kept to fetches
-// a sibling can overlap and the per-execution estimator memoized every
-// node in pooled storage). The allocation budget is that value plus 5 and
-// the byte budget ~20% above it, so the work of bringing the default
-// configuration down to the zero-options budget above ratchets fenced
-// numbers: a fresh memo map per query trips both.
+// the per-operator ledger, feedback absorption. Measured 94 allocs/op and
+// 7.5 KB/op once predicates split into stack buffers, the options
+// fingerprint became a table lookup and an all-reachable availability mask
+// the empty string (105 before; 114 before the
+// plan tree's one traversal protocol stopped allocating input slices and
+// column probes stopped building discarded errors; 150 before prefetch
+// goroutines were kept to fetches a sibling can overlap and the
+// per-execution estimator memoized every node in pooled storage). The
+// allocation budget is that value plus 5 and
+// the byte budget ~20% above it, so each step that brings the default
+// configuration down ratchets fenced numbers: a fresh memo map per query
+// trips both.
 // (A goroutine per fetch costs only ~3 allocs; TestPrefetchCounts fences
 // that.)
 const (
-	e17DefaultMaxAllocsPerOp = 110
+	e17DefaultMaxAllocsPerOp = 99
 	e17DefaultMaxBytesPerOp  = 9 << 10
 )
 
@@ -131,12 +134,15 @@ func TestE17AllocGuard(t *testing.T) {
 
 // The E17 cold-compile budget: the same point lookup with the plan cache
 // bypassed, so every query parses, builds (unfolding the customer360
-// view), optimizes and executes. Measured 283 allocs/op and 23 KB/op once
-// the plan tree's passes copied only the nodes they change and views
-// unfolded from the catalog's stored AST instead of a re-parse (447 and
-// 27.5 KB before). A pass that copies the whole tree again, or a view
-// re-parse per use, costs far more than the headroom.
-const e17ColdMaxAllocsPerOp = 300
+// view), optimizes and executes. Measured 242 allocs/op and 22 KB/op once
+// one estimator served every optimizer pass and the cost, view unfolding
+// carved its renaming projection from one block, and predicates split
+// into stack buffers (283 and 23 KB before; 447 and 27.5 KB before the
+// plan tree's passes copied only the nodes they change and views unfolded
+// from the catalog's stored AST instead of a re-parse). The budget is that
+// value plus 10: an estimator per pass again, or a pass that copies the
+// whole tree, costs more than the headroom.
+const e17ColdMaxAllocsPerOp = 252
 
 // TestColdCompileAllocGuard fences the plan-cache-miss path: parse,
 // plan.Build, opt.Optimize and execution of one query, every time.

@@ -4,16 +4,22 @@
 // to source schemas).
 //
 // The global catalog is monotonically versioned and copy-on-write: every
-// mutation (source registration, view definition, explicit Bump) installs a
+// mutation (source registration, view definition, Touch, Bump) installs a
 // fresh immutable Snapshot under the next version number. Planning takes
 // one Snapshot and resolves every name against it, so a query in flight
-// sees a consistent schema no matter what registrations race with it, and
-// the plan cache can key compiled plans by the version they were built
-// against.
+// sees a consistent schema no matter what registrations race with it.
+//
+// A snapshot also records, per Name, the version of the last write that may
+// have changed how that name resolves, plus a floor: the version of the
+// last write scoped to no names (Bump). A plan compiled at version v over a
+// set of names is current under a snapshot exactly when ChangedSince(v,
+// names) is false, so a write retires only the plans that read what it
+// changed.
 package catalog
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -97,6 +103,29 @@ type View struct {
 	SQL string
 }
 
+// Name is a table reference as a query spells it, lower-cased: Source is
+// empty for a bare name, which resolves view-first (see Snapshot.Resolve).
+// Writes are scoped by the names whose resolution they change.
+type Name struct{ Source, Table string }
+
+// NameOf returns the Name of a (possibly source-qualified) reference.
+func NameOf(source, table string) Name {
+	return Name{Source: strings.ToLower(source), Table: strings.ToLower(table)}
+}
+
+// SourceNames returns the names whose resolution registering or removing sc
+// changes: S.t and the bare t of each of its tables. A bare name resolves
+// to a uniquely named source table, so a new source can make one
+// ambiguous, and removing one can make it unique again.
+func SourceNames(sc *SourceCatalog) []Name {
+	tables := sc.TableNames()
+	names := make([]Name, 0, 2*len(tables))
+	for _, t := range tables {
+		names = append(names, NameOf(sc.Name, t), NameOf("", t))
+	}
+	return names
+}
+
 // Reader is the read-only name-resolution surface the planner builds
 // against. Both the live Global catalog and an immutable Snapshot satisfy
 // it; the engine always plans against a Snapshot.
@@ -117,10 +146,35 @@ type Snapshot struct {
 	version uint64
 	sources map[string]*SourceCatalog
 	views   map[string]*View
+	// changed maps a name to the version of the last write that may have
+	// changed how it resolves; floor is the version of the last write
+	// scoped to no names. A snapshot shares both with its predecessor
+	// until a write changes them.
+	changed map[Name]uint64
+	floor   uint64
 }
 
 // Version returns the monotonically increasing catalog version.
 func (s *Snapshot) Version() uint64 { return s.version }
+
+// ChangedSince reports whether a write after version v may have changed
+// how any of names resolves — whether a plan compiled against version v
+// over those names must be compiled again before it serves a query
+// planning against this snapshot.
+func (s *Snapshot) ChangedSince(v uint64, names []Name) bool {
+	if v >= s.version {
+		return false // nothing in this snapshot is newer than v
+	}
+	if s.floor > v {
+		return true
+	}
+	for _, n := range names {
+		if s.changed[n] > v {
+			return true
+		}
+	}
+	return false
+}
 
 // Source returns the catalog for a source.
 func (s *Snapshot) Source(name string) (*SourceCatalog, bool) {
@@ -217,8 +271,9 @@ func (g *Global) Snapshot() *Snapshot { return g.snap.Load() }
 func (g *Global) Version() uint64 { return g.snap.Load().version }
 
 // mutate clones the current snapshot, applies fn to the clone, and
-// installs it under the next version. Callers hold no locks.
-func (g *Global) mutate(fn func(*Snapshot) error) error {
+// installs it under the next version, recording that the names fn returns
+// changed at that version. Callers hold no locks.
+func (g *Global) mutate(fn func(*Snapshot) ([]Name, error)) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	cur := g.snap.Load()
@@ -226,6 +281,8 @@ func (g *Global) mutate(fn func(*Snapshot) error) error {
 		version: cur.version + 1,
 		sources: make(map[string]*SourceCatalog, len(cur.sources)+1),
 		views:   make(map[string]*View, len(cur.views)+1),
+		changed: cur.changed,
+		floor:   cur.floor,
 	}
 	for k, v := range cur.sources {
 		next.sources[k] = v
@@ -233,40 +290,63 @@ func (g *Global) mutate(fn func(*Snapshot) error) error {
 	for k, v := range cur.views {
 		next.views[k] = v
 	}
-	if err := fn(next); err != nil {
+	names, err := fn(next)
+	if err != nil {
 		return err
+	}
+	if len(names) > 0 {
+		next.changed = make(map[Name]uint64, len(cur.changed)+len(names))
+		maps.Copy(next.changed, cur.changed)
+		for _, n := range names {
+			next.changed[n] = next.version
+		}
 	}
 	g.snap.Store(next)
 	return nil
 }
 
-// Bump advances the catalog version without changing catalog contents.
-// Anything that invalidates compiled plans but lives outside the catalog
-// proper — correlation tables, materialized-view routing, source
-// availability reconfiguration — calls this so version-keyed plan caches
-// cannot serve stale plans.
+// Bump advances the catalog version and raises the floor to it: every
+// plan compiled before it counts as changed. It is for writes outside the
+// catalog proper that change how every plan places its work (breaker
+// reconfiguration, cluster fetch routing).
 func (g *Global) Bump() uint64 {
-	_ = g.mutate(func(*Snapshot) error { return nil })
+	_ = g.mutate(func(s *Snapshot) ([]Name, error) {
+		s.floor = s.version
+		return nil, nil
+	})
+	return g.Version()
+}
+
+// Touch advances the catalog version and records that names changed at
+// it. It is for writes the catalog cannot see, such as a table added in
+// place to a registered source's catalog.
+func (g *Global) Touch(names ...Name) uint64 {
+	_ = g.mutate(func(*Snapshot) ([]Name, error) { return names, nil })
 	return g.Version()
 }
 
 // AddSource registers a source catalog; the name must be unique.
 func (g *Global) AddSource(sc *SourceCatalog) error {
-	return g.mutate(func(s *Snapshot) error {
+	return g.mutate(func(s *Snapshot) ([]Name, error) {
 		key := strings.ToLower(sc.Name)
 		if _, dup := s.sources[key]; dup {
-			return fmt.Errorf("catalog: source %s already registered", sc.Name)
+			return nil, fmt.Errorf("catalog: source %s already registered", sc.Name)
 		}
 		s.sources[key] = sc
-		return nil
+		return SourceNames(sc), nil
 	})
 }
 
 // RemoveSource drops a source catalog.
 func (g *Global) RemoveSource(name string) {
-	_ = g.mutate(func(s *Snapshot) error {
-		delete(s.sources, strings.ToLower(name))
-		return nil
+	_ = g.mutate(func(s *Snapshot) ([]Name, error) {
+		key := strings.ToLower(name)
+		sc, ok := s.sources[key]
+		if !ok {
+			return nil, nil
+		}
+		delete(s.sources, key)
+		return SourceNames(sc), nil
 	})
 }
 
@@ -285,21 +365,22 @@ func (g *Global) DefineView(name, querySQL string) error {
 	if err != nil {
 		return fmt.Errorf("catalog: view %s: %w", name, err)
 	}
-	return g.mutate(func(s *Snapshot) error {
+	return g.mutate(func(s *Snapshot) ([]Name, error) {
 		key := strings.ToLower(name)
 		if _, dup := s.views[key]; dup {
-			return fmt.Errorf("catalog: view %s already defined", name)
+			return nil, fmt.Errorf("catalog: view %s already defined", name)
 		}
 		s.views[key] = &View{Name: name, Query: q, SQL: querySQL}
-		return nil
+		return []Name{{Table: key}}, nil
 	})
 }
 
 // DropView removes a view definition.
 func (g *Global) DropView(name string) {
-	_ = g.mutate(func(s *Snapshot) error {
-		delete(s.views, strings.ToLower(name))
-		return nil
+	_ = g.mutate(func(s *Snapshot) ([]Name, error) {
+		key := strings.ToLower(name)
+		delete(s.views, key)
+		return []Name{{Table: key}}, nil
 	})
 }
 

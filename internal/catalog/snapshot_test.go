@@ -128,3 +128,46 @@ func TestSnapshotConcurrentReadersAndWriters(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+func TestChangedSinceScopesByName(t *testing.T) {
+	g := NewGlobal()
+	if err := g.AddSource(testSource(t, "crm", "customers")); err != nil {
+		t.Fatal(err)
+	}
+	v := g.Version()
+	customers := []Name{NameOf("crm", "Customers")}
+	bare := []Name{NameOf("", "customers")}
+	view := []Name{NameOf("", "V1")}
+
+	if err := g.DefineView("v1", "SELECT id FROM customers"); err != nil {
+		t.Fatal(err)
+	}
+	snap := g.Snapshot()
+	if snap.ChangedSince(v, customers) || snap.ChangedSince(v, bare) {
+		t.Error("DefineView v1 changed how customers resolves")
+	}
+	if !snap.ChangedSince(v, view) || snap.ChangedSince(snap.Version(), view) {
+		t.Error("DefineView v1 must change v1 as of its own version, and only before it")
+	}
+
+	v = g.Version()
+	g.Touch(NameOf("crm", "orders"))
+	if g.Snapshot().ChangedSince(v, customers) || !g.Snapshot().ChangedSince(v, []Name{NameOf("CRM", "orders")}) {
+		t.Error("Touch must change exactly the names it is given")
+	}
+
+	v = g.Version()
+	g.RemoveSource("crm")
+	if snap := g.Snapshot(); !snap.ChangedSince(v, customers) || !snap.ChangedSince(v, bare) || snap.ChangedSince(v, view) {
+		t.Error("RemoveSource must change crm.customers and bare customers, and nothing else")
+	}
+
+	v = g.Version()
+	g.Bump()
+	if !g.Snapshot().ChangedSince(v, nil) {
+		t.Error("Bump must raise the floor past every earlier version")
+	}
+	if v0 := snap.Version(); snap.ChangedSince(v0, nil) {
+		t.Error("an earlier snapshot must not see a later floor")
+	}
+}

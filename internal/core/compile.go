@@ -6,15 +6,20 @@ package core
 // different bound constants.
 //
 // The pipeline is pure given three inputs: the statement text, the catalog
-// snapshot, and the plan-shaping options. The cache key captures all three
-// (plus the source-availability mask, which changes plan placement without
-// touching the catalog), so a cached plan is exactly the plan a fresh
-// compile would produce.
+// snapshot, and the plan-shaping options. The cache key captures the text
+// and the options (plus the source-availability mask, which changes plan
+// placement without touching the catalog). The catalog is captured by what
+// the compile read of it: the snapshot version and every name it resolved.
+// A hit is served only while the current snapshot says none of those names
+// changed since, and a catalog write sweeps out the plans that read what
+// it changed — so a cached plan is exactly the plan a fresh compile would
+// produce, and a write no plan read retires nothing.
 
 import (
 	"context"
 	"fmt"
-	"strings"
+	"slices"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
@@ -26,12 +31,13 @@ import (
 
 // compiledPlan is one plan-cache entry: an immutable optimized plan
 // template (it may contain unbound parameters) plus what's needed to bind
-// and account for it.
+// and account for it, and to tell when it goes stale.
 type compiledPlan struct {
 	tmpl    plan.Node
 	nParams int
-	// cost is the optimizer's estimate for the template, computed once at
-	// insertion so cached executions don't re-walk the plan per query.
+	// cost is the optimizer's estimate for the template, priced by the
+	// compile's own estimator, so cached executions don't re-walk the plan
+	// per query.
 	cost opt.PlanCost
 	// fbGen is the feedback-store generation the plan was costed under.
 	// Adaptive lookups treat an entry whose generation has since drifted
@@ -39,22 +45,92 @@ type compiledPlan struct {
 	// observation) as invalid: the cached join order and semi-join
 	// decisions were made from estimates now known to be wrong.
 	fbGen uint64
+	// version is the catalog snapshot version the plan compiled against,
+	// and reads every name plan.Build resolved for it, those inside
+	// unfolded and nested views included.
+	version uint64
+	reads   []catalog.Name
+}
+
+// readsAny reports whether the plan resolved any of names.
+func (cp *compiledPlan) readsAny(names []catalog.Name) bool {
+	for _, n := range cp.reads {
+		if slices.Contains(names, n) {
+			return true
+		}
+	}
+	return false
+}
+
+// readSet is every name a cached plan's compile has read. A write to
+// names outside it has no cached dependents, so it skips the sweep. The
+// set only grows, by names the catalog resolved for some stored plan.
+type readSet struct {
+	mu    sync.Mutex
+	names map[catalog.Name]struct{}
+}
+
+func (r *readSet) add(names []catalog.Name) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.names == nil {
+		r.names = make(map[catalog.Name]struct{})
+	}
+	for _, n := range names {
+		r.names[n] = struct{}{}
+	}
+}
+
+// holdsAny reports whether any of names was ever read.
+func (r *readSet) holdsAny(names []catalog.Name) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, n := range names {
+		if _, ok := r.names[n]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// recordingReader resolves names against a snapshot and records each
+// distinct one it is asked for, as written: the plan cache retires a plan
+// by the names its compile read.
+type recordingReader struct {
+	*catalog.Snapshot
+	reads []catalog.Name
+	buf   [4]catalog.Name // backs reads for the usual handful of names
+}
+
+func (r *recordingReader) Resolve(source, name string) (catalog.Resolution, error) {
+	if n := catalog.NameOf(source, name); !slices.Contains(r.reads, n) {
+		r.reads = append(r.reads, n)
+	}
+	return r.Snapshot.Resolve(source, name)
 }
 
 // compile runs the planning pipeline over one catalog snapshot:
 // rewrite-EXISTS (pre-evaluating subqueries), view unfolding, and
-// cost-based optimization. The select statement may be mutated by the
-// rewrite phase; callers hand over ownership. The context bounds the
-// EXISTS pre-evaluation, which runs real subqueries.
-func (e *Engine) compile(ctx context.Context, st *engineState, sel *sqlparse.Select, qo QueryOptions, snap *catalog.Snapshot) (plan.Node, error) {
+// cost-based optimization under one estimator, which also prices the
+// result. The select statement may be mutated by the rewrite phase;
+// callers hand over ownership. The context bounds the EXISTS
+// pre-evaluation, which runs real subqueries. The returned entry carries
+// the template, its cost and what it read of the catalog; a caller that
+// caches it fills in nParams and fbGen.
+func (e *Engine) compile(ctx context.Context, st *engineState, sel *sqlparse.Select, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, error) {
 	if err := e.rewriteExists(ctx, st, sel, qo, 0); err != nil {
 		return nil, err
 	}
-	logical, err := plan.Build(snap, sel)
+	rec := &recordingReader{Snapshot: snap}
+	rec.reads = rec.buf[:0]
+	logical, err := plan.Build(rec, sel)
 	if err != nil {
 		return nil, err
 	}
-	return opt.Optimize(logical, st.planEnv(qo), optimizerOptions(qo)), nil
+	tmpl, cost := opt.OptimizeCosted(logical, st.planEnv(qo), optimizerOptions(qo))
+	// Cached plans keep only the names, not the recorder around them.
+	reads := slices.Clone(rec.reads)
+	return &compiledPlan{tmpl: tmpl, cost: cost, version: snap.Version(), reads: reads}, nil
 }
 
 // optionsFingerprint encodes the plan-shaping options into a cache-key
@@ -62,7 +138,7 @@ func (e *Engine) compile(ctx context.Context, st *engineState, sel *sqlparse.Sel
 // partial-result policy) deliberately do not appear: they tune how a plan
 // runs, not which plan is built.
 func optionsFingerprint(qo QueryOptions) string {
-	bits := []bool{
+	bits := [optionBits]bool{
 		qo.Optimizer.NoFilterPushdown,
 		qo.Optimizer.NoProjectionPrune,
 		qo.Optimizer.NoJoinReorder,
@@ -71,36 +147,47 @@ func optionsFingerprint(qo QueryOptions) string {
 		qo.NoSemiJoin,
 		qo.Adaptive,
 	}
-	var b strings.Builder
-	for _, bit := range bits {
+	n := 0
+	for i, bit := range bits {
 		if bit {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
+			n |= 1 << i
 		}
 	}
-	return b.String()
+	return fingerprints[n]
 }
 
-// availabilityMask encodes which sources are currently reachable (circuit
-// breaker not open). The optimizer routes around unavailable sources, so
-// plans compiled under different masks are not interchangeable; keying on
-// the mask also lets a breaker's timed open→half-open transition surface
-// as a cache miss rather than a stale plan.
+const optionBits = 7
+
+// fingerprints holds every string optionsFingerprint returns, so building
+// a cache key allocates none: entry n spells n's bits as '0'/'1', lowest
+// first.
+var fingerprints = func() (fps [1 << optionBits]string) {
+	for n := range fps {
+		b := make([]byte, optionBits)
+		for i := range b {
+			b[i] = '0' + byte(n>>i&1)
+		}
+		fps[n] = string(b)
+	}
+	return fps
+}()
+
+// availabilityMask encodes which sources are currently unreachable
+// (circuit breaker open), by name. The optimizer routes around unavailable
+// sources, so plans compiled under different masks are not
+// interchangeable; keying on the mask also lets a breaker's timed
+// open→half-open transition surface as a cache miss rather than a stale
+// plan. With every source reachable the mask is empty, so registering or
+// removing a source leaves every other plan's key as it was.
 func (s *engineState) availabilityMask() string {
 	// The name-sorted breaker list is topology, built when the state was
 	// published; only the per-breaker State() reads happen per query.
-	breakers := s.maskBreakers
 	var stack [64]byte
 	buf := stack[:0]
-	if len(breakers) > len(stack) {
-		buf = make([]byte, 0, len(breakers))
-	}
-	for _, br := range breakers {
-		if br == nil || br.State() != BreakerOpen {
-			buf = append(buf, '1')
-		} else {
-			buf = append(buf, '0')
+	for i, br := range s.maskBreakers {
+		if br != nil && br.State() == BreakerOpen {
+			buf = append(buf, s.maskNames[i]...)
+			buf = append(buf, 0)
 		}
 	}
 	return string(buf)
@@ -108,12 +195,11 @@ func (s *engineState) availabilityMask() string {
 
 // planKey builds the cache key for a normalized statement under the
 // query's options and engine state.
-func (s *engineState) planKey(normSQL string, version uint64, qo QueryOptions) plancache.Key {
+func (s *engineState) planKey(normSQL string, qo QueryOptions) plancache.Key {
 	return plancache.Key{
-		SQL:            normSQL,
-		CatalogVersion: version,
-		Options:        optionsFingerprint(qo),
-		Availability:   s.availabilityMask(),
+		SQL:          normSQL,
+		Options:      optionsFingerprint(qo),
+		Availability: s.availabilityMask(),
 	}
 }
 
@@ -121,34 +207,41 @@ func (s *engineState) planKey(normSQL string, version uint64, qo QueryOptions) p
 func (e *Engine) PlanCacheStats() plancache.Stats { return e.plans.Stats() }
 
 // InvalidatePlans drops every cached plan and returns how many were
-// removed. Normal catalog changes invalidate automatically (the version is
-// part of the cache key); this is for out-of-band changes the engine
-// cannot see, such as directly mutated source catalogs.
+// removed. Catalog changes made through the engine retire the plans that
+// read what they changed on their own; this is for out-of-band changes the
+// engine cannot see, such as tables added to or dropped from a source's
+// catalog directly.
 func (e *Engine) InvalidatePlans() int { return e.plans.Purge() }
 
-// BumpCatalog advances the catalog version and drops plans compiled
-// against older versions. Subsystems that change planning inputs living
-// outside the catalog proper (correlation tables, materialized-view
-// routing, breaker reconfiguration) call this so version-keyed consumers
-// can't serve stale plans.
+// BumpCatalog advances the catalog version, raises the catalog's floor to
+// it, and drops every cached plan. It is for changes outside the catalog
+// that alter where every plan places its work — breaker reconfiguration,
+// cluster fetch routing — which no name scopes.
 func (e *Engine) BumpCatalog() uint64 {
 	v := e.catalog.Bump()
-	e.plans.InvalidateOlder(v)
+	e.plans.Purge()
 	return v
 }
 
-// invalidateStalePlans removes cache entries older than the current
-// catalog version; called after every catalog mutation.
-func (e *Engine) invalidateStalePlans() {
-	e.plans.InvalidateOlder(e.catalog.Version())
+// retirePlans sweeps out every cached plan that read one of names, after a
+// catalog write changed how they resolve; a write no cached plan ever read
+// skips the scan. A plan still compiling against the older snapshot may
+// land after the sweep; cachedTemplate's ChangedSince check keeps it from
+// serving.
+func (e *Engine) retirePlans(names []catalog.Name) {
+	if !e.reads.holdsAny(names) {
+		return
+	}
+	e.plans.RetireIf(func(v any) bool { return v.(*compiledPlan).readsAny(names) })
 }
 
 // PreparedStatement is a statement compiled ahead of execution. Its plan
 // is cached in the engine's plan cache; ExecuteCtx binds parameter values
-// into the cached template and runs it. When the catalog version or source
-// availability changes between executions, the next ExecuteCtx
-// transparently recompiles (a cache miss under the new key) — a prepared
-// statement never runs against a stale schema.
+// into the cached template and runs it. When a catalog write changes a
+// name the plan read, or source availability changes, between executions,
+// the next ExecuteCtx transparently recompiles — a prepared statement
+// never runs against a stale schema, and a write it did not read leaves
+// its plan cached.
 type PreparedStatement struct {
 	e  *Engine
 	qo QueryOptions
@@ -206,17 +299,23 @@ func (ps *PreparedStatement) SQL() string { return ps.text }
 // statement, consulting the plan cache first. The bool reports whether it
 // was a cache hit.
 func (e *Engine) cachedTemplate(ctx context.Context, st *engineState, normSQL string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
-	key := st.planKey(normSQL, snap.Version(), qo)
+	key := st.planKey(normSQL, qo)
 	if v, ok := e.plans.Get(key); ok {
 		cp := v.(*compiledPlan)
-		if !qo.Adaptive || cp.fbGen == st.feedback.Generation() {
+		switch {
+		case snap.ChangedSince(cp.version, cp.reads):
+			// A write changed a name this plan read after the plan began
+			// compiling, and its sweep ran before the plan was stored.
+			e.plans.Invalidate(key)
+		case qo.Adaptive && cp.fbGen != st.feedback.Generation():
+			// The feedback store drifted past its bump threshold since
+			// this plan was costed: its join order and semi-join choices
+			// came from estimates now contradicted by observation. Drop
+			// it and recompile against current feedback.
+			e.plans.InvalidateDrift(key)
+		default:
 			return cp, true, nil
 		}
-		// The feedback store drifted past its bump threshold since this
-		// plan was costed: its join order and semi-join choices came from
-		// estimates now contradicted by observation. Drop it and recompile
-		// against current feedback.
-		e.plans.InvalidateDrift(key)
 	}
 	sel, err := sqlparse.Parse(normSQL)
 	if err != nil {
@@ -226,16 +325,13 @@ func (e *Engine) cachedTemplate(ctx context.Context, st *engineState, normSQL st
 	// compilation then invalidates this entry on its next adaptive lookup
 	// instead of being missed.
 	fbGen := st.feedback.Generation()
-	tmpl, err := e.compile(ctx, st, sel, qo, snap)
+	cp, err := e.compile(ctx, st, sel, qo, snap)
 	if err != nil {
 		return nil, false, err
 	}
-	cp := &compiledPlan{
-		tmpl:    tmpl,
-		nParams: sqlparse.MaxParamIndex(sel),
-		cost:    opt.Cost(tmpl, st.planEnv(qo)),
-		fbGen:   fbGen,
-	}
+	cp.nParams = sqlparse.MaxParamIndex(sel)
+	cp.fbGen = fbGen
+	e.reads.add(cp.reads)
 	e.plans.Put(key, cp)
 	return cp, false, nil
 }

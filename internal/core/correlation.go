@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/catalog"
 	"repro/internal/datum"
 	"repro/internal/federation"
 	"repro/internal/linkage"
@@ -54,9 +55,9 @@ func (e *Engine) DefineCorrelation(name string, ix *linkage.JoinIndex) error {
 		}
 	}
 	src.RefreshStats()
-	// The correlation table was added to an existing source catalog
-	// in place; bump so version-keyed plan caches see the change.
-	e.BumpCatalog()
+	// The correlation table was added to an existing source catalog in
+	// place, where the catalog cannot see it.
+	e.touchCorrelation(name)
 	return nil
 }
 
@@ -75,8 +76,16 @@ func (e *Engine) DropCorrelation(name string) error {
 		return fmt.Errorf("core: unknown correlation %s", name)
 	}
 	tab.Truncate()
-	e.BumpCatalog()
+	e.touchCorrelation(name)
 	return nil
+}
+
+// touchCorrelation records that the correlation table name changed, under
+// its qualified and its bare name, and retires the plans that read it.
+func (e *Engine) touchCorrelation(name string) {
+	names := []catalog.Name{catalog.NameOf(CorrelationSourceName, name), catalog.NameOf("", name)}
+	e.catalog.Touch(names...)
+	e.retirePlans(names)
 }
 
 // correlationSource returns (registering on first use) the mediator-local

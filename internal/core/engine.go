@@ -39,6 +39,7 @@ import (
 type Engine struct {
 	catalog  *catalog.Global
 	plans    *plancache.Cache
+	reads    readSet // every name a cached plan read
 	inflight inflightRegistry
 
 	mu    sync.Mutex // held by update, and by nothing else
@@ -55,10 +56,11 @@ type engineState struct {
 	sources map[string]federation.Source // by lower-cased name
 	// breakers holds one breaker per source from the moment it registers
 	// (none while breakers are disabled); maskBreakers is the same set in
-	// source-name order, nil where a source has none — what the
-	// availability mask reads on every query.
+	// the order of the sorted source names maskNames, nil where a source
+	// has none — what the availability mask reads on every query.
 	breakers     map[string]*breaker
 	maskBreakers []*breaker
+	maskNames    []string
 	breakerCfg   BreakerConfig
 	clock        netsim.Clock
 	replica      ReplicaProvider
@@ -91,6 +93,7 @@ func (e *Engine) update(edit func(next *engineState)) {
 	for i, n := range names {
 		next.maskBreakers[i] = next.breakers[n]
 	}
+	next.maskNames = names
 	e.state.Store(&next)
 }
 
@@ -165,7 +168,7 @@ func (e *Engine) Register(src federation.Source) error {
 		}
 		s.sources[key] = src
 		s.addBreaker(key)
-		e.invalidateStalePlans()
+		e.retirePlans(catalog.SourceNames(src.Catalog()))
 	})
 	return err
 }
@@ -176,8 +179,11 @@ func (e *Engine) Deregister(name string) {
 	e.update(func(s *engineState) {
 		delete(s.sources, strings.ToLower(name))
 		delete(s.breakers, strings.ToLower(name))
+		sc, ok := e.catalog.Source(name)
 		e.catalog.RemoveSource(name)
-		e.invalidateStalePlans()
+		if ok {
+			e.retirePlans(catalog.SourceNames(sc))
+		}
 	})
 }
 
@@ -211,14 +217,14 @@ func (e *Engine) DefineView(name, sql string) error {
 	if err := e.catalog.DefineView(name, sql); err != nil {
 		return err
 	}
-	e.invalidateStalePlans()
+	e.retirePlans([]catalog.Name{catalog.NameOf("", name)})
 	return nil
 }
 
 // DropView removes a view.
 func (e *Engine) DropView(name string) {
 	e.catalog.DropView(name)
-	e.invalidateStalePlans()
+	e.retirePlans([]catalog.Name{catalog.NameOf("", name)})
 }
 
 // QueryOptions tunes planning and execution of one query.
@@ -461,11 +467,11 @@ func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse
 		if err != nil {
 			return nil, err
 		}
-		tmpl, err = e.compile(ctx, st, sel, qo, snap)
+		cp, err := e.compile(ctx, st, sel, qo, snap)
 		if err != nil {
 			return nil, err
 		}
-		est = opt.Cost(tmpl, st.planEnv(qo))
+		tmpl, est = cp.tmpl, cp.cost
 	}
 	bound, err := plan.BindParamsIn(ar, tmpl, params)
 	if err != nil {
@@ -501,7 +507,11 @@ func (e *Engine) plan(ctx context.Context, st *engineState, sql string, qo Query
 	if err != nil {
 		return nil, err
 	}
-	return e.compile(ctx, st, sel, qo, e.catalog.Snapshot())
+	cp, err := e.compile(ctx, st, sel, qo, e.catalog.Snapshot())
+	if err != nil {
+		return nil, err
+	}
+	return cp.tmpl, nil
 }
 
 // ExecuteCtx runs an optimized plan under a caller context. Like

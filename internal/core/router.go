@@ -51,8 +51,8 @@ func (e *Engine) SetFetchRouter(r FetchRouter) {
 func (e *Engine) RunFragment(ctx context.Context, subtree plan.Node, qo QueryOptions) ([]datum.Row, error) {
 	qo.fragment = true
 	st := e.state.Load()
-	p := opt.Optimize(subtree, st.planEnv(qo), optimizerOptions(qo))
-	res, err := e.executePlan(ctx, st, p, qo)
+	p, est := opt.OptimizeCosted(subtree, st.planEnv(qo), optimizerOptions(qo))
+	res, err := e.executeCtx(ctx, st, p, qo, "", 0, est)
 	if err != nil {
 		return nil, fmt.Errorf("core: fragment execution: %w", err)
 	}

@@ -20,6 +20,7 @@ import (
 // directly.
 func Signature(n plan.Node) (Key, bool) {
 	var conjuncts []string
+	var buf [8]sqlparse.Expr
 	for {
 		if r, isRemote := n.(*plan.Remote); isRemote {
 			n = r.Child
@@ -33,7 +34,7 @@ func Signature(n plan.Node) (Key, bool) {
 			continue
 		}
 		if f, isFilter := n.(*plan.Filter); isFilter {
-			for _, c := range sqlparse.SplitConjuncts(f.Cond) {
+			for _, c := range sqlparse.AppendConjuncts(buf[:0], f.Cond) {
 				conjuncts = append(conjuncts, maskExpr(c))
 			}
 			n = f.Input

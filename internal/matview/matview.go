@@ -74,9 +74,8 @@ func (m *Manager) Materialize(ctx context.Context, name, sql string) (*MatView, 
 		m.mu.Unlock()
 		return nil, err
 	}
-	// Materialization changes how reads of this view may be routed;
-	// advance the catalog version so cached plans are retired.
-	m.engine.BumpCatalog()
+	// No compiled plan consults the manager, so materializing retires
+	// none: reads of the copy go through Read, not through the planner.
 	return v, nil
 }
 
@@ -85,7 +84,6 @@ func (m *Manager) Drop(name string) {
 	m.mu.Lock()
 	delete(m.views, strings.ToLower(name))
 	m.mu.Unlock()
-	m.engine.BumpCatalog()
 }
 
 // View returns a materialized view by name.

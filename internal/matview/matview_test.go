@@ -176,3 +176,40 @@ func TestRecommendModeCrossover(t *testing.T) {
 		t.Error("tie must favour the cache (<=)")
 	}
 }
+
+// TestMaterializeAndDropRetireNoPlans: no compiled plan consults the
+// manager, so materializing or dropping a view leaves every cached plan
+// serving.
+func TestMaterializeAndDropRetireNoPlans(t *testing.T) {
+	e, _ := engineFixture(t)
+	m := NewManager(e)
+	ctx := context.Background()
+	const sql = "SELECT id FROM crm.customers WHERE region = 'west'"
+	if _, err := e.QueryCtx(ctx, sql); err != nil {
+		t.Fatal(err)
+	}
+	for _, write := range []struct {
+		name string
+		do   func() error
+	}{
+		{"Materialize", func() error {
+			_, err := m.Materialize(ctx, "east_customers", "SELECT id FROM crm.customers WHERE region = 'east'")
+			return err
+		}},
+		{"Drop", func() error { m.Drop("east_customers"); return nil }},
+	} {
+		if err := write.do(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.QueryCtx(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheHit {
+			t.Errorf("%s retired an unrelated cached plan", write.name)
+		}
+	}
+	if n := e.PlanCacheStats().Invalidations; n != 0 {
+		t.Errorf("invalidations = %d, want 0", n)
+	}
+}

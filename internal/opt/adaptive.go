@@ -57,12 +57,13 @@ func networkFactor(env Env, source string) float64 {
 // annotateParallelism does not run here. A re-planned query keeps
 // inter-source prefetch, which is what matters at the mediator's scale.
 func Reoptimize(root plan.Node, env Env, opts Options) plan.Node {
+	est := newEstimator(env) // shared by both passes, as in optimize
 	n := root
 	if !opts.NoJoinReorder {
-		n = reorderJoins(n, env)
+		n = reorderJoins(n, est)
 	}
 	if !opts.NoRemotePushdown && !opts.NoSemiJoin {
-		n = annotateSemiJoins(n, env)
+		n = annotateSemiJoins(n, est)
 	}
 	return n
 }

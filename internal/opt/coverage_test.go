@@ -31,7 +31,7 @@ func TestGreedyOrderLargeJoinGraph(t *testing.T) {
 		cond := expr(t, fmt.Sprintf("t%d.k = t%d.k", i-1, i))
 		root = plan.NewJoin(sqlparse.JoinInner, root, s, cond)
 	}
-	out := reorderJoins(root, ev)
+	out := reorderJoins(root, newEstimator(ev))
 	scans := 0
 	joins := 0
 	plan.Walk(out, func(x plan.Node) {

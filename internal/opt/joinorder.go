@@ -12,8 +12,8 @@ import (
 const maxDPRelations = 10
 
 // reorderJoins finds maximal trees of inner joins and reorders each using
-// cost-based search. LEFT joins act as barriers.
-func reorderJoins(n plan.Node, env Env) plan.Node {
+// cost-based search under est. LEFT joins act as barriers.
+func reorderJoins(n plan.Node, est *estimator) plan.Node {
 	return plan.Transform(n, func(x plan.Node) plan.Node {
 		j, ok := x.(*plan.Join)
 		if !ok || j.Type != sqlparse.JoinInner {
@@ -29,7 +29,6 @@ func reorderJoins(n plan.Node, env Env) plan.Node {
 		if len(rels) < 2 {
 			return x
 		}
-		est := newEstimator(env)
 		if len(rels) > maxDPRelations {
 			return greedyOrder(rels, conjuncts, est)
 		}

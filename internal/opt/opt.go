@@ -40,6 +40,26 @@ type Options struct {
 
 // Optimize rewrites a logical plan for federated execution.
 func Optimize(root plan.Node, env Env, opts Options) plan.Node {
+	n, _ := optimize(root, env, opts)
+	return n
+}
+
+// OptimizeCosted is Optimize that also prices the optimized plan, with the
+// estimator its passes consulted: the cost Cost would report, without
+// deriving again the estimates the passes already made.
+func OptimizeCosted(root plan.Node, env Env, opts Options) (plan.Node, PlanCost) {
+	n, est := optimize(root, env, opts)
+	return n, est.cost(n)
+}
+
+// optimize runs the passes under one estimator and returns it with the
+// plan. Sharing the estimator's memo across passes is sound because no
+// pass writes into a node it did not allocate: passes copy on change
+// (plan.MapInputs), so one pointer denotes one subtree for the whole
+// compile, and an estimate memoized for it in one pass still holds in the
+// next.
+func optimize(root plan.Node, env Env, opts Options) (plan.Node, *estimator) {
+	est := newEstimator(env)
 	n := root
 	n = mergeProjects(n)
 	if !opts.NoFilterPushdown {
@@ -47,7 +67,7 @@ func Optimize(root plan.Node, env Env, opts Options) plan.Node {
 		n = mergeProjects(n)
 	}
 	if !opts.NoJoinReorder {
-		n = reorderJoins(n, env)
+		n = reorderJoins(n, est)
 	}
 	if !opts.NoProjectionPrune {
 		n = pruneColumns(n)
@@ -55,10 +75,10 @@ func Optimize(root plan.Node, env Env, opts Options) plan.Node {
 	}
 	n = placeRemotes(n, env, opts)
 	if !opts.NoRemotePushdown && !opts.NoSemiJoin {
-		n = annotateSemiJoins(n, env)
+		n = annotateSemiJoins(n, est)
 	}
-	n = annotateParallelism(n, env)
-	return n
+	n = annotateParallelism(n, est)
+	return n, est
 }
 
 // Naive returns the plan a capability-blind mediator would run: every scan

@@ -277,7 +277,7 @@ func TestJoinReorderPrefersSelectiveSide(t *testing.T) {
 		scan("src", "big", "k"),
 		scan("src", "small", "k"),
 		expr(t, "big.k = small.k"))
-	out := reorderJoins(j, ev)
+	out := reorderJoins(j, newEstimator(ev))
 	j2, ok := out.(*plan.Join)
 	if !ok {
 		t.Fatalf("reorder output = %T", out)
@@ -293,7 +293,7 @@ func TestJoinReorderPrefersSelectiveSide(t *testing.T) {
 		scan("src", "small", "k"),
 		scan("src", "big", "k"),
 		expr(t, "big.k = small.k"))
-	out2 := reorderJoins(flipped, ev)
+	out2 := reorderJoins(flipped, newEstimator(ev))
 	j3, ok := out2.(*plan.Join)
 	if !ok {
 		t.Fatalf("reorder output = %T", out2)

@@ -32,9 +32,9 @@ const maxHintDegree = 16
 // change, so the tree it is given may share nodes with the logical plan
 // or, for a fragment shipped from a peer, with that peer's cached
 // template. It writes a hint only into a node MapInputs has just copied
-// for it, and copies any other node whose hint changes.
-func annotateParallelism(n plan.Node, env Env) plan.Node {
-	est := newEstimator(env)
+// for it, and copies any other node whose hint changes. Estimates come
+// from est.
+func annotateParallelism(n plan.Node, est *estimator) plan.Node {
 	var annotate func(plan.Node) plan.Node
 	annotate = func(n plan.Node) plan.Node {
 		// Degrees are estimated over the node as given, before its

@@ -146,9 +146,8 @@ func demoteToScanShipping(n plan.Node, source string) plan.Node {
 // assembly site / local reduction" decision of §3. A side qualifies when it
 // is a filter-capable Remote, the probe side is small enough to ship its
 // distinct keys, and the reduction is estimated to pay for the extra round
-// trip.
-func annotateSemiJoins(n plan.Node, env Env) plan.Node {
-	est := newEstimator(env)
+// trip. Estimates come from est.
+func annotateSemiJoins(n plan.Node, est *estimator) plan.Node {
 	return plan.Transform(n, func(x plan.Node) plan.Node {
 		j, ok := x.(*plan.Join)
 		if !ok || j.Cond == nil {
@@ -200,7 +199,7 @@ func annotateSemiJoins(n plan.Node, env Env) plan.Node {
 			// whose breaker is half-open and unproven — raises the bar:
 			// speculative extra round trips against a struggling source
 			// need a bigger payoff. The factor never loosens the gate.
-			margin := 2 * networkFactor(env, r.Source)
+			margin := 2 * networkFactor(est.env, r.Source)
 			if margin < 2 {
 				margin = 2
 			}

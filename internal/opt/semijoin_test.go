@@ -35,7 +35,7 @@ func TestSemiJoinHintReduceRight(t *testing.T) {
 		remote("s1", scan("s1", "small", "k"), true),
 		remote("s2", scan("s2", "big", "k"), true),
 		expr(t, "small.k = big.k"))
-	out := annotateSemiJoins(j, ev)
+	out := annotateSemiJoins(j, newEstimator(ev))
 	j2 := out.(*plan.Join)
 	if j2.SemiJoin != plan.SemiJoinReduceRight {
 		t.Errorf("hint = %v, want reduce-right (big side)", j2.SemiJoin)
@@ -48,7 +48,7 @@ func TestSemiJoinHintReduceLeftWhenBigIsLeft(t *testing.T) {
 		remote("s2", scan("s2", "big", "k"), true),
 		remote("s1", scan("s1", "small", "k"), true),
 		expr(t, "small.k = big.k"))
-	out := annotateSemiJoins(j, ev)
+	out := annotateSemiJoins(j, newEstimator(ev))
 	j2 := out.(*plan.Join)
 	if j2.SemiJoin != plan.SemiJoinReduceLeft {
 		t.Errorf("hint = %v, want reduce-left", j2.SemiJoin)
@@ -63,7 +63,7 @@ func TestSemiJoinHintNeverReducesPreservedSideOfLeftJoin(t *testing.T) {
 		remote("s2", scan("s2", "big", "k"), true),
 		remote("s1", scan("s1", "small", "k"), true),
 		expr(t, "small.k = big.k"))
-	out := annotateSemiJoins(j, ev)
+	out := annotateSemiJoins(j, newEstimator(ev))
 	j2 := out.(*plan.Join)
 	if j2.SemiJoin == plan.SemiJoinReduceLeft {
 		t.Error("left join preserved side must not be reduced")
@@ -75,7 +75,7 @@ func TestSemiJoinHintNeverReducesPreservedSideOfLeftJoin(t *testing.T) {
 		remote("s1", scan("s1", "small", "k"), true),
 		remote("s2", scan("s2", "big", "k"), true),
 		expr(t, "small.k = big.k"))
-	out3 := annotateSemiJoins(j3, ev)
+	out3 := annotateSemiJoins(j3, newEstimator(ev))
 	if out3.(*plan.Join).SemiJoin != plan.SemiJoinReduceRight {
 		t.Error("right side of LEFT JOIN is reducible")
 	}
@@ -88,7 +88,7 @@ func TestSemiJoinHintRespectsCapabilities(t *testing.T) {
 		remote("s1", scan("s1", "small", "k"), true),
 		remote("s2", scan("s2", "big", "k"), false),
 		expr(t, "small.k = big.k"))
-	out := annotateSemiJoins(j, ev)
+	out := annotateSemiJoins(j, newEstimator(ev))
 	if out.(*plan.Join).SemiJoin != plan.SemiJoinNone {
 		t.Error("scan-only side must not be hinted")
 	}
@@ -102,7 +102,7 @@ func TestSemiJoinHintSkipsBigProbeSides(t *testing.T) {
 		remote("s2", scan("s2", "big", "k"), true),
 		expr(t, "big.k = big.k"))
 	// Self-join aliasing aside, the estimator sees 50000 rows per side.
-	out := annotateSemiJoins(j, ev)
+	out := annotateSemiJoins(j, newEstimator(ev))
 	if out.(*plan.Join).SemiJoin != plan.SemiJoinNone {
 		t.Error("huge probe side must not ship keys")
 	}
@@ -114,7 +114,7 @@ func TestSemiJoinHintSkipsNonEquiJoins(t *testing.T) {
 		remote("s1", scan("s1", "small", "k"), true),
 		remote("s2", scan("s2", "big", "k"), true),
 		expr(t, "small.k < big.k"))
-	out := annotateSemiJoins(j, ev)
+	out := annotateSemiJoins(j, newEstimator(ev))
 	if out.(*plan.Join).SemiJoin != plan.SemiJoinNone {
 		t.Error("theta join must not be hinted")
 	}

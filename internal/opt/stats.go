@@ -242,7 +242,8 @@ func (e *estimator) joinRows(j *plan.Join) float64 {
 	}
 	sel := 1.0
 	gotEqui := false
-	for _, c := range sqlparse.SplitConjuncts(j.Cond) {
+	var buf [8]sqlparse.Expr
+	for _, c := range sqlparse.AppendConjuncts(buf[:0], j.Cond) {
 		b, ok := c.(*sqlparse.BinaryExpr)
 		if !ok || b.Op != sqlparse.OpEq {
 			continue
@@ -353,7 +354,8 @@ func (e *estimator) selectivity(cond sqlparse.Expr, input plan.Node) float64 {
 		return 1
 	}
 	sel := 1.0
-	for _, c := range sqlparse.SplitConjuncts(cond) {
+	var buf [8]sqlparse.Expr
+	for _, c := range sqlparse.AppendConjuncts(buf[:0], cond) {
 		sel *= e.conjunctSelectivity(c, input)
 	}
 	if sel < 1e-9 {

@@ -27,7 +27,6 @@ func Build(cat catalog.Reader, sel *sqlparse.Select) (Node, error) {
 
 type builder struct {
 	catalog catalog.Reader
-	anon    int // counter for generated aliases
 }
 
 func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
@@ -436,17 +435,17 @@ func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {
 }
 
 // renameOutputs wraps a node in a projection that re-qualifies its output
-// columns under the given binding name.
+// columns under the given binding name. Every view use pays this once per
+// output column, so the slices are sized up front and the references are
+// carved from one block.
 func renameOutputs(n Node, alias string) Node {
 	in := n.Columns()
-	p := &Project{Input: n}
-	for _, c := range in {
-		ref := &sqlparse.ColumnRef{Column: c.Name}
-		if c.Table != "" {
-			ref.Table = c.Table
-		}
-		p.Exprs = append(p.Exprs, ref)
-		p.Cols = append(p.Cols, ColMeta{Table: alias, Name: c.Name, Kind: c.Kind})
+	p := &Project{Input: n, Exprs: make([]sqlparse.Expr, len(in)), Cols: make([]ColMeta, len(in))}
+	refs := make([]sqlparse.ColumnRef, len(in))
+	for i, c := range in {
+		refs[i] = sqlparse.ColumnRef{Table: c.Table, Column: c.Name}
+		p.Exprs[i] = &refs[i]
+		p.Cols[i] = ColMeta{Table: alias, Name: c.Name, Kind: c.Kind}
 	}
 	return p
 }

@@ -379,7 +379,8 @@ func RefsResolve(e sqlparse.Expr, cols []ColMeta) bool {
 // right child.
 func EquiKeys(cond sqlparse.Expr, leftCols, rightCols []ColMeta) (leftKeys, rightKeys []sqlparse.Expr, residual sqlparse.Expr) {
 	var rest []sqlparse.Expr
-	for _, c := range sqlparse.SplitConjuncts(cond) {
+	var buf [8]sqlparse.Expr
+	for _, c := range sqlparse.AppendConjuncts(buf[:0], cond) {
 		b, ok := c.(*sqlparse.BinaryExpr)
 		if !ok || b.Op != sqlparse.OpEq {
 			rest = append(rest, c)

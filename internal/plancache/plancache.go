@@ -2,11 +2,17 @@
 // mediator's planning pipeline (parse, rewrite, unfold views, optimize) is
 // pure given a catalog snapshot and the optimizer configuration, so a plan
 // compiled once can serve every later execution of the same statement
-// shape until the catalog changes. The cache is a sharded LRU keyed by the
-// normalized statement text plus everything else the compiler consumed:
-// the catalog version, the optimizer options fingerprint, and the
-// source-availability mask (circuit breakers change which plans are
-// valid without touching the catalog).
+// shape until the catalog changes something it read. The cache is a
+// sharded LRU keyed by the normalized statement text plus the rest of what
+// the compiler consumed that is known before compiling: the optimizer
+// options fingerprint and the source-availability mask (circuit breakers
+// change which plans are valid without touching the catalog).
+//
+// The catalog is not part of the key: which names a plan read is known
+// only after compiling it. The engine stores that with the value, checks
+// it against the current catalog snapshot on every hit, and after a
+// catalog write retires the plans that read what the write changed with
+// one RetireIf scan.
 package plancache
 
 import (
@@ -17,14 +23,11 @@ import (
 )
 
 // Key identifies one compiled plan. Two executions share a plan only when
-// every field matches: same normalized SQL, same catalog version, same
-// optimizer configuration, same set of reachable sources.
+// every field matches: same normalized SQL, same optimizer configuration,
+// same set of reachable sources.
 type Key struct {
 	// SQL is the normalized statement text (literals replaced by $n).
 	SQL string
-	// CatalogVersion is the catalog snapshot version the plan was
-	// compiled against.
-	CatalogVersion uint64
 	// Options fingerprints the optimizer/runtime options that shape the
 	// plan (optimizer on/off, semi-join policy, replica routing, ...).
 	Options string
@@ -37,11 +40,6 @@ func (k Key) hash() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(k.SQL))
 	h.Write([]byte{0})
-	var v [8]byte
-	for i := 0; i < 8; i++ {
-		v[i] = byte(k.CatalogVersion >> (8 * i))
-	}
-	h.Write(v[:])
 	h.Write([]byte(k.Options))
 	h.Write([]byte{0})
 	h.Write([]byte(k.Availability))
@@ -171,12 +169,32 @@ func (c *Cache) Put(k Key, v any) {
 	}
 }
 
+// Invalidate removes one entry the caller found stale on lookup — the
+// engine calls it for a plan compiled against a catalog snapshot that a
+// later write made stale before the plan was stored. Reported under
+// Invalidations.
+func (c *Cache) Invalidate(k Key) bool {
+	ok := c.remove(k)
+	if ok {
+		c.invalidations.Add(1)
+	}
+	return ok
+}
+
 // InvalidateDrift removes one entry whose costing inputs drifted — the
 // engine calls it when an adaptive lookup finds a plan compiled under a
 // feedback-store generation that has since been bumped. Reported under
 // DriftInvalidations, not Invalidations: catalog churn and estimate
 // drift are different operational signals.
 func (c *Cache) InvalidateDrift(k Key) bool {
+	ok := c.remove(k)
+	if ok {
+		c.driftInvalidations.Add(1)
+	}
+	return ok
+}
+
+func (c *Cache) remove(k Key) bool {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	el, ok := s.items[k]
@@ -185,25 +203,26 @@ func (c *Cache) InvalidateDrift(k Key) bool {
 		delete(s.items, k)
 	}
 	s.mu.Unlock()
-	if ok {
-		c.driftInvalidations.Add(1)
-	}
 	return ok
 }
 
-// InvalidateOlder removes every entry compiled against a catalog version
-// older than v. The engine calls it after catalog mutations so stale plans
-// don't occupy cache space waiting to be aged out.
-func (c *Cache) InvalidateOlder(v uint64) int {
+// RetireIf removes every entry whose value satisfies stale, in one scan,
+// and returns how many it removed, counted under Invalidations. The engine
+// calls it after a catalog write with a predicate naming the plans that
+// read what the write changed. stale runs under a shard lock: it must not
+// call back into the cache.
+func (c *Cache) RetireIf(stale func(v any) bool) int {
 	removed := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for k, el := range s.items {
-			if k.CatalogVersion < v {
+		for el := s.order.Front(); el != nil; {
+			next := el.Next()
+			if e := el.Value.(*entry); stale(e.value) {
 				s.order.Remove(el)
-				delete(s.items, k)
+				delete(s.items, e.key)
 				removed++
 			}
+			el = next
 		}
 		s.mu.Unlock()
 	}

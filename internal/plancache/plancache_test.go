@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-func key(sql string, ver uint64) Key {
-	return Key{SQL: sql, CatalogVersion: ver, Options: "opt", Availability: "all"}
+func key(sql string) Key {
+	return Key{SQL: sql, Options: "opt", Availability: "all"}
 }
 
 func TestGetPutHitMiss(t *testing.T) {
 	c := New(8)
-	k := key("SELECT 1", 1)
+	k := key("SELECT 1")
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -32,13 +32,12 @@ func TestGetPutHitMiss(t *testing.T) {
 
 func TestKeyDimensionsAreDistinct(t *testing.T) {
 	c := New(32)
-	base := key("SELECT 1", 1)
+	base := key("SELECT 1")
 	c.Put(base, "a")
 	for _, k := range []Key{
-		{SQL: "SELECT 2", CatalogVersion: 1, Options: "opt", Availability: "all"},
-		{SQL: "SELECT 1", CatalogVersion: 2, Options: "opt", Availability: "all"},
-		{SQL: "SELECT 1", CatalogVersion: 1, Options: "naive", Availability: "all"},
-		{SQL: "SELECT 1", CatalogVersion: 1, Options: "opt", Availability: "crm-down"},
+		{SQL: "SELECT 2", Options: "opt", Availability: "all"},
+		{SQL: "SELECT 1", Options: "naive", Availability: "all"},
+		{SQL: "SELECT 1", Options: "opt", Availability: "crm-down"},
 	} {
 		if _, ok := c.Get(k); ok {
 			t.Fatalf("key %+v unexpectedly hit", k)
@@ -50,12 +49,12 @@ func TestLRUEviction(t *testing.T) {
 	// Capacity 1 collapses to a single one-entry shard, which makes the
 	// eviction order observable.
 	c := New(1)
-	c.Put(key("q1", 1), 1)
-	c.Put(key("q2", 1), 2)
-	if _, ok := c.Get(key("q1", 1)); ok {
+	c.Put(key("q1"), 1)
+	c.Put(key("q2"), 2)
+	if _, ok := c.Get(key("q1")); ok {
 		t.Fatal("q1 should have been evicted")
 	}
-	if _, ok := c.Get(key("q2", 1)); !ok {
+	if _, ok := c.Get(key("q2")); !ok {
 		t.Fatal("q2 missing")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -67,10 +66,10 @@ func TestLRURecencyOrder(t *testing.T) {
 	// White-box: collect three keys that map to the same shard (cap 2),
 	// then check that touching the oldest redirects eviction.
 	c := New(32)
-	target := c.shardFor(key("q0", 1))
+	target := c.shardFor(key("q0"))
 	var ks []Key
 	for i := 0; len(ks) < 3; i++ {
-		k := key(fmt.Sprintf("q%d", i), 1)
+		k := key(fmt.Sprintf("q%d", i))
 		if c.shardFor(k) == target {
 			ks = append(ks, k)
 		}
@@ -89,7 +88,7 @@ func TestLRURecencyOrder(t *testing.T) {
 
 func TestPutReplaces(t *testing.T) {
 	c := New(8)
-	k := key("q", 1)
+	k := key("q")
 	c.Put(k, "old")
 	c.Put(k, "new")
 	if v, _ := c.Get(k); v.(string) != "new" {
@@ -100,29 +99,32 @@ func TestPutReplaces(t *testing.T) {
 	}
 }
 
-func TestInvalidateOlder(t *testing.T) {
+func TestRetireIf(t *testing.T) {
 	c := New(64)
-	for v := uint64(1); v <= 4; v++ {
-		c.Put(key("q", v), v)
+	for v := 1; v <= 4; v++ {
+		c.Put(key(fmt.Sprintf("q%d", v)), v)
 	}
-	if removed := c.InvalidateOlder(3); removed != 2 {
+	if removed := c.RetireIf(func(v any) bool { return v.(int) < 3 }); removed != 2 {
 		t.Fatalf("removed %d, want 2", removed)
 	}
-	if _, ok := c.Get(key("q", 2)); ok {
-		t.Fatal("stale entry survived")
+	if _, ok := c.Get(key("q2")); ok {
+		t.Fatal("retired entry survived")
 	}
-	if _, ok := c.Get(key("q", 3)); !ok {
-		t.Fatal("current entry dropped")
+	if _, ok := c.Get(key("q3")); !ok {
+		t.Fatal("unaffected entry dropped")
 	}
-	if st := c.Stats(); st.Invalidations != 2 {
-		t.Fatalf("invalidations = %d, want 2", st.Invalidations)
+	if !c.Invalidate(key("q4")) || c.Invalidate(key("q4")) {
+		t.Fatal("Invalidate must remove a present entry exactly once")
+	}
+	if st := c.Stats(); st.Invalidations != 3 || st.Entries != 1 {
+		t.Fatalf("invalidations = %d, entries = %d, want 3 and 1", st.Invalidations, st.Entries)
 	}
 }
 
 func TestPurge(t *testing.T) {
 	c := New(64)
 	for i := 0; i < 10; i++ {
-		c.Put(key(fmt.Sprintf("q%d", i), 1), i)
+		c.Put(key(fmt.Sprintf("q%d", i)), i)
 	}
 	if removed := c.Purge(); removed != 10 {
 		t.Fatalf("purged %d, want 10", removed)
@@ -140,7 +142,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				k := key(fmt.Sprintf("q%d", i%50), uint64(1+i%3))
+				k := key(fmt.Sprintf("q%d", i%50))
 				if v, ok := c.Get(k); ok {
 					if v.(string) != k.SQL {
 						t.Errorf("wrong value for %s: %v", k.SQL, v)
@@ -150,7 +152,7 @@ func TestConcurrentAccess(t *testing.T) {
 					c.Put(k, k.SQL)
 				}
 				if i%100 == 0 {
-					c.InvalidateOlder(2)
+					c.RetireIf(func(v any) bool { return v.(string) < "q2" })
 				}
 			}
 		}(w)

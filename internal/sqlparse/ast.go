@@ -635,10 +635,18 @@ func (e *ExistsExpr) appendSQL(b []byte) []byte {
 // SplitConjuncts flattens a conjunction into its AND-ed terms; nil for a
 // nil expression.
 func SplitConjuncts(e Expr) []Expr {
+	return AppendConjuncts(nil, e)
+}
+
+// AppendConjuncts appends the AND-ed terms of e to dst (nothing for a nil
+// e) and returns the extended slice. Callers that only iterate the terms
+// pass a stack buffer (var buf [8]Expr; AppendConjuncts(buf[:0], e)), so
+// splitting a predicate on a per-query path allocates nothing.
+func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if e == nil {
-		return nil
+		return dst
 	}
-	return appendConjuncts(nil, e)
+	return appendConjuncts(dst, e)
 }
 
 // appendConjuncts accumulates AND-ed terms into dst, avoiding the
