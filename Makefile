@@ -74,7 +74,9 @@ race-adaptive:
 # access path. At Parallelism 1 and 2 the E14 fan-out and report aggregate
 # must each allocate at most 64 KB a query: sources hand over zero-copy
 # heap snapshots and parallel operators hold a window of their input, so
-# nothing scales with the input. Beside them, the goroutine
+# nothing scales with the input. A 4000-group aggregate at a source must
+# stay inside its own budget: its group table comes from the query
+# scratch, sized from the optimizer's estimate. Beside them, the goroutine
 # fence (prefetch_test.go): a fetch
 # gets a prefetch goroutine only where a sibling can overlap it — none for
 # the portal point query, one for a two-remote join, two for the
@@ -82,7 +84,7 @@ race-adaptive:
 # -count=1 defeats the test cache so the guards actually measure on every
 # check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestPrefetchCounts' -count=1 .
+	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestSourceAggregateAllocGuard|TestPrefetchCounts' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem .

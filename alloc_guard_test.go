@@ -359,3 +359,71 @@ func TestPointFetchAllocGuard(t *testing.T) {
 	}
 	t.Logf("warm point fetch: %d allocs/op, %d bytes/op (budget %d)", res.AllocsPerOp(), res.AllocedBytesPerOp(), pointFetchMaxAllocsPerOp)
 }
+
+// sourceAggSQL groups 16 000 invoices into 4 000 groups at the billing
+// source: the result every eager plan of the E14 fan-out ships.
+const sourceAggSQL = `SELECT cust_id, COUNT(*), SUM(amount) FROM billing.invoices GROUP BY cust_id`
+
+// Budgets for that aggregate's fragment at the source, per fetch with a
+// warm query scratch: 24 allocs and 1.7 KB measured (x86-64), so the
+// measured allocs plus 5, and 64 KB.
+const (
+	sourceAggMaxAllocsPerOp = 29
+	sourceAggMaxBytesPerOp  = 64 << 10
+)
+
+// TestSourceAggregateAllocGuard fences a grouping whose table is large: its
+// index, keys, cells, first-seen rows and finalized rows come from the
+// query scratch, sized once from the optimizer's group estimate, so a warm
+// fetch allocates nothing per group or per input row. Growing them on the
+// heap cost 102 allocs and 3.3 MB a fetch.
+func TestSourceAggregateAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard runs a benchmark loop; skipped in -short")
+	}
+	fed := mustCRM(t, 4000)
+	p, err := fed.Engine.Plan(context.Background(), sourceAggSQL, core.DefaultQueryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := p.(*plan.Remote)
+	if !ok {
+		t.Fatalf("the aggregate does not run at the source:\n%s", plan.Explain(p))
+	}
+	var groups int
+	plan.Walk(r.Child, func(n plan.Node) {
+		if a, ok := n.(*plan.Aggregate); ok {
+			groups = a.Groups
+		}
+	})
+	if groups != 4000 {
+		t.Fatalf("fragment carries a group estimate of %d, want 4000:\n%s", groups, plan.Explain(p))
+	}
+	scratch := exec.GetScratch()
+	defer exec.PutScratch(scratch)
+	ctx := exec.WithScratch(context.Background(), scratch)
+	fetch := func() {
+		rows, err := fed.Billing.ExecuteCtx(ctx, r.Child)
+		if err != nil || len(rows) != 4000 {
+			t.Fatalf("fetch returned %d groups, err %v", len(rows), err)
+		}
+		scratch.Reset()
+	}
+	for i := 0; i < 4; i++ { // warm the scratch's blocks
+		fetch()
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fetch()
+		}
+	})
+	if a := res.AllocsPerOp(); a > sourceAggMaxAllocsPerOp {
+		t.Errorf("source aggregate over 4000 groups allocates %d objects/op, budget is %d", a, sourceAggMaxAllocsPerOp)
+	}
+	if n := res.AllocedBytesPerOp(); n > sourceAggMaxBytesPerOp {
+		t.Errorf("source aggregate over 4000 groups allocates %d bytes/op, budget is %d", n, sourceAggMaxBytesPerOp)
+	}
+	t.Logf("source aggregate, 4000 groups: %d allocs/op, %d bytes/op (budget %d / %d)",
+		res.AllocsPerOp(), res.AllocedBytesPerOp(), sourceAggMaxAllocsPerOp, sourceAggMaxBytesPerOp)
+}

@@ -380,6 +380,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		}
 		return &aggregateBatchIter{
 			in: in, groupFns: groupFns, specs: x.Aggs, argFns: argFns,
+			groups:  x.Groups,
 			degree:  opts.workers(x.Parallel),
 			size:    opts.batchSize(),
 			stats:   opts.Stats,
@@ -414,7 +415,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		if err != nil {
 			return nil, err
 		}
-		return &distinctBatchIter{in: in}, nil
+		return &distinctBatchIter{in: in, scratch: opts.Scratch}, nil
 
 	case *plan.Union:
 		last := len(x.Inputs) - 1

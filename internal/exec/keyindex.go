@@ -49,17 +49,15 @@ func (ix *keyIndex) slot(h uint64) int {
 }
 
 // add appends the next position, ix.n, with hash h. Positions added this
-// way chain newest-first; callers that add never depend on chain order. A
-// full index is rebuilt at twice the size on the heap first, so one sized
-// exactly (semi-join keys, IN-lists) never reallocates and one of unknown
-// size (groups, DISTINCT aggregates) grows amortized.
+// way chain newest-first; callers that add never depend on chain order.
+// Most indexes never fill: join builds, semi-join keys and IN-lists are
+// sized exactly, and a group table checks for room first and doubles
+// itself, index included, from the query scratch (see groupTable.grow).
+// Only the value sets of DISTINCT aggregates, which start empty, reach the
+// fallback below: a full index is rebuilt at twice the size on the heap.
 func (ix *keyIndex) add(h uint64) {
 	if ix.n == len(ix.hashes) {
-		grown := newKeyIndex(nil, 2*ix.n+8)
-		for _, old := range ix.hashes {
-			grown.add(old)
-		}
-		*ix = grown
+		*ix = ix.rehashed(nil, 2*ix.n+8)
 	}
 	p := ix.n
 	ix.n++
@@ -67,6 +65,16 @@ func (ix *keyIndex) add(h uint64) {
 	s := ix.slot(h)
 	ix.next[p] = ix.head[s]
 	ix.head[s] = int32(p) + 1
+}
+
+// rehashed returns a copy of the index with room for capacity positions,
+// its arrays drawn from s (plain heap when s is nil).
+func (ix *keyIndex) rehashed(s *Scratch, capacity int) keyIndex {
+	grown := newKeyIndex(s, capacity)
+	for _, h := range ix.hashes[:ix.n] {
+		grown.add(h)
+	}
+	return grown
 }
 
 // link chains every position whose hash is already in ix.hashes, is not
@@ -158,16 +166,62 @@ type aggCell struct {
 // a keyIndex over groups in first-seen order, with their keys and their
 // aggregate cells in two flat arenas. The hash nominates candidates and
 // datum.RowsEqual decides, so NULL groups with NULL, 1 with 1.0, and
-// unequal keys that collide in 64 bits stay apart. It lives on the heap: a
-// pooled Scratch would hold every table's high-water mark between queries.
+// unequal keys that collide in 64 bits stay apart.
+//
+// Its arrays come from the query scratch (the heap when there is none),
+// sized once from the optimizer's group estimate (plan.Aggregate.Groups).
+// When the groups outgrow them the table doubles explicitly: grow copies
+// it into arrays twice the size, and the old ones stay in the scratch
+// until the query ends, so a table holds at most twice its final size. A
+// pooled scratch keeps those blocks, as it keeps a join build's, and the
+// next query of the same shape groups without touching the heap.
 type groupTable struct {
+	s         *Scratch
 	ix        keyIndex
 	nkeys     int
 	specs     []plan.AggSpec
 	keys      []datum.Datum // group → its nkeys key values
-	firstSeen []int         // group → input row index that created it
+	firstSeen []int32       // group → input row index that created it
 	cells     []aggCell     // group → its len(specs) aggregate states
 	distinct  []datumSet    // cell → values seen, grown by the DISTINCT aggregates only
+}
+
+// Bounds on a group table's first capacity: without an estimate (SELECT
+// DISTINCT, plans the optimizer did not annotate) it starts at
+// defaultGroups; an estimate past maxEstimatedGroups is not trusted with
+// that much scratch up front, and the table grows the rest of the way.
+const (
+	defaultGroups      = 64
+	maxEstimatedGroups = 1 << 14
+)
+
+// newGroupTable returns an empty table sized for estimate groups (0:
+// unknown), its arrays drawn from s.
+func newGroupTable(s *Scratch, nkeys int, specs []plan.AggSpec, estimate int) *groupTable {
+	t := &groupTable{s: s, nkeys: nkeys, specs: specs}
+	switch {
+	case estimate <= 0:
+		estimate = defaultGroups
+	case estimate > maxEstimatedGroups:
+		estimate = maxEstimatedGroups
+	}
+	t.grow(estimate)
+	return t
+}
+
+// grow moves the table into arrays with room for capacity groups.
+func (t *groupTable) grow(capacity int) {
+	s := t.s
+	*t = groupTable{
+		s:         s,
+		ix:        t.ix.rehashed(s, capacity),
+		nkeys:     t.nkeys,
+		specs:     t.specs,
+		keys:      append(s.MakeDatums(capacity * t.nkeys)[:0], t.keys...),
+		firstSeen: append(s.MakeInt32s(capacity)[:0], t.firstSeen...),
+		cells:     append(s.MakeAggCells(capacity * len(t.specs))[:0], t.cells...),
+		distinct:  t.distinct,
+	}
 }
 
 func (t *groupTable) len() int { return t.ix.n }
@@ -180,10 +234,13 @@ func (t *groupTable) group(key datum.Row, h uint64, rowIdx int) (g int32, isNew 
 			return c, false
 		}
 	}
+	if t.ix.n == len(t.ix.hashes) {
+		t.grow(2 * t.ix.n)
+	}
 	g = int32(t.ix.n)
 	t.ix.add(h)
 	t.keys = append(t.keys, key...)
-	t.firstSeen = append(t.firstSeen, rowIdx)
+	t.firstSeen = append(t.firstSeen, int32(rowIdx))
 	for range t.specs {
 		t.cells = append(t.cells, aggCell{sumIsInt: true})
 	}
@@ -284,16 +341,18 @@ func (t *groupTable) finalize(g int32, dst []datum.Datum) ([]datum.Datum, error)
 
 // finalizeGroups renders every group of tables as an output row in one
 // first-seen order: a merge, since each table lists its own groups in that
-// order already. The rows share one arena.
-func finalizeGroups(tables ...*groupTable) ([]datum.Row, error) {
+// order already. The rows and their one arena come from s (the heap when
+// s is nil).
+func finalizeGroups(s *Scratch, tables ...*groupTable) ([]datum.Row, error) {
 	total := 0
 	for _, t := range tables {
 		total += t.len()
 	}
 	width := tables[0].nkeys + len(tables[0].specs)
-	out := make([]datum.Row, 0, total)
-	arena := make([]datum.Datum, 0, total*width)
-	pos := make([]int, len(tables))
+	out := s.MakeRows(total)[:0]
+	arena := s.MakeDatums(total * width)[:0]
+	var posBuf [16]int // the merge cursors stay on the stack up to 16 partitions
+	pos := append(posBuf[:0], make([]int, len(tables))...)
 	for len(out) < total {
 		best := -1
 		for p, t := range tables {

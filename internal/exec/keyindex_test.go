@@ -638,8 +638,10 @@ func BenchmarkJoinBuild(b *testing.B) {
 
 // BenchmarkGroupTable groups 16 000 rows by one INT key and folds COUNT(*)
 // and SUM per row — one op is one aggregation's worth of table work, at
-// the report queries' handful of groups and at one group per four rows
-// (where the index and the arenas grow ten times over).
+// the report queries' handful of groups and at one group per four rows,
+// with a per-query scratch recycled between ops as the engine does. The
+// table is sized from an exact estimate, or from none (it then doubles
+// from its default capacity).
 func BenchmarkGroupTable(b *testing.B) {
 	const n = 16000
 	specs := []plan.AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: &sqlparse.ColumnRef{Column: "x"}}}
@@ -650,20 +652,24 @@ func BenchmarkGroupTable(b *testing.B) {
 			keys[i], args[i] = datum.NewInt(int64(i%groups)), datum.NewInt(int64(i))
 			hashes[i] = hashKey(keys[i : i+1])
 		}
-		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				t := &groupTable{nkeys: 1, specs: specs}
-				for r := 0; r < n; r++ {
-					if err := t.fold(keys[r:r+1], hashes[r], r, args[r:r+2]); err != nil {
-						b.Fatal(err)
+		for _, estimate := range []int{groups, 0} {
+			b.Run(fmt.Sprintf("groups=%d/estimate=%d", groups, estimate), func(b *testing.B) {
+				scratch := new(Scratch)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					t := newGroupTable(scratch, 1, specs, estimate)
+					for r := 0; r < n; r++ {
+						if err := t.fold(keys[r:r+1], hashes[r], r, args[r:r+2]); err != nil {
+							b.Fatal(err)
+						}
 					}
+					if t.len() != groups {
+						b.Fatalf("%d groups, want %d", t.len(), groups)
+					}
+					scratch.Reset()
 				}
-				if t.len() != groups {
-					b.Fatalf("%d groups, want %d", t.len(), groups)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -828,8 +834,9 @@ func groupScan(width int) plan.Node {
 }
 
 // runGrouping drains node at the given worker count and batch size, with
-// a query scratch as the engine runs it. Grouped rows, and the input rows
-// DISTINCT passes, are heap-backed, so they outlive the scratch.
+// a query scratch as the engine runs it. Grouped rows come from the
+// scratch, so they are copied out before it recycles, as the engine copies
+// its results.
 func runGrouping(t *testing.T, node plan.Node, rt Runtime, degree, batch int) []datum.Row {
 	t.Helper()
 	scratch := GetScratch()
@@ -842,7 +849,7 @@ func runGrouping(t *testing.T, node plan.Node, rt Runtime, degree, batch int) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows
+	return datum.CloneRowsBlock(rows)
 }
 
 func TestGroupTableMatchesMapGrouping(t *testing.T) {
@@ -889,9 +896,12 @@ func TestGroupTableMatchesMapGrouping(t *testing.T) {
 			}
 			wantDistinct := refGroupBy(cut, nkeys, nil, nil)
 			for _, degree := range []int{1, 2, 8} {
-				for _, batch := range []int{1, 64, 1024} {
+				for bi, batch := range []int{1, 64, 1024} {
 					agg := plan.NewAggregate(groupScan(4), groupBy, specs)
 					agg.Parallel = degree
+					// No estimate, a gross underestimate (the table
+					// doubles from one group), and the exact count.
+					agg.Groups = []int{0, 1, len(want)}[bi]
 					if got := runGrouping(t, agg, &flakyRuntime{rows: rows}, degree, batch); !sameRows(got, want) {
 						t.Errorf("GROUP BY: rows=%d keys=%d degree=%d batch=%d: the %d groups, their order or their aggregates differ from the map grouping's %d",
 							n, nkeys, degree, batch, len(got), len(want))

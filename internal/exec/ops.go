@@ -369,6 +369,7 @@ type aggregateBatchIter struct {
 	groupFns []EvalFunc
 	specs    []plan.AggSpec
 	argFns   []EvalFunc // nil entries for COUNT(*)
+	groups   int        // the optimizer's group estimate; 0 when unknown
 	degree   int
 	size     int
 	stats    *ExecStats
@@ -398,7 +399,7 @@ func (a *aggregateBatchIter) eval(r datum.Row, key, args []datum.Datum) (err err
 
 // runSequential groups in one pass over in, in batch order.
 func (a *aggregateBatchIter) runSequential(in BatchIterator) ([]datum.Row, error) {
-	t := &groupTable{nkeys: len(a.groupFns), specs: a.specs}
+	t := newGroupTable(a.scratch, len(a.groupFns), a.specs, a.groups)
 	key, args := make(datum.Row, len(a.groupFns)), make(datum.Row, len(a.specs))
 	if len(key) == 0 {
 		t.group(key, hashKey(key), 0) // a grand aggregate has its one group even over no input
@@ -409,7 +410,7 @@ func (a *aggregateBatchIter) runSequential(in BatchIterator) ([]datum.Row, error
 			return nil, err
 		}
 		if b == nil {
-			return finalizeGroups(t)
+			return finalizeGroups(a.scratch, t)
 		}
 		for _, r := range b {
 			if err := a.eval(r, key, args); err != nil {
@@ -546,9 +547,10 @@ func (l *limitBatchIter) Close() { l.in.Close() }
 // distinctBatchIter passes each row the first time it is seen: the whole
 // row is the key of a group table with no aggregates.
 type distinctBatchIter struct {
-	in   BatchIterator
-	seen *groupTable
-	out  Batch
+	in      BatchIterator
+	scratch *Scratch
+	seen    *groupTable
+	out     Batch
 }
 
 func (d *distinctBatchIter) NextBatch() (Batch, error) {
@@ -560,7 +562,7 @@ func (d *distinctBatchIter) NextBatch() (Batch, error) {
 		out := d.out[:0]
 		for _, r := range b {
 			if d.seen == nil {
-				d.seen = &groupTable{nkeys: len(r)}
+				d.seen = newGroupTable(d.scratch, len(r), nil, 0)
 			}
 			if _, isNew := d.seen.group(r, hashKey(r), d.seen.len()); isNew {
 				out = append(out, r)

@@ -354,7 +354,7 @@ func (a *aggregateBatchIter) runParallel() ([]datum.Row, error) {
 	parts := uint64(a.degree)
 	tables := make([]*groupTable, parts)
 	for p := range tables {
-		tables[p] = &groupTable{nkeys: nk, specs: a.specs}
+		tables[p] = newGroupTable(s, nk, a.specs, (a.groups+a.degree-1)/a.degree)
 	}
 	for base := 0; n > 0; {
 		// Phase 1: evaluate group keys and aggregate arguments per morsel.
@@ -392,5 +392,5 @@ func (a *aggregateBatchIter) runParallel() ([]datum.Row, error) {
 	}
 
 	// Phase 3: merge partitions back into first-seen order.
-	return finalizeGroups(tables...)
+	return finalizeGroups(s, tables...)
 }

@@ -36,6 +36,7 @@ type Scratch struct {
 	u64s   arena.Slab[uint64]
 	i32s   arena.Slab[int32]
 	bools  arena.Slab[bool]
+	cells  arena.Slab[aggCell]
 
 	// borrowers counts goroutines that may still allocate from or read
 	// scratch memory after the query's drain returns — an abandoned
@@ -133,6 +134,18 @@ func (s *Scratch) MakeBools(n int) []bool {
 	return out
 }
 
+// MakeAggCells returns a zeroed aggregate-state slice of length and
+// capacity n from the scratch (plain heap when s is nil) — group tables.
+func (s *Scratch) MakeAggCells(n int) []aggCell {
+	if s == nil {
+		return make([]aggCell, n)
+	}
+	s.mu.Lock()
+	out := s.cells.Make(n)
+	s.mu.Unlock()
+	return out
+}
+
 // Bytes reports the payload footprint allocated from the scratch since the
 // last Reset. The engine folds it into Result.ArenaBytes.
 func (s *Scratch) Bytes() int64 {
@@ -140,7 +153,7 @@ func (s *Scratch) Bytes() int64 {
 		return 0
 	}
 	s.mu.Lock()
-	b := s.datums.Bytes() + s.rows.Bytes() + s.u64s.Bytes() + s.i32s.Bytes() + s.bools.Bytes()
+	b := s.datums.Bytes() + s.rows.Bytes() + s.u64s.Bytes() + s.i32s.Bytes() + s.bools.Bytes() + s.cells.Bytes()
 	s.mu.Unlock()
 	return b
 }
@@ -154,6 +167,7 @@ func (s *Scratch) Reset() {
 	s.u64s.Reset()
 	s.i32s.Reset()
 	s.bools.Reset()
+	s.cells.Reset()
 	s.mu.Unlock()
 }
 

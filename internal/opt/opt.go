@@ -73,6 +73,9 @@ func optimize(root plan.Node, env Env, opts Options) (plan.Node, *estimator) {
 		n = pruneColumns(n)
 		n = mergeProjects(n)
 	}
+	if !opts.NoRemotePushdown {
+		n = eagerAggregate(n, env, est)
+	}
 	n = placeRemotes(n, env, opts)
 	if !opts.NoRemotePushdown && !opts.NoSemiJoin {
 		n = annotateSemiJoins(n, est)

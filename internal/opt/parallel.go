@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/plan"
 )
@@ -22,11 +23,13 @@ const maxHintDegree = 16
 // operators of an optimized plan, derived from estimated cardinalities:
 // degree = estimated input rows / rowsPerWorker, capped at
 // maxHintDegree. Remote subtrees execute inside source wrappers (which
-// run with a zero-value exec.Options) and are left unannotated —
-// intra-query parallelism belongs to the assembly site, inter-source
-// parallelism to the prefetching Remote boundary. Hints depend only on
-// catalog statistics, never on per-query options, so cached plans stay
-// valid for every requested parallelism.
+// run with a zero-value exec.Options, the query scratch aside) and stay
+// sequential — intra-query parallelism belongs to the assembly site,
+// inter-source parallelism to the prefetching Remote boundary. Every
+// Aggregate, on either side of a Remote boundary, also gets its estimated
+// group count, which sizes its group table. Hints depend only on catalog
+// statistics, never on per-query options, so cached plans stay valid for
+// every requested parallelism.
 //
 // The pass annotates by copy: earlier passes rebuild only what they
 // change, so the tree it is given may share nodes with the logical plan
@@ -35,14 +38,14 @@ const maxHintDegree = 16
 // for it, and copies any other node whose hint changes. Estimates come
 // from est.
 func annotateParallelism(n plan.Node, est *estimator) plan.Node {
-	var annotate func(plan.Node) plan.Node
+	var annotate, annotateRemote func(plan.Node) plan.Node
 	annotate = func(n plan.Node) plan.Node {
 		// Degrees are estimated over the node as given, before its
 		// inputs are annotated.
 		deg := 0
 		switch x := n.(type) {
 		case *plan.Remote:
-			return n // wrapper-side subtree: stays sequential
+			return plan.MapInputs(n, annotateRemote)
 		case *plan.Filter:
 			deg = degreeFor(est.Rows(x.Input), maxHintDegree)
 		case *plan.Project:
@@ -58,13 +61,45 @@ func annotateParallelism(n plan.Node, est *estimator) plan.Node {
 		default:
 			panic(fmt.Sprintf("opt: annotateParallelism missing case for %T", n))
 		}
+		groups := groupsOf(n, est)
 		out := plan.MapInputs(n, annotate)
 		if deg == 0 {
 			return out
 		}
-		return withParallel(out, out != n, deg)
+		out = withParallel(out, out != n, deg)
+		if a, ok := out.(*plan.Aggregate); ok {
+			return withGroups(a, out != n, groups)
+		}
+		return out
+	}
+	// Below a Remote boundary only group counts are annotated.
+	annotateRemote = func(n plan.Node) plan.Node {
+		groups := groupsOf(n, est)
+		out := plan.MapInputs(n, annotateRemote)
+		if a, ok := out.(*plan.Aggregate); ok {
+			return withGroups(a, out != n, groups)
+		}
+		return out
 	}
 	return annotate(n)
+}
+
+// groupsOf is the group estimate an Aggregate is annotated with, taken
+// over the node as given; 0 for any other node.
+func groupsOf(n plan.Node, est *estimator) int {
+	if _, ok := n.(*plan.Aggregate); !ok {
+		return 0
+	}
+	return int(math.Ceil(est.Rows(n)))
+}
+
+// withGroups returns a carrying group estimate g, copied unless owned.
+func withGroups(a *plan.Aggregate, owned bool, g int) *plan.Aggregate {
+	if a.Groups != g {
+		a = own(a, owned)
+		a.Groups = g
+	}
+	return a
 }
 
 // withParallel returns n carrying worker hint deg: n itself when it

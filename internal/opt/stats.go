@@ -339,9 +339,16 @@ func (e *estimator) distinctOf(expr sqlparse.Expr, n plan.Node) float64 {
 		return 10
 	case *plan.Join:
 		return e.refDistinct(ref, x.Left, x.Right)
-	case *plan.Aggregate, *plan.Union:
-		// Column provenance doesn't survive grouping or positional
-		// union; fall back to the small-domain guess.
+	case *plan.Aggregate:
+		// A grouping column keeps its input's values, at most one per
+		// group; an aggregate's output has no provenance to trace.
+		if idx, ok := plan.FindColumn(x.Columns()[:len(x.GroupBy)], ref); ok {
+			return min(e.distinctOf(x.GroupBy[idx], x.Input), e.Rows(x))
+		}
+		return 10
+	case *plan.Union:
+		// Column provenance doesn't survive positional union; fall back
+		// to the small-domain guess.
 		return 10
 	default:
 		panic(fmt.Sprintf("opt: distinctOf missing case for %T", n))

@@ -195,7 +195,10 @@ type Aggregate struct {
 	Aggs    []AggSpec
 	// Parallel is the optimizer's worker-count hint (see Filter.Parallel).
 	Parallel int
-	cols     []ColMeta
+	// Groups is the optimizer's estimate of how many groups the node
+	// forms; 0 when unknown. The executor sizes its group table from it.
+	Groups int
+	cols   []ColMeta
 }
 
 // NewAggregate builds an aggregate node. Output columns are named by the
@@ -449,7 +452,7 @@ func MapInputs(n Node, fn func(Node) Node) Node {
 	case *Aggregate:
 		if in := fn(x.Input); in != x.Input {
 			c := NewAggregate(in, x.GroupBy, x.Aggs)
-			c.Parallel = x.Parallel
+			c.Parallel, c.Groups = x.Parallel, x.Groups
 			return c
 		}
 	case *Sort:
