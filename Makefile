@@ -4,9 +4,9 @@
 GO ?= go
 RACE_PKGS := ./...
 
-.PHONY: check fmt vet lint build test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench bench-smoke doc-names tracked waivers
+.PHONY: check fmt vet lint build escape test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench bench-smoke doc-names tracked waivers
 
-check: fmt vet lint waivers doc-names build test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench-smoke
+check: fmt vet lint waivers doc-names build escape test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench-smoke
 
 fmt:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
@@ -26,6 +26,21 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# Escape fence: the plan builder's recursion must not move its Options to
+# the heap. A closure that captures opts in any of these functions does,
+# on every call — one allocation per operator built, which the allocation
+# fences would show as a number but no test names. The prefetch helpers
+# (prefetchRemote, prefetchInput) may keep theirs: they run only where a
+# fetch gets a goroutine of its own.
+ESCAPE_FENCED := buildNode|buildBatch|buildJoin|assembleJoin|trySemiJoin
+
+escape:
+	@bad=$$($(GO) build -gcflags=-m ./internal/exec 2>&1 | grep ': moved to heap: opts$$' | \
+		while IFS=: read -r file line _; do \
+			sed -n "$${line}p" "$$file" | grep -Eq '^func ($(ESCAPE_FENCED))\(' && echo "$$file:$$line"; \
+		done); \
+	if [ -n "$$bad" ]; then echo "exec.Options moved to heap (a closure captures opts):"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -59,9 +74,11 @@ race-deadlock:
 # mid-query re-optimization firing, repeated under the race detector. The
 # replan loop joins abandoned prefetch goroutines (Scratch.WaitBorrowers)
 # before absorbing the cardinality ledger; this storm is what keeps that
-# join honest across schedules.
+# join honest across schedules. Beside it, a re-planned, traced, explained
+# query's Result must not change when later queries reuse its pooled
+# scratch, whose slabs held its operator tree.
 race-adaptive:
-	$(GO) test -race -run 'TestE20AdaptiveReplanStorm' -count=3 ./internal/core
+	$(GO) test -race -run 'TestE20AdaptiveReplanStorm|TestScratchOperatorsDieWithTheirQuery' -count=3 ./internal/core
 
 # Allocation fences (see alloc_guard_test.go): the warm plan-cache-hit
 # path must stay inside its E17 allocs/op and bytes/op budget, a query

@@ -29,19 +29,24 @@ import (
 
 // The E17 acceptance budget for one warm cached-hit query end to end
 // (parse → cache hit → arena bind → scratch execute → result copy-out).
-// Measured headroom at the time of writing: ~95 allocs, ~23 KB. The caps
-// leave room for harness noise, not for regressions.
+// Measured 36 allocs and 2.5 KB once the operator tree — iterators, their
+// boundary guards, function slices, a semi-join's reduced fetch and the
+// sources' fragment runtimes — came from the query scratch (83 and 7.5 KB
+// before). The budget is that value plus 5 and ~20% above it: the caps
+// leave room for harness noise, not for regressions, and an operator that
+// goes back to the heap costs one allocation per query each.
 const (
-	e17MaxAllocsPerOp = 100
-	e17MaxBytesPerOp  = 64 << 10
+	e17MaxAllocsPerOp = 41
+	e17MaxBytesPerOp  = 3 << 10
 )
 
 // The same point lookup as a prepared statement under
 // core.DefaultQueryOptions, {Parallel, Adaptive}: inter-source overlap,
-// the per-operator ledger, feedback absorption. Measured 94 allocs/op and
-// 7.5 KB/op once predicates split into stack buffers, the options
-// fingerprint became a table lookup and an all-reachable availability mask
-// the empty string (105 before; 114 before the
+// the per-operator ledger, feedback absorption. Measured 47 allocs/op and
+// 2.6 KB/op once building a plan stopped allocating per operator (94 and
+// 7.5 KB before; 105 before predicates split into stack buffers, the
+// options fingerprint became a table lookup and an all-reachable
+// availability mask the empty string; 114 before the
 // plan tree's one traversal protocol stopped allocating input slices and
 // column probes stopped building discarded errors; 150 before prefetch
 // goroutines were kept to fetches a sibling can overlap and the
@@ -53,8 +58,8 @@ const (
 // (A goroutine per fetch costs only ~3 allocs; TestPrefetchCounts fences
 // that.)
 const (
-	e17DefaultMaxAllocsPerOp = 99
-	e17DefaultMaxBytesPerOp  = 9 << 10
+	e17DefaultMaxAllocsPerOp = 52
+	e17DefaultMaxBytesPerOp  = 3200
 )
 
 func TestE17AllocGuard(t *testing.T) {
@@ -134,15 +139,16 @@ func TestE17AllocGuard(t *testing.T) {
 
 // The E17 cold-compile budget: the same point lookup with the plan cache
 // bypassed, so every query parses, builds (unfolding the customer360
-// view), optimizes and executes. Measured 242 allocs/op and 22 KB/op once
-// one estimator served every optimizer pass and the cost, view unfolding
-// carved its renaming projection from one block, and predicates split
-// into stack buffers (283 and 23 KB before; 447 and 27.5 KB before the
-// plan tree's passes copied only the nodes they change and views unfolded
-// from the catalog's stored AST instead of a re-parse). The budget is that
-// value plus 10: an estimator per pass again, or a pass that copies the
-// whole tree, costs more than the headroom.
-const e17ColdMaxAllocsPerOp = 252
+// view), optimizes and executes. Measured 195 allocs/op and 17.5 KB/op
+// once the executed operator tree came from the query scratch (242 and
+// 22 KB before; 283 and 23 KB before one estimator served every optimizer
+// pass and the cost, view unfolding carved its renaming projection from
+// one block, and predicates split into stack buffers; 447 and 27.5 KB
+// before the plan tree's passes copied only the nodes they change and
+// views unfolded from the catalog's stored AST instead of a re-parse). The
+// budget is that value plus 10: an estimator per pass again, or a pass
+// that copies the whole tree, costs more than the headroom.
+const e17ColdMaxAllocsPerOp = 205
 
 // TestColdCompileAllocGuard fences the plan-cache-miss path: parse,
 // plan.Build, opt.Optimize and execution of one query, every time.
@@ -180,23 +186,25 @@ func TestColdCompileAllocGuard(t *testing.T) {
 }
 
 // Budgets for the keyed-lookup fence, per query under the default
-// configuration, ~25% above the values measured when exec's hash join,
-// semi-join key set and constant IN-lists moved onto one flat index
-// (IN-list-tier join: 210 allocs). The E14 report join's budget is ~25%
-// above the 129–132 measured once its parallel probe carved joined rows and
+// configuration, ~25% above the values measured once building a plan
+// stopped allocating per operator: 72 allocs for the IN-list-tier join
+// (115 before; 210 when exec's hash join, semi-join key set and constant
+// IN-lists moved onto one flat index) and 79–81 for the E14 report join
+// (114 before; 129–132 once its parallel probe carved joined rows and
 // output containers from the query scratch, and its exchange copied input
-// batches there (313 before: a heap container per batch, grown from nil).
-// A per-key allocation — a map bucket per join key, a literal or a closure
-// per shipped key — costs hundreds to thousands on either query, far past
-// the headroom.
+// batches there; 313 before that, a heap container per batch, grown from
+// nil). A per-key allocation — a map bucket per join key, a literal or a
+// closure per shipped key — costs hundreds to thousands on either query,
+// far past the headroom.
 //
-// The sequential E14 report aggregate measured 115 allocs when grouping
-// moved onto the same index (budget ~25% above), against 16 200 with a key
-// row per input row and a state object per group.
+// The sequential E14 report aggregate measured 32–33 allocs (budget ~25%
+// above; 79 before its operators came from the query scratch, 115 when
+// grouping moved onto the same index), against 16 200 with a key row per
+// input row and a state object per group.
 const (
-	keyedSemiJoinMaxAllocsPerOp = 265
-	keyedJoinMaxAllocsPerOp     = 161
-	keyedAggMaxAllocsPerOp      = 145
+	keyedSemiJoinMaxAllocsPerOp = 90
+	keyedJoinMaxAllocsPerOp     = 101
+	keyedAggMaxAllocsPerOp      = 41
 )
 
 // TestKeyedLookupAllocGuard fences the queries whose allocations used to
@@ -324,14 +332,14 @@ func TestParallelAllocGuard(t *testing.T) {
 	}
 }
 
-// One warm point fetch at an indexed table-backed source, measured when the
-// access-path step went in: 8 allocations — the fragment's runtime, the
-// compiled filter and the batch pipeline. Choosing and running the probe
-// must add none: positions, keys and row headers come from the query's
-// scratch. The same fetch by full scan also makes 8, since a heap snapshot
-// allocates nothing, so this guard cannot tell a bypassed probe;
-// TestAccessPathsMatchFullScan's fed-rows check does.
-const pointFetchMaxAllocsPerOp = 8
+// One warm point fetch at an indexed table-backed source: 3 allocations, the
+// compiled filter, since the fragment's runtime and its batch pipeline come
+// from the query scratch (8 when the access-path step went in). Choosing
+// and running the probe must add none: positions, keys and row headers come
+// from the query's scratch. The same fetch by full scan also makes 3, since
+// a heap snapshot allocates nothing, so this guard cannot tell a bypassed
+// probe; TestAccessPathsMatchFullScan's fed-rows check does.
+const pointFetchMaxAllocsPerOp = 3
 
 func TestPointFetchAllocGuard(t *testing.T) {
 	if testing.Short() {
@@ -365,10 +373,11 @@ func TestPointFetchAllocGuard(t *testing.T) {
 const sourceAggSQL = `SELECT cust_id, COUNT(*), SUM(amount) FROM billing.invoices GROUP BY cust_id`
 
 // Budgets for that aggregate's fragment at the source, per fetch with a
-// warm query scratch: 24 allocs and 1.7 KB measured (x86-64), so the
-// measured allocs plus 5, and 64 KB.
+// warm query scratch: 7 allocs and 168 B measured (x86-64; 24 and 1.7 KB
+// before the fragment's operators came from the scratch), so the measured
+// allocs plus 5, and 64 KB.
 const (
-	sourceAggMaxAllocsPerOp = 29
+	sourceAggMaxAllocsPerOp = 12
 	sourceAggMaxBytesPerOp  = 64 << 10
 )
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Packages whose allocators hand out query-lifetime memory. The analyzer
@@ -27,8 +26,12 @@ const execPkgPath = "repro/internal/exec"
 //     sqlparse.Arena, plan bind slabs, or exec.Scratch dies at the engine's
 //     PutArena/scratch release on query exit; a store that outlives the
 //     query dangles into recycled slab blocks. A value is arena-backed when
-//     it comes from a producer call or from a local that holds one. Copy to
-//     the heap at the boundary (the engine block-clones result rows).
+//     it comes from a producer call or from a local that holds one, and it
+//     remembers its allocator (the producer's arena or scratch operand). A
+//     store into a field of an object from the same allocator is not a
+//     retention — an operator built by exec.New holding its scratch-built
+//     input dies with it. Copy to the heap at the boundary (the engine
+//     block-clones result rows).
 //   - Batch aliasing. The E14 batch validity contract says a batch returned
 //     by NextBatch is only valid until the next NextBatch/Close on the same
 //     iterator — operators reuse the container. Retaining one beyond that
@@ -49,9 +52,10 @@ func runRetain(p *Pass) {
 		return
 	}
 	for _, f := range p.Files {
-		// Objects are unique per declaration, so one taint set serves
-		// every function in the file; it is filled in source order.
-		tainted := make(map[types.Object]bool)
+		// Objects are unique per declaration, so one taint map serves
+		// every function in the file; it is filled in source order and
+		// maps each arena-backed local to its allocator.
+		tainted := make(map[types.Object]string)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.AssignStmt:
@@ -68,7 +72,7 @@ func runRetain(p *Pass) {
 							typ, fromTuple = tup.At(i).Type(), true
 						}
 					}
-					arena := p.arenaBacked(tainted, val)
+					arena := p.origin(tainted, val)
 					// A local carries taint forward (a clean reassignment
 					// clears it); it dies with the frame, so never retains.
 					if id, ok := dst.(*ast.Ident); ok {
@@ -78,13 +82,16 @@ func runRetain(p *Pass) {
 						}
 					}
 					if sink := p.sink(dst); sink != "" {
+						// A field of an object from the same allocator
+						// shares the value's lifetime.
+						sameOwner := arena != "" && p.ownerOrigin(tainted, dst) == arena
 						borrowed := isBatchType(typ) && (fromTuple || p.aliasesBatch(f, dst, val))
-						p.reportRetained(st, sink, arena, borrowed)
+						p.reportRetained(st, sink, arena != "" && !sameOwner, borrowed)
 					}
 				}
 			case *ast.SendStmt:
 				borrowed := isBatchType(p.TypeOf(st.Value)) && p.aliasesBatch(f, st.Chan, st.Value)
-				p.reportRetained(st, "a channel", p.arenaBacked(tainted, st.Value), borrowed)
+				p.reportRetained(st, "a channel", p.origin(tainted, st.Value) != "", borrowed)
 			}
 			return true
 		})
@@ -133,85 +140,128 @@ func isPackageLevel(v *types.Var) bool {
 
 // --- Arena/scratch provenance ---
 
-// arenaBacked reports whether e is a producer call or reads a tracked
-// arena-backed local.
-func (p *Pass) arenaBacked(tainted map[types.Object]bool, e ast.Expr) bool {
-	return p.arenaProducer(e) || p.taintedExpr(tainted, e)
+// origin returns the allocator whose memory e holds — the source text of a
+// producer call's arena or scratch operand, or the allocator a tainted
+// local carries — and "" when e is not arena-backed.
+func (p *Pass) origin(tainted map[types.Object]string, e ast.Expr) string {
+	if o := p.producer(e); o != "" {
+		return o
+	}
+	return p.taintOf(tainted, e)
 }
 
-// taintedExpr reports whether e reads a tracked arena-backed local,
+// taintOf returns the allocator of the tracked arena-backed local e reads,
 // directly or through a slice/index/field/conversion of one.
-func (p *Pass) taintedExpr(tainted map[types.Object]bool, e ast.Expr) bool {
+func (p *Pass) taintOf(tainted map[types.Object]string, e ast.Expr) string {
 	switch x := e.(type) {
 	case *ast.Ident:
-		obj := p.objectOf(x)
-		return obj != nil && tainted[obj]
+		if obj := p.objectOf(x); obj != nil {
+			return tainted[obj]
+		}
 	case *ast.IndexExpr:
-		return p.taintedExpr(tainted, x.X)
+		return p.taintOf(tainted, x.X)
 	case *ast.SliceExpr:
-		return p.taintedExpr(tainted, x.X)
+		return p.taintOf(tainted, x.X)
 	case *ast.SelectorExpr:
-		return p.taintedExpr(tainted, x.X)
+		return p.taintOf(tainted, x.X)
 	case *ast.CallExpr:
 		// A conversion keeps the backing memory: datum.Row(scratchSlice).
 		if tv, ok := p.Info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {
-			return p.taintedExpr(tainted, x.Args[0])
+			return p.taintOf(tainted, x.Args[0])
 		}
 	case *ast.ParenExpr:
-		return p.taintedExpr(tainted, x.X)
+		return p.taintOf(tainted, x.X)
 	case *ast.StarExpr:
-		return p.taintedExpr(tainted, x.X)
+		return p.taintOf(tainted, x.X)
 	}
-	return false
+	return ""
 }
 
-// arenaProducer reports whether e is a call that returns arena- or
-// scratch-backed memory: sqlparse.ParseArena, plan.BindParamsIn (arena
-// mode shares the statement's lifetime either way), exec's scratch-backed
-// drains, any Make* method on exec.Scratch, New/Make/Copy on arena.Slab,
-// and any allocating method on sqlparse.Arena.
-func (p *Pass) arenaProducer(e ast.Expr) bool {
+// ownerOrigin returns the allocator of the object whose field dst writes,
+// "" when that object is not arena-backed (a heap object, a parameter)
+// or dst is no field.
+func (p *Pass) ownerOrigin(tainted map[types.Object]string, dst ast.Expr) string {
+	switch x := dst.(type) {
+	case *ast.SelectorExpr:
+		if sel, ok := p.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+			return p.origin(tainted, x.X)
+		}
+	case *ast.IndexExpr:
+		return p.ownerOrigin(tainted, x.X)
+	case *ast.StarExpr:
+		return p.ownerOrigin(tainted, x.X)
+	}
+	return ""
+}
+
+// producer reports the allocator operand of e when e is a call that
+// returns arena- or scratch-backed memory: sqlparse.ParseArena,
+// plan.BindParamsIn (arena mode shares the statement's lifetime either
+// way), exec.DrainBatchesScratch, exec's generic New and Make (called
+// qualified, or bare inside exec), New/Make/Copy on arena.Slab, and any
+// allocating method on sqlparse.Arena. It returns "" for any other
+// expression.
+func (p *Pass) producer(e ast.Expr) string {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
-		return false
+		return ""
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	name := sel.Sel.Name
-	// Package-qualified producers.
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if pn, ok := p.objectOf(id).(*types.PkgName); ok {
-			switch pn.Imported().Path() {
-			case sqlparsePkgPath:
-				return name == "ParseArena"
-			case "repro/internal/plan":
-				return name == "BindParamsIn"
-			case execPkgPath:
-				return name == "DrainBatchesScratch"
-			}
-			return false
+	operand := func(i int) string {
+		if i < len(call.Args) {
+			return types.ExprString(call.Args[i])
 		}
+		return "?"
 	}
-	// Method producers, by receiver type.
+	fun := call.Fun
+	switch f := fun.(type) { // an explicit instantiation: exec.Make[datum.Row](s, n)
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	var name *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		name = f
+	case *ast.SelectorExpr:
+		name = f.Sel
+	default:
+		return ""
+	}
+	fn, ok := p.objectOf(name).(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return ""
+	}
+	if fn.Type().(*types.Signature).Recv() == nil {
+		switch fn.Pkg().Path() + "." + fn.Name() {
+		case sqlparsePkgPath + ".ParseArena", "repro/internal/plan.BindParamsIn",
+			execPkgPath + ".New", execPkgPath + ".Make":
+			return operand(0)
+		case execPkgPath + ".DrainBatchesScratch":
+			return operand(1)
+		}
+		return ""
+	}
+	// Method producers, by receiver type; the receiver is the allocator.
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
 	recv := p.TypeOf(sel.X)
-	if recv == nil {
-		return false
-	}
-	if rn, ok := namedFrom(recv, execPkgPath); ok && rn == "Scratch" {
-		return strings.HasPrefix(name, "Make")
-	}
-	if rn, ok := namedFrom(recv, arenaPkgPath); ok && rn == "Slab" {
-		return name == "New" || name == "Make" || name == "Copy"
+	if rn, ok := namedFrom(recv, arenaPkgPath); ok && rn == "Slab" &&
+		(fn.Name() == "New" || fn.Name() == "Make" || fn.Name() == "Copy") {
+		return types.ExprString(sel.X)
 	}
 	if rn, ok := namedFrom(recv, sqlparsePkgPath); ok && rn == "Arena" {
 		// RenderSQL returns a fresh string; everything else allocating
 		// on the arena shares its lifetime.
-		return name != "Reset" && name != "Bytes" && name != "RenderSQL" &&
-			name != "Ext" && name != "SetExt"
+		switch fn.Name() {
+		case "Reset", "Bytes", "RenderSQL", "Ext", "SetExt":
+			return ""
+		}
+		return types.ExprString(sel.X)
 	}
-	return false
+	return ""
 }
 
 // --- Batch aliasing ---

@@ -30,7 +30,7 @@ func (h *holder) hitFieldStoreParse(a *sqlparse.Arena, sql string) error {
 }
 
 func (h *holder) hitDirectFieldStore(s *exec.Scratch) {
-	h.cells = s.MakeDatums(8) // want "storing an arena-backed value into struct field \"cells\""
+	h.cells = exec.Make[datum.Datum](s, 8) // want "storing an arena-backed value into struct field \"cells\""
 }
 
 func (h *holder) hitBoundPlanStore(a *sqlparse.Arena, n plan.Node, params []datum.Datum) error {
@@ -57,7 +57,7 @@ func hitChannelSend(it exec.BatchIterator, s *exec.Scratch) error {
 }
 
 func (h *holder) hitSlicedScratchStore(s *exec.Scratch) {
-	rows := s.MakeRows(16)
+	rows := exec.Make[datum.Row](s, 16)
 	h.rows = rows[:4] // want "storing an arena-backed value into struct field \"rows\""
 }
 
@@ -102,5 +102,5 @@ func missHeapCopy(it exec.BatchIterator, s *exec.Scratch, h *holder) error {
 
 func (h *holder) ignoreOwnedContainer(s *exec.Scratch) {
 	//lint:ignore retain holder is itself per-query state released before PutArena
-	h.cells = s.MakeDatums(8)
+	h.cells = exec.Make[datum.Datum](s, 8)
 }

@@ -26,18 +26,24 @@ type BatchIterator interface {
 }
 
 // sliceBatchIter serves a materialized row slice in batch-sized windows
-// without copying.
+// without copying. newSliceBatchIter draws it from the query scratch; the
+// operators that materialize their output hold one by value.
 type sliceBatchIter struct {
 	rows []datum.Row
 	pos  int
 	size int
 }
 
-func newSliceBatchIter(rows []datum.Row, size int) *sliceBatchIter {
+func newSliceBatchIter(s *Scratch, rows []datum.Row, size int) *sliceBatchIter {
+	return New(s, windows(rows, size))
+}
+
+// windows serves rows size at a time (DefaultBatchSize when size <= 0).
+func windows(rows []datum.Row, size int) sliceBatchIter {
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	return &sliceBatchIter{rows: rows, size: size}
+	return sliceBatchIter{rows: rows, size: size}
 }
 
 func (s *sliceBatchIter) NextBatch() (Batch, error) {
@@ -96,7 +102,7 @@ func growRows(s *Scratch, rows []datum.Row, extra int) []datum.Row {
 	if s == nil || need <= cap(rows) {
 		return rows
 	}
-	grown := s.MakeRows(max(2*cap(rows), need, 64))[:len(rows)]
+	grown := Make[datum.Row](s, max(2*cap(rows), need, 64))[:len(rows)]
 	copy(grown, rows)
 	return grown
 }

@@ -167,14 +167,15 @@ func buildBatch(ctx context.Context, n plan.Node, rt Runtime, opts Options, over
 	}
 	// Memory charging, cancellation checks, batch counting and the
 	// per-operator record share one fused wrapper — the only decorator an
-	// operator boundary ever gets: every boundary pays for it, so separate
-	// decorator allocations per operator would show up directly in the
-	// per-query allocation budget.
+	// operator boundary ever gets. Every boundary pays for it, so it comes
+	// from the query scratch like the operator it wraps: a guard costs the
+	// heap nothing, and its OpCard, which the ledger lists by pointer, lives
+	// exactly as long as the query that reads it.
 	cancellable := ctx.Done() != nil // context-free leaves skip the per-batch check
 	if opts.Memory == nil && !cancellable && opts.Stats == nil && opts.Cards == nil {
 		return it, nil
 	}
-	g := &guardBatchIter{in: it, mem: opts.Memory, stats: opts.Stats}
+	g := New(opts.Scratch, guardBatchIter{in: it, mem: opts.Memory, stats: opts.Stats})
 	if cancellable {
 		g.ctx = ctx
 	}
@@ -287,32 +288,38 @@ func (g *guardBatchIter) Close() {
 // buildNode compiles one plan node over its built inputs. Building is
 // lazy except for fetches, which happen here; a unary operator pulls
 // nothing until it is pulled, so it hands overlap down to its input.
+//
+// Every operator object — iterator, compiled-function slice, window —
+// comes from opts.Scratch through New and Make. No closure here may
+// capture opts: one that did would move buildNode's Options to the heap on
+// every call, an allocation per operator built. The goroutine-spawning
+// branches go through prefetchRemote and prefetchInput instead, and the
+// exchange closures capture only what they use (`make escape` fences it).
 func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overlap bool) (BatchIterator, error) {
+	s := opts.Scratch
 	switch x := n.(type) {
 	case *plan.Scan:
 		if x.Source == "" && x.Table == "" {
 			// FROM-less select: one empty row.
-			return newSliceBatchIter([]datum.Row{{}}, opts.batchSize()), nil
+			return newSliceBatchIter(s, []datum.Row{{}}, opts.batchSize()), nil
 		}
 		rows, err := rt.ScanTable(ctx, x)
 		if err != nil {
 			return nil, err
 		}
-		return newSliceBatchIter(rows, opts.batchSize()), nil
+		return newSliceBatchIter(s, rows, opts.batchSize()), nil
 
 	case *plan.Remote:
 		if opts.Parallel && overlap {
 			// The fetch starts now and overlaps the sibling built next;
 			// the fetched slice is parked as is.
-			return prefetchBatches(ctx, opts.Stats, opts.batchSize(), func() ([]datum.Row, error) {
-				return FetchRemote(ctx, rt, opts, x.Source, x.Child)
-			}), nil
+			return prefetchRemote(ctx, rt, opts, x), nil
 		}
 		rows, err := FetchRemote(ctx, rt, opts, x.Source, x.Child)
 		if err != nil {
 			return nil, err
 		}
-		return newSliceBatchIter(rows, opts.batchSize()), nil
+		return newSliceBatchIter(s, rows, opts.batchSize()), nil
 
 	case *plan.Filter:
 		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
@@ -326,31 +333,29 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		}
 		if deg := opts.workers(x.Parallel); deg > 1 {
 			opts.Stats.noteParallelism(deg)
-			return newExchange(ctx, opts.Scratch, in, deg, func(_ int, b Batch) (Batch, error) {
-				return FilterBatch(pred, b, Batch(opts.Scratch.MakeRows(len(b)))[:0])
+			return newExchange(ctx, s, in, deg, func(_ int, b Batch) (Batch, error) {
+				return FilterBatch(pred, b, Batch(Make[datum.Row](s, len(b)))[:0])
 			}), nil
 		}
-		return &filterBatchIter{in: in, pred: pred, scratch: opts.Scratch}, nil
+		return New(s, filterBatchIter{in: in, pred: pred, scratch: s}), nil
 
 	case *plan.Project:
 		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
-		fns := make([]EvalFunc, len(x.Exprs))
-		for i, e := range x.Exprs {
-			if fns[i], err = Compile(e, x.Input.Columns()); err != nil {
-				in.Close()
-				return nil, err
-			}
+		fns, err := compileAll(s, x.Exprs, x.Input.Columns())
+		if err != nil {
+			in.Close()
+			return nil, err
 		}
 		if deg := opts.workers(x.Parallel); deg > 1 {
 			opts.Stats.noteParallelism(deg)
-			return newExchange(ctx, opts.Scratch, in, deg, func(_ int, b Batch) (Batch, error) {
-				return projectBatch(opts.Scratch, fns, b, Batch(opts.Scratch.MakeRows(len(b)))[:0])
+			return newExchange(ctx, s, in, deg, func(_ int, b Batch) (Batch, error) {
+				return projectBatch(s, fns, b, Batch(Make[datum.Row](s, len(b)))[:0])
 			}), nil
 		}
-		return &projectBatchIter{in: in, exprs: fns, scratch: opts.Scratch}, nil
+		return New(s, projectBatchIter{in: in, exprs: fns, scratch: s}), nil
 
 	case *plan.Join:
 		return buildJoin(ctx, x, rt, opts, overlap)
@@ -361,14 +366,12 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 			return nil, err
 		}
 		inCols := x.Input.Columns()
-		groupFns := make([]EvalFunc, len(x.GroupBy))
-		for i, g := range x.GroupBy {
-			if groupFns[i], err = Compile(g, inCols); err != nil {
-				in.Close()
-				return nil, err
-			}
+		groupFns, err := compileAll(s, x.GroupBy, inCols)
+		if err != nil {
+			in.Close()
+			return nil, err
 		}
-		argFns := make([]EvalFunc, len(x.Aggs))
+		argFns := Make[EvalFunc](s, len(x.Aggs))
 		for i, sp := range x.Aggs {
 			if sp.Star {
 				continue
@@ -378,22 +381,21 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 				return nil, err
 			}
 		}
-		return &aggregateBatchIter{
+		return New(s, aggregateBatchIter{
 			in: in, groupFns: groupFns, specs: x.Aggs, argFns: argFns,
 			groups:  x.Groups,
 			degree:  opts.workers(x.Parallel),
 			size:    opts.batchSize(),
 			stats:   opts.Stats,
-			scratch: opts.Scratch,
-		}, nil
+			scratch: s,
+		}), nil
 
 	case *plan.Sort:
 		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
-		keys := make([]EvalFunc, len(x.Keys))
-		desc := make([]bool, len(x.Keys))
+		keys, desc := Make[EvalFunc](s, len(x.Keys)), Make[bool](s, len(x.Keys))
 		for i, k := range x.Keys {
 			if keys[i], err = Compile(k.Expr, x.Input.Columns()); err != nil {
 				in.Close()
@@ -401,37 +403,28 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 			}
 			desc[i] = k.Desc
 		}
-		return &sortBatchIter{in: in, keys: keys, desc: desc, size: opts.batchSize(), scratch: opts.Scratch}, nil
+		return New(s, sortBatchIter{in: in, keys: keys, desc: desc, size: opts.batchSize(), scratch: s}), nil
 
 	case *plan.Limit:
 		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
-		return &limitBatchIter{in: in, count: x.Count, offset: x.Offset}, nil
+		return New(s, limitBatchIter{in: in, count: x.Count, offset: x.Offset}), nil
 
 	case *plan.Distinct:
 		in, err := buildBatch(ctx, x.Input, rt, opts, overlap)
 		if err != nil {
 			return nil, err
 		}
-		return &distinctBatchIter{in: in, scratch: opts.Scratch}, nil
+		return New(s, distinctBatchIter{in: in, scratch: s}), nil
 
 	case *plan.Union:
 		last := len(x.Inputs) - 1
-		inputs := make([]BatchIterator, len(x.Inputs))
+		inputs := Make[BatchIterator](s, len(x.Inputs))
 		for i, child := range x.Inputs {
 			if opts.Parallel && i < last {
-				// A later input is built next, so this one builds and
-				// drains its whole subtree on its own goroutine meanwhile,
-				// into the query scratch the prefetch holds.
-				inputs[i] = prefetchBatches(ctx, opts.Stats, opts.batchSize(), func() ([]datum.Row, error) {
-					it, err := BuildBatch(ctx, child, rt, opts)
-					if err != nil {
-						return nil, err
-					}
-					return DrainBatchesScratch(it, opts.Scratch)
-				})
+				inputs[i] = prefetchInput(ctx, rt, opts, child)
 				continue
 			}
 			in, err := buildBatch(ctx, child, rt, opts, i < last || overlap)
@@ -443,19 +436,62 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 			}
 			inputs[i] = in
 		}
-		return &unionBatchIter{inputs: inputs}, nil
+		return New(s, unionBatchIter{inputs: inputs}), nil
 
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
 }
 
+// prefetchRemote starts x's fetch on a goroutine of its own, to overlap
+// the sibling built next (see Options.Parallel).
+func prefetchRemote(ctx context.Context, rt Runtime, opts Options, x *plan.Remote) BatchIterator {
+	return prefetchBatches(ctx, opts.Stats, opts.batchSize(), func() ([]datum.Row, error) {
+		return FetchRemote(ctx, rt, opts, x.Source, x.Child)
+	})
+}
+
+// prefetchInput builds and drains a union input on a goroutine of its own
+// while the later inputs build, into the query scratch the prefetch holds.
+func prefetchInput(ctx context.Context, rt Runtime, opts Options, child plan.Node) BatchIterator {
+	return prefetchBatches(ctx, opts.Stats, opts.batchSize(), func() ([]datum.Row, error) {
+		it, err := BuildBatch(ctx, child, rt, opts)
+		if err != nil {
+			return nil, err
+		}
+		return DrainBatchesScratch(it, opts.Scratch)
+	})
+}
+
+// compileAll compiles exprs against cols into one function slice from s.
+func compileAll(s *Scratch, exprs []sqlparse.Expr, cols []plan.ColMeta) ([]EvalFunc, error) {
+	fns := Make[EvalFunc](s, len(exprs))
+	for i, e := range exprs {
+		f, err := Compile(e, cols)
+		if err != nil {
+			return nil, err
+		}
+		fns[i] = f
+	}
+	return fns, nil
+}
+
 // buildJoin builds a join; overlap is the join's own (see buildBatch).
 func buildJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, overlap bool) (BatchIterator, error) {
-	// Semi-join reduction, where the optimizer hinted it: materialize the
-	// probe side, ship its distinct join keys into the reducible Remote.
+	// The condition is split once, into stack buffers, for both the
+	// semi-join planning and the join itself: equi-key pairs lk[i] = rk[i]
+	// and the residual predicate (nil when there is none). The residual
+	// travels apart from the key slices — bundled with them, its escape
+	// into Compile would move the buffers to the heap.
+	var leftBuf, rightBuf [4]sqlparse.Expr
+	var lk, rk []sqlparse.Expr
+	var residual sqlparse.Expr
 	if x.Cond != nil {
-		if it, ok, err := trySemiJoin(ctx, x, rt, opts); err != nil {
+		lk, rk, residual = plan.AppendEquiKeys(leftBuf[:0], rightBuf[:0], x.Cond, x.Left.Columns(), x.Right.Columns())
+		// Semi-join reduction, where the optimizer hinted it: materialize
+		// the probe side, ship its distinct join keys into the reducible
+		// Remote.
+		if it, ok, err := trySemiJoin(ctx, x, rt, opts, lk, rk, residual); err != nil {
 			return nil, err
 		} else if ok {
 			return it, nil
@@ -476,105 +512,75 @@ func buildJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, over
 		left.Close()
 		return nil, err
 	}
-	return assembleJoin(ctx, x, left, right, opts)
+	return assembleJoin(ctx, x, left, right, opts, lk, rk, residual)
 }
 
-// assembleJoin wires a hash or nested-loop join over already-built inputs.
-func assembleJoin(ctx context.Context, x *plan.Join, left, right BatchIterator, opts Options) (BatchIterator, error) {
-	var lk, rk []sqlparse.Expr
-	var residual sqlparse.Expr
-	if x.Cond != nil {
-		lk, rk, residual = plan.EquiKeys(x.Cond, x.Left.Columns(), x.Right.Columns())
-	}
-	return assembleJoinKeys(ctx, x, left, right, opts, lk, rk, residual)
-}
-
-// assembleJoinKeys is assembleJoin with the equi-key split already done —
-// trySemiJoin extracts the keys once for reduction planning and hands the
-// same split back here instead of re-deriving it.
-func assembleJoinKeys(ctx context.Context, x *plan.Join, left, right BatchIterator, opts Options, lk, rk []sqlparse.Expr, residual sqlparse.Expr) (BatchIterator, error) {
-	leftCols := x.Left.Columns()
-	rightCols := x.Right.Columns()
-	joinedCols := x.Columns()
+// assembleJoin wires a hash join (when the condition has equi-keys) or a
+// nested-loop join over already-built inputs, closing both on error.
+func assembleJoin(ctx context.Context, x *plan.Join, left, right BatchIterator, opts Options, lk, rk []sqlparse.Expr, residual sqlparse.Expr) (BatchIterator, error) {
+	s := opts.Scratch
 	leftJoin := x.Type == sqlparse.JoinLeft
-
-	if x.Cond != nil {
-		if len(lk) > 0 {
-			h := &hashJoinBatchIter{
-				ctx:  ctx,
-				left: left, right: right,
-				leftJoin:   leftJoin,
-				rightArity: len(rightCols),
-				degree:     opts.workers(x.Parallel),
-				stats:      opts.Stats,
-				scratch:    opts.Scratch,
+	rightArity := len(x.Right.Columns())
+	var err error
+	if len(lk) > 0 {
+		h := hashJoinBatchIter{
+			ctx:  ctx,
+			left: left, right: right,
+			leftJoin:   leftJoin,
+			rightArity: rightArity,
+			degree:     opts.workers(x.Parallel),
+			stats:      opts.Stats,
+			scratch:    s,
+		}
+		if h.leftKeys, err = compileAll(s, lk, x.Left.Columns()); err == nil {
+			if h.rightKeys, err = compileAll(s, rk, x.Right.Columns()); err == nil && residual != nil {
+				h.residual, err = Compile(residual, x.Columns())
 			}
-			for _, e := range lk {
-				f, err := Compile(e, leftCols)
-				if err != nil {
-					h.Close()
-					return nil, err
-				}
-				h.leftKeys = append(h.leftKeys, f)
-			}
-			for _, e := range rk {
-				f, err := Compile(e, rightCols)
-				if err != nil {
-					h.Close()
-					return nil, err
-				}
-				h.rightKeys = append(h.rightKeys, f)
-			}
-			if residual != nil {
-				var err error
-				if h.residual, err = Compile(residual, joinedCols); err != nil {
-					h.Close()
-					return nil, err
-				}
-			}
-			return h, nil
+		}
+		if err == nil {
+			return New(s, h), nil
+		}
+	} else {
+		nl := nestedLoopBatchIter{
+			left: left, right: right,
+			leftJoin: leftJoin, rightArity: rightArity,
+			size: opts.batchSize(), scratch: s,
+		}
+		if x.Cond != nil {
+			nl.cond, err = Compile(x.Cond, x.Columns())
+		}
+		if err == nil {
+			return New(s, nl), nil
 		}
 	}
-	nl := &nestedLoopBatchIter{
-		left: left, right: right,
-		leftJoin: leftJoin, rightArity: len(rightCols),
-		size: opts.batchSize(), scratch: opts.Scratch,
-	}
-	if x.Cond != nil {
-		var err error
-		if nl.cond, err = Compile(x.Cond, joinedCols); err != nil {
-			nl.Close()
-			return nil, err
-		}
-	}
-	return nl, nil
+	left.Close()
+	right.Close()
+	return nil, err
 }
 
 // trySemiJoin executes a join the optimizer hinted for semi-join
 // reduction: the probe side is materialized, its distinct join keys ship to
 // the reducible side's source as an IN-list, and only matching rows come
 // back. It returns ok=false (and no error) when the hint does not apply
-// after all, in which case the caller runs the regular join.
-func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (BatchIterator, bool, error) {
-	if x.SemiJoin == plan.SemiJoinNone {
+// after all, in which case the caller runs the regular join. The reduced
+// fetch's Filter and predicate come from the query scratch: the source
+// reads them during the fetch, and the ledger and tracer only until the
+// query ends.
+func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, lk, rk []sqlparse.Expr, residual sqlparse.Expr) (BatchIterator, bool, error) {
+	if x.SemiJoin == plan.SemiJoinNone || len(lk) == 0 {
 		return nil, false, nil
 	}
+	s := opts.Scratch
 	reduceRight := x.SemiJoin == plan.SemiJoinReduceRight
 	probeNode, reduceNode := x.Left, x.Right
+	probeKeys, reduceKeys := lk, rk
 	if !reduceRight {
 		probeNode, reduceNode = x.Right, x.Left
+		probeKeys, reduceKeys = rk, lk
 	}
 	remote, isRemote := reduceNode.(*plan.Remote)
 	if !isRemote || !remote.AllowKeyFilter {
 		return nil, false, nil
-	}
-	lk, rk, residual := plan.EquiKeys(x.Cond, x.Left.Columns(), x.Right.Columns())
-	if len(lk) == 0 {
-		return nil, false, nil
-	}
-	probeKeys, reduceKeys := lk, rk
-	if !reduceRight {
-		probeKeys, reduceKeys = rk, lk
 	}
 	// Pick the first key pair whose reducible side is a plain column of
 	// the remote subtree — that is what the shipped IN-list filters on.
@@ -595,16 +601,6 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 		return nil, false, nil
 	}
 
-	// assemble wires the probe rows and the (reduced or full) fetch back
-	// into the join's original left/right orientation.
-	assemble := func(probeRows []datum.Row, reducedIt BatchIterator) (BatchIterator, error) {
-		probe := newSliceBatchIter(probeRows, opts.batchSize())
-		if reduceRight {
-			return assembleJoinKeys(ctx, x, probe, reducedIt, opts, lk, rk, residual)
-		}
-		return assembleJoinKeys(ctx, x, reducedIt, probe, opts, lk, rk, residual)
-	}
-
 	// Materialize the probe side and collect its distinct key values. It is
 	// drained at once, so its fetches run on this goroutine: nothing is
 	// built meanwhile that they could overlap.
@@ -612,7 +608,7 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 	if err != nil {
 		return nil, false, err
 	}
-	probeRows, err := DrainBatchesScratch(probeIt, opts.Scratch)
+	probeRows, err := DrainBatchesScratch(probeIt, s)
 	if err != nil {
 		return nil, false, err
 	}
@@ -620,48 +616,53 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options) (B
 	if err != nil {
 		return nil, false, err
 	}
-	keys, fits, err := distinctKeys(opts.Scratch, probeRows, keyFn)
+	set, fits, err := distinctKeys(s, probeRows, keyFn)
 	if err != nil {
 		return nil, false, err
 	}
-	var reduced plan.Node
-	switch {
-	case !fits:
+	var fetched BatchIterator
+	if !fits {
 		// Too many distinct keys even for a bloom filter; run the regular
 		// join over the already-materialized probe side, the one input
 		// left to fetch.
-		full, err := BuildBatch(ctx, reduceNode, rt, opts)
+		if fetched, err = BuildBatch(ctx, reduceNode, rt, opts); err != nil {
+			return nil, false, err
+		}
+	} else {
+		var cond sqlparse.Expr
+		switch {
+		case len(set.vals) == 0:
+			// No joinable keys on the probe side: nothing can match, so
+			// fetch nothing. (SQL IN () is invalid; use a FALSE filter.)
+			cond = New(s, sqlparse.Literal{Value: datum.NewBool(false)})
+		case len(set.vals) <= opts.maxKeys():
+			cond = New(s, sqlparse.InExpr{Child: reduceRef, List: literalList(s, set.vals)})
+		default:
+			// Past the exact-list cap, summarize the keys into a bloom
+			// filter instead of abandoning reduction: ~10 bits/key on the
+			// wire, no false negatives, and the handful of false-positive
+			// rows that come back are dropped by the join's own key
+			// equality check in assembleJoin.
+			f := bloom.New(len(set.vals), bloom.DefaultFPRate, bloom.DefaultSeed)
+			for _, h := range set.hashes() {
+				f.Add(h)
+			}
+			cond = New(s, sqlparse.KeyFilterExpr{Child: reduceRef, Set: f})
+		}
+		reduced := New(s, plan.Filter{Input: remote.Child, Cond: cond})
+		rows, err := FetchRemote(ctx, rt, opts, remote.Source, reduced)
 		if err != nil {
 			return nil, false, err
 		}
-		it, err := assemble(probeRows, full)
-		return it, err == nil, err
-	case len(keys.vals) == 0:
-		// No joinable keys on the probe side: nothing can match, so
-		// fetch nothing. (SQL IN () is invalid; use a FALSE filter.)
-		reduced = &plan.Filter{Input: remote.Child,
-			Cond: &sqlparse.Literal{Value: datum.NewBool(false)}}
-	case len(keys.vals) <= opts.maxKeys():
-		reduced = &plan.Filter{Input: remote.Child,
-			Cond: &sqlparse.InExpr{Child: reduceRef, List: literalList(keys.vals)}}
-	default:
-		// Past the exact-list cap, summarize the keys into a bloom
-		// filter instead of abandoning reduction: ~10 bits/key on the
-		// wire, no false negatives, and the handful of false-positive
-		// rows that come back are dropped by the join's own key
-		// equality check in assembleJoinKeys.
-		f := bloom.New(len(keys.vals), bloom.DefaultFPRate, bloom.DefaultSeed)
-		for _, h := range keys.hashes() {
-			f.Add(h)
-		}
-		reduced = &plan.Filter{Input: remote.Child,
-			Cond: &sqlparse.KeyFilterExpr{Child: reduceRef, Set: f}}
+		fetched = newSliceBatchIter(s, rows, opts.batchSize())
 	}
-	reducedRows, err := FetchRemote(ctx, rt, opts, remote.Source, reduced)
-	if err != nil {
-		return nil, false, err
+	// Wire the probe rows and the fetch back into the join's original
+	// left/right orientation.
+	var left, right BatchIterator = newSliceBatchIter(s, probeRows, opts.batchSize()), fetched
+	if !reduceRight {
+		left, right = right, left
 	}
-	it, err := assemble(probeRows, newSliceBatchIter(reducedRows, opts.batchSize()))
+	it, err := assembleJoin(ctx, x, left, right, opts, lk, rk, residual)
 	return it, err == nil, err
 }
 
@@ -695,10 +696,9 @@ func distinctKeys(s *Scratch, rows []datum.Row, keyFn EvalFunc) (keys datumSet, 
 }
 
 // literalList renders vals as the item list of an IN expression: one
-// backing array of literals, not one allocation per key.
-func literalList(vals []datum.Datum) []sqlparse.Expr {
-	lits := make([]sqlparse.Literal, len(vals))
-	list := make([]sqlparse.Expr, len(vals))
+// backing array of literals from s, not one allocation per key.
+func literalList(s *Scratch, vals []datum.Datum) []sqlparse.Expr {
+	lits, list := Make[sqlparse.Literal](s, len(vals)), Make[sqlparse.Expr](s, len(vals))
 	for i, v := range vals {
 		lits[i].Value = v
 		list[i] = &lits[i]

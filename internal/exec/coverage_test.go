@@ -155,7 +155,7 @@ func TestPrefetchDeliversRows(t *testing.T) {
 
 func TestLimitOffsetOnly(t *testing.T) {
 	rows := []datum.Row{{datum.NewInt(1)}, {datum.NewInt(2)}, {datum.NewInt(3)}}
-	it := &limitBatchIter{in: newSliceBatchIter(rows, 2), count: -1, offset: 2}
+	it := &limitBatchIter{in: newSliceBatchIter(nil, rows, 2), count: -1, offset: 2}
 	out, err := DrainBatches(it)
 	if err != nil || len(out) != 1 || out[0][0].Int() != 3 {
 		t.Errorf("offset-only limit = %v %v", out, err)
@@ -234,7 +234,7 @@ func TestSortMultiKeyMixedDirections(t *testing.T) {
 	}
 	keyA := compile(t, "a", cols)
 	keyB := compile(t, "b", cols)
-	it := &sortBatchIter{in: newSliceBatchIter(rows, 2), keys: []EvalFunc{keyA, keyB}, desc: []bool{false, true}}
+	it := &sortBatchIter{in: newSliceBatchIter(nil, rows, 2), keys: []EvalFunc{keyA, keyB}, desc: []bool{false, true}}
 	out, err := DrainBatches(it)
 	if err != nil {
 		t.Fatal(err)

@@ -832,7 +832,7 @@ func FilterBatch(pred EvalFunc, in Batch, dst Batch) (Batch, error) {
 // row: the rows live exactly as long as the query, which is all
 // downstream retention ever needs.
 func projectBatch(s *Scratch, exprs []EvalFunc, in Batch, dst Batch) (Batch, error) {
-	arena := s.MakeDatums(len(exprs) * len(in))
+	arena := Make[datum.Datum](s, len(exprs)*len(in))
 	for _, r := range in {
 		row := arena[:len(exprs):len(exprs)]
 		arena = arena[len(exprs):]

@@ -34,9 +34,9 @@ func newKeyIndex(s *Scratch, capacity int) keyIndex {
 		log = uint(bits.Len(uint(capacity - 1)))
 	}
 	return keyIndex{
-		head:   s.MakeInt32s(1 << log),
-		next:   s.MakeInt32s(capacity),
-		hashes: s.MakeUint64s(capacity),
+		head:   Make[int32](s, 1<<log),
+		next:   Make[int32](s, capacity),
+		hashes: Make[uint64](s, capacity),
 		shift:  64 - log,
 	}
 }
@@ -128,7 +128,7 @@ type datumSet struct {
 }
 
 func newDatumSet(s *Scratch, capacity int) datumSet {
-	return datumSet{ix: newKeyIndex(s, capacity), vals: s.MakeDatums(capacity)[:0]}
+	return datumSet{ix: newKeyIndex(s, capacity), vals: Make[datum.Datum](s, capacity)[:0]}
 }
 
 // contains reports whether v, whose hash is h, equals a member. Equal
@@ -198,7 +198,7 @@ const (
 // newGroupTable returns an empty table sized for estimate groups (0:
 // unknown), its arrays drawn from s.
 func newGroupTable(s *Scratch, nkeys int, specs []plan.AggSpec, estimate int) *groupTable {
-	t := &groupTable{s: s, nkeys: nkeys, specs: specs}
+	t := New(s, groupTable{s: s, nkeys: nkeys, specs: specs})
 	switch {
 	case estimate <= 0:
 		estimate = defaultGroups
@@ -217,9 +217,9 @@ func (t *groupTable) grow(capacity int) {
 		ix:        t.ix.rehashed(s, capacity),
 		nkeys:     t.nkeys,
 		specs:     t.specs,
-		keys:      append(s.MakeDatums(capacity * t.nkeys)[:0], t.keys...),
-		firstSeen: append(s.MakeInt32s(capacity)[:0], t.firstSeen...),
-		cells:     append(s.MakeAggCells(capacity * len(t.specs))[:0], t.cells...),
+		keys:      append(Make[datum.Datum](s, capacity*t.nkeys)[:0], t.keys...),
+		firstSeen: append(Make[int32](s, capacity)[:0], t.firstSeen...),
+		cells:     append(Make[aggCell](s, capacity*len(t.specs))[:0], t.cells...),
 		distinct:  t.distinct,
 	}
 }
@@ -349,8 +349,8 @@ func finalizeGroups(s *Scratch, tables ...*groupTable) ([]datum.Row, error) {
 		total += t.len()
 	}
 	width := tables[0].nkeys + len(tables[0].specs)
-	out := s.MakeRows(total)[:0]
-	arena := s.MakeDatums(total * width)[:0]
+	out := Make[datum.Row](s, total)[:0]
+	arena := Make[datum.Datum](s, total*width)[:0]
 	var posBuf [16]int // the merge cursors stay on the stack up to 16 partitions
 	pos := append(posBuf[:0], make([]int, len(tables))...)
 	for len(out) < total {

@@ -93,7 +93,7 @@ var inCols = []plan.ColMeta{{Table: "t", Name: "v"}, {Table: "t", Name: "w"}}
 // index squashed to one chain.
 func checkIn(t *testing.T, items []datum.Datum, not bool) {
 	t.Helper()
-	list := literalList(items)
+	list := literalList(nil, items)
 	child := &sqlparse.ColumnRef{Column: "v"}
 	compiled, err := Compile(&sqlparse.InExpr{Child: child, List: list, Not: not}, inCols)
 	if err != nil {
@@ -169,7 +169,7 @@ func TestInListManyKeysSmallTable(t *testing.T) {
 	for k := range vals {
 		vals[k] = datum.NewInt(int64(2 * k))
 	}
-	set, _ := newInSet(literalList(vals))
+	set, _ := newInSet(literalList(nil, vals))
 	hashes := set.ix.hashes
 	set.ix = keyIndex{head: make([]int32, 2), next: make([]int32, n), hashes: hashes, shift: 63}
 	for _, h := range hashes {
@@ -587,7 +587,7 @@ func BenchmarkInList(b *testing.B) {
 			for k := range keys {
 				keys[k] = datum.NewInt(int64(1 + k*(3000/n)))
 			}
-			pred, err := Compile(&sqlparse.InExpr{Child: &sqlparse.ColumnRef{Column: "cust_id"}, List: literalList(keys)}, cols)
+			pred, err := Compile(&sqlparse.InExpr{Child: &sqlparse.ColumnRef{Column: "cust_id"}, List: literalList(nil, keys)}, cols)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1015,7 +1015,7 @@ func TestWindowedAggregationStopsMidWindow(t *testing.T) {
 		} {
 			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
-			src := &midWindowIter{sliceBatchIter: *newSliceBatchIter(rows, 64), at: at}
+			src := &midWindowIter{sliceBatchIter: *newSliceBatchIter(nil, rows, 64), at: at}
 			if tc.hit != nil {
 				src.hit = func() error { return tc.hit(cancel) }
 			}

@@ -44,7 +44,7 @@ func leakRows(n int) []datum.Row {
 // busy. Everything must unwind.
 func TestExchangeAbandonedNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	ex := newExchange(context.Background(), nil, newSliceBatchIter(leakRows(200000), 64), 8, func(w int, b Batch) (Batch, error) {
+	ex := newExchange(context.Background(), nil, newSliceBatchIter(nil, leakRows(200000), 64), 8, func(w int, b Batch) (Batch, error) {
 		return append(Batch(nil), b...), nil
 	})
 	if _, err := ex.NextBatch(); err != nil {
@@ -58,7 +58,7 @@ func TestExchangeAbandonedNoLeak(t *testing.T) {
 // a batch — no goroutines were ever started, and Close must not hang.
 func TestExchangeUnstartedCloseNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	ex := newExchange(context.Background(), nil, newSliceBatchIter(leakRows(1000), 64), 4, func(w int, b Batch) (Batch, error) {
+	ex := newExchange(context.Background(), nil, newSliceBatchIter(nil, leakRows(1000), 64), 4, func(w int, b Batch) (Batch, error) {
 		return b, nil
 	})
 	ex.Close()
@@ -69,7 +69,7 @@ func TestExchangeUnstartedCloseNoLeak(t *testing.T) {
 // surfaces and Close runs, the pool must be gone.
 func TestExchangeErrorNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	ex := newExchange(context.Background(), nil, newSliceBatchIter(leakRows(100000), 64), 8, func(w int, b Batch) (Batch, error) {
+	ex := newExchange(context.Background(), nil, newSliceBatchIter(nil, leakRows(100000), 64), 8, func(w int, b Batch) (Batch, error) {
 		if v, _ := b[0][0].AsInt(); v >= 4096 {
 			return nil, fmt.Errorf("boom at %d", v)
 		}
@@ -85,7 +85,7 @@ func TestExchangeErrorNoLeak(t *testing.T) {
 // exited by the time Close returns.
 func TestExchangeDrainedNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	ex := newExchange(context.Background(), nil, newSliceBatchIter(leakRows(50000), 128), 4, func(w int, b Batch) (Batch, error) {
+	ex := newExchange(context.Background(), nil, newSliceBatchIter(nil, leakRows(50000), 128), 4, func(w int, b Batch) (Batch, error) {
 		return append(Batch(nil), b...), nil
 	})
 	rows, err := DrainBatches(ex)

@@ -24,7 +24,7 @@ func (f *filterBatchIter) NextBatch() (Batch, error) {
 			return nil, err
 		}
 		if f.scratch != nil && cap(f.out) < len(b) {
-			f.out = Batch(f.scratch.MakeRows(len(b)))
+			f.out = Batch(Make[datum.Row](f.scratch, len(b)))
 		}
 		out, err := FilterBatch(f.pred, b, f.out[:0])
 		if err != nil {
@@ -54,7 +54,7 @@ func (p *projectBatchIter) NextBatch() (Batch, error) {
 		return nil, err
 	}
 	if p.scratch != nil && cap(p.out) < len(b) {
-		p.out = Batch(p.scratch.MakeRows(len(b)))
+		p.out = Batch(Make[datum.Row](p.scratch, len(b)))
 	}
 	out, err := projectBatch(p.scratch, p.exprs, b, p.out[:0])
 	if err != nil {
@@ -172,7 +172,7 @@ const carveBlockDatums = 1024
 func carveRow(s *Scratch, block *[]datum.Datum, n int) datum.Row {
 	b := *block
 	if cap(b)-len(b) < n {
-		b = s.MakeDatums(min(max(2*cap(b), 16*n), max(carveBlockDatums/n, 1)*n))[:0]
+		b = Make[datum.Datum](s, min(max(2*cap(b), 16*n), max(carveBlockDatums/n, 1)*n))[:0]
 	}
 	*block = b[:len(b)+n]
 	return datum.Row(b[len(b) : len(b) : len(b)+n])
@@ -216,14 +216,14 @@ func (h *hashJoinBatchIter) build() error {
 	// Per-prober state lives in these locals, which the probe closure
 	// captures: a key buffer and a block pool each, kept across batches.
 	nk := len(h.leftKeys)
-	keys, blocks := make(datum.Row, h.degree*nk), make([][]datum.Datum, h.degree)
+	keys, blocks := datum.Row(Make[datum.Datum](h.scratch, h.degree*nk)), Make[[]datum.Datum](h.scratch, h.degree)
 	h.probe = func(w int, b, dst Batch) (Batch, error) {
 		return h.table.probeBatch(h.scratch, b, h.leftKeys, h.residual, h.leftJoin, h.rightArity, keys[w*nk:(w+1)*nk], &blocks[w], dst)
 	}
 	if h.degree > 1 {
 		h.stats.noteParallelism(h.degree)
 		h.ex = newExchange(h.ctx, h.scratch, h.left, h.degree, func(w int, b Batch) (Batch, error) {
-			return h.probe(w, b, Batch(h.scratch.MakeRows(len(b)))[:0])
+			return h.probe(w, b, Batch(Make[datum.Row](h.scratch, len(b)))[:0])
 		})
 	}
 	return nil
@@ -375,7 +375,8 @@ type aggregateBatchIter struct {
 	stats    *ExecStats
 	scratch  *Scratch
 
-	out *sliceBatchIter // the grouped rows; nil until the input is consumed
+	done bool
+	out  sliceBatchIter // the grouped rows, once done
 }
 
 // eval evaluates r's group key into key and its aggregate arguments into
@@ -400,7 +401,7 @@ func (a *aggregateBatchIter) eval(r datum.Row, key, args []datum.Datum) (err err
 // runSequential groups in one pass over in, in batch order.
 func (a *aggregateBatchIter) runSequential(in BatchIterator) ([]datum.Row, error) {
 	t := newGroupTable(a.scratch, len(a.groupFns), a.specs, a.groups)
-	key, args := make(datum.Row, len(a.groupFns)), make(datum.Row, len(a.specs))
+	key, args := datum.Row(Make[datum.Datum](a.scratch, len(a.groupFns))), Make[datum.Datum](a.scratch, len(a.specs))
 	if len(key) == 0 {
 		t.group(key, hashKey(key), 0) // a grand aggregate has its one group even over no input
 	}
@@ -425,16 +426,18 @@ func (a *aggregateBatchIter) runSequential(in BatchIterator) ([]datum.Row, error
 }
 
 func (a *aggregateBatchIter) NextBatch() (Batch, error) {
-	if a.out == nil {
-		run := a.runParallel
+	if !a.done {
+		var rows []datum.Row
+		var err error
 		if a.degree <= 1 {
-			run = func() ([]datum.Row, error) { return a.runSequential(a.in) }
+			rows, err = a.runSequential(a.in)
+		} else {
+			rows, err = a.runParallel()
 		}
-		rows, err := run()
 		if err != nil {
 			return nil, err
 		}
-		a.out = newSliceBatchIter(rows, a.size)
+		a.out, a.done = windows(rows, a.size), true
 	}
 	return a.out.NextBatch()
 }
@@ -451,7 +454,7 @@ type sortBatchIter struct {
 	scratch *Scratch
 
 	done bool
-	out  *sliceBatchIter
+	out  sliceBatchIter
 }
 
 func (s *sortBatchIter) NextBatch() (Batch, error) {
@@ -465,7 +468,7 @@ func (s *sortBatchIter) NextBatch() (Batch, error) {
 			key datum.Row
 		}
 		ks := make([]keyed, len(rows))
-		keyArena := datum.Row(s.scratch.MakeDatums(len(s.keys) * len(rows)))
+		keyArena := datum.Row(Make[datum.Datum](s.scratch, len(s.keys)*len(rows)))
 		for i, r := range rows {
 			key := keyArena[:len(s.keys):len(s.keys)]
 			keyArena = keyArena[len(s.keys):]
@@ -492,8 +495,7 @@ func (s *sortBatchIter) NextBatch() (Batch, error) {
 		for i, k := range ks {
 			rows[i] = k.row // the drained buffer is ours: sort it in place
 		}
-		s.out = newSliceBatchIter(rows, s.size)
-		s.done = true
+		s.out, s.done = windows(rows, s.size), true
 	}
 	return s.out.NextBatch()
 }
@@ -623,7 +625,7 @@ type prefetchBatchIter struct {
 
 func prefetchBatches(ctx context.Context, stats *ExecStats, size int, fetch func() ([]datum.Row, error)) BatchIterator {
 	stats.notePrefetch()
-	p := &prefetchBatchIter{ctx: ctx, done: make(chan struct{}), sliceBatchIter: *newSliceBatchIter(nil, size)}
+	p := &prefetchBatchIter{ctx: ctx, done: make(chan struct{}), sliceBatchIter: windows(nil, size)}
 	// The fetch may allocate from the query's scratch (remote subtrees
 	// executed inside wrappers draw on it via the context). A consumer
 	// that abandons this prefetch lets the goroutine outlive the query's

@@ -104,7 +104,7 @@ func (e *exchangeIter) start() {
 			if b == nil {
 				break
 			}
-			cp := Batch(e.scratch.MakeRows(len(b)))
+			cp := Batch(Make[datum.Row](e.scratch, len(b)))
 			copy(cp, b)
 			select {
 			case e.tasks <- exchangeTask{seq: seq, b: cp}:
@@ -280,8 +280,8 @@ func buildJoinTable(t *joinTable, s *Scratch, rows []datum.Row, keyFns []EvalFun
 	t.nkeys = len(keyFns)
 	n := len(rows)
 	//lint:ignore retain joinTable is per-query operator state torn down before the scratch recycles
-	t.keys, t.ix = s.MakeDatums(n*t.nkeys), newKeyIndex(s, n)
-	null := s.MakeBools(n)
+	t.keys, t.ix = Make[datum.Datum](s, n*t.nkeys), newKeyIndex(s, n)
+	null := Make[bool](s, n)
 	slots := len(t.ix.head)
 
 	if workers <= 1 || n < parallelMinRows {
@@ -345,12 +345,12 @@ func (a *aggregateBatchIter) runParallel() ([]datum.Row, error) {
 		return nil, err
 	}
 	if n < parallelMinRows {
-		return a.runSequential(newSliceBatchIter(rows, a.size))
+		return a.runSequential(newSliceBatchIter(s, rows, a.size))
 	}
 	a.stats.noteParallelism(a.degree)
 
 	nk, ns := len(a.groupFns), len(a.specs)
-	keys, args, hashes := s.MakeDatums(n*nk), s.MakeDatums(n*ns), s.MakeUint64s(n)
+	keys, args, hashes := Make[datum.Datum](s, n*nk), Make[datum.Datum](s, n*ns), Make[uint64](s, n)
 	parts := uint64(a.degree)
 	tables := make([]*groupTable, parts)
 	for p := range tables {

@@ -5,38 +5,42 @@ import (
 	"sync"
 
 	"repro/internal/arena"
-	"repro/internal/datum"
 )
 
-// Scratch is the query-scoped allocator for batch row headers and
-// projected datums. Everything an execution materializes transiently —
-// filter output containers, projection arenas, remote-subtree results —
-// dies when the query finishes, so the engine takes a pooled Scratch per
-// query, threads it through Options (and the query context, for remote
-// subtrees executed inside source wrappers), and recycles it on every exit
-// path. A warm query then runs its batch pipeline with almost no heap
-// allocation.
+// Scratch is the query-scoped allocator: batch row headers, projected
+// datums, key and group tables, and the operator objects of the plan
+// itself — every iterator and boundary guard BuildBatch builds, their
+// compiled-function slices, a semi-join's reduced fetch and a source
+// fragment's runtime. All of it dies when the query finishes, so the engine
+// takes a pooled Scratch per query, threads it through Options (and the
+// query context, for remote subtrees executed inside source wrappers), and
+// recycles it on every exit path. A warm query then builds its operator
+// tree and runs its batch pipeline with almost no heap allocation.
+//
+// New and Make are the two allocators, generic over the element type: the
+// scratch keeps one arena.Slab per type it has been asked for, so a package
+// that cannot name a field here (a source wrapper's runtime) draws from it
+// the same way exec does. The nil Scratch falls back to plain heap
+// allocation on both.
 //
 // Unlike the parser's arena, a Scratch is safe for concurrent use: one
 // mutex guards the slabs, and exchange workers, their feeder and prefetch
-// goroutines all take it, so it can be contended. Every Make call takes the
+// goroutines all take it, so it can be contended. Every call takes the
 // lock once, so callers draw memory a batch or a block of rows at a time,
 // never a row at a time: the join probe carves its rows from blocks of up
 // to 1024 datums, and partitioned aggregation draws its window buffers
-// once. The nil Scratch falls back to plain heap allocation.
+// once. Building a plan takes it once per operator object.
 //
-// Rows backed by a Scratch must not escape the query. The engine enforces
-// this at its boundary by block-copying Result.Rows; the retain
-// analyzer checks that exec code does not store scratch-backed slices into
+// Nothing backed by a Scratch may escape the query. The engine enforces
+// this at its boundary by block-copying Result.Rows and rendering explain
+// output and traces before it releases the scratch; the retain analyzer
+// checks that code does not store scratch-backed values into
 // longer-lived structures.
 type Scratch struct {
-	mu     sync.Mutex
-	datums arena.Slab[datum.Datum]
-	rows   arena.Slab[datum.Row]
-	u64s   arena.Slab[uint64]
-	i32s   arena.Slab[int32]
-	bools  arena.Slab[bool]
-	cells  arena.Slab[aggCell]
+	mu sync.Mutex
+	// slabs holds one *arena.Slab[T] per type drawn so far, in first-use
+	// order; a pooled scratch keeps them, so a warm query adds none.
+	slabs []scratchSlab
 
 	// borrowers counts goroutines that may still allocate from or read
 	// scratch memory after the query's drain returns — an abandoned
@@ -44,6 +48,55 @@ type Scratch struct {
 	// moved on. PutScratch waits borrowers out before recycling, so their
 	// rows cannot be overwritten by the next query.
 	borrowers sync.WaitGroup
+}
+
+// scratchSlab is what a Scratch needs of its slabs without knowing their
+// element type. Len, which Scratch lacks, keeps the method set apart from
+// Scratch's own Reset and Bytes: the lockorder check resolves interface
+// calls by method names, and those two take s.mu.
+type scratchSlab interface {
+	Reset()
+	Bytes() int64
+	Len() int64
+}
+
+// slabOf returns s's slab of T, adding it the first time s is asked for a
+// T. The caller holds s.mu.
+func slabOf[T any](s *Scratch) *arena.Slab[T] {
+	for _, sl := range s.slabs {
+		if t, ok := sl.(*arena.Slab[T]); ok {
+			return t
+		}
+	}
+	t := new(arena.Slab[T])
+	s.slabs = append(s.slabs, t)
+	return t
+}
+
+// New returns a pointer to a copy of v drawn from s (the heap when s is
+// nil): the constructor of every operator object a plan build makes.
+func New[T any](s *Scratch, v T) *T {
+	if s == nil {
+		p := new(T)
+		*p = v
+		return p
+	}
+	s.mu.Lock()
+	p := slabOf[T](s).New(v)
+	s.mu.Unlock()
+	return p
+}
+
+// Make returns a zeroed slice of length and capacity n drawn from s (the
+// heap when s is nil).
+func Make[T any](s *Scratch, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	s.mu.Lock()
+	out := slabOf[T](s).Make(n)
+	s.mu.Unlock()
+	return out
 }
 
 // Hold registers a borrower goroutine (nil-safe). Must be called before
@@ -74,78 +127,6 @@ func (s *Scratch) WaitBorrowers() {
 	}
 }
 
-// MakeDatums returns a zeroed datum slice of length and capacity n from
-// the scratch (plain heap when s is nil).
-func (s *Scratch) MakeDatums(n int) []datum.Datum {
-	if s == nil {
-		return make([]datum.Datum, n)
-	}
-	s.mu.Lock()
-	out := s.datums.Make(n)
-	s.mu.Unlock()
-	return out
-}
-
-// MakeRows returns a zeroed row-header slice of length and capacity n from
-// the scratch (plain heap when s is nil).
-func (s *Scratch) MakeRows(n int) []datum.Row {
-	if s == nil {
-		return make([]datum.Row, n)
-	}
-	s.mu.Lock()
-	out := s.rows.Make(n)
-	s.mu.Unlock()
-	return out
-}
-
-// MakeUint64s returns a zeroed uint64 slice of length and capacity n from
-// the scratch (plain heap when s is nil) — hash buffers for join builds.
-func (s *Scratch) MakeUint64s(n int) []uint64 {
-	if s == nil {
-		return make([]uint64, n)
-	}
-	s.mu.Lock()
-	out := s.u64s.Make(n)
-	s.mu.Unlock()
-	return out
-}
-
-// MakeInt32s returns a zeroed int32 slice of length and capacity n from the
-// scratch (plain heap when s is nil) — keyIndex chains.
-func (s *Scratch) MakeInt32s(n int) []int32 {
-	if s == nil {
-		return make([]int32, n)
-	}
-	s.mu.Lock()
-	out := s.i32s.Make(n)
-	s.mu.Unlock()
-	return out
-}
-
-// MakeBools returns a zeroed bool slice of length and capacity n from the
-// scratch (plain heap when s is nil).
-func (s *Scratch) MakeBools(n int) []bool {
-	if s == nil {
-		return make([]bool, n)
-	}
-	s.mu.Lock()
-	out := s.bools.Make(n)
-	s.mu.Unlock()
-	return out
-}
-
-// MakeAggCells returns a zeroed aggregate-state slice of length and
-// capacity n from the scratch (plain heap when s is nil) — group tables.
-func (s *Scratch) MakeAggCells(n int) []aggCell {
-	if s == nil {
-		return make([]aggCell, n)
-	}
-	s.mu.Lock()
-	out := s.cells.Make(n)
-	s.mu.Unlock()
-	return out
-}
-
 // Bytes reports the payload footprint allocated from the scratch since the
 // last Reset. The engine folds it into Result.ArenaBytes.
 func (s *Scratch) Bytes() int64 {
@@ -153,8 +134,11 @@ func (s *Scratch) Bytes() int64 {
 		return 0
 	}
 	s.mu.Lock()
-	b := s.datums.Bytes() + s.rows.Bytes() + s.u64s.Bytes() + s.i32s.Bytes() + s.bools.Bytes() + s.cells.Bytes()
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	var b int64
+	for _, sl := range s.slabs {
+		b += sl.Bytes()
+	}
 	return b
 }
 
@@ -162,12 +146,9 @@ func (s *Scratch) Bytes() int64 {
 // invalid.
 func (s *Scratch) Reset() {
 	s.mu.Lock()
-	s.datums.Reset()
-	s.rows.Reset()
-	s.u64s.Reset()
-	s.i32s.Reset()
-	s.bools.Reset()
-	s.cells.Reset()
+	for _, sl := range s.slabs {
+		sl.Reset()
+	}
 	s.mu.Unlock()
 }
 

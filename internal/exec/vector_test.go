@@ -244,7 +244,7 @@ func TestExchangePreservesOrder(t *testing.T) {
 		rows[i] = datum.Row{datum.NewInt(int64(i))}
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		ex := newExchange(context.Background(), nil, newSliceBatchIter(rows, 16), workers, func(w int, b Batch) (Batch, error) {
+		ex := newExchange(context.Background(), nil, newSliceBatchIter(nil, rows, 16), workers, func(w int, b Batch) (Batch, error) {
 			out := make(Batch, 0, len(b))
 			return append(out, b...), nil
 		})
@@ -270,7 +270,7 @@ func TestExchangeWorkerError(t *testing.T) {
 	for i := range rows {
 		rows[i] = datum.Row{datum.NewInt(int64(i))}
 	}
-	ex := newExchange(context.Background(), nil, newSliceBatchIter(rows, 32), 4, func(w int, b Batch) (Batch, error) {
+	ex := newExchange(context.Background(), nil, newSliceBatchIter(nil, rows, 32), 4, func(w int, b Batch) (Batch, error) {
 		if v, _ := b[0][0].AsInt(); v >= 2048 {
 			return nil, fmt.Errorf("injected failure at %d", v)
 		}

@@ -137,7 +137,7 @@ func (rt *fragmentRuntime) probeConjuncts(t *storage.Table, input plan.Node, con
 		if !ok {
 			return nil, false
 		}
-		keys := rt.scratch.MakeDatums(len(in.List))[:0]
+		keys := exec.Make[datum.Datum](rt.scratch, len(in.List))[:0]
 		for _, item := range in.List {
 			lit, isLit := item.(*sqlparse.Literal)
 			if !isLit {
@@ -190,7 +190,7 @@ func columnAndLiteral(a, b sqlparse.Expr) (*sqlparse.ColumnRef, *sqlparse.Litera
 
 func (rt *fragmentRuntime) probe(t *storage.Table, col int, keys []datum.Datum) ([]datum.Row, bool) {
 	n := probeRowsPerKey * len(keys)
-	return t.Probe(col, keys, rt.scratch.MakeInt32s(n), rt.scratch.MakeRows(n))
+	return t.Probe(col, keys, exec.Make[int32](rt.scratch, n), exec.Make[datum.Row](rt.scratch, n))
 }
 
 // baseColumn resolves ref, a reference over n's output columns, down the

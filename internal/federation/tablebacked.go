@@ -91,9 +91,10 @@ func (s *tableBacked) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datu
 		return nil, err
 	}
 	// Local execution allocates from the calling query's scratch when one
-	// rides the context: the shipped result dies with that query.
+	// rides the context — the fragment's runtime and operators as well as
+	// its rows: the shipped result dies with that query.
 	scratch := exec.ScratchFrom(ctx)
-	rt := &fragmentRuntime{src: s, root: subtree, scratch: scratch}
+	rt := exec.New(scratch, fragmentRuntime{src: s, root: subtree, scratch: scratch})
 	it, err := exec.BuildBatch(ctx, subtree, rt, exec.Options{Scratch: scratch})
 	if err != nil {
 		return nil, err

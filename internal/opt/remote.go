@@ -153,7 +153,7 @@ func annotateSemiJoins(n plan.Node, est *estimator) plan.Node {
 		if !ok || j.Cond == nil {
 			return x
 		}
-		leftKeys, rightKeys, _ := plan.EquiKeys(j.Cond, j.Left.Columns(), j.Right.Columns())
+		leftKeys, rightKeys, _ := plan.AppendEquiKeys(nil, nil, j.Cond, j.Left.Columns(), j.Right.Columns())
 		if len(leftKeys) == 0 {
 			return x
 		}

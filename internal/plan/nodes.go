@@ -375,14 +375,16 @@ func RefsResolve(e sqlparse.Expr, cols []ColMeta) bool {
 	return ok
 }
 
-// EquiKeys splits a join condition into aligned equi-key pairs
-// (leftKeys[i] = rightKeys[i]) and a residual predicate. leftCols and
-// rightCols are the child output schemas; an equality qualifies when one
-// side resolves entirely against the left child and the other against the
-// right child.
-func EquiKeys(cond sqlparse.Expr, leftCols, rightCols []ColMeta) (leftKeys, rightKeys []sqlparse.Expr, residual sqlparse.Expr) {
-	var rest []sqlparse.Expr
-	var buf [8]sqlparse.Expr
+// AppendEquiKeys splits a join condition into aligned equi-key pairs
+// (leftKeys[i] = rightKeys[i]), appended to leftKeys and rightKeys, and a
+// residual predicate. leftCols and rightCols are the child output schemas;
+// an equality qualifies when one side resolves entirely against the left
+// child and the other against the right child. Like
+// sqlparse.AppendConjuncts, a caller that only reads the keys passes stack
+// buffers, and splitting allocates nothing.
+func AppendEquiKeys(leftKeys, rightKeys []sqlparse.Expr, cond sqlparse.Expr, leftCols, rightCols []ColMeta) ([]sqlparse.Expr, []sqlparse.Expr, sqlparse.Expr) {
+	var buf, restBuf [8]sqlparse.Expr
+	rest := restBuf[:0]
 	for _, c := range sqlparse.AppendConjuncts(buf[:0], cond) {
 		b, ok := c.(*sqlparse.BinaryExpr)
 		if !ok || b.Op != sqlparse.OpEq {
