@@ -121,10 +121,8 @@ func TestCompileCostMatchesFreshEstimator(t *testing.T) {
 }
 
 // TestExplainGolden pins Explain's output — plan, pushed-down SQL and
-// estimate — for the cost cases, before any of them executes.
-// testdata/explain.golden was rendered by the optimizer that built a
-// separate estimator per pass, so a match shows the shared estimator
-// changed no plan and no estimate.
+// estimate — for the cost cases, before any of them executes: a change to
+// any plan or estimate shows here as a diff to review.
 func TestExplainGolden(t *testing.T) {
 	ctx := context.Background()
 	var b strings.Builder

@@ -27,9 +27,10 @@ func Signature(n plan.Node) (Key, bool) {
 			continue
 		}
 		if p, isProject := n.(*plan.Project); isProject {
-			// Projection changes width, not cardinality; but only a
-			// column-only projection is transparent — computed
-			// expressions could alias away filter provenance.
+			// Projection changes width, not cardinality: every
+			// Project is transparent, computed columns included, since
+			// the conjuncts below it are rendered over the scan's own
+			// columns.
 			n = p.Input
 			continue
 		}

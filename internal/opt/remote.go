@@ -72,7 +72,9 @@ func placeRemotes(n plan.Node, env Env, opts Options) plan.Node {
 // place rewrites the subtree and reports the owning source if the entire
 // result is still executable at a single source ("" otherwise). When a
 // child subtree is pushable but the current node is not, the child gets
-// wrapped in Remote here.
+// wrapped in Remote here. An Aggregate that stays pushable loses a
+// narrowing Project over its scan: the source aggregates its own rows in
+// place instead of first copying them into narrower ones.
 func place(n plan.Node, env Env, opts Options) (plan.Node, string) {
 	switch x := n.(type) {
 	case *plan.Scan:
@@ -109,7 +111,17 @@ func place(n plan.Node, env Env, opts Options) (plan.Node, string) {
 	})
 
 	if uniform && !opts.NoRemotePushdown && env != nil && env.Caps(owner).Allows(n) {
-		// The whole node stays pushable.
+		// The whole node stays pushable. The narrowing pruning put
+		// under an aggregate only mattered while it might run at the
+		// mediator.
+		if _, ok := placed.(*plan.Aggregate); ok {
+			placed = plan.MapInputs(placed, func(in plan.Node) plan.Node {
+				if p, ok := in.(*plan.Project); ok && narrowsScan(p) {
+					return p.Input
+				}
+				return in
+			})
+		}
 		return placed, owner
 	}
 
@@ -128,6 +140,30 @@ func place(n plan.Node, env Env, opts Options) (plan.Node, string) {
 			return &plan.Remote{Source: src, Child: in, AllowKeyFilter: allowKeyFilter(env, src)}
 		}
 	}), ""
+}
+
+// narrowsScan reports whether p only drops columns of a scan's rows, or of
+// a filter's over the scan: every output is an input column under its own
+// name.
+func narrowsScan(p *plan.Project) bool {
+	in := p.Input
+	if f, ok := in.(*plan.Filter); ok {
+		in = f.Input
+	}
+	if _, ok := in.(*plan.Scan); !ok {
+		return false
+	}
+	cols := p.Input.Columns()
+	for i, e := range p.Exprs {
+		ref, ok := e.(*sqlparse.ColumnRef)
+		if !ok {
+			return false
+		}
+		if at, ok := plan.FindColumn(cols, ref); !ok || cols[at] != p.Cols[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // demoteToScanShipping rewrites a pushable subtree so each scan ships

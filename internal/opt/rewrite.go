@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
@@ -218,8 +219,12 @@ func exprRefs(cols []plan.ColMeta, exprs ...sqlparse.Expr) map[int]bool {
 	return out
 }
 
-// pruneColumns trims unused columns, inserting narrow projections above
-// scans so only needed attributes cross the network.
+// pruneColumns trims unused columns so only needed attributes cross the
+// network. Each scan is narrowed once, at the root of its fragment: a
+// projection directly over the scan, or, when a filter sits on the scan,
+// over that filter — so a column only the predicate reads stops at the
+// source, and the source evaluates the predicate on its own rows and
+// copies only the survivors.
 func pruneColumns(root plan.Node) plan.Node {
 	all := make([]bool, len(root.Columns()))
 	for i := range all {
@@ -256,6 +261,11 @@ func prune(n plan.Node, needed []bool) plan.Node {
 		return &plan.Project{Input: prune(x.Input, childNeeded), Exprs: exprs, Cols: cols}
 
 	case *plan.Filter:
+		if _, ok := x.Input.(*plan.Scan); ok {
+			// The filter reads its columns off the scan's rows; only
+			// the columns needed above it survive the narrowing.
+			return narrow(x, needed)
+		}
 		childCols := x.Input.Columns()
 		childNeeded := append([]bool{}, needed...)
 		for i := range exprRefs(childCols, x.Cond) {
@@ -324,32 +334,7 @@ func prune(n plan.Node, needed []bool) plan.Node {
 		return &plan.Union{Inputs: inputs}
 
 	case *plan.Scan:
-		// Narrow the scan with a projection if some columns are dead.
-		anyDead := false
-		for _, keep := range needed {
-			if !keep {
-				anyDead = true
-				break
-			}
-		}
-		if !anyDead {
-			return x
-		}
-		proj := &plan.Project{Input: x}
-		for i, c := range x.Cols {
-			if !needed[i] {
-				continue
-			}
-			proj.Exprs = append(proj.Exprs, &sqlparse.ColumnRef{Table: c.Table, Column: c.Name})
-			proj.Cols = append(proj.Cols, c)
-		}
-		if len(proj.Exprs) == 0 {
-			// Keep one column for cardinality.
-			c := x.Cols[0]
-			proj.Exprs = append(proj.Exprs, &sqlparse.ColumnRef{Table: c.Table, Column: c.Name})
-			proj.Cols = append(proj.Cols, c)
-		}
-		return proj
+		return narrow(x, needed)
 
 	case *plan.Remote:
 		// Remote subtrees were placed by an earlier (or idempotent
@@ -360,6 +345,30 @@ func prune(n plan.Node, needed []bool) plan.Node {
 	default:
 		panic(fmt.Sprintf("opt: prune missing case for %T", n))
 	}
+}
+
+// narrow projects a scan, or a filter over one, down to the needed columns
+// (positions index n's output, which is the scan's). It returns n itself
+// when no column is dead.
+func narrow(n plan.Node, needed []bool) plan.Node {
+	if !slices.Contains(needed, false) {
+		return n
+	}
+	proj := &plan.Project{Input: n}
+	cols := n.Columns()
+	for i, c := range cols {
+		if needed[i] {
+			proj.Exprs = append(proj.Exprs, &sqlparse.ColumnRef{Table: c.Table, Column: c.Name})
+			proj.Cols = append(proj.Cols, c)
+		}
+	}
+	if len(proj.Exprs) == 0 {
+		// Keep one column for cardinality.
+		c := cols[0]
+		proj.Exprs = append(proj.Exprs, &sqlparse.ColumnRef{Table: c.Table, Column: c.Name})
+		proj.Cols = append(proj.Cols, c)
+	}
+	return proj
 }
 
 func sortExprs(keys []plan.SortKey) []sqlparse.Expr {

@@ -91,13 +91,22 @@ func (e *estimator) blend(n plan.Node, static float64) float64 {
 }
 
 // signature is feedback.Signature(n), rendered once per node by an
-// Estimator.
+// Estimator. A Project or a Remote has its input's signature, so a fetch
+// and the narrowed filter it ships share one rendering.
 func (e *estimator) signature(n plan.Node) (feedback.Key, bool) {
 	if s, hit := e.sigMemo[n]; hit {
 		return s.key, s.ok
 	}
-	signaturesRendered.Add(1)
-	key, ok := feedback.Signature(n)
+	var key feedback.Key
+	var ok bool
+	if p, isProject := n.(*plan.Project); isProject {
+		key, ok = e.signature(p.Input)
+	} else if r, isRemote := n.(*plan.Remote); isRemote {
+		key, ok = e.signature(r.Child)
+	} else {
+		signaturesRendered.Add(1)
+		key, ok = feedback.Signature(n)
+	}
 	if e.all {
 		if e.sigMemo == nil {
 			e.sigMemo = make(map[plan.Node]sigMemo)
