@@ -67,8 +67,11 @@ race-overload:
 # is the dynamic twin of the static lockorder/goroleak checks: fragment
 # shipping, admission slots, and cancellation all contend at once, and a
 # watchdog turns any deadlock into a stack dump instead of a CI timeout.
+# Beside it, peer fragments prefetched concurrently into one coordinator
+# query's scratch must answer as a single engine does, and a held Result
+# must not change when later queries reuse the pooled scratches.
 race-deadlock:
-	$(GO) test -race -run 'TestClusterAdmissionDeadlockStress' -count=3 ./internal/cluster
+	$(GO) test -race -run 'TestClusterAdmissionDeadlockStress|TestFragmentRowsDieWithTheirQuery' -count=3 ./internal/cluster
 
 # E20 replan storm: concurrent clients over a stale-stats federation with
 # mid-query re-optimization firing, repeated under the race detector. The
@@ -93,15 +96,17 @@ race-adaptive:
 # heap snapshots and parallel operators hold a window of their input, so
 # nothing scales with the input. A 4000-group aggregate at a source must
 # stay inside its own budget: its group table comes from the query
-# scratch, sized from the optimizer's estimate. Beside them, the goroutine
-# fence (prefetch_test.go): a fetch
+# scratch, sized from the optimizer's estimate. A warm cross-shard join on
+# a 2-node cluster, bloom- and IN-list-tier, must stay inside its own byte
+# budget: a peer's fragment rows land in the coordinator's query scratch,
+# not on the heap. Beside them, the goroutine fence (prefetch_test.go): a fetch
 # gets a prefetch goroutine only where a sibling can overlap it — none for
 # the portal point query, one for a two-remote join, two for the
 # three-source fan-out and for a three-input union.
 # -count=1 defeats the test cache so the guards actually measure on every
 # check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestSourceAggregateAllocGuard|TestPrefetchCounts' -count=1 .
+	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestSourceAggregateAllocGuard|TestPeerFragmentAllocGuard|TestPrefetchCounts' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datum"
 	"repro/internal/exec"
@@ -435,4 +436,77 @@ func TestSourceAggregateAllocGuard(t *testing.T) {
 	}
 	t.Logf("source aggregate, 4000 groups: %d allocs/op, %d bytes/op (budget %d / %d)",
 		res.AllocsPerOp(), res.AllocedBytesPerOp(), sourceAggMaxAllocsPerOp, sourceAggMaxBytesPerOp)
+}
+
+// Budgets for a warm cross-shard join on a 2-node cluster over 3000
+// customers, in bytes per query, ~20% above the values measured once a
+// peer's fragment rows landed in the coordinator's query scratch: 106 and
+// 53 KB for the bloom-tier and IN-list-tier statements (x86-64; 200 and
+// 82 KB when the peer block-copied its rows to the heap). A fragment result
+// back on the heap costs that copy again, 95 and 29 KB a query, past the
+// headroom.
+const (
+	peerBloomMaxBytesPerOp  = 128 << 10
+	peerInListMaxBytesPerOp = 63 << 10
+)
+
+// TestPeerFragmentAllocGuard fences what a cross-shard query pays to take
+// back its peer fragment: the rows come from the coordinator's scratch,
+// like a local fetch's, and only the coordinator's public result copy
+// reaches the heap.
+func TestPeerFragmentAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard runs a benchmark loop; skipped in -short")
+	}
+	fed := mustCRM(t, 3000)
+	ccfg := cluster.Config{Nodes: 2}
+	for o := cluster.Owners(ccfg, "crm", "billing"); o[0] == o[1]; o = cluster.Owners(ccfg, "crm", "billing") {
+		ccfg.Seed++
+	}
+	c, err := cluster.New(ccfg, func(int) (*core.Engine, error) { return fed.NewEngine() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := c.Node(c.Owner("crm")).Engine()
+	qo := core.DefaultQueryOptions()
+	const join = "SELECT c.name, i.amount FROM crm.customers c JOIN billing.invoices i ON c.id = i.cust_id WHERE "
+	for _, tier := range []struct {
+		name, probe string
+		bloom       bool
+		budget      int64
+	}{
+		{"bloom-tier", "c.region = 'west'", true, peerBloomMaxBytesPerOp},
+		{"IN-list-tier", "c.region = 'west' AND c.segment = 'smb'", false, peerInListMaxBytesPerOp},
+	} {
+		keys, err := fed.Engine.QueryOptsCtx(context.Background(), "SELECT COUNT(*) FROM crm.customers c WHERE "+tier.probe, qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := keys.Rows[0][0].Int(); (n > plan.DefaultSemiJoinKeyCap) != tier.bloom {
+			t.Fatalf("%s guard statement probes with %d keys: not that tier", tier.name, n)
+		}
+		sql := join + tier.probe + " AND i.status = 'overdue' AND i.amount > 10"
+		run := func() {
+			if _, err := coord.QueryOptsCtx(context.Background(), sql, qo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ { // plan cache, feedback store, scratch pools
+			run()
+		}
+		c.ResetInterNode()
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+		if c.InterNodeTotals().RoundTrips == 0 {
+			t.Fatalf("%s statement crossed no inter-node link", tier.name)
+		}
+		if n := res.AllocedBytesPerOp(); n > tier.budget {
+			t.Errorf("warm %s cross-shard join allocates %d bytes/op, budget is %d", tier.name, n, tier.budget)
+		}
+		t.Logf("%s cross-shard join: %d allocs/op, %d bytes/op (budget %d)", tier.name, res.AllocsPerOp(), res.AllocedBytesPerOp(), tier.budget)
+	}
 }

@@ -197,20 +197,24 @@ func (p *Pass) ownerOrigin(tainted map[types.Object]string, dst ast.Expr) string
 // producer reports the allocator operand of e when e is a call that
 // returns arena- or scratch-backed memory: sqlparse.ParseArena,
 // plan.BindParamsIn (arena mode shares the statement's lifetime either
-// way), exec.DrainBatchesScratch, exec's generic New and Make (called
-// qualified, or bare inside exec), New/Make/Copy on arena.Slab, and any
-// allocating method on sqlparse.Arena. It returns "" for any other
-// expression.
+// way), exec.DrainBatchesScratch, exec.CloneRows, exec's generic New and
+// Make (called qualified, or bare inside exec), New/Make/Copy on
+// arena.Slab, and any allocating method on sqlparse.Arena. It returns ""
+// for any other expression, and for a producer handed a literal nil
+// allocator, which allocates on the heap.
 func (p *Pass) producer(e ast.Expr) string {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return ""
 	}
 	operand := func(i int) string {
-		if i < len(call.Args) {
-			return types.ExprString(call.Args[i])
+		if i >= len(call.Args) {
+			return "?"
 		}
-		return "?"
+		if tv, ok := p.Info.Types[call.Args[i]]; ok && tv.IsNil() {
+			return "" // a literal nil allocator is the heap
+		}
+		return types.ExprString(call.Args[i])
 	}
 	fun := call.Fun
 	switch f := fun.(type) { // an explicit instantiation: exec.Make[datum.Row](s, n)
@@ -235,7 +239,7 @@ func (p *Pass) producer(e ast.Expr) string {
 	if fn.Type().(*types.Signature).Recv() == nil {
 		switch fn.Pkg().Path() + "." + fn.Name() {
 		case sqlparsePkgPath + ".ParseArena", "repro/internal/plan.BindParamsIn",
-			execPkgPath + ".New", execPkgPath + ".Make":
+			execPkgPath + ".New", execPkgPath + ".Make", execPkgPath + ".CloneRows":
 			return operand(0)
 		case execPkgPath + ".DrainBatchesScratch":
 			return operand(1)

@@ -20,6 +20,8 @@ var globalSel *sqlparse.Select
 
 var rowCh = make(chan []datum.Row, 1)
 
+var lastRows []datum.Row
+
 func (h *holder) hitFieldStoreParse(a *sqlparse.Arena, sql string) error {
 	sel, err := sqlparse.ParseArena(a, sql)
 	if err != nil {
@@ -61,6 +63,17 @@ func (h *holder) hitSlicedScratchStore(s *exec.Scratch) {
 	h.rows = rows[:4] // want "storing an arena-backed value into struct field \"rows\""
 }
 
+// hitScratchCopyIntoHeapField: a result copied into a query's scratch
+// (how a peer fragment hands rows to its coordinator) kept in heap state.
+func (h *holder) hitScratchCopyIntoHeapField(s *exec.Scratch, rows []datum.Row) {
+	h.rows = exec.CloneRows(s, rows) // want "storing an arena-backed value into struct field \"rows\""
+}
+
+func hitScratchCopyIntoGlobal(s *exec.Scratch, rows []datum.Row) {
+	copied := exec.CloneRows(s, rows)
+	lastRows = copied[1:] // want "storing an arena-backed value into package variable \"lastRows\""
+}
+
 func (h *holder) hitLiteralStore(a *sqlparse.Arena, v datum.Datum) {
 	lit := a.NewLiteral(v)
 	var e sqlparse.Expr = lit
@@ -69,7 +82,7 @@ func (h *holder) hitLiteralStore(a *sqlparse.Arena, v datum.Datum) {
 	h.plan = nil
 	h.cells = nil
 	globalSel = nil
-	h.rows = datum.CloneRowsBlock(rows(a)) // heap copy at the boundary: fine
+	h.rows = exec.CloneRows(nil, rows(a)) // heap copy at the boundary: fine
 }
 
 func rows(*sqlparse.Arena) []datum.Row { return nil }
@@ -96,8 +109,30 @@ func missHeapCopy(it exec.BatchIterator, s *exec.Scratch, h *holder) error {
 	if err != nil {
 		return err
 	}
-	h.rows = datum.CloneRowsBlock(scratchRows) // deep copy: the scratch can recycle
+	h.rows = exec.CloneRows(nil, scratchRows) // heap copy: the scratch can recycle
 	return nil
+}
+
+// missScratchCopyReturned: the copy goes back to a caller running in the
+// same scratch, and dies with it.
+func missScratchCopyReturned(s *exec.Scratch, rows []datum.Row) []datum.Row {
+	return exec.CloneRows(s, rows)
+}
+
+// missScratchCopyIntoSameScratch: an object from the same scratch holds
+// the copy; both die together.
+func missScratchCopyIntoSameScratch(s *exec.Scratch, rows []datum.Row) *holder {
+	h := exec.New(s, holder{})
+	h.rows = exec.CloneRows(s, rows)
+	return h
+}
+
+// missNilAllocators: a literal nil scratch allocates on the heap.
+func (h *holder) missNilAllocators(it exec.BatchIterator) error {
+	h.cells = exec.Make[datum.Datum](nil, 8)
+	rows, err := exec.DrainBatchesScratch(it, nil)
+	lastRows = rows
+	return err
 }
 
 func (h *holder) ignoreOwnedContainer(s *exec.Scratch) {

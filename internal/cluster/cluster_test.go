@@ -80,6 +80,12 @@ func splitSeed(t *testing.T, n int) uint64 {
 
 func buildCRMCluster(t *testing.T, customers, nodes int, seed uint64) (*Cluster, *workload.CRMFederation) {
 	t.Helper()
+	return buildCRMClusterCfg(t, customers, Config{Nodes: nodes, Seed: seed})
+}
+
+// buildCRMClusterCfg is buildCRMCluster under a full cluster Config.
+func buildCRMClusterCfg(t *testing.T, customers int, ccfg Config) (*Cluster, *workload.CRMFederation) {
+	t.Helper()
 	cfg := workload.DefaultCRM()
 	cfg.Customers = customers
 	cfg.LinkLatency = 0
@@ -87,7 +93,7 @@ func buildCRMCluster(t *testing.T, customers, nodes int, seed uint64) (*Cluster,
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Nodes: nodes, Seed: seed}, func(int) (*core.Engine, error) {
+	c, err := New(ccfg, func(int) (*core.Engine, error) {
 		return f.NewEngine()
 	})
 	if err != nil {

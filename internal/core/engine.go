@@ -546,9 +546,15 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 	// including those of remote subtrees executed inside source wrappers
 	// (which pick it up from the context), come from this pooled
 	// allocator and are recycled on return. Release is safe on every exit
-	// path because all query goroutines join before executeCtx returns;
-	// Result.Rows is block-copied above, so nothing scratch-backed
-	// escapes.
+	// path because all query goroutines join before executeCtx returns,
+	// and the rows leave by a block copy: to the heap, or for a peer
+	// fragment into the coordinator's scratch (it rides ctx), to die with
+	// the coordinator's query. The fragment runs in a scratch of its own:
+	// in the coordinator's, WaitBorrowers would wait on its own prefetch.
+	var out *exec.Scratch
+	if qo.fragment {
+		out = exec.ScratchFrom(ctx)
+	}
 	scratch := exec.GetScratch()
 	defer exec.PutScratch(scratch)
 	ctx = exec.WithScratch(ctx, scratch)
@@ -628,10 +634,10 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 			rows, err = exec.DrainBatchesScratch(it, scratch)
 		}
 		if err == nil {
-			// Result rows may alias storage heaps (sources hand the
-			// executor zero-copy snapshots); block-copy so callers own —
-			// and may freely mutate — everything reachable from Result.Rows.
-			rows = datum.CloneRowsBlock(rows)
+			// Result rows may alias this query's scratch and storage heaps
+			// (zero-copy source snapshots); block-copy so callers own — and
+			// may freely mutate — everything reachable from Result.Rows.
+			rows = exec.CloneRows(out, rows)
 			break
 		}
 		var re *exec.ReplanError

@@ -24,7 +24,8 @@ type FetchRouter interface {
 	// the decision for source. handled=false means "not mine": the
 	// engine proceeds with its normal local fetch (breaker, retry,
 	// source wrapper). When handled=true the rows/err pair is the whole
-	// answer — the engine does not fall back to the local path.
+	// answer — the engine does not fall back to the local path. The rows
+	// are borrowed from the calling query and valid until it ends.
 	RouteRemote(ctx context.Context, source string, subtree plan.Node) (rows []datum.Row, handled bool, err error)
 	// FilterCapable reports whether fragments for source run at a peer
 	// mediator that can absorb shipped key predicates (IN-lists, bloom
@@ -47,7 +48,10 @@ func (e *Engine) SetFetchRouter(r FetchRouter) {
 // remote work against its own sources — and executed under the caller's
 // context, so a cancelled scatter-gather aborts the fragment too. It
 // bypasses this node's admission queue: the query carrying the fragment
-// was already admitted (and is charged) at its coordinating node.
+// was already admitted (and is charged) at its coordinating node. Its
+// rows land in the calling query's scratch, riding ctx (the heap without
+// one), valid until that query ends; an answer the owner degraded under
+// qo.AllowPartial is a *PartialFragmentError, for the caller to judge.
 func (e *Engine) RunFragment(ctx context.Context, subtree plan.Node, qo QueryOptions) ([]datum.Row, error) {
 	qo.fragment = true
 	st := e.state.Load()
@@ -56,7 +60,18 @@ func (e *Engine) RunFragment(ctx context.Context, subtree plan.Node, qo QueryOpt
 	if err != nil {
 		return nil, fmt.Errorf("core: fragment execution: %w", err)
 	}
+	if res.Partial {
+		return nil, &PartialFragmentError{Skipped: res.SkippedSources}
+	}
 	return res.Rows, nil
+}
+
+// PartialFragmentError is a peer fragment whose owner skipped the failed
+// sources Skipped: its rows miss theirs, so it fails like the fetches it lost.
+type PartialFragmentError struct{ Skipped []string }
+
+func (e *PartialFragmentError) Error() string {
+	return fmt.Sprint("core: fragment answered without sources ", e.Skipped)
 }
 
 // PeerFilterCapable implements opt.PeerEnv by delegating to the installed

@@ -437,29 +437,6 @@ func CloneRow(r Row) Row {
 	return out
 }
 
-// CloneRowsBlock deep-copies a row set into one shared backing array: two
-// allocations total instead of one per row. Each returned row is capped at
-// its own length, so appending to one cannot clobber its neighbor. The
-// engine uses this at its public boundary to hand callers rows they own,
-// even when execution flowed shared storage-snapshot rows through.
-func CloneRowsBlock(rows []Row) []Row {
-	if len(rows) == 0 {
-		return rows
-	}
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	flat := make([]Datum, 0, total)
-	out := make([]Row, len(rows))
-	for i, r := range rows {
-		start := len(flat)
-		flat = append(flat, r...)
-		out[i] = Row(flat[start:len(flat):len(flat)])
-	}
-	return out
-}
-
 // RowWireSize is the serialized size of the row in bytes.
 func RowWireSize(r Row) int {
 	n := 4

@@ -94,6 +94,25 @@ func drainBatchesScratch(it BatchIterator, s *Scratch) ([]datum.Row, error) {
 	}
 }
 
+// CloneRows block-copies rows into s (the heap when s is nil): one datum
+// block and one row-header slice, each row capped at its own length and
+// sharing no memory with rows. A copy into s dies with s.
+func CloneRows(s *Scratch, rows []datum.Row) []datum.Row {
+	if len(rows) == 0 {
+		return rows
+	}
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	flat, out := Make[datum.Datum](s, total), Make[datum.Row](s, len(rows))
+	for i, r := range rows {
+		n := copy(flat, r)
+		out[i], flat = flat[:n:n], flat[n:]
+	}
+	return out
+}
+
 // growRows returns rows with room for extra more, regrown from s to twice
 // its capacity (at least 64 rows) when full. With a nil s it returns rows
 // as is and leaves the growth to append, on the heap.

@@ -849,7 +849,7 @@ func runGrouping(t *testing.T, node plan.Node, rt Runtime, degree, batch int) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	return datum.CloneRowsBlock(rows)
+	return CloneRows(nil, rows)
 }
 
 func TestGroupTableMatchesMapGrouping(t *testing.T) {

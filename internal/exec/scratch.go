@@ -31,11 +31,11 @@ import (
 // to 1024 datums, and partitioned aggregation draws its window buffers
 // once. Building a plan takes it once per operator object.
 //
-// Nothing backed by a Scratch may escape the query. The engine enforces
-// this at its boundary by block-copying Result.Rows and rendering explain
+// Nothing backed by a Scratch may outlive its query. The engine block-copies
+// its result rows out — to the heap, or a peer fragment's into the scratch
+// of the coordinator's query, which outlives it — and renders explain
 // output and traces before it releases the scratch; the retain analyzer
-// checks that code does not store scratch-backed values into
-// longer-lived structures.
+// checks that code stores no scratch-backed value into a longer-lived one.
 type Scratch struct {
 	mu sync.Mutex
 	// slabs holds one *arena.Slab[T] per type drawn so far, in first-use
@@ -159,8 +159,8 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // PutScratch waits out any borrower goroutines (abandoned prefetches run
 // their fetch to completion), then resets s and returns it to the pool.
-// The caller must ensure nothing scratch-backed is still reachable after
-// that point (the engine block-copies Result.Rows before releasing).
+// The caller must ensure nothing backed by s is still reachable after that
+// point (the engine block-copies its result rows out of s before releasing).
 func PutScratch(s *Scratch) {
 	s.borrowers.Wait()
 	s.Reset()
