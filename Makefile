@@ -91,7 +91,8 @@ race-adaptive:
 # — no allocation per join key or shipped key — the sequential E14 report
 # aggregate inside its own — none per input row or group — and one indexed
 # point fetch at a source inside its own, none of it spent choosing the
-# access path. At Parallelism 1 and 2 the E14 fan-out and report aggregate
+# access path or compiling its filter. Compiling the portal's predicates
+# and an indexed IN-list into a warm query scratch allocates nothing. At Parallelism 1 and 2 the E14 fan-out and report aggregate
 # must each allocate at most 64 KB a query: sources hand over zero-copy
 # heap snapshots and parallel operators hold a window of their input, so
 # nothing scales with the input. A 4000-group aggregate at a source must
@@ -106,7 +107,7 @@ race-adaptive:
 # -count=1 defeats the test cache so the guards actually measure on every
 # check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestSourceAggregateAllocGuard|TestPeerFragmentAllocGuard|TestPrefetchCounts' -count=1 .
+	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestCompileAllocGuard|TestSourceAggregateAllocGuard|TestPeerFragmentAllocGuard|TestPrefetchCounts' -count=1 .
 
 bench:
 	$(GO) test -bench=. -benchmem .

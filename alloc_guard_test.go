@@ -25,27 +25,32 @@ import (
 	"repro/internal/exec"
 	"repro/internal/opt"
 	"repro/internal/plan"
+	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
 
 // The E17 acceptance budget for one warm cached-hit query end to end
 // (parse → cache hit → arena bind → scratch execute → result copy-out).
-// Measured 36 allocs and 2.5 KB once the operator tree — iterators, their
-// boundary guards, function slices, a semi-join's reduced fetch and the
-// sources' fragment runtimes — came from the query scratch (83 and 7.5 KB
-// before). The budget is that value plus 5 and ~20% above it: the caps
-// leave room for harness noise, not for regressions, and an operator that
-// goes back to the heap costs one allocation per query each.
+// Measured 14 allocs and 1.7 KB once compiled expressions came from the
+// query scratch and feedback signatures rendered into a reused buffer (36
+// and 2.5 KB before; 83 and 7.5 KB before the operator tree — iterators,
+// their boundary guards, a semi-join's reduced fetch and the sources'
+// fragment runtimes — came from the query scratch). The budget is that
+// value plus 5 and ~20% above it: the caps leave room for harness noise,
+// not for regressions, and an operator or an expression tree that goes
+// back to the heap costs one allocation per query each.
 const (
-	e17MaxAllocsPerOp = 41
-	e17MaxBytesPerOp  = 3 << 10
+	e17MaxAllocsPerOp = 19
+	e17MaxBytesPerOp  = 2100
 )
 
 // The same point lookup as a prepared statement under
 // core.DefaultQueryOptions, {Parallel, Adaptive}: inter-source overlap,
-// the per-operator ledger, feedback absorption. Measured 47 allocs/op and
-// 2.6 KB/op once building a plan stopped allocating per operator (94 and
-// 7.5 KB before; 105 before predicates split into stack buffers, the
+// the per-operator ledger, feedback absorption. Measured 11 allocs/op and
+// 1.6 KB/op once compiled expressions came from the query scratch and
+// feedback signatures rendered into the pooled estimator's buffer (47 and
+// 2.6 KB before; 94 and 7.5 KB before building a plan stopped allocating
+// per operator; 105 before predicates split into stack buffers, the
 // options fingerprint became a table lookup and an all-reachable
 // availability mask the empty string; 114 before the
 // plan tree's one traversal protocol stopped allocating input slices and
@@ -55,12 +60,12 @@ const (
 // allocation budget is that value plus 5 and
 // the byte budget ~20% above it, so each step that brings the default
 // configuration down ratchets fenced numbers: a fresh memo map per query
-// trips both.
+// trips both, and so does a signature rendered to a fresh string.
 // (A goroutine per fetch costs only ~3 allocs; TestPrefetchCounts fences
 // that.)
 const (
-	e17DefaultMaxAllocsPerOp = 52
-	e17DefaultMaxBytesPerOp  = 3200
+	e17DefaultMaxAllocsPerOp = 16
+	e17DefaultMaxBytesPerOp  = 1900
 )
 
 func TestE17AllocGuard(t *testing.T) {
@@ -140,16 +145,18 @@ func TestE17AllocGuard(t *testing.T) {
 
 // The E17 cold-compile budget: the same point lookup with the plan cache
 // bypassed, so every query parses, builds (unfolding the customer360
-// view), optimizes and executes. Measured 195 allocs/op and 17.5 KB/op
-// once the executed operator tree came from the query scratch (242 and
-// 22 KB before; 283 and 23 KB before one estimator served every optimizer
+// view), optimizes and executes. Measured 165 allocs/op and 16.3 KB/op
+// once compiled expressions came from the query scratch and signatures
+// rendered into the estimator's buffer (195 and 17.5 KB before; 242 and
+// 22 KB before the executed operator tree came from the query scratch;
+// 283 and 23 KB before one estimator served every optimizer
 // pass and the cost, view unfolding carved its renaming projection from
 // one block, and predicates split into stack buffers; 447 and 27.5 KB
 // before the plan tree's passes copied only the nodes they change and
 // views unfolded from the catalog's stored AST instead of a re-parse). The
 // budget is that value plus 10: an estimator per pass again, or a pass
 // that copies the whole tree, costs more than the headroom.
-const e17ColdMaxAllocsPerOp = 205
+const e17ColdMaxAllocsPerOp = 175
 
 // TestColdCompileAllocGuard fences the plan-cache-miss path: parse,
 // plan.Build, opt.Optimize and execution of one query, every time.
@@ -187,25 +194,27 @@ func TestColdCompileAllocGuard(t *testing.T) {
 }
 
 // Budgets for the keyed-lookup fence, per query under the default
-// configuration, ~25% above the values measured once building a plan
-// stopped allocating per operator: 72 allocs for the IN-list-tier join
-// (115 before; 210 when exec's hash join, semi-join key set and constant
-// IN-lists moved onto one flat index) and 79–81 for the E14 report join
-// (114 before; 129–132 once its parallel probe carved joined rows and
-// output containers from the query scratch, and its exchange copied input
-// batches there; 313 before that, a heap container per batch, grown from
-// nil). A per-key allocation — a map bucket per join key, a literal or a
-// closure per shipped key — costs hundreds to thousands on either query,
-// far past the headroom.
+// configuration, ~25% above the values measured once compiled expressions
+// and constant IN-lists came from the query scratch: 28 allocs for the
+// IN-list-tier join (72 before; 115 before building a plan stopped
+// allocating per operator; 210 when exec's hash join, semi-join key set
+// and constant IN-lists moved onto one flat index) and 60–62 for the E14
+// report join (79–81 before; 114 before that; 129–132 once its parallel
+// probe carved joined rows and output containers from the query scratch,
+// and its exchange copied input batches there; 313 before that, a heap
+// container per batch, grown from nil). A per-key allocation — a map
+// bucket per join key, a literal or a closure per shipped key — costs
+// hundreds to thousands on either query, far past the headroom.
 //
-// The sequential E14 report aggregate measured 32–33 allocs (budget ~25%
-// above; 79 before its operators came from the query scratch, 115 when
-// grouping moved onto the same index), against 16 200 with a key row per
-// input row and a state object per group.
+// The sequential E14 report aggregate measured 13–14 allocs (budget ~25%
+// above; 32–33 before its expressions came from the query scratch, 79
+// before its operators did, 115 when grouping moved onto the same index),
+// against 16 200 with a key row per input row and a state object per
+// group.
 const (
-	keyedSemiJoinMaxAllocsPerOp = 90
-	keyedJoinMaxAllocsPerOp     = 101
-	keyedAggMaxAllocsPerOp      = 41
+	keyedSemiJoinMaxAllocsPerOp = 35
+	keyedJoinMaxAllocsPerOp     = 78
+	keyedAggMaxAllocsPerOp      = 18
 )
 
 // TestKeyedLookupAllocGuard fences the queries whose allocations used to
@@ -333,14 +342,15 @@ func TestParallelAllocGuard(t *testing.T) {
 	}
 }
 
-// One warm point fetch at an indexed table-backed source: 3 allocations, the
-// compiled filter, since the fragment's runtime and its batch pipeline come
-// from the query scratch (8 when the access-path step went in). Choosing
-// and running the probe must add none: positions, keys and row headers come
-// from the query's scratch. The same fetch by full scan also makes 3, since
-// a heap snapshot allocates nothing, so this guard cannot tell a bypassed
+// One warm point fetch at an indexed table-backed source: no allocation,
+// since the fragment's runtime, its batch pipeline and its compiled filter
+// all come from the query scratch (3 while the filter compiled to heap
+// closures; 8 when the access-path step went in). Choosing and running the
+// probe must add none: positions, keys and row headers come from the
+// query's scratch. The same fetch by full scan also makes none, since a
+// heap snapshot allocates nothing, so this guard cannot tell a bypassed
 // probe; TestAccessPathsMatchFullScan's fed-rows check does.
-const pointFetchMaxAllocsPerOp = 3
+const pointFetchMaxAllocsPerOp = 0
 
 func TestPointFetchAllocGuard(t *testing.T) {
 	if testing.Short() {
@@ -369,16 +379,65 @@ func TestPointFetchAllocGuard(t *testing.T) {
 	t.Logf("warm point fetch: %d allocs/op, %d bytes/op (budget %d)", res.AllocsPerOp(), res.AllocedBytesPerOp(), pointFetchMaxAllocsPerOp)
 }
 
+// TestCompileAllocGuard fences the expression compiler: the portal query's
+// predicates, at the mediator and inside its source fragments, and a
+// constant IN-list long enough to be indexed, compiled into a warm query
+// scratch, allocate nothing. Each tree is one scratch block, and an
+// IN-list's set, values and index come from the same scratch; a closure
+// per node, or a set on the heap, costs one allocation each.
+func TestCompileAllocGuard(t *testing.T) {
+	fed := mustCRM(t, 120)
+	p, err := fed.Engine.Plan(context.Background(), workload.PortalSQL(5), core.DefaultQueryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pred struct {
+		cond sqlparse.Expr
+		cols []plan.ColMeta
+	}
+	var preds []pred
+	plan.Walk(p, func(n plan.Node) {
+		if f, ok := n.(*plan.Filter); ok {
+			preds = append(preds, pred{f.Cond, f.Input.Columns()})
+		}
+	})
+	if len(preds) < 2 {
+		t.Fatalf("the portal plan has %d filters, want one per source:\n%s", len(preds), plan.Explain(p))
+	}
+	list := make([]sqlparse.Expr, 8)
+	for i := range list {
+		list[i] = &sqlparse.Literal{Value: datum.NewInt(int64(3 * i))}
+	}
+	idCols := []plan.ColMeta{{Table: "c", Name: "id", Kind: datum.KindInt}}
+	preds = append(preds, pred{&sqlparse.InExpr{Child: &sqlparse.ColumnRef{Column: "id"}, List: list}, idCols})
+
+	scratch := exec.GetScratch()
+	defer exec.PutScratch(scratch)
+	compileAll := func() {
+		for _, pr := range preds {
+			if _, err := exec.Compile(scratch, pr.cond, pr.cols); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scratch.Reset()
+	}
+	compileAll() // warm the scratch's blocks
+	if a := testing.AllocsPerRun(100, compileAll); a != 0 {
+		t.Errorf("compiling %d predicates into a warm scratch allocates %.1f objects, want 0", len(preds), a)
+	}
+}
+
 // sourceAggSQL groups 16 000 invoices into 4 000 groups at the billing
 // source: the result every eager plan of the E14 fan-out ships.
 const sourceAggSQL = `SELECT cust_id, COUNT(*), SUM(amount) FROM billing.invoices GROUP BY cust_id`
 
 // Budgets for that aggregate's fragment at the source, per fetch with a
-// warm query scratch: 7 allocs and 168 B measured (x86-64; 24 and 1.7 KB
-// before the fragment's operators came from the scratch), so the measured
-// allocs plus 5, and 64 KB.
+// warm query scratch: no allocation measured once its compiled group keys
+// and arguments came from the scratch (x86-64; 7 allocs and 168 B before,
+// 24 and 1.7 KB before the fragment's operators came from the scratch), so
+// the measured allocs plus 5, and 64 KB.
 const (
-	sourceAggMaxAllocsPerOp = 12
+	sourceAggMaxAllocsPerOp = 5
 	sourceAggMaxBytesPerOp  = 64 << 10
 )
 

@@ -14,7 +14,10 @@ type holder struct {
 	plan  plan.Node
 	rows  []datum.Row
 	cells []datum.Datum
+	pred  *exec.Expr
 }
+
+var lastPred *exec.Expr
 
 var globalSel *sqlparse.Select
 
@@ -74,6 +77,21 @@ func hitScratchCopyIntoGlobal(s *exec.Scratch, rows []datum.Row) {
 	lastRows = copied[1:] // want "storing an arena-backed value into package variable \"lastRows\""
 }
 
+// hitCompiledIntoHeapField: a predicate compiled into the query scratch
+// kept in heap state past the query.
+func (h *holder) hitCompiledIntoHeapField(s *exec.Scratch, cond sqlparse.Expr, cols []plan.ColMeta) error {
+	pred, err := exec.Compile(s, cond, cols)
+	if err != nil {
+		return err
+	}
+	h.pred = pred // want "storing an arena-backed value into struct field \"pred\""
+	return nil
+}
+
+func hitCompiledIntoGlobal(s *exec.Scratch, cond sqlparse.Expr, cols []plan.ColMeta) {
+	lastPred, _ = exec.Compile(s, cond, cols) // want "storing an arena-backed value into package variable \"lastPred\""
+}
+
 func (h *holder) hitLiteralStore(a *sqlparse.Arena, v datum.Datum) {
 	lit := a.NewLiteral(v)
 	var e sqlparse.Expr = lit
@@ -128,8 +146,14 @@ func missScratchCopyIntoSameScratch(s *exec.Scratch, rows []datum.Row) *holder {
 }
 
 // missNilAllocators: a literal nil scratch allocates on the heap.
-func (h *holder) missNilAllocators(it exec.BatchIterator) error {
+func (h *holder) missNilAllocators(it exec.BatchIterator, cond sqlparse.Expr, cols []plan.ColMeta) error {
 	h.cells = exec.Make[datum.Datum](nil, 8)
+	pred, err := exec.Compile(nil, cond, cols)
+	if err != nil {
+		return err
+	}
+	h.pred = pred
+	lastPred, _ = exec.Compile(nil, cond, cols)
 	rows, err := exec.DrainBatchesScratch(it, nil)
 	lastRows = rows
 	return err

@@ -50,11 +50,11 @@ func hitEstimateOverwrite(est *feedback.Estimate) {
 	*est = feedback.Estimate{} // want "overwrite of feedback.Estimate through a pointer"
 }
 
-func missObserveMutator(s *feedback.Store, k feedback.Key) {
+func missObserveMutator(s *feedback.Store, k feedback.Shape) {
 	s.Observe(k, 100, 10) // the mutator API is how estimates move
 }
 
-func missEstimateValueCopy(s *feedback.Store, k feedback.Key) float64 {
+func missEstimateValueCopy(s *feedback.Store, k feedback.Shape) float64 {
 	est, ok := s.Lookup(k) // Lookup returns a value copy by design
 	if !ok {
 		return 0

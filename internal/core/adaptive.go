@@ -44,7 +44,7 @@ const (
 // snapshot stays untouched — feedback lives beside it, read-only.
 type adaptiveEnv struct{ engineEnv }
 
-func (env adaptiveEnv) Observed(k feedback.Key) (feedback.Estimate, bool) {
+func (env adaptiveEnv) Observed(k feedback.Shape) (feedback.Estimate, bool) {
 	return env.st.feedback.Lookup(k)
 }
 
@@ -99,13 +99,14 @@ type swapEstimator struct {
 	est *opt.Estimator
 }
 
-func (s *swapEstimator) rows(n plan.Node) int64 {
+// Rows implements exec.RowEstimator.
+func (s *swapEstimator) Rows(n plan.Node) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.est.Rows(n)
 }
 
-func (s *swapEstimator) signature(n plan.Node) (feedback.Key, bool) {
+func (s *swapEstimator) signature(n plan.Node) (feedback.Shape, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.est.Signature(n)
@@ -137,11 +138,11 @@ func (s *swapEstimator) swap(env opt.Env) {
 func (s *engineState) absorbLedger(led *exec.CardLedger, se *swapEstimator) (estErrors int) {
 	fb := s.feedback
 	for _, f := range led.Fetches() {
-		key, ok := se.signature(f.Subtree)
+		shape, ok := se.signature(f.Subtree)
 		if !ok {
 			continue
 		}
-		fb.Observe(key, f.Rows, float64(se.rows(f.Subtree)))
+		fb.Observe(shape, f.Rows, float64(se.Rows(f.Subtree)))
 	}
 	for _, op := range led.Ops() {
 		if op.Est < 0 {

@@ -214,7 +214,7 @@ func TestAdaptiveFeedbackIgnoresFailedAttempts(t *testing.T) {
 		t.Error("failed attempts must stay visible as numbered trace spans")
 	}
 
-	est, ok := e.Feedback().Lookup(feedback.Key{Source: "s", Table: "t"})
+	est, ok := e.Feedback().Lookup(feedback.Shape{Source: "s", Table: "t"})
 	if !ok {
 		t.Fatal("no feedback recorded for s.t")
 	}
@@ -282,7 +282,7 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 
 	// Small drift: an observation close to its prediction must not bump
 	// the generation or evict the plan.
-	k := feedback.Key{Source: "x", Table: "y"}
+	k := feedback.Shape{Source: "x", Table: "y"}
 	e.Feedback().Observe(k, 100, 98)
 	res, err = e.QueryOptsCtx(context.Background(), q, qo)
 	if err != nil {
@@ -297,7 +297,7 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 
 	// Large drift: a wildly mispredicted observation bumps the generation;
 	// the next adaptive lookup must recompile.
-	e.Feedback().Observe(feedback.Key{Source: "x", Table: "z"}, 100000, 10)
+	e.Feedback().Observe(feedback.Shape{Source: "x", Table: "z"}, 100000, 10)
 	res, err = e.QueryOptsCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 	if _, err := e.QueryOptsCtx(context.Background(), q, static); err != nil {
 		t.Fatal(err)
 	}
-	e.Feedback().Observe(feedback.Key{Source: "x", Table: "w"}, 100000, 10)
+	e.Feedback().Observe(feedback.Shape{Source: "x", Table: "w"}, 100000, 10)
 	res, err = e.QueryOptsCtx(context.Background(), q, static)
 	if err != nil {
 		t.Fatal(err)

@@ -618,7 +618,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 		se = &rt.est
 		se.swap(st.planEnv(qo))
 		defer se.swap(nil)
-		rt.opts.Estimate = se.rows
+		rt.opts.Estimate = se
 	}
 	if qo.Adaptive {
 		rt.opts.Replan = exec.ReplanPolicy{Factor: ReplanFactor, MinRows: ReplanMinRows}

@@ -104,11 +104,19 @@ type Options struct {
 	Cards *CardLedger
 	// Estimate, when non-nil alongside Cards, supplies the optimizer's
 	// row estimate per plan node so ledger records carry
-	// estimated-vs-actual pairs. Return -1 for "unknown".
-	Estimate func(plan.Node) int64
+	// estimated-vs-actual pairs.
+	Estimate RowEstimator
 	// Replan arms the mid-query re-optimization tripwire (requires Cards
 	// and Estimate). See ReplanPolicy.
 	Replan ReplanPolicy
+}
+
+// RowEstimator supplies the optimizer's row estimate of a plan node, -1
+// for "unknown". It is an interface rather than a func so that a
+// per-query estimator rides Options as the pointer it is: a method value
+// would allocate a closure on every query.
+type RowEstimator interface {
+	Rows(plan.Node) int64
 }
 
 func (o Options) maxKeys() int {
@@ -182,7 +190,7 @@ func buildBatch(ctx context.Context, n plan.Node, rt Runtime, opts Options, over
 	if opts.Cards != nil {
 		g.card = OpCard{Node: n, Est: -1}
 		if opts.Estimate != nil {
-			g.card.Est = opts.Estimate(n)
+			g.card.Est = opts.Estimate.Rows(n)
 		}
 		opts.Cards.addOp(&g.card)
 		if opts.Replan.enabled() && g.card.Est >= 0 && replanNode(n) {
@@ -289,8 +297,8 @@ func (g *guardBatchIter) Close() {
 // lazy except for fetches, which happen here; a unary operator pulls
 // nothing until it is pulled, so it hands overlap down to its input.
 //
-// Every operator object — iterator, compiled-function slice, window —
-// comes from opts.Scratch through New and Make. No closure here may
+// Every operator object — iterator, compiled expression tree, window —
+// comes from opts.Scratch through New, Make and Compile. No closure here may
 // capture opts: one that did would move buildNode's Options to the heap on
 // every call, an allocation per operator built. The goroutine-spawning
 // branches go through prefetchRemote and prefetchInput instead, and the
@@ -326,7 +334,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		if err != nil {
 			return nil, err
 		}
-		pred, err := Compile(x.Cond, x.Input.Columns())
+		pred, err := Compile(s, x.Cond, x.Input.Columns())
 		if err != nil {
 			in.Close()
 			return nil, err
@@ -365,24 +373,24 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		if err != nil {
 			return nil, err
 		}
-		inCols := x.Input.Columns()
-		groupFns, err := compileAll(s, x.GroupBy, inCols)
+		// The group keys and the aggregates' arguments compile into one
+		// block; a COUNT(*) has no argument and leaves a NULL.
+		var buf [8]sqlparse.Expr
+		exprs := append(buf[:0], x.GroupBy...)
+		for _, sp := range x.Aggs {
+			var arg sqlparse.Expr
+			if !sp.Star {
+				arg = sp.Arg
+			}
+			exprs = append(exprs, arg)
+		}
+		fns, err := compileAll(s, exprs, x.Input.Columns())
 		if err != nil {
 			in.Close()
 			return nil, err
 		}
-		argFns := Make[EvalFunc](s, len(x.Aggs))
-		for i, sp := range x.Aggs {
-			if sp.Star {
-				continue
-			}
-			if argFns[i], err = Compile(sp.Arg, inCols); err != nil {
-				in.Close()
-				return nil, err
-			}
-		}
 		return New(s, aggregateBatchIter{
-			in: in, groupFns: groupFns, specs: x.Aggs, argFns: argFns,
+			in: in, groupFns: fns[:len(x.GroupBy)], specs: x.Aggs, argFns: fns[len(x.GroupBy):],
 			groups:  x.Groups,
 			degree:  opts.workers(x.Parallel),
 			size:    opts.batchSize(),
@@ -395,13 +403,15 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		if err != nil {
 			return nil, err
 		}
-		keys, desc := Make[EvalFunc](s, len(x.Keys)), Make[bool](s, len(x.Keys))
+		var buf [8]sqlparse.Expr
+		exprs, desc := buf[:0], Make[bool](s, len(x.Keys))
 		for i, k := range x.Keys {
-			if keys[i], err = Compile(k.Expr, x.Input.Columns()); err != nil {
-				in.Close()
-				return nil, err
-			}
-			desc[i] = k.Desc
+			exprs, desc[i] = append(exprs, k.Expr), k.Desc
+		}
+		keys, err := compileAll(s, exprs, x.Input.Columns())
+		if err != nil {
+			in.Close()
+			return nil, err
 		}
 		return New(s, sortBatchIter{in: in, keys: keys, desc: desc, size: opts.batchSize(), scratch: s}), nil
 
@@ -463,19 +473,6 @@ func prefetchInput(ctx context.Context, rt Runtime, opts Options, child plan.Nod
 	})
 }
 
-// compileAll compiles exprs against cols into one function slice from s.
-func compileAll(s *Scratch, exprs []sqlparse.Expr, cols []plan.ColMeta) ([]EvalFunc, error) {
-	fns := Make[EvalFunc](s, len(exprs))
-	for i, e := range exprs {
-		f, err := Compile(e, cols)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = f
-	}
-	return fns, nil
-}
-
 // buildJoin builds a join; overlap is the join's own (see buildBatch).
 func buildJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, overlap bool) (BatchIterator, error) {
 	// The condition is split once, into stack buffers, for both the
@@ -521,36 +518,40 @@ func assembleJoin(ctx context.Context, x *plan.Join, left, right BatchIterator, 
 	s := opts.Scratch
 	leftJoin := x.Type == sqlparse.JoinLeft
 	rightArity := len(x.Right.Columns())
+	var cond *Expr
 	var err error
 	if len(lk) > 0 {
-		h := hashJoinBatchIter{
-			ctx:  ctx,
-			left: left, right: right,
-			leftJoin:   leftJoin,
-			rightArity: rightArity,
-			degree:     opts.workers(x.Parallel),
-			stats:      opts.Stats,
-			scratch:    s,
-		}
-		if h.leftKeys, err = compileAll(s, lk, x.Left.Columns()); err == nil {
-			if h.rightKeys, err = compileAll(s, rk, x.Right.Columns()); err == nil && residual != nil {
-				h.residual, err = Compile(residual, x.Columns())
+		var leftKeys, rightKeys []Expr
+		if leftKeys, err = compileAll(s, lk, x.Left.Columns()); err == nil {
+			if rightKeys, err = compileAll(s, rk, x.Right.Columns()); err == nil && residual != nil {
+				cond, err = Compile(s, residual, x.Columns())
 			}
 		}
 		if err == nil {
-			return New(s, h), nil
+			degree := opts.workers(x.Parallel)
+			return New(s, hashJoinBatchIter{
+				ctx:  ctx,
+				left: left, right: right,
+				leftKeys: leftKeys, rightKeys: rightKeys, residual: cond,
+				leftJoin:   leftJoin,
+				rightArity: rightArity,
+				degree:     degree,
+				stats:      opts.Stats,
+				scratch:    s,
+				keys:       Make[datum.Datum](s, degree*len(lk)),
+				blocks:     Make[[]datum.Datum](s, degree),
+			}), nil
 		}
 	} else {
-		nl := nestedLoopBatchIter{
-			left: left, right: right,
-			leftJoin: leftJoin, rightArity: rightArity,
-			size: opts.batchSize(), scratch: s,
-		}
 		if x.Cond != nil {
-			nl.cond, err = Compile(x.Cond, x.Columns())
+			cond, err = Compile(s, x.Cond, x.Columns())
 		}
 		if err == nil {
-			return New(s, nl), nil
+			return New(s, nestedLoopBatchIter{
+				left: left, right: right, cond: cond,
+				leftJoin: leftJoin, rightArity: rightArity,
+				size: opts.batchSize(), scratch: s,
+			}), nil
 		}
 	}
 	left.Close()
@@ -612,7 +613,7 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, lk
 	if err != nil {
 		return nil, false, err
 	}
-	keyFn, err := Compile(probeKeys[pairIdx], probeNode.Columns())
+	keyFn, err := Compile(s, probeKeys[pairIdx], probeNode.Columns())
 	if err != nil {
 		return nil, false, err
 	}
@@ -669,14 +670,14 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, lk
 // distinctKeys evaluates keyFn over rows and collects the distinct non-NULL
 // values in first-seen order. It stops with fits=false as soon as their
 // count passes plan.DefaultBloomKeyCap: no shipped tier carries that many.
-func distinctKeys(s *Scratch, rows []datum.Row, keyFn EvalFunc) (keys datumSet, fits bool, err error) {
+func distinctKeys(s *Scratch, rows []datum.Row, keyFn *Expr) (keys datumSet, fits bool, err error) {
 	capacity := len(rows)
 	if capacity > plan.DefaultBloomKeyCap {
 		capacity = plan.DefaultBloomKeyCap
 	}
 	keys = newDatumSet(s, capacity)
 	for _, r := range rows {
-		v, err := keyFn(r)
+		v, err := keyFn.Eval(r)
 		if err != nil {
 			return datumSet{}, false, err
 		}

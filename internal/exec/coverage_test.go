@@ -13,13 +13,13 @@ import (
 	"repro/internal/sqlparse"
 )
 
-func compile(t *testing.T, exprSQL string, cols []plan.ColMeta) EvalFunc {
+func compile(t *testing.T, exprSQL string, cols []plan.ColMeta) *Expr {
 	t.Helper()
 	e, err := sqlparse.ParseExpr(exprSQL)
 	if err != nil {
 		t.Fatalf("parse %q: %v", exprSQL, err)
 	}
-	f, err := Compile(e, cols)
+	f, err := Compile(nil, e, cols)
 	if err != nil {
 		t.Fatalf("compile %q: %v", exprSQL, err)
 	}
@@ -29,7 +29,7 @@ func compile(t *testing.T, exprSQL string, cols []plan.ColMeta) EvalFunc {
 func evalOne(t *testing.T, exprSQL string, cols []plan.ColMeta, row datum.Row) datum.Datum {
 	t.Helper()
 	f := compile(t, exprSQL, cols)
-	v, err := f(row)
+	v, err := f.Eval(row)
 	if err != nil {
 		t.Fatalf("eval %q: %v", exprSQL, err)
 	}
@@ -95,11 +95,11 @@ func TestDynamicLikePattern(t *testing.T) {
 		{Table: "t", Name: "p", Kind: datum.KindString},
 	}
 	f := compile(t, "s LIKE p", cols)
-	v, err := f(datum.Row{datum.NewString("hello"), datum.NewString("h_llo")})
+	v, err := f.Eval(datum.Row{datum.NewString("hello"), datum.NewString("h_llo")})
 	if err != nil || !v.Bool() {
 		t.Errorf("dynamic LIKE = %v %v", v, err)
 	}
-	v, err = f(datum.Row{datum.NewString("hello"), datum.NewString("x%")})
+	v, err = f.Eval(datum.Row{datum.NewString("hello"), datum.NewString("x%")})
 	if err != nil || v.Bool() {
 		t.Errorf("dynamic LIKE negative = %v %v", v, err)
 	}
@@ -123,11 +123,11 @@ func TestRuntimeTypeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", c, err)
 		}
-		f, err := Compile(e, icols)
+		f, err := Compile(nil, e, icols)
 		if err != nil {
 			continue // compile-time rejection also acceptable
 		}
-		if _, err := f(irow()); err == nil {
+		if _, err := f.Eval(irow()); err == nil {
 			t.Errorf("%q must fail at runtime", c)
 		}
 	}
@@ -203,12 +203,17 @@ func TestGuardWritesTheOperatorRecord(t *testing.T) {
 	clock := netsim.NewVirtualClock(time.Unix(100, 0))
 	c = scan(Options{
 		Tracer:   NewQueryTracer(clock),
-		Estimate: func(plan.Node) int64 { return 7 },
+		Estimate: sevenRows{},
 	})
 	if c.Rows != 3 || c.Batches != 2 || c.Est != 7 || c.First.IsZero() || c.Last.Before(c.First) {
 		t.Errorf("traced record = %+v", *c)
 	}
 }
+
+// sevenRows estimates every node at 7 rows.
+type sevenRows struct{}
+
+func (sevenRows) Rows(plan.Node) int64 { return 7 }
 
 func TestEvalPredicateRejectsNonBool(t *testing.T) {
 	f := compile(t, "i + 1", icols)
@@ -234,7 +239,7 @@ func TestSortMultiKeyMixedDirections(t *testing.T) {
 	}
 	keyA := compile(t, "a", cols)
 	keyB := compile(t, "b", cols)
-	it := &sortBatchIter{in: newSliceBatchIter(nil, rows, 2), keys: []EvalFunc{keyA, keyB}, desc: []bool{false, true}}
+	it := &sortBatchIter{in: newSliceBatchIter(nil, rows, 2), keys: []Expr{*keyA, *keyB}, desc: []bool{false, true}}
 	out, err := DrainBatches(it)
 	if err != nil {
 		t.Fatal(err)

@@ -403,7 +403,7 @@ func TestCompileErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", s, err)
 		}
-		if _, err := Compile(e, cols); err == nil {
+		if _, err := Compile(nil, e, cols); err == nil {
 			t.Errorf("Compile(%q) should fail", s)
 		}
 	}

@@ -93,26 +93,23 @@ var inCols = []plan.ColMeta{{Table: "t", Name: "v"}, {Table: "t", Name: "w"}}
 // index squashed to one chain.
 func checkIn(t *testing.T, items []datum.Datum, not bool) {
 	t.Helper()
-	list := literalList(nil, items)
-	child := &sqlparse.ColumnRef{Column: "v"}
-	compiled, err := Compile(&sqlparse.InExpr{Child: child, List: list, Not: not}, inCols)
+	in := &sqlparse.InExpr{Child: &sqlparse.ColumnRef{Column: "v"}, List: literalList(nil, items), Not: not}
+	compiled, err := Compile(nil, in, inCols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, ok := newInSet(list)
-	if !ok {
+	squashed, err := Compile(nil, in, inCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if squashed.set == nil {
 		t.Fatalf("an all-literal list of %d items did not compile to a set", len(items))
 	}
-	squash(&set.ix)
-	childFn, err := Compile(child, inCols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	squashed := set.eval(childFn, not)
+	squash(&squashed.set.ix)
 	for _, v := range inPool {
 		want := refIn(v, items, not)
-		for name, f := range map[string]EvalFunc{"compiled": compiled, "squashed": squashed} {
-			got, err := f(datum.Row{v, datum.Null})
+		for name, f := range map[string]*Expr{"compiled": compiled, "squashed": squashed} {
+			got, err := f.Eval(datum.Row{v, datum.Null})
 			if err != nil {
 				t.Fatalf("%s: %v IN %v: %v", name, v, items, err)
 			}
@@ -169,7 +166,7 @@ func TestInListManyKeysSmallTable(t *testing.T) {
 	for k := range vals {
 		vals[k] = datum.NewInt(int64(2 * k))
 	}
-	set, _ := newInSet(literalList(nil, vals))
+	set := newInSet(nil, literalList(nil, vals))
 	hashes := set.ix.hashes
 	set.ix = keyIndex{head: make([]int32, 2), next: make([]int32, n), hashes: hashes, shift: 63}
 	for _, h := range hashes {
@@ -189,17 +186,20 @@ func TestInListNonLiteralItemTakesLoop(t *testing.T) {
 	col := func(name string) sqlparse.Expr { return &sqlparse.ColumnRef{Column: name} }
 	lit := func(v datum.Datum) sqlparse.Expr { return &sqlparse.Literal{Value: v} }
 	list := []sqlparse.Expr{lit(datum.NewInt(5)), col("w"), lit(datum.Null)}
-	if _, ok := newInSet(list); ok {
-		t.Fatal("a list with a column reference compiled to a constant set")
+	if allLiterals(list) {
+		t.Fatal("a list with a column reference counts as all literals")
 	}
 	for _, not := range []bool{false, true} {
-		f, err := Compile(&sqlparse.InExpr{Child: col("v"), List: list, Not: not}, inCols)
+		f, err := Compile(nil, &sqlparse.InExpr{Child: col("v"), List: list, Not: not}, inCols)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if f.set != nil {
+			t.Fatal("a list with a column reference compiled to a constant set")
+		}
 		for _, v := range inPool {
 			for _, w := range inPool {
-				got, err := f(datum.Row{v, w})
+				got, err := f.Eval(datum.Row{v, w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,14 +214,14 @@ func TestInListNonLiteralItemTakesLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Compile(&sqlparse.InExpr{Child: col("v"), List: []sqlparse.Expr{lit(datum.NewInt(1)), divZero}}, inCols)
+	f, err := Compile(nil, &sqlparse.InExpr{Child: col("v"), List: []sqlparse.Expr{lit(datum.NewInt(1)), divZero}}, inCols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := f(datum.Row{datum.NewInt(1), datum.Null}); err != nil || !got.Bool() {
+	if got, err := f.Eval(datum.Row{datum.NewInt(1), datum.Null}); err != nil || !got.Bool() {
 		t.Errorf("1 IN (1, 1/0) = %v, %v; want TRUE before the division is evaluated", got, err)
 	}
-	if _, err := f(datum.Row{datum.NewInt(2), datum.Null}); err == nil {
+	if _, err := f.Eval(datum.Row{datum.NewInt(2), datum.Null}); err == nil {
 		t.Error("2 IN (1, 1/0) evaluated without the division-by-zero error")
 	}
 }
@@ -293,13 +293,13 @@ func refJoin(build []datum.Row, probe Batch, nkeys int, leftJoin bool) Batch {
 
 func TestJoinBuildMatchesMapBuild(t *testing.T) {
 	cols := []plan.ColMeta{{Table: "t", Name: "k1"}, {Table: "t", Name: "k2"}, {Table: "t", Name: "id"}}
-	var keyFns []EvalFunc
+	var keyFns []Expr
 	for _, name := range []string{"k1", "k2"} {
-		f, err := Compile(&sqlparse.ColumnRef{Column: name}, cols)
+		f, err := Compile(nil, &sqlparse.ColumnRef{Column: name}, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keyFns = append(keyFns, f)
+		keyFns = append(keyFns, *f)
 	}
 	rng := rand.New(rand.NewSource(15))
 	// Sizes on both sides of parallelMinRows: below it every worker count
@@ -415,10 +415,10 @@ func e18Join(tb testing.TB, g *catalog.Global, custWhere string) *plan.Join {
 
 // refDistinctKeys is the key collection the index replaced: one bucket of
 // seen values per hash.
-func refDistinctKeys(rows []datum.Row, keyFn EvalFunc) (vals []datum.Datum, hashes []uint64) {
+func refDistinctKeys(rows []datum.Row, keyFn *Expr) (vals []datum.Datum, hashes []uint64) {
 	seen := make(map[uint64][]datum.Datum)
 	for _, r := range rows {
-		v, _ := keyFn(r)
+		v, _ := keyFn.Eval(r)
 		if v.IsNull() {
 			continue
 		}
@@ -451,7 +451,7 @@ func bloomOf(hashes []uint64) *bloom.Filter {
 func TestDistinctKeysMatchMapDedup(t *testing.T) {
 	_, rt := e18Fixture(t, 3000)
 	cols := []plan.ColMeta{{Name: "inv_id"}, {Name: "cust_id"}, {Name: "amount"}, {Name: "status"}}
-	keyFn, err := Compile(&sqlparse.ColumnRef{Column: "cust_id"}, cols)
+	keyFn, err := Compile(nil, &sqlparse.ColumnRef{Column: "cust_id"}, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestDistinctKeysMatchMapDedup(t *testing.T) {
 }
 
 func TestDistinctKeysStopAtBloomCap(t *testing.T) {
-	keyFn, err := Compile(&sqlparse.ColumnRef{Column: "k"}, []plan.ColMeta{{Name: "k"}})
+	keyFn, err := Compile(nil, &sqlparse.ColumnRef{Column: "k"}, []plan.ColMeta{{Name: "k"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +587,7 @@ func BenchmarkInList(b *testing.B) {
 			for k := range keys {
 				keys[k] = datum.NewInt(int64(1 + k*(3000/n)))
 			}
-			pred, err := Compile(&sqlparse.InExpr{Child: &sqlparse.ColumnRef{Column: "cust_id"}, List: literalList(nil, keys)}, cols)
+			pred, err := Compile(nil, &sqlparse.InExpr{Child: &sqlparse.ColumnRef{Column: "cust_id"}, List: literalList(nil, keys)}, cols)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -610,7 +610,7 @@ func BenchmarkInList(b *testing.B) {
 // from the 4-row tables of point lookups to a 16 000-row report join, with
 // a per-query scratch recycled between builds as the engine does.
 func BenchmarkJoinBuild(b *testing.B) {
-	keyFn, err := Compile(&sqlparse.ColumnRef{Column: "k"}, []plan.ColMeta{{Name: "k"}})
+	keyFn, err := Compile(nil, &sqlparse.ColumnRef{Column: "k"}, []plan.ColMeta{{Name: "k"}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func BenchmarkJoinBuild(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					var tbl joinTable
-					if err := buildJoinTable(&tbl, scratch, rows, []EvalFunc{keyFn}, workers); err != nil {
+					if err := buildJoinTable(&tbl, scratch, rows, []Expr{*keyFn}, workers); err != nil {
 						b.Fatal(err)
 					}
 					scratch.Reset()
@@ -991,11 +991,11 @@ func TestWindowedAggregationStopsMidWindow(t *testing.T) {
 		}
 		rows[i] = datum.Row{datum.NewInt(int64(i % 50)), x}
 	}
-	g, err := Compile(&sqlparse.ColumnRef{Column: "g"}, cols)
+	g, err := Compile(nil, &sqlparse.ColumnRef{Column: "g"}, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := Compile(&sqlparse.ColumnRef{Column: "x"}, cols)
+	x, err := Compile(nil, &sqlparse.ColumnRef{Column: "x"}, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1005,13 +1005,13 @@ func TestWindowedAggregationStopsMidWindow(t *testing.T) {
 		for _, tc := range []struct {
 			name string
 			spec plan.AggSpec
-			arg  EvalFunc
+			arg  Expr // a NULL literal for COUNT(*), which has no argument
 			hit  func(cancel context.CancelFunc) error
 			want error // nil: SUM's type error on the string at row at
 		}{
-			{"input fault", countStar, nil, func(context.CancelFunc) error { return fault }, fault},
-			{"cancel", countStar, nil, func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled},
-			{"fold error", sumX, x, nil, nil},
+			{"input fault", countStar, nullExpr, func(context.CancelFunc) error { return fault }, fault},
+			{"cancel", countStar, nullExpr, func(cancel context.CancelFunc) error { cancel(); return nil }, context.Canceled},
+			{"fold error", sumX, *x, nil, nil},
 		} {
 			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
@@ -1022,9 +1022,9 @@ func TestWindowedAggregationStopsMidWindow(t *testing.T) {
 			scratch := GetScratch()
 			a := &aggregateBatchIter{
 				in:       &guardBatchIter{in: src, ctx: ctx},
-				groupFns: []EvalFunc{g},
+				groupFns: []Expr{*g},
 				specs:    []plan.AggSpec{tc.spec},
-				argFns:   []EvalFunc{tc.arg},
+				argFns:   []Expr{tc.arg},
 				degree:   degree, size: 64, scratch: scratch,
 			}
 			_, err := a.NextBatch()

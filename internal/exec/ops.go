@@ -12,7 +12,7 @@ import (
 
 type filterBatchIter struct {
 	in      BatchIterator
-	pred    EvalFunc
+	pred    *Expr
 	out     Batch
 	scratch *Scratch
 }
@@ -43,7 +43,7 @@ func (f *filterBatchIter) Close() { f.in.Close() }
 
 type projectBatchIter struct {
 	in      BatchIterator
-	exprs   []EvalFunc
+	exprs   []Expr
 	out     Batch
 	scratch *Scratch
 }
@@ -86,14 +86,17 @@ func (t *joinTable) keyOf(i int32) datum.Row {
 }
 
 // evalRange evaluates keys and hashes for rows[lo:hi) into the arenas.
-func (t *joinTable) evalRange(keyFns []EvalFunc, null []bool, lo, hi int) error {
+func (t *joinTable) evalRange(keyFns []Expr, null []bool, lo, hi int) error {
 	for i := lo; i < hi; i++ {
 		key := t.keys[i*t.nkeys : (i+1)*t.nkeys]
 		isNull := false
-		for k, f := range keyFns {
-			v, err := f(t.rows[i])
-			if err != nil {
-				return err
+		for k := range keyFns {
+			v, ok := keyFns[k].at(t.rows[i])
+			if !ok {
+				var err error
+				if v, err = keyFns[k].Eval(t.rows[i]); err != nil {
+					return err
+				}
 			}
 			if v.IsNull() {
 				isNull = true
@@ -115,14 +118,17 @@ func (t *joinTable) evalRange(keyFns []EvalFunc, null []bool, lo, hi int) error 
 // *block, refilled from s a block of rows at a time. Each caller (the
 // sequential iterator, one exchange worker) owns its own keyScratch and
 // block, which outlive the batch.
-func (t *joinTable) probeBatch(s *Scratch, b Batch, leftKeys []EvalFunc, residual EvalFunc, leftJoin bool, rightArity int, keyScratch datum.Row, block *[]datum.Datum, dst Batch) (Batch, error) {
+func (t *joinTable) probeBatch(s *Scratch, b Batch, leftKeys []Expr, residual *Expr, leftJoin bool, rightArity int, keyScratch datum.Row, block *[]datum.Datum, dst Batch) (Batch, error) {
 	for _, l := range b {
 		matched := false
 		null := false
-		for i, f := range leftKeys {
-			v, err := f(l)
-			if err != nil {
-				return nil, err
+		for i := range leftKeys {
+			v, ok := leftKeys[i].at(l)
+			if !ok {
+				var err error
+				if v, err = leftKeys[i].Eval(l); err != nil {
+					return nil, err
+				}
 			}
 			if v.IsNull() {
 				null = true
@@ -188,20 +194,21 @@ type hashJoinBatchIter struct {
 	ctx        context.Context
 	left       BatchIterator
 	right      BatchIterator
-	leftKeys   []EvalFunc
-	rightKeys  []EvalFunc
-	residual   EvalFunc // may be nil
+	leftKeys   []Expr
+	rightKeys  []Expr
+	residual   *Expr // may be nil
 	leftJoin   bool
 	rightArity int
 	degree     int
 	stats      *ExecStats
 	scratch    *Scratch
 
-	built bool
-	table joinTable
-	probe func(w int, b, dst Batch) (Batch, error) // w: the sequential iterator's 0, or an exchange worker
-	out   Batch
-	ex    BatchIterator // parallel probe; nil when sequential
+	built  bool
+	table  joinTable
+	keys   datum.Row       // per-prober key buffers, len(leftKeys) each, degree of them
+	blocks [][]datum.Datum // per-prober row blocks, kept across batches
+	out    Batch
+	ex     BatchIterator // parallel probe; nil when sequential
 }
 
 func (h *hashJoinBatchIter) build() error {
@@ -213,13 +220,6 @@ func (h *hashJoinBatchIter) build() error {
 	if err := buildJoinTable(&h.table, h.scratch, rows, h.rightKeys, h.degree); err != nil {
 		return err
 	}
-	// Per-prober state lives in these locals, which the probe closure
-	// captures: a key buffer and a block pool each, kept across batches.
-	nk := len(h.leftKeys)
-	keys, blocks := datum.Row(Make[datum.Datum](h.scratch, h.degree*nk)), Make[[]datum.Datum](h.scratch, h.degree)
-	h.probe = func(w int, b, dst Batch) (Batch, error) {
-		return h.table.probeBatch(h.scratch, b, h.leftKeys, h.residual, h.leftJoin, h.rightArity, keys[w*nk:(w+1)*nk], &blocks[w], dst)
-	}
 	if h.degree > 1 {
 		h.stats.noteParallelism(h.degree)
 		h.ex = newExchange(h.ctx, h.scratch, h.left, h.degree, func(w int, b Batch) (Batch, error) {
@@ -227,6 +227,13 @@ func (h *hashJoinBatchIter) build() error {
 		})
 	}
 	return nil
+}
+
+// probe joins batch b into dst as prober w: the sequential iterator's 0,
+// or an exchange worker.
+func (h *hashJoinBatchIter) probe(w int, b, dst Batch) (Batch, error) {
+	nk := len(h.leftKeys)
+	return h.table.probeBatch(h.scratch, b, h.leftKeys, h.residual, h.leftJoin, h.rightArity, h.keys[w*nk:(w+1)*nk], &h.blocks[w], dst)
 }
 
 func (h *hashJoinBatchIter) NextBatch() (Batch, error) {
@@ -287,7 +294,7 @@ func appendNulls(r datum.Row, n int) datum.Row {
 type nestedLoopBatchIter struct {
 	left       BatchIterator
 	right      BatchIterator
-	cond       EvalFunc // may be nil (cross join)
+	cond       *Expr // may be nil (cross join)
 	leftJoin   bool
 	rightArity int
 	size       int
@@ -366,10 +373,10 @@ func (n *nestedLoopBatchIter) Close() {
 
 type aggregateBatchIter struct {
 	in       BatchIterator
-	groupFns []EvalFunc
+	groupFns []Expr
 	specs    []plan.AggSpec
-	argFns   []EvalFunc // nil entries for COUNT(*)
-	groups   int        // the optimizer's group estimate; 0 when unknown
+	argFns   []Expr // NULL literals for COUNT(*)
+	groups   int    // the optimizer's group estimate; 0 when unknown
 	degree   int
 	size     int
 	stats    *ExecStats
@@ -382,17 +389,22 @@ type aggregateBatchIter struct {
 // eval evaluates r's group key into key and its aggregate arguments into
 // args; a COUNT(*) has none and its slot is left alone.
 func (a *aggregateBatchIter) eval(r datum.Row, key, args []datum.Datum) (err error) {
-	for k, f := range a.groupFns {
-		if key[k], err = f(r); err != nil {
-			return err
+	var ok bool
+	for k := range a.groupFns {
+		if key[k], ok = a.groupFns[k].at(r); !ok {
+			if key[k], err = a.groupFns[k].Eval(r); err != nil {
+				return err
+			}
 		}
 	}
-	for j, f := range a.argFns {
-		if f == nil {
+	for j := range a.argFns {
+		if a.specs[j].Star {
 			continue
 		}
-		if args[j], err = f(r); err != nil {
-			return err
+		if args[j], ok = a.argFns[j].at(r); !ok {
+			if args[j], err = a.argFns[j].Eval(r); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -448,7 +460,7 @@ func (a *aggregateBatchIter) Close() { a.in.Close() }
 
 type sortBatchIter struct {
 	in      BatchIterator
-	keys    []EvalFunc
+	keys    []Expr
 	desc    []bool
 	size    int
 	scratch *Scratch
@@ -472,8 +484,8 @@ func (s *sortBatchIter) NextBatch() (Batch, error) {
 		for i, r := range rows {
 			key := keyArena[:len(s.keys):len(s.keys)]
 			keyArena = keyArena[len(s.keys):]
-			for j, f := range s.keys {
-				if key[j], err = f(r); err != nil {
+			for j := range s.keys {
+				if key[j], err = s.keys[j].Eval(r); err != nil {
 					return nil, err
 				}
 			}

@@ -275,7 +275,7 @@ func morsels(n, workers int, fn func(lo, hi int) error) error {
 // slots: a row hashes to exactly one slot, so workers write disjoint
 // elements, and every chain comes out in ascending row order exactly as
 // the sequential build leaves it.
-func buildJoinTable(t *joinTable, s *Scratch, rows []datum.Row, keyFns []EvalFunc, workers int) error {
+func buildJoinTable(t *joinTable, s *Scratch, rows []datum.Row, keyFns []Expr, workers int) error {
 	t.rows = rows
 	t.nkeys = len(keyFns)
 	n := len(rows)

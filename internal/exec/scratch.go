@@ -8,14 +8,16 @@ import (
 )
 
 // Scratch is the query-scoped allocator: batch row headers, projected
-// datums, key and group tables, and the operator objects of the plan
-// itself — every iterator and boundary guard BuildBatch builds, their
-// compiled-function slices, a semi-join's reduced fetch and a source
-// fragment's runtime. All of it dies when the query finishes, so the engine
-// takes a pooled Scratch per query, threads it through Options (and the
-// query context, for remote subtrees executed inside source wrappers), and
-// recycles it on every exit path. A warm query then builds its operator
-// tree and runs its batch pipeline with almost no heap allocation.
+// datums, key and group tables, and the plan's executable form itself —
+// every iterator and boundary guard BuildBatch builds, the compiled
+// expression trees they evaluate (one block of Expr nodes per tree, and a
+// constant IN-list's set, values and index), a semi-join's reduced fetch
+// and a source fragment's runtime. All of it dies when the query finishes,
+// so the engine takes a pooled Scratch per query, threads it through
+// Options (and the query context, for remote subtrees executed inside
+// source wrappers, whose fetch filters compile into it too), and recycles
+// it on every exit path. A warm query then builds and compiles its
+// operator tree and runs its batch pipeline without heap allocation.
 //
 // New and Make are the two allocators, generic over the element type: the
 // scratch keeps one arena.Slab per type it has been asked for, so a package
@@ -29,7 +31,8 @@ import (
 // lock once, so callers draw memory a batch or a block of rows at a time,
 // never a row at a time: the join probe carves its rows from blocks of up
 // to 1024 datums, and partitioned aggregation draws its window buffers
-// once. Building a plan takes it once per operator object.
+// once. Building a plan takes it once per operator object and once per
+// compiled expression tree, never per expression node.
 //
 // Nothing backed by a Scratch may outlive its query. The engine block-copies
 // its result rows out — to the heap, or a peer fragment's into the scratch

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -168,6 +169,88 @@ func TestNilScratchMatchesPooled(t *testing.T) {
 				t.Errorf("rows over a pooled scratch differ from the nil-scratch build\n got %.300s\nwant %.300s", got, want)
 			}
 		})
+	}
+	t.Run("expressions", func(t *testing.T) { checkExprCorpus(t, scratch) })
+}
+
+// exprCorpus is TestNilScratchMatchesPooled's expression corpus, over
+// exprCols: three-valued logic with NULLs, IN and NOT IN on either side of
+// inSetScanMax with and without a NULL item, LIKE, CASE, CAST, and
+// arithmetic that overflows or fails.
+var exprCorpus = []string{
+	"b AND n > 0", "n > 0 AND b", "NOT b OR n = 1", "n = 1 OR NOT b", "NOT (n > 0)",
+	"(i > 3) AND (n IS NULL)", "b AND (i = 1 OR n = 2)", "i AND b",
+	"i IN (1)", "i IN (1, 6)", "i IN (1, 6, 7)", "i IN (2, 3, 4, 5)",
+	"i NOT IN (1, NULL)", "i NOT IN (1, 2, NULL)", "i IN (NULL, 6, 7, 8)",
+	"n IN (1, 2, 3)", "n NOT IN (1, 2)", "i IN (n, 6)", "i NOT IN (n, 2, 3)", "s IN ('x', 'y', 'z')",
+	"s LIKE 'a%'", "s LIKE '_b%'", "s LIKE p", "i LIKE 'x'",
+	"CASE WHEN i > 5 THEN 'big' WHEN n IS NULL THEN 'null' END",
+	"CASE WHEN b THEN i * 2 ELSE i END",
+	"CAST(i AS STRING)", "CAST(s AS INT)", "CAST(f AS INT)", "CAST(b AS FLOAT)",
+	"i * 4611686018427387904", "i + 9223372036854775807", "-i - 9223372036854775807",
+	"i / 0", "i % 0", "f % 2", "i / (n - n)", "i % 4 + f * 2",
+	"i BETWEEN 1 AND 5", "i NOT BETWEEN n AND 10", "s BETWEEN 1 AND 2",
+	"COALESCE(n, i, 0)", "SUBSTR(s, 2, 2)", "UPPER(s) || CONCAT(s, n, i)", "ABS(-i) + LENGTH(s)",
+}
+
+var exprCols = []plan.ColMeta{
+	{Table: "t", Name: "i", Kind: datum.KindInt}, {Table: "t", Name: "f", Kind: datum.KindFloat},
+	{Table: "t", Name: "s", Kind: datum.KindString}, {Table: "t", Name: "b", Kind: datum.KindBool},
+	{Table: "t", Name: "n", Kind: datum.KindInt}, {Table: "t", Name: "p", Kind: datum.KindString},
+}
+
+func exprRows() []datum.Row {
+	i, f, s, b := datum.NewInt, datum.NewFloat, datum.NewString, datum.NewBool
+	null := datum.Null
+	return []datum.Row{
+		{i(6), f(2.5), s("abc"), b(true), null, s("a%")},
+		{i(1), f(-1), s("xbz"), b(false), i(1), null},
+		{i(-3), f(0), s("12"), null, i(2), s("_b_")},
+		{null, null, null, null, null, null},
+		{i(9223372036854775807), f(1e300), s(""), b(true), i(0), s("%")},
+	}
+}
+
+// checkExprCorpus compiles every corpus expression with a nil scratch and
+// with s, which earlier compiles have dirtied and reset, and requires the
+// same value or the same error text on every row.
+func checkExprCorpus(t *testing.T, s *Scratch) {
+	eval := func(f *Expr, r datum.Row) string {
+		v, err := f.Eval(r)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return v.Kind().String() + " " + v.String()
+	}
+	errors := 0
+	for round := 0; round < 2; round++ {
+		for _, src := range exprCorpus {
+			e, err := sqlparse.ParseExpr(src)
+			if err != nil {
+				t.Fatalf("parse %q: %v", src, err)
+			}
+			heap, err := Compile(nil, e, exprCols)
+			if err != nil {
+				t.Fatalf("compile %q: %v", src, err)
+			}
+			pooled, err := Compile(s, e, exprCols)
+			if err != nil {
+				t.Fatalf("compile %q into a scratch: %v", src, err)
+			}
+			for _, r := range exprRows() {
+				want, got := eval(heap, r), eval(pooled, r)
+				if got != want {
+					t.Errorf("%s over %v: scratch-compiled %q, nil-scratch %q", src, r, got, want)
+				}
+				if strings.HasPrefix(want, "error: ") {
+					errors++
+				}
+			}
+		}
+		s.Reset()
+	}
+	if errors == 0 {
+		t.Error("no corpus expression failed on any row: the error paths went unchecked")
 	}
 }
 

@@ -297,7 +297,7 @@ const probeBatchMaxAllocs = 1
 // It returns the heap allocations per batch.
 func probeAllocs(t *testing.T, nBuild, nProbe int, leftJoin bool) float64 {
 	t.Helper()
-	keyFn, err := Compile(&sqlparse.ColumnRef{Column: "k"}, []plan.ColMeta{{Table: "t", Name: "k", Kind: datum.KindInt}})
+	keyFn, err := Compile(nil, &sqlparse.ColumnRef{Column: "k"}, []plan.ColMeta{{Table: "t", Name: "k", Kind: datum.KindInt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func probeAllocs(t *testing.T, nBuild, nProbe int, leftJoin bool) float64 {
 		buildRows[i] = datum.Row{datum.NewInt(int64(i))}
 	}
 	var tbl joinTable
-	if err := buildJoinTable(&tbl, nil, buildRows, []EvalFunc{keyFn}, 1); err != nil {
+	if err := buildJoinTable(&tbl, nil, buildRows, []Expr{*keyFn}, 1); err != nil {
 		t.Fatal(err)
 	}
 	probe := make(Batch, nProbe)
@@ -325,7 +325,7 @@ func probeAllocs(t *testing.T, nBuild, nProbe int, leftJoin bool) float64 {
 		block, dst = nil, nil
 		for range 4 {
 			var err error
-			if dst, err = tbl.probeBatch(scratch, probe, []EvalFunc{keyFn}, nil, leftJoin, 1, key, &block, dst[:0]); err != nil {
+			if dst, err = tbl.probeBatch(scratch, probe, []Expr{*keyFn}, nil, leftJoin, 1, key, &block, dst[:0]); err != nil {
 				t.Fatal(err)
 			}
 			if len(dst) != want {
@@ -361,7 +361,7 @@ func TestLeftJoinPaddingAllocations(t *testing.T) {
 func BenchmarkHashJoinProbe(b *testing.B) {
 	const nBuild, nProbe = 65536, 1024
 	cols := []plan.ColMeta{{Table: "t", Name: "k", Kind: datum.KindInt}}
-	keyFn, err := Compile(&sqlparse.ColumnRef{Column: "k"}, cols)
+	keyFn, err := Compile(nil, &sqlparse.ColumnRef{Column: "k"}, cols)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		buildRows[i] = datum.Row{datum.NewInt(int64(i))}
 	}
 	var tbl joinTable
-	if err := buildJoinTable(&tbl, nil, buildRows, []EvalFunc{keyFn}, 1); err != nil {
+	if err := buildJoinTable(&tbl, nil, buildRows, []Expr{*keyFn}, 1); err != nil {
 		b.Fatal(err)
 	}
 	probe := make(Batch, nProbe)
@@ -387,7 +387,7 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 			scratch.Reset()
 			block = nil
 		}
-		dst, err = tbl.probeBatch(scratch, probe, []EvalFunc{keyFn}, nil, false, 1, key, &block, dst[:0])
+		dst, err = tbl.probeBatch(scratch, probe, []Expr{*keyFn}, nil, false, 1, key, &block, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -25,6 +25,7 @@ import (
 
 // Key identifies one observed cardinality stream: a predicate signature
 // over one table at one source. Sig is "" for a bare scan; see Signature.
+// It is the store's index; callers hand the store the borrowed Shape form.
 type Key struct {
 	Source string
 	Table  string
@@ -113,11 +114,12 @@ func NewStore(clock netsim.Clock) *Store {
 // of diffing estimates.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
-// Observe records one execution's actual cardinality for a key.
+// Observe records one execution's actual cardinality for a shape.
 // plannedRows is the estimate the current plan was costed under (static or
 // blended); the first observation publishes against it, so a plan that was
-// wildly mispredicted bumps the generation immediately.
-func (s *Store) Observe(k Key, observedRows int64, plannedRows float64) {
+// wildly mispredicted bumps the generation immediately. Only the first
+// observation of a shape copies it into an owned key.
+func (s *Store) Observe(k Shape, observedRows int64, plannedRows float64) {
 	if observedRows < 0 {
 		return
 	}
@@ -130,10 +132,10 @@ func (s *Store) Observe(k Key, observedRows int64, plannedRows float64) {
 
 	bump := false
 	s.mu.Lock()
-	o := s.cards[k]
+	o := s.cards[Key{Source: k.Source, Table: k.Table, Sig: string(k.Sig)}] // no copy: a lookup
 	if o == nil {
 		o = &cardObs{logRows: lobs, n: 1, published: lplan, updated: now}
-		s.cards[k] = o
+		s.cards[k.Key()] = o
 	} else {
 		o.logRows = (1-ewmaWeight)*o.logRows + ewmaWeight*lobs
 		o.n++
@@ -149,13 +151,13 @@ func (s *Store) Observe(k Key, observedRows int64, plannedRows float64) {
 	}
 }
 
-// Lookup returns the decayed feedback estimate for a key. ok is false when
-// the key was never observed or its confidence has decayed below the
-// floor.
-func (s *Store) Lookup(k Key) (Estimate, bool) {
+// Lookup returns the decayed feedback estimate for a shape, without
+// copying it. ok is false when the shape was never observed or its
+// confidence has decayed below the floor.
+func (s *Store) Lookup(k Shape) (Estimate, bool) {
 	now := s.clock.Now()
 	s.mu.Lock()
-	o := s.cards[k]
+	o := s.cards[Key{Source: k.Source, Table: k.Table, Sig: string(k.Sig)}]
 	if o == nil {
 		s.mu.Unlock()
 		return Estimate{}, false

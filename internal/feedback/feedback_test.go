@@ -13,7 +13,7 @@ import (
 func TestObserveLookupAndGeneration(t *testing.T) {
 	clock := netsim.NewVirtualClock(time.Unix(0, 0))
 	s := NewStore(clock)
-	k := Key{Source: "crm", Table: "events", Sig: ""}
+	k := Shape{Source: "crm", Table: "events"}
 
 	if _, ok := s.Lookup(k); ok {
 		t.Fatal("lookup before any observation must miss")
@@ -52,7 +52,7 @@ func TestObserveLookupAndGeneration(t *testing.T) {
 
 func TestFirstObservationFarFromPlanBumps(t *testing.T) {
 	s := NewStore(netsim.NewVirtualClock(time.Unix(0, 0)))
-	s.Observe(Key{Source: "s", Table: "t"}, 40000, 50)
+	s.Observe(Shape{Source: "s", Table: "t"}, 40000, 50)
 	if s.Generation() == 0 {
 		t.Fatal("first observation 800x off the planned estimate must bump the generation")
 	}
@@ -61,7 +61,7 @@ func TestFirstObservationFarFromPlanBumps(t *testing.T) {
 func TestConfidenceDecay(t *testing.T) {
 	clock := netsim.NewVirtualClock(time.Unix(0, 0))
 	s := NewStore(clock)
-	k := Key{Source: "s", Table: "t"}
+	k := Shape{Source: "s", Table: "t"}
 	s.Observe(k, 500, 500)
 	if _, ok := s.Lookup(k); !ok {
 		t.Fatal("fresh estimate missing")
@@ -160,5 +160,101 @@ func TestSignatureInAndKeyFilterShareKey(t *testing.T) {
 	kk, _ := Signature(kf)
 	if ki != kk {
 		t.Fatalf("IN-list and bloom key filter split streams: %v vs %v", ki, kk)
+	}
+}
+
+// TestSignatureColumnOperandsSplitStreams: a BETWEEN whose bounds are
+// columns, and an IN-list with a column item, are other streams than their
+// all-constant forms, while predicates over constants only keep the keys
+// they always had.
+func TestSignatureColumnOperandsSplitStreams(t *testing.T) {
+	col := func(name string) sqlparse.Expr { return &sqlparse.ColumnRef{Column: name} }
+	lit := func(v int64) sqlparse.Expr { return &sqlparse.Literal{Value: datum.NewInt(v)} }
+	sig := func(cond sqlparse.Expr) string {
+		t.Helper()
+		k, ok := Signature(&plan.Filter{Input: scanNode(), Cond: cond})
+		if !ok {
+			t.Fatalf("no signature for %s", cond.SQL())
+		}
+		return k.Sig
+	}
+	for _, tc := range []struct {
+		name            string
+		columns, consts sqlparse.Expr
+	}{
+		{"BETWEEN",
+			&sqlparse.BetweenExpr{Child: col("id"), Lo: col("lo"), Hi: col("hi")},
+			&sqlparse.BetweenExpr{Child: col("id"), Lo: lit(1), Hi: lit(4)}},
+		{"BETWEEN one column bound",
+			&sqlparse.BetweenExpr{Child: col("id"), Lo: lit(1), Hi: col("amt")},
+			&sqlparse.BetweenExpr{Child: col("id"), Lo: lit(1), Hi: lit(4)}},
+		{"NOT IN",
+			&sqlparse.InExpr{Child: col("id"), List: []sqlparse.Expr{lit(1), col("amt")}, Not: true},
+			&sqlparse.InExpr{Child: col("id"), List: []sqlparse.Expr{lit(1), lit(2)}, Not: true}},
+	} {
+		if a, b := sig(tc.columns), sig(tc.consts); a == b {
+			t.Errorf("%s: %s and %s share the stream %q", tc.name, tc.columns.SQL(), tc.consts.SQL(), a)
+		}
+	}
+
+	// Keys of constant-only predicates, as they were rendered before column
+	// operands were: feedback recorded under them stays addressable.
+	for _, tc := range []struct {
+		cond sqlparse.Expr
+		want string
+	}{
+		{&sqlparse.BetweenExpr{Child: col("id"), Lo: lit(1), Hi: lit(4)}, "(id between ? ?)"},
+		{&sqlparse.BetweenExpr{Child: col("id"), Lo: &sqlparse.Param{Index: 1}, Hi: lit(4), Not: true}, "(id notbetween ? ?)"},
+		{&sqlparse.InExpr{Child: col("id"), List: []sqlparse.Expr{lit(1), lit(2), lit(3)}}, "(id in(?))"},
+		{&sqlparse.InExpr{Child: col("id"), List: []sqlparse.Expr{lit(1)}, Not: true}, "(id notin(?))"},
+		{&sqlparse.BinaryExpr{Op: sqlparse.OpAnd,
+			Left:  &sqlparse.BinaryExpr{Op: sqlparse.OpGt, Left: &sqlparse.ColumnRef{Table: "O", Column: "Amt"}, Right: lit(5)},
+			Right: &sqlparse.IsNullExpr{Child: col("id"), Not: true}},
+			"(id notnull)|(o.amt > ?)"},
+		{&sqlparse.FuncExpr{Name: "UPPER", Args: []sqlparse.Expr{col("name")}}, "upper(name)"},
+	} {
+		if got := sig(tc.cond); got != tc.want {
+			t.Errorf("%s: signature %q, want %q", tc.cond.SQL(), got, tc.want)
+		}
+	}
+	// Mixed lists name their column items in place.
+	if got, want := sig(&sqlparse.InExpr{Child: col("id"), List: []sqlparse.Expr{lit(1), col("amt")}}), "(id in(?,amt))"; got != want {
+		t.Errorf("mixed IN-list signature %q, want %q", got, want)
+	}
+}
+
+// TestRendererReusesItsBuffer: once a renderer's buffer has grown, rendering
+// the same shapes again and looking them up in the store allocates nothing,
+// and a lookup by a rendered shape finds what an owned key recorded. The
+// scan's names are lowercase, as catalog names in the demo federation are:
+// a name with capitals costs its lowercased copy per rendering.
+func TestRendererReusesItsBuffer(t *testing.T) {
+	scan := &plan.Scan{Source: "crm", Table: "orders", Cols: []plan.ColMeta{{Name: "id"}, {Name: "amt"}}}
+	f := &plan.Filter{Input: scan, Cond: &sqlparse.BinaryExpr{Op: sqlparse.OpAnd,
+		Left:  &sqlparse.BinaryExpr{Op: sqlparse.OpEq, Left: &sqlparse.ColumnRef{Column: "id"}, Right: &sqlparse.Literal{Value: datum.NewInt(1)}},
+		Right: &sqlparse.BetweenExpr{Child: &sqlparse.ColumnRef{Column: "amt"}, Lo: &sqlparse.Param{Index: 1}, Hi: &sqlparse.Param{Index: 2}}}}
+	store := NewStore(netsim.NewVirtualClock(time.Unix(0, 0)))
+	var r Renderer
+	sh, _ := r.Signature(f)
+	store.Observe(sh, 40, 40)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset()
+		sh, ok := r.Signature(f)
+		if !ok {
+			t.Fatal("no signature")
+		}
+		if _, ok := store.Lookup(sh); !ok {
+			t.Fatal("a rendered shape missed what it recorded")
+		}
+		store.Observe(sh, 40, 40)
+	})
+	if allocs != 0 {
+		t.Errorf("rendering and looking up a known shape allocates %.1f objects, want 0", allocs)
+	}
+	if store.Len() != 1 {
+		t.Errorf("one shape recorded %d keys", store.Len())
+	}
+	if k, _ := Signature(f); k != sh.Key() {
+		t.Errorf("owned key %+v differs from the rendered shape %+v", k, sh.Key())
 	}
 }

@@ -1,29 +1,70 @@
 package feedback
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 )
 
-// Signature derives the feedback key of a plan subtree, when it has one.
-// Only shapes whose cardinality is attributable to a single base table
-// qualify: a chain of Remote / Project / Filter nodes over one Scan.
-// Predicates are masked — literals and parameters become "?" — so every
-// execution of the same statement template feeds the same key, and the
-// conjuncts are sorted so predicate order does not split streams.
+// Shape is a feedback key rendered into a Renderer's buffer: Sig aliases
+// that buffer, so a Shape is borrowed until the Renderer's next Reset. The
+// Store looks shapes up without copying them and copies one only when it
+// records a stream it has never seen. Source and Table are the scan's
+// names lowercased, which costs a copy only for a name with capitals.
+type Shape struct {
+	Source string
+	Table  string
+	Sig    []byte
+}
+
+// Key returns the shape as an owned key.
+func (s Shape) Key() Key { return Key{Source: s.Source, Table: s.Table, Sig: string(s.Sig)} }
+
+// Renderer renders feedback signatures into one buffer it keeps across
+// Resets, so a pooled owner (the executor's per-query estimator) renders
+// the same shapes on every execution without allocating.
+type Renderer struct {
+	buf []byte
+}
+
+// Reset recycles the buffer: every Shape rendered so far becomes invalid.
+func (r *Renderer) Reset() { r.buf = r.buf[:0] }
+
+// Signature derives the feedback key of a plan subtree, when it has one,
+// as an owned Key. Renderer.Signature is the same rendering into a reused
+// buffer; see it for what the key holds.
+func Signature(n plan.Node) (Key, bool) {
+	var r Renderer
+	s, ok := r.Signature(n)
+	return s.Key(), ok
+}
+
+// Signature renders the feedback key of a plan subtree, when it has one,
+// appending its signature to the renderer's buffer. Only shapes whose
+// cardinality is attributable to a single base table qualify: a chain of
+// Remote / Project / Filter nodes over one Scan. Predicates are masked —
+// literals and parameters become "?" — so every execution of the same
+// statement template feeds the same key, and the conjuncts are sorted so
+// predicate order does not split streams. Column operands stay named
+// wherever they sit (comparison sides, BETWEEN bounds, IN-list items), so
+// a predicate over columns never shares a stream with a constant one.
 // Cardinality-changing shapes (joins, aggregates, limits, distinct) return
 // ok=false; their estimates are derived from their inputs, not observed
 // directly.
-func Signature(n plan.Node) (Key, bool) {
-	var conjuncts []string
+func (r *Renderer) Signature(n plan.Node) (Shape, bool) {
+	start := len(r.buf)
+	// Each conjunct renders at the end of the buffer; spans records where,
+	// on the stack up to eight conjuncts.
+	type span struct{ lo, hi int }
+	var spanBuf [8]span
+	spans := spanBuf[:0]
 	var buf [8]sqlparse.Expr
 	for {
-		if r, isRemote := n.(*plan.Remote); isRemote {
-			n = r.Child
+		if rm, isRemote := n.(*plan.Remote); isRemote {
+			n = rm.Child
 			continue
 		}
 		if p, isProject := n.(*plan.Project); isProject {
@@ -36,7 +77,9 @@ func Signature(n plan.Node) (Key, bool) {
 		}
 		if f, isFilter := n.(*plan.Filter); isFilter {
 			for _, c := range sqlparse.AppendConjuncts(buf[:0], f.Cond) {
-				conjuncts = append(conjuncts, maskExpr(c))
+				lo := len(r.buf)
+				r.buf = appendMask(r.buf, c)
+				spans = append(spans, span{lo, len(r.buf)})
 			}
 			n = f.Input
 			continue
@@ -45,82 +88,148 @@ func Signature(n plan.Node) (Key, bool) {
 	}
 	s, isScan := n.(*plan.Scan)
 	if !isScan || s.Source == "" || s.Table == "" {
-		return Key{}, false
+		r.buf = r.buf[:start]
+		return Shape{}, false
 	}
-	sort.Strings(conjuncts)
-	return Key{
+	if len(spans) > 1 {
+		// Sort the conjuncts (insertion sort: there are a handful), join
+		// them with "|" past the rendered ones, and move the join down.
+		for i := 1; i < len(spans); i++ {
+			for j := i; j > 0 && bytes.Compare(r.buf[spans[j].lo:spans[j].hi], r.buf[spans[j-1].lo:spans[j-1].hi]) < 0; j-- {
+				spans[j], spans[j-1] = spans[j-1], spans[j]
+			}
+		}
+		mid := len(r.buf)
+		for i, sp := range spans {
+			if i > 0 {
+				r.buf = append(r.buf, '|')
+			}
+			r.buf = append(r.buf, r.buf[sp.lo:sp.hi]...)
+		}
+		r.buf = r.buf[:start+copy(r.buf[start:], r.buf[mid:])]
+	}
+	end := len(r.buf)
+	return Shape{
 		Source: strings.ToLower(s.Source),
 		Table:  strings.ToLower(s.Table),
-		Sig:    strings.Join(conjuncts, "|"),
+		Sig:    r.buf[start:end:end],
 	}, true
 }
 
-// maskExpr renders an expression with every constant (literal or bound
+// appendMask appends an expression with every constant (literal or bound
 // parameter) replaced by "?", giving a stable shape key per statement
 // template.
-func maskExpr(e sqlparse.Expr) string {
+func appendMask(b []byte, e sqlparse.Expr) []byte {
 	switch x := e.(type) {
-	case *sqlparse.Literal:
-		return "?"
-	case *sqlparse.Param:
-		return "?"
+	case *sqlparse.Literal, *sqlparse.Param:
+		return append(b, '?')
 	case *sqlparse.ColumnRef:
 		if x.Table != "" {
-			return strings.ToLower(x.Table) + "." + strings.ToLower(x.Column)
+			b = append(appendLower(b, x.Table), '.')
 		}
-		return strings.ToLower(x.Column)
+		return appendLower(b, x.Column)
 	case *sqlparse.BinaryExpr:
-		return "(" + maskExpr(x.Left) + " " + x.Op.String() + " " + maskExpr(x.Right) + ")"
+		b = appendMask(append(b, '('), x.Left)
+		b = append(append(append(b, ' '), x.Op.String()...), ' ')
+		return append(appendMask(b, x.Right), ')')
 	case *sqlparse.UnaryExpr:
-		return "(" + x.Op + " " + maskExpr(x.Child) + ")"
+		b = append(append(append(b, '('), x.Op...), ' ')
+		return append(appendMask(b, x.Child), ')')
 	case *sqlparse.IsNullExpr:
+		b = appendMask(append(b, '('), x.Child)
 		if x.Not {
-			return "(" + maskExpr(x.Child) + " notnull)"
+			return append(b, " notnull)"...)
 		}
-		return "(" + maskExpr(x.Child) + " isnull)"
+		return append(b, " isnull)"...)
 	case *sqlparse.InExpr:
-		// The list length is deliberately masked too: semi-join IN-lists
-		// vary per execution but describe the same reduced-fetch stream.
+		b = appendMask(append(b, '('), x.Child)
 		if x.Not {
-			return "(" + maskExpr(x.Child) + " notin(?))"
+			b = append(b, " notin("...)
+		} else {
+			b = append(b, " in("...)
 		}
-		return "(" + maskExpr(x.Child) + " in(?))"
+		if constantList(x.List) {
+			// The length of an all-constant list is deliberately masked
+			// too: semi-join IN-lists vary per execution but describe the
+			// same reduced-fetch stream.
+			return append(b, "?))"...)
+		}
+		for i, item := range x.List {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendMask(b, item)
+		}
+		return append(b, "))"...)
 	case *sqlparse.InSubquery:
-		return "(" + maskExpr(x.Child) + " insub)"
+		return append(appendMask(append(b, '('), x.Child), " insub)"...)
 	case *sqlparse.BetweenExpr:
+		b = appendMask(append(b, '('), x.Child)
 		if x.Not {
-			return "(" + maskExpr(x.Child) + " notbetween ? ?)"
+			b = append(b, " notbetween "...)
+		} else {
+			b = append(b, " between "...)
 		}
-		return "(" + maskExpr(x.Child) + " between ? ?)"
+		b = append(appendMask(b, x.Lo), ' ')
+		return append(appendMask(b, x.Hi), ')')
 	case *sqlparse.FuncExpr:
-		parts := make([]string, len(x.Args))
+		b = append(appendLower(b, x.Name), '(')
 		for i, a := range x.Args {
-			parts[i] = maskExpr(a)
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendMask(b, a)
 		}
-		return strings.ToLower(x.Name) + "(" + strings.Join(parts, ",") + ")"
+		return append(b, ')')
 	case *sqlparse.CaseExpr:
-		var b strings.Builder
-		b.WriteString("case(")
+		b = append(b, "case("...)
 		for _, w := range x.Whens {
-			b.WriteString(maskExpr(w.Cond))
-			b.WriteString(":")
-			b.WriteString(maskExpr(w.Result))
-			b.WriteString(";")
+			b = append(appendMask(b, w.Cond), ':')
+			b = append(appendMask(b, w.Result), ';')
 		}
 		if x.Else != nil {
-			b.WriteString(maskExpr(x.Else))
+			b = appendMask(b, x.Else)
 		}
-		b.WriteString(")")
-		return b.String()
+		return append(b, ')')
 	case *sqlparse.CastExpr:
-		return "cast(" + maskExpr(x.Child) + ")"
+		return append(appendMask(append(b, "cast("...), x.Child), ')')
 	case *sqlparse.ExistsExpr:
-		return "exists(?)"
+		return append(b, "exists(?)"...)
 	case *sqlparse.KeyFilterExpr:
 		// Bloom-summarized semi-join key sets: same stream as the exact
 		// IN-list form of the same reduced fetch.
-		return "(" + maskExpr(x.Child) + " in(?))"
+		return append(appendMask(append(b, '('), x.Child), " in(?))"...)
 	default:
-		panic(fmt.Sprintf("feedback: maskExpr missing case for %T", e))
+		panic(fmt.Sprintf("feedback: appendMask missing case for %T", e))
 	}
+}
+
+// constantList reports whether every item of an IN-list is a literal or a
+// parameter, the items appendMask renders as "?".
+func constantList(list []sqlparse.Expr) bool {
+	for _, item := range list {
+		switch item.(type) {
+		case *sqlparse.Literal, *sqlparse.Param:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// appendLower appends s lowercased, as strings.ToLower renders it.
+func appendLower(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return append(b, strings.ToLower(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
 }

@@ -18,9 +18,9 @@ import (
 // blends observed estimates with static catalog statistics,
 // confidence-weighted (see estimator.blend).
 type FeedbackEnv interface {
-	// Observed returns the feedback estimate for a key, if one exists
-	// with usable confidence.
-	Observed(k feedback.Key) (feedback.Estimate, bool)
+	// Observed returns the feedback estimate for a shape, if one exists
+	// with usable confidence. The shape is borrowed for the call.
+	Observed(k feedback.Shape) (feedback.Estimate, bool)
 }
 
 // LatencyEnv is optionally implemented by planning environments that
@@ -87,11 +87,13 @@ func NewEstimator(env Env) *Estimator {
 	return e
 }
 
-// Release clears the memos, keeping their storage, and recycles the
-// estimator. The caller must not use it afterwards.
+// Release clears the memos, keeping their storage and the signature
+// buffer, and recycles the estimator. The caller must not use it, or a
+// shape it returned, afterwards.
 func (e *Estimator) Release() {
 	clear(e.est.rowsMemo)
 	clear(e.est.sigMemo)
+	e.est.sigs.Reset()
 	e.est.reset(nil)
 	estimatorPool.Put(e)
 }
@@ -105,8 +107,9 @@ func (e *Estimator) Rows(n plan.Node) int64 {
 	return int64(r)
 }
 
-// Signature returns the node's feedback key, as feedback.Signature does,
-// from the same memo the estimates draw on.
-func (e *Estimator) Signature(n plan.Node) (feedback.Key, bool) {
+// Signature returns the node's feedback signature, as feedback.Signature
+// renders it, from the same memo the estimates draw on. The shape is
+// borrowed until Release.
+func (e *Estimator) Signature(n plan.Node) (feedback.Shape, bool) {
 	return e.est.signature(n)
 }

@@ -45,7 +45,7 @@ func (v liveEnv) Stats(source, table string) *schema.TableStats {
 	return nil
 }
 
-func (v liveEnv) Observed(k feedback.Key) (feedback.Estimate, bool) {
+func (v liveEnv) Observed(k feedback.Shape) (feedback.Estimate, bool) {
 	return v.e.Feedback().Lookup(k)
 }
 
@@ -111,8 +111,8 @@ func TestEstimatorMemoMatchesPlanning(t *testing.T) {
 					}
 					gk, gok := memo.Signature(n)
 					wk, wok := feedback.Signature(n)
-					if gk != wk || gok != wok {
-						t.Errorf("%s: %s: memoized signature %v/%v, rendered %v/%v", phase, n.Describe(), gk, gok, wk, wok)
+					if gk.Key() != wk || gok != wok {
+						t.Errorf("%s: %s: memoized signature %v/%v, rendered %v/%v", phase, n.Describe(), gk.Key(), gok, wk, wok)
 					}
 				}
 			}

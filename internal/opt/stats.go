@@ -34,18 +34,22 @@ type estimator struct {
 	fb FeedbackEnv
 	// rowsMemo caches Rows per node. Planning memoizes only the
 	// feedback-blended Scans and Filters — join-order DP calls Rows on the
-	// same nodes many times, and signature derivation is string work worth
+	// same nodes many times, and signature derivation is work worth
 	// paying once. With all set (an Estimator), every node is memoized,
 	// and so is every feedback signature, in sigMemo.
 	rowsMemo map[plan.Node]float64
 	sigMemo  map[plan.Node]sigMemo
 	all      bool
+	// sigs renders feedback signatures into one buffer. An Estimator's
+	// memo holds shapes that alias it until Release; a planning estimator
+	// uses each shape at once and renders the next over it.
+	sigs feedback.Renderer
 }
 
-// sigMemo is feedback.Signature's result for one node.
+// sigMemo is the feedback signature of one node.
 type sigMemo struct {
-	key feedback.Key
-	ok  bool
+	shape feedback.Shape
+	ok    bool
 }
 
 // Memo misses, process-wide: how many memoized Rows evaluations and how
@@ -75,8 +79,8 @@ func (e *estimator) blend(n plan.Node, static float64) float64 {
 		return static
 	}
 	out := static
-	if key, ok := e.signature(n); ok {
-		if obs, ok := e.fb.Observed(key); ok {
+	if shape, ok := e.signature(n); ok {
+		if obs, ok := e.fb.Observed(shape); ok {
 			ratio := (obs.Rows + 1) / (static + 1)
 			if ratio >= 2 || ratio <= 0.5 {
 				c := obs.Confidence
@@ -90,30 +94,33 @@ func (e *estimator) blend(n plan.Node, static float64) float64 {
 	return out
 }
 
-// signature is feedback.Signature(n), rendered once per node by an
+// signature is n's feedback signature, rendered once per node by an
 // Estimator. A Project or a Remote has its input's signature, so a fetch
 // and the narrowed filter it ships share one rendering.
-func (e *estimator) signature(n plan.Node) (feedback.Key, bool) {
+func (e *estimator) signature(n plan.Node) (feedback.Shape, bool) {
 	if s, hit := e.sigMemo[n]; hit {
-		return s.key, s.ok
+		return s.shape, s.ok
 	}
-	var key feedback.Key
+	var shape feedback.Shape
 	var ok bool
 	if p, isProject := n.(*plan.Project); isProject {
-		key, ok = e.signature(p.Input)
+		shape, ok = e.signature(p.Input)
 	} else if r, isRemote := n.(*plan.Remote); isRemote {
-		key, ok = e.signature(r.Child)
+		shape, ok = e.signature(r.Child)
 	} else {
 		signaturesRendered.Add(1)
-		key, ok = feedback.Signature(n)
+		if !e.all {
+			e.sigs.Reset() // nothing holds the previous shape
+		}
+		shape, ok = e.sigs.Signature(n)
 	}
 	if e.all {
 		if e.sigMemo == nil {
 			e.sigMemo = make(map[plan.Node]sigMemo)
 		}
-		e.sigMemo[n] = sigMemo{key, ok}
+		e.sigMemo[n] = sigMemo{shape, ok}
 	}
-	return key, ok
+	return shape, ok
 }
 
 // tableStats fetches stats, fabricating defaults when the source offers
