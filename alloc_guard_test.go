@@ -380,11 +380,13 @@ func TestPointFetchAllocGuard(t *testing.T) {
 }
 
 // TestCompileAllocGuard fences the expression compiler: the portal query's
-// predicates, at the mediator and inside its source fragments, and a
-// constant IN-list long enough to be indexed, compiled into a warm query
-// scratch, allocate nothing. Each tree is one scratch block, and an
-// IN-list's set, values and index come from the same scratch; a closure
-// per node, or a set on the heap, costs one allocation each.
+// predicates, at the mediator and inside its source fragments, a constant
+// IN-list long enough to be indexed, and a literal LIKE pattern, compiled
+// into a warm query scratch, allocate nothing. Each tree is one scratch
+// block, an IN-list's set, values and index come from the same scratch,
+// and a literal pattern's regexp from the LIKE memo; a closure per node, a
+// set on the heap, or a pattern compiled per run costs one allocation or
+// more each.
 func TestCompileAllocGuard(t *testing.T) {
 	fed := mustCRM(t, 120)
 	p, err := fed.Engine.Plan(context.Background(), workload.PortalSQL(5), core.DefaultQueryOptions())
@@ -410,6 +412,11 @@ func TestCompileAllocGuard(t *testing.T) {
 	}
 	idCols := []plan.ColMeta{{Table: "c", Name: "id", Kind: datum.KindInt}}
 	preds = append(preds, pred{&sqlparse.InExpr{Child: &sqlparse.ColumnRef{Column: "id"}, List: list}, idCols})
+	like, err := sqlparse.ParseExpr("s LIKE 'ab%'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds = append(preds, pred{like, []plan.ColMeta{{Name: "s", Kind: datum.KindString}}})
 
 	scratch := exec.GetScratch()
 	defer exec.PutScratch(scratch)

@@ -13,7 +13,8 @@ package analysis
 // implementer (a case naming an interface covers all its implementers;
 // `case nil` is exempt) or carry a guarding default — a non-empty
 // default that calls something (panic, an error constructor, or a
-// generic fallback such as a plan.MapInputs recursion). An empty
+// generic fallback: a plan.MapInputs or sqlparse.MapChildren recursion,
+// each tree's one traversal protocol). An empty
 // default, or none, is a silent fall-through and gets reported. Bare
 // switches (`switch e.(type)`) are exempt: they test membership of a
 // few variants ("is this a literal or a param?") rather than dispatch

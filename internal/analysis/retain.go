@@ -196,10 +196,11 @@ func (p *Pass) ownerOrigin(tainted map[types.Object]string, dst ast.Expr) string
 
 // producer reports the allocator operand of e when e is a call that
 // returns arena- or scratch-backed memory: sqlparse.ParseArena,
-// plan.BindParamsIn (arena mode shares the statement's lifetime either
-// way), exec.DrainBatchesScratch, exec.CloneRows, exec.Compile (a compiled
-// expression tree is one scratch block), exec's generic New and Make
-// (each called qualified, or bare inside exec), New/Make/Copy on
+// sqlparse.RewriteIn and sqlparse.MapChildren (whose copies come from the
+// arena), plan.BindParamsIn (arena mode shares the statement's lifetime
+// either way), exec.DrainBatchesScratch, exec.CloneRows, exec.Compile (a
+// compiled expression tree is one scratch block), exec's generic New and
+// Make (each called qualified, or bare inside exec), New/Make/Copy on
 // arena.Slab, and any allocating method on sqlparse.Arena. It returns ""
 // for any other expression, and for a producer handed a literal nil
 // allocator, which allocates on the heap.
@@ -239,7 +240,8 @@ func (p *Pass) producer(e ast.Expr) string {
 	}
 	if fn.Type().(*types.Signature).Recv() == nil {
 		switch fn.Pkg().Path() + "." + fn.Name() {
-		case sqlparsePkgPath + ".ParseArena", "repro/internal/plan.BindParamsIn",
+		case sqlparsePkgPath + ".ParseArena", sqlparsePkgPath + ".RewriteIn", sqlparsePkgPath + ".MapChildren",
+			"repro/internal/plan.BindParamsIn",
 			execPkgPath + ".New", execPkgPath + ".Make", execPkgPath + ".CloneRows", execPkgPath + ".Compile":
 			return operand(0)
 		case execPkgPath + ".DrainBatchesScratch":

@@ -15,6 +15,7 @@ type holder struct {
 	rows  []datum.Row
 	cells []datum.Datum
 	pred  *exec.Expr
+	expr  sqlparse.Expr
 }
 
 var lastPred *exec.Expr
@@ -92,6 +93,21 @@ func hitCompiledIntoGlobal(s *exec.Scratch, cond sqlparse.Expr, cols []plan.ColM
 	lastPred, _ = exec.Compile(s, cond, cols) // want "storing an arena-backed value into package variable \"lastPred\""
 }
 
+// hitRewriteIntoHeapField: an expression rewritten into the query arena
+// (a bound parameter, say) kept in heap state past the query.
+func (h *holder) hitRewriteIntoHeapField(a *sqlparse.Arena, e sqlparse.Expr, fn func(sqlparse.Expr) (sqlparse.Expr, error)) error {
+	out, err := sqlparse.RewriteIn(a, e, fn)
+	if err != nil {
+		return err
+	}
+	h.expr = out // want "storing an arena-backed value into struct field \"expr\""
+	return nil
+}
+
+func (h *holder) hitMapChildrenIntoHeapField(a *sqlparse.Arena, e sqlparse.Expr, fn func(sqlparse.Expr) (sqlparse.Expr, error)) {
+	h.expr, _ = sqlparse.MapChildren(a, e, fn) // want "storing an arena-backed value into struct field \"expr\""
+}
+
 func (h *holder) hitLiteralStore(a *sqlparse.Arena, v datum.Datum) {
 	lit := a.NewLiteral(v)
 	var e sqlparse.Expr = lit
@@ -157,6 +173,13 @@ func (h *holder) missNilAllocators(it exec.BatchIterator, cond sqlparse.Expr, co
 	rows, err := exec.DrainBatchesScratch(it, nil)
 	lastRows = rows
 	return err
+}
+
+// missNilArenaRewrites: a rewrite handed a literal nil arena allocates on
+// the heap.
+func (h *holder) missNilArenaRewrites(e sqlparse.Expr, fn func(sqlparse.Expr) (sqlparse.Expr, error)) {
+	h.expr, _ = sqlparse.RewriteIn(nil, e, fn)
+	h.expr, _ = sqlparse.MapChildren(nil, e, fn)
 }
 
 func (h *holder) ignoreOwnedContainer(s *exec.Scratch) {

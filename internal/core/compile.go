@@ -134,17 +134,19 @@ func (e *Engine) compile(ctx context.Context, st *engineState, sel *sqlparse.Sel
 }
 
 // optionsFingerprint encodes the plan-shaping options into a cache-key
-// component. Execution-only options (parallelism, retries, deadlines,
+// component: the optimizer options a compile runs under, so the two
+// spellings of NoSemiJoin share one key as they share one plan, and
+// Adaptive. Execution-only options (parallelism, retries, deadlines,
 // partial-result policy) deliberately do not appear: they tune how a plan
 // runs, not which plan is built.
 func optionsFingerprint(qo QueryOptions) string {
+	o := optimizerOptions(qo)
 	bits := [optionBits]bool{
-		qo.Optimizer.NoFilterPushdown,
-		qo.Optimizer.NoProjectionPrune,
-		qo.Optimizer.NoJoinReorder,
-		qo.Optimizer.NoRemotePushdown,
-		qo.Optimizer.NoSemiJoin,
-		qo.NoSemiJoin,
+		o.NoFilterPushdown,
+		o.NoProjectionPrune,
+		o.NoJoinReorder,
+		o.NoRemotePushdown,
+		o.NoSemiJoin,
 		qo.Adaptive,
 	}
 	n := 0
@@ -156,7 +158,7 @@ func optionsFingerprint(qo QueryOptions) string {
 	return fingerprints[n]
 }
 
-const optionBits = 7
+const optionBits = 6
 
 // fingerprints holds every string optionsFingerprint returns, so building
 // a cache key allocates none: entry n spells n's bits as '0'/'1', lowest

@@ -174,6 +174,31 @@ func TestQueryCacheDistinguishesOptimizerOptions(t *testing.T) {
 	}
 }
 
+// TestQueryCacheMergesNoSemiJoinSpellings: QueryOptions.NoSemiJoin and
+// Optimizer.NoSemiJoin plan identically, so they share one cache entry.
+func TestQueryCacheMergesNoSemiJoinSpellings(t *testing.T) {
+	e := newFederation(t)
+	const sql = "SELECT c.name, i.amount FROM crm.customers c JOIN billing.invoices i ON c.id = i.cust_id WHERE c.region = 'west'"
+	r1, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{NoSemiJoin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := e.PlanCacheStats().Entries
+	r2, err := e.QueryOptsCtx(context.Background(), sql, QueryOptions{Optimizer: opt.Options{NoSemiJoin: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r2.CacheHit || r2.Plan != r1.Plan {
+		t.Fatalf("Optimizer.NoSemiJoin after QueryOptions.NoSemiJoin: cache hit %v, same plan %v; want both", r2.CacheHit, r2.Plan == r1.Plan)
+	}
+	if got := e.PlanCacheStats().Entries; got != entries {
+		t.Fatalf("the second spelling grew the cache %d -> %d", entries, got)
+	}
+	if results(t, r1) != results(t, r2) {
+		t.Fatalf("rows differ: %q vs %q", results(t, r1), results(t, r2))
+	}
+}
+
 func TestUncacheableStatementsBypassCache(t *testing.T) {
 	e := newFederation(t)
 	// EXISTS pre-evaluates a subquery against live data; the outer plan

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +103,26 @@ func TestDynamicLikePattern(t *testing.T) {
 	v, err = f.Eval(datum.Row{datum.NewString("hello"), datum.NewString("x%")})
 	if err != nil || v.Bool() {
 		t.Errorf("dynamic LIKE negative = %v %v", v, err)
+	}
+}
+
+// TestLikeMemoStaysUnderItsCap feeds the LIKE memo more distinct patterns
+// than its cap: it clears itself instead of growing, and still answers.
+func TestLikeMemoStaysUnderItsCap(t *testing.T) {
+	for i := 0; i < likeMemoCap+100; i++ {
+		pattern := "memo" + strconv.Itoa(i) + "%"
+		re, err := likeCache(pattern)
+		if err != nil || !re.MatchString(pattern[:len(pattern)-1]+"x") {
+			t.Fatalf("likeCache(%q) = %v, %v", pattern, re, err)
+		}
+	}
+	entries := 0
+	likeMap.Range(func(_, _ any) bool {
+		entries++
+		return true
+	})
+	if entries > likeMemoCap || likeSize.Load() > likeMemoCap {
+		t.Errorf("LIKE memo holds %d entries (counted %d), cap %d", entries, likeSize.Load(), likeMemoCap)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/datum"
 	"repro/internal/plan"
@@ -92,41 +93,14 @@ func compileAll(s *Scratch, exprs []sqlparse.Expr, cols []plan.ColMeta) ([]Expr,
 // that a constant IN-list's items compile into its set and take none. The
 // count is exact wherever compiling succeeds.
 func exprNodes(e sqlparse.Expr) int {
-	n := 1
-	switch x := e.(type) {
-	case *sqlparse.BinaryExpr:
-		n += exprNodes(x.Left) + exprNodes(x.Right)
-	case *sqlparse.UnaryExpr:
-		n += exprNodes(x.Child)
-	case *sqlparse.IsNullExpr:
-		n += exprNodes(x.Child)
-	case *sqlparse.InExpr:
-		n += exprNodes(x.Child)
-		if !allLiterals(x.List) {
-			for _, a := range x.List {
-				n += exprNodes(a)
-			}
-		}
-	case *sqlparse.KeyFilterExpr:
-		n += exprNodes(x.Child)
-	case *sqlparse.BetweenExpr:
-		n += exprNodes(x.Child) + exprNodes(x.Lo) + exprNodes(x.Hi)
-	case *sqlparse.FuncExpr:
-		for _, a := range x.Args {
-			n += exprNodes(a)
-		}
-	case *sqlparse.CaseExpr:
-		for _, w := range x.Whens {
-			n += exprNodes(w.Cond) + exprNodes(w.Result)
-		}
-		if x.Else != nil {
-			n += exprNodes(x.Else)
-		}
-	case *sqlparse.CastExpr:
-		n += exprNodes(x.Child)
-	case *sqlparse.Literal, *sqlparse.Param, *sqlparse.ColumnRef, *sqlparse.ExistsExpr, *sqlparse.InSubquery:
-		// Leaves, or expressions compile rejects.
+	if in, ok := e.(*sqlparse.InExpr); ok && allLiterals(in.List) {
+		return 1 + exprNodes(in.Child)
 	}
+	n := 1
+	sqlparse.MapChildren(nil, e, func(c sqlparse.Expr) (sqlparse.Expr, error) {
+		n += exprNodes(c)
+		return c, nil
+	})
 	return n
 }
 
@@ -287,10 +261,10 @@ func (c *compiler) compileBinary(dst *Expr, x *sqlparse.BinaryExpr) error {
 		return fmt.Errorf("exec: unsupported binary operator %v", x.Op)
 	}
 	if x.Op == sqlparse.OpLike {
-		// Compile the pattern once when it is a literal.
+		// Take a literal pattern's regexp once, from the memo.
 		if lit, ok := x.Right.(*sqlparse.Literal); ok && lit.Value.Kind() == datum.KindString {
 			dst.eval = (*Expr).evalLikeConst
-			dst.re, err = likeRegexp(lit.Value.Str())
+			dst.re, err = likeCache(lit.Value.Str())
 		}
 	}
 	return err
@@ -914,19 +888,33 @@ type likeEntry struct {
 	err error
 }
 
-// likeMap memoizes dynamic LIKE patterns. A sync.Map (instead of a
-// mutex-guarded map) keeps the hot read path lock-free: exchange workers
-// evaluating LIKE concurrently would otherwise serialize on every row.
-var likeMap sync.Map // string -> likeEntry
+// likeMap memoizes LIKE patterns, literal and dynamic alike. A sync.Map
+// (instead of a mutex-guarded map) keeps the hot read path lock-free:
+// exchange workers evaluating LIKE concurrently would otherwise serialize on
+// every row. likeSize counts its entries; past likeMemoCap the memo is
+// cleared, so a stream of distinct patterns cannot grow it without bound.
+var (
+	likeMap  sync.Map // string -> likeEntry
+	likeSize atomic.Int64
+)
 
-// likeCache memoizes dynamic LIKE patterns.
+const likeMemoCap = 1024
+
+// likeCache compiles a LIKE pattern through the memo.
 func likeCache(pattern string) (*regexp.Regexp, error) {
 	if v, ok := likeMap.Load(pattern); ok {
 		e := v.(likeEntry)
 		return e.re, e.err
 	}
 	re, err := likeRegexp(pattern)
-	v, _ := likeMap.LoadOrStore(pattern, likeEntry{re: re, err: err})
+	v, loaded := likeMap.LoadOrStore(pattern, likeEntry{re: re, err: err})
+	if !loaded && likeSize.Add(1) > likeMemoCap {
+		likeSize.Store(0)
+		likeMap.Range(func(k, _ any) bool {
+			likeMap.Delete(k)
+			return true
+		})
+	}
 	e := v.(likeEntry)
 	return e.re, e.err
 }

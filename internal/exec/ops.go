@@ -290,7 +290,11 @@ func appendNulls(r datum.Row, n int) datum.Row {
 
 // nestedLoopBatchIter implements joins without equi-keys: it materializes
 // the right input and scans it per left row, emitting output in bounded
-// batches so LIMIT above a wide cross join still stops early.
+// batches so LIMIT above a wide cross join still stops early. Like the hash
+// join's probe, each candidate pair is joined into a row carved from block
+// and handed back when the condition rejects it, so only kept and
+// NULL-padded rows use up the query scratch, and nothing is allocated per
+// candidate.
 type nestedLoopBatchIter struct {
 	left       BatchIterator
 	right      BatchIterator
@@ -306,6 +310,7 @@ type nestedLoopBatchIter struct {
 	curPos    int
 	rightPos  int
 	matched   bool
+	block     []datum.Datum
 	out       Batch
 }
 
@@ -318,21 +323,26 @@ func (n *nestedLoopBatchIter) NextBatch() (Batch, error) {
 		n.rightRows = rows
 		n.built = true
 	}
-	out := n.out[:0]
+	out, err := n.fill(n.out[:0])
+	if err != nil || len(out) == 0 {
+		return nil, err
+	}
+	n.out = out
+	return out, nil
+}
+
+// fill appends joined rows to dst, regrown from the scratch, until it holds
+// a batch or the left input runs dry.
+func (n *nestedLoopBatchIter) fill(dst Batch) (Batch, error) {
+	s := n.scratch
 	for {
 		if n.curPos >= len(n.cur) {
-			if len(out) >= n.size {
-				break
+			if len(dst) >= n.size {
+				return dst, nil
 			}
 			b, err := n.left.NextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				if len(out) == 0 {
-					return nil, nil
-				}
-				break
+			if err != nil || b == nil {
+				return dst, err
 			}
 			//lint:ignore retain cur is fully consumed before the next NextBatch call refills it
 			n.cur, n.curPos, n.rightPos, n.matched = b, 0, 0, false
@@ -341,27 +351,26 @@ func (n *nestedLoopBatchIter) NextBatch() (Batch, error) {
 		for n.rightPos < len(n.rightRows) {
 			right := n.rightRows[n.rightPos]
 			n.rightPos++
-			joined := append(append(make(datum.Row, 0, len(l)+len(right)), l...), right...)
+			joined := append(append(carveRow(s, &n.block, len(l)+len(right)), l...), right...)
 			if n.cond != nil {
 				ok, err := EvalPredicate(n.cond, joined)
 				if err != nil {
 					return nil, err
 				}
 				if !ok {
+					n.block = n.block[:len(n.block)-len(joined)] // hand the row back
 					continue
 				}
 			}
 			n.matched = true
-			out = append(out, joined)
+			dst = append(growRows(s, dst, 1), joined)
 		}
 		if n.leftJoin && !n.matched {
-			out = append(out, appendNulls(append(make(datum.Row, 0, len(l)+n.rightArity), l...), n.rightArity))
+			dst = append(growRows(s, dst, 1), appendNulls(append(carveRow(s, &n.block, len(l)+n.rightArity), l...), n.rightArity))
 		}
 		n.curPos++
 		n.rightPos, n.matched = 0, false
 	}
-	n.out = out
-	return out, nil
 }
 
 func (n *nestedLoopBatchIter) Close() {

@@ -358,6 +358,70 @@ func TestLeftJoinPaddingAllocations(t *testing.T) {
 	}
 }
 
+// nestedLoopAllocs joins 64 left rows, keys 0..63, against nRight right
+// rows, keys 0..nRight-1, on l.k > r.k through a fresh nested-loop iterator
+// over a warm query scratch, as one query does. With nRight >= 64 the join
+// keeps the same 2016 rows (and NULL-pads left row 0 under LEFT JOIN)
+// however many candidates it rejects. It returns the heap allocations per
+// join.
+func nestedLoopAllocs(t *testing.T, nRight int, leftJoin bool) float64 {
+	t.Helper()
+	cols := []plan.ColMeta{{Table: "l", Name: "k", Kind: datum.KindInt}, {Table: "r", Name: "k", Kind: datum.KindInt}}
+	cond, err := sqlparse.ParseExpr("l.k > r.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(n int) []datum.Row {
+		rows := make([]datum.Row, n)
+		for i := range rows {
+			rows[i] = datum.Row{datum.NewInt(int64(i))}
+		}
+		return rows
+	}
+	leftRows, rightRows := keys(64), keys(nRight)
+	want := 2016
+	if leftJoin {
+		want++
+	}
+	scratch := new(Scratch)
+	join := func() {
+		scratch.Reset()
+		pred, err := Compile(scratch, cond, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := New(scratch, nestedLoopBatchIter{
+			left: newSliceBatchIter(scratch, leftRows, 16), right: newSliceBatchIter(scratch, rightRows, 256),
+			cond: pred, leftJoin: leftJoin, rightArity: 1, size: DefaultBatchSize, scratch: scratch,
+		})
+		rows, err := DrainBatchesScratch(it, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != want {
+			t.Fatalf("the join kept %d rows, want %d", len(rows), want)
+		}
+	}
+	join() // warm the scratch's blocks
+	return testing.AllocsPerRun(20, join)
+}
+
+// TestNestedLoopJoinAllocations fences the nested-loop join: a rejected
+// candidate pair is handed back to the row block, so a join's heap
+// allocations do not grow when its right input, and with it the number of
+// candidates it rejects, doubles (0 either way, measured). A heap row per
+// candidate cost 65,547 allocations at 1,024 right rows and 131,083 at
+// 2,048.
+func TestNestedLoopJoinAllocations(t *testing.T) {
+	for _, leftJoin := range []bool{false, true} {
+		small, large := nestedLoopAllocs(t, 1024, leftJoin), nestedLoopAllocs(t, 2048, leftJoin)
+		if large > small {
+			t.Errorf("leftJoin=%v: the join allocates %.1f objects over 1024 right rows, %.1f over 2048; want no growth",
+				leftJoin, small, large)
+		}
+	}
+}
+
 func BenchmarkHashJoinProbe(b *testing.B) {
 	const nBuild, nProbe = 65536, 1024
 	cols := []plan.ColMeta{{Table: "t", Name: "k", Kind: datum.KindInt}}

@@ -150,61 +150,22 @@ func payloadBytes(n plan.Node) int {
 }
 
 // exprPayload counts the bytes of cardinality-dependent predicate payloads:
-// IN-list literal values and serialized key-set filters.
+// IN-list literal values and serialized key-set filters. Single literals
+// elsewhere are part of the fixed request size.
 func exprPayload(e sqlparse.Expr) int {
-	switch x := e.(type) {
-	case nil:
-		return 0
-	case *sqlparse.InExpr:
-		total := exprPayload(x.Child)
-		for _, item := range x.List {
-			if lit, ok := item.(*sqlparse.Literal); ok {
-				total += lit.Value.WireSize()
-			} else {
-				total += exprPayload(item)
+	total := 0
+	sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
+		if in, ok := x.(*sqlparse.InExpr); ok {
+			for _, item := range in.List {
+				if lit, ok := item.(*sqlparse.Literal); ok {
+					total += lit.Value.WireSize()
+				}
 			}
+		} else if kf, ok := x.(*sqlparse.KeyFilterExpr); ok && kf.Set != nil {
+			total += kf.Set.WireSize()
 		}
-		return total
-	case *sqlparse.KeyFilterExpr:
-		total := exprPayload(x.Child)
-		if x.Set != nil {
-			total += x.Set.WireSize()
-		}
-		return total
-	case *sqlparse.BinaryExpr:
-		return exprPayload(x.Left) + exprPayload(x.Right)
-	case *sqlparse.UnaryExpr:
-		return exprPayload(x.Child)
-	case *sqlparse.IsNullExpr:
-		return exprPayload(x.Child)
-	case *sqlparse.BetweenExpr:
-		return exprPayload(x.Child) + exprPayload(x.Lo) + exprPayload(x.Hi)
-	case *sqlparse.FuncExpr:
-		total := 0
-		for _, a := range x.Args {
-			total += exprPayload(a)
-		}
-		return total
-	case *sqlparse.CaseExpr:
-		total := exprPayload(x.Else)
-		for _, w := range x.Whens {
-			total += exprPayload(w.Cond) + exprPayload(w.Result)
-		}
-		return total
-	case *sqlparse.CastExpr:
-		return exprPayload(x.Child)
-	case *sqlparse.Literal, *sqlparse.Param, *sqlparse.ColumnRef:
-		// Leaves with no cardinality-dependent payload (single literals
-		// are part of the fixed request size, not a key-set payload).
-		return 0
-	case *sqlparse.ExistsExpr, *sqlparse.InSubquery:
-		// Subqueries are pre-evaluated into literals/IN-lists by the
-		// engine's rewriteExists before any fragment ships, so they
-		// never reach a link; nothing to count here.
-		return 0
-	default:
-		panic(fmt.Sprintf("federation: exprPayload missing case for %T", e))
-	}
+	})
+	return total
 }
 
 // shipResult charges the link for one round trip carrying a request of req

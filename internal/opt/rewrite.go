@@ -10,68 +10,18 @@ import (
 
 // substitute rewrites e, replacing every column reference that resolves
 // against cols with the corresponding expression from exprs (cols[i] is
-// produced by exprs[i]). References that do not resolve are left intact.
+// produced by exprs[i]). References that do not resolve are left intact,
+// and e comes back itself when none resolves.
 func substitute(e sqlparse.Expr, cols []plan.ColMeta, exprs []sqlparse.Expr) sqlparse.Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *sqlparse.ColumnRef:
-		if i, ok := plan.FindColumn(cols, x); ok {
-			return exprs[i]
+	out, _ := sqlparse.Rewrite(e, func(x sqlparse.Expr) (sqlparse.Expr, error) {
+		if c, ok := x.(*sqlparse.ColumnRef); ok {
+			if i, ok := plan.FindColumn(cols, c); ok {
+				return exprs[i], nil
+			}
 		}
-		return x
-	case *sqlparse.Literal:
-		return x
-	case *sqlparse.BinaryExpr:
-		return &sqlparse.BinaryExpr{Op: x.Op,
-			Left:  substitute(x.Left, cols, exprs),
-			Right: substitute(x.Right, cols, exprs)}
-	case *sqlparse.UnaryExpr:
-		return &sqlparse.UnaryExpr{Op: x.Op, Child: substitute(x.Child, cols, exprs)}
-	case *sqlparse.IsNullExpr:
-		return &sqlparse.IsNullExpr{Child: substitute(x.Child, cols, exprs), Not: x.Not}
-	case *sqlparse.InExpr:
-		list := make([]sqlparse.Expr, len(x.List))
-		for i, a := range x.List {
-			list[i] = substitute(a, cols, exprs)
-		}
-		return &sqlparse.InExpr{Child: substitute(x.Child, cols, exprs), List: list, Not: x.Not}
-	case *sqlparse.BetweenExpr:
-		return &sqlparse.BetweenExpr{
-			Child: substitute(x.Child, cols, exprs),
-			Lo:    substitute(x.Lo, cols, exprs),
-			Hi:    substitute(x.Hi, cols, exprs),
-			Not:   x.Not}
-	case *sqlparse.FuncExpr:
-		args := make([]sqlparse.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = substitute(a, cols, exprs)
-		}
-		return &sqlparse.FuncExpr{Name: x.Name, Distinct: x.Distinct, Star: x.Star, Args: args}
-	case *sqlparse.CaseExpr:
-		whens := make([]sqlparse.CaseWhen, len(x.Whens))
-		for i, w := range x.Whens {
-			whens[i] = sqlparse.CaseWhen{
-				Cond:   substitute(w.Cond, cols, exprs),
-				Result: substitute(w.Result, cols, exprs)}
-		}
-		return &sqlparse.CaseExpr{Whens: whens, Else: substitute(x.Else, cols, exprs)}
-	case *sqlparse.CastExpr:
-		return &sqlparse.CastExpr{Child: substitute(x.Child, cols, exprs), Type: x.Type}
-	case *sqlparse.KeyFilterExpr:
-		return &sqlparse.KeyFilterExpr{Child: substitute(x.Child, cols, exprs), Set: x.Set}
-	case *sqlparse.Param:
-		return x
-	case *sqlparse.ExistsExpr, *sqlparse.InSubquery:
-		// Subquery expressions are pre-evaluated away by the engine's
-		// rewriteExists before any view expansion or predicate pushdown
-		// runs; if one does appear, substitution into a subquery scope
-		// is not supported and the expression is left intact.
-		return e
-	default:
-		panic(fmt.Sprintf("opt: substitute missing case for %T", e))
-	}
+		return x, nil
+	})
+	return out
 }
 
 // mergeProjects collapses Project-over-Project chains by substituting the

@@ -320,7 +320,8 @@ func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlpa
 
 // rewriteAgg replaces aggregate calls and group-by-equal subexpressions
 // with column references named by their rendered SQL, matching the output
-// columns NewAggregate produces.
+// columns NewAggregate produces. It works top-down: a node that matches is
+// replaced whole, and any other descends through MapChildren.
 func rewriteAgg(e sqlparse.Expr, groupBy []sqlparse.Expr) sqlparse.Expr {
 	if e == nil {
 		return nil
@@ -330,55 +331,13 @@ func rewriteAgg(e sqlparse.Expr, groupBy []sqlparse.Expr) sqlparse.Expr {
 			return &sqlparse.ColumnRef{Column: g.SQL()}
 		}
 	}
-	switch x := e.(type) {
-	case *sqlparse.FuncExpr:
-		if x.IsAggregate() {
-			return &sqlparse.ColumnRef{Column: x.SQL()}
-		}
-		args := make([]sqlparse.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = rewriteAgg(a, groupBy)
-		}
-		return &sqlparse.FuncExpr{Name: x.Name, Distinct: x.Distinct, Star: x.Star, Args: args}
-	case *sqlparse.BinaryExpr:
-		return &sqlparse.BinaryExpr{Op: x.Op, Left: rewriteAgg(x.Left, groupBy), Right: rewriteAgg(x.Right, groupBy)}
-	case *sqlparse.UnaryExpr:
-		return &sqlparse.UnaryExpr{Op: x.Op, Child: rewriteAgg(x.Child, groupBy)}
-	case *sqlparse.IsNullExpr:
-		return &sqlparse.IsNullExpr{Child: rewriteAgg(x.Child, groupBy), Not: x.Not}
-	case *sqlparse.InExpr:
-		list := make([]sqlparse.Expr, len(x.List))
-		for i, a := range x.List {
-			list[i] = rewriteAgg(a, groupBy)
-		}
-		return &sqlparse.InExpr{Child: rewriteAgg(x.Child, groupBy), List: list, Not: x.Not}
-	case *sqlparse.BetweenExpr:
-		return &sqlparse.BetweenExpr{
-			Child: rewriteAgg(x.Child, groupBy),
-			Lo:    rewriteAgg(x.Lo, groupBy),
-			Hi:    rewriteAgg(x.Hi, groupBy),
-			Not:   x.Not,
-		}
-	case *sqlparse.CaseExpr:
-		whens := make([]sqlparse.CaseWhen, len(x.Whens))
-		for i, w := range x.Whens {
-			whens[i] = sqlparse.CaseWhen{Cond: rewriteAgg(w.Cond, groupBy), Result: rewriteAgg(w.Result, groupBy)}
-		}
-		return &sqlparse.CaseExpr{Whens: whens, Else: rewriteAgg(x.Else, groupBy)}
-	case *sqlparse.CastExpr:
-		return &sqlparse.CastExpr{Child: rewriteAgg(x.Child, groupBy), Type: x.Type}
-	case *sqlparse.KeyFilterExpr:
-		return &sqlparse.KeyFilterExpr{Child: rewriteAgg(x.Child, groupBy), Set: x.Set}
-	case *sqlparse.Literal, *sqlparse.Param, *sqlparse.ColumnRef:
-		return e // leaves: nothing aggregate-shaped beneath
-	case *sqlparse.ExistsExpr, *sqlparse.InSubquery:
-		// Subquery expressions are pre-evaluated by the engine before
-		// planning; aggregate rewriting does not descend into subquery
-		// scopes.
-		return e
-	default:
-		panic(fmt.Sprintf("plan: rewriteAgg missing case for %T", e))
+	if f, ok := e.(*sqlparse.FuncExpr); ok && f.IsAggregate() {
+		return &sqlparse.ColumnRef{Column: f.SQL()}
 	}
+	out, _ := sqlparse.MapChildren(nil, e, func(c sqlparse.Expr) (sqlparse.Expr, error) {
+		return rewriteAgg(c, groupBy), nil
+	})
+	return out
 }
 
 func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {

@@ -131,6 +131,39 @@ func TestIdentityTraversalsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestIdentityExprTraversalsAllocateNothing is the same pin for the
+// expression tree's protocol, sqlparse.MapChildren: a WalkExprs, and a
+// RewriteIn that changes nothing, allocate nothing, and the rewrite hands
+// back the expression it was given.
+func TestIdentityExprTraversalsAllocateNothing(t *testing.T) {
+	e, err := sqlparse.ParseExpr("CASE WHEN a.x BETWEEN 1 AND 3 THEN UPPER(b) ELSE CAST(c AS FLOAT) END IN (1, 2, d) OR NOT (e IS NULL) AND f LIKE 'x%'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := 0
+	walk := func() {
+		nodes = 0
+		sqlparse.WalkExprs(e, func(sqlparse.Expr) { nodes++ })
+	}
+	if a := testing.AllocsPerRun(100, walk); a != 0 {
+		t.Errorf("WalkExprs allocates %.1f per run, want 0", a)
+	}
+	if nodes < 15 {
+		t.Fatalf("walk visited %d nodes; the expression is smaller than the test assumes", nodes)
+	}
+	ar := sqlparse.NewArena()
+	var out sqlparse.Expr
+	identity := func() {
+		out, _ = sqlparse.RewriteIn(ar, e, func(x sqlparse.Expr) (sqlparse.Expr, error) { return x, nil })
+	}
+	if a := testing.AllocsPerRun(100, identity); a != 0 {
+		t.Errorf("identity RewriteIn allocates %.1f per run, want 0", a)
+	}
+	if out != e {
+		t.Error("identity RewriteIn did not return the expression it was given")
+	}
+}
+
 func TestColMetaQualifiedName(t *testing.T) {
 	if (ColMeta{Table: "t", Name: "c"}).QualifiedName() != "t.c" {
 		t.Error("qualified")

@@ -16,17 +16,6 @@ import (
 // never mutated, so a cached plan can be bound concurrently by any number
 // of executions.
 
-// exprHasParam reports whether the expression contains a placeholder.
-func exprHasParam(e sqlparse.Expr) bool {
-	found := false
-	sqlparse.WalkExprs(e, func(sub sqlparse.Expr) {
-		if _, ok := sub.(*sqlparse.Param); ok {
-			found = true
-		}
-	})
-	return found
-}
-
 // BindParams returns a copy of the plan with every placeholder replaced by
 // its value (params[i] binds $i+1). Subtrees without placeholders are
 // shared with the input plan, so binding a mostly-constant plan is cheap.
@@ -88,21 +77,18 @@ func (b *bindArena) Bytes() int64 {
 }
 
 // bindSlabsOf returns the bindArena attached to a, attaching a fresh one
-// the first time a given pooled arena passes through binding. Nil when a
-// is nil or another package claimed the extension slot.
+// the first time a given pooled arena passes through binding. Heap-mode
+// binding (a nil a), or an arena whose extension slot another package
+// claimed, gets a fresh one that is never reset, so its nodes are as
+// retain-safe as heap ones.
 func bindSlabsOf(a *sqlparse.Arena) *bindArena {
-	if a == nil {
-		return nil
-	}
-	if e := a.Ext(); e != nil {
-		ba, ok := e.(*bindArena)
-		if !ok {
-			return nil
-		}
+	if ba, ok := a.Ext().(*bindArena); ok {
 		return ba
 	}
 	ba := &bindArena{}
-	a.SetExt(ba)
+	if a != nil && a.Ext() == nil {
+		a.SetExt(ba)
+	}
 	return ba
 }
 
@@ -112,10 +98,10 @@ type binder struct {
 	nodes  *bindArena
 }
 
+// expr binds e's placeholders. RewriteIn is copy-on-change, so an
+// expression without placeholders comes back as itself, shared with the
+// template.
 func (b *binder) expr(e sqlparse.Expr) (sqlparse.Expr, error) {
-	if e == nil || !exprHasParam(e) {
-		return e, nil
-	}
 	return sqlparse.RewriteIn(b.arena, e, func(x sqlparse.Expr) (sqlparse.Expr, error) {
 		p, ok := x.(*sqlparse.Param)
 		if !ok {
@@ -146,7 +132,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if in == x.Input && cond == x.Cond {
 			return n, nil
 		}
-		return b.newFilter(Filter{Input: in, Cond: cond, Parallel: x.Parallel}), nil
+		return b.nodes.filters.New(Filter{Input: in, Cond: cond, Parallel: x.Parallel}), nil
 
 	case *Project:
 		in, err := b.node(x.Input)
@@ -173,7 +159,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if !changed {
 			return n, nil
 		}
-		return b.newProject(Project{Input: in, Exprs: exprs, Cols: x.Cols, Parallel: x.Parallel}), nil
+		return b.nodes.projects.New(Project{Input: in, Exprs: exprs, Cols: x.Cols, Parallel: x.Parallel}), nil
 
 	case *Join:
 		left, err := b.node(x.Left)
@@ -193,7 +179,7 @@ func (b *binder) node(n Node) (Node, error) {
 		}
 		// Preserve output columns and the semi-join/parallel hints
 		// verbatim: binding must not re-derive plan properties.
-		return b.newJoin(Join{Type: x.Type, Left: left, Right: right, Cond: cond,
+		return b.nodes.joins.New(Join{Type: x.Type, Left: left, Right: right, Cond: cond,
 			SemiJoin: x.SemiJoin, Parallel: x.Parallel, cols: x.cols}), nil
 
 	case *Aggregate:
@@ -242,7 +228,7 @@ func (b *binder) node(n Node) (Node, error) {
 		}
 		// Keep the original output column names: downstream column
 		// references were resolved against the unbound rendering.
-		return b.newAggregate(Aggregate{Input: in, GroupBy: groupBy, Aggs: aggs,
+		return b.nodes.aggregates.New(Aggregate{Input: in, GroupBy: groupBy, Aggs: aggs,
 			Parallel: x.Parallel, Groups: x.Groups, cols: x.cols}), nil
 
 	case *Sort:
@@ -270,7 +256,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if !changed {
 			return n, nil
 		}
-		return b.newSort(Sort{Input: in, Keys: keys}), nil
+		return b.nodes.sorts.New(Sort{Input: in, Keys: keys}), nil
 
 	case *Limit:
 		in, err := b.node(x.Input)
@@ -280,7 +266,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if in == x.Input {
 			return n, nil
 		}
-		return b.newLimit(Limit{Input: in, Count: x.Count, Offset: x.Offset}), nil
+		return b.nodes.limits.New(Limit{Input: in, Count: x.Count, Offset: x.Offset}), nil
 
 	case *Distinct:
 		in, err := b.node(x.Input)
@@ -290,7 +276,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if in == x.Input {
 			return n, nil
 		}
-		return b.newDistinct(Distinct{Input: in}), nil
+		return b.nodes.distincts.New(Distinct{Input: in}), nil
 
 	case *Union:
 		inputs := x.Inputs
@@ -311,7 +297,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if !cloned {
 			return n, nil
 		}
-		return b.newUnion(Union{Inputs: inputs}), nil
+		return b.nodes.unions.New(Union{Inputs: inputs}), nil
 
 	case *Remote:
 		child, err := b.node(x.Child)
@@ -321,7 +307,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if child == x.Child {
 			return n, nil
 		}
-		return b.newRemote(Remote{Source: x.Source, Child: child, AllowKeyFilter: x.AllowKeyFilter}), nil
+		return b.nodes.remotes.New(Remote{Source: x.Source, Child: child, AllowKeyFilter: x.AllowKeyFilter}), nil
 
 	case *Scan:
 		// Leaf: no expressions, no children.
@@ -330,79 +316,4 @@ func (b *binder) node(n Node) (Node, error) {
 	default:
 		panic(fmt.Sprintf("plan: binder missing case for %T", n))
 	}
-}
-
-// Slab-backed node constructors; a nil bindArena (heap-mode binding)
-// falls back to plain allocation.
-
-func (b *binder) newFilter(v Filter) *Filter {
-	if b.nodes == nil {
-		n := v
-		return &n
-	}
-	return b.nodes.filters.New(v)
-}
-
-func (b *binder) newProject(v Project) *Project {
-	if b.nodes == nil {
-		n := v
-		return &n
-	}
-	return b.nodes.projects.New(v)
-}
-
-func (b *binder) newJoin(v Join) *Join {
-	if b.nodes == nil {
-		n := v
-		return &n
-	}
-	return b.nodes.joins.New(v)
-}
-
-func (b *binder) newAggregate(v Aggregate) *Aggregate {
-	if b.nodes == nil {
-		n := v
-		return &n
-	}
-	return b.nodes.aggregates.New(v)
-}
-
-func (b *binder) newSort(v Sort) *Sort {
-	if b.nodes == nil {
-		n := v
-		return &n
-	}
-	return b.nodes.sorts.New(v)
-}
-
-func (b *binder) newLimit(v Limit) *Limit {
-	if b.nodes == nil {
-		n := v
-		return &n
-	}
-	return b.nodes.limits.New(v)
-}
-
-func (b *binder) newDistinct(v Distinct) *Distinct {
-	if b.nodes == nil {
-		n := v
-		return &n
-	}
-	return b.nodes.distincts.New(v)
-}
-
-func (b *binder) newUnion(v Union) *Union {
-	if b.nodes == nil {
-		n := v
-		return &n
-	}
-	return b.nodes.unions.New(v)
-}
-
-func (b *binder) newRemote(v Remote) *Remote {
-	if b.nodes == nil {
-		n := v
-		return &n
-	}
-	return b.nodes.remotes.New(v)
 }

@@ -1,7 +1,6 @@
 package sqlparse
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/datum"
@@ -671,52 +670,24 @@ func CombineConjuncts(es []Expr) Expr {
 	return out
 }
 
-// WalkExprs calls fn for e and every expression beneath it, pre-order.
+// WalkExprs calls fn for e and every expression beneath it, pre-order,
+// descending through MapChildren (so a subquery's internals are not
+// walked). It allocates nothing.
 func WalkExprs(e Expr, fn func(Expr)) {
 	if e == nil {
 		return
 	}
-	fn(e)
-	switch x := e.(type) {
-	case *BinaryExpr:
-		WalkExprs(x.Left, fn)
-		WalkExprs(x.Right, fn)
-	case *UnaryExpr:
-		WalkExprs(x.Child, fn)
-	case *IsNullExpr:
-		WalkExprs(x.Child, fn)
-	case *InExpr:
-		WalkExprs(x.Child, fn)
-		for _, a := range x.List {
-			WalkExprs(a, fn)
+	// visit recurses into itself; the commonest leaves skip MapChildren.
+	var visit func(Expr) (Expr, error)
+	visit = func(c Expr) (Expr, error) {
+		fn(c)
+		switch c.(type) {
+		case *ColumnRef, *Literal, *Param:
+			return c, nil
 		}
-	case *InSubquery:
-		WalkExprs(x.Child, fn)
-	case *BetweenExpr:
-		WalkExprs(x.Child, fn)
-		WalkExprs(x.Lo, fn)
-		WalkExprs(x.Hi, fn)
-	case *FuncExpr:
-		for _, a := range x.Args {
-			WalkExprs(a, fn)
-		}
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			WalkExprs(w.Cond, fn)
-			WalkExprs(w.Result, fn)
-		}
-		WalkExprs(x.Else, fn)
-	case *CastExpr:
-		WalkExprs(x.Child, fn)
-	case *KeyFilterExpr:
-		WalkExprs(x.Child, fn)
-	case *Literal, *Param, *ColumnRef, *ExistsExpr:
-		// Leaves. ExistsExpr holds a full subquery, not a child
-		// expression; subquery internals are deliberately not walked
-		// (InSubquery likewise only descends into its probe Child).
-	default:
-		panic(fmt.Sprintf("sqlparse: WalkExprs missing case for %T", e))
+		return MapChildren(nil, c, visit)
 	}
+	visit(e)
 }
 
 // ContainsAggregate reports whether the expression contains an aggregate

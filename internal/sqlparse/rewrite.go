@@ -1,10 +1,183 @@
 package sqlparse
 
+import "fmt"
+
+// MapChildren returns e with every child expression replaced by fn(child),
+// in rendering order (an IN-list's child, then its items; CASE's condition
+// and result pairs, then its ELSE). It is the expression tree's one
+// traversal protocol: every walker and rewriter descends through it, and it
+// is the one place that knows which fields hold an expression's children.
+// Nil children are leaves and are skipped, and the first error from fn
+// stops the traversal.
+//
+// It is copy-on-change. When fn returns every child unchanged, MapChildren
+// returns e itself and allocates nothing; otherwise it returns a shallow
+// copy of e with the new children, allocated from a (heap when a is nil;
+// a KeyFilterExpr, which never comes from an arena, always from the heap)
+// and keeping every other field. It never writes into e.
+//
+// Subqueries are statements, not children: ExistsExpr is a leaf and
+// InSubquery's only child is its probe expression.
+func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
+	var err error
+	switch x := e.(type) {
+	case nil, *Literal, *Param, *ColumnRef, *ExistsExpr:
+		return e, nil
+	case *BinaryExpr:
+		c := *x
+		if c.Left, err = mapChild(x.Left, fn); err != nil {
+			return nil, err
+		}
+		if c.Right, err = mapChild(x.Right, fn); err != nil {
+			return nil, err
+		}
+		if c != *x {
+			return a.newBinary(c), nil
+		}
+	case *UnaryExpr:
+		c := *x
+		if c.Child, err = mapChild(x.Child, fn); err != nil {
+			return nil, err
+		}
+		if c != *x {
+			return a.newUnary(c), nil
+		}
+	case *IsNullExpr:
+		c := *x
+		if c.Child, err = mapChild(x.Child, fn); err != nil {
+			return nil, err
+		}
+		if c != *x {
+			return a.newIsNull(c), nil
+		}
+	case *InExpr:
+		c := *x
+		var changed bool
+		if c.Child, err = mapChild(x.Child, fn); err != nil {
+			return nil, err
+		}
+		if c.List, changed, err = mapList(a, x.List, fn); err != nil {
+			return nil, err
+		}
+		if changed || c.Child != x.Child {
+			return a.newIn(c), nil
+		}
+	case *InSubquery:
+		c := *x
+		if c.Child, err = mapChild(x.Child, fn); err != nil {
+			return nil, err
+		}
+		if c != *x {
+			return a.newInSubquery(c), nil
+		}
+	case *BetweenExpr:
+		c := *x
+		if c.Child, err = mapChild(x.Child, fn); err != nil {
+			return nil, err
+		}
+		if c.Lo, err = mapChild(x.Lo, fn); err != nil {
+			return nil, err
+		}
+		if c.Hi, err = mapChild(x.Hi, fn); err != nil {
+			return nil, err
+		}
+		if c != *x {
+			return a.newBetween(c), nil
+		}
+	case *FuncExpr:
+		c := *x
+		var changed bool
+		if c.Args, changed, err = mapList(a, x.Args, fn); err != nil {
+			return nil, err
+		}
+		if changed {
+			return a.newFunc(c), nil
+		}
+	case *CaseExpr:
+		c := *x
+		var whens []CaseWhen // allocated at the first changed arm
+		for i, w := range x.Whens {
+			var nw CaseWhen
+			if nw.Cond, err = mapChild(w.Cond, fn); err != nil {
+				return nil, err
+			}
+			if nw.Result, err = mapChild(w.Result, fn); err != nil {
+				return nil, err
+			}
+			if nw != w && whens == nil {
+				whens = a.copyWhens(x.Whens)
+				c.Whens = whens
+			}
+			if whens != nil {
+				whens[i] = nw
+			}
+		}
+		if c.Else, err = mapChild(x.Else, fn); err != nil {
+			return nil, err
+		}
+		if whens != nil || c.Else != x.Else {
+			return a.newCase(c), nil
+		}
+	case *CastExpr:
+		c := *x
+		if c.Child, err = mapChild(x.Child, fn); err != nil {
+			return nil, err
+		}
+		if c != *x {
+			return a.newCast(c), nil
+		}
+	case *KeyFilterExpr:
+		child, err := mapChild(x.Child, fn)
+		if err != nil {
+			return nil, err
+		}
+		if child != x.Child {
+			c := *x // copied only here: the copy goes to the heap
+			c.Child = child
+			return &c, nil
+		}
+	default:
+		panic(fmt.Sprintf("sqlparse: MapChildren missing case for %T", e))
+	}
+	return e, nil
+}
+
+// mapChild applies fn to one child; a nil child is a leaf and stays nil.
+func mapChild(c Expr, fn func(Expr) (Expr, error)) (Expr, error) {
+	if c == nil {
+		return nil, nil
+	}
+	return fn(c)
+}
+
+// mapList applies fn to every item of list. It returns list itself when
+// nothing changed, and otherwise a copy from a with the new items.
+func mapList(a *Arena, list []Expr, fn func(Expr) (Expr, error)) ([]Expr, bool, error) {
+	var out []Expr // allocated at the first changed item
+	for i, item := range list {
+		n, err := mapChild(item, fn)
+		if err != nil {
+			return nil, false, err
+		}
+		if n != item && out == nil {
+			out = a.copyExprs(list)
+		}
+		if out != nil {
+			out[i] = n
+		}
+	}
+	if out == nil {
+		return list, false, nil
+	}
+	return out, true, nil
+}
+
 // Rewrite applies fn to every node of the expression bottom-up (children
-// first, left to right), rebuilding the tree. Input expressions are never
-// mutated: any change produces fresh nodes, so rewriting an expression that
-// is shared (a cached plan, a stored view body) is safe. The rebuilt nodes
-// are heap-allocated and retain-safe.
+// first, left to right) through MapChildren. The input is never mutated:
+// a changed child produces a fresh copy of each node above it, and a
+// rewrite that changes nothing returns e itself. The result shares every
+// unchanged subtree with e, so it is retain-safe only if e is; the nodes
+// Rewrite itself allocates come from the heap.
 func Rewrite(e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 	return RewriteIn(nil, e, fn)
 }
@@ -17,90 +190,13 @@ func RewriteIn(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 	if e == nil {
 		return nil, nil
 	}
-	var err error
-	switch x := e.(type) {
-	case *BinaryExpr:
-		n := a.newBinary(BinaryExpr{Op: x.Op})
-		if n.Left, err = RewriteIn(a, x.Left, fn); err != nil {
-			return nil, err
-		}
-		if n.Right, err = RewriteIn(a, x.Right, fn); err != nil {
+	var rec func(Expr) (Expr, error)
+	rec = func(x Expr) (Expr, error) {
+		n, err := MapChildren(a, x, rec)
+		if err != nil {
 			return nil, err
 		}
 		return fn(n)
-	case *UnaryExpr:
-		n := a.newUnary(UnaryExpr{Op: x.Op})
-		if n.Child, err = RewriteIn(a, x.Child, fn); err != nil {
-			return nil, err
-		}
-		return fn(n)
-	case *IsNullExpr:
-		n := a.newIsNull(IsNullExpr{Not: x.Not})
-		if n.Child, err = RewriteIn(a, x.Child, fn); err != nil {
-			return nil, err
-		}
-		return fn(n)
-	case *InExpr:
-		n := a.newIn(InExpr{Not: x.Not})
-		if n.Child, err = RewriteIn(a, x.Child, fn); err != nil {
-			return nil, err
-		}
-		n.List = a.makeExprs(len(x.List))
-		for i, item := range x.List {
-			if n.List[i], err = RewriteIn(a, item, fn); err != nil {
-				return nil, err
-			}
-		}
-		return fn(n)
-	case *InSubquery:
-		n := a.newInSubquery(InSubquery{Query: x.Query, Not: x.Not})
-		if n.Child, err = RewriteIn(a, x.Child, fn); err != nil {
-			return nil, err
-		}
-		return fn(n)
-	case *BetweenExpr:
-		n := a.newBetween(BetweenExpr{Not: x.Not})
-		if n.Child, err = RewriteIn(a, x.Child, fn); err != nil {
-			return nil, err
-		}
-		if n.Lo, err = RewriteIn(a, x.Lo, fn); err != nil {
-			return nil, err
-		}
-		if n.Hi, err = RewriteIn(a, x.Hi, fn); err != nil {
-			return nil, err
-		}
-		return fn(n)
-	case *FuncExpr:
-		n := a.newFunc(FuncExpr{Name: x.Name, Distinct: x.Distinct, Star: x.Star})
-		n.Args = a.makeExprs(len(x.Args))
-		for i, arg := range x.Args {
-			if n.Args[i], err = RewriteIn(a, arg, fn); err != nil {
-				return nil, err
-			}
-		}
-		return fn(n)
-	case *CaseExpr:
-		n := a.newCase(CaseExpr{})
-		n.Whens = a.makeWhens(len(x.Whens))
-		for i, w := range x.Whens {
-			if n.Whens[i].Cond, err = RewriteIn(a, w.Cond, fn); err != nil {
-				return nil, err
-			}
-			if n.Whens[i].Result, err = RewriteIn(a, w.Result, fn); err != nil {
-				return nil, err
-			}
-		}
-		if n.Else, err = RewriteIn(a, x.Else, fn); err != nil {
-			return nil, err
-		}
-		return fn(n)
-	case *CastExpr:
-		n := a.newCast(CastExpr{Type: x.Type})
-		if n.Child, err = RewriteIn(a, x.Child, fn); err != nil {
-			return nil, err
-		}
-		return fn(n)
-	default:
-		return fn(e)
 	}
+	return rec(e)
 }
