@@ -100,14 +100,17 @@ race-adaptive:
 # scratch, sized from the optimizer's estimate. A warm cross-shard join on
 # a 2-node cluster, bloom- and IN-list-tier, must stay inside its own byte
 # budget: a peer's fragment rows land in the coordinator's query scratch,
-# not on the heap. Beside them, the goroutine fence (prefetch_test.go): a fetch
-# gets a prefetch goroutine only where a sibling can overlap it — none for
-# the portal point query, one for a two-remote join, two for the
-# three-source fan-out and for a three-input union.
+# not on the heap, and inside its own allocation count: the peer
+# re-optimizes every fragment. Beside them, the goroutine fence
+# (prefetch_test.go): a fetch gets a prefetch goroutine only where a sibling
+# can overlap it — none for the portal point query, one for a two-remote
+# join, two for the three-source fan-out and for a three-input union. And in
+# ./internal/opt, the copy-on-change fence: over a plan they leave as it
+# is, the optimizer passes return their input and allocate nothing.
 # -count=1 defeats the test cache so the guards actually measure on every
 # check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestCompileAllocGuard|TestSourceAggregateAllocGuard|TestPeerFragmentAllocGuard|TestPrefetchCounts' -count=1 .
+	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestCompileAllocGuard|TestSourceAggregateAllocGuard|TestPeerFragmentAllocGuard|TestPrefetchCounts|TestUnchangedPlanComesBackItself' -count=1 . ./internal/opt
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -225,36 +225,38 @@ func TestSignatureColumnOperandsSplitStreams(t *testing.T) {
 
 // TestRendererReusesItsBuffer: once a renderer's buffer has grown, rendering
 // the same shapes again and looking them up in the store allocates nothing,
-// and a lookup by a rendered shape finds what an owned key recorded. The
-// scan's names are lowercase, as catalog names in the demo federation are:
-// a name with capitals costs its lowercased copy per rendering.
+// and a lookup by a rendered shape finds what an owned key recorded. That
+// holds for a scan whose names have capitals too: the renderer lowers a
+// name once, not per rendering, and the shape keys lowercase names.
 func TestRendererReusesItsBuffer(t *testing.T) {
-	scan := &plan.Scan{Source: "crm", Table: "orders", Cols: []plan.ColMeta{{Name: "id"}, {Name: "amt"}}}
-	f := &plan.Filter{Input: scan, Cond: &sqlparse.BinaryExpr{Op: sqlparse.OpAnd,
-		Left:  &sqlparse.BinaryExpr{Op: sqlparse.OpEq, Left: &sqlparse.ColumnRef{Column: "id"}, Right: &sqlparse.Literal{Value: datum.NewInt(1)}},
-		Right: &sqlparse.BetweenExpr{Child: &sqlparse.ColumnRef{Column: "amt"}, Lo: &sqlparse.Param{Index: 1}, Hi: &sqlparse.Param{Index: 2}}}}
-	store := NewStore(netsim.NewVirtualClock(time.Unix(0, 0)))
-	var r Renderer
-	sh, _ := r.Signature(f)
-	store.Observe(sh, 40, 40)
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Reset()
-		sh, ok := r.Signature(f)
-		if !ok {
-			t.Fatal("no signature")
-		}
-		if _, ok := store.Lookup(sh); !ok {
-			t.Fatal("a rendered shape missed what it recorded")
-		}
+	for _, names := range [][2]string{{"crm", "orders"}, {"CRM", "Orders"}} {
+		scan := &plan.Scan{Source: names[0], Table: names[1], Cols: []plan.ColMeta{{Name: "id"}, {Name: "amt"}}}
+		f := &plan.Filter{Input: scan, Cond: &sqlparse.BinaryExpr{Op: sqlparse.OpAnd,
+			Left:  &sqlparse.BinaryExpr{Op: sqlparse.OpEq, Left: &sqlparse.ColumnRef{Column: "id"}, Right: &sqlparse.Literal{Value: datum.NewInt(1)}},
+			Right: &sqlparse.BetweenExpr{Child: &sqlparse.ColumnRef{Column: "amt"}, Lo: &sqlparse.Param{Index: 1}, Hi: &sqlparse.Param{Index: 2}}}}
+		store := NewStore(netsim.NewVirtualClock(time.Unix(0, 0)))
+		var r Renderer
+		sh, _ := r.Signature(f)
 		store.Observe(sh, 40, 40)
-	})
-	if allocs != 0 {
-		t.Errorf("rendering and looking up a known shape allocates %.1f objects, want 0", allocs)
-	}
-	if store.Len() != 1 {
-		t.Errorf("one shape recorded %d keys", store.Len())
-	}
-	if k, _ := Signature(f); k != sh.Key() {
-		t.Errorf("owned key %+v differs from the rendered shape %+v", k, sh.Key())
+		allocs := testing.AllocsPerRun(100, func() {
+			r.Reset()
+			sh, ok := r.Signature(f)
+			if !ok {
+				t.Fatal("no signature")
+			}
+			if _, ok := store.Lookup(sh); !ok {
+				t.Fatal("a rendered shape missed what it recorded")
+			}
+			store.Observe(sh, 40, 40)
+		})
+		if allocs != 0 {
+			t.Errorf("%s.%s: rendering and looking up a known shape allocates %.1f objects, want 0", names[0], names[1], allocs)
+		}
+		if store.Len() != 1 {
+			t.Errorf("%s.%s: one shape recorded %d keys", names[0], names[1], store.Len())
+		}
+		if k, _ := Signature(f); k != sh.Key() || k.Source != "crm" || k.Table != "orders" {
+			t.Errorf("%s.%s: owned key %+v differs from the rendered shape %+v, or is not lowercased", names[0], names[1], k, sh.Key())
+		}
 	}
 }

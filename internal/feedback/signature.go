@@ -13,7 +13,8 @@ import (
 // that buffer, so a Shape is borrowed until the Renderer's next Reset. The
 // Store looks shapes up without copying them and copies one only when it
 // records a stream it has never seen. Source and Table are the scan's
-// names lowercased, which costs a copy only for a name with capitals.
+// names lowercased; a Renderer lowers a name with capitals once, not per
+// rendering.
 type Shape struct {
 	Source string
 	Table  string
@@ -28,6 +29,21 @@ func (s Shape) Key() Key { return Key{Source: s.Source, Table: s.Table, Sig: str
 // the same shapes on every execution without allocating.
 type Renderer struct {
 	buf []byte
+	// The last source and table names rendered, as written and
+	// lowercased: a plan's scans mostly repeat them.
+	source, table lowered
+}
+
+// lowered is one name and its lowercase form.
+type lowered struct{ raw, lower string }
+
+// of returns s lowercased, lowering it only when s is not the last name
+// this cache saw.
+func (l *lowered) of(s string) string {
+	if s != l.raw {
+		l.raw, l.lower = s, strings.ToLower(s)
+	}
+	return l.lower
 }
 
 // Reset recycles the buffer: every Shape rendered so far becomes invalid.
@@ -110,8 +126,8 @@ func (r *Renderer) Signature(n plan.Node) (Shape, bool) {
 	}
 	end := len(r.buf)
 	return Shape{
-		Source: strings.ToLower(s.Source),
-		Table:  strings.ToLower(s.Table),
+		Source: r.source.of(s.Source),
+		Table:  r.table.of(s.Table),
 		Sig:    r.buf[start:end:end],
 	}, true
 }

@@ -58,6 +58,7 @@ func networkFactor(env Env, source string) float64 {
 // inter-source prefetch, which is what matters at the mediator's scale.
 func Reoptimize(root plan.Node, env Env, opts Options) plan.Node {
 	est := newEstimator(env) // shared by both passes, as in optimize
+	defer est.release()
 	n := root
 	if !opts.NoJoinReorder {
 		n = reorderJoins(n, est)
@@ -91,10 +92,7 @@ func NewEstimator(env Env) *Estimator {
 // buffer, and recycles the estimator. The caller must not use it, or a
 // shape it returned, afterwards.
 func (e *Estimator) Release() {
-	clear(e.est.rowsMemo)
-	clear(e.est.sigMemo)
-	e.est.sigs.Reset()
-	e.est.reset(nil)
+	e.est.clear()
 	estimatorPool.Put(e)
 }
 

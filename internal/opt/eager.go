@@ -102,7 +102,7 @@ func eagerOver(a *plan.Aggregate, env Env, est *estimator) plan.Node {
 	}
 
 	// The one input every argument comes from.
-	rels, conds := flattenJoins(root)
+	rels, conds := flattenJoins(root, nil, nil)
 	var side plan.Node
 	for _, r := range rels {
 		if allResolve(args, r.Columns()) {
@@ -117,7 +117,9 @@ func eagerOver(a *plan.Aggregate, env Env, est *estimator) plan.Node {
 	// Group it on every column of it read above it: join conditions and
 	// grouping. sideCols[k] is the side column the k-th key restores.
 	cols := side.Columns()
-	read := exprRefs(cols, append(conds, groupBy...)...)
+	read := make([]bool, len(cols))
+	markRefs(read, cols, conds...)
+	markRefs(read, cols, groupBy...)
 	var keys []sqlparse.Expr
 	var sideCols []plan.ColMeta
 	for i, c := range cols {

@@ -12,7 +12,8 @@ import (
 const maxDPRelations = 10
 
 // reorderJoins finds maximal trees of inner joins and reorders each using
-// cost-based search under est. LEFT joins act as barriers.
+// cost-based search under est. LEFT joins act as barriers. A join whose
+// best order is the one it has comes back itself.
 func reorderJoins(n plan.Node, est *estimator) plan.Node {
 	return plan.Transform(n, func(x plan.Node) plan.Node {
 		j, ok := x.(*plan.Join)
@@ -25,37 +26,72 @@ func reorderJoins(n plan.Node, est *estimator) plan.Node {
 		// collect relations; if fewer than 3, ordering cannot change
 		// anything worth the work (2 relations: build-side choice is
 		// still useful, so handle >= 2).
-		rels, conjuncts := flattenJoins(j)
+		rels, conjuncts := flattenJoins(j, nil, nil)
 		if len(rels) < 2 {
 			return x
 		}
+		var out plan.Node
 		if len(rels) > maxDPRelations {
-			return greedyOrder(rels, conjuncts, est)
+			out = greedyOrder(rels, conjuncts, est)
+		} else {
+			out = dpOrder(rels, conjuncts, est)
 		}
-		return dpOrder(rels, conjuncts, est)
+		if o, ok := out.(*plan.Join); ok && o.Left == j.Left && o.Right == j.Right && o.Cond == j.Cond &&
+			j.SemiJoin == plan.SemiJoinNone && j.Parallel == 0 {
+			return x
+		}
+		return out
 	})
 }
 
-// flattenJoins collects the leaf relations and conjunct pool of a maximal
-// inner-join tree.
-func flattenJoins(n plan.Node) ([]plan.Node, []sqlparse.Expr) {
+// flattenJoins appends the leaf relations and conjunct pool of a maximal
+// inner-join tree to rels and conj.
+func flattenJoins(n plan.Node, rels []plan.Node, conj []sqlparse.Expr) ([]plan.Node, []sqlparse.Expr) {
 	j, ok := n.(*plan.Join)
 	if !ok || j.Type != sqlparse.JoinInner {
-		return []plan.Node{n}, nil
+		return append(rels, n), conj
 	}
-	lRels, lConj := flattenJoins(j.Left)
-	rRels, rConj := flattenJoins(j.Right)
-	rels := append(lRels, rRels...)
-	conj := append(lConj, rConj...)
-	conj = append(conj, sqlparse.SplitConjuncts(j.Cond)...)
-	return rels, conj
+	rels, conj = flattenJoins(j.Left, rels, conj)
+	rels, conj = flattenJoins(j.Right, rels, conj)
+	return rels, sqlparse.AppendConjuncts(conj, j.Cond)
 }
 
-// applicable returns the conjuncts fully resolvable against cols, split
-// from the rest.
-func applicable(conjuncts []sqlparse.Expr, cols []plan.ColMeta) (now, later []sqlparse.Expr) {
+// resolvesAcross reports whether every column reference in e resolves
+// against a and b together, as plan.RefsResolve does against their
+// concatenation, without building it: each reference must match exactly
+// one column of the two lists. b may be nil.
+func resolvesAcross(e sqlparse.Expr, a, b []plan.ColMeta) bool {
+	ok := true
+	sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
+		if ref, is := x.(*sqlparse.ColumnRef); is && ok {
+			ia, inA := plan.FindColumn(a, ref)
+			ib, inB := plan.FindColumn(b, ref)
+			ok = inA && ib < 0 || ia < 0 && inB
+		}
+	})
+	return ok
+}
+
+// applicable splits conjuncts into those fully resolvable against a and b
+// together (now) and the rest (later), each in pool order. A half that
+// holds every conjunct is conjuncts itself, so a split that leaves the
+// pool whole allocates nothing.
+func applicable(conjuncts []sqlparse.Expr, a, b []plan.ColMeta) (now, later []sqlparse.Expr) {
+	n := 0
 	for _, c := range conjuncts {
-		if plan.RefsResolve(c, cols) {
+		if resolvesAcross(c, a, b) {
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return nil, conjuncts
+	case len(conjuncts):
+		return conjuncts, nil
+	}
+	now, later = make([]sqlparse.Expr, 0, n), make([]sqlparse.Expr, 0, len(conjuncts)-n)
+	for _, c := range conjuncts {
+		if resolvesAcross(c, a, b) {
 			now = append(now, c)
 		} else {
 			later = append(later, c)
@@ -66,9 +102,8 @@ func applicable(conjuncts []sqlparse.Expr, cols []plan.ColMeta) (now, later []sq
 
 // connects reports whether any conjunct references both column sets.
 func connects(conjuncts []sqlparse.Expr, a, b []plan.ColMeta) bool {
-	joined := append(append([]plan.ColMeta{}, a...), b...)
 	for _, c := range conjuncts {
-		if plan.RefsResolve(c, joined) && !plan.RefsResolve(c, a) && !plan.RefsResolve(c, b) {
+		if resolvesAcross(c, a, b) && !plan.RefsResolve(c, a) && !plan.RefsResolve(c, b) {
 			return true
 		}
 	}
@@ -76,21 +111,11 @@ func connects(conjuncts []sqlparse.Expr, a, b []plan.ColMeta) bool {
 }
 
 // joinPair builds an inner join of two subplans, attaching every conjunct
-// that becomes applicable.
+// that becomes applicable. Single-side conjuncts were already pushed down
+// by pushFilters, but a straggler is still legal as part of the join
+// condition.
 func joinPair(left, right plan.Node, pool []sqlparse.Expr) (plan.Node, []sqlparse.Expr) {
-	joined := append(append([]plan.ColMeta{}, left.Columns()...), right.Columns()...)
-	var now []sqlparse.Expr
-	var later []sqlparse.Expr
-	for _, c := range pool {
-		// Only attach conjuncts that need both sides; single-side
-		// conjuncts were already pushed down by pushFilters, but a
-		// straggler is still legal as part of the join condition.
-		if plan.RefsResolve(c, joined) {
-			now = append(now, c)
-		} else {
-			later = append(later, c)
-		}
-	}
+	now, later := applicable(pool, left.Columns(), right.Columns())
 	return plan.NewJoin(sqlparse.JoinInner, left, right, sqlparse.CombineConjuncts(now)), later
 }
 
@@ -99,28 +124,29 @@ func joinPair(left, right plan.Node, pool []sqlparse.Expr) (plan.Node, []sqlpars
 func dpOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.Node {
 	n := len(rels)
 	type entry struct {
-		node plan.Node
+		node plan.Node       // nil until some plan joins the subset
 		pool []sqlparse.Expr // conjuncts not yet applied
 		cost float64
 	}
-	dp := make(map[uint32]*entry, 1<<n)
+	// dp[set] is the cheapest plan found for the relations in set.
+	dp := make([]entry, 1<<n)
 	for i, r := range rels {
 		// Apply any single-relation conjuncts immediately.
-		now, later := applicable(conjuncts, r.Columns())
+		now, later := applicable(conjuncts, r.Columns(), nil)
 		node := r
 		if len(now) > 0 {
 			node = &plan.Filter{Input: r, Cond: sqlparse.CombineConjuncts(now)}
 		}
-		dp[1<<i] = &entry{node: node, pool: later, cost: est.Rows(node)}
+		dp[1<<i] = entry{node: node, pool: later, cost: est.Rows(node)}
 	}
-	full := uint32(1<<n) - 1
-	for set := uint32(1); set <= full; set++ {
-		cur, ok := dp[set]
-		if !ok || bitCount(set) == n {
+	full := len(dp) - 1
+	for set := 1; set < full; set++ {
+		cur := dp[set]
+		if cur.node == nil {
 			continue
 		}
 		for i := 0; i < n; i++ {
-			bit := uint32(1) << i
+			bit := 1 << i
 			if set&bit != 0 {
 				continue
 			}
@@ -136,17 +162,14 @@ func dpOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.N
 			// C_out ties in favour of small build (right) sides,
 			// matching the executor's build-on-right hash join.
 			cost := cur.cost + est.Rows(base.node)*1.01 + rows*penalty
-			next := set | bit
-			if prev, ok := dp[next]; !ok || cost < prev.cost {
-				dp[next] = &entry{node: joined, pool: rest, cost: cost}
+			if next := &dp[set|bit]; next.node == nil || cost < next.cost {
+				*next = entry{node: joined, pool: rest, cost: cost}
 			}
 		}
 	}
+	// Every subset extends by every relation it lacks, so the full set
+	// always has a plan.
 	best := dp[full]
-	if best == nil {
-		// Unreachable, but fall back to the original order.
-		return fallbackOrder(rels, conjuncts)
-	}
 	if len(best.pool) > 0 {
 		return &plan.Filter{Input: best.node, Cond: sqlparse.CombineConjuncts(best.pool)}
 	}
@@ -168,7 +191,7 @@ func greedyOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) pl
 	}
 	cur := remaining[bestIdx]
 	remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-	if now, later := applicable(pool, cur.Columns()); len(now) > 0 {
+	if now, later := applicable(pool, cur.Columns(), nil); len(now) > 0 {
 		cur = &plan.Filter{Input: cur, Cond: sqlparse.CombineConjuncts(now)}
 		pool = later
 	}
@@ -197,26 +220,4 @@ func greedyOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) pl
 		cur = &plan.Filter{Input: cur, Cond: sqlparse.CombineConjuncts(pool)}
 	}
 	return cur
-}
-
-// fallbackOrder reproduces the original left-deep order.
-func fallbackOrder(rels []plan.Node, conjuncts []sqlparse.Expr) plan.Node {
-	cur := rels[0]
-	pool := conjuncts
-	for _, r := range rels[1:] {
-		cur, pool = joinPair(cur, r, pool)
-	}
-	if len(pool) > 0 {
-		cur = &plan.Filter{Input: cur, Cond: sqlparse.CombineConjuncts(pool)}
-	}
-	return cur
-}
-
-func bitCount(v uint32) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
 }

@@ -40,7 +40,8 @@ type Options struct {
 
 // Optimize rewrites a logical plan for federated execution.
 func Optimize(root plan.Node, env Env, opts Options) plan.Node {
-	n, _ := optimize(root, env, opts)
+	n, est := optimize(root, env, opts)
+	est.release()
 	return n
 }
 
@@ -49,15 +50,16 @@ func Optimize(root plan.Node, env Env, opts Options) plan.Node {
 // deriving again the estimates the passes already made.
 func OptimizeCosted(root plan.Node, env Env, opts Options) (plan.Node, PlanCost) {
 	n, est := optimize(root, env, opts)
+	defer est.release()
 	return n, est.cost(n)
 }
 
 // optimize runs the passes under one estimator and returns it with the
-// plan. Sharing the estimator's memo across passes is sound because no
-// pass writes into a node it did not allocate: passes copy on change
-// (plan.MapInputs), so one pointer denotes one subtree for the whole
-// compile, and an estimate memoized for it in one pass still holds in the
-// next.
+// plan, for the caller to release. Sharing the estimator's memo across
+// passes is sound because no pass writes into a node it did not allocate:
+// passes copy on change (plan.MapInputs), so one pointer denotes one
+// subtree for the whole compile, and an estimate memoized for it in one
+// pass still holds in the next.
 func optimize(root plan.Node, env Env, opts Options) (plan.Node, *estimator) {
 	est := newEstimator(env)
 	n := root
@@ -109,5 +111,6 @@ type PlanCost struct {
 // Cost estimates the execution cost of a plan under the environment.
 func Cost(n plan.Node, env Env) PlanCost {
 	est := newEstimator(env)
+	defer est.release()
 	return est.cost(n)
 }

@@ -189,7 +189,8 @@ func annotateSemiJoins(n plan.Node, est *estimator) plan.Node {
 		if !ok || j.Cond == nil {
 			return x
 		}
-		leftKeys, rightKeys, _ := plan.AppendEquiKeys(nil, nil, j.Cond, j.Left.Columns(), j.Right.Columns())
+		var leftBuf, rightBuf [4]sqlparse.Expr
+		leftKeys, rightKeys, _ := plan.AppendEquiKeys(leftBuf[:0], rightBuf[:0], j.Cond, j.Left.Columns(), j.Right.Columns())
 		if len(leftKeys) == 0 {
 			return x
 		}
@@ -261,9 +262,8 @@ func annotateSemiJoins(n plan.Node, est *estimator) plan.Node {
 			// re-optimization passes that reconfirm an existing one.
 			return x
 		}
-		nj := plan.NewJoin(j.Type, j.Left, j.Right, j.Cond)
+		nj := *j
 		nj.SemiJoin = hint
-		nj.Parallel = j.Parallel
-		return nj
+		return &nj
 	})
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
@@ -46,15 +45,27 @@ func mergeProjects(n plan.Node) plan.Node {
 	})
 }
 
-// pushFilters moves filter conjuncts as close to the scans as possible.
+// pushFilters moves filter conjuncts as close to the scans as possible. A
+// filter already on its floor stays itself.
 func pushFilters(n plan.Node) plan.Node {
 	return plan.Transform(n, func(x plan.Node) plan.Node {
 		f, ok := x.(*plan.Filter)
-		if !ok {
+		if !ok || holdsFilters(f.Input) {
 			return x
 		}
 		return pushFilterInto(f.Cond, f.Input)
 	})
+}
+
+// holdsFilters reports whether a filter over n stays there: a scan is the
+// floor; Limit/Union change cardinality semantics under a pushed filter;
+// Remote subtrees were already placed.
+func holdsFilters(n plan.Node) bool {
+	switch n.(type) {
+	case *plan.Scan, *plan.Limit, *plan.Union, *plan.Remote:
+		return true
+	}
+	return false
 }
 
 // pushFilterInto pushes a predicate into node, returning the rewritten
@@ -73,11 +84,13 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 		return pushFilterInto(merged, x.Input)
 
 	case *plan.Join:
-		conjuncts := sqlparse.SplitConjuncts(cond)
+		// The conjuncts are sorted into stack buffers: only the
+		// combined predicates outlive the split.
+		var buf, leftBuf, rightBuf, hereBuf [8]sqlparse.Expr
 		leftCols := x.Left.Columns()
 		rightCols := x.Right.Columns()
-		var toLeft, toRight, here []sqlparse.Expr
-		for _, c := range conjuncts {
+		toLeft, toRight, here := leftBuf[:0], rightBuf[:0], hereBuf[:0]
+		for _, c := range sqlparse.AppendConjuncts(buf[:0], cond) {
 			switch {
 			case plan.RefsResolve(c, leftCols):
 				toLeft = append(toLeft, c)
@@ -102,22 +115,22 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 		if len(toRight) > 0 {
 			right = pushFilterInto(sqlparse.CombineConjuncts(toRight), right)
 		}
-		joinCond := x.Cond
+		j := x.WithInputs(left, right)
 		if len(here) > 0 {
-			all := append([]sqlparse.Expr{}, here...)
-			if joinCond != nil {
-				all = append(all, joinCond)
+			if x.Cond != nil {
+				here = append(here, x.Cond)
 			}
-			joinCond = sqlparse.CombineConjuncts(all)
+			j.Cond = sqlparse.CombineConjuncts(here)
 		}
-		return plan.NewJoin(x.Type, left, right, joinCond)
+		return j
 
 	case *plan.Aggregate:
 		// Conjuncts referencing only group-by outputs move below by
 		// substituting the grouping expressions.
 		groupCols := x.Columns()[:len(x.GroupBy)]
-		var below, above []sqlparse.Expr
-		for _, c := range sqlparse.SplitConjuncts(cond) {
+		var buf, belowBuf, aboveBuf [8]sqlparse.Expr
+		below, above := belowBuf[:0], aboveBuf[:0]
+		for _, c := range sqlparse.AppendConjuncts(buf[:0], cond) {
 			if plan.RefsResolve(c, groupCols) {
 				below = append(below, substitute(c, groupCols, x.GroupBy))
 			} else {
@@ -126,7 +139,9 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 		}
 		out := plan.Node(x)
 		if len(below) > 0 {
-			out = plan.NewAggregate(pushFilterInto(sqlparse.CombineConjuncts(below), x.Input), x.GroupBy, x.Aggs)
+			out = plan.MapInputs(x, func(in plan.Node) plan.Node {
+				return pushFilterInto(sqlparse.CombineConjuncts(below), in)
+			})
 		}
 		if len(above) > 0 {
 			out = &plan.Filter{Input: out, Cond: sqlparse.CombineConjuncts(above)}
@@ -150,23 +165,18 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 	}
 }
 
-// exprRefs returns the positions (within cols) of every column reference in
-// the expressions.
-func exprRefs(cols []plan.ColMeta, exprs ...sqlparse.Expr) map[int]bool {
-	out := map[int]bool{}
+// markRefs sets marks[i] for the position i, within cols, of every column
+// reference in the expressions (nil ones included, as none).
+func markRefs(marks []bool, cols []plan.ColMeta, exprs ...sqlparse.Expr) {
 	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
 		sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
 			if r, ok := x.(*sqlparse.ColumnRef); ok {
 				if i, ok := plan.FindColumn(cols, r); ok {
-					out[i] = true
+					marks[i] = true
 				}
 			}
 		})
 	}
-	return out
 }
 
 // pruneColumns trims unused columns so only needed attributes cross the
@@ -174,41 +184,87 @@ func exprRefs(cols []plan.ColMeta, exprs ...sqlparse.Expr) map[int]bool {
 // projection directly over the scan, or, when a filter sits on the scan,
 // over that filter — so a column only the predicate reads stops at the
 // source, and the source evaluates the predicate on its own rows and
-// copies only the survivors.
+// copies only the survivors. Like every pass it copies on change: a node
+// that loses no column, over inputs that lose none, comes back itself.
 func pruneColumns(root plan.Node) plan.Node {
-	all := make([]bool, len(root.Columns()))
-	for i := range all {
-		all[i] = true
+	var buf [128]bool // the marks of a plan of a dozen or so nodes
+	p := pruner{marks: buf[:0]}
+	return p.prune(root, p.all(len(root.Columns())))
+}
+
+// pruner carves prune's per-node column marks from shared blocks, the
+// first on pruneColumns' stack.
+type pruner struct{ marks []bool }
+
+// take returns n cleared marks.
+func (p *pruner) take(n int) []bool {
+	if len(p.marks)+n > cap(p.marks) {
+		// A fresh block; marks taken from the last one stay valid.
+		p.marks = make([]bool, 0, max(64, 2*n, 2*cap(p.marks)))
 	}
-	return prune(root, all)
+	m := p.marks[len(p.marks) : len(p.marks)+n : len(p.marks)+n]
+	p.marks = p.marks[:len(p.marks)+n]
+	return m
+}
+
+// all returns n marks, every one set.
+func (p *pruner) all(n int) []bool {
+	m := p.take(n)
+	for i := range m {
+		m[i] = true
+	}
+	return m
+}
+
+// with returns marks copied from needed.
+func (p *pruner) with(needed []bool) []bool {
+	m := p.take(len(needed))
+	copy(m, needed)
+	return m
+}
+
+// marked counts the set marks.
+func marked(marks []bool) int {
+	n := 0
+	for _, m := range marks {
+		if m {
+			n++
+		}
+	}
+	return n
 }
 
 // prune returns a subtree that produces at least the columns marked needed
 // (positions index n's current output). The result may carry extra columns;
 // every consumer above resolves by name, except Union which therefore never
 // prunes across its boundary.
-func prune(n plan.Node, needed []bool) plan.Node {
+func (p *pruner) prune(n plan.Node, needed []bool) plan.Node {
 	switch x := n.(type) {
 	case *plan.Project:
-		var exprs []sqlparse.Expr
-		var cols []plan.ColMeta
-		for i := range x.Exprs {
-			if needed[i] {
-				exprs = append(exprs, x.Exprs[i])
-				cols = append(cols, x.Cols[i])
+		kept := marked(needed)
+		exprs, cols := x.Exprs, x.Cols
+		switch {
+		case kept == 0:
+			// Keep at least one column so the row count survives.
+			exprs, cols = exprs[:1:1], cols[:1:1]
+		case kept < len(exprs):
+			exprs, cols = make([]sqlparse.Expr, 0, kept), make([]plan.ColMeta, 0, kept)
+			for i, need := range needed {
+				if need {
+					exprs, cols = append(exprs, x.Exprs[i]), append(cols, x.Cols[i])
+				}
 			}
 		}
-		if len(exprs) == 0 {
-			// Keep at least one column so the row count survives.
-			exprs = append(exprs, x.Exprs[0])
-			cols = append(cols, x.Cols[0])
-		}
 		childCols := x.Input.Columns()
-		childNeeded := make([]bool, len(childCols))
-		for i := range exprRefs(childCols, exprs...) {
-			childNeeded[i] = true
+		childNeeded := p.take(len(childCols))
+		markRefs(childNeeded, childCols, exprs...)
+		in := p.prune(x.Input, childNeeded)
+		if in == x.Input && len(exprs) == len(x.Exprs) {
+			return x
 		}
-		return &plan.Project{Input: prune(x.Input, childNeeded), Exprs: exprs, Cols: cols}
+		c := *x
+		c.Input, c.Exprs, c.Cols = in, exprs, cols
+		return &c
 
 	case *plan.Filter:
 		if _, ok := x.Input.(*plan.Scan); ok {
@@ -216,72 +272,47 @@ func prune(n plan.Node, needed []bool) plan.Node {
 			// the columns needed above it survive the narrowing.
 			return narrow(x, needed)
 		}
-		childCols := x.Input.Columns()
-		childNeeded := append([]bool{}, needed...)
-		for i := range exprRefs(childCols, x.Cond) {
-			childNeeded[i] = true
-		}
-		return &plan.Filter{Input: prune(x.Input, childNeeded), Cond: x.Cond}
+		childNeeded := p.with(needed)
+		markRefs(childNeeded, x.Input.Columns(), x.Cond)
+		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, childNeeded) })
 
 	case *plan.Join:
-		joined := x.Columns()
-		want := append([]bool{}, needed...)
-		for i := range exprRefs(joined, x.Cond) {
-			want[i] = true
-		}
+		want := p.with(needed)
+		markRefs(want, x.Columns(), x.Cond)
 		nl := len(x.Left.Columns())
-		left := prune(x.Left, want[:nl])
-		right := prune(x.Right, want[nl:])
-		return plan.NewJoin(x.Type, left, right, x.Cond)
+		left, right := p.prune(x.Left, want[:nl]), p.prune(x.Right, want[nl:])
+		if left == x.Left && right == x.Right {
+			return x
+		}
+		return x.WithInputs(left, right)
 
 	case *plan.Aggregate:
 		childCols := x.Input.Columns()
-		childNeeded := make([]bool, len(childCols))
-		exprs := append([]sqlparse.Expr{}, x.GroupBy...)
+		childNeeded := p.take(len(childCols))
+		markRefs(childNeeded, childCols, x.GroupBy...)
 		for _, sp := range x.Aggs {
-			if sp.Arg != nil {
-				exprs = append(exprs, sp.Arg)
-			}
+			markRefs(childNeeded, childCols, sp.Arg)
 		}
-		for i := range exprRefs(childCols, exprs...) {
-			childNeeded[i] = true
-		}
-		return plan.NewAggregate(prune(x.Input, childNeeded), x.GroupBy, x.Aggs)
+		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, childNeeded) })
 
 	case *plan.Sort:
-		childNeeded := append([]bool{}, needed...)
-		for i := range exprRefs(x.Input.Columns(), sortExprs(x.Keys)...) {
-			childNeeded[i] = true
+		childNeeded := p.with(needed)
+		for _, k := range x.Keys {
+			markRefs(childNeeded, x.Input.Columns(), k.Expr)
 		}
-		return &plan.Sort{Input: prune(x.Input, childNeeded), Keys: x.Keys}
+		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, childNeeded) })
 
 	case *plan.Limit:
-		return &plan.Limit{Input: prune(x.Input, needed), Count: x.Count, Offset: x.Offset}
+		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, needed) })
 
-	case *plan.Distinct:
-		// Dropping columns under DISTINCT changes its semantics; keep
-		// everything.
-		child := x.Input
-		all := make([]bool, len(child.Columns()))
-		for i := range all {
-			all[i] = true
-		}
-		return &plan.Distinct{Input: prune(child, all)}
-
-	case *plan.Union:
-		// Union children are combined positionally, and pruning only
-		// guarantees a by-name superset, so no pruning crosses a
-		// union boundary — but pruning still runs inside each branch
-		// with all columns required.
-		inputs := make([]plan.Node, len(x.Inputs))
-		for i, in := range x.Inputs {
-			all := make([]bool, len(in.Columns()))
-			for j := range all {
-				all[j] = true
-			}
-			inputs[i] = prune(in, all)
-		}
-		return &plan.Union{Inputs: inputs}
+	case *plan.Distinct, *plan.Union:
+		// Dropping columns under DISTINCT changes its semantics, so
+		// it keeps everything. Union children are combined
+		// positionally, and pruning only guarantees a by-name
+		// superset, so no pruning crosses a union boundary — but
+		// pruning still runs inside each branch with all columns
+		// required.
+		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, p.all(len(in.Columns()))) })
 
 	case *plan.Scan:
 		return narrow(x, needed)
@@ -299,32 +330,24 @@ func prune(n plan.Node, needed []bool) plan.Node {
 
 // narrow projects a scan, or a filter over one, down to the needed columns
 // (positions index n's output, which is the scan's). It returns n itself
-// when no column is dead.
+// when no column is dead. The projection's lists are sized once and its
+// references carved from one block.
 func narrow(n plan.Node, needed []bool) plan.Node {
-	if !slices.Contains(needed, false) {
+	cols := n.Columns()
+	kept := marked(needed)
+	if kept == len(cols) {
 		return n
 	}
-	proj := &plan.Project{Input: n}
-	cols := n.Columns()
+	// With no column needed, the first is kept for cardinality.
+	size := max(kept, 1)
+	proj := &plan.Project{Input: n, Exprs: make([]sqlparse.Expr, 0, size), Cols: make([]plan.ColMeta, 0, size)}
+	refs := make([]sqlparse.ColumnRef, 0, size)
 	for i, c := range cols {
-		if needed[i] {
-			proj.Exprs = append(proj.Exprs, &sqlparse.ColumnRef{Table: c.Table, Column: c.Name})
+		if needed[i] || kept == 0 && i == 0 {
+			refs = append(refs, sqlparse.ColumnRef{Table: c.Table, Column: c.Name})
+			proj.Exprs = append(proj.Exprs, &refs[len(refs)-1])
 			proj.Cols = append(proj.Cols, c)
 		}
 	}
-	if len(proj.Exprs) == 0 {
-		// Keep one column for cardinality.
-		c := cols[0]
-		proj.Exprs = append(proj.Exprs, &sqlparse.ColumnRef{Table: c.Table, Column: c.Name})
-		proj.Cols = append(proj.Cols, c)
-	}
 	return proj
-}
-
-func sortExprs(keys []plan.SortKey) []sqlparse.Expr {
-	out := make([]sqlparse.Expr, len(keys))
-	for i, k := range keys {
-		out[i] = k.Expr
-	}
-	return out
 }

@@ -80,3 +80,66 @@ func TestOptimizeWritesOnlyNodesItAllocates(t *testing.T) {
 		}
 	})
 }
+
+// TestUnchangedPlanComesBackItself pins copy-on-change in the passes every
+// plan-cache miss runs. Over a plan they leave as it is — no column to
+// drop, no filter off its floor, no Project over a Project —
+// pruneColumns, pushFilters and mergeProjects each return the root they
+// were given and allocate nothing. A Join copied over inputs whose column
+// lists did not change shares its own, capped, so an append to either
+// join's columns cannot write into the other's.
+func TestUnchangedPlanComesBackItself(t *testing.T) {
+	join := plan.NewJoin(sqlparse.JoinInner,
+		&plan.Filter{Input: scan("a", "a", "k", "v"), Cond: expr(t, "a.v > 3")},
+		scan("b", "b", "k", "w"), expr(t, "a.k = b.k"))
+	agg := plan.NewAggregate(join, []sqlparse.Expr{expr(t, "a.v")}, []plan.AggSpec{{Func: "SUM", Arg: expr(t, "b.w")}})
+	proj := &plan.Project{Input: agg,
+		Exprs: []sqlparse.Expr{&sqlparse.ColumnRef{Column: agg.Columns()[0].Name}, &sqlparse.ColumnRef{Column: agg.Columns()[1].Name}},
+		Cols:  []plan.ColMeta{{Name: "v"}, {Name: "total"}}}
+	root := &plan.Limit{Input: &plan.Sort{Input: proj, Keys: []plan.SortKey{{Expr: expr(t, "total")}}}, Count: 10}
+	for _, pass := range []struct {
+		name string
+		run  func(plan.Node) plan.Node
+	}{{"pruneColumns", pruneColumns}, {"pushFilters", pushFilters}, {"mergeProjects", mergeProjects}} {
+		if out := pass.run(root); out != plan.Node(root) {
+			t.Errorf("%s rebuilt a plan it leaves unchanged:\n%s", pass.name, plan.Explain(out))
+		}
+		if a := testing.AllocsPerRun(100, func() { pass.run(root) }); a != 0 {
+			t.Errorf("%s allocates %v objects over a plan it leaves unchanged, want 0", pass.name, a)
+		}
+	}
+
+	// A new left input with the old one's column list: the copy shares
+	// the join's columns.
+	left := &plan.Filter{Input: join.Left.(*plan.Filter).Input, Cond: expr(t, "a.v > 4")}
+	cp := plan.MapInputs(join, func(in plan.Node) plan.Node {
+		if in == join.Left {
+			return left
+		}
+		return in
+	}).(*plan.Join)
+	cols, orig := cp.Columns(), join.Columns()
+	if len(cols) != len(orig) || &cols[0] != &orig[0] {
+		t.Fatal("a join copied over inputs with unchanged columns built a new column list")
+	}
+	if cap(cols) != len(cols) || cap(orig) != len(orig) {
+		t.Fatalf("shared column lists have capacity %d and %d past their length %d", cap(cols), cap(orig), len(cols))
+	}
+	grown := append(cp.Columns(), plan.ColMeta{Name: "copy"})
+	_ = append(join.Columns(), plan.ColMeta{Name: "original"})
+	if grown[len(cols)].Name != "copy" || len(join.Columns()) != 4 {
+		t.Error("appending to the original join's columns wrote into the copy's")
+	}
+
+	// A narrowed input changes the column list: the copy builds its own.
+	narrowed := narrow(join.Right, []bool{true, false})
+	cp = plan.MapInputs(join, func(in plan.Node) plan.Node {
+		if in == join.Right {
+			return narrowed
+		}
+		return in
+	}).(*plan.Join)
+	if got := len(cp.Columns()); got != 3 || len(join.Columns()) != 4 {
+		t.Errorf("join over a narrowed input has %d columns (original %d), want 3 (4)", got, len(join.Columns()))
+	}
+}

@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,10 +58,33 @@ type sigMemo struct {
 // them through export_test.go).
 var rowsEvaluated, signaturesRendered atomic.Int64
 
+// planningEstimators recycles the optimizer's own estimators. A compile's
+// memo and signature buffer are temporaries: kept here between compiles,
+// their storage is not allocated again on every plan-cache miss.
+var planningEstimators = sync.Pool{New: func() any { return new(estimator) }}
+
+// newEstimator returns a pooled planning estimator over env, with an empty
+// memo; release returns it.
 func newEstimator(env Env) *estimator {
-	e := &estimator{}
+	e := planningEstimators.Get().(*estimator)
 	e.reset(env)
 	return e
+}
+
+// release recycles a planning estimator. The caller must not use it, or a
+// shape it returned, afterwards.
+func (e *estimator) release() {
+	e.clear()
+	planningEstimators.Put(e)
+}
+
+// clear empties the memos, keeping their storage and the signature
+// buffer, and drops the environment.
+func (e *estimator) clear() {
+	clear(e.rowsMemo)
+	clear(e.sigMemo)
+	e.sigs.Reset()
+	e.reset(nil)
 }
 
 func (e *estimator) reset(env Env) {

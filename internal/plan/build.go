@@ -89,7 +89,7 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 	}
 
 	// Final projection.
-	proj := &Project{Input: root}
+	proj := &Project{Input: root, Exprs: make([]sqlparse.Expr, len(items)), Cols: make([]ColMeta, len(items))}
 	for i, it := range items {
 		if err := b.checkRefs(it.Expr, root.Columns()); err != nil {
 			return nil, err
@@ -102,8 +102,8 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 				name = fmt.Sprintf("col%d", i+1)
 			}
 		}
-		proj.Exprs = append(proj.Exprs, it.Expr)
-		proj.Cols = append(proj.Cols, ColMeta{Name: name, Kind: inferKind(it.Expr, root.Columns())})
+		proj.Exprs[i] = it.Expr
+		proj.Cols[i] = ColMeta{Name: name, Kind: inferKind(it.Expr, root.Columns())}
 	}
 	var out Node = proj
 
@@ -173,39 +173,44 @@ func (b *builder) buildOrderBy(out Node, proj *Project, orderBy []sqlparse.Order
 	// Try resolving all keys against the visible output.
 	allVisible := true
 	for _, o := range orderBy {
-		if err := b.checkRefs(o.Expr, out.Columns()); err != nil {
+		if unresolved(o.Expr, out.Columns()) != nil {
 			allVisible = false
 			break
 		}
 	}
 	keys := make([]SortKey, len(orderBy))
-	for i, o := range orderBy {
-		keys[i] = SortKey{Expr: o.Expr, Desc: o.Desc}
-	}
 	if allVisible {
+		for i, o := range orderBy {
+			keys[i] = SortKey{Expr: o.Expr, Desc: o.Desc}
+		}
 		return &Sort{Input: out, Keys: keys}, nil
 	}
 	if distinct {
 		return nil, fmt.Errorf("plan: with DISTINCT, ORDER BY must reference select-list columns")
 	}
-	// Widen: project visible exprs + sort exprs, sort, then narrow.
-	wide := &Project{Input: preProj}
-	wide.Exprs = append(wide.Exprs, proj.Exprs...)
-	wide.Cols = append(wide.Cols, proj.Cols...)
+	// Widen: project visible exprs + sort exprs, sort, then narrow. Each
+	// list is sized once, and the references come from one block each.
+	nv, nw := len(proj.Exprs), len(proj.Exprs)+len(orderBy)
+	wide := &Project{Input: preProj, Exprs: make([]sqlparse.Expr, nw), Cols: make([]ColMeta, nw)}
+	copy(wide.Exprs, proj.Exprs)
+	copy(wide.Cols, proj.Cols)
+	sortRefs := make([]sqlparse.ColumnRef, len(orderBy))
 	for i, o := range orderBy {
 		if err := b.checkRefs(o.Expr, preProj.Columns()); err != nil {
 			return nil, fmt.Errorf("plan: ORDER BY key %d: %w", i+1, err)
 		}
 		name := fmt.Sprintf("$sort%d", i)
-		wide.Exprs = append(wide.Exprs, o.Expr)
-		wide.Cols = append(wide.Cols, ColMeta{Table: "$order", Name: name, Kind: inferKind(o.Expr, preProj.Columns())})
-		keys[i] = SortKey{Expr: &sqlparse.ColumnRef{Table: "$order", Column: name}, Desc: o.Desc}
+		wide.Exprs[nv+i] = o.Expr
+		wide.Cols[nv+i] = ColMeta{Table: "$order", Name: name, Kind: inferKind(o.Expr, preProj.Columns())}
+		sortRefs[i] = sqlparse.ColumnRef{Table: "$order", Column: name}
+		keys[i] = SortKey{Expr: &sortRefs[i], Desc: o.Desc}
 	}
 	sorted := &Sort{Input: wide, Keys: keys}
-	narrow := &Project{Input: sorted}
-	for _, c := range proj.Cols {
-		narrow.Exprs = append(narrow.Exprs, &sqlparse.ColumnRef{Column: c.Name})
-		narrow.Cols = append(narrow.Cols, c)
+	narrow := &Project{Input: sorted, Exprs: make([]sqlparse.Expr, nv), Cols: proj.Cols[:nv:nv]}
+	refs := make([]sqlparse.ColumnRef, nv)
+	for i, c := range proj.Cols {
+		refs[i] = sqlparse.ColumnRef{Column: c.Name}
+		narrow.Exprs[i] = &refs[i]
 	}
 	return narrow, nil
 }
@@ -409,9 +414,19 @@ func renameOutputs(n Node, alias string) Node {
 	return p
 }
 
-// expandStars replaces * and alias.* with explicit column references.
+// expandStars replaces * and alias.* with explicit column references. A
+// select list without a star comes back itself.
 func expandStars(items []sqlparse.SelectItem, cols []ColMeta) ([]sqlparse.SelectItem, error) {
-	var out []sqlparse.SelectItem
+	stars := 0
+	for _, it := range items {
+		if it.Star {
+			stars++
+		}
+	}
+	if stars == 0 {
+		return items, nil
+	}
+	out := make([]sqlparse.SelectItem, 0, len(items)-stars+stars*len(cols))
 	for _, it := range items {
 		if !it.Star {
 			out = append(out, it)
@@ -443,23 +458,38 @@ func expandStars(items []sqlparse.SelectItem, cols []ColMeta) ([]sqlparse.Select
 // cols. Subqueries inside EXISTS are not checked here (they are rejected or
 // pre-evaluated by the mediator before planning).
 func (b *builder) checkRefs(e sqlparse.Expr, cols []ColMeta) error {
-	if e == nil {
+	switch r := unresolved(e, cols).(type) {
+	case nil:
 		return nil
+	case *sqlparse.ColumnRef:
+		_, err := ResolveColumn(cols, r)
+		return err
+	case *sqlparse.ExistsExpr:
+		return fmt.Errorf("plan: EXISTS subqueries must be pre-evaluated by the mediator")
+	case *sqlparse.InSubquery:
+		return fmt.Errorf("plan: IN subqueries must be pre-evaluated by the mediator")
+	default:
+		return fmt.Errorf("plan: checkRefs missing case for %T", r)
 	}
-	var err error
+}
+
+// unresolved returns the first node of e, pre-order, that checkRefs
+// rejects — a column reference missing from cols or ambiguous in it, or a
+// subquery — and nil when there is none. Finding it allocates nothing, so
+// a caller that only asks whether e resolves builds no error.
+func unresolved(e sqlparse.Expr, cols []ColMeta) sqlparse.Expr {
+	var bad sqlparse.Expr
 	sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
-		if err != nil {
+		if bad != nil {
 			return
 		}
 		switch r := x.(type) {
 		case *sqlparse.ColumnRef:
-			if _, rerr := ResolveColumn(cols, r); rerr != nil {
-				err = rerr
+			if _, ok := FindColumn(cols, r); !ok {
+				bad = x
 			}
-		case *sqlparse.ExistsExpr:
-			err = fmt.Errorf("plan: EXISTS subqueries must be pre-evaluated by the mediator")
-		case *sqlparse.InSubquery:
-			err = fmt.Errorf("plan: IN subqueries must be pre-evaluated by the mediator")
+		case *sqlparse.ExistsExpr, *sqlparse.InSubquery:
+			bad = x
 		case *sqlparse.Literal, *sqlparse.Param, *sqlparse.BinaryExpr,
 			*sqlparse.UnaryExpr, *sqlparse.IsNullExpr, *sqlparse.InExpr,
 			*sqlparse.BetweenExpr, *sqlparse.FuncExpr, *sqlparse.CaseExpr,
@@ -467,10 +497,10 @@ func (b *builder) checkRefs(e sqlparse.Expr, cols []ColMeta) error {
 			// No node-local reference to validate; WalkExprs visits
 			// their children on its own.
 		default:
-			err = fmt.Errorf("plan: checkRefs missing case for %T", x)
+			bad = x
 		}
 	})
-	return err
+	return bad
 }
 
 // constInt evaluates a constant integer expression (literal only).

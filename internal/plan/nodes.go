@@ -151,9 +151,38 @@ type Join struct {
 // right-side columns nullable by leaving kinds intact (nullability is not
 // tracked per-plan-column).
 func NewJoin(t sqlparse.JoinType, left, right Node, cond sqlparse.Expr) *Join {
-	j := &Join{Type: t, Left: left, Right: right, Cond: cond}
-	j.cols = append(append([]ColMeta{}, left.Columns()...), right.Columns()...)
-	return j
+	return &Join{Type: t, Left: left, Right: right, Cond: cond, cols: joinColumns(left, right)}
+}
+
+// joinColumns concatenates the inputs' columns into one exactly sized
+// list.
+func joinColumns(left, right Node) []ColMeta {
+	lc, rc := left.Columns(), right.Columns()
+	cols := make([]ColMeta, len(lc)+len(rc))
+	copy(cols[copy(cols, lc):], rc)
+	return cols
+}
+
+// WithInputs returns a copy of j over left and right, keeping its type,
+// condition and hints. When both inputs produce the very column lists j's
+// did — a pass changed only what lies below them — the copy shares j's
+// column list instead of concatenating a new one. The shared list is
+// capped, so appending to either join's Columns() copies it.
+func (j *Join) WithInputs(left, right Node) *Join {
+	c := *j
+	c.Left, c.Right = left, right
+	if sameColumns(left.Columns(), j.Left.Columns()) && sameColumns(right.Columns(), j.Right.Columns()) {
+		c.cols = j.cols[:len(j.cols):len(j.cols)]
+	} else {
+		c.cols = joinColumns(left, right)
+	}
+	return &c
+}
+
+// sameColumns reports whether a and b are one column list: the same
+// elements of the same backing array, not merely equal ones.
+func sameColumns(a, b []ColMeta) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Columns implements Node.
@@ -205,7 +234,13 @@ type Aggregate struct {
 // rendered SQL of each expression so post-aggregation expressions resolve
 // against them textually.
 func NewAggregate(input Node, groupBy []sqlparse.Expr, aggs []AggSpec) *Aggregate {
-	a := &Aggregate{Input: input, GroupBy: groupBy, Aggs: aggs}
+	return &Aggregate{Input: input, GroupBy: groupBy, Aggs: aggs, cols: aggregateColumns(input, groupBy, aggs)}
+}
+
+// aggregateColumns names an aggregate's output columns, group columns
+// first, in one exactly sized list.
+func aggregateColumns(input Node, groupBy []sqlparse.Expr, aggs []AggSpec) []ColMeta {
+	cols := make([]ColMeta, 0, len(groupBy)+len(aggs))
 	for _, g := range groupBy {
 		kind := datum.KindNull
 		if cr, ok := g.(*sqlparse.ColumnRef); ok {
@@ -213,16 +248,16 @@ func NewAggregate(input Node, groupBy []sqlparse.Expr, aggs []AggSpec) *Aggregat
 				kind = m.Kind
 			}
 		}
-		a.cols = append(a.cols, ColMeta{Name: g.SQL(), Kind: kind})
+		cols = append(cols, ColMeta{Name: g.SQL(), Kind: kind})
 	}
 	for _, sp := range aggs {
 		kind := datum.KindFloat
 		if sp.Func == "COUNT" {
 			kind = datum.KindInt
 		}
-		a.cols = append(a.cols, ColMeta{Name: sp.SQL(), Kind: kind})
+		cols = append(cols, ColMeta{Name: sp.SQL(), Kind: kind})
 	}
-	return a
+	return cols
 }
 
 // Columns implements Node.
@@ -424,9 +459,10 @@ func ResolveColumn(cols []ColMeta, ref *sqlparse.ColumnRef) (int, error) {
 // every pass that descends into a node's inputs goes through it, and it is
 // the one place that knows which fields hold them. When fn returns every
 // input unchanged, MapInputs returns n itself and allocates nothing;
-// otherwise it returns a shallow copy with the new inputs. Join and
-// Aggregate copies recompute their output columns and keep their hints.
-// MapInputs never writes into n.
+// otherwise it returns a shallow copy with the new inputs, hints kept.
+// A Join or Aggregate copy recomputes its output columns only when an
+// input's column list changed, and otherwise shares the original's,
+// capped (see Join.WithInputs). MapInputs never writes into n.
 func MapInputs(n Node, fn func(Node) Node) Node {
 	switch x := n.(type) {
 	case *Scan:
@@ -446,16 +482,18 @@ func MapInputs(n Node, fn func(Node) Node) Node {
 	case *Join:
 		left, right := fn(x.Left), fn(x.Right)
 		if left != x.Left || right != x.Right {
-			c := NewJoin(x.Type, left, right, x.Cond)
-			c.SemiJoin = x.SemiJoin
-			c.Parallel = x.Parallel
-			return c
+			return x.WithInputs(left, right)
 		}
 	case *Aggregate:
 		if in := fn(x.Input); in != x.Input {
-			c := NewAggregate(in, x.GroupBy, x.Aggs)
-			c.Parallel, c.Groups = x.Parallel, x.Groups
-			return c
+			c := *x
+			c.Input = in
+			if sameColumns(in.Columns(), x.Input.Columns()) {
+				c.cols = x.cols[:len(x.cols):len(x.cols)]
+			} else {
+				c.cols = aggregateColumns(in, x.GroupBy, x.Aggs)
+			}
+			return &c
 		}
 	case *Sort:
 		if in := fn(x.Input); in != x.Input {
