@@ -85,7 +85,8 @@ race-adaptive:
 
 # Allocation fences (see alloc_guard_test.go): the warm plan-cache-hit
 # path must stay inside its E17 allocs/op and bytes/op budget, a query
-# compiled from scratch (cache bypassed) inside its own, and under
+# compiled from scratch (cache bypassed) inside its own, the compact heap
+# copy of its plan at one allocation per type the plan holds, and under
 # the default {Parallel, Adaptive} configuration the prepared point query,
 # an IN-list-tier semi-join and the E14 report join must stay inside theirs
 # — no allocation per join key or shipped key — the sequential E14 report
@@ -101,16 +102,17 @@ race-adaptive:
 # a 2-node cluster, bloom- and IN-list-tier, must stay inside its own byte
 # budget: a peer's fragment rows land in the coordinator's query scratch,
 # not on the heap, and inside its own allocation count: the peer
-# re-optimizes every fragment. Beside them, the goroutine fence
+# re-optimizes every fragment, into a pooled arena. Beside them, the goroutine fence
 # (prefetch_test.go): a fetch gets a prefetch goroutine only where a sibling
 # can overlap it — none for the portal point query, one for a two-remote
 # join, two for the three-source fan-out and for a three-input union. And in
 # ./internal/opt, the copy-on-change fence: over a plan they leave as it
-# is, the optimizer passes return their input and allocate nothing.
+# is, the optimizer passes, parallelism annotation included, return their
+# input and allocate nothing.
 # -count=1 defeats the test cache so the guards actually measure on every
 # check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestCompileAllocGuard|TestSourceAggregateAllocGuard|TestPeerFragmentAllocGuard|TestPrefetchCounts|TestUnchangedPlanComesBackItself' -count=1 . ./internal/opt
+	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestRetainIsCompact|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestCompileAllocGuard|TestSourceAggregateAllocGuard|TestPeerFragmentAllocGuard|TestPrefetchCounts|TestUnchangedPlanComesBackItself' -count=1 . ./internal/opt
 
 bench:
 	$(GO) test -bench=. -benchmem .

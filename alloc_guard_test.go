@@ -15,6 +15,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -145,11 +146,13 @@ func TestE17AllocGuard(t *testing.T) {
 
 // The E17 cold-compile budget: the same point lookup with the plan cache
 // bypassed, so every query parses, builds (unfolding the customer360
-// view), optimizes and executes. Measured 89 allocs/op and 9.0 KB/op once
-// every optimizer pass copied only what it changes, unchanged join and
-// aggregate column lists were shared, and compile temporaries (column
-// marks, the join-order table, the planning estimator) stayed off the heap
-// (162 and 16.2 KB before; 165 and 16.3 KB before that, once compiled
+// view), optimizes and executes. Measured 27 allocs/op and 4.1 KB/op once
+// the compile drew every node, list and expression from the query arena
+// and only plan.Retain's compact copy of the finished plan reached the
+// heap (89 and 9.0 KB before, once every optimizer pass copied only what
+// it changes, unchanged join and aggregate column lists were shared, and
+// compile temporaries (column marks, the join-order table, the planning
+// estimator) stayed off the heap; 162 and 16.2 KB before that; 165 and 16.3 KB before that, once compiled
 // expressions came from the query scratch and signatures rendered into
 // the estimator's buffer; 195 and 17.5 KB before; 242 and 22 KB before the
 // executed operator tree came from the query scratch; 283 and 23 KB before
@@ -158,11 +161,11 @@ func TestE17AllocGuard(t *testing.T) {
 // stack buffers; 447 and 27.5 KB before the plan tree's passes copied only
 // the nodes they change and views unfolded from the catalog's stored AST
 // instead of a re-parse). The budget is that value plus 10 allocations and
-// ~10% more bytes: an estimator per pass again, or a pass that copies the
-// whole tree, costs more than the headroom.
+// ~10% more bytes: a compile step back on the heap, or a retained copy
+// that allocates per node, costs more than the headroom.
 const (
-	e17ColdMaxAllocsPerOp = 99
-	e17ColdMaxBytesPerOp  = 9900
+	e17ColdMaxAllocsPerOp = 37
+	e17ColdMaxBytesPerOp  = 4500
 )
 
 // TestColdCompileAllocGuard fences the plan-cache-miss path: parse,
@@ -202,6 +205,83 @@ func TestColdCompileAllocGuard(t *testing.T) {
 	}
 	t.Logf("cold compile: %d allocs/op, %d bytes/op (budget %d / %d)",
 		res.AllocsPerOp(), res.AllocedBytesPerOp(), e17ColdMaxAllocsPerOp, e17ColdMaxBytesPerOp)
+}
+
+// TestRetainIsCompact fences plan.Retain, the one heap copy a plan-cache
+// miss makes of the plan it compiled in the query arena: the E17 point
+// plan's copy takes at most one allocation per node, expression or list
+// type the plan holds — a block per type, not a node per allocation.
+func TestRetainIsCompact(t *testing.T) {
+	cfg := workload.DefaultCRM()
+	cfg.Customers = 120
+	fed, err := workload.BuildCRM(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := fed.Engine.Plan(context.Background(), e13BenchSQL(0), core.DefaultQueryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := map[string]bool{}
+	exprs := func(es ...sqlparse.Expr) {
+		for _, e := range es {
+			sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
+				types[fmt.Sprintf("%T", x)] = true
+				switch x := x.(type) {
+				case *sqlparse.InExpr:
+					types["[]Expr"] = types["[]Expr"] || len(x.List) > 0
+				case *sqlparse.FuncExpr:
+					types["[]Expr"] = types["[]Expr"] || len(x.Args) > 0
+				case *sqlparse.CaseExpr:
+					types["[]CaseWhen"] = true
+				}
+			})
+		}
+	}
+	plan.Walk(p, func(n plan.Node) {
+		types[fmt.Sprintf("%T", n)] = true
+		switch x := n.(type) {
+		case *plan.Scan:
+			types["[]ColMeta"] = types["[]ColMeta"] || len(x.Cols) > 0
+		case *plan.Filter:
+			exprs(x.Cond)
+		case *plan.Project:
+			types["[]ColMeta"] = true
+			types["[]Expr"] = true
+			exprs(x.Exprs...)
+		case *plan.Join:
+			types["[]ColMeta"] = true
+			exprs(x.Cond)
+		case *plan.Aggregate:
+			types["[]ColMeta"], types["[]AggSpec"] = true, len(x.Aggs) > 0
+			types["[]Expr"] = types["[]Expr"] || len(x.GroupBy) > 0
+			exprs(x.GroupBy...)
+			for _, sp := range x.Aggs {
+				exprs(sp.Arg)
+			}
+		case *plan.Sort:
+			types["[]SortKey"] = true
+			for _, k := range x.Keys {
+				exprs(k.Expr)
+			}
+		case *plan.Union:
+			types["[]Node"] = true
+		}
+	})
+	present := 0
+	for _, held := range types {
+		if held {
+			present++
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { plan.Retain(nil, p) }); int(got) > present {
+		t.Errorf("Retain of the E17 point plan allocates %v times for the %d types it holds, want at most one each", got, present)
+	} else {
+		t.Logf("Retain of the E17 point plan: %v allocs for %d types", got, present)
+	}
+	if got, want := plan.Explain(plan.Retain(nil, p)), plan.Explain(p); got != want {
+		t.Errorf("retained copy explains as\n%swant\n%s", got, want)
+	}
 }
 
 // Budgets for the keyed-lookup fence, per query under the default
@@ -523,16 +603,16 @@ func TestSourceAggregateAllocGuard(t *testing.T) {
 // back on the heap costs that copy again, 95 and 29 KB a query, past the
 // headroom.
 //
-// And in allocations per query, 5 above the 40 and 37 measured once the
-// optimizer's passes copied only what they change (55 and 52 before): the
-// peer re-optimizes every fragment it runs, so a pass that copies the
-// whole fragment again, a handful of nodes, shows in the count long
-// before it shows in the bytes.
+// And in allocations per query, 5 above the 30 and 25 measured once the
+// peer re-optimized every fragment into a pooled arena (40 and 37 before,
+// on the heap, once the optimizer's passes copied only what they change;
+// 55 and 52 before that): a fragment optimized on the heap again, a
+// handful of nodes, shows in the count long before it shows in the bytes.
 const (
 	peerBloomMaxBytesPerOp   = 128 << 10
 	peerInListMaxBytesPerOp  = 63 << 10
-	peerBloomMaxAllocsPerOp  = 45
-	peerInListMaxAllocsPerOp = 42
+	peerBloomMaxAllocsPerOp  = 35
+	peerInListMaxAllocsPerOp = 30
 )
 
 // TestPeerFragmentAllocGuard fences what a cross-shard query pays to take

@@ -18,20 +18,25 @@ const (
 // execPkgPath declares the package that owns Batch and Scratch.
 const execPkgPath = "repro/internal/exec"
 
+// planPkgPath declares the package whose compile and binding draw plan
+// nodes from a query's arena.
+const planPkgPath = "repro/internal/plan"
+
 // Retain flags a short-lived container stored where it outlives its owner:
 // a struct field, a package-level variable, or a channel. Two rules mark a
 // stored value:
 //
 //   - Arena/scratch provenance. Everything allocated through a query's
-//     sqlparse.Arena, plan bind slabs, or exec.Scratch dies at the engine's
-//     PutArena/scratch release on query exit; a store that outlives the
-//     query dangles into recycled slab blocks. A value is arena-backed when
-//     it comes from a producer call or from a local that holds one, and it
-//     remembers its allocator (the producer's arena or scratch operand). A
-//     store into a field of an object from the same allocator is not a
-//     retention — an operator built by exec.New holding its scratch-built
-//     input dies with it. Copy to the heap at the boundary (the engine
-//     block-clones result rows).
+//     sqlparse.Arena, the plan slabs attached to it, or exec.Scratch dies
+//     at the engine's PutArena/scratch release on query exit; a store
+//     that outlives the query dangles into recycled slab blocks. A value
+//     is arena-backed when it comes from a producer call or from a local
+//     that holds one, and it remembers its allocator (the producer's arena
+//     or scratch operand). A store into a field of an object from the same
+//     allocator is not a retention — an operator built by exec.New holding
+//     its scratch-built input dies with it. Copy to the heap at the
+//     boundary (the engine block-clones result rows, and keeps a compiled
+//     plan through plan.Retain).
 //   - Batch aliasing. The E14 batch validity contract says a batch returned
 //     by NextBatch is only valid until the next NextBatch/Close on the same
 //     iterator — operators reuse the container. Retaining one beyond that
@@ -198,12 +203,16 @@ func (p *Pass) ownerOrigin(tainted map[types.Object]string, dst ast.Expr) string
 // returns arena- or scratch-backed memory: sqlparse.ParseArena,
 // sqlparse.RewriteIn and sqlparse.MapChildren (whose copies come from the
 // arena), plan.BindParamsIn (arena mode shares the statement's lifetime
-// either way), exec.DrainBatchesScratch, exec.CloneRows, exec.Compile (a
-// compiled expression tree is one scratch block), exec's generic New and
-// Make (each called qualified, or bare inside exec), New/Make/Copy on
-// arena.Slab, and any allocating method on sqlparse.Arena. It returns ""
-// for any other expression, and for a producer handed a literal nil
-// allocator, which allocates on the heap.
+// either way), the compile's plan.BuildIn, opt.OptimizeCosted,
+// plan.MapInputs, plan.Transform, plan.NewJoin and plan.NewAggregate and
+// plan's generic New and Make (a plan compiled in an arena reaches the
+// heap only through plan.Retain, which is no producer),
+// exec.DrainBatchesScratch, exec.CloneRows, exec.Compile (a compiled
+// expression tree is one scratch block), exec's generic New and Make
+// (each called qualified, or bare inside exec, as plan's inside plan),
+// New/Make/Copy on arena.Slab, and any allocating method on
+// sqlparse.Arena. It returns "" for any other expression, and for a
+// producer handed a literal nil allocator, which allocates on the heap.
 func (p *Pass) producer(e ast.Expr) string {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
@@ -241,7 +250,9 @@ func (p *Pass) producer(e ast.Expr) string {
 	if fn.Type().(*types.Signature).Recv() == nil {
 		switch fn.Pkg().Path() + "." + fn.Name() {
 		case sqlparsePkgPath + ".ParseArena", sqlparsePkgPath + ".RewriteIn", sqlparsePkgPath + ".MapChildren",
-			"repro/internal/plan.BindParamsIn",
+			planPkgPath + ".BindParamsIn", planPkgPath + ".BuildIn", planPkgPath + ".MapInputs", planPkgPath + ".Transform",
+			planPkgPath + ".NewJoin", planPkgPath + ".NewAggregate", planPkgPath + ".New", planPkgPath + ".Make",
+			"repro/internal/opt.OptimizeCosted",
 			execPkgPath + ".New", execPkgPath + ".Make", execPkgPath + ".CloneRows", execPkgPath + ".Compile":
 			return operand(0)
 		case execPkgPath + ".DrainBatchesScratch":

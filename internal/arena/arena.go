@@ -83,6 +83,43 @@ func (s *Slab[T]) Copy(src []T) []T {
 	return out
 }
 
+// Reserve makes the slab's next n values come from one fresh block of
+// exactly n. A slab filled once after Reserve and never reset is then a
+// compact heap copy: no slack, and one allocation for the type.
+func (s *Slab[T]) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	if cap(s.cur) > 0 {
+		s.full = append(s.full, s.cur)
+	}
+	s.cur = make([]T, 0, n)
+}
+
+// Holds reports whether p points into a block holding the slab's values
+// since its last Reset: whether p is the slab's, not the heap's.
+func (s *Slab[T]) Holds(p *T) bool {
+	if within(s.cur, p) {
+		return true
+	}
+	for _, b := range s.full {
+		if within(b, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// within reports whether p points into b's backing array.
+func within[T any](b []T, p *T) bool {
+	if cap(b) == 0 {
+		return false
+	}
+	b = b[:cap(b)]
+	off := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(&b[0]))
+	return off < uintptr(cap(b))*unsafe.Sizeof(b[0])
+}
+
 // grow makes room for at least n more values, preferring a retained free
 // block over a fresh allocation.
 func (s *Slab[T]) grow(n int) {

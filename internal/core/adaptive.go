@@ -179,7 +179,7 @@ func renderExplain(p plan.Node, led *exec.CardLedger, replans int) string {
 			}
 		}
 		b.WriteByte('\n')
-		plan.MapInputs(n, func(in plan.Node) plan.Node {
+		plan.MapInputs(nil, n, func(in plan.Node) plan.Node {
 			walk(in, depth+1)
 			return in
 		})

@@ -109,28 +109,36 @@ func (r *recordingReader) Resolve(source, name string) (catalog.Resolution, erro
 	return r.Snapshot.Resolve(source, name)
 }
 
-// compile runs the planning pipeline over one catalog snapshot:
-// rewrite-EXISTS (pre-evaluating subqueries), view unfolding, and
-// cost-based optimization under one estimator, which also prices the
-// result. The select statement may be mutated by the rewrite phase;
-// callers hand over ownership. The context bounds the EXISTS
-// pre-evaluation, which runs real subqueries. The returned entry carries
-// the template, its cost and what it read of the catalog; a caller that
-// caches it fills in nParams and fbGen.
-func (e *Engine) compile(ctx context.Context, st *engineState, sel *sqlparse.Select, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, error) {
+// compile runs the planning pipeline for the statement text over one
+// catalog snapshot: parsing, rewrite-EXISTS (pre-evaluating subqueries),
+// view unfolding, and cost-based optimization under one estimator, which
+// also prices the result. The context bounds the EXISTS pre-evaluation,
+// which runs real subqueries. Every step draws from the query's arena ar,
+// and only the finished plan reaches the heap, as plan.Retain's compact
+// copy: the returned entry carries that template, its parameter count,
+// its cost and what it read of the catalog; a caller that caches it
+// fills in fbGen.
+func (e *Engine) compile(ctx context.Context, st *engineState, ar *sqlparse.Arena, text string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, error) {
+	sel, err := sqlparse.ParseArena(ar, text)
+	if err != nil {
+		return nil, err
+	}
 	if err := e.rewriteExists(ctx, st, sel, qo, 0); err != nil {
 		return nil, err
 	}
 	rec := &recordingReader{Snapshot: snap}
 	rec.reads = rec.buf[:0]
-	logical, err := plan.Build(rec, sel)
+	logical, err := plan.BuildIn(ar, rec, sel)
 	if err != nil {
 		return nil, err
 	}
-	tmpl, cost := opt.OptimizeCosted(logical, st.planEnv(qo), optimizerOptions(qo))
+	optimized, cost := opt.OptimizeCosted(ar, logical, st.planEnv(qo), optimizerOptions(qo))
 	// Cached plans keep only the names, not the recorder around them.
-	reads := slices.Clone(rec.reads)
-	return &compiledPlan{tmpl: tmpl, cost: cost, version: snap.Version(), reads: reads}, nil
+	cp := &compiledPlan{nParams: sqlparse.MaxParamIndex(sel), cost: cost, version: snap.Version(), reads: slices.Clone(rec.reads)}
+	// The retain check sees this store: the arena plan itself may not
+	// reach the entry.
+	cp.tmpl = plan.Retain(ar, optimized)
+	return cp, nil
 }
 
 // optionsFingerprint encodes the plan-shaping options into a cache-key
@@ -261,7 +269,9 @@ type PreparedStatement struct {
 // `?` or `$n` placeholders. Compilation errors (syntax, unknown tables or
 // columns) surface here, not at ExecuteCtx.
 func (e *Engine) PrepareOpts(ctx context.Context, sql string, qo QueryOptions) (*PreparedStatement, error) {
-	sel, err := sqlparse.Parse(sql)
+	ar := sqlparse.GetArena()
+	defer sqlparse.PutArena(ar)
+	sel, err := sqlparse.ParseArena(ar, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +294,7 @@ func (e *Engine) PrepareOpts(ctx context.Context, sql string, qo QueryOptions) (
 		// Compile eagerly so PrepareOpts validates the statement; the plan
 		// lands in the cache for the first ExecuteCtx. EXISTS statements
 		// skip this: compiling them runs subqueries.
-		if _, _, err := e.cachedTemplate(ctx, e.state.Load(), ps.text, qo, e.catalog.Snapshot()); err != nil {
+		if _, _, err := e.cachedTemplate(ctx, e.state.Load(), ar, ps.text, qo, e.catalog.Snapshot()); err != nil {
 			return nil, err
 		}
 	}
@@ -299,8 +309,10 @@ func (ps *PreparedStatement) SQL() string { return ps.text }
 
 // cachedTemplate returns the compiled plan-cache entry for a normalized
 // statement, consulting the plan cache first. The bool reports whether it
-// was a cache hit.
-func (e *Engine) cachedTemplate(ctx context.Context, st *engineState, normSQL string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
+// was a cache hit. A miss parses the key text into the query's arena ar
+// and compiles there, so the compiler's input is the canonical statement
+// and the template's strings alias only the cache key.
+func (e *Engine) cachedTemplate(ctx context.Context, st *engineState, ar *sqlparse.Arena, normSQL string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
 	key := st.planKey(normSQL, qo)
 	if v, ok := e.plans.Get(key); ok {
 		cp := v.(*compiledPlan)
@@ -319,19 +331,14 @@ func (e *Engine) cachedTemplate(ctx context.Context, st *engineState, normSQL st
 			return cp, true, nil
 		}
 	}
-	sel, err := sqlparse.Parse(normSQL)
-	if err != nil {
-		return nil, false, err
-	}
 	// Capture the generation before compiling: a concurrent drift during
 	// compilation then invalidates this entry on its next adaptive lookup
 	// instead of being missed.
 	fbGen := st.feedback.Generation()
-	cp, err := e.compile(ctx, st, sel, qo, snap)
+	cp, err := e.compile(ctx, st, ar, normSQL, qo, snap)
 	if err != nil {
 		return nil, false, err
 	}
-	cp.nParams = sqlparse.MaxParamIndex(sel)
 	cp.fbGen = fbGen
 	e.reads.add(cp.reads)
 	e.plans.Put(key, cp)
@@ -349,8 +356,9 @@ func (ps *PreparedStatement) ExecuteCtx(ctx context.Context, params ...datum.Dat
 	}
 	st := ps.e.state.Load()
 	planStart := st.clock.Now()
-	// Bound parameter subtrees live in the query's arena (see QueryOptsCtx
-	// for the lifecycle argument); the template itself stays on the heap.
+	// A recompile and bound parameter subtrees live in the query's arena
+	// (see QueryOptsCtx for the lifecycle argument); the template itself
+	// is retained on the heap.
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
 	return ps.e.runStatement(ctx, st, ar, planStart, ps.text, ps.text, params, ps.cacheable && !ps.qo.NoPlanCache, ps.qo)

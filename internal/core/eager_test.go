@@ -119,7 +119,7 @@ func partialAggregates(p plan.Node) (n int, stacked bool) {
 			n++
 			stacked = stacked || underPartial
 		}
-		plan.MapInputs(x, func(in plan.Node) plan.Node {
+		plan.MapInputs(nil, x, func(in plan.Node) plan.Node {
 			walk(in, underJoin || isJoin, underPartial || (isAgg && underJoin))
 			return in
 		})

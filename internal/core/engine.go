@@ -450,36 +450,24 @@ func (e *Engine) query(ctx context.Context, st *engineState, sql string, qo Quer
 // the caller releases after this returns.
 func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse.Arena, planStart time.Time, label, text string, params []datum.Datum, cached bool, qo QueryOptions) (*Result, error) {
 	snap := e.catalog.Snapshot()
-	var tmpl plan.Node
-	var est opt.PlanCost
+	var cp *compiledPlan
 	hit := false
+	var err error
 	if cached {
-		cp, h, err := e.cachedTemplate(ctx, st, text, qo, snap)
-		if err != nil {
-			return nil, err
-		}
-		tmpl, est, hit = cp.tmpl, cp.cost, h
+		cp, hit, err = e.cachedTemplate(ctx, st, ar, text, qo, snap)
 	} else {
-		// Fresh compiles retain the AST beyond this query — the optimized
-		// plan escapes into Result.Plan — so parse onto the heap instead of
-		// handing compile arena-backed nodes.
-		sel, err := sqlparse.Parse(text)
-		if err != nil {
-			return nil, err
-		}
-		cp, err := e.compile(ctx, st, sel, qo, snap)
-		if err != nil {
-			return nil, err
-		}
-		tmpl, est = cp.tmpl, cp.cost
+		cp, err = e.compile(ctx, st, ar, text, qo, snap)
 	}
-	bound, err := plan.BindParamsIn(ar, tmpl, params)
+	if err != nil {
+		return nil, err
+	}
+	bound, err := plan.BindParamsIn(ar, cp.tmpl, params)
 	if err != nil {
 		return nil, err
 	}
 	planTime := st.clock.Since(planStart)
 
-	res, err := e.executeCtx(ctx, st, bound, qo, label, planTime, est)
+	res, err := e.executeCtx(ctx, st, bound, qo, label, planTime, cp.cost)
 	if res != nil {
 		res.PlanTime = planTime
 		res.CacheHit = hit
@@ -487,7 +475,7 @@ func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse
 		// The bound plan references arena memory about to be recycled;
 		// report the retained heap template instead so Result.Plan stays
 		// valid for the caller.
-		res.Plan = tmpl
+		res.Plan = cp.tmpl
 		res.ArenaBytes += ar.Bytes()
 	}
 	return res, err
@@ -501,13 +489,12 @@ func (e *Engine) Plan(ctx context.Context, sql string, qo QueryOptions) (plan.No
 	return e.plan(ctx, e.state.Load(), sql, qo)
 }
 
-// plan is Plan under an already-loaded engine state.
+// plan is Plan under an already-loaded engine state. It compiles in a
+// pooled arena and returns the plan's retained heap copy.
 func (e *Engine) plan(ctx context.Context, st *engineState, sql string, qo QueryOptions) (plan.Node, error) {
-	sel, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := e.compile(ctx, st, sel, qo, e.catalog.Snapshot())
+	ar := sqlparse.GetArena()
+	defer sqlparse.PutArena(ar)
+	cp, err := e.compile(ctx, st, ar, sql, qo, e.catalog.Snapshot())
 	if err != nil {
 		return nil, err
 	}

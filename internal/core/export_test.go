@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/opt"
+	"repro/internal/plan"
 	"repro/internal/sqlparse"
 )
 
@@ -14,11 +15,9 @@ import (
 // under a fresh estimator.
 func (e *Engine) CompileCosts(ctx context.Context, sql string, qo QueryOptions) (compiled, fresh opt.PlanCost, err error) {
 	st := e.state.Load()
-	sel, err := sqlparse.Parse(sql)
-	if err != nil {
-		return compiled, fresh, err
-	}
-	cp, err := e.compile(ctx, st, sel, qo, e.catalog.Snapshot())
+	ar := sqlparse.GetArena()
+	defer sqlparse.PutArena(ar)
+	cp, err := e.compile(ctx, st, ar, sql, qo, e.catalog.Snapshot())
 	if err != nil {
 		return compiled, fresh, err
 	}
@@ -37,4 +36,43 @@ func EquivalenceStatements(n int) []string {
 		out[i] = gen.next()
 	}
 	return out
+}
+
+// MissTemplate normalizes sql in ar as a query does and compiles it as a
+// plan-cache miss does, the key text parsed into ar and compiled there,
+// and returns the key text with the template the cache would keep. A
+// statement the cache cannot serve compiles from its own text, as
+// runStatement's uncached branch does.
+func (e *Engine) MissTemplate(ctx context.Context, ar *sqlparse.Arena, sql string, qo QueryOptions) (string, plan.Node, error) {
+	sel, err := sqlparse.ParseArena(ar, sql)
+	if err != nil {
+		return "", nil, err
+	}
+	key := sql
+	if _, cacheable := sqlparse.ExtractParamsIn(ar, sel); cacheable {
+		key = ar.RenderSQL(sel)
+	}
+	cp, err := e.compile(ctx, e.state.Load(), ar, key, qo, e.catalog.Snapshot())
+	if err != nil {
+		return "", nil, err
+	}
+	return key, cp.tmpl, nil
+}
+
+// HeapPlan compiles key with no arena anywhere: a heap parse, plan.Build
+// and the optimizer on the heap, and no retained copy.
+func (e *Engine) HeapPlan(ctx context.Context, key string, qo QueryOptions) (plan.Node, error) {
+	sel, err := sqlparse.Parse(key)
+	if err != nil {
+		return nil, err
+	}
+	st := e.state.Load()
+	if err := e.rewriteExists(ctx, st, sel, qo, 0); err != nil {
+		return nil, err
+	}
+	logical, err := plan.Build(e.catalog.Snapshot(), sel)
+	if err != nil {
+		return nil, err
+	}
+	return opt.Optimize(logical, st.planEnv(qo), optimizerOptions(qo)), nil
 }

@@ -80,7 +80,7 @@ func fragmentDefects(e *core.Engine, p plan.Node, pruned bool) []string {
 		r, ok := n.(*plan.Remote)
 		if !ok {
 			above = append(above[:len(above):len(above)], n)
-			plan.MapInputs(n, func(in plan.Node) plan.Node {
+			plan.MapInputs(nil, n, func(in plan.Node) plan.Node {
 				visit(in, above)
 				return in
 			})
@@ -100,7 +100,7 @@ func fragmentDefects(e *core.Engine, p plan.Node, pruned bool) []string {
 		plan.Walk(r.Child, func(x plan.Node) {
 			switch x.(type) {
 			case *plan.Filter, *plan.Aggregate:
-				plan.MapInputs(x, func(in plan.Node) plan.Node {
+				plan.MapInputs(nil, x, func(in plan.Node) plan.Node {
 					if p, ok := in.(*plan.Project); ok && onlyDrops(p) {
 						out = append(out, fmt.Sprintf("Remote @%s narrows under %s", r.Source, x.Describe()))
 					}

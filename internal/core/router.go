@@ -13,6 +13,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/opt"
 	"repro/internal/plan"
+	"repro/internal/sqlparse"
 )
 
 // FetchRouter intercepts remote fetches before they reach the local
@@ -52,10 +53,13 @@ func (e *Engine) SetFetchRouter(r FetchRouter) {
 // rows land in the calling query's scratch, riding ctx (the heap without
 // one), valid until that query ends; an answer the owner degraded under
 // qo.AllowPartial is a *PartialFragmentError, for the caller to judge.
+// The fragment optimizes into a pooled arena, as it dies with executeCtx.
 func (e *Engine) RunFragment(ctx context.Context, subtree plan.Node, qo QueryOptions) ([]datum.Row, error) {
 	qo.fragment = true
 	st := e.state.Load()
-	p, est := opt.OptimizeCosted(subtree, st.planEnv(qo), optimizerOptions(qo))
+	ar := sqlparse.GetArena()
+	defer sqlparse.PutArena(ar)
+	p, est := opt.OptimizeCosted(ar, subtree, st.planEnv(qo), optimizerOptions(qo))
 	res, err := e.executeCtx(ctx, st, p, qo, "", 0, est)
 	if err != nil {
 		return nil, fmt.Errorf("core: fragment execution: %w", err)

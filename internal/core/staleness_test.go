@@ -239,7 +239,9 @@ func TestInFlightCompileAcrossWriteIsNotServed(t *testing.T) {
 			}
 			st, old := e.state.Load(), e.catalog.Snapshot()
 			c.write(t, e)
-			if _, hit, err := e.cachedTemplate(ctx, st, sel.SQL(), DefaultQueryOptions(), old); err != nil || hit {
+			ar := sqlparse.GetArena()
+			defer sqlparse.PutArena(ar)
+			if _, hit, err := e.cachedTemplate(ctx, st, ar, sel.SQL(), DefaultQueryOptions(), old); err != nil || hit {
 				t.Fatalf("in-flight compile: hit=%v err=%v", hit, err)
 			}
 			before := e.PlanCacheStats().Invalidations

@@ -363,7 +363,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrap scans in Remote nodes to exercise the parallel path.
-	p = plan.Transform(p, func(n plan.Node) plan.Node {
+	p = plan.Transform(nil, p, func(n plan.Node) plan.Node {
 		if s, ok := n.(*plan.Scan); ok {
 			return &plan.Remote{Source: s.Source, Child: s}
 		}

@@ -406,7 +406,7 @@ func e18Join(tb testing.TB, g *catalog.Global, custWhere string) *plan.Join {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	j := plan.NewJoin(sqlparse.JoinInner,
+	j := plan.NewJoin(nil, sqlparse.JoinInner,
 		&plan.Remote{Source: "crm", Child: &plan.Filter{Input: cust, Cond: where}},
 		&plan.Remote{Source: "billing", Child: inv, AllowKeyFilter: true}, cond)
 	j.SemiJoin = plan.SemiJoinReduceRight
@@ -897,7 +897,7 @@ func TestGroupTableMatchesMapGrouping(t *testing.T) {
 			wantDistinct := refGroupBy(cut, nkeys, nil, nil)
 			for _, degree := range []int{1, 2, 8} {
 				for bi, batch := range []int{1, 64, 1024} {
-					agg := plan.NewAggregate(groupScan(4), groupBy, specs)
+					agg := plan.NewAggregate(nil, groupScan(4), groupBy, specs)
 					agg.Parallel = degree
 					// No estimate, a gross underestimate (the table
 					// doubles from one group), and the exact count.
@@ -947,7 +947,7 @@ func TestSumOverflowFallsBackToFloat(t *testing.T) {
 					want = []datum.Row{{datum.NewInt(0), sum}, {datum.NewInt(1), sum}}
 				}
 				scan := &plan.Remote{Source: "s", Child: &plan.Scan{Source: "s", Table: "t", Cols: cols}}
-				agg := plan.NewAggregate(scan, groupBy, aggs)
+				agg := plan.NewAggregate(nil, scan, groupBy, aggs)
 				agg.Parallel = degree
 				if got := runGrouping(t, agg, rt, degree, 0); !sameRows(got, want) {
 					t.Errorf("rows=%d grouped=%v parallelism=%d: got %s, want %s", n, grouped, degree, rowsToString(got), rowsToString(want))
@@ -1076,7 +1076,7 @@ func TestDistinctAggregateSurvivesHashCollision(t *testing.T) {
 				wantRows = "0," + want + "|1," + want
 			}
 			scan := &plan.Remote{Source: "s", Child: &plan.Scan{Source: "s", Table: "t", Cols: cols}}
-			agg := plan.NewAggregate(scan, groupBy, aggs)
+			agg := plan.NewAggregate(nil, scan, groupBy, aggs)
 			agg.Parallel = degree
 			it, err := BuildBatch(context.Background(), agg, rt, Options{Parallelism: degree})
 			if err != nil {

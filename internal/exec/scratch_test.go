@@ -33,7 +33,7 @@ func reducibleJoin(tb testing.TB, g *catalog.Global, sql string) *plan.Join {
 		})
 		return s
 	}
-	r := plan.NewJoin(j.Type,
+	r := plan.NewJoin(nil, j.Type,
 		&plan.Remote{Source: source(j.Left), Child: j.Left},
 		&plan.Remote{Source: source(j.Right), Child: j.Right, AllowKeyFilter: true}, j.Cond)
 	r.SemiJoin = plan.SemiJoinReduceRight

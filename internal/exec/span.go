@@ -179,7 +179,7 @@ func (t *QueryTracer) Finish(root plan.Node, cards *CardLedger, planTime time.Du
 			sp.Rows = c.Rows
 			sp.Batches = c.Batches
 		}
-		plan.MapInputs(n, func(in plan.Node) plan.Node {
+		plan.MapInputs(nil, n, func(in plan.Node) plan.Node {
 			sp.Children = append(sp.Children, opTree(in))
 			return in
 		})

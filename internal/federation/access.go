@@ -91,7 +91,7 @@ func (c *scanChain) find(n, top plan.Node) {
 	default:
 		top = nil // any other operator ends the run
 	}
-	plan.MapInputs(n, func(in plan.Node) plan.Node {
+	plan.MapInputs(nil, n, func(in plan.Node) plan.Node {
 		c.find(in, top)
 		return in
 	})

@@ -246,7 +246,7 @@ func TestAccessPathsMatchFullScan(t *testing.T) {
 			return &plan.Limit{Input: filter(t, s, "k = 3"), Count: 5, Offset: 2}
 		}, true},
 		{"aggregate", func(s *plan.Scan) plan.Node {
-			return plan.NewAggregate(filter(t, s, "k IN (1, 2, 3)"),
+			return plan.NewAggregate(nil, filter(t, s, "k IN (1, 2, 3)"),
 				[]sqlparse.Expr{mustExpr(t, "s")},
 				[]plan.AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: mustExpr(t, "f")}})
 		}, true},
@@ -325,7 +325,7 @@ func TestAccessPathsMatchFullScan(t *testing.T) {
 func TestAccessPathBoundToItsScan(t *testing.T) {
 	p := newDiffPair(t, 2, 400)
 	a, b := scanT("a"), scanT("b")
-	join := plan.NewJoin(sqlparse.JoinInner,
+	join := plan.NewJoin(nil, sqlparse.JoinInner,
 		filter(t, a, "a.id IN (17, 18, 19)"),
 		filter(t, b, "b.k IN (3, 4)"),
 		mustExpr(t, "a.k = b.k"))

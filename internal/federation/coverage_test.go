@@ -82,7 +82,7 @@ func TestDeparseUnsupportedNodes(t *testing.T) {
 func TestDeparseDistinctAndCrossJoin(t *testing.T) {
 	s1 := &plan.Scan{Source: "s", Table: "t", Alias: "a"}
 	s2 := &plan.Scan{Source: "s", Table: "u", Alias: "b"}
-	cross := plan.NewJoin(sqlparse.JoinInner, s1, s2, nil)
+	cross := plan.NewJoin(nil, sqlparse.JoinInner, s1, s2, nil)
 	d := &plan.Distinct{Input: cross}
 	sql, err := Deparse(d)
 	if err != nil {

@@ -103,7 +103,7 @@ func TestCapsClampExecution(t *testing.T) {
 		rejected plan.Node
 	}{
 		// A filter-only source must reject an aggregate subtree.
-		{"filter-only", FilterOnly(), plan.NewAggregate(scanNode("src", "t", "t", cols),
+		{"filter-only", FilterOnly(), plan.NewAggregate(nil, scanNode("src", "t", "t", cols),
 			nil, []plan.AggSpec{{Func: "COUNT", Star: true}})},
 		// A scan-only source (the key-value tier) ships whole tables and
 		// rejects even a filter.
@@ -135,8 +135,8 @@ func TestCapsAllowsMatrix(t *testing.T) {
 		scan,
 		&plan.Filter{Input: scan},
 		&plan.Project{Input: scan},
-		plan.NewJoin(sqlparse.JoinInner, scan, scan, nil),
-		plan.NewAggregate(scan, nil, nil),
+		plan.NewJoin(nil, sqlparse.JoinInner, scan, scan, nil),
+		plan.NewAggregate(nil, scan, nil, nil),
 		&plan.Sort{Input: scan},
 		&plan.Limit{Input: scan, Count: 1},
 		&plan.Distinct{Input: scan},
@@ -268,7 +268,7 @@ func TestDeparseLeftJoinKeepsRightFilterInOn(t *testing.T) {
 	scanB := scanNode("crm", "customers", "b", cols)
 	rightPred, _ := sqlparse.ParseExpr("b.region = 'east'")
 	onCond, _ := sqlparse.ParseExpr("a.id = b.id")
-	join := plan.NewJoin(sqlparse.JoinLeft, scanA,
+	join := plan.NewJoin(nil, sqlparse.JoinLeft, scanA,
 		&plan.Filter{Input: scanB, Cond: rightPred}, onCond)
 	sql, err := Deparse(join)
 	if err != nil {
@@ -286,7 +286,7 @@ func TestDeparseLeftJoinKeepsRightFilterInOn(t *testing.T) {
 	// A left-side predicate may still hoist to WHERE: it filters preserved
 	// rows the same way before or after the join.
 	leftPred, _ := sqlparse.ParseExpr("a.region = 'west'")
-	join2 := plan.NewJoin(sqlparse.JoinLeft,
+	join2 := plan.NewJoin(nil, sqlparse.JoinLeft,
 		&plan.Filter{Input: scanA, Cond: leftPred}, scanB, onCond)
 	sql2, err := Deparse(join2)
 	if err != nil {
@@ -302,9 +302,9 @@ func TestDeparseAggregateAndJoin(t *testing.T) {
 	scanA := scanNode("crm", "customers", "a", cols)
 	scanB := scanNode("crm", "customers", "b", cols)
 	cond, _ := sqlparse.ParseExpr("a.id = b.id")
-	join := plan.NewJoin(sqlparse.JoinInner, scanA, scanB, cond)
+	join := plan.NewJoin(nil, sqlparse.JoinInner, scanA, scanB, cond)
 	group, _ := sqlparse.ParseExpr("a.region")
-	agg := plan.NewAggregate(join, []sqlparse.Expr{group}, []plan.AggSpec{{Func: "COUNT", Star: true}})
+	agg := plan.NewAggregate(nil, join, []sqlparse.Expr{group}, []plan.AggSpec{{Func: "COUNT", Star: true}})
 	sql, err := Deparse(agg)
 	if err != nil {
 		t.Fatal(err)

@@ -142,7 +142,7 @@ func payloadBytes(n plan.Node) int {
 	} else if j, ok := n.(*plan.Join); ok {
 		total = exprPayload(j.Cond)
 	}
-	plan.MapInputs(n, func(in plan.Node) plan.Node {
+	plan.MapInputs(nil, n, func(in plan.Node) plan.Node {
 		total += payloadBytes(in)
 		return in
 	})

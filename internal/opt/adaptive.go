@@ -61,10 +61,10 @@ func Reoptimize(root plan.Node, env Env, opts Options) plan.Node {
 	defer est.release()
 	n := root
 	if !opts.NoJoinReorder {
-		n = reorderJoins(n, est)
+		n = reorderJoins(nil, n, est)
 	}
 	if !opts.NoRemotePushdown && !opts.NoSemiJoin {
-		n = annotateSemiJoins(n, est)
+		n = annotateSemiJoins(nil, n, est)
 	}
 	return n
 }

@@ -29,9 +29,9 @@ func TestGreedyOrderLargeJoinGraph(t *testing.T) {
 			continue
 		}
 		cond := expr(t, fmt.Sprintf("t%d.k = t%d.k", i-1, i))
-		root = plan.NewJoin(sqlparse.JoinInner, root, s, cond)
+		root = plan.NewJoin(nil, sqlparse.JoinInner, root, s, cond)
 	}
-	out := reorderJoins(root, newEstimator(ev))
+	out := reorderJoins(nil, root, newEstimator(ev))
 	scans := 0
 	joins := 0
 	plan.Walk(out, func(x plan.Node) {

@@ -26,12 +26,13 @@ import (
 // plan.
 //
 // The rewrite fires only where est prices the partial result's bytes
-// below the raw input's. Over a plan with no aggregate above a join it
-// allocates nothing: every plan-cache miss runs it.
-func eagerAggregate(n plan.Node, env Env, est *estimator) plan.Node {
-	out := plan.Transform(n, func(x plan.Node) plan.Node {
+// below the raw input's, and builds it from ar. Over a plan with no
+// aggregate above a join it allocates nothing: every plan-cache miss runs
+// it.
+func eagerAggregate(ar *sqlparse.Arena, n plan.Node, env Env, est *estimator) plan.Node {
+	out := plan.Transform(ar, n, func(x plan.Node) plan.Node {
 		if a, ok := x.(*plan.Aggregate); ok {
-			if eager := eagerOver(a, env, est); eager != nil {
+			if eager := eagerOver(ar, a, env, est); eager != nil {
 				return eager
 			}
 		}
@@ -40,7 +41,7 @@ func eagerAggregate(n plan.Node, env Env, est *estimator) plan.Node {
 	if out != n {
 		// The naming Project meets the Project the select list left
 		// above the Aggregate.
-		out = mergeProjects(out)
+		out = mergeProjects(ar, out)
 	}
 	return out
 }
@@ -61,8 +62,9 @@ func combineFunc(sp plan.AggSpec) string {
 }
 
 // eagerOver returns the eager form of a, or nil when a does not qualify or
-// the partial aggregate would not ship fewer bytes.
-func eagerOver(a *plan.Aggregate, env Env, est *estimator) plan.Node {
+// the partial aggregate would not ship fewer bytes. What it builds comes
+// from ar.
+func eagerOver(ar *sqlparse.Arena, a *plan.Aggregate, env Env, est *estimator) plan.Node {
 	if len(a.GroupBy) == 0 || env == nil {
 		return nil
 	}
@@ -87,17 +89,17 @@ func eagerOver(a *plan.Aggregate, env Env, est *estimator) plan.Node {
 	}
 
 	// Grouping and arguments as expressions over the join's columns.
-	groupBy, args := a.GroupBy, make([]sqlparse.Expr, len(a.Aggs))
+	groupBy, args := a.GroupBy, ar.MakeExprs(len(a.Aggs))
 	for i, sp := range a.Aggs {
 		args[i] = sp.Arg
 	}
 	if view != nil {
-		groupBy = make([]sqlparse.Expr, len(a.GroupBy))
+		groupBy = ar.MakeExprs(len(a.GroupBy))
 		for i, g := range a.GroupBy {
-			groupBy[i] = substitute(g, view.Cols, view.Exprs)
+			groupBy[i] = substitute(ar, g, view.Cols, view.Exprs)
 		}
 		for i, arg := range args {
-			args[i] = substitute(arg, view.Cols, view.Exprs)
+			args[i] = substitute(ar, arg, view.Cols, view.Exprs)
 		}
 	}
 
@@ -126,7 +128,7 @@ func eagerOver(a *plan.Aggregate, env Env, est *estimator) plan.Node {
 		if !read[i] {
 			continue
 		}
-		ref := &sqlparse.ColumnRef{Table: c.Table, Column: c.Name}
+		ref := ar.NewColumnRef(c.Table, c.Name)
 		if at, ok := plan.FindColumn(cols, ref); !ok || at != i {
 			return nil
 		}
@@ -137,18 +139,18 @@ func eagerOver(a *plan.Aggregate, env Env, est *estimator) plan.Node {
 		// input, and a cross join would pair it with every other row.
 		return nil
 	}
-	partialAggs := make([]plan.AggSpec, len(a.Aggs))
+	partialAggs := plan.Make[plan.AggSpec](ar, len(a.Aggs))
 	for i, sp := range a.Aggs {
 		partialAggs[i] = plan.AggSpec{Func: sp.Func, Arg: args[i], Star: sp.Star}
 	}
-	partial := plan.NewAggregate(side, keys, partialAggs)
+	partial := plan.NewAggregate(ar, side, keys, partialAggs)
 
 	// Rename the keys back to the side's columns, so the join conditions
 	// and the grouping resolve as before; partial states keep their names.
 	pcols := partial.Columns()
-	named := &plan.Project{Input: partial, Exprs: make([]sqlparse.Expr, len(pcols)), Cols: make([]plan.ColMeta, len(pcols))}
+	named := plan.New(ar, plan.Project{Input: partial, Exprs: ar.MakeExprs(len(pcols)), Cols: plan.Make[plan.ColMeta](ar, len(pcols))})
 	for i, c := range pcols {
-		named.Exprs[i] = &sqlparse.ColumnRef{Column: c.Name}
+		named.Exprs[i] = ar.NewColumnRef("", c.Name)
 		named.Cols[i] = c
 		if i < len(sideCols) {
 			named.Cols[i] = sideCols[i]
@@ -158,11 +160,11 @@ func eagerOver(a *plan.Aggregate, env Env, est *estimator) plan.Node {
 		return nil
 	}
 
-	joined := replaceRel(root, side, named)
+	joined := replaceRel(ar, root, side, named)
 	jcols := joined.Columns()
-	combineAggs := make([]plan.AggSpec, len(a.Aggs))
+	combineAggs := plan.Make[plan.AggSpec](ar, len(a.Aggs))
 	for i, sp := range a.Aggs {
-		ref := &sqlparse.ColumnRef{Column: pcols[len(keys)+i].Name}
+		ref := ar.NewColumnRef("", pcols[len(keys)+i].Name)
 		if _, ok := plan.FindColumn(jcols, ref); !ok {
 			return nil // two partial states, or a state and a column, share a name
 		}
@@ -171,13 +173,13 @@ func eagerOver(a *plan.Aggregate, env Env, est *estimator) plan.Node {
 	if !allResolve(groupBy, jcols) {
 		return nil
 	}
-	combine := plan.NewAggregate(joined, groupBy, combineAggs)
+	combine := plan.NewAggregate(ar, joined, groupBy, combineAggs)
 
 	// Name the combined columns exactly as a's.
 	ccols := combine.Columns()
-	out := &plan.Project{Input: combine, Exprs: make([]sqlparse.Expr, len(ccols)), Cols: a.Columns()}
+	out := plan.New(ar, plan.Project{Input: combine, Exprs: ar.MakeExprs(len(ccols)), Cols: a.Columns()})
 	for i, c := range ccols {
-		ref := &sqlparse.ColumnRef{Column: c.Name}
+		ref := ar.NewColumnRef("", c.Name)
 		if at, ok := plan.FindColumn(ccols, ref); !ok || at != i {
 			return nil
 		}
@@ -243,13 +245,14 @@ func pushableChain(n plan.Node, env Env) bool {
 	return true
 }
 
-// replaceRel returns the inner-join tree root with rel replaced by with.
-func replaceRel(root, rel, with plan.Node) plan.Node {
+// replaceRel returns the inner-join tree root with rel replaced by with,
+// the joins above it copied from a.
+func replaceRel(a *sqlparse.Arena, root, rel, with plan.Node) plan.Node {
 	if root == rel {
 		return with
 	}
 	if j, ok := root.(*plan.Join); ok && j.Type == sqlparse.JoinInner {
-		return plan.MapInputs(root, func(in plan.Node) plan.Node { return replaceRel(in, rel, with) })
+		return plan.MapInputs(a, root, func(in plan.Node) plan.Node { return replaceRel(a, in, rel, with) })
 	}
 	return root
 }

@@ -25,7 +25,7 @@ func eagerEnv() *fakeEnv {
 func eagerInput(t *testing.T) plan.Node {
 	c := scan("crm", "customers", "id", "region")
 	i := scan("billing", "invoices", "cust_id", "amount", "status")
-	return plan.NewJoin(sqlparse.JoinInner, c, i, expr(t, "customers.id = invoices.cust_id"))
+	return plan.NewJoin(nil, sqlparse.JoinInner, c, i, expr(t, "customers.id = invoices.cust_id"))
 }
 
 // TestEagerAggregateKeepsColumns: the rewritten aggregate answers under
@@ -33,13 +33,13 @@ func eagerInput(t *testing.T) plan.Node {
 // HAVING, ORDER BY and select list above it resolve unchanged.
 func TestEagerAggregateKeepsColumns(t *testing.T) {
 	ev := eagerEnv()
-	agg := plan.NewAggregate(eagerInput(t), []sqlparse.Expr{expr(t, "customers.region")}, []plan.AggSpec{
+	agg := plan.NewAggregate(nil, eagerInput(t), []sqlparse.Expr{expr(t, "customers.region")}, []plan.AggSpec{
 		{Func: "COUNT", Star: true},
 		{Func: "SUM", Arg: expr(t, "invoices.amount")},
 		{Func: "MIN", Arg: expr(t, "invoices.status")},
 		{Func: "COUNT", Arg: expr(t, "invoices.amount")},
 	})
-	out := eagerAggregate(agg, ev, newEstimator(ev))
+	out := eagerAggregate(nil, agg, ev, newEstimator(ev))
 	if out == plan.Node(agg) {
 		t.Fatalf("not rewritten:\n%s", plan.Explain(out))
 	}
@@ -49,7 +49,7 @@ func TestEagerAggregateKeepsColumns(t *testing.T) {
 	if k := out.Columns()[1].Kind; k != datum.KindInt {
 		t.Fatalf("COUNT(*) kind %v", k)
 	}
-	placed := placeRemotes(out, ev, Options{})
+	placed := placeRemotes(nil, out, ev, Options{})
 	partials := 0
 	plan.Walk(placed, func(n plan.Node) {
 		if r, ok := n.(*plan.Remote); ok && r.Source == "billing" {
@@ -87,20 +87,20 @@ func TestEagerAggregateDeclinesWithoutAllocating(t *testing.T) {
 		n    plan.Node
 	}{
 		{"join without aggregate", ev, &plan.Project{Input: eagerInput(t), Exprs: byRegion, Cols: []plan.ColMeta{{Name: "region"}}}},
-		{"aggregate over one scan", ev, plan.NewAggregate(scan("billing", "invoices", "cust_id", "amount", "status"),
+		{"aggregate over one scan", ev, plan.NewAggregate(nil, scan("billing", "invoices", "cust_id", "amount", "status"),
 			[]sqlparse.Expr{expr(t, "invoices.status")}, sum)},
-		{"FilterOnly source", filterOnly, plan.NewAggregate(eagerInput(t), byRegion, sum)},
-		{"one invoice per key", distinctKeys, plan.NewAggregate(eagerInput(t), byRegion, sum)},
+		{"FilterOnly source", filterOnly, plan.NewAggregate(nil, eagerInput(t), byRegion, sum)},
+		{"one invoice per key", distinctKeys, plan.NewAggregate(nil, eagerInput(t), byRegion, sum)},
 	} {
-		c.n = pruneColumns(c.n) // as optimize runs it first
+		c.n = pruneColumns(nil, c.n) // as optimize runs it first
 		est := newEstimator(c.env)
-		if out := eagerAggregate(c.n, c.env, est); out != c.n {
+		if out := eagerAggregate(nil, c.n, c.env, est); out != c.n {
 			t.Errorf("%s: rewritten:\n%s", c.name, plan.Explain(out))
 		}
 		if _, ok := c.n.(*plan.Aggregate); ok {
 			continue // a declined candidate costs its checks
 		}
-		if a := testing.AllocsPerRun(100, func() { eagerAggregate(c.n, c.env, est) }); a != 0 {
+		if a := testing.AllocsPerRun(100, func() { eagerAggregate(nil, c.n, c.env, est) }); a != 0 {
 			t.Errorf("%s: %v allocations", c.name, a)
 		}
 	}

@@ -183,9 +183,9 @@ func TestDistinctThroughAggregate(t *testing.T) {
 	in := func(c string) sqlparse.Expr { return &sqlparse.ColumnRef{Table: "i", Column: c} }
 	out := func(c string) sqlparse.Expr { return &sqlparse.ColumnRef{Column: c} }
 	count := []plan.AggSpec{{Func: "COUNT", Star: true}}
-	byCust := plan.NewAggregate(invoices, []sqlparse.Expr{in("cust_id")}, count)
-	byCustStatus := plan.NewAggregate(invoices, []sqlparse.Expr{in("cust_id"), in("status")}, count)
-	capped := plan.NewAggregate(&plan.Limit{Input: invoices, Count: 100}, []sqlparse.Expr{in("cust_id")}, count)
+	byCust := plan.NewAggregate(nil, invoices, []sqlparse.Expr{in("cust_id")}, count)
+	byCustStatus := plan.NewAggregate(nil, invoices, []sqlparse.Expr{in("cust_id"), in("status")}, count)
+	capped := plan.NewAggregate(nil, &plan.Limit{Input: invoices, Count: 100}, []sqlparse.Expr{in("cust_id")}, count)
 
 	rows := opt.PlanningRows(env, invoices)
 	for _, c := range []struct {

@@ -12,10 +12,11 @@ import (
 const maxDPRelations = 10
 
 // reorderJoins finds maximal trees of inner joins and reorders each using
-// cost-based search under est. LEFT joins act as barriers. A join whose
-// best order is the one it has comes back itself.
-func reorderJoins(n plan.Node, est *estimator) plan.Node {
-	return plan.Transform(n, func(x plan.Node) plan.Node {
+// cost-based search under est, building candidates from a. LEFT joins act
+// as barriers. A join whose best order is the one it has comes back
+// itself.
+func reorderJoins(a *sqlparse.Arena, n plan.Node, est *estimator) plan.Node {
+	return plan.Transform(a, n, func(x plan.Node) plan.Node {
 		j, ok := x.(*plan.Join)
 		if !ok || j.Type != sqlparse.JoinInner {
 			return x
@@ -26,15 +27,17 @@ func reorderJoins(n plan.Node, est *estimator) plan.Node {
 		// collect relations; if fewer than 3, ordering cannot change
 		// anything worth the work (2 relations: build-side choice is
 		// still useful, so handle >= 2).
-		rels, conjuncts := flattenJoins(j, nil, nil)
+		var relBuf [8]plan.Node
+		var conjBuf [8]sqlparse.Expr
+		rels, conjuncts := flattenJoins(j, relBuf[:0], conjBuf[:0])
 		if len(rels) < 2 {
 			return x
 		}
 		var out plan.Node
 		if len(rels) > maxDPRelations {
-			out = greedyOrder(rels, conjuncts, est)
+			out = greedyOrder(a, rels, conjuncts, est)
 		} else {
-			out = dpOrder(rels, conjuncts, est)
+			out = dpOrder(a, rels, conjuncts, est)
 		}
 		if o, ok := out.(*plan.Join); ok && o.Left == j.Left && o.Right == j.Right && o.Cond == j.Cond &&
 			j.SemiJoin == plan.SemiJoinNone && j.Parallel == 0 {
@@ -73,10 +76,10 @@ func resolvesAcross(e sqlparse.Expr, a, b []plan.ColMeta) bool {
 }
 
 // applicable splits conjuncts into those fully resolvable against a and b
-// together (now) and the rest (later), each in pool order. A half that
-// holds every conjunct is conjuncts itself, so a split that leaves the
-// pool whole allocates nothing.
-func applicable(conjuncts []sqlparse.Expr, a, b []plan.ColMeta) (now, later []sqlparse.Expr) {
+// together (now) and the rest (later), each in pool order, the halves
+// from ar. A half that holds every conjunct is conjuncts itself, so a split
+// that leaves the pool whole allocates nothing.
+func applicable(ar *sqlparse.Arena, conjuncts []sqlparse.Expr, a, b []plan.ColMeta) (now, later []sqlparse.Expr) {
 	n := 0
 	for _, c := range conjuncts {
 		if resolvesAcross(c, a, b) {
@@ -89,7 +92,7 @@ func applicable(conjuncts []sqlparse.Expr, a, b []plan.ColMeta) (now, later []sq
 	case len(conjuncts):
 		return conjuncts, nil
 	}
-	now, later = make([]sqlparse.Expr, 0, n), make([]sqlparse.Expr, 0, len(conjuncts)-n)
+	now, later = ar.MakeExprs(n)[:0], ar.MakeExprs(len(conjuncts) - n)[:0]
 	for _, c := range conjuncts {
 		if resolvesAcross(c, a, b) {
 			now = append(now, c)
@@ -113,29 +116,36 @@ func connects(conjuncts []sqlparse.Expr, a, b []plan.ColMeta) bool {
 // joinPair builds an inner join of two subplans, attaching every conjunct
 // that becomes applicable. Single-side conjuncts were already pushed down
 // by pushFilters, but a straggler is still legal as part of the join
-// condition.
-func joinPair(left, right plan.Node, pool []sqlparse.Expr) (plan.Node, []sqlparse.Expr) {
-	now, later := applicable(pool, left.Columns(), right.Columns())
-	return plan.NewJoin(sqlparse.JoinInner, left, right, sqlparse.CombineConjuncts(now)), later
+// condition. Both come from a.
+func joinPair(a *sqlparse.Arena, left, right plan.Node, pool []sqlparse.Expr) (plan.Node, []sqlparse.Expr) {
+	now, later := applicable(a, pool, left.Columns(), right.Columns())
+	return plan.NewJoin(a, sqlparse.JoinInner, left, right, sqlparse.CombineConjunctsIn(a, now)), later
 }
 
 // dpOrder runs left-deep dynamic programming over relation subsets,
 // minimizing cumulative intermediate cardinality (the C_out cost metric).
-func dpOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.Node {
+// Every candidate comes from a.
+func dpOrder(a *sqlparse.Arena, rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.Node {
 	n := len(rels)
 	type entry struct {
 		node plan.Node       // nil until some plan joins the subset
 		pool []sqlparse.Expr // conjuncts not yet applied
 		cost float64
 	}
-	// dp[set] is the cheapest plan found for the relations in set.
-	dp := make([]entry, 1<<n)
+	// dp[set] is the cheapest plan found for the relations in set; up to
+	// four relations it stays on the stack.
+	var buf [16]entry
+	dp := buf[:]
+	if 1<<n > len(buf) {
+		dp = make([]entry, 1<<n)
+	}
+	dp = dp[:1<<n]
 	for i, r := range rels {
 		// Apply any single-relation conjuncts immediately.
-		now, later := applicable(conjuncts, r.Columns(), nil)
+		now, later := applicable(a, conjuncts, r.Columns(), nil)
 		node := r
 		if len(now) > 0 {
-			node = &plan.Filter{Input: r, Cond: sqlparse.CombineConjuncts(now)}
+			node = plan.New(a, plan.Filter{Input: r, Cond: sqlparse.CombineConjunctsIn(a, now)})
 		}
 		dp[1<<i] = entry{node: node, pool: later, cost: est.Rows(node)}
 	}
@@ -156,7 +166,7 @@ func dpOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.N
 			if !connects(cur.pool, cur.node.Columns(), base.node.Columns()) {
 				penalty = 100
 			}
-			joined, rest := joinPair(cur.node, base.node, cur.pool)
+			joined, rest := joinPair(a, cur.node, base.node, cur.pool)
 			rows := est.Rows(joined)
 			// The 1.01 factor on the extension relation breaks
 			// C_out ties in favour of small build (right) sides,
@@ -171,14 +181,14 @@ func dpOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.N
 	// always has a plan.
 	best := dp[full]
 	if len(best.pool) > 0 {
-		return &plan.Filter{Input: best.node, Cond: sqlparse.CombineConjuncts(best.pool)}
+		return plan.New(a, plan.Filter{Input: best.node, Cond: sqlparse.CombineConjunctsIn(a, best.pool)})
 	}
 	return best.node
 }
 
 // greedyOrder starts from the smallest relation and repeatedly joins the
-// cheapest connected candidate.
-func greedyOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.Node {
+// cheapest connected candidate, every candidate from a.
+func greedyOrder(a *sqlparse.Arena, rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) plan.Node {
 	remaining := append([]plan.Node{}, rels...)
 	pool := conjuncts
 	// Seed: smallest relation.
@@ -191,8 +201,8 @@ func greedyOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) pl
 	}
 	cur := remaining[bestIdx]
 	remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-	if now, later := applicable(pool, cur.Columns(), nil); len(now) > 0 {
-		cur = &plan.Filter{Input: cur, Cond: sqlparse.CombineConjuncts(now)}
+	if now, later := applicable(a, pool, cur.Columns(), nil); len(now) > 0 {
+		cur = plan.New(a, plan.Filter{Input: cur, Cond: sqlparse.CombineConjunctsIn(a, now)})
 		pool = later
 	}
 	for len(remaining) > 0 {
@@ -205,7 +215,7 @@ func greedyOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) pl
 			if !connects(pool, cur.Columns(), r.Columns()) {
 				penalty = 100
 			}
-			joined, rest := joinPair(cur, r, pool)
+			joined, rest := joinPair(a, cur, r, pool)
 			cost := est.Rows(joined) * penalty
 			if cost < bestCost {
 				bestCost, bestIdx = cost, i
@@ -217,7 +227,7 @@ func greedyOrder(rels []plan.Node, conjuncts []sqlparse.Expr, est *estimator) pl
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	if len(pool) > 0 {
-		cur = &plan.Filter{Input: cur, Cond: sqlparse.CombineConjuncts(pool)}
+		cur = plan.New(a, plan.Filter{Input: cur, Cond: sqlparse.CombineConjunctsIn(a, pool)})
 	}
 	return cur
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/plan"
 	"repro/internal/schema"
+	"repro/internal/sqlparse"
 )
 
 // Env gives the optimizer access to per-source metadata.
@@ -38,18 +39,22 @@ type Options struct {
 	NoSemiJoin        bool // never hint semi-join reductions
 }
 
-// Optimize rewrites a logical plan for federated execution.
+// Optimize rewrites a logical plan for federated execution. The nodes it
+// adds come from the heap.
 func Optimize(root plan.Node, env Env, opts Options) plan.Node {
-	n, est := optimize(root, env, opts)
+	n, est := optimize(nil, root, env, opts)
 	est.release()
 	return n
 }
 
-// OptimizeCosted is Optimize that also prices the optimized plan, with the
-// estimator its passes consulted: the cost Cost would report, without
-// deriving again the estimates the passes already made.
-func OptimizeCosted(root plan.Node, env Env, opts Options) (plan.Node, PlanCost) {
-	n, est := optimize(root, env, opts)
+// OptimizeCosted is Optimize with every node, list and expression the
+// passes add allocated from a (heap when a is nil; see plan.New), that
+// also prices the optimized plan with the estimator its passes consulted:
+// the cost Cost would report, without deriving again the estimates the
+// passes already made. The plan dies with a; one that must outlive it
+// goes through plan.Retain.
+func OptimizeCosted(a *sqlparse.Arena, root plan.Node, env Env, opts Options) (plan.Node, PlanCost) {
+	n, est := optimize(a, root, env, opts)
 	defer est.release()
 	return n, est.cost(n)
 }
@@ -57,32 +62,33 @@ func OptimizeCosted(root plan.Node, env Env, opts Options) (plan.Node, PlanCost)
 // optimize runs the passes under one estimator and returns it with the
 // plan, for the caller to release. Sharing the estimator's memo across
 // passes is sound because no pass writes into a node it did not allocate:
-// passes copy on change (plan.MapInputs), so one pointer denotes one
-// subtree for the whole compile, and an estimate memoized for it in one
-// pass still holds in the next.
-func optimize(root plan.Node, env Env, opts Options) (plan.Node, *estimator) {
+// passes copy on change (plan.MapInputs), and a node drawn from a stays
+// where it is until a's Reset, after the compile, so one pointer denotes
+// one subtree for the whole compile, and an estimate memoized for it in
+// one pass still holds in the next.
+func optimize(a *sqlparse.Arena, root plan.Node, env Env, opts Options) (plan.Node, *estimator) {
 	est := newEstimator(env)
 	n := root
-	n = mergeProjects(n)
+	n = mergeProjects(a, n)
 	if !opts.NoFilterPushdown {
-		n = pushFilters(n)
-		n = mergeProjects(n)
+		n = pushFilters(a, n)
+		n = mergeProjects(a, n)
 	}
 	if !opts.NoJoinReorder {
-		n = reorderJoins(n, est)
+		n = reorderJoins(a, n, est)
 	}
 	if !opts.NoProjectionPrune {
-		n = pruneColumns(n)
-		n = mergeProjects(n)
+		n = pruneColumns(a, n)
+		n = mergeProjects(a, n)
 	}
 	if !opts.NoRemotePushdown {
-		n = eagerAggregate(n, env, est)
+		n = eagerAggregate(a, n, env, est)
 	}
-	n = placeRemotes(n, env, opts)
+	n = placeRemotes(a, n, env, opts)
 	if !opts.NoRemotePushdown && !opts.NoSemiJoin {
-		n = annotateSemiJoins(n, est)
+		n = annotateSemiJoins(a, n, est)
 	}
-	n = annotateParallelism(n, est)
+	n = annotateParallelism(a, n, est)
 	return n, est
 }
 
@@ -90,7 +96,7 @@ func optimize(root plan.Node, env Env, opts Options) (plan.Node, *estimator) {
 // ships its whole table and all processing happens centrally. This is the
 // baseline for the pushdown experiments.
 func Naive(root plan.Node) plan.Node {
-	return plan.Transform(root, func(n plan.Node) plan.Node {
+	return plan.Transform(nil, root, func(n plan.Node) plan.Node {
 		if s, ok := n.(*plan.Scan); ok {
 			return &plan.Remote{Source: s.Source, Child: s}
 		}

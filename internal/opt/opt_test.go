@@ -71,7 +71,7 @@ func TestPushFilterThroughProject(t *testing.T) {
 		Cols:  []plan.ColMeta{{Name: "x"}, {Name: "y"}},
 	}
 	f := &plan.Filter{Input: proj, Cond: expr(t, "y = 5")}
-	out := pushFilters(f)
+	out := pushFilters(nil, f)
 	// Filter must now sit below the project, rewritten to b = 5.
 	p, ok := out.(*plan.Project)
 	if !ok {
@@ -89,9 +89,9 @@ func TestPushFilterThroughProject(t *testing.T) {
 func TestPushFilterThroughInnerJoinBothSides(t *testing.T) {
 	l := scan("s1", "l", "a")
 	r := scan("s2", "r", "b")
-	j := plan.NewJoin(sqlparse.JoinInner, l, r, expr(t, "l.a = r.b"))
+	j := plan.NewJoin(nil, sqlparse.JoinInner, l, r, expr(t, "l.a = r.b"))
 	f := &plan.Filter{Input: j, Cond: expr(t, "l.a > 1 AND r.b < 9")}
-	out := pushFilters(f)
+	out := pushFilters(nil, f)
 	j2, ok := out.(*plan.Join)
 	if !ok {
 		t.Fatalf("top = %T: %s", out, plan.Explain(out))
@@ -107,16 +107,16 @@ func TestPushFilterThroughInnerJoinBothSides(t *testing.T) {
 func TestPushFilterLeftJoinSafety(t *testing.T) {
 	l := scan("s1", "l", "a")
 	r := scan("s2", "r", "b")
-	j := plan.NewJoin(sqlparse.JoinLeft, l, r, expr(t, "l.a = r.b"))
+	j := plan.NewJoin(nil, sqlparse.JoinLeft, l, r, expr(t, "l.a = r.b"))
 	// A right-side predicate above a LEFT JOIN must NOT descend.
 	f := &plan.Filter{Input: j, Cond: expr(t, "r.b < 9")}
-	out := pushFilters(f)
+	out := pushFilters(nil, f)
 	if _, ok := out.(*plan.Filter); !ok {
 		t.Fatalf("right-side predicate must stay above LEFT JOIN:\n%s", plan.Explain(out))
 	}
 	// A left-side predicate may descend.
 	f2 := &plan.Filter{Input: j, Cond: expr(t, "l.a > 1")}
-	out2 := pushFilters(f2)
+	out2 := pushFilters(nil, f2)
 	j2, ok := out2.(*plan.Join)
 	if !ok {
 		t.Fatalf("left-side predicate should descend:\n%s", plan.Explain(out2))
@@ -128,11 +128,11 @@ func TestPushFilterLeftJoinSafety(t *testing.T) {
 
 func TestPushFilterThroughAggregateOnGroupKeys(t *testing.T) {
 	s := scan("src", "t", "g", "v")
-	agg := plan.NewAggregate(s, []sqlparse.Expr{expr(t, "g")},
+	agg := plan.NewAggregate(nil, s, []sqlparse.Expr{expr(t, "g")},
 		[]plan.AggSpec{{Func: "SUM", Arg: expr(t, "v")}})
 	// Aggregate output columns are named by rendered SQL: "g", "SUM(v)".
 	f := &plan.Filter{Input: agg, Cond: expr(t, "g = 3")}
-	out := pushFilters(f)
+	out := pushFilters(nil, f)
 	a2, ok := out.(*plan.Aggregate)
 	if !ok {
 		t.Fatalf("group-key filter must descend below aggregate:\n%s", plan.Explain(out))
@@ -144,14 +144,14 @@ func TestPushFilterThroughAggregateOnGroupKeys(t *testing.T) {
 
 func TestFilterOnAggregateOutputStaysAbove(t *testing.T) {
 	s := scan("src", "t", "g", "v")
-	agg := plan.NewAggregate(s, []sqlparse.Expr{expr(t, "g")},
+	agg := plan.NewAggregate(nil, s, []sqlparse.Expr{expr(t, "g")},
 		[]plan.AggSpec{{Func: "SUM", Arg: expr(t, "v")}})
 	cond, err := sqlparse.ParseExpr(`"SUM(v)" > 10`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := &plan.Filter{Input: agg, Cond: cond}
-	out := pushFilters(f)
+	out := pushFilters(nil, f)
 	if _, ok := out.(*plan.Filter); !ok {
 		t.Fatalf("HAVING-style filter must stay above aggregate:\n%s", plan.Explain(out))
 	}
@@ -169,7 +169,7 @@ func TestMergeProjects(t *testing.T) {
 		Exprs: []sqlparse.Expr{expr(t, "x * 2")},
 		Cols:  []plan.ColMeta{{Name: "y"}},
 	}
-	out := mergeProjects(outer)
+	out := mergeProjects(nil, outer)
 	p, ok := out.(*plan.Project)
 	if !ok {
 		t.Fatalf("top = %T", out)
@@ -189,7 +189,7 @@ func TestPruneInsertsNarrowProjection(t *testing.T) {
 		Exprs: []sqlparse.Expr{expr(t, "a")},
 		Cols:  []plan.ColMeta{{Name: "a"}},
 	}
-	out := pruneColumns(proj)
+	out := pruneColumns(nil, proj)
 	// Below the outer project there must be a projection keeping just a.
 	found := false
 	plan.Walk(out, func(n plan.Node) {
@@ -208,7 +208,7 @@ func TestPlaceRemotesSingleSource(t *testing.T) {
 	ev := env()
 	s := scan("src", "t", "a")
 	f := &plan.Filter{Input: s, Cond: expr(t, "a = 1")}
-	out := placeRemotes(f, ev, Options{})
+	out := placeRemotes(nil, f, ev, Options{})
 	r, ok := out.(*plan.Remote)
 	if !ok {
 		t.Fatalf("single-source plan must be fully remote:\n%s", plan.Explain(out))
@@ -223,7 +223,7 @@ func TestPlaceRemotesCapabilityClamp(t *testing.T) {
 	ev.caps["kv"] = federation.ScanOnly()
 	s := scan("kv", "t", "a")
 	f := &plan.Filter{Input: s, Cond: expr(t, "a = 1")}
-	out := placeRemotes(f, ev, Options{})
+	out := placeRemotes(nil, f, ev, Options{})
 	top, ok := out.(*plan.Filter)
 	if !ok {
 		t.Fatalf("filter must stay at mediator for scan-only source:\n%s", plan.Explain(out))
@@ -235,8 +235,8 @@ func TestPlaceRemotesCapabilityClamp(t *testing.T) {
 
 func TestPlaceRemotesCrossSourceJoin(t *testing.T) {
 	ev := env()
-	j := plan.NewJoin(sqlparse.JoinInner, scan("s1", "l", "a"), scan("s2", "r", "b"), expr(t, "l.a = r.b"))
-	out := placeRemotes(j, ev, Options{})
+	j := plan.NewJoin(nil, sqlparse.JoinInner, scan("s1", "l", "a"), scan("s2", "r", "b"), expr(t, "l.a = r.b"))
+	out := placeRemotes(nil, j, ev, Options{})
 	j2, ok := out.(*plan.Join)
 	if !ok {
 		t.Fatalf("cross-source join must execute at mediator:\n%s", plan.Explain(out))
@@ -273,11 +273,11 @@ func TestJoinReorderPrefersSelectiveSide(t *testing.T) {
 	ev.stats["src.big"] = schema.DefaultStats(big, 100000)
 	ev.stats["src.small"] = schema.DefaultStats(small, 10)
 
-	j := plan.NewJoin(sqlparse.JoinInner,
+	j := plan.NewJoin(nil, sqlparse.JoinInner,
 		scan("src", "big", "k"),
 		scan("src", "small", "k"),
 		expr(t, "big.k = small.k"))
-	out := reorderJoins(j, newEstimator(ev))
+	out := reorderJoins(nil, j, newEstimator(ev))
 	j2, ok := out.(*plan.Join)
 	if !ok {
 		t.Fatalf("reorder output = %T", out)
@@ -289,11 +289,11 @@ func TestJoinReorderPrefersSelectiveSide(t *testing.T) {
 	if rightScan == nil || rightScan.Table != "small" {
 		t.Errorf("small table not on build side:\n%s", plan.Explain(out))
 	}
-	flipped := plan.NewJoin(sqlparse.JoinInner,
+	flipped := plan.NewJoin(nil, sqlparse.JoinInner,
 		scan("src", "small", "k"),
 		scan("src", "big", "k"),
 		expr(t, "big.k = small.k"))
-	out2 := reorderJoins(flipped, newEstimator(ev))
+	out2 := reorderJoins(nil, flipped, newEstimator(ev))
 	j3, ok := out2.(*plan.Join)
 	if !ok {
 		t.Fatalf("reorder output = %T", out2)
@@ -378,7 +378,7 @@ func TestOptimizeEndToEndShape(t *testing.T) {
 	ev.caps["files"] = federation.FilterOnly()
 	l := scan("crm", "customers", "id", "region")
 	r := scan("files", "tickets", "cust_id", "sev")
-	j := plan.NewJoin(sqlparse.JoinInner, l, r, expr(t, "customers.id = tickets.cust_id"))
+	j := plan.NewJoin(nil, sqlparse.JoinInner, l, r, expr(t, "customers.id = tickets.cust_id"))
 	f := &plan.Filter{Input: j, Cond: expr(t, "customers.region = 1 AND tickets.sev > 2")}
 	proj := &plan.Project{
 		Input: f,

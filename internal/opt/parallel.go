@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/plan"
+	"repro/internal/sqlparse"
 )
 
 // rowsPerWorker is the estimated input cardinality each morsel worker
@@ -35,9 +36,11 @@ const maxHintDegree = 16
 // change, so the tree it is given may share nodes with the logical plan
 // or, for a fragment shipped from a peer, with that peer's cached
 // template. It writes a hint only into a node MapInputs has just copied
-// for it, and copies any other node whose hint changes. Estimates come
-// from est.
-func annotateParallelism(n plan.Node, est *estimator) plan.Node {
+// for it, and copies any other node, from a, whose hint changes. A node
+// below rowsPerWorker*2 estimated input rows is sequential, hint 0, as
+// the builder leaves it, so a plan without a parallel operator comes back
+// as it went in. Estimates come from est.
+func annotateParallelism(a *sqlparse.Arena, n plan.Node, est *estimator) plan.Node {
 	var annotate, annotateRemote func(plan.Node) plan.Node
 	annotate = func(n plan.Node) plan.Node {
 		// Degrees are estimated over the node as given, before its
@@ -45,7 +48,7 @@ func annotateParallelism(n plan.Node, est *estimator) plan.Node {
 		deg := 0
 		switch x := n.(type) {
 		case *plan.Remote:
-			return plan.MapInputs(n, annotateRemote)
+			return plan.MapInputs(a, n, annotateRemote)
 		case *plan.Filter:
 			deg = degreeFor(est.Rows(x.Input), maxHintDegree)
 		case *plan.Project:
@@ -58,26 +61,24 @@ func annotateParallelism(n plan.Node, est *estimator) plan.Node {
 			// Not worth parallelizing (Scan is wrapper-bound; Sort,
 			// Limit, Distinct and Union are order-sensitive assembly
 			// steps); their inputs are still annotated.
+			return plan.MapInputs(a, n, annotate)
 		default:
 			panic(fmt.Sprintf("opt: annotateParallelism missing case for %T", n))
 		}
 		groups := groupsOf(n, est)
-		out := plan.MapInputs(n, annotate)
-		if deg == 0 {
-			return out
-		}
-		out = withParallel(out, out != n, deg)
-		if a, ok := out.(*plan.Aggregate); ok {
-			return withGroups(a, out != n, groups)
+		out := plan.MapInputs(a, n, annotate)
+		out = withParallel(a, out, out != n, deg)
+		if agg, ok := out.(*plan.Aggregate); ok {
+			return withGroups(a, agg, out != n, groups)
 		}
 		return out
 	}
 	// Below a Remote boundary only group counts are annotated.
 	annotateRemote = func(n plan.Node) plan.Node {
 		groups := groupsOf(n, est)
-		out := plan.MapInputs(n, annotateRemote)
-		if a, ok := out.(*plan.Aggregate); ok {
-			return withGroups(a, out != n, groups)
+		out := plan.MapInputs(a, n, annotateRemote)
+		if agg, ok := out.(*plan.Aggregate); ok {
+			return withGroups(a, agg, out != n, groups)
 		}
 		return out
 	}
@@ -93,41 +94,42 @@ func groupsOf(n plan.Node, est *estimator) int {
 	return int(math.Ceil(est.Rows(n)))
 }
 
-// withGroups returns a carrying group estimate g, copied unless owned.
-func withGroups(a *plan.Aggregate, owned bool, g int) *plan.Aggregate {
-	if a.Groups != g {
-		a = own(a, owned)
-		a.Groups = g
+// withGroups returns agg carrying group estimate g, copied from a unless
+// owned.
+func withGroups(a *sqlparse.Arena, agg *plan.Aggregate, owned bool, g int) *plan.Aggregate {
+	if agg.Groups != g {
+		agg = own(a, agg, owned)
+		agg.Groups = g
 	}
-	return a
+	return agg
 }
 
 // withParallel returns n carrying worker hint deg: n itself when it
 // already does, or when owned (this pass allocated it) with the hint set
-// in place, else a copy.
-func withParallel(n plan.Node, owned bool, deg int) plan.Node {
+// in place, else a copy from a.
+func withParallel(a *sqlparse.Arena, n plan.Node, owned bool, deg int) plan.Node {
 	switch x := n.(type) {
 	case *plan.Filter:
 		if x.Parallel != deg {
-			x = own(x, owned)
+			x = own(a, x, owned)
 			x.Parallel = deg
 		}
 		return x
 	case *plan.Project:
 		if x.Parallel != deg {
-			x = own(x, owned)
+			x = own(a, x, owned)
 			x.Parallel = deg
 		}
 		return x
 	case *plan.Join:
 		if x.Parallel != deg {
-			x = own(x, owned)
+			x = own(a, x, owned)
 			x.Parallel = deg
 		}
 		return x
 	case *plan.Aggregate:
 		if x.Parallel != deg {
-			x = own(x, owned)
+			x = own(a, x, owned)
 			x.Parallel = deg
 		}
 		return x
@@ -136,19 +138,20 @@ func withParallel(n plan.Node, owned bool, deg int) plan.Node {
 	}
 }
 
-// own returns x when owned, else a shallow copy of it.
-func own[T any](x *T, owned bool) *T {
+// own returns x when owned, else a shallow copy of it from a.
+func own[T any](a *sqlparse.Arena, x *T, owned bool) *T {
 	if owned {
 		return x
 	}
-	c := *x
-	return &c
+	return plan.New(a, *x)
 }
 
+// degreeFor is the worker hint for rows of input, at most max: 0, as
+// the builder leaves a node, when they do not fill two workers.
 func degreeFor(rows float64, max int) int {
 	d := int(rows / rowsPerWorker)
-	if d < 1 {
-		return 1
+	if d < 2 {
+		return 0
 	}
 	if d > max {
 		return max

@@ -61,10 +61,11 @@ func allowKeyFilter(env Env, source string) bool {
 // Remote runs at the mediator; bare scans that end up outside still ship
 // their whole table (the execution runtime treats an unwrapped Scan as
 // Remote(Scan)), so placement here is purely an optimization decision.
-func placeRemotes(n plan.Node, env Env, opts Options) plan.Node {
-	out, src := place(n, env, opts)
+// Boundaries and the nodes above them come from a.
+func placeRemotes(a *sqlparse.Arena, n plan.Node, env Env, opts Options) plan.Node {
+	out, src := place(a, n, env, opts)
 	if src != "" {
-		return &plan.Remote{Source: src, Child: out, AllowKeyFilter: allowKeyFilter(env, src)}
+		return plan.New(a, plan.Remote{Source: src, Child: out, AllowKeyFilter: allowKeyFilter(env, src)})
 	}
 	return out
 }
@@ -75,7 +76,7 @@ func placeRemotes(n plan.Node, env Env, opts Options) plan.Node {
 // wrapped in Remote here. An Aggregate that stays pushable loses a
 // narrowing Project over its scan: the source aggregates its own rows in
 // place instead of first copying them into narrower ones.
-func place(n plan.Node, env Env, opts Options) (plan.Node, string) {
+func place(a *sqlparse.Arena, n plan.Node, env Env, opts Options) (plan.Node, string) {
 	switch x := n.(type) {
 	case *plan.Scan:
 		if x.Source == "" && x.Table == "" {
@@ -98,8 +99,8 @@ func place(n plan.Node, env Env, opts Options) (plan.Node, string) {
 	var srcBuf [2]string
 	srcs := srcBuf[:0]
 	owner, uniform := "", true
-	placed := plan.MapInputs(n, func(in plan.Node) plan.Node {
-		out, src := place(in, env, opts)
+	placed := plan.MapInputs(a, n, func(in plan.Node) plan.Node {
+		out, src := place(a, in, env, opts)
 		srcs = append(srcs, src)
 		switch {
 		case src == "" || (owner != "" && owner != src):
@@ -115,7 +116,7 @@ func place(n plan.Node, env Env, opts Options) (plan.Node, string) {
 		// under an aggregate only mattered while it might run at the
 		// mediator.
 		if _, ok := placed.(*plan.Aggregate); ok {
-			placed = plan.MapInputs(placed, func(in plan.Node) plan.Node {
+			placed = plan.MapInputs(a, placed, func(in plan.Node) plan.Node {
 				if p, ok := in.(*plan.Project); ok && narrowsScan(p) {
 					return p.Input
 				}
@@ -127,7 +128,7 @@ func place(n plan.Node, env Env, opts Options) (plan.Node, string) {
 
 	// Close off pushable inputs with Remote boundaries.
 	i := 0
-	return plan.MapInputs(placed, func(in plan.Node) plan.Node {
+	return plan.MapInputs(a, placed, func(in plan.Node) plan.Node {
 		src := srcs[i]
 		i++
 		switch {
@@ -135,9 +136,9 @@ func place(n plan.Node, env Env, opts Options) (plan.Node, string) {
 			return in
 		case opts.NoRemotePushdown:
 			// Naive mode: only bare scans cross the link.
-			return demoteToScanShipping(in, src)
+			return demoteToScanShipping(a, in, src)
 		default:
-			return &plan.Remote{Source: src, Child: in, AllowKeyFilter: allowKeyFilter(env, src)}
+			return plan.New(a, plan.Remote{Source: src, Child: in, AllowKeyFilter: allowKeyFilter(env, src)})
 		}
 	}), ""
 }
@@ -168,10 +169,10 @@ func narrowsScan(p *plan.Project) bool {
 
 // demoteToScanShipping rewrites a pushable subtree so each scan ships
 // whole tables and all other operators run at the mediator.
-func demoteToScanShipping(n plan.Node, source string) plan.Node {
-	return plan.Transform(n, func(x plan.Node) plan.Node {
+func demoteToScanShipping(a *sqlparse.Arena, n plan.Node, source string) plan.Node {
+	return plan.Transform(a, n, func(x plan.Node) plan.Node {
 		if s, ok := x.(*plan.Scan); ok {
-			return &plan.Remote{Source: s.Source, Child: s}
+			return plan.New(a, plan.Remote{Source: s.Source, Child: s})
 		}
 		return x
 	})
@@ -182,9 +183,9 @@ func demoteToScanShipping(n plan.Node, source string) plan.Node {
 // assembly site / local reduction" decision of §3. A side qualifies when it
 // is a filter-capable Remote, the probe side is small enough to ship its
 // distinct keys, and the reduction is estimated to pay for the extra round
-// trip. Estimates come from est.
-func annotateSemiJoins(n plan.Node, est *estimator) plan.Node {
-	return plan.Transform(n, func(x plan.Node) plan.Node {
+// trip. Estimates come from est, and the joins it changes from a.
+func annotateSemiJoins(a *sqlparse.Arena, n plan.Node, est *estimator) plan.Node {
+	return plan.Transform(a, n, func(x plan.Node) plan.Node {
 		j, ok := x.(*plan.Join)
 		if !ok || j.Cond == nil {
 			return x
@@ -262,8 +263,8 @@ func annotateSemiJoins(n plan.Node, est *estimator) plan.Node {
 			// re-optimization passes that reconfirm an existing one.
 			return x
 		}
-		nj := *j
+		nj := plan.New(a, *j)
 		nj.SemiJoin = hint
-		return &nj
+		return nj
 	})
 }

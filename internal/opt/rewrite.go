@@ -10,9 +10,9 @@ import (
 // substitute rewrites e, replacing every column reference that resolves
 // against cols with the corresponding expression from exprs (cols[i] is
 // produced by exprs[i]). References that do not resolve are left intact,
-// and e comes back itself when none resolves.
-func substitute(e sqlparse.Expr, cols []plan.ColMeta, exprs []sqlparse.Expr) sqlparse.Expr {
-	out, _ := sqlparse.Rewrite(e, func(x sqlparse.Expr) (sqlparse.Expr, error) {
+// and e comes back itself when none resolves; rebuilt nodes come from a.
+func substitute(a *sqlparse.Arena, e sqlparse.Expr, cols []plan.ColMeta, exprs []sqlparse.Expr) sqlparse.Expr {
+	out, _ := sqlparse.RewriteIn(a, e, func(x sqlparse.Expr) (sqlparse.Expr, error) {
 		if c, ok := x.(*sqlparse.ColumnRef); ok {
 			if i, ok := plan.FindColumn(cols, c); ok {
 				return exprs[i], nil
@@ -27,8 +27,8 @@ func substitute(e sqlparse.Expr, cols []plan.ColMeta, exprs []sqlparse.Expr) sql
 // inner expressions into the outer ones. The builder's view unfolding and
 // subquery handling produce long rename chains; merging them is what makes
 // predicate pushdown reach the scans.
-func mergeProjects(n plan.Node) plan.Node {
-	return plan.Transform(n, func(x plan.Node) plan.Node {
+func mergeProjects(a *sqlparse.Arena, n plan.Node) plan.Node {
+	return plan.Transform(a, n, func(x plan.Node) plan.Node {
 		outer, ok := x.(*plan.Project)
 		if !ok {
 			return x
@@ -37,23 +37,23 @@ func mergeProjects(n plan.Node) plan.Node {
 		if !ok {
 			return x
 		}
-		exprs := make([]sqlparse.Expr, len(outer.Exprs))
+		exprs := a.MakeExprs(len(outer.Exprs))
 		for i, e := range outer.Exprs {
-			exprs[i] = substitute(e, inner.Cols, inner.Exprs)
+			exprs[i] = substitute(a, e, inner.Cols, inner.Exprs)
 		}
-		return &plan.Project{Input: inner.Input, Exprs: exprs, Cols: outer.Cols}
+		return plan.New(a, plan.Project{Input: inner.Input, Exprs: exprs, Cols: outer.Cols})
 	})
 }
 
 // pushFilters moves filter conjuncts as close to the scans as possible. A
 // filter already on its floor stays itself.
-func pushFilters(n plan.Node) plan.Node {
-	return plan.Transform(n, func(x plan.Node) plan.Node {
+func pushFilters(a *sqlparse.Arena, n plan.Node) plan.Node {
+	return plan.Transform(a, n, func(x plan.Node) plan.Node {
 		f, ok := x.(*plan.Filter)
 		if !ok || holdsFilters(f.Input) {
 			return x
 		}
-		return pushFilterInto(f.Cond, f.Input)
+		return pushFilterInto(a, f.Cond, f.Input)
 	})
 }
 
@@ -69,19 +69,19 @@ func holdsFilters(n plan.Node) bool {
 }
 
 // pushFilterInto pushes a predicate into node, returning the rewritten
-// subtree. Conjuncts that cannot descend wrap the result in a Filter.
-func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
+// subtree, copied on change from a. Conjuncts that cannot descend wrap the
+// result in a Filter.
+func pushFilterInto(a *sqlparse.Arena, cond sqlparse.Expr, node plan.Node) plan.Node {
 	if cond == nil {
 		return node
 	}
 	switch x := node.(type) {
 	case *plan.Project:
-		rewritten := substitute(cond, x.Cols, x.Exprs)
-		return &plan.Project{Input: pushFilterInto(rewritten, x.Input), Exprs: x.Exprs, Cols: x.Cols}
+		rewritten := substitute(a, cond, x.Cols, x.Exprs)
+		return plan.New(a, plan.Project{Input: pushFilterInto(a, rewritten, x.Input), Exprs: x.Exprs, Cols: x.Cols})
 
 	case *plan.Filter:
-		merged := &sqlparse.BinaryExpr{Op: sqlparse.OpAnd, Left: cond, Right: x.Cond}
-		return pushFilterInto(merged, x.Input)
+		return pushFilterInto(a, a.NewBinary(sqlparse.OpAnd, cond, x.Cond), x.Input)
 
 	case *plan.Join:
 		// The conjuncts are sorted into stack buffers: only the
@@ -104,23 +104,23 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 				here = append(here, c)
 			default:
 				// Left join: keep above.
-				return &plan.Filter{Input: node, Cond: cond}
+				return plan.New(a, plan.Filter{Input: node, Cond: cond})
 			}
 		}
 		left := x.Left
 		if len(toLeft) > 0 {
-			left = pushFilterInto(sqlparse.CombineConjuncts(toLeft), left)
+			left = pushFilterInto(a, sqlparse.CombineConjunctsIn(a, toLeft), left)
 		}
 		right := x.Right
 		if len(toRight) > 0 {
-			right = pushFilterInto(sqlparse.CombineConjuncts(toRight), right)
+			right = pushFilterInto(a, sqlparse.CombineConjunctsIn(a, toRight), right)
 		}
-		j := x.WithInputs(left, right)
+		j := x.WithInputs(a, left, right)
 		if len(here) > 0 {
 			if x.Cond != nil {
 				here = append(here, x.Cond)
 			}
-			j.Cond = sqlparse.CombineConjuncts(here)
+			j.Cond = sqlparse.CombineConjunctsIn(a, here)
 		}
 		return j
 
@@ -132,33 +132,33 @@ func pushFilterInto(cond sqlparse.Expr, node plan.Node) plan.Node {
 		below, above := belowBuf[:0], aboveBuf[:0]
 		for _, c := range sqlparse.AppendConjuncts(buf[:0], cond) {
 			if plan.RefsResolve(c, groupCols) {
-				below = append(below, substitute(c, groupCols, x.GroupBy))
+				below = append(below, substitute(a, c, groupCols, x.GroupBy))
 			} else {
 				above = append(above, c)
 			}
 		}
 		out := plan.Node(x)
 		if len(below) > 0 {
-			out = plan.MapInputs(x, func(in plan.Node) plan.Node {
-				return pushFilterInto(sqlparse.CombineConjuncts(below), in)
+			out = plan.MapInputs(a, x, func(in plan.Node) plan.Node {
+				return pushFilterInto(a, sqlparse.CombineConjunctsIn(a, below), in)
 			})
 		}
 		if len(above) > 0 {
-			out = &plan.Filter{Input: out, Cond: sqlparse.CombineConjuncts(above)}
+			out = plan.New(a, plan.Filter{Input: out, Cond: sqlparse.CombineConjunctsIn(a, above)})
 		}
 		return out
 
 	case *plan.Sort:
-		return &plan.Sort{Input: pushFilterInto(cond, x.Input), Keys: x.Keys}
+		return plan.New(a, plan.Sort{Input: pushFilterInto(a, cond, x.Input), Keys: x.Keys})
 
 	case *plan.Distinct:
-		return &plan.Distinct{Input: pushFilterInto(cond, x.Input)}
+		return plan.New(a, plan.Distinct{Input: pushFilterInto(a, cond, x.Input)})
 
 	case *plan.Scan, *plan.Limit, *plan.Union, *plan.Remote:
 		// A scan is the floor; Limit/Union change cardinality semantics
 		// under a pushed filter; Remote subtrees were already placed.
 		// The filter stays here.
-		return &plan.Filter{Input: node, Cond: cond}
+		return plan.New(a, plan.Filter{Input: node, Cond: cond})
 
 	default:
 		panic(fmt.Sprintf("opt: pushFilterInto missing case for %T", node))
@@ -184,17 +184,21 @@ func markRefs(marks []bool, cols []plan.ColMeta, exprs ...sqlparse.Expr) {
 // projection directly over the scan, or, when a filter sits on the scan,
 // over that filter — so a column only the predicate reads stops at the
 // source, and the source evaluates the predicate on its own rows and
-// copies only the survivors. Like every pass it copies on change: a node
-// that loses no column, over inputs that lose none, comes back itself.
-func pruneColumns(root plan.Node) plan.Node {
+// copies only the survivors. Like every pass it copies on change, from a:
+// a node that loses no column, over inputs that lose none, comes back
+// itself.
+func pruneColumns(a *sqlparse.Arena, root plan.Node) plan.Node {
 	var buf [128]bool // the marks of a plan of a dozen or so nodes
-	p := pruner{marks: buf[:0]}
+	p := pruner{arena: a, marks: buf[:0]}
 	return p.prune(root, p.all(len(root.Columns())))
 }
 
 // pruner carves prune's per-node column marks from shared blocks, the
-// first on pruneColumns' stack.
-type pruner struct{ marks []bool }
+// first on pruneColumns' stack, and the nodes it changes from arena.
+type pruner struct {
+	arena *sqlparse.Arena
+	marks []bool
+}
 
 // take returns n cleared marks.
 func (p *pruner) take(n int) []bool {
@@ -248,7 +252,7 @@ func (p *pruner) prune(n plan.Node, needed []bool) plan.Node {
 			// Keep at least one column so the row count survives.
 			exprs, cols = exprs[:1:1], cols[:1:1]
 		case kept < len(exprs):
-			exprs, cols = make([]sqlparse.Expr, 0, kept), make([]plan.ColMeta, 0, kept)
+			exprs, cols = p.arena.MakeExprs(kept)[:0], plan.Make[plan.ColMeta](p.arena, kept)[:0]
 			for i, need := range needed {
 				if need {
 					exprs, cols = append(exprs, x.Exprs[i]), append(cols, x.Cols[i])
@@ -262,19 +266,19 @@ func (p *pruner) prune(n plan.Node, needed []bool) plan.Node {
 		if in == x.Input && len(exprs) == len(x.Exprs) {
 			return x
 		}
-		c := *x
+		c := plan.New(p.arena, *x)
 		c.Input, c.Exprs, c.Cols = in, exprs, cols
-		return &c
+		return c
 
 	case *plan.Filter:
 		if _, ok := x.Input.(*plan.Scan); ok {
 			// The filter reads its columns off the scan's rows; only
 			// the columns needed above it survive the narrowing.
-			return narrow(x, needed)
+			return narrow(p.arena, x, needed)
 		}
 		childNeeded := p.with(needed)
 		markRefs(childNeeded, x.Input.Columns(), x.Cond)
-		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, childNeeded) })
+		return plan.MapInputs(p.arena, x, func(in plan.Node) plan.Node { return p.prune(in, childNeeded) })
 
 	case *plan.Join:
 		want := p.with(needed)
@@ -284,7 +288,7 @@ func (p *pruner) prune(n plan.Node, needed []bool) plan.Node {
 		if left == x.Left && right == x.Right {
 			return x
 		}
-		return x.WithInputs(left, right)
+		return x.WithInputs(p.arena, left, right)
 
 	case *plan.Aggregate:
 		childCols := x.Input.Columns()
@@ -293,17 +297,17 @@ func (p *pruner) prune(n plan.Node, needed []bool) plan.Node {
 		for _, sp := range x.Aggs {
 			markRefs(childNeeded, childCols, sp.Arg)
 		}
-		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, childNeeded) })
+		return plan.MapInputs(p.arena, x, func(in plan.Node) plan.Node { return p.prune(in, childNeeded) })
 
 	case *plan.Sort:
 		childNeeded := p.with(needed)
 		for _, k := range x.Keys {
 			markRefs(childNeeded, x.Input.Columns(), k.Expr)
 		}
-		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, childNeeded) })
+		return plan.MapInputs(p.arena, x, func(in plan.Node) plan.Node { return p.prune(in, childNeeded) })
 
 	case *plan.Limit:
-		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, needed) })
+		return plan.MapInputs(p.arena, x, func(in plan.Node) plan.Node { return p.prune(in, needed) })
 
 	case *plan.Distinct, *plan.Union:
 		// Dropping columns under DISTINCT changes its semantics, so
@@ -312,10 +316,10 @@ func (p *pruner) prune(n plan.Node, needed []bool) plan.Node {
 		// superset, so no pruning crosses a union boundary — but
 		// pruning still runs inside each branch with all columns
 		// required.
-		return plan.MapInputs(x, func(in plan.Node) plan.Node { return p.prune(in, p.all(len(in.Columns()))) })
+		return plan.MapInputs(p.arena, x, func(in plan.Node) plan.Node { return p.prune(in, p.all(len(in.Columns()))) })
 
 	case *plan.Scan:
-		return narrow(x, needed)
+		return narrow(p.arena, x, needed)
 
 	case *plan.Remote:
 		// Remote subtrees were placed by an earlier (or idempotent
@@ -330,9 +334,9 @@ func (p *pruner) prune(n plan.Node, needed []bool) plan.Node {
 
 // narrow projects a scan, or a filter over one, down to the needed columns
 // (positions index n's output, which is the scan's). It returns n itself
-// when no column is dead. The projection's lists are sized once and its
-// references carved from one block.
-func narrow(n plan.Node, needed []bool) plan.Node {
+// when no column is dead. The projection comes from a, its lists sized
+// once and its references carved from one block.
+func narrow(a *sqlparse.Arena, n plan.Node, needed []bool) plan.Node {
 	cols := n.Columns()
 	kept := marked(needed)
 	if kept == len(cols) {
@@ -340,8 +344,8 @@ func narrow(n plan.Node, needed []bool) plan.Node {
 	}
 	// With no column needed, the first is kept for cardinality.
 	size := max(kept, 1)
-	proj := &plan.Project{Input: n, Exprs: make([]sqlparse.Expr, 0, size), Cols: make([]plan.ColMeta, 0, size)}
-	refs := make([]sqlparse.ColumnRef, 0, size)
+	proj := plan.New(a, plan.Project{Input: n, Exprs: a.MakeExprs(size)[:0], Cols: plan.Make[plan.ColMeta](a, size)[:0]})
+	refs := a.MakeColumnRefs(size)[:0]
 	for i, c := range cols {
 		if needed[i] || kept == 0 && i == 0 {
 			refs = append(refs, sqlparse.ColumnRef{Table: c.Table, Column: c.Name})

@@ -31,11 +31,11 @@ func remote(src string, n plan.Node, allowKeys bool) *plan.Remote {
 
 func TestSemiJoinHintReduceRight(t *testing.T) {
 	ev := semiEnv()
-	j := plan.NewJoin(sqlparse.JoinInner,
+	j := plan.NewJoin(nil, sqlparse.JoinInner,
 		remote("s1", scan("s1", "small", "k"), true),
 		remote("s2", scan("s2", "big", "k"), true),
 		expr(t, "small.k = big.k"))
-	out := annotateSemiJoins(j, newEstimator(ev))
+	out := annotateSemiJoins(nil, j, newEstimator(ev))
 	j2 := out.(*plan.Join)
 	if j2.SemiJoin != plan.SemiJoinReduceRight {
 		t.Errorf("hint = %v, want reduce-right (big side)", j2.SemiJoin)
@@ -44,11 +44,11 @@ func TestSemiJoinHintReduceRight(t *testing.T) {
 
 func TestSemiJoinHintReduceLeftWhenBigIsLeft(t *testing.T) {
 	ev := semiEnv()
-	j := plan.NewJoin(sqlparse.JoinInner,
+	j := plan.NewJoin(nil, sqlparse.JoinInner,
 		remote("s2", scan("s2", "big", "k"), true),
 		remote("s1", scan("s1", "small", "k"), true),
 		expr(t, "small.k = big.k"))
-	out := annotateSemiJoins(j, newEstimator(ev))
+	out := annotateSemiJoins(nil, j, newEstimator(ev))
 	j2 := out.(*plan.Join)
 	if j2.SemiJoin != plan.SemiJoinReduceLeft {
 		t.Errorf("hint = %v, want reduce-left", j2.SemiJoin)
@@ -59,11 +59,11 @@ func TestSemiJoinHintNeverReducesPreservedSideOfLeftJoin(t *testing.T) {
 	ev := semiEnv()
 	// LEFT JOIN with the big side on the left: reducing the left
 	// (preserved) side would drop rows, so no left-reduction hint.
-	j := plan.NewJoin(sqlparse.JoinLeft,
+	j := plan.NewJoin(nil, sqlparse.JoinLeft,
 		remote("s2", scan("s2", "big", "k"), true),
 		remote("s1", scan("s1", "small", "k"), true),
 		expr(t, "small.k = big.k"))
-	out := annotateSemiJoins(j, newEstimator(ev))
+	out := annotateSemiJoins(nil, j, newEstimator(ev))
 	j2 := out.(*plan.Join)
 	if j2.SemiJoin == plan.SemiJoinReduceLeft {
 		t.Error("left join preserved side must not be reduced")
@@ -71,11 +71,11 @@ func TestSemiJoinHintNeverReducesPreservedSideOfLeftJoin(t *testing.T) {
 	// But reducing the right side of a LEFT JOIN is safe and, with the
 	// small side right... small is already small; reduction unprofitable.
 	// Flip sizes so the right side is the big one:
-	j3 := plan.NewJoin(sqlparse.JoinLeft,
+	j3 := plan.NewJoin(nil, sqlparse.JoinLeft,
 		remote("s1", scan("s1", "small", "k"), true),
 		remote("s2", scan("s2", "big", "k"), true),
 		expr(t, "small.k = big.k"))
-	out3 := annotateSemiJoins(j3, newEstimator(ev))
+	out3 := annotateSemiJoins(nil, j3, newEstimator(ev))
 	if out3.(*plan.Join).SemiJoin != plan.SemiJoinReduceRight {
 		t.Error("right side of LEFT JOIN is reducible")
 	}
@@ -84,11 +84,11 @@ func TestSemiJoinHintNeverReducesPreservedSideOfLeftJoin(t *testing.T) {
 func TestSemiJoinHintRespectsCapabilities(t *testing.T) {
 	ev := semiEnv()
 	// Big side cannot absorb key filters: no hint.
-	j := plan.NewJoin(sqlparse.JoinInner,
+	j := plan.NewJoin(nil, sqlparse.JoinInner,
 		remote("s1", scan("s1", "small", "k"), true),
 		remote("s2", scan("s2", "big", "k"), false),
 		expr(t, "small.k = big.k"))
-	out := annotateSemiJoins(j, newEstimator(ev))
+	out := annotateSemiJoins(nil, j, newEstimator(ev))
 	if out.(*plan.Join).SemiJoin != plan.SemiJoinNone {
 		t.Error("scan-only side must not be hinted")
 	}
@@ -97,12 +97,12 @@ func TestSemiJoinHintRespectsCapabilities(t *testing.T) {
 func TestSemiJoinHintSkipsBigProbeSides(t *testing.T) {
 	ev := semiEnv()
 	// Both sides big: the probe side exceeds the key cap → no hint.
-	j := plan.NewJoin(sqlparse.JoinInner,
+	j := plan.NewJoin(nil, sqlparse.JoinInner,
 		remote("s2", scan("s2", "big", "k"), true),
 		remote("s2", scan("s2", "big", "k"), true),
 		expr(t, "big.k = big.k"))
 	// Self-join aliasing aside, the estimator sees 50000 rows per side.
-	out := annotateSemiJoins(j, newEstimator(ev))
+	out := annotateSemiJoins(nil, j, newEstimator(ev))
 	if out.(*plan.Join).SemiJoin != plan.SemiJoinNone {
 		t.Error("huge probe side must not ship keys")
 	}
@@ -110,11 +110,11 @@ func TestSemiJoinHintSkipsBigProbeSides(t *testing.T) {
 
 func TestSemiJoinHintSkipsNonEquiJoins(t *testing.T) {
 	ev := semiEnv()
-	j := plan.NewJoin(sqlparse.JoinInner,
+	j := plan.NewJoin(nil, sqlparse.JoinInner,
 		remote("s1", scan("s1", "small", "k"), true),
 		remote("s2", scan("s2", "big", "k"), true),
 		expr(t, "small.k < big.k"))
-	out := annotateSemiJoins(j, newEstimator(ev))
+	out := annotateSemiJoins(nil, j, newEstimator(ev))
 	if out.(*plan.Join).SemiJoin != plan.SemiJoinNone {
 		t.Error("theta join must not be hinted")
 	}

@@ -46,10 +46,10 @@ func TestOptimizeWritesOnlyNodesItAllocates(t *testing.T) {
 	t.Run("placed input", func(t *testing.T) {
 		// Mediator operators over already-placed Remotes: placement
 		// keeps them as they are, and only the hints change.
-		join := plan.NewJoin(sqlparse.JoinInner,
+		join := plan.NewJoin(nil, sqlparse.JoinInner,
 			&plan.Remote{Source: "a", Child: scan("a", "a", "k", "v")},
 			&plan.Remote{Source: "b", Child: scan("b", "b", "k", "v")}, cond)
-		root := plan.NewAggregate(join, []sqlparse.Expr{expr(t, "a.k")}, sum)
+		root := plan.NewAggregate(nil, join, []sqlparse.Expr{expr(t, "a.k")}, sum)
 		vals := nodeValues(root)
 		out := Optimize(root, ev, Options{NoFilterPushdown: true, NoJoinReorder: true, NoProjectionPrune: true, NoSemiJoin: true})
 		assertUntouched(t, vals)
@@ -70,9 +70,9 @@ func TestOptimizeWritesOnlyNodesItAllocates(t *testing.T) {
 	})
 
 	t.Run("logical input", func(t *testing.T) {
-		join := plan.NewJoin(sqlparse.JoinInner, scan("a", "a", "k", "v"), scan("b", "b", "k", "v"), cond)
+		join := plan.NewJoin(nil, sqlparse.JoinInner, scan("a", "a", "k", "v"), scan("b", "b", "k", "v"), cond)
 		filter := &plan.Filter{Input: join, Cond: expr(t, "a.v > 3")}
-		root := &plan.Limit{Input: plan.NewAggregate(filter, []sqlparse.Expr{expr(t, "a.k")}, sum), Count: 10}
+		root := &plan.Limit{Input: plan.NewAggregate(nil, filter, []sqlparse.Expr{expr(t, "a.k")}, sum), Count: 10}
 		vals := nodeValues(root)
 		for _, opts := range []Options{{}, {NoRemotePushdown: true}, {NoFilterPushdown: true, NoJoinReorder: true}} {
 			Optimize(root, ev, opts)
@@ -87,12 +87,15 @@ func TestOptimizeWritesOnlyNodesItAllocates(t *testing.T) {
 // pruneColumns, pushFilters and mergeProjects each return the root they
 // were given and allocate nothing. A Join copied over inputs whose column
 // lists did not change shares its own, capped, so an append to either
-// join's columns cannot write into the other's.
+// join's columns cannot write into the other's. And over a plan no
+// operator of which fills two workers, annotateParallelism leaves every
+// hint at the builder's 0, so it too returns the root it was given and
+// allocates nothing.
 func TestUnchangedPlanComesBackItself(t *testing.T) {
-	join := plan.NewJoin(sqlparse.JoinInner,
+	join := plan.NewJoin(nil, sqlparse.JoinInner,
 		&plan.Filter{Input: scan("a", "a", "k", "v"), Cond: expr(t, "a.v > 3")},
 		scan("b", "b", "k", "w"), expr(t, "a.k = b.k"))
-	agg := plan.NewAggregate(join, []sqlparse.Expr{expr(t, "a.v")}, []plan.AggSpec{{Func: "SUM", Arg: expr(t, "b.w")}})
+	agg := plan.NewAggregate(nil, join, []sqlparse.Expr{expr(t, "a.v")}, []plan.AggSpec{{Func: "SUM", Arg: expr(t, "b.w")}})
 	proj := &plan.Project{Input: agg,
 		Exprs: []sqlparse.Expr{&sqlparse.ColumnRef{Column: agg.Columns()[0].Name}, &sqlparse.ColumnRef{Column: agg.Columns()[1].Name}},
 		Cols:  []plan.ColMeta{{Name: "v"}, {Name: "total"}}}
@@ -100,7 +103,11 @@ func TestUnchangedPlanComesBackItself(t *testing.T) {
 	for _, pass := range []struct {
 		name string
 		run  func(plan.Node) plan.Node
-	}{{"pruneColumns", pruneColumns}, {"pushFilters", pushFilters}, {"mergeProjects", mergeProjects}} {
+	}{
+		{"pruneColumns", func(n plan.Node) plan.Node { return pruneColumns(nil, n) }},
+		{"pushFilters", func(n plan.Node) plan.Node { return pushFilters(nil, n) }},
+		{"mergeProjects", func(n plan.Node) plan.Node { return mergeProjects(nil, n) }},
+	} {
 		if out := pass.run(root); out != plan.Node(root) {
 			t.Errorf("%s rebuilt a plan it leaves unchanged:\n%s", pass.name, plan.Explain(out))
 		}
@@ -109,10 +116,28 @@ func TestUnchangedPlanComesBackItself(t *testing.T) {
 		}
 	}
 
+	// Sequential throughout: small inputs, and no Aggregate whose group
+	// estimate the pass would record.
+	ev := env()
+	for name, cols := range map[string][]string{"a": {"k", "v"}, "b": {"k", "w"}} {
+		tab := schema.MustTable(name, []schema.Column{{Name: cols[0], Kind: datum.KindInt}, {Name: cols[1], Kind: datum.KindInt}})
+		ev.stats[name+"."+name] = schema.DefaultStats(tab, 100)
+	}
+	est := newEstimator(ev)
+	defer est.release()
+	seq := &plan.Limit{Count: 10, Input: &plan.Sort{Keys: []plan.SortKey{{Expr: expr(t, "v")}},
+		Input: &plan.Project{Input: join, Exprs: []sqlparse.Expr{expr(t, "a.v")}, Cols: []plan.ColMeta{{Name: "v"}}}}}
+	if out := annotateParallelism(nil, seq, est); out != plan.Node(seq) {
+		t.Errorf("annotateParallelism rebuilt a sequential plan:\n%s", plan.Explain(out))
+	}
+	if a := testing.AllocsPerRun(100, func() { annotateParallelism(nil, seq, est) }); a != 0 {
+		t.Errorf("annotateParallelism allocates %v objects over a sequential plan, want 0", a)
+	}
+
 	// A new left input with the old one's column list: the copy shares
 	// the join's columns.
 	left := &plan.Filter{Input: join.Left.(*plan.Filter).Input, Cond: expr(t, "a.v > 4")}
-	cp := plan.MapInputs(join, func(in plan.Node) plan.Node {
+	cp := plan.MapInputs(nil, join, func(in plan.Node) plan.Node {
 		if in == join.Left {
 			return left
 		}
@@ -132,8 +157,8 @@ func TestUnchangedPlanComesBackItself(t *testing.T) {
 	}
 
 	// A narrowed input changes the column list: the copy builds its own.
-	narrowed := narrow(join.Right, []bool{true, false})
-	cp = plan.MapInputs(join, func(in plan.Node) plan.Node {
+	narrowed := narrow(nil, join.Right, []bool{true, false})
+	cp = plan.MapInputs(nil, join, func(in plan.Node) plan.Node {
 		if in == join.Right {
 			return narrowed
 		}

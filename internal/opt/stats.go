@@ -260,7 +260,7 @@ func (e *estimator) RowWidth(n plan.Node) float64 {
 		// One input: its width, narrowed proportionally when the node
 		// projects columns away.
 		width := 32.0
-		plan.MapInputs(n, func(in plan.Node) plan.Node {
+		plan.MapInputs(nil, n, func(in plan.Node) plan.Node {
 			width = e.RowWidth(in)
 			inCols, cols := len(in.Columns()), len(n.Columns())
 			if inCols > 0 && cols < inCols {
@@ -366,7 +366,7 @@ func (e *estimator) distinctOf(expr sqlparse.Expr, n plan.Node) float64 {
 	case *plan.Filter, *plan.Sort, *plan.Limit, *plan.Distinct, *plan.Remote:
 		// The column passes through from the one input unchanged.
 		d := 10.0
-		plan.MapInputs(n, func(in plan.Node) plan.Node {
+		plan.MapInputs(nil, n, func(in plan.Node) plan.Node {
 			d = e.distinctOf(expr, in)
 			return in
 		})
@@ -515,7 +515,7 @@ func (e *estimator) cost(n plan.Node) PlanCost {
 			// Mediator processes this node's output rows.
 			c.CPURows += int64(e.Rows(x))
 		}
-		plan.MapInputs(x, func(in plan.Node) plan.Node {
+		plan.MapInputs(nil, x, func(in plan.Node) plan.Node {
 			walk(in, remote)
 			return in
 		})

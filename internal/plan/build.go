@@ -21,12 +21,20 @@ const maxViewDepth = 32
 // views unfold straight from the catalog and any number of planners may
 // read one concurrently.
 func Build(cat catalog.Reader, sel *sqlparse.Select) (Node, error) {
-	b := &builder{catalog: cat}
+	return BuildIn(nil, cat, sel)
+}
+
+// BuildIn is Build with every node, list and expression the plan adds
+// allocated from a (heap when a is nil; see New). The plan dies with a;
+// one that must outlive it goes through Retain.
+func BuildIn(a *sqlparse.Arena, cat catalog.Reader, sel *sqlparse.Select) (Node, error) {
+	b := builder{catalog: cat, arena: a}
 	return b.buildSelect(sel, 0)
 }
 
 type builder struct {
 	catalog catalog.Reader
+	arena   *sqlparse.Arena
 }
 
 func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
@@ -44,12 +52,12 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 		if root == nil {
 			root = n
 		} else {
-			root = NewJoin(sqlparse.JoinInner, root, n, nil)
+			root = NewJoin(b.arena, sqlparse.JoinInner, root, n, nil)
 		}
 	}
 	if root == nil {
 		// FROM-less select: a single empty row.
-		root = &Scan{Source: "", Table: "", Alias: "$dual"}
+		root = New(b.arena, Scan{Source: "", Table: "", Alias: "$dual"})
 	}
 
 	// WHERE.
@@ -60,11 +68,11 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 		if err := b.checkRefs(sel.Where, root.Columns()); err != nil {
 			return nil, err
 		}
-		root = &Filter{Input: root, Cond: sel.Where}
+		root = New(b.arena, Filter{Input: root, Cond: sel.Where})
 	}
 
 	// Expand stars in the select list.
-	items, err := expandStars(sel.Items, root.Columns())
+	items, err := b.expandStars(sel.Items, root.Columns())
 	if err != nil {
 		return nil, err
 	}
@@ -84,12 +92,12 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 			return nil, err
 		}
 		if having != nil {
-			root = &Filter{Input: root, Cond: having}
+			root = New(b.arena, Filter{Input: root, Cond: having})
 		}
 	}
 
 	// Final projection.
-	proj := &Project{Input: root, Exprs: make([]sqlparse.Expr, len(items)), Cols: make([]ColMeta, len(items))}
+	proj := New(b.arena, Project{Input: root, Exprs: b.arena.MakeExprs(len(items)), Cols: Make[ColMeta](b.arena, len(items))})
 	for i, it := range items {
 		if err := b.checkRefs(it.Expr, root.Columns()); err != nil {
 			return nil, err
@@ -109,7 +117,7 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 
 	// DISTINCT.
 	if sel.Distinct {
-		out = &Distinct{Input: out}
+		out = New(b.arena, Distinct{Input: out})
 	}
 
 	// ORDER BY: keys resolve against the projection output (aliases)
@@ -144,7 +152,7 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 				return nil, fmt.Errorf("plan: OFFSET must be non-negative")
 			}
 		}
-		out = &Limit{Input: out, Count: count, Offset: offset}
+		out = New(b.arena, Limit{Input: out, Count: count, Offset: offset})
 	}
 
 	// UNION ALL.
@@ -158,13 +166,14 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 				len(out.Columns()), len(rest.Columns()))
 		}
 		// Flatten nested unions.
-		inputs := []Node{out}
+		restInputs := []Node{rest}
 		if u, ok := rest.(*Union); ok {
-			inputs = append(inputs, u.Inputs...)
-		} else {
-			inputs = append(inputs, rest)
+			restInputs = u.Inputs
 		}
-		out = &Union{Inputs: inputs}
+		inputs := Make[Node](b.arena, 1+len(restInputs))
+		inputs[0] = out
+		copy(inputs[1:], restInputs)
+		out = New(b.arena, Union{Inputs: inputs})
 	}
 	return out, nil
 }
@@ -178,12 +187,12 @@ func (b *builder) buildOrderBy(out Node, proj *Project, orderBy []sqlparse.Order
 			break
 		}
 	}
-	keys := make([]SortKey, len(orderBy))
+	keys := Make[SortKey](b.arena, len(orderBy))
 	if allVisible {
 		for i, o := range orderBy {
 			keys[i] = SortKey{Expr: o.Expr, Desc: o.Desc}
 		}
-		return &Sort{Input: out, Keys: keys}, nil
+		return New(b.arena, Sort{Input: out, Keys: keys}), nil
 	}
 	if distinct {
 		return nil, fmt.Errorf("plan: with DISTINCT, ORDER BY must reference select-list columns")
@@ -191,10 +200,10 @@ func (b *builder) buildOrderBy(out Node, proj *Project, orderBy []sqlparse.Order
 	// Widen: project visible exprs + sort exprs, sort, then narrow. Each
 	// list is sized once, and the references come from one block each.
 	nv, nw := len(proj.Exprs), len(proj.Exprs)+len(orderBy)
-	wide := &Project{Input: preProj, Exprs: make([]sqlparse.Expr, nw), Cols: make([]ColMeta, nw)}
+	wide := New(b.arena, Project{Input: preProj, Exprs: b.arena.MakeExprs(nw), Cols: Make[ColMeta](b.arena, nw)})
 	copy(wide.Exprs, proj.Exprs)
 	copy(wide.Cols, proj.Cols)
-	sortRefs := make([]sqlparse.ColumnRef, len(orderBy))
+	sortRefs := b.arena.MakeColumnRefs(len(orderBy))
 	for i, o := range orderBy {
 		if err := b.checkRefs(o.Expr, preProj.Columns()); err != nil {
 			return nil, fmt.Errorf("plan: ORDER BY key %d: %w", i+1, err)
@@ -205,9 +214,9 @@ func (b *builder) buildOrderBy(out Node, proj *Project, orderBy []sqlparse.Order
 		sortRefs[i] = sqlparse.ColumnRef{Table: "$order", Column: name}
 		keys[i] = SortKey{Expr: &sortRefs[i], Desc: o.Desc}
 	}
-	sorted := &Sort{Input: wide, Keys: keys}
-	narrow := &Project{Input: sorted, Exprs: make([]sqlparse.Expr, nv), Cols: proj.Cols[:nv:nv]}
-	refs := make([]sqlparse.ColumnRef, nv)
+	sorted := New(b.arena, Sort{Input: wide, Keys: keys})
+	narrow := New(b.arena, Project{Input: sorted, Exprs: b.arena.MakeExprs(nv), Cols: proj.Cols[:nv:nv]})
+	refs := b.arena.MakeColumnRefs(nv)
 	for i, c := range proj.Cols {
 		refs[i] = sqlparse.ColumnRef{Column: c.Name}
 		narrow.Exprs[i] = &refs[i]
@@ -283,12 +292,12 @@ func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlpa
 		}
 	}
 
-	agg := NewAggregate(input, sel.GroupBy, aggs)
+	agg := NewAggregate(b.arena, input, sel.GroupBy, aggs)
 
 	// Rewrite post-aggregation expressions: aggregate calls and group-by
 	// expressions become references to the aggregate's output columns.
 	rewrite := func(e sqlparse.Expr) (sqlparse.Expr, error) {
-		out := rewriteAgg(e, sel.GroupBy)
+		out := b.rewriteAgg(e, sel.GroupBy)
 		// All remaining column refs must resolve against agg output.
 		if err := b.checkRefs(out, agg.Columns()); err != nil {
 			return nil, fmt.Errorf("plan: expression %q must appear in GROUP BY or be aggregated: %w", e.SQL(), err)
@@ -317,7 +326,7 @@ func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlpa
 	if len(sel.OrderBy) > 0 {
 		orderBy = make([]sqlparse.OrderItem, len(sel.OrderBy))
 		for i, o := range sel.OrderBy {
-			orderBy[i] = sqlparse.OrderItem{Expr: rewriteAgg(o.Expr, sel.GroupBy), Desc: o.Desc}
+			orderBy[i] = sqlparse.OrderItem{Expr: b.rewriteAgg(o.Expr, sel.GroupBy), Desc: o.Desc}
 		}
 	}
 	return agg, newItems, having, orderBy, nil
@@ -327,20 +336,20 @@ func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlpa
 // with column references named by their rendered SQL, matching the output
 // columns NewAggregate produces. It works top-down: a node that matches is
 // replaced whole, and any other descends through MapChildren.
-func rewriteAgg(e sqlparse.Expr, groupBy []sqlparse.Expr) sqlparse.Expr {
+func (b *builder) rewriteAgg(e sqlparse.Expr, groupBy []sqlparse.Expr) sqlparse.Expr {
 	if e == nil {
 		return nil
 	}
 	for _, g := range groupBy {
 		if e.SQL() == g.SQL() {
-			return &sqlparse.ColumnRef{Column: g.SQL()}
+			return b.arena.NewColumnRef("", g.SQL())
 		}
 	}
 	if f, ok := e.(*sqlparse.FuncExpr); ok && f.IsAggregate() {
-		return &sqlparse.ColumnRef{Column: f.SQL()}
+		return b.arena.NewColumnRef("", f.SQL())
 	}
-	out, _ := sqlparse.MapChildren(nil, e, func(c sqlparse.Expr) (sqlparse.Expr, error) {
-		return rewriteAgg(c, groupBy), nil
+	out, _ := sqlparse.MapChildren(b.arena, e, func(c sqlparse.Expr) (sqlparse.Expr, error) {
+		return b.rewriteAgg(c, groupBy), nil
 	})
 	return out
 }
@@ -363,16 +372,16 @@ func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {
 			if alias == "" {
 				alias = res.View.Name
 			}
-			return renameOutputs(sub, alias), nil
+			return b.renameOutputs(sub, alias), nil
 		}
 		if alias == "" {
 			alias = t.Name
 		}
-		cols := make([]ColMeta, res.Table.Arity())
+		cols := Make[ColMeta](b.arena, res.Table.Arity())
 		for i, c := range res.Table.Columns {
 			cols[i] = ColMeta{Table: alias, Name: c.Name, Kind: c.Kind}
 		}
-		return &Scan{Source: res.Source, Table: res.Table.Name, Alias: alias, Cols: cols}, nil
+		return New(b.arena, Scan{Source: res.Source, Table: res.Table.Name, Alias: alias, Cols: cols}), nil
 	case *sqlparse.Join:
 		left, err := b.buildTableRef(t.Left, depth)
 		if err != nil {
@@ -382,7 +391,7 @@ func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		j := NewJoin(t.Type, left, right, t.On)
+		j := NewJoin(b.arena, t.Type, left, right, t.On)
 		if err := b.checkRefs(t.On, j.Columns()); err != nil {
 			return nil, err
 		}
@@ -392,7 +401,7 @@ func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return renameOutputs(sub, t.Alias), nil
+		return b.renameOutputs(sub, t.Alias), nil
 	default:
 		return nil, fmt.Errorf("plan: unsupported table reference %T", tr)
 	}
@@ -402,10 +411,10 @@ func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {
 // columns under the given binding name. Every view use pays this once per
 // output column, so the slices are sized up front and the references are
 // carved from one block.
-func renameOutputs(n Node, alias string) Node {
+func (b *builder) renameOutputs(n Node, alias string) Node {
 	in := n.Columns()
-	p := &Project{Input: n, Exprs: make([]sqlparse.Expr, len(in)), Cols: make([]ColMeta, len(in))}
-	refs := make([]sqlparse.ColumnRef, len(in))
+	p := New(b.arena, Project{Input: n, Exprs: b.arena.MakeExprs(len(in)), Cols: Make[ColMeta](b.arena, len(in))})
+	refs := b.arena.MakeColumnRefs(len(in))
 	for i, c := range in {
 		refs[i] = sqlparse.ColumnRef{Table: c.Table, Column: c.Name}
 		p.Exprs[i] = &refs[i]
@@ -416,7 +425,7 @@ func renameOutputs(n Node, alias string) Node {
 
 // expandStars replaces * and alias.* with explicit column references. A
 // select list without a star comes back itself.
-func expandStars(items []sqlparse.SelectItem, cols []ColMeta) ([]sqlparse.SelectItem, error) {
+func (b *builder) expandStars(items []sqlparse.SelectItem, cols []ColMeta) ([]sqlparse.SelectItem, error) {
 	stars := 0
 	for _, it := range items {
 		if it.Star {
@@ -440,7 +449,7 @@ func expandStars(items []sqlparse.SelectItem, cols []ColMeta) ([]sqlparse.Select
 			if it.TableQual != "" && !strings.EqualFold(c.Table, it.TableQual) {
 				continue
 			}
-			ref := &sqlparse.ColumnRef{Table: c.Table, Column: c.Name}
+			ref := b.arena.NewColumnRef(c.Table, c.Name)
 			out = append(out, sqlparse.SelectItem{Expr: ref, Alias: c.Name})
 			matched = true
 		}

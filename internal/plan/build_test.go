@@ -262,7 +262,7 @@ func TestExplainAndTransform(t *testing.T) {
 		}
 	}
 	// Transform: drop all filters.
-	stripped := Transform(n, func(x Node) Node {
+	stripped := Transform(nil, n, func(x Node) Node {
 		if f, ok := x.(*Filter); ok {
 			return f.Input
 		}

@@ -13,10 +13,10 @@ func TestNodeDescribeStrings(t *testing.T) {
 	f := &Filter{Input: s}
 	cond, _ := sqlparse.ParseExpr("a.x = 1")
 	f.Cond = cond
-	j := NewJoin(sqlparse.JoinLeft, s, s, cond)
-	cross := NewJoin(sqlparse.JoinInner, s, s, nil)
-	agg := NewAggregate(s, nil, []AggSpec{{Func: "COUNT", Star: true}})
-	gagg := NewAggregate(s, []sqlparse.Expr{cond}, []AggSpec{{Func: "MAX", Arg: cond}})
+	j := NewJoin(nil, sqlparse.JoinLeft, s, s, cond)
+	cross := NewJoin(nil, sqlparse.JoinInner, s, s, nil)
+	agg := NewAggregate(nil, s, nil, []AggSpec{{Func: "COUNT", Star: true}})
+	gagg := NewAggregate(nil, s, []sqlparse.Expr{cond}, []AggSpec{{Func: "MAX", Arg: cond}})
 	sort := &Sort{Input: s, Keys: []SortKey{{Expr: cond, Desc: true}}}
 	lim := &Limit{Input: s, Count: 5, Offset: 2}
 	dis := &Distinct{Input: s}
@@ -54,10 +54,10 @@ func TestMapInputsPreservesFields(t *testing.T) {
 		return n
 	}
 
-	j := NewJoin(sqlparse.JoinLeft, s1, s1, cond)
+	j := NewJoin(nil, sqlparse.JoinLeft, s1, s1, cond)
 	j.SemiJoin = SemiJoinReduceRight
 	j.Parallel = 3
-	j2 := MapInputs(j, swap).(*Join)
+	j2 := MapInputs(nil, j, swap).(*Join)
 	if j2 == j || j2.Type != sqlparse.JoinLeft || j2.SemiJoin != SemiJoinReduceRight || j2.Parallel != 3 || j2.Cond != cond {
 		t.Error("join MapInputs dropped fields")
 	}
@@ -67,37 +67,37 @@ func TestMapInputsPreservesFields(t *testing.T) {
 	if j.Left != s1 || j.Columns()[0].Name != "x" {
 		t.Error("join MapInputs wrote into its input node")
 	}
-	agg := NewAggregate(s1, nil, []AggSpec{{Func: "COUNT", Star: true}})
+	agg := NewAggregate(nil, s1, nil, []AggSpec{{Func: "COUNT", Star: true}})
 	agg.Parallel = 2
-	if a2 := MapInputs(agg, swap).(*Aggregate); a2.Input != s2 || a2.Parallel != 2 || len(a2.Columns()) != 1 {
+	if a2 := MapInputs(nil, agg, swap).(*Aggregate); a2.Input != s2 || a2.Parallel != 2 || len(a2.Columns()) != 1 {
 		t.Error("aggregate MapInputs dropped fields")
 	}
 	r := &Remote{Source: "src", Child: s1, AllowKeyFilter: true}
-	if r2 := MapInputs(r, swap).(*Remote); !r2.AllowKeyFilter || r2.Source != "src" || r2.Child != s2 {
+	if r2 := MapInputs(nil, r, swap).(*Remote); !r2.AllowKeyFilter || r2.Source != "src" || r2.Child != s2 {
 		t.Error("remote MapInputs dropped fields")
 	}
 	lim := &Limit{Input: s1, Count: 3, Offset: 1}
-	if lim2 := MapInputs(lim, swap).(*Limit); lim2.Count != 3 || lim2.Offset != 1 || lim2.Input != s2 {
+	if lim2 := MapInputs(nil, lim, swap).(*Limit); lim2.Count != 3 || lim2.Offset != 1 || lim2.Input != s2 {
 		t.Error("limit MapInputs dropped fields")
 	}
 	f := &Filter{Input: s1, Cond: cond, Parallel: 4}
-	if f2 := MapInputs(f, swap).(*Filter); f2.Cond != cond || f2.Parallel != 4 || f2.Input != s2 {
+	if f2 := MapInputs(nil, f, swap).(*Filter); f2.Cond != cond || f2.Parallel != 4 || f2.Input != s2 {
 		t.Error("filter MapInputs dropped fields")
 	}
 	u := &Union{Inputs: []Node{s2, s1, s2}}
-	u2 := MapInputs(u, swap).(*Union)
+	u2 := MapInputs(nil, u, swap).(*Union)
 	if len(u2.Inputs) != 3 || u2.Inputs[0] != s2 || u2.Inputs[1] != s2 || u2.Inputs[2] != s2 || u.Inputs[1] != s1 {
 		t.Errorf("union MapInputs = %v (input %v)", u2.Inputs, u.Inputs)
 	}
 
 	// An unchanged node comes back as itself, and a leaf has no inputs.
 	for _, n := range []Node{j, agg, r, lim, f, &Union{Inputs: []Node{s2, s2}}, s1} {
-		if MapInputs(n, func(in Node) Node { return in }) != n {
+		if MapInputs(nil, n, func(in Node) Node { return in }) != n {
 			t.Errorf("%T: identity MapInputs copied the node", n)
 		}
 	}
 	calls := 0
-	MapInputs(s1, func(in Node) Node { calls++; return in })
+	MapInputs(nil, s1, func(in Node) Node { calls++; return in })
 	if calls != 0 {
 		t.Errorf("Scan has %d inputs, want 0", calls)
 	}
@@ -122,7 +122,7 @@ func TestIdentityTraversalsAllocateNothing(t *testing.T) {
 		t.Fatalf("walk visited %d nodes; the plan is smaller than the test assumes", nodes)
 	}
 	var out Node
-	identity := func() { out = Transform(root, func(n Node) Node { return n }) }
+	identity := func() { out = Transform(nil, root, func(n Node) Node { return n }) }
 	if a := testing.AllocsPerRun(100, identity); a != 0 {
 		t.Errorf("identity Transform allocates %.1f per run, want 0", a)
 	}
@@ -189,7 +189,7 @@ func TestAggSpecSQL(t *testing.T) {
 
 func TestSemiJoinHintZeroValue(t *testing.T) {
 	s := &Scan{Source: "s", Table: "t", Alias: "t"}
-	j := NewJoin(sqlparse.JoinInner, s, s, nil)
+	j := NewJoin(nil, sqlparse.JoinInner, s, s, nil)
 	if j.SemiJoin != SemiJoinNone {
 		t.Error("new joins must default to no semi-join hint")
 	}
@@ -202,7 +202,7 @@ func TestAggregateOutputKinds(t *testing.T) {
 	}}
 	g, _ := sqlparse.ParseExpr("g")
 	v, _ := sqlparse.ParseExpr("v")
-	agg := NewAggregate(s, []sqlparse.Expr{g}, []AggSpec{
+	agg := NewAggregate(nil, s, []sqlparse.Expr{g}, []AggSpec{
 		{Func: "COUNT", Star: true},
 		{Func: "SUM", Arg: v},
 	})

@@ -147,36 +147,37 @@ type Join struct {
 	cols     []ColMeta
 }
 
-// NewJoin builds a join node, computing its output columns. LEFT joins mark
-// right-side columns nullable by leaving kinds intact (nullability is not
-// tracked per-plan-column).
-func NewJoin(t sqlparse.JoinType, left, right Node, cond sqlparse.Expr) *Join {
-	return &Join{Type: t, Left: left, Right: right, Cond: cond, cols: joinColumns(left, right)}
+// NewJoin builds a join node from a (heap when a is nil), computing its
+// output columns. LEFT joins mark right-side columns nullable by leaving
+// kinds intact (nullability is not tracked per-plan-column).
+func NewJoin(a *sqlparse.Arena, t sqlparse.JoinType, left, right Node, cond sqlparse.Expr) *Join {
+	return New(a, Join{Type: t, Left: left, Right: right, Cond: cond, cols: joinColumns(a, left, right)})
 }
 
 // joinColumns concatenates the inputs' columns into one exactly sized
-// list.
-func joinColumns(left, right Node) []ColMeta {
+// list from a.
+func joinColumns(a *sqlparse.Arena, left, right Node) []ColMeta {
 	lc, rc := left.Columns(), right.Columns()
-	cols := make([]ColMeta, len(lc)+len(rc))
+	cols := Make[ColMeta](a, len(lc)+len(rc))
 	copy(cols[copy(cols, lc):], rc)
 	return cols
 }
 
-// WithInputs returns a copy of j over left and right, keeping its type,
-// condition and hints. When both inputs produce the very column lists j's
-// did — a pass changed only what lies below them — the copy shares j's
-// column list instead of concatenating a new one. The shared list is
-// capped, so appending to either join's Columns() copies it.
-func (j *Join) WithInputs(left, right Node) *Join {
-	c := *j
+// WithInputs returns a copy of j from a (heap when a is nil) over left and
+// right, keeping its type, condition and hints. When both inputs produce
+// the very column lists j's did — a pass changed only what lies below
+// them — the copy shares j's column list instead of concatenating a new
+// one. The shared list is capped, so appending to either join's Columns()
+// copies it.
+func (j *Join) WithInputs(a *sqlparse.Arena, left, right Node) *Join {
+	c := New(a, *j)
 	c.Left, c.Right = left, right
 	if sameColumns(left.Columns(), j.Left.Columns()) && sameColumns(right.Columns(), j.Right.Columns()) {
 		c.cols = j.cols[:len(j.cols):len(j.cols)]
 	} else {
-		c.cols = joinColumns(left, right)
+		c.cols = joinColumns(a, left, right)
 	}
-	return &c
+	return c
 }
 
 // sameColumns reports whether a and b are one column list: the same
@@ -230,17 +231,17 @@ type Aggregate struct {
 	cols   []ColMeta
 }
 
-// NewAggregate builds an aggregate node. Output columns are named by the
-// rendered SQL of each expression so post-aggregation expressions resolve
-// against them textually.
-func NewAggregate(input Node, groupBy []sqlparse.Expr, aggs []AggSpec) *Aggregate {
-	return &Aggregate{Input: input, GroupBy: groupBy, Aggs: aggs, cols: aggregateColumns(input, groupBy, aggs)}
+// NewAggregate builds an aggregate node from a (heap when a is nil).
+// Output columns are named by the rendered SQL of each expression so
+// post-aggregation expressions resolve against them textually.
+func NewAggregate(a *sqlparse.Arena, input Node, groupBy []sqlparse.Expr, aggs []AggSpec) *Aggregate {
+	return New(a, Aggregate{Input: input, GroupBy: groupBy, Aggs: aggs, cols: aggregateColumns(a, input, groupBy, aggs)})
 }
 
 // aggregateColumns names an aggregate's output columns, group columns
-// first, in one exactly sized list.
-func aggregateColumns(input Node, groupBy []sqlparse.Expr, aggs []AggSpec) []ColMeta {
-	cols := make([]ColMeta, 0, len(groupBy)+len(aggs))
+// first, in one exactly sized list from a.
+func aggregateColumns(a *sqlparse.Arena, input Node, groupBy []sqlparse.Expr, aggs []AggSpec) []ColMeta {
+	cols := Make[ColMeta](a, len(groupBy)+len(aggs))[:0]
 	for _, g := range groupBy {
 		kind := datum.KindNull
 		if cr, ok := g.(*sqlparse.ColumnRef); ok {
@@ -459,77 +460,79 @@ func ResolveColumn(cols []ColMeta, ref *sqlparse.ColumnRef) (int, error) {
 // every pass that descends into a node's inputs goes through it, and it is
 // the one place that knows which fields hold them. When fn returns every
 // input unchanged, MapInputs returns n itself and allocates nothing;
-// otherwise it returns a shallow copy with the new inputs, hints kept.
-// A Join or Aggregate copy recomputes its output columns only when an
-// input's column list changed, and otherwise shares the original's,
-// capped (see Join.WithInputs). MapInputs never writes into n.
-func MapInputs(n Node, fn func(Node) Node) Node {
+// otherwise it returns a shallow copy with the new inputs, hints kept,
+// allocated from a (heap when a is nil; see New). A Join or Aggregate copy
+// recomputes its output columns only when an input's column list changed,
+// and otherwise shares the original's, capped (see Join.WithInputs).
+// MapInputs never writes into n.
+func MapInputs(a *sqlparse.Arena, n Node, fn func(Node) Node) Node {
 	switch x := n.(type) {
 	case *Scan:
 		// A leaf.
 	case *Filter:
 		if in := fn(x.Input); in != x.Input {
-			c := *x
+			c := New(a, *x)
 			c.Input = in
-			return &c
+			return c
 		}
 	case *Project:
 		if in := fn(x.Input); in != x.Input {
-			c := *x
+			c := New(a, *x)
 			c.Input = in
-			return &c
+			return c
 		}
 	case *Join:
 		left, right := fn(x.Left), fn(x.Right)
 		if left != x.Left || right != x.Right {
-			return x.WithInputs(left, right)
+			return x.WithInputs(a, left, right)
 		}
 	case *Aggregate:
 		if in := fn(x.Input); in != x.Input {
-			c := *x
+			c := New(a, *x)
 			c.Input = in
 			if sameColumns(in.Columns(), x.Input.Columns()) {
 				c.cols = x.cols[:len(x.cols):len(x.cols)]
 			} else {
-				c.cols = aggregateColumns(in, x.GroupBy, x.Aggs)
+				c.cols = aggregateColumns(a, in, x.GroupBy, x.Aggs)
 			}
-			return &c
+			return c
 		}
 	case *Sort:
 		if in := fn(x.Input); in != x.Input {
-			c := *x
+			c := New(a, *x)
 			c.Input = in
-			return &c
+			return c
 		}
 	case *Limit:
 		if in := fn(x.Input); in != x.Input {
-			c := *x
+			c := New(a, *x)
 			c.Input = in
-			return &c
+			return c
 		}
 	case *Distinct:
 		if in := fn(x.Input); in != x.Input {
-			return &Distinct{Input: in}
+			return New(a, Distinct{Input: in})
 		}
 	case *Union:
 		var inputs []Node // allocated at the first changed input
 		for i, in := range x.Inputs {
 			out := fn(in)
 			if out != in && inputs == nil {
-				inputs = append(make([]Node, 0, len(x.Inputs)), x.Inputs[:i]...)
+				inputs = Make[Node](a, len(x.Inputs))
+				copy(inputs, x.Inputs[:i])
 			}
 			if inputs != nil {
-				inputs = append(inputs, out)
+				inputs[i] = out
 			}
 		}
 		if inputs != nil {
-			return &Union{Inputs: inputs}
+			return New(a, Union{Inputs: inputs})
 		}
 	case *Remote:
 		if in := fn(x.Child); in != x.Child {
-			c := *x
+			c := New(a, *x)
 			c.Child = in
-			return &c
+			return c
 		}
 	default:
 		panic(fmt.Sprintf("plan: MapInputs missing case for %T", n))
@@ -550,7 +553,7 @@ func explain(b *strings.Builder, n Node, depth int) {
 	}
 	b.WriteString(n.Describe())
 	b.WriteByte('\n')
-	MapInputs(n, func(in Node) Node {
+	MapInputs(nil, n, func(in Node) Node {
 		explain(b, in, depth+1)
 		return in
 	})
@@ -560,18 +563,18 @@ func explain(b *strings.Builder, n Node, depth int) {
 // runs on every cached-plan execution (pushdown validation, tracing).
 func Walk(n Node, fn func(Node)) {
 	fn(n)
-	MapInputs(n, func(in Node) Node {
+	MapInputs(nil, n, func(in Node) Node {
 		Walk(in, fn)
 		return in
 	})
 }
 
 // Transform rebuilds the tree bottom-up, applying fn to every node after
-// its inputs have been transformed. A node is copied only when one of its
-// inputs changed, so a pass that changes nothing allocates nothing and
-// returns the root it was given.
-func Transform(n Node, fn func(Node) Node) Node {
-	return fn(MapInputs(n, func(in Node) Node { return Transform(in, fn) }))
+// its inputs have been transformed. A node is copied, from a (heap when a
+// is nil), only when one of its inputs changed, so a pass that changes
+// nothing allocates nothing and returns the root it was given.
+func Transform(a *sqlparse.Arena, n Node, fn func(Node) Node) Node {
+	return fn(MapInputs(a, n, func(in Node) Node { return Transform(a, in, fn) }))
 }
 
 // SourcesOf returns the distinct source names under the node, sorted.

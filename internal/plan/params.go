@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/datum"
 	"repro/internal/sqlparse"
 )
@@ -27,75 +26,18 @@ func BindParams(n Node, params []datum.Datum) (Node, error) {
 
 // BindParamsIn is BindParams with everything it rebuilds allocated from a
 // (heap when a is nil): the rewritten expression subtrees from the arena
-// itself, the handful of cloned plan nodes from the bindArena slabs
-// attached to it. Both die with the query's arena; the returned plan must
-// not outlive the arena; the engine reports the retained template, never
-// the bound instance, in Result.Plan.
+// itself, the handful of cloned plan nodes from the plan slabs attached to
+// it (New). Both die with the query's arena; the returned plan must not
+// outlive the arena; the engine reports the retained template, never the
+// bound instance, in Result.Plan.
 func BindParamsIn(a *sqlparse.Arena, n Node, params []datum.Datum) (Node, error) {
-	b := binder{arena: a, params: params, nodes: bindSlabsOf(a)}
+	b := binder{arena: a, params: params}
 	return b.node(n)
-}
-
-// bindArena holds the plan-node slabs one query's parameter binding
-// clones into. It attaches to the query's sqlparse.Arena as its ExtArena,
-// so the clones recycle on the same Reset that recycles the AST — no
-// second lifecycle to get wrong.
-type bindArena struct {
-	filters    arena.Slab[Filter]
-	projects   arena.Slab[Project]
-	joins      arena.Slab[Join]
-	aggregates arena.Slab[Aggregate]
-	sorts      arena.Slab[Sort]
-	limits     arena.Slab[Limit]
-	distincts  arena.Slab[Distinct]
-	unions     arena.Slab[Union]
-	remotes    arena.Slab[Remote]
-}
-
-func (b *bindArena) Reset() {
-	b.filters.Reset()
-	b.projects.Reset()
-	b.joins.Reset()
-	b.aggregates.Reset()
-	b.sorts.Reset()
-	b.limits.Reset()
-	b.distincts.Reset()
-	b.unions.Reset()
-	b.remotes.Reset()
-}
-
-func (b *bindArena) Bytes() int64 {
-	return b.filters.Bytes() +
-		b.projects.Bytes() +
-		b.joins.Bytes() +
-		b.aggregates.Bytes() +
-		b.sorts.Bytes() +
-		b.limits.Bytes() +
-		b.distincts.Bytes() +
-		b.unions.Bytes() +
-		b.remotes.Bytes()
-}
-
-// bindSlabsOf returns the bindArena attached to a, attaching a fresh one
-// the first time a given pooled arena passes through binding. Heap-mode
-// binding (a nil a), or an arena whose extension slot another package
-// claimed, gets a fresh one that is never reset, so its nodes are as
-// retain-safe as heap ones.
-func bindSlabsOf(a *sqlparse.Arena) *bindArena {
-	if ba, ok := a.Ext().(*bindArena); ok {
-		return ba
-	}
-	ba := &bindArena{}
-	if a != nil && a.Ext() == nil {
-		a.SetExt(ba)
-	}
-	return ba
 }
 
 type binder struct {
 	arena  *sqlparse.Arena
 	params []datum.Datum
-	nodes  *bindArena
 }
 
 // expr binds e's placeholders. RewriteIn is copy-on-change, so an
@@ -132,7 +74,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if in == x.Input && cond == x.Cond {
 			return n, nil
 		}
-		return b.nodes.filters.New(Filter{Input: in, Cond: cond, Parallel: x.Parallel}), nil
+		return New(b.arena, Filter{Input: in, Cond: cond, Parallel: x.Parallel}), nil
 
 	case *Project:
 		in, err := b.node(x.Input)
@@ -159,7 +101,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if !changed {
 			return n, nil
 		}
-		return b.nodes.projects.New(Project{Input: in, Exprs: exprs, Cols: x.Cols, Parallel: x.Parallel}), nil
+		return New(b.arena, Project{Input: in, Exprs: exprs, Cols: x.Cols, Parallel: x.Parallel}), nil
 
 	case *Join:
 		left, err := b.node(x.Left)
@@ -179,7 +121,7 @@ func (b *binder) node(n Node) (Node, error) {
 		}
 		// Preserve output columns and the semi-join/parallel hints
 		// verbatim: binding must not re-derive plan properties.
-		return b.nodes.joins.New(Join{Type: x.Type, Left: left, Right: right, Cond: cond,
+		return New(b.arena, Join{Type: x.Type, Left: left, Right: right, Cond: cond,
 			SemiJoin: x.SemiJoin, Parallel: x.Parallel, cols: x.cols}), nil
 
 	case *Aggregate:
@@ -228,7 +170,7 @@ func (b *binder) node(n Node) (Node, error) {
 		}
 		// Keep the original output column names: downstream column
 		// references were resolved against the unbound rendering.
-		return b.nodes.aggregates.New(Aggregate{Input: in, GroupBy: groupBy, Aggs: aggs,
+		return New(b.arena, Aggregate{Input: in, GroupBy: groupBy, Aggs: aggs,
 			Parallel: x.Parallel, Groups: x.Groups, cols: x.cols}), nil
 
 	case *Sort:
@@ -256,7 +198,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if !changed {
 			return n, nil
 		}
-		return b.nodes.sorts.New(Sort{Input: in, Keys: keys}), nil
+		return New(b.arena, Sort{Input: in, Keys: keys}), nil
 
 	case *Limit:
 		in, err := b.node(x.Input)
@@ -266,7 +208,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if in == x.Input {
 			return n, nil
 		}
-		return b.nodes.limits.New(Limit{Input: in, Count: x.Count, Offset: x.Offset}), nil
+		return New(b.arena, Limit{Input: in, Count: x.Count, Offset: x.Offset}), nil
 
 	case *Distinct:
 		in, err := b.node(x.Input)
@@ -276,7 +218,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if in == x.Input {
 			return n, nil
 		}
-		return b.nodes.distincts.New(Distinct{Input: in}), nil
+		return New(b.arena, Distinct{Input: in}), nil
 
 	case *Union:
 		inputs := x.Inputs
@@ -297,7 +239,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if !cloned {
 			return n, nil
 		}
-		return b.nodes.unions.New(Union{Inputs: inputs}), nil
+		return New(b.arena, Union{Inputs: inputs}), nil
 
 	case *Remote:
 		child, err := b.node(x.Child)
@@ -307,7 +249,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if child == x.Child {
 			return n, nil
 		}
-		return b.nodes.remotes.New(Remote{Source: x.Source, Child: child, AllowKeyFilter: x.AllowKeyFilter}), nil
+		return New(b.arena, Remote{Source: x.Source, Child: child, AllowKeyFilter: x.AllowKeyFilter}), nil
 
 	case *Scan:
 		// Leaf: no expressions, no children.

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/arena"
@@ -15,9 +16,10 @@ import (
 //
 // An Arena is not safe for concurrent use and everything allocated from
 // it dies at Reset; the retain analyzer enforces that arena-backed
-// values are never stored past the query (see DESIGN.md §10). Code that
-// must retain an AST — view definitions, cached plan templates — uses
-// the plain heap-allocating Parse instead.
+// values are never stored past the query (see DESIGN.md §10). A plan
+// compiled in the arena reaches the plan cache only as plan.Retain's
+// compact heap copy; an AST that must outlive the query itself — a view
+// definition — comes from the plain heap-allocating Parse.
 type Arena struct {
 	// Node slabs, one per AST node type.
 	selects   arena.Slab[Select]
@@ -194,6 +196,69 @@ func PutArena(a *Arena) {
 // values during parameter binding.
 func (a *Arena) NewLiteral(v datum.Datum) *Literal {
 	return a.newLiteral(Literal{Value: v})
+}
+
+// NewColumnRef allocates a column reference from the arena (heap when a
+// is nil): the optimizer's and the plan builder's references to the
+// columns a node names.
+func (a *Arena) NewColumnRef(table, column string) *ColumnRef {
+	return a.newColumnRef(ColumnRef{Table: table, Column: column})
+}
+
+// NewBinary allocates a binary expression from the arena (heap when a is
+// nil).
+func (a *Arena) NewBinary(op BinOp, left, right Expr) *BinaryExpr {
+	return a.newBinary(BinaryExpr{Op: op, Left: left, Right: right})
+}
+
+// MakeExprs returns n zeroed expression slots with cap == n from the arena
+// (heap when a is nil).
+func (a *Arena) MakeExprs(n int) []Expr { return a.makeExprs(n) }
+
+// MakeColumnRefs returns n zeroed column references in one block with
+// cap == n from the arena (heap when a is nil), for a list of references
+// built at once.
+func (a *Arena) MakeColumnRefs(n int) []ColumnRef {
+	if a == nil {
+		return make([]ColumnRef, n)
+	}
+	return a.colRefs.Make(n)
+}
+
+// holds reports whether the node e, or a list it holds, came from a.
+func (a *Arena) holds(e Expr) bool {
+	switch x := e.(type) {
+	case *Literal:
+		return a.literals.Holds(x)
+	case *Param:
+		return a.params.Holds(x)
+	case *ColumnRef:
+		return a.colRefs.Holds(x)
+	case *BinaryExpr:
+		return a.binaries.Holds(x)
+	case *UnaryExpr:
+		return a.unaries.Holds(x)
+	case *IsNullExpr:
+		return a.isNulls.Holds(x)
+	case *InExpr:
+		return a.ins.Holds(x) || len(x.List) > 0 && a.exprSlices.Holds(&x.List[0])
+	case *InSubquery:
+		return a.inSubs.Holds(x)
+	case *BetweenExpr:
+		return a.betweens.Holds(x)
+	case *FuncExpr:
+		return a.funcs.Holds(x) || len(x.Args) > 0 && a.exprSlices.Holds(&x.Args[0])
+	case *CaseExpr:
+		return a.caseExprs.Holds(x) || len(x.Whens) > 0 && a.whenSlices.Holds(&x.Whens[0])
+	case *CastExpr:
+		return a.casts.Holds(x)
+	case *ExistsExpr:
+		return a.existss.Holds(x)
+	case *KeyFilterExpr:
+		return false // never from an arena
+	default:
+		panic(fmt.Sprintf("sqlparse: holds missing case for %T", e))
+	}
 }
 
 // Allocation helpers. All are nil-receiver safe: a nil arena falls back

@@ -658,13 +658,17 @@ func appendConjuncts(dst []Expr, e Expr) []Expr {
 }
 
 // CombineConjuncts rebuilds an AND tree; nil for an empty list.
-func CombineConjuncts(es []Expr) Expr {
+func CombineConjuncts(es []Expr) Expr { return CombineConjunctsIn(nil, es) }
+
+// CombineConjunctsIn is CombineConjuncts with the AND nodes allocated from
+// a (heap when a is nil).
+func CombineConjunctsIn(a *Arena, es []Expr) Expr {
 	var out Expr
 	for _, e := range es {
 		if out == nil {
 			out = e
 		} else {
-			out = &BinaryExpr{Op: OpAnd, Left: out, Right: e}
+			out = a.newBinary(BinaryExpr{Op: OpAnd, Left: out, Right: e})
 		}
 	}
 	return out
