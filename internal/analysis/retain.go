@@ -26,10 +26,11 @@ const planPkgPath = "repro/internal/plan"
 // a struct field, a package-level variable, or a channel. Two rules mark a
 // stored value:
 //
-//   - Arena/scratch provenance. Everything allocated through a query's
-//     sqlparse.Arena, the plan slabs attached to it, or exec.Scratch dies
-//     at the engine's PutArena/scratch release on query exit; a store
-//     that outlives the query dangles into recycled slab blocks. A value
+//   - Arena/scratch provenance. Everything drawn from a query's
+//     sqlparse.Arena (its AST and the plan compiled in it), its
+//     exec.Scratch, or any other arena.Set dies at the engine's
+//     PutArena/scratch release on query exit; a store that outlives the
+//     query dangles into recycled slab blocks. A value
 //     is arena-backed when it comes from a producer call or from a local
 //     that holds one, and it remembers its allocator (the producer's arena
 //     or scratch operand). A store into a field of an object from the same
@@ -200,19 +201,20 @@ func (p *Pass) ownerOrigin(tainted map[types.Object]string, dst ast.Expr) string
 }
 
 // producer reports the allocator operand of e when e is a call that
-// returns arena- or scratch-backed memory: sqlparse.ParseArena,
-// sqlparse.RewriteIn and sqlparse.MapChildren (whose copies come from the
-// arena), plan.BindParamsIn (arena mode shares the statement's lifetime
-// either way), the compile's plan.BuildIn, opt.OptimizeCosted,
-// plan.MapInputs, plan.Transform, plan.NewJoin and plan.NewAggregate and
-// plan's generic New and Make (a plan compiled in an arena reaches the
-// heap only through plan.Retain, which is no producer),
-// exec.DrainBatchesScratch, exec.CloneRows, exec.Compile (a compiled
-// expression tree is one scratch block), exec's generic New and Make
-// (each called qualified, or bare inside exec, as plan's inside plan),
-// New/Make/Copy on arena.Slab, and any allocating method on
-// sqlparse.Arena. It returns "" for any other expression, and for a
-// producer handed a literal nil allocator, which allocates on the heap.
+// returns arena- or scratch-backed memory: a draw from an arena.Set
+// (arena.New, arena.Make, arena.Copy) or from the allocators built on
+// one, the query arena's sqlparse.New and sqlparse.Make and the scratch's
+// exec.New and exec.Make (each called qualified, or bare inside its own
+// package); sqlparse.ParseArena, sqlparse.RewriteIn and
+// sqlparse.MapChildren (whose copies come from the arena);
+// plan.BindParamsIn (arena mode shares the statement's lifetime either
+// way), the compile's plan.BuildIn, opt.OptimizeCosted, plan.MapInputs,
+// plan.Transform, plan.NewJoin and plan.NewAggregate (a plan compiled in
+// an arena reaches the heap only through plan.Retain, which is no
+// producer); exec.DrainBatchesScratch, exec.CloneRows, exec.Compile (a
+// compiled expression tree is one scratch block); and New/Make/Copy on an
+// arena.Slab. It returns "" for any other expression, and for a producer
+// handed a literal nil allocator, which allocates on the heap.
 func (p *Pass) producer(e ast.Expr) string {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
@@ -249,9 +251,11 @@ func (p *Pass) producer(e ast.Expr) string {
 	}
 	if fn.Type().(*types.Signature).Recv() == nil {
 		switch fn.Pkg().Path() + "." + fn.Name() {
-		case sqlparsePkgPath + ".ParseArena", sqlparsePkgPath + ".RewriteIn", sqlparsePkgPath + ".MapChildren",
+		case arenaPkgPath + ".New", arenaPkgPath + ".Make", arenaPkgPath + ".Copy",
+			sqlparsePkgPath + ".New", sqlparsePkgPath + ".Make",
+			sqlparsePkgPath + ".ParseArena", sqlparsePkgPath + ".RewriteIn", sqlparsePkgPath + ".MapChildren",
 			planPkgPath + ".BindParamsIn", planPkgPath + ".BuildIn", planPkgPath + ".MapInputs", planPkgPath + ".Transform",
-			planPkgPath + ".NewJoin", planPkgPath + ".NewAggregate", planPkgPath + ".New", planPkgPath + ".Make",
+			planPkgPath + ".NewJoin", planPkgPath + ".NewAggregate",
 			"repro/internal/opt.OptimizeCosted",
 			execPkgPath + ".New", execPkgPath + ".Make", execPkgPath + ".CloneRows", execPkgPath + ".Compile":
 			return operand(0)
@@ -268,15 +272,6 @@ func (p *Pass) producer(e ast.Expr) string {
 	recv := p.TypeOf(sel.X)
 	if rn, ok := namedFrom(recv, arenaPkgPath); ok && rn == "Slab" &&
 		(fn.Name() == "New" || fn.Name() == "Make" || fn.Name() == "Copy") {
-		return types.ExprString(sel.X)
-	}
-	if rn, ok := namedFrom(recv, sqlparsePkgPath); ok && rn == "Arena" {
-		// RenderSQL returns a fresh string; everything else allocating
-		// on the arena shares its lifetime.
-		switch fn.Name() {
-		case "Reset", "Bytes", "RenderSQL", "Ext", "SetExt":
-			return ""
-		}
 		return types.ExprString(sel.X)
 	}
 	return ""

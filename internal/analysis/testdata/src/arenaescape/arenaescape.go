@@ -3,6 +3,7 @@
 package fixture
 
 import (
+	"repro/internal/arena"
 	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -109,7 +110,7 @@ func (h *holder) hitMapChildrenIntoHeapField(a *sqlparse.Arena, e sqlparse.Expr,
 }
 
 func (h *holder) hitLiteralStore(a *sqlparse.Arena, v datum.Datum) {
-	lit := a.NewLiteral(v)
+	lit := sqlparse.New(a, sqlparse.Literal{Value: v})
 	var e sqlparse.Expr = lit
 	_ = e
 	h.sel = nil
@@ -120,6 +121,18 @@ func (h *holder) hitLiteralStore(a *sqlparse.Arena, v datum.Datum) {
 }
 
 func rows(*sqlparse.Arena) []datum.Row { return nil }
+
+// hitArenaNodeIntoHeapField: a node drawn from the query arena kept in
+// heap state past the query.
+func (h *holder) hitArenaNodeIntoHeapField(a *sqlparse.Arena, v datum.Datum) {
+	h.expr = sqlparse.New(a, sqlparse.Literal{Value: v}) // want "storing an arena-backed value into struct field \"expr\""
+}
+
+// hitSetDrawIntoHeapField: values drawn from a slab set kept in heap
+// state past the set's Reset.
+func (h *holder) hitSetDrawIntoHeapField(s *arena.Set) {
+	h.cells = arena.Make[datum.Datum](s, 8) // want "storing an arena-backed value into struct field \"cells\""
+}
 
 func missHeapParse(h *holder, sql string) error {
 	sel, err := sqlparse.Parse(sql) // retain-safe heap parse
@@ -173,6 +186,14 @@ func (h *holder) missNilAllocators(it exec.BatchIterator, cond sqlparse.Expr, co
 	rows, err := exec.DrainBatchesScratch(it, nil)
 	lastRows = rows
 	return err
+}
+
+// missNilSetDraws: a draw from a literal nil set, or a literal nil query
+// arena, allocates on the heap.
+func (h *holder) missNilSetDraws(v datum.Datum) {
+	h.cells = arena.Make[datum.Datum](nil, 8)
+	h.expr = arena.New(nil, sqlparse.Literal{Value: v})
+	h.expr = sqlparse.New(nil, sqlparse.Literal{Value: v})
 }
 
 // missNilArenaRewrites: a rewrite handed a literal nil arena allocates on

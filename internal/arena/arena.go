@@ -3,7 +3,11 @@
 // one heap allocation per AST node, per bound subtree and per scratch
 // buffer; a Slab hands out the same objects from geometrically-grown
 // typed blocks that are retained across Reset, so a warm request
-// allocates (almost) nothing.
+// allocates (almost) nothing. A Set holds one Slab per element type and
+// is the one allocator every query-scoped layer draws from: the front
+// end's arena and the plan compiled in it, and the executor's scratch.
+// A Block is the other half: an exactly sized heap block that a copy
+// meant to outlive the query carves its values from.
 //
 // GC safety: blocks are ordinary []T slices, so the garbage collector
 // scans pointers held inside allocated values precisely — unlike a raw
@@ -81,19 +85,6 @@ func (s *Slab[T]) Copy(src []T) []T {
 	out := s.Make(len(src))
 	copy(out, src)
 	return out
-}
-
-// Reserve makes the slab's next n values come from one fresh block of
-// exactly n. A slab filled once after Reserve and never reset is then a
-// compact heap copy: no slack, and one allocation for the type.
-func (s *Slab[T]) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	if cap(s.cur) > 0 {
-		s.full = append(s.full, s.cur)
-	}
-	s.cur = make([]T, 0, n)
 }
 
 // Holds reports whether p points into a block holding the slab's values

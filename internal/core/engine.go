@@ -357,10 +357,12 @@ type Result struct {
 	// it started executing (zero when admitted immediately or admission is
 	// disabled).
 	QueueTime time.Duration
-	// ArenaBytes is the payload footprint of the query's front-end arena —
-	// tokens, AST nodes, normalized parameter subtrees and bound predicates
-	// — recycled when the query finished. Zero for plans executed directly
-	// via ExecuteCtx, which never touch the arena.
+	// ArenaBytes is the payload the query drew from its query-scoped
+	// allocators, all recycled when it finished: its scratch (operators,
+	// compiled expressions, batches) and, for a statement, its front-end
+	// arena (AST, normalized parameters, the plan compiled or bound in
+	// it). The arena's token buffer and parser stacks are not counted. A
+	// plan run through ExecuteCtx reports its scratch alone.
 	ArenaBytes int64
 	// ReplanCount is how many times the query re-optimized mid-execution
 	// after a cardinality tripwire (0 on the static path and for queries

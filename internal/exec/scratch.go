@@ -20,9 +20,9 @@ import (
 // operator tree and runs its batch pipeline without heap allocation.
 //
 // New and Make are the two allocators, generic over the element type: the
-// scratch keeps one arena.Slab per type it has been asked for, so a package
-// that cannot name a field here (a source wrapper's runtime) draws from it
-// the same way exec does. The nil Scratch falls back to plain heap
+// scratch's arena.Set keeps one slab per type it has been asked for, so a
+// package that cannot name a field here (a source wrapper's runtime) draws
+// from it the same way exec does. The nil Scratch falls back to plain heap
 // allocation on both.
 //
 // Unlike the parser's arena, a Scratch is safe for concurrent use: one
@@ -40,10 +40,8 @@ import (
 // output and traces before it releases the scratch; the retain analyzer
 // checks that code stores no scratch-backed value into a longer-lived one.
 type Scratch struct {
-	mu sync.Mutex
-	// slabs holds one *arena.Slab[T] per type drawn so far, in first-use
-	// order; a pooled scratch keeps them, so a warm query adds none.
-	slabs []scratchSlab
+	mu    sync.Mutex
+	slabs arena.Set
 
 	// borrowers counts goroutines that may still allocate from or read
 	// scratch memory after the query's drain returns — an abandoned
@@ -53,39 +51,14 @@ type Scratch struct {
 	borrowers sync.WaitGroup
 }
 
-// scratchSlab is what a Scratch needs of its slabs without knowing their
-// element type. Len, which Scratch lacks, keeps the method set apart from
-// Scratch's own Reset and Bytes: the lockorder check resolves interface
-// calls by method names, and those two take s.mu.
-type scratchSlab interface {
-	Reset()
-	Bytes() int64
-	Len() int64
-}
-
-// slabOf returns s's slab of T, adding it the first time s is asked for a
-// T. The caller holds s.mu.
-func slabOf[T any](s *Scratch) *arena.Slab[T] {
-	for _, sl := range s.slabs {
-		if t, ok := sl.(*arena.Slab[T]); ok {
-			return t
-		}
-	}
-	t := new(arena.Slab[T])
-	s.slabs = append(s.slabs, t)
-	return t
-}
-
 // New returns a pointer to a copy of v drawn from s (the heap when s is
 // nil): the constructor of every operator object a plan build makes.
 func New[T any](s *Scratch, v T) *T {
 	if s == nil {
-		p := new(T)
-		*p = v
-		return p
+		return arena.New(nil, v)
 	}
 	s.mu.Lock()
-	p := slabOf[T](s).New(v)
+	p := arena.New(&s.slabs, v)
 	s.mu.Unlock()
 	return p
 }
@@ -94,10 +67,10 @@ func New[T any](s *Scratch, v T) *T {
 // heap when s is nil).
 func Make[T any](s *Scratch, n int) []T {
 	if s == nil {
-		return make([]T, n)
+		return arena.Make[T](nil, n)
 	}
 	s.mu.Lock()
-	out := slabOf[T](s).Make(n)
+	out := arena.Make[T](&s.slabs, n)
 	s.mu.Unlock()
 	return out
 }
@@ -138,20 +111,14 @@ func (s *Scratch) Bytes() int64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var b int64
-	for _, sl := range s.slabs {
-		b += sl.Bytes()
-	}
-	return b
+	return s.slabs.Bytes()
 }
 
 // Reset recycles every block for reuse; previously returned slices become
 // invalid.
 func (s *Scratch) Reset() {
 	s.mu.Lock()
-	for _, sl := range s.slabs {
-		sl.Reset()
-	}
+	s.slabs.Reset()
 	s.mu.Unlock()
 }
 

@@ -258,3 +258,45 @@ func isNode[T plan.Node](n plan.Node) bool {
 	_, ok := n.(T)
 	return ok
 }
+
+// slot stands for one of the element types a query draws from its
+// scratch: each K makes a distinct type, so a slot[K] has a slab of its
+// own.
+type slot[K any] struct {
+	k K
+	v int64
+}
+
+// BenchmarkScratchNew draws round-robin over 18 element types, about the
+// number a warm point query draws from its scratch, and resets the
+// scratch every 72 draws, about as often as such a query recycles it. One
+// op is 18 draws: it prices finding a type's slab, which every New and
+// Make pays, and the lock around it.
+func BenchmarkScratchNew(b *testing.B) {
+	s := GetScratch()
+	defer PutScratch(s)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(s, slot[[1]byte]{})
+		New(s, slot[[2]byte]{})
+		New(s, slot[[3]byte]{})
+		New(s, slot[[4]byte]{})
+		New(s, slot[[5]byte]{})
+		New(s, slot[[6]byte]{})
+		New(s, slot[[7]byte]{})
+		New(s, slot[[8]byte]{})
+		New(s, slot[[9]byte]{})
+		New(s, slot[[10]byte]{})
+		New(s, slot[[11]byte]{})
+		New(s, slot[[12]byte]{})
+		New(s, slot[[13]byte]{})
+		New(s, slot[[14]byte]{})
+		New(s, slot[[15]byte]{})
+		New(s, slot[[16]byte]{})
+		New(s, slot[[17]byte]{})
+		New(s, slot[[18]byte]{})
+		if i%4 == 3 {
+			s.Reset()
+		}
+	}
+}

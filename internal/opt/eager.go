@@ -89,12 +89,12 @@ func eagerOver(ar *sqlparse.Arena, a *plan.Aggregate, env Env, est *estimator) p
 	}
 
 	// Grouping and arguments as expressions over the join's columns.
-	groupBy, args := a.GroupBy, ar.MakeExprs(len(a.Aggs))
+	groupBy, args := a.GroupBy, sqlparse.Make[sqlparse.Expr](ar, len(a.Aggs))
 	for i, sp := range a.Aggs {
 		args[i] = sp.Arg
 	}
 	if view != nil {
-		groupBy = ar.MakeExprs(len(a.GroupBy))
+		groupBy = sqlparse.Make[sqlparse.Expr](ar, len(a.GroupBy))
 		for i, g := range a.GroupBy {
 			groupBy[i] = substitute(ar, g, view.Cols, view.Exprs)
 		}
@@ -128,7 +128,7 @@ func eagerOver(ar *sqlparse.Arena, a *plan.Aggregate, env Env, est *estimator) p
 		if !read[i] {
 			continue
 		}
-		ref := ar.NewColumnRef(c.Table, c.Name)
+		ref := sqlparse.New(ar, sqlparse.ColumnRef{Table: c.Table, Column: c.Name})
 		if at, ok := plan.FindColumn(cols, ref); !ok || at != i {
 			return nil
 		}
@@ -139,7 +139,7 @@ func eagerOver(ar *sqlparse.Arena, a *plan.Aggregate, env Env, est *estimator) p
 		// input, and a cross join would pair it with every other row.
 		return nil
 	}
-	partialAggs := plan.Make[plan.AggSpec](ar, len(a.Aggs))
+	partialAggs := sqlparse.Make[plan.AggSpec](ar, len(a.Aggs))
 	for i, sp := range a.Aggs {
 		partialAggs[i] = plan.AggSpec{Func: sp.Func, Arg: args[i], Star: sp.Star}
 	}
@@ -148,9 +148,9 @@ func eagerOver(ar *sqlparse.Arena, a *plan.Aggregate, env Env, est *estimator) p
 	// Rename the keys back to the side's columns, so the join conditions
 	// and the grouping resolve as before; partial states keep their names.
 	pcols := partial.Columns()
-	named := plan.New(ar, plan.Project{Input: partial, Exprs: ar.MakeExprs(len(pcols)), Cols: plan.Make[plan.ColMeta](ar, len(pcols))})
+	named := sqlparse.New(ar, plan.Project{Input: partial, Exprs: sqlparse.Make[sqlparse.Expr](ar, len(pcols)), Cols: sqlparse.Make[plan.ColMeta](ar, len(pcols))})
 	for i, c := range pcols {
-		named.Exprs[i] = ar.NewColumnRef("", c.Name)
+		named.Exprs[i] = sqlparse.New(ar, sqlparse.ColumnRef{Column: c.Name})
 		named.Cols[i] = c
 		if i < len(sideCols) {
 			named.Cols[i] = sideCols[i]
@@ -162,9 +162,9 @@ func eagerOver(ar *sqlparse.Arena, a *plan.Aggregate, env Env, est *estimator) p
 
 	joined := replaceRel(ar, root, side, named)
 	jcols := joined.Columns()
-	combineAggs := plan.Make[plan.AggSpec](ar, len(a.Aggs))
+	combineAggs := sqlparse.Make[plan.AggSpec](ar, len(a.Aggs))
 	for i, sp := range a.Aggs {
-		ref := ar.NewColumnRef("", pcols[len(keys)+i].Name)
+		ref := sqlparse.New(ar, sqlparse.ColumnRef{Column: pcols[len(keys)+i].Name})
 		if _, ok := plan.FindColumn(jcols, ref); !ok {
 			return nil // two partial states, or a state and a column, share a name
 		}
@@ -177,9 +177,9 @@ func eagerOver(ar *sqlparse.Arena, a *plan.Aggregate, env Env, est *estimator) p
 
 	// Name the combined columns exactly as a's.
 	ccols := combine.Columns()
-	out := plan.New(ar, plan.Project{Input: combine, Exprs: ar.MakeExprs(len(ccols)), Cols: a.Columns()})
+	out := sqlparse.New(ar, plan.Project{Input: combine, Exprs: sqlparse.Make[sqlparse.Expr](ar, len(ccols)), Cols: a.Columns()})
 	for i, c := range ccols {
-		ref := ar.NewColumnRef("", c.Name)
+		ref := sqlparse.New(ar, sqlparse.ColumnRef{Column: c.Name})
 		if at, ok := plan.FindColumn(ccols, ref); !ok || at != i {
 			return nil
 		}

@@ -92,7 +92,7 @@ func applicable(ar *sqlparse.Arena, conjuncts []sqlparse.Expr, a, b []plan.ColMe
 	case len(conjuncts):
 		return conjuncts, nil
 	}
-	now, later = ar.MakeExprs(n)[:0], ar.MakeExprs(len(conjuncts) - n)[:0]
+	now, later = sqlparse.Make[sqlparse.Expr](ar, n)[:0], sqlparse.Make[sqlparse.Expr](ar, len(conjuncts)-n)[:0]
 	for _, c := range conjuncts {
 		if resolvesAcross(c, a, b) {
 			now = append(now, c)
@@ -145,7 +145,7 @@ func dpOrder(a *sqlparse.Arena, rels []plan.Node, conjuncts []sqlparse.Expr, est
 		now, later := applicable(a, conjuncts, r.Columns(), nil)
 		node := r
 		if len(now) > 0 {
-			node = plan.New(a, plan.Filter{Input: r, Cond: sqlparse.CombineConjunctsIn(a, now)})
+			node = sqlparse.New(a, plan.Filter{Input: r, Cond: sqlparse.CombineConjunctsIn(a, now)})
 		}
 		dp[1<<i] = entry{node: node, pool: later, cost: est.Rows(node)}
 	}
@@ -181,7 +181,7 @@ func dpOrder(a *sqlparse.Arena, rels []plan.Node, conjuncts []sqlparse.Expr, est
 	// always has a plan.
 	best := dp[full]
 	if len(best.pool) > 0 {
-		return plan.New(a, plan.Filter{Input: best.node, Cond: sqlparse.CombineConjunctsIn(a, best.pool)})
+		return sqlparse.New(a, plan.Filter{Input: best.node, Cond: sqlparse.CombineConjunctsIn(a, best.pool)})
 	}
 	return best.node
 }
@@ -202,7 +202,7 @@ func greedyOrder(a *sqlparse.Arena, rels []plan.Node, conjuncts []sqlparse.Expr,
 	cur := remaining[bestIdx]
 	remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	if now, later := applicable(a, pool, cur.Columns(), nil); len(now) > 0 {
-		cur = plan.New(a, plan.Filter{Input: cur, Cond: sqlparse.CombineConjunctsIn(a, now)})
+		cur = sqlparse.New(a, plan.Filter{Input: cur, Cond: sqlparse.CombineConjunctsIn(a, now)})
 		pool = later
 	}
 	for len(remaining) > 0 {
@@ -227,7 +227,7 @@ func greedyOrder(a *sqlparse.Arena, rels []plan.Node, conjuncts []sqlparse.Expr,
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	if len(pool) > 0 {
-		cur = plan.New(a, plan.Filter{Input: cur, Cond: sqlparse.CombineConjunctsIn(a, pool)})
+		cur = sqlparse.New(a, plan.Filter{Input: cur, Cond: sqlparse.CombineConjunctsIn(a, pool)})
 	}
 	return cur
 }

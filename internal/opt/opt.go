@@ -48,7 +48,7 @@ func Optimize(root plan.Node, env Env, opts Options) plan.Node {
 }
 
 // OptimizeCosted is Optimize with every node, list and expression the
-// passes add allocated from a (heap when a is nil; see plan.New), that
+// passes add allocated from a (heap when a is nil; see sqlparse.New), that
 // also prices the optimized plan with the estimator its passes consulted:
 // the cost Cost would report, without deriving again the estimates the
 // passes already made. The plan dies with a; one that must outlive it

@@ -143,7 +143,7 @@ func own[T any](a *sqlparse.Arena, x *T, owned bool) *T {
 	if owned {
 		return x
 	}
-	return plan.New(a, *x)
+	return sqlparse.New(a, *x)
 }
 
 // degreeFor is the worker hint for rows of input, at most max: 0, as

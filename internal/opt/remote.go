@@ -65,7 +65,7 @@ func allowKeyFilter(env Env, source string) bool {
 func placeRemotes(a *sqlparse.Arena, n plan.Node, env Env, opts Options) plan.Node {
 	out, src := place(a, n, env, opts)
 	if src != "" {
-		return plan.New(a, plan.Remote{Source: src, Child: out, AllowKeyFilter: allowKeyFilter(env, src)})
+		return sqlparse.New(a, plan.Remote{Source: src, Child: out, AllowKeyFilter: allowKeyFilter(env, src)})
 	}
 	return out
 }
@@ -138,7 +138,7 @@ func place(a *sqlparse.Arena, n plan.Node, env Env, opts Options) (plan.Node, st
 			// Naive mode: only bare scans cross the link.
 			return demoteToScanShipping(a, in, src)
 		default:
-			return plan.New(a, plan.Remote{Source: src, Child: in, AllowKeyFilter: allowKeyFilter(env, src)})
+			return sqlparse.New(a, plan.Remote{Source: src, Child: in, AllowKeyFilter: allowKeyFilter(env, src)})
 		}
 	}), ""
 }
@@ -172,7 +172,7 @@ func narrowsScan(p *plan.Project) bool {
 func demoteToScanShipping(a *sqlparse.Arena, n plan.Node, source string) plan.Node {
 	return plan.Transform(a, n, func(x plan.Node) plan.Node {
 		if s, ok := x.(*plan.Scan); ok {
-			return plan.New(a, plan.Remote{Source: s.Source, Child: s})
+			return sqlparse.New(a, plan.Remote{Source: s.Source, Child: s})
 		}
 		return x
 	})
@@ -263,7 +263,7 @@ func annotateSemiJoins(a *sqlparse.Arena, n plan.Node, est *estimator) plan.Node
 			// re-optimization passes that reconfirm an existing one.
 			return x
 		}
-		nj := plan.New(a, *j)
+		nj := sqlparse.New(a, *j)
 		nj.SemiJoin = hint
 		return nj
 	})

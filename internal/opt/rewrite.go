@@ -37,11 +37,11 @@ func mergeProjects(a *sqlparse.Arena, n plan.Node) plan.Node {
 		if !ok {
 			return x
 		}
-		exprs := a.MakeExprs(len(outer.Exprs))
+		exprs := sqlparse.Make[sqlparse.Expr](a, len(outer.Exprs))
 		for i, e := range outer.Exprs {
 			exprs[i] = substitute(a, e, inner.Cols, inner.Exprs)
 		}
-		return plan.New(a, plan.Project{Input: inner.Input, Exprs: exprs, Cols: outer.Cols})
+		return sqlparse.New(a, plan.Project{Input: inner.Input, Exprs: exprs, Cols: outer.Cols})
 	})
 }
 
@@ -78,10 +78,10 @@ func pushFilterInto(a *sqlparse.Arena, cond sqlparse.Expr, node plan.Node) plan.
 	switch x := node.(type) {
 	case *plan.Project:
 		rewritten := substitute(a, cond, x.Cols, x.Exprs)
-		return plan.New(a, plan.Project{Input: pushFilterInto(a, rewritten, x.Input), Exprs: x.Exprs, Cols: x.Cols})
+		return sqlparse.New(a, plan.Project{Input: pushFilterInto(a, rewritten, x.Input), Exprs: x.Exprs, Cols: x.Cols})
 
 	case *plan.Filter:
-		return pushFilterInto(a, a.NewBinary(sqlparse.OpAnd, cond, x.Cond), x.Input)
+		return pushFilterInto(a, sqlparse.New(a, sqlparse.BinaryExpr{Op: sqlparse.OpAnd, Left: cond, Right: x.Cond}), x.Input)
 
 	case *plan.Join:
 		// The conjuncts are sorted into stack buffers: only the
@@ -104,7 +104,7 @@ func pushFilterInto(a *sqlparse.Arena, cond sqlparse.Expr, node plan.Node) plan.
 				here = append(here, c)
 			default:
 				// Left join: keep above.
-				return plan.New(a, plan.Filter{Input: node, Cond: cond})
+				return sqlparse.New(a, plan.Filter{Input: node, Cond: cond})
 			}
 		}
 		left := x.Left
@@ -144,21 +144,21 @@ func pushFilterInto(a *sqlparse.Arena, cond sqlparse.Expr, node plan.Node) plan.
 			})
 		}
 		if len(above) > 0 {
-			out = plan.New(a, plan.Filter{Input: out, Cond: sqlparse.CombineConjunctsIn(a, above)})
+			out = sqlparse.New(a, plan.Filter{Input: out, Cond: sqlparse.CombineConjunctsIn(a, above)})
 		}
 		return out
 
 	case *plan.Sort:
-		return plan.New(a, plan.Sort{Input: pushFilterInto(a, cond, x.Input), Keys: x.Keys})
+		return sqlparse.New(a, plan.Sort{Input: pushFilterInto(a, cond, x.Input), Keys: x.Keys})
 
 	case *plan.Distinct:
-		return plan.New(a, plan.Distinct{Input: pushFilterInto(a, cond, x.Input)})
+		return sqlparse.New(a, plan.Distinct{Input: pushFilterInto(a, cond, x.Input)})
 
 	case *plan.Scan, *plan.Limit, *plan.Union, *plan.Remote:
 		// A scan is the floor; Limit/Union change cardinality semantics
 		// under a pushed filter; Remote subtrees were already placed.
 		// The filter stays here.
-		return plan.New(a, plan.Filter{Input: node, Cond: cond})
+		return sqlparse.New(a, plan.Filter{Input: node, Cond: cond})
 
 	default:
 		panic(fmt.Sprintf("opt: pushFilterInto missing case for %T", node))
@@ -252,7 +252,7 @@ func (p *pruner) prune(n plan.Node, needed []bool) plan.Node {
 			// Keep at least one column so the row count survives.
 			exprs, cols = exprs[:1:1], cols[:1:1]
 		case kept < len(exprs):
-			exprs, cols = p.arena.MakeExprs(kept)[:0], plan.Make[plan.ColMeta](p.arena, kept)[:0]
+			exprs, cols = sqlparse.Make[sqlparse.Expr](p.arena, kept)[:0], sqlparse.Make[plan.ColMeta](p.arena, kept)[:0]
 			for i, need := range needed {
 				if need {
 					exprs, cols = append(exprs, x.Exprs[i]), append(cols, x.Cols[i])
@@ -266,7 +266,7 @@ func (p *pruner) prune(n plan.Node, needed []bool) plan.Node {
 		if in == x.Input && len(exprs) == len(x.Exprs) {
 			return x
 		}
-		c := plan.New(p.arena, *x)
+		c := sqlparse.New(p.arena, *x)
 		c.Input, c.Exprs, c.Cols = in, exprs, cols
 		return c
 
@@ -344,8 +344,8 @@ func narrow(a *sqlparse.Arena, n plan.Node, needed []bool) plan.Node {
 	}
 	// With no column needed, the first is kept for cardinality.
 	size := max(kept, 1)
-	proj := plan.New(a, plan.Project{Input: n, Exprs: a.MakeExprs(size)[:0], Cols: plan.Make[plan.ColMeta](a, size)[:0]})
-	refs := a.MakeColumnRefs(size)[:0]
+	proj := sqlparse.New(a, plan.Project{Input: n, Exprs: sqlparse.Make[sqlparse.Expr](a, size)[:0], Cols: sqlparse.Make[plan.ColMeta](a, size)[:0]})
+	refs := sqlparse.Make[sqlparse.ColumnRef](a, size)[:0]
 	for i, c := range cols {
 		if needed[i] || kept == 0 && i == 0 {
 			refs = append(refs, sqlparse.ColumnRef{Table: c.Table, Column: c.Name})

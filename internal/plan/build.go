@@ -57,7 +57,7 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 	}
 	if root == nil {
 		// FROM-less select: a single empty row.
-		root = New(b.arena, Scan{Source: "", Table: "", Alias: "$dual"})
+		root = sqlparse.New(b.arena, Scan{Source: "", Table: "", Alias: "$dual"})
 	}
 
 	// WHERE.
@@ -68,7 +68,7 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 		if err := b.checkRefs(sel.Where, root.Columns()); err != nil {
 			return nil, err
 		}
-		root = New(b.arena, Filter{Input: root, Cond: sel.Where})
+		root = sqlparse.New(b.arena, Filter{Input: root, Cond: sel.Where})
 	}
 
 	// Expand stars in the select list.
@@ -92,12 +92,12 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 			return nil, err
 		}
 		if having != nil {
-			root = New(b.arena, Filter{Input: root, Cond: having})
+			root = sqlparse.New(b.arena, Filter{Input: root, Cond: having})
 		}
 	}
 
 	// Final projection.
-	proj := New(b.arena, Project{Input: root, Exprs: b.arena.MakeExprs(len(items)), Cols: Make[ColMeta](b.arena, len(items))})
+	proj := sqlparse.New(b.arena, Project{Input: root, Exprs: sqlparse.Make[sqlparse.Expr](b.arena, len(items)), Cols: sqlparse.Make[ColMeta](b.arena, len(items))})
 	for i, it := range items {
 		if err := b.checkRefs(it.Expr, root.Columns()); err != nil {
 			return nil, err
@@ -117,7 +117,7 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 
 	// DISTINCT.
 	if sel.Distinct {
-		out = New(b.arena, Distinct{Input: out})
+		out = sqlparse.New(b.arena, Distinct{Input: out})
 	}
 
 	// ORDER BY: keys resolve against the projection output (aliases)
@@ -152,7 +152,7 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 				return nil, fmt.Errorf("plan: OFFSET must be non-negative")
 			}
 		}
-		out = New(b.arena, Limit{Input: out, Count: count, Offset: offset})
+		out = sqlparse.New(b.arena, Limit{Input: out, Count: count, Offset: offset})
 	}
 
 	// UNION ALL.
@@ -170,10 +170,10 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 		if u, ok := rest.(*Union); ok {
 			restInputs = u.Inputs
 		}
-		inputs := Make[Node](b.arena, 1+len(restInputs))
+		inputs := sqlparse.Make[Node](b.arena, 1+len(restInputs))
 		inputs[0] = out
 		copy(inputs[1:], restInputs)
-		out = New(b.arena, Union{Inputs: inputs})
+		out = sqlparse.New(b.arena, Union{Inputs: inputs})
 	}
 	return out, nil
 }
@@ -187,12 +187,12 @@ func (b *builder) buildOrderBy(out Node, proj *Project, orderBy []sqlparse.Order
 			break
 		}
 	}
-	keys := Make[SortKey](b.arena, len(orderBy))
+	keys := sqlparse.Make[SortKey](b.arena, len(orderBy))
 	if allVisible {
 		for i, o := range orderBy {
 			keys[i] = SortKey{Expr: o.Expr, Desc: o.Desc}
 		}
-		return New(b.arena, Sort{Input: out, Keys: keys}), nil
+		return sqlparse.New(b.arena, Sort{Input: out, Keys: keys}), nil
 	}
 	if distinct {
 		return nil, fmt.Errorf("plan: with DISTINCT, ORDER BY must reference select-list columns")
@@ -200,10 +200,10 @@ func (b *builder) buildOrderBy(out Node, proj *Project, orderBy []sqlparse.Order
 	// Widen: project visible exprs + sort exprs, sort, then narrow. Each
 	// list is sized once, and the references come from one block each.
 	nv, nw := len(proj.Exprs), len(proj.Exprs)+len(orderBy)
-	wide := New(b.arena, Project{Input: preProj, Exprs: b.arena.MakeExprs(nw), Cols: Make[ColMeta](b.arena, nw)})
+	wide := sqlparse.New(b.arena, Project{Input: preProj, Exprs: sqlparse.Make[sqlparse.Expr](b.arena, nw), Cols: sqlparse.Make[ColMeta](b.arena, nw)})
 	copy(wide.Exprs, proj.Exprs)
 	copy(wide.Cols, proj.Cols)
-	sortRefs := b.arena.MakeColumnRefs(len(orderBy))
+	sortRefs := sqlparse.Make[sqlparse.ColumnRef](b.arena, len(orderBy))
 	for i, o := range orderBy {
 		if err := b.checkRefs(o.Expr, preProj.Columns()); err != nil {
 			return nil, fmt.Errorf("plan: ORDER BY key %d: %w", i+1, err)
@@ -214,9 +214,9 @@ func (b *builder) buildOrderBy(out Node, proj *Project, orderBy []sqlparse.Order
 		sortRefs[i] = sqlparse.ColumnRef{Table: "$order", Column: name}
 		keys[i] = SortKey{Expr: &sortRefs[i], Desc: o.Desc}
 	}
-	sorted := New(b.arena, Sort{Input: wide, Keys: keys})
-	narrow := New(b.arena, Project{Input: sorted, Exprs: b.arena.MakeExprs(nv), Cols: proj.Cols[:nv:nv]})
-	refs := b.arena.MakeColumnRefs(nv)
+	sorted := sqlparse.New(b.arena, Sort{Input: wide, Keys: keys})
+	narrow := sqlparse.New(b.arena, Project{Input: sorted, Exprs: sqlparse.Make[sqlparse.Expr](b.arena, nv), Cols: proj.Cols[:nv:nv]})
+	refs := sqlparse.Make[sqlparse.ColumnRef](b.arena, nv)
 	for i, c := range proj.Cols {
 		refs[i] = sqlparse.ColumnRef{Column: c.Name}
 		narrow.Exprs[i] = &refs[i]
@@ -342,11 +342,11 @@ func (b *builder) rewriteAgg(e sqlparse.Expr, groupBy []sqlparse.Expr) sqlparse.
 	}
 	for _, g := range groupBy {
 		if e.SQL() == g.SQL() {
-			return b.arena.NewColumnRef("", g.SQL())
+			return sqlparse.New(b.arena, sqlparse.ColumnRef{Column: g.SQL()})
 		}
 	}
 	if f, ok := e.(*sqlparse.FuncExpr); ok && f.IsAggregate() {
-		return b.arena.NewColumnRef("", f.SQL())
+		return sqlparse.New(b.arena, sqlparse.ColumnRef{Column: f.SQL()})
 	}
 	out, _ := sqlparse.MapChildren(b.arena, e, func(c sqlparse.Expr) (sqlparse.Expr, error) {
 		return b.rewriteAgg(c, groupBy), nil
@@ -377,11 +377,11 @@ func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {
 		if alias == "" {
 			alias = t.Name
 		}
-		cols := Make[ColMeta](b.arena, res.Table.Arity())
+		cols := sqlparse.Make[ColMeta](b.arena, res.Table.Arity())
 		for i, c := range res.Table.Columns {
 			cols[i] = ColMeta{Table: alias, Name: c.Name, Kind: c.Kind}
 		}
-		return New(b.arena, Scan{Source: res.Source, Table: res.Table.Name, Alias: alias, Cols: cols}), nil
+		return sqlparse.New(b.arena, Scan{Source: res.Source, Table: res.Table.Name, Alias: alias, Cols: cols}), nil
 	case *sqlparse.Join:
 		left, err := b.buildTableRef(t.Left, depth)
 		if err != nil {
@@ -413,8 +413,8 @@ func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {
 // carved from one block.
 func (b *builder) renameOutputs(n Node, alias string) Node {
 	in := n.Columns()
-	p := New(b.arena, Project{Input: n, Exprs: b.arena.MakeExprs(len(in)), Cols: Make[ColMeta](b.arena, len(in))})
-	refs := b.arena.MakeColumnRefs(len(in))
+	p := sqlparse.New(b.arena, Project{Input: n, Exprs: sqlparse.Make[sqlparse.Expr](b.arena, len(in)), Cols: sqlparse.Make[ColMeta](b.arena, len(in))})
+	refs := sqlparse.Make[sqlparse.ColumnRef](b.arena, len(in))
 	for i, c := range in {
 		refs[i] = sqlparse.ColumnRef{Table: c.Table, Column: c.Name}
 		p.Exprs[i] = &refs[i]
@@ -449,7 +449,7 @@ func (b *builder) expandStars(items []sqlparse.SelectItem, cols []ColMeta) ([]sq
 			if it.TableQual != "" && !strings.EqualFold(c.Table, it.TableQual) {
 				continue
 			}
-			ref := b.arena.NewColumnRef(c.Table, c.Name)
+			ref := sqlparse.New(b.arena, sqlparse.ColumnRef{Table: c.Table, Column: c.Name})
 			out = append(out, sqlparse.SelectItem{Expr: ref, Alias: c.Name})
 			matched = true
 		}

@@ -151,14 +151,14 @@ type Join struct {
 // output columns. LEFT joins mark right-side columns nullable by leaving
 // kinds intact (nullability is not tracked per-plan-column).
 func NewJoin(a *sqlparse.Arena, t sqlparse.JoinType, left, right Node, cond sqlparse.Expr) *Join {
-	return New(a, Join{Type: t, Left: left, Right: right, Cond: cond, cols: joinColumns(a, left, right)})
+	return sqlparse.New(a, Join{Type: t, Left: left, Right: right, Cond: cond, cols: joinColumns(a, left, right)})
 }
 
 // joinColumns concatenates the inputs' columns into one exactly sized
 // list from a.
 func joinColumns(a *sqlparse.Arena, left, right Node) []ColMeta {
 	lc, rc := left.Columns(), right.Columns()
-	cols := Make[ColMeta](a, len(lc)+len(rc))
+	cols := sqlparse.Make[ColMeta](a, len(lc)+len(rc))
 	copy(cols[copy(cols, lc):], rc)
 	return cols
 }
@@ -170,7 +170,7 @@ func joinColumns(a *sqlparse.Arena, left, right Node) []ColMeta {
 // one. The shared list is capped, so appending to either join's Columns()
 // copies it.
 func (j *Join) WithInputs(a *sqlparse.Arena, left, right Node) *Join {
-	c := New(a, *j)
+	c := sqlparse.New(a, *j)
 	c.Left, c.Right = left, right
 	if sameColumns(left.Columns(), j.Left.Columns()) && sameColumns(right.Columns(), j.Right.Columns()) {
 		c.cols = j.cols[:len(j.cols):len(j.cols)]
@@ -235,13 +235,13 @@ type Aggregate struct {
 // Output columns are named by the rendered SQL of each expression so
 // post-aggregation expressions resolve against them textually.
 func NewAggregate(a *sqlparse.Arena, input Node, groupBy []sqlparse.Expr, aggs []AggSpec) *Aggregate {
-	return New(a, Aggregate{Input: input, GroupBy: groupBy, Aggs: aggs, cols: aggregateColumns(a, input, groupBy, aggs)})
+	return sqlparse.New(a, Aggregate{Input: input, GroupBy: groupBy, Aggs: aggs, cols: aggregateColumns(a, input, groupBy, aggs)})
 }
 
 // aggregateColumns names an aggregate's output columns, group columns
 // first, in one exactly sized list from a.
 func aggregateColumns(a *sqlparse.Arena, input Node, groupBy []sqlparse.Expr, aggs []AggSpec) []ColMeta {
-	cols := Make[ColMeta](a, len(groupBy)+len(aggs))[:0]
+	cols := sqlparse.Make[ColMeta](a, len(groupBy)+len(aggs))[:0]
 	for _, g := range groupBy {
 		kind := datum.KindNull
 		if cr, ok := g.(*sqlparse.ColumnRef); ok {
@@ -471,13 +471,13 @@ func MapInputs(a *sqlparse.Arena, n Node, fn func(Node) Node) Node {
 		// A leaf.
 	case *Filter:
 		if in := fn(x.Input); in != x.Input {
-			c := New(a, *x)
+			c := sqlparse.New(a, *x)
 			c.Input = in
 			return c
 		}
 	case *Project:
 		if in := fn(x.Input); in != x.Input {
-			c := New(a, *x)
+			c := sqlparse.New(a, *x)
 			c.Input = in
 			return c
 		}
@@ -488,7 +488,7 @@ func MapInputs(a *sqlparse.Arena, n Node, fn func(Node) Node) Node {
 		}
 	case *Aggregate:
 		if in := fn(x.Input); in != x.Input {
-			c := New(a, *x)
+			c := sqlparse.New(a, *x)
 			c.Input = in
 			if sameColumns(in.Columns(), x.Input.Columns()) {
 				c.cols = x.cols[:len(x.cols):len(x.cols)]
@@ -499,26 +499,26 @@ func MapInputs(a *sqlparse.Arena, n Node, fn func(Node) Node) Node {
 		}
 	case *Sort:
 		if in := fn(x.Input); in != x.Input {
-			c := New(a, *x)
+			c := sqlparse.New(a, *x)
 			c.Input = in
 			return c
 		}
 	case *Limit:
 		if in := fn(x.Input); in != x.Input {
-			c := New(a, *x)
+			c := sqlparse.New(a, *x)
 			c.Input = in
 			return c
 		}
 	case *Distinct:
 		if in := fn(x.Input); in != x.Input {
-			return New(a, Distinct{Input: in})
+			return sqlparse.New(a, Distinct{Input: in})
 		}
 	case *Union:
 		var inputs []Node // allocated at the first changed input
 		for i, in := range x.Inputs {
 			out := fn(in)
 			if out != in && inputs == nil {
-				inputs = Make[Node](a, len(x.Inputs))
+				inputs = sqlparse.Make[Node](a, len(x.Inputs))
 				copy(inputs, x.Inputs[:i])
 			}
 			if inputs != nil {
@@ -526,11 +526,11 @@ func MapInputs(a *sqlparse.Arena, n Node, fn func(Node) Node) Node {
 			}
 		}
 		if inputs != nil {
-			return New(a, Union{Inputs: inputs})
+			return sqlparse.New(a, Union{Inputs: inputs})
 		}
 	case *Remote:
 		if in := fn(x.Child); in != x.Child {
-			c := New(a, *x)
+			c := sqlparse.New(a, *x)
 			c.Child = in
 			return c
 		}

@@ -25,11 +25,10 @@ func BindParams(n Node, params []datum.Datum) (Node, error) {
 }
 
 // BindParamsIn is BindParams with everything it rebuilds allocated from a
-// (heap when a is nil): the rewritten expression subtrees from the arena
-// itself, the handful of cloned plan nodes from the plan slabs attached to
-// it (New). Both die with the query's arena; the returned plan must not
-// outlive the arena; the engine reports the retained template, never the
-// bound instance, in Result.Plan.
+// (heap when a is nil): the rewritten expression subtrees and the handful
+// of cloned plan nodes (sqlparse.New). Both die with the query's arena;
+// the returned plan must not outlive the arena; the engine reports the
+// retained template, never the bound instance, in Result.Plan.
 func BindParamsIn(a *sqlparse.Arena, n Node, params []datum.Datum) (Node, error) {
 	b := binder{arena: a, params: params}
 	return b.node(n)
@@ -52,7 +51,7 @@ func (b *binder) expr(e sqlparse.Expr) (sqlparse.Expr, error) {
 		if p.Index < 1 || p.Index > len(b.params) {
 			return nil, fmt.Errorf("plan: statement requires parameter $%d but %d values are bound", p.Index, len(b.params))
 		}
-		return b.arena.NewLiteral(b.params[p.Index-1]), nil
+		return sqlparse.New(b.arena, sqlparse.Literal{Value: b.params[p.Index-1]}), nil
 	})
 }
 
@@ -74,7 +73,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if in == x.Input && cond == x.Cond {
 			return n, nil
 		}
-		return New(b.arena, Filter{Input: in, Cond: cond, Parallel: x.Parallel}), nil
+		return sqlparse.New(b.arena, Filter{Input: in, Cond: cond, Parallel: x.Parallel}), nil
 
 	case *Project:
 		in, err := b.node(x.Input)
@@ -101,7 +100,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if !changed {
 			return n, nil
 		}
-		return New(b.arena, Project{Input: in, Exprs: exprs, Cols: x.Cols, Parallel: x.Parallel}), nil
+		return sqlparse.New(b.arena, Project{Input: in, Exprs: exprs, Cols: x.Cols, Parallel: x.Parallel}), nil
 
 	case *Join:
 		left, err := b.node(x.Left)
@@ -121,7 +120,7 @@ func (b *binder) node(n Node) (Node, error) {
 		}
 		// Preserve output columns and the semi-join/parallel hints
 		// verbatim: binding must not re-derive plan properties.
-		return New(b.arena, Join{Type: x.Type, Left: left, Right: right, Cond: cond,
+		return sqlparse.New(b.arena, Join{Type: x.Type, Left: left, Right: right, Cond: cond,
 			SemiJoin: x.SemiJoin, Parallel: x.Parallel, cols: x.cols}), nil
 
 	case *Aggregate:
@@ -170,7 +169,7 @@ func (b *binder) node(n Node) (Node, error) {
 		}
 		// Keep the original output column names: downstream column
 		// references were resolved against the unbound rendering.
-		return New(b.arena, Aggregate{Input: in, GroupBy: groupBy, Aggs: aggs,
+		return sqlparse.New(b.arena, Aggregate{Input: in, GroupBy: groupBy, Aggs: aggs,
 			Parallel: x.Parallel, Groups: x.Groups, cols: x.cols}), nil
 
 	case *Sort:
@@ -198,7 +197,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if !changed {
 			return n, nil
 		}
-		return New(b.arena, Sort{Input: in, Keys: keys}), nil
+		return sqlparse.New(b.arena, Sort{Input: in, Keys: keys}), nil
 
 	case *Limit:
 		in, err := b.node(x.Input)
@@ -208,7 +207,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if in == x.Input {
 			return n, nil
 		}
-		return New(b.arena, Limit{Input: in, Count: x.Count, Offset: x.Offset}), nil
+		return sqlparse.New(b.arena, Limit{Input: in, Count: x.Count, Offset: x.Offset}), nil
 
 	case *Distinct:
 		in, err := b.node(x.Input)
@@ -218,7 +217,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if in == x.Input {
 			return n, nil
 		}
-		return New(b.arena, Distinct{Input: in}), nil
+		return sqlparse.New(b.arena, Distinct{Input: in}), nil
 
 	case *Union:
 		inputs := x.Inputs
@@ -239,7 +238,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if !cloned {
 			return n, nil
 		}
-		return New(b.arena, Union{Inputs: inputs}), nil
+		return sqlparse.New(b.arena, Union{Inputs: inputs}), nil
 
 	case *Remote:
 		child, err := b.node(x.Child)
@@ -249,7 +248,7 @@ func (b *binder) node(n Node) (Node, error) {
 		if child == x.Child {
 			return n, nil
 		}
-		return New(b.arena, Remote{Source: x.Source, Child: child, AllowKeyFilter: x.AllowKeyFilter}), nil
+		return sqlparse.New(b.arena, Remote{Source: x.Source, Child: child, AllowKeyFilter: x.AllowKeyFilter}), nil
 
 	case *Scan:
 		// Leaf: no expressions, no children.

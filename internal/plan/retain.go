@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/sqlparse"
 )
 
@@ -17,10 +18,9 @@ import (
 // copied too. Derived columns are copied verbatim, as the binder keeps
 // them, where MapInputs would recompute them.
 func Retain(a *sqlparse.Arena, n Node) Node {
-	r := retainer{exprs: sqlparse.Retainer{From: a}}
+	r := retainer{Retainer: sqlparse.Retainer{From: a}}
 	r.node(n) // sizing
-	r.reserve()
-	r.copying = true
+	r.Copying = true
 	return r.node(n)
 }
 
@@ -28,160 +28,87 @@ func Retain(a *sqlparse.Arena, n Node) Node {
 // the blocks and the expression retainer, copying carves from them. Both
 // walks run node, so they visit the same values.
 type retainer struct {
-	copying bool
-	exprs   sqlparse.Retainer
+	sqlparse.Retainer
 
-	scans      block[Scan]
-	filters    block[Filter]
-	projects   block[Project]
-	joins      block[Join]
-	aggregates block[Aggregate]
-	sorts      block[Sort]
-	limits     block[Limit]
-	distincts  block[Distinct]
-	unions     block[Union]
-	remotes    block[Remote]
-	cols       block[ColMeta]
-	keys       block[SortKey]
-	aggs       block[AggSpec]
-	inputs     block[Node]
-}
-
-// block is one exactly sized heap block of T: n values counted by the
-// sizing walk, carved in order by the copying walk.
-type block[T any] struct {
-	n    int
-	vals []T
-}
-
-func (b *block[T]) reserve() {
-	if b.n > 0 {
-		b.vals = make([]T, 0, b.n)
-	}
-}
-
-// list counts, or carves a copy of, src; nil while sizing and for an
-// empty src.
-func (b *block[T]) list(copying bool, src []T) []T {
-	if !copying {
-		b.n += len(src)
-		return nil
-	}
-	if len(src) == 0 {
-		return nil
-	}
-	at := len(b.vals)
-	b.vals = append(b.vals, src...)
-	return b.vals[at:len(b.vals):len(b.vals)]
-}
-
-// one counts, or carves a copy of, v; nil while sizing.
-func (b *block[T]) one(copying bool, v T) *T {
-	if !copying {
-		b.n++
-		return nil
-	}
-	b.vals = append(b.vals, v)
-	return &b.vals[len(b.vals)-1]
-}
-
-func (r *retainer) reserve() {
-	r.exprs.Reserve()
-	r.scans.reserve()
-	r.filters.reserve()
-	r.projects.reserve()
-	r.joins.reserve()
-	r.aggregates.reserve()
-	r.sorts.reserve()
-	r.limits.reserve()
-	r.distincts.reserve()
-	r.unions.reserve()
-	r.remotes.reserve()
-	r.cols.reserve()
-	r.keys.reserve()
-	r.aggs.reserve()
-	r.inputs.reserve()
-}
-
-func (r *retainer) expr(e sqlparse.Expr) sqlparse.Expr {
-	if !r.copying {
-		r.exprs.Count(e)
-		return nil
-	}
-	return r.exprs.Copy(e)
-}
-
-func (r *retainer) exprList(list []sqlparse.Expr) []sqlparse.Expr {
-	if !r.copying {
-		r.exprs.CountList(list)
-		return nil
-	}
-	return r.exprs.CopyList(list)
+	scans      arena.Block[Scan]
+	filters    arena.Block[Filter]
+	projects   arena.Block[Project]
+	joins      arena.Block[Join]
+	aggregates arena.Block[Aggregate]
+	sorts      arena.Block[Sort]
+	limits     arena.Block[Limit]
+	distincts  arena.Block[Distinct]
+	unions     arena.Block[Union]
+	remotes    arena.Block[Remote]
+	cols       arena.Block[ColMeta]
+	keys       arena.Block[SortKey]
+	aggs       arena.Block[AggSpec]
+	inputs     arena.Block[Node]
 }
 
 // node counts n while sizing and returns its copy while copying. Each
 // case copies the node's value, then replaces every field that refers to
 // memory: inputs, expressions and lists.
 func (r *retainer) node(n Node) Node {
-	c := r.copying
+	c := r.Copying
 	switch x := n.(type) {
 	case *Scan:
 		v := *x
-		v.Cols = r.cols.list(c, x.Cols)
-		return r.scans.one(c, v)
+		v.Cols = r.cols.List(c, x.Cols)
+		return r.scans.One(c, v)
 	case *Filter:
 		v := *x
-		v.Input, v.Cond = r.node(x.Input), r.expr(x.Cond)
-		return r.filters.one(c, v)
+		v.Input, v.Cond = r.node(x.Input), r.Expr(x.Cond)
+		return r.filters.One(c, v)
 	case *Project:
 		v := *x
-		v.Input, v.Exprs, v.Cols = r.node(x.Input), r.exprList(x.Exprs), r.cols.list(c, x.Cols)
-		return r.projects.one(c, v)
+		v.Input, v.Exprs, v.Cols = r.node(x.Input), r.List(x.Exprs), r.cols.List(c, x.Cols)
+		return r.projects.One(c, v)
 	case *Join:
 		v := *x
-		v.Left, v.Right, v.Cond = r.node(x.Left), r.node(x.Right), r.expr(x.Cond)
-		v.cols = r.cols.list(c, x.cols)
-		return r.joins.one(c, v)
+		v.Left, v.Right, v.Cond = r.node(x.Left), r.node(x.Right), r.Expr(x.Cond)
+		v.cols = r.cols.List(c, x.cols)
+		return r.joins.One(c, v)
 	case *Aggregate:
 		v := *x
-		v.Input, v.GroupBy, v.cols = r.node(x.Input), r.exprList(x.GroupBy), r.cols.list(c, x.cols)
-		v.Aggs = r.aggs.list(c, x.Aggs)
+		v.Input, v.GroupBy, v.cols = r.node(x.Input), r.List(x.GroupBy), r.cols.List(c, x.cols)
+		v.Aggs = r.aggs.List(c, x.Aggs)
 		for i, sp := range x.Aggs {
-			if arg := r.expr(sp.Arg); c {
+			if arg := r.Expr(sp.Arg); c {
 				v.Aggs[i].Arg = arg
 			}
 		}
-		return r.aggregates.one(c, v)
+		return r.aggregates.One(c, v)
 	case *Sort:
 		v := *x
-		v.Input, v.Keys = r.node(x.Input), r.keys.list(c, x.Keys)
+		v.Input, v.Keys = r.node(x.Input), r.keys.List(c, x.Keys)
 		for i, k := range x.Keys {
-			if e := r.expr(k.Expr); c {
+			if e := r.Expr(k.Expr); c {
 				v.Keys[i].Expr = e
 			}
 		}
-		return r.sorts.one(c, v)
+		return r.sorts.One(c, v)
 	case *Limit:
 		v := *x
 		v.Input = r.node(x.Input)
-		return r.limits.one(c, v)
+		return r.limits.One(c, v)
 	case *Distinct:
 		v := *x
 		v.Input = r.node(x.Input)
-		return r.distincts.one(c, v)
+		return r.distincts.One(c, v)
 	case *Union:
 		v := *x
-		v.Inputs = r.inputs.list(c, x.Inputs)
+		v.Inputs = r.inputs.List(c, x.Inputs)
 		for i, in := range x.Inputs {
 			if cp := r.node(in); c {
 				v.Inputs[i] = cp
 			}
 		}
-		return r.unions.one(c, v)
+		return r.unions.One(c, v)
 	case *Remote:
 		v := *x
 		v.Child = r.node(x.Child)
-		return r.remotes.one(c, v)
+		return r.remotes.One(c, v)
 	default:
 		panic(fmt.Sprintf("plan: Retain missing case for %T", n))
 	}

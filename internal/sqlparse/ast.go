@@ -668,7 +668,7 @@ func CombineConjunctsIn(a *Arena, es []Expr) Expr {
 		if out == nil {
 			out = e
 		} else {
-			out = a.newBinary(BinaryExpr{Op: OpAnd, Left: out, Right: e})
+			out = New(a, BinaryExpr{Op: OpAnd, Left: out, Right: e})
 		}
 	}
 	return out

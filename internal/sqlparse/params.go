@@ -100,7 +100,7 @@ func ExtractParamsIn(a *Arena, sel *Select) (values []datum.Datum, cacheable boo
 	extract := func(e Expr) (Expr, error) {
 		if lit, ok := e.(*Literal); ok {
 			values = append(values, lit.Value)
-			return a.newParam(Param{Index: len(values)}), nil
+			return New(a, Param{Index: len(values)}), nil
 		}
 		return e, nil
 	}

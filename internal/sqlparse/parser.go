@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/arena"
 	"repro/internal/datum"
 )
 
@@ -193,7 +194,7 @@ func (p *parser) parseSelect() (*Select, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	sel := p.nodes.newSelect(Select{})
+	sel := New(p.nodes, Select{})
 	if p.acceptKeyword("DISTINCT") {
 		sel.Distinct = true
 	} else {
@@ -212,7 +213,7 @@ func (p *parser) parseSelect() (*Select, error) {
 			break
 		}
 	}
-	sel.Items = p.nodes.copyItems(p.scratch.itemStk[itemMark:])
+	sel.Items = arena.Copy(p.nodes.set(), p.scratch.itemStk[itemMark:])
 	p.scratch.itemStk = p.scratch.itemStk[:itemMark]
 
 	if p.acceptKeyword("FROM") {
@@ -227,7 +228,7 @@ func (p *parser) parseSelect() (*Select, error) {
 				break
 			}
 		}
-		sel.From = p.nodes.copyRefs(p.scratch.refStk[refMark:])
+		sel.From = arena.Copy(p.nodes.set(), p.scratch.refStk[refMark:])
 		p.scratch.refStk = p.scratch.refStk[:refMark]
 	}
 
@@ -254,7 +255,7 @@ func (p *parser) parseSelect() (*Select, error) {
 				break
 			}
 		}
-		sel.GroupBy = p.nodes.copyExprs(p.scratch.exprStk[exprMark:])
+		sel.GroupBy = arena.Copy(p.nodes.set(), p.scratch.exprStk[exprMark:])
 		p.scratch.exprStk = p.scratch.exprStk[:exprMark]
 	}
 
@@ -287,7 +288,7 @@ func (p *parser) parseSelect() (*Select, error) {
 				break
 			}
 		}
-		sel.OrderBy = p.nodes.copyOrders(p.scratch.orderStk[orderMark:])
+		sel.OrderBy = arena.Copy(p.nodes.set(), p.scratch.orderStk[orderMark:])
 		p.scratch.orderStk = p.scratch.orderStk[:orderMark]
 	}
 
@@ -387,7 +388,7 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = p.nodes.newJoin(Join{Type: jt, Left: left, Right: right, On: cond})
+		left = New(p.nodes, Join{Type: jt, Left: left, Right: right, On: cond})
 	}
 }
 
@@ -405,13 +406,13 @@ func (p *parser) parseTablePrimary() (TableRef, error) {
 		if err != nil {
 			return nil, p.errf("derived table requires an alias")
 		}
-		return p.nodes.newSubqueryTable(SubqueryTable{Query: sub, Alias: alias}), nil
+		return New(p.nodes, SubqueryTable{Query: sub, Alias: alias}), nil
 	}
 	name, err := p.parseIdent()
 	if err != nil {
 		return nil, err
 	}
-	bt := p.nodes.newBaseTable(BaseTable{Name: name})
+	bt := New(p.nodes, BaseTable{Name: name})
 	if p.acceptSymbol(".") {
 		second, err := p.parseIdent()
 		if err != nil {
@@ -525,7 +526,7 @@ func (p *parser) parsePrefix(min int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.nodes.newUnary(UnaryExpr{Op: "NOT", Child: child}), nil
+		return New(p.nodes, UnaryExpr{Op: "NOT", Child: child}), nil
 	}
 	if t.Kind == TokSymbol {
 		switch t.Text {
@@ -539,12 +540,12 @@ func (p *parser) parsePrefix(min int) (Expr, error) {
 			if lit, ok := child.(*Literal); ok {
 				switch lit.Value.Kind() {
 				case datum.KindInt:
-					return p.nodes.newLiteral(Literal{Value: datum.NewInt(-lit.Value.Int())}), nil
+					return New(p.nodes, Literal{Value: datum.NewInt(-lit.Value.Int())}), nil
 				case datum.KindFloat:
-					return p.nodes.newLiteral(Literal{Value: datum.NewFloat(-lit.Value.Float())}), nil
+					return New(p.nodes, Literal{Value: datum.NewFloat(-lit.Value.Float())}), nil
 				}
 			}
-			return p.nodes.newUnary(UnaryExpr{Op: "-", Child: child}), nil
+			return New(p.nodes, UnaryExpr{Op: "-", Child: child}), nil
 		case "+":
 			p.pos++
 			return p.parsePrefix(bpNeg)
@@ -572,21 +573,21 @@ func (p *parser) parseInfix(left Expr) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return p.nodes.newBinary(BinaryExpr{Op: OpOr, Left: left, Right: right}), nil
+			return New(p.nodes, BinaryExpr{Op: OpOr, Left: left, Right: right}), nil
 		case "AND":
 			p.pos++
 			right, err := p.parseExprBP(bpAnd)
 			if err != nil {
 				return nil, err
 			}
-			return p.nodes.newBinary(BinaryExpr{Op: OpAnd, Left: left, Right: right}), nil
+			return New(p.nodes, BinaryExpr{Op: OpAnd, Left: left, Right: right}), nil
 		case "IS":
 			p.pos++
 			neg := p.acceptKeyword("NOT")
 			if err := p.expectKeyword("NULL"); err != nil {
 				return nil, err
 			}
-			return p.nodes.newIsNull(IsNullExpr{Child: left, Not: neg}), nil
+			return New(p.nodes, IsNullExpr{Child: left, Not: neg}), nil
 		case "IN":
 			p.pos++
 			return p.parseInTail(left, not)
@@ -603,16 +604,16 @@ func (p *parser) parseInfix(left Expr) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return p.nodes.newBetween(BetweenExpr{Child: left, Lo: lo, Hi: hi, Not: not}), nil
+			return New(p.nodes, BetweenExpr{Child: left, Lo: lo, Hi: hi, Not: not}), nil
 		case "LIKE":
 			p.pos++
 			pat, err := p.parseExprBP(bpPred)
 			if err != nil {
 				return nil, err
 			}
-			like := Expr(p.nodes.newBinary(BinaryExpr{Op: OpLike, Left: left, Right: pat}))
+			like := Expr(New(p.nodes, BinaryExpr{Op: OpLike, Left: left, Right: pat}))
 			if not {
-				like = p.nodes.newUnary(UnaryExpr{Op: "NOT", Child: like})
+				like = New(p.nodes, UnaryExpr{Op: "NOT", Child: like})
 			}
 			return like, nil
 		}
@@ -653,7 +654,7 @@ func (p *parser) parseInfix(left Expr) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.nodes.newBinary(BinaryExpr{Op: op, Left: left, Right: right}), nil
+	return New(p.nodes, BinaryExpr{Op: op, Left: left, Right: right}), nil
 }
 
 // parseInTail parses the parenthesized tail of `expr [NOT] IN ...`: either
@@ -670,7 +671,7 @@ func (p *parser) parseInTail(left Expr, not bool) (Expr, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		return p.nodes.newInSubquery(InSubquery{Child: left, Query: sub, Not: not}), nil
+		return New(p.nodes, InSubquery{Child: left, Query: sub, Not: not}), nil
 	}
 	exprMark := len(p.scratch.exprStk)
 	for {
@@ -686,9 +687,9 @@ func (p *parser) parseInTail(left Expr, not bool) (Expr, error) {
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
-	list := p.nodes.copyExprs(p.scratch.exprStk[exprMark:])
+	list := arena.Copy(p.nodes.set(), p.scratch.exprStk[exprMark:])
 	p.scratch.exprStk = p.scratch.exprStk[:exprMark]
-	return p.nodes.newIn(InExpr{Child: left, List: list, Not: not}), nil
+	return New(p.nodes, InExpr{Child: left, List: list, Not: not}), nil
 }
 
 var kindNames = map[string]datum.Kind{
@@ -706,7 +707,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			p.pos--
 			return nil, p.errf("bad integer literal %q", t.Text)
 		}
-		return p.nodes.newLiteral(Literal{Value: datum.NewInt(v)}), nil
+		return New(p.nodes, Literal{Value: datum.NewInt(v)}), nil
 	case TokFloat:
 		p.pos++
 		v, err := strconv.ParseFloat(t.Text, 64)
@@ -714,33 +715,33 @@ func (p *parser) parsePrimary() (Expr, error) {
 			p.pos--
 			return nil, p.errf("bad float literal %q", t.Text)
 		}
-		return p.nodes.newLiteral(Literal{Value: datum.NewFloat(v)}), nil
+		return New(p.nodes, Literal{Value: datum.NewFloat(v)}), nil
 	case TokString:
 		p.pos++
-		return p.nodes.newLiteral(Literal{Value: datum.NewString(t.Text)}), nil
+		return New(p.nodes, Literal{Value: datum.NewString(t.Text)}), nil
 	case TokParam:
 		p.pos++
 		if t.Text == "" { // `?`: auto-number
 			p.nextParam++
-			return p.nodes.newParam(Param{Index: p.nextParam}), nil
+			return New(p.nodes, Param{Index: p.nextParam}), nil
 		}
 		idx, err := strconv.Atoi(t.Text)
 		if err != nil || idx < 1 {
 			p.pos--
 			return nil, p.errf("bad parameter placeholder $%s", t.Text)
 		}
-		return p.nodes.newParam(Param{Index: idx}), nil
+		return New(p.nodes, Param{Index: idx}), nil
 	case TokKeyword:
 		switch t.Text {
 		case "NULL":
 			p.pos++
-			return p.nodes.newLiteral(Literal{Value: datum.Null}), nil
+			return New(p.nodes, Literal{Value: datum.Null}), nil
 		case "TRUE":
 			p.pos++
-			return p.nodes.newLiteral(Literal{Value: datum.NewBool(true)}), nil
+			return New(p.nodes, Literal{Value: datum.NewBool(true)}), nil
 		case "FALSE":
 			p.pos++
-			return p.nodes.newLiteral(Literal{Value: datum.NewBool(false)}), nil
+			return New(p.nodes, Literal{Value: datum.NewBool(false)}), nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX":
 			p.pos++
 			return p.parseFuncCall(t.Text)
@@ -768,7 +769,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectSymbol(")"); err != nil {
 				return nil, err
 			}
-			return p.nodes.newCast(CastExpr{Child: child, Type: kind}), nil
+			return New(p.nodes, CastExpr{Child: child, Type: kind}), nil
 		case "EXISTS":
 			p.pos++
 			if err := p.expectSymbol("("); err != nil {
@@ -781,7 +782,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectSymbol(")"); err != nil {
 				return nil, err
 			}
-			return p.nodes.newExists(ExistsExpr{Query: sub}), nil
+			return New(p.nodes, ExistsExpr{Query: sub}), nil
 		}
 		return nil, p.errf("unexpected keyword %q in expression", t.Text)
 	case TokIdent:
@@ -802,11 +803,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				return p.nodes.newColumnRef(ColumnRef{Table: t.Text + "." + col, Column: col2}), nil
+				return New(p.nodes, ColumnRef{Table: t.Text + "." + col, Column: col2}), nil
 			}
-			return p.nodes.newColumnRef(ColumnRef{Table: t.Text, Column: col}), nil
+			return New(p.nodes, ColumnRef{Table: t.Text, Column: col}), nil
 		}
-		return p.nodes.newColumnRef(ColumnRef{Column: t.Text}), nil
+		return New(p.nodes, ColumnRef{Column: t.Text}), nil
 	case TokSymbol:
 		if t.Text == "(" {
 			p.pos++
@@ -829,7 +830,7 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
 	}
-	f := p.nodes.newFunc(FuncExpr{Name: name})
+	f := New(p.nodes, FuncExpr{Name: name})
 	if p.acceptSymbol("*") {
 		if name != "COUNT" {
 			p.pos-- // rewind so the error points at the star, not past it
@@ -859,14 +860,14 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		f.Args = p.nodes.copyExprs(p.scratch.exprStk[exprMark:])
+		f.Args = arena.Copy(p.nodes.set(), p.scratch.exprStk[exprMark:])
 		p.scratch.exprStk = p.scratch.exprStk[:exprMark]
 	}
 	return f, nil
 }
 
 func (p *parser) parseCase() (Expr, error) {
-	c := p.nodes.newCase(CaseExpr{})
+	c := New(p.nodes, CaseExpr{})
 	whenMark := len(p.scratch.whenStk)
 	for p.acceptKeyword("WHEN") {
 		cond, err := p.parseExpr()
@@ -885,7 +886,7 @@ func (p *parser) parseCase() (Expr, error) {
 	if len(p.scratch.whenStk) == whenMark {
 		return nil, p.errf("CASE requires at least one WHEN arm")
 	}
-	c.Whens = p.nodes.copyWhens(p.scratch.whenStk[whenMark:])
+	c.Whens = arena.Copy(p.nodes.set(), p.scratch.whenStk[whenMark:])
 	p.scratch.whenStk = p.scratch.whenStk[:whenMark]
 	if p.acceptKeyword("ELSE") {
 		e, err := p.parseExpr()

@@ -1,13 +1,18 @@
 package sqlparse
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/arena"
+)
 
 // Retainer copies expressions out of a query arena into compact heap
 // memory, for a plan compiled in the arena that must outlive it
-// (plan.Retain). Count every expression first; Reserve then allocates one
-// exactly sized block per node or list type counted, and Copy fills them.
-// The copies share nothing with the arena; a subtree wholly outside it —
-// a stored view's join condition, say — is shared rather than copied, as
+// (plan.Retain). Expr and List walk the expressions twice: a sizing walk
+// counts what the copies need, then a copying walk, with Copying set,
+// carves them from one exactly sized block per node or list type present.
+// The copies share nothing with the arena; a subtree wholly outside it — a
+// stored view's join condition, say — is shared rather than copied, as
 // are strings and datum values, which no arena owns.
 //
 // Subqueries are statements, not children (see MapChildren): a copied
@@ -16,90 +21,24 @@ import "fmt"
 type Retainer struct {
 	// From is the arena the copies leave; nil copies everything.
 	From *Arena
-	// blocks is never reset: after Reserve its slabs hold exactly the
-	// counted values, and the copies keep those blocks alive.
-	blocks Arena
-	n      retainCounts
-}
+	// Copying selects the copying walk, which follows the sizing walk.
+	Copying bool
 
-// retainCounts is how many values of each type the copies need.
-type retainCounts struct {
-	literals, params, colRefs, binaries, unaries, isNulls, ins, inSubs int
-	betweens, funcs, caseExprs, casts, existss, exprs, whens           int
-}
-
-// Count adds e's nodes and lists to the copy's size.
-func (r *Retainer) Count(e Expr) {
-	if e == nil || r.shared(e) {
-		return
-	}
-	switch x := e.(type) {
-	case *Literal:
-		r.n.literals++
-	case *Param:
-		r.n.params++
-	case *ColumnRef:
-		r.n.colRefs++
-	case *BinaryExpr:
-		r.n.binaries++
-	case *UnaryExpr:
-		r.n.unaries++
-	case *IsNullExpr:
-		r.n.isNulls++
-	case *InExpr:
-		r.n.ins++
-		r.n.exprs += len(x.List)
-	case *InSubquery:
-		r.n.inSubs++
-	case *BetweenExpr:
-		r.n.betweens++
-	case *FuncExpr:
-		r.n.funcs++
-		r.n.exprs += len(x.Args)
-	case *CaseExpr:
-		r.n.caseExprs++
-		r.n.whens += len(x.Whens)
-	case *CastExpr:
-		r.n.casts++
-	case *ExistsExpr:
-		r.n.existss++
-	case *KeyFilterExpr:
-		// Copied to the heap on its own, as MapChildren copies it.
-	}
-	MapChildren(nil, e, func(c Expr) (Expr, error) {
-		r.Count(c)
-		return c, nil
-	})
-}
-
-// CountList adds a list of expressions, the list included, to the copy's
-// size.
-func (r *Retainer) CountList(list []Expr) {
-	r.n.exprs += len(list)
-	for _, e := range list {
-		r.Count(e)
-	}
-}
-
-// Reserve allocates the counted blocks. Call it once, after the last
-// Count and before the first Copy.
-func (r *Retainer) Reserve() {
-	b, n := &r.blocks, &r.n
-	b.literals.Reserve(n.literals)
-	b.params.Reserve(n.params)
-	b.colRefs.Reserve(n.colRefs)
-	b.binaries.Reserve(n.binaries)
-	b.unaries.Reserve(n.unaries)
-	b.isNulls.Reserve(n.isNulls)
-	b.ins.Reserve(n.ins)
-	b.inSubs.Reserve(n.inSubs)
-	b.betweens.Reserve(n.betweens)
-	b.funcs.Reserve(n.funcs)
-	b.caseExprs.Reserve(n.caseExprs)
-	b.casts.Reserve(n.casts)
-	b.existss.Reserve(n.existss)
-	b.exprSlices.Reserve(n.exprs)
-	b.whenSlices.Reserve(n.whens)
+	literals  arena.Block[Literal]
+	params    arena.Block[Param]
+	colRefs   arena.Block[ColumnRef]
+	binaries  arena.Block[BinaryExpr]
+	unaries   arena.Block[UnaryExpr]
+	isNulls   arena.Block[IsNullExpr]
+	ins       arena.Block[InExpr]
+	inSubs    arena.Block[InSubquery]
+	betweens  arena.Block[BetweenExpr]
+	funcs     arena.Block[FuncExpr]
+	caseExprs arena.Block[CaseExpr]
+	casts     arena.Block[CastExpr]
+	existss   arena.Block[ExistsExpr]
+	exprs     arena.Block[Expr]
+	whens     arena.Block[CaseWhen]
 }
 
 // shared reports whether nothing of e lies in From: not e, not a node or
@@ -113,70 +52,73 @@ func (r *Retainer) shared(e Expr) bool {
 	return !held
 }
 
-// Copy returns a deep copy of e carved from the reserved blocks.
+// Expr counts e's nodes and lists while sizing, and returns e's deep copy
+// while copying.
 //
 // It copies every node it does not share with its lists, whatever lies
 // below, so it enumerates the children itself rather than through
 // MapChildren, which keeps a node whose children come back unchanged:
 // here that node, or a list of it, may be the arena's over subtrees the
 // copy shares.
-func (r *Retainer) Copy(e Expr) Expr {
+func (r *Retainer) Expr(e Expr) Expr {
 	if e == nil || r.shared(e) {
 		return e
 	}
-	b := &r.blocks
+	c := r.Copying
 	switch x := e.(type) {
 	case *Literal:
-		return b.newLiteral(*x)
+		return r.literals.One(c, *x)
 	case *Param:
-		return b.newParam(*x)
+		return r.params.One(c, *x)
 	case *ColumnRef:
-		return b.newColumnRef(*x)
+		return r.colRefs.One(c, *x)
 	case *ExistsExpr:
-		return b.newExists(*x)
+		return r.existss.One(c, *x)
 	case *BinaryExpr:
-		return b.newBinary(BinaryExpr{Op: x.Op, Left: r.Copy(x.Left), Right: r.Copy(x.Right)})
+		return r.binaries.One(c, BinaryExpr{Op: x.Op, Left: r.Expr(x.Left), Right: r.Expr(x.Right)})
 	case *UnaryExpr:
-		return b.newUnary(UnaryExpr{Op: x.Op, Child: r.Copy(x.Child)})
+		return r.unaries.One(c, UnaryExpr{Op: x.Op, Child: r.Expr(x.Child)})
 	case *IsNullExpr:
-		return b.newIsNull(IsNullExpr{Child: r.Copy(x.Child), Not: x.Not})
+		return r.isNulls.One(c, IsNullExpr{Child: r.Expr(x.Child), Not: x.Not})
 	case *InExpr:
-		return b.newIn(InExpr{Child: r.Copy(x.Child), List: r.CopyList(x.List), Not: x.Not})
+		return r.ins.One(c, InExpr{Child: r.Expr(x.Child), List: r.List(x.List), Not: x.Not})
 	case *InSubquery:
-		return b.newInSubquery(InSubquery{Child: r.Copy(x.Child), Query: x.Query, Not: x.Not})
+		return r.inSubs.One(c, InSubquery{Child: r.Expr(x.Child), Query: x.Query, Not: x.Not})
 	case *BetweenExpr:
-		return b.newBetween(BetweenExpr{Child: r.Copy(x.Child), Lo: r.Copy(x.Lo), Hi: r.Copy(x.Hi), Not: x.Not})
+		return r.betweens.One(c, BetweenExpr{Child: r.Expr(x.Child), Lo: r.Expr(x.Lo), Hi: r.Expr(x.Hi), Not: x.Not})
 	case *FuncExpr:
-		return b.newFunc(FuncExpr{Name: x.Name, Distinct: x.Distinct, Star: x.Star, Args: r.CopyList(x.Args)})
+		return r.funcs.One(c, FuncExpr{Name: x.Name, Distinct: x.Distinct, Star: x.Star, Args: r.List(x.Args)})
 	case *CaseExpr:
-		var whens []CaseWhen
-		if len(x.Whens) > 0 {
-			whens = b.makeWhens(len(x.Whens))
-			for i, w := range x.Whens {
-				whens[i] = CaseWhen{Cond: r.Copy(w.Cond), Result: r.Copy(w.Result)}
+		whens := r.whens.List(c, x.Whens)
+		for i, w := range x.Whens {
+			if cond, res := r.Expr(w.Cond), r.Expr(w.Result); c {
+				whens[i] = CaseWhen{Cond: cond, Result: res}
 			}
 		}
-		return b.newCase(CaseExpr{Whens: whens, Else: r.Copy(x.Else)})
+		return r.caseExprs.One(c, CaseExpr{Whens: whens, Else: r.Expr(x.Else)})
 	case *CastExpr:
-		return b.newCast(CastExpr{Child: r.Copy(x.Child), Type: x.Type})
+		return r.casts.One(c, CastExpr{Child: r.Expr(x.Child), Type: x.Type})
 	case *KeyFilterExpr:
-		c := *x
-		c.Child = r.Copy(x.Child)
-		return &c
+		// Copied to the heap on its own, as MapChildren copies it.
+		if child := r.Expr(x.Child); c {
+			v := *x
+			v.Child = child
+			return &v
+		}
+		return nil
 	default:
 		panic(fmt.Sprintf("sqlparse: Retainer missing case for %T", e))
 	}
 }
 
-// CopyList returns a deep copy of list, the list carved from the reserved
-// blocks too.
-func (r *Retainer) CopyList(list []Expr) []Expr {
-	if len(list) == 0 {
-		return nil
-	}
-	out := r.blocks.makeExprs(len(list))
+// List counts list, the list included, while sizing, and returns its deep
+// copy, the list carved from a block too, while copying.
+func (r *Retainer) List(list []Expr) []Expr {
+	out := r.exprs.List(r.Copying, list)
 	for i, e := range list {
-		out[i] = r.Copy(e)
+		if cp := r.Expr(e); r.Copying {
+			out[i] = cp
+		}
 	}
 	return out
 }

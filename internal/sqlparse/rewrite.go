@@ -1,6 +1,10 @@
 package sqlparse
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/arena"
+)
 
 // MapChildren returns e with every child expression replaced by fn(child),
 // in rendering order (an IN-list's child, then its items; CASE's condition
@@ -32,7 +36,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 			return nil, err
 		}
 		if c != *x {
-			return a.newBinary(c), nil
+			return New(a, c), nil
 		}
 	case *UnaryExpr:
 		c := *x
@@ -40,7 +44,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 			return nil, err
 		}
 		if c != *x {
-			return a.newUnary(c), nil
+			return New(a, c), nil
 		}
 	case *IsNullExpr:
 		c := *x
@@ -48,7 +52,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 			return nil, err
 		}
 		if c != *x {
-			return a.newIsNull(c), nil
+			return New(a, c), nil
 		}
 	case *InExpr:
 		c := *x
@@ -60,7 +64,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 			return nil, err
 		}
 		if changed || c.Child != x.Child {
-			return a.newIn(c), nil
+			return New(a, c), nil
 		}
 	case *InSubquery:
 		c := *x
@@ -68,7 +72,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 			return nil, err
 		}
 		if c != *x {
-			return a.newInSubquery(c), nil
+			return New(a, c), nil
 		}
 	case *BetweenExpr:
 		c := *x
@@ -82,7 +86,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 			return nil, err
 		}
 		if c != *x {
-			return a.newBetween(c), nil
+			return New(a, c), nil
 		}
 	case *FuncExpr:
 		c := *x
@@ -91,7 +95,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 			return nil, err
 		}
 		if changed {
-			return a.newFunc(c), nil
+			return New(a, c), nil
 		}
 	case *CaseExpr:
 		c := *x
@@ -105,7 +109,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 				return nil, err
 			}
 			if nw != w && whens == nil {
-				whens = a.copyWhens(x.Whens)
+				whens = arena.Copy(a.set(), x.Whens)
 				c.Whens = whens
 			}
 			if whens != nil {
@@ -116,7 +120,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 			return nil, err
 		}
 		if whens != nil || c.Else != x.Else {
-			return a.newCase(c), nil
+			return New(a, c), nil
 		}
 	case *CastExpr:
 		c := *x
@@ -124,7 +128,7 @@ func MapChildren(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 			return nil, err
 		}
 		if c != *x {
-			return a.newCast(c), nil
+			return New(a, c), nil
 		}
 	case *KeyFilterExpr:
 		child, err := mapChild(x.Child, fn)
@@ -160,7 +164,7 @@ func mapList(a *Arena, list []Expr, fn func(Expr) (Expr, error)) ([]Expr, bool, 
 			return nil, false, err
 		}
 		if n != item && out == nil {
-			out = a.copyExprs(list)
+			out = arena.Copy(a.set(), list)
 		}
 		if out != nil {
 			out[i] = n
