@@ -410,8 +410,9 @@ func TestLookupProperty(t *testing.T) {
 }
 
 // The index keeps no hashes and no keys: INT keys that share a float image
-// collide in full, a FLOAT key meets INT rows by value, and a probe across
-// several head doublings still lists every duplicate in heap order.
+// stay apart, a FLOAT key meets exactly the INT rows of its value, and a
+// probe across several head doublings still lists every duplicate in heap
+// order.
 func TestProbeEqualitySemantics(t *testing.T) {
 	sch := schema.MustTable("t", []schema.Column{
 		{Name: "k", Kind: datum.KindInt, Nullable: true},
@@ -449,7 +450,7 @@ func TestProbeEqualitySemantics(t *testing.T) {
 	rows, _ = probe(tab, 0, datum.NewInt(big+1))
 	want("2^53+1", rows, 1)
 	rows, _ = probe(tab, 0, datum.NewFloat(float64(big)))
-	want("2^53 as FLOAT equals both", rows, 0, 1)
+	want("2^53 as FLOAT equals INT 2^53 only", rows, 0)
 	rows, _ = probe(tab, 0, datum.NewFloat(17), datum.NewInt(17), datum.Null)
 	want("17.0, 17, NULL", rows, 3)
 	if rows, _ = probe(tab, 0, datum.NewString("17")); len(rows) != 0 {
