@@ -4,9 +4,9 @@
 GO ?= go
 RACE_PKGS := ./...
 
-.PHONY: check fmt vet lint build escape test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench bench-smoke doc-names tracked waivers
+.PHONY: check fmt vet lint build cross escape test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench bench-smoke doc-names tracked waivers
 
-check: fmt vet lint waivers doc-names build escape test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench-smoke
+check: fmt vet lint waivers doc-names build cross escape test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench-smoke
 
 fmt:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
@@ -26,6 +26,13 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# The packages whose layout depends on the pointer width — a datum.Datum is
+# a pointer and a payload word, an arena finds slabs by hashing a pointer —
+# vetted and tested on a 32-bit target too. The amd64 toolchain builds 386
+# binaries and an x86-64 host runs them, so this needs nothing installed.
+cross:
+	GOARCH=386 $(GO) vet ./internal/datum ./internal/arena && GOARCH=386 $(GO) test ./internal/datum ./internal/arena
 
 # Escape fence: the plan builder's recursion must not move its Options to
 # the heap. A closure that captures opts in any of these functions does,

@@ -32,8 +32,9 @@ import (
 
 // The E17 acceptance budget for one warm cached-hit query end to end
 // (parse → cache hit → arena bind → scratch execute → result copy-out).
-// Measured 14 allocs and 1.7 KB once compiled expressions came from the
-// query scratch and feedback signatures rendered into a reused buffer (36
+// Measured 14 allocs and 1.6 KB once a datum.Datum was two words (1.7 KB
+// at 32 bytes a datum, once compiled expressions came from the query
+// scratch and feedback signatures rendered into a reused buffer; 36
 // and 2.5 KB before; 83 and 7.5 KB before the operator tree — iterators,
 // their boundary guards, a semi-join's reduced fetch and the sources'
 // fragment runtimes — came from the query scratch). The budget is that
@@ -42,14 +43,15 @@ import (
 // back to the heap costs one allocation per query each.
 const (
 	e17MaxAllocsPerOp = 19
-	e17MaxBytesPerOp  = 2100
+	e17MaxBytesPerOp  = 1950
 )
 
 // The same point lookup as a prepared statement under
 // core.DefaultQueryOptions, {Parallel, Adaptive}: inter-source overlap,
 // the per-operator ledger, feedback absorption. Measured 11 allocs/op and
-// 1.6 KB/op once compiled expressions came from the query scratch and
-// feedback signatures rendered into the pooled estimator's buffer (47 and
+// 1.44 KB/op once a datum.Datum was two words (1.56 KB at 32 bytes a
+// datum, once compiled expressions came from the query scratch and
+// feedback signatures rendered into the pooled estimator's buffer; 47 and
 // 2.6 KB before; 94 and 7.5 KB before building a plan stopped allocating
 // per operator; 105 before predicates split into stack buffers, the
 // options fingerprint became a table lookup and an all-reachable
@@ -66,7 +68,7 @@ const (
 // that.)
 const (
 	e17DefaultMaxAllocsPerOp = 16
-	e17DefaultMaxBytesPerOp  = 1900
+	e17DefaultMaxBytesPerOp  = 1750
 )
 
 func TestE17AllocGuard(t *testing.T) {
@@ -146,10 +148,11 @@ func TestE17AllocGuard(t *testing.T) {
 
 // The E17 cold-compile budget: the same point lookup with the plan cache
 // bypassed, so every query parses, builds (unfolding the customer360
-// view), optimizes and executes. Measured 27 allocs/op and 4.1 KB/op once
-// the compile drew every node, list and expression from the query arena
+// view), optimizes and executes. Measured 27 allocs/op and 3.94 KB/op once
+// a datum.Datum was two words (4.11 KB at 32 bytes a datum, once the
+// compile drew every node, list and expression from the query arena
 // and only plan.Retain's compact copy of the finished plan reached the
-// heap (89 and 9.0 KB before, once every optimizer pass copied only what
+// heap; 89 and 9.0 KB before, once every optimizer pass copied only what
 // it changes, unchanged join and aggregate column lists were shared, and
 // compile temporaries (column marks, the join-order table, the planning
 // estimator) stayed off the heap; 162 and 16.2 KB before that; 165 and 16.3 KB before that, once compiled
@@ -165,7 +168,7 @@ func TestE17AllocGuard(t *testing.T) {
 // that allocates per node, costs more than the headroom.
 const (
 	e17ColdMaxAllocsPerOp = 37
-	e17ColdMaxBytesPerOp  = 4500
+	e17ColdMaxBytesPerOp  = 4350
 )
 
 // TestColdCompileAllocGuard fences the plan-cache-miss path: parse,
@@ -596,12 +599,13 @@ func TestSourceAggregateAllocGuard(t *testing.T) {
 }
 
 // Budgets for a warm cross-shard join on a 2-node cluster over 3000
-// customers, in bytes per query, ~20% above the values measured once a
-// peer's fragment rows landed in the coordinator's query scratch: 106 and
-// 53 KB for the bloom-tier and IN-list-tier statements (x86-64; 200 and
-// 82 KB when the peer block-copied its rows to the heap). A fragment result
-// back on the heap costs that copy again, 95 and 29 KB a query, past the
-// headroom.
+// customers, in bytes per query, ~20% above the highest of five readings
+// once a datum.Datum was two words: 69 and 23 KB for the bloom-tier and
+// IN-list-tier statements (x86-64; 105 and 33 KB at 32 bytes a datum, once
+// a peer's fragment rows landed in the coordinator's query scratch; 200
+// and 82 KB when the peer block-copied its rows to the heap). A fragment
+// result back on the heap costs that copy again, 57 and 18 KB a query
+// (126 and 41 KB measured with it), past the headroom.
 //
 // And in allocations per query, 5 above the 30 and 25 measured once the
 // peer re-optimized every fragment into a pooled arena (40 and 37 before,
@@ -609,8 +613,8 @@ func TestSourceAggregateAllocGuard(t *testing.T) {
 // 55 and 52 before that): a fragment optimized on the heap again, a
 // handful of nodes, shows in the count long before it shows in the bytes.
 const (
-	peerBloomMaxBytesPerOp   = 128 << 10
-	peerInListMaxBytesPerOp  = 63 << 10
+	peerBloomMaxBytesPerOp   = 82 << 10
+	peerInListMaxBytesPerOp  = 28 << 10
 	peerBloomMaxAllocsPerOp  = 35
 	peerInListMaxAllocsPerOp = 30
 )
