@@ -48,7 +48,7 @@ func main() {
 	// A burst of operational updates lands on the billing source.
 	for i := 0; i < 50; i++ {
 		target := int64(i + 1)
-		if _, err := fed.Billing.Update("invoices",
+		if _, err := fed.Billing.Update(ctx, "invoices",
 			func(r datum.Row) bool { return r[0].Int() == target },
 			func(r datum.Row) datum.Row {
 				r[2] = datum.NewFloat(r[2].Float() + 500)

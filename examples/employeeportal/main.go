@@ -43,14 +43,14 @@ func main() {
 	fmt.Println("\n--- EAI update: onboarding saga ---")
 	procEngine := eai.NewEngine()
 	newID := datum.NewInt(100001)
-	okProc := onboarding(fed, newID, false)
+	okProc := onboarding(ctx, fed, newID, false)
 	out := procEngine.Run(okProc, nil)
 	fmt.Printf("success path: completed=%v steps=%d\n", out.Completed, out.StepsRun)
 
 	// Now the IT step fails: facilities and HR must be compensated.
 	fmt.Println("\n--- EAI update with failure: compensation unwinds ---")
 	failID := datum.NewInt(100002)
-	badProc := onboarding(fed, failID, true)
+	badProc := onboarding(ctx, fed, failID, true)
 	out = procEngine.Run(badProc, nil)
 	fmt.Printf("failure path: completed=%v err=%v\n", out.Completed, out.Err)
 	fmt.Printf("compensated (reverse order): %v\n", out.Compensated)
@@ -63,7 +63,7 @@ func main() {
 	fmt.Printf("residual rows for failed onboarding: %s\n", res.Rows[0][0].Display())
 }
 
-func onboarding(fed *workload.EmployeeFederation, id datum.Datum, failIT bool) *eai.Process {
+func onboarding(ctx context.Context, fed *workload.EmployeeFederation, id datum.Datum, failIT bool) *eai.Process {
 	hasID := func(r datum.Row) bool { return r[0].Int() == id.Int() }
 	return &eai.Process{
 		Name: "onboard-employee",
@@ -71,22 +71,22 @@ func onboarding(fed *workload.EmployeeFederation, id datum.Datum, failIT bool) *
 			{
 				Name: "hr-record",
 				Do: func(*eai.Context) error {
-					return fed.HR.Insert("employees", datum.Row{id,
+					return fed.HR.Insert(ctx, "employees", datum.Row{id,
 						datum.NewString("New Hire"), datum.NewString("sales"), datum.NewString("NYC")})
 				},
 				Compensate: func(*eai.Context) error {
-					_, err := fed.HR.Delete("employees", hasID)
+					_, err := fed.HR.Delete(ctx, "employees", hasID)
 					return err
 				},
 			},
 			{
 				Name: "assign-office",
 				Do: func(*eai.Context) error {
-					return fed.Facilities.Insert("offices", datum.Row{id,
+					return fed.Facilities.Insert(ctx, "offices", datum.Row{id,
 						datum.NewString("B2"), datum.NewString("D117")})
 				},
 				Compensate: func(*eai.Context) error {
-					_, err := fed.Facilities.Delete("offices", hasID)
+					_, err := fed.Facilities.Delete(ctx, "offices", hasID)
 					return err
 				},
 			},
@@ -97,11 +97,11 @@ func onboarding(fed *workload.EmployeeFederation, id datum.Datum, failIT bool) *
 					if failIT {
 						return errors.New("procurement approval denied")
 					}
-					return fed.IT.Insert("assets", datum.Row{id,
+					return fed.IT.Insert(ctx, "assets", datum.Row{id,
 						datum.NewString("M3Pro"), datum.NewString("SN-ONBOARD")})
 				},
 				Compensate: func(*eai.Context) error {
-					_, err := fed.IT.Delete("assets", hasID)
+					_, err := fed.IT.Delete(ctx, "assets", hasID)
 					return err
 				},
 			},

@@ -74,7 +74,7 @@ func main() {
 	// Drill-down into a document hit.
 	for _, h := range hits {
 		if h.Entry.Kind == search.KindDocument {
-			doc, ok, err := notes.Get(h.Entry.Ref)
+			doc, ok, err := notes.Get(ctx, h.Entry.Ref)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -68,7 +68,7 @@ func main() {
 
 	// --- 3. An update method generated from the same view definition.
 	fmt.Println("\n--- generated update: insert through the view ---")
-	proc, err := viewupdate.GenerateInsert(engine, "employee360", map[string]datum.Datum{
+	proc, err := viewupdate.GenerateInsert(ctx, engine, "employee360", map[string]datum.Datum{
 		"emp_id":   datum.NewInt(9001),
 		"name":     datum.NewString("Gen D. Rated"),
 		"dept":     datum.NewString("engineering"),

@@ -24,11 +24,6 @@ var ctxNeedScope = []string{
 //  1. context.Background() / context.TODO() may appear only in approved
 //     roots (cmd/ and examples/ binaries, test files). Everywhere else a
 //     fresh root context detaches work from the query that requested it.
-//     Every query-path fetch takes its caller's context; the one waived
-//     detachment left in internal/ is netsim.Link.Transfer, which serves
-//     the callers that have no context to pass: the Updatable write path
-//     (RelationalSource Insert/Update/Delete) and the document store's
-//     direct-access reads (docstore.Store.Get and Search).
 //  2. In the executor/federation/netsim fetch path, an exported function
 //     with no context.Context parameter must not call one that has it:
 //     the wrapper severs cancellation for every caller above it.

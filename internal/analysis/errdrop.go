@@ -21,7 +21,7 @@ var errDropScope = []string{
 }
 
 // ErrDrop flags discarded errors from the round-trip calls (roundTripCalls:
-// Transfer/TransferCtx, ExecuteCtx, FetchRemote, and the cluster
+// Transfer, ExecuteCtx, FetchRemote, and the cluster
 // inter-node API SendFragment/GatherRows/RunFragment) and from
 // error-returning Close calls in the federation fetch path: either a bare
 // call statement or an assignment that blanks every error result.

@@ -61,7 +61,7 @@ type LockEdge struct {
 
 // BlockOp is one potentially-blocking operation: a channel send or
 // receive, a select without a default, a sync.WaitGroup/Cond Wait, or a
-// call into the transfer/execute layer (TransferCtx, ExecuteCtx, ...).
+// call into the transfer/execute layer (Transfer, ExecuteCtx, ...).
 type BlockOp struct {
 	What string
 	Pos  token.Pos
@@ -165,7 +165,6 @@ func (f *Facts) Callees(cs *CallSite) []FuncID { return f.resolvedCalls[cs] }
 // graph cannot pierce.
 var roundTripCalls = map[string]bool{
 	"Transfer":     true,
-	"TransferCtx":  true,
 	"ExecuteCtx":   true,
 	"FetchRemote":  true,
 	"RunFragment":  true,

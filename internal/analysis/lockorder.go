@@ -6,7 +6,7 @@ package analysis
 // deadlock shapes are exactly the two this check reports:
 //
 //  1. Blocking under a lock: a channel operation, WaitGroup/Cond wait,
-//     or a call into the transfer/execute layer (TransferCtx,
+//     or a call into the transfer/execute layer (Transfer,
 //     ExecuteCtx, SendFragment, ...) performed while a sync.Mutex or
 //     RWMutex is held. A blocked holder stalls every other acquirer —
 //     in the worst case (the peer needs the same lock to make the
@@ -55,7 +55,7 @@ func shortClass(class string) string {
 func runLockOrder(p *Pass) {
 	for _, f := range p.Facts.PkgFuncs[p.Path] {
 		// Direct blocking operations under a held lock. A named blocking
-		// call (TransferCtx, ...) is also a call site; remember the
+		// call (Transfer, ...) is also a call site; remember the
 		// position so the propagated pass below doesn't report it twice.
 		reported := make(map[token.Pos]bool)
 		for _, b := range f.Blocks {

@@ -208,8 +208,8 @@ func (p *Pass) ownerOrigin(tainted map[types.Object]string, dst ast.Expr) string
 // package); sqlparse.ParseArena, sqlparse.RewriteIn and
 // sqlparse.MapChildren (whose copies come from the arena);
 // plan.BindParamsIn (arena mode shares the statement's lifetime either
-// way), the compile's plan.BuildIn, opt.OptimizeCosted, plan.MapInputs,
-// plan.Transform, plan.NewJoin and plan.NewAggregate (a plan compiled in
+// way), the compile's plan.BuildIn, opt.OptimizeCosted, plan.Map,
+// plan.MapInputs, plan.Transform, plan.NewJoin and plan.NewAggregate (a plan compiled in
 // an arena reaches the heap only through plan.Retain, which is no
 // producer); exec.DrainBatchesScratch, exec.CloneRows, exec.Compile (a
 // compiled expression tree is one scratch block); and New/Make/Copy on an
@@ -254,7 +254,7 @@ func (p *Pass) producer(e ast.Expr) string {
 		case arenaPkgPath + ".New", arenaPkgPath + ".Make", arenaPkgPath + ".Copy",
 			sqlparsePkgPath + ".New", sqlparsePkgPath + ".Make",
 			sqlparsePkgPath + ".ParseArena", sqlparsePkgPath + ".RewriteIn", sqlparsePkgPath + ".MapChildren",
-			planPkgPath + ".BindParamsIn", planPkgPath + ".BuildIn", planPkgPath + ".MapInputs", planPkgPath + ".Transform",
+			planPkgPath + ".BindParamsIn", planPkgPath + ".BuildIn", planPkgPath + ".Map", planPkgPath + ".MapInputs", planPkgPath + ".Transform",
 			planPkgPath + ".NewJoin", planPkgPath + ".NewAggregate",
 			"repro/internal/opt.OptimizeCosted",
 			execPkgPath + ".New", execPkgPath + ".Make", execPkgPath + ".CloneRows", execPkgPath + ".Compile":

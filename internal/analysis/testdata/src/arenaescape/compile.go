@@ -36,6 +36,12 @@ func (h *holder) hitCopiedNodeIntoHeapField(a *sqlparse.Arena, n plan.Node, fn f
 	h.plan = plan.MapInputs(a, n, fn) // want "storing an arena-backed value into struct field \"plan\""
 }
 
+// hitMapIntoHeapField: a node whose expressions a pass rewrote in the
+// arena.
+func (h *holder) hitMapIntoHeapField(a *sqlparse.Arena, n plan.Node, fn func(plan.Node) plan.Node, rewrite func(sqlparse.Expr) sqlparse.Expr) {
+	h.plan = plan.Map(a, n, fn, rewrite) // want "storing an arena-backed value into struct field \"plan\""
+}
+
 // missRetainedPlanIntoCacheEntry: the entry keeps plan.Retain's compact
 // heap copy, and the arena plan dies with the query.
 func missRetainedPlanIntoCacheEntry(a *sqlparse.Arena, cat catalog.Reader, sel *sqlparse.Select, env opt.Env) (*entry, error) {
@@ -55,4 +61,9 @@ func (h *holder) missHeapCompile(cat catalog.Reader, sel *sqlparse.Select, env o
 	h.plan, _ = plan.BuildIn(nil, cat, sel)
 	h.plan, _ = opt.OptimizeCosted(nil, h.plan, env, opt.Options{})
 	h.plan = plan.MapInputs(nil, h.plan, fn)
+}
+
+// missHeapMap: Map handed a literal nil arena copies onto the heap.
+func (h *holder) missHeapMap(n plan.Node, fn func(plan.Node) plan.Node, rewrite func(sqlparse.Expr) sqlparse.Expr) {
+	h.plan = plan.Map(nil, n, fn, rewrite)
 }

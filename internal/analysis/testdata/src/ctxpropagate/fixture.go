@@ -38,12 +38,12 @@ func fetch(ctx context.Context, n int) (int, error) { return n, ctx.Err() }
 
 type Link struct{}
 
-// TransferCtx is the context-aware primitive rule 2 wants callers to use.
-func (l *Link) TransferCtx(ctx context.Context, n int) (int, error) { return fetch(ctx, n) }
+// Transfer is the context-aware primitive rule 2 wants callers to use.
+func (l *Link) Transfer(ctx context.Context, n int) (int, error) { return fetch(ctx, n) }
 
-// Transfer drops the context on the floor: both rules fire on the call.
-func (l *Link) Transfer(n int) (int, error) {
-	return l.TransferCtx(context.Background(), n) // want "exported Transfer takes no context.Context but calls TransferCtx" // want "context.Background() outside an approved root"
+// Send drops the context on the floor: both rules fire on the call.
+func (l *Link) Send(n int) (int, error) {
+	return l.Transfer(context.Background(), n) // want "exported Send takes no context.Context but calls Transfer" // want "context.Background() outside an approved root"
 }
 
 // Ship is a plain exported function with the same hole.
@@ -64,7 +64,7 @@ func ShipAll(ns []int) (total int, err error) {
 
 // CtxForward already takes a context; calling ctx-taking functions is fine.
 func CtxForward(ctx context.Context, l *Link, n int) (int, error) {
-	return l.TransferCtx(ctx, n)
+	return l.Transfer(ctx, n)
 }
 
 type internalIter struct{ ctx context.Context }
@@ -76,5 +76,5 @@ func (it *internalIter) NextBatch() (int, error) { return fetch(it.ctx, 1) }
 // Spawn only reaches the ctx-taking call through a function literal, which
 // captures the maker's context; the declared API surface is unchanged.
 func Spawn(l *Link) func(context.Context) (int, error) {
-	return func(ctx context.Context) (int, error) { return l.TransferCtx(ctx, 1) }
+	return func(ctx context.Context) (int, error) { return l.Transfer(ctx, 1) }
 }

@@ -15,20 +15,12 @@ type plainCloser struct{}
 
 func (plainCloser) Close() {}
 
-func hitBareCall(l *netsim.Link) {
-	l.Transfer(64) // want "result of Transfer discarded"
+func hitBareCall(ctx context.Context, l *netsim.Link) {
+	l.Transfer(ctx, 64) // want "result of Transfer discarded"
 }
 
-func hitBlankedError(l *netsim.Link) {
-	_, _ = l.Transfer(64) // want "error from Transfer assigned to _"
-}
-
-func hitBareCtxCall(ctx context.Context, l *netsim.Link) {
-	l.TransferCtx(ctx, 64) // want "result of TransferCtx discarded"
-}
-
-func hitBlankedCtxError(ctx context.Context, l *netsim.Link) {
-	_, _ = l.TransferCtx(ctx, 64) // want "error from TransferCtx assigned to _"
+func hitBlankedError(ctx context.Context, l *netsim.Link) {
+	_, _ = l.Transfer(ctx, 64) // want "error from Transfer assigned to _"
 }
 
 type fragmentSource struct{}
@@ -51,11 +43,11 @@ func hitGoClose(c errCloser) {
 	go c.Close() // want "go Close discards its error"
 }
 
-func missChecked(l *netsim.Link) error {
-	if _, err := l.Transfer(64); err != nil {
+func missChecked(ctx context.Context, l *netsim.Link) error {
+	if _, err := l.Transfer(ctx, 64); err != nil {
 		return err
 	}
-	cost, err := l.Transfer(1)
+	cost, err := l.Transfer(ctx, 1)
 	_ = cost // discarding the non-error result is fine
 	return err
 }
@@ -64,7 +56,7 @@ func missErrorlessClose(c plainCloser) {
 	c.Close() // Close without an error result is not watched
 }
 
-func ignored(l *netsim.Link) {
+func ignored(ctx context.Context, l *netsim.Link) {
 	//lint:ignore errdrop fixture: best-effort accounting, failure already counted by the link
-	l.Transfer(64)
+	l.Transfer(ctx, 64)
 }

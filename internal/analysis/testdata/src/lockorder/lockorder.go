@@ -4,6 +4,7 @@
 package fixture
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/netsim"
@@ -24,22 +25,22 @@ func (s *store) hitSendUnderLock() {
 
 // hitTransferUnderLock performs a named blocking transfer while the
 // deferred unlock keeps mu held to the end of the function.
-func (s *store) hitTransferUnderLock(l *netsim.Link) {
+func (s *store) hitTransferUnderLock(ctx context.Context, l *netsim.Link) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, _ = l.Transfer(64) // want "call to Transfer while holding fixture.store.mu"
+	_, _ = l.Transfer(ctx, 64) // want "call to Transfer while holding fixture.store.mu"
 }
 
 // blockingHelper blocks, but holds nothing itself: clean in isolation.
-func blockingHelper(l *netsim.Link) {
-	_, _ = l.Transfer(64)
+func blockingHelper(ctx context.Context, l *netsim.Link) {
+	_, _ = l.Transfer(ctx, 64)
 }
 
 // hitCallUnderLock holds mu across a call whose body blocks; the facts
 // layer reports it at this call site.
-func (s *store) hitCallUnderLock(l *netsim.Link) {
+func (s *store) hitCallUnderLock(ctx context.Context, l *netsim.Link) {
 	s.mu.Lock()
-	blockingHelper(l) // want "while holding fixture.store.mu blocks"
+	blockingHelper(ctx, l) // want "while holding fixture.store.mu blocks"
 	s.mu.Unlock()
 }
 

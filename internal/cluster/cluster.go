@@ -244,7 +244,7 @@ func (n *Node) RouteRemote(ctx context.Context, source string, subtree plan.Node
 // transfer (injected fault, partition) loses the fragment; the error
 // surfaces into the coordinator's retry pipeline.
 func (n *Node) SendFragment(ctx context.Context, link *netsim.Link, fragment plan.Node) error {
-	_, err := link.TransferCtx(ctx, federation.RequestSize(fragment))
+	_, err := link.Transfer(ctx, federation.RequestSize(fragment))
 	return err
 }
 
@@ -256,7 +256,7 @@ func (n *Node) GatherRows(ctx context.Context, link *netsim.Link, rows []datum.R
 	for _, r := range rows {
 		bytes += datum.RowWireSize(r)
 	}
-	if _, err := link.TransferCtx(ctx, bytes); err != nil {
+	if _, err := link.Transfer(ctx, bytes); err != nil {
 		return nil, err
 	}
 	return rows, nil

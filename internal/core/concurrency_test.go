@@ -50,13 +50,13 @@ func TestConcurrentQueriesAndWrites(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			id := int64(1000 + i)
-			if err := crm.Insert("customers", datum.Row{
+			if err := crm.Insert(context.Background(), "customers", datum.Row{
 				datum.NewInt(id), datum.NewString("Load"), datum.NewString("west"),
 			}); err != nil {
 				errs <- err
 				return
 			}
-			if _, err := crm.Delete("customers", func(r datum.Row) bool {
+			if _, err := crm.Delete(context.Background(), "customers", func(r datum.Row) bool {
 				return r[0].Int() == id
 			}); err != nil {
 				errs <- err

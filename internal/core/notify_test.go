@@ -23,11 +23,11 @@ func TestSubscribeToSourceTable(t *testing.T) {
 	}
 	crmSrc, _ := e.Source("crm")
 	crm := crmSrc.(*federation.RelationalSource)
-	if err := crm.Insert("customers", datum.Row{
+	if err := crm.Insert(context.Background(), "customers", datum.Row{
 		datum.NewInt(99), datum.NewString("Zed"), datum.NewString("north")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := crm.Update("customers",
+	if _, err := crm.Update(context.Background(), "customers",
 		func(r datum.Row) bool { return r[0].Int() == 99 },
 		func(r datum.Row) datum.Row { r[2] = datum.NewString("south"); return r }); err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestSubscribeToSourceTable(t *testing.T) {
 		t.Errorf("event kinds = %v %v", events[0].Kind, events[1].Kind)
 	}
 	cancel()
-	_, _ = crm.Delete("customers", func(r datum.Row) bool { return r[0].Int() == 99 })
+	_, _ = crm.Delete(context.Background(), "customers", func(r datum.Row) bool { return r[0].Int() == 99 })
 	if len(events) != 2 {
 		t.Error("cancelled subscription still firing")
 	}
@@ -69,11 +69,11 @@ func TestDependencySubscribeCoversViewBaseTables(t *testing.T) {
 	billingSrc, _ := e.Source("billing")
 	billing := billingSrc.(*federation.RelationalSource)
 	// A write to either underlying table fires the feed.
-	if err := crm.Insert("customers", datum.Row{
+	if err := crm.Insert(context.Background(), "customers", datum.Row{
 		datum.NewInt(77), datum.NewString("New"), datum.NewString("west")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := billing.Insert("invoices", datum.Row{
+	if err := billing.Insert(context.Background(), "invoices", datum.Row{
 		datum.NewInt(77), datum.NewFloat(5), datum.NewString("open")}); err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func (s *Store) Put(doc Document) error {
 // The store lock is released before the transfer: the link round trip
 // sleeps out simulated latency, and holding s.mu across it would stall
 // every writer for the duration.
-func (s *Store) Get(id string) (*Document, bool, error) {
+func (s *Store) Get(ctx context.Context, id string) (*Document, bool, error) {
 	s.mu.RLock()
 	d, ok := s.docs[id]
 	var out *Document
@@ -112,7 +112,7 @@ func (s *Store) Get(id string) (*Document, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	if _, err := s.link.Transfer(64 + len(out.Body)); err != nil {
+	if _, err := s.link.Transfer(ctx, 64+len(out.Body)); err != nil {
 		return nil, true, err
 	}
 	return out, true, nil
@@ -204,7 +204,7 @@ func (s *Store) unindexLocked(d *Document) {
 // Search returns the IDs of documents containing every keyword (conjunctive
 // keyword search — §2's "basic keyword search capabilities across the
 // different sources"). IDs are sorted for determinism.
-func (s *Store) Search(keywords ...string) ([]string, error) {
+func (s *Store) Search(ctx context.Context, keywords ...string) ([]string, error) {
 	s.mu.RLock()
 	var result map[string]bool
 	for _, kw := range keywords {
@@ -233,7 +233,7 @@ func (s *Store) Search(keywords ...string) ([]string, error) {
 	// The result set is complete; release the index before the link
 	// round trip so writers aren't stalled behind simulated latency.
 	s.mu.RUnlock()
-	if _, err := s.link.Transfer(32 * (1 + len(out))); err != nil {
+	if _, err := s.link.Transfer(ctx, 32*(1+len(out))); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -283,7 +283,7 @@ func (s *Store) Impose(ctx context.Context, sch *schema.Table, mapping map[strin
 	// Rows are fully materialized copies; transfer outside the lock so
 	// the (possibly slept-out) round trip doesn't stall writers.
 	s.mu.RUnlock()
-	if _, err := s.link.TransferCtx(ctx, 64+bytes); err != nil {
+	if _, err := s.link.Transfer(ctx, 64+bytes); err != nil {
 		return nil, errs, err
 	}
 	return rows, errs, nil

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -41,20 +42,20 @@ func TestPutGetDelete(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	d, ok, err := s.Get("r1")
+	d, ok, err := s.Get(context.Background(), "r1")
 	if err != nil || !ok || d.Fields["reading"].Int() != 42 {
 		t.Errorf("get r1 = %+v ok=%v err=%v", d, ok, err)
 	}
 	// Mutating the returned doc must not affect the store.
 	d.Fields["reading"] = datum.NewInt(0)
-	d2, _, _ := s.Get("r1")
+	d2, _, _ := s.Get(context.Background(), "r1")
 	if d2.Fields["reading"].Int() != 42 {
 		t.Error("Get must return a copy")
 	}
 	if !s.Delete("r1") || s.Delete("r1") {
 		t.Error("delete semantics")
 	}
-	if _, ok, _ := s.Get("r1"); ok {
+	if _, ok, _ := s.Get(context.Background(), "r1"); ok {
 		t.Error("deleted doc still visible")
 	}
 	if err := s.Put(Document{}); err == nil {
@@ -62,13 +63,30 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
+// TestDirectReadsHonorCancellation: Get and Search under a cancelled
+// context fail with its error before crossing the link.
+func TestDirectReadsHonorCancellation(t *testing.T) {
+	s := fixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := s.Get(ctx, "r1"); !errors.Is(err, context.Canceled) {
+		t.Errorf("get: err = %v, want context.Canceled", err)
+	}
+	if _, err := s.Search(ctx, "anomaly"); !errors.Is(err, context.Canceled) {
+		t.Errorf("search: err = %v, want context.Canceled", err)
+	}
+	if m := s.Link().Metrics(); m.RoundTrips != 0 {
+		t.Errorf("cancelled reads made %d round trips", m.RoundTrips)
+	}
+}
+
 func TestPutReplacesAndReindexes(t *testing.T) {
 	s := fixture(t)
 	_ = s.Put(doc("r2", nil, "replaced content entirely"))
-	if ids, _ := s.Search("nominal"); len(ids) != 0 {
+	if ids, _ := s.Search(context.Background(), "nominal"); len(ids) != 0 {
 		t.Errorf("old tokens must be unindexed, got %v", ids)
 	}
-	if ids, _ := s.Search("replaced"); len(ids) != 1 || ids[0] != "r2" {
+	if ids, _ := s.Search(context.Background(), "replaced"); len(ids) != 1 || ids[0] != "r2" {
 		t.Errorf("new tokens must be indexed, got %v", ids)
 	}
 	if s.Len() != 3 {
@@ -78,17 +96,17 @@ func TestPutReplacesAndReindexes(t *testing.T) {
 
 func TestSearchConjunctive(t *testing.T) {
 	s := fixture(t)
-	if ids, _ := s.Search("anomaly"); len(ids) != 2 {
+	if ids, _ := s.Search(context.Background(), "anomaly"); len(ids) != 2 {
 		t.Errorf("anomaly → %v", ids)
 	}
-	if ids, _ := s.Search("anomaly", "tail"); len(ids) != 1 || ids[0] != "r3" {
+	if ids, _ := s.Search(context.Background(), "anomaly", "tail"); len(ids) != 1 || ids[0] != "r3" {
 		t.Errorf("anomaly+tail → %v", ids)
 	}
-	if ids, _ := s.Search("anomaly", "nominal"); len(ids) != 0 {
+	if ids, _ := s.Search(context.Background(), "anomaly", "nominal"); len(ids) != 0 {
 		t.Errorf("contradictory terms → %v", ids)
 	}
 	// Field values are searchable too.
-	if ids, _ := s.Search("wing-a"); len(ids) != 1 || ids[0] != "r1" {
+	if ids, _ := s.Search(context.Background(), "wing-a"); len(ids) != 1 || ids[0] != "r1" {
 		t.Errorf("field token search → %v", ids)
 	}
 }

@@ -21,7 +21,7 @@ func TestPutJSONFlattensNestedObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, ok, err := s.Get("order-1")
+	d, ok, err := s.Get(context.Background(), "order-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,10 @@ func TestPutJSONFlattensNestedObjects(t *testing.T) {
 		t.Errorf("body = %q", d.Body)
 	}
 	// Keyword search sees both body and field tokens.
-	if ids, _ := s.Search("springfield"); len(ids) != 1 {
+	if ids, _ := s.Search(context.Background(), "springfield"); len(ids) != 1 {
 		t.Errorf("field token search = %v", ids)
 	}
-	if ids, _ := s.Search("rush", "globex"); len(ids) != 1 {
+	if ids, _ := s.Search(context.Background(), "rush", "globex"); len(ids) != 1 {
 		t.Errorf("body search = %v", ids)
 	}
 }
@@ -63,7 +63,7 @@ func TestPutJSONIntegerStaysInt(t *testing.T) {
 	if err := s.PutJSON("x", `{"qty": 7}`); err != nil {
 		t.Fatal(err)
 	}
-	d, _, _ := s.Get("x")
+	d, _, _ := s.Get(context.Background(), "x")
 	if d.Fields["qty"].Kind() != datum.KindInt || d.Fields["qty"].Int() != 7 {
 		t.Errorf("qty = %v (%v)", d.Fields["qty"], d.Fields["qty"].Kind())
 	}

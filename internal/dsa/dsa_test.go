@@ -176,7 +176,7 @@ func TestViolationAppearsAfterDataDecay(t *testing.T) {
 		t.Fatalf("initial violations = %v", v)
 	}
 	// Provider data decays: emails get wiped.
-	if _, err := src.Update("customers",
+	if _, err := src.Update(context.Background(), "customers",
 		func(r datum.Row) bool { return r[0].Int() <= 2 },
 		func(r datum.Row) datum.Row { r[1] = datum.Null; return r }); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // with a failure injected at each step, under the saga engine and under the
 // naive multi-write a virtual-database update amounts to; the table reports
 // how many backend systems are left inconsistent.
-func RunE10(_ context.Context, scale Scale) (Table, error) {
+func RunE10(ctx context.Context, scale Scale) (Table, error) {
 	t := Table{
 		ID:            "E10",
 		Title:         "Employee onboarding with injected failures: saga vs naive multi-write",
@@ -34,7 +34,7 @@ func RunE10(_ context.Context, scale Scale) (Table, error) {
 				return t, err
 			}
 			const newID = int64(9999)
-			proc := onboardingProcess(fed, newID, failAt)
+			proc := onboardingProcess(ctx, fed, newID, failAt)
 			var out eai.Outcome
 			if strategy == "saga" {
 				out = eai.NewEngine().Run(proc, nil)
@@ -72,7 +72,8 @@ func chooseResidue(failAt, residue int) int {
 
 // onboardingProcess builds the three-system insert with compensations;
 // failAt (1-based) injects a failure in that step, 0 disables injection.
-func onboardingProcess(fed *workload.EmployeeFederation, id int64, failAt int) *eai.Process {
+// Every write its steps make runs under ctx.
+func onboardingProcess(ctx context.Context, fed *workload.EmployeeFederation, id int64, failAt int) *eai.Process {
 	mkRow := func(vals ...datum.Datum) datum.Row { return vals }
 	idD := datum.NewInt(id)
 	hasID := func(r datum.Row) bool { return r[0].Int() == id }
@@ -85,11 +86,11 @@ func onboardingProcess(fed *workload.EmployeeFederation, id int64, failAt int) *
 					if failAt == 1 {
 						return errors.New("hr system rejected the record")
 					}
-					return fed.HR.Insert("employees", mkRow(idD,
+					return fed.HR.Insert(ctx, "employees", mkRow(idD,
 						datum.NewString("New Hire"), datum.NewString("sales"), datum.NewString("SEA")))
 				},
 				Compensate: func(*eai.Context) error {
-					_, err := fed.HR.Delete("employees", hasID)
+					_, err := fed.HR.Delete(ctx, "employees", hasID)
 					return err
 				},
 			},
@@ -99,11 +100,11 @@ func onboardingProcess(fed *workload.EmployeeFederation, id int64, failAt int) *
 					if failAt == 2 {
 						return errors.New("no desks available")
 					}
-					return fed.Facilities.Insert("offices", mkRow(idD,
+					return fed.Facilities.Insert(ctx, "offices", mkRow(idD,
 						datum.NewString("B1"), datum.NewString("D001")))
 				},
 				Compensate: func(*eai.Context) error {
-					_, err := fed.Facilities.Delete("offices", hasID)
+					_, err := fed.Facilities.Delete(ctx, "offices", hasID)
 					return err
 				},
 			},
@@ -113,11 +114,11 @@ func onboardingProcess(fed *workload.EmployeeFederation, id int64, failAt int) *
 					if failAt == 3 {
 						return errors.New("laptop order failed approval")
 					}
-					return fed.IT.Insert("assets", mkRow(idD,
+					return fed.IT.Insert(ctx, "assets", mkRow(idD,
 						datum.NewString("X1"), datum.NewString("SN-NEW")))
 				},
 				Compensate: func(*eai.Context) error {
-					_, err := fed.IT.Delete("assets", hasID)
+					_, err := fed.IT.Delete(ctx, "assets", hasID)
 					return err
 				},
 			},

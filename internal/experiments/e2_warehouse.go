@@ -42,7 +42,7 @@ func RunE2(ctx context.Context, scale Scale) (Table, error) {
 		}
 		fed.Engine.ResetMetrics()
 		for u := 0; u < mix.updates; u++ {
-			if err := applyUpdate(fed, u); err != nil {
+			if err := applyUpdate(ctx, fed, u); err != nil {
 				return t, err
 			}
 		}
@@ -92,7 +92,7 @@ func RunE2(ctx context.Context, scale Scale) (Table, error) {
 		applied := 0
 		for q := 0; q < mix.queries; q++ {
 			for applied*mix.queries < q*mix.updates {
-				if err := applyUpdate(fed2, applied); err != nil {
+				if err := applyUpdate(ctx, fed2, applied); err != nil {
 					return t, err
 				}
 				applied++
@@ -105,7 +105,7 @@ func RunE2(ctx context.Context, scale Scale) (Table, error) {
 			}
 		}
 		for applied < mix.updates {
-			if err := applyUpdate(fed2, applied); err != nil {
+			if err := applyUpdate(ctx, fed2, applied); err != nil {
 				return t, err
 			}
 			applied++
@@ -122,9 +122,9 @@ func RunE2(ctx context.Context, scale Scale) (Table, error) {
 }
 
 // applyUpdate mutates one invoice amount at the billing source.
-func applyUpdate(fed *workload.CRMFederation, i int) error {
+func applyUpdate(ctx context.Context, fed *workload.CRMFederation, i int) error {
 	target := int64(i%100 + 1)
-	_, err := fed.Billing.Update("invoices",
+	_, err := fed.Billing.Update(ctx, "invoices",
 		func(r datum.Row) bool { return r[0].Int() == target },
 		func(r datum.Row) datum.Row {
 			r[2] = datum.NewFloat(r[2].Float() + 1)

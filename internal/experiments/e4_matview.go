@@ -51,7 +51,7 @@ func RunE4(ctx context.Context, scale Scale) (Table, error) {
 			return t, err
 		}
 		for i := 0; i < mix.writes; i++ {
-			if err := applyUpdate(fedLive, i); err != nil {
+			if err := applyUpdate(ctx, fedLive, i); err != nil {
 				return t, err
 			}
 		}
@@ -69,7 +69,7 @@ func RunE4(ctx context.Context, scale Scale) (Table, error) {
 			return t, err
 		}
 		for i := 0; i < mix.writes; i++ {
-			if err := applyUpdate(fedMat, i); err != nil {
+			if err := applyUpdate(ctx, fedMat, i); err != nil {
 				return t, err
 			}
 			mgrMat.Invalidate("dash")

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -163,26 +164,26 @@ func TestCapsAllowsMatrix(t *testing.T) {
 
 func TestRelationalUpdatable(t *testing.T) {
 	src := relFixture(t)
-	if err := src.Insert("customers", datum.Row{datum.NewInt(9), datum.NewString("Zed"), datum.NewString("north")}); err != nil {
+	if err := src.Insert(context.Background(), "customers", datum.Row{datum.NewInt(9), datum.NewString("Zed"), datum.NewString("north")}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := src.Update("customers",
+	n, err := src.Update(context.Background(), "customers",
 		func(r datum.Row) bool { return r[0].Int() == 9 },
 		func(r datum.Row) datum.Row { r[2] = datum.NewString("south"); return r })
 	if err != nil || n != 1 {
 		t.Fatalf("update: n=%d err=%v", n, err)
 	}
-	n, err = src.Delete("customers", func(r datum.Row) bool { return r[0].Int() == 9 })
+	n, err = src.Delete(context.Background(), "customers", func(r datum.Row) bool { return r[0].Int() == 9 })
 	if err != nil || n != 1 {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
-	if err := src.Insert("nope", datum.Row{}); err == nil {
+	if err := src.Insert(context.Background(), "nope", datum.Row{}); err == nil {
 		t.Error("insert into missing table must error")
 	}
-	if _, err := src.Update("nope", nil, nil); err == nil {
+	if _, err := src.Update(context.Background(), "nope", nil, nil); err == nil {
 		t.Error("update on missing table must error")
 	}
-	if _, err := src.Delete("nope", nil); err == nil {
+	if _, err := src.Delete(context.Background(), "nope", nil); err == nil {
 		t.Error("delete on missing table must error")
 	}
 	if _, err := src.SubscribeTable("nope", func(storage.Change) {}); err == nil {
@@ -190,6 +191,32 @@ func TestRelationalUpdatable(t *testing.T) {
 	}
 	if _, ok := src.TableVersion("nope"); ok {
 		t.Error("version of missing table must be not-ok")
+	}
+}
+
+// TestRelationalWritesHonorCancellation: a write under a cancelled context
+// fails with its error before crossing the link, and changes nothing.
+func TestRelationalWritesHonorCancellation(t *testing.T) {
+	src := relFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	all := func(datum.Row) bool { return true }
+	if err := src.Insert(ctx, "customers", datum.Row{datum.NewInt(9), datum.NewString("Zed"), datum.NewString("north")}); !errors.Is(err, context.Canceled) {
+		t.Errorf("insert: err = %v, want context.Canceled", err)
+	}
+	if _, err := src.Update(ctx, "customers", all, func(r datum.Row) datum.Row { return r }); !errors.Is(err, context.Canceled) {
+		t.Errorf("update: err = %v, want context.Canceled", err)
+	}
+	if _, err := src.Delete(ctx, "customers", all); !errors.Is(err, context.Canceled) {
+		t.Errorf("delete: err = %v, want context.Canceled", err)
+	}
+	if m := src.Link().Metrics(); m.RoundTrips != 0 {
+		t.Errorf("cancelled writes made %d round trips", m.RoundTrips)
+	}
+	rows, err := src.ExecuteCtx(context.Background(), &plan.Scan{Source: "crm", Table: "customers", Alias: "customers",
+		Cols: []plan.ColMeta{{Name: "id"}, {Name: "name"}, {Name: "region"}}})
+	if err != nil || len(rows) != 3 {
+		t.Errorf("table after cancelled writes: %d rows, err %v; want the fixture's 3", len(rows), err)
 	}
 }
 

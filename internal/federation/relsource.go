@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"context"
+
 	"repro/internal/datum"
 	"repro/internal/netsim"
 	"repro/internal/schema"
@@ -69,37 +71,37 @@ func (s *RelationalSource) RefreshStats() {
 }
 
 // Insert implements Updatable.
-func (s *RelationalSource) Insert(table string, row datum.Row) error {
+func (s *RelationalSource) Insert(ctx context.Context, table string, row datum.Row) error {
 	t, err := s.table(table)
 	if err != nil {
 		return err
 	}
 	// Writes cross the same link as reads.
-	if _, err := s.link.Transfer(requestOverheadBytes + datum.RowWireSize(row)); err != nil {
+	if _, err := s.link.Transfer(ctx, requestOverheadBytes+datum.RowWireSize(row)); err != nil {
 		return err
 	}
 	return t.Insert(row)
 }
 
 // Update implements Updatable.
-func (s *RelationalSource) Update(table string, pred func(datum.Row) bool, fn func(datum.Row) datum.Row) (int, error) {
+func (s *RelationalSource) Update(ctx context.Context, table string, pred func(datum.Row) bool, fn func(datum.Row) datum.Row) (int, error) {
 	t, err := s.table(table)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := s.link.Transfer(requestOverheadBytes); err != nil {
+	if _, err := s.link.Transfer(ctx, requestOverheadBytes); err != nil {
 		return 0, err
 	}
 	return t.Update(pred, fn)
 }
 
 // Delete implements Updatable.
-func (s *RelationalSource) Delete(table string, pred func(datum.Row) bool) (int, error) {
+func (s *RelationalSource) Delete(ctx context.Context, table string, pred func(datum.Row) bool) (int, error) {
 	t, err := s.table(table)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := s.link.Transfer(requestOverheadBytes); err != nil {
+	if _, err := s.link.Transfer(ctx, requestOverheadBytes); err != nil {
 		return 0, err
 	}
 	return t.Delete(pred), nil

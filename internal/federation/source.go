@@ -104,9 +104,9 @@ func ExecuteWithContext(ctx context.Context, src Source, subtree plan.Node) ([]d
 // Updatable is implemented by sources that accept writes (used by the EAI
 // layer and the examples; EII itself is read-only, which is §4's point).
 type Updatable interface {
-	Insert(table string, row datum.Row) error
-	Update(table string, pred func(datum.Row) bool, fn func(datum.Row) datum.Row) (int, error)
-	Delete(table string, pred func(datum.Row) bool) (int, error)
+	Insert(ctx context.Context, table string, row datum.Row) error
+	Update(ctx context.Context, table string, pred func(datum.Row) bool, fn func(datum.Row) datum.Row) (int, error)
+	Delete(ctx context.Context, table string, pred func(datum.Row) bool) (int, error)
 }
 
 // Notifying is implemented by sources that can push change notifications
@@ -178,7 +178,7 @@ func shipResult(ctx context.Context, link *netsim.Link, req int, rows []datum.Ro
 	for _, r := range rows {
 		bytes += datum.RowWireSize(r)
 	}
-	if _, err := link.TransferCtx(ctx, bytes); err != nil {
+	if _, err := link.Transfer(ctx, bytes); err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -22,7 +22,7 @@ func TestAutoInvalidateMarksStaleOnSourceWrite(t *testing.T) {
 		t.Fatal("fresh after materialize")
 	}
 	// Any write to the base table stales the cache — no manual call.
-	if err := src.Insert("customers", datum.Row{datum.NewInt(9), datum.NewString("east")}); err != nil {
+	if err := src.Insert(context.Background(), "customers", datum.Row{datum.NewInt(9), datum.NewString("east")}); err != nil {
 		t.Fatal(err)
 	}
 	if v.Fresh() {
@@ -40,7 +40,7 @@ func TestAutoInvalidateMarksStaleOnSourceWrite(t *testing.T) {
 	}
 	// After cancel, writes no longer invalidate.
 	cancel()
-	if err := src.Insert("customers", datum.Row{datum.NewInt(10), datum.NewString("east")}); err != nil {
+	if err := src.Insert(context.Background(), "customers", datum.Row{datum.NewInt(10), datum.NewString("east")}); err != nil {
 		t.Fatal(err)
 	}
 	if !v.Fresh() {

@@ -75,7 +75,7 @@ func TestStalenessAndRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A new east customer arrives; cached view is stale until refresh.
-	if err := src.Insert("customers", datum.Row{datum.NewInt(4), datum.NewString("east")}); err != nil {
+	if err := src.Insert(context.Background(), "customers", datum.Row{datum.NewInt(4), datum.NewString("east")}); err != nil {
 		t.Fatal(err)
 	}
 	m.Invalidate("v")

@@ -228,16 +228,7 @@ func (l *Link) injectFault() (*FaultError, time.Duration) {
 	return nil, 0
 }
 
-// Transfer charges one round trip carrying the given logical payload and
-// returns the virtual time it took. It is the context-free compatibility
-// wrapper around TransferCtx for callers outside any query (warm-up
-// loads, offline refresh): the transfer can never be cancelled.
-func (l *Link) Transfer(logicalBytes int) (time.Duration, error) {
-	//lint:ignore ctxpropagate compatibility wrapper for context-free callers (offline loads); the query path uses TransferCtx
-	return l.TransferCtx(context.Background(), logicalBytes)
-}
-
-// TransferCtx charges one round trip carrying the given logical payload
+// Transfer charges one round trip carrying the given logical payload
 // and returns the virtual time it took. With RealSleep set it also blocks
 // for that duration (capped), so concurrent transfers over different links
 // overlap in wall-clock time the way real federated fetches do; the block
@@ -249,7 +240,7 @@ func (l *Link) Transfer(logicalBytes int) (time.Duration, error) {
 // trip may fail: the link charges the latency it still cost (plus the
 // spike for timeouts), counts the failure, and returns a *FaultError. No
 // payload bytes are accounted for a failed trip.
-func (l *Link) TransferCtx(ctx context.Context, logicalBytes int) (time.Duration, error) {
+func (l *Link) Transfer(ctx context.Context, logicalBytes int) (time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}

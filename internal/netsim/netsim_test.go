@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestTransferAccounting(t *testing.T) {
 	l := NewLink(10*time.Millisecond, 1000, 1) // 1000 B/s
-	d, err := l.Transfer(500)
+	d, err := l.Transfer(context.Background(), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestTransferAccounting(t *testing.T) {
 
 func TestSerializationFactorInflation(t *testing.T) {
 	l := NewLink(0, 1000, 3) // XML-style 3x inflation
-	l.Transfer(100)
+	l.Transfer(context.Background(), 100)
 	m := l.Metrics()
 	if m.BytesShipped != 100 || m.WireBytes != 300 {
 		t.Errorf("inflation: shipped=%d wire=%d", m.BytesShipped, m.WireBytes)
@@ -52,14 +53,14 @@ func TestDefaults(t *testing.T) {
 		t.Error("defaults not applied")
 	}
 	ll := LocalLink()
-	if d, _ := ll.Transfer(1 << 20); d > time.Millisecond*2 {
+	if d, _ := ll.Transfer(context.Background(), 1<<20); d > time.Millisecond*2 {
 		t.Errorf("local link should be near-free, got %v", d)
 	}
 }
 
 func TestResetAndAdd(t *testing.T) {
 	l := NewLink(0, 1000, 1)
-	l.Transfer(100)
+	l.Transfer(context.Background(), 100)
 	l.Reset()
 	if l.Metrics() != (Metrics{}) {
 		t.Error("reset must zero metrics")
@@ -81,7 +82,7 @@ func TestForcedOutageFailsTransfers(t *testing.T) {
 	if !l.Down() {
 		t.Fatal("link should report down")
 	}
-	_, err := l.Transfer(100)
+	_, err := l.Transfer(context.Background(), 100)
 	fe, ok := err.(*FaultError)
 	if !ok || fe.Kind != FaultOutage {
 		t.Fatalf("want outage FaultError, got %v", err)
@@ -94,7 +95,7 @@ func TestForcedOutageFailsTransfers(t *testing.T) {
 		t.Errorf("failed trip accounting = %+v", m)
 	}
 	l.SetDown(false)
-	if _, err := l.Transfer(100); err != nil {
+	if _, err := l.Transfer(context.Background(), 100); err != nil {
 		t.Fatalf("after outage lifts: %v", err)
 	}
 }
@@ -105,7 +106,7 @@ func TestFaultProfileDeterministic(t *testing.T) {
 		l.SetFaultProfile(&FaultProfile{Seed: 42, FailureRate: 0.3})
 		out := make([]bool, 50)
 		for i := range out {
-			_, err := l.Transfer(10)
+			_, err := l.Transfer(context.Background(), 10)
 			out[i] = err != nil
 		}
 		return out
@@ -129,11 +130,11 @@ func TestFailFirstThenRecover(t *testing.T) {
 	l := NewLink(time.Millisecond, 1e6, 1)
 	l.SetFaultProfile(&FaultProfile{FailFirst: 3})
 	for i := 0; i < 3; i++ {
-		if _, err := l.Transfer(10); err == nil {
+		if _, err := l.Transfer(context.Background(), 10); err == nil {
 			t.Fatalf("warm-up trip %d should fail", i)
 		}
 	}
-	if _, err := l.Transfer(10); err != nil {
+	if _, err := l.Transfer(context.Background(), 10); err != nil {
 		t.Fatalf("trip after warm-up should succeed: %v", err)
 	}
 }
@@ -144,7 +145,7 @@ func TestScheduledOutageWindow(t *testing.T) {
 	l.SetFaultProfile(&FaultProfile{OutageAfter: 2 * time.Millisecond, OutageUntil: 4 * time.Millisecond})
 	var seq []bool
 	for i := 0; i < 6; i++ {
-		_, err := l.Transfer(1)
+		_, err := l.Transfer(context.Background(), 1)
 		seq = append(seq, err == nil)
 	}
 	// Trips at SimTime 0,1ms succeed; trips at 2ms,3ms fail; then recover.
@@ -159,7 +160,7 @@ func TestScheduledOutageWindow(t *testing.T) {
 func TestTimeoutChargesSpike(t *testing.T) {
 	l := NewLink(time.Millisecond, 1e9, 1)
 	l.SetFaultProfile(&FaultProfile{Seed: 1, TimeoutRate: 1, SpikeLatency: 7 * time.Millisecond})
-	d, err := l.Transfer(10)
+	d, err := l.Transfer(context.Background(), 10)
 	fe, ok := err.(*FaultError)
 	if !ok || fe.Kind != FaultTimeout {
 		t.Fatalf("want timeout, got %v", err)
@@ -186,7 +187,7 @@ func TestConcurrentTransfers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				l.Transfer(10)
+				l.Transfer(context.Background(), 10)
 			}
 		}()
 	}
@@ -198,10 +199,10 @@ func TestConcurrentTransfers(t *testing.T) {
 
 func TestSinceDelta(t *testing.T) {
 	l := NewLink(0, 1e6, 2)
-	l.Transfer(100)
+	l.Transfer(context.Background(), 100)
 	snap := l.Metrics()
-	l.Transfer(300)
-	l.Transfer(50)
+	l.Transfer(context.Background(), 300)
+	l.Transfer(context.Background(), 50)
 	d := l.Since(snap)
 	if d.RoundTrips != 2 || d.BytesShipped != 350 || d.WireBytes != 700 {
 		t.Errorf("Since delta = %+v", d)
@@ -217,7 +218,7 @@ func TestSinceDelta(t *testing.T) {
 
 func TestSinceAgainstZeroSnapshotEqualsMetrics(t *testing.T) {
 	l := NewLink(0, 1e6, 1)
-	l.Transfer(42)
+	l.Transfer(context.Background(), 42)
 	if got, want := l.Since(Metrics{}), l.Metrics(); got != want {
 		t.Errorf("Since(zero) = %+v, want %+v", got, want)
 	}

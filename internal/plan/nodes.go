@@ -31,8 +31,8 @@ func (c ColMeta) QualifiedName() string {
 	return c.Table + "." + c.Name
 }
 
-// Node is a logical plan operator. Its inputs are reached through
-// MapInputs, the one function that knows every operator's input fields.
+// Node is a logical plan operator. Its inputs and expressions are reached
+// through Map, the one function that knows every operator's fields.
 type Node interface {
 	// Columns returns the output schema of the node.
 	Columns() []ColMeta
@@ -455,90 +455,151 @@ func ResolveColumn(cols []ColMeta, ref *sqlparse.ColumnRef) (int, error) {
 	}
 }
 
-// MapInputs returns n with every input replaced by fn(input), in order
-// (Join: left, then right). It is the plan tree's one traversal protocol:
-// every pass that descends into a node's inputs goes through it, and it is
-// the one place that knows which fields hold them. When fn returns every
-// input unchanged, MapInputs returns n itself and allocates nothing;
-// otherwise it returns a shallow copy with the new inputs, hints kept,
-// allocated from a (heap when a is nil; see New). A Join or Aggregate copy
-// recomputes its output columns only when an input's column list changed,
-// and otherwise shares the original's, capped (see Join.WithInputs).
-// MapInputs never writes into n.
+// MapInputs returns n with every input replaced by fn(input): Map without
+// an expression callback.
 func MapInputs(a *sqlparse.Arena, n Node, fn func(Node) Node) Node {
+	return Map(a, n, fn, nil)
+}
+
+// Map returns n with every input replaced by inputs(input), in order
+// (Join: left, then right), and, when exprs is non-nil, every expression
+// n holds replaced by exprs(expr), after the inputs: a Filter's or Join's
+// condition, a Project's expressions, an Aggregate's group-by and then
+// its arguments, a Sort's keys. A nil expression (a cross join's
+// condition, COUNT(*)'s argument) is skipped. It is the plan tree's one
+// traversal protocol: every pass that descends into a node's inputs or
+// rewrites its expressions goes through it, and it is the one place that
+// knows which fields hold them. When the callbacks return everything
+// unchanged, Map returns n itself and allocates nothing; otherwise it
+// returns one shallow copy, hints kept, allocated from a (heap when a is
+// nil; see New), as is every list that changed. A copy keeps n's columns
+// unless an input's column list changed: then a Join or Aggregate
+// recomputes them, and otherwise shares n's list, capped (see
+// Join.WithInputs). Map never writes into n.
+func Map(a *sqlparse.Arena, n Node, inputs func(Node) Node, exprs func(sqlparse.Expr) sqlparse.Expr) Node {
 	switch x := n.(type) {
 	case *Scan:
 		// A leaf.
 	case *Filter:
-		if in := fn(x.Input); in != x.Input {
+		in, cond := inputs(x.Input), mapExpr(x.Cond, exprs)
+		if in != x.Input || cond != x.Cond {
 			c := sqlparse.New(a, *x)
-			c.Input = in
+			c.Input, c.Cond = in, cond
 			return c
 		}
 	case *Project:
-		if in := fn(x.Input); in != x.Input {
+		in := inputs(x.Input)
+		list, changed := mapList(a, x.Exprs, exprAt, exprs)
+		if in != x.Input || changed {
 			c := sqlparse.New(a, *x)
-			c.Input = in
+			c.Input, c.Exprs = in, list
 			return c
 		}
 	case *Join:
-		left, right := fn(x.Left), fn(x.Right)
-		if left != x.Left || right != x.Right {
-			return x.WithInputs(a, left, right)
+		left, right := inputs(x.Left), inputs(x.Right)
+		cond := mapExpr(x.Cond, exprs)
+		if left != x.Left || right != x.Right || cond != x.Cond {
+			c := x.WithInputs(a, left, right)
+			c.Cond = cond
+			return c
 		}
 	case *Aggregate:
-		if in := fn(x.Input); in != x.Input {
+		in := inputs(x.Input)
+		groupBy, groupsChanged := mapList(a, x.GroupBy, exprAt, exprs)
+		aggs, aggsChanged := mapList(a, x.Aggs, argAt, exprs)
+		if in != x.Input || groupsChanged || aggsChanged {
 			c := sqlparse.New(a, *x)
-			c.Input = in
+			c.Input, c.GroupBy, c.Aggs = in, groupBy, aggs
 			if sameColumns(in.Columns(), x.Input.Columns()) {
 				c.cols = x.cols[:len(x.cols):len(x.cols)]
 			} else {
-				c.cols = aggregateColumns(a, in, x.GroupBy, x.Aggs)
+				c.cols = aggregateColumns(a, in, groupBy, aggs)
 			}
 			return c
 		}
 	case *Sort:
-		if in := fn(x.Input); in != x.Input {
+		in := inputs(x.Input)
+		keys, changed := mapList(a, x.Keys, keyAt, exprs)
+		if in != x.Input || changed {
 			c := sqlparse.New(a, *x)
-			c.Input = in
+			c.Input, c.Keys = in, keys
 			return c
 		}
 	case *Limit:
-		if in := fn(x.Input); in != x.Input {
+		if in := inputs(x.Input); in != x.Input {
 			c := sqlparse.New(a, *x)
 			c.Input = in
 			return c
 		}
 	case *Distinct:
-		if in := fn(x.Input); in != x.Input {
+		if in := inputs(x.Input); in != x.Input {
 			return sqlparse.New(a, Distinct{Input: in})
 		}
 	case *Union:
-		var inputs []Node // allocated at the first changed input
+		var list []Node // allocated at the first changed input
 		for i, in := range x.Inputs {
-			out := fn(in)
-			if out != in && inputs == nil {
-				inputs = sqlparse.Make[Node](a, len(x.Inputs))
-				copy(inputs, x.Inputs[:i])
+			out := inputs(in)
+			if out != in && list == nil {
+				list = sqlparse.Make[Node](a, len(x.Inputs))
+				copy(list, x.Inputs[:i])
 			}
-			if inputs != nil {
-				inputs[i] = out
+			if list != nil {
+				list[i] = out
 			}
 		}
-		if inputs != nil {
-			return sqlparse.New(a, Union{Inputs: inputs})
+		if list != nil {
+			return sqlparse.New(a, Union{Inputs: list})
 		}
 	case *Remote:
-		if in := fn(x.Child); in != x.Child {
+		if in := inputs(x.Child); in != x.Child {
 			c := sqlparse.New(a, *x)
 			c.Child = in
 			return c
 		}
 	default:
-		panic(fmt.Sprintf("plan: MapInputs missing case for %T", n))
+		panic(fmt.Sprintf("plan: Map missing case for %T", n))
 	}
 	return n
 }
+
+// mapExpr is exprs(e), or e itself when e or exprs is nil.
+func mapExpr(e sqlparse.Expr, exprs func(sqlparse.Expr) sqlparse.Expr) sqlparse.Expr {
+	if e == nil || exprs == nil {
+		return e
+	}
+	return exprs(e)
+}
+
+// mapList maps the expression at(&list[i]) of every element through exprs.
+// It returns list itself and false when nothing changed, and otherwise a
+// copy from a, drawn at the first change, and true.
+func mapList[T any](a *sqlparse.Arena, list []T, at func(*T) *sqlparse.Expr, exprs func(sqlparse.Expr) sqlparse.Expr) ([]T, bool) {
+	if exprs == nil {
+		return list, false
+	}
+	var out []T // allocated at the first changed element
+	for i := range list {
+		e := *at(&list[i])
+		ne := mapExpr(e, exprs)
+		if ne != e && out == nil {
+			out = sqlparse.Make[T](a, len(list))
+			copy(out, list)
+		}
+		if out != nil {
+			*at(&out[i]) = ne
+		}
+	}
+	if out == nil {
+		return list, false
+	}
+	return out, true
+}
+
+// The expression of one element of a Project's or Aggregate's expression
+// list, an Aggregate's aggregates and a Sort's keys, for mapList.
+func exprAt(e *sqlparse.Expr) *sqlparse.Expr { return e }
+func argAt(s *AggSpec) *sqlparse.Expr        { return &s.Arg }
+func keyAt(k *SortKey) *sqlparse.Expr        { return &k.Expr }
 
 // Explain renders the plan tree indented, one node per line.
 func Explain(n Node) string {

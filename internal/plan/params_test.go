@@ -10,7 +10,7 @@ import (
 	"repro/internal/sqlparse"
 )
 
-func paramTestCatalog(t *testing.T) *catalog.Global {
+func paramTestCatalog(t testing.TB) *catalog.Global {
 	t.Helper()
 	g := catalog.NewGlobal()
 	crm := catalog.NewSourceCatalog("crm")
@@ -34,7 +34,7 @@ func paramTestCatalog(t *testing.T) *catalog.Global {
 	return g
 }
 
-func mustBuild(t *testing.T, g *catalog.Global, sql string) Node {
+func mustBuild(t testing.TB, g *catalog.Global, sql string) Node {
 	t.Helper()
 	sel, err := sqlparse.Parse(sql)
 	if err != nil {

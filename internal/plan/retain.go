@@ -15,8 +15,7 @@ import (
 // shares nothing with a: only the expression leaves outside it (a stored
 // view's column references, say) and strings and datum values, which no
 // arena owns, are shared rather than copied; with a nil every leaf is
-// copied too. Derived columns are copied verbatim, as the binder keeps
-// them, where MapInputs would recompute them.
+// copied too. Derived columns are copied verbatim, never recomputed.
 func Retain(a *sqlparse.Arena, n Node) Node {
 	r := retainer{Retainer: sqlparse.Retainer{From: a}}
 	r.node(n) // sizing

@@ -1,7 +1,6 @@
 package sqlparse
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/arena"
@@ -10,9 +9,10 @@ import (
 
 // Arena is the query arena behind one parse→bind→execute cycle: an
 // arena.Set that every AST node and list comes from, and the plan
-// compiled and bound from them too (plan.BuildIn, the optimizer's passes,
-// plan.BindParamsIn), beside the parser's reused token buffer and list
-// stacks. New and Make draw from it, and Reset recycles the lot, so a
+// compiled and bound from them too (plan.BuildIn, and plan.Map, through
+// which the optimizer's passes and plan.BindParamsIn copy the nodes,
+// lists and expressions they change), beside the parser's reused token
+// buffer and list stacks. New and Make draw from it, and Reset recycles the lot, so a
 // warm query compiles with almost no heap allocation.
 //
 // An Arena is not safe for concurrent use and everything allocated from
@@ -104,41 +104,4 @@ func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 func PutArena(a *Arena) {
 	a.Reset()
 	arenaPool.Put(a)
-}
-
-// holds reports whether the node e, or a list it holds, came from a.
-func (a *Arena) holds(e Expr) bool {
-	s := &a.slabs
-	switch x := e.(type) {
-	case *Literal:
-		return arena.Holds(s, x)
-	case *Param:
-		return arena.Holds(s, x)
-	case *ColumnRef:
-		return arena.Holds(s, x)
-	case *BinaryExpr:
-		return arena.Holds(s, x)
-	case *UnaryExpr:
-		return arena.Holds(s, x)
-	case *IsNullExpr:
-		return arena.Holds(s, x)
-	case *InExpr:
-		return arena.Holds(s, x) || len(x.List) > 0 && arena.Holds(s, &x.List[0])
-	case *InSubquery:
-		return arena.Holds(s, x)
-	case *BetweenExpr:
-		return arena.Holds(s, x)
-	case *FuncExpr:
-		return arena.Holds(s, x) || len(x.Args) > 0 && arena.Holds(s, &x.Args[0])
-	case *CaseExpr:
-		return arena.Holds(s, x) || len(x.Whens) > 0 && arena.Holds(s, &x.Whens[0])
-	case *CastExpr:
-		return arena.Holds(s, x)
-	case *ExistsExpr:
-		return arena.Holds(s, x)
-	case *KeyFilterExpr:
-		return false // never from an arena
-	default:
-		panic(fmt.Sprintf("sqlparse: holds missing case for %T", e))
-	}
 }

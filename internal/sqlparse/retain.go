@@ -41,19 +41,12 @@ type Retainer struct {
 	whens     arena.Block[CaseWhen]
 }
 
-// shared reports whether nothing of e lies in From: not e, not a node or
-// list below it. The copy then points at e itself.
-func (r *Retainer) shared(e Expr) bool {
-	if r.From == nil {
-		return false
-	}
-	held := false
-	WalkExprs(e, func(x Expr) { held = held || r.From.holds(x) })
-	return !held
-}
-
 // Expr counts e's nodes and lists while sizing, and returns e's deep copy
-// while copying.
+// while copying. It decides sharing bottom up, in the same switch in both
+// walks: e is shared, and comes back as itself, when neither e nor the
+// backing array of its list (InExpr, FuncExpr, CaseExpr) is From's and
+// every child came back as itself. While sizing, any other e comes back
+// nil.
 //
 // It copies every node it does not share with its lists, whatever lies
 // below, so it enumerates the children itself rather than through
@@ -61,64 +54,135 @@ func (r *Retainer) shared(e Expr) bool {
 // here that node, or a list of it, may be the arena's over subtrees the
 // copy shares.
 func (r *Retainer) Expr(e Expr) Expr {
-	if e == nil || r.shared(e) {
-		return e
-	}
 	c := r.Copying
 	switch x := e.(type) {
+	case nil:
+		return nil
 	case *Literal:
-		return r.literals.One(c, *x)
+		if owned(r, x) {
+			return r.literals.One(c, *x)
+		}
 	case *Param:
-		return r.params.One(c, *x)
+		if owned(r, x) {
+			return r.params.One(c, *x)
+		}
 	case *ColumnRef:
-		return r.colRefs.One(c, *x)
+		if owned(r, x) {
+			return r.colRefs.One(c, *x)
+		}
 	case *ExistsExpr:
-		return r.existss.One(c, *x)
+		if owned(r, x) {
+			return r.existss.One(c, *x)
+		}
 	case *BinaryExpr:
-		return r.binaries.One(c, BinaryExpr{Op: x.Op, Left: r.Expr(x.Left), Right: r.Expr(x.Right)})
+		if l, rt := r.Expr(x.Left), r.Expr(x.Right); l != x.Left || rt != x.Right || owned(r, x) {
+			return r.binaries.One(c, BinaryExpr{Op: x.Op, Left: l, Right: rt})
+		}
 	case *UnaryExpr:
-		return r.unaries.One(c, UnaryExpr{Op: x.Op, Child: r.Expr(x.Child)})
+		if child := r.Expr(x.Child); child != x.Child || owned(r, x) {
+			return r.unaries.One(c, UnaryExpr{Op: x.Op, Child: child})
+		}
 	case *IsNullExpr:
-		return r.isNulls.One(c, IsNullExpr{Child: r.Expr(x.Child), Not: x.Not})
+		if child := r.Expr(x.Child); child != x.Child || owned(r, x) {
+			return r.isNulls.One(c, IsNullExpr{Child: child, Not: x.Not})
+		}
 	case *InExpr:
-		return r.ins.One(c, InExpr{Child: r.Expr(x.Child), List: r.List(x.List), Not: x.Not})
+		child := r.Expr(x.Child)
+		if list, kept := r.list(x.List, child == x.Child && !owned(r, x)); !kept {
+			return r.ins.One(c, InExpr{Child: child, List: list, Not: x.Not})
+		}
 	case *InSubquery:
-		return r.inSubs.One(c, InSubquery{Child: r.Expr(x.Child), Query: x.Query, Not: x.Not})
+		if child := r.Expr(x.Child); child != x.Child || owned(r, x) {
+			return r.inSubs.One(c, InSubquery{Child: child, Query: x.Query, Not: x.Not})
+		}
 	case *BetweenExpr:
-		return r.betweens.One(c, BetweenExpr{Child: r.Expr(x.Child), Lo: r.Expr(x.Lo), Hi: r.Expr(x.Hi), Not: x.Not})
+		if ch, lo, hi := r.Expr(x.Child), r.Expr(x.Lo), r.Expr(x.Hi); ch != x.Child || lo != x.Lo || hi != x.Hi || owned(r, x) {
+			return r.betweens.One(c, BetweenExpr{Child: ch, Lo: lo, Hi: hi, Not: x.Not})
+		}
 	case *FuncExpr:
-		return r.funcs.One(c, FuncExpr{Name: x.Name, Distinct: x.Distinct, Star: x.Star, Args: r.List(x.Args)})
+		if args, kept := r.list(x.Args, !owned(r, x)); !kept {
+			return r.funcs.One(c, FuncExpr{Name: x.Name, Distinct: x.Distinct, Star: x.Star, Args: args})
+		}
 	case *CaseExpr:
-		whens := r.whens.List(c, x.Whens)
+		els := r.Expr(x.Else)
+		kept := els == x.Else && !owned(r, x) && !ownedList(r, x.Whens)
+		var whens []CaseWhen
+		if !kept {
+			whens = r.whens.List(c, x.Whens)
+		}
 		for i, w := range x.Whens {
-			if cond, res := r.Expr(w.Cond), r.Expr(w.Result); c {
+			cond, res := r.Expr(w.Cond), r.Expr(w.Result)
+			if kept && (cond != w.Cond || res != w.Result) {
+				kept = false // every when before i came back as itself
+				whens = r.whens.List(c, x.Whens)
+			}
+			if c && !kept {
 				whens[i] = CaseWhen{Cond: cond, Result: res}
 			}
 		}
-		return r.caseExprs.One(c, CaseExpr{Whens: whens, Else: r.Expr(x.Else)})
+		if !kept {
+			return r.caseExprs.One(c, CaseExpr{Whens: whens, Else: els})
+		}
 	case *CastExpr:
-		return r.casts.One(c, CastExpr{Child: r.Expr(x.Child), Type: x.Type})
+		if child := r.Expr(x.Child); child != x.Child || owned(r, x) {
+			return r.casts.One(c, CastExpr{Child: child, Type: x.Type})
+		}
 	case *KeyFilterExpr:
-		// Copied to the heap on its own, as MapChildren copies it.
-		if child := r.Expr(x.Child); c {
+		// Never from an arena: copied to the heap on its own, as
+		// MapChildren copies it, when its child is.
+		if child := r.Expr(x.Child); child != x.Child || r.From == nil {
+			if !c {
+				return nil
+			}
 			v := *x
 			v.Child = child
 			return &v
 		}
-		return nil
 	default:
 		panic(fmt.Sprintf("sqlparse: Retainer missing case for %T", e))
 	}
+	return e
+}
+
+// owned reports whether the node or list element p must be copied: it is
+// From's, or From is nil.
+func owned[T any](r *Retainer, p *T) bool {
+	return r.From == nil || arena.Holds(&r.From.slabs, p)
+}
+
+// ownedList reports whether list's backing array must be copied.
+func ownedList[T any](r *Retainer, list []T) bool {
+	return len(list) > 0 && owned(r, &list[0])
 }
 
 // List counts list, the list included, while sizing, and returns its deep
 // copy, the list carved from a block too, while copying.
 func (r *Retainer) List(list []Expr) []Expr {
-	out := r.exprs.List(r.Copying, list)
+	out, _ := r.list(list, false)
+	return out
+}
+
+// list is List for a list held by a node that is otherwise shared when
+// keep is set: then list comes back as itself, with kept set, when its
+// backing array is not From's and every element came back as itself.
+// Otherwise the list is copied, carved at the first element that was not
+// kept, the ones before it being themselves.
+func (r *Retainer) list(list []Expr, keep bool) (out []Expr, kept bool) {
+	kept = keep && !ownedList(r, list)
+	if kept {
+		out = list
+	} else {
+		out = r.exprs.List(r.Copying, list)
+	}
 	for i, e := range list {
-		if cp := r.Expr(e); r.Copying {
+		cp := r.Expr(e)
+		if kept && cp != e {
+			kept = false
+			out = r.exprs.List(r.Copying, list)
+		}
+		if r.Copying && !kept {
 			out[i] = cp
 		}
 	}
-	return out
+	return out, kept
 }

@@ -229,8 +229,9 @@ func trace(n plan.Node, ref *sqlparse.ColumnRef) (source, table, column string, 
 
 // GenerateInsert builds the saga that inserts one logical view row into
 // every base table the view reads. values maps view column names to the
-// new datums; every NOT NULL base column must be covered.
-func GenerateInsert(e *core.Engine, viewName string, values map[string]datum.Datum) (*eai.Process, error) {
+// new datums; every NOT NULL base column must be covered. Each step's
+// write, and its compensating delete, runs under ctx when the process runs.
+func GenerateInsert(ctx context.Context, e *core.Engine, viewName string, values map[string]datum.Datum) (*eai.Process, error) {
 	tables, err := analyze(e, viewName)
 	if err != nil {
 		return nil, err
@@ -273,10 +274,10 @@ func GenerateInsert(e *core.Engine, viewName string, values map[string]datum.Dat
 		proc.Steps = append(proc.Steps, eai.Step{
 			Name: fmt.Sprintf("insert %s.%s", bt.source, bt.table),
 			Do: func(*eai.Context) error {
-				return upd.Insert(tableName, insertRow)
+				return upd.Insert(ctx, tableName, insertRow)
 			},
 			Compensate: func(*eai.Context) error {
-				_, err := upd.Delete(tableName, rowEqualPred(insertRow))
+				_, err := upd.Delete(ctx, tableName, rowEqualPred(insertRow))
 				return err
 			},
 		})
@@ -287,8 +288,7 @@ func GenerateInsert(e *core.Engine, viewName string, values map[string]datum.Dat
 // GenerateDelete builds the saga that removes a logical view row: each base
 // table deletes the rows matching the view's key column values, capturing
 // the removed rows so compensation can restore them. ctx bounds that
-// capture — the saga's one read through the sources' query path — when the
-// process runs.
+// capture, the deletes and the compensating inserts when the process runs.
 func GenerateDelete(ctx context.Context, e *core.Engine, viewName string, keyValues map[string]datum.Datum) (*eai.Process, error) {
 	tables, err := analyze(e, viewName)
 	if err != nil {
@@ -344,7 +344,7 @@ func GenerateDelete(ctx context.Context, e *core.Engine, viewName string, keyVal
 					return err
 				}
 				pc.Set(ctxKey, removed)
-				_, err = upd.Delete(tableName, pred)
+				_, err = upd.Delete(ctx, tableName, pred)
 				return err
 			},
 			Compensate: func(pc *eai.Context) error {
@@ -353,7 +353,7 @@ func GenerateDelete(ctx context.Context, e *core.Engine, viewName string, keyVal
 					return nil
 				}
 				for _, r := range v.([]datum.Row) {
-					if err := upd.Insert(tableName, r); err != nil {
+					if err := upd.Insert(ctx, tableName, r); err != nil {
 						return err
 					}
 				}

@@ -26,7 +26,7 @@ func employeeEngine(t *testing.T) (*core.Engine, *workload.EmployeeFederation) {
 
 func TestGeneratedInsertWritesAllBaseTables(t *testing.T) {
 	e, _ := employeeEngine(t)
-	proc, err := GenerateInsert(e, "employee360", map[string]datum.Datum{
+	proc, err := GenerateInsert(context.Background(), e, "employee360", map[string]datum.Datum{
 		"emp_id":   datum.NewInt(500),
 		"name":     datum.NewString("Generated Hire"),
 		"dept":     datum.NewString("legal"),
@@ -59,7 +59,7 @@ func TestGeneratedInsertWritesAllBaseTables(t *testing.T) {
 
 func TestGeneratedInsertCompensatesOnFailure(t *testing.T) {
 	e, _ := employeeEngine(t)
-	proc, err := GenerateInsert(e, "employee360", map[string]datum.Datum{
+	proc, err := GenerateInsert(context.Background(), e, "employee360", map[string]datum.Datum{
 		"emp_id":   datum.NewInt(501),
 		"name":     datum.NewString("Doomed Hire"),
 		"dept":     datum.NewString("legal"),
@@ -89,9 +89,42 @@ func TestGeneratedInsertCompensatesOnFailure(t *testing.T) {
 	}
 }
 
+// TestGeneratedInsertRunsUnderItsContext: the saga's writes run under the
+// context GenerateInsert was given, so once it is cancelled the first step
+// fails and no base table is written.
+func TestGeneratedInsertRunsUnderItsContext(t *testing.T) {
+	e, _ := employeeEngine(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	proc, err := GenerateInsert(ctx, e, "employee360", map[string]datum.Datum{
+		"emp_id":   datum.NewInt(503),
+		"name":     datum.NewString("Cancelled Hire"),
+		"dept":     datum.NewString("legal"),
+		"location": datum.NewString("LON"),
+		"building": datum.NewString("B9"),
+		"desk":     datum.NewString("D903"),
+		"model":    datum.NewString("XPS13"),
+		"serial":   datum.NewString("SN-CANCEL"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	out := eai.NewEngine().Run(proc, nil)
+	if out.Completed || !errors.Is(out.Err, context.Canceled) {
+		t.Fatalf("outcome = %+v, want a failure with context.Canceled", out)
+	}
+	res, err := e.QueryCtx(context.Background(), "SELECT COUNT(*) FROM employee360 WHERE emp_id = 503")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][0].Int() != 0 {
+		t.Error("a cancelled saga wrote its row")
+	}
+}
+
 func TestGeneratedInsertValidatesNotNull(t *testing.T) {
 	e, _ := employeeEngine(t)
-	_, err := GenerateInsert(e, "employee360", map[string]datum.Datum{
+	_, err := GenerateInsert(context.Background(), e, "employee360", map[string]datum.Datum{
 		"emp_id": datum.NewInt(502),
 		// name/dept/... missing but NOT NULL in the base schemas.
 	})
@@ -155,7 +188,7 @@ func TestComputedColumnsRejected(t *testing.T) {
 	if err := e.DefineView("shouty", "SELECT emp_id, UPPER(name) AS big_name FROM hr.employees"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := GenerateInsert(e, "shouty", map[string]datum.Datum{
+	_, err := GenerateInsert(context.Background(), e, "shouty", map[string]datum.Datum{
 		"emp_id": datum.NewInt(1), "big_name": datum.NewString("X"),
 	})
 	if err == nil || !strings.Contains(err.Error(), "computed") {
@@ -165,7 +198,7 @@ func TestComputedColumnsRejected(t *testing.T) {
 
 func TestUnknownViewAndReadOnlySource(t *testing.T) {
 	e, _ := employeeEngine(t)
-	if _, err := GenerateInsert(e, "ghost", nil); err == nil {
+	if _, err := GenerateInsert(context.Background(), e, "ghost", nil); err == nil {
 		t.Error("unknown view must error")
 	}
 	// A view over a read-only source (CSV) cannot get update methods.
@@ -179,7 +212,7 @@ func TestUnknownViewAndReadOnlySource(t *testing.T) {
 	if err := e.DefineView("filev", "SELECT a, b FROM files.t"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := GenerateInsert(e, "filev", map[string]datum.Datum{"a": datum.NewInt(2)})
+	_, err := GenerateInsert(context.Background(), e, "filev", map[string]datum.Datum{"a": datum.NewInt(2)})
 	if err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("read-only source must be rejected, got %v", err)
 	}

@@ -81,8 +81,8 @@ func TestStalenessTracking(t *testing.T) {
 		t.Errorf("fresh staleness = %d", s)
 	}
 	// Mutate the source twice.
-	_ = src.Insert("customers", datum.Row{datum.NewInt(4), datum.NewString("Dee")})
-	_, _ = src.Update("customers",
+	_ = src.Insert(context.Background(), "customers", datum.Row{datum.NewInt(4), datum.NewString("Dee")})
+	_, _ = src.Update(context.Background(), "customers",
 		func(r datum.Row) bool { return r[0].Int() == 1 },
 		func(r datum.Row) datum.Row { r[1] = datum.NewString("Anna"); return r })
 	if s := w.Staleness()["customers"]; s != 2 {

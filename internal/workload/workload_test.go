@@ -104,7 +104,7 @@ func TestGenerateDocuments(t *testing.T) {
 		t.Errorf("docs = %d", s.Len())
 	}
 	// Some doc must mention a known customer token.
-	if ids, _ := s.Search("outage"); len(ids) == 0 {
+	if ids, _ := s.Search(context.Background(), "outage"); len(ids) == 0 {
 		t.Error("topic tokens must be searchable")
 	}
 }
