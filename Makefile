@@ -4,9 +4,9 @@
 GO ?= go
 RACE_PKGS := ./...
 
-.PHONY: check fmt vet lint build cross escape test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench bench-smoke doc-names tracked waivers
+.PHONY: check fmt vet lint build cross escape inline test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench bench-smoke doc-names tracked waivers
 
-check: fmt vet lint waivers doc-names build cross escape test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench-smoke
+check: fmt vet lint waivers doc-names build cross escape inline test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench-smoke
 
 fmt:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
@@ -49,6 +49,16 @@ escape:
 		done); \
 	if [ -n "$$bad" ]; then echo "exec.Options moved to heap (a closure captures opts):"; echo "$$bad"; exit 1; fi
 
+# Inline fence: the datum accessors every operator calls per value must
+# stay inlinable, or each read becomes a call. The compiler's -m report
+# must say `can inline` for each of them.
+INLINED := Kind IsNull Bool Int Float Str
+
+inline:
+	@out=$$($(GO) build -gcflags=-m ./internal/datum 2>&1); bad=; \
+	for f in $(INLINED); do echo "$$out" | grep -q ": can inline Datum\.$$f$$" || bad="$$bad $$f"; done; \
+	if [ -n "$$bad" ]; then echo "datum accessors that no longer inline:$$bad"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -84,11 +94,14 @@ race-deadlock:
 # mid-query re-optimization firing, repeated under the race detector. The
 # replan loop joins abandoned prefetch goroutines (Scratch.WaitBorrowers)
 # before absorbing the cardinality ledger; this storm is what keeps that
-# join honest across schedules. Beside it, a re-planned, traced, explained
+# join honest across schedules. Beside it, warm plan-cache hits and
+# re-plans share one cached template, which no pass may write into — the
+# estimates and streams a plan carries are recorded on copies. And a
+# re-planned, traced, explained
 # query's Result must not change when later queries reuse its pooled
 # scratch, whose slabs held its operator tree.
 race-adaptive:
-	$(GO) test -race -run 'TestE20AdaptiveReplanStorm|TestScratchOperatorsDieWithTheirQuery' -count=3 ./internal/core
+	$(GO) test -race -run 'TestE20AdaptiveReplanStorm|TestE20ReplansBesideWarmHits|TestScratchOperatorsDieWithTheirQuery' -count=3 ./internal/core
 
 # Allocation fences (see alloc_guard_test.go): the warm plan-cache-hit
 # path must stay inside its E17 allocs/op and bytes/op budget, a query
@@ -115,11 +128,13 @@ race-adaptive:
 # join, two for the three-source fan-out and for a three-input union. And in
 # ./internal/opt, the copy-on-change fence: over a plan they leave as it
 # is, the optimizer passes, parallelism annotation included, return their
-# input and allocate nothing.
+# input and allocate nothing, and so does the last pass over a plan that
+# carries its estimates already; and a warm plan-cache hit evaluates no
+# estimate, renders no feedback signature and looks up no observation.
 # -count=1 defeats the test cache so the guards actually measure on every
 # check.
 alloc-guard:
-	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestRetainIsCompact|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestCompileAllocGuard|TestSourceAggregateAllocGuard|TestPeerFragmentAllocGuard|TestPrefetchCounts|TestUnchangedPlanComesBackItself' -count=1 . ./internal/opt
+	$(GO) test -run 'TestE17AllocGuard|TestColdCompileAllocGuard|TestRetainIsCompact|TestKeyedLookupAllocGuard|TestParallelAllocGuard|TestPointFetchAllocGuard|TestCompileAllocGuard|TestSourceAggregateAllocGuard|TestPeerFragmentAllocGuard|TestPrefetchCounts|TestUnchangedPlanComesBackItself|TestAnnotatedPlanComesBackItself|TestWarmHitEstimatesNothing' -count=1 . ./internal/opt
 
 bench:
 	$(GO) test -bench=. -benchmem .

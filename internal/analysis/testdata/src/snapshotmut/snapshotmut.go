@@ -50,7 +50,7 @@ func hitEstimateOverwrite(est *feedback.Estimate) {
 	*est = feedback.Estimate{} // want "overwrite of feedback.Estimate through a pointer"
 }
 
-func missObserveMutator(s *feedback.Store, k feedback.Shape) {
+func missObserveMutator(s *feedback.Store, k feedback.Key) {
 	s.Observe(k, 100, 10) // the mutator API is how estimates move
 }
 

@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/feedback"
@@ -46,6 +45,12 @@ type adaptiveEnv struct{ engineEnv }
 
 func (env adaptiveEnv) Observed(k feedback.Shape) (feedback.Estimate, bool) {
 	return env.st.feedback.Lookup(k)
+}
+
+// Stream implements opt.StreamEnv for static and adaptive planning alike:
+// an explain query feeds the store whichever way its plan was costed.
+func (env engineEnv) Stream(k feedback.Shape) *plan.Stream {
+	return env.st.feedback.Stream(k)
 }
 
 func (env adaptiveEnv) NetworkFactor(source string) float64 {
@@ -87,62 +92,19 @@ func optimizerOptions(qo QueryOptions) opt.Options {
 	return optOpts
 }
 
-// swapEstimator is one execution's memoizing estimator: the executor's
-// operator boundaries and then absorbLedger all draw on it, so an attempt
-// estimates each node and renders each feedback signature once. The
-// replan loop swaps in a fresh one (over updated feedback, with an empty
-// memo) between attempts without ever rewriting the exec.Options the
-// attempts share. The mutex is there for union inputs, the one place
-// BuildBatch runs inside prefetch goroutines.
-type swapEstimator struct {
-	mu  sync.Mutex
-	est *opt.Estimator
-}
-
-// Rows implements exec.RowEstimator.
-func (s *swapEstimator) Rows(n plan.Node) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.est.Rows(n)
-}
-
-func (s *swapEstimator) signature(n plan.Node) (feedback.Shape, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.est.Signature(n)
-}
-
-// swap replaces the estimator after the feedback store absorbed an
-// aborted attempt, so the next attempt's ledger records post-feedback
-// estimates (the ones the re-optimized plan was actually built from).
-// With env nil it only releases the current one.
-func (s *swapEstimator) swap(env opt.Env) {
-	s.mu.Lock()
-	if s.est != nil {
-		s.est.Release()
-		s.est = nil
-	}
-	if env != nil {
-		s.est = opt.NewEstimator(env)
-	}
-	s.mu.Unlock()
-}
-
 // absorbLedger feeds one execution attempt's cardinality ledger into the
-// feedback store: per-fetch observed rows keyed by (source, table,
-// predicate signature), and per-source latency calibration was already
-// recorded at fetch time. Signatures and planned rows come from the
-// attempt's own estimator. It returns how many operators misestimated by
+// feedback store: per fetch, the observed rows of the stream its Remote
+// carries, against the estimate it carries — both recorded on the plan by
+// the optimizer's last pass, which is all a first observation of a stream
+// reads of the plan (per-source latency calibration was already recorded
+// at fetch time). It returns how many operators misestimated by
 // estimateErrorFactor or more. Must only be called after the attempt's
 // goroutines have joined (the ledger contract).
-func (s *engineState) absorbLedger(led *exec.CardLedger, se *swapEstimator) (estErrors int) {
-	fb := s.feedback
+func (s *engineState) absorbLedger(led *exec.CardLedger) (estErrors int) {
 	for _, f := range led.Fetches() {
-		shape, ok := se.signature(f.Subtree)
-		if !ok {
-			continue
+		if k := f.Fetch.Stream; k != nil {
+			s.feedback.Observe(*k, f.Rows, float64(f.Fetch.EstRows()))
 		}
-		fb.Observe(shape, f.Rows, float64(se.Rows(f.Subtree)))
 	}
 	for _, op := range led.Ops() {
 		if op.Est < 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -282,8 +283,7 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 
 	// Small drift: an observation close to its prediction must not bump
 	// the generation or evict the plan.
-	k := feedback.Shape{Source: "x", Table: "y"}
-	e.Feedback().Observe(k, 100, 98)
+	e.Feedback().Observe(feedback.Key{Source: "x", Table: "y"}, 100, 98)
 	res, err = e.QueryOptsCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 
 	// Large drift: a wildly mispredicted observation bumps the generation;
 	// the next adaptive lookup must recompile.
-	e.Feedback().Observe(feedback.Shape{Source: "x", Table: "z"}, 100000, 10)
+	e.Feedback().Observe(feedback.Key{Source: "x", Table: "z"}, 100000, 10)
 	res, err = e.QueryOptsCtx(context.Background(), q, qo)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 	if _, err := e.QueryOptsCtx(context.Background(), q, static); err != nil {
 		t.Fatal(err)
 	}
-	e.Feedback().Observe(feedback.Shape{Source: "x", Table: "w"}, 100000, 10)
+	e.Feedback().Observe(feedback.Key{Source: "x", Table: "w"}, 100000, 10)
 	res, err = e.QueryOptsCtx(context.Background(), q, static)
 	if err != nil {
 		t.Fatal(err)
@@ -359,6 +359,77 @@ func TestE20AdaptiveReplanStorm(t *testing.T) {
 		t.Error(err)
 	}
 	waitGoroutineBaseline(t, base)
+}
+
+// TestE20ReplansBesideWarmHits: plan-cache hits and E20 re-plans run at
+// once over one cached template, and no pass writes into it. Each round
+// caches the stale-stats query's static template; half the workers run it
+// as warm hits, the other half bind it as a hit does and hand the bound
+// plan, which shares every subtree without a parameter with the template,
+// to ExecuteCtx adaptively, where it trips the cardinality tripwire and
+// re-plans — the last optimizer pass and Reoptimize both copy what they
+// annotate. Every node of the template must read as it did before the
+// round, and the race detector must see no write beside the readers.
+func TestE20ReplansBesideWarmHits(t *testing.T) {
+	ctx := context.Background()
+	static := QueryOptions{Parallel: true}
+	adaptive := QueryOptions{Parallel: true, Adaptive: true, Explain: true}
+	replans := 0
+	for round := 0; round < 3; round++ {
+		e := staleStatsFixture(t, 4000)
+		res, err := e.QueryOptsCtx(ctx, staleStatsQuery, static)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpl := res.Plan // the cache entry's own template
+		before := map[plan.Node]any{}
+		plan.Walk(tmpl, func(n plan.Node) { before[n] = reflect.ValueOf(n).Elem().Interface() })
+
+		const workers = 8
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					var res *Result
+					var err error
+					if w%2 == 0 {
+						res, err = e.QueryOptsCtx(ctx, staleStatsQuery, static)
+						if err == nil && !res.CacheHit {
+							err = fmt.Errorf("a static run missed the plan cache")
+						}
+					} else if bound, berr := plan.BindParams(tmpl, []datum.Datum{datum.NewString("t7")}); berr != nil {
+						err = berr
+					} else {
+						res, err = e.ExecuteCtx(ctx, bound, adaptive)
+					}
+					if err != nil {
+						errs <- fmt.Errorf("worker %d run %d: %w", w, i, err)
+						return
+					}
+					mu.Lock()
+					replans += res.ReplanCount
+					mu.Unlock()
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		for n, v := range before {
+			if !reflect.DeepEqual(reflect.ValueOf(n).Elem().Interface(), v) {
+				t.Errorf("round %d: %s of the cached template was written to", round, n.Describe())
+			}
+		}
+	}
+	if replans == 0 {
+		t.Error("no execution re-planned: the storm ran no re-plan beside the hits")
+	}
 }
 
 // TestExplainCostsUnderThePlanningEnvironment: Explain's estimate line

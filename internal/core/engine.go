@@ -509,10 +509,12 @@ func (e *Engine) ExecuteCtx(ctx context.Context, p plan.Node, qo QueryOptions) (
 	return e.executePlan(ctx, e.state.Load(), p, qo)
 }
 
-// executePlan runs a plan that arrived without a statement: costed under
-// the environment it executes in, no label, no planning time.
+// executePlan runs a plan that arrived without a statement: annotated
+// and costed under the environment it executes in, no label, no planning
+// time.
 func (e *Engine) executePlan(ctx context.Context, st *engineState, p plan.Node, qo QueryOptions) (*Result, error) {
-	return e.executeCtx(ctx, st, p, qo, "", 0, opt.Cost(p, st.planEnv(qo)))
+	p, cost := opt.Annotate(p, st.planEnv(qo))
+	return e.executeCtx(ctx, st, p, qo, "", 0, cost)
 }
 
 // executeCtx is the single execution path: it derives the query's context
@@ -592,23 +594,17 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 	// The per-operator ledger is the one record explain output, the
 	// trace's operator spans and adaptive feedback all read: on whenever
 	// any of them is asked for, far lighter than the span tree it feeds.
-	// Estimates and per-fetch feedback records ride along for adaptive
-	// and explain queries only. The same ledger instance is Reset between
-	// re-plan attempts so the final attempt's counts stand alone.
+	// Its records carry the estimates and feedback streams the plan was
+	// costed from; adaptive and explain queries feed them to the store.
+	// The same ledger instance is Reset between re-plan attempts so the
+	// final attempt's counts stand alone.
 	var led *exec.CardLedger
-	var se *swapEstimator
 	if qo.Adaptive || qo.Explain || qo.Trace {
 		led = exec.GetCardLedger()
 		defer exec.PutCardLedger(led)
 		rt.opts.Cards = led
 	}
-	if qo.Adaptive || qo.Explain {
-		rt.fetchCards = led
-		se = &rt.est
-		se.swap(st.planEnv(qo))
-		defer se.swap(nil)
-		rt.opts.Estimate = se
-	}
+	rt.learns = qo.Adaptive || qo.Explain
 	if qo.Adaptive {
 		rt.opts.Replan = exec.ReplanPolicy{Factor: ReplanFactor, MinRows: ReplanMinRows}
 	}
@@ -643,7 +639,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 		// and start over. The extra network spend stays visible: link
 		// accounting spans all attempts.
 		scratch.WaitBorrowers()
-		st.absorbLedger(led, se)
+		st.absorbLedger(led)
 		led.Reset()
 		if replans >= MaxReplans {
 			// Budget exhausted: a workload the estimator cannot model even
@@ -654,9 +650,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 			continue
 		}
 		replans++
-		env := st.planEnv(qo)
-		p = opt.Reoptimize(p, env, optimizerOptions(qo))
-		se.swap(env)
+		p = opt.Reoptimize(p, st.planEnv(qo), optimizerOptions(qo))
 	}
 	// The ledger's records are written lock-free by whichever goroutine
 	// pulls each operator, so nothing below may read it — to absorb, to
@@ -668,8 +662,8 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 	// which must not happen after Release has written the residual off.
 	scratch.WaitBorrowers()
 	estErrors := 0
-	if led != nil && err == nil && se != nil {
-		estErrors = st.absorbLedger(led, se)
+	if rt.learns && err == nil {
+		estErrors = st.absorbLedger(led)
 	}
 	after := st.linkTotals()
 	after.Sub(before)

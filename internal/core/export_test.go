@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/datum"
+	"repro/internal/exec"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
@@ -75,4 +77,43 @@ func (e *Engine) HeapPlan(ctx context.Context, key string, qo QueryOptions) (pla
 		return nil, err
 	}
 	return opt.Optimize(logical, st.planEnv(qo), optimizerOptions(qo)), nil
+}
+
+// BoundPlan compiles sql as a plan-cache miss does, in ar, and binds the
+// statement's constants into the template as a hit does; it returns the
+// bound plan and the environment the compile costed it under.
+func (e *Engine) BoundPlan(ctx context.Context, ar *sqlparse.Arena, sql string, qo QueryOptions) (plan.Node, opt.Env, error) {
+	sel, err := sqlparse.ParseArena(ar, sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	key, params := sql, []datum.Datum(nil)
+	if ps, cacheable := sqlparse.ExtractParamsIn(ar, sel); cacheable {
+		key, params = ar.RenderSQL(sel), ps
+	}
+	st := e.state.Load()
+	cp, err := e.compile(ctx, st, ar, key, qo, e.catalog.Snapshot())
+	if err != nil {
+		return nil, nil, err
+	}
+	bound, err := plan.BindParamsIn(ar, cp.tmpl, params)
+	return bound, st.planEnv(qo), err
+}
+
+// RunRecorded executes p on one goroutine with the per-operator ledger on,
+// feeding the feedback store nothing, and hands the ledger to check.
+// Operators and reduced fetches come from the heap, so check may read
+// every node the ledger names.
+func (e *Engine) RunRecorded(ctx context.Context, p plan.Node, qo QueryOptions, check func(*exec.CardLedger)) error {
+	rt := &queryRuntime{st: e.state.Load(), ctx: ctx}
+	rt.opts = rt.execOptions(qo)
+	rt.opts.Parallel, rt.opts.Parallelism = false, 1
+	led := &exec.CardLedger{}
+	rt.opts.Cards = led
+	it, err := exec.BuildBatch(ctx, p, rt, rt.opts)
+	if err == nil {
+		_, err = exec.DrainBatches(it)
+	}
+	check(led)
+	return err
 }

@@ -109,19 +109,16 @@ type queryRuntime struct {
 	opts   exec.Options // set after construction; used by ScanTable
 	// tracer, when non-nil, records one fetch span per remote attempt.
 	tracer *exec.QueryTracer
-	// fetchCards, when non-nil, receives every successful fetch's rows and
-	// bytes for the feedback store; set for adaptive and explain queries
-	// only, so a query that is merely traced teaches the store nothing.
-	fetchCards *exec.CardLedger
+	// learns is set for adaptive and explain queries, whose fetches
+	// calibrate the feedback store's latency model; a query that is
+	// merely traced teaches the store nothing.
+	learns bool
 	// slot is the query's admission hold (nil when admission control is
 	// disabled); remote fetches charge scanned bytes against it.
 	slot *AdmissionSlot
 	// stats is the query's execution counters, embedded here so the
 	// per-query allocation is shared with the runtime's.
 	stats exec.ExecStats
-	// est is the query's estimator for adaptive and explain queries,
-	// riding the same allocation.
-	est swapEstimator
 	// userOnSourceError is the caller's QueryOptions.OnSourceError hook,
 	// invoked from this runtime's own OnSourceError (see exec.FetchHooks).
 	userOnSourceError func(source string, attempt int, err error)
@@ -153,17 +150,18 @@ func (rt *queryRuntime) OnSourceError(source string, attempt int, err error) {
 
 func (rt *queryRuntime) ScanTable(ctx context.Context, scan *plan.Scan) ([]datum.Row, error) {
 	// A bare scan outside a Remote ships the whole table; route it
-	// through the same retry/degradation pipeline as placed Remotes.
-	return exec.FetchRemote(ctx, rt, rt.opts, scan.Source, &plan.Scan{Source: scan.Source, Table: scan.Table})
+	// through the same retry/degradation pipeline as placed Remotes. Only
+	// the optimizer records feedback streams, on the Remotes it places,
+	// so this fetch feeds none.
+	return exec.FetchRemote(ctx, rt, rt.opts, &plan.Remote{Source: scan.Source, Child: &plan.Scan{Source: scan.Source, Table: scan.Table}})
 }
 
 func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree plan.Node) ([]datum.Row, error) {
 	// The rows come from the peer mediator that owns the shard, when a
 	// router says so, else from the local source wrapper. A peer ran its
-	// own breakers and retries and accounted its own wire bytes (wire stays
-	// 0 here); everything after the fetch is the same for both.
+	// own breakers and retries and accounted its own wire bytes;
+	// everything after the fetch is the same for both.
 	var rows []datum.Row
-	var wire int64
 	var handled bool
 	var err error
 	if rt.st.router != nil {
@@ -172,16 +170,10 @@ func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree pl
 		}
 	}
 	if !handled {
-		rows, wire, err = rt.fetchLocal(ctx, source, subtree)
+		rows, err = rt.fetchLocal(ctx, source, subtree)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if rt.fetchCards != nil {
-		// Only the successful attempt of a retried fetch lands in the
-		// ledger — failed attempts stay visible as numbered trace spans
-		// but must not pollute cardinality feedback.
-		rt.fetchCards.RecordFetch(source, subtree, int64(len(rows)), wire)
 	}
 	// Scan-byte accounting happens after the breaker has been fed: the
 	// fetch itself succeeded, so a tripped scan budget is a tenant quota
@@ -197,21 +189,21 @@ func (rt *queryRuntime) RunRemote(ctx context.Context, source string, subtree pl
 
 // fetchLocal is one attempt against a source this engine owns: gated by
 // the source's breaker and feeding it, recorded as a trace span, and
-// calibrating the latency model. wire is the attempt's bytes on the link
-// (measured only for traced, adaptive and explain queries).
-func (rt *queryRuntime) fetchLocal(ctx context.Context, source string, subtree plan.Node) (rows []datum.Row, wire int64, err error) {
+// calibrating the latency model. The attempt's bytes on the link are
+// measured only for traced, adaptive and explain queries.
+func (rt *queryRuntime) fetchLocal(ctx context.Context, source string, subtree plan.Node) (rows []datum.Row, err error) {
 	key := strings.ToLower(source)
 	src, ok := rt.st.sources[key]
 	if !ok {
-		return nil, 0, fmt.Errorf("core: unknown source %q", source)
+		return nil, fmt.Errorf("core: unknown source %q", source)
 	}
 	br := rt.st.breakers[key]
 	if br != nil && !br.Allow() {
-		return nil, 0, &BreakerOpenError{Source: source}
+		return nil, &BreakerOpenError{Source: source}
 	}
 	var fetchStart time.Time
 	var linkBefore netsim.Metrics
-	measured := rt.tracer != nil || rt.fetchCards != nil
+	measured := rt.tracer != nil || rt.learns
 	if measured {
 		if rt.tracer != nil {
 			fetchStart = rt.tracer.Clock().Now()
@@ -222,12 +214,12 @@ func (rt *queryRuntime) fetchLocal(ctx context.Context, source string, subtree p
 	if measured {
 		delta := src.Link().Metrics()
 		delta.Sub(linkBefore)
-		wire = delta.WireBytes
+		wire := delta.WireBytes
 		if rt.tracer != nil {
 			rt.tracer.RecordFetch(source, subtree, fetchStart, rt.tracer.Clock().Since(fetchStart),
 				delta.SimTime, int64(len(rows)), wire, err)
 		}
-		if rt.fetchCards != nil && err == nil {
+		if rt.learns && err == nil {
 			// Latency calibrates against what the link model would have
 			// predicted for the same bytes.
 			rt.st.feedback.ObserveLatency(source, src.Link().TransferCost(wire), delta.SimTime)
@@ -237,9 +229,9 @@ func (rt *queryRuntime) fetchLocal(ctx context.Context, source string, subtree p
 		br.Record(err == nil)
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: source %s: %w", source, err)
+		return nil, fmt.Errorf("core: source %s: %w", source, err)
 	}
-	return rows, wire, nil
+	return rows, nil
 }
 
 func isContextErr(err error) bool {

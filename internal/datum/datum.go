@@ -150,8 +150,10 @@ func (d Datum) Float() float64 {
 
 // Str returns the string payload; it panics if the kind is not STRING.
 func (d Datum) Str() string {
-	if d.Kind() != KindString {
-		d.wrongKind(KindString)
+	// Not STRING: NULL, or a tag other than STRING's. A nil test and one
+	// range test on the tag, where Kind would switch, keep Str inlinable.
+	if off := uintptr(d.p) - uintptr(unsafe.Pointer(&tags)); d.p == nil || off < uintptr(len(tags)) && off != uintptr(KindString) {
+		panic(kindError{d, KindString})
 	}
 	return d.str()
 }
@@ -166,12 +168,21 @@ func (d Datum) Time() time.Time {
 // a tag only when it is empty): one pointer comparison.
 func (d Datum) mustBe(k Kind) {
 	if d.p != unsafe.Pointer(&tags[k]) { // not tag(k): keeps Bool, Int and Float inlinable
-		d.wrongKind(k)
+		panic(kindError{d, k})
 	}
 }
 
-func (d Datum) wrongKind(k Kind) {
-	panic(fmt.Sprintf("datum: %s accessed as %s", d.Kind(), k))
+// kindError is a datum accessed as a kind it is not. The accessors panic
+// with it unformatted: a panic costs the inliner less than a call, which
+// keeps every accessor inlinable, and the message is only rendered if
+// something prints it.
+type kindError struct {
+	d    Datum
+	want Kind
+}
+
+func (e kindError) Error() string {
+	return fmt.Sprintf("datum: %s accessed as %s", e.d.Kind(), e.want)
 }
 
 // AsFloat converts numeric datums to float64. ok is false for non-numeric
@@ -299,29 +310,36 @@ func Comparable(a, b Kind) bool {
 // orders by kind tag so sorts remain total; the analyzer rejects such
 // comparisons before execution.
 func Compare(a, b Datum) int {
+	c, _ := Order(a, b)
+	return c
+}
+
+// Order is Compare and Comparable at once: a's order against b, and
+// whether their kinds compare (see Comparable), each kind derived once.
+func Order(a, b Datum) (int, bool) {
 	if a.p == b.p {
 		// One kind on both sides: one tag, or two strings starting at the
 		// same byte, where the shorter is a prefix of the longer. BOOL's 0/1
 		// orders false first; TIME's microseconds are exact; NULL's i is 0.
 		if a.p == tag(KindFloat) {
-			return cmpFloat(a.f(), b.f())
+			return cmpFloat(a.f(), b.f()), true
 		}
-		return cmpInt(a.i, b.i)
+		return cmpInt(a.i, b.i), true
 	}
 	ka, kb := a.Kind(), b.Kind()
 	switch {
 	case ka == kb: // only strings have more than one p
-		return strings.Compare(a.str(), b.str())
+		return strings.Compare(a.str(), b.str()), true
 	case ka == KindNull:
-		return -1
+		return -1, true
 	case kb == KindNull:
-		return 1
+		return 1, true
 	case ka == KindInt && kb == KindFloat:
-		return cmpIntFloat(a.i, b.f())
+		return cmpIntFloat(a.i, b.f()), true
 	case ka == KindFloat && kb == KindInt:
-		return -cmpIntFloat(b.i, a.f())
+		return -cmpIntFloat(b.i, a.f()), true
 	default:
-		return cmpInt(int64(ka), int64(kb))
+		return cmpInt(int64(ka), int64(kb)), false
 	}
 }
 

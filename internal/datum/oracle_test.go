@@ -431,3 +431,18 @@ func TestCompareIsATotalPreorder(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderIsCompareAndComparable: over every pair of the seeded pool,
+// Order returns the oracle's order (Compare's, which Order now computes)
+// and what Comparable says of the two kinds.
+func TestOrderIsCompareAndComparable(t *testing.T) {
+	ps := differentialValues(rand.New(rand.NewSource(43)))
+	for _, a := range ps {
+		for _, b := range ps {
+			c, ok := Order(a.d, b.d)
+			if want, wantOK := oCompare(a.o, b.o), Comparable(a.d.Kind(), b.d.Kind()); c != want || ok != wantOK {
+				t.Errorf("Order(%s, %s) = %d, %v; want %d, %v", a.o, b.o, c, ok, want, wantOK)
+			}
+		}
+	}
+}

@@ -97,26 +97,16 @@ type Options struct {
 	// heap.
 	Scratch *Scratch
 	// Cards, when non-nil, is the per-operator record: every operator
-	// boundary registers its OpCard there and counts its output rows and
-	// batches into it; explain, analyze, trace and feedback all render
-	// from it. It costs a few ints per operator and no allocation of its
-	// own, so it can run on every query.
+	// boundary registers its OpCard there, with the row estimate its plan
+	// node carries, and counts its output rows and batches into it, and
+	// every successful fetch lists its FetchCard; explain, analyze, trace
+	// and feedback all render from it. It costs a few ints per operator
+	// and no allocation of its own, so it can run on every query.
 	Cards *CardLedger
-	// Estimate, when non-nil alongside Cards, supplies the optimizer's
-	// row estimate per plan node so ledger records carry
-	// estimated-vs-actual pairs.
-	Estimate RowEstimator
-	// Replan arms the mid-query re-optimization tripwire (requires Cards
-	// and Estimate). See ReplanPolicy.
+	// Replan arms the mid-query re-optimization tripwire (requires Cards)
+	// on every fetch boundary whose node carries an estimate. See
+	// ReplanPolicy.
 	Replan ReplanPolicy
-}
-
-// RowEstimator supplies the optimizer's row estimate of a plan node, -1
-// for "unknown". It is an interface rather than a func so that a
-// per-query estimator rides Options as the pointer it is: a method value
-// would allocate a closure on every query.
-type RowEstimator interface {
-	Rows(plan.Node) int64
 }
 
 func (o Options) maxKeys() int {
@@ -188,10 +178,7 @@ func buildBatch(ctx context.Context, n plan.Node, rt Runtime, opts Options, over
 		g.ctx = ctx
 	}
 	if opts.Cards != nil {
-		g.card = OpCard{Node: n, Est: -1}
-		if opts.Estimate != nil {
-			g.card.Est = opts.Estimate.Rows(n)
-		}
+		g.card = OpCard{Node: n, Est: n.EstRows()}
 		opts.Cards.addOp(&g.card)
 		if opts.Replan.enabled() && g.card.Est >= 0 && replanNode(n) {
 			g.replan = opts.Replan
@@ -323,7 +310,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 			// the fetched slice is parked as is.
 			return prefetchRemote(ctx, rt, opts, x), nil
 		}
-		rows, err := FetchRemote(ctx, rt, opts, x.Source, x.Child)
+		rows, err := FetchRemote(ctx, rt, opts, x)
 		if err != nil {
 			return nil, err
 		}
@@ -457,7 +444,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 // the sibling built next (see Options.Parallel).
 func prefetchRemote(ctx context.Context, rt Runtime, opts Options, x *plan.Remote) BatchIterator {
 	return prefetchBatches(ctx, opts.Stats, opts.batchSize(), func() ([]datum.Row, error) {
-		return FetchRemote(ctx, rt, opts, x.Source, x.Child)
+		return FetchRemote(ctx, rt, opts, x)
 	})
 }
 
@@ -564,11 +551,12 @@ func assembleJoin(ctx context.Context, x *plan.Join, left, right BatchIterator, 
 // the reducible side's source as an IN-list, and only matching rows come
 // back. It returns ok=false (and no error) when the hint does not apply
 // after all, in which case the caller runs the regular join. The reduced
-// fetch's Filter and predicate come from the query scratch: the source
-// reads them during the fetch, and the ledger and tracer only until the
-// query ends.
+// fetch's Remote, Filter and predicate come from the query scratch: the
+// source reads them during the fetch, and the ledger and tracer only until
+// the query ends.
 func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, lk, rk []sqlparse.Expr, residual sqlparse.Expr) (BatchIterator, bool, error) {
-	if x.SemiJoin == plan.SemiJoinNone || len(lk) == 0 {
+	remote, pairIdx, ok := x.Reduced(lk, rk)
+	if !ok {
 		return nil, false, nil
 	}
 	s := opts.Scratch
@@ -579,28 +567,7 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, lk
 		probeNode, reduceNode = x.Right, x.Left
 		probeKeys, reduceKeys = rk, lk
 	}
-	remote, isRemote := reduceNode.(*plan.Remote)
-	if !isRemote || !remote.AllowKeyFilter {
-		return nil, false, nil
-	}
-	// Pick the first key pair whose reducible side is a plain column of
-	// the remote subtree — that is what the shipped IN-list filters on.
-	pairIdx := -1
-	var reduceRef *sqlparse.ColumnRef
-	for i, e := range reduceKeys {
-		ref, isRef := e.(*sqlparse.ColumnRef)
-		if !isRef {
-			continue
-		}
-		if _, found := plan.FindColumn(remote.Child.Columns(), ref); found {
-			pairIdx = i
-			reduceRef = ref
-			break
-		}
-	}
-	if pairIdx < 0 {
-		return nil, false, nil
-	}
+	reduceRef := reduceKeys[pairIdx].(*sqlparse.ColumnRef)
 
 	// Materialize the probe side and collect its distinct key values. It is
 	// drained at once, so its fetches run on this goroutine: nothing is
@@ -631,6 +598,7 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, lk
 		}
 	} else {
 		var cond sqlparse.Expr
+		bloomed := false
 		switch {
 		case len(set.vals) == 0:
 			// No joinable keys on the probe side: nothing can match, so
@@ -649,9 +617,14 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, lk
 				f.Add(h)
 			}
 			cond = New(s, sqlparse.KeyFilterExpr{Child: reduceRef, Set: f})
+			bloomed = true
 		}
-		reduced := New(s, plan.Filter{Input: remote.Child, Cond: cond})
-		rows, err := FetchRemote(ctx, rt, opts, remote.Source, reduced)
+		// The fetch feeds the stream its form renders, and records the
+		// estimate the optimizer would give its filter.
+		stream, planned := x.Reduce.Form(len(set.vals), bloomed)
+		reduced := New(s, plan.Remote{Source: remote.Source, Child: New(s, plan.Filter{Input: remote.Child, Cond: cond}), Stream: stream})
+		reduced.SetEstRows(planned)
+		rows, err := FetchRemote(ctx, rt, opts, reduced)
 		if err != nil {
 			return nil, false, err
 		}

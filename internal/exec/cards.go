@@ -19,15 +19,15 @@ import (
 
 // OpCard is one operator's record. The operator's boundary guard
 // (guardBatchIter) owns it and is its only writer: Node and Est are set at
-// build time, everything else by the single goroutine pulling the
-// operator, lock-free. It may therefore only be read once the attempt's
-// goroutines have joined — after the drain returned and
-// Scratch.WaitBorrowers waited out abandoned prefetches.
+// build time, Est from the estimate Node carries, everything else by the
+// single goroutine pulling the operator, lock-free. It may therefore only
+// be read once the attempt's goroutines have joined — after the drain
+// returned and Scratch.WaitBorrowers waited out abandoned prefetches.
 type OpCard struct {
 	// Node is the plan node this boundary wrapped.
 	Node plan.Node
-	// Est is the optimizer's row estimate for the node; -1 when the
-	// caller provided no estimator.
+	// Est is the optimizer's row estimate for the node; -1 when the node
+	// carries none.
 	Est int64
 	// Rows and Batches count what actually flowed through the boundary.
 	Rows    int64
@@ -39,14 +39,15 @@ type OpCard struct {
 }
 
 // FetchCard is one successful remote fetch's cardinality record. Failed
-// attempts never produce one — FetchRemote only returns rows from the
-// attempt that succeeded — so retried fetches contribute exactly the
-// successful attempt's rows to feedback.
+// attempts never produce one — FetchRemote only records the attempt that
+// succeeded — so retried fetches contribute exactly the successful
+// attempt's rows to feedback.
 type FetchCard struct {
-	Source  string
-	Subtree plan.Node
-	Rows    int64
-	Bytes   int64
+	// Fetch is the Remote fetched: for a semi-join's reduced fetch, one
+	// the executor built over the reduced subtree. Its Stream and
+	// estimate are what feedback observes.
+	Fetch *plan.Remote
+	Rows  int64
 }
 
 // CardLedger accumulates OpCards and FetchCards for one query execution
@@ -92,10 +93,10 @@ func (l *CardLedger) addOp(c *OpCard) {
 	l.mu.Unlock()
 }
 
-// RecordFetch appends one successful fetch's row/byte counts.
-func (l *CardLedger) RecordFetch(source string, subtree plan.Node, rows, bytes int64) {
+// recordFetch appends one successful fetch's row count.
+func (l *CardLedger) recordFetch(r *plan.Remote, rows int64) {
 	l.mu.Lock()
-	l.fetches = append(l.fetches, FetchCard{Source: source, Subtree: subtree, Rows: rows, Bytes: bytes})
+	l.fetches = append(l.fetches, FetchCard{Fetch: r, Rows: rows})
 	l.mu.Unlock()
 }
 

@@ -191,12 +191,16 @@ func TestGuardWritesTheOperatorRecord(t *testing.T) {
 	node := &plan.Scan{Source: "s", Table: "t"}
 	rt := &flakyRuntime{}
 	rt.rows = []datum.Row{{}, {}, {}}
-	scan := func(opts Options) *OpCard {
+	scan := func(opts Options, est int64) *OpCard {
 		t.Helper()
 		led := &CardLedger{}
 		opts.Cards = led
 		opts.BatchSize = 2
-		it, err := BuildBatch(context.Background(), &plan.Remote{Source: "s", Child: node}, rt, opts)
+		remote := &plan.Remote{Source: "s", Child: node}
+		if est >= 0 {
+			remote.SetEstRows(est)
+		}
+		it, err := BuildBatch(context.Background(), remote, rt, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,24 +221,16 @@ func TestGuardWritesTheOperatorRecord(t *testing.T) {
 		return ops[0]
 	}
 
-	c := scan(Options{})
+	c := scan(Options{}, -1)
 	if c.Rows != 3 || c.Batches != 2 || c.Est != -1 || !c.First.IsZero() || !c.Last.IsZero() {
 		t.Errorf("untraced record = %+v", *c)
 	}
 	clock := netsim.NewVirtualClock(time.Unix(100, 0))
-	c = scan(Options{
-		Tracer:   NewQueryTracer(clock),
-		Estimate: sevenRows{},
-	})
+	c = scan(Options{Tracer: NewQueryTracer(clock)}, 7)
 	if c.Rows != 3 || c.Batches != 2 || c.Est != 7 || c.First.IsZero() || c.Last.Before(c.First) {
 		t.Errorf("traced record = %+v", *c)
 	}
 }
-
-// sevenRows estimates every node at 7 rows.
-type sevenRows struct{}
-
-func (sevenRows) Rows(plan.Node) int64 { return 7 }
 
 func TestEvalPredicateRejectsNonBool(t *testing.T) {
 	f := compile(t, "i + 1", icols)

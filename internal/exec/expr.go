@@ -388,10 +388,10 @@ func compare(op sqlparse.BinOp, l, r datum.Datum) (datum.Datum, error) {
 	if l.IsNull() || r.IsNull() {
 		return datum.Null, nil
 	}
-	if !datum.Comparable(l.Kind(), r.Kind()) {
+	c, ok := datum.Order(l, r)
+	if !ok {
 		return datum.Null, fmt.Errorf("exec: cannot compare %s with %s", l.Kind(), r.Kind())
 	}
-	c := datum.Compare(l, r)
 	var out bool
 	switch op {
 	case sqlparse.OpEq:
@@ -557,10 +557,12 @@ func (e *Expr) evalBetween(r datum.Row) (datum.Datum, error) {
 	if err != nil || v.IsNull() || l.IsNull() || h.IsNull() {
 		return datum.Null, err
 	}
-	if !datum.Comparable(v.Kind(), l.Kind()) || !datum.Comparable(v.Kind(), h.Kind()) {
+	lo, okLo := datum.Order(v, l)
+	hi, okHi := datum.Order(v, h)
+	if !okLo || !okHi {
 		return datum.Null, fmt.Errorf("exec: BETWEEN over incomparable kinds %s, %s, %s", v.Kind(), l.Kind(), h.Kind())
 	}
-	in := datum.Compare(v, l) >= 0 && datum.Compare(v, h) <= 0
+	in := lo >= 0 && hi <= 0
 	return datum.NewBool(in != e.not), nil
 }
 

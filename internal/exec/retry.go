@@ -90,19 +90,24 @@ func Retryable(err error) bool {
 	return false
 }
 
-// FetchRemote runs a pushed-down subtree at a source through the retry
-// and degradation pipeline: retry transient failures per opts.Retry with
-// capped exponential backoff, then — if the fetch still fails — offer the
-// failure to opts.OnRemoteFail, which may substitute alternative rows (a
-// replica read, or an empty result for partial-tolerant queries). All Remote dispatches funnel through here so every fetch in a
-// plan gets the same fault handling.
+// FetchRemote runs a pushed-down subtree, r.Child, at r's source through
+// the retry and degradation pipeline: retry transient failures per
+// opts.Retry with capped exponential backoff, then — if the fetch still
+// fails — offer the failure to opts.OnRemoteFail, which may substitute
+// alternative rows (a replica read, or an empty result for
+// partial-tolerant queries). All Remote dispatches funnel through here so
+// every fetch in a plan gets the same fault handling. The attempt that
+// succeeds lists r and its rows in opts.Cards, when set; failed attempts
+// and substituted rows list nothing, so feedback learns only what a
+// source answered.
 //
 // Cancellation dominates retries: a done context aborts the loop before
 // the next attempt (and mid-backoff when SleepBackoff waits in wall-clock
 // time), returning ctx.Err() unwrapped — context.Canceled and
 // context.DeadlineExceeded are the caller's signals, never a source
 // failure, so degradation (OnRemoteFail) is not consulted for them.
-func FetchRemote(ctx context.Context, rt Runtime, opts Options, source string, subtree plan.Node) ([]datum.Row, error) {
+func FetchRemote(ctx context.Context, rt Runtime, opts Options, r *plan.Remote) ([]datum.Row, error) {
+	source := r.Source
 	attempts := opts.Retry.attempts()
 	var err error
 	for attempt := 1; attempt <= attempts; attempt++ {
@@ -122,8 +127,11 @@ func FetchRemote(ctx context.Context, rt Runtime, opts Options, source string, s
 			return nil, cerr
 		}
 		var rows []datum.Row
-		rows, err = rt.RunRemote(ctx, source, subtree)
+		rows, err = rt.RunRemote(ctx, source, r.Child)
 		if err == nil {
+			if opts.Cards != nil {
+				opts.Cards.recordFetch(r, int64(len(rows)))
+			}
 			return rows, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -139,7 +147,7 @@ func FetchRemote(ctx context.Context, rt Runtime, opts Options, source string, s
 		}
 	}
 	if opts.OnRemoteFail != nil {
-		if alt, ok := opts.OnRemoteFail(source, subtree, err); ok {
+		if alt, ok := opts.OnRemoteFail(source, r.Child, err); ok {
 			return alt, nil
 		}
 	}

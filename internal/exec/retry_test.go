@@ -142,7 +142,7 @@ func TestFetchRemoteCancelledContextAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opts := Options{Retry: RetryPolicy{Attempts: 5, BaseBackoff: time.Millisecond}}
-	_, err := FetchRemote(ctx, rt, opts, "s", remoteScan())
+	_, err := FetchRemote(ctx, rt, opts, &plan.Remote{Source: "s", Child: remoteScan()})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want unwrapped context.Canceled", err)
 	}
@@ -164,7 +164,7 @@ func TestFetchRemoteBackoffAbortsOnCancel(t *testing.T) {
 	}}
 	time.AfterFunc(10*time.Millisecond, cancel)
 	start := time.Now()
-	_, err := FetchRemote(ctx, rt, opts, "s", remoteScan())
+	_, err := FetchRemote(ctx, rt, opts, &plan.Remote{Source: "s", Child: remoteScan()})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("backoff slept %v through the cancellation", elapsed)
 	}
@@ -187,7 +187,7 @@ func TestFetchRemoteBackoffAbortsOnDeadline(t *testing.T) {
 		Attempts: 4, BaseBackoff: 30 * time.Second, SleepBackoff: true,
 	}}
 	start := time.Now()
-	_, err := FetchRemote(ctx, rt, opts, "s", remoteScan())
+	_, err := FetchRemote(ctx, rt, opts, &plan.Remote{Source: "s", Child: remoteScan()})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("backoff slept %v through the deadline", elapsed)
 	}
@@ -211,7 +211,7 @@ func TestFetchRemoteCancelSkipsDegradation(t *testing.T) {
 			return nil, true
 		},
 	}
-	if _, err := FetchRemote(ctx, rt, opts, "s", remoteScan()); err != context.Canceled {
+	if _, err := FetchRemote(ctx, rt, opts, &plan.Remote{Source: "s", Child: remoteScan()}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if degraded {

@@ -21,16 +21,15 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/plan"
 )
 
 // Key identifies one observed cardinality stream: a predicate signature
 // over one table at one source. Sig is "" for a bare scan; see Signature.
-// It is the store's index; callers hand the store the borrowed Shape form.
-type Key struct {
-	Source string
-	Table  string
-	Sig    string
-}
+// It is the store's index. Planners hand the store the borrowed Shape
+// form; a plan carries the store's own record of the key (see
+// Store.Stream), which is what executions observe.
+type Key = plan.Stream
 
 // Estimate is a point-in-time feedback estimate.
 type Estimate struct {
@@ -71,8 +70,10 @@ const (
 )
 
 type cardObs struct {
+	// key is the stream's record that plans point at (see Stream).
+	key     Key
 	logRows float64 // EWMA of log1p(observed rows)
-	n       int64
+	n       int64   // 0: a plan asked for the stream, nothing observed it yet
 	// published is the log-rows value the current generation was issued
 	// under; drift is measured against it.
 	published float64
@@ -114,12 +115,29 @@ func NewStore(clock netsim.Clock) *Store {
 // of diffing estimates.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
-// Observe records one execution's actual cardinality for a shape.
+// Stream returns the store's record of a shape's stream, making one, with
+// nothing observed, the first time it is asked for: the optimizer records
+// it on the Remote whose fetch feeds the stream, so an execution observes
+// it without rendering the shape, and every plan that feeds one stream
+// shares one copy of its strings. Only the first call for a stream copies
+// the shape.
+func (s *Store) Stream(k Shape) *Key {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o := s.cards[Key{Source: k.Source, Table: k.Table, Sig: string(k.Sig)}] // no copy: a lookup
+	if o == nil {
+		o = &cardObs{key: k.Key()}
+		s.cards[o.key] = o
+	}
+	return &o.key
+}
+
+// Observe records one execution's actual cardinality for a stream.
 // plannedRows is the estimate the current plan was costed under (static or
 // blended); the first observation publishes against it, so a plan that was
-// wildly mispredicted bumps the generation immediately. Only the first
-// observation of a shape copies it into an owned key.
-func (s *Store) Observe(k Shape, observedRows int64, plannedRows float64) {
+// wildly mispredicted bumps the generation immediately, and later ones
+// ignore it.
+func (s *Store) Observe(k Key, observedRows int64, plannedRows float64) {
 	if observedRows < 0 {
 		return
 	}
@@ -132,10 +150,13 @@ func (s *Store) Observe(k Shape, observedRows int64, plannedRows float64) {
 
 	bump := false
 	s.mu.Lock()
-	o := s.cards[Key{Source: k.Source, Table: k.Table, Sig: string(k.Sig)}] // no copy: a lookup
+	o := s.cards[k]
 	if o == nil {
-		o = &cardObs{logRows: lobs, n: 1, published: lplan, updated: now}
-		s.cards[k.Key()] = o
+		o = &cardObs{key: k}
+		s.cards[k] = o
+	}
+	if o.n == 0 {
+		o.logRows, o.n, o.published, o.updated = lobs, 1, lplan, now
 	} else {
 		o.logRows = (1-ewmaWeight)*o.logRows + ewmaWeight*lobs
 		o.n++
@@ -158,7 +179,7 @@ func (s *Store) Lookup(k Shape) (Estimate, bool) {
 	now := s.clock.Now()
 	s.mu.Lock()
 	o := s.cards[Key{Source: k.Source, Table: k.Table, Sig: string(k.Sig)}]
-	if o == nil {
+	if o == nil || o.n == 0 {
 		s.mu.Unlock()
 		return Estimate{}, false
 	}
@@ -178,11 +199,17 @@ func (s *Store) Lookup(k Shape) (Estimate, bool) {
 	return est, true
 }
 
-// Len returns how many cardinality keys the store currently tracks.
+// Len returns how many cardinality streams the store has observed.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.cards)
+	n := 0
+	for _, o := range s.cards {
+		if o.n > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // ObserveLatency records one successful fetch's observed link time against

@@ -20,7 +20,7 @@ func TestObserveLookupAndGeneration(t *testing.T) {
 	}
 
 	// An observation in line with the plan's estimate: no drift bump.
-	s.Observe(k, 1000, 900)
+	s.Observe(k.Key(), 1000, 900)
 	if g := s.Generation(); g != 0 {
 		t.Fatalf("accurate observation bumped generation to %d", g)
 	}
@@ -37,7 +37,7 @@ func TestObserveLookupAndGeneration(t *testing.T) {
 
 	// A second, wildly larger observation drags the EWMA up and crosses
 	// the drift threshold relative to the published value.
-	s.Observe(k, 100000, 1000)
+	s.Observe(k.Key(), 100000, 1000)
 	if g := s.Generation(); g == 0 {
 		t.Fatal("10x-off observation did not bump generation")
 	}
@@ -52,7 +52,7 @@ func TestObserveLookupAndGeneration(t *testing.T) {
 
 func TestFirstObservationFarFromPlanBumps(t *testing.T) {
 	s := NewStore(netsim.NewVirtualClock(time.Unix(0, 0)))
-	s.Observe(Shape{Source: "s", Table: "t"}, 40000, 50)
+	s.Observe(Key{Source: "s", Table: "t"}, 40000, 50)
 	if s.Generation() == 0 {
 		t.Fatal("first observation 800x off the planned estimate must bump the generation")
 	}
@@ -62,7 +62,7 @@ func TestConfidenceDecay(t *testing.T) {
 	clock := netsim.NewVirtualClock(time.Unix(0, 0))
 	s := NewStore(clock)
 	k := Shape{Source: "s", Table: "t"}
-	s.Observe(k, 500, 500)
+	s.Observe(k.Key(), 500, 500)
 	if _, ok := s.Lookup(k); !ok {
 		t.Fatal("fresh estimate missing")
 	}
@@ -71,7 +71,7 @@ func TestConfidenceDecay(t *testing.T) {
 	if !ok {
 		t.Fatal("estimate expired too early")
 	}
-	fresh, _ := func() (Estimate, bool) { s.Observe(k, 500, 500); return s.Lookup(k) }()
+	fresh, _ := func() (Estimate, bool) { s.Observe(k.Key(), 500, 500); return s.Lookup(k) }()
 	if mid.Confidence >= fresh.Confidence {
 		t.Fatalf("confidence did not decay: aged=%v fresh=%v", mid.Confidence, fresh.Confidence)
 	}
@@ -237,7 +237,7 @@ func TestRendererReusesItsBuffer(t *testing.T) {
 		store := NewStore(netsim.NewVirtualClock(time.Unix(0, 0)))
 		var r Renderer
 		sh, _ := r.Signature(f)
-		store.Observe(sh, 40, 40)
+		store.Observe(*store.Stream(sh), 40, 40)
 		allocs := testing.AllocsPerRun(100, func() {
 			r.Reset()
 			sh, ok := r.Signature(f)
@@ -247,7 +247,7 @@ func TestRendererReusesItsBuffer(t *testing.T) {
 			if _, ok := store.Lookup(sh); !ok {
 				t.Fatal("a rendered shape missed what it recorded")
 			}
-			store.Observe(sh, 40, 40)
+			store.Observe(*store.Stream(sh), 40, 40)
 		})
 		if allocs != 0 {
 			t.Errorf("%s.%s: rendering and looking up a known shape allocates %.1f objects, want 0", names[0], names[1], allocs)

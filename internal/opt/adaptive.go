@@ -51,13 +51,15 @@ func networkFactor(env Env, source string) float64 {
 // idempotent on Remote boundaries, and moving them mid-query would
 // invalidate fetches already priced in). The engine calls this when a
 // cardinality tripwire fires mid-query, with an env whose feedback store
-// has absorbed the aborted attempt's observations.
+// has absorbed the aborted attempt's observations. It ends, as Optimize
+// does, by recording the revised estimates on the plan, so the next
+// attempt's records and tripwires read the numbers it was revised from.
 //
 // Rebuilt joins run without intra-operator parallelism hints:
 // annotateParallelism does not run here. A re-planned query keeps
 // inter-source prefetch, which is what matters at the mediator's scale.
 func Reoptimize(root plan.Node, env Env, opts Options) plan.Node {
-	est := newEstimator(env) // shared by both passes, as in optimize
+	est := newEstimator(env) // shared by every pass, as in optimize
 	defer est.release()
 	n := root
 	if !opts.NoJoinReorder {
@@ -66,16 +68,15 @@ func Reoptimize(root plan.Node, env Env, opts Options) plan.Node {
 	if !opts.NoRemotePushdown && !opts.NoSemiJoin {
 		n = annotateSemiJoins(nil, n, est)
 	}
-	return n
+	return annotateEstimates(nil, n, est)
 }
 
 // Estimator exposes the optimizer's row estimation — including feedback
-// blending when the env supports it — to other layers (the engine hands
-// one to the executor so the cardinality ledger records
-// estimated-vs-actual pairs per operator). It memoizes every node's
-// estimate and feedback signature, so one execution attempt derives each
-// once, however many operator boundaries and fetch records ask. It is not
-// safe for concurrent use.
+// blending when the env supports it — to other layers: it is what the
+// estimates a plan carries (plan.Estimate) are checked against. It
+// memoizes every node's estimate and feedback signature, so it derives
+// each once, however often it is asked. It is not safe for concurrent
+// use.
 type Estimator struct{ est estimator }
 
 var estimatorPool = sync.Pool{New: func() any { return &Estimator{est: estimator{all: true}} }}
@@ -97,13 +98,7 @@ func (e *Estimator) Release() {
 }
 
 // Rows returns the estimated output cardinality of a plan node, rounded.
-func (e *Estimator) Rows(n plan.Node) int64 {
-	r := e.est.Rows(n)
-	if r < 0 {
-		return 0
-	}
-	return int64(r)
-}
+func (e *Estimator) Rows(n plan.Node) int64 { return e.est.rounded(n) }
 
 // Signature returns the node's feedback signature, as feedback.Signature
 // renders it, from the same memo the estimates draw on. The shape is

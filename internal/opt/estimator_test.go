@@ -127,44 +127,6 @@ func TestEstimatorMemoMatchesPlanning(t *testing.T) {
 	}
 }
 
-// TestPortalExecutionEstimatesOnce: one warm execution of the portal point
-// query asks its estimator about the same nodes many times — every
-// operator boundary and every fetch record — and must evaluate each node
-// and render each signature once (before memoization: 30 evaluations and
-// 7 renderings).
-func TestPortalExecutionEstimatesOnce(t *testing.T) {
-	fed, err := workload.CRMOf(120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	qo := core.DefaultQueryOptions()
-	for i := 0; i < 16; i++ { // plan cache and feedback store
-		if _, err := fed.Engine.QueryOptsCtx(ctx, workload.PortalSQL(i), qo); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rows0, sigs0 := opt.EstimatorWork()
-	res, err := fed.Engine.QueryOptsCtx(ctx, workload.PortalSQL(16), qo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows1, sigs1 := opt.EstimatorWork()
-	if !res.CacheHit || res.ReplanCount != 0 {
-		t.Fatalf("not a warm execution: cache hit %v, %d re-plans", res.CacheHit, res.ReplanCount)
-	}
-	nodes := 0
-	plan.Walk(res.Plan, func(plan.Node) { nodes++ })
-	// Every plan node, plus the reduced fetch the semi-join ships.
-	if rows := rows1 - rows0; rows > 12 {
-		t.Errorf("%d Rows evaluations for a %d-node plan, want at most 12", rows, nodes)
-	}
-	if sigs := sigs1 - sigs0; sigs > 5 {
-		t.Errorf("%d signature renderings, want at most 5", sigs)
-	}
-	t.Logf("%d-node plan: %d Rows evaluations, %d signature renderings", nodes, rows1-rows0, sigs1-sigs0)
-}
-
 // TestDistinctThroughAggregate: over an Aggregate, a grouping column keeps
 // its input's distinct count, capped at the aggregate's rows, so a join
 // above a partial aggregate prices against the real key domain instead of

@@ -11,6 +11,11 @@ func EstimatorWork() (rows, signatures int64) {
 	return rowsEvaluated.Load(), signaturesRendered.Load()
 }
 
+// FeedbackLookups reads the process-wide count of feedback observations
+// estimators asked their environment for: in the engine, each is one
+// feedback.Store.Lookup.
+func FeedbackLookups() int64 { return feedbackLookups.Load() }
+
 // RowsFloat is Rows before rounding, for bit-exact comparisons.
 func (e *Estimator) RowsFloat(n plan.Node) float64 { return e.est.Rows(n) }
 

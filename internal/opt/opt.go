@@ -42,9 +42,9 @@ type Options struct {
 // Optimize rewrites a logical plan for federated execution. The nodes it
 // adds come from the heap.
 func Optimize(root plan.Node, env Env, opts Options) plan.Node {
-	n, est := optimize(nil, root, env, opts)
-	est.release()
-	return n
+	est := newEstimator(env)
+	defer est.release()
+	return annotateEstimates(nil, optimize(nil, root, env, opts, est), est)
 }
 
 // OptimizeCosted is Optimize with every node, list and expression the
@@ -54,20 +54,30 @@ func Optimize(root plan.Node, env Env, opts Options) plan.Node {
 // passes already made. The plan dies with a; one that must outlive it
 // goes through plan.Retain.
 func OptimizeCosted(a *sqlparse.Arena, root plan.Node, env Env, opts Options) (plan.Node, PlanCost) {
-	n, est := optimize(a, root, env, opts)
+	est := newEstimator(env)
 	defer est.release()
-	return n, est.cost(n)
+	n := optimize(a, root, env, opts, est)
+	return annotateEstimates(a, n, est), est.cost(n)
 }
 
-// optimize runs the passes under one estimator and returns it with the
-// plan, for the caller to release. Sharing the estimator's memo across
-// passes is sound because no pass writes into a node it did not allocate:
-// passes copy on change (plan.MapInputs), and a node drawn from a stays
-// where it is until a's Reset, after the compile, so one pointer denotes
-// one subtree for the whole compile, and an estimate memoized for it in
-// one pass still holds in the next.
-func optimize(a *sqlparse.Arena, root plan.Node, env Env, opts Options) (plan.Node, *estimator) {
+// Annotate records on a plan the optimizer did not just return — one a
+// caller built, or optimized under another environment — the estimates
+// and streams the optimizer's last pass records, and prices it as Cost
+// does. Nodes it annotates are copied from the heap.
+func Annotate(n plan.Node, env Env) (plan.Node, PlanCost) {
 	est := newEstimator(env)
+	defer est.release()
+	return annotateEstimates(nil, n, est), est.cost(n)
+}
+
+// optimize runs the passes under one estimator, est, and returns the plan
+// for the caller to annotate (annotateEstimates). Sharing the estimator's
+// memo across passes is sound because no pass writes into a node it did
+// not allocate: passes copy on change (plan.Map), and a node drawn from a
+// stays where it is until a's Reset, after the compile, so one pointer
+// denotes one subtree for the whole compile, and an estimate memoized for
+// it in one pass still holds in the next.
+func optimize(a *sqlparse.Arena, root plan.Node, env Env, opts Options, est *estimator) plan.Node {
 	n := root
 	n = mergeProjects(a, n)
 	if !opts.NoFilterPushdown {
@@ -88,8 +98,7 @@ func optimize(a *sqlparse.Arena, root plan.Node, env Env, opts Options) (plan.No
 	if !opts.NoRemotePushdown && !opts.NoSemiJoin {
 		n = annotateSemiJoins(a, n, est)
 	}
-	n = annotateParallelism(a, n, est)
-	return n, est
+	return annotateParallelism(a, n, est)
 }
 
 // Naive returns the plan a capability-blind mediator would run: every scan

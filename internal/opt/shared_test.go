@@ -45,7 +45,8 @@ func TestOptimizeWritesOnlyNodesItAllocates(t *testing.T) {
 
 	t.Run("placed input", func(t *testing.T) {
 		// Mediator operators over already-placed Remotes: placement
-		// keeps them as they are, and only the hints change.
+		// keeps them as they are, and only the hints and the estimates
+		// the last pass records change.
 		join := plan.NewJoin(nil, sqlparse.JoinInner,
 			&plan.Remote{Source: "a", Child: scan("a", "a", "k", "v")},
 			&plan.Remote{Source: "b", Child: scan("b", "b", "k", "v")}, cond)
@@ -64,8 +65,18 @@ func TestOptimizeWritesOnlyNodesItAllocates(t *testing.T) {
 		if agg.Parallel < 2 || j.Parallel < 2 {
 			t.Errorf("hints aggregate=%d join=%d, want both >= 2 over 40000-row inputs", agg.Parallel, j.Parallel)
 		}
-		if j.Left != join.Left || j.Right != join.Right {
-			t.Error("the unchanged Remote inputs were copied")
+		// The Remotes and their scans carried no estimate: each is copied
+		// to record one.
+		for i, in := range []plan.Node{j.Left, j.Right} {
+			orig := []plan.Node{join.Left, join.Right}[i].(*plan.Remote)
+			if r := in.(*plan.Remote); r == orig || r.EstRows() < 0 || r.Child.EstRows() < 0 {
+				t.Errorf("Remote input %d: want an annotated copy, got %+v", i, r)
+			}
+		}
+		// Over its own result, Optimize copies no Remote again.
+		again := Optimize(out, ev, Options{NoFilterPushdown: true, NoJoinReorder: true, NoProjectionPrune: true, NoSemiJoin: true})
+		if aj := again.(*plan.Aggregate).Input.(*plan.Join); aj.Left != j.Left || aj.Right != j.Right {
+			t.Error("the unchanged, annotated Remote inputs were copied")
 		}
 	})
 

@@ -41,10 +41,19 @@ type estimator struct {
 	rowsMemo map[plan.Node]float64
 	sigMemo  map[plan.Node]sigMemo
 	all      bool
+	// memoAll memoizes every node's Rows, not only blended Scans and
+	// Filters: the optimizer's last pass sets it, once no pass builds
+	// another join order to estimate.
+	memoAll bool
 	// sigs renders feedback signatures into one buffer. An Estimator's
 	// memo holds shapes that alias it until Release; a planning estimator
 	// uses each shape at once and renders the next over it.
 	sigs feedback.Renderer
+	// keyed and empty stand in for a semi-join's reduced-fetch filters
+	// while a planning estimator renders their streams (see reduction),
+	// keyedIn for the IN-list of the first.
+	keyed, empty plan.Filter
+	keyedIn      sqlparse.InExpr
 }
 
 // sigMemo is the feedback signature of one node.
@@ -54,9 +63,10 @@ type sigMemo struct {
 }
 
 // Memo misses, process-wide: how many memoized Rows evaluations and how
-// many signature renderings estimators actually performed (tests read
-// them through export_test.go).
-var rowsEvaluated, signaturesRendered atomic.Int64
+// many signature renderings estimators actually performed, and how many
+// times they asked the feedback store for an observation (tests read them
+// through export_test.go).
+var rowsEvaluated, signaturesRendered, feedbackLookups atomic.Int64
 
 // planningEstimators recycles the optimizer's own estimators. A compile's
 // memo and signature buffer are temporaries: kept here between compiles,
@@ -84,12 +94,14 @@ func (e *estimator) clear() {
 	clear(e.rowsMemo)
 	clear(e.sigMemo)
 	e.sigs.Reset()
+	e.keyed, e.empty, e.keyedIn = plan.Filter{}, plan.Filter{}, sqlparse.InExpr{}
 	e.reset(nil)
 }
 
 func (e *estimator) reset(env Env) {
 	e.env = env
 	e.fb, _ = env.(FeedbackEnv)
+	e.memoAll = false
 }
 
 // blend reconciles a node's static estimate with the feedback store's
@@ -104,6 +116,7 @@ func (e *estimator) blend(n plan.Node, static float64) float64 {
 	}
 	out := static
 	if shape, ok := e.signature(n); ok {
+		feedbackLookups.Add(1)
 		if obs, ok := e.fb.Observed(shape); ok {
 			ratio := (obs.Rows + 1) / (static + 1)
 			if ratio >= 2 || ratio <= 0.5 {
@@ -184,9 +197,19 @@ func (e *estimator) Rows(n plan.Node) float64 {
 func (e *estimator) memoized(n plan.Node) bool {
 	switch n.(type) {
 	case *plan.Scan, *plan.Filter:
-		return e.all || e.fb != nil
+		return e.all || e.memoAll || e.fb != nil
 	}
-	return e.all
+	return e.all || e.memoAll
+}
+
+// rounded is Rows as the executor's records hold it: a whole, non-negative
+// row count.
+func (e *estimator) rounded(n plan.Node) int64 {
+	r := e.Rows(n)
+	if r < 0 {
+		return 0
+	}
+	return int64(r)
 }
 
 // rows is Rows without the memo.
@@ -405,8 +428,8 @@ func (e *estimator) selectivity(cond sqlparse.Expr, input plan.Node) float64 {
 	for _, c := range sqlparse.AppendConjuncts(buf[:0], cond) {
 		sel *= e.conjunctSelectivity(c, input)
 	}
-	if sel < 1e-9 {
-		sel = 1e-9
+	if sel < plan.MinSelectivity {
+		sel = plan.MinSelectivity
 	}
 	return sel
 }

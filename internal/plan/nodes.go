@@ -38,9 +38,29 @@ type Node interface {
 	Columns() []ColMeta
 	// Describe renders a one-line summary for EXPLAIN output.
 	Describe() string
+	// EstRows returns the row estimate the node carries (see Estimate).
+	EstRows() int64
 	// node seals the interface: every operator is declared in this package.
 	node()
 }
+
+// Estimate is the optimizer's row estimate of a node, which every operator
+// embeds: the optimizer's last pass records it, and the executor's
+// per-operator record reads it, so a plan runs with the numbers it was
+// costed from and no execution estimates anything. A copy of a node —
+// Map's, Retain's, a bound instance's — carries its original's, so a
+// pass that changes a subtree leaves stale estimates above it until the
+// optimizer's last pass records them again.
+type Estimate struct {
+	rows int64 // the estimate plus one, so that a node's zero value carries none
+}
+
+// EstRows returns the estimate, -1 when the node carries none.
+func (e *Estimate) EstRows() int64 { return e.rows - 1 }
+
+// SetEstRows records the estimate. Only the code that allocated the node
+// may call it: a plan may be shared by any number of executions.
+func (e *Estimate) SetEstRows(rows int64) { e.rows = rows + 1 }
 
 func (*Scan) node()      {}
 func (*Filter) node()    {}
@@ -55,6 +75,7 @@ func (*Remote) node()    {}
 
 // Scan reads one table of one source.
 type Scan struct {
+	Estimate
 	Source string
 	Table  string
 	Alias  string // binding name; never empty after building
@@ -71,6 +92,7 @@ func (s *Scan) Describe() string {
 
 // Filter keeps rows for which Cond evaluates to TRUE.
 type Filter struct {
+	Estimate
 	Input Node
 	Cond  sqlparse.Expr
 	// Parallel is the optimizer's worker-count hint for morsel-driven
@@ -87,6 +109,7 @@ func (f *Filter) Describe() string { return "Filter " + f.Cond.SQL() }
 
 // Project computes expressions over its input.
 type Project struct {
+	Estimate
 	Input Node
 	Exprs []sqlparse.Expr
 	Cols  []ColMeta // one per expr; Name holds the output alias
@@ -136,11 +159,15 @@ const DefaultBloomKeyCap = 64 * 1024
 
 // Join combines two inputs. Cond may be nil for a cross join.
 type Join struct {
+	Estimate
 	Type        sqlparse.JoinType
 	Left, Right Node
 	Cond        sqlparse.Expr
 	// SemiJoin is the optimizer's reduction hint.
 	SemiJoin SemiJoinHint
+	// Reduce describes the reduced fetch the hint sends (see Reduced);
+	// zero where it does not apply.
+	Reduce Reduction
 	// Parallel is the optimizer's worker-count hint for partitioned hash
 	// build and morsel-parallel probe (see Filter.Parallel).
 	Parallel int
@@ -189,6 +216,34 @@ func sameColumns(a, b []ColMeta) bool {
 // Columns implements Node.
 func (j *Join) Columns() []ColMeta { return j.cols }
 
+// Reduced returns the Remote j's semi-join hint reduces, and which of the
+// equi-key pairs lk[i] = rk[i] (see AppendEquiKeys) its reduced fetch
+// filters on: the first whose reduced side is a plain column of the
+// Remote's child. ok is false when the hint does not apply: there is
+// none, or the reduced side is no key-filtering Remote, or no pair has
+// such a column.
+func (j *Join) Reduced(lk, rk []sqlparse.Expr) (r *Remote, pair int, ok bool) {
+	reduce, keys := j.Right, rk
+	switch j.SemiJoin {
+	case SemiJoinNone:
+		return nil, 0, false
+	case SemiJoinReduceLeft:
+		reduce, keys = j.Left, lk
+	}
+	r, ok = reduce.(*Remote)
+	if !ok || !r.AllowKeyFilter {
+		return nil, 0, false
+	}
+	for i, e := range keys {
+		if ref, isRef := e.(*sqlparse.ColumnRef); isRef {
+			if _, found := FindColumn(r.Child.Columns(), ref); found {
+				return r, i, true
+			}
+		}
+	}
+	return nil, 0, false
+}
+
 // Describe implements Node.
 func (j *Join) Describe() string {
 	s := j.Type.String()
@@ -220,6 +275,7 @@ func (a AggSpec) SQL() string {
 // Aggregate groups its input by the GroupBy expressions and computes the
 // aggregates. Output columns: group columns first, then one per aggregate.
 type Aggregate struct {
+	Estimate
 	Input   Node
 	GroupBy []sqlparse.Expr
 	Aggs    []AggSpec
@@ -288,6 +344,7 @@ type SortKey struct {
 
 // Sort orders its input.
 type Sort struct {
+	Estimate
 	Input Node
 	Keys  []SortKey
 }
@@ -310,6 +367,7 @@ func (s *Sort) Describe() string {
 // Limit returns at most Count rows after skipping Offset rows. Count < 0
 // means no limit (offset only).
 type Limit struct {
+	Estimate
 	Input  Node
 	Count  int64
 	Offset int64
@@ -325,6 +383,7 @@ func (l *Limit) Describe() string {
 
 // Distinct removes duplicate rows.
 type Distinct struct {
+	Estimate
 	Input Node
 }
 
@@ -336,6 +395,7 @@ func (d *Distinct) Describe() string { return "Distinct" }
 
 // Union concatenates its inputs (UNION ALL).
 type Union struct {
+	Estimate
 	Inputs []Node
 }
 
@@ -348,13 +408,80 @@ func (u *Union) Describe() string { return fmt.Sprintf("UnionAll (%d inputs)", l
 // Remote marks a subtree the optimizer decided to push down to a single
 // source. The execution runtime ships Child to that source's wrapper.
 type Remote struct {
+	Estimate
 	Source string
 	Child  Node
 	// AllowKeyFilter records that the source can absorb an additional
 	// key-list filter (PushFilter capability); the executor's semi-join
 	// reduction uses it to ship join keys instead of whole tables.
 	AllowKeyFilter bool
+	// Stream is the feedback stream the fetch of Child feeds, the feedback
+	// store's own record of it; nil when Child has no signature or the
+	// plan was optimized without a store.
+	Stream *Stream
 }
+
+// Stream names one feedback stream: the source and table a fetch reads,
+// lowercased, and its masked predicate signature (see feedback.Renderer).
+// The feedback store keeps one record per stream it has been asked for,
+// and a plan points at that record, so every plan that feeds a stream
+// shares its strings.
+type Stream struct {
+	Source string
+	Table  string
+	Sig    string
+}
+
+// Reduction is what the optimizer knows at compile time of a semi-join's
+// reduced fetch, whose key list only the execution sees: the stream each
+// form of it feeds and the numbers its row estimate derives from. Every
+// form filters the reduced Remote's child on the key column: an IN-list
+// of the probe side's distinct keys, a bloom filter of them past the
+// IN-list cap, or FALSE when the probe side has none.
+type Reduction struct {
+	// Keyed is the stream of the IN-list and bloom forms, which render
+	// alike; Empty is the stream of the FALSE form.
+	Keyed, Empty *Stream
+	// Rows is the child's row estimate before rounding. KeySel is the
+	// fraction of it one shipped key keeps, never 0 in a Reduction the
+	// optimizer recorded, and Unkeyed the rows a bloom filter or FALSE
+	// keeps, whose hit rate is unknown at plan time.
+	Rows, KeySel, Unkeyed float64
+}
+
+// Form returns the stream and the row estimate of the reduced fetch that
+// ships keys keys, as a bloom filter when bloom is set, as an IN-list
+// otherwise, and as FALSE when there are none; the estimate is rounded as
+// the executor's records are. It is the optimizer's selectivity formula
+// for such a filter: it depends on no key's value. The zero Reduction,
+// where the optimizer recorded none, gives no stream and no estimate (-1).
+func (r Reduction) Form(keys int, bloom bool) (*Stream, int64) {
+	if r.KeySel == 0 {
+		return nil, -1
+	}
+	stream, rows := r.Keyed, r.Unkeyed
+	switch {
+	case keys == 0:
+		stream = r.Empty
+	case !bloom:
+		sel := r.KeySel * float64(keys)
+		if sel > 1 {
+			sel = 1
+		}
+		if sel < MinSelectivity {
+			sel = MinSelectivity
+		}
+		rows = r.Rows * sel
+	}
+	if rows < 0 {
+		return stream, 0
+	}
+	return stream, int64(rows)
+}
+
+// MinSelectivity is the floor the optimizer puts under a predicate's
+// estimated selectivity.
+const MinSelectivity = 1e-9
 
 // Columns implements Node.
 func (r *Remote) Columns() []ColMeta { return r.Child.Columns() }
@@ -533,7 +660,9 @@ func Map(a *sqlparse.Arena, n Node, inputs func(Node) Node, exprs func(sqlparse.
 		}
 	case *Distinct:
 		if in := inputs(x.Input); in != x.Input {
-			return sqlparse.New(a, Distinct{Input: in})
+			c := sqlparse.New(a, *x)
+			c.Input = in
+			return c
 		}
 	case *Union:
 		var list []Node // allocated at the first changed input
@@ -548,7 +677,9 @@ func Map(a *sqlparse.Arena, n Node, inputs func(Node) Node, exprs func(sqlparse.
 			}
 		}
 		if list != nil {
-			return sqlparse.New(a, Union{Inputs: list})
+			c := sqlparse.New(a, *x)
+			c.Inputs = list
+			return c
 		}
 	case *Remote:
 		if in := inputs(x.Child); in != x.Child {

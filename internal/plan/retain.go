@@ -13,9 +13,9 @@ import (
 // counts what the plan holds, then one exactly sized block per node,
 // expression or list type present backs every copy of that type. It
 // shares nothing with a: only the expression leaves outside it (a stored
-// view's column references, say) and strings and datum values, which no
-// arena owns, are shared rather than copied; with a nil every leaf is
-// copied too. Derived columns are copied verbatim, never recomputed.
+// view's column references, say), strings, datum values and the feedback
+// streams Remotes point at, which no arena owns, are shared rather than
+// copied; with a nil every leaf is copied too. Derived columns are copied verbatim, never recomputed.
 func Retain(a *sqlparse.Arena, n Node) Node {
 	r := retainer{Retainer: sqlparse.Retainer{From: a}}
 	r.node(n) // sizing
