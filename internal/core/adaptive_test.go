@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -471,5 +472,32 @@ func TestExplainCostsUnderThePlanningEnvironment(t *testing.T) {
 	// Zero-value options still print the static estimate, feedback or not.
 	if taught, fresh := estimateLine(e, QueryOptions{}), estimateLine(staleStatsFixture(t, 4000), QueryOptions{}); taught != fresh {
 		t.Errorf("static Explain moved with feedback:\n taught %s\n fresh  %s", taught, fresh)
+	}
+}
+
+// TestExecuteRejectsUnboundTemplate: a plan that still holds a
+// placeholder — here the stale-stats query's cached template, tier = $1 —
+// fails with a *plan.ParamError before any fetch, so the adaptive
+// tripwire never fires on it.
+func TestExecuteRejectsUnboundTemplate(t *testing.T) {
+	e := staleStatsFixture(t, 4000)
+	ctx := context.Background()
+	qo := QueryOptions{Parallel: true, Adaptive: true}
+	res, err := e.QueryOptsCtx(ctx, staleStatsQuery, qo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := res.Plan
+	before := e.NetworkTotals()
+	res, err = e.ExecuteCtx(ctx, tmpl, qo)
+	var pe *plan.ParamError
+	if !errors.As(err, &pe) || pe.Index != 1 {
+		t.Fatalf("err = %v, want a *plan.ParamError for $1", err)
+	}
+	if res != nil && res.ReplanCount != 0 {
+		t.Errorf("ReplanCount = %d", res.ReplanCount)
+	}
+	if after := e.NetworkTotals(); after.RoundTrips != before.RoundTrips {
+		t.Errorf("%d round trips before the error", after.RoundTrips-before.RoundTrips)
 	}
 }

@@ -406,30 +406,42 @@ func TestCancelledContextAtEveryEntryPoint(t *testing.T) {
 }
 
 // TestCancelledContextStopsSubqueryPreEvaluation: planning a statement
-// with IN (SELECT ...) runs the subquery against live sources, so the
-// planning-only entry points must honor the caller's context too — a
-// cancelled one means no source is contacted at all.
+// with IN (SELECT ...) contacts no source under any context — the
+// subquery is planned, not pre-evaluated — and a cancelled one still
+// fails planning and execution with context.Canceled.
 func TestCancelledContextStopsSubqueryPreEvaluation(t *testing.T) {
 	e := newFederation(t)
 	const sql = `SELECT name FROM crm.customers
 		WHERE id IN (SELECT cust_id FROM billing.invoices WHERE amount > 60)`
+	before := e.NetworkTotals().RoundTrips
+	if _, err := e.Plan(context.Background(), sql, QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Explain(context.Background(), sql, QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.PrepareOpts(context.Background(), sql, DefaultQueryOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if after := e.NetworkTotals().RoundTrips; after != before {
+		t.Errorf("planning made %d source round trips", after-before)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-
+	prepared, err := e.PrepareOpts(context.Background(), sql, DefaultQueryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		run  func() error
 	}{
 		{"Plan", func() error { _, err := e.Plan(ctx, sql, QueryOptions{}); return err }},
 		{"Explain", func() error { _, err := e.Explain(ctx, sql, QueryOptions{}); return err }},
-		{"PrepareOpts+ExecuteCtx", func() error {
-			ps, err := e.PrepareOpts(ctx, sql, DefaultQueryOptions())
-			if err != nil {
-				return err
-			}
-			_, err = ps.ExecuteCtx(ctx)
-			return err
-		}},
+		{"PrepareOpts", func() error { _, err := e.PrepareOpts(ctx, sql, DefaultQueryOptions()); return err }},
+		{"ExecuteCtx", func() error { _, err := prepared.ExecuteCtx(ctx); return err }},
+		{"QueryOptsCtx", func() error { _, err := e.QueryOptsCtx(ctx, sql, DefaultQueryOptions()); return err }},
 	} {
 		before := e.NetworkTotals().RoundTrips
 		if err := tc.run(); !errors.Is(err, context.Canceled) {

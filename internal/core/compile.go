@@ -17,7 +17,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -94,8 +93,8 @@ func (r *readSet) holdsAny(names []catalog.Name) bool {
 }
 
 // recordingReader resolves names against a snapshot and records each
-// distinct one it is asked for, as written: the plan cache retires a plan
-// by the names its compile read.
+// distinct one it is asked for, as written — a subquery's and a view
+// body's too: the plan cache retires a plan by the names its compile read.
 type recordingReader struct {
 	*catalog.Snapshot
 	reads []catalog.Name
@@ -110,20 +109,17 @@ func (r *recordingReader) Resolve(source, name string) (catalog.Resolution, erro
 }
 
 // compile runs the planning pipeline for the statement text over one
-// catalog snapshot: parsing, rewrite-EXISTS (pre-evaluating subqueries),
-// view unfolding, and cost-based optimization under one estimator, which
-// also prices the result. The context bounds the EXISTS pre-evaluation,
-// which runs real subqueries. Every step draws from the query's arena ar,
+// catalog snapshot: parsing, view unfolding and subquery planning, and
+// cost-based optimization under one estimator, which also prices the
+// result. It runs nothing: the plan is a function of the text, the
+// snapshot and the options. Every step draws from the query's arena ar,
 // and only the finished plan reaches the heap, as plan.Retain's compact
 // copy: the returned entry carries that template, its parameter count,
 // its cost and what it read of the catalog; a caller that caches it
 // fills in fbGen.
-func (e *Engine) compile(ctx context.Context, st *engineState, ar *sqlparse.Arena, text string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, error) {
+func (e *Engine) compile(st *engineState, ar *sqlparse.Arena, text string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, error) {
 	sel, err := sqlparse.ParseArena(ar, text)
 	if err != nil {
-		return nil, err
-	}
-	if err := e.rewriteExists(ctx, st, sel, qo, 0); err != nil {
 		return nil, err
 	}
 	rec := &recordingReader{Snapshot: snap}
@@ -259,44 +255,26 @@ type PreparedStatement struct {
 	text string
 	// nParams is how many parameter values ExecuteCtx requires.
 	nParams int
-	// cacheable is false when the statement contains EXISTS / IN
-	// (SELECT ...) subqueries, which are pre-evaluated against live data
-	// at compile time; such statements recompile on every ExecuteCtx.
-	cacheable bool
 }
 
 // PrepareOpts compiles a statement for repeated execution; it may contain
-// `?` or `$n` placeholders. Compilation errors (syntax, unknown tables or
-// columns) surface here, not at ExecuteCtx.
+// `?` or `$n` placeholders, subqueries included. Compilation errors
+// (syntax, unknown tables or columns) surface here, not at ExecuteCtx.
+// Compiling runs nothing; a context already done returns its error.
 func (e *Engine) PrepareOpts(ctx context.Context, sql string, qo QueryOptions) (*PreparedStatement, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
 	sel, err := sqlparse.ParseArena(ar, sql)
 	if err != nil {
 		return nil, err
 	}
-	nParams := sqlparse.MaxParamIndex(sel)
-	cacheable := true
-	sqlparse.WalkSelectExprs(sel, func(x sqlparse.Expr) {
-		switch x.(type) {
-		case *sqlparse.ExistsExpr, *sqlparse.InSubquery:
-			cacheable = false
-		}
-	})
-	ps := &PreparedStatement{
-		e:         e,
-		qo:        qo,
-		text:      sel.SQL(),
-		nParams:   nParams,
-		cacheable: cacheable,
-	}
-	if cacheable {
-		// Compile eagerly so PrepareOpts validates the statement; the plan
-		// lands in the cache for the first ExecuteCtx. EXISTS statements
-		// skip this: compiling them runs subqueries.
-		if _, _, err := e.cachedTemplate(ctx, e.state.Load(), ar, ps.text, qo, e.catalog.Snapshot()); err != nil {
-			return nil, err
-		}
+	ps := &PreparedStatement{e: e, qo: qo, text: sel.SQL(), nParams: sqlparse.MaxParamIndex(sel)}
+	// Compile eagerly: errors surface here, and the plan lands in the cache.
+	if _, _, err := e.cachedTemplate(e.state.Load(), ar, ps.text, qo, e.catalog.Snapshot()); err != nil {
+		return nil, err
 	}
 	return ps, nil
 }
@@ -312,7 +290,7 @@ func (ps *PreparedStatement) SQL() string { return ps.text }
 // was a cache hit. A miss parses the key text into the query's arena ar
 // and compiles there, so the compiler's input is the canonical statement
 // and the template's strings alias only the cache key.
-func (e *Engine) cachedTemplate(ctx context.Context, st *engineState, ar *sqlparse.Arena, normSQL string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
+func (e *Engine) cachedTemplate(st *engineState, ar *sqlparse.Arena, normSQL string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
 	key := st.planKey(normSQL, qo)
 	if v, ok := e.plans.Get(key); ok {
 		cp := v.(*compiledPlan)
@@ -335,7 +313,7 @@ func (e *Engine) cachedTemplate(ctx context.Context, st *engineState, ar *sqlpar
 	// compilation then invalidates this entry on its next adaptive lookup
 	// instead of being missed.
 	fbGen := st.feedback.Generation()
-	cp, err := e.compile(ctx, st, ar, normSQL, qo, snap)
+	cp, err := e.compile(st, ar, normSQL, qo, snap)
 	if err != nil {
 		return nil, false, err
 	}
@@ -347,13 +325,10 @@ func (e *Engine) cachedTemplate(ctx context.Context, st *engineState, ar *sqlpar
 
 // ExecuteCtx binds parameter values ($1 = params[0], ...) and runs the
 // statement, recompiling first if the catalog changed since the plan was
-// cached. Cancellation and deadline propagate into recompilation (EXISTS
-// subqueries) and execution. As with QueryOptsCtx, a non-nil *Result may
-// accompany an execution error.
+// cached. Too few values fail with a *plan.ParamError. Cancellation and
+// deadline propagate into execution. As with QueryOptsCtx, a non-nil
+// *Result may accompany an execution error.
 func (ps *PreparedStatement) ExecuteCtx(ctx context.Context, params ...datum.Datum) (*Result, error) {
-	if len(params) < ps.nParams {
-		return nil, fmt.Errorf("core: statement requires %d parameters, got %d", ps.nParams, len(params))
-	}
 	st := ps.e.state.Load()
 	planStart := st.clock.Now()
 	// A recompile and bound parameter subtrees live in the query's arena
@@ -361,5 +336,5 @@ func (ps *PreparedStatement) ExecuteCtx(ctx context.Context, params ...datum.Dat
 	// is retained on the heap.
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
-	return ps.e.runStatement(ctx, st, ar, planStart, ps.text, ps.text, params, ps.cacheable && !ps.qo.NoPlanCache, ps.qo)
+	return ps.e.runStatement(ctx, st, ar, planStart, ps.text, ps.text, params, !ps.qo.NoPlanCache, ps.qo)
 }

@@ -110,7 +110,7 @@ func TestCompileCostMatchesFreshEstimator(t *testing.T) {
 				t.Fatalf("%s: %v", c.label, err)
 			}
 		}
-		compiled, fresh, err := c.e.CompileCosts(ctx, c.sql, c.qo)
+		compiled, fresh, err := c.e.CompileCosts(c.sql, c.qo)
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}

@@ -399,21 +399,16 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 // extracting predicate constants into parameters, the cache is consulted
 // under the current catalog version, and on a hit the constants are bound
 // back into the cached template — repeated queries differing only in
-// constants compile once. Statements the cache cannot serve safely
-// (explicit placeholders, EXISTS / IN-subqueries) and queries with
-// NoPlanCache set compile fresh.
+// constants compile once. IN and EXISTS subqueries are part of the plan,
+// so their statements cache like any other. Statements with explicit
+// placeholders and queries with NoPlanCache set compile fresh.
 //
 // On execution failure the returned *Result may be non-nil alongside the
 // error: it carries no rows but preserves the fault ledger (SourceErrors,
 // Partial, SkippedSources) and the trace, so callers can report what the
 // query had done when it failed or was cancelled.
 func (e *Engine) QueryOptsCtx(ctx context.Context, sql string, qo QueryOptions) (*Result, error) {
-	return e.query(ctx, e.state.Load(), sql, qo)
-}
-
-// query is QueryOptsCtx under an already-loaded engine state (EXISTS / IN
-// subqueries run under their outer query's).
-func (e *Engine) query(ctx context.Context, st *engineState, sql string, qo QueryOptions) (*Result, error) {
+	st := e.state.Load()
 	planStart := st.clock.Now()
 
 	// Per-query arena: tokens, AST nodes, normalized parameter subtrees and
@@ -456,9 +451,9 @@ func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse
 	hit := false
 	var err error
 	if cached {
-		cp, hit, err = e.cachedTemplate(ctx, st, ar, text, qo, snap)
+		cp, hit, err = e.cachedTemplate(st, ar, text, qo, snap)
 	} else {
-		cp, err = e.compile(ctx, st, ar, text, qo, snap)
+		cp, err = e.compile(st, ar, text, qo, snap)
 	}
 	if err != nil {
 		return nil, err
@@ -484,9 +479,9 @@ func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse
 }
 
 // Plan parses, reformulates and optimizes a statement without running it.
-// It always compiles fresh (no cache) against one catalog snapshot. The
-// context bounds the pre-evaluation of EXISTS / IN (SELECT ...)
-// subqueries, which run against live sources.
+// It always compiles fresh (no cache) against one catalog snapshot, and
+// contacts no source: subqueries are planned with the rest of the
+// statement. A context already done returns its error before any work.
 func (e *Engine) Plan(ctx context.Context, sql string, qo QueryOptions) (plan.Node, error) {
 	return e.plan(ctx, e.state.Load(), sql, qo)
 }
@@ -494,9 +489,12 @@ func (e *Engine) Plan(ctx context.Context, sql string, qo QueryOptions) (plan.No
 // plan is Plan under an already-loaded engine state. It compiles in a
 // pooled arena and returns the plan's retained heap copy.
 func (e *Engine) plan(ctx context.Context, st *engineState, sql string, qo QueryOptions) (plan.Node, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
-	cp, err := e.compile(ctx, st, ar, sql, qo, e.catalog.Snapshot())
+	cp, err := e.compile(st, ar, sql, qo, e.catalog.Snapshot())
 	if err != nil {
 		return nil, err
 	}
@@ -504,15 +502,19 @@ func (e *Engine) plan(ctx context.Context, st *engineState, sql string, qo Query
 }
 
 // ExecuteCtx runs an optimized plan under a caller context. Like
-// QueryOptsCtx, a non-nil *Result may accompany an execution error.
+// QueryOptsCtx, a non-nil *Result may accompany an execution error; a
+// plan holding a placeholder fails with a *plan.ParamError before any fetch.
 func (e *Engine) ExecuteCtx(ctx context.Context, p plan.Node, qo QueryOptions) (*Result, error) {
 	return e.executePlan(ctx, e.state.Load(), p, qo)
 }
 
 // executePlan runs a plan that arrived without a statement: annotated
 // and costed under the environment it executes in, no label, no planning
-// time.
+// time. Binding no values finds a placeholder the plan still holds.
 func (e *Engine) executePlan(ctx context.Context, st *engineState, p plan.Node, qo QueryOptions) (*Result, error) {
+	if _, err := plan.BindParams(p, nil); err != nil {
+		return nil, err
+	}
 	p, cost := opt.Annotate(p, st.planEnv(qo))
 	return e.executeCtx(ctx, st, p, qo, "", 0, cost)
 }
@@ -707,7 +709,8 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 }
 
 // Explain returns the optimized plan rendering plus, for every Remote
-// subtree, the SQL the wrapper would receive.
+// subtree, the SQL the wrapper would receive. Like Plan, it runs nothing
+// and contacts no source.
 func (e *Engine) Explain(ctx context.Context, sql string, qo QueryOptions) (string, error) {
 	st := e.state.Load()
 	p, err := e.plan(ctx, st, sql, qo)
@@ -759,79 +762,6 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, qo QueryOptions
 	fmt.Fprintf(&b, "-- estimated: rows=%d shipped=%dB network=%s\n",
 		res.Estimate.Rows, res.Estimate.Shipped, res.Estimate.Network)
 	return b.String(), nil
-}
-
-// rewriteExists pre-evaluates uncorrelated EXISTS subqueries into boolean
-// literals; the planner proper does not support subquery expressions. The
-// subqueries run under the outer query's context, so cancelling the outer
-// query aborts its subquery evaluation too.
-func (e *Engine) rewriteExists(ctx context.Context, st *engineState, sel *sqlparse.Select, qo QueryOptions, depth int) error {
-	if depth > 8 {
-		return fmt.Errorf("core: EXISTS nesting too deep")
-	}
-	// maxInSubqueryValues caps how many literals an IN-subquery expands
-	// into; beyond it the query is rejected rather than silently slow.
-	const maxInSubqueryValues = 100000
-	var rewrite func(sqlparse.Expr) (sqlparse.Expr, error)
-	rewrite = func(x sqlparse.Expr) (sqlparse.Expr, error) {
-		//lint:ignore exhaustive rewrite callback: only subquery forms are transformed, the identity default is total by design
-		switch ex := x.(type) {
-		case *sqlparse.ExistsExpr:
-			probe := *ex.Query
-			probe.Limit = &sqlparse.Literal{Value: datum.NewInt(1)}
-			sub, err := e.query(ctx, st, probe.SQL(), qo)
-			if err != nil {
-				return nil, fmt.Errorf("core: evaluating EXISTS subquery: %w", err)
-			}
-			val := len(sub.Rows) > 0
-			if ex.Not {
-				val = !val
-			}
-			return &sqlparse.Literal{Value: datum.NewBool(val)}, nil
-		case *sqlparse.InSubquery:
-			sub, err := e.query(ctx, st, ex.Query.SQL(), qo)
-			if err != nil {
-				return nil, fmt.Errorf("core: evaluating IN subquery: %w", err)
-			}
-			if len(sub.Columns) != 1 {
-				return nil, fmt.Errorf("core: IN subquery must return one column, got %d", len(sub.Columns))
-			}
-			if len(sub.Rows) > maxInSubqueryValues {
-				return nil, fmt.Errorf("core: IN subquery returned %d rows (cap %d)", len(sub.Rows), maxInSubqueryValues)
-			}
-			list := make([]sqlparse.Expr, len(sub.Rows))
-			for i, r := range sub.Rows {
-				list[i] = &sqlparse.Literal{Value: r[0]}
-			}
-			if len(list) == 0 {
-				// Empty subquery: IN () is FALSE, NOT IN () is TRUE.
-				return &sqlparse.Literal{Value: datum.NewBool(ex.Not)}, nil
-			}
-			return &sqlparse.InExpr{Child: ex.Child, List: list, Not: ex.Not}, nil
-		default:
-			return x, nil
-		}
-	}
-	var err error
-	sel.Where, err = sqlparse.Rewrite(sel.Where, rewrite)
-	if err != nil {
-		return err
-	}
-	sel.Having, err = sqlparse.Rewrite(sel.Having, rewrite)
-	if err != nil {
-		return err
-	}
-	for _, tr := range sel.From {
-		if sq, ok := tr.(*sqlparse.SubqueryTable); ok {
-			if err := e.rewriteExists(ctx, st, sq.Query, qo, depth+1); err != nil {
-				return err
-			}
-		}
-	}
-	if sel.UnionAll != nil {
-		return e.rewriteExists(ctx, st, sel.UnionAll, qo, depth+1)
-	}
-	return nil
 }
 
 // --- opt.Env plumbing ---

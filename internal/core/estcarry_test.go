@@ -62,8 +62,8 @@ func benchFamilyCases(t *testing.T) []costCase {
 }
 
 // TestCarriedEstimatesMatchFreshEstimator: a bound plan runs with the
-// numbers a fresh estimator gives it. Over the cost cases and the
-// benchmark's statement families, under the feedback state they compiled
+// numbers a fresh estimator gives it. Over the cost cases, the
+// benchmark's statement families and the subquery cases, under the feedback state they compiled
 // under (adaptive cases execute first, so estimates blend observations
 // in): every node of the bound plan carries the estimate
 // opt.NewEstimator gives it, and every Remote the stream
@@ -76,7 +76,8 @@ func benchFamilyCases(t *testing.T) []costCase {
 func TestCarriedEstimatesMatchFreshEstimator(t *testing.T) {
 	ctx := context.Background()
 	tiers := map[string]int{}
-	for _, c := range append(costCases(t, 60), benchFamilyCases(t)...) {
+	cases := append(costCases(t, 60), benchFamilyCases(t)...)
+	for _, c := range append(cases, subqueryCostCases(t)...) {
 		if c.qo.Adaptive {
 			if _, err := c.e.QueryOptsCtx(ctx, c.sql, c.qo); err != nil {
 				t.Fatalf("%s: %v", c.label, err)
@@ -95,7 +96,7 @@ func checkCarried(t *testing.T, ctx context.Context, c costCase, tiers map[strin
 	t.Helper()
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
-	p, env, err := c.e.BoundPlan(ctx, ar, c.sql, c.qo)
+	p, env, err := c.e.BoundPlan(ar, c.sql, c.qo)
 	if err != nil {
 		t.Fatalf("%s: %v", c.label, err)
 	}

@@ -15,11 +15,11 @@ import (
 // CompileCosts compiles sql fresh under qo and returns the cost the
 // compile priced its plan at, and the cost opt.Cost gives the same plan
 // under a fresh estimator.
-func (e *Engine) CompileCosts(ctx context.Context, sql string, qo QueryOptions) (compiled, fresh opt.PlanCost, err error) {
+func (e *Engine) CompileCosts(sql string, qo QueryOptions) (compiled, fresh opt.PlanCost, err error) {
 	st := e.state.Load()
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
-	cp, err := e.compile(ctx, st, ar, sql, qo, e.catalog.Snapshot())
+	cp, err := e.compile(st, ar, sql, qo, e.catalog.Snapshot())
 	if err != nil {
 		return compiled, fresh, err
 	}
@@ -45,7 +45,7 @@ func EquivalenceStatements(n int) []string {
 // and returns the key text with the template the cache would keep. A
 // statement the cache cannot serve compiles from its own text, as
 // runStatement's uncached branch does.
-func (e *Engine) MissTemplate(ctx context.Context, ar *sqlparse.Arena, sql string, qo QueryOptions) (string, plan.Node, error) {
+func (e *Engine) MissTemplate(ar *sqlparse.Arena, sql string, qo QueryOptions) (string, plan.Node, error) {
 	sel, err := sqlparse.ParseArena(ar, sql)
 	if err != nil {
 		return "", nil, err
@@ -54,7 +54,7 @@ func (e *Engine) MissTemplate(ctx context.Context, ar *sqlparse.Arena, sql strin
 	if _, cacheable := sqlparse.ExtractParamsIn(ar, sel); cacheable {
 		key = ar.RenderSQL(sel)
 	}
-	cp, err := e.compile(ctx, e.state.Load(), ar, key, qo, e.catalog.Snapshot())
+	cp, err := e.compile(e.state.Load(), ar, key, qo, e.catalog.Snapshot())
 	if err != nil {
 		return "", nil, err
 	}
@@ -63,15 +63,12 @@ func (e *Engine) MissTemplate(ctx context.Context, ar *sqlparse.Arena, sql strin
 
 // HeapPlan compiles key with no arena anywhere: a heap parse, plan.Build
 // and the optimizer on the heap, and no retained copy.
-func (e *Engine) HeapPlan(ctx context.Context, key string, qo QueryOptions) (plan.Node, error) {
+func (e *Engine) HeapPlan(key string, qo QueryOptions) (plan.Node, error) {
 	sel, err := sqlparse.Parse(key)
 	if err != nil {
 		return nil, err
 	}
 	st := e.state.Load()
-	if err := e.rewriteExists(ctx, st, sel, qo, 0); err != nil {
-		return nil, err
-	}
 	logical, err := plan.Build(e.catalog.Snapshot(), sel)
 	if err != nil {
 		return nil, err
@@ -82,7 +79,7 @@ func (e *Engine) HeapPlan(ctx context.Context, key string, qo QueryOptions) (pla
 // BoundPlan compiles sql as a plan-cache miss does, in ar, and binds the
 // statement's constants into the template as a hit does; it returns the
 // bound plan and the environment the compile costed it under.
-func (e *Engine) BoundPlan(ctx context.Context, ar *sqlparse.Arena, sql string, qo QueryOptions) (plan.Node, opt.Env, error) {
+func (e *Engine) BoundPlan(ar *sqlparse.Arena, sql string, qo QueryOptions) (plan.Node, opt.Env, error) {
 	sel, err := sqlparse.ParseArena(ar, sql)
 	if err != nil {
 		return nil, nil, err
@@ -92,7 +89,7 @@ func (e *Engine) BoundPlan(ctx context.Context, ar *sqlparse.Arena, sql string, 
 		key, params = ar.RenderSQL(sel), ps
 	}
 	st := e.state.Load()
-	cp, err := e.compile(ctx, st, ar, key, qo, e.catalog.Snapshot())
+	cp, err := e.compile(st, ar, key, qo, e.catalog.Snapshot())
 	if err != nil {
 		return nil, nil, err
 	}

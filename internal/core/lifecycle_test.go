@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/netsim"
 	"repro/internal/opt"
+	"repro/internal/plan"
 	"repro/internal/schema"
 )
 
@@ -71,8 +73,9 @@ func TestPreparedStatementArityAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps.ExecuteCtx(context.Background()); err == nil {
-		t.Fatal("Execute with missing params should error")
+	var pe *plan.ParamError
+	if _, err := ps.ExecuteCtx(context.Background()); !errors.As(err, &pe) {
+		t.Fatalf("Execute with missing params: err = %v, want a *plan.ParamError", err)
 	}
 }
 
@@ -199,30 +202,35 @@ func TestQueryCacheMergesNoSemiJoinSpellings(t *testing.T) {
 	}
 }
 
-func TestUncacheableStatementsBypassCache(t *testing.T) {
+// TestSubqueryStatementsHitPlanCache: a subquery is planned with its
+// statement, so an EXISTS statement compiles once and its second run is a
+// cache hit on the one entry the first run stored.
+func TestSubqueryStatementsHitPlanCache(t *testing.T) {
 	e := newFederation(t)
-	// EXISTS pre-evaluates a subquery against live data; the outer plan
-	// must never be cached (the pre-evaluated answer is baked into it).
-	// The inner subquery runs through QueryOptsCtx and MAY cache — that one
-	// is recompiled-from-live-data each time, so it is safe.
 	const sql = "SELECT name FROM crm.customers WHERE EXISTS (SELECT cust_id FROM billing.invoices WHERE status = 'open')"
 	r, err := e.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.CacheHit {
-		t.Fatal("EXISTS statement reported a cache hit")
+		t.Fatal("first run reported a cache hit")
 	}
 	entriesAfterFirst := e.PlanCacheStats().Entries
-	r, err = e.QueryCtx(context.Background(), sql)
+	if entriesAfterFirst != 1 {
+		t.Fatalf("first run left %d cached plans, want 1", entriesAfterFirst)
+	}
+	r2, err := e.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.CacheHit {
-		t.Fatal("EXISTS statement reported a cache hit on rerun")
+	if !r2.CacheHit {
+		t.Fatal("second run missed the plan cache")
 	}
 	if got := e.PlanCacheStats().Entries; got != entriesAfterFirst {
-		t.Fatalf("rerun grew the cache %d -> %d; outer EXISTS plan was cached", entriesAfterFirst, got)
+		t.Fatalf("rerun grew the cache %d -> %d", entriesAfterFirst, got)
+	}
+	if results(t, r) != results(t, r2) {
+		t.Fatalf("rows differ: %q vs %q", results(t, r), results(t, r2))
 	}
 }
 

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -53,9 +52,8 @@ func adhocShapes() []string {
 // statement over the earlier ones' memory; at the end each template must
 // still render byte for byte as a heap compile of its key text does —
 // plan, pushed SQL and all — over the equivalence statements, the cost
-// cases and the adhoc_churn shapes.
+// cases, the adhoc_churn shapes and the subquery cases.
 func TestRetainedTemplateOutlivesArena(t *testing.T) {
-	ctx := context.Background()
 	cases := costCases(t, 12)
 	fed := core.NewTestFederation(t)
 	for i, sql := range core.EquivalenceStatements(120) {
@@ -68,6 +66,7 @@ func TestRetainedTemplateOutlivesArena(t *testing.T) {
 	for i, sql := range adhocShapes() {
 		cases = append(cases, costCase{fmt.Sprintf("adhoc %d", i), crm.Engine, sql, core.DefaultQueryOptions()})
 	}
+	cases = append(cases, subqueryCostCases(t)...)
 
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
@@ -78,7 +77,7 @@ func TestRetainedTemplateOutlivesArena(t *testing.T) {
 	}
 	var all []kept
 	for _, c := range cases {
-		key, tmpl, err := c.e.MissTemplate(ctx, ar, c.sql, c.qo)
+		key, tmpl, err := c.e.MissTemplate(ar, c.sql, c.qo)
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
@@ -86,7 +85,7 @@ func TestRetainedTemplateOutlivesArena(t *testing.T) {
 		ar.Reset()
 	}
 	for _, k := range all {
-		heap, err := k.e.HeapPlan(ctx, k.key, k.qo)
+		heap, err := k.e.HeapPlan(k.key, k.qo)
 		if err != nil {
 			t.Fatalf("%s: %v", k.label, err)
 		}

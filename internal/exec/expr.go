@@ -226,9 +226,6 @@ func (c *compiler) compile(dst *Expr, e sqlparse.Expr) error {
 		*dst = Expr{eval: (*Expr).evalCast, to: x.Type}
 		dst.kids, err = c.kids(x.Child)
 
-	case *sqlparse.ExistsExpr:
-		return fmt.Errorf("exec: EXISTS must be pre-evaluated by the mediator")
-
 	default:
 		return fmt.Errorf("exec: unsupported expression %T", e)
 	}

@@ -77,6 +77,26 @@ func TestDeparseUnsupportedNodes(t *testing.T) {
 	if _, err := Deparse(u); err == nil {
 		t.Error("union must not deparse")
 	}
+	// One SELECT cannot filter, project or join an aggregate or a
+	// DISTINCT, nor aggregate, filter or join after a LIMIT.
+	agg := plan.NewAggregate(nil, s, nil, []plan.AggSpec{{Func: "COUNT", Star: true}})
+	limit := &plan.Limit{Input: s, Count: 1}
+	distinct := &plan.Distinct{Input: s}
+	cond := &sqlparse.Literal{Value: datum.NewBool(true)}
+	for _, n := range []plan.Node{
+		&plan.Filter{Input: agg, Cond: cond},
+		&plan.Project{Input: agg},
+		plan.NewAggregate(nil, limit, nil, []plan.AggSpec{{Func: "COUNT", Star: true}}),
+		plan.NewAggregate(nil, distinct, nil, []plan.AggSpec{{Func: "COUNT", Star: true}}),
+		&plan.Filter{Input: limit, Cond: cond},
+		plan.NewJoin(nil, sqlparse.JoinInner, s, distinct, nil),
+		plan.NewJoin(nil, sqlparse.JoinInner, limit, s, nil),
+		plan.NewJoin(nil, sqlparse.JoinLeft, s, agg, nil),
+	} {
+		if sql, err := Deparse(n); err == nil {
+			t.Errorf("%s deparsed to %s", plan.Explain(n), sql)
+		}
+	}
 }
 
 func TestDeparseDistinctAndCrossJoin(t *testing.T) {

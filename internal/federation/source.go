@@ -208,6 +208,9 @@ func deparseNode(n plan.Node) (*sqlparse.Select, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := flattens(n, sub, true); err != nil {
+			return nil, err
+		}
 		if sub.Where == nil {
 			sub.Where = x.Cond
 		} else {
@@ -217,6 +220,9 @@ func deparseNode(n plan.Node) (*sqlparse.Select, error) {
 	case *plan.Project:
 		sub, err := deparseNode(x.Input)
 		if err != nil {
+			return nil, err
+		}
+		if err := flattens(n, sub, false); err != nil {
 			return nil, err
 		}
 		items := make([]sqlparse.SelectItem, len(x.Exprs))
@@ -236,6 +242,12 @@ func deparseNode(n plan.Node) (*sqlparse.Select, error) {
 		}
 		if len(l.From) == 0 || len(r.From) == 0 {
 			return nil, fmt.Errorf("federation: cannot deparse join over FROM-less input")
+		}
+		if err := flattens(n, l, true); err != nil {
+			return nil, err
+		}
+		if err := flattens(n, r, true); err != nil {
+			return nil, err
 		}
 		cond := x.Cond
 		if cond == nil {
@@ -260,6 +272,9 @@ func deparseNode(n plan.Node) (*sqlparse.Select, error) {
 	case *plan.Aggregate:
 		sub, err := deparseNode(x.Input)
 		if err != nil {
+			return nil, err
+		}
+		if err := flattens(n, sub, true); err != nil {
 			return nil, err
 		}
 		var items []sqlparse.SelectItem
@@ -307,6 +322,22 @@ func deparseNode(n plan.Node) (*sqlparse.Select, error) {
 	default:
 		return nil, fmt.Errorf("federation: cannot deparse %T", n)
 	}
+}
+
+// flattens fails unless n folds into sub, the SELECT an input of n
+// deparses to. One SELECT filters and joins before it groups, aggregates
+// and removes duplicates, and applies LIMIT and OFFSET last, so n over an
+// aggregate or a DISTINCT, or over a limit unless n is a projection,
+// needs a derived table, which Deparse does not render.
+func flattens(n plan.Node, sub *sqlparse.Select, limits bool) error {
+	late := sub.Distinct || sub.GroupBy != nil || limits && (sub.Limit != nil || sub.Offset != nil)
+	for _, it := range sub.Items {
+		late = late || it.Expr != nil && sqlparse.ContainsAggregate(it.Expr)
+	}
+	if late {
+		return fmt.Errorf("federation: cannot deparse %T over a grouped, distinct or limited input", n)
+	}
+	return nil
 }
 
 func mergeWhere(a, b sqlparse.Expr) sqlparse.Expr {

@@ -177,8 +177,6 @@ func appendMask(b []byte, e sqlparse.Expr) []byte {
 			b = appendMask(b, item)
 		}
 		return append(b, "))"...)
-	case *sqlparse.InSubquery:
-		return append(appendMask(append(b, '('), x.Child), " insub)"...)
 	case *sqlparse.BetweenExpr:
 		b = appendMask(append(b, '('), x.Child)
 		if x.Not {
@@ -209,8 +207,6 @@ func appendMask(b []byte, e sqlparse.Expr) []byte {
 		return append(b, ')')
 	case *sqlparse.CastExpr:
 		return append(appendMask(append(b, "cast("...), x.Child), ')')
-	case *sqlparse.ExistsExpr:
-		return append(b, "exists(?)"...)
 	case *sqlparse.KeyFilterExpr:
 		// Bloom-summarized semi-join key sets: same stream as the exact
 		// IN-list form of the same reduced fetch.

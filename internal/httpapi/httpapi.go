@@ -12,8 +12,7 @@
 //	GET  /queries                                   -> in-flight queries (id, sql, elapsed)
 //	POST /queries/cancel?id=N                       -> cancel an in-flight query
 //
-// Every query — and every prepare and explain, which may pre-evaluate
-// subqueries against live sources — runs under the request's context: a
+// Every query, prepare and explain runs under the request's context: a
 // client disconnect cancels the whole query tree (exchange workers,
 // remote fetches, retry backoffs), and a cancelled or deadline-exceeded
 // request answers with status 499 (client closed request) carrying
@@ -349,8 +348,8 @@ func NewHandlerLogged(engine *core.Engine, logFn func(RequestLogEntry)) http.Han
 		if !ok {
 			return
 		}
-		// Explaining a statement with EXISTS / IN (SELECT ...) runs those
-		// subqueries against live sources, so it is cancellable like a query.
+		// Explaining plans the statement, subqueries included, and runs
+		// nothing; a request already cancelled still answers 499.
 		out, err := engine.Explain(r.Context(), req.SQL, core.QueryOptions{})
 		if err != nil {
 			writeQueryError(w, nil, err)

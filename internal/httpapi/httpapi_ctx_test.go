@@ -325,9 +325,8 @@ func TestCancelPreservesFaultLedger(t *testing.T) {
 }
 
 // TestExplainHonorsRequestContext: explaining a statement with an
-// IN (SELECT ...) pre-evaluates the subquery against live sources, so a
-// request whose context is already cancelled must answer 499 without
-// contacting any source.
+// IN (SELECT ...) plans the subquery and runs nothing; a request whose
+// context is already cancelled answers 499, and no source is contacted.
 func TestExplainHonorsRequestContext(t *testing.T) {
 	cfg := workload.DefaultCRM()
 	cfg.Customers = 60

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -11,6 +12,11 @@ import (
 
 // maxViewDepth bounds view-unfolding recursion to catch cyclic definitions.
 const maxViewDepth = 32
+
+// maxSubqueries bounds the subquery joins of one statement. A NOT IN, or
+// an IN that is not a top-level conjunct, plans its subquery twice, so
+// nesting doubles the plan at each level; the bound stops that early.
+const maxSubqueries = 16
 
 // Build turns a parsed SELECT into a logical plan against a catalog
 // reader — normally an immutable catalog.Snapshot, so one query resolves
@@ -35,6 +41,10 @@ func BuildIn(a *sqlparse.Arena, cat catalog.Reader, sel *sqlparse.Select) (Node,
 type builder struct {
 	catalog catalog.Reader
 	arena   *sqlparse.Arena
+	// subqueries counts the subquery joins, at most maxSubqueries; each
+	// qualifies the columns it adds ($sq1.$k), whose "$" no written name
+	// holds and * skips.
+	subqueries int
 }
 
 func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
@@ -65,10 +75,10 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 		if sqlparse.ContainsAggregate(sel.Where) {
 			return nil, fmt.Errorf("plan: aggregate functions are not allowed in WHERE")
 		}
-		if err := b.checkRefs(sel.Where, root.Columns()); err != nil {
+		var err error
+		if root, err = b.filter(root, sel.Where, depth); err != nil {
 			return nil, err
 		}
-		root = sqlparse.New(b.arena, Filter{Input: root, Cond: sel.Where})
 	}
 
 	// Expand stars in the select list.
@@ -92,7 +102,9 @@ func (b *builder) buildSelect(sel *sqlparse.Select, depth int) (Node, error) {
 			return nil, err
 		}
 		if having != nil {
-			root = sqlparse.New(b.arena, Filter{Input: root, Cond: having})
+			if root, err = b.filter(root, having, depth); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -312,14 +324,7 @@ func (b *builder) buildAggregate(input Node, sel *sqlparse.Select, items []sqlpa
 		}
 		newItems[i] = sqlparse.SelectItem{Expr: ne, Alias: it.Alias}
 	}
-	var having sqlparse.Expr
-	if sel.Having != nil {
-		ne, err := rewrite(sel.Having)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		having = ne
-	}
+	having := b.rewriteAgg(sel.Having, sel.GroupBy)
 	// ORDER BY keys are resolved later, against the projection or the
 	// aggregate output.
 	var orderBy []sqlparse.OrderItem
@@ -408,10 +413,11 @@ func (b *builder) buildTableRef(tr sqlparse.TableRef, depth int) (Node, error) {
 }
 
 // renameOutputs wraps a node in a projection that re-qualifies its output
-// columns under the given binding name. Every view use pays this once per
-// output column, so the slices are sized up front and the references are
-// carved from one block.
-func (b *builder) renameOutputs(n Node, alias string) Node {
+// columns under the given binding name, and renames them in order when
+// names are given. Every view use pays this once per output column, so
+// the slices are sized up front and the references are carved from one
+// block.
+func (b *builder) renameOutputs(n Node, alias string, names ...string) Node {
 	in := n.Columns()
 	p := sqlparse.New(b.arena, Project{Input: n, Exprs: sqlparse.Make[sqlparse.Expr](b.arena, len(in)), Cols: sqlparse.Make[ColMeta](b.arena, len(in))})
 	refs := sqlparse.Make[sqlparse.ColumnRef](b.arena, len(in))
@@ -419,6 +425,9 @@ func (b *builder) renameOutputs(n Node, alias string) Node {
 		refs[i] = sqlparse.ColumnRef{Table: c.Table, Column: c.Name}
 		p.Exprs[i] = &refs[i]
 		p.Cols[i] = ColMeta{Table: alias, Name: c.Name, Kind: c.Kind}
+		if names != nil {
+			p.Cols[i].Name = names[i]
+		}
 	}
 	return p
 }
@@ -463,20 +472,146 @@ func (b *builder) expandStars(items []sqlparse.SelectItem, cols []ColMeta) ([]sq
 	return out, nil
 }
 
+// filter plans cond, a WHERE or HAVING condition, over in. Subqueries in
+// cond are joined onto in first (see joinSubqueries); then every column
+// reference must resolve. Without a subquery, cond takes checkRefs' walk.
+func (b *builder) filter(in Node, cond sqlparse.Expr, depth int) (Node, error) {
+	_, grouped := in.(*Aggregate)
+	bad := unresolved(cond, in.Columns())
+	if sqlparse.SubqueryOf(bad) != nil {
+		var err error
+		if in, cond, err = b.joinSubqueries(in, cond, depth); err != nil || cond == nil {
+			return in, err
+		}
+		bad = unresolved(cond, in.Columns())
+	}
+	if bad != nil {
+		err := refError(bad, in.Columns())
+		if grouped {
+			err = fmt.Errorf("plan: expression %q must appear in GROUP BY or be aggregated: %w", bad.SQL(), err)
+		}
+		return nil, err
+	}
+	return sqlparse.New(b.arena, Filter{Input: in, Cond: cond}), nil
+}
+
+// joinSubqueries joins each subquery of cond onto in, and returns cond
+// over the joined columns (nil if nothing is left). A conjunct x IN
+// (SELECT ...) inner-joins the subquery's DISTINCT keys on x = key and
+// leaves cond, so the semi-join tiers may reduce the outer fetch by them.
+// A subquery resolves names in its own FROM alone: a correlated one fails
+// to plan, naming the outer column.
+func (b *builder) joinSubqueries(in Node, cond sqlparse.Expr, depth int) (Node, sqlparse.Expr, error) {
+	var err error
+	conjuncts := sqlparse.SplitConjuncts(cond)
+	rest := conjuncts[:0]
+	for _, c := range conjuncts {
+		if s, ok := c.(*sqlparse.InSubquery); ok && !s.Not && unresolved(s.Child, in.Columns()) == nil {
+			if in, _, err = b.joinIn(in, s, true, depth); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		rest = append(rest, c)
+	}
+	cond, err = sqlparse.RewriteIn(b.arena, sqlparse.CombineConjunctsIn(b.arena, rest), func(x sqlparse.Expr) (sqlparse.Expr, error) {
+		var err error
+		if s, ok := x.(*sqlparse.InSubquery); ok {
+			in, x, err = b.joinIn(in, s, false, depth)
+		} else if s, ok := x.(*sqlparse.ExistsExpr); ok {
+			in, x, err = b.joinExists(in, s, depth)
+		}
+		return x, err
+	})
+	return in, cond, err
+}
+
+// joinIn joins x [NOT] IN (SELECT ...) onto in: the subquery's DISTINCT
+// keys as $k, inner-joined on x = $k when semi is set, else left-joined
+// with one row of $n = COUNT(*) and $nn = COUNT(key) over the subquery
+// cross-joined. Then x IN S is TRUE on a match, FALSE when S is empty or
+// neither x nor a key is NULL, else NULL; NOT IN swaps TRUE and FALSE.
+func (b *builder) joinIn(in Node, s *sqlparse.InSubquery, semi bool, depth int) (Node, sqlparse.Expr, error) {
+	alias, err := b.alias()
+	if err != nil {
+		return nil, nil, err
+	}
+	sub, err := b.buildSelect(s.Query, depth+1)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(sub.Columns()) != 1 {
+		return nil, nil, fmt.Errorf("plan: IN subquery must return one column, got %d", len(sub.Columns()))
+	}
+	keys := sqlparse.New(b.arena, Distinct{Input: b.renameOutputs(sub, alias, "$k")})
+	k := b.ref(alias, "$k")
+	if semi {
+		return NewJoin(b.arena, sqlparse.JoinInner, in, keys, b.binary(sqlparse.OpEq, s.Child, k)), nil, nil
+	}
+	if sub, err = b.buildSelect(s.Query, depth+1); err != nil {
+		return nil, nil, err
+	}
+	c := sub.Columns()[0]
+	counts := NewAggregate(b.arena, sub, nil, []AggSpec{{Func: "COUNT", Star: true}, {Func: "COUNT", Arg: b.ref(c.Table, c.Name)}})
+	in = NewJoin(b.arena, sqlparse.JoinLeft, in, keys, b.binary(sqlparse.OpEq, s.Child, k))
+	in = NewJoin(b.arena, sqlparse.JoinInner, in, b.renameOutputs(counts, alias, "$n", "$nn"), nil)
+	n, nn := b.ref(alias, "$n"), b.ref(alias, "$nn")
+	settled := b.binary(sqlparse.OpOr, b.binary(sqlparse.OpEq, n, sqlparse.New(b.arena, sqlparse.Literal{Value: datum.NewInt(0)})),
+		b.binary(sqlparse.OpAnd, sqlparse.New(b.arena, sqlparse.IsNullExpr{Child: s.Child, Not: true}), b.binary(sqlparse.OpEq, nn, n)))
+	whens := sqlparse.Make[sqlparse.CaseWhen](b.arena, 2)
+	whens[0] = sqlparse.CaseWhen{Cond: sqlparse.New(b.arena, sqlparse.IsNullExpr{Child: k, Not: true}), Result: sqlparse.New(b.arena, sqlparse.Literal{Value: datum.NewBool(!s.Not)})}
+	whens[1] = sqlparse.CaseWhen{Cond: settled, Result: sqlparse.New(b.arena, sqlparse.Literal{Value: datum.NewBool(s.Not)})}
+	return in, sqlparse.New(b.arena, sqlparse.CaseExpr{Whens: whens}), nil
+}
+
+// joinExists cross-joins one row of $n = COUNT(*) over the subquery's
+// first row onto in, and returns $n > 0.
+func (b *builder) joinExists(in Node, s *sqlparse.ExistsExpr, depth int) (Node, sqlparse.Expr, error) {
+	alias, err := b.alias()
+	if err != nil {
+		return nil, nil, err
+	}
+	sub, err := b.buildSelect(s.Query, depth+1)
+	if err != nil {
+		return nil, nil, err
+	}
+	count := NewAggregate(b.arena, sqlparse.New(b.arena, Limit{Input: sub, Count: 1}), nil, []AggSpec{{Func: "COUNT", Star: true}})
+	in = NewJoin(b.arena, sqlparse.JoinInner, in, b.renameOutputs(count, alias, "$n"), nil)
+	return in, b.binary(sqlparse.OpGt, b.ref(alias, "$n"), sqlparse.New(b.arena, sqlparse.Literal{Value: datum.NewInt(0)})), nil
+}
+
+// alias counts one more subquery join and names the columns it adds.
+func (b *builder) alias() (string, error) {
+	if b.subqueries++; b.subqueries > maxSubqueries {
+		return "", fmt.Errorf("plan: a statement may join at most %d subqueries", maxSubqueries)
+	}
+	return "$sq" + strconv.Itoa(b.subqueries), nil
+}
+
+func (b *builder) ref(table, column string) *sqlparse.ColumnRef {
+	return sqlparse.New(b.arena, sqlparse.ColumnRef{Table: table, Column: column})
+}
+
+func (b *builder) binary(op sqlparse.BinOp, l, r sqlparse.Expr) sqlparse.Expr {
+	return sqlparse.New(b.arena, sqlparse.BinaryExpr{Op: op, Left: l, Right: r})
+}
+
 // checkRefs validates that every column reference in e resolves against
-// cols. Subqueries inside EXISTS are not checked here (they are rejected or
-// pre-evaluated by the mediator before planning).
+// cols. A subquery is an error here: only filter plans one.
 func (b *builder) checkRefs(e sqlparse.Expr, cols []ColMeta) error {
-	switch r := unresolved(e, cols).(type) {
+	return refError(unresolved(e, cols), cols)
+}
+
+// refError is the error for the node unresolved found (nil for none).
+func refError(bad sqlparse.Expr, cols []ColMeta) error {
+	switch r := bad.(type) {
 	case nil:
 		return nil
 	case *sqlparse.ColumnRef:
 		_, err := ResolveColumn(cols, r)
 		return err
-	case *sqlparse.ExistsExpr:
-		return fmt.Errorf("plan: EXISTS subqueries must be pre-evaluated by the mediator")
-	case *sqlparse.InSubquery:
-		return fmt.Errorf("plan: IN subqueries must be pre-evaluated by the mediator")
+	case *sqlparse.ExistsExpr, *sqlparse.InSubquery:
+		return fmt.Errorf("plan: subqueries are supported only in WHERE and HAVING")
 	default:
 		return fmt.Errorf("plan: checkRefs missing case for %T", r)
 	}
@@ -563,7 +698,7 @@ func inferKind(e sqlparse.Expr, cols []ColMeta) datum.Kind {
 			return datum.KindBool
 		}
 		return inferKind(x.Child, cols)
-	case *sqlparse.IsNullExpr, *sqlparse.InExpr, *sqlparse.BetweenExpr, *sqlparse.ExistsExpr:
+	case *sqlparse.IsNullExpr, *sqlparse.InExpr, *sqlparse.BetweenExpr, *sqlparse.KeyFilterExpr:
 		return datum.KindBool
 	case *sqlparse.FuncExpr:
 		switch x.Name {
@@ -603,8 +738,6 @@ func inferKind(e sqlparse.Expr, cols []ColMeta) datum.Kind {
 	case *sqlparse.Param:
 		// Parameter kinds are unknown until bind time.
 		return datum.KindNull
-	case *sqlparse.InSubquery, *sqlparse.KeyFilterExpr:
-		return datum.KindBool
 	default:
 		panic(fmt.Sprintf("plan: inferKind missing case for %T", e))
 	}

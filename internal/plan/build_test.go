@@ -244,11 +244,55 @@ func TestBuildNameErrors(t *testing.T) {
 	buildErr(t, g, "SELECT id FROM crm.customers a JOIN crm.customers b ON a.id = b.id")
 }
 
+// TestBuildExistsRejected: an uncorrelated EXISTS joins its subquery's
+// plan onto the query's; a correlated one, or one outside WHERE and
+// HAVING, fails to plan.
 func TestBuildExistsRejected(t *testing.T) {
 	g := testCatalog(t)
-	err := buildErr(t, g, "SELECT id FROM crm.customers WHERE EXISTS (SELECT 1 FROM billing.invoices)")
-	if !strings.Contains(err.Error(), "EXISTS") {
-		t.Errorf("error = %v", err)
+	n := build(t, g, "SELECT id FROM crm.customers WHERE EXISTS (SELECT 1 FROM billing.invoices)")
+	if ex := Explain(n); !strings.Contains(ex, "Aggregate COUNT(*)") || !strings.Contains(ex, "Scan billing.invoices") {
+		t.Errorf("EXISTS not joined into the plan:\n%s", ex)
+	}
+	err := buildErr(t, g, "SELECT id FROM crm.customers c WHERE EXISTS (SELECT 1 FROM billing.invoices i WHERE i.cust_id = c.id)")
+	if !strings.Contains(err.Error(), "c.id") {
+		t.Errorf("correlated EXISTS: error = %v, want one naming c.id", err)
+	}
+	err = buildErr(t, g, "SELECT EXISTS (SELECT 1 FROM billing.invoices) FROM crm.customers")
+	if !strings.Contains(err.Error(), "WHERE and HAVING") {
+		t.Errorf("EXISTS in the select list: error = %v", err)
+	}
+}
+
+// TestBuildSubqueryColumnsAreHidden: the columns a subquery join adds are
+// invisible to * and to written references, so a subquery reading a
+// column of the outer query's name adds no ambiguity.
+func TestBuildSubqueryColumnsAreHidden(t *testing.T) {
+	g := testCatalog(t)
+	n := build(t, g, "SELECT * FROM crm.customers WHERE id NOT IN (SELECT cust_id FROM billing.invoices) OR id IN (SELECT id FROM crm.customers)")
+	want := build(t, g, "SELECT * FROM crm.customers")
+	if got, w := len(n.Columns()), len(want.Columns()); got != w {
+		t.Errorf("* selected %d columns, want %d", got, w)
+	}
+	build(t, g, "SELECT id FROM crm.customers WHERE id IN (SELECT id FROM crm.customers)")
+}
+
+// TestBuildBoundsSubqueryJoins: each NOT IN plans its subquery twice, so
+// nested NOT INs double the plan at every level. A statement may join at
+// most maxSubqueries subqueries: four levels (15 joins) build, and thirty
+// levels fail at the seventeenth join instead of building 2^30 subplans.
+func TestBuildBoundsSubqueryJoins(t *testing.T) {
+	g := testCatalog(t)
+	nested := func(levels int) string {
+		q := "SELECT id FROM crm.customers"
+		for i := 0; i < levels; i++ {
+			q = "SELECT id FROM crm.customers WHERE id NOT IN (" + q + ")"
+		}
+		return q
+	}
+	build(t, g, nested(4))
+	err := buildErr(t, g, nested(30))
+	if !strings.Contains(err.Error(), "at most 16 subqueries") {
+		t.Errorf("30 nested NOT INs: error = %v, want the subquery bound", err)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // BindParams returns a copy of the plan with every placeholder replaced by
 // its value (params[i] binds $i+1). Subtrees without placeholders are
 // shared with the input plan, so binding a mostly-constant plan is cheap.
-// Binding fails when the plan references a parameter index beyond
-// len(params); surplus values are ignored.
+// Binding fails with a *ParamError when the plan references a parameter
+// index beyond len(params); surplus values are ignored.
 func BindParams(n Node, params []datum.Datum) (Node, error) {
 	return BindParamsIn(nil, n, params)
 }
@@ -39,10 +39,18 @@ func BindParamsIn(a *sqlparse.Arena, n Node, params []datum.Datum) (Node, error)
 	return out, nil
 }
 
+// ParamError is a placeholder with no value bound to it: $Index, with
+// Bound values given.
+type ParamError struct{ Index, Bound int }
+
+func (e *ParamError) Error() string {
+	return fmt.Sprintf("plan: statement requires parameter $%d but %d values are bound", e.Index, e.Bound)
+}
+
 type binder struct {
 	arena  *sqlparse.Arena
 	params []datum.Datum
-	err    error // the first out-of-range parameter
+	err    error // the first out-of-range parameter, a *ParamError
 }
 
 // node binds n's inputs and expressions. Map is copy-on-change and keeps
@@ -68,7 +76,7 @@ func (b *binder) literal(x sqlparse.Expr) (sqlparse.Expr, error) {
 	}
 	if p.Index < 1 || p.Index > len(b.params) {
 		if b.err == nil {
-			b.err = fmt.Errorf("plan: statement requires parameter $%d but %d values are bound", p.Index, len(b.params))
+			b.err = &ParamError{Index: p.Index, Bound: len(b.params)}
 		}
 		return x, nil
 	}

@@ -470,8 +470,9 @@ func (e *InExpr) appendSQL(b []byte) []byte {
 	return append(b, "))"...)
 }
 
-// InSubquery is `expr [NOT] IN (SELECT ...)`. Like EXISTS, the engine
-// supports it only via mediator pre-evaluation of uncorrelated subqueries.
+// InSubquery is `expr [NOT] IN (SELECT ...)`. The planner joins an
+// uncorrelated one onto the plan of the query it sits in, in WHERE or
+// HAVING, and no plan holds the expression itself.
 type InSubquery struct {
 	Child Expr
 	Query *Select
@@ -609,11 +610,11 @@ func (c *CastExpr) appendSQL(b []byte) []byte {
 	return append(b, ')')
 }
 
-// ExistsExpr is [NOT] EXISTS (subquery). The engine supports it only in
-// mediator-side evaluation, never pushdown.
+// ExistsExpr is EXISTS (subquery); NOT EXISTS is a NOT over it. Like
+// InSubquery, the planner joins an uncorrelated one onto the plan of the
+// query it sits in.
 type ExistsExpr struct {
 	Query *Select
-	Not   bool
 }
 
 func (*ExistsExpr) expr() {}
@@ -622,13 +623,21 @@ func (*ExistsExpr) expr() {}
 func (e *ExistsExpr) SQL() string { return nodeSQL(e) }
 
 func (e *ExistsExpr) appendSQL(b []byte) []byte {
-	if e.Not {
-		b = append(b, "(NOT EXISTS ("...)
-	} else {
-		b = append(b, "(EXISTS ("...)
-	}
+	b = append(b, "(EXISTS ("...)
 	b = e.Query.appendSQL(b)
 	return append(b, "))"...)
+}
+
+// SubqueryOf returns the statement of an IN or EXISTS subquery, and nil
+// for any other expression.
+func SubqueryOf(e Expr) *Select {
+	if x, ok := e.(*InSubquery); ok {
+		return x.Query
+	}
+	if x, ok := e.(*ExistsExpr); ok {
+		return x.Query
+	}
+	return nil
 }
 
 // SplitConjuncts flattens a conjunction into its AND-ed terms; nil for a

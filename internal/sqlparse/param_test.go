@@ -58,7 +58,7 @@ func TestExtractParamsBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, cacheable := ExtractParams(sel)
+	vals, cacheable := ExtractParamsIn(nil, sel)
 	if !cacheable {
 		t.Fatal("expected cacheable")
 	}
@@ -86,7 +86,7 @@ func TestExtractParamsLeavesNonPredicateLiterals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, cacheable := ExtractParams(sel)
+	vals, cacheable := ExtractParamsIn(nil, sel)
 	if !cacheable || len(vals) != 1 {
 		t.Fatalf("cacheable=%v vals=%v, want cacheable with 1 value", cacheable, vals)
 	}
@@ -98,18 +98,18 @@ func TestExtractParamsLeavesNonPredicateLiterals(t *testing.T) {
 	}
 }
 
-func TestExtractParamsRefusesSubqueriesAndExplicitParams(t *testing.T) {
+func TestExtractParamsRefusesExplicitParams(t *testing.T) {
 	for _, sql := range []string{
-		"SELECT name FROM customers WHERE EXISTS (SELECT id FROM invoices)",
-		"SELECT name FROM customers WHERE id IN (SELECT cust_id FROM invoices)",
 		"SELECT name FROM customers WHERE region = ?",
+		"SELECT name FROM customers WHERE id IN (SELECT cust_id FROM invoices WHERE amount > $1)",
+		"SELECT name FROM customers WHERE EXISTS (SELECT id FROM invoices WHERE status = ?) AND region = 'west'",
 	} {
 		sel, err := Parse(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := sel.SQL()
-		if _, cacheable := ExtractParams(sel); cacheable {
+		if _, cacheable := ExtractParamsIn(nil, sel); cacheable {
 			t.Fatalf("%s: expected not cacheable", sql)
 		}
 		if sel.SQL() != before {
@@ -118,12 +118,33 @@ func TestExtractParamsRefusesSubqueriesAndExplicitParams(t *testing.T) {
 	}
 }
 
+// TestExtractParamsDescendsIntoSubqueries: the predicate constants of IN
+// and EXISTS subqueries are parameters like the outer query's, and the
+// walk that counts placeholders sees a subquery's.
+func TestExtractParamsDescendsIntoSubqueries(t *testing.T) {
+	sel, err := Parse("SELECT name FROM customers WHERE id IN (SELECT cust_id FROM invoices WHERE amount > 60) AND NOT EXISTS (SELECT id FROM tickets WHERE severity = 3) AND region = 'west'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, cacheable := ExtractParamsIn(nil, sel)
+	if !cacheable || len(vals) != 3 {
+		t.Fatalf("cacheable=%v vals=%v", cacheable, vals)
+	}
+	want := "SELECT name FROM customers WHERE (((id IN (SELECT cust_id FROM invoices WHERE (amount > $1))) AND (NOT (EXISTS (SELECT id FROM tickets WHERE (severity = $2))))) AND (region = $3))"
+	if got := sel.SQL(); got != want {
+		t.Errorf("normalized:\n got %s\nwant %s", got, want)
+	}
+	if n := MaxParamIndex(sel); n != 3 {
+		t.Errorf("MaxParamIndex = %d, want 3", n)
+	}
+}
+
 func TestExtractParamsStringEscapes(t *testing.T) {
 	sel, err := Parse("SELECT name FROM customers WHERE name = 'O''Brien'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, cacheable := ExtractParams(sel)
+	vals, cacheable := ExtractParamsIn(nil, sel)
 	if !cacheable || len(vals) != 1 {
 		t.Fatalf("cacheable=%v vals=%v", cacheable, vals)
 	}
@@ -141,7 +162,7 @@ func TestRewritePreservesSharedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.SQL()
-	out, err := Rewrite(e, func(x Expr) (Expr, error) {
+	out, err := RewriteIn(nil, e, func(x Expr) (Expr, error) {
 		if lit, ok := x.(*Literal); ok && lit.Value.Kind() == datum.KindInt {
 			return &Literal{Value: datum.NewInt(lit.Value.Int() + 41)}, nil
 		}
@@ -151,7 +172,7 @@ func TestRewritePreservesSharedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e.SQL() != before {
-		t.Fatal("Rewrite mutated its input")
+		t.Fatal("RewriteIn mutated its input")
 	}
 	if want := "((a + 42) * CAST(b AS FLOAT))"; out.SQL() != want {
 		t.Fatalf("rewritten = %q, want %q", out.SQL(), want)

@@ -3,15 +3,21 @@ package sqlparse
 import "repro/internal/datum"
 
 // WalkSelectExprs calls fn for every expression reachable from the
-// statement: the select list, join conditions, WHERE, GROUP BY, HAVING,
-// ORDER BY, LIMIT/OFFSET, derived-table subqueries, and UNION ALL
-// branches. Each expression tree is traversed pre-order via WalkExprs.
+// statement: the select list, join conditions, WHERE, HAVING,
+// LIMIT/OFFSET, GROUP BY, ORDER BY, derived-table subqueries, IN and
+// EXISTS subqueries, and UNION ALL branches. Each expression tree is
+// traversed pre-order via WalkExprs, and a subquery's statement right
+// after the expression that holds it.
 func WalkSelectExprs(s *Select, fn func(Expr)) {
 	if s == nil {
 		return
 	}
+	visit := func(e Expr) {
+		fn(e)
+		WalkSelectExprs(SubqueryOf(e), fn)
+	}
 	for _, it := range s.Items {
-		WalkExprs(it.Expr, fn)
+		WalkExprs(it.Expr, visit)
 	}
 	var walkRef func(TableRef)
 	walkRef = func(tr TableRef) {
@@ -19,7 +25,7 @@ func WalkSelectExprs(s *Select, fn func(Expr)) {
 		case *Join:
 			walkRef(t.Left)
 			walkRef(t.Right)
-			WalkExprs(t.On, fn)
+			WalkExprs(t.On, visit)
 		case *SubqueryTable:
 			WalkSelectExprs(t.Query, fn)
 		}
@@ -27,16 +33,15 @@ func WalkSelectExprs(s *Select, fn func(Expr)) {
 	for _, tr := range s.From {
 		walkRef(tr)
 	}
-	WalkExprs(s.Where, fn)
+	for _, e := range [...]Expr{s.Where, s.Having, s.Limit, s.Offset} {
+		WalkExprs(e, visit)
+	}
 	for _, g := range s.GroupBy {
-		WalkExprs(g, fn)
+		WalkExprs(g, visit)
 	}
-	WalkExprs(s.Having, fn)
 	for _, o := range s.OrderBy {
-		WalkExprs(o.Expr, fn)
+		WalkExprs(o.Expr, visit)
 	}
-	WalkExprs(s.Limit, fn)
-	WalkExprs(s.Offset, fn)
 	WalkSelectExprs(s.UnionAll, fn)
 }
 
@@ -53,13 +58,16 @@ func MaxParamIndex(s *Select) int {
 	return max
 }
 
-// ExtractParams normalizes a statement for plan-cache keying: constant
+// ExtractParamsIn normalizes a statement for plan-cache keying: constant
 // literals inside WHERE and JOIN ON predicates (the positions where
-// templated queries vary their constants) are replaced with numbered
-// placeholders and their values returned in placeholder order. The
-// statement is rewritten in place; rendering it afterwards with SQL()
-// yields the cache key text, and binding the returned values back into the
-// compiled plan reproduces the original query exactly.
+// templated queries vary their constants), those of derived tables, UNION
+// ALL branches and IN and EXISTS subqueries included, are replaced with
+// numbered placeholders allocated from a (heap when a is nil), and their
+// values returned in placeholder order. The statement is rewritten in
+// place; rendering it afterwards with SQL() yields the cache key text, and
+// binding the returned values back into the compiled plan reproduces the
+// original query exactly. When sel came from a too, the statement and its
+// normalized form share one lifetime.
 //
 // Literals elsewhere (select list, GROUP BY, HAVING, ORDER BY, LIMIT) stay
 // inline: the planner folds them into plan structure (LIMIT counts,
@@ -67,44 +75,27 @@ func MaxParamIndex(s *Select) int {
 // plans anyway.
 //
 // cacheable is false — and the statement is left untouched — when the
-// statement cannot safely share a cached plan: it already carries explicit
-// placeholders (the caller binds those itself), or it contains EXISTS / IN
-// (SELECT ...) subqueries, which the mediator pre-evaluates against live
-// source data at compile time, so their compiled form must not outlive the
-// compiling query.
-func ExtractParams(sel *Select) (values []datum.Datum, cacheable bool) {
-	return ExtractParamsIn(nil, sel)
-}
-
-// ExtractParamsIn is ExtractParams with the replacement Param nodes and
-// rewritten predicate subtrees allocated from a (heap when a is nil). It
-// is safe to use when sel itself came from the same arena: the statement
-// and its normalized form then share one lifetime.
+// statement already carries explicit placeholders: the caller binds those
+// itself.
 func ExtractParamsIn(a *Arena, sel *Select) (values []datum.Datum, cacheable bool) {
+	if MaxParamIndex(sel) > 0 {
+		return nil, false
+	}
 	if a != nil {
 		// Accumulate into the arena's value scratch; the returned slice
 		// shares the query's lifetime, like everything else from a.
 		values = a.valStk[:0]
 		defer func() { a.valStk = values[:0] }()
 	}
-	unsafe := false
-	WalkSelectExprs(sel, func(e Expr) {
-		switch e.(type) {
-		case *Param, *ExistsExpr, *InSubquery:
-			unsafe = true
-		}
-	})
-	if unsafe {
-		return nil, false
-	}
+	var normalize func(*Select)
 	extract := func(e Expr) (Expr, error) {
 		if lit, ok := e.(*Literal); ok {
 			values = append(values, lit.Value)
 			return New(a, Param{Index: len(values)}), nil
 		}
+		normalize(SubqueryOf(e))
 		return e, nil
 	}
-	var normalize func(*Select)
 	normalize = func(s *Select) {
 		if s == nil {
 			return

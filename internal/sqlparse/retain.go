@@ -15,9 +15,8 @@ import (
 // stored view's join condition, say — is shared rather than copied, as
 // are strings and datum values, which no arena owns.
 //
-// Subqueries are statements, not children (see MapChildren): a copied
-// EXISTS or IN (SELECT ...) shares its Query. Compiled plans hold
-// neither: the mediator pre-evaluates both before planning.
+// Compiled plans hold no EXISTS or IN (SELECT ...): the planner joins
+// each subquery onto the plan, so the Retainer copies neither.
 type Retainer struct {
 	// From is the arena the copies leave; nil copies everything.
 	From *Arena
@@ -31,12 +30,10 @@ type Retainer struct {
 	unaries   arena.Block[UnaryExpr]
 	isNulls   arena.Block[IsNullExpr]
 	ins       arena.Block[InExpr]
-	inSubs    arena.Block[InSubquery]
 	betweens  arena.Block[BetweenExpr]
 	funcs     arena.Block[FuncExpr]
 	caseExprs arena.Block[CaseExpr]
 	casts     arena.Block[CastExpr]
-	existss   arena.Block[ExistsExpr]
 	exprs     arena.Block[Expr]
 	whens     arena.Block[CaseWhen]
 }
@@ -70,10 +67,6 @@ func (r *Retainer) Expr(e Expr) Expr {
 		if owned(r, x) {
 			return r.colRefs.One(c, *x)
 		}
-	case *ExistsExpr:
-		if owned(r, x) {
-			return r.existss.One(c, *x)
-		}
 	case *BinaryExpr:
 		if l, rt := r.Expr(x.Left), r.Expr(x.Right); l != x.Left || rt != x.Right || owned(r, x) {
 			return r.binaries.One(c, BinaryExpr{Op: x.Op, Left: l, Right: rt})
@@ -90,10 +83,6 @@ func (r *Retainer) Expr(e Expr) Expr {
 		child := r.Expr(x.Child)
 		if list, kept := r.list(x.List, child == x.Child && !owned(r, x)); !kept {
 			return r.ins.One(c, InExpr{Child: child, List: list, Not: x.Not})
-		}
-	case *InSubquery:
-		if child := r.Expr(x.Child); child != x.Child || owned(r, x) {
-			return r.inSubs.One(c, InSubquery{Child: child, Query: x.Query, Not: x.Not})
 		}
 	case *BetweenExpr:
 		if ch, lo, hi := r.Expr(x.Child), r.Expr(x.Lo), r.Expr(x.Hi); ch != x.Child || lo != x.Lo || hi != x.Hi || owned(r, x) {

@@ -176,20 +176,13 @@ func mapList(a *Arena, list []Expr, fn func(Expr) (Expr, error)) ([]Expr, bool, 
 	return out, true, nil
 }
 
-// Rewrite applies fn to every node of the expression bottom-up (children
-// first, left to right) through MapChildren. The input is never mutated:
-// a changed child produces a fresh copy of each node above it, and a
-// rewrite that changes nothing returns e itself. The result shares every
-// unchanged subtree with e, so it is retain-safe only if e is; the nodes
-// Rewrite itself allocates come from the heap.
-func Rewrite(e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
-	return RewriteIn(nil, e, fn)
-}
-
-// RewriteIn is Rewrite with the rebuilt nodes allocated from a (heap when
-// a is nil). The result lives only until a is Reset; it is used on the
-// per-query hot path, where bound parameter subtrees die with the query's
-// arena.
+// RewriteIn applies fn to every node of the expression bottom-up
+// (children first, left to right) through MapChildren. The input is never
+// mutated: a changed child produces a fresh copy of each node above it,
+// allocated from a (heap when a is nil), and a rewrite that changes
+// nothing returns e itself. The result shares every unchanged subtree with
+// e and lives only until a is Reset; it is used on the per-query hot path,
+// where bound parameter subtrees die with the query's arena.
 func RewriteIn(a *Arena, e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 	if e == nil {
 		return nil, nil
