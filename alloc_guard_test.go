@@ -31,8 +31,10 @@ import (
 )
 
 // The E17 acceptance budget for one warm cached-hit query end to end
-// (parse → cache hit → arena bind → scratch execute → result copy-out).
-// Measured 14 allocs and 1.6 KB once a datum.Datum was two words (1.7 KB
+// (lex → token-key cache hit → arena bind → scratch execute → result
+// copy-out). Measured 13 allocs and 1.5 KB once a hit found its plan by
+// the token key, with no normalized key rendered to a string (14 and
+// 1.6 KB once a datum.Datum was two words, 1.7 KB
 // at 32 bytes a datum, once compiled expressions came from the query
 // scratch and feedback signatures rendered into a reused buffer; 36
 // and 2.5 KB before; 83 and 7.5 KB before the operator tree — iterators,
@@ -42,8 +44,8 @@ import (
 // not for regressions, and an operator or an expression tree that goes
 // back to the heap costs one allocation per query each.
 const (
-	e17MaxAllocsPerOp = 19
-	e17MaxBytesPerOp  = 1950
+	e17MaxAllocsPerOp = 18
+	e17MaxBytesPerOp  = 1850
 )
 
 // The same point lookup as a prepared statement under

@@ -44,14 +44,14 @@ func main() {
 	procEngine := eai.NewEngine()
 	newID := datum.NewInt(100001)
 	okProc := onboarding(ctx, fed, newID, false)
-	out := procEngine.Run(okProc, nil)
+	out := procEngine.Run(ctx, okProc, nil)
 	fmt.Printf("success path: completed=%v steps=%d\n", out.Completed, out.StepsRun)
 
 	// Now the IT step fails: facilities and HR must be compensated.
 	fmt.Println("\n--- EAI update with failure: compensation unwinds ---")
 	failID := datum.NewInt(100002)
 	badProc := onboarding(ctx, fed, failID, true)
-	out = procEngine.Run(badProc, nil)
+	out = procEngine.Run(ctx, badProc, nil)
 	fmt.Printf("failure path: completed=%v err=%v\n", out.Completed, out.Err)
 	fmt.Printf("compensated (reverse order): %v\n", out.Compensated)
 

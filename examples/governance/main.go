@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out := eai.NewEngine().Run(proc, nil)
+	out := eai.NewEngine().Run(ctx, proc, nil)
 	fmt.Printf("saga completed=%v steps=%d (the change feed above fired per write)\n",
 		out.Completed, out.StepsRun)
 	res, err := engine.QueryCtx(ctx, "SELECT name, dept, model FROM employee360 WHERE emp_id = 9001")

@@ -49,6 +49,17 @@ type compiledPlan struct {
 	// unfolded and nested views included.
 	version uint64
 	reads   []catalog.Name
+	// lits is the literal map of the token key the plan is stored with
+	// (see sqlparse.CacheKeys): how a statement of that key binds its
+	// parameters from its tokens.
+	lits string
+}
+
+// current reports whether the plan may serve a query under snap: no name
+// it read has changed since it compiled, and under adaptive options the
+// feedback store has not drifted since it was costed.
+func (cp *compiledPlan) current(st *engineState, qo QueryOptions, snap *catalog.Snapshot) bool {
+	return !snap.ChangedSince(cp.version, cp.reads) && !(qo.Adaptive && cp.fbGen != st.feedback.Generation())
 }
 
 // readsAny reports whether the plan resolved any of names.
@@ -273,7 +284,7 @@ func (e *Engine) PrepareOpts(ctx context.Context, sql string, qo QueryOptions) (
 	}
 	ps := &PreparedStatement{e: e, qo: qo, text: sel.SQL(), nParams: sqlparse.MaxParamIndex(sel)}
 	// Compile eagerly: errors surface here, and the plan lands in the cache.
-	if _, _, err := e.cachedTemplate(e.state.Load(), ar, ps.text, qo, e.catalog.Snapshot()); err != nil {
+	if _, _, err := e.cachedTemplate(e.state.Load(), ar, sqlparse.CacheKeys{SQL: ps.text}, qo, e.catalog.Snapshot()); err != nil {
 		return nil, err
 	}
 	return ps, nil
@@ -286,12 +297,13 @@ func (ps *PreparedStatement) NumParams() int { return ps.nParams }
 func (ps *PreparedStatement) SQL() string { return ps.text }
 
 // cachedTemplate returns the compiled plan-cache entry for a normalized
-// statement, consulting the plan cache first. The bool reports whether it
-// was a cache hit. A miss parses the key text into the query's arena ar
-// and compiles there, so the compiler's input is the canonical statement
-// and the template's strings alias only the cache key.
-func (e *Engine) cachedTemplate(st *engineState, ar *sqlparse.Arena, normSQL string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
-	key := st.planKey(normSQL, qo)
+// statement, keys.SQL, consulting the plan cache first. The bool reports
+// whether it was a cache hit. A miss parses the key text into the query's
+// arena ar and compiles there, so the compiler's input is the canonical
+// statement and the template's strings alias only the cache key; it
+// stores the plan with keys.Tokens, when set, as its second key.
+func (e *Engine) cachedTemplate(st *engineState, ar *sqlparse.Arena, keys sqlparse.CacheKeys, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
+	key := st.planKey(keys.SQL, qo)
 	if v, ok := e.plans.Get(key); ok {
 		cp := v.(*compiledPlan)
 		switch {
@@ -313,13 +325,14 @@ func (e *Engine) cachedTemplate(st *engineState, ar *sqlparse.Arena, normSQL str
 	// compilation then invalidates this entry on its next adaptive lookup
 	// instead of being missed.
 	fbGen := st.feedback.Generation()
-	cp, err := e.compile(st, ar, normSQL, qo, snap)
+	cp, err := e.compile(st, ar, keys.SQL, qo, snap)
 	if err != nil {
 		return nil, false, err
 	}
 	cp.fbGen = fbGen
+	cp.lits = keys.Lits
 	e.reads.add(cp.reads)
-	e.plans.Put(key, cp)
+	e.plans.PutAlt(key, keys.Tokens, cp)
 	return cp, false, nil
 }
 
@@ -336,5 +349,17 @@ func (ps *PreparedStatement) ExecuteCtx(ctx context.Context, params ...datum.Dat
 	// is retained on the heap.
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
-	return ps.e.runStatement(ctx, st, ar, planStart, ps.text, ps.text, params, !ps.qo.NoPlanCache, ps.qo)
+	snap := ps.e.catalog.Snapshot()
+	var cp *compiledPlan
+	hit := false
+	var err error
+	if ps.qo.NoPlanCache {
+		cp, err = ps.e.compile(st, ar, ps.text, ps.qo, snap)
+	} else {
+		cp, hit, err = ps.e.cachedTemplate(st, ar, sqlparse.CacheKeys{SQL: ps.text}, ps.qo, snap)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ps.e.runStatement(ctx, st, ar, planStart, ps.text, cp, params, hit, snap, ps.qo)
 }

@@ -395,13 +395,17 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 
 // QueryOptsCtx plans and executes a SQL statement under a caller context.
 //
-// Planning goes through the plan cache: the statement is normalized by
-// extracting predicate constants into parameters, the cache is consulted
-// under the current catalog version, and on a hit the constants are bound
-// back into the cached template — repeated queries differing only in
-// constants compile once. IN and EXISTS subqueries are part of the plan,
-// so their statements cache like any other. Statements with explicit
-// placeholders and queries with NoPlanCache set compile fresh.
+// Planning goes through the plan cache. The statement is lexed and its
+// token key — the token stream with its literals masked — looked up: a
+// plan stored with that key binds the literals straight from the tokens
+// and runs, and the statement is never parsed. Otherwise it is parsed and
+// normalized by extracting predicate constants into parameters, the cache
+// is consulted by the normalized text, and on a hit the constants are
+// bound back into the cached template; a miss compiles and stores the
+// plan under both keys. Repeated queries differing only in constants
+// compile once. IN and EXISTS subqueries are part of the plan, so their
+// statements cache like any other. Statements with explicit placeholders
+// and queries with NoPlanCache set compile fresh.
 //
 // On execution failure the returned *Result may be non-nil alongside the
 // error: it carries no rows but preserves the fault ledger (SourceErrors,
@@ -420,44 +424,57 @@ func (e *Engine) QueryOptsCtx(ctx context.Context, sql string, qo QueryOptions) 
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
 
-	sel, err := sqlparse.ParseArena(ar, sql)
+	snap := e.catalog.Snapshot()
+	cp, params, hit, err := e.statementPlan(st, ar, sql, qo, snap)
 	if err != nil {
 		return nil, err
 	}
-	if !qo.NoPlanCache {
-		// Normalization mutates the statement (literals become $n), so
-		// it only runs when the cache path will bind them back.
-		if params, cacheable := sqlparse.ExtractParamsIn(ar, sel); cacheable {
-			return e.runStatement(ctx, st, ar, planStart, sql, ar.RenderSQL(sel), params, true, qo)
-		}
-	}
-	return e.runStatement(ctx, st, ar, planStart, sql, sql, nil, false, qo)
+	return e.runStatement(ctx, st, ar, planStart, sql, cp, params, hit, snap, qo)
 }
 
-// runStatement is the front half every statement — literal or prepared —
-// goes through on its way to executeCtx: obtain the plan template (from
-// the plan cache under the current catalog snapshot when cached is set,
-// else by a fresh compile that is not stored), bind params into it, run
-// it, and stamp the planning facts on the Result. st is the engine state
-// the caller loaded for this query. text is the statement
-// to plan — normalized when cached — and label is what the in-flight
-// registry shows for the query. planStart is when the caller began its
-// own share of planning (parsing, normalizing); ar is the caller's
+// statementPlan finds the plan template of a literal statement under
+// snap, and the values to bind into it. Through the plan cache, it serves
+// the statement by its token key when the plan stored with that key is
+// current and its literal map binds the tokens, and else parses and
+// normalizes the statement and looks it up as cachedTemplate does. hit
+// reports a cache hit.
+func (e *Engine) statementPlan(st *engineState, ar *sqlparse.Arena, sql string, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, []datum.Datum, bool, error) {
+	tokens, cacheable, err := ar.LexKey(sql)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if qo.NoPlanCache || !cacheable {
+		cp, err := e.compile(st, ar, sql, qo, snap)
+		return cp, nil, false, err
+	}
+	if ent, ok := e.plans.PeekAlt(tokens, st.planKey("", qo)); ok {
+		cp := ent.Value().(*compiledPlan)
+		if cp.current(st, qo, snap) {
+			if params, ok := ar.BindLiterals(cp.lits); ok {
+				e.plans.Hit(ent)
+				return cp, params, true, nil
+			}
+		}
+	}
+	sel, err := sqlparse.ParseLexed(ar, sql)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	params, _ := sqlparse.ExtractParamsIn(ar, sel) // LexKey found no placeholder
+	cp, hit, err := e.cachedTemplate(st, ar, ar.CacheKeys(sel), qo, snap)
+	return cp, params, hit, err
+}
+
+// runStatement is the back half every statement — literal or prepared —
+// goes through on its way to executeCtx: bind params into the plan
+// template cp, run it, and stamp the planning facts on the Result. st is
+// the engine state and snap the catalog snapshot the caller planned
+// under, and hit whether cp came from the plan cache. label is what the
+// in-flight registry shows for the query. planStart is when the caller
+// began planning (lexing, parsing, normalizing); ar is the caller's
 // per-query arena, which bound predicates are allocated from and which
 // the caller releases after this returns.
-func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse.Arena, planStart time.Time, label, text string, params []datum.Datum, cached bool, qo QueryOptions) (*Result, error) {
-	snap := e.catalog.Snapshot()
-	var cp *compiledPlan
-	hit := false
-	var err error
-	if cached {
-		cp, hit, err = e.cachedTemplate(st, ar, text, qo, snap)
-	} else {
-		cp, err = e.compile(st, ar, text, qo, snap)
-	}
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse.Arena, planStart time.Time, label string, cp *compiledPlan, params []datum.Datum, hit bool, snap *catalog.Snapshot, qo QueryOptions) (*Result, error) {
 	bound, err := plan.BindParamsIn(ar, cp.tmpl, params)
 	if err != nil {
 		return nil, err

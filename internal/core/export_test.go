@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datum"
@@ -113,4 +114,28 @@ func (e *Engine) RunRecorded(ctx context.Context, p plan.Node, qo QueryOptions, 
 	}
 	check(led)
 	return err
+}
+
+// StatementPlan plans sql as QueryOptsCtx does, through the plan cache as
+// it stands, and returns the template, a copy of the values bound into
+// it, whether it was a cache hit, and whether the statement was parsed: a
+// parse draws at least its Select node from the query's arena, and the
+// token path draws nothing from it.
+func (e *Engine) StatementPlan(sql string, qo QueryOptions) (tmpl plan.Node, params []datum.Datum, hit, parsed bool, err error) {
+	ar := sqlparse.GetArena()
+	defer sqlparse.PutArena(ar)
+	cp, params, hit, err := e.statementPlan(e.state.Load(), ar, sql, qo, e.catalog.Snapshot())
+	if err != nil {
+		return nil, nil, false, false, err
+	}
+	return cp.tmpl, slices.Clone(params), hit, ar.Bytes() > 0, nil
+}
+
+// CachedTemplate returns the template the plan cache holds under the
+// normalized statement norm and qo, nil for none.
+func (e *Engine) CachedTemplate(norm string, qo QueryOptions) plan.Node {
+	if v, ok := e.plans.Get(e.state.Load().planKey(norm, qo)); ok {
+		return v.(*compiledPlan).tmpl
+	}
+	return nil
 }

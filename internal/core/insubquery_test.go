@@ -301,3 +301,29 @@ func TestExplainSubqueryOmitsUnrenderedPushdown(t *testing.T) {
 		t.Errorf("the join with the DISTINCT keys is rendered as flat SQL:\n%s", ex)
 	}
 }
+
+// TestExplainOmitsJoinOverRenamingView: a join pushed to one source over
+// a view that renames its columns prints no pushdown text, which would
+// name the view's binding in a FROM that lacks it, and still answers.
+func TestExplainOmitsJoinOverRenamingView(t *testing.T) {
+	e := newFederation(t)
+	ctx := context.Background()
+	if err := e.DefineView("v", "SELECT id AS cid, name AS nm FROM crm.customers"); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT v.nm, c.region FROM v JOIN crm.customers c ON v.cid = c.id"
+	ex, err := e.Explain(ctx, sql, DefaultQueryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ex, "JOIN ON (v.cid = c.id)") || strings.Contains(ex, "-- pushdown") {
+		t.Errorf("plan missing, or the join rendered as flat SQL:\n%s", ex)
+	}
+	res, err := e.QueryCtx(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 {
+		t.Errorf("%d rows, want 4", len(res.Rows))
+	}
+}

@@ -241,7 +241,7 @@ func TestInFlightCompileAcrossWriteIsNotServed(t *testing.T) {
 			c.write(t, e)
 			ar := sqlparse.GetArena()
 			defer sqlparse.PutArena(ar)
-			if _, hit, err := e.cachedTemplate(st, ar, sel.SQL(), DefaultQueryOptions(), old); err != nil || hit {
+			if _, hit, err := e.cachedTemplate(st, ar, sqlparse.CacheKeys{SQL: sel.SQL()}, DefaultQueryOptions(), old); err != nil || hit {
 				t.Fatalf("in-flight compile: hit=%v err=%v", hit, err)
 			}
 			before := e.PlanCacheStats().Invalidations

@@ -12,6 +12,7 @@
 package eai
 
 import (
+	"context"
 	"fmt"
 	"sync"
 )
@@ -130,32 +131,43 @@ func (e *Engine) record(o *Outcome, ev Event) {
 }
 
 // Run executes the process as a saga: steps forward, compensations in
-// reverse on failure. ctx may be nil.
-func (e *Engine) Run(p *Process, ctx *Context) Outcome {
-	if ctx == nil {
-		ctx = NewContext()
+// reverse on failure. pc may be nil. ctx is checked before each step and
+// each retry: once it is done, no further forward step runs, the steps
+// already completed are compensated in reverse, and Outcome.Err wraps
+// ctx.Err(). A compensation runs whatever ctx says: an undo left out is
+// the inconsistency the saga exists to prevent.
+func (e *Engine) Run(ctx context.Context, p *Process, pc *Context) Outcome {
+	if pc == nil {
+		pc = NewContext()
 	}
 	var out Outcome
 	completed := make([]Step, 0, len(p.Steps))
+	abort := func(where string, err error) Outcome {
+		out.Err = fmt.Errorf("eai: process %s: %s: %w", p.Name, where, err)
+		e.compensate(p, completed, pc, &out)
+		e.record(&out, Event{Process: p.Name, Kind: EventProcessAborted, Err: err.Error()})
+		return out
+	}
 	for _, step := range p.Steps {
+		if err := ctx.Err(); err != nil {
+			return abort("cancelled before step "+step.Name, err)
+		}
 		e.record(&out, Event{Process: p.Name, Step: step.Name, Kind: EventStepStarted})
 		var err error
 		for attempt := 0; ; attempt++ {
-			err = runStep(step.Do, ctx)
-			if err == nil {
+			err = runStep(step.Do, pc)
+			if err == nil || attempt >= step.Retries {
 				break
 			}
-			if attempt >= step.Retries {
+			if cerr := ctx.Err(); cerr != nil {
+				err = fmt.Errorf("%w, retry abandoned after: %w", cerr, err)
 				break
 			}
 			e.record(&out, Event{Process: p.Name, Step: step.Name, Kind: EventStepRetried, Err: err.Error()})
 		}
 		if err != nil {
 			e.record(&out, Event{Process: p.Name, Step: step.Name, Kind: EventStepFailed, Err: err.Error()})
-			out.Err = fmt.Errorf("eai: process %s: step %s: %w", p.Name, step.Name, err)
-			e.compensate(p, completed, ctx, &out)
-			e.record(&out, Event{Process: p.Name, Kind: EventProcessAborted, Err: err.Error()})
-			return out
+			return abort("step "+step.Name, err)
 		}
 		e.record(&out, Event{Process: p.Name, Step: step.Name, Kind: EventStepCompleted})
 		completed = append(completed, step)
@@ -166,13 +178,13 @@ func (e *Engine) Run(p *Process, ctx *Context) Outcome {
 	return out
 }
 
-func (e *Engine) compensate(p *Process, completed []Step, ctx *Context, out *Outcome) {
+func (e *Engine) compensate(p *Process, completed []Step, pc *Context, out *Outcome) {
 	for i := len(completed) - 1; i >= 0; i-- {
 		step := completed[i]
 		if step.Compensate == nil {
 			continue
 		}
-		if err := runStep(step.Compensate, ctx); err != nil {
+		if err := runStep(step.Compensate, pc); err != nil {
 			out.CompensationErrors = append(out.CompensationErrors, step.Name)
 			e.record(out, Event{Process: p.Name, Step: step.Name, Kind: EventCompensationFail, Err: err.Error()})
 			continue
@@ -184,26 +196,31 @@ func (e *Engine) compensate(p *Process, completed []Step, ctx *Context, out *Out
 
 // runStep isolates panics so a buggy step aborts its process, not the
 // engine.
-func runStep(fn func(*Context) error, ctx *Context) (err error) {
+func runStep(fn func(*Context) error, pc *Context) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return fn(ctx)
+	return fn(pc)
 }
 
 // RunNaive executes the steps with no compensation — the "just write to
 // every system" baseline a virtual-database update amounts to. On failure,
 // the effects of completed steps simply remain: the inconsistent state §4
-// warns about. It exists so experiments can measure the difference.
-func RunNaive(p *Process, ctx *Context) Outcome {
-	if ctx == nil {
-		ctx = NewContext()
+// warns about. It exists so experiments can measure the difference. ctx is
+// checked before each step; once it is done, Outcome.Err wraps ctx.Err().
+func RunNaive(ctx context.Context, p *Process, pc *Context) Outcome {
+	if pc == nil {
+		pc = NewContext()
 	}
 	var out Outcome
 	for _, step := range p.Steps {
-		if err := runStep(step.Do, ctx); err != nil {
+		err := ctx.Err()
+		if err == nil {
+			err = runStep(step.Do, pc)
+		}
+		if err != nil {
 			out.Err = fmt.Errorf("eai: naive %s: step %s: %w", p.Name, step.Name, err)
 			return out
 		}

@@ -1,6 +1,7 @@
 package eai
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -46,7 +47,7 @@ func TestProcessCompletes(t *testing.T) {
 	p := &Process{Name: "onboard", Steps: []Step{
 		step(l, "hr", false), step(l, "facilities", false), step(l, "it", false),
 	}}
-	out := e.Run(p, nil)
+	out := e.Run(context.Background(), p, nil)
 	if !out.Completed || out.StepsRun != 3 || out.Err != nil {
 		t.Fatalf("outcome = %+v", out)
 	}
@@ -64,7 +65,7 @@ func TestFailureCompensatesInReverse(t *testing.T) {
 	p := &Process{Name: "onboard", Steps: []Step{
 		step(l, "hr", false), step(l, "facilities", false), step(l, "it", true),
 	}}
-	out := e.Run(p, nil)
+	out := e.Run(context.Background(), p, nil)
 	if out.Completed || out.Err == nil {
 		t.Fatal("process must abort")
 	}
@@ -81,7 +82,7 @@ func TestNaiveLeavesPartialState(t *testing.T) {
 	p := &Process{Name: "onboard", Steps: []Step{
 		step(l, "hr", false), step(l, "facilities", false), step(l, "it", true),
 	}}
-	out := RunNaive(p, nil)
+	out := RunNaive(context.Background(), p, nil)
 	if out.Completed || out.Err == nil {
 		t.Fatal("naive run must fail")
 	}
@@ -104,7 +105,7 @@ func TestRetriesRecoverTransientFailures(t *testing.T) {
 			return nil
 		},
 	}}}
-	out := NewEngine().Run(p, nil)
+	out := NewEngine().Run(context.Background(), p, nil)
 	if !out.Completed || attempts != 3 {
 		t.Fatalf("retries: attempts=%d outcome=%+v", attempts, out)
 	}
@@ -131,7 +132,7 @@ func TestCompensationFailureIsReported(t *testing.T) {
 			Do:   func(*Context) error { return errors.New("boom") },
 		},
 	}}
-	out := NewEngine().Run(p, nil)
+	out := NewEngine().Run(context.Background(), p, nil)
 	if len(out.CompensationErrors) != 1 || out.CompensationErrors[0] != "a" {
 		t.Errorf("compensation errors = %v", out.CompensationErrors)
 	}
@@ -142,7 +143,7 @@ func TestPanicIsolation(t *testing.T) {
 		Name: "bad",
 		Do:   func(*Context) error { panic("nil map write") },
 	}}}
-	out := NewEngine().Run(p, nil)
+	out := NewEngine().Run(context.Background(), p, nil)
 	if out.Completed || out.Err == nil || !strings.Contains(out.Err.Error(), "panic") {
 		t.Errorf("panic must become an error: %+v", out.Err)
 	}
@@ -159,7 +160,7 @@ func TestContextPassesDataBetweenSteps(t *testing.T) {
 			return nil
 		}},
 	}}
-	if out := NewEngine().Run(p, nil); !out.Completed {
+	if out := NewEngine().Run(context.Background(), p, nil); !out.Completed {
 		t.Fatalf("outcome = %+v", out)
 	}
 }
@@ -167,8 +168,8 @@ func TestContextPassesDataBetweenSteps(t *testing.T) {
 func TestEngineHistoryAccumulates(t *testing.T) {
 	e := NewEngine()
 	p := &Process{Name: "p", Steps: []Step{{Name: "s", Do: func(*Context) error { return nil }}}}
-	e.Run(p, nil)
-	e.Run(p, nil)
+	e.Run(context.Background(), p, nil)
+	e.Run(context.Background(), p, nil)
 	h := e.History()
 	done := 0
 	for _, ev := range h {
@@ -188,8 +189,63 @@ func TestStepsWithoutCompensationAreSkipped(t *testing.T) {
 		step(l, "write", false),
 		{Name: "fail", Do: func(*Context) error { return errors.New("x") }},
 	}}
-	out := NewEngine().Run(p, nil)
+	out := NewEngine().Run(context.Background(), p, nil)
 	if fmt.Sprint(out.Compensated) != "[write]" {
 		t.Errorf("compensated = %v", out.Compensated)
+	}
+}
+
+// TestRunStopsWhenCancelled: a saga cancelled while step 1 runs never
+// starts step 2, compensates step 1, logs the abort, and fails with the
+// context's error; the naive runner stops before step 2 as well.
+func TestRunStopsWhenCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var l ledger
+	started2 := false
+	p := &Process{Name: "cancelled", Steps: []Step{
+		{
+			Name:       "one",
+			Do:         func(*Context) error { cancel(); l.applied = append(l.applied, "one"); return nil },
+			Compensate: func(*Context) error { l.applied = l.applied[:0]; return nil },
+		},
+		{Name: "two", Do: func(*Context) error { started2 = true; return nil }},
+	}}
+	out := NewEngine().Run(ctx, p, nil)
+	if started2 || out.Completed || out.StepsRun != 1 {
+		t.Fatalf("outcome %+v, step two started %v", out, started2)
+	}
+	if !errors.Is(out.Err, context.Canceled) {
+		t.Errorf("Err = %v, want context.Canceled", out.Err)
+	}
+	if len(out.Compensated) != 1 || out.Compensated[0] != "one" || len(l.applied) != 0 {
+		t.Errorf("compensated %v, effects left %v", out.Compensated, l.applied)
+	}
+	if last := out.Log[len(out.Log)-1]; last.Kind != EventProcessAborted {
+		t.Errorf("last event %+v, want process-aborted", last)
+	}
+	for _, ev := range out.Log {
+		if ev.Step == "two" {
+			t.Errorf("step two logged %+v", ev)
+		}
+	}
+
+	// A failing step with retries left stops retrying once cancelled.
+	ctx, cancel = context.WithCancel(context.Background())
+	attempts := 0
+	p = &Process{Name: "retrying", Steps: []Step{{Name: "flaky", Retries: 5,
+		Do: func(*Context) error { attempts++; cancel(); return errors.New("down") }}}}
+	if out := NewEngine().Run(ctx, p, nil); attempts != 1 || !errors.Is(out.Err, context.Canceled) {
+		t.Errorf("%d attempts, Err %v; want one attempt and context.Canceled", attempts, out.Err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	started2 = false
+	p = &Process{Name: "naive", Steps: []Step{
+		{Name: "one", Do: func(*Context) error { cancel(); return nil }},
+		{Name: "two", Do: func(*Context) error { started2 = true; return nil }},
+	}}
+	if out := RunNaive(ctx, p, nil); started2 || out.StepsRun != 1 || !errors.Is(out.Err, context.Canceled) {
+		t.Errorf("naive outcome %+v, step two started %v", out, started2)
 	}
 }

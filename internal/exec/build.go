@@ -169,13 +169,13 @@ func buildBatch(ctx context.Context, n plan.Node, rt Runtime, opts Options, over
 	// from the query scratch like the operator it wraps: a guard costs the
 	// heap nothing, and its OpCard, which the ledger lists by pointer, lives
 	// exactly as long as the query that reads it.
-	cancellable := ctx.Done() != nil // context-free leaves skip the per-batch check
-	if opts.Memory == nil && !cancellable && opts.Stats == nil && opts.Cards == nil {
+	done := ctx.Done() // nil for a context-free leaf: no per-batch check
+	if opts.Memory == nil && done == nil && opts.Stats == nil && opts.Cards == nil {
 		return it, nil
 	}
 	g := New(opts.Scratch, guardBatchIter{in: it, mem: opts.Memory, stats: opts.Stats})
-	if cancellable {
-		g.ctx = ctx
+	if done != nil {
+		g.ctx, g.done = ctx, done
 	}
 	if opts.Cards != nil {
 		g.card = OpCard{Node: n, Est: n.EstRows()}
@@ -202,9 +202,11 @@ func replanNode(n plan.Node) bool {
 }
 
 // guardBatchIter is the fused per-operator boundary wrapper, and the only
-// one: an optional cancellation check (every NextBatch pull observes
+// one: an optional cancellation check (every NextBatch pull polls
 // ctx.Done() before asking the input for more work, so a cancelled query
-// stops within one batch at every level of the operator tree), optional
+// stops within one batch at every level of the operator tree; the poll
+// is a non-blocking receive, where ctx.Err() would lock the context, and
+// ctx.Err() runs only once the channel is closed), optional
 // in-flight memory accounting (each pull releases the previous batch's
 // charge and charges the new one; Close releases the residual), optional
 // batch counting, and the operator's OpCard — owned here by value, listed
@@ -213,6 +215,7 @@ func replanNode(n plan.Node) bool {
 type guardBatchIter struct {
 	in      BatchIterator
 	ctx     context.Context   // nil: no cancellation check
+	done    <-chan struct{}   // ctx.Done(), polled per pull
 	mem     MemoryReservation // nil: no memory accounting
 	stats   *ExecStats        // nil: no batch counting
 	tracer  *QueryTracer      // nil: no pull stamps on the record
@@ -222,9 +225,11 @@ type guardBatchIter struct {
 }
 
 func (g *guardBatchIter) NextBatch() (Batch, error) {
-	if g.ctx != nil {
-		if err := g.ctx.Err(); err != nil {
-			return nil, err
+	if g.done != nil {
+		select {
+		case <-g.done:
+			return nil, g.ctx.Err()
+		default:
 		}
 	}
 	if g.charged > 0 {

@@ -1021,7 +1021,7 @@ func TestWindowedAggregationStopsMidWindow(t *testing.T) {
 			}
 			scratch := GetScratch()
 			a := &aggregateBatchIter{
-				in:       &guardBatchIter{in: src, ctx: ctx},
+				in:       &guardBatchIter{in: src, ctx: ctx, done: ctx.Done()},
 				groupFns: []Expr{*g},
 				specs:    []plan.AggSpec{tc.spec},
 				argFns:   []Expr{tc.arg},

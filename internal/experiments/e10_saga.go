@@ -37,9 +37,9 @@ func RunE10(ctx context.Context, scale Scale) (Table, error) {
 			proc := onboardingProcess(ctx, fed, newID, failAt)
 			var out eai.Outcome
 			if strategy == "saga" {
-				out = eai.NewEngine().Run(proc, nil)
+				out = eai.NewEngine().Run(ctx, proc, nil)
 			} else {
-				out = eai.RunNaive(proc, nil)
+				out = eai.RunNaive(ctx, proc, nil)
 			}
 			residue := countResidue(fed, newID)
 			failLabel := "none"

@@ -83,7 +83,20 @@ func TestDeparseUnsupportedNodes(t *testing.T) {
 	limit := &plan.Limit{Input: s, Count: 1}
 	distinct := &plan.Distinct{Input: s}
 	cond := &sqlparse.Literal{Value: datum.NewBool(true)}
+	// Nor join a projection that renames a column, moves it under a
+	// view's binding or computes an expression: the join keeps only its
+	// inputs' FROM and WHERE.
+	project := func(table, name string, e sqlparse.Expr) *plan.Project {
+		return &plan.Project{Input: s, Exprs: []sqlparse.Expr{e}, Cols: []plan.ColMeta{{Table: table, Name: name}}}
+	}
+	id := &sqlparse.ColumnRef{Table: "t", Column: "id"}
+	if _, err := Deparse(plan.NewJoin(nil, sqlparse.JoinInner, project("t", "id", id), s, nil)); err != nil {
+		t.Errorf("a join over a projection that keeps its names: %v", err)
+	}
 	for _, n := range []plan.Node{
+		plan.NewJoin(nil, sqlparse.JoinInner, project("v", "cid", id), s, nil),
+		plan.NewJoin(nil, sqlparse.JoinInner, s, project("v", "id", id), nil),
+		plan.NewJoin(nil, sqlparse.JoinLeft, s, project("t", "k", &sqlparse.BinaryExpr{Op: sqlparse.OpAdd, Left: id, Right: cond}), nil),
 		&plan.Filter{Input: agg, Cond: cond},
 		&plan.Project{Input: agg},
 		plan.NewAggregate(nil, limit, nil, []plan.AggSpec{{Func: "COUNT", Star: true}}),

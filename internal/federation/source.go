@@ -8,6 +8,7 @@ package federation
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
@@ -249,6 +250,12 @@ func deparseNode(n plan.Node) (*sqlparse.Select, error) {
 		if err := flattens(n, r, true); err != nil {
 			return nil, err
 		}
+		if err := keepsNames(x.Left, l); err != nil {
+			return nil, err
+		}
+		if err := keepsNames(x.Right, r); err != nil {
+			return nil, err
+		}
 		cond := x.Cond
 		if cond == nil {
 			cond = &sqlparse.Literal{Value: datum.NewBool(true)}
@@ -336,6 +343,26 @@ func flattens(n plan.Node, sub *sqlparse.Select, limits bool) error {
 	}
 	if late {
 		return fmt.Errorf("federation: cannot deparse %T over a grouped, distinct or limited input", n)
+	}
+	return nil
+}
+
+// keepsNames fails unless every column of in, a join input that deparses
+// to sub, is a column of sub's FROM under its own binding and name. The
+// join keeps only its inputs' FROM and WHERE, and its condition and the
+// nodes above it name in's columns: a projection that renames a column,
+// moves it under another binding (a view's) or computes an expression
+// needs a derived table, which Deparse does not render.
+func keepsNames(in plan.Node, sub *sqlparse.Select) error {
+	cols := in.Columns()
+	for i, it := range sub.Items {
+		if it.Star {
+			continue
+		}
+		ref, ok := it.Expr.(*sqlparse.ColumnRef)
+		if !ok || i >= len(cols) || !strings.EqualFold(ref.Column, cols[i].Name) || !strings.EqualFold(ref.Table, cols[i].Table) {
+			return fmt.Errorf("federation: cannot deparse a join over a renaming projection")
+		}
 	}
 	return nil
 }

@@ -8,6 +8,12 @@
 // options fingerprint and the source-availability mask (circuit breakers
 // change which plans are valid without touching the catalog).
 //
+// An entry may also carry an alternate key, a second text under the same
+// options and mask: the engine stores the token key of the statement that
+// compiled the plan there, so a later statement of that shape finds the
+// plan before it is parsed (see sqlparse.CacheKeys). Both keys name one
+// entry: it is counted, aged, evicted and invalidated once.
+//
 // The catalog is not part of the key: which names a plan read is known
 // only after compiling it. The engine stores that with the value, checks
 // it against the current catalog snapshot on every hit, and after a
@@ -16,8 +22,6 @@
 package plancache
 
 import (
-	"container/list"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 )
@@ -36,14 +40,26 @@ type Key struct {
 	Availability string
 }
 
-func (k Key) hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k.SQL))
-	h.Write([]byte{0})
-	h.Write([]byte(k.Options))
-	h.Write([]byte{0})
-	h.Write([]byte(k.Availability))
-	return h.Sum64()
+func (k Key) hash() uint64 { return sum(k.SQL, k.Options, k.Availability) }
+
+// sum is FNV-1a over text, a zero byte, options, a zero byte and
+// availability: the hash a key, or an alternate key under its entry's
+// options and mask, is found by.
+func sum[T string | []byte](text T, options, availability string) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for i := 0; i < len(text); i++ {
+		h = (h ^ uint64(text[i])) * prime
+	}
+	h *= prime // the zero byte
+	for i := 0; i < len(options); i++ {
+		h = (h ^ uint64(options[i])) * prime
+	}
+	h *= prime
+	for i := 0; i < len(availability); i++ {
+		h = (h ^ uint64(availability[i])) * prime
+	}
+	return h
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
@@ -72,16 +88,38 @@ func (s Stats) HitRate() float64 {
 
 const defaultShards = 16
 
-type entry struct {
-	key   Key
-	value any
+// An Entry is one cached plan. Its keys and value never change once it is
+// stored; replacing a value stores a new entry.
+type Entry struct {
+	key     Key
+	alt     string // the alternate key's text, "" for none
+	hash    uint64 // of key
+	altHash uint64 // of alt under key's options and mask
+	value   any
+	// prev and next link the entry into its shard's LRU ring, under the
+	// shard's lock; both are nil once it has been removed.
+	prev, next *Entry
 }
 
+// Value returns the entry's plan.
+func (e *Entry) Value() any { return e.value }
+
+// A shard holds the entries whose key hashes to it, found by that hash.
+// Two keys with one hash displace each other, which costs a compile and
+// never serves a wrong plan: every lookup compares the key itself.
 type shard struct {
 	mu    sync.Mutex
-	items map[Key]*list.Element
-	order *list.List // front = most recently used
+	items map[uint64]*Entry
+	ring  Entry // sentinel: ring.next is the most recently used entry
 	cap   int
+}
+
+// An altShard indexes, by alternate-key hash, the entries of any shard
+// whose alternate key hashes to it. Its lock is taken alone, or after a
+// shard's lock, never before one.
+type altShard struct {
+	mu   sync.Mutex
+	alts map[uint64]*Entry
 }
 
 // Cache is a concurrency-safe sharded LRU of compiled plans. Values are
@@ -89,6 +127,7 @@ type shard struct {
 // value handed out by Get is safe to use without copying.
 type Cache struct {
 	shards []*shard
+	alts   []*altShard
 
 	hits               atomic.Uint64
 	misses             atomic.Uint64
@@ -108,30 +147,31 @@ func New(capacity int) *Cache {
 		n = capacity
 	}
 	perShard := (capacity + n - 1) / n
-	c := &Cache{shards: make([]*shard, n)}
+	c := &Cache{shards: make([]*shard, n), alts: make([]*altShard, n)}
 	for i := range c.shards {
-		c.shards[i] = &shard{
-			items: make(map[Key]*list.Element),
-			order: list.New(),
-			cap:   perShard,
-		}
+		s := &shard{items: make(map[uint64]*Entry), cap: perShard}
+		s.ring.prev, s.ring.next = &s.ring, &s.ring
+		c.shards[i] = s
+		c.alts[i] = &altShard{alts: make(map[uint64]*Entry)}
 	}
 	return c
 }
 
-func (c *Cache) shardFor(k Key) *shard {
-	return c.shards[k.hash()%uint64(len(c.shards))]
-}
+func (c *Cache) shardOf(h uint64) *shard { return c.shards[h%uint64(len(c.shards))] }
+
+func (c *Cache) altShardOf(h uint64) *altShard { return c.alts[h%uint64(len(c.alts))] }
 
 // Get returns the cached plan for the key, marking it most recently used.
 func (c *Cache) Get(k Key) (any, bool) {
-	s := c.shardFor(k)
+	h := k.hash()
+	s := c.shardOf(h)
 	s.mu.Lock()
-	el, ok := s.items[k]
+	e := s.items[h]
+	ok := e != nil && e.key == k
 	var v any
 	if ok {
-		s.order.MoveToFront(el)
-		v = el.Value.(*entry).value // under the lock: Put may replace it
+		s.touch(e)
+		v = e.value
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -142,30 +182,93 @@ func (c *Cache) Get(k Key) (any, bool) {
 	return v, true
 }
 
-// Put stores a plan under the key, evicting the least recently used entry
-// of the shard if it is full. Storing an existing key replaces its value.
-func (c *Cache) Put(k Key, v any) {
-	s := c.shardFor(k)
+// PeekAlt returns the entry whose alternate key is alt under k's options
+// and availability mask (k.SQL is not read). It neither marks the entry
+// used nor counts the lookup: a caller that serves the entry's plan calls
+// Hit, and one that does not looks the plan up again by its key, which
+// counts once, as a hit or a miss.
+func (c *Cache) PeekAlt(alt []byte, k Key) (*Entry, bool) {
+	h := sum(alt, k.Options, k.Availability)
+	as := c.altShardOf(h)
+	as.mu.Lock()
+	e := as.alts[h]
+	ok := e != nil && e.alt == string(alt) && e.key.Options == k.Options && e.key.Availability == k.Availability
+	as.mu.Unlock()
+	return e, ok
+}
+
+// Hit counts a hit on an entry PeekAlt returned and marks it most
+// recently used, unless it has been removed since.
+func (c *Cache) Hit(e *Entry) {
+	s := c.shardOf(e.hash)
 	s.mu.Lock()
-	if el, ok := s.items[k]; ok {
-		el.Value.(*entry).value = v
-		s.order.MoveToFront(el)
-		s.mu.Unlock()
-		return
-	}
-	s.items[k] = s.order.PushFront(&entry{key: k, value: v})
-	var evicted bool
-	if s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		if oldest != nil {
-			s.order.Remove(oldest)
-			delete(s.items, oldest.Value.(*entry).key)
-			evicted = true
-		}
+	if e.next != nil {
+		s.touch(e)
 	}
 	s.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
+	c.hits.Add(1)
+}
+
+// Put stores a plan under the key, evicting the least recently used entry
+// of the shard if it is full. Storing an existing key replaces its value.
+func (c *Cache) Put(k Key, v any) { c.PutAlt(k, "", v) }
+
+// PutAlt stores a plan like Put, with alt as its alternate key ("" for
+// none) under k's options and availability mask.
+func (c *Cache) PutAlt(k Key, alt string, v any) {
+	e := &Entry{key: k, alt: alt, hash: k.hash(), value: v}
+	if alt != "" {
+		e.altHash = sum(alt, k.Options, k.Availability)
+	}
+	s := c.shardOf(e.hash)
+	evicted := 0
+	s.mu.Lock()
+	if old := s.items[e.hash]; old != nil {
+		c.unlink(s, old)
+		if old.key != k {
+			evicted++
+		}
+	}
+	s.items[e.hash] = e
+	e.prev, e.next = &s.ring, s.ring.next
+	e.prev.next, e.next.prev = e, e
+	if alt != "" {
+		as := c.altShardOf(e.altHash)
+		as.mu.Lock()
+		as.alts[e.altHash] = e
+		as.mu.Unlock()
+	}
+	if len(s.items) > s.cap {
+		c.unlink(s, s.ring.prev)
+		evicted++
+	}
+	s.mu.Unlock()
+	if evicted > 0 {
+		c.evictions.Add(uint64(evicted))
+	}
+}
+
+// touch moves a linked entry to the front of s's ring; s.mu is held.
+func (s *shard) touch(e *Entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = &s.ring, s.ring.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink removes a linked entry from s and from the alternate-key index;
+// s.mu is held. The index slot is left alone if another entry whose
+// alternate key hashes alike has taken it.
+func (c *Cache) unlink(s *shard, e *Entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	delete(s.items, e.hash)
+	if e.alt != "" {
+		as := c.altShardOf(e.altHash)
+		as.mu.Lock()
+		if as.alts[e.altHash] == e {
+			delete(as.alts, e.altHash)
+		}
+		as.mu.Unlock()
 	}
 }
 
@@ -195,12 +298,13 @@ func (c *Cache) InvalidateDrift(k Key) bool {
 }
 
 func (c *Cache) remove(k Key) bool {
-	s := c.shardFor(k)
+	h := k.hash()
+	s := c.shardOf(h)
 	s.mu.Lock()
-	el, ok := s.items[k]
+	e := s.items[h]
+	ok := e != nil && e.key == k
 	if ok {
-		s.order.Remove(el)
-		delete(s.items, k)
+		c.unlink(s, e)
 	}
 	s.mu.Unlock()
 	return ok
@@ -215,14 +319,13 @@ func (c *Cache) RetireIf(stale func(v any) bool) int {
 	removed := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for el := s.order.Front(); el != nil; {
-			next := el.Next()
-			if e := el.Value.(*entry); stale(e.value) {
-				s.order.Remove(el)
-				delete(s.items, e.key)
+		for e := s.ring.next; e != &s.ring; {
+			next := e.next
+			if stale(e.value) {
+				c.unlink(s, e)
 				removed++
 			}
-			el = next
+			e = next
 		}
 		s.mu.Unlock()
 	}
@@ -234,18 +337,7 @@ func (c *Cache) RetireIf(stale func(v any) bool) int {
 
 // Purge empties the cache, counting every removed entry as invalidated.
 func (c *Cache) Purge() int {
-	removed := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		removed += s.order.Len()
-		s.items = make(map[Key]*list.Element)
-		s.order.Init()
-		s.mu.Unlock()
-	}
-	if removed > 0 {
-		c.invalidations.Add(uint64(removed))
-	}
-	return removed
+	return c.RetireIf(func(any) bool { return true })
 }
 
 // Len returns the number of cached plans.
@@ -253,7 +345,7 @@ func (c *Cache) Len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.order.Len()
+		n += len(s.items)
 		s.mu.Unlock()
 	}
 	return n

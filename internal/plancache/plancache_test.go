@@ -66,11 +66,11 @@ func TestLRURecencyOrder(t *testing.T) {
 	// White-box: collect three keys that map to the same shard (cap 2),
 	// then check that touching the oldest redirects eviction.
 	c := New(32)
-	target := c.shardFor(key("q0"))
+	target := c.shardOf(key("q0").hash())
 	var ks []Key
 	for i := 0; len(ks) < 3; i++ {
 		k := key(fmt.Sprintf("q%d", i))
-		if c.shardFor(k) == target {
+		if c.shardOf(k.hash()) == target {
 			ks = append(ks, k)
 		}
 	}
@@ -164,5 +164,127 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	if st.Entries != c.Len() {
 		t.Fatalf("stats entries %d != len %d", st.Entries, c.Len())
+	}
+}
+
+// TestAltKey: an entry is found by its alternate key under its own
+// options and mask only; PeekAlt counts nothing and Hit counts one hit;
+// removing the entry by any path drops its alternate key too.
+func TestAltKey(t *testing.T) {
+	c := New(64)
+	k := key("SELECT a FROM t WHERE b = $1")
+	c.PutAlt(k, "tok", "plan")
+	if _, ok := c.PeekAlt([]byte("tok"), Key{Options: "opt", Availability: "crm-down"}); ok {
+		t.Fatal("alternate key found under another availability mask")
+	}
+	e, ok := c.PeekAlt([]byte("tok"), key(""))
+	if !ok || e.Value().(string) != "plan" {
+		t.Fatalf("PeekAlt = %v, %v", e, ok)
+	}
+	if st := c.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("PeekAlt counted a lookup: %+v", st)
+	}
+	c.Hit(e)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 || st.Entries != 1 {
+		t.Fatalf("stats after Hit = %+v", st)
+	}
+	for name, remove := range map[string]func(){
+		"Invalidate":      func() { c.Invalidate(k) },
+		"InvalidateDrift": func() { c.InvalidateDrift(k) },
+		"RetireIf":        func() { c.RetireIf(func(any) bool { return true }) },
+		"Purge":           func() { c.Purge() },
+		"Put":             func() { c.Put(k, "plan") },
+	} {
+		c.PutAlt(k, "tok", "plan")
+		remove()
+		if _, ok := c.PeekAlt([]byte("tok"), key("")); ok {
+			t.Errorf("%s left the alternate key behind", name)
+		}
+	}
+}
+
+// TestAltKeyEvictsWithItsEntry: an evicted entry's alternate key goes
+// with it, and an alternate key two entries share names the later one.
+func TestAltKeyEvictsWithItsEntry(t *testing.T) {
+	c := New(1)
+	c.PutAlt(key("q1"), "tok", 1)
+	c.PutAlt(key("q2"), "tok", 2)
+	if e, ok := c.PeekAlt([]byte("tok"), key("")); !ok || e.Value().(int) != 2 {
+		t.Fatalf("shared alternate key names %v, %v; want the later entry", e, ok)
+	}
+	c.PutAlt(key("q3"), "other", 3)
+	if _, ok := c.PeekAlt([]byte("tok"), key("")); ok {
+		t.Fatal("evicted entry still found by its alternate key")
+	}
+	if st := c.Stats(); st.Evictions != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	// An entry evicted while a caller holds it from PeekAlt still counts
+	// the hit, and is not linked back in.
+	e, _ := c.PeekAlt([]byte("other"), key(""))
+	c.Put(key("q4"), 4)
+	c.Hit(e)
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d after a hit on an evicted entry", c.Len())
+	}
+}
+
+// TestHashCollisionDisplaces: two keys with one hash displace each other
+// and never serve each other's plan.
+func TestHashCollisionDisplaces(t *testing.T) {
+	c := New(64)
+	a, b := key("a"), key("b")
+	h := a.hash()
+	s := c.shardOf(h)
+	c.Put(a, "plan-a")
+	// Plant b in a's slot, as a key with a's hash would land.
+	s.mu.Lock()
+	s.items[h].key = b
+	s.mu.Unlock()
+	if _, ok := c.Get(a); ok {
+		t.Fatal("a lookup served the plan of another key with its hash")
+	}
+	c.Put(a, "plan-a2")
+	if v, ok := c.Get(a); !ok || v.(string) != "plan-a2" {
+		t.Fatalf("Get = %v, %v", v, ok)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want the displaced entry counted as evicted", st)
+	}
+}
+
+// TestAltKeyConcurrent races lookups by both keys against puts, removals
+// and sweeps; run under -race it checks the two-lock protocol.
+func TestAltKeyConcurrent(t *testing.T) {
+	c := New(32)
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 600; i++ {
+				n := (i*7 + w) % 40
+				k, alt := key(fmt.Sprintf("q%d", n)), fmt.Sprintf("t%d", n)
+				if e, ok := c.PeekAlt([]byte(alt), k); ok {
+					if e.Value().(string) != k.SQL {
+						t.Errorf("alternate key %s found %v", alt, e.Value())
+						return
+					}
+					c.Hit(e)
+				} else if _, ok := c.Get(k); !ok {
+					c.PutAlt(k, alt, k.SQL)
+				}
+				switch i % 97 {
+				case 0:
+					c.RetireIf(func(v any) bool { return v.(string) < "q2" })
+				case 1:
+					c.Invalidate(k)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Entries != c.Len() || st.Entries > st.Capacity {
+		t.Fatalf("stats = %+v, Len %d", st, c.Len())
 	}
 }

@@ -36,6 +36,14 @@ type Arena struct {
 	whenStk  []CaseWhen
 	sqlBuf   []byte
 	valStk   []datum.Datum
+
+	// The token key's scratch (see tokenkey.go): the last LexKey's key,
+	// the last parse's literal origins, the origin of each parameter the
+	// last ExtractParamsIn made (-1: unknown), and a mark a token.
+	keyBuf  []byte
+	origins []litOrigin
+	binds   []int32
+	marks   []bool
 }
 
 // NewArena returns an empty arena. The zero value is also usable.
@@ -72,6 +80,11 @@ func (a *Arena) Reset() {
 	a.whenStk = a.whenStk[:0]
 	a.sqlBuf = a.sqlBuf[:0]
 	a.valStk = a.valStk[:0]
+	a.keyBuf = a.keyBuf[:0]
+	clear(a.origins) // they point at nodes that die here
+	a.origins = a.origins[:0]
+	a.binds = a.binds[:0]
+	a.marks = a.marks[:0]
 }
 
 // Bytes reports the payload footprint of the AST and plan nodes and lists
@@ -81,8 +94,9 @@ func (a *Arena) Reset() {
 func (a *Arena) Bytes() int64 { return a.set().Bytes() }
 
 // RenderSQL renders a node through the arena's reused byte buffer, so a
-// warm cache-key render costs exactly the final string copy. Falls back
-// to plain rendering when a is nil.
+// render costs exactly the final string copy. Falls back to plain
+// rendering when a is nil. The engine renders a statement's cache keys
+// with CacheKeys instead, and only when the token key misses.
 func (a *Arena) RenderSQL(n Node) string {
 	if a == nil {
 		return nodeSQL(n)

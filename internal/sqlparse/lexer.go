@@ -93,13 +93,14 @@ var keywordList = [...]string{
 	"STRING", "BOOL", "TIME",
 }
 
-// kwBuckets holds the keywords bucketed by length (2..8), so a candidate
-// word is compared against at most a handful of same-length keywords.
-var kwBuckets [9][]string
+// kwBuckets holds the keywords' indexes in keywordList bucketed by length
+// (2..8), so a candidate word is compared against at most a handful of
+// same-length keywords.
+var kwBuckets [9][]uint8
 
 func init() {
-	for _, kw := range keywordList {
-		kwBuckets[len(kw)] = append(kwBuckets[len(kw)], kw)
+	for i, kw := range keywordList {
+		kwBuckets[len(kw)] = append(kwBuckets[len(kw)], uint8(i))
 	}
 }
 
@@ -123,12 +124,27 @@ func keywordOf(word string) (string, bool) {
 	if len(word) < 2 || len(word) >= len(kwBuckets) {
 		return "", false
 	}
-	for _, kw := range kwBuckets[len(word)] {
-		if eqFoldASCII(word, kw) {
+	for _, i := range kwBuckets[len(word)] {
+		if kw := keywordList[i]; eqFoldASCII(word, kw) {
 			return kw, true
 		}
 	}
 	return "", false
+}
+
+// keywordIndex returns a keyword token's index in keywordList. Its text
+// is one of the canonical spellings keywordOf returns, so the comparison
+// finds the bytes shared.
+func keywordIndex(kw string) (uint8, bool) {
+	if len(kw) < 2 || len(kw) >= len(kwBuckets) {
+		return 0, false
+	}
+	for _, i := range kwBuckets[len(kw)] {
+		if keywordList[i] == kw {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // LexError describes a lexical error with its 1-based line:column

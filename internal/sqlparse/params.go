@@ -64,7 +64,8 @@ func MaxParamIndex(s *Select) int {
 // ALL branches and IN and EXISTS subqueries included, are replaced with
 // numbered placeholders allocated from a (heap when a is nil), and their
 // values returned in placeholder order. The statement is rewritten in
-// place; rendering it afterwards with SQL() yields the cache key text, and
+// place; rendering it afterwards with SQL() or Arena.CacheKeys yields the
+// cache key text, and
 // binding the returned values back into the compiled plan reproduces the
 // original query exactly. When sel came from a too, the statement and its
 // normalized form share one lifetime.
@@ -77,20 +78,32 @@ func MaxParamIndex(s *Select) int {
 // cacheable is false — and the statement is left untouched — when the
 // statement already carries explicit placeholders: the caller binds those
 // itself.
+//
+// When sel is a's last parse, a also records which token each parameter
+// came from: the literal map that CacheKeys renders, and BindLiterals
+// reads back from the tokens of a later statement with the same token
+// key, without parsing it.
 func ExtractParamsIn(a *Arena, sel *Select) (values []datum.Datum, cacheable bool) {
 	if MaxParamIndex(sel) > 0 {
 		return nil, false
 	}
+	last := 0 // the origin found last: the next is usually just after it
 	if a != nil {
 		// Accumulate into the arena's value scratch; the returned slice
 		// shares the query's lifetime, like everything else from a.
 		values = a.valStk[:0]
 		defer func() { a.valStk = values[:0] }()
+		a.binds = a.binds[:0]
 	}
 	var normalize func(*Select)
 	extract := func(e Expr) (Expr, error) {
 		if lit, ok := e.(*Literal); ok {
 			values = append(values, lit.Value)
+			if a != nil {
+				i := a.originOf(lit, last+1)
+				a.binds = append(a.binds, int32(i))
+				last = max(i, 0)
+			}
 			return New(a, Param{Index: len(values)}), nil
 		}
 		normalize(SubqueryOf(e))

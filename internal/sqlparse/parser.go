@@ -44,13 +44,25 @@ func ParseArena(a *Arena, input string) (*Select, error) {
 	return parseStatement(a, a, input)
 }
 
+// ParseLexed parses like ParseArena the statement that a.LexKey lexed
+// from input last, without lexing it again.
+func ParseLexed(a *Arena, input string) (*Select, error) {
+	return parseTokens(a, a, input)
+}
+
 func parseStatement(scratch, nodes *Arena, input string) (*Select, error) {
 	toks, err := lexInto(input, scratch.toks[:0])
 	if err != nil {
 		return nil, err
 	}
 	scratch.toks = toks
-	p := parser{input: input, toks: toks, scratch: scratch, nodes: nodes}
+	return parseTokens(scratch, nodes, input)
+}
+
+// parseTokens parses the tokens in scratch's buffer, lexed from input.
+func parseTokens(scratch, nodes *Arena, input string) (*Select, error) {
+	scratch.origins = scratch.origins[:0]
+	p := parser{input: input, toks: scratch.toks, scratch: scratch, nodes: nodes}
 	sel, err := p.parseSelect()
 	if err != nil {
 		return nil, err
@@ -538,11 +550,8 @@ func (p *parser) parsePrefix(min int) (Expr, error) {
 			}
 			// Fold negative literals immediately.
 			if lit, ok := child.(*Literal); ok {
-				switch lit.Value.Kind() {
-				case datum.KindInt:
-					return New(p.nodes, Literal{Value: datum.NewInt(-lit.Value.Int())}), nil
-				case datum.KindFloat:
-					return New(p.nodes, Literal{Value: datum.NewFloat(-lit.Value.Float())}), nil
+				if v, ok := negate(lit.Value); ok {
+					return p.negated(lit, v), nil
 				}
 			}
 			return New(p.nodes, UnaryExpr{Op: "-", Child: child}), nil
@@ -700,25 +709,17 @@ var kindNames = map[string]datum.Kind{
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.Kind {
-	case TokInt:
-		p.pos++
-		v, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			p.pos--
-			return nil, p.errf("bad integer literal %q", t.Text)
+	case TokInt, TokFloat, TokString:
+		v, ok := literalValue(t)
+		if !ok { // only a number that does not fit fails
+			kind := "integer"
+			if t.Kind == TokFloat {
+				kind = "float"
+			}
+			return nil, p.errf("bad %s literal %q", kind, t.Text)
 		}
-		return New(p.nodes, Literal{Value: datum.NewInt(v)}), nil
-	case TokFloat:
 		p.pos++
-		v, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
-			p.pos--
-			return nil, p.errf("bad float literal %q", t.Text)
-		}
-		return New(p.nodes, Literal{Value: datum.NewFloat(v)}), nil
-	case TokString:
-		p.pos++
-		return New(p.nodes, Literal{Value: datum.NewString(t.Text)}), nil
+		return p.literal(v, p.pos-1, false), nil
 	case TokParam:
 		p.pos++
 		if t.Text == "" { // `?`: auto-number
@@ -735,13 +736,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 		switch t.Text {
 		case "NULL":
 			p.pos++
-			return New(p.nodes, Literal{Value: datum.Null}), nil
+			return p.literal(datum.Null, keywordTok, false), nil
 		case "TRUE":
 			p.pos++
-			return New(p.nodes, Literal{Value: datum.NewBool(true)}), nil
+			return p.literal(datum.NewBool(true), keywordTok, false), nil
 		case "FALSE":
 			p.pos++
-			return New(p.nodes, Literal{Value: datum.NewBool(false)}), nil
+			return p.literal(datum.NewBool(false), keywordTok, false), nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX":
 			p.pos++
 			return p.parseFuncCall(t.Text)

@@ -42,7 +42,7 @@ func TestGeneratedInsertWritesAllBaseTables(t *testing.T) {
 	if len(proc.Steps) != 3 {
 		t.Fatalf("steps = %d (one per base table expected)", len(proc.Steps))
 	}
-	out := eai.NewEngine().Run(proc, nil)
+	out := eai.NewEngine().Run(context.Background(), proc, nil)
 	if !out.Completed {
 		t.Fatalf("outcome = %+v", out)
 	}
@@ -76,7 +76,7 @@ func TestGeneratedInsertCompensatesOnFailure(t *testing.T) {
 	proc.Steps[len(proc.Steps)-1].Do = func(*eai.Context) error {
 		return errors.New("injected failure")
 	}
-	out := eai.NewEngine().Run(proc, nil)
+	out := eai.NewEngine().Run(context.Background(), proc, nil)
 	if out.Completed {
 		t.Fatal("run must fail")
 	}
@@ -109,7 +109,7 @@ func TestGeneratedInsertRunsUnderItsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	out := eai.NewEngine().Run(proc, nil)
+	out := eai.NewEngine().Run(ctx, proc, nil)
 	if out.Completed || !errors.Is(out.Err, context.Canceled) {
 		t.Fatalf("outcome = %+v, want a failure with context.Canceled", out)
 	}
@@ -142,7 +142,7 @@ func TestGeneratedDeleteRemovesAndCompensationRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := eai.NewEngine().Run(proc, nil)
+	out := eai.NewEngine().Run(context.Background(), proc, nil)
 	if !out.Completed {
 		t.Fatalf("outcome = %+v", out)
 	}
@@ -163,7 +163,7 @@ func TestGeneratedDeleteRemovesAndCompensationRestores(t *testing.T) {
 	proc2.Steps[len(proc2.Steps)-1].Do = func(*eai.Context) error {
 		return errors.New("injected failure")
 	}
-	out = eai.NewEngine().Run(proc2, nil)
+	out = eai.NewEngine().Run(context.Background(), proc2, nil)
 	if out.Completed {
 		t.Fatal("sabotaged delete must fail")
 	}
