@@ -105,14 +105,14 @@ func serviceTime(ctx context.Context, eng *core.Engine, sql string) (time.Durati
 }
 
 // blockingCRM builds the small CRM fleet the overload experiments (E16,
-// and E18's scaling phase) drive: links a millisecond away that really
+// and E18's scaling phase) drive: links linkLatency away that really
 // block, so queued and in-flight work costs wall time.
-func blockingCRM() (*workload.CRMFederation, error) {
+func blockingCRM(linkLatency time.Duration) (*workload.CRMFederation, error) {
 	cfg := workload.DefaultCRM()
 	cfg.Customers = 60
 	cfg.InvoicesPerCustomer = 2
 	cfg.TicketsPerCustomer = 1
-	cfg.LinkLatency = time.Millisecond
+	cfg.LinkLatency = linkLatency
 	fed, err := workload.BuildCRM(cfg)
 	if err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func admitGoldBronze(engine *core.Engine) error {
 // buildE16Engine assembles the blocking CRM federation, optionally with
 // the gold/bronze tenant quotas.
 func buildE16Engine(admission bool) (*core.Engine, error) {
-	fed, err := blockingCRM()
+	fed, err := blockingCRM(time.Millisecond)
 	if err != nil {
 		return nil, err
 	}

@@ -175,15 +175,20 @@ func runE18Scale(ctx context.Context, scale Scale, t *Table) error {
 // buildE18Cluster assembles an n-node cluster over one blocking-link CRM
 // fleet, with per-node gold/bronze admission quotas — E16's setup, sharded.
 func buildE18Cluster(nodes int, seed uint64) (*cluster.Cluster, error) {
-	fed, err := blockingCRM()
+	// Sources two milliseconds away keep a query's service time mostly
+	// blocked on the source links, so the nodes' admission slots stay the
+	// ceiling on a busy host; at one millisecond the mediator's CPU and the
+	// inter-node hops are so large a share that the 1- and 2-node cells
+	// both measure the host's CPU instead.
+	fed, err := blockingCRM(2 * time.Millisecond)
 	if err != nil {
 		return nil, err
 	}
 	return cluster.New(cluster.Config{
 		Nodes: nodes,
 		Seed:  seed,
-		// Mediator nodes share a rack; the sources they federate are a
-		// millisecond away. If the inter-node hop cost rivals the source
+		// Mediator nodes share a rack; the sources they federate are
+		// milliseconds away. If the inter-node hop cost rivals the source
 		// hop, sharding trades every saved source-side byte for
 		// coordination latency and the scaling experiment measures the
 		// wrong bottleneck.

@@ -182,11 +182,19 @@ func RunOpenLoop(ctx context.Context, engine Target, cfg OpenLoopConfig) *OpenLo
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
 			qo := load.Options
 			qo.Tenant = load.Tenant
+			// Arrivals are scheduled on offsets from start, not by sleeping
+			// one gap after another: a sleep overshoots its gap (timer
+			// granularity, a busy CPU), and summed overshoots would cap the
+			// offered rate below Rate. An arrival whose time has already
+			// passed is issued at once.
+			var at time.Duration
 			for {
-				wait := time.Duration(rng.ExpFloat64() / load.Rate * float64(time.Second))
-				time.Sleep(wait)
-				if netsim.Wall.Since(start) >= cfg.Duration || ctx.Err() != nil {
+				at += time.Duration(rng.ExpFloat64() / load.Rate * float64(time.Second))
+				if at >= cfg.Duration || ctx.Err() != nil {
 					return
+				}
+				if ahead := at - netsim.Wall.Since(start); ahead > 0 {
+					time.Sleep(ahead)
 				}
 				select {
 				case outstanding <- struct{}{}:
