@@ -4,9 +4,9 @@
 GO ?= go
 RACE_PKGS := ./...
 
-.PHONY: check fmt vet lint build cross escape inline test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench bench-smoke doc-names tracked waivers
+.PHONY: check fmt vet lint build cross escape inline test alloc-guard race race-cancel race-overload race-deadlock race-adaptive race-template bench bench-smoke doc-names tracked waivers
 
-check: fmt vet lint waivers doc-names build cross escape inline test alloc-guard race race-cancel race-overload race-deadlock race-adaptive bench-smoke
+check: fmt vet lint waivers doc-names build cross escape inline test alloc-guard race race-cancel race-overload race-deadlock race-adaptive race-template bench-smoke
 
 fmt:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
@@ -102,6 +102,15 @@ race-deadlock:
 # scratch, whose slabs held its operator tree.
 race-adaptive:
 	$(GO) test -race -run 'TestE20AdaptiveReplanStorm|TestE20ReplansBesideWarmHits|TestScratchOperatorsDieWithTheirQuery' -count=3 ./internal/core
+
+# Template storm: eight clients run one cached plan template unbound, as
+# literal statements and as a prepared statement, each with its own
+# values, under the race detector, and each answer must equal its
+# NoPlanCache twin's. Concurrent fetches of one fragment hand its prepared
+# state (a cached plan's exec.FragmentSlot) from fetch to fetch, and the
+# parameter values each binds into it must never reach another's.
+race-template:
+	$(GO) test -race -run 'TestTemplateStorm' -count=3 ./internal/core
 
 # Allocation fences (see alloc_guard_test.go): the warm plan-cache-hit
 # path must stay inside its E17 allocs/op and bytes/op budget, a query

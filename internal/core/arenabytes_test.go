@@ -12,7 +12,9 @@ import (
 // drew from its scratch, plus its front-end arena's AST and plan nodes when
 // it came through a statement. A plan run through ExecuteCtx still draws
 // its operators from a scratch, so the figure is positive there too; and a
-// warm plan-cache hit draws the same values each time, so it repeats.
+// warm plan-cache hit draws the same values each time, so it repeats, once
+// its plan is prepared: the plan's second reuse prepares it, and from then
+// on its sources compile nothing of it into the scratch.
 func TestArenaBytesCountsQueryMemory(t *testing.T) {
 	cfg := workload.DefaultCRM()
 	cfg.Customers = 120
@@ -37,6 +39,9 @@ func TestArenaBytesCountsQueryMemory(t *testing.T) {
 
 	cold, err := e.QueryOptsCtx(ctx, sql, qo)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.QueryOptsCtx(ctx, sql, qo); err != nil { // the first reuse
 		t.Fatal(err)
 	}
 	warm, err := e.QueryOptsCtx(ctx, sql, qo)

@@ -19,9 +19,11 @@ import (
 	"context"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
+	"repro/internal/exec"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/plancache"
@@ -53,6 +55,42 @@ type compiledPlan struct {
 	// (see sqlparse.CacheKeys): how a statement of that key binds its
 	// parameters from its tokens.
 	lits string
+	// frags holds what is prepared for the plan's executions: its
+	// mediator nodes' expressions, and one slot per Remote where its
+	// sources keep what they prepared of their fragments. It is made by
+	// the plan's second reuse (see fragments) and retired with the plan.
+	frags atomic.Pointer[exec.Fragments]
+	// reuses counts the hits served before frags was made.
+	reuses atomic.Int32
+}
+
+// prepareAt is the reuse of a plan that prepares it. Most plans a stream
+// of ad-hoc statements caches are reused once at most before they are
+// evicted, and preparing a plan costs some thirty allocations: on the
+// first reuse that cost adhoc_churn 3.4 allocations a query. A second
+// reuse marks a plan that keeps serving.
+const prepareAt = 2
+
+// fragments returns what is prepared for the plan's executions, making it
+// on the plan's prepareAt-th reuse; nil before.
+func (cp *compiledPlan) fragments() *exec.Fragments {
+	if f := cp.frags.Load(); f != nil {
+		return f
+	}
+	if cp.reuses.Add(1) < prepareAt {
+		return nil
+	}
+	cp.frags.CompareAndSwap(nil, exec.NewFragments(cp.tmpl))
+	return cp.frags.Load()
+}
+
+// withLits returns a copy of the plan that binds statements by the
+// literal map lits, sharing everything else, its slots included.
+func (cp *compiledPlan) withLits(lits string) *compiledPlan {
+	out := &compiledPlan{tmpl: cp.tmpl, nParams: cp.nParams, cost: cp.cost, fbGen: cp.fbGen,
+		version: cp.version, reads: cp.reads, lits: lits}
+	out.frags.Store(cp.frags.Load())
+	return out
 }
 
 // current reports whether the plan may serve a query under snap: no name
@@ -301,11 +339,14 @@ func (ps *PreparedStatement) SQL() string { return ps.text }
 // whether it was a cache hit. A miss parses the key text into the query's
 // arena ar and compiles there, so the compiler's input is the canonical
 // statement and the template's strings alias only the cache key; it
-// stores the plan with keys.Tokens, when set, as its second key.
+// stores the plan with keys.Tokens, when set, as its second key. A hit on
+// a plan stored without a second key — compiled by PrepareOpts, say —
+// gives it keys.Tokens, so the statement's next run is served before it
+// is parsed.
 func (e *Engine) cachedTemplate(st *engineState, ar *sqlparse.Arena, keys sqlparse.CacheKeys, qo QueryOptions, snap *catalog.Snapshot) (*compiledPlan, bool, error) {
 	key := st.planKey(keys.SQL, qo)
-	if v, ok := e.plans.Get(key); ok {
-		cp := v.(*compiledPlan)
+	if ent, ok := e.plans.GetEntry(key); ok {
+		cp := ent.Value().(*compiledPlan)
 		switch {
 		case snap.ChangedSince(cp.version, cp.reads):
 			// A write changed a name this plan read after the plan began
@@ -318,6 +359,11 @@ func (e *Engine) cachedTemplate(st *engineState, ar *sqlparse.Arena, keys sqlpar
 			// it and recompile against current feedback.
 			e.plans.InvalidateDrift(key)
 		default:
+			if keys.Tokens != "" && ent.Alt() == "" {
+				// The plan is shared: the entry is replaced by one
+				// holding a copy that binds by this statement's map.
+				e.plans.AttachAlt(ent, keys.Tokens, cp.withLits(keys.Lits))
+			}
 			return cp, true, nil
 		}
 	}

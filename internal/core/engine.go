@@ -466,33 +466,56 @@ func (e *Engine) statementPlan(st *engineState, ar *sqlparse.Arena, sql string, 
 }
 
 // runStatement is the back half every statement — literal or prepared —
-// goes through on its way to executeCtx: bind params into the plan
-// template cp, run it, and stamp the planning facts on the Result. st is
-// the engine state and snap the catalog snapshot the caller planned
-// under, and hit whether cp came from the plan cache. label is what the
-// in-flight registry shows for the query. planStart is when the caller
-// began planning (lexing, parsing, normalizing); ar is the caller's
-// per-query arena, which bound predicates are allocated from and which
-// the caller releases after this returns.
+// goes through on its way to executeCtx: run the plan template cp with the
+// values params, and stamp the planning facts on the Result. st is the
+// engine state and snap the catalog snapshot the caller planned under,
+// and hit whether cp came from the plan cache. label is what the in-flight
+// registry shows for the query. planStart is when the caller began
+// planning (lexing, parsing, normalizing); ar is the caller's per-query
+// arena, which bound predicates are allocated from and which the caller
+// releases after this returns.
+//
+// A hit runs the cached template itself: its operators read the values
+// from the query scratch, and its sources run the fragments they prepared
+// for it. A plan that has just compiled runs bound, as does every query
+// whose plan is rendered (explained or traced) or whose fragments may go
+// to a peer mediator, which is sent them bound.
 func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse.Arena, planStart time.Time, label string, cp *compiledPlan, params []datum.Datum, hit bool, snap *catalog.Snapshot, qo QueryOptions) (*Result, error) {
-	bound, err := plan.BindParamsIn(ar, cp.tmpl, params)
-	if err != nil {
-		return nil, err
+	p, tb := cp.tmpl, binding{ar: ar}
+	if hit && cp.nParams <= len(params) && !qo.Explain && !qo.Trace && st.router == nil {
+		tb.unbound, tb.params, tb.frags = true, params, cp.fragments()
+	} else {
+		bound, err := plan.BindParamsIn(ar, cp.tmpl, params)
+		if err != nil {
+			return nil, err
+		}
+		p = bound
 	}
 	planTime := st.clock.Since(planStart)
 
-	res, err := e.executeCtx(ctx, st, bound, qo, label, planTime, cp.cost)
+	res, err := e.executeCtx(ctx, st, p, tb, qo, label, planTime, cp.cost)
 	if res != nil {
 		res.PlanTime = planTime
 		res.CacheHit = hit
 		res.CatalogVersion = snap.Version()
-		// The bound plan references arena memory about to be recycled;
+		// A bound plan references arena memory about to be recycled;
 		// report the retained heap template instead so Result.Plan stays
 		// valid for the caller.
 		res.Plan = cp.tmpl
 		res.ArenaBytes += ar.Bytes()
 	}
 	return res, err
+}
+
+// binding is what a plan runs with: whether it is a template run
+// unbound, the statement's values, what is prepared for the cached plan
+// (nil before its second reuse), and the arena a mid-query re-plan binds
+// the values into. The zero binding runs a bound plan.
+type binding struct {
+	unbound bool
+	params  []datum.Datum
+	frags   *exec.Fragments
+	ar      *sqlparse.Arena
 }
 
 // Plan parses, reformulates and optimizes a statement without running it.
@@ -533,17 +556,17 @@ func (e *Engine) executePlan(ctx context.Context, st *engineState, p plan.Node, 
 		return nil, err
 	}
 	p, cost := opt.Annotate(p, st.planEnv(qo))
-	return e.executeCtx(ctx, st, p, qo, "", 0, cost)
+	return e.executeCtx(ctx, st, p, binding{}, qo, "", 0, cost)
 }
 
 // executeCtx is the single execution path: it derives the query's context
 // (deadline, cancel handle), registers the query in the in-flight
 // registry, and runs the plan with every leaf observing that context.
-// planTime positions trace spans relative to query start (planning
-// happened immediately before this call). est is the optimizer's cost
-// prediction, computed by the caller (once per cached template, not per
-// execution).
-func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, qo QueryOptions, sql string, planTime time.Duration, est opt.PlanCost) (*Result, error) {
+// p runs with the values and slots tb holds (see binding). planTime
+// positions trace spans relative to query start (planning happened
+// immediately before this call). est is the optimizer's cost prediction,
+// computed by the caller (once per cached template, not per execution).
+func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, tb binding, qo QueryOptions, sql string, planTime time.Duration, est opt.PlanCost) (*Result, error) {
 	before := st.linkTotals()
 	clock := st.clock
 	start := clock.Now()
@@ -567,6 +590,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 	}
 	scratch := exec.GetScratch()
 	defer exec.PutScratch(scratch)
+	scratch.SetTemplate(tb.params, tb.frags)
 	ctx = exec.WithScratch(ctx, scratch)
 
 	ctx, q := e.beginQuery(ctx, clock, sql)
@@ -596,6 +620,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 	rt := &queryRuntime{st: st, ctx: ctx, slot: slot}
 	rt.opts = rt.execOptions(qo)
 	rt.opts.Scratch = scratch
+	rt.opts.Prepared = tb.frags.Mediator()
 	if gov := st.governor; gov != nil && slot != nil {
 		// Under contention every running query's exchange worker share
 		// shrinks in proportion to its tenant's priority weight —
@@ -669,6 +694,20 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, q
 			continue
 		}
 		replans++
+		if tb.unbound {
+			// Re-optimizing reads the plan bound, and the re-planned
+			// plan runs bound. Every goroutine of the aborted attempt
+			// has joined, so the arena and the scratch are the
+			// query's alone.
+			bound, berr := plan.BindParamsIn(tb.ar, p, tb.params)
+			if berr != nil {
+				err = berr
+				break
+			}
+			p, tb = bound, binding{}
+			scratch.SetTemplate(nil, nil)
+			rt.opts.Prepared = nil
+		}
 		p = opt.Reoptimize(p, st.planEnv(qo), optimizerOptions(qo))
 	}
 	// The ledger's records are written lock-free by whichever goroutine

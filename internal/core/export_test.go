@@ -139,3 +139,28 @@ func (e *Engine) CachedTemplate(norm string, qo QueryOptions) plan.Node {
 	}
 	return nil
 }
+
+// QueryBound runs sql as QueryOptsCtx does, through the plan cache as it
+// stands, except that the plan runs bound, as a plan that has just
+// compiled does: a warm hit's twin on the bound path.
+func (e *Engine) QueryBound(ctx context.Context, sql string, qo QueryOptions) (*Result, error) {
+	st := e.state.Load()
+	ar := sqlparse.GetArena()
+	defer sqlparse.PutArena(ar)
+	snap := e.catalog.Snapshot()
+	cp, params, _, err := e.statementPlan(st, ar, sql, qo, snap)
+	if err != nil {
+		return nil, err
+	}
+	return e.runStatement(ctx, st, ar, st.clock.Now(), sql, cp, params, false, snap, qo)
+}
+
+// PreparedFragments returns the prepared-fragment slots of the plan the
+// cache holds under the normalized statement norm and qo: nil when it
+// holds none, or holds a plan that has not yet served a second query.
+func (e *Engine) PreparedFragments(norm string, qo QueryOptions) *exec.Fragments {
+	if v, ok := e.plans.Get(e.state.Load().planKey(norm, qo)); ok {
+		return v.(*compiledPlan).frags.Load()
+	}
+	return nil
+}

@@ -210,6 +210,13 @@ func (rt *queryRuntime) fetchLocal(ctx context.Context, source string, subtree p
 		}
 		linkBefore = src.Link().Metrics()
 	}
+	if params := rt.opts.Scratch.Params(); params != nil && !src.Capabilities().BindsParams {
+		// A source that cannot bind a template's values is sent its
+		// fragment bound.
+		if subtree, err = plan.BindParams(subtree, params); err != nil {
+			return nil, err
+		}
+	}
 	rows, err = federation.ExecuteWithContext(ctx, src, subtree)
 	if measured {
 		delta := src.Link().Metrics()
@@ -266,6 +273,12 @@ func (rt *queryRuntime) execOptions(qo QueryOptions) exec.Options {
 				// The whole query's deadline passed; degrading one
 				// fetch will not save it.
 				return nil, false
+			}
+			// The replica runs the fragment bound.
+			if params := rt.opts.Scratch.Params(); params != nil {
+				if bound, err := plan.BindParams(subtree, params); err == nil {
+					subtree = bound
+				}
 			}
 			if rows, ok := rt.st.replicaRows(rt.ctx, source, subtree, qo.ReplicaMaxAge); ok {
 				faults.recordReplica(source)

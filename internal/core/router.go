@@ -60,7 +60,7 @@ func (e *Engine) RunFragment(ctx context.Context, subtree plan.Node, qo QueryOpt
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
 	p, est := opt.OptimizeCosted(ar, subtree, st.planEnv(qo), optimizerOptions(qo))
-	res, err := e.executeCtx(ctx, st, p, qo, "", 0, est)
+	res, err := e.executeCtx(ctx, st, p, binding{}, qo, "", 0, est)
 	if err != nil {
 		return nil, fmt.Errorf("core: fragment execution: %w", err)
 	}

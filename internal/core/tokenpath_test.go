@@ -69,6 +69,39 @@ func TestWarmHitNeverParses(t *testing.T) {
 	}
 }
 
+// TestPreparedPlanGainsTokenKey: a plan PrepareOpts compiled is stored
+// without a token key. The first literal statement of its shape parses,
+// finds it by its normalized key and gives it its own token key, so the
+// second and third runs never enter the parser; the cache still holds one
+// plan, and the prepared statement keeps running it.
+func TestPreparedPlanGainsTokenKey(t *testing.T) {
+	e := core.NewTestFederation(t)
+	ctx := context.Background()
+	qo := core.DefaultQueryOptions()
+	ps, err := e.PrepareOpts(ctx, "SELECT name FROM crm.customers WHERE id = $1", qo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.PlanCacheStats()
+	tmpl := e.CachedTemplate(ps.SQL(), qo)
+	for run := 1; run <= 3; run++ {
+		got, _, hit, parsed, err := e.StatementPlan("SELECT name FROM crm.customers WHERE id = 3", qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit || got != tmpl || parsed != (run == 1) {
+			t.Fatalf("run %d: hit %v, the prepared plan %v, parsed %v; want a hit on it that parses only on the first run", run, hit, got == tmpl, parsed)
+		}
+	}
+	if after := e.PlanCacheStats(); after.Entries != before.Entries || after.Misses != before.Misses {
+		t.Errorf("attaching a token key moved the cache from %+v to %+v", before, after)
+	}
+	res, err := ps.ExecuteCtx(ctx, datum.NewInt(3))
+	if err != nil || !res.CacheHit || canonical(res) != "'Cal'|" {
+		t.Fatalf("the prepared statement afterwards: hit %v, %q, %v", res != nil && res.CacheHit, canonical(res), err)
+	}
+}
+
 // TestTokenMissCountsOneLookup: a statement whose token key misses but
 // whose normalized text hits counts one hit, and a stale plan found by
 // its token key is retired once, as the parse path would.

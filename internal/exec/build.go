@@ -107,6 +107,10 @@ type Options struct {
 	// on every fetch boundary whose node carries an estimate. See
 	// ReplanPolicy.
 	Replan ReplanPolicy
+	// Prepared, when non-nil, holds expressions compiled ahead for nodes
+	// of the plan, bound to this execution's values: a build takes those
+	// nodes' expressions from it instead of compiling them (see Prepare).
+	Prepared *Prepared
 }
 
 func (o Options) maxKeys() int {
@@ -326,11 +330,12 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		if err != nil {
 			return nil, err
 		}
-		pred, err := Compile(s, x.Cond, x.Input.Columns())
+		fns, err := compileNode(s, opts.Prepared, x)
 		if err != nil {
 			in.Close()
 			return nil, err
 		}
+		pred := &fns[0]
 		if deg := opts.workers(x.Parallel); deg > 1 {
 			opts.Stats.noteParallelism(deg)
 			return newExchange(ctx, s, in, deg, func(_ int, b Batch) (Batch, error) {
@@ -344,7 +349,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		if err != nil {
 			return nil, err
 		}
-		fns, err := compileAll(s, x.Exprs, x.Input.Columns())
+		fns, err := compileNode(s, opts.Prepared, x)
 		if err != nil {
 			in.Close()
 			return nil, err
@@ -367,16 +372,7 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		}
 		// The group keys and the aggregates' arguments compile into one
 		// block; a COUNT(*) has no argument and leaves a NULL.
-		var buf [8]sqlparse.Expr
-		exprs := append(buf[:0], x.GroupBy...)
-		for _, sp := range x.Aggs {
-			var arg sqlparse.Expr
-			if !sp.Star {
-				arg = sp.Arg
-			}
-			exprs = append(exprs, arg)
-		}
-		fns, err := compileAll(s, exprs, x.Input.Columns())
+		fns, err := compileNode(s, opts.Prepared, x)
 		if err != nil {
 			in.Close()
 			return nil, err
@@ -395,12 +391,11 @@ func buildNode(ctx context.Context, n plan.Node, rt Runtime, opts Options, overl
 		if err != nil {
 			return nil, err
 		}
-		var buf [8]sqlparse.Expr
-		exprs, desc := buf[:0], Make[bool](s, len(x.Keys))
+		desc := Make[bool](s, len(x.Keys))
 		for i, k := range x.Keys {
-			exprs, desc[i] = append(exprs, k.Expr), k.Desc
+			desc[i] = k.Desc
 		}
-		keys, err := compileAll(s, exprs, x.Input.Columns())
+		keys, err := compileNode(s, opts.Prepared, x)
 		if err != nil {
 			in.Close()
 			return nil, err
@@ -476,7 +471,11 @@ func buildJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, over
 	var lk, rk []sqlparse.Expr
 	var residual sqlparse.Expr
 	if x.Cond != nil {
-		lk, rk, residual = plan.AppendEquiKeys(leftBuf[:0], rightBuf[:0], x.Cond, x.Left.Columns(), x.Right.Columns())
+		if pj := opts.Prepared.join(x); pj != nil {
+			lk, rk, residual = pj.lk, pj.rk, pj.residual
+		} else {
+			lk, rk, residual = plan.AppendEquiKeys(leftBuf[:0], rightBuf[:0], x.Cond, x.Left.Columns(), x.Right.Columns())
+		}
 		// Semi-join reduction, where the optimizer hinted it: materialize
 		// the probe side, ship its distinct join keys into the reducible
 		// Remote.
@@ -512,9 +511,15 @@ func assembleJoin(ctx context.Context, x *plan.Join, left, right BatchIterator, 
 	rightArity := len(x.Right.Columns())
 	var cond *Expr
 	var err error
+	pj := opts.Prepared.join(x)
+	if pj != nil {
+		cond = pj.cond
+	}
 	if len(lk) > 0 {
 		var leftKeys, rightKeys []Expr
-		if leftKeys, err = compileAll(s, lk, x.Left.Columns()); err == nil {
+		if pj != nil {
+			leftKeys, rightKeys = pj.left, pj.right
+		} else if leftKeys, err = compileAll(s, lk, x.Left.Columns()); err == nil {
 			if rightKeys, err = compileAll(s, rk, x.Right.Columns()); err == nil && residual != nil {
 				cond, err = Compile(s, residual, x.Columns())
 			}
@@ -535,7 +540,7 @@ func assembleJoin(ctx context.Context, x *plan.Join, left, right BatchIterator, 
 			}), nil
 		}
 	} else {
-		if x.Cond != nil {
+		if x.Cond != nil && pj == nil {
 			cond, err = Compile(s, x.Cond, x.Columns())
 		}
 		if err == nil {
@@ -585,9 +590,15 @@ func trySemiJoin(ctx context.Context, x *plan.Join, rt Runtime, opts Options, lk
 	if err != nil {
 		return nil, false, err
 	}
-	keyFn, err := Compile(s, probeKeys[pairIdx], probeNode.Columns())
-	if err != nil {
-		return nil, false, err
+	var keyFn *Expr
+	if pj := opts.Prepared.join(x); pj == nil {
+		if keyFn, err = Compile(s, probeKeys[pairIdx], probeNode.Columns()); err != nil {
+			return nil, false, err
+		}
+	} else if reduceRight {
+		keyFn = &pj.left[pairIdx]
+	} else {
+		keyFn = &pj.right[pairIdx]
 	}
 	set, fits, err := distinctKeys(s, probeRows, keyFn)
 	if err != nil {

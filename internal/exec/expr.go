@@ -58,7 +58,8 @@ var nullExpr = Expr{eval: (*Expr).evalLiteral}
 
 // Compile resolves and compiles an expression against the input columns,
 // drawing the tree from s (the heap when s is nil). The compiled tree lives
-// exactly as long as s's query.
+// exactly as long as s's query. A parameter compiles to its value in the
+// plan template s runs (see Scratch.Params).
 func Compile(s *Scratch, e sqlparse.Expr, cols []plan.ColMeta) (*Expr, error) {
 	roots, err := compileAll(s, []sqlparse.Expr{e}, cols)
 	if err != nil {
@@ -71,12 +72,17 @@ func Compile(s *Scratch, e sqlparse.Expr, cols []plan.ColMeta) (*Expr, error) {
 // in order, then every node beneath them. A nil expression (a COUNT(*)'s
 // argument) leaves its root a NULL literal.
 func compileAll(s *Scratch, exprs []sqlparse.Expr, cols []plan.ColMeta) ([]Expr, error) {
+	return compileBlock(s, exprs, cols, paramMode{params: s.Params()})
+}
+
+// compileBlock compiles exprs as compileAll does, its parameters as m says.
+func compileBlock(s *Scratch, exprs []sqlparse.Expr, cols []plan.ColMeta, m paramMode) ([]Expr, error) {
 	n := len(exprs)
 	for _, e := range exprs {
-		n += exprNodes(e) - 1
+		n += m.nodes(e) - 1
 	}
 	block := Make[Expr](s, n)
-	c := compiler{s: s, cols: cols, free: block[len(exprs):]}
+	c := compiler{s: s, cols: cols, free: block[len(exprs):], paramMode: m}
 	for i, e := range exprs {
 		if e == nil {
 			block[i] = nullExpr
@@ -89,26 +95,59 @@ func compileAll(s *Scratch, exprs []sqlparse.Expr, cols []plan.ColMeta) ([]Expr,
 	return block[:len(exprs):len(exprs)], nil
 }
 
-// exprNodes counts the nodes compiling e fills: every node of e, except
-// that a constant IN-list's items compile into its set and take none. The
-// count is exact wherever compiling succeeds.
-func exprNodes(e sqlparse.Expr) int {
-	if in, ok := e.(*sqlparse.InExpr); ok && allLiterals(in.List) {
-		return 1 + exprNodes(in.Child)
-	}
-	n := 1
-	sqlparse.MapChildren(nil, e, func(c sqlparse.Expr) (sqlparse.Expr, error) {
-		n += exprNodes(c)
-		return c, nil
-	})
-	return n
-}
-
 // compiler fills one block of nodes: free is the part not yet handed out.
 type compiler struct {
 	s    *Scratch
 	cols []plan.ColMeta
 	free []Expr
+	paramMode
+}
+
+// paramMode is how a block compiles its parameters: each to its value in
+// params, or, where slots is set (a fragment prepared once for many
+// executions, see Prepare), each to a literal node recorded there that
+// every execution binds.
+type paramMode struct {
+	params []datum.Datum
+	slots  *[]paramSlot
+}
+
+// nodes counts the nodes compiling e fills: every node of e, except that
+// a constant IN-list's items compile into its set and take none. The
+// count is exact wherever compiling succeeds.
+func (m paramMode) nodes(e sqlparse.Expr) int {
+	if in, ok := e.(*sqlparse.InExpr); ok && m.allConstant(in.List) {
+		return 1 + m.nodes(in.Child)
+	}
+	n := 1
+	sqlparse.MapChildren(nil, e, func(x sqlparse.Expr) (sqlparse.Expr, error) {
+		n += m.nodes(x)
+		return x, nil
+	})
+	return n
+}
+
+// constant reports e's value when it is known at compile time: a
+// literal's, or a parameter's outside a prepared fragment.
+func (m paramMode) constant(e sqlparse.Expr) (datum.Datum, bool) {
+	if lit, ok := e.(*sqlparse.Literal); ok {
+		return lit.Value, true
+	}
+	if p, ok := e.(*sqlparse.Param); ok && m.slots == nil && p.Index >= 1 && p.Index <= len(m.params) {
+		return m.params[p.Index-1], true
+	}
+	return datum.Datum{}, false
+}
+
+// allConstant reports whether every item of list is constant: the lists
+// that compile to a hashed set.
+func (m paramMode) allConstant(list []sqlparse.Expr) bool {
+	for _, item := range list {
+		if _, ok := m.constant(item); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // take hands out n adjacent nodes: one node's operands. They are taken
@@ -138,9 +177,18 @@ func (c *compiler) compile(dst *Expr, e sqlparse.Expr) error {
 		*dst = Expr{eval: (*Expr).evalLiteral, val: x.Value}
 
 	case *sqlparse.Param:
-		// Parameters must be bound (plan.BindParams) before execution;
-		// reaching one here means a prepared plan was executed raw.
-		return fmt.Errorf("exec: unbound parameter $%d; bind values before executing", x.Index)
+		if c.slots != nil {
+			*dst = Expr{eval: (*Expr).evalLiteral}
+			*c.slots = append(*c.slots, paramSlot{e: dst, k: x.Index})
+			break
+		}
+		v, ok := c.constant(x)
+		if !ok {
+			// A plan holding a placeholder runs only as a template with
+			// its values; reaching one without means it was run raw.
+			return fmt.Errorf("exec: unbound parameter $%d; bind values before executing", x.Index)
+		}
+		*dst = Expr{eval: (*Expr).evalLiteral, val: v}
 
 	case *sqlparse.ColumnRef:
 		idx, err := plan.ResolveColumn(c.cols, x)
@@ -164,10 +212,10 @@ func (c *compiler) compile(dst *Expr, e sqlparse.Expr) error {
 		dst.kids, err = c.kids(x.Child)
 
 	case *sqlparse.InExpr:
-		if allLiterals(x.List) {
+		if c.allConstant(x.List) {
 			*dst = Expr{eval: (*Expr).evalInSet, not: x.Not}
 			if dst.kids, err = c.kids(x.Child); err == nil {
-				dst.set = newInSet(c.s, x.List)
+				dst.set = c.newInSet(x.List)
 			}
 			break
 		}
@@ -240,7 +288,9 @@ func (c *compiler) compileBinary(dst *Expr, x *sqlparse.BinaryExpr) error {
 	case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
 		dst.eval = (*Expr).evalCompare
 		_, col := x.Left.(*sqlparse.ColumnRef)
-		if _, lit := x.Right.(*sqlparse.Literal); col && lit {
+		_, lit := x.Right.(*sqlparse.Literal)
+		_, param := x.Right.(*sqlparse.Param)
+		if col && (lit || param) {
 			dst.eval = (*Expr).evalCompareColumn
 		}
 	case sqlparse.OpAdd, sqlparse.OpSub, sqlparse.OpMul, sqlparse.OpDiv, sqlparse.OpMod:
@@ -259,9 +309,13 @@ func (c *compiler) compileBinary(dst *Expr, x *sqlparse.BinaryExpr) error {
 	}
 	if x.Op == sqlparse.OpLike {
 		// Take a literal pattern's regexp once, from the memo.
-		if lit, ok := x.Right.(*sqlparse.Literal); ok && lit.Value.Kind() == datum.KindString {
+		if v, ok := c.constant(x.Right); ok && v.Kind() == datum.KindString {
 			dst.eval = (*Expr).evalLikeConst
-			dst.re, err = likeCache(lit.Value.Str())
+			dst.re, err = likeCache(v.Str())
+		} else if p, ok := x.Right.(*sqlparse.Param); ok && c.slots != nil {
+			// A prepared pattern: each execution binds its value, and
+			// its regexp with it (see Prepared.Bind).
+			*c.slots = append(*c.slots, paramSlot{e: dst, k: p.Index, like: true})
 		}
 	}
 	return err
@@ -715,31 +769,20 @@ type inSet struct {
 // list are the engine's most frequent semi-joins.
 const inSetScanMax = 2
 
-// allLiterals reports whether every item of list is a literal: the lists
-// newInSet takes.
-func allLiterals(list []sqlparse.Expr) bool {
+// newInSet builds the set of an all-constant list, the set, its values and
+// its index drawn from c.s (the heap when it is nil).
+func (c *compiler) newInSet(list []sqlparse.Expr) *inSet {
+	set := New(c.s, inSet{})
+	set.vals = Make[datum.Datum](c.s, len(list))[:0]
 	for _, item := range list {
-		if _, ok := item.(*sqlparse.Literal); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// newInSet builds the set of an all-literal list, the set, its values and
-// its index drawn from s (the heap when s is nil).
-func newInSet(s *Scratch, list []sqlparse.Expr) *inSet {
-	set := New(s, inSet{})
-	set.vals = Make[datum.Datum](s, len(list))[:0]
-	for _, item := range list {
-		if v := item.(*sqlparse.Literal).Value; v.IsNull() {
+		if v, _ := c.constant(item); v.IsNull() {
 			set.hasNull = true
 		} else {
 			set.vals = append(set.vals, v)
 		}
 	}
 	if len(set.vals) > inSetScanMax {
-		set.ix = newKeyIndex(s, len(set.vals))
+		set.ix = newKeyIndex(c.s, len(set.vals))
 		for _, v := range set.vals {
 			set.ix.add(v.Hash())
 		}

@@ -166,7 +166,7 @@ func TestInListManyKeysSmallTable(t *testing.T) {
 	for k := range vals {
 		vals[k] = datum.NewInt(int64(2 * k))
 	}
-	set := newInSet(nil, literalList(nil, vals))
+	set := (&compiler{}).newInSet(literalList(nil, vals))
 	hashes := set.ix.hashes
 	set.ix = keyIndex{head: make([]int32, 2), next: make([]int32, n), hashes: hashes, shift: 63}
 	for _, h := range hashes {
@@ -186,7 +186,7 @@ func TestInListNonLiteralItemTakesLoop(t *testing.T) {
 	col := func(name string) sqlparse.Expr { return &sqlparse.ColumnRef{Column: name} }
 	lit := func(v datum.Datum) sqlparse.Expr { return &sqlparse.Literal{Value: v} }
 	list := []sqlparse.Expr{lit(datum.NewInt(5)), col("w"), lit(datum.Null)}
-	if allLiterals(list) {
+	if (&compiler{}).allConstant(list) {
 		t.Fatal("a list with a column reference counts as all literals")
 	}
 	for _, not := range []bool{false, true} {

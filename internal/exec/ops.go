@@ -2,7 +2,7 @@ package exec
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/plan"
@@ -484,11 +484,7 @@ func (s *sortBatchIter) NextBatch() (Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		type keyed struct {
-			row datum.Row
-			key datum.Row
-		}
-		ks := make([]keyed, len(rows))
+		ks := Make[sortKeyed](s.scratch, len(rows))
 		keyArena := datum.Row(Make[datum.Datum](s.scratch, len(s.keys)*len(rows)))
 		for i, r := range rows {
 			key := keyArena[:len(s.keys):len(s.keys)]
@@ -498,27 +494,35 @@ func (s *sortBatchIter) NextBatch() (Batch, error) {
 					return nil, err
 				}
 			}
-			ks[i] = keyed{row: r, key: key}
+			ks[i] = sortKeyed{row: r, key: key}
 		}
-		sort.SliceStable(ks, func(i, j int) bool {
-			for k := range s.keys {
-				c := datum.Compare(ks[i].key[k], ks[j].key[k])
-				if c == 0 {
-					continue
-				}
-				if s.desc[k] {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+		slices.SortStableFunc(ks, s.compare)
 		for i, k := range ks {
 			rows[i] = k.row // the drained buffer is ours: sort it in place
 		}
 		s.out, s.done = windows(rows, s.size), true
 	}
 	return s.out.NextBatch()
+}
+
+// sortKeyed is a row beside its evaluated sort key.
+type sortKeyed struct {
+	row datum.Row
+	key datum.Row
+}
+
+// compare orders two keyed rows by the sort keys, each ascending or
+// descending; rows with equal keys compare equal, and keep their order.
+func (s *sortBatchIter) compare(a, b sortKeyed) int {
+	for k, desc := range s.desc {
+		if c := datum.Compare(a.key[k], b.key[k]); c != 0 {
+			if desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
 }
 
 func (s *sortBatchIter) Close() { s.in.Close() }

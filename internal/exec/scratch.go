@@ -5,6 +5,8 @@ import (
 	"sync"
 
 	"repro/internal/arena"
+	"repro/internal/datum"
+	"repro/internal/plan"
 )
 
 // Scratch is the query-scoped allocator: batch row headers, projected
@@ -42,6 +44,11 @@ import (
 type Scratch struct {
 	mu    sync.Mutex
 	slabs arena.Set
+
+	// params and frags are the plan template the query runs, when it runs
+	// one (see SetTemplate); both are nil for a bound plan.
+	params []datum.Datum
+	frags  *Fragments
 
 	// borrowers counts goroutines that may still allocate from or read
 	// scratch memory after the query's drain returns — an abandoned
@@ -114,12 +121,42 @@ func (s *Scratch) Bytes() int64 {
 	return s.slabs.Bytes()
 }
 
-// Reset recycles every block for reuse; previously returned slices become
-// invalid.
+// Reset recycles every block for reuse and forgets the template;
+// previously returned slices become invalid.
 func (s *Scratch) Reset() {
 	s.mu.Lock()
 	s.slabs.Reset()
 	s.mu.Unlock()
+	s.params, s.frags = nil, nil
+}
+
+// SetTemplate makes s the scratch of a query that runs a plan template
+// unbound: params are its values ($k is params[k-1]), which every
+// expression compiled from s reads where the template holds $k, and frags
+// the cached plan's prepared-fragment slots, which the query's sources
+// look their fragments up in (nil for none). It is set before the plan is
+// built, and so before any goroutine of the query reads it.
+func (s *Scratch) SetTemplate(params []datum.Datum, frags *Fragments) {
+	s.params, s.frags = params, frags
+}
+
+// Params returns the values of the template the query runs, nil for a
+// bound plan (and for the nil Scratch).
+func (s *Scratch) Params() []datum.Datum {
+	if s == nil {
+		return nil
+	}
+	return s.params
+}
+
+// Fragment returns the prepared-fragment slot of the template Remote
+// whose child is subtree, nil when the query runs no template or subtree
+// is no such child (a semi-join's reduced fetch, a re-planned plan's).
+func (s *Scratch) Fragment(subtree plan.Node) *FragmentSlot {
+	if s == nil {
+		return nil
+	}
+	return s.frags.slot(subtree)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

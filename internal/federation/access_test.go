@@ -167,6 +167,60 @@ func (p *diffPair) fed(t testing.TB, frag plan.Node, scan *plan.Scan) int {
 	return len(rows)
 }
 
+// templateOf turns frag into a fragment template: every literal of its
+// expressions becomes a parameter, numbered in the order plan.Map meets
+// them, whose value vals holds. Scans are kept.
+func templateOf(frag plan.Node) (tmpl plan.Node, vals []datum.Datum) {
+	expr := func(e sqlparse.Expr) sqlparse.Expr {
+		out, _ := sqlparse.RewriteIn(nil, e, func(x sqlparse.Expr) (sqlparse.Expr, error) {
+			if lit, ok := x.(*sqlparse.Literal); ok {
+				vals = append(vals, lit.Value)
+				return &sqlparse.Param{Index: len(vals)}, nil
+			}
+			return x, nil
+		})
+		return out
+	}
+	var node func(plan.Node) plan.Node
+	node = func(n plan.Node) plan.Node { return plan.Map(nil, n, node, expr) }
+	return node(frag), vals
+}
+
+// sameTemplate runs tmpl with vals at both sources as a cached plan's
+// fragment, twice — the first fetch prepares it, the second reuses what
+// was prepared — and requires want, the literal fragment's rendering.
+func (p *diffPair) sameTemplate(t testing.TB, name string, tmpl plan.Node, vals []datum.Datum, want string) {
+	t.Helper()
+	for _, src := range []*RelationalSource{p.indexed, p.plain} {
+		frags := exec.NewFragments(&plan.Remote{Source: "s", Child: tmpl})
+		for run := 1; run <= 2; run++ {
+			scratch := exec.GetScratch()
+			scratch.SetTemplate(vals, frags)
+			got := render(src.ExecuteCtx(exec.WithScratch(context.Background(), scratch), tmpl))
+			exec.PutScratch(scratch)
+			if got != want {
+				t.Fatalf("%s: run %d at the %s source differs\n got:\n%s\nwant:\n%s", name, run, map[bool]string{true: "indexed", false: "plain"}[src == p.indexed], got, want)
+			}
+		}
+	}
+}
+
+// fedPrepared is fed for the fragment template tmpl prepared by the
+// indexed source and run with vals.
+func (p *diffPair) fedPrepared(t testing.TB, tmpl plan.Node, vals []datum.Datum, scan *plan.Scan) int {
+	t.Helper()
+	f, err := p.indexed.prepare(tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &fragmentRuntime{src: &p.indexed.tableBacked, root: tmpl, params: vals, scans: f.scans}
+	rows, err := rt.ScanTable(context.Background(), scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(rows)
+}
+
 func TestAccessPathsMatchFullScan(t *testing.T) {
 	p := newDiffPair(t, 1, 400)
 	type fragment struct {
@@ -276,9 +330,19 @@ func TestAccessPathsMatchFullScan(t *testing.T) {
 					scan = s
 				}
 			})
-			p.same(t, stage+"/"+c.name, frag)
+			want := p.same(t, stage+"/"+c.name, frag)
 			if fed, all := p.fed(t, frag, scan), p.it.Len(); (fed < all) != c.probe {
 				t.Errorf("%s/%s: scan fed %d of %d rows, probe expected: %v", stage, c.name, fed, all, c.probe)
+			}
+			if c.name == "unbound parameter" {
+				continue
+			}
+			// The same fragment as a template, its literals parameters:
+			// prepared, it answers alike and probes alike.
+			tmpl, vals := templateOf(frag)
+			p.sameTemplate(t, stage+"/"+c.name+" as a template", tmpl, vals, want)
+			if fed, all := p.fedPrepared(t, tmpl, vals, scan), p.it.Len(); (fed < all) != c.probe {
+				t.Errorf("%s/%s as a template: scan fed %d of %d rows, probe expected: %v", stage, c.name, fed, all, c.probe)
 			}
 		}
 	}

@@ -28,6 +28,11 @@ type Caps struct {
 	PushAggregate bool
 	PushSort      bool
 	PushLimit     bool
+	// BindsParams reports that the source runs a plan template's
+	// fragment unbound: it reads the values of the fragment's parameters
+	// from the query scratch riding the context (exec.Scratch.Params). A
+	// source without it is sent the fragment with its values bound in.
+	BindsParams bool
 }
 
 // FullSQL is the capability set of a mature relational source.
@@ -128,38 +133,42 @@ const requestOverheadBytes = 256
 // Ordinary predicate literals ride inside the envelope; only the payloads
 // that grow with probe-side cardinality are charged per byte, so the wire
 // accounting exposes the IN-list vs bloom crossover honestly.
-func RequestSize(subtree plan.Node) int {
-	return requestOverheadBytes + payloadBytes(subtree)
+func RequestSize(subtree plan.Node) int { return requestSize(subtree, nil) }
+
+// requestSize is RequestSize of a fragment template run with params: an
+// IN-list parameter weighs what its value does as a literal.
+func requestSize(subtree plan.Node, params []datum.Datum) int {
+	return requestOverheadBytes + payloadBytes(subtree, params)
 }
 
 // payloadBytes sums key-shipping payload bytes over the predicates of a
-// fragment's filters and joins. It runs on the E17 warm path for every
-// remote fetch, and allocates nothing (plan.MapInputs does not when its
-// callback changes nothing).
-func payloadBytes(n plan.Node) int {
+// fragment's filters and joins. It allocates nothing (plan.MapInputs does
+// not when its callback changes nothing).
+func payloadBytes(n plan.Node, params []datum.Datum) int {
 	total := 0
 	if f, ok := n.(*plan.Filter); ok {
-		total = exprPayload(f.Cond)
+		total = exprPayload(f.Cond, params)
 	} else if j, ok := n.(*plan.Join); ok {
-		total = exprPayload(j.Cond)
+		total = exprPayload(j.Cond, params)
 	}
 	plan.MapInputs(nil, n, func(in plan.Node) plan.Node {
-		total += payloadBytes(in)
+		total += payloadBytes(in, params)
 		return in
 	})
 	return total
 }
 
 // exprPayload counts the bytes of cardinality-dependent predicate payloads:
-// IN-list literal values and serialized key-set filters. Single literals
-// elsewhere are part of the fixed request size.
-func exprPayload(e sqlparse.Expr) int {
+// IN-list literal values (a parameter's, from params, as a literal's) and
+// serialized key-set filters. Single literals elsewhere are part of the
+// fixed request size.
+func exprPayload(e sqlparse.Expr, params []datum.Datum) int {
 	total := 0
 	sqlparse.WalkExprs(e, func(x sqlparse.Expr) {
 		if in, ok := x.(*sqlparse.InExpr); ok {
 			for _, item := range in.List {
-				if lit, ok := item.(*sqlparse.Literal); ok {
-					total += lit.Value.WireSize()
+				if v, ok := keyValue(item, params); ok {
+					total += v.WireSize()
 				}
 			}
 		} else if kf, ok := x.(*sqlparse.KeyFilterExpr); ok && kf.Set != nil {
@@ -167,6 +176,43 @@ func exprPayload(e sqlparse.Expr) int {
 		}
 	})
 	return total
+}
+
+// payloadParams appends the index k of every parameter $k an IN-list of
+// n's filters and joins holds, in payloadBytes' order.
+func payloadParams(dst []int, n plan.Node) []int {
+	var cond sqlparse.Expr
+	if f, ok := n.(*plan.Filter); ok {
+		cond = f.Cond
+	} else if j, ok := n.(*plan.Join); ok {
+		cond = j.Cond
+	}
+	sqlparse.WalkExprs(cond, func(x sqlparse.Expr) {
+		if in, ok := x.(*sqlparse.InExpr); ok {
+			for _, item := range in.List {
+				if p, ok := item.(*sqlparse.Param); ok {
+					dst = append(dst, p.Index)
+				}
+			}
+		}
+	})
+	plan.MapInputs(nil, n, func(in plan.Node) plan.Node {
+		dst = payloadParams(dst, in)
+		return in
+	})
+	return dst
+}
+
+// keyValue returns the value of e when it is a literal, or a parameter
+// params binds.
+func keyValue(e sqlparse.Expr, params []datum.Datum) (datum.Datum, bool) {
+	if lit, ok := e.(*sqlparse.Literal); ok {
+		return lit.Value, true
+	}
+	if p, ok := e.(*sqlparse.Param); ok && p.Index >= 1 && p.Index <= len(params) {
+		return params[p.Index-1], true
+	}
+	return datum.Datum{}, false
 }
 
 // shipResult charges the link for one round trip carrying a request of req
@@ -381,6 +427,7 @@ func mergeWhere(a, b sqlparse.Expr) sqlparse.Expr {
 // validateSubtree checks that every scan in the subtree references the
 // given source and that every node is within caps.
 func validateSubtree(source string, caps Caps, subtree plan.Node) error {
+	validations.Add(1)
 	var err error
 	plan.Walk(subtree, func(n plan.Node) {
 		if err != nil {

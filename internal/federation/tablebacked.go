@@ -33,6 +33,8 @@ func newTableBacked(name string, caps Caps, link *netsim.Link) tableBacked {
 	if link == nil {
 		link = netsim.LocalLink()
 	}
+	// Every table-backed source binds a template's parameters itself.
+	caps.BindsParams = true
 	return tableBacked{
 		name:   name,
 		caps:   caps,
@@ -83,19 +85,37 @@ func (s *tableBacked) table(name string) (*storage.Table, error) {
 // its access path (access.go) — and the result shipped across the link.
 // The fetch is abandoned (before shipping) once the context's deadline
 // passes or it is cancelled.
+//
+// A fragment of a plan template the query runs unbound reads its values
+// from the query scratch. Where the template's cached plan has a slot for
+// it, the fetch runs the fragment this source prepared there, preparing it
+// on the first fetch through the slot (see executeTemplate); a fetch that
+// finds the slot held by another, or whose fragment does not prepare, runs
+// it as any other.
 func (s *tableBacked) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.Row, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := validateSubtree(s.name, s.caps, subtree); err != nil {
 		return nil, err
 	}
 	// Local execution allocates from the calling query's scratch when one
 	// rides the context — the fragment's runtime and operators as well as
 	// its rows: the shipped result dies with that query.
 	scratch := exec.ScratchFrom(ctx)
-	rt := exec.New(scratch, fragmentRuntime{src: s, root: subtree, scratch: scratch})
-	it, err := exec.BuildBatch(ctx, subtree, rt, exec.Options{Scratch: scratch})
+	if rows, ok, err := s.executeTemplate(ctx, scratch, subtree); ok {
+		return rows, err
+	}
+	if err := validateSubtree(s.name, s.caps, subtree); err != nil {
+		return nil, err
+	}
+	sourceCompiles.Add(1)
+	params := scratch.Params()
+	rt := exec.New(scratch, fragmentRuntime{src: s, root: subtree, scratch: scratch, params: params})
+	return s.drainAndShip(ctx, scratch, subtree, rt, exec.Options{Scratch: scratch}, requestSize(subtree, params))
+}
+
+// drainAndShip builds subtree over rt, drains it and ships the rows with a
+// request of req bytes.
+func (s *tableBacked) drainAndShip(ctx context.Context, scratch *exec.Scratch, subtree plan.Node, rt exec.Runtime, opts exec.Options, req int) ([]datum.Row, error) {
+	it, err := exec.BuildBatch(ctx, subtree, rt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -106,5 +126,5 @@ func (s *tableBacked) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return shipResult(ctx, s.link, RequestSize(subtree), rows)
+	return shipResult(ctx, s.link, req, rows)
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/datum"
 	"repro/internal/sqlparse"
@@ -33,6 +34,9 @@ func BindParams(n Node, params []datum.Datum) (Node, error) {
 func BindParamsIn(a *sqlparse.Arena, n Node, params []datum.Datum) (Node, error) {
 	b := binder{arena: a, params: params}
 	out := b.node(n)
+	if b.copied > 0 {
+		nodesCopied.Add(b.copied)
+	}
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -51,13 +55,23 @@ type binder struct {
 	arena  *sqlparse.Arena
 	params []datum.Datum
 	err    error // the first out-of-range parameter, a *ParamError
+	copied int64 // plan nodes copied
 }
+
+// nodesCopied counts, process-wide, the plan nodes binding has copied.
+var nodesCopied atomic.Int64
 
 // node binds n's inputs and expressions. Map is copy-on-change and keeps
 // a copy's derived columns, so a subtree without placeholders is shared
 // with the template and a bound Aggregate keeps its unbound column names,
 // which references above it were resolved against.
-func (b *binder) node(n Node) Node { return Map(b.arena, n, b.node, b.expr) }
+func (b *binder) node(n Node) Node {
+	out := Map(b.arena, n, b.node, b.expr)
+	if out != n {
+		b.copied++
+	}
+	return out
+}
 
 // expr binds e's placeholders; RewriteIn hands an expression without one
 // back as itself.

@@ -104,6 +104,9 @@ type Entry struct {
 // Value returns the entry's plan.
 func (e *Entry) Value() any { return e.value }
 
+// Alt returns the entry's alternate key, "" for none.
+func (e *Entry) Alt() string { return e.alt }
+
 // A shard holds the entries whose key hashes to it, found by that hash.
 // Two keys with one hash displace each other, which costs a compile and
 // never serves a wrong plan: every lookup compares the key itself.
@@ -163,15 +166,22 @@ func (c *Cache) altShardOf(h uint64) *altShard { return c.alts[h%uint64(len(c.al
 
 // Get returns the cached plan for the key, marking it most recently used.
 func (c *Cache) Get(k Key) (any, bool) {
+	e, ok := c.GetEntry(k)
+	if !ok {
+		return nil, false
+	}
+	return e.value, true
+}
+
+// GetEntry is Get returning the plan's entry.
+func (c *Cache) GetEntry(k Key) (*Entry, bool) {
 	h := k.hash()
 	s := c.shardOf(h)
 	s.mu.Lock()
 	e := s.items[h]
 	ok := e != nil && e.key == k
-	var v any
 	if ok {
 		s.touch(e)
-		v = e.value
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -179,7 +189,34 @@ func (c *Cache) Get(k Key) (any, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return v, true
+	return e, true
+}
+
+// AttachAlt gives a cached entry without an alternate key one: it
+// replaces e, in its place in the LRU order, with an entry under the same
+// key carrying alt and the value v, and reports whether it did. It does
+// nothing once e has been removed or replaced, or when e has an alternate
+// key. No counter moves: the cache holds the same plans.
+func (c *Cache) AttachAlt(e *Entry, alt string, v any) bool {
+	if alt == "" || e.alt != "" {
+		return false
+	}
+	ne := &Entry{key: e.key, alt: alt, hash: e.hash, altHash: sum(alt, e.key.Options, e.key.Availability), value: v}
+	s := c.shardOf(e.hash)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.items[e.hash] != e {
+		return false
+	}
+	ne.prev, ne.next = e.prev, e.next
+	ne.prev.next, ne.next.prev = ne, ne
+	e.prev, e.next = nil, nil
+	s.items[e.hash] = ne
+	as := c.altShardOf(ne.altHash)
+	as.mu.Lock()
+	as.alts[ne.altHash] = ne
+	as.mu.Unlock()
+	return true
 }
 
 // PeekAlt returns the entry whose alternate key is alt under k's options
