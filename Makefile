@@ -103,12 +103,15 @@ race-deadlock:
 race-adaptive:
 	$(GO) test -race -run 'TestE20AdaptiveReplanStorm|TestE20ReplansBesideWarmHits|TestScratchOperatorsDieWithTheirQuery' -count=3 ./internal/core
 
-# Template storm: eight clients run one cached plan template unbound, as
-# literal statements and as a prepared statement, each with its own
-# values, under the race detector, and each answer must equal its
-# NoPlanCache twin's. Concurrent fetches of one fragment hand its prepared
-# state (a cached plan's exec.FragmentSlot) from fetch to fetch, and the
-# parameter values each binds into it must never reach another's.
+# Template storm: eight clients run one cached plan template, as literal
+# statements and as a prepared statement, each with its own values, under
+# the race detector, and each answer must equal its NoPlanCache twin's.
+# Concurrent fetches of one fragment hand its prepared state (a cached
+# plan's exec.FragmentSlot) from fetch to fetch, and the parameter values
+# each binds into it must never reach another's. The storm runs on one
+# node and again on a 2-node cluster, where each coordinator prefetches
+# the fragment its peer owns and the peer reads the coordinator's values
+# from the query scratch riding the fragment's context.
 race-template:
 	$(GO) test -race -run 'TestTemplateStorm' -count=3 ./internal/core
 

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datum"
+	"repro/internal/exec"
 	"repro/internal/federation"
 	"repro/internal/netsim"
 	"repro/internal/plan"
@@ -240,11 +241,13 @@ func (n *Node) RouteRemote(ctx context.Context, source string, subtree plan.Node
 
 // SendFragment charges the inter-node link for shipping a plan fragment
 // to a peer: the request envelope plus any semi-join key-list or bloom
-// payload the fragment carries (federation.RequestSize). A failed
-// transfer (injected fault, partition) loses the fragment; the error
-// surfaces into the coordinator's retry pipeline.
+// payload the fragment carries, its IN-list parameters weighed with the
+// values of the template the query runs, which ride ctx's scratch
+// (federation.RequestSizeWith). A failed transfer (injected fault,
+// partition) loses the fragment; the error surfaces into the
+// coordinator's retry pipeline.
 func (n *Node) SendFragment(ctx context.Context, link *netsim.Link, fragment plan.Node) error {
-	_, err := link.Transfer(ctx, federation.RequestSize(fragment))
+	_, err := link.Transfer(ctx, federation.RequestSizeWith(fragment, exec.ScratchFrom(ctx).Params()))
 	return err
 }
 

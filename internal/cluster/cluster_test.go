@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datum"
+	"repro/internal/netsim"
 	"repro/internal/workload"
 )
 
@@ -207,5 +208,44 @@ func TestSingleNodeClusterRoutesNothing(t *testing.T) {
 	}
 	if c.Node(0).FilterCapable("crm") {
 		t.Error("single node must not report peer filter capability")
+	}
+}
+
+// TestTemplateFragmentRequestBytes: a cross-shard statement whose routed
+// fragment holds the statement's own IN-list ships it as a template
+// fragment, its IN-list items parameters. Cold, warm and warm with its
+// prepared slots, the coordinator must charge the inter-node link exactly
+// what its NoPlanCache twin, which ships the items as literals, charges:
+// the three values weigh what they weigh as literals.
+func TestTemplateFragmentRequestBytes(t *testing.T) {
+	ctx := context.Background()
+	c, _ := buildCRMCluster(t, 300, 2, splitSeed(t, 2))
+	coord := c.Node(c.Owner("crm")).Engine()
+	const q = `SELECT c.name, i.amount FROM crm.customers c JOIN billing.invoices i ON c.id = i.cust_id
+		WHERE c.region = 'west' AND i.status IN ('overdue', 'open', 'paid') AND i.amount > 10`
+	run := func(qo core.QueryOptions) (*core.Result, netsim.Metrics) {
+		t.Helper()
+		c.ResetInterNode()
+		res, err := coord.QueryOptsCtx(ctx, q, qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, c.InterNodeTotals()
+	}
+	want, wantNet := run(core.QueryOptions{NoPlanCache: true})
+	if wantNet.RoundTrips == 0 {
+		t.Fatal("the statement shipped no fragment to the peer")
+	}
+	for i, what := range []string{"cold", "warm", "warm, prepared"} {
+		res, net := run(core.QueryOptions{})
+		if res.CacheHit != (i > 0) {
+			t.Fatalf("%s: cache hit %v", what, res.CacheHit)
+		}
+		if rowsKey(res.Rows) != rowsKey(want.Rows) {
+			t.Fatalf("%s: %d rows, the NoPlanCache twin %d", what, len(res.Rows), len(want.Rows))
+		}
+		if net != wantNet {
+			t.Errorf("%s: the inter-node link carried %+v, the NoPlanCache twin %+v", what, net, wantNet)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/feedback"
 	"repro/internal/opt"
@@ -122,8 +123,9 @@ func (s *engineState) absorbLedger(led *exec.CardLedger) (estErrors int) {
 // per operator, read from the final attempt's ledger — the `--explain` /
 // `?explain=1` / EXPLAIN ANALYZE surface: estimate error inspectable
 // without full tracing. Falls under the ledger's read contract: call it
-// only after the attempt's goroutines have joined.
-func renderExplain(p plan.Node, led *exec.CardLedger, replans int) string {
+// only after the attempt's goroutines have joined. The values the plan
+// template ran with follow it on a line of their own.
+func renderExplain(p plan.Node, led *exec.CardLedger, replans int, params []datum.Datum) string {
 	cards := led.ByNode()
 	var b strings.Builder
 	if replans > 0 {
@@ -147,5 +149,21 @@ func renderExplain(p plan.Node, led *exec.CardLedger, replans int) string {
 		})
 	}
 	walk(p, 0)
+	if len(params) > 0 {
+		fmt.Fprintf(&b, "-- values: %s\n", renderValues(params))
+	}
+	return b.String()
+}
+
+// renderValues lists the values a plan template ran with, as SQL
+// literals: "$1 = 'west', $2 = 100"; empty for none.
+func renderValues(params []datum.Datum) string {
+	var b strings.Builder
+	for i, v := range params {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "$%d = %s", i+1, v)
+	}
 	return b.String()
 }

@@ -365,8 +365,8 @@ func TestE20AdaptiveReplanStorm(t *testing.T) {
 // TestE20ReplansBesideWarmHits: plan-cache hits and E20 re-plans run at
 // once over one cached template, and no pass writes into it. Each round
 // caches the stale-stats query's static template; half the workers run it
-// as warm hits, the other half bind it as a hit does and hand the bound
-// plan, which shares every subtree without a parameter with the template,
+// as warm hits, the other half bind it, as a caller of ExecuteCtx must,
+// and hand the bound plan, which shares every subtree without a parameter with the template,
 // to ExecuteCtx adaptively, where it trips the cardinality tripwire and
 // re-plans — the last optimizer pass and Reoptimize both copy what they
 // annotate. Every node of the template must read as it did before the
@@ -499,5 +499,44 @@ func TestExecuteRejectsUnboundTemplate(t *testing.T) {
 	}
 	if after := e.NetworkTotals(); after.RoundTrips != before.RoundTrips {
 		t.Errorf("%d round trips before the error", after.RoundTrips-before.RoundTrips)
+	}
+}
+
+// TestReplanReportsThePlanThatRan: Result.Plan is the plan that produced
+// the rows, on every entry point. A warm hit of the stale-stats query
+// through QueryOptsCtx trips the cardinality tripwire and re-optimizes
+// the cached template it runs, keeping its values: it reports the
+// re-planned plan, not the template it replaced, and writes nothing into
+// that template.
+func TestReplanReportsThePlanThatRan(t *testing.T) {
+	e := staleStatsFixture(t, 4000)
+	qo := QueryOptions{Parallel: true, Adaptive: true}
+	tmpl, _, _, _, err := e.StatementPlan(staleStatsQuery, qo) // compiles and caches it
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[plan.Node]any{}
+	plan.Walk(tmpl, func(n plan.Node) { before[n] = reflect.ValueOf(n).Elem().Interface() })
+	res, err := e.QueryOptsCtx(context.Background(), staleStatsQuery, qo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CacheHit || res.ReplanCount == 0 {
+		t.Fatalf("cache hit %v, %d re-plans: the warm hit did not re-plan", res.CacheHit, res.ReplanCount)
+	}
+	if res.Plan == tmpl {
+		t.Fatalf("Result.Plan is the cached template the re-plan replaced:\n%s", plan.Explain(res.Plan))
+	}
+	fresh, err := e.QueryOptsCtx(context.Background(), staleStatsQuery, QueryOptions{NoPlanCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results(t, res) != results(t, fresh) {
+		t.Errorf("the re-planned hit answered %d rows, a fresh static compile %d", len(res.Rows), len(fresh.Rows))
+	}
+	for n, v := range before {
+		if !reflect.DeepEqual(reflect.ValueOf(n).Elem().Interface(), v) {
+			t.Errorf("%s of the cached template was written to", n.Describe())
+		}
 	}
 }

@@ -3,7 +3,7 @@ package core
 // This file holds the compilation pipeline: the single path every query
 // takes from SQL text to an optimized plan, the plan cache that memoizes
 // it, and prepared statements — compile once, execute many times with
-// different bound constants.
+// different values.
 //
 // The pipeline is pure given three inputs: the statement text, the catalog
 // snapshot, and the plan-shaping options. The cache key captures the text
@@ -31,8 +31,9 @@ import (
 )
 
 // compiledPlan is one plan-cache entry: an immutable optimized plan
-// template (it may contain unbound parameters) plus what's needed to bind
-// and account for it, and to tell when it goes stale.
+// template (it may hold parameters, whose values each execution brings)
+// plus what's needed to run and account for it, and to tell when it goes
+// stale.
 type compiledPlan struct {
 	tmpl    plan.Node
 	nParams int
@@ -291,8 +292,8 @@ func (e *Engine) retirePlans(names []catalog.Name) {
 }
 
 // PreparedStatement is a statement compiled ahead of execution. Its plan
-// is cached in the engine's plan cache; ExecuteCtx binds parameter values
-// into the cached template and runs it. When a catalog write changes a
+// is cached in the engine's plan cache; ExecuteCtx runs the cached
+// template with the parameter values it is given. When a catalog write changes a
 // name the plan read, or source availability changes, between executions,
 // the next ExecuteCtx transparently recompiles — a prepared statement
 // never runs against a stale schema, and a write it did not read leaves
@@ -382,17 +383,16 @@ func (e *Engine) cachedTemplate(st *engineState, ar *sqlparse.Arena, keys sqlpar
 	return cp, false, nil
 }
 
-// ExecuteCtx binds parameter values ($1 = params[0], ...) and runs the
-// statement, recompiling first if the catalog changed since the plan was
+// ExecuteCtx runs the statement with the parameter values params ($1 =
+// params[0], ...), recompiling first if the catalog changed since the plan was
 // cached. Too few values fail with a *plan.ParamError. Cancellation and
 // deadline propagate into execution. As with QueryOptsCtx, a non-nil
 // *Result may accompany an execution error.
 func (ps *PreparedStatement) ExecuteCtx(ctx context.Context, params ...datum.Datum) (*Result, error) {
 	st := ps.e.state.Load()
 	planStart := st.clock.Now()
-	// A recompile and bound parameter subtrees live in the query's arena
-	// (see QueryOptsCtx for the lifecycle argument); the template itself
-	// is retained on the heap.
+	// A recompile lives in the query's arena (see QueryOptsCtx for the
+	// lifecycle argument); the template itself is retained on the heap.
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
 	snap := ps.e.catalog.Snapshot()

@@ -314,8 +314,8 @@ type Result struct {
 	Estimate opt.PlanCost
 	// Elapsed is wall-clock execution time (excludes planning).
 	Elapsed time.Duration
-	// PlanTime is how long planning took: parse, normalize, cache
-	// lookup, compile on a miss, and parameter binding.
+	// PlanTime is how long planning took: lex, parse and normalize, cache
+	// lookup, and compile on a miss.
 	PlanTime time.Duration
 	// CacheHit is true when the plan came from the plan cache rather
 	// than a fresh compile.
@@ -360,9 +360,9 @@ type Result struct {
 	// ArenaBytes is the payload the query drew from its query-scoped
 	// allocators, all recycled when it finished: its scratch (operators,
 	// compiled expressions, batches) and, for a statement, its front-end
-	// arena (AST, normalized parameters, the plan compiled or bound in
-	// it). The arena's token buffer and parser stacks are not counted. A
-	// plan run through ExecuteCtx reports its scratch alone.
+	// arena (AST, normalized parameters, the plan compiled in it). The
+	// arena's token buffer and parser stacks are not counted. A plan run
+	// through ExecuteCtx reports its scratch alone.
 	ArenaBytes int64
 	// ReplanCount is how many times the query re-optimized mid-execution
 	// after a cardinality tripwire (0 on the static path and for queries
@@ -397,15 +397,16 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 //
 // Planning goes through the plan cache. The statement is lexed and its
 // token key — the token stream with its literals masked — looked up: a
-// plan stored with that key binds the literals straight from the tokens
-// and runs, and the statement is never parsed. Otherwise it is parsed and
-// normalized by extracting predicate constants into parameters, the cache
-// is consulted by the normalized text, and on a hit the constants are
-// bound back into the cached template; a miss compiles and stores the
-// plan under both keys. Repeated queries differing only in constants
-// compile once. IN and EXISTS subqueries are part of the plan, so their
-// statements cache like any other. Statements with explicit placeholders
-// and queries with NoPlanCache set compile fresh.
+// plan stored with that key takes the literals straight from the tokens
+// as its values, and the statement is never parsed. Otherwise it is
+// parsed and normalized by extracting predicate constants into
+// parameters, and the cache is consulted by the normalized text; a miss
+// compiles and stores the plan under both keys. Either way the cached
+// template runs with the constants as its values, so repeated queries
+// differing only in constants compile once. IN and EXISTS subqueries are
+// part of the plan, so their statements cache like any other. Statements
+// with explicit placeholders and queries with NoPlanCache set compile
+// fresh.
 //
 // On execution failure the returned *Result may be non-nil alongside the
 // error: it carries no rows but preserves the fault ledger (SourceErrors,
@@ -415,8 +416,8 @@ func (e *Engine) QueryOptsCtx(ctx context.Context, sql string, qo QueryOptions) 
 	st := e.state.Load()
 	planStart := st.clock.Now()
 
-	// Per-query arena: tokens, AST nodes, normalized parameter subtrees and
-	// bound predicates all come from it, so a warm cached-hit execution is
+	// Per-query arena: tokens, AST nodes, the statement's values and a
+	// miss's compile all come from it, so a warm cached-hit execution is
 	// near-zero-alloc in the front end. The single deferred PutArena covers
 	// every exit path — parse/compile error, admission shed, cancellation,
 	// success — and is safe because executeCtx joins all query goroutines
@@ -433,7 +434,7 @@ func (e *Engine) QueryOptsCtx(ctx context.Context, sql string, qo QueryOptions) 
 }
 
 // statementPlan finds the plan template of a literal statement under
-// snap, and the values to bind into it. Through the plan cache, it serves
+// snap, and the values to run it with. Through the plan cache, it serves
 // the statement by its token key when the plan stored with that key is
 // current and its literal map binds the tokens, and else parses and
 // normalizes the statement and looks it up as cachedTemplate does. hit
@@ -472,50 +473,40 @@ func (e *Engine) statementPlan(st *engineState, ar *sqlparse.Arena, sql string, 
 // and hit whether cp came from the plan cache. label is what the in-flight
 // registry shows for the query. planStart is when the caller began
 // planning (lexing, parsing, normalizing); ar is the caller's per-query
-// arena, which bound predicates are allocated from and which the caller
-// releases after this returns.
+// arena, which the values live in and which the caller releases after
+// this returns.
 //
-// A hit runs the cached template itself: its operators read the values
-// from the query scratch, and its sources run the fragments they prepared
-// for it. A plan that has just compiled runs bound, as does every query
-// whose plan is rendered (explained or traced) or whose fragments may go
-// to a peer mediator, which is sent them bound.
+// Every statement runs the template itself: its operators read the values
+// from the query scratch, and so do its sources and its peers. A hit also
+// runs with the slots its sources keep their prepared fragments in; a
+// plan that has just compiled runs with none.
 func (e *Engine) runStatement(ctx context.Context, st *engineState, ar *sqlparse.Arena, planStart time.Time, label string, cp *compiledPlan, params []datum.Datum, hit bool, snap *catalog.Snapshot, qo QueryOptions) (*Result, error) {
-	p, tb := cp.tmpl, binding{ar: ar}
-	if hit && cp.nParams <= len(params) && !qo.Explain && !qo.Trace && st.router == nil {
-		tb.unbound, tb.params, tb.frags = true, params, cp.fragments()
-	} else {
-		bound, err := plan.BindParamsIn(ar, cp.tmpl, params)
-		if err != nil {
-			return nil, err
-		}
-		p = bound
+	if cp.nParams > len(params) {
+		return nil, &plan.ParamError{Index: cp.nParams, Bound: len(params)}
+	}
+	tb := binding{params: params}
+	if hit {
+		tb.frags = cp.fragments()
 	}
 	planTime := st.clock.Since(planStart)
 
-	res, err := e.executeCtx(ctx, st, p, tb, qo, label, planTime, cp.cost)
+	res, err := e.executeCtx(ctx, st, cp.tmpl, tb, qo, label, planTime, cp.cost)
 	if res != nil {
 		res.PlanTime = planTime
 		res.CacheHit = hit
 		res.CatalogVersion = snap.Version()
-		// A bound plan references arena memory about to be recycled;
-		// report the retained heap template instead so Result.Plan stays
-		// valid for the caller.
-		res.Plan = cp.tmpl
 		res.ArenaBytes += ar.Bytes()
 	}
 	return res, err
 }
 
-// binding is what a plan runs with: whether it is a template run
-// unbound, the statement's values, what is prepared for the cached plan
-// (nil before its second reuse), and the arena a mid-query re-plan binds
-// the values into. The zero binding runs a bound plan.
+// binding is what a plan runs with: the statement's values, and what is
+// prepared for the cached plan (nil for a plan that has just compiled, and
+// before its second reuse). The zero binding runs a plan that holds no
+// parameter.
 type binding struct {
-	unbound bool
-	params  []datum.Datum
-	frags   *exec.Fragments
-	ar      *sqlparse.Arena
+	params []datum.Datum
+	frags  *exec.Fragments
 }
 
 // Plan parses, reformulates and optimizes a statement without running it.
@@ -541,20 +532,16 @@ func (e *Engine) plan(ctx context.Context, st *engineState, sql string, qo Query
 	return cp.tmpl, nil
 }
 
-// ExecuteCtx runs an optimized plan under a caller context. Like
-// QueryOptsCtx, a non-nil *Result may accompany an execution error; a
-// plan holding a placeholder fails with a *plan.ParamError before any fetch.
+// ExecuteCtx runs an optimized plan under a caller context, annotated and
+// costed under the environment it executes in. Like QueryOptsCtx, a
+// non-nil *Result may accompany an execution error; a plan holding a
+// placeholder fails with a *plan.ParamError before any fetch, found by
+// binding it no values.
 func (e *Engine) ExecuteCtx(ctx context.Context, p plan.Node, qo QueryOptions) (*Result, error) {
-	return e.executePlan(ctx, e.state.Load(), p, qo)
-}
-
-// executePlan runs a plan that arrived without a statement: annotated
-// and costed under the environment it executes in, no label, no planning
-// time. Binding no values finds a placeholder the plan still holds.
-func (e *Engine) executePlan(ctx context.Context, st *engineState, p plan.Node, qo QueryOptions) (*Result, error) {
 	if _, err := plan.BindParams(p, nil); err != nil {
 		return nil, err
 	}
+	st := e.state.Load()
 	p, cost := opt.Annotate(p, st.planEnv(qo))
 	return e.executeCtx(ctx, st, p, binding{}, qo, "", 0, cost)
 }
@@ -694,20 +681,8 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, t
 			continue
 		}
 		replans++
-		if tb.unbound {
-			// Re-optimizing reads the plan bound, and the re-planned
-			// plan runs bound. Every goroutine of the aborted attempt
-			// has joined, so the arena and the scratch are the
-			// query's alone.
-			bound, berr := plan.BindParamsIn(tb.ar, p, tb.params)
-			if berr != nil {
-				err = berr
-				break
-			}
-			p, tb = bound, binding{}
-			scratch.SetTemplate(nil, nil)
-			rt.opts.Prepared = nil
-		}
+		// The re-planned template runs with the same values: no
+		// signature or selectivity the optimizer reads depends on one.
 		p = opt.Reoptimize(p, st.planEnv(qo), optimizerOptions(qo))
 	}
 	// The ledger's records are written lock-free by whichever goroutine
@@ -747,7 +722,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, t
 		EstimateErrors:   estErrors,
 	}
 	if qo.Explain && err == nil {
-		res.ExplainOutput = renderExplain(p, led, replans)
+		res.ExplainOutput = renderExplain(p, led, replans, tb.params)
 	}
 	for i, c := range cols {
 		res.Columns[i] = c.Name
@@ -755,7 +730,7 @@ func (e *Engine) executeCtx(ctx context.Context, st *engineState, p plan.Node, t
 	}
 	rt.faults.fill(res)
 	if rt.tracer != nil {
-		res.Trace = rt.tracer.Finish(p, led, planTime)
+		res.Trace = rt.tracer.Finish(p, led, planTime, renderValues(tb.params))
 	}
 	if err != nil {
 		res.Rows = nil
@@ -794,20 +769,14 @@ func (e *Engine) Explain(ctx context.Context, sql string, qo QueryOptions) (stri
 // annotated with the optimizer's estimate and the observed row count of
 // every operator plus the network accounting — the tool §8 asks for when
 // it calls for "query execution-time prediction" work: predicted vs
-// actual, side by side. It is Plan + the single execution path with the
-// per-operator ledger on + a rendering of that ledger, so it runs under
-// the same admission, breakers, retries and options as any other query.
-// The operators' guards write the ledger while executeCtx drains the plan;
-// executeCtx renders it into Result.ExplainOutput itself, after the final
-// attempt's goroutines have joined and before the ledger is recycled.
+// actual, side by side. It is QueryOptsCtx compiling fresh with the
+// per-operator ledger on, so it runs under the same admission, breakers,
+// retries and options as any other query; executeCtx renders the ledger
+// into Result.ExplainOutput after the final attempt's goroutines have
+// joined and before the ledger is recycled.
 func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, qo QueryOptions) (string, error) {
-	st := e.state.Load()
-	p, err := e.plan(ctx, st, sql, qo)
-	if err != nil {
-		return "", err
-	}
-	qo.Explain = true
-	res, err := e.executePlan(ctx, st, p, qo)
+	qo.Explain, qo.NoPlanCache = true, true
+	res, err := e.QueryOptsCtx(ctx, sql, qo)
 	if err != nil {
 		return "", err
 	}

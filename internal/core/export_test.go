@@ -78,8 +78,9 @@ func (e *Engine) HeapPlan(key string, qo QueryOptions) (plan.Node, error) {
 }
 
 // BoundPlan compiles sql as a plan-cache miss does, in ar, and binds the
-// statement's constants into the template as a hit does; it returns the
-// bound plan and the environment the compile costed it under.
+// statement's constants into the template, for RunRecorded, which runs a
+// plan with no values; it returns the bound plan and the environment the
+// compile costed it under.
 func (e *Engine) BoundPlan(ar *sqlparse.Arena, sql string, qo QueryOptions) (plan.Node, opt.Env, error) {
 	sel, err := sqlparse.ParseArena(ar, sql)
 	if err != nil {
@@ -140,10 +141,10 @@ func (e *Engine) CachedTemplate(norm string, qo QueryOptions) plan.Node {
 	return nil
 }
 
-// QueryBound runs sql as QueryOptsCtx does, through the plan cache as it
-// stands, except that the plan runs bound, as a plan that has just
-// compiled does: a warm hit's twin on the bound path.
-func (e *Engine) QueryBound(ctx context.Context, sql string, qo QueryOptions) (*Result, error) {
+// QueryUnprepared runs sql as QueryOptsCtx does, through the plan cache
+// as it stands, except that the template runs with no prepared slots, as
+// a plan that has just compiled does: a warm hit's unprepared twin.
+func (e *Engine) QueryUnprepared(ctx context.Context, sql string, qo QueryOptions) (*Result, error) {
 	st := e.state.Load()
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)

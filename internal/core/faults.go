@@ -210,13 +210,6 @@ func (rt *queryRuntime) fetchLocal(ctx context.Context, source string, subtree p
 		}
 		linkBefore = src.Link().Metrics()
 	}
-	if params := rt.opts.Scratch.Params(); params != nil && !src.Capabilities().BindsParams {
-		// A source that cannot bind a template's values is sent its
-		// fragment bound.
-		if subtree, err = plan.BindParams(subtree, params); err != nil {
-			return nil, err
-		}
-	}
 	rows, err = federation.ExecuteWithContext(ctx, src, subtree)
 	if measured {
 		delta := src.Link().Metrics()
@@ -274,12 +267,6 @@ func (rt *queryRuntime) execOptions(qo QueryOptions) exec.Options {
 				// fetch will not save it.
 				return nil, false
 			}
-			// The replica runs the fragment bound.
-			if params := rt.opts.Scratch.Params(); params != nil {
-				if bound, err := plan.BindParams(subtree, params); err == nil {
-					subtree = bound
-				}
-			}
 			if rows, ok := rt.st.replicaRows(rt.ctx, source, subtree, qo.ReplicaMaxAge); ok {
 				faults.recordReplica(source)
 				return rows, true
@@ -320,14 +307,15 @@ func (rt *replicaRuntime) RunRemote(context.Context, string, plan.Node) ([]datum
 
 // replicaRows executes the failed source's pushed-down subtree against
 // the replica provider's table copies, when all of them are present and
-// fresh enough. It runs under the query's context: a cancelled query
-// does not fall back to replicas.
+// fresh enough. It runs under the query's context, and builds from the
+// query scratch riding it, whose values it reads where the fragment holds
+// a parameter: a cancelled query does not fall back to replicas.
 func (s *engineState) replicaRows(ctx context.Context, source string, subtree plan.Node, maxAge time.Duration) ([]datum.Row, bool) {
 	if s.replica == nil {
 		return nil, false
 	}
 	rt := &replicaRuntime{rp: s.replica, source: source, maxAge: maxAge}
-	it, err := exec.BuildBatch(ctx, subtree, rt, exec.Options{})
+	it, err := exec.BuildBatch(ctx, subtree, rt, exec.Options{Scratch: exec.ScratchFrom(ctx)})
 	if err != nil {
 		return nil, false
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/datum"
+	"repro/internal/exec"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
@@ -26,7 +27,9 @@ type FetchRouter interface {
 	// engine proceeds with its normal local fetch (breaker, retry,
 	// source wrapper). When handled=true the rows/err pair is the whole
 	// answer — the engine does not fall back to the local path. The rows
-	// are borrowed from the calling query and valid until it ends.
+	// are borrowed from the calling query and valid until it ends. A
+	// subtree holding parameters is a fragment of the plan template the
+	// query runs, whose values ride ctx's scratch (exec.Scratch.Params).
 	RouteRemote(ctx context.Context, source string, subtree plan.Node) (rows []datum.Row, handled bool, err error)
 	// FilterCapable reports whether fragments for source run at a peer
 	// mediator that can absorb shipped key predicates (IN-lists, bloom
@@ -54,13 +57,16 @@ func (e *Engine) SetFetchRouter(r FetchRouter) {
 // one), valid until that query ends; an answer the owner degraded under
 // qo.AllowPartial is a *PartialFragmentError, for the caller to judge.
 // The fragment optimizes into a pooled arena, as it dies with executeCtx.
+// A fragment of the plan template the caller runs holds its parameters:
+// it runs with the values of that template, read from the same scratch.
 func (e *Engine) RunFragment(ctx context.Context, subtree plan.Node, qo QueryOptions) ([]datum.Row, error) {
 	qo.fragment = true
 	st := e.state.Load()
 	ar := sqlparse.GetArena()
 	defer sqlparse.PutArena(ar)
 	p, est := opt.OptimizeCosted(ar, subtree, st.planEnv(qo), optimizerOptions(qo))
-	res, err := e.executeCtx(ctx, st, p, binding{}, qo, "", 0, est)
+	tb := binding{params: exec.ScratchFrom(ctx).Params()}
+	res, err := e.executeCtx(ctx, st, p, tb, qo, "", 0, est)
 	if err != nil {
 		return nil, fmt.Errorf("core: fragment execution: %w", err)
 	}

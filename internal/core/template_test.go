@@ -51,17 +51,17 @@ func brief(answer string) string {
 // templateRunner runs statements of one engine, or of a cluster's
 // coordinator, and the twins they are checked against.
 type templateRunner struct {
-	query func(ctx context.Context, sql string, qo core.QueryOptions) (*core.Result, error)
-	bound func(ctx context.Context, sql string, qo core.QueryOptions) (*core.Result, error)
-	e     *core.Engine // prepares and invalidates
+	query      func(ctx context.Context, sql string, qo core.QueryOptions) (*core.Result, error)
+	unprepared func(ctx context.Context, sql string, qo core.QueryOptions) (*core.Result, error)
+	e          *core.Engine // prepares and invalidates
 }
 
-// checkTemplatePath runs sql under qo cold (a miss runs bound), warm (a
-// hit runs the cached template), warm with its extracted literals changed,
-// and prepared, and checks each answer against a NoPlanCache compile with
-// the literals inline, and each hit's network accounting, Partial and
-// SkippedSources against its twin on the bound path, where the twin ran
-// the same template without re-planning.
+// checkTemplatePath runs sql under qo cold (a miss runs the template with
+// no prepared slots), warm (a hit runs it with its slots), warm with its
+// extracted literals changed, and prepared, and checks each answer against
+// a NoPlanCache compile with the literals inline, and each hit's network
+// accounting, Partial and SkippedSources against its unprepared twin,
+// where the twin ran the same template without re-planning.
 func checkTemplatePath(t *testing.T, r templateRunner, label, sql string, qo core.QueryOptions) {
 	t.Helper()
 	ctx := context.Background()
@@ -76,16 +76,16 @@ func checkTemplatePath(t *testing.T, r templateRunner, label, sql string, qo cor
 		if err != nil || !got.CacheHit {
 			return
 		}
-		twin, terr := r.bound(ctx, stmt, qo)
+		twin, terr := r.unprepared(ctx, stmt, qo)
 		if terr != nil {
-			t.Fatalf("%s %s %q: bound twin: %v", label, what, stmt, terr)
+			t.Fatalf("%s %s %q: unprepared twin: %v", label, what, stmt, terr)
 		}
 		if answerOf(twin, nil) != answerOf(got, nil) || twin.Partial != got.Partial || !slices.Equal(twin.SkippedSources, got.SkippedSources) {
-			t.Fatalf("%s %s %q: template answered %q partial %v skipped %v, bound %q partial %v skipped %v", label, what, stmt,
+			t.Fatalf("%s %s %q: hit answered %q partial %v skipped %v, unprepared %q partial %v skipped %v", label, what, stmt,
 				brief(answerOf(got, nil)), got.Partial, got.SkippedSources, brief(answerOf(twin, nil)), twin.Partial, twin.SkippedSources)
 		}
 		if twin.Plan == got.Plan && twin.ReplanCount == 0 && got.ReplanCount == 0 && twin.Network != got.Network {
-			t.Fatalf("%s %s %q: template network %+v, bound %+v", label, what, stmt, got.Network, twin.Network)
+			t.Fatalf("%s %s %q: hit network %+v, unprepared %+v", label, what, stmt, got.Network, twin.Network)
 		}
 	}
 	r.e.InvalidatePlans()
@@ -114,11 +114,11 @@ func checkTemplatePath(t *testing.T, r templateRunner, label, sql string, qo cor
 	}
 }
 
-// TestTemplatePathMatchesBoundPath runs the token-path corpus — the cost
-// cases, the random equivalence statements, the subquery corpus and the
-// benchmark's statement families — under every template option set, on
-// one node and, for the benchmark families, on a 2-node cluster.
-func TestTemplatePathMatchesBoundPath(t *testing.T) {
+// TestTemplateHitMatchesUnpreparedRun runs the token-path corpus — the
+// cost cases, the random equivalence statements, the subquery corpus and
+// the benchmark's statement families — under every template option set,
+// on one node and, for the benchmark families, on a 2-node cluster.
+func TestTemplateHitMatchesUnpreparedRun(t *testing.T) {
 	type stmt struct {
 		e   *core.Engine
 		sql string
@@ -151,7 +151,7 @@ func TestTemplatePathMatchesBoundPath(t *testing.T) {
 		add(crm.Engine, sql)
 	}
 	for _, s := range stmts {
-		r := templateRunner{query: s.e.QueryOptsCtx, bound: s.e.QueryBound, e: s.e}
+		r := templateRunner{query: s.e.QueryOptsCtx, unprepared: s.e.QueryUnprepared, e: s.e}
 		for _, o := range templateOptions {
 			checkTemplatePath(t, r, o.label, s.sql, o.qo)
 		}
@@ -166,7 +166,7 @@ func TestTemplatePathMatchesBoundPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord := cl.Coordinator().Engine()
-	r := templateRunner{query: coord.QueryOptsCtx, bound: coord.QueryBound, e: coord}
+	r := templateRunner{query: coord.QueryOptsCtx, unprepared: coord.QueryUnprepared, e: coord}
 	for _, sql := range benchFamilies {
 		for _, o := range templateOptions {
 			checkTemplatePath(t, r, "2-node "+o.label, sql, o.qo)
@@ -306,16 +306,23 @@ func TestCatalogWriteRetiresPreparedFragments(t *testing.T) {
 // literal statements and as a prepared statement — each with its own
 // values, and every answer must equal its NoPlanCache twin's. Concurrent
 // fetches of one fragment share its prepared state one at a time, and a
-// fetch that finds it held runs unprepared. `make race-template` repeats
-// it under the race detector.
+// fetch that finds it held runs unprepared. The storm runs on one node,
+// and on a 2-node cluster where crm and billing have different owners,
+// half the workers coordinating at each node: each coordinator prefetches
+// the fragment its peer owns, and the peer runs it with the values it
+// reads from the coordinator's query scratch. `make race-template`
+// repeats it under the race detector.
 func TestTemplateStorm(t *testing.T) {
 	ctx := context.Background()
 	crm, err := workload.CRMOf(120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qo := core.DefaultQueryOptions()
-	ps, err := crm.Engine.PrepareOpts(ctx, portalTemplate, qo)
+	ccfg := cluster.Config{Nodes: 2}
+	for o := cluster.Owners(ccfg, "crm", "billing"); o[0] == o[1]; o = cluster.Owners(ccfg, "crm", "billing") {
+		ccfg.Seed++
+	}
+	cl, err := cluster.New(ccfg, func(int) (*core.Engine, error) { return crm.NewEngine() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,15 +331,34 @@ func TestTemplateStorm(t *testing.T) {
 	for i := range want {
 		want[i] = answerOf(crm.Engine.QueryOptsCtx(ctx, workload.PortalSQL(i), core.QueryOptions{NoPlanCache: true}))
 	}
+	for _, nodes := range [][]*core.Engine{{crm.Engine}, {cl.Node(0).Engine(), cl.Node(1).Engine()}} {
+		t.Run(fmt.Sprintf("%d-node", len(nodes)), func(t *testing.T) { templateStorm(t, nodes, workers, runs, want) })
+	}
+}
+
+// templateStorm runs the storm of TestTemplateStorm with worker w
+// coordinating at nodes[w%len(nodes)].
+func templateStorm(t *testing.T, nodes []*core.Engine, workers, runs int, want []string) {
+	ctx := context.Background()
+	qo := core.DefaultQueryOptions()
+	prepared := make([]*core.PreparedStatement, len(nodes))
+	for i, e := range nodes {
+		ps, err := e.PrepareOpts(ctx, portalTemplate, qo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared[i] = ps
+	}
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
+			e, ps := nodes[w%len(nodes)], prepared[w%len(nodes)]
 			for r := 0; r < runs; r++ {
 				i := w*runs + r
 				var res *core.Result
 				var err error
 				if r%2 == 0 {
-					res, err = crm.Engine.QueryOptsCtx(ctx, workload.PortalSQL(i), qo)
+					res, err = e.QueryOptsCtx(ctx, workload.PortalSQL(i), qo)
 				} else {
 					res, err = ps.ExecuteCtx(ctx, datum.NewInt(int64(1+i%97)), datum.NewInt(int64(100+50*(i%9))))
 				}

@@ -45,8 +45,8 @@ type Scratch struct {
 	mu    sync.Mutex
 	slabs arena.Set
 
-	// params and frags are the plan template the query runs, when it runs
-	// one (see SetTemplate); both are nil for a bound plan.
+	// params and frags are the values and the prepared-fragment slots of
+	// the plan template the query runs (see SetTemplate); nil for none.
 	params []datum.Datum
 	frags  *Fragments
 
@@ -130,18 +130,18 @@ func (s *Scratch) Reset() {
 	s.params, s.frags = nil, nil
 }
 
-// SetTemplate makes s the scratch of a query that runs a plan template
-// unbound: params are its values ($k is params[k-1]), which every
-// expression compiled from s reads where the template holds $k, and frags
-// the cached plan's prepared-fragment slots, which the query's sources
-// look their fragments up in (nil for none). It is set before the plan is
-// built, and so before any goroutine of the query reads it.
+// SetTemplate makes s the scratch of a query that runs a plan template:
+// params are its values ($k is params[k-1]), which every expression
+// compiled from s reads where the template holds $k, and frags the cached
+// plan's prepared-fragment slots, which the query's sources look their
+// fragments up in (nil for none). It is set before the plan is built, and
+// so before any goroutine of the query reads it.
 func (s *Scratch) SetTemplate(params []datum.Datum, frags *Fragments) {
 	s.params, s.frags = params, frags
 }
 
 // Params returns the values of the template the query runs, nil for a
-// bound plan (and for the nil Scratch).
+// template without parameters (and for the nil Scratch).
 func (s *Scratch) Params() []datum.Datum {
 	if s == nil {
 		return nil

@@ -17,8 +17,9 @@ import (
 // per-attempt link accounting — virtual link time, wire bytes, rows — so
 // a traced query accounts for every round trip it caused.
 type Span struct {
-	// Name identifies the span: "query", "plan", "exec", "fetch", or an
-	// operator's Describe() line.
+	// Name identifies the span: "query", "plan" (followed by the values of
+	// the plan template the query ran, when it holds parameters), "exec",
+	// "fetch", or an operator's Describe() line.
 	Name string `json:"name"`
 	// Source is the source a fetch span talked to.
 	Source string `json:"source,omitempty"`
@@ -154,14 +155,15 @@ func (t *QueryTracer) RecordFetch(source string, subtree plan.Node, start time.T
 }
 
 // Finish materializes the span tree for the executed plan: a root "query"
-// span covering planning plus execution, a "plan" child, an "exec" child
-// holding the operator tree (shaped like the plan, labeled by Describe,
+// span covering planning plus execution, a "plan" child named with the
+// template's values (values, "$1 = 'west', …"; empty for none), an "exec"
+// child holding the operator tree (shaped like the plan, labeled by Describe,
 // rendered from the final attempt's ledger — the same records explain
 // output reads, so the two cannot disagree), and one fetch child per
 // source-fetch attempt. planTime shifts execution spans right so offsets
 // are relative to query start. cards falls under the OpCard contract:
 // call Finish only after the attempt's goroutines have joined.
-func (t *QueryTracer) Finish(root plan.Node, cards *CardLedger, planTime time.Duration) *Span {
+func (t *QueryTracer) Finish(root plan.Node, cards *CardLedger, planTime time.Duration, values string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	execDur := t.clock.Since(t.start)
@@ -187,7 +189,11 @@ func (t *QueryTracer) Finish(root plan.Node, cards *CardLedger, planTime time.Du
 	}
 
 	query := &Span{Name: "query", Duration: planTime + execDur}
-	query.Children = append(query.Children, &Span{Name: "plan", Duration: planTime})
+	planSpan := &Span{Name: "plan", Duration: planTime}
+	if values != "" {
+		planSpan.Name += " " + values
+	}
+	query.Children = append(query.Children, planSpan)
 	execSpan := &Span{Name: "exec", Start: planTime, Duration: execDur}
 	if root != nil {
 		execSpan.Children = append(execSpan.Children, opTree(root))

@@ -8,10 +8,10 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// This file holds what running a plan template unbound needs: the
-// per-Remote slots a cached plan keeps its sources' prepared state in
-// (Fragments), and a fragment's expressions compiled once with a slot per
-// parameter (Prepared). The query's values ride its Scratch
+// This file holds what running a plan template needs: the per-Remote
+// slots a cached plan keeps its sources' prepared state in (Fragments),
+// and a fragment's expressions compiled once with a slot per parameter
+// (Prepared). The query's values ride its Scratch
 // (SetTemplate): the mediator's operators compile each $k to its value,
 // and a source binds its prepared fragment to them.
 

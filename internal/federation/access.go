@@ -30,7 +30,7 @@ type fragmentRuntime struct {
 	root    plan.Node
 	scratch *exec.Scratch
 	// params are the values of the template the fragment is run from, nil
-	// for a bound fragment.
+	// for a template without parameters.
 	params []datum.Datum
 	// scans are a prepared fragment's access paths, one per scan; nil
 	// derives each scan's when the scan is built.

@@ -58,13 +58,13 @@ func (s *tableBacked) prepare(subtree plan.Node) (*preparedFragment, error) {
 	if f.exprs, err = exec.Prepare(subtree); err != nil {
 		return nil, err
 	}
-	f.size = requestSize(subtree, nil)
+	f.size = RequestSizeWith(subtree, nil)
 	f.sizeParams = payloadParams(nil, subtree)
 	prepares.Add(1)
 	return f, nil
 }
 
-// requestSize is requestSize(subtree, params) of the fragment f prepared.
+// requestSize is RequestSizeWith(subtree, params) of the fragment f prepared.
 func (f *preparedFragment) requestSize(params []datum.Datum) int {
 	size := f.size
 	for _, k := range f.sizeParams {

@@ -28,11 +28,6 @@ type Caps struct {
 	PushAggregate bool
 	PushSort      bool
 	PushLimit     bool
-	// BindsParams reports that the source runs a plan template's
-	// fragment unbound: it reads the values of the fragment's parameters
-	// from the query scratch riding the context (exec.Scratch.Params). A
-	// source without it is sent the fragment with its values bound in.
-	BindsParams bool
 }
 
 // FullSQL is the capability set of a mature relational source.
@@ -94,7 +89,9 @@ type ContextSource interface {
 	// reference this source) and returns the result rows. The
 	// implementation charges the link for shipping the result back; a
 	// query deadline or cancellation aborts the fetch before (or instead
-	// of) charging it.
+	// of) charging it. A subtree is a fragment of the plan template the
+	// query runs: the values of any parameter it holds ride the query
+	// scratch on ctx (exec.Scratch.Params).
 	ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.Row, error)
 }
 
@@ -133,11 +130,12 @@ const requestOverheadBytes = 256
 // Ordinary predicate literals ride inside the envelope; only the payloads
 // that grow with probe-side cardinality are charged per byte, so the wire
 // accounting exposes the IN-list vs bloom crossover honestly.
-func RequestSize(subtree plan.Node) int { return requestSize(subtree, nil) }
+func RequestSize(subtree plan.Node) int { return RequestSizeWith(subtree, nil) }
 
-// requestSize is RequestSize of a fragment template run with params: an
-// IN-list parameter weighs what its value does as a literal.
-func requestSize(subtree plan.Node, params []datum.Datum) int {
+// RequestSizeWith is RequestSize of a fragment of a plan template run with
+// the values params: an IN-list parameter weighs what its value does as a
+// literal.
+func RequestSizeWith(subtree plan.Node, params []datum.Datum) int {
 	return requestOverheadBytes + payloadBytes(subtree, params)
 }
 

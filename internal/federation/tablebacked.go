@@ -33,8 +33,6 @@ func newTableBacked(name string, caps Caps, link *netsim.Link) tableBacked {
 	if link == nil {
 		link = netsim.LocalLink()
 	}
-	// Every table-backed source binds a template's parameters itself.
-	caps.BindsParams = true
 	return tableBacked{
 		name:   name,
 		caps:   caps,
@@ -86,12 +84,12 @@ func (s *tableBacked) table(name string) (*storage.Table, error) {
 // The fetch is abandoned (before shipping) once the context's deadline
 // passes or it is cancelled.
 //
-// A fragment of a plan template the query runs unbound reads its values
-// from the query scratch. Where the template's cached plan has a slot for
-// it, the fetch runs the fragment this source prepared there, preparing it
-// on the first fetch through the slot (see executeTemplate); a fetch that
-// finds the slot held by another, or whose fragment does not prepare, runs
-// it as any other.
+// The fragment reads its parameters' values from the query scratch.
+// Where the template's cached plan has a slot for it, the fetch runs the
+// fragment this source prepared there, preparing it on the first fetch
+// through the slot (see executeTemplate); a fetch that finds the slot
+// held by another, or whose fragment does not prepare, runs it as any
+// other.
 func (s *tableBacked) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datum.Row, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -109,7 +107,7 @@ func (s *tableBacked) ExecuteCtx(ctx context.Context, subtree plan.Node) ([]datu
 	sourceCompiles.Add(1)
 	params := scratch.Params()
 	rt := exec.New(scratch, fragmentRuntime{src: s, root: subtree, scratch: scratch, params: params})
-	return s.drainAndShip(ctx, scratch, subtree, rt, exec.Options{Scratch: scratch}, requestSize(subtree, params))
+	return s.drainAndShip(ctx, scratch, subtree, rt, exec.Options{Scratch: scratch}, RequestSizeWith(subtree, params))
 }
 
 // drainAndShip builds subtree over rt, drains it and ships the rows with a

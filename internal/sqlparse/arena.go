@@ -7,12 +7,12 @@ import (
 	"repro/internal/datum"
 )
 
-// Arena is the query arena behind one parse→bind→execute cycle: an
-// arena.Set that every AST node and list comes from, and the plan
-// compiled and bound from them too (plan.BuildIn, and plan.Map, through
-// which the optimizer's passes and plan.BindParamsIn copy the nodes,
-// lists and expressions they change), beside the parser's reused token
-// buffer and list stacks. New and Make draw from it, and Reset recycles the lot, so a
+// Arena is the query arena behind one parse→compile→execute cycle: an
+// arena.Set that every AST node and list comes from, the statement's
+// values, and the plan compiled from them too (plan.BuildIn, and
+// plan.Map, through which the optimizer's passes copy the nodes, lists
+// and expressions they change), beside the parser's reused token buffer
+// and list stacks. New and Make draw from it, and Reset recycles the lot, so a
 // warm query compiles with almost no heap allocation.
 //
 // An Arena is not safe for concurrent use and everything allocated from
